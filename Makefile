@@ -5,10 +5,10 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X repro/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: check vet staticcheck build test race difftest bench bench-compare chaos-soak serve-smoke
+.PHONY: check vet staticcheck build test benchmark-test race difftest bench bench-compare chaos-soak serve-smoke
 
 # Tier-1 gate: everything that must pass before a change lands.
-check: vet staticcheck build test race difftest
+check: vet staticcheck build test benchmark-test race difftest
 
 vet:
 	$(GO) vet ./...
@@ -27,6 +27,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The repository benchmark (BENCHMARK.json, benchmark/) is a module of
+# its own, so ./... above does not reach it: vet it and run its tests
+# (decorator transparency, layer budget, a smoke of every workload).
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Race detector over the concurrency-bearing packages (parallel runtime,
 # message passing, the sharded likelihood kernels — including the
@@ -54,9 +60,10 @@ bench:
 	FDML_BENCH_DIR=$(CURDIR)/bench $(GO) test -count=1 -run TestKernelBenchJSON -v ./internal/likelihood/
 
 # Regression gate: re-measure the kernels and diff against the committed
-# baseline (BENCH_baseline_kernels.json, captured before the SoA/AVX2
-# kernel rewrite). Fails when any kernel is >10% slower than baseline;
-# the stdout table is markdown, ready for a CI job summary.
+# baseline (BENCH_baseline_kernels.json, re-taken whenever a change moves
+# a kernel's level on purpose — last after the log-free Newton loop).
+# Fails when any kernel is >10% slower than baseline; the stdout table
+# is markdown, ready for a CI job summary.
 bench-compare:
 	FDML_BENCH_DIR=$(CURDIR)/bench $(GO) test -count=1 -run TestKernelBenchJSON ./internal/likelihood/
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline_kernels.json -current bench/BENCH_kernels.json -max-regress 0.10

@@ -27,18 +27,15 @@ func TestKernelBenchJSON(t *testing.T) {
 	// ±15% on shared runners, and best-of-N is the stablest estimator of
 	// the kernel's true cost for the regression gate to diff against.
 	const benchReps = 3
-	// zeroAlloc marks the kernels with a zero-alloc steady-state
-	// guarantee; full_smooth walks the tree with per-pass bookkeeping
-	// and is measured without the assertion.
+	// Every kernel carries the zero-alloc steady-state guarantee.
 	kernels := []struct {
-		name      string
-		fn        func(*testing.B, int)
-		zeroAlloc bool
+		name string
+		fn   func(*testing.B, int)
 	}{
-		{"down_partial_cached", benchDownPartial, true},
-		{"newton_edge", benchNewton, true},
-		{"full_smooth", benchSmooth, false},
-		{"grad_smooth", benchGradientSmooth, true},
+		{"down_partial_cached", benchDownPartial},
+		{"newton_edge", benchNewton},
+		{"full_smooth", benchSmooth},
+		{"grad_smooth", benchGradientSmooth},
 	}
 	// The calibration workload is a fixed, dependent float64 chain: pure
 	// CPU speed, no memory or threading effects. benchdiff divides the
@@ -80,7 +77,7 @@ func TestKernelBenchJSON(t *testing.T) {
 				"speedup_vs_serial": serialNs / ns,
 			}
 			totals[fmt.Sprintf("%s_threads_%d_ns", k.name, n)] = ns
-			if k.zeroAlloc && r.AllocsPerOp() != 0 {
+			if r.AllocsPerOp() != 0 {
 				t.Errorf("%s threads=%d: %d allocs/op in steady state, want 0",
 					k.name, n, r.AllocsPerOp())
 			}

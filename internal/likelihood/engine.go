@@ -175,12 +175,15 @@ type CachedEngine struct {
 	siteBuf       []float64
 	insJ, insRest clvRef
 
-	// Gradient-smoothing scratch (gradient.go): the per-edge gradient
-	// buffer reused across rounds and the pre-update length snapshot the
-	// round safeguard reverts with. Both stabilize at the tree's edge
-	// count, keeping gradient rounds allocation-free.
+	// Smoothing scratch: the per-edge buffer holding the sweep's visit
+	// order (newton.go) or the gradient rounds' derivatives
+	// (gradient.go), the pre-update length snapshot the gradient round
+	// safeguard reverts with, and the per-node-ID marks of a restricted
+	// optimization's region. All stabilize at the tree's size, keeping
+	// smoothing passes allocation-free.
 	gradBuf []BranchGrad
 	gradOld []float64
+	near    []bool
 }
 
 // beginEval starts the stats clock for a public evaluation entry point;

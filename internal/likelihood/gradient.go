@@ -164,9 +164,12 @@ func smoothAnchor(t *tree.Tree) *tree.Node {
 }
 
 // edgeGradient computes d/dz and d²/dz² of the edge log-likelihood at z
-// from the two directed partials — edgeDerivatives without the
-// log-likelihood value, so the kernel performs no per-pattern log and
-// loads no scale counts.
+// from the two directed partials — the one derivative kernel, shared by
+// the Newton loop (newtonEdge) and the all-branches gradient. It leaves
+// the log-likelihood value out, so it performs no per-pattern log and
+// loads no scale counts. Every derivative evaluation on every path goes
+// through here, which is what makes NewtonIters and the 44 ops/pattern
+// an exact count.
 func (e *CachedEngine) edgeGradient(a, b clvRef, z float64) (float64, float64) {
 	e.fillProbsDeriv(clampLen(z))
 	e.ops += uint64(e.npat) * 44
@@ -295,5 +298,5 @@ func (e *CachedEngine) gradFallback(t *tree.Tree, opt OptOptions, anchor *tree.N
 		tree.SetLen(e.gradBuf[i].A, e.gradBuf[i].B, e.gradOld[i])
 	}
 	e.stats.GradFallbacks++
-	return e.optimizeBranchesSweep(t, opt, anchor, nil)
+	return e.optimizeBranchesSweep(t, opt, anchor, false)
 }

@@ -33,11 +33,11 @@ func TestParseSmoothMode(t *testing.T) {
 	}
 }
 
-// TestBranchGradientsMatchDerivKernel pins the log-free gradient kernel
-// to the full derivative kernel: for every edge, BranchGradients must
-// return d1/d2 bit-identical to edgeDerivatives at the same length —
-// the scale counts and the per-pattern log it drops only ever fed the
-// likelihood value, never the derivative terms.
+// TestBranchGradientsMatchDerivKernel pins the all-branches walk to the
+// per-edge derivative kernel: for every edge, BranchGradients must
+// return d1/d2 bit-identical to edgeGradient on that edge's two
+// directed partials at the same length — the pre-order walk pairs the
+// right up- and down-partial with the right branch.
 func TestBranchGradientsMatchDerivKernel(t *testing.T) {
 	for _, prec := range []Precision{Float64, Float32} {
 		m, p, tr := threadFixture(t, 31, 14, 500)
@@ -68,7 +68,7 @@ func TestBranchGradientsMatchDerivKernel(t *testing.T) {
 		for _, g := range grads {
 			a, _ := eng.partial(g.A, g.B)
 			b, _ := eng.partial(g.B, g.A)
-			d1, d2, _ := eng.edgeDerivatives(a, b, g.Z)
+			d1, d2 := eng.edgeGradient(a, b, g.Z)
 			if math.Float64bits(g.D1) != math.Float64bits(d1) ||
 				math.Float64bits(g.D2) != math.Float64bits(d2) {
 				t.Errorf("prec=%v edge %d-%d: gradient (%.17g, %.17g) != deriv kernel (%.17g, %.17g)",
@@ -271,12 +271,12 @@ func TestGradientRestrictedUsesSweep(t *testing.T) {
 // preserve IDs).
 func centerIn(t *tree.Tree, n *tree.Node) *tree.Node { return t.Nodes[n.ID] }
 
-// TestGradientZeroAllocSteadyState asserts the gradient smoothing path
-// holds the arena contract the evaluation path already has: once warm,
-// perturb-and-resmooth rounds allocate nothing, in either precision,
-// serial or threaded. (The sequential sweep's per-pass bookkeeping
-// allocates; the gradient path must not.)
-func TestGradientZeroAllocSteadyState(t *testing.T) {
+// TestSmoothZeroAllocSteadyState asserts both smoothing paths hold the
+// arena contract the evaluation path already has: once warm,
+// perturb-and-resmooth allocates nothing, in either mode and precision,
+// serial or threaded — the sweep's visit order and the gradient rounds'
+// buffers live in engine-owned scratch.
+func TestSmoothZeroAllocSteadyState(t *testing.T) {
 	m, p, tr := caterpillarFixture(t, 3, 12, 400)
 	edges := tr.Edges()
 	lens := make([]float64, len(edges))
@@ -293,32 +293,34 @@ func TestGradientZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 
-	for _, prec := range []Precision{Float64, Float32} {
-		for _, threads := range []int{1, 4} {
-			eng, err := NewWithPrecision(m, p, prec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if threads > 1 {
-				eng.SetThreads(threads)
-			}
-			opt := OptOptions{Passes: 16, Mode: SmoothGradient}
-			perturb()
-			if _, err := eng.OptimizeBranches(tr, opt); err != nil {
-				t.Fatal(err)
-			}
-			if n := testing.AllocsPerRun(20, func() {
+	for _, mode := range []SmoothMode{SmoothSweep, SmoothGradient} {
+		for _, prec := range []Precision{Float64, Float32} {
+			for _, threads := range []int{1, 4} {
+				eng, err := NewWithPrecision(m, p, prec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if threads > 1 {
+					eng.SetThreads(threads)
+				}
+				opt := OptOptions{Passes: 16, Mode: mode}
 				perturb()
 				if _, err := eng.OptimizeBranches(tr, opt); err != nil {
 					t.Fatal(err)
 				}
-			}); n > 0 {
-				t.Errorf("prec=%v threads=%d: warm gradient smoothing allocates %.1f/op, want 0", prec, threads, n)
+				if n := testing.AllocsPerRun(20, func() {
+					perturb()
+					if _, err := eng.OptimizeBranches(tr, opt); err != nil {
+						t.Fatal(err)
+					}
+				}); n > 0 {
+					t.Errorf("mode=%v prec=%v threads=%d: warm smoothing allocates %.1f/op, want 0", mode, prec, threads, n)
+				}
+				if st := eng.Stats(); st.GradFallbacks != 0 {
+					t.Errorf("mode=%v prec=%v threads=%d: %d gradient fallbacks during steady-state rounds", mode, prec, threads, st.GradFallbacks)
+				}
+				eng.Close()
 			}
-			if st := eng.Stats(); st.GradFallbacks != 0 {
-				t.Errorf("prec=%v threads=%d: %d gradient fallbacks during steady-state rounds", prec, threads, st.GradFallbacks)
-			}
-			eng.Close()
 		}
 	}
 }

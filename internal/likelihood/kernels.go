@@ -273,70 +273,6 @@ func segEdgeLnL[T clvFloat](aclv, bclv []T, asc, bsc []int32, w []float64,
 	return acc
 }
 
-// derivAcc carries the three Newton reduction accumulators through a
-// shard's segment loop.
-type derivAcc struct {
-	d1, d2, lnL float64
-}
-
-// segDeriv accumulates the weighted first/second log-likelihood
-// derivatives and the log-likelihood itself over [lo, lo+n).
-func segDeriv[T clvFloat](aclv, bclv []T, asc, bsc []int32, w []float64,
-	pm, dm, ddm *model.PMatrix, f *[4]float64, logSc float64, npad, lo, n int, acc derivAcc) derivAcc {
-	a0, a1, a2, a3 := lanes(aclv, npad, lo, n)
-	b0l, b1l, b2l, b3l := lanes(bclv, npad, lo, n)
-	m00, m01, m02, m03 := pm[0][0], pm[0][1], pm[0][2], pm[0][3]
-	m10, m11, m12, m13 := pm[1][0], pm[1][1], pm[1][2], pm[1][3]
-	m20, m21, m22, m23 := pm[2][0], pm[2][1], pm[2][2], pm[2][3]
-	m30, m31, m32, m33 := pm[3][0], pm[3][1], pm[3][2], pm[3][3]
-	d00, d01, d02, d03 := dm[0][0], dm[0][1], dm[0][2], dm[0][3]
-	d10, d11, d12, d13 := dm[1][0], dm[1][1], dm[1][2], dm[1][3]
-	d20, d21, d22, d23 := dm[2][0], dm[2][1], dm[2][2], dm[2][3]
-	d30, d31, d32, d33 := dm[3][0], dm[3][1], dm[3][2], dm[3][3]
-	e00, e01, e02, e03 := ddm[0][0], ddm[0][1], ddm[0][2], ddm[0][3]
-	e10, e11, e12, e13 := ddm[1][0], ddm[1][1], ddm[1][2], ddm[1][3]
-	e20, e21, e22, e23 := ddm[2][0], ddm[2][1], ddm[2][2], ddm[2][3]
-	e30, e31, e32, e33 := ddm[3][0], ddm[3][1], ddm[3][2], ddm[3][3]
-	f0, f1, f2, f3 := f[0], f[1], f[2], f[3]
-	a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
-	b0l, b1l, b2l, b3l = b0l[:len(a0)], b1l[:len(a0)], b2l[:len(a0)], b3l[:len(a0)]
-	wv := w[lo : lo+n]
-	wv = wv[:len(a0)]
-	sa := asc[lo : lo+n]
-	sa = sa[:len(a0)]
-	sb := bsc[lo : lo+n]
-	sb = sb[:len(a0)]
-	for i := range a0 {
-		b0, b1, b2, b3 := float64(b0l[i]), float64(b1l[i]), float64(b2l[i]), float64(b3l[i])
-		fa0 := f0 * float64(a0[i])
-		fa1 := f1 * float64(a1[i])
-		fa2 := f2 * float64(a2[i])
-		fa3 := f3 * float64(a3[i])
-		var l, dl, ddl float64
-		l += fa0 * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
-		dl += fa0 * (d00*b0 + d01*b1 + d02*b2 + d03*b3)
-		ddl += fa0 * (e00*b0 + e01*b1 + e02*b2 + e03*b3)
-		l += fa1 * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
-		dl += fa1 * (d10*b0 + d11*b1 + d12*b2 + d13*b3)
-		ddl += fa1 * (e10*b0 + e11*b1 + e12*b2 + e13*b3)
-		l += fa2 * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
-		dl += fa2 * (d20*b0 + d21*b1 + d22*b2 + d23*b3)
-		ddl += fa2 * (e20*b0 + e21*b1 + e22*b2 + e23*b3)
-		l += fa3 * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
-		dl += fa3 * (d30*b0 + d31*b1 + d32*b2 + d33*b3)
-		ddl += fa3 * (e30*b0 + e31*b1 + e32*b2 + e33*b3)
-		if l <= 0 {
-			l = math.SmallestNonzeroFloat64
-		}
-		w := wv[i]
-		r := dl / l
-		acc.d1 += w * r
-		acc.d2 += w * (ddl/l - r*r)
-		acc.lnL += w * (math.Log(l) - float64(sa[i]+sb[i])*logSc)
-	}
-	return acc
-}
-
 // gradAcc carries the two gradient reduction accumulators through a
 // shard's segment loop.
 type gradAcc struct {
@@ -344,14 +280,11 @@ type gradAcc struct {
 }
 
 // segDerivGrad accumulates the weighted first/second log-likelihood
-// derivatives over [lo, lo+n): segDeriv minus the log-likelihood value.
-// The scale counts cancel in the dl/l and ddl/l ratios and the
-// per-pattern math.Log exists only for the likelihood value itself, so
-// the gradient-only reduction loads no scale vectors and calls no
-// transcendentals — that is what makes the all-branches gradient pass
-// cheap enough to beat the sweep. d1/d2 follow the exact arithmetic of
-// segDeriv in the same order, so they are bit-identical to the values
-// the full derivative kernel produces.
+// derivatives over [lo, lo+n). The scale counts cancel in the dl/l and
+// ddl/l ratios and a per-pattern math.Log is needed only for the
+// likelihood value itself, so the derivative reduction loads no scale
+// vectors and calls no transcendentals — that is what keeps a Newton
+// iterate, and the all-branches gradient pass, cheap.
 func segDerivGrad[T clvFloat](aclv, bclv []T, w []float64,
 	pm, dm, ddm *model.PMatrix, f *[4]float64, npad, lo, n int, acc gradAcc) gradAcc {
 	a0, a1, a2, a3 := lanes(aclv, npad, lo, n)

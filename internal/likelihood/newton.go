@@ -3,6 +3,7 @@ package likelihood
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/tree"
 )
@@ -11,7 +12,8 @@ import (
 // factorizes as L(z) = Σ_p w_p log Σ_ij π_i A_p[i] P_ij(z) B_p[j], where A
 // is the conditional likelihood of one side and B of the other; P and its
 // z-derivatives are closed-form (spectral decomposition), so Newton's
-// method applies directly, with bisection-style fallbacks and the
+// method applies directly — on the derivatives alone, as in makenewz —
+// with a geometric fallback where the curve is not concave and the
 // [MinBranchLength, MaxBranchLength] bounds.
 //
 // The smoothing pass draws both directed partials of each visited edge
@@ -75,34 +77,49 @@ func (e *CachedEngine) OptimizeBranches(t *tree.Tree, opt OptOptions) (float64, 
 	}
 	e.ensureBuffers(t.MaxID())
 
-	var allowed map[[2]int]bool
-	if opt.Around != nil || len(opt.Centers) > 0 {
-		allowed = make(map[[2]int]bool)
+	restricted := opt.Around != nil || len(opt.Centers) > 0
+	if restricted {
+		e.near = slices.Grow(e.near[:0], t.MaxID())[:t.MaxID()]
+		clear(e.near)
 		if opt.Around != nil {
-			edgeSetAround(opt.Around, opt.Radius, allowed)
+			e.markNear(opt.Around, nil, opt.Radius)
 		}
 		for _, c := range opt.Centers {
 			if c != nil {
-				edgeSetAround(c, opt.Radius, allowed)
+				e.markNear(c, nil, opt.Radius)
 			}
 		}
 	}
 
 	anchor := smoothAnchor(t)
-	if opt.Mode == SmoothGradient && allowed == nil {
+	if opt.Mode == SmoothGradient && !restricted {
 		return e.optimizeBranchesGradient(t, opt, anchor)
 	}
-	return e.optimizeBranchesSweep(t, opt, anchor, allowed)
+	return e.optimizeBranchesSweep(t, opt, anchor, restricted)
 }
 
 // optimizeBranchesSweep is the sequential smoothing loop: full
 // depth-first Newton sweeps until a pass improves the log-likelihood by
-// less than Tol or the pass budget runs out.
-func (e *CachedEngine) optimizeBranchesSweep(t *tree.Tree, opt OptOptions, anchor *tree.Node, allowed map[[2]int]bool) (float64, error) {
+// less than Tol or the pass budget runs out. The visit order is fixed
+// once per call — the topology does not change while smoothing — in the
+// engine-owned edge buffer, so the passes themselves allocate nothing;
+// a restricted call keeps only the edges with an endpoint marked near a
+// center.
+func (e *CachedEngine) optimizeBranchesSweep(t *tree.Tree, opt OptOptions, anchor *tree.Node, restricted bool) (float64, error) {
+	e.gradBuf = gradCollect(e.gradBuf[:0], anchor, nil)
+	if restricted {
+		kept := e.gradBuf[:0]
+		for _, g := range e.gradBuf {
+			if e.near[g.A.ID] || e.near[g.B.ID] {
+				kept = append(kept, g)
+			}
+		}
+		e.gradBuf = kept
+	}
 	prev := math.Inf(-1)
 	last := prev
 	for pass := 0; pass < opt.Passes; pass++ {
-		e.smoothPass(anchor, allowed)
+		e.smoothPass()
 		e.stats.SmoothPasses++
 		lnL, err := e.LogLikelihood(t)
 		if err != nil {
@@ -117,101 +134,62 @@ func (e *CachedEngine) optimizeBranchesSweep(t *tree.Tree, opt OptOptions, ancho
 	return last, nil
 }
 
-// edgeSetAround adds the undirected edges within radius vertices of n to
-// out.
-func edgeSetAround(n *tree.Node, radius int, out map[[2]int]bool) {
-	type item struct {
-		node *tree.Node
-		dist int
+// markNear marks every node fewer than radius vertices from n (walking
+// away from parent): the branches a restricted optimization may touch
+// are exactly those with a marked endpoint. Paths in a tree are unique,
+// so the depth-bounded walk needs no visited set, and marks from several
+// centers simply union.
+func (e *CachedEngine) markNear(n, parent *tree.Node, radius int) {
+	if radius <= 0 {
+		return
 	}
-	visited := map[int]bool{n.ID: true}
-	queue := []item{{n, 0}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.dist >= radius {
-			continue
-		}
-		for _, m := range cur.node.Nbr {
-			out[edgeKey(cur.node, m)] = true
-			if !visited[m.ID] {
-				visited[m.ID] = true
-				queue = append(queue, item{m, cur.dist + 1})
-			}
+	e.near[n.ID] = true
+	for _, m := range n.Nbr {
+		if m != parent {
+			e.markNear(m, n, radius-1)
 		}
 	}
 }
 
-func edgeKey(a, b *tree.Node) [2]int {
-	if a.ID < b.ID {
-		return [2]int{a.ID, b.ID}
+// smoothPass performs one smoothing pass over the collected edges:
+// depth-first from the anchor, each edge once, children in node-ID order
+// (Nbr order is not stable across topology edits) so the sequence of
+// Newton updates — and therefore the exact optimized lengths — is
+// independent of the tree's edit history. Both directed partials come
+// from the CLV cache, so each visit recomputes only the vectors the
+// previous Newton updates invalidated — on a locally-edited tree, almost
+// nothing.
+func (e *CachedEngine) smoothPass() {
+	for i := range e.gradBuf {
+		p, u := e.gradBuf[i].A, e.gradBuf[i].B
+		a, _ := e.partial(p, u) // rest of tree seen from u
+		b, _ := e.partial(u, p) // subtree at u
+		z0 := u.LenTo(p)
+		z := e.newtonEdge(a, b, z0)
+		tree.SetLen(p, u, z) // no-op (and no invalidation) when z == z0
 	}
-	return [2]int{b.ID, a.ID}
-}
-
-// smoothPass performs one depth-first smoothing pass from anchor,
-// visiting each edge once. Both directed partials come from the CLV
-// cache, so each visit recomputes only the vectors the previous Newton
-// updates invalidated — on a locally-edited tree, almost nothing.
-// Children are visited in node-ID order (Nbr order is not stable across
-// topology edits) so the sequence of Newton updates — and therefore the
-// exact optimized lengths — is independent of the tree's edit history.
-func (e *CachedEngine) smoothPass(anchor *tree.Node, allowed map[[2]int]bool) {
-	var visit func(u, p *tree.Node)
-	visit = func(u, p *tree.Node) {
-		if allowed == nil || allowed[edgeKey(p, u)] {
-			a, _ := e.partial(p, u) // rest of tree seen from u
-			b, _ := e.partial(u, p) // subtree at u
-			z0 := u.LenTo(p)
-			z := e.newtonEdge(a, b, z0)
-			tree.SetLen(p, u, z) // no-op (and no invalidation) when z == z0
-		}
-		for _, c := range childrenByID(u, p) {
-			visit(c, u)
-		}
-	}
-	for _, child := range childrenByID(anchor, nil) {
-		visit(child, anchor)
-	}
-}
-
-// childrenByID returns u's neighbors other than p, sorted by node ID.
-func childrenByID(u, p *tree.Node) []*tree.Node {
-	out := make([]*tree.Node, 0, len(u.Nbr))
-	for _, c := range u.Nbr {
-		if c != p {
-			out = append(out, c)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // newtonEdge maximizes the edge log-likelihood over the branch length,
-// starting from z0. It returns the best length among the evaluated
-// iterates, z0 included, so the result is never worse than the start —
-// the accept/reject guard reuses the likelihood values edgeDerivatives
-// already computes instead of paying two extra evaluation passes.
+// starting from z0, on first and second derivatives alone (fastDNAml's
+// makenewz): the likelihood value is never evaluated inside the loop, so
+// an iterate costs the log-free gradient reduction and nothing else. It
+// returns the last iterate whose derivatives were evaluated — z0 itself
+// when z0 is already converged, so a settled branch is not nudged and
+// its cached CLVs stay valid. What bounds a bad step is newtonStep: the
+// length clamp, the ×8 / ÷8 damping and the geometric move on
+// non-concave stretches.
 func (e *CachedEngine) newtonEdge(a, b clvRef, z0 float64) float64 {
 	z := clampLen(z0)
-	bestZ, bestL := z, math.Inf(-1)
 	for iter := 0; iter < newtonMaxIter; iter++ {
-		e.stats.NewtonIters++
-		d1, d2, lnl := e.edgeDerivatives(a, b, z)
-		if lnl > bestL {
-			bestL, bestZ = lnl, z
-		}
+		d1, d2 := e.edgeGradient(a, b, z)
 		next, stop := newtonStep(z, d1, d2)
 		if stop {
 			break
 		}
 		z = next
 	}
-	return bestZ
+	return z
 }
 
 // newtonStep computes the next Newton iterate for a branch length from
@@ -250,27 +228,6 @@ func newtonStep(z, d1, d2 float64) (float64, bool) {
 		return next, true
 	}
 	return next, false
-}
-
-// edgeDerivatives computes d/dz and d²/dz² of the edge log-likelihood at
-// z, plus the log-likelihood itself (the log factors fall out of the
-// derivative terms, so the value costs only the per-pattern log the
-// guard in newtonEdge would otherwise pay for separately).
-func (e *CachedEngine) edgeDerivatives(a, b clvRef, z float64) (float64, float64, float64) {
-	e.fillProbsDeriv(clampLen(z))
-	e.ops += uint64(e.npat) * 48
-	k := &e.kern
-	k.op = kDeriv
-	k.a, k.b = a, b
-	e.runShards()
-	// Ordered reduction over the per-shard derivative partials.
-	d1, d2, lnL := 0.0, 0.0, 0.0
-	for s := range e.shards {
-		d1 += e.shD1[s]
-		d2 += e.shD2[s]
-		lnL += e.shLnL[s]
-	}
-	return d1, d2, lnL
 }
 
 // OptimizeEdge optimizes a single edge's branch length in place and

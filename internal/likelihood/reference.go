@@ -244,12 +244,12 @@ func (e *ReferenceEngine) edgeLnL(a, b refCLV, z float64) float64 {
 	return total
 }
 
-// edgeDeriv computes d/dz and d²/dz² of the edge log-likelihood at z,
-// plus the log-likelihood itself (the same three-way reduction the
-// cached engine's derivative kernel performs).
-func (e *ReferenceEngine) edgeDeriv(a, b refCLV, z float64) (float64, float64, float64) {
+// edgeDeriv computes d/dz and d²/dz² of the edge log-likelihood at z
+// (the same two-way reduction the cached engine's derivative kernel
+// performs; scale counts and logs cancel in the ratios).
+func (e *ReferenceEngine) edgeDeriv(a, b refCLV, z float64) (float64, float64) {
 	e.fillDeriv(clampLen(z))
-	var d1, d2, lnL float64
+	var d1, d2 float64
 	for p := 0; p < e.npat; p++ {
 		ci := e.classOf[p]
 		m, dm, ddm := &e.pm[ci], &e.dm[ci], &e.ddm[ci]
@@ -268,29 +268,24 @@ func (e *ReferenceEngine) edgeDeriv(a, b refCLV, z float64) (float64, float64, f
 		r := dl / l
 		d1 += w * r
 		d2 += w * (ddl/l - r*r)
-		lnL += w * (math.Log(l) - float64(a.sc[p]+b.sc[p])*e.logScaleV)
 	}
-	return d1, d2, lnL
+	return d1, d2
 }
 
 // newtonEdge maximizes the edge log-likelihood over the branch length
-// from z0 under the shared newtonStep policy, returning the best iterate
-// (z0 included) like the cached engine.
+// from z0 under the shared newtonStep policy, on derivatives alone and
+// returning the last evaluated iterate, like the cached engine.
 func (e *ReferenceEngine) newtonEdge(a, b refCLV, z0 float64) float64 {
 	z := clampLen(z0)
-	bestZ, bestL := z, math.Inf(-1)
 	for iter := 0; iter < newtonMaxIter; iter++ {
-		d1, d2, lnl := e.edgeDeriv(a, b, z)
-		if lnl > bestL {
-			bestL, bestZ = lnl, z
-		}
+		d1, d2 := e.edgeDeriv(a, b, z)
 		next, stop := newtonStep(z, d1, d2)
 		if stop {
 			break
 		}
 		z = next
 	}
-	return bestZ
+	return z
 }
 
 // LogLikelihood evaluates the tree's log-likelihood by recomputing every
@@ -381,6 +376,54 @@ func (e *ReferenceEngine) OptimizeBranches(t *tree.Tree, opt OptOptions) (float6
 		prev = lnL
 	}
 	return last, nil
+}
+
+// edgeSetAround adds the undirected edges within radius vertices of n to
+// out.
+func edgeSetAround(n *tree.Node, radius int, out map[[2]int]bool) {
+	type item struct {
+		node *tree.Node
+		dist int
+	}
+	visited := map[int]bool{n.ID: true}
+	queue := []item{{n, 0}}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if cur.dist >= radius {
+			continue
+		}
+		for _, m := range cur.node.Nbr {
+			out[edgeKey(cur.node, m)] = true
+			if !visited[m.ID] {
+				visited[m.ID] = true
+				queue = append(queue, item{m, cur.dist + 1})
+			}
+		}
+	}
+}
+
+func edgeKey(a, b *tree.Node) [2]int {
+	if a.ID < b.ID {
+		return [2]int{a.ID, b.ID}
+	}
+	return [2]int{b.ID, a.ID}
+}
+
+// childrenByID returns u's neighbors other than p, sorted by node ID.
+func childrenByID(u, p *tree.Node) []*tree.Node {
+	out := make([]*tree.Node, 0, len(u.Nbr))
+	for _, c := range u.Nbr {
+		if c != p {
+			out = append(out, c)
+		}
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
 }
 
 // smoothPass performs one depth-first smoothing pass from anchor,

@@ -81,7 +81,6 @@ const (
 	kCombineMulResc
 	kCombine2
 	kEdgeLnL
-	kDeriv
 	kDerivGrad
 	kSiteLnL
 )
@@ -287,19 +286,6 @@ func (e *CachedEngine) shardKernel(s int) {
 			}
 		}
 		e.shLnL[s] = total
-	case kDeriv:
-		var acc derivAcc
-		for _, seg := range segs {
-			n := seg.hi - seg.lo
-			if e.prec == Float32 {
-				acc = segDeriv(k.a.f32, k.b.f32, k.a.sc, k.b.sc, e.weights,
-					&e.pmat[seg.ci], &e.dmat[seg.ci], &e.ddmat[seg.ci], freqs, e.logScaleV, e.npad, seg.plo, n, acc)
-			} else {
-				acc = segDeriv(k.a.f64, k.b.f64, k.a.sc, k.b.sc, e.weights,
-					&e.pmat[seg.ci], &e.dmat[seg.ci], &e.ddmat[seg.ci], freqs, e.logScaleV, e.npad, seg.plo, n, acc)
-			}
-		}
-		e.shD1[s], e.shD2[s], e.shLnL[s] = acc.d1, acc.d2, acc.lnL
 	case kDerivGrad:
 		var acc gradAcc
 		for _, seg := range segs {

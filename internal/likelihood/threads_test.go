@@ -149,7 +149,8 @@ func TestThreadedInsertScorerBitIdentical(t *testing.T) {
 }
 
 // TestZeroAllocSteadyState asserts the arena work: once caches are warm,
-// repeated likelihood evaluations and single-edge Newton optimization
+// repeated likelihood evaluations, single-edge Newton optimization and
+// the restricted junction-local smoothing every rearrangement task runs
 // must not allocate — serial or threaded, in either CLV precision (the
 // cache slabs and insertion arena size off the padded layout, so both
 // storage formats must stay allocation-free).
@@ -189,6 +190,18 @@ func TestZeroAllocSteadyState(t *testing.T) {
 				}
 			}); n > 0 {
 				t.Errorf("prec=%v threads=%d: warm OptimizeEdge allocates %.1f/op, want 0", prec, threads, n)
+			}
+			inner := tr.InternalEdges()[0]
+			local := OptOptions{Passes: 2, Centers: []*tree.Node{inner.A, inner.B}, Radius: 2}
+			if _, err := eng.OptimizeBranches(tr, local); err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(50, func() {
+				if _, err := eng.OptimizeBranches(tr, local); err != nil {
+					t.Fatal(err)
+				}
+			}); n > 0 {
+				t.Errorf("prec=%v threads=%d: warm restricted OptimizeBranches allocates %.1f/op, want 0", prec, threads, n)
 			}
 			eng.Close()
 		}

@@ -11,6 +11,7 @@ package simulate
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/model"
 	"repro/internal/seq"
@@ -126,11 +127,19 @@ func evolve(tr *tree.Tree, m model.Model, rates []float64, rng *rand.Rand) (*seq
 	d := m.Decomposition()
 
 	// Distinct rates -> transition matrix cache per (rate, branch) pair
-	// is rebuilt per edge; group sites by rate to amortize.
+	// is rebuilt per edge; group sites by rate to amortize. The groups
+	// are visited in sorted rate order: the rng is drawn from inside the
+	// loop, so map order would make one seed give different alignments
+	// in different processes.
 	rateIdx := map[float64][]int{}
 	for s, r := range rates {
 		rateIdx[r] = append(rateIdx[r], s)
 	}
+	rateOrder := make([]float64, 0, len(rateIdx))
+	for r := range rateIdx {
+		rateOrder = append(rateOrder, r)
+	}
+	sort.Float64s(rateOrder)
 
 	root := tr.AnyNode()
 	states := map[int][]byte{} // node ID -> per-site base indices
@@ -150,9 +159,9 @@ func evolve(tr *tree.Tree, m model.Model, rates []float64, rng *rand.Rand) (*seq
 			cur := states[n.ID]
 			next := make([]byte, nsites)
 			var pm model.PMatrix
-			for r, sites := range rateIdx {
+			for _, r := range rateOrder {
 				d.Probs(z, r, &pm)
-				for _, s := range sites {
+				for _, s := range rateIdx[r] {
 					row := pm[cur[s]]
 					next[s] = sampleIndex(rng, row[0], row[1], row[2], row[3])
 				}

@@ -30,20 +30,28 @@ func TestNewBasicShape(t *testing.T) {
 	}
 }
 
+// TestNewDeterministic: one seed gives byte-identical alignments, with
+// and without rate heterogeneity. With GammaAlpha > 0 the sites evolve in
+// per-rate groups; the order of the groups must not depend on map
+// iteration (it is random per range statement, so run with -count=20 to
+// see a regression reliably).
 func TestNewDeterministic(t *testing.T) {
-	a, err := New(Options{Taxa: 8, Sites: 100, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Options{Taxa: 8, Sites: 100, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Alignment.Data {
-		if a.Alignment.Row(i) != b.Alignment.Row(i) {
-			t.Fatal("same seed gave different alignments")
+	for _, alpha := range []float64{0, 0.5} {
+		a, err := New(Options{Taxa: 8, Sites: 100, Seed: 42, GammaAlpha: alpha})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(Options{Taxa: 8, Sites: 100, Seed: 42, GammaAlpha: alpha})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Alignment.Data {
+			if a.Alignment.Row(i) != b.Alignment.Row(i) {
+				t.Fatalf("GammaAlpha %g: same seed gave different alignments", alpha)
+			}
 		}
 	}
+	a, _ := New(Options{Taxa: 8, Sites: 100, Seed: 42})
 	c, _ := New(Options{Taxa: 8, Sites: 100, Seed: 43})
 	same := true
 	for i := range a.Alignment.Data {
