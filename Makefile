@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X repro/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: check vet staticcheck build test benchmark-test race difftest bench bench-compare chaos-soak serve-smoke
+.PHONY: check vet staticcheck build test benchmark-test race difftest bench bench-compare bench-pairs chaos-soak serve-smoke
 
 # Tier-1 gate: everything that must pass before a change lands.
 check: vet staticcheck build test benchmark-test race difftest
@@ -55,18 +55,26 @@ difftest:
 # The final step re-measures the kernels and archives the numbers as
 # bench/BENCH_kernels.json (CI uploads it as an artifact).
 bench:
-	$(GO) test -run XXX -bench 'DownPartial|NewtonEdge|FullSmooth|GradientSmooth' -cpu 1,2,4 -benchmem ./internal/likelihood/
+	$(GO) test -run XXX -bench 'DownPartial|Newton|FullSmooth|GradientSmooth' -cpu 1,2,4 -benchmem ./internal/likelihood/
 	$(GO) test -run XXX -bench Codec -benchmem ./internal/mlsearch/
 	FDML_BENCH_DIR=$(CURDIR)/bench $(GO) test -count=1 -run TestKernelBenchJSON -v ./internal/likelihood/
 
 # Regression gate: re-measure the kernels and diff against the committed
 # baseline (BENCH_baseline_kernels.json, re-taken whenever a change moves
-# a kernel's level on purpose — last after the log-free Newton loop).
+# a kernel's level on purpose — last after the spectral fold). A kernel
+# the baseline lacks is listed as "new" and not gated.
 # Fails when any kernel is >10% slower than baseline; the stdout table
 # is markdown, ready for a CI job summary.
 bench-compare:
 	FDML_BENCH_DIR=$(CURDIR)/bench $(GO) test -count=1 -run TestKernelBenchJSON ./internal/likelihood/
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline_kernels.json -current bench/BENCH_kernels.json -max-regress 0.10
+
+# The end-to-end claim protocol in one command: PAIRS (default 10)
+# alternating runs of WORKLOAD on the PARENT commit and on this checkout,
+# identical benchmark code on both sides, printed as the markdown table
+# EXPERIMENTS.md uses. make bench-pairs PARENT=HEAD~1 WORKLOAD=serial20
+bench-pairs:
+	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Black-box smoke test of the fastdnamld daemon over real HTTP: build
 # the binaries, start a 2-worker daemon, submit a job and its duplicate

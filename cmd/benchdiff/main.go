@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -46,6 +47,22 @@ func main() {
 		fatal(err)
 	}
 
+	regressions, err := diff(os.Stdout, base, cur, *maxRegress)
+	if err != nil {
+		fatal(fmt.Errorf("%w between %s and %s", err, *baselinePath, *currentPath))
+	}
+	if len(regressions) > 0 {
+		fmt.Fprintln(os.Stderr, "benchdiff: kernel regressions beyond the limit:")
+		for _, r := range regressions {
+			fmt.Fprintln(os.Stderr, "  "+r)
+		}
+		os.Exit(1)
+	}
+}
+
+// diff writes the before/after table of the two reports to w and returns
+// one line per kernel that is more than maxRegress slower than baseline.
+func diff(w io.Writer, base, cur report, maxRegress float64) ([]string, error) {
 	// Machine-speed normalization: both reports carry a calibration_ns
 	// measurement (a fixed dependent float64 chain — pure CPU speed).
 	// Dividing current timings by the calibration ratio cancels uniform
@@ -55,46 +72,55 @@ func main() {
 	scale := 1.0
 	if bc, cc := base.Totals["calibration_ns"], cur.Totals["calibration_ns"]; bc > 0 && cc > 0 {
 		scale = bc / cc
-		fmt.Printf("machine speed vs baseline capture: %.2fx (calibration %.0f -> %.0f ns/op)\n\n", 1/scale, bc, cc)
+		fmt.Fprintf(w, "machine speed vs baseline capture: %.2fx (calibration %.0f -> %.0f ns/op)\n\n", 1/scale, bc, cc)
 	}
 
-	keys := make([]string, 0, len(base.Totals))
-	for k := range base.Totals {
+	// Every kernel the current report measured is a row. One the
+	// baseline lacks (a benchmark added since the baseline was taken) is
+	// shown as "new" and not gated; the next re-take picks it up.
+	var keys []string
+	compared := 0
+	for k := range cur.Totals {
 		if strings.HasSuffix(k, "_ns") && k != "calibration_ns" {
-			if _, ok := cur.Totals[k]; ok {
-				keys = append(keys, k)
+			keys = append(keys, k)
+			if _, ok := base.Totals[k]; ok {
+				compared++
 			}
 		}
 	}
-	if len(keys) == 0 {
-		fatal(fmt.Errorf("no comparable *_ns entries between %s and %s", *baselinePath, *currentPath))
+	if compared == 0 {
+		return nil, fmt.Errorf("no comparable *_ns entries")
 	}
 	sort.Strings(keys)
 
-	fmt.Println("| kernel | baseline ns/op | current ns/op | normalized ns/op | speedup |")
-	fmt.Println("|---|---:|---:|---:|---:|")
+	fmt.Fprintln(w, "| kernel | baseline ns/op | current ns/op | normalized ns/op | speedup |")
+	fmt.Fprintln(w, "|---|---:|---:|---:|---:|")
 	var regressions []string
 	for _, k := range keys {
-		b, c := base.Totals[k], cur.Totals[k]
+		c := cur.Totals[k]
 		name := strings.TrimSuffix(k, "_ns")
 		norm := c * scale
-		speedup := b / norm
-		fmt.Printf("| %s | %.0f | %.0f | %.0f | %.2fx |\n", name, b, c, norm, speedup)
-		if norm > b*(1+*maxRegress) {
+		b, ok := base.Totals[k]
+		if !ok {
+			fmt.Fprintf(w, "| %s | new | %.0f | %.0f | new |\n", name, c, norm)
+			continue
+		}
+		fmt.Fprintf(w, "| %s | %.0f | %.0f | %.0f | %.2fx |\n", name, b, c, norm, b/norm)
+		if norm > b*(1+maxRegress) {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %.0f ns/op -> %.0f ns/op normalized (%.1f%% slower, limit %.0f%%)",
-					name, b, norm, 100*(norm/b-1), 100**maxRegress))
+					name, b, norm, 100*(norm/b-1), 100*maxRegress))
 		}
 	}
-	fmt.Println()
-	if len(regressions) > 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: kernel regressions beyond the limit:")
-		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, "  "+r)
+	fmt.Fprintln(w)
+	if len(regressions) == 0 {
+		fmt.Fprintf(w, "benchdiff: %d kernels within %.0f%% of baseline", compared, 100*maxRegress)
+		if n := len(keys) - compared; n > 0 {
+			fmt.Fprintf(w, ", %d new", n)
 		}
-		os.Exit(1)
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("benchdiff: %d kernels within %.0f%% of baseline\n", len(keys), 100**maxRegress)
+	return regressions, nil
 }
 
 func load(path string) (report, error) {

@@ -470,6 +470,54 @@ func TestElasticPendingNotifyFlushedToRole(t *testing.T) {
 	}
 }
 
+// TestElasticJoinNoteBeforeOnJoin: the membership rank's TagJoin is on
+// its connection before OnJoin runs, so nothing the callback's owner
+// sends that rank afterwards can overtake it. The master's join barrier
+// opens from OnJoin; were the note sent second, a short run could shut
+// down the workers the foreman knew of and leave the last joiner to find
+// its connection closed.
+func TestElasticJoinNoteBeforeOnJoin(t *testing.T) {
+	var router Communicator
+	ready := make(chan struct{})
+	router, err := NewElasticTCPRouter(RouterConfig{
+		Addr:         "127.0.0.1:0",
+		FirstDynamic: 2,
+		NotifyRank:   1,
+		OnJoin: func(int) {
+			<-ready
+			if err := router.Send(1, TagControl, nil); err != nil {
+				t.Error(err)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	addr := router.(*tcpRouter).Addr().String()
+	role, err := DialTCPRole(addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer role.Close()
+	close(ready)
+
+	w, _, err := JoinTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, want := range []Tag{TagJoin, TagControl} {
+		m, err := role.RecvTimeout(AnySource, AnyTag, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Tag != want {
+			t.Fatalf("membership rank received tag %d, want %d first", m.Tag, want)
+		}
+	}
+}
+
 func TestRouterSendNoRoute(t *testing.T) {
 	router, err := NewTCPRouter("127.0.0.1:0", 3)
 	if err != nil {

@@ -313,8 +313,13 @@ func (r *tcpRouter) drop(rank int, conn net.Conn) {
 }
 
 // notifyMember reports an anonymous worker's arrival or departure to the
-// in-process callbacks and the configured membership rank.
+// configured membership rank and then to the in-process callbacks. The
+// order matters for a join: the master's join barrier hangs off OnJoin,
+// and it must not open while the foreman's copy of the news is still
+// unsent — a short run could otherwise finish, and shut down only the
+// workers the foreman had heard of, before the last joiner is known.
 func (r *tcpRouter) notifyMember(rank int, tag Tag) {
+	r.sendMemberNote(rank, tag)
 	switch tag {
 	case TagJoin:
 		if r.onJoin != nil {
@@ -325,6 +330,11 @@ func (r *tcpRouter) notifyMember(rank int, tag Tag) {
 			r.onLeave(rank)
 		}
 	}
+}
+
+// sendMemberNote delivers a synthesized TagJoin/TagLeave to the
+// membership rank, queueing it while that rank has not attached yet.
+func (r *tcpRouter) sendMemberNote(rank int, tag Tag) {
 	nr := r.notifyRank
 	if nr < 0 {
 		return

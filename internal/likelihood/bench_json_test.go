@@ -34,6 +34,7 @@ func TestKernelBenchJSON(t *testing.T) {
 	}{
 		{"down_partial_cached", benchDownPartial},
 		{"newton_edge", benchNewton},
+		{"newton_solve", benchNewtonSolve},
 		{"full_smooth", benchSmooth},
 		{"grad_smooth", benchGradientSmooth},
 	}

@@ -9,7 +9,7 @@ import (
 
 // Kernel benchmarks for the scaling study. Run with
 //
-//	go test -run XXX -bench 'DownPartial|NewtonEdge' -cpu 1,2,4 -benchmem ./internal/likelihood/
+//	go test -run XXX -bench 'DownPartial|Newton' -cpu 1,2,4 -benchmem ./internal/likelihood/
 //
 // (make bench). ReportAllocs asserts the zero-alloc steady state; the
 // threads=N sub-benchmarks measure the sharded kernels against the
@@ -66,8 +66,10 @@ func benchDownPartial(b *testing.B, threads int) {
 	}
 }
 
-// BenchmarkNewtonEdge measures single-edge Newton-Raphson optimization
-// on a warm cache: the first/second-derivative kernel dominates.
+// BenchmarkNewtonEdge measures OptimizeEdge on an already-converged
+// branch of a warm cache: one fold with its fused derivative evaluation,
+// plus the edge log-likelihood reduction the method returns. What the
+// search's solves cost is BenchmarkNewtonSolve.
 func BenchmarkNewtonEdge(b *testing.B) {
 	for _, threads := range benchThreadCounts {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
@@ -93,6 +95,51 @@ func benchNewton(b *testing.B, threads int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkNewtonSolve measures what a search's branch solves do: every
+// branch of the smoothed tree is solved from a cold start — a quarter
+// above and a fifth below its optimum, which takes 3.6 derivative
+// evaluations per solve, inside the 3.4–4.0 the search workloads average
+// (EXPERIMENTS.md, spectral fold) — on cached partials, with no CLV
+// refill and no likelihood value in the timed region. One op is the
+// same 2·(branches) solves every time; iterates/op counts their
+// derivative evaluations.
+func BenchmarkNewtonSolve(b *testing.B) {
+	for _, threads := range benchThreadCounts {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			benchNewtonSolve(b, threads)
+		})
+	}
+}
+
+func benchNewtonSolve(b *testing.B, threads int) {
+	eng, tr := benchEngine(b, threads)
+	defer eng.Close()
+	if _, err := eng.OptimizeBranches(tr, OptOptions{Passes: 16}); err != nil {
+		b.Fatal(err)
+	}
+	type solve struct {
+		a, b clvRef
+		z    float64
+	}
+	var solves []solve
+	for _, ed := range tr.Edges() {
+		pa, _ := eng.partial(ed.A, ed.B)
+		pb, _ := eng.partial(ed.B, ed.A)
+		solves = append(solves, solve{pa, pb, ed.Length()})
+	}
+	eng.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range solves {
+			eng.newtonEdge(s.a, s.b, 1.25*s.z)
+			eng.newtonEdge(s.a, s.b, 0.8*s.z)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(eng.Stats().NewtonIters)/float64(b.N), "iterates/op")
 }
 
 // BenchmarkFullSmooth measures full branch smoothing to convergence —

@@ -132,10 +132,17 @@ type CachedEngine struct {
 	// pmat in float32 for Float32 pruning combines (reductions always
 	// use the float64 matrices). pmatB/pmat32B hold the second child's
 	// matrices during the fused two-child combine.
-	pmat, dmat, ddmat []model.PMatrix
-	pmatB             []model.PMatrix
-	pmat32            [][4][4]float32
-	pmat32B           [][4][4]float32
+	pmat, pmatB []model.PMatrix
+	pmat32      [][4][4]float32
+	pmat32B     [][4][4]float32
+
+	// Spectral fold of the edge being solved (kernels.go): foldM holds
+	// diag(π)·C_k per decomposition term, spec the K×npad per-pattern
+	// spectral sums segFold leaves for segSpecEval, specC the per-class
+	// eval coefficients of the current iterate.
+	foldM []model.PMatrix
+	spec  []float64
+	specC []specCoef
 
 	// bc2 is the pre-broadcast coefficient table per rate class consumed
 	// by the AVX2 fused combine (kernels_amd64.s): rows 0-15 Ma, 16-31 Mb
@@ -248,8 +255,8 @@ func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEn
 	}
 	e.pmat = make([]model.PMatrix, len(e.classRates))
 	e.pmatB = make([]model.PMatrix, len(e.classRates))
-	e.dmat = make([]model.PMatrix, len(e.classRates))
-	e.ddmat = make([]model.PMatrix, len(e.classRates))
+	e.foldM = foldMatrices(e.decomp, (*[4]float64)(&e.freqs))
+	e.specC = make([]specCoef, len(e.classRates))
 	if prec == Float32 {
 		e.pmat32 = make([][4][4]float32, len(e.classRates))
 		e.pmat32B = make([][4][4]float32, len(e.classRates))
@@ -339,6 +346,7 @@ func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEn
 		}
 	}
 	e.zeroScale = make([]int32, e.npad)
+	e.spec = make([]float64, len(e.foldM)*e.npad)
 
 	// Shard layout and reduction partials (shard.go). The layout depends
 	// only on the data — the same real-pattern cut points as ever, so
@@ -412,14 +420,6 @@ func (e *CachedEngine) fillProbsInto(dst []model.PMatrix, dst32 [][4][4]float32,
 				}
 			}
 		}
-	}
-}
-
-// fillProbsDeriv computes matrices and derivatives for branch length z.
-// Derivative kernels reduce in float64, so no float32 mirror is needed.
-func (e *CachedEngine) fillProbsDeriv(z float64) {
-	for ci, r := range e.classRates {
-		e.decomp.ProbsDeriv(z, r, &e.pmat[ci], &e.dmat[ci], &e.ddmat[ci])
 	}
 }
 

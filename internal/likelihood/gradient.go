@@ -27,7 +27,7 @@ import (
 // well-defined, because an edge's own partials do not depend on its own
 // length — and all updates land together. No branch changes mid-round,
 // so the CLV cache never churns inside a round and
-// the derivative kernel needs no per-pattern log or scale counts (they
+// the derivative kernels need no per-pattern log or scale counts (they
 // cancel in the dl/l ratios). A backtracking line search on each
 // round's update vector absorbs the overshoot the per-edge solves
 // cannot see (neighboring edges compensating for the same distance),
@@ -163,20 +163,32 @@ func smoothAnchor(t *tree.Tree) *tree.Node {
 	return anchor
 }
 
-// edgeGradient computes d/dz and d²/dz² of the edge log-likelihood at z
-// from the two directed partials — the one derivative kernel, shared by
-// the Newton loop (newtonEdge) and the all-branches gradient. It leaves
-// the log-likelihood value out, so it performs no per-pattern log and
-// loads no scale counts. Every derivative evaluation on every path goes
-// through here, which is what makes NewtonIters and the 44 ops/pattern
-// an exact count.
+// edgeGradient folds the two directed partials of an edge into the
+// engine's spectral lanes and returns d/dz and d²/dz² of the edge
+// log-likelihood at z, in one kernel pass: the whole cost of an
+// all-branches gradient entry and of a solve that stops at its first
+// iterate.
 func (e *CachedEngine) edgeGradient(a, b clvRef, z float64) (float64, float64) {
-	e.fillProbsDeriv(clampLen(z))
-	e.ops += uint64(e.npat) * 44
+	e.kern.a, e.kern.b = a, b
+	return e.specGradient(kFoldGrad, z)
+}
+
+// specGradient runs one derivative evaluation at z: op kFoldGrad folds
+// the partials in e.kern first, kSpecEval evaluates a further iterate of
+// the same solve from the folded lanes alone. Every derivative
+// evaluation on every path comes through here, which is what makes
+// NewtonIters and the work-unit counts exact.
+func (e *CachedEngine) specGradient(op int, z float64) (float64, float64) {
+	z = clampLen(z)
+	for ci, r := range e.classRates {
+		e.specC[ci].fill(e.decomp.Lambda, z, r)
+	}
+	if op == kFoldGrad {
+		e.ops += uint64(e.npat) * foldOps(len(e.foldM))
+	}
+	e.ops += uint64(e.npat) * evalOps(len(e.foldM))
 	e.stats.NewtonIters++
-	k := &e.kern
-	k.op = kDerivGrad
-	k.a, k.b = a, b
+	e.kern.op = op
 	e.runShards()
 	// Ordered reduction over the per-shard partials.
 	d1, d2 := 0.0, 0.0

@@ -308,6 +308,7 @@ func TestSmoothZeroAllocSteadyState(t *testing.T) {
 				if _, err := eng.OptimizeBranches(tr, opt); err != nil {
 					t.Fatal(err)
 				}
+				scratch := &eng.spec[0]
 				if n := testing.AllocsPerRun(20, func() {
 					perturb()
 					if _, err := eng.OptimizeBranches(tr, opt); err != nil {
@@ -315,6 +316,9 @@ func TestSmoothZeroAllocSteadyState(t *testing.T) {
 					}
 				}); n > 0 {
 					t.Errorf("mode=%v prec=%v threads=%d: warm smoothing allocates %.1f/op, want 0", mode, prec, threads, n)
+				}
+				if &eng.spec[0] != scratch {
+					t.Errorf("mode=%v prec=%v threads=%d: fold scratch reallocated", mode, prec, threads)
 				}
 				if st := eng.Stats(); st.GradFallbacks != 0 {
 					t.Errorf("mode=%v prec=%v threads=%d: %d gradient fallbacks during steady-state rounds", mode, prec, threads, st.GradFallbacks)

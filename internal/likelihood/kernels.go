@@ -273,65 +273,161 @@ func segEdgeLnL[T clvFloat](aclv, bclv []T, asc, bsc []int32, w []float64,
 	return acc
 }
 
+// The derivative kernels: DNAml's makenewz in two stages. The transition
+// matrix is the spectral sum P(z) = Σ_k C_k·e^{λ_k z} with Σ_k C_k = I,
+// and while one edge is being solved its two partials A and B do not
+// change, so with S_k[p] = Σ_ij π_i·A_p[i]·C_k[i][j]·B_p[j] the site
+// likelihood of pattern p is
+//
+//	l_p(z) = Σ_k S_k[p]·e^{λ_k r z} = T[p] + Σ_{k≥1} S_k[p]·(e^{λ_k r z} − 1)
+//
+// where T[p] = Σ_k S_k[p] = Σ_i π_i·A_p[i]·B_p[i] is the likelihood at
+// z = 0 and λ_0 = 0 drops out. segFold computes T and the K−1 ≤ 3
+// spectral sums once per (A, B) pair into SoA float64 lanes; segSpecEval
+// then produces l, dl/dz and d²l/dz² at any z from the lanes alone. The
+// second form is the one evaluated: on patterns whose two sides disagree
+// (T = 0) the first cancels to l ≈ z·const at short lengths, losing
+// 1/z of relative accuracy exactly as Decomposition.Probs does, while
+// expm1 keeps every term at full precision. Scale counts cancel in the
+// dl/l and ddl/l ratios and only the likelihood value needs a logarithm,
+// so neither stage loads scale vectors or calls a transcendental.
+
+// Work units per pattern (multiply-adds, the unit combineInto's 16 and
+// edgeLogLikelihood's 20 are counted in) of the two stages for a
+// K-term decomposition: the fold's lane 0 is a 4-term sum of double
+// products, each further lane a 4×4 product and a 4-term dot; an eval is
+// three (K−1)-term sums plus the reciprocal, the two ratios, the square
+// and the two weighted accumulations.
+func foldOps(k int) uint64 { return uint64(8 + 20*(k-1)) }
+func evalOps(k int) uint64 { return uint64(3*(k-1) + 6) }
+
+// segFold folds (aclv, bclv) over the padded range [lo, lo+n) into the
+// K = len(m) lanes of spec (lane k at k*npad): lane 0 receives T, lane
+// k ≥ 1 the spectral sum S_k under m[k] = diag(π)·C_k (foldMatrices),
+// each in its own pass over the segment with the 16 coefficients hoisted
+// like every combine kernel. CLV elements are widened to float64 at the
+// load.
+func segFold[T clvFloat](spec []float64, aclv, bclv []T, m []model.PMatrix, f *[4]float64, npad, lo, n int) {
+	a0, a1, a2, a3 := lanes(aclv, npad, lo, n)
+	b0, b1, b2, b3 := lanes(bclv, npad, lo, n)
+	a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
+	b0, b1, b2, b3 = b0[:len(a0)], b1[:len(a0)], b2[:len(a0)], b3[:len(a0)]
+	f0, f1, f2, f3 := f[0], f[1], f[2], f[3]
+	s := spec[lo : lo+n]
+	s = s[:len(a0)]
+	for i := range a0 {
+		s[i] = f0*float64(a0[i])*float64(b0[i]) + f1*float64(a1[i])*float64(b1[i]) +
+			f2*float64(a2[i])*float64(b2[i]) + f3*float64(a3[i])*float64(b3[i])
+	}
+	for k := 1; k < len(m); k++ {
+		c := &m[k]
+		m00, m01, m02, m03 := c[0][0], c[0][1], c[0][2], c[0][3]
+		m10, m11, m12, m13 := c[1][0], c[1][1], c[1][2], c[1][3]
+		m20, m21, m22, m23 := c[2][0], c[2][1], c[2][2], c[2][3]
+		m30, m31, m32, m33 := c[3][0], c[3][1], c[3][2], c[3][3]
+		s := spec[k*npad+lo : k*npad+lo+n]
+		s = s[:len(a0)]
+		for i := range a0 {
+			y0, y1, y2, y3 := float64(b0[i]), float64(b1[i]), float64(b2[i]), float64(b3[i])
+			s[i] = float64(a0[i])*(m00*y0+m01*y1+m02*y2+m03*y3) +
+				float64(a1[i])*(m10*y0+m11*y1+m12*y2+m13*y3) +
+				float64(a2[i])*(m20*y0+m21*y1+m22*y2+m23*y3) +
+				float64(a3[i])*(m30*y0+m31*y1+m32*y2+m33*y3)
+		}
+	}
+}
+
+// foldMatrices returns diag(π)·C_k for the terms k ≥ 1 of the
+// decomposition, the coefficient matrices segFold applies (entry 0 stays
+// zero: lane 0 needs π alone). Computed once per engine.
+func foldMatrices(d *model.Decomposition, f *[4]float64) []model.PMatrix {
+	m := make([]model.PMatrix, len(d.Lambda))
+	for k := 1; k < len(m); k++ {
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 4; j++ {
+				m[k][i][j] = f[i] * d.Coef[k][i][j]
+			}
+		}
+	}
+	return m
+}
+
+// specCoef holds one rate class's per-iterate eval coefficients for
+// spectral term k ≥ 1 (index 0 is unused): x = e^{λ_k r z} − 1, and g, h
+// the first two z-derivatives of e^{λ_k r z}.
+type specCoef struct {
+	x, g, h [4]float64
+}
+
+// fill evaluates the coefficients at branch length z and site rate r.
+// It is shared by every in-tree engine, like newtonStep, so backends
+// derive identical iterates from identical spectral sums.
+func (c *specCoef) fill(lambda []float64, z, r float64) {
+	for k := 1; k < len(lambda); k++ {
+		l1, t := lambda[k]*r, lambda[k]*(z*r)
+		e := math.Exp(t)
+		c.x[k], c.g[k], c.h[k] = math.Expm1(t), l1*e, l1*l1*e
+	}
+}
+
+// minSiteLik floors a pattern's likelihood before the reciprocal.
+// Padding entries and fully underflowed patterns have every lane zero;
+// the floor keeps 1/l finite so they contribute exactly 0, where
+// 1/SmallestNonzeroFloat64 would be +Inf and 0·Inf a NaN.
+const minSiteLik = 1e-300
+
 // gradAcc carries the two gradient reduction accumulators through a
 // shard's segment loop.
 type gradAcc struct {
 	d1, d2 float64
 }
 
-// segDerivGrad accumulates the weighted first/second log-likelihood
-// derivatives over [lo, lo+n). The scale counts cancel in the dl/l and
-// ddl/l ratios and a per-pattern math.Log is needed only for the
-// likelihood value itself, so the derivative reduction loads no scale
-// vectors and calls no transcendentals — that is what keeps a Newton
-// iterate, and the all-branches gradient pass, cheap.
-func segDerivGrad[T clvFloat](aclv, bclv []T, w []float64,
-	pm, dm, ddm *model.PMatrix, f *[4]float64, npad, lo, n int, acc gradAcc) gradAcc {
-	a0, a1, a2, a3 := lanes(aclv, npad, lo, n)
-	b0l, b1l, b2l, b3l := lanes(bclv, npad, lo, n)
-	m00, m01, m02, m03 := pm[0][0], pm[0][1], pm[0][2], pm[0][3]
-	m10, m11, m12, m13 := pm[1][0], pm[1][1], pm[1][2], pm[1][3]
-	m20, m21, m22, m23 := pm[2][0], pm[2][1], pm[2][2], pm[2][3]
-	m30, m31, m32, m33 := pm[3][0], pm[3][1], pm[3][2], pm[3][3]
-	d00, d01, d02, d03 := dm[0][0], dm[0][1], dm[0][2], dm[0][3]
-	d10, d11, d12, d13 := dm[1][0], dm[1][1], dm[1][2], dm[1][3]
-	d20, d21, d22, d23 := dm[2][0], dm[2][1], dm[2][2], dm[2][3]
-	d30, d31, d32, d33 := dm[3][0], dm[3][1], dm[3][2], dm[3][3]
-	e00, e01, e02, e03 := ddm[0][0], ddm[0][1], ddm[0][2], ddm[0][3]
-	e10, e11, e12, e13 := ddm[1][0], ddm[1][1], ddm[1][2], ddm[1][3]
-	e20, e21, e22, e23 := ddm[2][0], ddm[2][1], ddm[2][2], ddm[2][3]
-	e30, e31, e32, e33 := ddm[3][0], ddm[3][1], ddm[3][2], ddm[3][3]
-	f0, f1, f2, f3 := f[0], f[1], f[2], f[3]
-	a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
-	b0l, b1l, b2l, b3l = b0l[:len(a0)], b1l[:len(a0)], b2l[:len(a0)], b3l[:len(a0)]
+// add accumulates one pattern of weight w into d1 = Σ w·dl/l and
+// d2 = Σ w·(ddl/l − (dl/l)²). The reference engine reduces through the
+// same function.
+func (acc gradAcc) add(w, l, dl, ddl float64) gradAcc {
+	if l < minSiteLik {
+		l = minSiteLik
+	}
+	inv := 1 / l
+	r := dl * inv
+	acc.d1 += w * r
+	acc.d2 += w * (ddl*inv - r*r)
+	return acc
+}
+
+// segSpecEval accumulates the weighted first/second log-likelihood
+// derivatives over [lo, lo+n) from the K = nk folded lanes: 3·(K−1)
+// multiply-adds and one reciprocal per pattern, whatever the model. There
+// is one loop per K, the same left-to-right sums in each, because
+// padding F84's three lanes to a fixed four costs 30 % per evaluation.
+func segSpecEval(spec, w []float64, c *specCoef, nk, npad, lo, n int, acc gradAcc) gradAcc {
+	s0 := spec[lo : lo+n]
 	wv := w[lo : lo+n]
-	wv = wv[:len(a0)]
-	for i := range a0 {
-		b0, b1, b2, b3 := float64(b0l[i]), float64(b1l[i]), float64(b2l[i]), float64(b3l[i])
-		fa0 := f0 * float64(a0[i])
-		fa1 := f1 * float64(a1[i])
-		fa2 := f2 * float64(a2[i])
-		fa3 := f3 * float64(a3[i])
-		var l, dl, ddl float64
-		l += fa0 * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
-		dl += fa0 * (d00*b0 + d01*b1 + d02*b2 + d03*b3)
-		ddl += fa0 * (e00*b0 + e01*b1 + e02*b2 + e03*b3)
-		l += fa1 * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
-		dl += fa1 * (d10*b0 + d11*b1 + d12*b2 + d13*b3)
-		ddl += fa1 * (e10*b0 + e11*b1 + e12*b2 + e13*b3)
-		l += fa2 * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
-		dl += fa2 * (d20*b0 + d21*b1 + d22*b2 + d23*b3)
-		ddl += fa2 * (e20*b0 + e21*b1 + e22*b2 + e23*b3)
-		l += fa3 * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
-		dl += fa3 * (d30*b0 + d31*b1 + d32*b2 + d33*b3)
-		ddl += fa3 * (e30*b0 + e31*b1 + e32*b2 + e33*b3)
-		if l <= 0 {
-			l = math.SmallestNonzeroFloat64
+	wv = wv[:len(s0)]
+	lane := func(k int) []float64 { return spec[k*npad+lo : k*npad+lo+n][:len(s0)] }
+	x1, g1, h1 := c.x[1], c.g[1], c.h[1]
+	x2, g2, h2 := c.x[2], c.g[2], c.h[2]
+	x3, g3, h3 := c.x[3], c.g[3], c.h[3]
+	switch nk {
+	case 2:
+		s1 := lane(1)
+		for i := range s0 {
+			v1 := s1[i]
+			acc = acc.add(wv[i], s0[i]+v1*x1, v1*g1, v1*h1)
 		}
-		w := wv[i]
-		r := dl / l
-		acc.d1 += w * r
-		acc.d2 += w * (ddl/l - r*r)
+	case 3:
+		s1, s2 := lane(1), lane(2)
+		for i := range s0 {
+			v1, v2 := s1[i], s2[i]
+			acc = acc.add(wv[i], s0[i]+v1*x1+v2*x2, v1*g1+v2*g2, v1*h1+v2*h2)
+		}
+	case 4:
+		s1, s2, s3 := lane(1), lane(2), lane(3)
+		for i := range s0 {
+			v1, v2, v3 := s1[i], s2[i], s3[i]
+			acc = acc.add(wv[i], s0[i]+v1*x1+v2*x2+v3*x3, v1*g1+v2*g2+v3*g3, v1*h1+v2*h2+v3*h3)
+		}
 	}
 	return acc
 }

@@ -172,17 +172,20 @@ func (e *CachedEngine) smoothPass() {
 
 // newtonEdge maximizes the edge log-likelihood over the branch length,
 // starting from z0, on first and second derivatives alone (fastDNAml's
-// makenewz): the likelihood value is never evaluated inside the loop, so
-// an iterate costs the log-free gradient reduction and nothing else. It
-// returns the last iterate whose derivatives were evaluated — z0 itself
-// when z0 is already converged, so a settled branch is not nudged and
-// its cached CLVs stay valid. What bounds a bad step is newtonStep: the
-// length clamp, the ×8 / ÷8 damping and the geometric move on
-// non-concave stretches.
+// makenewz): the two partials are folded into per-pattern spectral sums
+// once, together with the first iterate's derivatives, and every further
+// iterate reads only those sums — a few multiply-adds and one reciprocal
+// per pattern; the likelihood value is never evaluated. It returns the
+// last iterate whose derivatives were evaluated — z0 itself when z0 is
+// already converged, so a settled branch is not nudged and its cached
+// CLVs stay valid. What bounds a bad step is newtonStep: the length
+// clamp, the ×8 / ÷8 damping and the geometric move on non-concave
+// stretches.
 func (e *CachedEngine) newtonEdge(a, b clvRef, z0 float64) float64 {
 	z := clampLen(z0)
-	for iter := 0; iter < newtonMaxIter; iter++ {
-		d1, d2 := e.edgeGradient(a, b, z)
+	e.kern.a, e.kern.b = a, b
+	for iter, op := 0, kFoldGrad; iter < newtonMaxIter; iter, op = iter+1, kSpecEval {
+		d1, d2 := e.specGradient(op, z)
 		next, stop := newtonStep(z, d1, d2)
 		if stop {
 			break

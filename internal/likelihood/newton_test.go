@@ -183,10 +183,11 @@ func TestNewtonEdgeCachedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestNewtonItersCountDerivativeEvaluations: NewtonIters and the work
-// counter advance by exactly one derivative reduction (44 ops/pattern)
-// per evaluation, whichever path asks — the Newton loop or the
-// all-branches gradient.
+// TestNewtonItersCountDerivativeEvaluations: NewtonIters advances by one
+// per derivative evaluation whichever path asks — the Newton loop or the
+// all-branches gradient — and the work counter by one fold per (a, b)
+// pair plus one eval per evaluation, at the costs documented next to the
+// kernels.
 func TestNewtonItersCountDerivativeEvaluations(t *testing.T) {
 	m, p, tr := threadFixture(t, 5, 8, 200)
 	eng, err := New(m, p)
@@ -199,17 +200,22 @@ func TestNewtonItersCountDerivativeEvaluations(t *testing.T) {
 	ed := tr.Edges()[0]
 	a, _ := eng.partial(ed.A, ed.B)
 	b, _ := eng.partial(ed.B, ed.A)
-	perEval := uint64(eng.npat) * 44
+	nk := len(m.Decomposition().Lambda)
+	perFold := uint64(eng.npat) * foldOps(nk)
+	perEval := uint64(eng.npat) * evalOps(nk)
+	if nk != 3 || foldOps(nk) != 48 || evalOps(nk) != 12 {
+		t.Fatalf("F84: %d terms, fold %d, eval %d ops/pattern; want 3, 48, 12", nk, foldOps(nk), evalOps(nk))
+	}
 
 	eng.ResetStats()
 	eng.ResetOps()
 	eng.newtonEdge(a, b, 0.5)
 	iters := eng.Stats().NewtonIters
-	if iters == 0 || iters > newtonMaxIter {
-		t.Fatalf("newtonEdge: %d iterations", iters)
+	if iters < 2 || iters > newtonMaxIter {
+		t.Fatalf("newtonEdge: %d iterations, want a multi-iterate solve", iters)
 	}
-	if got := eng.Ops(); got != iters*perEval {
-		t.Errorf("newtonEdge: %d ops for %d derivative evaluations, want %d", got, iters, iters*perEval)
+	if got, want := eng.Ops(), perFold+iters*perEval; got != want {
+		t.Errorf("newtonEdge: %d ops for one fold and %d derivative evaluations, want %d", got, iters, want)
 	}
 
 	// A first pass fills the up-partials; the measured one runs on a
@@ -226,8 +232,9 @@ func TestNewtonItersCountDerivativeEvaluations(t *testing.T) {
 	if got := eng.Stats().NewtonIters; got != uint64(len(grads)) {
 		t.Errorf("BranchGradients: NewtonIters %d for %d edges", got, len(grads))
 	}
-	// One value reduction (20 ops/pattern) closes the pass.
-	if got, want := eng.Ops(), uint64(len(grads))*perEval+uint64(eng.npat)*20; got != want {
+	// One fold and one eval per edge; one value reduction (20
+	// ops/pattern) closes the pass.
+	if got, want := eng.Ops(), uint64(len(grads))*(perFold+perEval)+uint64(eng.npat)*20; got != want {
 		t.Errorf("BranchGradients: %d ops, want %d", got, want)
 	}
 }

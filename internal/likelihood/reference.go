@@ -45,8 +45,9 @@ type ReferenceEngine struct {
 	zeroSc     []int32
 
 	// Scratch transition matrices, one per rate class; pmB holds the
-	// second edge's matrices during a two-sided junction combine.
-	pm, pmB, dm, ddm []model.PMatrix
+	// second edge's matrices during a two-sided junction combine. foldM
+	// is diag(π)·C_k per decomposition term (foldMatrices).
+	pm, pmB, foldM []model.PMatrix
 
 	logScaleV float64
 	threshV   float64 // rescale threshold for this precision
@@ -93,8 +94,7 @@ func NewReference(m model.Model, p *seq.Patterns, prec Precision) (*ReferenceEng
 	nc := len(e.classRates)
 	e.pm = make([]model.PMatrix, nc)
 	e.pmB = make([]model.PMatrix, nc)
-	e.dm = make([]model.PMatrix, nc)
-	e.ddm = make([]model.PMatrix, nc)
+	e.foldM = foldMatrices(e.decomp, (*[4]float64)(&e.freqs))
 
 	e.tips = make([][][4]float64, p.NumSeqs())
 	for taxon := 0; taxon < p.NumSeqs(); taxon++ {
@@ -134,12 +134,6 @@ func (e *ReferenceEngine) round(x float64) float64 {
 func (e *ReferenceEngine) fillPMInto(dst []model.PMatrix, z float64) {
 	for ci, r := range e.classRates {
 		e.decomp.Probs(z, r, &dst[ci])
-	}
-}
-
-func (e *ReferenceEngine) fillDeriv(z float64) {
-	for ci, r := range e.classRates {
-		e.decomp.ProbsDeriv(z, r, &e.pm[ci], &e.dm[ci], &e.ddm[ci])
 	}
 }
 
@@ -244,41 +238,61 @@ func (e *ReferenceEngine) edgeLnL(a, b refCLV, z float64) float64 {
 	return total
 }
 
-// edgeDeriv computes d/dz and d²/dz² of the edge log-likelihood at z
-// (the same two-way reduction the cached engine's derivative kernel
-// performs; scale counts and logs cancel in the ratios).
-func (e *ReferenceEngine) edgeDeriv(a, b refCLV, z float64) (float64, float64) {
-	e.fillDeriv(clampLen(z))
-	var d1, d2 float64
-	for p := 0; p < e.npat; p++ {
-		ci := e.classOf[p]
-		m, dm, ddm := &e.pm[ci], &e.dm[ci], &e.ddm[ci]
+// fold computes the per-pattern constants of an edge's likelihood curve
+// l_p(z) = T[p] + Σ_{k≥1} S_k[p]·(e^{λ_k r z} − 1) from its two directed
+// partials — T[p] = Σ_i π_i·a_p[i]·b_p[i] in component 0, the spectral
+// sums S_k[p] = Σ_ij π_i·a_p[i]·C_k[i][j]·b_p[j] in components k ≥ 1 —
+// with the cached engine's per-pattern expressions (segFold).
+func (e *ReferenceEngine) fold(a, b refCLV) [][4]float64 {
+	f := &e.freqs
+	out := make([][4]float64, e.npat)
+	for p := range out {
 		av, bv := &a.v[p], &b.v[p]
-		var l, dl, ddl float64
-		for i := 0; i < 4; i++ {
-			fa := e.freqs[i] * av[i]
-			l += fa * (m[i][0]*bv[0] + m[i][1]*bv[1] + m[i][2]*bv[2] + m[i][3]*bv[3])
-			dl += fa * (dm[i][0]*bv[0] + dm[i][1]*bv[1] + dm[i][2]*bv[2] + dm[i][3]*bv[3])
-			ddl += fa * (ddm[i][0]*bv[0] + ddm[i][1]*bv[1] + ddm[i][2]*bv[2] + ddm[i][3]*bv[3])
+		out[p][0] = f[0]*av[0]*bv[0] + f[1]*av[1]*bv[1] + f[2]*av[2]*bv[2] + f[3]*av[3]*bv[3]
+		for k := 1; k < len(e.foldM); k++ {
+			m := &e.foldM[k]
+			s := 0.0
+			for i := 0; i < 4; i++ {
+				s += av[i] * (m[i][0]*bv[0] + m[i][1]*bv[1] + m[i][2]*bv[2] + m[i][3]*bv[3])
+			}
+			out[p][k] = s
 		}
-		if l <= 0 {
-			l = math.SmallestNonzeroFloat64
-		}
-		w := e.pat.Weights[p]
-		r := dl / l
-		d1 += w * r
-		d2 += w * (ddl/l - r*r)
 	}
-	return d1, d2
+	return out
+}
+
+// foldedDeriv computes d/dz and d²/dz² of the edge log-likelihood at z
+// from the folded sums (the cached engine's segSpecEval; scale counts
+// and logs cancel in the ratios).
+func (e *ReferenceEngine) foldedDeriv(spec [][4]float64, z float64) (float64, float64) {
+	z = clampLen(z)
+	coef := make([]specCoef, len(e.classRates))
+	for ci, r := range e.classRates {
+		coef[ci].fill(e.decomp.Lambda, z, r)
+	}
+	var acc gradAcc
+	for p, s := range spec {
+		c := &coef[e.classOf[p]]
+		l, dl, ddl := s[0], 0.0, 0.0
+		for k := 1; k < len(e.foldM); k++ {
+			l += s[k] * c.x[k]
+			dl += s[k] * c.g[k]
+			ddl += s[k] * c.h[k]
+		}
+		acc = acc.add(e.pat.Weights[p], l, dl, ddl)
+	}
+	return acc.d1, acc.d2
 }
 
 // newtonEdge maximizes the edge log-likelihood over the branch length
-// from z0 under the shared newtonStep policy, on derivatives alone and
-// returning the last evaluated iterate, like the cached engine.
+// from z0 under the shared newtonStep policy: one fold, then iterates on
+// derivatives alone, returning the last evaluated iterate, like the
+// cached engine.
 func (e *ReferenceEngine) newtonEdge(a, b refCLV, z0 float64) float64 {
+	spec := e.fold(a, b)
 	z := clampLen(z0)
 	for iter := 0; iter < newtonMaxIter; iter++ {
-		d1, d2 := e.edgeDeriv(a, b, z)
+		d1, d2 := e.foldedDeriv(spec, z)
 		next, stop := newtonStep(z, d1, d2)
 		if stop {
 			break

@@ -7,9 +7,9 @@ import (
 
 // Multi-core kernels: the pattern dimension of every inner loop —
 // pruning combines, rescaling, the root log-likelihood sum, and the
-// Newton first/second-derivative sums — is data-parallel, so the engine
-// cuts the permuted pattern range into fixed shards and runs each kernel
-// shard-by-shard on a persistent per-engine goroutine pool.
+// Newton fold and first/second-derivative sums — is data-parallel, so
+// the engine cuts the permuted pattern range into fixed shards and runs
+// each kernel shard-by-shard on a persistent per-engine goroutine pool.
 //
 // Determinism contract: the shard layout is a pure function of the data
 // (pattern count and rate-class blocks), never of the thread count, and
@@ -81,7 +81,8 @@ const (
 	kCombineMulResc
 	kCombine2
 	kEdgeLnL
-	kDerivGrad
+	kFoldGrad
+	kSpecEval
 	kSiteLnL
 )
 
@@ -205,8 +206,9 @@ func (e *CachedEngine) runShards() {
 // shardKernel runs the current kernel over shard s. It is the only code
 // executed by pool goroutines; everything it touches is either read-only
 // during a dispatch (transition matrices, tips, weights) or partitioned
-// by shard (CLV ranges, per-shard partials). Each opcode dispatches to
-// the generic segment kernels in kernels.go at the engine's precision;
+// by shard (CLV ranges, fold lanes, per-shard partials). Each opcode
+// dispatches to the generic segment kernels in kernels.go at the
+// engine's precision;
 // reductions always accumulate in float64 with one accumulator threaded
 // through the whole shard, so the summation grouping matches the
 // pre-SoA engine exactly.
@@ -286,17 +288,19 @@ func (e *CachedEngine) shardKernel(s int) {
 			}
 		}
 		e.shLnL[s] = total
-	case kDerivGrad:
+	case kFoldGrad, kSpecEval:
 		var acc gradAcc
 		for _, seg := range segs {
 			n := seg.hi - seg.lo
-			if e.prec == Float32 {
-				acc = segDerivGrad(k.a.f32, k.b.f32, e.weights,
-					&e.pmat[seg.ci], &e.dmat[seg.ci], &e.ddmat[seg.ci], freqs, e.npad, seg.plo, n, acc)
-			} else {
-				acc = segDerivGrad(k.a.f64, k.b.f64, e.weights,
-					&e.pmat[seg.ci], &e.dmat[seg.ci], &e.ddmat[seg.ci], freqs, e.npad, seg.plo, n, acc)
+			// Later iterates of a solve (kSpecEval) find the lanes folded.
+			if k.op == kFoldGrad {
+				if e.prec == Float32 {
+					segFold(e.spec, k.a.f32, k.b.f32, e.foldM, freqs, e.npad, seg.plo, n)
+				} else {
+					segFold(e.spec, k.a.f64, k.b.f64, e.foldM, freqs, e.npad, seg.plo, n)
+				}
 			}
+			acc = segSpecEval(e.spec, e.weights, &e.specC[seg.ci], len(e.foldM), e.npad, seg.plo, n, acc)
 		}
 		e.shD1[s], e.shD2[s] = acc.d1, acc.d2
 	case kSiteLnL:

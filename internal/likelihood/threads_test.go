@@ -60,13 +60,32 @@ func TestThreadedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The Newton shard kernels on their own: one fold (with its fused
+	// first evaluation) and one evaluation from the folded lanes, over
+	// shards whose segments cross rate-class boundaries.
+	foldProbe := func(eng *CachedEngine, tr *tree.Tree) (d [4]float64, lanes []float64) {
+		ed := tr.InternalEdges()[0]
+		a, _ := eng.partial(ed.A, ed.B)
+		b, _ := eng.partial(ed.B, ed.A)
+		d[0], d[1] = eng.edgeGradient(a, b, ed.Length())
+		d[2], d[3] = eng.specGradient(kSpecEval, 3*ed.Length())
+		return d, append([]float64(nil), eng.spec...)
+	}
+	multiClass := false
+	for _, sh := range ref.shards {
+		multiClass = multiClass || len(sh.segs) > 1
+	}
+	if !multiClass {
+		t.Fatal("fixture: no shard spans a rate-class boundary")
+	}
+	refD, refLanes := foldProbe(ref, refTree)
 	refOpt, err := ref.OptimizeBranches(refTree, OptOptions{Passes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	refNewick := refTree.Newick()
 
-	for _, n := range []int{2, 4, 7} {
+	for _, n := range []int{1, 2, 4, 7} {
 		eng, err := New(m, p)
 		if err != nil {
 			t.Fatal(err)
@@ -83,6 +102,17 @@ func TestThreadedBitIdentical(t *testing.T) {
 		if math.Float64bits(lnL) != math.Float64bits(refLnL) {
 			t.Errorf("threads=%d: lnL %.17g not bit-identical to serial %.17g", n, lnL, refLnL)
 		}
+		d, lanes := foldProbe(eng, cand)
+		for i := range d {
+			if math.Float64bits(d[i]) != math.Float64bits(refD[i]) {
+				t.Errorf("threads=%d: folded derivative %d = %.17g, serial %.17g", n, i, d[i], refD[i])
+			}
+		}
+		for i := range lanes {
+			if math.Float64bits(lanes[i]) != math.Float64bits(refLanes[i]) {
+				t.Fatalf("threads=%d: fold lane entry %d = %.17g, serial %.17g", n, i, lanes[i], refLanes[i])
+			}
+		}
 		opt, err := eng.OptimizeBranches(cand, OptOptions{Passes: 4})
 		if err != nil {
 			t.Fatalf("threads=%d: optimize: %v", n, err)
@@ -93,7 +123,7 @@ func TestThreadedBitIdentical(t *testing.T) {
 		if nwk := cand.Newick(); nwk != refNewick {
 			t.Errorf("threads=%d: optimized tree differs from serial:\n got %s\nwant %s", n, nwk, refNewick)
 		}
-		if eng.Stats().ShardDispatches == 0 {
+		if n > 1 && eng.Stats().ShardDispatches == 0 {
 			t.Errorf("threads=%d: no threaded shard dispatches recorded", n)
 		}
 		eng.Close()
@@ -190,6 +220,20 @@ func TestZeroAllocSteadyState(t *testing.T) {
 				}
 			}); n > 0 {
 				t.Errorf("prec=%v threads=%d: warm OptimizeEdge allocates %.1f/op, want 0", prec, threads, n)
+			}
+			// A cold start iterates on the folded lanes, which must be the
+			// buffer the constructor allocated, not a per-call one.
+			scratch, z := &eng.spec[0], ed.Length()
+			if n := testing.AllocsPerRun(50, func() {
+				tree.SetLen(ed.A, ed.B, 8*z)
+				if _, err := eng.OptimizeEdge(tr, ed); err != nil {
+					t.Fatal(err)
+				}
+			}); n > 0 {
+				t.Errorf("prec=%v threads=%d: cold OptimizeEdge allocates %.1f/op, want 0", prec, threads, n)
+			}
+			if &eng.spec[0] != scratch || len(eng.spec) != len(eng.foldM)*eng.npad {
+				t.Errorf("prec=%v threads=%d: fold scratch reallocated (len %d)", prec, threads, len(eng.spec))
 			}
 			inner := tr.InternalEdges()[0]
 			local := OptOptions{Passes: 2, Centers: []*tree.Node{inner.A, inner.B}, Radius: 2}

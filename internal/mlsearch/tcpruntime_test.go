@@ -2,6 +2,7 @@ package mlsearch
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"net"
 	"sync"
@@ -240,6 +241,67 @@ func TestReconnectBackoffBounds(t *testing.T) {
 		d := p.backoff(n, rng)
 		if d <= 0 || d > p.Cap {
 			t.Fatalf("backoff(%d) = %v outside (0, %v]", n, d, p.Cap)
+		}
+	}
+}
+
+// TestTCPTeardownIsClean loops the set-up and tear-down of a TCP run —
+// finished searches and searches stopped after their first round — and
+// requires every ServeElastic worker to return nil: the foreman must
+// know every worker the join barrier counted (the router tells it of a
+// join before it tells the barrier) and its shutdown message must reach
+// each of them before Run closes the router, or a worker sees
+// comm.ErrClosed and (with reconnection on) would dial a master that is
+// gone.
+func TestTCPTeardownIsClean(t *testing.T) {
+	ds, err := simulate.New(simulate.Options{Taxa: 5, Sites: 60, Seed: 17, MeanBranchLen: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var phy bytes.Buffer
+	if err := seq.WritePhylip(&phy, ds.Alignment, 0); err != nil {
+		t.Fatal(err)
+	}
+	bundle := DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
+	m, pat, taxa, err := bundle.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	for i := 0; i < 150; i++ {
+		stopEarly := i%2 == 1
+		stop := make(chan struct{})
+		cfg := Config{Taxa: taxa, Patterns: pat, Model: m, Seed: int64(i), RearrangeExtent: 1}
+		var once sync.Once
+		progress := func(int, ProgressEvent) {
+			if stopEarly {
+				once.Do(func() { close(stop) })
+			}
+		}
+		var wg sync.WaitGroup
+		workerErrs := make([]error, workers)
+		opt := RunOptions{
+			Transport: TCP, Addr: "127.0.0.1:0", Workers: workers, Bundle: bundle, Stop: stop, Progress: progress,
+			Foreman: ForemanOptions{Pipeline: 2, TaskTimeout: 60 * time.Second},
+			OnListen: func(a net.Addr) {
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						workerErrs[w] = ServeElastic(a.String(), WorkerHooks{}, ReconnectPolicy{Disabled: true})
+					}(w)
+				}
+			},
+		}
+		_, err := Run(cfg, opt)
+		wg.Wait()
+		if err != nil && !(stopEarly && errors.Is(err, ErrStopped)) {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		for w, werr := range workerErrs {
+			if werr != nil {
+				t.Fatalf("run %d (stopped early: %v): worker %d returned %v, want a clean shutdown", i, stopEarly, w, werr)
+			}
 		}
 	}
 }
