@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X repro/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: check vet staticcheck build test benchmark-test race difftest bench bench-compare bench-pairs chaos-soak serve-smoke
+.PHONY: check vet staticcheck build test benchmark-test race difftest bench bench-compare bench-pairs loc chaos-soak serve-smoke
 
 # Tier-1 gate: everything that must pass before a change lands.
 check: vet staticcheck build test benchmark-test race difftest
@@ -75,6 +75,13 @@ bench-compare:
 # EXPERIMENTS.md uses. make bench-pairs PARENT=HEAD~1 WORKLOAD=serial20
 bench-pairs:
 	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# ROADMAP item 3's acceptance number: non-test, non-blank, non-comment
+# Go lines of internal/mlsearch, internal/serve, internal/core and cmd/,
+# as a markdown table — with PARENT set, beside the same count on that
+# commit and the delta. make loc PARENT=HEAD~1
+loc:
+	./scripts/loc.sh $(PARENT)
 
 # Black-box smoke test of the fastdnamld daemon over real HTTP: build
 # the binaries, start a 2-worker daemon, submit a job and its duplicate

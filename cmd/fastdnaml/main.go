@@ -27,7 +27,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/seq"
-	"repro/internal/tree"
 	"repro/internal/viewer"
 )
 
@@ -60,7 +59,7 @@ func main() {
 		kappa       = flag.Float64("kappa", 2.0, "transition rate multiplier for K80/HKY85")
 		userTrees   = flag.String("usertrees", "", "evaluate and rank the trees in this file instead of searching")
 		bootstrap   = flag.Int("bootstrap", 0, "run this many bootstrap replicates instead of a plain search")
-		checkpoint  = flag.String("checkpoint", "", "write a restart file here after every taxon addition (one jumble; serial or -listen)")
+		checkpoint  = flag.String("checkpoint", "", "write a restart manifest here after every taxon addition (atomically; any -jumbles, any runtime)")
 		resume      = flag.String("resume", "", "resume a search from this restart file")
 		adaptive    = flag.Bool("adaptive", false, "adapt the rearrangement extent to recent success (paper §5)")
 		statusAddr  = flag.String("status-addr", "", "serve /metrics, /status, and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
@@ -366,10 +365,8 @@ func sortedSupports(m map[string]float64) []float64 {
 }
 
 // runCheckpointed runs a checkpointed search (any number of jumbles),
-// writing a restart file after each completed addition, or resumes from
-// one. Single-jumble runs write the flat checkpoint format; multi-jumble
-// runs write a manifest with one block per jumble. Serial by default,
-// parallel with -workers.
+// writing a restart manifest after each completed addition, or resumes
+// from one. Serial by default, parallel with -workers.
 func runCheckpointed(a *seq.Alignment, opt core.Options, o options) error {
 	cfg, opt, err := core.Prepare(a, opt)
 	if err != nil {
@@ -398,57 +395,46 @@ func runCheckpointed(a *seq.Alignment, opt core.Options, o options) error {
 	if err != nil {
 		return finishInterrupted(err, rec, o)
 	}
-	inf, err := inferenceFromResults(a, cfg.Taxa, out, opt)
+	inf, err := core.NewInference(cfg, out, opt)
 	if err != nil {
 		return err
 	}
 	return report(inf, a, o)
 }
 
-// wireRestart wires -resume and -checkpoint into runOpt, sniffing the
-// restart file's format: a flat checkpoint resumes one jumble, a
-// manifest resumes a multi-jumble run (adopting the manifest's jumble
-// count when -jumbles was left at its default). It returns the manifest
-// recorder when one is writing, so an interrupted run can flush it.
+// wireRestart wires -resume and -checkpoint into runOpt. A resumed run
+// adopts the manifest's jumble count when -jumbles was left at its
+// default. It returns the manifest recorder when -checkpoint is
+// writing one, so an interrupted run can flush it.
 func wireRestart(runOpt *mlsearch.RunOptions, o options) (*mlsearch.ManifestRecorder, error) {
-	var prior *mlsearch.Manifest
 	if o.resume != "" {
-		cp, m, err := mlsearch.LoadResume(o.resume)
+		m, err := mlsearch.LoadResume(o.resume)
 		if err != nil {
 			return nil, err
 		}
-		if m != nil {
-			if runOpt.Jumbles > 1 && runOpt.Jumbles != m.Jumbles {
-				return nil, fmt.Errorf("-jumbles %d does not match the manifest's %d jumbles", runOpt.Jumbles, m.Jumbles)
+		if runOpt.Jumbles > 1 && runOpt.Jumbles != m.Jumbles {
+			return nil, fmt.Errorf("-jumbles %d does not match the manifest's %d jumbles", runOpt.Jumbles, m.Jumbles)
+		}
+		runOpt.Jumbles = m.Jumbles
+		runOpt.ResumeManifest = m
+		done := 0
+		for j := 0; j < m.Jumbles; j++ {
+			if cp, ok := m.Checkpoint(j); ok && cp.Phase == mlsearch.PhaseDone {
+				done++
 			}
-			runOpt.Jumbles = m.Jumbles
-			runOpt.ResumeManifest = m
-			prior = m
-			done := 0
-			for j := 0; j < m.Jumbles; j++ {
-				if cp, ok := m.Checkpoint(j); ok && cp.Phase == mlsearch.PhaseDone {
-					done++
-				}
-			}
-			fmt.Printf("resuming manifest: %d of %d jumbles done\n", done, m.Jumbles)
-		} else {
-			fmt.Printf("resuming: phase %s, %d of %d taxa in tree\n", cp.Phase, cp.NextIndex, len(cp.Order))
-			runOpt.Resume = cp
+		}
+		fmt.Printf("resuming manifest: %d of %d jumbles done\n", done, m.Jumbles)
+	}
+	if o.checkpoint == "" {
+		return nil, nil
+	}
+	rec := mlsearch.NewManifestRecorder(o.checkpoint, runOpt.Jumbles, runOpt.ResumeManifest)
+	runOpt.OnCheckpoint = func(_ int, cp mlsearch.Checkpoint) {
+		if err := rec.Record(cp); err != nil {
+			fmt.Fprintln(os.Stderr, "fastdnaml: checkpoint:", err)
 		}
 	}
-	if o.checkpoint != "" {
-		if runOpt.Jumbles > 1 {
-			rec := mlsearch.NewManifestRecorder(o.checkpoint, runOpt.Jumbles, prior)
-			runOpt.OnCheckpoint = func(_ int, cp mlsearch.Checkpoint) {
-				if err := rec.Record(cp); err != nil {
-					fmt.Fprintln(os.Stderr, "fastdnaml: checkpoint:", err)
-				}
-			}
-			return rec, nil
-		}
-		runOpt.OnCheckpoint = func(_ int, cp mlsearch.Checkpoint) { writeCheckpointFile(o.checkpoint, cp) }
-	}
-	return nil, nil
+	return rec, nil
 }
 
 // runDistributed hosts the elastic TCP master; workers join at any time
@@ -480,9 +466,6 @@ func runDistributed(a *seq.Alignment, opt core.Options, o options) error {
 			TTRatio:    opt.TTRatio,
 			SiteRates:  opt.SiteRates,
 			Weights:    opt.Weights,
-			Precision:  cfg.Precision,
-			Engine:     cfg.Engine,
-			SmoothMode: cfg.SmoothMode,
 		},
 		Progress: opt.Progress,
 		OnListen: func(addr net.Addr) {
@@ -512,49 +495,11 @@ func runDistributed(a *seq.Alignment, opt core.Options, o options) error {
 	if err != nil {
 		return finishInterrupted(err, rec, o)
 	}
-	// Repackage as an Inference for uniform reporting.
-	inf, err := inferenceFromResults(a, cfg.Taxa, out, opt)
+	inf, err := core.NewInference(cfg, out, opt)
 	if err != nil {
 		return err
 	}
 	return report(inf, a, o)
-}
-
-// writeCheckpointFile writes a restart file, logging failures without
-// aborting the run.
-func writeCheckpointFile(path string, cp mlsearch.Checkpoint) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fastdnaml: checkpoint:", err)
-		return
-	}
-	if err := mlsearch.WriteCheckpoint(f, cp); err != nil {
-		fmt.Fprintln(os.Stderr, "fastdnaml: checkpoint:", err)
-	}
-	f.Close()
-}
-
-func inferenceFromResults(a *seq.Alignment, taxa []string, out *mlsearch.RunOutcome, opt core.Options) (*core.Inference, error) {
-	inf := &core.Inference{Monitor: out.Monitor}
-	for _, res := range out.Results {
-		tr, err := tree.ParseNewick(res.BestNewick, taxa)
-		if err != nil {
-			return nil, err
-		}
-		inf.Jumbles = append(inf.Jumbles, core.JumbleResult{
-			// The search carries the seed it ran with; re-deriving it
-			// from the slice index mislabels resumed runs.
-			Seed: res.Seed, Tree: tr, Newick: res.BestNewick, LnL: res.LnL, Search: res,
-		})
-	}
-	best := &inf.Jumbles[0]
-	for i := range inf.Jumbles {
-		if inf.Jumbles[i].LnL > best.LnL {
-			best = &inf.Jumbles[i]
-		}
-	}
-	inf.Best = best
-	return inf, nil
 }
 
 func report(inf *core.Inference, a *seq.Alignment, o options) error {

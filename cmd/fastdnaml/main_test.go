@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/seq"
@@ -56,23 +57,84 @@ func TestRunParallelMode(t *testing.T) {
 	}
 }
 
+// TestRunCheckpointThenResume: every -checkpoint, a single jumble's
+// included, writes the one restart format (a manifest), -resume reads it
+// back to the same trees, and a flat "fastdnaml-checkpoint v1" file left
+// by an older release still resumes to them too.
 func TestRunCheckpointThenResume(t *testing.T) {
 	in := writeTestAlignment(t, 6, 100)
-	cpPath := filepath.Join(t.TempDir(), "cp.txt")
-	if err := run(in, options{
-		jumbles: 1, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2,
-		quiet: true, checkpoint: cpPath,
-	}); err != nil {
+	dir := t.TempDir()
+	cpPath := filepath.Join(dir, "cp.txt")
+	base := options{
+		jumbles: 1, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2, quiet: true,
+	}
+	first := base
+	first.checkpoint, first.outPrefix = cpPath, filepath.Join(dir, "first")
+	if err := run(in, first); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(cpPath); err != nil {
+	manifest, err := os.ReadFile(cpPath)
+	if err != nil {
 		t.Fatal("no checkpoint written")
 	}
-	if err := run(in, options{
-		jumbles: 1, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2,
-		quiet: true, resume: cpPath,
-	}); err != nil {
+	const head = "fastdnaml-manifest v1\njumbles 1\nbegin jumble 0\n"
+	if !strings.HasPrefix(string(manifest), head) {
+		t.Fatalf("restart file is not a one-block manifest:\n%s", manifest)
+	}
+	want, err := os.ReadFile(first.outPrefix + ".trees")
+	if err != nil {
 		t.Fatal(err)
+	}
+
+	flatPath := filepath.Join(dir, "flat.txt")
+	flat := "fastdnaml-checkpoint v1\n" + strings.TrimSuffix(strings.TrimPrefix(string(manifest), head), "end jumble\n")
+	if err := os.WriteFile(flatPath, []byte(flat), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, restart := range []string{cpPath, flatPath} {
+		again := base
+		again.resume, again.outPrefix = restart, filepath.Join(dir, "again")
+		if err := run(in, again); err != nil {
+			t.Fatalf("resume %s: %v", filepath.Base(restart), err)
+		}
+		got, err := os.ReadFile(again.outPrefix + ".trees")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("resume %s: trees differ from the checkpointed run's", filepath.Base(restart))
+		}
+	}
+}
+
+// TestRunCheckpointedConsensus: a checkpointed multi-jumble run reports
+// through the same packaging as a plain one, majority rule consensus
+// included.
+func TestRunCheckpointedConsensus(t *testing.T) {
+	in := writeTestAlignment(t, 6, 120)
+	dir := t.TempDir()
+	plain := options{
+		jumbles: 3, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2, quiet: true,
+		outPrefix: filepath.Join(dir, "plain"),
+	}
+	checkpointed := plain
+	checkpointed.outPrefix = filepath.Join(dir, "checkpointed")
+	checkpointed.checkpoint = filepath.Join(dir, "cp.txt")
+	for _, o := range []options{plain, checkpointed} {
+		if err := run(in, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(plain.outPrefix + ".consensus.tree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(checkpointed.outPrefix + ".consensus.tree")
+	if err != nil {
+		t.Fatalf("checkpointed run wrote no consensus: %v", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("checkpointed consensus %s, plain run's %s", got, want)
 	}
 }
 

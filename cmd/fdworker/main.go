@@ -1,6 +1,7 @@
 // Command fdworker is a distributed fastDNAml worker process: it joins a
 // master started with `fastdnaml -listen`, receives its rank and the
-// alignment in the join handshake, and evaluates trees until shutdown.
+// alignment in the join handshake, and evaluates trees with the master's
+// configuration (precision, engine, smooth mode) until shutdown.
 // Workers carry no pre-assigned identity and may start before the
 // master, join mid-run, or outlive a master restart: by default the
 // worker reconnects with jittered exponential backoff whenever its
@@ -17,7 +18,6 @@ import (
 	"os"
 
 	"repro/internal/buildinfo"
-	"repro/internal/likelihood"
 	"repro/internal/mlsearch"
 	"repro/internal/obs"
 )
@@ -29,10 +29,7 @@ func main() {
 		flaky      = flag.Float64("flaky", 0, "drop this fraction of replies (fault tolerance demos)")
 		seed       = flag.Int64("flaky-seed", 1, "seed for -flaky")
 		statusAddr = flag.String("status-addr", "", "serve /metrics, /status, and /debug/pprof on this address")
-		threads    = flag.Int("threads", 1, "likelihood kernel threads (results are bit-identical at any count)")
-		precision  = flag.String("precision", "", "CLV storage precision: float64 or float32 (default: whatever the master's data bundle requests)")
-		engine     = flag.String("engine", "", "likelihood backend: cached or reference (default: whatever the master's data bundle requests)")
-		smoothMode = flag.String("smooth-mode", "", "full-tree branch smoothing: sweep or gradient (default: whatever the master's data bundle requests)")
+		threads    = flag.Int("threads", 1, "likelihood kernel threads on this host (results are bit-identical at any count)")
 		version    = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -51,30 +48,6 @@ func main() {
 		os.Exit(2)
 	}
 	hooks := mlsearch.WorkerHooks{Threads: *threads}
-	if *precision != "" {
-		prec, err := likelihood.ParsePrecision(*precision)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdworker:", err)
-			os.Exit(2)
-		}
-		hooks.Precision, hooks.PrecisionSet = prec, true
-	}
-	if *engine != "" {
-		name, err := likelihood.ParseEngine(*engine)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdworker:", err)
-			os.Exit(2)
-		}
-		hooks.Engine, hooks.EngineSet = name, true
-	}
-	if *smoothMode != "" {
-		m, err := likelihood.ParseSmoothMode(*smoothMode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdworker:", err)
-			os.Exit(2)
-		}
-		hooks.SmoothMode, hooks.SmoothModeSet = m, true
-	}
 	if *statusAddr != "" {
 		reg := obs.NewRegistry()
 		wobs := mlsearch.NewWorkerObserver(reg)

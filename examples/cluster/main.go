@@ -37,11 +37,11 @@ func main() {
 	bundle := mlsearch.DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
 
 	// The master needs the same dataset the workers will build.
-	m, pat, taxa, err := bundle.Build()
+	cfg, err := bundle.Config()
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := mlsearch.Config{Taxa: taxa, Patterns: pat, Model: m, Seed: 5, RearrangeExtent: 1}
+	cfg.Seed, cfg.RearrangeExtent = 5, 1
 
 	const workers = 3
 	opt := mlsearch.RunOptions{

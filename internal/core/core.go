@@ -229,8 +229,6 @@ func Infer(a *seq.Alignment, opt Options) (*Inference, error) {
 		return nil, err
 	}
 
-	inf := &Inference{Model: cfg.Model, Patterns: cfg.Patterns}
-
 	// One Run call covers both runtimes: the serial baseline and the
 	// in-process parallel program.
 	transport := mlsearch.Serial
@@ -252,10 +250,16 @@ func Infer(a *seq.Alignment, opt Options) (*Inference, error) {
 	if err != nil {
 		return nil, err
 	}
-	results := out.Results
-	inf.Monitor = out.Monitor
+	return NewInference(cfg, out, opt)
+}
 
-	for j, res := range results {
+// NewInference packages a finished run for reporting: one JumbleResult
+// per search with its parsed tree, the best of them, and the majority
+// rule consensus when more than one jumble ran. cfg and opt are the pair
+// Prepare returned for the run.
+func NewInference(cfg mlsearch.Config, out *mlsearch.RunOutcome, opt Options) (*Inference, error) {
+	inf := &Inference{Model: cfg.Model, Patterns: cfg.Patterns, Monitor: out.Monitor}
+	for j, res := range out.Results {
 		tr, err := tree.ParseNewick(res.BestNewick, cfg.Taxa)
 		if err != nil {
 			return nil, fmt.Errorf("core: jumble %d result: %w", j, err)

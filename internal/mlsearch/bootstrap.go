@@ -113,11 +113,13 @@ func UnmarshalDataBundle(data []byte) (DataBundle, error) {
 	return b, r.done("data bundle")
 }
 
-// Build materializes the bundle into the worker-side dataset.
-func (b DataBundle) Build() (model.Model, *seq.Patterns, []string, error) {
+// Config materializes the bundle into the worker side of the run's
+// Config: the data set, the F84 model over its empirical frequencies,
+// and the precision, engine and smooth mode the master stamped.
+func (b DataBundle) Config() (Config, error) {
 	a, err := seq.ReadPhylip(bytes.NewReader(b.PhylipText))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("mlsearch: bundle alignment: %w", err)
+		return Config{}, fmt.Errorf("mlsearch: bundle alignment: %w", err)
 	}
 	var rates, weights []float64
 	if len(b.SiteRates) > 0 {
@@ -128,7 +130,7 @@ func (b DataBundle) Build() (model.Model, *seq.Patterns, []string, error) {
 	}
 	pat, err := seq.Compress(a, seq.CompressOptions{Rates: rates, Weights: weights})
 	if err != nil {
-		return nil, nil, nil, err
+		return Config{}, err
 	}
 	ttr := b.TTRatio
 	if ttr <= 0 {
@@ -136,9 +138,12 @@ func (b DataBundle) Build() (model.Model, *seq.Patterns, []string, error) {
 	}
 	m, err := model.NewF84(seq.EmpiricalFreqsPatterns(pat), ttr)
 	if err != nil {
-		return nil, nil, nil, err
+		return Config{}, err
 	}
-	return m, pat, a.Names, nil
+	return Config{
+		Taxa: a.Names, Patterns: pat, Model: m,
+		Precision: b.Precision, Engine: b.Engine, SmoothMode: b.SmoothMode,
+	}, nil
 }
 
 // marshalWelcome encodes the payload the router hands each joining

@@ -35,11 +35,11 @@ func TestTCPChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	bundle := DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
-	m, pat, taxa, err := bundle.Build()
+	cfg, err := bundle.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Taxa: taxa, Patterns: pat, Model: m, Seed: 5, RearrangeExtent: 1, Threads: 2}
+	cfg.Seed, cfg.RearrangeExtent, cfg.Threads = 5, 1, 2
 	serial, err := runSerial(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -77,9 +77,8 @@ func (cp Checkpoint) Validate(numTaxa int) error {
 	return nil
 }
 
-// WriteCheckpoint writes the human-readable checkpoint format:
+// writeCheckpointBody writes the key-value lines of one manifest block:
 //
-//	fastdnaml-checkpoint v1
 //	seed <n>
 //	jumble <n>
 //	phase adding|final|done
@@ -87,17 +86,6 @@ func (cp Checkpoint) Validate(numTaxa int) error {
 //	order <i0>,<i1>,...
 //	lnl <float>
 //	tree <newick>
-func WriteCheckpoint(w io.Writer, cp Checkpoint) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "fastdnaml-checkpoint v1")
-	if err := writeCheckpointBody(bw, cp); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// writeCheckpointBody writes the key-value lines shared by the
-// standalone checkpoint file and the manifest's per-jumble blocks.
 func writeCheckpointBody(bw *bufio.Writer, cp Checkpoint) error {
 	fmt.Fprintf(bw, "seed %d\n", cp.Seed)
 	fmt.Fprintf(bw, "jumble %d\n", cp.Jumble)
@@ -180,7 +168,9 @@ func (p *checkpointParser) finish() (Checkpoint, error) {
 	return p.cp, nil
 }
 
-// ReadCheckpoint parses a checkpoint file. It rejects duplicate and
+// ReadCheckpoint parses a flat "fastdnaml-checkpoint v1" file, the
+// single-jumble restart format written before every restart file became
+// a manifest (LoadResume still accepts one). It rejects duplicate and
 // missing keys, naming the offending key.
 func ReadCheckpoint(r io.Reader) (Checkpoint, error) {
 	sc := bufio.NewScanner(r)

@@ -3,6 +3,8 @@ package mlsearch
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -20,7 +22,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 		LnL:       -1234.56789,
 	}
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, cp); err != nil {
+	if err := writeFlatCheckpoint(&buf, cp); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadCheckpoint(&buf)
@@ -108,28 +110,28 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 		t.Errorf("final checkpoint %+v", last)
 	}
 
+	// Every position, written as a flat "fastdnaml-checkpoint v1" file
+	// the way releases before the one-format manifest wrote it, must
+	// still load and resume to the same answer.
+	path := filepath.Join(t.TempDir(), "restart")
 	for i, cp := range cps {
-		// Serialize through the file format to exercise the full path.
-		var buf bytes.Buffer
-		if err := WriteCheckpoint(&buf, cp); err != nil {
-			t.Fatal(err)
-		}
-		parsed, err := ReadCheckpoint(&buf)
+		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		disp2, err := NewSerialDispatcher(cfg)
+		if err := writeFlatCheckpoint(f, cp); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		m, err := LoadResume(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := NewSearch(cfg, disp2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s2.Resume(parsed)
+		out, err := Run(cfg, RunOptions{ResumeManifest: m})
 		if err != nil {
 			t.Fatalf("resume from checkpoint %d: %v", i, err)
 		}
+		res := out.Results[0]
 		if res.BestNewick != full.BestNewick {
 			t.Errorf("checkpoint %d (%s): resumed tree differs", i, cp.Phase)
 		}
@@ -243,7 +245,7 @@ func TestEvaluateUserTreesParallelKeepsTrees(t *testing.T) {
 	go func() { _ = RunForeman(world[1], lay, ForemanOptions{}) }()
 	for _, w := range lay.Workers {
 		go func(rank int) {
-			_ = RunWorker(world[rank], lay, norm.Model, norm.Patterns, norm.Taxa, WorkerHooks{})
+			_ = RunWorker(world[rank], lay, norm, WorkerHooks{})
 		}(w)
 	}
 	disp, err := NewForemanDispatcher(world[0], lay)

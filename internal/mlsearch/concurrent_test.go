@@ -2,6 +2,7 @@ package mlsearch
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -48,7 +49,7 @@ func TestCheckpointStrictParse(t *testing.T) {
 		Newick: "((t00,t01),t03,t04);", LnL: -1234.5,
 	}
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, cp); err != nil {
+	if err := writeFlatCheckpoint(&buf, cp); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -84,7 +85,8 @@ func TestCheckpointStrictParse(t *testing.T) {
 }
 
 // TestManifestCodecRoundTrip: the multi-jumble restart file round-trips
-// through its text format, and LoadResume sniffs both formats.
+// through its text format, and LoadResume reads it and the retired flat
+// format.
 func TestManifestCodecRoundTrip(t *testing.T) {
 	m := NewManifest(4)
 	m.Set(Checkpoint{
@@ -118,29 +120,42 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 		t.Error("half-finished manifest reports done")
 	}
 
-	// Sniffing: a manifest file and a flat checkpoint file resolve to the
-	// right type.
+	// LoadResume: a manifest file loads as itself; a flat checkpoint
+	// file from an older single-jumble run loads as a one-block manifest;
+	// a flat file cut out of a multi-jumble run is refused.
 	dir := t.TempDir()
 	mpath := filepath.Join(dir, "manifest")
 	if err := SaveManifest(mpath, m); err != nil {
 		t.Fatal(err)
 	}
-	cp, mm, err := LoadResume(mpath)
-	if err != nil || cp != nil || mm == nil {
-		t.Fatalf("manifest sniff: cp=%v m=%v err=%v", cp, mm, err)
+	mm, err := LoadResume(mpath)
+	if err != nil || mm.Jumbles != 4 || len(mm.Checkpoints) != 2 {
+		t.Fatalf("manifest load: m=%+v err=%v", mm, err)
 	}
-	cpath := filepath.Join(dir, "checkpoint")
-	f, err := os.Create(cpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCheckpoint(f, m.Checkpoints[0]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	cp, mm, err = LoadResume(cpath)
-	if err != nil || cp == nil || mm != nil {
-		t.Fatalf("checkpoint sniff: cp=%v m=%v err=%v", cp, mm, err)
+	for _, j := range []int{0, 2} {
+		cpath := filepath.Join(dir, fmt.Sprintf("checkpoint%d", j))
+		f, err := os.Create(cpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFlatCheckpoint(f, m.Checkpoints[j]); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		mm, err = LoadResume(cpath)
+		if j != 0 {
+			if err == nil {
+				t.Errorf("flat checkpoint for jumble %d accepted as a run of its own", j)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, ok := mm.Checkpoint(0)
+		if mm.Jumbles != 1 || len(mm.Checkpoints) != 1 || !ok || cp.Newick != m.Checkpoints[0].Newick {
+			t.Fatalf("flat checkpoint load: %+v", mm)
+		}
 	}
 }
 
@@ -171,36 +186,42 @@ func TestManifestReadErrors(t *testing.T) {
 // result must carry the checkpoint's seed.
 func TestResumeKeepsJumbleIndex(t *testing.T) {
 	cfg := testConfig(t, 7, 120, 23)
-	cfg.Jumble = 3
 	cfg.Seed = 19
-	disp, err := NewSerialDispatcher(cfg)
+	// A 4-jumble run, interrupted with jumbles 0-2 done and jumble 3 at
+	// its second checkpoint.
+	m := NewManifest(4)
+	seen := 0
+	full, err := Run(cfg, RunOptions{
+		Transport: Serial,
+		Jumbles:   4,
+		OnCheckpoint: func(j int, cp Checkpoint) {
+			if j == 3 {
+				if seen++; seen > 2 {
+					return
+				}
+			}
+			m.Set(cp)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSearch(cfg, disp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cps []Checkpoint
-	s.OnCheckpoint = func(cp Checkpoint) { cps = append(cps, cp) }
-	full, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) < 2 {
-		t.Fatalf("%d checkpoints", len(cps))
-	}
-	mid := cps[1]
-	if mid.Jumble != 3 {
-		t.Fatalf("checkpoint jumble %d, want 3", mid.Jumble)
+	mid, ok := m.Checkpoint(3)
+	if !ok || mid.Jumble != 3 || mid.Phase != PhaseAdding {
+		t.Fatalf("jumble 3 checkpoint %+v", mid)
 	}
 
 	var idxs []int
 	var resumedCps []Checkpoint
-	out, err := Run(cfg, RunOptions{
-		Transport: Serial,
-		Resume:    &mid,
-		Progress:  func(j int, _ ProgressEvent) { idxs = append(idxs, j) },
+	// A different seed on the command line must not relabel the resumed
+	// jumbles: the manifest's seeds win.
+	rcfg := cfg
+	rcfg.Seed = 1001
+	out, err := Run(rcfg, RunOptions{
+		Transport:      Serial,
+		Jumbles:        4,
+		ResumeManifest: m,
+		Progress:       func(j int, _ ProgressEvent) { idxs = append(idxs, j) },
 		OnCheckpoint: func(j int, cp Checkpoint) {
 			idxs = append(idxs, j)
 			resumedCps = append(resumedCps, cp)
@@ -222,12 +243,13 @@ func TestResumeKeepsJumbleIndex(t *testing.T) {
 			t.Fatalf("post-resume checkpoint labeled jumble %d, want 3", cp.Jumble)
 		}
 	}
-	res := out.Results[0]
-	if res.BestNewick != full.BestNewick || res.LnL != full.LnL {
-		t.Error("resumed result differs from the uninterrupted run")
-	}
-	if res.Seed != mid.Seed {
-		t.Errorf("result seed %d, want the checkpoint's %d", res.Seed, mid.Seed)
+	for j, res := range out.Results {
+		if res.BestNewick != full.Results[j].BestNewick || res.LnL != full.Results[j].LnL {
+			t.Errorf("jumble %d: resumed result differs from the uninterrupted run", j)
+		}
+		if res.Seed != full.Results[j].Seed {
+			t.Errorf("jumble %d: result seed %d, want the checkpoint's %d", j, res.Seed, full.Results[j].Seed)
+		}
 	}
 }
 
@@ -286,11 +308,11 @@ func TestConcurrentTCPChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	bundle := DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
-	m, pat, taxa, err := bundle.Build()
+	cfg, err := bundle.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Taxa: taxa, Patterns: pat, Model: m, Seed: 9, RearrangeExtent: 1}
+	cfg.Seed, cfg.RearrangeExtent = 9, 1
 	serial, err := Run(cfg, RunOptions{Transport: Serial, Jumbles: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -413,17 +435,24 @@ func TestConcurrentTCPChaosSoak(t *testing.T) {
 	}
 }
 
-// TestManifestResumeRoundTrip simulates a killed Jumbles=3 run: jumble 0
-// finished, jumble 1 was mid-addition, jumble 2 never started. Resuming
-// from the manifest must complete all three identically to the
-// uninterrupted run, and every post-resume checkpoint must keep its own
-// jumble index.
+// TestManifestResumeRoundTrip simulates a killed run: of three jumbles,
+// jumble 0 finished, jumble 1 was mid-addition, jumble 2 never started;
+// of one, it was mid-addition. Resuming from the restart file must
+// complete every jumble identically to the uninterrupted run, and every
+// post-resume callback must keep its own jumble index.
 func TestManifestResumeRoundTrip(t *testing.T) {
+	for _, jumbles := range []int{1, 3} {
+		jumbles := jumbles
+		t.Run(fmt.Sprintf("jumbles=%d", jumbles), func(t *testing.T) { testManifestResumeRoundTrip(t, jumbles) })
+	}
+}
+
+func testManifestResumeRoundTrip(t *testing.T, jumbles int) {
 	cfg := testConfig(t, 7, 120, 25)
 	byJumble := map[int][]Checkpoint{}
 	var mu sync.Mutex
 	full, err := Run(cfg, RunOptions{
-		Transport: Local, Workers: 2, Jumbles: 3, MaxConcurrentJumbles: 3,
+		Transport: Local, Workers: 2, Jumbles: jumbles, MaxConcurrentJumbles: 3,
 		OnCheckpoint: func(j int, cp Checkpoint) {
 			mu.Lock()
 			byJumble[j] = append(byJumble[j], cp)
@@ -433,7 +462,7 @@ func TestManifestResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := 0; j < 3; j++ {
+	for j := 0; j < jumbles; j++ {
 		if len(byJumble[j]) < 2 {
 			t.Fatalf("jumble %d emitted %d checkpoints", j, len(byJumble[j]))
 		}
@@ -444,25 +473,35 @@ func TestManifestResumeRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The "kill": manifest captures jumble 0 done, jumble 1 mid-run,
-	// nothing for jumble 2. Round-trip it through the file to exercise
-	// SaveManifest/LoadManifest.
-	m := NewManifest(3)
-	m.Set(byJumble[0][len(byJumble[0])-1])
-	m.Set(byJumble[1][1])
+	// The "kill": the recorder has seen the last jumble-but-one's second
+	// checkpoint, the final checkpoints of those before it, and nothing
+	// of the last of three. The restart file is what it wrote.
 	path := filepath.Join(t.TempDir(), "manifest")
-	if err := SaveManifest(path, m); err != nil {
+	rec := NewManifestRecorder(path, jumbles, nil)
+	mid := 0
+	if jumbles > 1 {
+		mid = 1
+		if err := rec.Record(byJumble[0][len(byJumble[0])-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rec.Record(byJumble[mid][1]); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadManifest(path)
+	loaded, err := LoadResume(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	resumedCps := map[int][]Checkpoint{}
 	out, err := Run(cfg, RunOptions{
-		Transport: Local, Workers: 2, Jumbles: 3, MaxConcurrentJumbles: 3,
+		Transport: Local, Workers: 2, Jumbles: jumbles, MaxConcurrentJumbles: 3,
 		ResumeManifest: loaded,
+		Progress: func(j int, _ ProgressEvent) {
+			if j < mid || j >= jumbles {
+				t.Errorf("progress event for jumble %d", j)
+			}
+		},
 		OnCheckpoint: func(j int, cp Checkpoint) {
 			mu.Lock()
 			resumedCps[j] = append(resumedCps[j], cp)
@@ -481,21 +520,27 @@ func TestManifestResumeRoundTrip(t *testing.T) {
 			t.Errorf("jumble %d: resumed seed %d != %d", j, res.Seed, want.Seed)
 		}
 	}
-	// The finished jumble must not have re-run.
-	if out.Results[0].TotalTasks != 0 {
-		t.Errorf("done jumble re-ran %d tasks", out.Results[0].TotalTasks)
-	}
-	if len(resumedCps[0]) != 0 {
-		t.Errorf("done jumble emitted %d new checkpoints", len(resumedCps[0]))
+	if len(resumedCps[mid]) == 0 {
+		t.Errorf("interrupted jumble %d emitted no checkpoints after the resume", mid)
 	}
 	// Post-resume checkpoints keep their own indices (the mislabeling
-	// regression, multi-jumble form).
+	// regression).
 	for j, cps := range resumedCps {
 		for _, cp := range cps {
 			if cp.Jumble != j {
 				t.Errorf("post-resume checkpoint for jumble %d labeled %d", j, cp.Jumble)
 			}
 		}
+	}
+	if jumbles == 1 {
+		return
+	}
+	// The finished jumble must not have re-run.
+	if out.Results[0].TotalTasks != 0 {
+		t.Errorf("done jumble re-ran %d tasks", out.Results[0].TotalTasks)
+	}
+	if len(resumedCps[0]) != 0 {
+		t.Errorf("done jumble emitted %d new checkpoints", len(resumedCps[0]))
 	}
 	if len(resumedCps[2]) == 0 {
 		t.Error("fresh jumble 2 emitted no checkpoints on resume")

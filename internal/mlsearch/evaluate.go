@@ -53,6 +53,28 @@ func NewEvaluator(eng likelihood.Engine, taxa []string) *Evaluator {
 	return &Evaluator{eng: eng, taxa: taxa, scorerTaxon: -1}
 }
 
+// NewConfigEvaluator is the one place a run's evaluation identity —
+// data, model, engine backend, precision, kernel threads, smooth mode —
+// becomes an evaluator. Every in-tree owner of an evaluator (serial
+// dispatcher, foreman inline fallback, worker, KH test, serve pod) builds
+// it here from the normalized Config and closes it when done.
+func NewConfigEvaluator(norm Config) (*Evaluator, error) {
+	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{
+		Precision: norm.Precision,
+		Threads:   norm.Threads,
+	})
+	if err != nil {
+		return nil, err
+	}
+	ev := NewEvaluator(eng, norm.Taxa)
+	ev.SetSmoothMode(norm.SmoothMode)
+	return ev, nil
+}
+
+// Close releases the evaluator's engine (its shard pool and CLV slabs).
+// The evaluator must not be used afterwards.
+func (ev *Evaluator) Close() { likelihood.CloseEngine(ev.eng) }
+
 // SetSmoothMode selects the branch-smoothing algorithm for full
 // (unrestricted) smoothing tasks. Restricted optimizations — insertion
 // scoring, junction-local rearrangement smoothing, Around-limited

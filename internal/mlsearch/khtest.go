@@ -43,14 +43,11 @@ func KishinoHasegawa(cfg Config, trees []*tree.Tree) ([]KHResult, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("mlsearch: no trees to compare")
 	}
-	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{
-		Precision: norm.Precision,
-		Threads:   norm.Threads,
-	})
+	ev, err := NewConfigEvaluator(norm)
 	if err != nil {
 		return nil, err
 	}
-	defer likelihood.CloseEngine(eng)
+	defer ev.Close()
 
 	type scored struct {
 		idx    int
@@ -67,11 +64,11 @@ func KishinoHasegawa(cfg Config, trees []*tree.Tree) ([]KHResult, error) {
 		if got := cp.NumLeaves(); got != len(norm.Taxa) {
 			return nil, fmt.Errorf("mlsearch: tree %d covers %d of %d taxa", i+1, got, len(norm.Taxa))
 		}
-		lnL, err := eng.OptimizeBranches(cp, likelihood.OptOptions{Passes: norm.FullSmoothPasses, Mode: norm.SmoothMode})
+		lnL, err := ev.eng.OptimizeBranches(cp, likelihood.OptOptions{Passes: norm.FullSmoothPasses, Mode: ev.smoothMode})
 		if err != nil {
 			return nil, fmt.Errorf("mlsearch: tree %d: %w", i+1, err)
 		}
-		perPat, err := eng.SiteLogLikelihoods(cp)
+		perPat, err := ev.eng.SiteLogLikelihoods(cp)
 		if err != nil {
 			return nil, fmt.Errorf("mlsearch: tree %d: %w", i+1, err)
 		}

@@ -2,6 +2,7 @@ package mlsearch
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -12,15 +13,15 @@ import (
 	"sync"
 )
 
-// Multi-jumble checkpointing. A single Checkpoint describes one
-// ordering; a run with Jumbles > 1 has several searches in flight at
-// once, so its restart file is a manifest: one checkpoint block per
-// jumble that has reported a position (done jumbles keep their final
+// The restart file. A single Checkpoint describes one ordering; a run
+// may have several searches in flight at once, so its restart file is a
+// manifest: one checkpoint block per jumble that has reported a position
+// (a single-jumble run writes one block; done jumbles keep their final
 // PhaseDone block, so a resumed run returns their results without
 // re-running them). The file is rewritten atomically on every update —
 // a crash mid-write leaves the previous complete manifest in place.
 
-// Manifest is the resumable position of a multi-jumble run.
+// Manifest is the resumable position of a run.
 type Manifest struct {
 	// Jumbles is the run's total jumble count.
 	Jumbles int
@@ -203,23 +204,28 @@ func LoadManifest(path string) (*Manifest, error) {
 	return ReadManifest(f)
 }
 
-// LoadResume sniffs a restart file: a single-jumble checkpoint returns
-// (cp, nil), a multi-jumble manifest returns (nil, m).
-func LoadResume(path string) (*Checkpoint, *Manifest, error) {
+// LoadResume reads a restart file. Every -checkpoint writes a manifest;
+// a flat "fastdnaml-checkpoint v1" file from an older single-jumble run
+// is still accepted and returned as a one-block manifest.
+func LoadResume(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	first, _, _ := strings.Cut(string(data), "\n")
-	if strings.TrimSpace(first) == "fastdnaml-manifest v1" {
-		m, err := ReadManifest(strings.NewReader(string(data)))
-		return nil, m, err
+	if strings.TrimSpace(first) != "fastdnaml-checkpoint v1" {
+		return ReadManifest(bytes.NewReader(data))
 	}
-	cp, err := ReadCheckpoint(strings.NewReader(string(data)))
+	cp, err := ReadCheckpoint(bytes.NewReader(data))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &cp, nil, nil
+	if cp.Jumble != 0 {
+		return nil, fmt.Errorf("mlsearch: flat checkpoint is for jumble %d; only a single-jumble run's file resumes on its own", cp.Jumble)
+	}
+	m := NewManifest(1)
+	m.Set(cp)
+	return m, nil
 }
 
 // ManifestRecorder folds the checkpoint stream of concurrent searches

@@ -65,14 +65,3 @@ func (d *ForemanDispatcher) Dispatch(tasks []Task) ([]Result, error) {
 func (d *ForemanDispatcher) Shutdown() error {
 	return d.c.Send(d.lay.Foreman, comm.TagShutdown, nil)
 }
-
-// RunMaster performs count jumbles (random orderings) of the search on
-// the parallel runtime and returns each jumble's result. Seeds advance by
-// 2 per jumble from cfg.Seed (keeping them odd). Shutdown of the world is
-// automatic.
-func RunMaster(c comm.Communicator, lay Layout, cfg Config, count int, progress func(int, ProgressEvent)) ([]*SearchResult, error) {
-	if count < 1 {
-		count = 1
-	}
-	return runMasterSide(c, lay, cfg, RunOptions{Jumbles: count, Progress: progress})
-}

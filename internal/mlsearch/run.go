@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/comm"
-	"repro/internal/likelihood"
 )
 
 // Run is the single entry point to the search runtime. One Config plus
@@ -89,14 +88,11 @@ type RunOptions struct {
 	// OnCheckpoint receives a resumable position (jumble index,
 	// checkpoint) after every completed taxon addition.
 	OnCheckpoint func(int, Checkpoint)
-	// Resume, when non-nil, continues a previously checkpointed search
-	// instead of starting fresh. Requires Jumbles <= 1; multi-jumble
-	// runs resume through ResumeManifest.
-	Resume *Checkpoint
-	// ResumeManifest, when non-nil, resumes a multi-jumble run: each
-	// jumble with a manifest entry continues from its checkpoint (done
-	// jumbles return their stored result immediately); jumbles without
-	// an entry start fresh from their derived seed.
+	// ResumeManifest, when non-nil, resumes a run: each jumble with a
+	// manifest entry continues from its checkpoint (done jumbles return
+	// their stored result immediately); jumbles without an entry start
+	// fresh from their derived seed. A single-jumble run resumes from a
+	// one-block manifest.
 	ResumeManifest *Manifest
 
 	// Addr is the TCP listen address (e.g. ":7946" or "127.0.0.1:0").
@@ -124,15 +120,6 @@ type RunOutcome struct {
 // Run executes a complete search (all jumbles) on the selected
 // transport.
 func Run(cfg Config, opt RunOptions) (*RunOutcome, error) {
-	if opt.Jumbles < 1 {
-		opt.Jumbles = 1
-	}
-	if opt.Resume != nil && opt.Jumbles > 1 {
-		return nil, fmt.Errorf("mlsearch: cannot resume a %d-jumble run from a single checkpoint (use ResumeManifest)", opt.Jumbles)
-	}
-	if opt.Resume != nil && opt.ResumeManifest != nil {
-		return nil, fmt.Errorf("mlsearch: Resume and ResumeManifest are mutually exclusive")
-	}
 	switch opt.Transport {
 	case Serial:
 		return runSerialTransport(cfg, opt)
@@ -152,6 +139,9 @@ func Run(cfg Config, opt RunOptions) (*RunOutcome, error) {
 // the sequential schedule because every search's rounds remain a
 // barrier within its own lane.
 func runJumbles(src dispatcherSource, cfg Config, opt RunOptions) ([]*SearchResult, error) {
+	if opt.Jumbles < 1 {
+		opt.Jumbles = 1
+	}
 	seed := NormalizeSeed(cfg.Seed)
 	configs := make([]Config, opt.Jumbles)
 	resumes := make([]*Checkpoint, opt.Jumbles)
@@ -159,16 +149,11 @@ func runJumbles(src dispatcherSource, cfg Config, opt RunOptions) ([]*SearchResu
 		jcfg := cfg
 		jcfg.Seed = seed + int64(2*j)
 		jcfg.Jumble = j
-		if opt.Resume != nil {
-			// The checkpoint records which jumble and seed it was; a
-			// resumed jumble 3 must not be relabeled 0.
-			jcfg.Seed = opt.Resume.Seed
-			jcfg.Jumble = opt.Resume.Jumble
-			resumes[j] = opt.Resume
-		} else if opt.ResumeManifest != nil {
+		if opt.ResumeManifest != nil {
 			if cp, ok := opt.ResumeManifest.Checkpoint(j); ok {
+				// The checkpoint's order was drawn from its own seed,
+				// whatever seed this invocation was given.
 				jcfg.Seed = cp.Seed
-				jcfg.Jumble = cp.Jumble
 				resumes[j] = &cp
 			}
 		}
@@ -185,14 +170,11 @@ func runJumbles(src dispatcherSource, cfg Config, opt RunOptions) ([]*SearchResu
 			return nil, err
 		}
 		s.Stop = opt.Stop
-		// Callbacks report the jumble's own index, not the loop counter
-		// (they differ on resumed runs).
-		idx := configs[j].Jumble
 		if opt.Progress != nil {
-			s.Progress = func(e ProgressEvent) { opt.Progress(idx, e) }
+			s.Progress = func(e ProgressEvent) { opt.Progress(j, e) }
 		}
 		if opt.OnCheckpoint != nil {
-			s.OnCheckpoint = func(cp Checkpoint) { opt.OnCheckpoint(idx, cp) }
+			s.OnCheckpoint = func(cp Checkpoint) { opt.OnCheckpoint(j, cp) }
 		}
 		if cp := resumes[j]; cp != nil {
 			return s.Resume(*cp)
@@ -216,7 +198,7 @@ func runJumbles(src dispatcherSource, cfg Config, opt RunOptions) ([]*SearchResu
 		for j := range out {
 			res, err := runOne(j)
 			if err != nil {
-				return nil, fmt.Errorf("mlsearch: jumble %d: %w", configs[j].Jumble, err)
+				return nil, fmt.Errorf("mlsearch: jumble %d: %w", j, err)
 			}
 			out[j] = res
 		}
@@ -238,7 +220,7 @@ func runJumbles(src dispatcherSource, cfg Config, opt RunOptions) ([]*SearchResu
 	wg.Wait()
 	for j, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("mlsearch: jumble %d: %w", configs[j].Jumble, err)
+			return nil, fmt.Errorf("mlsearch: jumble %d: %w", j, err)
 		}
 	}
 	return out, nil
@@ -249,6 +231,7 @@ func runSerialTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer disp.Close()
 	// One evaluator, one goroutine: serial searches must not overlap.
 	opt.MaxConcurrentJumbles = 1
 	opt.Workers = 0
@@ -260,18 +243,56 @@ func runSerialTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 }
 
 func runLocalTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
-	if opt.Workers < 1 {
-		return nil, fmt.Errorf("mlsearch: %d workers, need >= 1", opt.Workers)
-	}
 	norm, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
+	}
+	world, err := StartLocal(norm, opt)
+	if err != nil {
+		return nil, err
+	}
+	results, runErr := world.Run(norm, opt)
+	if err := world.Shutdown(); runErr == nil {
+		runErr = err
+	}
+	if runErr != nil {
+		return nil, runErr
+	}
+	return &RunOutcome{Results: results, Monitor: world.Monitor}, nil
+}
+
+// LocalWorld is a running in-process world: foreman, workers and the
+// optional monitor as goroutines over the local comm backend, with the
+// master side's JobMux ready to run searches. The Local transport is
+// StartLocal, one Run, Shutdown; a serve pod is a LocalWorld that has
+// not been shut down yet and takes a Run per job.
+type LocalWorld struct {
+	// Monitor holds the monitor's statistics once Shutdown has returned
+	// (nil when the world runs without one).
+	Monitor *MonitorStats
+
+	mux *JobMux
+	wg  sync.WaitGroup
+
+	mu  sync.Mutex
+	err error // first role failure, surfaced by Shutdown
+}
+
+// StartLocal starts the world for the normalized run configuration.
+// From opt it takes Workers, WithMonitor, MonitorOut, Foreman, Obs and
+// WorkerHooks. Every worker evaluates with norm (see WorkerHooks for the
+// two values a hook may replace). The world builds no evaluator of its
+// own for the foreman: a caller that wants the inline fallback passes
+// one in opt.Foreman.Inline and closes it after Shutdown.
+func StartLocal(norm Config, opt RunOptions) (*LocalWorld, error) {
+	if opt.Workers < 1 {
+		return nil, fmt.Errorf("mlsearch: %d workers, need >= 1", opt.Workers)
 	}
 	size := opt.Workers + 2
 	if opt.WithMonitor {
 		size++
 	}
-	world, err := comm.NewLocal(size)
+	ranks, err := comm.NewLocal(size)
 	if err != nil {
 		return nil, err
 	}
@@ -279,97 +300,63 @@ func runLocalTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	mux, err := NewJobMux(ranks[lay.Master], lay)
+	if err != nil {
+		return nil, err
+	}
+	w := &LocalWorld{mux: mux}
+	role := func(name string, run func() error) {
+		w.wg.Add(1)
+		go func() {
+			defer w.wg.Done()
+			if err := run(); err != nil {
+				w.mu.Lock()
+				if w.err == nil {
+					w.err = fmt.Errorf("%s: %w", name, err)
+				}
+				w.mu.Unlock()
+			}
+		}()
+	}
 
-	var wg sync.WaitGroup
-	errs := make(chan error, size)
-
-	// Foreman.
 	foremanOpt := opt.Foreman
 	if foremanOpt.Obs == nil {
 		foremanOpt.Obs = opt.Obs
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := RunForeman(world[lay.Foreman], lay, foremanOpt); err != nil {
-			errs <- fmt.Errorf("foreman: %w", err)
-		}
-	}()
-
-	// Monitor.
-	outcome := &RunOutcome{}
+	role("foreman", func() error { return RunForeman(ranks[lay.Foreman], lay, foremanOpt) })
 	if opt.WithMonitor {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats, err := RunMonitor(world[lay.Monitor], opt.MonitorOut, false)
-			if err != nil {
-				errs <- fmt.Errorf("monitor: %w", err)
-				return
-			}
-			outcome.Monitor = stats
-		}()
+		role("monitor", func() (err error) {
+			w.Monitor, err = RunMonitor(ranks[lay.Monitor], opt.MonitorOut, false)
+			return err
+		})
 	}
-
-	// Workers.
-	for _, w := range lay.Workers {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			hooks := WorkerHooks{}
-			if opt.WorkerHooks != nil {
-				hooks = opt.WorkerHooks[rank]
-			}
-			if hooks.Threads == 0 {
-				hooks.Threads = norm.Threads
-			}
-			hooks.Precision = norm.Precision
-			hooks.SmoothMode = norm.SmoothMode
-			if err := RunWorker(world[rank], lay, norm.Model, norm.Patterns, norm.Taxa, hooks); err != nil {
-				errs <- fmt.Errorf("worker %d: %w", rank, err)
-			}
-		}(w)
+	for _, rank := range lay.Workers {
+		rank := rank
+		role(fmt.Sprintf("worker %d", rank), func() error {
+			return RunWorker(ranks[rank], lay, norm, opt.WorkerHooks[rank])
+		})
 	}
-
-	// Master (this goroutine).
-	results, masterErr := runMasterSide(world[lay.Master], lay, norm, opt)
-	wg.Wait()
-	close(errs)
-	if masterErr != nil {
-		return nil, masterErr
-	}
-	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	outcome.Results = results
-	return outcome, nil
+	return w, nil
 }
 
-// runMasterSide executes the master role over a communicator: run the
-// jumbles through the foreman (each in its own job lane), then shut the
-// world down.
-func runMasterSide(c comm.Communicator, lay Layout, norm Config, opt RunOptions) ([]*SearchResult, error) {
-	mux, err := NewJobMux(c, lay)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = mux.Shutdown() }()
-	return runJumbles(mux, norm, opt)
+// Run executes a search's jumbles over the world, each in its own job
+// lane through the shared foreman. cfg carries the search settings and
+// seed (the world's workers were bound to the evaluation identity at
+// StartLocal); from opt it takes Jumbles, MaxConcurrentJumbles (default
+// min(Jumbles, Workers)), ResumeManifest, Progress, OnCheckpoint and
+// Stop. Run may be called concurrently.
+func (w *LocalWorld) Run(cfg Config, opt RunOptions) ([]*SearchResult, error) {
+	return runJumbles(w.mux, cfg, opt)
 }
 
-// newInlineEvaluator builds the evaluator the foreman falls back to when
-// the live worker set is empty (TCP degradation ladder, bottom rung).
-func newInlineEvaluator(norm Config) (*Evaluator, error) {
-	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{
-		Precision: norm.Precision,
-		Threads:   norm.Threads,
-	})
-	if err != nil {
-		return nil, err
+// Shutdown stops the world — the mux tells the foreman, which drains the
+// workers and the monitor — waits for every role goroutine, and returns
+// the first role failure. Call it once, after every Run has returned.
+func (w *LocalWorld) Shutdown() error {
+	err := w.mux.Shutdown()
+	w.wg.Wait()
+	if w.err != nil {
+		return w.err
 	}
-	ev := NewEvaluator(eng, norm.Taxa)
-	ev.SetSmoothMode(norm.SmoothMode)
-	return ev, nil
+	return err
 }

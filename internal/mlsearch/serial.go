@@ -1,9 +1,5 @@
 package mlsearch
 
-import (
-	"repro/internal/likelihood"
-)
-
 // SerialDispatcher evaluates tasks in order within the calling process:
 // the paper's serial fastDNAml, where "the worker process acts as a
 // subroutine". It doubles as the uniprocessor baseline for the scaling
@@ -18,17 +14,15 @@ func NewSerialDispatcher(cfg Config) (*SerialDispatcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{
-		Precision: norm.Precision,
-		Threads:   norm.Threads,
-	})
+	ev, err := NewConfigEvaluator(norm)
 	if err != nil {
 		return nil, err
 	}
-	ev := NewEvaluator(eng, norm.Taxa)
-	ev.SetSmoothMode(norm.SmoothMode)
 	return &SerialDispatcher{ev: ev}, nil
 }
+
+// Close releases the dispatcher's engine.
+func (d *SerialDispatcher) Close() { d.ev.Close() }
 
 // Dispatch implements Dispatcher.
 func (d *SerialDispatcher) Dispatch(tasks []Task) ([]Result, error) {

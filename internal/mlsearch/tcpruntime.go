@@ -3,12 +3,13 @@ package mlsearch
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/likelihood"
+	"repro/internal/model"
 )
 
 // Distributed (TCP) runtime with elastic membership. One operating
@@ -33,13 +34,21 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Workers evaluate at the run's precision and with the run's engine
-	// backend unless the bundle already requests them explicitly.
-	if opt.Bundle.Precision == likelihood.Float64 {
-		opt.Bundle.Precision = norm.Precision
+	// The bundle is the run's evaluation identity on the wire, so all of
+	// it is stamped from the run — a bundle that disagrees with its own
+	// run is not a supported state — and the one thing it cannot carry,
+	// a model other than F84 over the data's empirical frequencies, is
+	// refused here instead of scored differently on the workers.
+	opt.Bundle.Precision = norm.Precision
+	opt.Bundle.Engine = norm.Engine
+	opt.Bundle.SmoothMode = norm.SmoothMode
+	remote, err := opt.Bundle.Config()
+	if err != nil {
+		return nil, err
 	}
-	if opt.Bundle.Engine == "" {
-		opt.Bundle.Engine = norm.Engine
+	if !sameModel(remote.Model, norm.Model) {
+		return nil, fmt.Errorf("mlsearch: tcp run: workers would rebuild %s from the data bundle but the run's model is %s; distributed runs carry F84 (with the bundle's TTRatio) only",
+			describeModel(remote.Model), describeModel(norm.Model))
 	}
 	lay := ElasticLayout(opt.WithMonitor)
 
@@ -47,10 +56,11 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	// complete even if every worker disappears (degradation ladder).
 	foremanOpt := opt.Foreman
 	if foremanOpt.Inline == nil {
-		inline, err := newInlineEvaluator(norm)
+		inline, err := NewConfigEvaluator(norm)
 		if err != nil {
 			return nil, err
 		}
+		defer inline.Close()
 		foremanOpt.Inline = inline
 	}
 	if foremanOpt.Obs == nil {
@@ -97,6 +107,10 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	}
 	defer router.Close()
 	addr, _ := comm.ListenAddr(router)
+	mux, err := NewJobMux(router, lay)
+	if err != nil {
+		return nil, err
+	}
 
 	// Loopback ranks for the role processes. The monitor attaches before
 	// the foreman: the foreman's attach flushes any join notifications
@@ -149,7 +163,8 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	}
 	joinMu.Unlock()
 
-	results, masterErr := runMasterSide(router, lay, norm, opt)
+	results, masterErr := runJumbles(mux, norm, opt)
+	_ = mux.Shutdown()
 	wg.Wait()
 	close(errs)
 	if masterErr != nil {
@@ -162,6 +177,18 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	}
 	outcome.Results = results
 	return outcome, nil
+}
+
+// sameModel reports whether two models evaluate identically: same name,
+// equilibrium frequencies and spectral decomposition.
+func sameModel(a, b model.Model) bool {
+	return a.Name() == b.Name() && a.Freqs() == b.Freqs() &&
+		reflect.DeepEqual(a.Decomposition(), b.Decomposition())
+}
+
+// describeModel names a model for the mismatch error.
+func describeModel(m model.Model) string {
+	return fmt.Sprintf("%s (freqs %.4v, rates %.4v)", m.Name(), m.Freqs(), m.Decomposition().Lambda)
 }
 
 // ReconnectPolicy governs a worker's jittered exponential backoff when
@@ -285,26 +312,12 @@ func serveConnection(c comm.Communicator, welcome []byte, hooks WorkerHooks) err
 	if err != nil {
 		return err
 	}
-	m, pat, taxa, err := bundle.Build()
+	run, err := bundle.Config()
 	if err != nil {
 		return err
-	}
-	if !hooks.PrecisionSet {
-		// The master's bundle chooses the precision unless this worker
-		// was started with an explicit -precision override.
-		hooks.Precision = bundle.Precision
-	}
-	if !hooks.EngineSet {
-		// Likewise the engine backend: workers adopt the master's choice
-		// unless started with an explicit -engine override.
-		hooks.Engine = bundle.Engine
-	}
-	if !hooks.SmoothModeSet {
-		// And the smoothing algorithm, overridable via -smooth-mode.
-		hooks.SmoothMode = bundle.SmoothMode
 	}
 	if hooks.OnAttach != nil {
 		hooks.OnAttach(c)
 	}
-	return RunWorker(c, lay, m, pat, taxa, hooks)
+	return RunWorker(c, lay, run, hooks)
 }

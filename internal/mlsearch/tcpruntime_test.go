@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/likelihood"
+	"repro/internal/model"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
@@ -30,11 +32,11 @@ func TestTCPRuntimeEndToEnd(t *testing.T) {
 	bundle := DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
 
 	// The workers must build the exact dataset the master searches on.
-	m, pat, taxa, err := bundle.Build()
+	cfg, err := bundle.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Taxa: taxa, Patterns: pat, Model: m, Seed: 7, RearrangeExtent: 1}
+	cfg.Seed, cfg.RearrangeExtent = 7, 1
 	serial, err := Run(cfg, RunOptions{Transport: Serial})
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +105,11 @@ func TestTCPRunNoWorkersInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	bundle := DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
-	m, pat, taxa, err := bundle.Build()
+	cfg, err := bundle.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Taxa: taxa, Patterns: pat, Model: m, Seed: 9, RearrangeExtent: 1}
+	cfg.Seed, cfg.RearrangeExtent = 9, 1
 	serial, err := Run(cfg, RunOptions{Transport: Serial})
 	if err != nil {
 		t.Fatal(err)
@@ -129,6 +131,62 @@ func TestTCPRunNoWorkersInline(t *testing.T) {
 	}
 	if outcome.Monitor.Inline != res.TotalTasks {
 		t.Errorf("monitor counted %d inline evaluations, want %d", outcome.Monitor.Inline, res.TotalTasks)
+	}
+}
+
+// TestTCPModelMismatchRefused: the data bundle can only describe F84
+// over the data's empirical frequencies, so a run whose model the
+// workers would not rebuild must fail before it starts rather than
+// score on a different model than the master asked for. The default
+// model, built independently of the bundle, is accepted and matches
+// serial bit for bit.
+func TestTCPModelMismatchRefused(t *testing.T) {
+	ds, err := simulate.New(simulate.Options{Taxa: 8, Sites: 150, Seed: 33, MeanBranchLen: 0.12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := seq.Compress(ds.Alignment, seq.CompressOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdl, err := NewDefaultModel(pat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Taxa: ds.Alignment.Names, Patterns: pat, Model: mdl, Seed: 7, RearrangeExtent: 1}
+	var phy bytes.Buffer
+	if err := seq.WritePhylip(&phy, ds.Alignment, 0); err != nil {
+		t.Fatal(err)
+	}
+	opt := RunOptions{
+		Transport: TCP, Addr: "127.0.0.1:0", // no workers: the foreman evaluates inline
+		Bundle: DataBundle{PhylipText: phy.Bytes(), TTRatio: model.DefaultTTRatio},
+	}
+
+	serial, err := runSerial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(cfg, opt)
+	if err != nil {
+		t.Fatalf("default F84 refused: %v", err)
+	}
+	if res := out.Results[0]; res.BestNewick != serial.BestNewick || res.LnL != serial.LnL {
+		t.Errorf("tcp lnL %.10f tree %s, serial lnL %.10f tree %s", res.LnL, res.BestNewick, serial.LnL, serial.BestNewick)
+	}
+
+	jc := cfg
+	jc.Model = model.NewJC69()
+	if _, err := Run(jc, opt); err == nil || !strings.Contains(err.Error(), "JC69") || !strings.Contains(err.Error(), "F84") {
+		t.Errorf("JC69 over an F84-only bundle: error %v, want one naming both models", err)
+	}
+	// Same family, different ratio than the bundle carries.
+	tt := cfg
+	if tt.Model, err = model.NewF84(cfg.Model.Freqs(), 3.5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(tt, opt); err == nil {
+		t.Error("F84 with a ratio the bundle does not carry was accepted")
 	}
 }
 
@@ -181,16 +239,16 @@ func TestDataBundleCodec(t *testing.T) {
 	}
 }
 
-func TestDataBundleBuild(t *testing.T) {
+func TestDataBundleConfig(t *testing.T) {
 	b := DataBundle{PhylipText: []byte("3 4\na ACGT\nb ACGA\nc CCGT\n")}
-	m, pat, taxa, err := b.Build()
+	cfg, err := b.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Name() != "F84" || pat.NumSeqs() != 3 || len(taxa) != 3 {
-		t.Errorf("build: %s %d %v", m.Name(), pat.NumSeqs(), taxa)
+	if cfg.Model.Name() != "F84" || cfg.Patterns.NumSeqs() != 3 || len(cfg.Taxa) != 3 {
+		t.Errorf("config: %s %d %v", cfg.Model.Name(), cfg.Patterns.NumSeqs(), cfg.Taxa)
 	}
-	if _, _, _, err := (DataBundle{PhylipText: []byte("garbage")}).Build(); err == nil {
+	if _, err := (DataBundle{PhylipText: []byte("garbage")}).Config(); err == nil {
 		t.Error("garbage alignment accepted")
 	}
 }
@@ -263,15 +321,16 @@ func TestTCPTeardownIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	bundle := DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
-	m, pat, taxa, err := bundle.Build()
+	cfg, err := bundle.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.RearrangeExtent = 1
 	const workers = 2
 	for i := 0; i < 150; i++ {
 		stopEarly := i%2 == 1
 		stop := make(chan struct{})
-		cfg := Config{Taxa: taxa, Patterns: pat, Model: m, Seed: int64(i), RearrangeExtent: 1}
+		cfg.Seed = int64(i)
 		var once sync.Once
 		progress := func(int, ProgressEvent) {
 			if stopEarly {

@@ -5,9 +5,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/likelihood"
-	"repro/internal/seq"
-
-	"repro/internal/model"
 )
 
 // The worker (paper §2.2): "worker processes that, in parallel, calculate
@@ -30,48 +27,37 @@ type WorkerHooks struct {
 	// instrumentation: tasks served, evaluation latency, engine cache and
 	// kernel counters, reconnects.
 	Obs *WorkerObserver
-	// Threads is the likelihood engine's kernel thread count (values < 2
-	// keep the engine single-threaded). Sharding is deterministic: a
+	// Threads, when positive, replaces the run's kernel thread count on
+	// this worker. It is a host setting: sharding is deterministic, so a
 	// threaded worker returns bit-identical results to a serial one.
 	Threads int
-	// Precision selects the worker engine's CLV storage format. The zero
-	// value is likelihood.Float64 (exact mode); TCP workers default to
-	// the precision the master's data bundle requests unless the hook was
-	// set explicitly (see PrecisionSet).
-	Precision likelihood.Precision
-	// PrecisionSet marks Precision as an explicit per-worker override, so
-	// a worker can be forced to a precision different from the bundle's.
-	PrecisionSet bool
-	// Engine names the likelihood backend the worker builds (see
-	// likelihood.Engines). Empty means likelihood.DefaultEngine; TCP
-	// workers default to the engine the master's data bundle requests
-	// unless the hook was set explicitly (see EngineSet).
+	// Engine, when non-empty, replaces the run's likelihood backend on
+	// this worker — the seam tests and the benchmark use to wrap the
+	// engine in a decorator. It must evaluate exactly like the run's.
 	Engine string
-	// EngineSet marks Engine as an explicit per-worker override, so a
-	// worker can be forced to a backend different from the bundle's.
-	EngineSet bool
-	// SmoothMode selects the full-smoothing algorithm for this worker's
-	// evaluator (see Config.SmoothMode). TCP workers default to the mode
-	// the master's data bundle requests unless the hook was set
-	// explicitly (see SmoothModeSet).
-	SmoothMode likelihood.SmoothMode
-	// SmoothModeSet marks SmoothMode as an explicit per-worker override.
-	SmoothModeSet bool
+}
+
+// workerConfig is the one inheritance rule: a worker evaluates with the
+// run's Config, and only the two hook fields above may replace a value.
+func (h WorkerHooks) workerConfig(run Config) Config {
+	if h.Threads > 0 {
+		run.Threads = h.Threads
+	}
+	if h.Engine != "" {
+		run.Engine = h.Engine
+	}
+	return run
 }
 
 // RunWorker executes the worker loop: receive a task from the foreman,
-// evaluate it, send the result back, until a shutdown message arrives.
-func RunWorker(c comm.Communicator, lay Layout, m model.Model, pat *seq.Patterns, taxa []string, hooks WorkerHooks) error {
-	eng, err := likelihood.NewEngine(hooks.Engine, m, pat, likelihood.EngineOptions{
-		Precision: hooks.Precision,
-		Threads:   hooks.Threads,
-	})
+// evaluate it with the run's configuration, send the result back, until
+// a shutdown message arrives.
+func RunWorker(c comm.Communicator, lay Layout, run Config, hooks WorkerHooks) error {
+	ev, err := NewConfigEvaluator(hooks.workerConfig(run))
 	if err != nil {
 		return err
 	}
-	defer likelihood.CloseEngine(eng)
-	ev := NewEvaluator(eng, taxa)
-	ev.SetSmoothMode(hooks.SmoothMode)
+	defer ev.Close()
 	hooks.Obs.Attached(c.Rank())
 	for {
 		msg, err := c.Recv(comm.AnySource, comm.AnyTag)
@@ -97,7 +83,7 @@ func RunWorker(c comm.Communicator, lay Layout, m model.Model, pat *seq.Patterns
 			}
 			res.Worker = int32(c.Rank())
 			hooks.Obs.Served(res)
-			hooks.Obs.Engine(likelihood.EngineThreads(eng), likelihood.StatsOf(eng).ShardDispatches)
+			hooks.Obs.Engine(likelihood.EngineThreads(ev.eng), likelihood.StatsOf(ev.eng).ShardDispatches)
 			if hooks.BeforeReply != nil && !hooks.BeforeReply(task, res) {
 				continue
 			}

@@ -1,6 +1,9 @@
 package seq
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // BaseFreqs holds equilibrium base frequencies in A, C, G, T order.
 type BaseFreqs [NumBases]float64
@@ -93,30 +96,45 @@ func EmpiricalFreqs(a *Alignment) (BaseFreqs, error) {
 }
 
 // EmpiricalFreqsPatterns estimates frequencies from compressed patterns,
-// weighting each pattern by its multiplicity.
+// weighting each pattern by its multiplicity. Every dataset build runs it
+// — each joining worker's, and the TCP master's check of what they will
+// build — so the per-cell work is hoisted without changing a single sum:
+// a code's compatible mass is tabulated once per iteration, and so is
+// what an unambiguous base contributes at each pattern (the common cell,
+// then one add); cells are still accumulated in the same order.
 func EmpiricalFreqsPatterns(p *Patterns) BaseFreqs {
 	f := Uniform()
 	const iterations = 8
+	single := make([]BaseFreqs, len(p.Weights))
 	for it := 0; it < iterations; it++ {
+		var mass [Any + 1]float64
+		for c := range mass {
+			for b := 0; b < NumBases; b++ {
+				if c&(1<<uint(b)) != 0 {
+					mass[c] += f[b]
+				}
+			}
+		}
+		for s, w := range p.Weights {
+			for b := 0; b < NumBases; b++ {
+				single[s][b] = w * f[b] / mass[1<<uint(b)]
+			}
+		}
 		var counts BaseFreqs
 		for i := range p.Codes {
 			for s, c := range p.Codes[i] {
-				if c == Any {
+				if c == Any || c > Any || mass[c] == 0 {
 					continue
 				}
-				mass := 0.0
-				for b := 0; b < NumBases; b++ {
-					if c&(1<<uint(b)) != 0 {
-						mass += f[b]
-					}
-				}
-				if mass == 0 {
+				if c&(c-1) == 0 {
+					b := bits.TrailingZeros8(uint8(c))
+					counts[b] += single[s][b]
 					continue
 				}
 				w := p.Weights[s]
 				for b := 0; b < NumBases; b++ {
 					if c&(1<<uint(b)) != 0 {
-						counts[b] += w * f[b] / mass
+						counts[b] += w * f[b] / mass[c]
 					}
 				}
 			}

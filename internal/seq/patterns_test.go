@@ -237,6 +237,77 @@ func TestEmpiricalFreqsPatternsMatchesAlignment(t *testing.T) {
 	}
 }
 
+// empiricalFreqsPatternsDirect is the estimator written cell by cell, the
+// way fastDNAml's empiricalfreqs reads: the reference the hoisted
+// production form must equal bit for bit (the frequencies parameterize
+// the model, so a last-digit difference would reach every likelihood).
+func empiricalFreqsPatternsDirect(p *Patterns) BaseFreqs {
+	f := Uniform()
+	for it := 0; it < 8; it++ {
+		var counts BaseFreqs
+		for i := range p.Codes {
+			for s, c := range p.Codes[i] {
+				if c == Any {
+					continue
+				}
+				mass := 0.0
+				for b := 0; b < NumBases; b++ {
+					if c&(1<<uint(b)) != 0 {
+						mass += f[b]
+					}
+				}
+				if mass == 0 {
+					continue
+				}
+				for b := 0; b < NumBases; b++ {
+					if c&(1<<uint(b)) != 0 {
+						counts[b] += p.Weights[s] * f[b] / mass
+					}
+				}
+			}
+		}
+		total := counts[0] + counts[1] + counts[2] + counts[3]
+		if total == 0 {
+			return Uniform()
+		}
+		for b := 0; b < NumBases; b++ {
+			f[b] = counts[b] / total
+			if f[b] < 1e-6 {
+				f[b] = 1e-6
+			}
+		}
+		f = f.Normalize()
+	}
+	return f
+}
+
+func TestEmpiricalFreqsPatternsBitIdenticalToDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 300; k++ {
+		// No, few and many ambiguity codes; a base may be absent.
+		ambiguous := []float64{0, 0.05, 0.5}[k%3]
+		p := &Patterns{}
+		n := 1 + rng.Intn(200)
+		for i, taxa := 0, 2+rng.Intn(30); i < taxa; i++ {
+			row := make([]Code, n)
+			for s := range row {
+				if rng.Float64() < ambiguous {
+					row[s] = Code(1 + rng.Intn(int(Any)))
+				} else {
+					row[s] = Code(1 << uint(rng.Intn(1+k%NumBases)))
+				}
+			}
+			p.Codes = append(p.Codes, row)
+		}
+		for s := 0; s < n; s++ {
+			p.Weights = append(p.Weights, float64(rng.Intn(5))+rng.Float64())
+		}
+		if got, want := EmpiricalFreqsPatterns(p), empiricalFreqsPatternsDirect(p); got != want {
+			t.Fatalf("case %d: hoisted %v, direct %v", k, got, want)
+		}
+	}
+}
+
 func TestBaseFreqsValidate(t *testing.T) {
 	if err := Uniform().Validate(); err != nil {
 		t.Error(err)

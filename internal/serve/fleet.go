@@ -6,18 +6,17 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/comm"
-	"repro/internal/likelihood"
 	"repro/internal/mlsearch"
 	"repro/internal/obs"
 )
 
 // The daemon's elastic worker fleet. Worker engines are dataset-bound —
 // a foreman and its workers serve exactly one alignment + model — so
-// the fleet is organized as pods: each pod is a persistent warm Local
-// world (foreman, K workers, a JobMux for per-job lanes) keyed by the
-// dataset hash. Jobs over the same dataset share a pod and its warm CLV
-// caches; a pod whose last job finished idles until the TTL reaps it.
+// the fleet is organized as pods: each pod is a persistent warm
+// mlsearch.LocalWorld (foreman, K workers, a job lane per search) keyed
+// by the dataset hash. Jobs over the same dataset share a pod and its
+// warm CLV caches; a pod whose last job finished idles until the TTL
+// reaps it.
 // The pod count is bounded, so the fleet's worker budget is
 // MaxPods × Workers regardless of how many distinct datasets clients
 // submit.
@@ -66,25 +65,15 @@ func (o FleetOptions) withDefaults() FleetOptions {
 	return o
 }
 
-// pod is one warm dataset-bound world.
+// pod is one warm dataset-bound world: a Local world that has not been
+// shut down yet, plus the inline evaluator its foreman falls back to.
 type pod struct {
-	key string
-	mux *mlsearch.JobMux
-	obs *mlsearch.RunObserver
+	key    string
+	world  *mlsearch.LocalWorld
+	inline *mlsearch.Evaluator
 
 	refs int
 	idle time.Time
-	wg   sync.WaitGroup
-
-	errMu sync.Mutex
-	errs  []error
-}
-
-// fail records a role goroutine's error for surfacing at shutdown.
-func (p *pod) fail(err error) {
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	p.errs = append(p.errs, err)
 }
 
 // Fleet owns the pods.
@@ -144,9 +133,9 @@ func (f *Fleet) Acquire(key string, cfg mlsearch.Config) (*pod, error) {
 		delete(f.pods, victim.key)
 		f.gPods.Set(float64(len(f.pods)))
 		f.mReaped.Inc()
-		// Shut the victim down outside the lock; its JobMux has no live
-		// dispatchers (refs was 0).
-		go f.shutdownPod(victim)
+		// Shut the victim down outside the lock; no job is running on
+		// it (refs was 0).
+		go f.retire(victim)
 	}
 	p, err := f.newPod(key, cfg)
 	if err != nil {
@@ -159,87 +148,35 @@ func (f *Fleet) Acquire(key string, cfg mlsearch.Config) (*pod, error) {
 	return p, nil
 }
 
-// newPod spins up the warm world: the same wiring as the Local
-// transport, but long-lived — the master side is a JobMux that mints a
-// dispatcher lane per search instead of one fixed run.
+// newPod starts the warm world: the Local transport's world, kept alive
+// to take a Run per job. Its workers evaluate with the dataset's config
+// at the fleet's thread count, and the inline evaluator is the
+// degradation floor — if every worker in the pod dies, rounds still
+// complete.
 func (f *Fleet) newPod(key string, cfg mlsearch.Config) (*pod, error) {
 	norm, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
 	norm.Threads = f.opt.Threads
-	size := f.opt.Workers + 2
-	world, err := comm.NewLocal(size)
+	inline, err := mlsearch.NewConfigEvaluator(norm)
 	if err != nil {
 		return nil, err
 	}
-	lay, err := mlsearch.DefaultLayout(size, false)
-	if err != nil {
-		return nil, err
-	}
-	// The inline evaluator is the degradation floor: if every worker in
-	// the pod dies, rounds still complete.
-	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{
-		Precision: norm.Precision,
-		Threads:   norm.Threads,
+	world, err := mlsearch.StartLocal(norm, mlsearch.RunOptions{
+		Workers: f.opt.Workers,
+		Foreman: mlsearch.ForemanOptions{
+			TaskTimeout: f.opt.TaskTimeout,
+			Inline:      inline,
+			Pipeline:    f.opt.Pipeline,
+			Obs:         mlsearch.NewRunObserver(f.reg, f.bus),
+		},
 	})
 	if err != nil {
+		inline.Close()
 		return nil, err
 	}
-	p := &pod{key: key, idle: time.Now()}
-	p.obs = mlsearch.NewRunObserver(f.reg, f.bus)
-
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		err := mlsearch.RunForeman(world[lay.Foreman], lay, mlsearch.ForemanOptions{
-			TaskTimeout: f.opt.TaskTimeout,
-			Inline:      newPodEvaluator(eng, norm),
-			Pipeline:    f.opt.Pipeline,
-			Obs:         p.obs,
-		})
-		if err != nil {
-			p.fail(fmt.Errorf("pod %.8s foreman: %w", key, err))
-		}
-	}()
-	for _, w := range lay.Workers {
-		p.wg.Add(1)
-		go func(rank int) {
-			defer p.wg.Done()
-			// Unlike the one-shot Local transport, the pod pins the
-			// engine choice explicitly so every worker matches the
-			// dataset key it serves.
-			hooks := mlsearch.WorkerHooks{
-				Threads:       norm.Threads,
-				Precision:     norm.Precision,
-				PrecisionSet:  true,
-				Engine:        norm.Engine,
-				EngineSet:     true,
-				SmoothMode:    norm.SmoothMode,
-				SmoothModeSet: true,
-			}
-			err := mlsearch.RunWorker(world[rank], lay, norm.Model, norm.Patterns, norm.Taxa, hooks)
-			if err != nil {
-				p.fail(fmt.Errorf("pod %.8s worker %d: %w", key, rank, err))
-			}
-		}(w)
-	}
-	mux, err := mlsearch.NewJobMux(world[lay.Master], lay)
-	if err != nil {
-		_ = world[lay.Master].Close()
-		p.wg.Wait()
-		return nil, err
-	}
-	p.mux = mux
-	return p, nil
-}
-
-// newPodEvaluator builds the foreman's inline fallback evaluator with
-// the pod's smoothing mode, matching what the pod workers apply.
-func newPodEvaluator(eng likelihood.Engine, norm mlsearch.Config) *mlsearch.Evaluator {
-	ev := mlsearch.NewEvaluator(eng, norm.Taxa)
-	ev.SetSmoothMode(norm.SmoothMode)
-	return ev
+	return &pod{key: key, idle: time.Now(), world: world, inline: inline}, nil
 }
 
 // Release returns a pod reference; an unreferenced pod starts its idle
@@ -275,17 +212,29 @@ func (f *Fleet) Reap(now time.Time) int {
 	f.gPods.Set(float64(len(f.pods)))
 	f.mu.Unlock()
 	for _, p := range victims {
-		f.shutdownPod(p)
+		f.retire(p)
 		f.mReaped.Inc()
 	}
 	return len(victims)
 }
 
-// shutdownPod tears one world down: the mux broadcasts shutdown, the
-// foreman drains its workers, and the role goroutines exit.
-func (f *Fleet) shutdownPod(p *pod) {
-	_ = p.mux.Shutdown()
-	p.wg.Wait()
+// retire shuts down a pod the fleet no longer tracks; with no caller to
+// return its failure to, the failure is logged.
+func (f *Fleet) retire(p *pod) {
+	if err := f.shutdownPod(p); err != nil {
+		f.logf("fleet: %v", err)
+	}
+}
+
+// shutdownPod tears one world down and releases its inline engine,
+// returning the first failure of the pod's foreman or workers.
+func (f *Fleet) shutdownPod(p *pod) error {
+	err := p.world.Shutdown()
+	p.inline.Close()
+	if err != nil {
+		err = fmt.Errorf("pod %.8s %w", p.key, err)
+	}
+	return err
 }
 
 // Pods reports the warm pod count.
@@ -314,12 +263,9 @@ func (f *Fleet) Close() error {
 
 	var first error
 	for _, p := range pods {
-		f.shutdownPod(p)
-		p.errMu.Lock()
-		if first == nil && len(p.errs) > 0 {
-			first = p.errs[0]
+		if err := f.shutdownPod(p); err != nil && first == nil {
+			first = err
 		}
-		p.errMu.Unlock()
 	}
 	return first
 }

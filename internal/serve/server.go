@@ -513,40 +513,14 @@ func (s *Server) runJob(j *job) {
 // job — concurrency comes from MaxActive jobs sharing pods — and every
 // search is bit-identical to a serial run of the same seed.
 func (s *Server) runJumbles(j *job, pod *pod) ([]*mlsearch.SearchResult, error) {
-	n := j.rec.Jumbles
-	recorder := mlsearch.NewManifestRecorder(s.store.ManifestPath(j.rec.ID), n, j.resume)
-	baseSeed := j.prep.Spec.Options.Seed
+	recorder := mlsearch.NewManifestRecorder(s.store.ManifestPath(j.rec.ID), j.rec.Jumbles, j.resume)
 	numTaxa := len(j.prep.Cfg.Taxa)
-	out := make([]*mlsearch.SearchResult, n)
-	for jj := 0; jj < n; jj++ {
-		select {
-		case <-j.stop:
-			_ = recorder.Flush()
-			return nil, fmt.Errorf("serve: job %s: %w", j.rec.ID, mlsearch.ErrStopped)
-		default:
-		}
-		cfg := j.prep.Cfg
-		cfg.Seed = baseSeed + int64(2*jj)
-		cfg.Jumble = jj
-		var cp *mlsearch.Checkpoint
-		if j.resume != nil {
-			if c, ok := j.resume.Checkpoint(jj); ok {
-				cfg.Seed = c.Seed
-				cfg.Jumble = c.Jumble
-				cp = &c
-			}
-		}
-		disp, err := pod.mux.NewDispatcher()
-		if err != nil {
-			return nil, err
-		}
-		srch, err := mlsearch.NewSearch(cfg, disp)
-		if err != nil {
-			return nil, err
-		}
-		srch.Stop = j.stop
-		idx := jj
-		srch.Progress = func(e mlsearch.ProgressEvent) {
+	out, err := pod.world.Run(j.prep.Cfg, mlsearch.RunOptions{
+		Jumbles:              j.rec.Jumbles,
+		MaxConcurrentJumbles: 1,
+		ResumeManifest:       j.resume,
+		Stop:                 j.stop,
+		Progress: func(idx int, e mlsearch.ProgressEvent) {
 			now := time.Now()
 			j.mu.Lock()
 			j.rec.Progress = &Progress{
@@ -561,8 +535,8 @@ func (s *Server) runJumbles(j *job, pod *pod) ([]*mlsearch.SearchResult, error) 
 				Type: "progress", Time: now, Jumble: idx,
 				Kind: e.Kind.String(), TaxaInTree: e.TaxaInTree, BestLnL: e.BestLnL,
 			})
-		}
-		srch.OnCheckpoint = func(c mlsearch.Checkpoint) {
+		},
+		OnCheckpoint: func(idx int, c mlsearch.Checkpoint) {
 			if err := recorder.Record(c); err != nil {
 				s.opt.Logf("job %s: checkpoint: %v", j.rec.ID, err)
 			}
@@ -570,18 +544,11 @@ func (s *Server) runJumbles(j *job, pod *pod) ([]*mlsearch.SearchResult, error) 
 				Type: "checkpoint", Time: time.Now(), Jumble: idx,
 				Kind: string(c.Phase), TaxaInTree: c.NextIndex, BestLnL: c.LnL,
 			})
-		}
-		var res *mlsearch.SearchResult
-		if cp != nil {
-			res, err = srch.Resume(*cp)
-		} else {
-			res, err = srch.Run()
-		}
-		if err != nil {
-			_ = recorder.Flush()
-			return nil, fmt.Errorf("serve: job %s jumble %d: %w", j.rec.ID, jj, err)
-		}
-		out[jj] = res
+		},
+	})
+	if err != nil {
+		_ = recorder.Flush()
+		return nil, fmt.Errorf("serve: job %s: %w", j.rec.ID, err)
 	}
 	return out, nil
 }
