@@ -5,10 +5,10 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X repro/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: check vet staticcheck build test benchmark-test race difftest bench bench-compare bench-pairs loc chaos-soak serve-smoke
+.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke bench bench-compare bench-pairs loc chaos-soak serve-smoke
 
 # Tier-1 gate: everything that must pass before a change lands.
-check: vet staticcheck build test benchmark-test race difftest
+check: vet staticcheck build test benchmark-test race difftest fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -49,6 +49,12 @@ race:
 difftest:
 	$(GO) test -count=1 -run TestDifferential ./internal/likelihood/difftest/
 
+# Fuzz smoke: ten seconds of native Go fuzzing of the frame parser that
+# reads what a TCP peer sends (the committed corpus alone already runs as
+# part of `test`). A finding lands in the package's testdata/fuzz/.
+fuzz-smoke:
+	$(GO) test -run XXX -fuzz FuzzReadFrame -fuzztime 10s ./internal/comm/
+
 # Kernel scaling benchmarks: the sharded pruning and Newton kernels at
 # 1/2/4 engine threads under GOMAXPROCS 1/2/4, with -benchmem asserting
 # the zero-alloc steady state, plus the pooled wire-codec round trips.
@@ -77,9 +83,9 @@ bench-pairs:
 	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # ROADMAP item 3's acceptance number: non-test, non-blank, non-comment
-# Go lines of internal/mlsearch, internal/serve, internal/core and cmd/,
-# as a markdown table — with PARENT set, beside the same count on that
-# commit and the delta. make loc PARENT=HEAD~1
+# Go lines of internal/comm, internal/mlsearch, internal/serve,
+# internal/core and cmd/, as a markdown table — with PARENT set, beside
+# the same count on that commit and the delta. make loc PARENT=HEAD~1
 loc:
 	./scripts/loc.sh $(PARENT)
 

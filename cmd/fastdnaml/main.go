@@ -117,7 +117,34 @@ type options struct {
 	runName  string
 }
 
+// conflictingFlags rejects the combinations in which one flag would be
+// silently ignored: the user-tree and bootstrap modes run no resumable
+// or distributed search, and a distributed master has no local workers.
+func conflictingFlags(o options) error {
+	mode := ""
+	switch {
+	case o.userTrees != "":
+		mode = "-usertrees"
+	case o.bootstrap > 0:
+		mode = "-bootstrap"
+	}
+	if mode != "" {
+		for _, f := range []struct{ name, value string }{{"-checkpoint", o.checkpoint}, {"-resume", o.resume}, {"-listen", o.listen}} {
+			if f.value != "" {
+				return fmt.Errorf("%s cannot be combined with %s: that mode neither records restart files nor hosts network workers", mode, f.name)
+			}
+		}
+	}
+	if o.listen != "" && o.workers > 0 {
+		return fmt.Errorf("-listen cannot be combined with -workers: a distributed master's workers join over the network (-net-workers is how many to wait for)")
+	}
+	return nil
+}
+
 func run(inPath string, o options) error {
+	if err := conflictingFlags(o); err != nil {
+		return err
+	}
 	f, err := os.Open(inPath)
 	if err != nil {
 		return err
@@ -229,17 +256,8 @@ func run(inPath string, o options) error {
 		return runUserTrees(a, opt, o)
 	case o.bootstrap > 0:
 		return runBootstrap(a, opt, o)
-	case o.listen != "":
-		return runDistributed(a, opt, o)
-	case o.checkpoint != "" || o.resume != "":
-		return runCheckpointed(a, opt, o)
 	}
-
-	inf, err := core.Infer(a, opt)
-	if err != nil {
-		return finishInterrupted(err, nil, o)
-	}
-	return report(inf, a, o)
+	return runSearch(a, opt, o)
 }
 
 // finishInterrupted turns a signal-stop into a clean exit: flush the
@@ -364,44 +382,6 @@ func sortedSupports(m map[string]float64) []float64 {
 	return out
 }
 
-// runCheckpointed runs a checkpointed search (any number of jumbles),
-// writing a restart manifest after each completed addition, or resumes
-// from one. Serial by default, parallel with -workers.
-func runCheckpointed(a *seq.Alignment, opt core.Options, o options) error {
-	cfg, opt, err := core.Prepare(a, opt)
-	if err != nil {
-		return err
-	}
-	runOpt := mlsearch.RunOptions{
-		Transport:            mlsearch.Serial,
-		Jumbles:              o.jumbles,
-		MaxConcurrentJumbles: o.concJumbles,
-		Progress:             opt.Progress,
-		Obs:                  opt.Obs,
-	}
-	if o.workers > 0 {
-		runOpt.Transport = mlsearch.Local
-		runOpt.Workers = o.workers
-		runOpt.WithMonitor = o.monitor
-		runOpt.MonitorOut = opt.MonitorOut
-		runOpt.Foreman = mlsearch.ForemanOptions{Pipeline: o.pipeline}
-	}
-	runOpt.Stop = opt.Stop
-	rec, err := wireRestart(&runOpt, o)
-	if err != nil {
-		return err
-	}
-	out, err := mlsearch.Run(cfg, runOpt)
-	if err != nil {
-		return finishInterrupted(err, rec, o)
-	}
-	inf, err := core.NewInference(cfg, out, opt)
-	if err != nil {
-		return err
-	}
-	return report(inf, a, o)
-}
-
 // wireRestart wires -resume and -checkpoint into runOpt. A resumed run
 // adopts the manifest's jumble count when -jumbles was left at its
 // default. It returns the manifest recorder when -checkpoint is
@@ -437,45 +417,54 @@ func wireRestart(runOpt *mlsearch.RunOptions, o options) (*mlsearch.ManifestReco
 	return rec, nil
 }
 
-// runDistributed hosts the elastic TCP master; workers join at any time
-// via cmd/fdworker. -net-workers is only a start barrier: the master
-// waits for that many workers before the first round, then tolerates
-// joins and departures for the rest of the run (evaluating inline if the
-// worker set ever empties).
-func runDistributed(a *seq.Alignment, opt core.Options, o options) error {
+// runSearch is the one search path: serial by default, the in-process
+// parallel runtime with -workers, or the elastic TCP master with -listen,
+// where workers join at any time via cmd/fdworker. -net-workers is only a
+// start barrier: the master waits for that many workers before the first
+// round, then tolerates joins and departures for the rest of the run
+// (evaluating inline if the worker set ever empties). -checkpoint and
+// -resume apply to all three.
+func runSearch(a *seq.Alignment, opt core.Options, o options) error {
 	cfg, opt, err := core.Prepare(a, opt)
 	if err != nil {
 		return err
 	}
-	var phylip strings.Builder
-	if err := seq.WritePhylip(&phylip, a, 0); err != nil {
-		return err
-	}
 	runOpt := mlsearch.RunOptions{
-		Transport:            mlsearch.TCP,
-		Addr:                 o.listen,
-		Workers:              o.netWorkers,
+		Transport:            mlsearch.Serial,
+		Workers:              o.workers,
 		WithMonitor:          o.monitor,
+		MonitorOut:           opt.MonitorOut,
 		Jumbles:              o.jumbles,
 		MaxConcurrentJumbles: o.concJumbles,
-		MonitorOut:           obs.NewLockedWriter(os.Stderr),
-		Foreman:              mlsearch.ForemanOptions{TaskTimeout: o.taskTimeout, Pipeline: o.pipeline},
+		Foreman:              mlsearch.ForemanOptions{Pipeline: o.pipeline},
 		Obs:                  opt.Obs,
-		Bundle: mlsearch.DataBundle{
+		Progress:             opt.Progress,
+		Stop:                 opt.Stop,
+	}
+	switch {
+	case o.listen != "":
+		var phylip strings.Builder
+		if err := seq.WritePhylip(&phylip, a, 0); err != nil {
+			return err
+		}
+		runOpt.Transport = mlsearch.TCP
+		runOpt.Addr = o.listen
+		runOpt.Workers = o.netWorkers
+		runOpt.Foreman.TaskTimeout = o.taskTimeout
+		runOpt.Bundle = mlsearch.DataBundle{
 			PhylipText: []byte(phylip.String()),
 			TTRatio:    opt.TTRatio,
 			SiteRates:  opt.SiteRates,
 			Weights:    opt.Weights,
-		},
-		Progress: opt.Progress,
-		OnListen: func(addr net.Addr) {
+		}
+		runOpt.OnListen = func(addr net.Addr) {
 			fmt.Printf("listening on %s; workers join with:\n", addr)
 			fmt.Printf("  fdworker -connect %s\n", addr)
 			if o.netWorkers > 0 {
 				fmt.Printf("waiting for %d worker(s) before starting\n", o.netWorkers)
 			}
-		},
-		OnMember: func(rank int, joined bool) {
+		}
+		runOpt.OnMember = func(rank int, joined bool) {
 			if o.quiet {
 				return
 			}
@@ -484,9 +473,10 @@ func runDistributed(a *seq.Alignment, opt core.Options, o options) error {
 			} else {
 				fmt.Printf("worker %d left\n", rank)
 			}
-		},
+		}
+	case o.workers > 0:
+		runOpt.Transport = mlsearch.Local
 	}
-	runOpt.Stop = opt.Stop
 	rec, err := wireRestart(&runOpt, o)
 	if err != nil {
 		return err

@@ -165,6 +165,31 @@ func TestRunBootstrapMode(t *testing.T) {
 	}
 }
 
+// TestRunRejectsIgnoredFlagCombinations: a flag that the chosen mode
+// would silently ignore is an error naming both flags, raised before any
+// work starts — the input file here does not even exist.
+func TestRunRejectsIgnoredFlagCombinations(t *testing.T) {
+	base := options{jumbles: 1, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2, quiet: true}
+	for _, tc := range []struct {
+		a, b string
+		set  func(*options)
+	}{
+		{"-bootstrap", "-checkpoint", func(o *options) { o.bootstrap, o.checkpoint = 3, "cp.txt" }},
+		{"-bootstrap", "-resume", func(o *options) { o.bootstrap, o.resume = 3, "cp.txt" }},
+		{"-bootstrap", "-listen", func(o *options) { o.bootstrap, o.listen = 3, "127.0.0.1:0" }},
+		{"-usertrees", "-listen", func(o *options) { o.userTrees, o.listen = "t.trees", "127.0.0.1:0" }},
+		{"-usertrees", "-checkpoint", func(o *options) { o.userTrees, o.checkpoint = "t.trees", "cp.txt" }},
+		{"-listen", "-workers", func(o *options) { o.listen, o.workers = "127.0.0.1:0", 2 }},
+	} {
+		o := base
+		tc.set(&o)
+		err := run(filepath.Join(t.TempDir(), "nope.phy"), o)
+		if err == nil || !strings.Contains(err.Error(), tc.a+" ") || !strings.Contains(err.Error(), tc.b) {
+			t.Errorf("%s with %s: error %v, want one naming both flags", tc.a, tc.b, err)
+		}
+	}
+}
+
 func TestRunRejectsMissingInput(t *testing.T) {
 	if err := run(filepath.Join(t.TempDir(), "nope.phy"), options{ttratio: 2, modelName: "F84", kappa: 2}); err == nil {
 		t.Error("missing input accepted")

@@ -47,7 +47,7 @@ func BenchmarkTCPPingPong(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer router.Close()
-	addr := router.(*tcpRouter).Addr().String()
+	addr := listenAddr(b, router)
 	client, err := DialTCP(addr, 1, 2)
 	if err != nil {
 		b.Fatal(err)

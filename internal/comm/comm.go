@@ -4,12 +4,13 @@
 // file per library (comm_mpi.c, comm_pvm.c) so the rest of the program is
 // independent of MPI or PVM. This package reproduces that seam for Go,
 // where no MPI ecosystem exists: the Communicator interface carries tagged
-// point-to-point messages between integer ranks, and two backends
-// implement it — an in-process backend (goroutine "ranks" connected by
-// channels, used for single-machine parallel runs and tests) and a TCP
-// backend (length-prefixed frames over sockets, for clusters and
-// volunteer workers). Message order is preserved per (sender, receiver)
-// pair, like MPI.
+// point-to-point messages between integer ranks. A rank is either hosted
+// by the process that created the world — its endpoint is an in-process
+// mailbox, on every transport — or remote, a process that dialed the
+// world's TCP router (length-prefixed frames over sockets, for clusters
+// and volunteer workers). A local world (NewLocal) is the case where
+// every rank is hosted. Message order is preserved per (sender,
+// receiver) pair, like MPI.
 package comm
 
 import (

@@ -8,8 +8,19 @@ import (
 	"time"
 )
 
-// backendWorld abstracts backend construction so every test runs against
-// both the local and the TCP backend.
+// listenAddr returns the address a TCP world's hosted endpoint listens on.
+func listenAddr(t testing.TB, c Communicator) string {
+	t.Helper()
+	addr, ok := ListenAddr(c)
+	if !ok {
+		t.Fatal("endpoint does not listen")
+	}
+	return addr.String()
+}
+
+// worlds abstracts world construction so every test runs against a local
+// world, a static TCP world (rank 0 hosted, the rest dialed), and an
+// elastic TCP world whose lower half is hosted and upper half joined.
 func worlds(t *testing.T, size int) map[string][]Communicator {
 	t.Helper()
 	out := map[string][]Communicator{}
@@ -24,7 +35,7 @@ func worlds(t *testing.T, size int) map[string][]Communicator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := router.(*tcpRouter).Addr().String()
+	addr := listenAddr(t, router)
 	tcp := make([]Communicator, size)
 	tcp[0] = router
 	for r := 1; r < size; r++ {
@@ -35,6 +46,22 @@ func worlds(t *testing.T, size int) map[string][]Communicator {
 		tcp[r] = c
 	}
 	out["tcp"] = tcp
+
+	hosted, err := NewElasticTCPRouter(RouterConfig{Addr: "127.0.0.1:0", FirstDynamic: (size + 1) / 2, NotifyRank: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := len(hosted); r < size; r++ {
+		c, _, err := JoinTCP(listenAddr(t, hosted[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Rank() != r {
+			t.Fatalf("joiner assigned rank %d, want %d", c.Rank(), r)
+		}
+		hosted = append(hosted, c)
+	}
+	out["hosted"] = hosted
 	return out
 }
 
@@ -318,7 +345,7 @@ func TestTracedCommunicator(t *testing.T) {
 
 func TestElasticJoinAssignsRanksAndWelcome(t *testing.T) {
 	joined := make(chan int, 8)
-	router, err := NewElasticTCPRouter(RouterConfig{
+	world, err := NewElasticTCPRouter(RouterConfig{
 		Addr:         "127.0.0.1:0",
 		FirstDynamic: 2,
 		Welcome:      []byte("bundle-bytes"),
@@ -328,8 +355,9 @@ func TestElasticJoinAssignsRanksAndWelcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	router := world[0]
 	defer router.Close()
-	addr := router.(*tcpRouter).Addr().String()
+	addr := listenAddr(t, router)
 
 	w1, pay1, err := JoinTCP(addr)
 	if err != nil {
@@ -359,7 +387,7 @@ func TestElasticJoinAssignsRanksAndWelcome(t *testing.T) {
 			t.Fatal("OnJoin callback missing")
 		}
 	}
-	// NotifyRank 0: the router's own mailbox sees the join messages.
+	// NotifyRank 0: the router rank's own mailbox sees the join messages.
 	for i := 0; i < 2; i++ {
 		m, err := router.RecvTimeout(AnySource, TagJoin, 2*time.Second)
 		if err != nil {
@@ -376,11 +404,16 @@ func TestElasticJoinAssignsRanksAndWelcome(t *testing.T) {
 	if m, err := w1.Recv(0, TagTask); err != nil || string(m.Data) != "work" {
 		t.Fatalf("worker recv: %v %q", err, m.Data)
 	}
+	// An elastic world has no ranks to claim: only its own process hosts
+	// the reserved ones.
+	if _, err := DialTCP(addr, 1, 4); err == nil {
+		t.Error("a dialer claimed a hosted rank of an elastic world")
+	}
 }
 
 func TestElasticLeaveNotification(t *testing.T) {
 	left := make(chan int, 1)
-	router, err := NewElasticTCPRouter(RouterConfig{
+	world, err := NewElasticTCPRouter(RouterConfig{
 		Addr:         "127.0.0.1:0",
 		FirstDynamic: 2,
 		NotifyRank:   0,
@@ -389,8 +422,9 @@ func TestElasticLeaveNotification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	router := world[0]
 	defer router.Close()
-	addr := router.(*tcpRouter).Addr().String()
+	addr := listenAddr(t, router)
 
 	w, _, err := JoinTCP(addr)
 	if err != nil {
@@ -415,9 +449,12 @@ func TestElasticLeaveNotification(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("OnLeave callback missing")
 	}
-	// The departed rank is unroutable and never reused.
-	if err := router.Send(m.From, TagTask, nil); err == nil {
-		t.Error("send to departed rank succeeded")
+	// The departed rank is unroutable from every hosted rank, and never
+	// reused.
+	for _, c := range world {
+		if err := c.Send(m.From, TagTask, nil); !errors.Is(err, ErrNoRoute) {
+			t.Errorf("rank %d send to departed rank: %v, want ErrNoRoute", c.Rank(), err)
+		}
 	}
 	w2, _, err := JoinTCP(addr)
 	if err != nil {
@@ -429,63 +466,69 @@ func TestElasticLeaveNotification(t *testing.T) {
 	}
 }
 
-func TestElasticPendingNotifyFlushedToRole(t *testing.T) {
-	// A worker joins before the membership rank (the foreman) attaches;
-	// the join notification must be queued and delivered on attach.
-	router, err := NewElasticTCPRouter(RouterConfig{
-		Addr:         "127.0.0.1:0",
-		FirstDynamic: 2,
-		NotifyRank:   1,
-	})
+// TestHostedJoinsBeforeFirstRecv: the membership rank is a mailbox that
+// exists before the listener accepts, so workers that join before its
+// owner first calls Recv (reconnecting workers racing a master restart)
+// are waiting there, one TagJoin each, and its endpoint reaches the
+// dynamically assigned ranks.
+func TestHostedJoinsBeforeFirstRecv(t *testing.T) {
+	world, err := NewElasticTCPRouter(RouterConfig{Addr: "127.0.0.1:0", FirstDynamic: 2, NotifyRank: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer router.Close()
-	addr := router.(*tcpRouter).Addr().String()
-
-	w, _, err := JoinTCP(addr)
-	if err != nil {
-		t.Fatal(err)
+	defer world[0].Close()
+	addr := listenAddr(t, world[0])
+	var joiners []Communicator
+	for i := 0; i < 3; i++ {
+		w, _, err := JoinTCP(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		joiners = append(joiners, w)
 	}
-	defer w.Close()
-
-	role, err := DialTCPRole(addr, 1)
-	if err != nil {
-		t.Fatal(err)
+	role := world[1]
+	// Notes of different joiners come from different handshake
+	// goroutines, so only the set is fixed, not the order.
+	pending := map[int]bool{}
+	for _, w := range joiners {
+		pending[w.Rank()] = true
 	}
-	defer role.Close()
-	m, err := role.RecvTimeout(AnySource, TagJoin, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	for range joiners {
+		m, err := role.RecvTimeout(AnySource, AnyTag, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Tag != TagJoin || !pending[m.From] {
+			t.Errorf("membership rank received tag %d from %d, want one TagJoin per joiner", m.Tag, m.From)
+		}
+		delete(pending, m.From)
 	}
-	if m.From != w.Rank() {
-		t.Errorf("queued TagJoin from %d, want %d", m.From, w.Rank())
-	}
-	// The role endpoint can message the dynamic rank (no size bound).
+	w := joiners[2]
 	if err := role.Send(w.Rank(), TagTask, []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
 	if m, err := w.Recv(1, TagTask); err != nil || string(m.Data) != "hi" {
-		t.Fatalf("worker recv from role: %v %q", err, m.Data)
+		t.Fatalf("worker recv from hosted rank: %v %q", err, m.Data)
 	}
 }
 
-// TestElasticJoinNoteBeforeOnJoin: the membership rank's TagJoin is on
-// its connection before OnJoin runs, so nothing the callback's owner
-// sends that rank afterwards can overtake it. The master's join barrier
-// opens from OnJoin; were the note sent second, a short run could shut
+// TestElasticJoinNoteBeforeOnJoin: the membership rank's TagJoin is in
+// its mailbox before OnJoin runs, so nothing the callback's owner sends
+// that rank afterwards can overtake it. The master's join barrier opens
+// from OnJoin; were the note delivered second, a short run could shut
 // down the workers the foreman knew of and leave the last joiner to find
 // its connection closed.
 func TestElasticJoinNoteBeforeOnJoin(t *testing.T) {
-	var router Communicator
+	var world []Communicator
 	ready := make(chan struct{})
-	router, err := NewElasticTCPRouter(RouterConfig{
+	world, err := NewElasticTCPRouter(RouterConfig{
 		Addr:         "127.0.0.1:0",
 		FirstDynamic: 2,
 		NotifyRank:   1,
 		OnJoin: func(int) {
 			<-ready
-			if err := router.Send(1, TagControl, nil); err != nil {
+			if err := world[0].Send(1, TagControl, nil); err != nil {
 				t.Error(err)
 			}
 		},
@@ -493,28 +536,106 @@ func TestElasticJoinNoteBeforeOnJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer router.Close()
-	addr := router.(*tcpRouter).Addr().String()
-	role, err := DialTCPRole(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer role.Close()
+	defer world[0].Close()
 	close(ready)
 
-	w, _, err := JoinTCP(addr)
+	w, _, err := JoinTCP(listenAddr(t, world[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	for _, want := range []Tag{TagJoin, TagControl} {
-		m, err := role.RecvTimeout(AnySource, AnyTag, 2*time.Second)
+		m, err := world[1].RecvTimeout(AnySource, AnyTag, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.Tag != want {
 			t.Fatalf("membership rank received tag %d, want %d first", m.Tag, want)
 		}
+	}
+}
+
+// TestHostedRemoteFIFO: two hosted ranks and two joined ones exchange
+// interleaved streams; each (sender, receiver) pair keeps its order in
+// both directions, whichever of mailbox append and socket frame carries
+// it.
+func TestHostedRemoteFIFO(t *testing.T) {
+	w := worlds(t, 4)["hosted"] // ranks 0, 1 hosted; 2, 3 joined
+	defer closeWorld(w)
+	const n = 100
+	var wg sync.WaitGroup
+	for _, pair := range [][2]int{{0, 2}, {1, 2}, {1, 3}, {2, 1}, {3, 1}, {3, 0}, {0, 1}} {
+		from, to := pair[0], pair[1]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if err := w[from].Send(to, TagTask, []byte{byte(i)}); err != nil {
+					t.Errorf("%d -> %d: %v", from, to, err)
+					return
+				}
+			}
+		}()
+	}
+	for to, senders := range map[int]int{0: 1, 1: 3, 2: 2, 3: 1} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			next := map[int]int{}
+			for i := 0; i < senders*n; i++ {
+				m, err := w[to].RecvTimeout(AnySource, TagTask, 5*time.Second)
+				if err != nil {
+					t.Errorf("rank %d: %v", to, err)
+					return
+				}
+				if int(m.Data[0]) != next[m.From] {
+					t.Errorf("rank %d: message %d from %d arrived at position %d", to, m.Data[0], m.From, next[m.From])
+					return
+				}
+				next[m.From]++
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRouterCloseUnblocksHostedRanks: closing rank 0's endpoint takes the
+// world down; every hosted rank blocked in Recv returns ErrClosed, and so
+// does a later hosted send.
+func TestRouterCloseUnblocksHostedRanks(t *testing.T) {
+	world, err := NewElasticTCPRouter(RouterConfig{Addr: "127.0.0.1:0", FirstDynamic: 3, NotifyRank: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := JoinTCP(listenAddr(t, world[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	errc := make(chan error, len(world))
+	for _, c := range world {
+		go func() {
+			_, err := c.Recv(AnySource, TagResult)
+			errc <- err
+		}()
+	}
+	time.Sleep(10 * time.Millisecond)
+	world[0].Close()
+	for range world {
+		select {
+		case err := <-errc:
+			if err != ErrClosed {
+				t.Errorf("err = %v, want ErrClosed", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("a hosted receiver did not unblock")
+		}
+	}
+	if err := world[1].Send(w.Rank(), TagTask, nil); err != ErrClosed {
+		t.Errorf("hosted send after close: %v, want ErrClosed", err)
+	}
+	if err := world[1].Send(2, TagTask, nil); err != ErrClosed {
+		t.Errorf("hosted-to-hosted send after close: %v, want ErrClosed", err)
 	}
 }
 

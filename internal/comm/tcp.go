@@ -11,22 +11,28 @@ import (
 	"repro/internal/obs"
 )
 
-// TCP backend: rank 0 hosts a router; every other rank dials in and
-// registers. All traffic flows through the router (star topology), which
+// TCP backend: one process hosts the world's router and the first ranks
+// (rank 0, plus the foreman and monitor of a distributed run) as
+// in-process mailbox endpoints — the same endpoints a local world is made
+// of (local.go). Every other rank dials in and registers. All traffic
+// between processes flows through the router (star topology), which
 // keeps the protocol simple and lets workers join from anywhere a socket
 // can reach — the property the paper exploits for geographically
 // distributed PVM workers and Linux clusters (§2.2), and that the planned
-// Condor/screensaver workers would rely on (§5).
+// Condor/screensaver workers would rely on (§5). A message between two
+// hosted ranks never touches a socket; one between a hosted and a remote
+// rank crosses exactly one connection.
 //
-// Membership comes in two flavours. A *static* world (NewTCPRouter) has a
-// fixed size negotiated up front and every dialer claims its rank in the
-// HELLO. An *elastic* world (NewElasticTCPRouter) additionally accepts
-// anonymous joiners: a HELLO with rank -1 is answered by a WELCOME that
-// assigns the next free rank and carries an application-provided payload
-// (the data bundle), and the router synthesizes TagJoin/TagLeave messages
-// to a configured membership rank as such workers come and go. Ranks of
-// departed workers are never reused, so a late frame from a dead
-// incarnation can never be mistaken for a live one.
+// Membership comes in two flavours. A *static* world (NewTCPRouter) hosts
+// rank 0 alone, has a fixed size negotiated up front, and every dialer
+// claims its rank in the HELLO. An *elastic* world (NewElasticTCPRouter)
+// hosts ranks 0..FirstDynamic-1 and accepts only anonymous joiners: a
+// HELLO with rank -1 is answered by a WELCOME that assigns the next free
+// rank and carries an application-provided payload (the data bundle), and
+// the router synthesizes TagJoin/TagLeave messages to a hosted membership
+// rank as such workers come and go. Ranks of departed workers are never
+// reused, so a late frame from a dead incarnation can never be mistaken
+// for a live one.
 //
 // Wire format, all fields big-endian:
 //
@@ -51,16 +57,17 @@ type RouterConfig struct {
 	// Addr is the listen address (for example "127.0.0.1:7946" or ":0").
 	Addr string
 	// FirstDynamic is the first rank handed to anonymous joiners; ranks
-	// 1..FirstDynamic-1 are reserved for dialers that claim them (the
-	// foreman and monitor loopback roles).
+	// 0..FirstDynamic-1 are hosted by the router's own process (the
+	// master, foreman and monitor roles).
 	FirstDynamic int
 	// Welcome is the payload delivered to anonymous joiners with their
 	// assigned rank (the application's join handshake reply, e.g. the
 	// data bundle).
 	Welcome []byte
-	// NotifyRank receives synthesized TagJoin/TagLeave messages for
-	// anonymous joiners; -1 disables them. Notifications for a rank that
-	// has not yet connected are queued and flushed when it registers.
+	// NotifyRank is the hosted rank that receives synthesized
+	// TagJoin/TagLeave messages for anonymous joiners; -1 disables them.
+	// Its mailbox exists before the listener accepts, so no join can
+	// precede it.
 	NotifyRank int
 	// OnJoin/OnLeave, when non-nil, are invoked in-process as anonymous
 	// workers come and go (the master's join barrier uses OnJoin).
@@ -93,32 +100,31 @@ func newRouterMetrics(reg *obs.Registry) routerMetrics {
 	}
 }
 
-type pendingNote struct {
-	rank int
-	tag  Tag
+// peer is one remote rank's connection; mu keeps its frames whole.
+type peer struct {
+	conn net.Conn
+	mu   sync.Mutex
 }
 
-// tcpRouter is rank 0's endpoint plus the router state.
+// tcpRouter is the hub of a TCP world: it owns the listener and the
+// remote ranks' connections, and delivers into the hosted ranks'
+// mailboxes. The hosted ranks' endpoints (localComm) hold it for sends
+// to ranks they do not host.
 type tcpRouter struct {
-	size     int // static world size; 0 in elastic mode
+	size     int // static world size; 0 makes the world elastic
 	listener net.Listener
-	mb       *mailbox
+	boxes    []*mailbox // the hosted ranks, 0..len(boxes)-1
 
 	// Elastic membership.
-	elastic      bool
-	firstDynamic int
-	welcome      []byte
-	notifyRank   int
-	onJoin       func(int)
-	onLeave      func(int)
+	welcome    []byte
+	notifyRank int
+	onJoin     func(int)
+	onLeave    func(int)
 
 	mu       sync.Mutex
-	conns    map[int]net.Conn
+	peers    map[int]*peer
 	nextRank int
-	pending  []pendingNote
-
-	closed  bool
-	writeMu map[int]*sync.Mutex
+	closed   bool
 
 	met routerMetrics
 }
@@ -130,54 +136,60 @@ func NewTCPRouter(addr string, size int) (Communicator, error) {
 	if size < 2 {
 		return nil, fmt.Errorf("comm: tcp world size %d, need >= 2", size)
 	}
-	return newRouter(addr, size, RouterConfig{NotifyRank: -1})
+	world, err := newRouter(addr, size, RouterConfig{FirstDynamic: 1, NotifyRank: -1})
+	if err != nil {
+		return nil, err
+	}
+	return world[0], nil
 }
 
-// NewElasticTCPRouter starts a rank-0 endpoint with dynamic membership:
-// anonymous dialers (JoinTCP) are assigned ranks FirstDynamic,
-// FirstDynamic+1, ... as they arrive, with no upper bound.
-func NewElasticTCPRouter(cfg RouterConfig) (Communicator, error) {
+// NewElasticTCPRouter starts a world with dynamic membership and returns
+// the endpoints of the ranks this process hosts, 0..FirstDynamic-1.
+// Anonymous dialers (JoinTCP) are assigned ranks FirstDynamic,
+// FirstDynamic+1, ... as they arrive, with no upper bound. Closing rank
+// 0's endpoint shuts down the router and every hosted endpoint.
+func NewElasticTCPRouter(cfg RouterConfig) ([]Communicator, error) {
 	if cfg.FirstDynamic < 1 {
 		return nil, fmt.Errorf("comm: first dynamic rank %d, need >= 1", cfg.FirstDynamic)
+	}
+	if cfg.NotifyRank >= cfg.FirstDynamic {
+		return nil, fmt.Errorf("comm: membership rank %d is not hosted (first dynamic rank %d)", cfg.NotifyRank, cfg.FirstDynamic)
 	}
 	return newRouter(cfg.Addr, 0, cfg)
 }
 
-func newRouter(addr string, size int, cfg RouterConfig) (Communicator, error) {
+func newRouter(addr string, size int, cfg RouterConfig) ([]Communicator, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("comm: listen %s: %w", addr, err)
 	}
 	r := &tcpRouter{
-		size:         size,
-		listener:     ln,
-		mb:           newMailbox(),
-		elastic:      size == 0,
-		firstDynamic: cfg.FirstDynamic,
-		welcome:      cfg.Welcome,
-		notifyRank:   cfg.NotifyRank,
-		onJoin:       cfg.OnJoin,
-		onLeave:      cfg.OnLeave,
-		conns:        map[int]net.Conn{},
-		nextRank:     cfg.FirstDynamic,
-		writeMu:      map[int]*sync.Mutex{},
-		met:          newRouterMetrics(cfg.Obs),
+		size:       size,
+		listener:   ln,
+		welcome:    cfg.Welcome,
+		notifyRank: cfg.NotifyRank,
+		onJoin:     cfg.OnJoin,
+		onLeave:    cfg.OnLeave,
+		peers:      map[int]*peer{},
+		nextRank:   cfg.FirstDynamic,
+		met:        newRouterMetrics(cfg.Obs),
 	}
+	var world []Communicator
+	r.boxes, world = hostedWorld(cfg.FirstDynamic, r)
 	go r.acceptLoop()
-	return r, nil
+	return world, nil
 }
 
-// Addr returns the router's listen address (useful with ":0").
-func (r *tcpRouter) Addr() net.Addr { return r.listener.Addr() }
-
-// ListenAddr reports the bound address of a router communicator, or
-// (nil, false) for endpoints that do not listen.
+// ListenAddr reports the bound address of a TCP world's hosted endpoint
+// (useful with ":0"), or (nil, false) for endpoints that do not listen.
 func ListenAddr(c Communicator) (net.Addr, bool) {
-	if r, ok := c.(*tcpRouter); ok {
-		return r.Addr(), true
+	if lc, ok := c.(*localComm); ok && lc.router != nil {
+		return lc.router.listener.Addr(), true
 	}
 	return nil, false
 }
+
+func (r *tcpRouter) elastic() bool { return r.size == 0 }
 
 func (r *tcpRouter) acceptLoop() {
 	for {
@@ -204,35 +216,33 @@ func (r *tcpRouter) handshake(conn net.Conn) {
 	}
 	rank := int(int32(binary.BigEndian.Uint32(hdr[4:8])))
 	dynamic := rank == int(helloJoin)
+
+	// The write lock is taken before the peer becomes routable, so no
+	// frame can reach the connection ahead of its welcome.
+	p := &peer{conn: conn}
+	p.mu.Lock()
+	r.mu.Lock()
 	switch {
-	case dynamic:
-		if !r.elastic {
-			conn.Close()
-			return
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			conn.Close()
-			return
-		}
+	case r.closed:
+		rank = -1
+	case dynamic && r.elastic():
 		rank = r.nextRank
 		r.nextRank++
-		r.register(rank, conn)
-		r.mu.Unlock()
-	case r.validClaim(rank):
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			conn.Close()
-			return
+	case rank >= len(r.boxes) && rank < r.size:
+		// A claimed rank of a static world; a reconnect replaces the
+		// previous connection.
+		if old := r.peers[rank]; old != nil {
+			old.conn.Close()
 		}
-		if old, ok := r.conns[rank]; ok {
-			old.Close()
-		}
-		r.register(rank, conn)
-		r.mu.Unlock()
 	default:
+		rank = -1
+	}
+	if rank >= 0 {
+		r.peers[rank] = p
+		r.met.connects.Inc()
+	}
+	r.mu.Unlock()
+	if rank < 0 {
 		conn.Close()
 		return
 	}
@@ -244,82 +254,45 @@ func (r *tcpRouter) handshake(conn net.Conn) {
 	var ack [8]byte
 	binary.BigEndian.PutUint32(ack[0:4], uint32(int32(rank)))
 	binary.BigEndian.PutUint32(ack[4:8], uint32(len(welcome)))
-	wmu := r.writeLock(rank)
-	wmu.Lock()
 	_, err := conn.Write(ack[:])
 	if err == nil && len(welcome) > 0 {
 		_, err = conn.Write(welcome)
 	}
-	wmu.Unlock()
+	p.mu.Unlock()
 	if err != nil {
-		r.drop(rank, conn)
+		r.drop(rank, p)
 		return
-	}
-	if !dynamic && rank == r.notifyRank {
-		// Flush membership notifications that predate this role's
-		// connection (workers that joined before the foreman attached,
-		// e.g. reconnecting workers racing a master restart).
-		r.mu.Lock()
-		pend := r.pending
-		r.pending = nil
-		r.mu.Unlock()
-		for _, p := range pend {
-			r.forward(p.rank, rank, int32(p.tag), nil)
-		}
 	}
 	if dynamic {
 		r.notifyMember(rank, TagJoin)
 	}
-	go r.readLoop(rank, conn, dynamic)
+	go r.readLoop(rank, p, dynamic)
 }
 
-// validClaim reports whether an explicitly claimed rank is acceptable.
-func (r *tcpRouter) validClaim(rank int) bool {
-	if r.elastic {
-		return rank > 0 && rank < r.firstDynamic
-	}
-	return rank > 0 && rank < r.size
-}
-
-// register records a connection; caller holds r.mu.
-func (r *tcpRouter) register(rank int, conn net.Conn) {
-	r.conns[rank] = conn
-	if r.writeMu[rank] == nil {
-		r.writeMu[rank] = &sync.Mutex{}
-	}
-	r.met.connects.Inc()
-}
-
-// writeLock returns the per-destination write mutex, creating it if
-// needed.
-func (r *tcpRouter) writeLock(rank int) *sync.Mutex {
+// drop unregisters a connection if it is still current and closes it,
+// reporting whether the router itself has shut down.
+func (r *tcpRouter) drop(rank int, p *peer) (closed bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.writeMu[rank] == nil {
-		r.writeMu[rank] = &sync.Mutex{}
+	if r.peers[rank] == p {
+		delete(r.peers, rank)
 	}
-	return r.writeMu[rank]
-}
-
-// drop unregisters a connection if it is still current and closes it.
-func (r *tcpRouter) drop(rank int, conn net.Conn) {
-	r.mu.Lock()
-	if r.conns[rank] == conn {
-		delete(r.conns, rank)
-	}
+	closed = r.closed
 	r.mu.Unlock()
-	conn.Close()
+	p.conn.Close()
 	r.met.disconnects.Inc()
+	return closed
 }
 
 // notifyMember reports an anonymous worker's arrival or departure to the
-// configured membership rank and then to the in-process callbacks. The
+// membership rank's mailbox and then to the in-process callbacks. The
 // order matters for a join: the master's join barrier hangs off OnJoin,
 // and it must not open while the foreman's copy of the news is still
-// unsent — a short run could otherwise finish, and shut down only the
-// workers the foreman had heard of, before the last joiner is known.
+// undelivered — a short run could otherwise finish, and shut down only
+// the workers the foreman had heard of, before the last joiner is known.
 func (r *tcpRouter) notifyMember(rank int, tag Tag) {
-	r.sendMemberNote(rank, tag)
+	if r.notifyRank >= 0 {
+		r.boxes[r.notifyRank].put(Message{From: rank, Tag: tag})
+	}
 	switch tag {
 	case TagJoin:
 		if r.onJoin != nil {
@@ -332,96 +305,71 @@ func (r *tcpRouter) notifyMember(rank int, tag Tag) {
 	}
 }
 
-// sendMemberNote delivers a synthesized TagJoin/TagLeave to the
-// membership rank, queueing it while that rank has not attached yet.
-func (r *tcpRouter) sendMemberNote(rank int, tag Tag) {
-	nr := r.notifyRank
-	if nr < 0 {
-		return
-	}
-	if nr == 0 {
-		r.mb.mu.Lock()
-		if !r.mb.closed {
-			r.mb.queue = append(r.mb.queue, Message{From: rank, Tag: tag})
-		}
-		r.mb.mu.Unlock()
-		r.mb.pulse()
-		return
-	}
-	r.mu.Lock()
-	if r.conns[nr] == nil {
-		r.pending = append(r.pending, pendingNote{rank: rank, tag: tag})
-		r.mu.Unlock()
-		return
-	}
-	r.mu.Unlock()
-	r.forward(rank, nr, int32(tag), nil)
-}
-
-func (r *tcpRouter) readLoop(rank int, conn net.Conn, dynamic bool) {
+func (r *tcpRouter) readLoop(rank int, p *peer, dynamic bool) {
 	for {
-		from, to, tag, payload, err := readFrame(conn)
+		from, to, tag, payload, err := readFrame(p.conn)
 		if err != nil {
-			r.mu.Lock()
-			if r.conns[rank] == conn {
-				delete(r.conns, rank)
-			}
-			closed := r.closed
-			r.mu.Unlock()
-			conn.Close()
-			r.met.disconnects.Inc()
-			if dynamic && !closed {
+			if closed := r.drop(rank, p); dynamic && !closed {
 				r.notifyMember(rank, TagLeave)
 			}
 			return
 		}
 		r.met.msgsIn.Inc()
 		r.met.bytesIn.Add(float64(16 + len(payload)))
-		if from != rank {
+		switch {
+		case from != rank:
+			PutBuf(payload) // sender cannot spoof its rank
+		case to >= 0 && to < len(r.boxes):
+			r.boxes[to].put(Message{From: from, Tag: Tag(tag), Data: payload})
+		default:
+			// Remote to remote. An undeliverable frame is dropped (fault
+			// tolerance handles it); either way the payload is dead once
+			// written, so recycle it.
+			_ = r.forward(from, to, tag, payload)
 			PutBuf(payload)
-			continue // sender cannot spoof its rank
 		}
-		if to == 0 {
-			r.mb.mu.Lock()
-			if !r.mb.closed {
-				r.mb.queue = append(r.mb.queue, Message{From: from, Tag: Tag(tag), Data: payload})
-			}
-			r.mb.mu.Unlock()
-			r.mb.pulse()
-			continue
-		}
-		r.forward(from, to, tag, payload)
-		// The payload is dead once written to (or dropped for) the
-		// destination connection; recycle it.
-		PutBuf(payload)
 	}
 }
 
-func (r *tcpRouter) forward(from, to int, tag int32, payload []byte) {
+// forward writes one frame on the destination's connection. A rank with
+// no live connection yields ErrNoRoute, letting a hosted sender treat the
+// destination as departed immediately instead of waiting out a timeout.
+func (r *tcpRouter) forward(from, to int, tag int32, payload []byte) error {
 	r.mu.Lock()
-	conn := r.conns[to]
-	wmu := r.writeMu[to]
+	closed, p := r.closed, r.peers[to]
 	r.mu.Unlock()
-	if conn == nil || wmu == nil {
-		return // destination not connected; drop (fault tolerance handles it)
+	if closed {
+		return ErrClosed
 	}
-	wmu.Lock()
-	err := writeFrame(conn, from, to, tag, payload)
-	wmu.Unlock()
+	if p == nil {
+		return fmt.Errorf("comm: send to rank %d: %w", to, ErrNoRoute)
+	}
+	p.mu.Lock()
+	err := writeFrame(p.conn, from, to, tag, payload)
+	p.mu.Unlock()
 	if err != nil {
-		conn.Close()
-		return
+		// The read loop sees the closed connection and reports the
+		// departure.
+		p.conn.Close()
+		return nil
 	}
 	r.met.msgsOut.Inc()
 	r.met.bytesOut.Add(float64(16 + len(payload)))
+	return nil
 }
 
-func (r *tcpRouter) Rank() int { return 0 }
+// send routes a hosted rank's message to a remote rank.
+func (r *tcpRouter) send(from, to int, tag Tag, data []byte) error {
+	if !r.elastic() && to >= r.size {
+		return fmt.Errorf("comm: send to rank %d of %d", to, r.size)
+	}
+	return r.forward(from, to, int32(tag), data)
+}
 
-// Size returns the static world size, or for elastic worlds the extent of
-// the rank space handed out so far.
-func (r *tcpRouter) Size() int {
-	if !r.elastic {
+// worldSize returns the static world size, or for elastic worlds the
+// extent of the rank space handed out so far.
+func (r *tcpRouter) worldSize() int {
+	if !r.elastic() {
 		return r.size
 	}
 	r.mu.Lock()
@@ -429,66 +377,28 @@ func (r *tcpRouter) Size() int {
 	return r.nextRank
 }
 
-// Send routes a message to a connected rank. A rank with no live
-// connection yields ErrNoRoute, letting the caller treat the destination
-// as departed immediately instead of waiting out a timeout.
-func (r *tcpRouter) Send(to int, tag Tag, data []byte) error {
-	if to == 0 {
-		return fmt.Errorf("comm: rank 0 sending to itself")
-	}
-	if to < 0 || (!r.elastic && to >= r.size) {
-		return fmt.Errorf("comm: send to rank %d of %d", to, r.size)
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrClosed
-	}
-	connected := r.conns[to] != nil
-	r.mu.Unlock()
-	if !connected {
-		return fmt.Errorf("comm: send to rank %d: %w", to, ErrNoRoute)
-	}
-	r.forward(0, to, int32(tag), data)
-	return nil
-}
-
-func (r *tcpRouter) Recv(from int, tag Tag) (Message, error) {
-	return recvMailbox(r.mb, from, tag, nil)
-}
-
-func (r *tcpRouter) RecvTimeout(from int, tag Tag, d time.Duration) (Message, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	return recvMailbox(r.mb, from, tag, timer.C)
-}
-
-func (r *tcpRouter) Close() error {
+// shutdown closes the listener, every connection and every hosted
+// mailbox; blocked hosted receives return ErrClosed.
+func (r *tcpRouter) shutdown() {
 	r.mu.Lock()
 	r.closed = true
-	for _, c := range r.conns {
-		c.Close()
+	for _, p := range r.peers {
+		p.conn.Close()
 	}
-	r.conns = map[int]net.Conn{}
+	r.peers = map[int]*peer{}
 	r.mu.Unlock()
 	r.listener.Close()
-	r.mb.mu.Lock()
-	r.mb.closed = true
-	r.mb.mu.Unlock()
-	r.mb.pulse()
-	return nil
+	for _, mb := range r.boxes {
+		mb.close()
+	}
 }
 
 // tcpClient is a non-zero rank connected to the router.
 type tcpClient struct {
 	rank, size int
-	// elastic marks a client of a dynamic world: sends are not bounded
-	// by a world size (the foreman must reach ranks assigned after it
-	// attached).
-	elastic bool
-	conn    net.Conn
-	mb      *mailbox
-	writeMu sync.Mutex
+	conn       net.Conn
+	mb         *mailbox
+	writeMu    sync.Mutex
 }
 
 // DialTCP connects rank (1..size-1) to a static router at addr.
@@ -504,21 +414,6 @@ func DialTCP(addr string, rank, size int) (Communicator, error) {
 	return c, nil
 }
 
-// DialTCPRole connects to an elastic router claiming a reserved role rank
-// (below the router's first dynamic rank). The returned endpoint may send
-// to any rank, including dynamically assigned ones.
-func DialTCPRole(addr string, rank int) (Communicator, error) {
-	if rank <= 0 {
-		return nil, fmt.Errorf("comm: tcp role rank %d (rank 0 is the router)", rank)
-	}
-	c, _, err := dial(addr, int32(rank))
-	if err != nil {
-		return nil, err
-	}
-	c.elastic = true
-	return c, nil
-}
-
 // JoinTCP connects to an elastic router with no pre-assigned identity.
 // The router assigns the next free rank and replies with the welcome
 // payload configured by the application (the join handshake of the
@@ -528,7 +423,6 @@ func JoinTCP(addr string) (Communicator, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	c.elastic = true
 	return c, welcome, nil
 }
 
@@ -581,21 +475,12 @@ func (c *tcpClient) readLoop() {
 	for {
 		from, to, tag, payload, err := readFrame(c.conn)
 		if err != nil {
-			c.mb.mu.Lock()
-			c.mb.closed = true
-			c.mb.mu.Unlock()
-			c.mb.pulse()
+			c.mb.close()
 			return
 		}
-		if to != c.rank {
-			continue
+		if to == c.rank {
+			c.mb.put(Message{From: from, Tag: Tag(tag), Data: payload})
 		}
-		c.mb.mu.Lock()
-		if !c.mb.closed {
-			c.mb.queue = append(c.mb.queue, Message{From: from, Tag: Tag(tag), Data: payload})
-		}
-		c.mb.mu.Unlock()
-		c.mb.pulse()
 	}
 }
 
@@ -603,7 +488,7 @@ func (c *tcpClient) Rank() int { return c.rank }
 func (c *tcpClient) Size() int { return c.size }
 
 func (c *tcpClient) Send(to int, tag Tag, data []byte) error {
-	if to < 0 || (!c.elastic && to >= c.size) {
+	if to < 0 || to >= c.size {
 		return fmt.Errorf("comm: send to rank %d of %d", to, c.size)
 	}
 	c.writeMu.Lock()
@@ -626,10 +511,7 @@ func (c *tcpClient) RecvTimeout(from int, tag Tag, d time.Duration) (Message, er
 
 func (c *tcpClient) Close() error {
 	c.conn.Close()
-	c.mb.mu.Lock()
-	c.mb.closed = true
-	c.mb.mu.Unlock()
-	c.mb.pulse()
+	c.mb.close()
 	return nil
 }
 

@@ -29,18 +29,14 @@ type DataBundle struct {
 	SiteRates []float64
 	// Weights are optional per-site weights (empty = uniform).
 	Weights []float64
-	// Precision is the CLV storage format workers should evaluate with
-	// (zero value = likelihood.Float64). A worker started with an
-	// explicit -precision flag overrides it locally.
-	Precision likelihood.Precision
-	// Engine names the likelihood backend workers should build (see
-	// likelihood.Engines; empty = likelihood.DefaultEngine). A worker
-	// started with an explicit -engine flag overrides it locally.
-	Engine string
-	// SmoothMode is the full-smoothing algorithm workers should apply
-	// (zero value = the sequential sweep; see Config.SmoothMode). A
-	// worker started with an explicit -smooth-mode flag overrides it
-	// locally.
+	// Precision, Engine and SmoothMode are the run's evaluation identity
+	// (see the Config fields of the same names; zero values = float64,
+	// likelihood.DefaultEngine, the sequential sweep). The master stamps
+	// them from its own Config and every joining worker evaluates with
+	// them; fdworker has no flag for any of the three (WorkerHooks.Engine
+	// is the seam that lets a test wrap the backend).
+	Precision  likelihood.Precision
+	Engine     string
 	SmoothMode likelihood.SmoothMode
 }
 

@@ -252,17 +252,14 @@ func TestForemanBlocksWithoutTimeout(t *testing.T) {
 			// Delay long enough that a polling foreman would rack up
 			// RecvTimeout wakeups while waiting.
 			time.Sleep(120 * time.Millisecond)
-			res := Result{TaskID: task.ID, Round: task.Round, Newick: task.Newick, LnL: -1, Ops: 1}
+			res := Result{TaskID: task.ID, Round: task.Round, Job: task.Job, Newick: task.Newick, LnL: -1, Ops: 1}
 			if err := world[2].Send(1, comm.TagResult, MarshalResult(res)); err != nil {
 				return
 			}
 		}
 	}()
 
-	disp, err := NewForemanDispatcher(world[0], lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mux, disp := newTestMaster(t, world, lay)
 	if _, err := disp.Dispatch([]Task{{ID: 1, Round: 1, Newick: "x"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +268,7 @@ func TestForemanBlocksWithoutTimeout(t *testing.T) {
 	counted.mu.Lock()
 	n := counted.recvTimeouts
 	counted.mu.Unlock()
-	if err := disp.Shutdown(); err != nil {
+	if err := mux.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

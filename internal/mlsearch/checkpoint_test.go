@@ -248,11 +248,8 @@ func TestEvaluateUserTreesParallelKeepsTrees(t *testing.T) {
 			_ = RunWorker(world[rank], lay, norm, WorkerHooks{})
 		}(w)
 	}
-	disp, err := NewForemanDispatcher(world[0], lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disp.Shutdown()
+	mux, disp := newTestMaster(t, world, lay)
+	defer mux.Shutdown()
 
 	trees := []*tree.Tree{}
 	n := cfg.Taxa

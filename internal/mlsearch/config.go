@@ -55,13 +55,14 @@ type Config struct {
 	// improvement. Default 1e-5.
 	Epsilon float64
 
-	// KeepRoundLog retains per-round task statistics for the cluster
-	// simulator. Default true.
+	// DisableRoundLog drops the per-round task statistics a search
+	// otherwise keeps in SearchResult.Rounds for the cluster simulator.
 	DisableRoundLog bool
 
 	// Threads is the likelihood engine's kernel thread count for
 	// evaluators this config builds (serial dispatcher, inline foreman
-	// evaluator, local workers that do not override it). Default 1.
+	// evaluator, workers; WorkerHooks.Threads replaces it on one worker).
+	// Default 1.
 	// Results are bit-identical across thread counts: sharding is a pure
 	// function of the data and reductions run in shard order.
 	Threads int

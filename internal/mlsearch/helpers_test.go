@@ -35,6 +35,21 @@ func newTestWorld(t *testing.T, size int) []comm.Communicator {
 	return world
 }
 
+// newTestMaster is the master side of a hand-built world: the job mux
+// over rank 0 and one dispatch lane through it.
+func newTestMaster(t *testing.T, world []comm.Communicator, lay Layout) (*JobMux, Dispatcher) {
+	t.Helper()
+	mux, err := NewJobMux(world[lay.Master], lay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disp, err := mux.NewDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mux, disp
+}
+
 // runSerial is the tests' shorthand for one search on the Serial
 // transport of the unified Run API.
 func runSerial(cfg Config) (*SearchResult, error) {

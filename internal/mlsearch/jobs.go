@@ -7,6 +7,12 @@ import (
 	"repro/internal/comm"
 )
 
+// The master (paper §2.2): "generates and compares trees. It generates
+// new tree topologies (in steps 2-5) and sends these trees to the
+// foreman. It receives back from the foreman the best tree at the end of
+// each round of comparison." Search does the generating and comparing;
+// this file is the sending and receiving.
+//
 // Master-side job multiplexing. Several Search instances (jumbles,
 // bootstrap replicates) run concurrently as goroutines, each driving its
 // own Dispatcher; all of them share one communicator to the foreman. The
@@ -73,7 +79,8 @@ func NewJobMux(c comm.Communicator, lay Layout) (*JobMux, error) {
 }
 
 // NewDispatcher implements dispatcherSource: each call opens a fresh job
-// lane (ids start at 1; 0 is the legacy single-job protocol).
+// lane (ids start at 1; 0 is what an envelope without the job extension
+// decodes to).
 func (m *JobMux) NewDispatcher() (Dispatcher, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -173,8 +180,9 @@ func (m *JobMux) fail(err error) {
 	m.mu.Unlock()
 }
 
-// JobDispatcher is one search's lane through a JobMux; it implements
-// Dispatcher exactly like ForemanDispatcher, with per-job rounds.
+// JobDispatcher is one search's lane through a JobMux: the Dispatcher of
+// the parallel runtime. Rounds are numbered per lane, and every task is
+// stamped with the lane's job id.
 type JobDispatcher struct {
 	mux   *JobMux
 	job   uint64

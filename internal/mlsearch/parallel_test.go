@@ -170,7 +170,7 @@ func TestFaultToleranceSlowWorker(t *testing.T) {
 				time.Sleep(delayFirst)
 			}
 			first = false
-			res := Result{TaskID: task.ID, Round: task.Round, Newick: task.Newick, LnL: -float64(task.ID), Ops: 10}
+			res := Result{TaskID: task.ID, Round: task.Round, Job: task.Job, Newick: task.Newick, LnL: -float64(task.ID), Ops: 10}
 			if err := world[rank].Send(1, comm.TagResult, MarshalResult(res)); err != nil {
 				return
 			}
@@ -180,10 +180,7 @@ func TestFaultToleranceSlowWorker(t *testing.T) {
 	go fakeWorker(3, 250*time.Millisecond)
 	go fakeWorker(4, 0)
 
-	disp, err := NewForemanDispatcher(world[0], lay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mux, disp := newTestMaster(t, world, lay)
 	// Round 1: two tasks. Worker 3 gets one and stalls past the timeout;
 	// worker 4 finishes both.
 	tasks := []Task{{ID: 1, Round: 1, Newick: "x"}, {ID: 2, Round: 1, Newick: "y"}}
@@ -200,7 +197,7 @@ func TestFaultToleranceSlowWorker(t *testing.T) {
 	if _, err := disp.Dispatch([]Task{{ID: 3, Round: 2, Newick: "z"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := disp.Shutdown(); err != nil {
+	if err := mux.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -244,15 +241,18 @@ func TestMultipleJumbles(t *testing.T) {
 	}
 }
 
-// TestForemanDispatcherValidation: constructing the dispatcher on the
-// wrong rank is rejected.
-func TestForemanDispatcherValidation(t *testing.T) {
+// TestJobMuxValidation: constructing the master side on the wrong rank,
+// or over a layout that does not validate, is rejected.
+func TestJobMuxValidation(t *testing.T) {
 	lay := Layout{Master: 0, Foreman: 1, Monitor: -1, Workers: []int{2}}
 	world := newTestWorld(t, 3)
-	if _, err := NewForemanDispatcher(world[1], lay); err == nil {
-		t.Error("dispatcher on non-master rank accepted")
+	if _, err := NewJobMux(world[1], lay); err == nil {
+		t.Error("job mux on non-master rank accepted")
 	}
-	if _, err := NewForemanDispatcher(world[0], lay); err != nil {
+	if _, err := NewJobMux(world[0], Layout{Master: 0, Foreman: 0, Monitor: -1, Workers: []int{2}}); err == nil {
+		t.Error("job mux over an overlapping layout accepted")
+	}
+	if _, err := NewJobMux(world[0], lay); err != nil {
 		t.Error(err)
 	}
 }

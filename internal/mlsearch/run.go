@@ -251,21 +251,17 @@ func runLocalTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, runErr := world.Run(norm, opt)
-	if err := world.Shutdown(); runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return &RunOutcome{Results: results, Monitor: world.Monitor}, nil
+	return world.runOnce(norm, opt)
 }
 
-// LocalWorld is a running in-process world: foreman, workers and the
-// optional monitor as goroutines over the local comm backend, with the
-// master side's JobMux ready to run searches. The Local transport is
-// StartLocal, one Run, Shutdown; a serve pod is a LocalWorld that has
-// not been shut down yet and takes a Run per job.
+// LocalWorld is the running part of a world that this process hosts:
+// the foreman, the optional monitor and the layout's local workers as
+// goroutines over the endpoints comm hosts here, with the master side's
+// JobMux ready to run searches. Workers in other processes, if the
+// transport has any, are the foreman's business, not the world's. The
+// Local and TCP transports are a started world, one Run, Shutdown; a
+// serve pod is a LocalWorld that has not been shut down yet and takes a
+// Run per job.
 type LocalWorld struct {
 	// Monitor holds the monitor's statistics once Shutdown has returned
 	// (nil when the world runs without one).
@@ -278,12 +274,13 @@ type LocalWorld struct {
 	err error // first role failure, surfaced by Shutdown
 }
 
-// StartLocal starts the world for the normalized run configuration.
-// From opt it takes Workers, WithMonitor, MonitorOut, Foreman, Obs and
-// WorkerHooks. Every worker evaluates with norm (see WorkerHooks for the
-// two values a hook may replace). The world builds no evaluator of its
-// own for the foreman: a caller that wants the inline fallback passes
-// one in opt.Foreman.Inline and closes it after Shutdown.
+// StartLocal starts an in-process world for the normalized run
+// configuration. From opt it takes Workers, WithMonitor, MonitorOut,
+// Foreman, Obs and WorkerHooks. Every worker evaluates with norm (see
+// WorkerHooks for the two values a hook may replace). The world builds
+// no evaluator of its own for the foreman: a caller that wants the
+// inline fallback passes one in opt.Foreman.Inline and closes it after
+// Shutdown.
 func StartLocal(norm Config, opt RunOptions) (*LocalWorld, error) {
 	if opt.Workers < 1 {
 		return nil, fmt.Errorf("mlsearch: %d workers, need >= 1", opt.Workers)
@@ -300,6 +297,14 @@ func StartLocal(norm Config, opt RunOptions) (*LocalWorld, error) {
 	if err != nil {
 		return nil, err
 	}
+	return startRoles(ranks, lay, norm, opt)
+}
+
+// startRoles is the one role wiring: over the endpoints this process
+// hosts (indexed by rank) it starts the foreman, the monitor when the
+// layout has one, and a worker on each of the layout's worker ranks,
+// and hands back the master side.
+func startRoles(ranks []comm.Communicator, lay Layout, norm Config, opt RunOptions) (*LocalWorld, error) {
 	mux, err := NewJobMux(ranks[lay.Master], lay)
 	if err != nil {
 		return nil, err
@@ -324,14 +329,13 @@ func StartLocal(norm Config, opt RunOptions) (*LocalWorld, error) {
 		foremanOpt.Obs = opt.Obs
 	}
 	role("foreman", func() error { return RunForeman(ranks[lay.Foreman], lay, foremanOpt) })
-	if opt.WithMonitor {
+	if lay.Monitor >= 0 {
 		role("monitor", func() (err error) {
 			w.Monitor, err = RunMonitor(ranks[lay.Monitor], opt.MonitorOut, false)
 			return err
 		})
 	}
 	for _, rank := range lay.Workers {
-		rank := rank
 		role(fmt.Sprintf("worker %d", rank), func() error {
 			return RunWorker(ranks[rank], lay, norm, opt.WorkerHooks[rank])
 		})
@@ -341,8 +345,8 @@ func StartLocal(norm Config, opt RunOptions) (*LocalWorld, error) {
 
 // Run executes a search's jumbles over the world, each in its own job
 // lane through the shared foreman. cfg carries the search settings and
-// seed (the world's workers were bound to the evaluation identity at
-// StartLocal); from opt it takes Jumbles, MaxConcurrentJumbles (default
+// seed (the world's workers were bound to the evaluation identity when
+// it started); from opt it takes Jumbles, MaxConcurrentJumbles (default
 // min(Jumbles, Workers)), ResumeManifest, Progress, OnCheckpoint and
 // Stop. Run may be called concurrently.
 func (w *LocalWorld) Run(cfg Config, opt RunOptions) ([]*SearchResult, error) {
@@ -359,4 +363,16 @@ func (w *LocalWorld) Shutdown() error {
 		return w.err
 	}
 	return err
+}
+
+// runOnce is a transport's use of a world: one Run, then Shutdown.
+func (w *LocalWorld) runOnce(norm Config, opt RunOptions) (*RunOutcome, error) {
+	results, err := w.Run(norm, opt)
+	if serr := w.Shutdown(); err == nil {
+		err = serr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &RunOutcome{Results: results, Monitor: w.Monitor}, nil
 }

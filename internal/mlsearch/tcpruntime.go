@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
@@ -13,14 +13,15 @@ import (
 )
 
 // Distributed (TCP) runtime with elastic membership. One operating
-// system process hosts rank 0 (the TCP router and the master role) plus
-// the foreman and optional monitor as loopback-connected ranks; worker
-// processes anywhere on the network join with cmd/fdworker, carrying no
-// pre-assigned identity: the join handshake assigns each a fresh rank
-// and delivers the data bundle. Workers may join or leave at any point,
-// including mid-round — the paper's fault-tolerant dispatch (§2.2) is
-// what makes this safe, and it is the property the planned
-// Condor/screensaver workers (§5) would rely on.
+// system process hosts the master, the foreman and the optional monitor
+// — in-process ranks of the elastic comm world, exactly as in a Local
+// run — and the world's TCP router; worker processes anywhere on the
+// network join with cmd/fdworker, carrying no pre-assigned identity: the
+// join handshake assigns each a fresh rank and delivers the data bundle.
+// Workers may join or leave at any point, including mid-round — the
+// paper's fault-tolerant dispatch (§2.2) is what makes this safe, and it
+// is the property the planned Condor/screensaver workers (§5) would rely
+// on.
 
 // runTCPTransport hosts the distributed run for Run.
 func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
@@ -54,35 +55,29 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 
 	// The foreman always gets an inline evaluator: a TCP run must
 	// complete even if every worker disappears (degradation ladder).
-	foremanOpt := opt.Foreman
-	if foremanOpt.Inline == nil {
+	if opt.Foreman.Inline == nil {
 		inline, err := NewConfigEvaluator(norm)
 		if err != nil {
 			return nil, err
 		}
 		defer inline.Close()
-		foremanOpt.Inline = inline
+		opt.Foreman.Inline = inline
 	}
-	if foremanOpt.Obs == nil {
-		foremanOpt.Obs = opt.Obs
+	if opt.Foreman.Obs == nil {
+		opt.Foreman.Obs = opt.Obs
 	}
 
 	// Join barrier: the master waits for opt.Workers joins before
 	// starting the search (0 = start immediately).
-	var (
-		joinMu    sync.Mutex
-		joined    int
-		joinCond  = sync.NewCond(&joinMu)
-		barrierOK = opt.Workers == 0
-	)
+	var joined atomic.Int64
+	barrier := make(chan struct{})
+	if opt.Workers == 0 {
+		close(barrier)
+	}
 	onJoin := func(rank int) {
-		joinMu.Lock()
-		joined++
-		if joined >= opt.Workers {
-			barrierOK = true
+		if joined.Add(1) == int64(opt.Workers) {
+			close(barrier)
 		}
-		joinCond.Broadcast()
-		joinMu.Unlock()
 		if opt.OnMember != nil {
 			opt.OnMember(rank, true)
 		}
@@ -93,90 +88,30 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 		}
 	}
 
-	router, err := comm.NewElasticTCPRouter(comm.RouterConfig{
+	ranks, err := comm.NewElasticTCPRouter(comm.RouterConfig{
 		Addr:         opt.Addr,
 		FirstDynamic: lay.FirstDynamicRank(),
 		Welcome:      marshalWelcome(lay, opt.Bundle),
 		NotifyRank:   lay.Foreman,
 		OnJoin:       onJoin,
 		OnLeave:      onLeave,
-		Obs:          foremanOpt.Obs.Registry(),
+		Obs:          opt.Foreman.Obs.Registry(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer router.Close()
-	addr, _ := comm.ListenAddr(router)
-	mux, err := NewJobMux(router, lay)
+	// Closing the master's endpoint closes the listener, the workers'
+	// connections and every hosted rank.
+	defer ranks[lay.Master].Close()
+	world, err := startRoles(ranks, lay, norm, opt)
 	if err != nil {
 		return nil, err
 	}
-
-	// Loopback ranks for the role processes. The monitor attaches before
-	// the foreman: the foreman's attach flushes any join notifications
-	// that predate it, and handling those emits monitor events that
-	// would otherwise be dropped. Workers that dial even earlier (e.g.
-	// reconnecting ones racing a master restart) are queued by the
-	// router until the foreman is here.
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	outcome := &RunOutcome{}
-	if opt.WithMonitor {
-		monitorComm, err := comm.DialTCPRole(addr.String(), lay.Monitor)
-		if err != nil {
-			return nil, fmt.Errorf("mlsearch: monitor loopback: %w", err)
-		}
-		defer monitorComm.Close()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats, err := RunMonitor(monitorComm, opt.MonitorOut, false)
-			if err != nil {
-				errs <- fmt.Errorf("monitor: %w", err)
-				return
-			}
-			outcome.Monitor = stats
-		}()
-	}
-
-	foremanComm, err := comm.DialTCPRole(addr.String(), lay.Foreman)
-	if err != nil {
-		return nil, fmt.Errorf("mlsearch: foreman loopback: %w", err)
-	}
-	defer foremanComm.Close()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := RunForeman(foremanComm, lay, foremanOpt); err != nil {
-			errs <- fmt.Errorf("foreman: %w", err)
-		}
-	}()
-
-	if opt.OnListen != nil && addr != nil {
+	if addr, ok := comm.ListenAddr(ranks[lay.Master]); ok && opt.OnListen != nil {
 		opt.OnListen(addr)
 	}
-
-	// Wait out the join barrier.
-	joinMu.Lock()
-	for !barrierOK {
-		joinCond.Wait()
-	}
-	joinMu.Unlock()
-
-	results, masterErr := runJumbles(mux, norm, opt)
-	_ = mux.Shutdown()
-	wg.Wait()
-	close(errs)
-	if masterErr != nil {
-		return nil, masterErr
-	}
-	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	outcome.Results = results
-	return outcome, nil
+	<-barrier
+	return world.runOnce(norm, opt)
 }
 
 // sameModel reports whether two models evaluate identically: same name,

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/likelihood"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
@@ -19,7 +20,9 @@ import (
 // TestTCPRuntimeEndToEnd runs the full distributed program on loopback:
 // master+router, foreman, monitor, and two anonymous worker "processes"
 // that join via the elastic handshake, then compares against the serial
-// answer.
+// answer. The router's own counters pin the topology: the roles this
+// process hosts use no socket, so the workers' connections are the only
+// ones and a task costs two frames (out and back), not four.
 func TestTCPRuntimeEndToEnd(t *testing.T) {
 	ds, err := simulate.New(simulate.Options{Taxa: 7, Sites: 150, Seed: 31, MeanBranchLen: 0.12})
 	if err != nil {
@@ -43,12 +46,14 @@ func TestTCPRuntimeEndToEnd(t *testing.T) {
 	}
 
 	const workers = 2
+	reg := obs.NewRegistry()
 	opt := RunOptions{
 		Transport:   TCP,
 		Addr:        "127.0.0.1:0",
 		Workers:     workers,
 		WithMonitor: true,
 		Bundle:      bundle,
+		Obs:         NewRunObserver(reg, nil),
 	}
 
 	addrCh := make(chan net.Addr, 1)
@@ -89,6 +94,16 @@ func TestTCPRuntimeEndToEnd(t *testing.T) {
 	}
 	if outcome.Monitor.Joins != workers {
 		t.Errorf("monitor saw %d joins, want %d", outcome.Monitor.Joins, workers)
+	}
+	if n := reg.Counter("fdml_net_connects_total", "").Value(); n != workers {
+		t.Errorf("router registered %v connections, want the %d workers' only", n, workers)
+	}
+	msgs := reg.CounterVec("fdml_net_messages_total", "", "dir")
+	frames := int(msgs.With("in").Value() + msgs.With("out").Value())
+	// Beyond a task out and a result back: one shutdown and one
+	// acknowledgement per worker.
+	if min, max := 2*res.TotalTasks, 2*res.TotalTasks+2*workers; frames < min || frames > max {
+		t.Errorf("router moved %d frames for %d tasks, want %d..%d", frames, res.TotalTasks, min, max)
 	}
 }
 
