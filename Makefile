@@ -49,11 +49,12 @@ race:
 difftest:
 	$(GO) test -count=1 -run TestDifferential ./internal/likelihood/difftest/
 
-# Fuzz smoke: ten seconds of native Go fuzzing of the frame parser that
-# reads what a TCP peer sends (the committed corpus alone already runs as
-# part of `test`). A finding lands in the package's testdata/fuzz/.
+# Fuzz smoke: ten seconds of native Go fuzzing split over every Fuzz*
+# target — the TCP frame parser and the task and result slice decoders,
+# which read what a peer sends (the committed corpora alone already run
+# as part of `test`). A finding lands in the package's testdata/fuzz/.
 fuzz-smoke:
-	$(GO) test -run XXX -fuzz FuzzReadFrame -fuzztime 10s ./internal/comm/
+	GO=$(GO) ./scripts/fuzz_smoke.sh 10
 
 # Kernel scaling benchmarks: the sharded pruning and Newton kernels at
 # 1/2/4 engine threads under GOMAXPROCS 1/2/4, with -benchmem asserting

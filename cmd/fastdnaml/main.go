@@ -44,7 +44,7 @@ func main() {
 		precision   = flag.String("precision", "float64", "CLV storage precision: float64 (exact, default) or float32 (half the memory traffic, documented tolerance)")
 		engine      = flag.String("engine", "", "likelihood backend: cached (default) or reference (direct recomputation, for cross-validation)")
 		smoothMode  = flag.String("smooth-mode", "", "full-tree branch smoothing: sweep (sequential Newton, default) or gradient (simultaneous, linear-time all-branches gradient)")
-		pipeline    = flag.Int("pipeline", 2, "tasks kept in flight per worker in parallel runs (1 = paper's one-task dispatch)")
+		pipeline    = flag.Int("pipeline", 2, "slices of a round's tasks kept in flight per worker in parallel runs (1 = a worker waits out a round trip between slices)")
 		monitor     = flag.Bool("monitor", false, "attach the monitor process (parallel runs)")
 		ratesPath   = flag.String("rates", "", "per-site rate file (dnarates output)")
 		weightsPath = flag.String("weights", "", "per-site weight file")
@@ -52,7 +52,7 @@ func main() {
 		progressOut = flag.String("progress-out", "", "append each adopted best tree to this file (for treeview)")
 		listen      = flag.String("listen", "", "run as distributed master listening on this address")
 		netWorkers  = flag.Int("net-workers", 0, "number of fdworker processes expected (with -listen)")
-		taskTimeout = flag.Duration("task-timeout", 60*time.Second, "distributed runs: re-dispatch a task whose worker has not answered within this (0 disables)")
+		taskTimeout = flag.Duration("task-timeout", 60*time.Second, "distributed runs: re-dispatch a slice of tasks whose worker has not answered it within this (0 disables)")
 		quiet       = flag.Bool("quiet", false, "suppress per-jumble output")
 		modelName   = flag.String("model", "F84", "substitution model: F84, JC69, K80, HKY85, GTR")
 		gtrRates    = flag.String("gtr-rates", "", "six GTR exchangeabilities ac,ag,at,cg,ct,gt")

@@ -19,7 +19,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "fig3", "experiment: treecount, fig3, fig4, falloff, extent, speculative, throughput, wallclock, calibrate, measured, flow, all")
+		exp     = flag.String("exp", "fig3", "experiment: treecount, fig3, fig4, falloff, extent, speculative, slices, throughput, wallclock, calibrate, measured, flow, all")
 		jumbles = flag.Int("jumbles", 10, "random orderings averaged per point (paper: 10)")
 		seed    = flag.Int64("seed", 2001, "seed for data sets and schedules")
 		procs   = flag.String("procs", "", "comma-separated processor counts (default: the paper's 1,4,8,16,32,64)")
@@ -89,6 +89,12 @@ func main() {
 			}
 			fmt.Println("Speculative evaluation study (the paper's planned §3.2 follow-up)")
 			fmt.Println(experiments.RenderFig4(pts))
+		case "slices":
+			pts, err := experiments.SliceComparison(*seed, *jumbles)
+			if err != nil {
+				return err
+			}
+			fmt.Println(experiments.RenderSlices(pts))
 		case "throughput":
 			pts, err := experiments.Throughput(experiments.ThroughputOptions{Seed: *seed, Extent: *extent})
 			if err != nil {
@@ -118,7 +124,7 @@ func main() {
 		case "flow":
 			return experiments.FlowDemo(os.Stdout, *seed)
 		case "all":
-			for _, n := range []string{"treecount", "flow", "measured", "fig3", "fig4", "extent", "speculative", "throughput", "falloff", "wallclock"} {
+			for _, n := range []string{"treecount", "flow", "measured", "fig3", "fig4", "extent", "speculative", "throughput", "falloff", "slices", "wallclock"} {
 				fmt.Printf("==== %s ====\n", n)
 				if err := run(n); err != nil {
 					return err

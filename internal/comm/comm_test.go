@@ -1,8 +1,12 @@
 package comm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -682,5 +686,77 @@ func TestConcurrentSendersStress(t *testing.T) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// TestHandshakeRefusesOtherProtocolVersion: the hello's magic is the
+// protocol version. A peer built before the slice frames (magic "FDML")
+// is answered with a refusal that says why and is hung up on — it is never
+// registered, so no frame it could not decode is ever sent to it — and a
+// dialer of this version that reaches such a peer's router, which hangs up
+// without a welcome, reports the version mismatch instead of a bare EOF.
+func TestHandshakeRefusesOtherProtocolVersion(t *testing.T) {
+	joined := make(chan int, 1)
+	world, err := NewElasticTCPRouter(RouterConfig{
+		Addr: "127.0.0.1:0", FirstDynamic: 2, NotifyRank: -1,
+		OnJoin: func(rank int) { joined <- rank },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world[0].Close()
+	addr := listenAddr(t, world[0])
+
+	// An old worker's hello, byte for byte.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := []byte{0, 0, 0, 8, 0xff, 0xff, 0xff, 0xff, 'F', 'D', 'M', 'L'}
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := io.ReadAll(conn) // until the router hangs up
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reply) < 8 || int32(binary.BigEndian.Uint32(reply[0:4])) != welcomeRefused {
+		t.Fatalf("old hello answered with %q, want a refusal", reply)
+	}
+	if reason := string(reply[8:]); int(binary.BigEndian.Uint32(reply[4:8])) != len(reason) ||
+		!strings.Contains(reason, "protocol mismatch") || strings.Contains(reason, "\n") {
+		t.Errorf("refusal reason %q, want one line naming the protocol mismatch", reason)
+	}
+	select {
+	case rank := <-joined:
+		t.Errorf("the refused peer joined as rank %d", rank)
+	default:
+	}
+
+	// A dialer of this version relays a refusal's reason, and says what
+	// is likely wrong when an old router hangs up without a welcome.
+	for _, c := range []struct{ answer, want string }{
+		{string(reply), "protocol mismatch"},
+		{"", "another version"},
+	} {
+		peer, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			conn, err := peer.Accept()
+			if err != nil {
+				return
+			}
+			io.ReadFull(conn, make([]byte, 12))
+			conn.Write([]byte(c.answer))
+			conn.Close()
+		}()
+		if _, _, err := JoinTCP(peer.Addr().String()); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("join answered with %q: %v, want an error naming %q", c.answer, err, c.want)
+		}
+		peer.Close()
 	}
 }

@@ -41,12 +41,23 @@ import (
 //	welcome := rank(i32) paylen(u32) payload
 //
 // The router acknowledges every hello with a welcome; for rank-claiming
-// dialers the payload is empty.
+// dialers the payload is empty. The magic doubles as the protocol
+// version: it changes whenever the layout of what travels in the frames
+// does, so that a peer built before the change is turned away here, with
+// a reason, instead of dying on its first undecodable frame. A hello with
+// a foreign magic is answered by a welcome of rank -2 whose payload is
+// that reason, and the connection is closed.
 
-const tcpMagic int32 = 0x46444d4c // "FDML"
+// tcpMagic is "FDM2": version 2, the task and result slice frames.
+// Version 1 ("FDML") carried one task and one result per frame.
+const tcpMagic int32 = 0x46444d32
 
 // helloJoin is the HELLO rank requesting dynamic rank assignment.
 const helloJoin int32 = -1
+
+// welcomeRefused is the WELCOME rank of a refused hello; the payload says
+// why.
+const welcomeRefused int32 = -2
 
 // maxFrameSize bounds a single message (64 MiB), protecting the router
 // from corrupt length prefixes.
@@ -209,8 +220,18 @@ func (r *tcpRouter) handshake(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	if binary.BigEndian.Uint32(hdr[0:4]) != 8 ||
-		int32(binary.BigEndian.Uint32(hdr[8:12])) != tcpMagic {
+	if binary.BigEndian.Uint32(hdr[0:4]) != 8 {
+		conn.Close()
+		return
+	}
+	if magic := binary.BigEndian.Uint32(hdr[8:12]); int32(magic) != tcpMagic {
+		reason := fmt.Sprintf("protocol mismatch: this router speaks %#x, the hello says %#x (peers must be built from the same version)", uint32(tcpMagic), magic)
+		var ack [8]byte
+		refused := welcomeRefused
+		binary.BigEndian.PutUint32(ack[0:4], uint32(refused))
+		binary.BigEndian.PutUint32(ack[4:8], uint32(len(reason)))
+		// Best effort: the peer is being turned away either way.
+		_, _ = conn.Write(append(ack[:], reason...))
 		conn.Close()
 		return
 	}
@@ -445,10 +466,21 @@ func dial(addr string, rank int32) (*tcpClient, []byte, error) {
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	if _, err := io.ReadFull(conn, ack[:]); err != nil {
 		conn.Close()
-		return nil, nil, fmt.Errorf("comm: handshake ack: %w", err)
+		// A router from before version 2 hangs up on a hello it does not
+		// recognize without a word.
+		return nil, nil, fmt.Errorf("comm: no welcome from %s (a router built from another version hangs up on this one's hello, %#x): %w", addr, uint32(tcpMagic), err)
 	}
 	got := int(int32(binary.BigEndian.Uint32(ack[0:4])))
 	paylen := binary.BigEndian.Uint32(ack[4:8])
+	if got == int(welcomeRefused) && paylen <= 1024 {
+		reason := make([]byte, paylen)
+		_, err := io.ReadFull(conn, reason)
+		conn.Close()
+		if err != nil {
+			return nil, nil, fmt.Errorf("comm: router at %s refused the connection: %w", addr, err)
+		}
+		return nil, nil, fmt.Errorf("comm: router at %s refused the connection: %s", addr, reason)
+	}
 	if rank != helloJoin && got != int(rank) {
 		conn.Close()
 		return nil, nil, fmt.Errorf("comm: router rejected rank %d", rank)

@@ -148,6 +148,8 @@ type ScalingPoint struct {
 	Speedup float64
 	// Efficiency is Speedup / Processors.
 	Efficiency float64
+	// IdleFraction averages the workers' idle share over the jumbles.
+	IdleFraction float64
 }
 
 // Scaling simulates the paper's scaling study: for each data set,
@@ -179,13 +181,14 @@ func Scaling(opt ScalingOptions) ([]ScalingPoint, error) {
 		for _, p := range opt.Procs {
 			cl := opt.Cluster
 			cl.Processors = p
-			var times []float64
+			var times, idle []float64
 			for _, log := range logs {
 				res, err := cl.Simulate(log)
 				if err != nil {
 					return nil, err
 				}
 				times = append(times, res.TotalSeconds)
+				idle = append(idle, res.IdleFraction)
 			}
 			mean := stats.Mean(times)
 			if p == 1 {
@@ -196,12 +199,13 @@ func Scaling(opt ScalingOptions) ([]ScalingPoint, error) {
 				sp = serialMean / mean
 			}
 			out = append(out, ScalingPoint{
-				Dataset:     shape.Name,
-				Processors:  p,
-				MeanSeconds: mean,
-				StdSeconds:  stats.StdDev(times),
-				Speedup:     sp,
-				Efficiency:  stats.Efficiency(sp, p),
+				Dataset:      shape.Name,
+				Processors:   p,
+				MeanSeconds:  mean,
+				StdSeconds:   stats.StdDev(times),
+				Speedup:      sp,
+				Efficiency:   stats.Efficiency(sp, p),
+				IdleFraction: stats.Mean(idle),
 			})
 		}
 	}
@@ -343,6 +347,102 @@ func SpeculativeComparison(seed int64, jumbles int) ([]ScalingPoint, error) {
 		all = append(all, pts...)
 	}
 	return all, nil
+}
+
+// TodayCostModel is the synthetic task cost model re-fitted against this
+// repository's engine as it stands (EXPERIMENTS.md "Calibration"):
+// cache-backed shared-base candidates are far cheaper than the paper's
+// full-tree evaluations, and relatively more uneven.
+func TodayCostModel() spsim.CostModel {
+	return spsim.CostModel{
+		QuickUnitsPerTaxonPattern:  261,
+		SmoothUnitsPerTaxonPattern: 642,
+		Sigma:                      0.58,
+		NewickBytesPerTaxon:        22,
+	}
+}
+
+// TodayCluster is this repository's runtime on the benchmark host, from
+// the traced tcp2w_wide32 runs in EXPERIMENTS.md: 0.46 ns per work unit,
+// a loopback frame about 45 µs each way, some 16 µs of a worker's time
+// per message outside the engine, 0.17 µs of master time per generated
+// byte, no monitor, no start-up to speak of.
+func TodayCluster() spsim.Cluster {
+	return spsim.Cluster{
+		UnitTime:           0.46e-9,
+		DispatchLatency:    45e-6,
+		ReturnLatency:      45e-6,
+		WorkerTaskOverhead: 16e-6,
+		MasterByteTime:     0.17e-6,
+		RoundBarrier:       50e-6,
+	}
+}
+
+// SliceProcs is the processor axis of the slice study: P = 4 is the two
+// workers of the local2w20 and tcp2w_wide32 benchmark workloads.
+var SliceProcs = []int{1, 4, 8, 16, 32, 64, 128, 256}
+
+// SliceComparison predicts what dispatching guided slices instead of
+// single candidates does to the §3.2 fall-off, with today's costs: the
+// two benchmark shapes at extent 1, and the paper's 150-taxon set at
+// extent 5, each dispatched per candidate and in slices.
+func SliceComparison(seed int64, jumbles int) ([]ScalingPoint, error) {
+	shapes := []struct {
+		DatasetShape
+		extent int
+	}{
+		{DatasetShape{Name: "20x300 e1", Taxa: 20, Patterns: 300}, 1},
+		{DatasetShape{Name: "32x100 e1", Taxa: 32, Patterns: 100}, 1},
+		{DatasetShape{Name: "150x1269 e5", Taxa: 150, Patterns: 1269}, 5},
+	}
+	var all []ScalingPoint
+	for _, shape := range shapes {
+		for _, sliced := range []bool{false, true} {
+			cl := TodayCluster()
+			cl.Slices = sliced
+			ds := shape.DatasetShape
+			ds.Name += " per-candidate"
+			if sliced {
+				ds.Name = shape.Name + " sliced"
+			}
+			pts, err := Scaling(ScalingOptions{
+				Shapes: []DatasetShape{ds}, Jumbles: jumbles, Procs: SliceProcs,
+				Extent: shape.extent, Seed: seed, Cluster: cl, Cost: TodayCostModel(),
+			})
+			if err != nil {
+				return nil, err
+			}
+			all = append(all, pts...)
+		}
+	}
+	return all, nil
+}
+
+// RenderSlices tabulates SliceComparison: per data set and dispatch mode,
+// efficiency / worker idle fraction at each processor count.
+func RenderSlices(points []ScalingPoint) string {
+	var b strings.Builder
+	b.WriteString("| dispatch, efficiency / idle |")
+	for _, p := range SliceProcs[1:] {
+		fmt.Fprintf(&b, " P=%d |", p)
+	}
+	b.WriteString("\n|---|" + strings.Repeat("---|", len(SliceProcs)-1) + "\n")
+	last := ""
+	for _, pt := range points {
+		if pt.Processors == 1 {
+			continue
+		}
+		if pt.Dataset != last {
+			if last != "" {
+				b.WriteString("\n")
+			}
+			fmt.Fprintf(&b, "| %s |", pt.Dataset)
+			last = pt.Dataset
+		}
+		fmt.Fprintf(&b, " %.2f / %.2f |", pt.Efficiency, pt.IdleFraction)
+	}
+	b.WriteString("\n")
+	return b.String()
 }
 
 // WallclockRow summarizes the §6 wall-clock claims.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -238,5 +239,34 @@ func TestThroughputPartitioning(t *testing.T) {
 	out := RenderThroughput(pts, 200, 64)
 	if !strings.Contains(out, "best throughput") {
 		t.Errorf("rendering incomplete:\n%s", out)
+	}
+}
+
+// TestSliceComparisonShape: with today's costs, slicing is predicted
+// never to cost efficiency, and to cut worker idle time at P = 4 on the
+// small-task shape (32 taxa x 100 patterns), where a message is a large
+// share of a task.
+func TestSliceComparisonShape(t *testing.T) {
+	pts, err := SliceComparison(7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := map[string]ScalingPoint{}
+	for _, p := range pts {
+		at[fmt.Sprintf("%s P=%d", p.Dataset, p.Processors)] = p
+	}
+	for _, ds := range []string{"20x300 e1", "32x100 e1", "150x1269 e5"} {
+		for _, p := range SliceProcs[1:] {
+			per, sliced := at[fmt.Sprintf("%s per-candidate P=%d", ds, p)], at[fmt.Sprintf("%s sliced P=%d", ds, p)]
+			if per.Efficiency == 0 || sliced.Efficiency < per.Efficiency-0.005 {
+				t.Errorf("%s P=%d: sliced efficiency %.3f, per-candidate %.3f", ds, p, sliced.Efficiency, per.Efficiency)
+			}
+		}
+	}
+	if per, sliced := at["32x100 e1 per-candidate P=4"], at["32x100 e1 sliced P=4"]; sliced.IdleFraction >= per.IdleFraction {
+		t.Errorf("32x100 P=4: sliced idle %.3f, per-candidate %.3f", sliced.IdleFraction, per.IdleFraction)
+	}
+	if out := RenderSlices(pts); strings.Count(out, "\n") != 8 || !strings.Contains(out, "P=256") {
+		t.Errorf("table:\n%s", out)
 	}
 }

@@ -1,41 +1,11 @@
 package mlsearch
 
 import (
-	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/likelihood"
 	"repro/internal/tree"
 )
-
-// TestFatalEvalError: sentinel-classified evaluation failures are fatal
-// even through layers of wrapping; transport-ish errors stay retryable.
-func TestFatalEvalError(t *testing.T) {
-	fatal := []error{
-		likelihood.ErrTreeMismatch,
-		likelihood.ErrTaxonOutsideData,
-		likelihood.ErrTaxonInTree,
-		likelihood.ErrEdgeNotFound,
-		fmt.Errorf("mlsearch: worker 3: %w",
-			fmt.Errorf("mlsearch: task 7: %w", likelihood.ErrEdgeNotFound)),
-	}
-	for _, err := range fatal {
-		if !FatalEvalError(err) {
-			t.Errorf("FatalEvalError(%v) = false, want true", err)
-		}
-	}
-	retryable := []error{
-		nil,
-		errors.New("connection reset by peer"),
-		fmt.Errorf("mlsearch: worker 2 receive: %w", errors.New("EOF")),
-	}
-	for _, err := range retryable {
-		if FatalEvalError(err) {
-			t.Errorf("FatalEvalError(%v) = true, want false", err)
-		}
-	}
-}
 
 // TestConfigEngineValidation: Normalize resolves the engine name through
 // the likelihood registry — empty maps to the default backend, unknown

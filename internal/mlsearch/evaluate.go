@@ -14,19 +14,23 @@ import (
 //
 // Shared-base tasks (BaseNewick set) are evaluated against a base tree
 // the evaluator parses once and keeps — along with the engine's CLV
-// cache — across every task of the batch. Candidate insertions never
+// cache — across every task of the round. Candidate insertions never
 // touch the base tree at all; rearrangement candidates are applied,
 // scored, and undone with every modified branch length restored, so the
 // cache stays warm from task to task. Because cached CLVs are
 // bit-identical to freshly computed ones, results do not depend on task
-// order or on which worker evaluates which task.
+// order or on which worker evaluates which task. A candidate's result is
+// its score and the branch lengths the optimizer moved, never a rendered
+// tree: applyCandidate rebuilds the one candidate a round adopts.
 type Evaluator struct {
 	eng  likelihood.Engine
 	taxa []string
 
 	// Shared-base state, keyed by the base Newick string.
-	baseKey   string
-	base      *tree.Tree
+	baseKey string
+	base    *tree.Tree
+	// baseEdges is base.Edges(), nil after a rearrangement's apply/undo
+	// replaced node objects until an insertion needs it again.
 	baseEdges []tree.Edge
 	// baseLens snapshots every base edge length (by endpoint IDs) so
 	// rearrangement evaluation can restore the exact pre-move state.
@@ -93,15 +97,16 @@ func (ev *Evaluator) Evaluate(t Task) (Result, error) {
 	statsBefore := likelihood.StatsOf(ev.eng)
 
 	var (
-		nwk string
-		lnL float64
-		err error
+		nwk  string
+		lens []EdgeLen
+		lnL  float64
+		err  error
 	)
 	switch {
 	case t.BaseNewick != "" && t.InsertEdge >= 0:
-		nwk, lnL, err = ev.evalInsert(t)
+		lens, lnL, err = ev.evalInsert(t)
 	case t.BaseNewick != "":
-		nwk, lnL, err = ev.evalMove(t)
+		lens, lnL, err = ev.evalMove(t)
 	default:
 		nwk, lnL, err = ev.evalFull(t)
 	}
@@ -113,6 +118,7 @@ func (ev *Evaluator) Evaluate(t Task) (Result, error) {
 		TaskID:      t.ID,
 		Round:       t.Round,
 		Newick:      nwk,
+		Lens:        lens,
 		LnL:         lnL,
 		Ops:         likelihood.OpsOf(ev.eng) - opsBefore,
 		CacheHits:   statsAfter.Hits - statsBefore.Hits,
@@ -173,18 +179,21 @@ func (ev *Evaluator) ensureBase(nwk string) error {
 // evalInsert scores inserting LocalTaxon at base edge InsertEdge using
 // the shared-base scorer: O(patterns) at the insertion edge, with the
 // base tree's directed partials computed once and shared by every
-// candidate of the round.
-func (ev *Evaluator) evalInsert(t Task) (string, float64, error) {
+// candidate of the round. It returns the three junction lengths.
+func (ev *Evaluator) evalInsert(t Task) ([]EdgeLen, float64, error) {
 	if err := ev.ensureBase(t.BaseNewick); err != nil {
-		return "", 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
+		return nil, 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
+	}
+	if ev.baseEdges == nil {
+		ev.baseEdges = ev.base.Edges()
 	}
 	if int(t.InsertEdge) >= len(ev.baseEdges) {
-		return "", 0, fmt.Errorf("mlsearch: task %d: insert edge %d of %d", t.ID, t.InsertEdge, len(ev.baseEdges))
+		return nil, 0, fmt.Errorf("mlsearch: task %d: insert edge %d of %d", t.ID, t.InsertEdge, len(ev.baseEdges))
 	}
 	if ev.scorer == nil || ev.scorerTaxon != t.LocalTaxon {
 		sc, err := ev.eng.NewInsertScorer(ev.base, int(t.LocalTaxon))
 		if err != nil {
-			return "", 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
+			return nil, 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
 		}
 		ev.scorer = sc
 		ev.scorerTaxon = t.LocalTaxon
@@ -192,35 +201,28 @@ func (ev *Evaluator) evalInsert(t Task) (string, float64, error) {
 	ed := ev.baseEdges[t.InsertEdge]
 	score, err := ev.scorer.Score(ed, int(t.Passes))
 	if err != nil {
-		return "", 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
+		return nil, 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
 	}
-	// Build the candidate tree for the result: clone the base, insert
-	// the leaf, and install the optimized junction lengths.
-	cand := ev.base.Clone()
-	ca, cb := cand.Nodes[ed.A.ID], cand.Nodes[ed.B.ID]
-	leaf, err := cand.InsertLeaf(int(t.LocalTaxon), tree.Edge{A: ca, B: cb})
-	if err != nil {
-		return "", 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
-	}
-	mid := leaf.Nbr[0]
-	tree.SetLen(ca, mid, score.LenA)
-	tree.SetLen(mid, cb, score.LenB)
-	tree.SetLen(mid, leaf, score.LenLeaf)
-	return cand.Newick(), score.LnL, nil
+	return []EdgeLen{
+		{A: int32(ed.A.ID), B: NodeJunction, Len: score.LenA},
+		{A: NodeJunction, B: int32(ed.B.ID), Len: score.LenB},
+		{A: NodeJunction, B: NodeNewLeaf, Len: score.LenLeaf},
+	}, score.LnL, nil
 }
 
 // evalMove scores one rearrangement: apply the SPR move to the shared
 // base, optimize the branches around the regraft junction and the prune
-// site, serialize, then undo the move and restore every branch length so
-// the next task starts from the identical base state.
-func (ev *Evaluator) evalMove(t Task) (string, float64, error) {
+// site, note the lengths that differ from the moved tree's starting
+// ones, then undo the move and restore every branch length so the next
+// task starts from the identical base state.
+func (ev *Evaluator) evalMove(t Task) ([]EdgeLen, float64, error) {
 	if err := ev.ensureBase(t.BaseNewick); err != nil {
-		return "", 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
+		return nil, 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
 	}
 	mv := tree.SPRMove{P: int(t.MoveP), S: int(t.MoveS), TA: int(t.MoveTA), TB: int(t.MoveTB)}
 	undo, err := ev.base.ApplySPR(mv)
 	if err != nil {
-		return "", 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
+		return nil, 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
 	}
 	opt := likelihood.OptOptions{
 		Passes:  int(t.Passes),
@@ -228,20 +230,49 @@ func (ev *Evaluator) evalMove(t Task) (string, float64, error) {
 		Radius:  2,
 	}
 	lnL, optErr := ev.eng.OptimizeBranches(ev.base, opt)
-	var nwk string
+	var lens []EdgeLen
 	if optErr == nil {
-		nwk = ev.base.Newick()
+		lens = ev.movedLens(mv, undo)
 	}
 	undo.Undo()
 	ev.restoreBaseLens()
 	// The undo cycle dissolves and recreates internal nodes (same IDs,
-	// new objects), so the cached edge list must be re-derived in case a
-	// later batch reuses this base (identical Newick string).
-	ev.baseEdges = ev.base.Edges()
+	// new objects), so the cached edge list is stale should a later round
+	// insert into this base (identical Newick string).
+	ev.baseEdges = nil
 	if optErr != nil {
-		return "", 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, optErr)
+		return nil, 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, optErr)
 	}
-	return nwk, lnL, nil
+	return lens, lnL, nil
+}
+
+// movedLens lists the branches of the moved, optimized base whose length
+// is not what ApplySPR alone gives them on a fresh copy of the base: the
+// branches the move created (the joined edge and the junction's three),
+// whatever their value, and every other branch that differs from the
+// base snapshot. Those others have the same endpoints in both trees; the
+// junction carries the dissolved node's ID.
+func (ev *Evaluator) movedLens(mv tree.SPRMove, undo *tree.SPRUndo) []EdgeLen {
+	lens := make([]EdgeLen, 0, 12)
+	add := func(a, b *tree.Node) {
+		lens = append(lens, EdgeLen{A: int32(a.ID), B: int32(b.ID), Len: a.LenTo(b)})
+	}
+	if j := undo.Joined; j.A.NbrIndex(j.B) >= 0 { // unless regrafted onto it
+		add(j.A, j.B)
+	}
+	for _, nb := range undo.Mid.Nbr {
+		add(undo.Mid, nb)
+	}
+	for _, s := range ev.baseLens {
+		if s.a == mv.P || s.b == mv.P {
+			continue // dissolved with the attachment
+		}
+		a, b := ev.base.Nodes[s.a], ev.base.Nodes[s.b]
+		if i := a.NbrIndex(b); i >= 0 && a.Len[i] != s.l { // the target edge is gone
+			add(a, b)
+		}
+	}
+	return lens
 }
 
 // restoreBaseLens resets every base edge to its snapshot length. SetLen

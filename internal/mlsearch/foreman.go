@@ -2,6 +2,7 @@ package mlsearch
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -25,6 +26,16 @@ import (
 // exactly its own task set — which is what keeps per-job results
 // bit-identical to a sequential run at any concurrency.
 //
+// What travels to a worker is a slice: a run of one job's queued
+// candidates that share a base tree, sent as one frame and answered by
+// one frame. Slices are cut by guided self-scheduling — a worker with
+// pipeline room takes max(1, ⌈queued in the job / (2 × live workers)⌉)
+// candidates off the head of the job's queue — so they start large, while
+// there is plenty left to even things out, and end as single candidates,
+// so the round's barrier waits for at most one. The books stay per
+// candidate: whatever part of a slice goes unanswered is requeued, and a
+// result is accepted from whichever worker returns it first.
+//
 // Membership is dynamic: besides the statically configured workers of a
 // local run, the transport may announce workers joining (TagJoin) or
 // leaving (TagLeave) at any time, including mid-round. New arrivals are
@@ -37,10 +48,13 @@ import (
 //
 // Degradation ladder: (1) all workers healthy — pure dispatch; (2) some
 // delinquent — timeout, requeue, reinstate on late reply; (3) a worker
-// disconnects — immediate requeue of its task, no timeout wait; (4) the
+// disconnects — immediate requeue of its slices, no timeout wait; (4) the
 // live worker set hits zero — the foreman evaluates queued tasks inline
-// (Options.Inline) so a run always completes, folding newly joined
-// workers back in the moment they arrive.
+// (Options.Inline), one candidate at a time, so a run always completes,
+// folding newly joined workers back in the moment they arrive. A
+// candidate whose evaluation fails is none of these: it would fail
+// anywhere, so its result carries the error, its job's round is closed
+// with that cause, and workers and other jobs carry on.
 
 // InlineWorker is the Result.Worker value recorded when the foreman
 // evaluated a task itself because no live workers remained.
@@ -54,8 +68,8 @@ const minForemanTick = time.Millisecond
 // ForemanOptions tune dispatch behaviour.
 type ForemanOptions struct {
 	// TaskTimeout is the paper's user-specified timeout parameter: a
-	// worker that fails to return an evaluated tree within it is removed
-	// from the list of available workers and its tree is re-dispatched.
+	// worker that fails to answer a slice within it is removed from the
+	// list of available workers and the slice is re-dispatched.
 	// Zero disables timeout-based fault tolerance: the foreman blocks in
 	// a plain Recv between results instead of polling for deadlines
 	// (disconnects still requeue a dead worker's task immediately).
@@ -72,14 +86,12 @@ type ForemanOptions struct {
 	// DrainTimeout bounds how long shutdown waits for workers to
 	// acknowledge before closing anyway. Default 1s.
 	DrainTimeout time.Duration
-	// Pipeline is the number of tasks kept in flight per worker (default
-	// 2). With 1 the foreman behaves exactly like the paper's dispatcher:
-	// one tree per worker, a worker idles for a network round trip between
-	// tasks. With 2+ the next task is already queued at the worker when it
-	// finishes the current one, hiding dispatch latency. Assignment is
-	// breadth-first — every ready worker gets its first task before any
-	// worker gets a second — so with tasks <= workers the schedule is
-	// identical to Pipeline 1.
+	// Pipeline is the number of slices kept in flight per worker (default
+	// 2). With 1 a worker idles for a network round trip between slices,
+	// as the paper's dispatcher has it between trees. With 2+ the next
+	// slice is already queued at the worker when it finishes the current
+	// one, hiding dispatch latency. Assignment is breadth-first — every
+	// ready worker gets its first slice before any worker gets a second.
 	Pipeline int
 	// Obs, when non-nil, receives dispatch-loop instrumentation (metrics,
 	// typed events, trace spans, the /status snapshot). Nil costs one nil
@@ -115,6 +127,9 @@ type jobState struct {
 	queue   []Task
 	byID    map[uint64]Task
 	results map[uint64]Result
+	// failed is set by a result carrying an evaluation error: the round
+	// is answered as it stands instead of being completed.
+	failed bool
 	// enq tracks when each task entered the work queue, for the
 	// queue-wait phase of its trace span. Only maintained when an
 	// observer is attached.
@@ -132,13 +147,12 @@ type foreman struct {
 	members map[int]bool
 	// ready lists alive workers with spare pipeline capacity (FIFO). A
 	// worker can be both ready and busy when it has fewer than Pipeline
-	// tasks in flight.
+	// slices in flight.
 	ready []int
-	// busy maps a worker rank to its in-flight assignments, oldest first.
-	// Workers with no assignments are absent (len(busy) counts busy
-	// workers).
+	// busy maps a worker rank to its in-flight slices, oldest first.
+	// Workers with none are absent (len(busy) counts busy workers).
 	busy map[int][]dispatchRecord
-	// inflight is the total dispatch count across all workers.
+	// inflight is the total in-flight slice count across all workers.
 	inflight int
 	// dead marks workers removed for missing a deadline (still
 	// connected, eligible for reinstatement).
@@ -152,10 +166,25 @@ type foreman struct {
 	rrPos int
 }
 
+// dispatchRecord is one slice in flight at a worker.
 type dispatchRecord struct {
-	task     Task
+	tasks    []Task
 	deadline time.Time
 	sent     time.Time
+}
+
+// requeue puts tasks back at the head of the job's queue, so re-dispatch
+// happens before fresh work.
+func (js *jobState) requeue(tasks []Task) {
+	js.queue = append(append([]Task(nil), tasks...), js.queue...)
+}
+
+// fail records a candidate's evaluation error as its result and stops
+// the round: nothing more of the job is dispatched, and flush answers it.
+func (js *jobState) fail(res Result) {
+	js.results[res.TaskID] = res
+	js.failed = true
+	js.queue = nil
 }
 
 // RunForeman executes the foreman role until a shutdown message arrives
@@ -180,9 +209,7 @@ func RunForeman(c comm.Communicator, lay Layout, opt ForemanOptions) error {
 	}
 
 	for {
-		if err := f.pump(); err != nil {
-			return err
-		}
+		f.pump()
 		if err := f.flush(); err != nil {
 			return err
 		}
@@ -300,16 +327,14 @@ func (f *foreman) startJob(batch roundBatch) error {
 // queued tasks to ready workers, and — the bottom rung of the
 // degradation ladder — evaluate inline when work is queued but no live
 // worker can take it.
-func (f *foreman) pump() error {
+func (f *foreman) pump() {
 	for {
 		f.assign()
 		if f.queuedTotal() > 0 && len(f.ready) == 0 && f.inflight == 0 && f.opt.Inline != nil {
-			if err := f.evalInline(); err != nil {
-				return err
-			}
+			f.evalInline()
 			continue
 		}
-		return nil
+		return
 	}
 }
 
@@ -318,7 +343,7 @@ func (f *foreman) pump() error {
 func (f *foreman) flush() error {
 	for i := 0; i < len(f.order); {
 		js := f.jobs[f.order[i]]
-		if len(js.results) < len(js.byID) {
+		if !js.failed && len(js.results) < len(js.byID) {
 			i++
 			continue
 		}
@@ -330,34 +355,25 @@ func (f *foreman) flush() error {
 	return nil
 }
 
-// finishJob builds and sends a completed job's round reply: stats sorted
-// by task ID, best by (LnL, task ID), non-KeepTree Newicks stripped.
+// finishJob sends a job's round reply — every result, sorted by task ID
+// (for a failed round: what had arrived, the failure among them) — and
+// closes the round.
 func (f *foreman) finishJob(js *jobState) error {
-	var stats []Result
+	results := make([]Result, 0, len(js.results))
+	best := math.Inf(-1)
 	for _, r := range js.results {
-		stats = append(stats, r)
-	}
-	sort.Slice(stats, func(i, j int) bool { return stats[i].TaskID < stats[j].TaskID })
-	var best Result
-	if len(stats) > 0 {
-		best = bestOf(stats)
-	}
-	stripped := make([]Result, len(stats))
-	for i, r := range stats {
-		if !js.byID[r.TaskID].KeepTree {
-			r.Newick = ""
+		results = append(results, r)
+		if r.Err == "" && r.LnL > best {
+			best = r.LnL
 		}
-		stripped[i] = r
 	}
+	sort.Slice(results, func(i, j int) bool { return results[i].TaskID < results[j].TaskID })
 	f.removeJob(js.id)
-	f.event(monRoundDone, 0, js.id, js.round, fmt.Sprintf("best=%.4f", best.LnL))
-	f.opt.Obs.RoundDone(js.id, js.round, len(f.members), best.LnL)
+	f.event(monRoundDone, 0, js.id, js.round, fmt.Sprintf("best=%.4f", best))
+	f.opt.Obs.RoundDone(js.id, js.round, len(f.members), best)
 	f.depths()
-	reply := roundReply{Round: js.round, Best: best, Stats: stripped, Job: js.id}
-	if err := f.c.Send(f.lay.Master, comm.TagControl, marshalRoundReply(reply)); err != nil {
-		return err
-	}
-	return nil
+	reply := roundReply{Round: js.round, Job: js.id, Results: results}
+	return f.c.Send(f.lay.Master, comm.TagControl, marshalRoundReply(reply))
 }
 
 // removeJob drops a job from the map and the round-robin ring.
@@ -385,25 +401,40 @@ func (f *foreman) queuedTotal() int {
 	return n
 }
 
-// nextTask draws the next dispatchable task fairly: round-robin across
-// jobs starting at the ring position, FIFO within a job. Tasks whose
-// requeued copy already finished elsewhere are discarded on the way.
-func (f *foreman) nextTask() (*jobState, Task, bool) {
+// nextSlice cuts the next slice to dispatch: round-robin across jobs
+// starting at the ring position, then from the head of that job's queue
+// the guided share of what it holds — max(1, ⌈queued / (2 × live)⌉)
+// candidates, fewer where the run of candidates sharing the head's base
+// ends. With live == 0 (the inline fallback) it is one candidate. Tasks
+// whose requeued copy already finished elsewhere are discarded on the
+// way. The slice aliases the queue's backing array, which is never
+// written again (requeue builds a new one).
+func (f *foreman) nextSlice(live int) (*jobState, []Task) {
 	n := len(f.order)
 	for i := 0; i < n; i++ {
 		idx := (f.rrPos + i) % n
 		js := f.jobs[f.order[idx]]
-		for len(js.queue) > 0 {
-			t := js.queue[0]
+		done := func(t Task) bool { _, ok := js.results[t.ID]; return ok }
+		for len(js.queue) > 0 && done(js.queue[0]) {
 			js.queue = js.queue[1:]
-			if _, done := js.results[t.ID]; done {
-				continue
-			}
-			f.rrPos = (idx + 1) % n
-			return js, t, true
 		}
+		q := js.queue
+		if len(q) == 0 {
+			continue
+		}
+		want := 1
+		if live > 0 {
+			want = (len(q) + 2*live - 1) / (2 * live)
+		}
+		k := 1
+		for k < want && q[0].sliceWith(q[k]) && !done(q[k]) {
+			k++
+		}
+		js.queue = q[k:]
+		f.rrPos = (idx + 1) % n
+		return js, q[:k:k]
 	}
-	return nil, Task{}, false
+	return nil, nil
 }
 
 // depths reports the scheduler's queue sizes to the observer.
@@ -424,57 +455,72 @@ func (f *foreman) dropReady(w int) {
 	}
 }
 
-// dropBusy removes all of a worker's in-flight records and requeues the
-// not-yet-completed tasks at the front of their own job's queue (oldest
-// first), so re-dispatch happens before fresh work.
+// dropBusy removes all of a worker's in-flight slices and requeues their
+// not-yet-answered candidates at the front of their own job's queue
+// (oldest first), so re-dispatch happens before fresh work.
 func (f *foreman) dropBusy(w int) (requeued int) {
-	recs, ok := f.busy[w]
-	if !ok {
-		return 0
-	}
+	recs := f.busy[w]
 	delete(f.busy, w)
 	f.inflight -= len(recs)
-	undone := map[uint64][]Task{}
-	var touched []uint64
-	for _, rec := range recs {
-		js := f.jobs[rec.task.Job]
-		if js == nil {
-			continue // the job's round was already answered
-		}
-		if _, done := js.results[rec.task.ID]; done {
-			continue
-		}
-		if len(undone[rec.task.Job]) == 0 {
-			touched = append(touched, rec.task.Job)
-		}
-		undone[rec.task.Job] = append(undone[rec.task.Job], rec.task)
-		requeued++
-	}
-	for _, j := range touched {
-		js := f.jobs[j]
-		js.queue = append(append([]Task(nil), undone[j]...), js.queue...)
+	for i := len(recs) - 1; i >= 0; i-- {
+		requeued += f.requeueUnanswered(recs[i].tasks)
 	}
 	return requeued
+}
+
+// openRound returns the job's open round if the task with this ID and
+// round belongs to it, nil when that round has been answered: a slice can
+// outlive its round (one that failed is answered with slices still out),
+// and its job may have opened the next.
+func (f *foreman) openRound(job, id, round uint64) *jobState {
+	js := f.jobs[job]
+	if js == nil || js.failed {
+		return nil
+	}
+	if own, known := js.byID[id]; !known || own.Round != round {
+		return nil
+	}
+	return js
+}
+
+// requeueUnanswered requeues the candidates of a slice that have no
+// result yet, unless their round was already answered.
+func (f *foreman) requeueUnanswered(tasks []Task) int {
+	js := f.openRound(tasks[0].Job, tasks[0].ID, tasks[0].Round)
+	if js == nil {
+		return 0
+	}
+	var undone []Task
+	for _, t := range tasks {
+		if _, done := js.results[t.ID]; !done {
+			undone = append(undone, t)
+		}
+	}
+	js.requeue(undone)
+	return len(undone)
 }
 
 // evalInline evaluates the next queued task in the foreman itself — the
 // bottom rung of the degradation ladder, keeping the run alive with an
 // empty worker set.
-func (f *foreman) evalInline() error {
-	js, t, ok := f.nextTask()
-	if !ok {
-		return nil
+func (f *foreman) evalInline() {
+	js, slice := f.nextSlice(0)
+	if js == nil {
+		return
 	}
+	t := slice[0]
 	res, err := f.opt.Inline.Evaluate(t)
 	if err != nil {
-		return fmt.Errorf("mlsearch: foreman inline: %w", err)
+		res = failedResult(t, err)
+		res.Worker = InlineWorker
+		js.fail(res)
+		return
 	}
 	res.Worker = InlineWorker
 	js.results[t.ID] = res
 	f.event(monInline, int(InlineWorker), t.Job, t.Round, fmt.Sprintf("task=%d lnl=%.4f", t.ID, res.LnL))
 	f.opt.Obs.Inline(t.Job, t.Round, t.ID, res.LnL)
 	f.depths()
-	return nil
 }
 
 // handleJoin folds a newly announced worker into the membership and the
@@ -487,9 +533,10 @@ func (f *foreman) handleJoin(w int) {
 	f.depths()
 }
 
-// handleLeave removes a departed worker permanently. Its in-flight
-// tasks are requeued at the front, reusing the expire/requeue
-// machinery's ordering so re-dispatch happens before fresh work.
+// handleLeave removes a departed worker permanently. What is unanswered
+// of its in-flight slices is requeued at the front, reusing the
+// expire/requeue machinery's ordering so re-dispatch happens before
+// fresh work.
 func (f *foreman) handleLeave(w int) {
 	delete(f.members, w)
 	delete(f.dead, w)
@@ -519,37 +566,38 @@ func (f *foreman) pushReady(w int) {
 	f.ready = append(f.ready, w)
 }
 
-// assign hands queued tasks to ready workers, keeping up to Pipeline
-// tasks in flight per worker. A worker with spare capacity re-enters at
-// the back of the ready queue, so assignment is breadth-first: every
-// ready worker receives its first task before any worker receives a
-// second.
+// assign hands slices of the queued tasks to ready workers, keeping up
+// to Pipeline slices in flight per worker. A worker with spare capacity
+// re-enters at the back of the ready queue, so assignment is
+// breadth-first: every ready worker receives its first slice before any
+// worker receives a second.
 func (f *foreman) assign() {
 	for len(f.ready) > 0 {
-		js, t, ok := f.nextTask()
-		if !ok {
+		js, slice := f.nextSlice(len(f.members) - len(f.dead))
+		if js == nil {
 			break
 		}
 		w := f.ready[0]
 		f.ready = f.ready[1:]
 		now := time.Now()
-		rec := dispatchRecord{task: t, sent: now}
+		rec := dispatchRecord{tasks: slice, sent: now}
 		if f.opt.TaskTimeout > 0 {
 			rec.deadline = now.Add(f.opt.TaskTimeout)
 		}
-		buf := MarshalTask(t)
+		head := slice[0]
+		buf := marshalTasks(slice)
 		err := f.c.Send(w, comm.TagTask, buf)
 		comm.PutBuf(buf)
 		if err != nil {
 			// An unroutable worker has disconnected: drop it from the
-			// membership, requeue this task and anything else in flight
+			// membership, requeue this slice and anything else in flight
 			// to it immediately.
-			js.queue = append([]Task{t}, js.queue...)
+			js.requeue(slice)
 			delete(f.members, w)
 			delete(f.dead, w)
 			f.dropBusy(w)
-			f.event(monWorkerDead, w, t.Job, t.Round, "send failed")
-			f.opt.Obs.TimedOut(w, t.Job, t.Round, t.ID)
+			f.event(monWorkerDead, w, head.Job, head.Round, "send failed")
+			f.opt.Obs.TimedOut(w, head.Job, head.Round, head.ID)
 			continue
 		}
 		f.busy[w] = append(f.busy[w], rec)
@@ -557,55 +605,88 @@ func (f *foreman) assign() {
 		if len(f.busy[w]) < f.opt.Pipeline {
 			f.ready = append(f.ready, w)
 		}
-		f.event(monDispatch, w, t.Job, t.Round, fmt.Sprintf("task=%d", t.ID))
-		if f.opt.Obs != nil {
-			f.opt.Obs.Dispatched(w, t.Job, t.Round, t.ID, now.Sub(js.enq[t.ID]))
+		for _, t := range slice {
+			f.event(monDispatch, w, t.Job, t.Round, fmt.Sprintf("task=%d", t.ID))
+			if f.opt.Obs != nil {
+				f.opt.Obs.Dispatched(w, t.Job, t.Round, t.ID, now.Sub(js.enq[t.ID]))
+			}
 		}
 	}
 	f.depths()
 }
 
-// handleResult processes a worker's TagResult message.
+// handleResult processes a worker's TagResult message: its reply to one
+// slice, holding a result for every candidate it did not drop.
 func (f *foreman) handleResult(msg comm.Message) error {
-	res, err := UnmarshalResult(msg.Data)
+	results, err := unmarshalResults(msg.Data)
 	if err != nil {
 		return err
 	}
 	comm.PutBuf(msg.Data) // decoded (strings copied); recycle the frame
 	w := msg.From
-	res.Worker = int32(w)
+	first := results[0]
 
 	if f.dead[w] {
 		// Paper §2.2: "If at some later time a response is received from
 		// the delinquent worker, then that worker is added back into the
 		// list of workers available to analyze trees."
-		f.event(monWorkerRevived, w, res.Job, res.Round, "")
-		f.opt.Obs.Reinstated(w, res.Round)
+		f.event(monWorkerRevived, w, first.Job, first.Round, "")
+		f.opt.Obs.Reinstated(w, first.Round)
 	}
 	// A reply proves liveness even if the transport never announced the
 	// sender (e.g. a membership race): make sure it is a member.
 	f.members[w] = true
-	var rtt time.Duration
+
+	// The slice this answers is the worker's in-flight record holding the
+	// first result's task. Its round trip beyond the evaluations is shared
+	// equally among the results, so that RTT − Eval summed over a round's
+	// tasks is still the reply time not spent evaluating.
+	var answered []Task
+	var overhead time.Duration
 	for i, rec := range f.busy[w] {
-		if rec.task.ID == res.TaskID && rec.task.Job == res.Job {
-			rtt = time.Since(rec.sent)
-			recs := append(f.busy[w][:i], f.busy[w][i+1:]...)
-			if len(recs) == 0 {
-				delete(f.busy, w)
-			} else {
-				f.busy[w] = recs
-			}
-			f.inflight--
-			break
+		if head := rec.tasks[0]; head.Job != first.Job || head.Round != first.Round || !holdsTask(rec.tasks, first.TaskID) {
+			continue
 		}
+		answered = rec.tasks
+		overhead = time.Since(rec.sent)
+		for _, res := range results {
+			overhead -= res.Eval
+		}
+		overhead /= time.Duration(len(results))
+		if recs := append(f.busy[w][:i], f.busy[w][i+1:]...); len(recs) > 0 {
+			f.busy[w] = recs
+		} else {
+			delete(f.busy, w)
+		}
+		f.inflight--
+		break
 	}
-	if js := f.jobs[res.Job]; js != nil {
-		if _, known := js.byID[res.TaskID]; known {
-			if _, dup := js.results[res.TaskID]; !dup {
-				js.results[res.TaskID] = res
-				f.event(monResult, w, res.Job, res.Round, fmt.Sprintf("task=%d lnl=%.4f", res.TaskID, res.LnL))
-				f.opt.Obs.Completed(w, res, rtt)
+	if js := f.openRound(first.Job, first.TaskID, first.Round); js != nil {
+		for _, res := range results {
+			if _, known := js.byID[res.TaskID]; !known {
+				continue
 			}
+			if _, dup := js.results[res.TaskID]; dup {
+				continue
+			}
+			res.Worker = int32(w)
+			if res.Err != "" {
+				js.fail(res)
+				break
+			}
+			js.results[res.TaskID] = res
+			f.event(monResult, w, res.Job, res.Round, fmt.Sprintf("task=%d lnl=%.4f", res.TaskID, res.LnL))
+			var rtt time.Duration
+			if answered != nil {
+				rtt = res.Eval + overhead
+			}
+			f.opt.Obs.Completed(w, res, rtt)
+		}
+		// The worker is done with the slice: a candidate it did not
+		// answer (a dropped reply) goes back without waiting for the
+		// timeout.
+		if answered != nil {
+			f.requeueUnanswered(answered)
 		}
 	}
 	f.pushReady(w)
@@ -613,10 +694,20 @@ func (f *foreman) handleResult(msg comm.Message) error {
 	return nil
 }
 
-// expire removes workers whose deadline passed, requeueing their tasks
-// (paper §2.2: "that particular worker is removed from the list of
-// available workers, and the tree that had been dispatched to that worker
-// is sent to a different worker").
+// holdsTask reports whether a slice contains the task with this ID.
+func holdsTask(tasks []Task, id uint64) bool {
+	for _, t := range tasks {
+		if t.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// expire removes workers with a slice past its deadline, requeueing
+// their slices (paper §2.2: "that particular worker is removed from the
+// list of available workers, and the tree that had been dispatched to
+// that worker is sent to a different worker").
 func (f *foreman) expire() {
 	if f.opt.TaskTimeout <= 0 {
 		return
@@ -634,13 +725,14 @@ func (f *foreman) expire() {
 		if !hit {
 			continue
 		}
-		// One overdue task condemns the worker: everything else queued
+		// One overdue slice condemns the worker: everything else queued
 		// behind it on that worker would stall too, so requeue the lot.
 		f.dead[w] = true
 		f.dropReady(w)
 		f.dropBusy(w)
-		f.event(monWorkerDead, w, expired.task.Job, expired.task.Round, fmt.Sprintf("task=%d timed out", expired.task.ID))
-		f.opt.Obs.TimedOut(w, expired.task.Job, expired.task.Round, expired.task.ID)
+		head := expired.tasks[0]
+		f.event(monWorkerDead, w, head.Job, head.Round, fmt.Sprintf("task=%d timed out", head.ID))
+		f.opt.Obs.TimedOut(w, head.Job, head.Round, head.ID)
 		f.depths()
 	}
 }

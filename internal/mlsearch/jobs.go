@@ -193,7 +193,8 @@ type JobDispatcher struct {
 func (d *JobDispatcher) Job() uint64 { return d.job }
 
 // Dispatch implements Dispatcher: one batch to the foreman, one reply
-// back, with the best task's tree re-attached to its stats entry.
+// back. A candidate whose evaluation failed fails the round with its
+// cause; the lane, the foreman and the workers remain usable.
 func (d *JobDispatcher) Dispatch(tasks []Task) ([]Result, error) {
 	d.round++
 	for i := range tasks {
@@ -206,12 +207,10 @@ func (d *JobDispatcher) Dispatch(tasks []Task) ([]Result, error) {
 	if reply.Round != d.round {
 		return nil, fmt.Errorf("mlsearch: job %d reply for round %d, expected %d", d.job, reply.Round, d.round)
 	}
-	out := make([]Result, len(reply.Stats))
-	for i, r := range reply.Stats {
-		if r.TaskID == reply.Best.TaskID && r.Newick == "" {
-			r.Newick = reply.Best.Newick
+	for _, r := range reply.Results {
+		if r.Err != "" {
+			return nil, fmt.Errorf("mlsearch: job %d: evaluating task %d on worker %d: %s", d.job, r.TaskID, r.Worker, r.Err)
 		}
-		out[i] = r
 	}
-	return out, nil
+	return reply.Results, nil
 }

@@ -2,13 +2,15 @@ package mlsearch
 
 import (
 	"fmt"
+
+	"repro/internal/comm"
 )
 
 // Control protocol between master, foreman, and monitor. The master sends
 // a round's full task list to the foreman in one batch (the paper notes
 // both fastDNAml and Ceron's code improve efficiency "by calculating in
 // advance the list of trees to be dispatched to workers", §3.2); the
-// foreman answers with every task's statistics plus the best tree.
+// foreman answers with every task's result.
 
 // Layout assigns roles to ranks. The paper's parallel program has three
 // core processes — master, foreman, and the optional monitor — plus a
@@ -115,133 +117,99 @@ const (
 	ctlRoundReply
 )
 
-// Extension tag shared by both control envelopes: the job id, appended
-// after the fixed v1 layout so legacy decoders (which stopped at the
-// task/stat list) would still parse the frame.
-const extCtlJob byte = 1
-
 // roundBatch is the master -> foreman message starting a round.
 type roundBatch struct {
+	// Round numbers the batch within its job's lane; the reply echoes it.
 	Round uint64
-	Tasks []Task
 	// Job identifies the submitting search; several searches may have
-	// batches open at the foreman at once. Zero is the legacy single-job
-	// protocol.
-	Job uint64
+	// batches open at the foreman at once.
+	Job   uint64
+	Tasks []Task
 }
 
-// roundReply is the foreman -> master answer: per-task statistics
-// (Newick stripped to save bandwidth) and the best task's full result.
+// roundReply is the foreman -> master answer: every task's result, or
+// what had arrived when one of them failed (that one included).
 type roundReply struct {
 	Round uint64
-	Best  Result
-	Stats []Result
 	// Job echoes roundBatch.Job so the master-side mux can route the
 	// reply to the search that is waiting on it.
-	Job uint64
+	Job     uint64
+	Results []Result
 }
 
+// Both control envelopes are kind, round, job, the element count and
+// then the same slice encodings the workers see, as length-prefixed runs:
+// a search's round is a single run, so its base tree crosses once.
+
 func marshalRoundBatch(b roundBatch) []byte {
-	var w wireWriter
-	w.buf = append(w.buf, ctlRoundBatch)
-	w.u64(b.Round)
-	w.i32(int32(len(b.Tasks)))
-	for _, t := range b.Tasks {
-		inner := MarshalTask(t)
-		w.i32(int32(len(inner)))
-		w.buf = append(w.buf, inner...)
-	}
-	w.extU64(extCtlJob, b.Job)
-	return w.buf
+	return marshalRuns(ctlRoundBatch, b.Round, b.Job, b.Tasks, Task.sliceWith, marshalTasks)
 }
 
 func unmarshalRoundBatch(data []byte) (roundBatch, error) {
-	if len(data) == 0 || data[0] != ctlRoundBatch {
-		return roundBatch{}, fmt.Errorf("mlsearch: not a round batch")
-	}
-	r := wireReader{buf: data[1:]}
-	out := roundBatch{Round: r.u64("round")}
-	n := r.i32("task count")
-	for i := int32(0); i < n && r.err == nil; i++ {
-		ln := r.i32("task length")
-		if r.err != nil {
-			break
-		}
-		if ln < 0 || r.off+int(ln) > len(r.buf) {
-			r.fail("task body")
-			break
-		}
-		t, err := UnmarshalTask(r.buf[r.off : r.off+int(ln)])
-		if err != nil {
-			return roundBatch{}, err
-		}
-		r.off += int(ln)
-		out.Tasks = append(out.Tasks, t)
-	}
-	err := r.extFields("round batch extension", func(tag byte, payload []byte) {
-		if tag == extCtlJob {
-			out.Job = extU64Val(payload)
-		}
-	})
+	var out roundBatch
+	var err error
+	out.Round, out.Job, out.Tasks, err = unmarshalRuns(data, ctlRoundBatch, "round batch", unmarshalTasks)
 	return out, err
 }
 
 func marshalRoundReply(rr roundReply) []byte {
-	var w wireWriter
-	w.buf = append(w.buf, ctlRoundReply)
-	w.u64(rr.Round)
-	best := MarshalResult(rr.Best)
-	w.i32(int32(len(best)))
-	w.buf = append(w.buf, best...)
-	w.i32(int32(len(rr.Stats)))
-	for _, res := range rr.Stats {
-		inner := MarshalResult(res)
-		w.i32(int32(len(inner)))
-		w.buf = append(w.buf, inner...)
-	}
-	w.extU64(extCtlJob, rr.Job)
-	return w.buf
+	sameHeader := func(a, b Result) bool { return a.Round == b.Round && a.Trace.TraceID == b.Trace.TraceID }
+	return marshalRuns(ctlRoundReply, rr.Round, rr.Job, rr.Results, sameHeader, marshalResults)
 }
 
 func unmarshalRoundReply(data []byte) (roundReply, error) {
-	if len(data) == 0 || data[0] != ctlRoundReply {
-		return roundReply{}, fmt.Errorf("mlsearch: not a round reply")
+	var out roundReply
+	var err error
+	out.Round, out.Job, out.Results, err = unmarshalRuns(data, ctlRoundReply, "round reply", unmarshalResults)
+	return out, err
+}
+
+// marshalRuns writes a control envelope whose items travel as runs: each
+// a maximal stretch of neighbours that together lets share one slice
+// encoding. The runs' pooled buffers are recycled.
+func marshalRuns[T any](kind byte, round, job uint64, items []T, together func(a, b T) bool, encode func([]T) []byte) []byte {
+	w := wireWriter{buf: []byte{kind}}
+	w.u64(round)
+	w.u64(job)
+	w.i32(int32(len(items)))
+	for len(items) > 0 {
+		n := 1
+		for n < len(items) && together(items[0], items[n]) {
+			n++
+		}
+		run := encode(items[:n])
+		w.i32(int32(len(run)))
+		w.buf = append(w.buf, run...)
+		comm.PutBuf(run)
+		items = items[n:]
+	}
+	return w.buf
+}
+
+// unmarshalRuns reads what marshalRuns wrote.
+func unmarshalRuns[T any](data []byte, kind byte, what string, decode func([]byte) ([]T, error)) (round, job uint64, items []T, err error) {
+	if len(data) == 0 || data[0] != kind {
+		return 0, 0, nil, fmt.Errorf("mlsearch: not a %s", what)
 	}
 	r := wireReader{buf: data[1:]}
-	out := roundReply{Round: r.u64("round")}
-	bl := r.i32("best length")
-	if r.err == nil && (bl < 0 || r.off+int(bl) > len(r.buf)) {
-		r.fail("best body")
-	}
-	if r.err == nil {
-		best, err := UnmarshalResult(r.buf[r.off : r.off+int(bl)])
-		if err != nil {
-			return roundReply{}, err
-		}
-		out.Best = best
-		r.off += int(bl)
-	}
-	n := r.i32("stat count")
-	for i := int32(0); i < n && r.err == nil; i++ {
-		ln := r.i32("stat length")
+	round, job = r.u64("round"), r.u64("job")
+	n := r.i32("count")
+	for r.err == nil && r.off < len(r.buf) {
+		run := r.bytes("run")
 		if r.err != nil {
 			break
 		}
-		if ln < 0 || r.off+int(ln) > len(r.buf) {
-			r.fail("stat body")
-			break
-		}
-		res, err := UnmarshalResult(r.buf[r.off : r.off+int(ln)])
+		part, err := decode(run)
 		if err != nil {
-			return roundReply{}, err
+			return 0, 0, nil, err
 		}
-		r.off += int(ln)
-		out.Stats = append(out.Stats, res)
+		items = append(items, part...)
 	}
-	err := r.extFields("round reply extension", func(tag byte, payload []byte) {
-		if tag == extCtlJob {
-			out.Job = extU64Val(payload)
-		}
-	})
-	return out, err
+	if r.err != nil {
+		return 0, 0, nil, r.err
+	}
+	if len(items) != int(n) {
+		return 0, 0, nil, fmt.Errorf("mlsearch: %s of %d holds %d", what, n, len(items))
+	}
+	return round, job, items, nil
 }

@@ -367,6 +367,59 @@ func bestOf(results []Result) Result {
 	return best
 }
 
+// applyCandidate turns base — a parse of the round's base Newick, whose
+// node IDs are therefore the evaluators' — into the candidate tree that
+// task t and its result r describe: the task's insertion or SPR move,
+// then every branch length the evaluation reported. The evaluator would
+// have rendered exactly this tree, to the last digit: it made the same
+// edit on its own parse of the same string, and r.Lens covers every
+// branch it left different from what the edit alone produces.
+func applyCandidate(base *tree.Tree, t Task, r Result) error {
+	var junction, leaf *tree.Node
+	if t.InsertEdge >= 0 {
+		edges := base.InsertionEdges()
+		if int(t.InsertEdge) >= len(edges) {
+			return fmt.Errorf("mlsearch: task %d: insert edge %d of %d", t.ID, t.InsertEdge, len(edges))
+		}
+		var err error
+		if leaf, err = base.InsertLeaf(int(t.LocalTaxon), edges[t.InsertEdge]); err != nil {
+			return fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
+		}
+		junction = leaf.Nbr[0]
+	} else if _, err := base.ApplySPR(tree.SPRMove{P: int(t.MoveP), S: int(t.MoveS), TA: int(t.MoveTA), TB: int(t.MoveTB)}); err != nil {
+		return fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
+	}
+	node := func(id int32) *tree.Node {
+		switch {
+		case id == NodeJunction:
+			return junction
+		case id == NodeNewLeaf:
+			return leaf
+		case id >= 0 && int(id) < len(base.Nodes):
+			return base.Nodes[id]
+		}
+		return nil
+	}
+	for _, l := range r.Lens {
+		a, b := node(l.A), node(l.B)
+		if a == nil || b == nil || a.NbrIndex(b) < 0 {
+			return fmt.Errorf("mlsearch: task %d: result sets the length of %d-%d, not a branch of the candidate", t.ID, l.A, l.B)
+		}
+		tree.SetLen(a, b, l.Len)
+	}
+	return nil
+}
+
+// adopt rebuilds the round's best candidate on base (see applyCandidate).
+// tasks are the round's, in the ID order newTask gave them.
+func adopt(base *tree.Tree, tasks []Task, best Result) error {
+	i := best.TaskID - tasks[0].ID
+	if i >= uint64(len(tasks)) {
+		return fmt.Errorf("mlsearch: best result names task %d, not one of the round's", best.TaskID)
+	}
+	return applyCandidate(base, tasks[i], best)
+}
+
 // smoothRound dispatches one full-smoothing task for tr and parses the
 // optimized tree back.
 func (s *Search) smoothRound(kind RoundKind, tr *tree.Tree, taxaInTree int) (*tree.Tree, float64, error) {
@@ -391,8 +444,9 @@ func (s *Search) smoothRound(kind RoundKind, tr *tree.Tree, taxaInTree int) (*tr
 
 // addTaxon performs step 3: dispatch one shared-base task per insertion
 // edge, adopt the best, then fully smooth it. The master serializes the
-// base tree once; each task carries only an edge index, and the workers
-// score every candidate against their cached copy of the same base.
+// base tree once; each task carries only an edge index, the workers
+// score every candidate against their cached copy of the same base, and
+// only the winner is built — here, from its three junction lengths.
 func (s *Search) addTaxon(tr *tree.Tree, taxon, taxaAfter int) (*tree.Tree, float64, error) {
 	s.nextRound++
 	nwk := tr.Newick()
@@ -416,13 +470,11 @@ func (s *Search) addTaxon(tr *tree.Tree, taxon, taxaAfter int) (*tree.Tree, floa
 	if err != nil {
 		return nil, 0, err
 	}
-	best := bestOf(results)
-	bestTree, err := tree.ParseNewick(best.Newick, s.cfg.Taxa)
-	if err != nil {
+	if err := adopt(base, tasks, bestOf(results)); err != nil {
 		return nil, 0, err
 	}
 	// The rapid insertion estimate is refined by full smoothing (§2.1).
-	return s.smoothRound(RoundSmooth, bestTree, taxaAfter)
+	return s.smoothRound(RoundSmooth, base, taxaAfter)
 }
 
 // rearrangeToConvergence performs steps 4/5: dispatch every distinct
@@ -471,11 +523,10 @@ func (s *Search) rearrangeToConvergence(kind RoundKind, tr *tree.Tree, lnL float
 			return tr, lnL, improved, nil
 		}
 		improved++
-		bestTree, err := tree.ParseNewick(best.Newick, s.cfg.Taxa)
-		if err != nil {
+		if err := adopt(base, tasks, best); err != nil {
 			return nil, 0, improved, err
 		}
-		tr, lnL, err = s.smoothRound(RoundSmooth, bestTree, taxaInTree)
+		tr, lnL, err = s.smoothRound(RoundSmooth, base, taxaInTree)
 		if err != nil {
 			return nil, 0, improved, err
 		}

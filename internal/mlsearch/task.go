@@ -34,18 +34,14 @@ type Task struct {
 	LocalTaxon int32
 	// Passes bounds the smoothing passes (0 uses the worker default).
 	Passes int32
-	// KeepTree asks the parallel runtime to return this task's
-	// optimized tree even when it is not the round's best (the foreman
-	// normally strips non-best trees to save bandwidth). User-tree
-	// evaluation sets it.
-	KeepTree bool
 
 	// BaseNewick, when non-empty, switches the task to shared-base
 	// evaluation: the worker parses and caches this base tree once per
-	// batch (reusing its engine's CLV cache across the batch's tasks)
+	// slice (reusing its engine's CLV cache across the round's tasks)
 	// and derives the candidate from it, instead of parsing Newick.
 	// Every worker parses the same string, so node IDs agree with the
-	// master's enumeration.
+	// master's enumeration. On the wire the candidates of a slice carry
+	// it once between them.
 	BaseNewick string
 	// InsertEdge, when >= 0 with BaseNewick set, scores inserting
 	// LocalTaxon at index InsertEdge of the base tree's
@@ -60,17 +56,42 @@ type Task struct {
 
 	// Trace is the task's span context, minted by the master so one task
 	// can be followed master → foreman → worker → kernel. The zero value
-	// means untraced; it travels as an extension field, so pre-trace
-	// peers interoperate.
+	// means untraced.
 	Trace obs.SpanContext
 
 	// Job identifies the search (jumble or replicate) this task belongs
 	// to when several searches share one foreman. Task IDs are only
 	// unique within a job, so the foreman keys its round state by
-	// (Job, ID). Zero means "the single-job protocol" — the value legacy
-	// masters send — and travels as an extension field, so old decoders
-	// tolerate it.
+	// (Job, ID).
 	Job uint64
+}
+
+// sliceWith reports whether b can ride in the same slice as a: a slice is
+// a run of one job's candidates against one shared base tree, so job,
+// round, trace, passes, taxon and trees are stated once for all of them.
+// A full-tree task (no base) is always a slice of its own.
+func (a Task) sliceWith(b Task) bool {
+	return a.BaseNewick != "" && a.BaseNewick == b.BaseNewick && a.Newick == b.Newick &&
+		a.Job == b.Job && a.Round == b.Round && a.Trace.TraceID == b.Trace.TraceID &&
+		a.Passes == b.Passes && a.LocalTaxon == b.LocalTaxon
+}
+
+// Pseudo node IDs for the two nodes an insertion creates, which have no
+// ID in the base tree an EdgeLen of an insertion result refers to.
+const (
+	// NodeJunction is the internal node that splits the insertion edge.
+	NodeJunction int32 = -1
+	// NodeNewLeaf is the inserted taxon's leaf.
+	NodeNewLeaf int32 = -2
+)
+
+// EdgeLen is one optimized branch length of a shared-base candidate: the
+// branch between nodes A and B of the candidate tree — the base tree
+// after the task's insertion or SPR move, which gives the regraft
+// junction the dissolved node's ID — has length Len.
+type EdgeLen struct {
+	A, B int32
+	Len  float64
 }
 
 // Result is a worker's answer to one Task.
@@ -79,8 +100,19 @@ type Result struct {
 	TaskID uint64
 	// Round echoes Task.Round.
 	Round uint64
-	// Newick is the tree with optimized branch lengths.
+	// Newick is the tree with optimized branch lengths, for a full-tree
+	// task. A shared-base candidate returns Lens instead: only a round's
+	// winner is ever built, by the master, on the base it already holds.
 	Newick string
+	// Lens, for a shared-base candidate, lists every branch whose length
+	// differs from the candidate tree's starting lengths: applying the
+	// task to the base and setting these reproduces the optimized tree
+	// exactly (applyCandidate).
+	Lens []EdgeLen
+	// Err, when non-empty, says the evaluation failed and why; every
+	// other field but the identifiers is then zero. A failed candidate
+	// fails its job's round, not the worker that met it.
+	Err string
 	// LnL is the optimized log-likelihood.
 	LnL float64
 	// Ops is the number of likelihood work units the evaluation cost;
@@ -168,19 +200,21 @@ func (r *wireReader) i32(what string) int32 {
 
 func (r *wireReader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
 
-func (r *wireReader) str(what string) string {
+// bytes reads a length-prefixed field in place.
+func (r *wireReader) bytes(what string) []byte {
 	n := r.i32(what)
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n < 0 || r.off+int(n) > len(r.buf) {
 		r.fail(what)
-		return ""
+		return nil
 	}
-	s := string(r.buf[r.off : r.off+int(n)])
 	r.off += int(n)
-	return s
+	return r.buf[r.off-int(n) : r.off]
 }
+
+func (r *wireReader) str(what string) string { return string(r.bytes(what)) }
 
 func (r *wireReader) done(what string) error {
 	if r.err != nil {
@@ -194,13 +228,13 @@ func (r *wireReader) done(what string) error {
 
 // --- extension fields --------------------------------------------------
 //
-// Envelope types grow by appending extension fields after the fixed v1
+// Envelope types grow by appending extension fields after their fixed
 // layout: each is tag(u8) length(u32) payload. Readers skip tags they do
-// not know, so mixed-version worlds interoperate during rolling upgrades
-// (an old master with new workers, or the reverse); writers omit
-// zero-valued fields, so untraced runs pay zero wire bytes. Truncated
-// extensions are still hard errors — tolerance is for unknown fields,
-// not corrupt frames.
+// not know, so a field added later does not split the fleet during a
+// rolling upgrade; writers omit zero-valued fields. The task and result
+// slices define none yet (the layout change that introduced them bumped
+// comm's handshake version instead). Truncated extensions are still hard
+// errors — tolerance is for unknown fields, not corrupt frames.
 
 // ext appends one tagged extension field.
 func (w *wireWriter) ext(tag byte, payload []byte) {
@@ -247,125 +281,186 @@ func extU64Val(payload []byte) uint64 {
 	return binary.BigEndian.Uint64(payload)
 }
 
-// Extension tags of the Task envelope.
-const (
-	extTaskTraceID byte = 1 + iota
-	extTaskSpanID
-	extTaskJob
-)
-
-// Extension tags of the Result envelope.
-const (
-	extResultTraceID byte = 1 + iota
-	extResultSpanID
-	extResultEvalNs
-	extResultNewtonIters
-	extResultJob
-)
-
-// MarshalTask encodes a Task for the wire. The returned buffer comes
-// from the comm buffer pool: once it has been handed to Send (which
-// copies or takes ownership), the caller may comm.PutBuf it.
-func MarshalTask(t Task) []byte {
-	w := wireWriter{buf: comm.GetBuf(96 + len(t.Newick) + len(t.BaseNewick))[:0]}
-	w.u64(t.ID)
-	w.u64(t.Round)
-	w.str(t.Newick)
-	w.i32(t.LocalTaxon)
-	w.i32(t.Passes)
-	keep := int32(0)
-	if t.KeepTree {
-		keep = 1
+// count reads an element count and checks it against the bytes left, so
+// a corrupt count cannot size an allocation.
+func (r *wireReader) count(what string, minElem int) int {
+	n := r.i32(what)
+	if r.err == nil && (n < 0 || int(n) > (len(r.buf)-r.off)/minElem) {
+		r.fail(what)
 	}
-	w.i32(keep)
-	w.str(t.BaseNewick)
-	w.i32(t.InsertEdge)
-	w.i32(t.MoveP)
-	w.i32(t.MoveS)
-	w.i32(t.MoveTA)
-	w.i32(t.MoveTB)
-	w.extU64(extTaskTraceID, t.Trace.TraceID)
-	w.extU64(extTaskSpanID, t.Trace.SpanID)
-	w.extU64(extTaskJob, t.Job)
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// Wire sizes of one candidate and of one result without its strings and
+// lengths: the least a count's elements can occupy.
+const (
+	wireCandidateSize = 8 + 8 + 5*4
+	wireResultSize    = 8 + 8 + 4 + 8 + 5*8 + 3*4
+	wireEdgeLenSize   = 4 + 4 + 8
+)
+
+// marshalTasks encodes one slice — tasks that sliceWith each other, or a
+// single task — as the payload of a TagTask frame or one run of a round
+// batch: what the tasks share once, then each candidate's identity and
+// edit. The returned buffer comes from the comm buffer pool: once it has
+// been handed to Send (which copies or takes ownership), the caller may
+// comm.PutBuf it.
+func marshalTasks(tasks []Task) []byte {
+	h := tasks[0]
+	w := wireWriter{buf: comm.GetBuf(64 + len(h.Newick) + len(h.BaseNewick) + wireCandidateSize*len(tasks))[:0]}
+	w.u64(h.Job)
+	w.u64(h.Round)
+	w.u64(h.Trace.TraceID)
+	w.i32(h.Passes)
+	w.i32(h.LocalTaxon)
+	w.str(h.Newick)
+	w.str(h.BaseNewick)
+	w.i32(int32(len(tasks)))
+	for _, t := range tasks {
+		w.u64(t.ID)
+		w.u64(t.Trace.SpanID)
+		w.i32(t.InsertEdge)
+		w.i32(t.MoveP)
+		w.i32(t.MoveS)
+		w.i32(t.MoveTA)
+		w.i32(t.MoveTB)
+	}
 	return w.buf
 }
 
-// UnmarshalTask decodes a Task.
+// unmarshalTasks decodes a slice; the tasks share the decoded strings.
+func unmarshalTasks(b []byte) ([]Task, error) {
+	r := wireReader{buf: b}
+	h := Task{Job: r.u64("slice job"), Round: r.u64("slice round")}
+	h.Trace.TraceID = r.u64("slice trace")
+	h.Passes = r.i32("slice passes")
+	h.LocalTaxon = r.i32("slice taxon")
+	h.Newick = r.str("slice newick")
+	h.BaseNewick = r.str("slice base newick")
+	tasks := make([]Task, r.count("slice candidate count", wireCandidateSize))
+	for i := range tasks {
+		t := h
+		t.ID = r.u64("candidate id")
+		t.Trace.SpanID = r.u64("candidate span")
+		t.InsertEdge = r.i32("candidate insert edge")
+		t.MoveP = r.i32("candidate move p")
+		t.MoveS = r.i32("candidate move s")
+		t.MoveTA = r.i32("candidate move ta")
+		t.MoveTB = r.i32("candidate move tb")
+		tasks[i] = t
+	}
+	if err := r.extFields("slice extension", func(byte, []byte) {}); err != nil {
+		return nil, err
+	}
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("mlsearch: empty task slice")
+	}
+	return tasks, nil
+}
+
+// MarshalTask encodes a Task for the wire as a slice of one. Like every
+// encoder here the buffer is pool-backed and may be comm.PutBuf'd after
+// Send.
+func MarshalTask(t Task) []byte { return marshalTasks([]Task{t}) }
+
+// UnmarshalTask decodes a slice of exactly one Task.
 func UnmarshalTask(b []byte) (Task, error) {
-	r := wireReader{buf: b}
-	t := Task{
-		ID:         r.u64("task id"),
-		Round:      r.u64("task round"),
-		Newick:     r.str("task newick"),
-		LocalTaxon: r.i32("task local taxon"),
-		Passes:     r.i32("task passes"),
+	tasks, err := unmarshalTasks(b)
+	if err != nil {
+		return Task{}, err
 	}
-	t.KeepTree = r.i32("task keep tree") != 0
-	t.BaseNewick = r.str("task base newick")
-	t.InsertEdge = r.i32("task insert edge")
-	t.MoveP = r.i32("task move p")
-	t.MoveS = r.i32("task move s")
-	t.MoveTA = r.i32("task move ta")
-	t.MoveTB = r.i32("task move tb")
-	err := r.extFields("task extension", func(tag byte, payload []byte) {
-		switch tag {
-		case extTaskTraceID:
-			t.Trace.TraceID = extU64Val(payload)
-		case extTaskSpanID:
-			t.Trace.SpanID = extU64Val(payload)
-		case extTaskJob:
-			t.Job = extU64Val(payload)
-		}
-	})
-	return t, err
+	if len(tasks) != 1 {
+		return Task{}, fmt.Errorf("mlsearch: slice of %d tasks where one was expected", len(tasks))
+	}
+	return tasks[0], nil
 }
 
-// MarshalResult encodes a Result for the wire. Like MarshalTask, the
-// buffer is pool-backed and may be comm.PutBuf'd after Send.
-func MarshalResult(res Result) []byte {
-	w := wireWriter{buf: comm.GetBuf(128 + len(res.Newick))[:0]}
-	w.u64(res.TaskID)
-	w.u64(res.Round)
-	w.str(res.Newick)
-	w.f64(res.LnL)
-	w.u64(res.Ops)
-	w.u64(res.CacheHits)
-	w.u64(res.CacheMisses)
-	w.i32(res.Worker)
-	w.extU64(extResultTraceID, res.Trace.TraceID)
-	w.extU64(extResultSpanID, res.Trace.SpanID)
-	w.extU64(extResultEvalNs, uint64(res.Eval))
-	w.extU64(extResultNewtonIters, res.NewtonIters)
-	w.extU64(extResultJob, res.Job)
+// marshalResults encodes the results of one job's round — a worker's
+// reply to a slice, or one run of a round reply — which share job, round
+// and trace.
+func marshalResults(results []Result) []byte {
+	h := results[0]
+	size := 32 + wireResultSize*len(results)
+	for _, res := range results {
+		size += wireEdgeLenSize*len(res.Lens) + len(res.Newick) + len(res.Err)
+	}
+	w := wireWriter{buf: comm.GetBuf(size)[:0]}
+	w.u64(h.Job)
+	w.u64(h.Round)
+	w.u64(h.Trace.TraceID)
+	w.i32(int32(len(results)))
+	for _, res := range results {
+		w.u64(res.TaskID)
+		w.u64(res.Trace.SpanID)
+		w.i32(res.Worker)
+		w.f64(res.LnL)
+		w.u64(res.Ops)
+		w.u64(res.CacheHits)
+		w.u64(res.CacheMisses)
+		w.u64(uint64(res.Eval))
+		w.u64(res.NewtonIters)
+		w.i32(int32(len(res.Lens)))
+		for _, l := range res.Lens {
+			w.i32(l.A)
+			w.i32(l.B)
+			w.f64(l.Len)
+		}
+		w.str(res.Newick)
+		w.str(res.Err)
+	}
 	return w.buf
 }
 
-// UnmarshalResult decodes a Result.
-func UnmarshalResult(b []byte) (Result, error) {
+// unmarshalResults decodes what marshalResults wrote.
+func unmarshalResults(b []byte) ([]Result, error) {
 	r := wireReader{buf: b}
-	res := Result{
-		TaskID:      r.u64("result task id"),
-		Round:       r.u64("result round"),
-		Newick:      r.str("result newick"),
-		LnL:         r.f64("result lnl"),
-		Ops:         r.u64("result ops"),
-		CacheHits:   r.u64("result cache hits"),
-		CacheMisses: r.u64("result cache misses"),
-		Worker:      r.i32("result worker"),
-	}
-	err := r.extFields("result extension", func(tag byte, payload []byte) {
-		switch tag {
-		case extResultTraceID:
-			res.Trace.TraceID = extU64Val(payload)
-		case extResultSpanID:
-			res.Trace.SpanID = extU64Val(payload)
-		case extResultEvalNs:
-			res.Eval = time.Duration(extU64Val(payload))
-		case extResultNewtonIters:
-			res.NewtonIters = extU64Val(payload)
-		case extResultJob:
-			res.Job = extU64Val(payload)
+	h := Result{Job: r.u64("reply job"), Round: r.u64("reply round")}
+	h.Trace.TraceID = r.u64("reply trace")
+	results := make([]Result, r.count("reply result count", wireResultSize))
+	for i := range results {
+		res := h
+		res.TaskID = r.u64("result task id")
+		res.Trace.SpanID = r.u64("result span")
+		res.Worker = r.i32("result worker")
+		res.LnL = r.f64("result lnl")
+		res.Ops = r.u64("result ops")
+		res.CacheHits = r.u64("result cache hits")
+		res.CacheMisses = r.u64("result cache misses")
+		res.Eval = time.Duration(r.u64("result eval"))
+		res.NewtonIters = r.u64("result newton iterations")
+		if n := r.count("result length count", wireEdgeLenSize); n > 0 {
+			res.Lens = make([]EdgeLen, n)
+			for j := range res.Lens {
+				res.Lens[j] = EdgeLen{A: r.i32("length a"), B: r.i32("length b"), Len: r.f64("length")}
+			}
 		}
-	})
-	return res, err
+		res.Newick = r.str("result newick")
+		res.Err = r.str("result error")
+		results[i] = res
+	}
+	if err := r.extFields("reply extension", func(byte, []byte) {}); err != nil {
+		return nil, err
+	}
+	if len(results) == 0 {
+		return nil, fmt.Errorf("mlsearch: empty result slice")
+	}
+	return results, nil
+}
+
+// MarshalResult encodes a Result for the wire as a reply of one.
+func MarshalResult(res Result) []byte { return marshalResults([]Result{res}) }
+
+// UnmarshalResult decodes a reply of exactly one Result.
+func UnmarshalResult(b []byte) (Result, error) {
+	results, err := unmarshalResults(b)
+	if err != nil {
+		return Result{}, err
+	}
+	if len(results) != 1 {
+		return Result{}, fmt.Errorf("mlsearch: reply of %d results where one was expected", len(results))
+	}
+	return results[0], nil
 }

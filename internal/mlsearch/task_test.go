@@ -1,14 +1,21 @@
 package mlsearch
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"repro/internal/obs"
 )
 
 func TestTaskCodecRoundTrip(t *testing.T) {
-	f := func(id, round uint64, newick string, localTaxon, passes int32) bool {
-		in := Task{ID: id, Round: round, Newick: newick, LocalTaxon: localTaxon, Passes: passes}
+	f := func(id, round, job uint64, newick, base string, localTaxon, passes, edge, p, s, ta, tb int32) bool {
+		in := Task{ID: id, Round: round, Job: job, Newick: newick, BaseNewick: base, LocalTaxon: localTaxon, Passes: passes,
+			InsertEdge: edge, MoveP: p, MoveS: s, MoveTA: ta, MoveTB: tb}
 		out, err := UnmarshalTask(MarshalTask(in))
 		return err == nil && out == in
 	}
@@ -18,77 +25,156 @@ func TestTaskCodecRoundTrip(t *testing.T) {
 }
 
 func TestResultCodecRoundTrip(t *testing.T) {
-	f := func(id, round uint64, newick string, lnl float64, ops uint64, worker int32) bool {
+	f := func(id, round uint64, newick, cause string, lnl float64, ops uint64, worker int32, a, b []int32, l []float64) bool {
 		if math.IsNaN(lnl) {
 			lnl = -1234.5
 		}
-		in := Result{TaskID: id, Round: round, Newick: newick, LnL: lnl, Ops: ops, Worker: worker}
+		in := Result{TaskID: id, Round: round, Newick: newick, Err: cause, LnL: lnl, Ops: ops, Worker: worker}
+		for i := 0; i < len(a) && i < len(b) && i < len(l); i++ {
+			if !math.IsNaN(l[i]) {
+				in.Lens = append(in.Lens, EdgeLen{A: a[i], B: b[i], Len: l[i]})
+			}
+		}
 		out, err := UnmarshalResult(MarshalResult(in))
-		return err == nil && out == in
+		return err == nil && reflect.DeepEqual(out, in)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestTaskCodecRejectsTruncation(t *testing.T) {
-	b := MarshalTask(Task{ID: 7, Newick: "(a,b,c);"})
-	for cut := 0; cut < len(b); cut++ {
-		if _, err := UnmarshalTask(b[:cut]); err == nil {
-			t.Errorf("truncation at %d bytes accepted", cut)
+// sliceOf builds n candidates of one round that share a base tree: the
+// first half insertions, the rest moves.
+func sliceOf(n int, job, round uint64, base string) []Task {
+	tasks := make([]Task, n)
+	for i := range tasks {
+		tasks[i] = Task{
+			ID: uint64(100 + i), Round: round, Job: job, BaseNewick: base, LocalTaxon: 7, Passes: 2,
+			Trace:      obs.SpanContext{TraceID: 0xabc, SpanID: uint64(i + 1)},
+			InsertEdge: int32(i), MoveP: -1, MoveS: -1, MoveTA: -1, MoveTB: -1,
+		}
+		if i >= n/2 {
+			tasks[i].InsertEdge = -1
+			tasks[i].MoveP, tasks[i].MoveS, tasks[i].MoveTA, tasks[i].MoveTB = int32(i), int32(i+1), int32(i+2), int32(i+3)
 		}
 	}
-	// Trailing garbage must also be rejected.
-	if _, err := UnmarshalTask(append(b, 0xFF)); err == nil {
-		t.Error("trailing byte accepted")
+	return tasks
+}
+
+// TestTaskSliceCodec: a slice of n candidates round-trips exactly, states
+// its base tree once, and is refused by the one-element decoder; the same
+// for a reply of n results.
+func TestTaskSliceCodec(t *testing.T) {
+	base := "(a:0.1,b:0.2,(c:0.3,d:0.4):0.5);"
+	in := sliceOf(9, 3, 12, base)
+	b := marshalTasks(in)
+	if got := bytes.Count(b, []byte(base)); got != 1 {
+		t.Errorf("the slice frame holds the base tree %d times, want once", got)
+	}
+	out, err := unmarshalTasks(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Errorf("slice round trip mismatch:\n got %+v\nwant %+v", out, in)
+	}
+	if _, err := UnmarshalTask(b); err == nil {
+		t.Error("a slice of nine decoded as one task")
+	}
+
+	results := make([]Result, len(in))
+	for i, task := range in {
+		results[i] = Result{
+			TaskID: task.ID, Round: task.Round, Job: task.Job, Trace: task.Trace,
+			LnL: -100 - float64(i), Ops: uint64(i), Worker: 4, Eval: time.Duration(i) * time.Microsecond,
+			Lens: []EdgeLen{{A: int32(i), B: NodeJunction, Len: 0.25}, {A: NodeJunction, B: NodeNewLeaf, Len: 0.5}},
+		}
+	}
+	results[4] = failedResult(in[4], errors.New("no such edge"))
+	rb := marshalResults(results)
+	back, err := unmarshalResults(rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, results) {
+		t.Errorf("reply round trip mismatch:\n got %+v\nwant %+v", back, results)
+	}
+	if _, err := UnmarshalResult(rb); err == nil {
+		t.Error("a reply of nine decoded as one result")
 	}
 }
 
-func TestRoundBatchCodec(t *testing.T) {
-	batch := roundBatch{
-		Round: 42,
-		Tasks: []Task{
-			{ID: 1, Round: 42, Newick: "(a,b,c);", LocalTaxon: -1, Passes: 2},
-			{ID: 2, Round: 42, Newick: "((a,b),c,d);", LocalTaxon: 3, Passes: 8},
-		},
+func TestTaskCodecRejectsTruncation(t *testing.T) {
+	for name, b := range map[string][]byte{
+		"task":   MarshalTask(Task{ID: 7, Newick: "(a,b,c);"}),
+		"slice":  marshalTasks(sliceOf(3, 1, 1, "(a,b,c);")),
+		"result": MarshalResult(Result{TaskID: 7, Newick: "(a,b,c);", Lens: []EdgeLen{{A: 1, B: 2, Len: 3}}, Err: "x"}),
+	} {
+		decode := func(b []byte) error { _, err := unmarshalTasks(b); return err }
+		if name == "result" {
+			decode = func(b []byte) error { _, err := unmarshalResults(b); return err }
+		}
+		for cut := 0; cut < len(b); cut++ {
+			if decode(b[:cut]) == nil {
+				t.Errorf("%s: truncation at %d bytes accepted", name, cut)
+			}
+		}
+		// Trailing garbage must also be rejected.
+		if decode(append(b[:len(b):len(b)], 0xFF)) == nil {
+			t.Errorf("%s: trailing byte accepted", name)
+		}
 	}
+}
+
+// TestRoundBatchCodec: a batch is cut into runs that share a header — a
+// search's round is one run — and any mix of tasks still round-trips.
+func TestRoundBatchCodec(t *testing.T) {
+	base := "(a:0.1,b:0.2,(c:0.3,d:0.4):0.5);"
+	batch := roundBatch{Round: 42, Job: 6, Tasks: sliceOf(8, 6, 42, base)}
+	b := marshalRoundBatch(batch)
+	if got := bytes.Count(b, []byte(base)); got != 1 {
+		t.Errorf("a one-base round holds the base tree %d times, want once", got)
+	}
+	batch.Tasks = append(batch.Tasks,
+		Task{ID: 201, Round: 42, Job: 6, Newick: "(a,b,c);", LocalTaxon: -1, Passes: 2},
+		Task{ID: 202, Round: 42, Job: 6, Newick: "((a,b),c,d);", LocalTaxon: 3, Passes: 8},
+		Task{ID: 203, Round: 42, Job: 6, BaseNewick: "(a,b,c);", LocalTaxon: 3, InsertEdge: 1},
+	)
 	out, err := unmarshalRoundBatch(marshalRoundBatch(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Round != batch.Round || len(out.Tasks) != 2 {
-		t.Fatalf("round trip mismatch: %+v", out)
-	}
-	for i := range batch.Tasks {
-		if out.Tasks[i] != batch.Tasks[i] {
-			t.Errorf("task %d: %+v != %+v", i, out.Tasks[i], batch.Tasks[i])
-		}
+	if !reflect.DeepEqual(out, batch) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", out, batch)
 	}
 	if _, err := unmarshalRoundBatch([]byte{99}); err == nil {
 		t.Error("wrong kind byte accepted")
+	}
+	for cut := 0; cut < len(b); cut++ {
+		if _, err := unmarshalRoundBatch(b[:cut]); err == nil {
+			t.Errorf("batch truncated at %d bytes accepted", cut)
+		}
 	}
 }
 
 func TestRoundReplyCodec(t *testing.T) {
 	reply := roundReply{
-		Round: 9,
-		Best:  Result{TaskID: 3, Round: 9, Newick: "((a,b),c,d);", LnL: -100.25, Ops: 777, Worker: 4},
-		Stats: []Result{
-			{TaskID: 1, Round: 9, LnL: -120.5, Ops: 500, Worker: 3},
-			{TaskID: 3, Round: 9, LnL: -100.25, Ops: 777, Worker: 4},
+		Round: 9, Job: 2,
+		Results: []Result{
+			{TaskID: 1, Round: 9, Job: 2, LnL: -120.5, Ops: 500, Worker: 3, Lens: []EdgeLen{{A: 4, B: 5, Len: 0.125}}},
+			{TaskID: 3, Round: 9, Job: 2, Newick: "((a,b),c,d);", LnL: -100.25, Ops: 777, Worker: 4},
+			{TaskID: 4, Round: 10, Job: 2, Err: "task 4: dead node"},
 		},
 	}
 	out, err := unmarshalRoundReply(marshalRoundReply(reply))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Best != reply.Best || len(out.Stats) != 2 {
-		t.Fatalf("round trip mismatch: %+v", out)
+	if !reflect.DeepEqual(out, reply) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", out, reply)
 	}
-	for i := range reply.Stats {
-		if out.Stats[i] != reply.Stats[i] {
-			t.Errorf("stat %d mismatch", i)
-		}
+	if _, err := unmarshalRoundReply(marshalRoundBatch(roundBatch{})); err == nil {
+		t.Error("a round batch decoded as a round reply")
 	}
 }
 

@@ -220,12 +220,6 @@ func ServeElastic(addr string, hooks WorkerHooks, policy ReconnectPolicy) error 
 			if err == nil {
 				return nil // clean shutdown from the foreman
 			}
-			if FatalEvalError(err) {
-				// Deterministic evaluation failure: the same task would
-				// fail identically after a rejoin, so reconnecting only
-				// loops. Surface it instead.
-				return err
-			}
 		}
 		if policy.Disabled {
 			return err

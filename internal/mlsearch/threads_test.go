@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/likelihood"
@@ -55,11 +56,11 @@ func TestThreadedAddRoundBitIdentical(t *testing.T) {
 		t.Fatalf("only %d insertion edges", nEdges)
 	}
 
-	tasks := []Task{{ID: 0, Round: 1, Newick: base, LocalTaxon: -1, Passes: 2, KeepTree: true}}
+	tasks := []Task{{ID: 0, Round: 1, Newick: base, LocalTaxon: -1, Passes: 2}}
 	for i := 0; i < nEdges; i++ {
 		tasks = append(tasks, Task{
 			ID: uint64(i + 1), Round: 1, BaseNewick: base,
-			LocalTaxon: addTaxon, InsertEdge: int32(i), Passes: 2, KeepTree: true,
+			LocalTaxon: addTaxon, InsertEdge: int32(i), Passes: 2,
 		})
 	}
 
@@ -91,7 +92,7 @@ func TestThreadedAddRoundBitIdentical(t *testing.T) {
 			if math.Float64bits(r.LnL) != math.Float64bits(ref[i].LnL) {
 				t.Errorf("threads=%d task %d: lnL %.17g != serial %.17g", n, r.TaskID, r.LnL, ref[i].LnL)
 			}
-			if r.Newick != ref[i].Newick {
+			if r.Newick != ref[i].Newick || !reflect.DeepEqual(r.Lens, ref[i].Lens) {
 				t.Errorf("threads=%d task %d: optimized tree differs from serial", n, r.TaskID)
 			}
 			if r.LnL > got[best].LnL {

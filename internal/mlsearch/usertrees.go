@@ -49,7 +49,6 @@ func EvaluateUserTrees(cfg Config, trees []*tree.Tree, disp Dispatcher) ([]UserT
 			Newick:     t.Newick(),
 			LocalTaxon: -1,
 			Passes:     int32(norm.FullSmoothPasses),
-			KeepTree:   true,
 		}
 	}
 	results, err := disp.Dispatch(tasks)

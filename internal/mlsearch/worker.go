@@ -14,10 +14,10 @@ import (
 // WorkerHooks allow tests (and the fault injection example) to perturb a
 // worker's behaviour.
 type WorkerHooks struct {
-	// BeforeReply, when non-nil, runs after evaluation and before the
-	// result is sent. Returning false drops the reply (simulating a
-	// crashed or stalled worker); the foreman's timeout machinery must
-	// then recover.
+	// BeforeReply, when non-nil, runs right after each task's evaluation,
+	// before the next task of the slice starts. Returning false drops
+	// that task's result from the reply (simulating a crashed or stalled
+	// worker); the foreman must then recover it.
 	BeforeReply func(task Task, result Result) bool
 	// OnAttach, when non-nil, receives the worker's communicator right
 	// after it connects and learns its rank. The chaos tests use it to
@@ -49,9 +49,18 @@ func (h WorkerHooks) workerConfig(run Config) Config {
 	return run
 }
 
-// RunWorker executes the worker loop: receive a task from the foreman,
-// evaluate it with the run's configuration, send the result back, until
-// a shutdown message arrives.
+// failedResult is the answer to a task whose evaluation failed: the
+// identifiers and the cause. The error is the task's, not the
+// evaluator's — the same task fails the same way anywhere — so whoever
+// evaluated it reports it and carries on.
+func failedResult(t Task, err error) Result {
+	return Result{TaskID: t.ID, Round: t.Round, Job: t.Job, Trace: t.Trace, Err: err.Error()}
+}
+
+// RunWorker executes the worker loop: receive a slice of tasks from the
+// foreman, evaluate them in order with the run's configuration — parsing
+// the base tree they share once — and send the results back in one
+// reply, until a shutdown message arrives.
 func RunWorker(c comm.Communicator, lay Layout, run Config, hooks WorkerHooks) error {
 	ev, err := NewConfigEvaluator(hooks.workerConfig(run))
 	if err != nil {
@@ -72,22 +81,28 @@ func RunWorker(c comm.Communicator, lay Layout, run Config, hooks WorkerHooks) e
 			_ = c.Send(lay.Foreman, comm.TagShutdown, nil)
 			return nil
 		case comm.TagTask:
-			task, err := UnmarshalTask(msg.Data)
+			tasks, err := unmarshalTasks(msg.Data)
 			if err != nil {
 				return err
 			}
 			comm.PutBuf(msg.Data) // decoded (strings copied); recycle
-			res, err := ev.Evaluate(task)
-			if err != nil {
-				return fmt.Errorf("mlsearch: worker %d: %w", c.Rank(), err)
+			results := make([]Result, 0, len(tasks))
+			for _, task := range tasks {
+				res, err := ev.Evaluate(task)
+				if err != nil {
+					res = failedResult(task, err)
+				}
+				res.Worker = int32(c.Rank())
+				hooks.Obs.Served(res)
+				hooks.Obs.Engine(likelihood.EngineThreads(ev.eng), likelihood.StatsOf(ev.eng).ShardDispatches)
+				if hooks.BeforeReply == nil || hooks.BeforeReply(task, res) {
+					results = append(results, res)
+				}
 			}
-			res.Worker = int32(c.Rank())
-			hooks.Obs.Served(res)
-			hooks.Obs.Engine(likelihood.EngineThreads(ev.eng), likelihood.StatsOf(ev.eng).ShardDispatches)
-			if hooks.BeforeReply != nil && !hooks.BeforeReply(task, res) {
+			if len(results) == 0 {
 				continue
 			}
-			buf := MarshalResult(res)
+			buf := marshalResults(results)
 			err = c.Send(lay.Foreman, comm.TagResult, buf)
 			comm.PutBuf(buf)
 			if err != nil {

@@ -122,6 +122,12 @@ type Cluster struct {
 	Speculative bool
 	// Startup is the fixed program start/stop overhead (s).
 	Startup float64
+	// Slices switches the foreman from the paper's one tree per message
+	// to this repository's guided slices: a free worker is sent max(1,
+	// ⌈tasks left in the round / (2 × workers)⌉) tasks in one message and
+	// answers them in one. DispatchLatency, ReturnLatency and
+	// WorkerTaskOverhead are then paid once per slice.
+	Slices bool
 }
 
 // Workers returns the number of worker processors: P minus the control
@@ -261,10 +267,11 @@ func (h *eventHeap) Pop() interface{} {
 	return x
 }
 
-// scheduleRound plays the foreman discipline: tasks go out in order, one
-// send at a time (the foreman is a serial resource); each completion is
-// received (ReturnLatency) and the next task dispatched. The round ends
-// when the last result has been received.
+// scheduleRound plays the foreman discipline: messages go out in order,
+// one send at a time (the foreman is a serial resource); each completion
+// is received (ReturnLatency) and the worker's next message dispatched.
+// A message is one task, or with Slices the guided share of what is left.
+// The round ends when the last result has been received.
 func (c Cluster) scheduleRound(units []float64, workers int) schedOutcome {
 	var out schedOutcome
 	if len(units) == 0 {
@@ -276,11 +283,18 @@ func (c Cluster) scheduleRound(units []float64, workers int) schedOutcome {
 	heap.Init(&events)
 
 	dispatch := func(worker int) {
-		u := units[next]*c.UnitTime + c.WorkerTaskOverhead
-		next++
+		n := 1
+		if c.Slices {
+			n = (len(units) - next + 2*workers - 1) / (2 * workers)
+		}
+		u := c.WorkerTaskOverhead
+		for _, task := range units[next : next+n] {
+			u += task * c.UnitTime
+		}
+		next += n
 		foreman += c.DispatchLatency
 		out.comm += c.DispatchLatency
-		start := foreman // worker receives the task when the send completes
+		start := foreman // worker receives the message when the send completes
 		heap.Push(&events, workerEvent{when: start + u, worker: worker})
 		out.busy += u
 	}

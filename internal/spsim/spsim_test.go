@@ -366,3 +366,61 @@ func TestSpeculativeMerging(t *testing.T) {
 		t.Error("speculation changed the serial time")
 	}
 }
+
+// TestSlicedDispatch: with Slices the foreman sends the guided share of a
+// round per message. The work is conserved, the message count falls from
+// two per task to two per slice (slice sizes by the foreman's rule), a
+// foreman-bound round — many workers, cheap tasks, dear messages — gets
+// faster, and without Slices nothing changes.
+func TestSlicedDispatch(t *testing.T) {
+	units := make([]float64, 59)
+	for i := range units {
+		units[i] = 100 + float64(i%7)*30
+	}
+	log := &RunLog{Rounds: []Round{{Kind: "add", TaskUnits: units}}}
+	for _, p := range []int{4, 10, 66} {
+		per := testCluster(p)
+		per.Monitor = false
+		sliced := per
+		sliced.Slices = true
+		a, err := per.Simulate(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sliced.Simulate(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := p - 2
+		slices := 0
+		for left := len(units); left > 0; slices++ {
+			left -= (left + 2*w - 1) / (2 * w)
+		}
+		msg := per.DispatchLatency + per.ReturnLatency
+		if want := float64(len(units)) * msg; math.Abs(a.CommSeconds-want) > 1e-12 {
+			t.Errorf("P=%d per-task: foreman occupied %g s, want %g", p, a.CommSeconds, want)
+		}
+		if want := float64(slices) * msg; math.Abs(b.CommSeconds-want) > 1e-12 {
+			t.Errorf("P=%d sliced: foreman occupied %g s, want %g for %d slices", p, b.CommSeconds, want, slices)
+		}
+		if math.Abs(a.ComputeSeconds-b.ComputeSeconds) > 1e-12 {
+			t.Errorf("P=%d: slicing changed the work: %g vs %g", p, b.ComputeSeconds, a.ComputeSeconds)
+		}
+	}
+	// 64 workers on tasks a fifth of a message: the serial foreman is the
+	// bottleneck one task at a time.
+	per := testCluster(66)
+	per.Monitor = false
+	per.UnitTime = 1e-7
+	sliced := per
+	sliced.Slices = true
+	big := &RunLog{Rounds: []Round{{Kind: "rearrange", TaskUnits: make([]float64, 600)}}}
+	for i := range big.Rounds[0].TaskUnits {
+		big.Rounds[0].TaskUnits[i] = 400
+	}
+	a, _ := per.Simulate(big)
+	b, _ := sliced.Simulate(big)
+	if b.TotalSeconds >= a.TotalSeconds {
+		t.Errorf("foreman-bound round: sliced %g s, per-task %g s", b.TotalSeconds, a.TotalSeconds)
+	}
+}

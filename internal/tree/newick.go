@@ -3,7 +3,6 @@ package tree
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -54,76 +53,125 @@ func (t *Tree) WriteNewick(opt WriteNewickOptions) (string, error) {
 	if opt.Canonical {
 		// Anchor at the attachment of the smallest-taxon leaf so the
 		// rendering is rooting-invariant.
-		taxa := t.TaxaInTree()
-		leaf := t.LeafByTaxon(taxa[0])
+		leaf := t.minLeaf()
 		if leaf.Degree() > 0 {
 			anchor = leaf.Nbr[0]
 		} else {
 			anchor = leaf
 		}
 	}
-	prec := opt.Precision
-	if prec <= 0 {
-		prec = 9
+	w := newickWriter{t: t, opt: opt, buf: make([]byte, 0, 24*len(t.Nodes))}
+	if w.opt.Precision <= 0 {
+		w.opt.Precision = 9
 	}
-	// render returns the subtree's text and its smallest contained taxon.
-	var render func(n, parent *Node) (string, int)
-	render = func(n, parent *Node) (string, int) {
-		if n.Leaf() && (parent != nil || n.Degree() == 0) {
-			return quoteLabel(t.Taxa[n.Taxon]), n.Taxon
-		}
-		type child struct {
-			text string
-			min  int
-		}
-		var kids []child
-		for _, m := range n.Nbr {
-			if m == parent {
-				continue
-			}
-			text, minTax := render(m, n)
-			if opt.Lengths {
-				text += ":" + strconv.FormatFloat(n.LenTo(m), 'g', prec, 64)
-			}
-			kids = append(kids, child{text, minTax})
-		}
-		if opt.Canonical {
-			sort.Slice(kids, func(i, j int) bool { return kids[i].min < kids[j].min })
-		}
-		var b strings.Builder
-		b.WriteByte('(')
-		for i, k := range kids {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(k.text)
-		}
-		b.WriteByte(')')
-		min := math.MaxInt32
-		for _, k := range kids {
-			if k.min < min {
-				min = k.min
-			}
-		}
-		if n.Leaf() {
-			// A leaf used as the traversal root still prints its label.
-			b.WriteString(quoteLabel(t.Taxa[n.Taxon]))
-			if n.Taxon < min {
-				min = n.Taxon
-			}
-		}
-		return b.String(), min
+	if opt.Canonical {
+		w.min = make([]int, len(t.Nodes))
+		w.mins(anchor, nil)
 	}
-	text, _ := render(anchor, nil)
-	return text + ";", nil
+	w.node(anchor, nil)
+	w.buf = append(w.buf, ';')
+	return string(w.buf), nil
 }
 
-// quoteLabel quotes a taxon label when it contains Newick metacharacters.
-func quoteLabel(s string) string {
-	if strings.ContainsAny(s, "();:, \t'[]") {
-		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+// minLeaf returns the leaf with the smallest taxon index, or nil.
+func (t *Tree) minLeaf() *Node {
+	var leaf *Node
+	for _, n := range t.Nodes {
+		if n != nil && n.Leaf() && (leaf == nil || n.Taxon < leaf.Taxon) {
+			leaf = n
+		}
 	}
-	return s
+	return leaf
+}
+
+// newickWriter renders one tree into one buffer: a first walk records
+// each subtree's smallest taxon (canonical output orders siblings by
+// it), a second emits the text depth-first.
+type newickWriter struct {
+	t   *Tree
+	opt WriteNewickOptions
+	buf []byte
+	// min[id] is the smallest taxon in the subtree below node id as seen
+	// from the anchor; set only for canonical output.
+	min []int
+	// order is a stack of sibling lists being emitted, one frame per
+	// internal node on the current path.
+	order []*Node
+}
+
+// mins fills min for the subtree at n entered from parent.
+func (w *newickWriter) mins(n, parent *Node) int {
+	m := math.MaxInt32
+	if n.Leaf() {
+		m = n.Taxon
+	}
+	for _, c := range n.Nbr {
+		if c != parent {
+			if cm := w.mins(c, n); cm < m {
+				m = cm
+			}
+		}
+	}
+	w.min[n.ID] = m
+	return m
+}
+
+// node emits the subtree at n entered from parent.
+func (w *newickWriter) node(n, parent *Node) {
+	if n.Leaf() && (parent != nil || n.Degree() == 0) {
+		w.buf = appendLabel(w.buf, w.t.Taxa[n.Taxon])
+		return
+	}
+	base := len(w.order)
+	for _, c := range n.Nbr {
+		if c != parent {
+			w.order = append(w.order, c)
+		}
+	}
+	if w.opt.Canonical {
+		// Insertion sort: sibling lists are short, and their smallest
+		// taxa are distinct, so the order is unique.
+		kids := w.order[base:]
+		for i := 1; i < len(kids); i++ {
+			for j := i; j > 0 && w.min[kids[j].ID] < w.min[kids[j-1].ID]; j-- {
+				kids[j], kids[j-1] = kids[j-1], kids[j]
+			}
+		}
+	}
+	w.buf = append(w.buf, '(')
+	for i := base; i < len(w.order); i++ {
+		if i > base {
+			w.buf = append(w.buf, ',')
+		}
+		c := w.order[i]
+		w.node(c, n)
+		if w.opt.Lengths {
+			w.buf = append(w.buf, ':')
+			w.buf = strconv.AppendFloat(w.buf, n.LenTo(c), 'g', w.opt.Precision, 64)
+		}
+	}
+	w.order = w.order[:base]
+	w.buf = append(w.buf, ')')
+	if n.Leaf() {
+		// A leaf used as the traversal root still prints its label.
+		w.buf = appendLabel(w.buf, w.t.Taxa[n.Taxon])
+	}
+}
+
+// appendLabel appends a taxon label, quoted when it contains Newick
+// metacharacters.
+func appendLabel(buf []byte, s string) []byte {
+	if !strings.ContainsAny(s, "();:, \t'[]") {
+		return append(buf, s...)
+	}
+	buf = append(buf, '\'')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\'' {
+			buf = append(buf, '\'')
+		}
+		buf = append(buf, s[i])
+	}
+	return append(buf, '\'')
 }
 
 // ParseNewick parses a Newick string into an unrooted tree over the given

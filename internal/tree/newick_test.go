@@ -1,8 +1,11 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -150,5 +153,175 @@ func TestParseNewickMultifurcating(t *testing.T) {
 	}
 	if err := tr.Validate(true); err == nil {
 		t.Error("star tree should fail binary validation")
+	}
+}
+
+// writeNewickRecursive is WriteNewick as it was before it wrote into one
+// buffer — a string per node per level, sort.Slice and a strings.Builder
+// at every internal node — kept verbatim as the reference the
+// single-buffer writer must match byte for byte.
+func writeNewickRecursive(t *Tree, opt WriteNewickOptions) (string, error) {
+	anchor := t.AnyNode()
+	if anchor == nil {
+		return "", fmt.Errorf("tree: empty tree")
+	}
+	if opt.Canonical {
+		// Anchor at the attachment of the smallest-taxon leaf so the
+		// rendering is rooting-invariant.
+		taxa := t.TaxaInTree()
+		leaf := t.LeafByTaxon(taxa[0])
+		if leaf.Degree() > 0 {
+			anchor = leaf.Nbr[0]
+		} else {
+			anchor = leaf
+		}
+	}
+	prec := opt.Precision
+	if prec <= 0 {
+		prec = 9
+	}
+	// render returns the subtree's text and its smallest contained taxon.
+	var render func(n, parent *Node) (string, int)
+	render = func(n, parent *Node) (string, int) {
+		if n.Leaf() && (parent != nil || n.Degree() == 0) {
+			return quoteLabelRef(t.Taxa[n.Taxon]), n.Taxon
+		}
+		type child struct {
+			text string
+			min  int
+		}
+		var kids []child
+		for _, m := range n.Nbr {
+			if m == parent {
+				continue
+			}
+			text, minTax := render(m, n)
+			if opt.Lengths {
+				text += ":" + strconv.FormatFloat(n.LenTo(m), 'g', prec, 64)
+			}
+			kids = append(kids, child{text, minTax})
+		}
+		if opt.Canonical {
+			sort.Slice(kids, func(i, j int) bool { return kids[i].min < kids[j].min })
+		}
+		var b strings.Builder
+		b.WriteByte('(')
+		for i, k := range kids {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(k.text)
+		}
+		b.WriteByte(')')
+		min := math.MaxInt32
+		for _, k := range kids {
+			if k.min < min {
+				min = k.min
+			}
+		}
+		if n.Leaf() {
+			// A leaf used as the traversal root still prints its label.
+			b.WriteString(quoteLabelRef(t.Taxa[n.Taxon]))
+			if n.Taxon < min {
+				min = n.Taxon
+			}
+		}
+		return b.String(), min
+	}
+	text, _ := render(anchor, nil)
+	return text + ";", nil
+}
+
+// quoteLabelRef is the reference writer's label quoting, verbatim.
+func quoteLabelRef(s string) string {
+	if strings.ContainsAny(s, "();:, \t'[]") {
+		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+	}
+	return s
+}
+
+// TestWriteNewickMatchesRecursiveWriter: the single-buffer writer gives
+// the reference writer's bytes for every option combination, on random
+// binary trees of 3-60 taxa whose labels need quoting, on multifurcating
+// trees, and on the trees whose traversal starts at a leaf (two leaves
+// joined by one edge) or is a single leaf.
+func TestWriteNewickMatchesRecursiveWriter(t *testing.T) {
+	var opts []WriteNewickOptions
+	for _, lengths := range []bool{false, true} {
+		for _, canonical := range []bool{false, true} {
+			for _, prec := range []int{0, 3, 17} {
+				opts = append(opts, WriteNewickOptions{Lengths: lengths, Canonical: canonical, Precision: prec})
+			}
+		}
+	}
+	check := func(name string, tr *Tree) {
+		t.Helper()
+		for _, opt := range opts {
+			want, werr := writeNewickRecursive(tr, opt)
+			got, gerr := tr.WriteNewick(opt)
+			if (werr == nil) != (gerr == nil) || got != want {
+				t.Fatalf("%s %+v:\n got %q (%v)\nwant %q (%v)", name, opt, got, gerr, want, werr)
+			}
+		}
+	}
+	awkward := []string{"Homo sapiens", "it's", "a(b)", "x:y", "p,q", "[z]", "tab\there", "semi;colon", "''"}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 150; i++ {
+		n := 3 + rng.Intn(58)
+		names := taxaNames(n)
+		for j := range names {
+			if rng.Intn(4) == 0 {
+				names[j] = fmt.Sprintf("%s %d", awkward[rng.Intn(len(awkward))], j)
+			}
+		}
+		tr, err := RandomTree(names, rng, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A few exact zeros and very small and large lengths.
+		for _, e := range tr.Edges() {
+			switch rng.Intn(12) {
+			case 0:
+				SetLen(e.A, e.B, 0)
+			case 1:
+				SetLen(e.A, e.B, 1e-9*rng.Float64())
+			case 2:
+				SetLen(e.A, e.B, 1e6*rng.Float64())
+			}
+		}
+		check(fmt.Sprintf("random tree %d (%d taxa)", i, n), tr)
+		if i%5 == 0 {
+			// Collapse a random internal edge or two into multifurcations.
+			for k := 0; k < 2; k++ {
+				if in := tr.InternalEdges(); len(in) > 0 {
+					e := in[rng.Intn(len(in))]
+					for len(e.B.Nbr) > 0 {
+						c, l := e.B.Nbr[0], e.B.Len[0]
+						disconnect(e.B, c)
+						if c != e.A {
+							connect(e.A, c, l)
+						}
+					}
+					tr.releaseNode(e.B)
+				}
+			}
+			if err := tr.Validate(false); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("multifurcating tree %d", i), tr)
+		}
+	}
+
+	names := []string{"a", "b c", "d"}
+	pair := New(names)
+	if _, err := pair.GraftPair(2, 1, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	check("two leaves", pair)
+	single := New(names)
+	single.newNode(1)
+	check("single leaf", single)
+	if _, err := New(names).WriteNewick(WriteNewickOptions{}); err == nil {
+		t.Error("empty tree rendered")
 	}
 }

@@ -1,6 +1,10 @@
 package tree
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
 
 // Candidate topology enumeration.
 //
@@ -160,8 +164,8 @@ func (t *Tree) Rearrangements(extent int, fn func(view *Tree, cand RearrangeCand
 	if t.NumLeaves() < 4 {
 		return 0, nil // a 3-leaf tree has a unique topology
 	}
-	original := t.Topology()
-	seen := map[string]bool{original: true}
+	var key topoKey
+	seen := map[string]bool{string(key.of(t)): true}
 	count := 0
 
 	// Enumerate directed edges p->s with p internal: pruning s's subtree
@@ -202,20 +206,24 @@ func (t *Tree) Rearrangements(extent int, fn func(view *Tree, cand RearrangeCand
 
 		stop := false
 		for _, tg := range targets {
+			tl := tg.e.Length()
 			mid, err := t.RegraftSubtree(s, tg.e, lps)
 			if err != nil {
 				return count, err
 			}
-			key := t.Topology()
-			if !seen[key] {
-				seen[key] = true
+			// Looking a []byte up as string(k) does not allocate; only a
+			// topology seen for the first time is copied into the map.
+			if k := key.of(t); !seen[string(k)] {
+				seen[string(k)] = true
 				count++
 				if !fn(t, RearrangeCandidate{Subtree: s, Attach: joined, Target: tg.e, Distance: tg.dist, PruneAt: mv.p}) {
 					stop = true
 				}
 			}
-			// Undo the regraft: dissolve mid, restoring tg.e exactly.
+			// Undo the regraft: dissolve mid, restoring tg.e exactly (a
+			// zero-length edge was split into two default halves).
 			undoRegraft(t, mid, s)
+			SetLen(tg.e.A, tg.e.B, tl)
 			if stop {
 				break
 			}
@@ -229,6 +237,71 @@ func (t *Tree) Rearrangements(extent int, fn func(view *Tree, cand RearrangeCand
 		}
 	}
 	return count, nil
+}
+
+// topoKey builds the canonical byte code of an unrooted binary tree's
+// topology in a buffer it reuses from call to call: the tree is hung
+// from its smallest-taxon leaf and written in preorder, an internal node
+// as 0 followed by its two subtrees (the one holding the smaller taxon
+// first), a leaf as its taxon + 1, each as a uvarint. With every internal
+// node binary the preorder sequence determines the tree, so two trees
+// over the same taxa have equal codes exactly when Topology() would give
+// them equal strings — an exact key, with no rendering and no collisions
+// to argue about.
+type topoKey struct {
+	buf []byte
+	min []int // smallest taxon below each node, by node ID
+}
+
+// of returns t's code; the slice is valid until the next call.
+func (k *topoKey) of(t *Tree) []byte {
+	if len(k.min) < len(t.Nodes) {
+		k.min = make([]int, len(t.Nodes))
+	}
+	k.buf = k.buf[:0]
+	root := t.minLeaf()
+	k.mins(root.Nbr[0], root)
+	k.emit(root.Nbr[0], root)
+	return k.buf
+}
+
+func (k *topoKey) mins(n, parent *Node) int {
+	m := n.Taxon
+	if !n.Leaf() {
+		m = math.MaxInt
+		for _, c := range n.Nbr {
+			if c != parent {
+				if cm := k.mins(c, n); cm < m {
+					m = cm
+				}
+			}
+		}
+	}
+	k.min[n.ID] = m
+	return m
+}
+
+func (k *topoKey) emit(n, parent *Node) {
+	if n.Leaf() {
+		k.buf = binary.AppendUvarint(k.buf, uint64(n.Taxon)+1)
+		return
+	}
+	k.buf = append(k.buf, 0)
+	var first, second *Node
+	for _, c := range n.Nbr {
+		switch {
+		case c == parent:
+		case first == nil:
+			first = c
+		default:
+			second = c
+		}
+	}
+	if k.min[second.ID] < k.min[first.ID] {
+		first, second = second, first
+	}
+	k.emit(first, n)
+	k.emit(second, n)
 }
 
 // edgeTarget is a regraft target with its vertex-crossing distance.

@@ -191,3 +191,99 @@ func TestInsertionsDistinctTopologies(t *testing.T) {
 		t.Errorf("%d distinct insertion topologies, want %d", len(seen), 2*8-5)
 	}
 }
+
+// rearrangementMovesByString is the enumeration as it was when it
+// de-duplicated candidates by their rendered Topology() string, kept as
+// the reference for the byte-code key: same prune order, same targets,
+// same undo, only the key differs.
+func rearrangementMovesByString(t *Tree, extent int) ([]SPRMove, error) {
+	seen := map[string]bool{t.Topology(): true}
+	type directed struct{ p, s int }
+	var moves []directed
+	for _, n := range t.Nodes {
+		if n == nil || n.Leaf() {
+			continue
+		}
+		for _, m := range n.Nbr {
+			moves = append(moves, directed{n.ID, m.ID})
+		}
+	}
+	var out []SPRMove
+	for _, mv := range moves {
+		p, s := t.Nodes[mv.p], t.Nodes[mv.s]
+		var others []*Node
+		var lens []float64
+		for i, nb := range p.Nbr {
+			if nb != s {
+				others = append(others, nb)
+				lens = append(lens, p.Len[i])
+			}
+		}
+		lps := p.LenTo(s)
+		joined, err := t.PruneSubtree(p, s)
+		if err != nil {
+			return nil, err
+		}
+		for _, tg := range edgesWithin(joined, extent) {
+			mid, err := t.RegraftSubtree(s, tg.e, lps)
+			if err != nil {
+				return nil, err
+			}
+			if key := t.Topology(); !seen[key] {
+				seen[key] = true
+				out = append(out, SPRMove{P: mv.p, S: s.ID, TA: tg.e.A.ID, TB: tg.e.B.ID})
+			}
+			undoRegraft(t, mid, s)
+		}
+		undoPrune(t, joined, s, others, lens, lps)
+	}
+	return out, nil
+}
+
+// TestRearrangementsMatchStringKeyedEnumeration: de-duplicating by the
+// canonical byte code visits exactly the candidates, in exactly the
+// order, that de-duplicating by Topology() did — so task IDs and
+// tie-breaks downstream do not move — for extents 1-5 on random trees of
+// 4-40 taxa, and leaves the tree (lengths included) as it found it.
+func TestRearrangementsMatchStringKeyedEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 40; i++ {
+		n := 4 + rng.Intn(37)
+		tr, err := RandomTree(taxaNames(n), rng, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 {
+			// A zero-length branch: regrafting onto it splits it into
+			// default halves, which the undo must not leave behind.
+			e := tr.Edges()[rng.Intn(2*n-3)]
+			SetLen(e.A, e.B, 0)
+		}
+		before := tr.Newick()
+		for extent := 1; extent <= 5; extent++ {
+			want, err := rearrangementMovesByString(tr.Clone(), extent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []SPRMove
+			count, err := tr.Rearrangements(extent, func(_ *Tree, c RearrangeCandidate) bool {
+				got = append(got, c.Move())
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if count != len(got) || len(got) != len(want) {
+				t.Fatalf("tree %d (%d taxa) extent %d: %d candidates (count %d), reference %d", i, n, extent, len(got), count, len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("tree %d (%d taxa) extent %d: candidate %d is %+v, reference %+v", i, n, extent, j, got[j], want[j])
+				}
+			}
+			if after := tr.Newick(); after != before {
+				t.Fatalf("tree %d extent %d: enumeration changed the tree:\n%s\n%s", i, extent, before, after)
+			}
+		}
+	}
+}

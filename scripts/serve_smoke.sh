@@ -136,7 +136,10 @@ $hdrs"
 	fi
 done
 [ -n "$saw_429" ] || fail "burst of 3 rapid submissions never saw a 429 (rate 1/s, burst 2)"
-curl -fsS "$base/metrics" | grep -q 'fdml_serve_rejections_total{tenant="lab-a",reason="rate_limited"}' ||
+# Not `curl | grep -q`: grep -q exits at the first match and curl, still
+# writing a large /metrics page, fails the pipeline (pipefail) with EPIPE.
+metrics=$(curl -fsS "$base/metrics")
+printf '%s\n' "$metrics" | grep -q 'fdml_serve_rejections_total{tenant="lab-a",reason="rate_limited"}' ||
 	fail "metrics missing the rate_limited rejection"
 echo "   429 with Retry-After, labeled on /metrics"
 
