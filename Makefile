@@ -50,9 +50,10 @@ difftest:
 	$(GO) test -count=1 -run TestDifferential ./internal/likelihood/difftest/
 
 # Fuzz smoke: ten seconds of native Go fuzzing split over every Fuzz*
-# target — the TCP frame parser and the task and result slice decoders,
-# which read what a peer sends (the committed corpora alone already run
-# as part of `test`). A finding lands in the package's testdata/fuzz/.
+# target — four today, so 2 s each: the TCP frame parser, the task slice
+# and result slice decoders and the join welcome, which read what a peer
+# sends (the committed corpora alone already run as part of `test`). A
+# finding lands in the package's testdata/fuzz/.
 fuzz-smoke:
 	GO=$(GO) ./scripts/fuzz_smoke.sh 10
 

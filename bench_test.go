@@ -363,7 +363,8 @@ func BenchmarkRearrangementEnumeration(b *testing.B) {
 	b.ReportMetric(float64(count), "candidates")
 }
 
-// BenchmarkMonitorDiscard exercises the monitor wire format.
+// BenchmarkMonitorDiscard runs a search with the monitor subscribed to the
+// foreman's bus and its lines discarded.
 func BenchmarkMonitorDiscard(b *testing.B) {
 	cfg := benchConfig(b, 8, 150, 21)
 	b.ResetTimer()

@@ -44,8 +44,7 @@ func main() {
 		precision   = flag.String("precision", "float64", "CLV storage precision: float64 (exact, default) or float32 (half the memory traffic, documented tolerance)")
 		engine      = flag.String("engine", "", "likelihood backend: cached (default) or reference (direct recomputation, for cross-validation)")
 		smoothMode  = flag.String("smooth-mode", "", "full-tree branch smoothing: sweep (sequential Newton, default) or gradient (simultaneous, linear-time all-branches gradient)")
-		pipeline    = flag.Int("pipeline", 2, "slices of a round's tasks kept in flight per worker in parallel runs (1 = a worker waits out a round trip between slices)")
-		monitor     = flag.Bool("monitor", false, "attach the monitor process (parallel runs)")
+		monitor     = flag.Bool("monitor", false, "attach the monitor (parallel runs): membership and inline-evaluation lines on stderr, run counters in the -bench-json report")
 		ratesPath   = flag.String("rates", "", "per-site rate file (dnarates output)")
 		weightsPath = flag.String("weights", "", "per-site weight file")
 		outPrefix   = flag.String("out", "", "output prefix for .trees/.best.tree/.consensus.tree files")
@@ -78,7 +77,7 @@ func main() {
 	}
 	if err := run(*inPath, options{
 		jumbles: *jumbles, concJumbles: *concJumbles, seed: *seed, extent: *extent, finalExtent: *finalExtent,
-		ttratio: *ttratio, workers: *workers, threads: *threads, precision: *precision, engine: *engine, smoothMode: *smoothMode, pipeline: *pipeline, monitor: *monitor,
+		ttratio: *ttratio, workers: *workers, threads: *threads, precision: *precision, engine: *engine, smoothMode: *smoothMode, monitor: *monitor,
 		ratesPath: *ratesPath, weightsPath: *weightsPath,
 		outPrefix: *outPrefix, progressOut: *progressOut,
 		listen: *listen, netWorkers: *netWorkers, taskTimeout: *taskTimeout, quiet: *quiet,
@@ -94,8 +93,7 @@ func main() {
 
 type options struct {
 	jumbles, extent, finalExtent, workers, netWorkers int
-	concJumbles                                       int
-	threads, pipeline                                 int
+	concJumbles, threads                              int
 	seed                                              int64
 	taskTimeout                                       time.Duration
 	ttratio, kappa                                    float64
@@ -223,7 +221,6 @@ func run(inPath string, o options) error {
 		Precision:            o.precision,
 		Engine:               o.engine,
 		SmoothMode:           o.smoothMode,
-		Pipeline:             o.pipeline,
 		WithMonitor:          o.monitor,
 		MonitorOut:           obs.NewLockedWriter(os.Stderr),
 		SiteRates:            rates,
@@ -436,7 +433,6 @@ func runSearch(a *seq.Alignment, opt core.Options, o options) error {
 		MonitorOut:           opt.MonitorOut,
 		Jumbles:              o.jumbles,
 		MaxConcurrentJumbles: o.concJumbles,
-		Foreman:              mlsearch.ForemanOptions{Pipeline: o.pipeline},
 		Obs:                  opt.Obs,
 		Progress:             opt.Progress,
 		Stop:                 opt.Stop,
@@ -541,7 +537,6 @@ func writeBenchReport(inf *core.Inference, o options) error {
 		"jumbles":  float64(len(inf.Jumbles)),
 		"best_lnl": inf.Best.LnL,
 		"threads":  float64(o.threads),
-		"pipeline": float64(o.pipeline),
 	}
 	type jumbleBench struct {
 		Seed  int64   `json:"seed"`

@@ -33,7 +33,6 @@ func main() {
 		maxPods         = flag.Int("max-pods", 2, "warm dataset pods kept at once")
 		idleTTL         = flag.Duration("pod-idle-ttl", 5*time.Minute, "idle time before a warm pod is shut down")
 		threads         = flag.Int("threads", 1, "likelihood kernel threads per worker (results are bit-identical at any count)")
-		pipeline        = flag.Int("pipeline", 2, "slices of a round's tasks kept in flight per worker")
 		taskTimeout     = flag.Duration("task-timeout", time.Minute, "re-dispatch a slice of tasks whose worker has not answered it within this")
 		maxActive       = flag.Int("max-active", 2, "jobs running concurrently")
 		maxQueued       = flag.Int("max-queued", 64, "global queue depth before submissions get 429")
@@ -99,7 +98,6 @@ func main() {
 			MaxPods:     *maxPods,
 			IdleTTL:     *idleTTL,
 			Threads:     *threads,
-			Pipeline:    *pipeline,
 			TaskTimeout: *taskTimeout,
 		},
 		MaxActive:          *maxActive,

@@ -1,6 +1,6 @@
 // Cluster: the paper's distributed deployment in one process — an
-// elastic TCP master (router + master + foreman + monitor roles) with
-// worker processes joining over sockets carrying no pre-assigned
+// elastic TCP master (router + master + foreman roles, monitor attached)
+// with worker processes joining over sockets carrying no pre-assigned
 // identity, including an unreliable worker whose dropped replies the
 // foreman's fault tolerance recovers (paper §2.2). In real deployments
 // the workers are cmd/fdworker processes on other machines; here they

@@ -27,10 +27,9 @@ const (
 	TagTask Tag = 1 + iota
 	// TagResult carries an evaluated tree from worker to foreman.
 	TagResult
-	// TagControl carries master/foreman coordination records.
+	// TagControl is the master side's empty wake-up to the foreman it
+	// shares a process with: a round is waiting in the foreman's inbox.
 	TagControl
-	// TagEvent carries instrumentation records to the monitor process.
-	TagEvent
 	// TagShutdown tells a process to exit its receive loop.
 	TagShutdown
 	// TagJoin announces that a worker joined the world. It is synthesized

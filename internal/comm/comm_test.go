@@ -690,8 +690,9 @@ func TestConcurrentSendersStress(t *testing.T) {
 }
 
 // TestHandshakeRefusesOtherProtocolVersion: the hello's magic is the
-// protocol version. A peer built before the slice frames (magic "FDML")
-// is answered with a refusal that says why and is hung up on — it is never
+// protocol version. A peer built before the slice frames (magic "FDML"),
+// or before the monitor rank left the welcome payload ("FDM2"), is
+// answered with a refusal that says why and is hung up on — it is never
 // registered, so no frame it could not decode is ever sent to it — and a
 // dialer of this version that reaches such a peer's router, which hangs up
 // without a welcome, reports the version mismatch instead of a bare EOF.
@@ -707,32 +708,36 @@ func TestHandshakeRefusesOtherProtocolVersion(t *testing.T) {
 	defer world[0].Close()
 	addr := listenAddr(t, world[0])
 
-	// An old worker's hello, byte for byte.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := []byte{0, 0, 0, 8, 0xff, 0xff, 0xff, 0xff, 'F', 'D', 'M', 'L'}
-	if _, err := conn.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	reply, err := io.ReadAll(conn) // until the router hangs up
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reply) < 8 || int32(binary.BigEndian.Uint32(reply[0:4])) != welcomeRefused {
-		t.Fatalf("old hello answered with %q, want a refusal", reply)
-	}
-	if reason := string(reply[8:]); int(binary.BigEndian.Uint32(reply[4:8])) != len(reason) ||
-		!strings.Contains(reason, "protocol mismatch") || strings.Contains(reason, "\n") {
-		t.Errorf("refusal reason %q, want one line naming the protocol mismatch", reason)
-	}
-	select {
-	case rank := <-joined:
-		t.Errorf("the refused peer joined as rank %d", rank)
-	default:
+	// An old worker's hello, byte for byte: version 1, and version 2 whose
+	// welcome still carried a monitor rank.
+	var reply []byte
+	for _, magic := range []string{"FDML", "FDM2"} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		hello := append([]byte{0, 0, 0, 8, 0xff, 0xff, 0xff, 0xff}, magic...)
+		if _, err := conn.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		reply, err = io.ReadAll(conn) // until the router hangs up
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reply) < 8 || int32(binary.BigEndian.Uint32(reply[0:4])) != welcomeRefused {
+			t.Fatalf("%s hello answered with %q, want a refusal", magic, reply)
+		}
+		if reason := string(reply[8:]); int(binary.BigEndian.Uint32(reply[4:8])) != len(reason) ||
+			!strings.Contains(reason, "protocol mismatch") || strings.Contains(reason, "\n") {
+			t.Errorf("refusal reason %q, want one line naming the protocol mismatch", reason)
+		}
+		select {
+		case rank := <-joined:
+			t.Errorf("the refused %s peer joined as rank %d", magic, rank)
+		default:
+		}
 	}
 
 	// A dialer of this version relays a refusal's reason, and says what

@@ -12,7 +12,7 @@ import (
 )
 
 // TCP backend: one process hosts the world's router and the first ranks
-// (rank 0, plus the foreman and monitor of a distributed run) as
+// (rank 0, plus the foreman of a distributed run) as
 // in-process mailbox endpoints — the same endpoints a local world is made
 // of (local.go). Every other rank dials in and registers. All traffic
 // between processes flows through the router (star topology), which
@@ -48,9 +48,11 @@ import (
 // a foreign magic is answered by a welcome of rank -2 whose payload is
 // that reason, and the connection is closed.
 
-// tcpMagic is "FDM2": version 2, the task and result slice frames.
-// Version 1 ("FDML") carried one task and one result per frame.
-const tcpMagic int32 = 0x46444d32
+// tcpMagic is "FDM3": version 3, whose welcome payload and tag numbering
+// have no monitor rank. Version 2 ("FDM2") brought the task and result
+// slice frames; version 1 ("FDML") carried one task and one result per
+// frame.
+const tcpMagic int32 = 0x46444d33
 
 // helloJoin is the HELLO rank requesting dynamic rank assignment.
 const helloJoin int32 = -1
@@ -69,7 +71,7 @@ type RouterConfig struct {
 	Addr string
 	// FirstDynamic is the first rank handed to anonymous joiners; ranks
 	// 0..FirstDynamic-1 are hosted by the router's own process (the
-	// master, foreman and monitor roles).
+	// master and foreman roles).
 	FirstDynamic int
 	// Welcome is the payload delivered to anonymous joiners with their
 	// assigned rank (the application's join handshake reply, e.g. the

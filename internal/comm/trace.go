@@ -5,9 +5,8 @@ import (
 	"time"
 )
 
-// Trace wraps a Communicator and records every send and receive, feeding
-// the monitor process's instrumentation and making protocol tests able to
-// assert on message flows.
+// Trace wraps a Communicator and records every send and receive, making
+// protocol tests able to assert on message flows.
 
 // TraceEvent records one message passing through a traced endpoint.
 type TraceEvent struct {

@@ -78,11 +78,7 @@ type Options struct {
 	// "gradient" (simultaneous smoothing on the linear-time all-branches
 	// gradient; same optimum, fewer kernel evaluations).
 	SmoothMode string
-	// Pipeline is the number of tasks the foreman keeps in flight per
-	// worker in parallel runs (default 2; 1 restores the paper's
-	// one-task-per-worker dispatch).
-	Pipeline int
-	// WithMonitor adds the instrumentation process to parallel runs.
+	// WithMonitor adds the monitor role to parallel runs.
 	WithMonitor bool
 	// MonitorOut receives monitor output (nil discards it).
 	MonitorOut io.Writer
@@ -245,7 +241,6 @@ func Infer(a *seq.Alignment, opt Options) (*Inference, error) {
 		Progress:             opt.Progress,
 		Obs:                  opt.Obs,
 		Stop:                 opt.Stop,
-		Foreman:              mlsearch.ForemanOptions{Pipeline: opt.Pipeline},
 	})
 	if err != nil {
 		return nil, err

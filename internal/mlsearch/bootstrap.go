@@ -85,23 +85,30 @@ func UnmarshalDataBundle(data []byte) (DataBundle, error) {
 		PhylipText: []byte(r.str("bundle alignment")),
 		TTRatio:    r.f64("bundle ratio"),
 	}
-	n := r.i32("bundle rate count")
-	for i := int32(0); i < n && r.err == nil; i++ {
+	for n := r.count("bundle rate count", 8); n > 0; n-- {
 		b.SiteRates = append(b.SiteRates, r.f64("bundle rate"))
 	}
-	n = r.i32("bundle weight count")
-	for i := int32(0); i < n && r.err == nil; i++ {
+	for n := r.count("bundle weight count", 8); n > 0; n-- {
 		b.Weights = append(b.Weights, r.f64("bundle weight"))
 	}
-	b.Precision = likelihood.Precision(r.i32("bundle precision"))
+	// The identity fields are refused, not defaulted, when this build
+	// does not know the value: a worker that evaluated differently from
+	// its run would return results that merely look right.
+	prec := r.i32("bundle precision")
+	if r.err == nil && prec != int32(likelihood.Float64) && prec != int32(likelihood.Float32) {
+		return DataBundle{}, fmt.Errorf("mlsearch: data bundle asks for precision %d, which this build does not have", prec)
+	}
+	b.Precision = likelihood.Precision(prec)
 	if err := r.extFields("bundle extension", func(tag byte, payload []byte) {
 		switch tag {
 		case extBundleEngine:
 			b.Engine = string(payload)
 		case extBundleSmoothMode:
-			if m, err := likelihood.ParseSmoothMode(string(payload)); err == nil {
-				b.SmoothMode = m
+			mode, err := likelihood.ParseSmoothMode(string(payload))
+			if err != nil {
+				r.err = fmt.Errorf("mlsearch: data bundle: %w", err)
 			}
+			b.SmoothMode = mode
 		}
 	}); err != nil {
 		return DataBundle{}, err
@@ -149,7 +156,6 @@ func marshalWelcome(lay Layout, bundle DataBundle) []byte {
 	w.buf = append(w.buf, bootWelcome)
 	w.i32(int32(lay.Master))
 	w.i32(int32(lay.Foreman))
-	w.i32(int32(lay.Monitor))
 	inner := MarshalDataBundle(bundle)
 	w.i32(int32(len(inner)))
 	w.buf = append(w.buf, inner...)
@@ -166,7 +172,6 @@ func unmarshalWelcome(data []byte) (Layout, DataBundle, error) {
 	lay := Layout{
 		Master:  int(r.i32("welcome master")),
 		Foreman: int(r.i32("welcome foreman")),
-		Monitor: int(r.i32("welcome monitor")),
 		Elastic: true,
 	}
 	ln := r.i32("welcome bundle length")
@@ -181,5 +186,8 @@ func unmarshalWelcome(data []byte) (Layout, DataBundle, error) {
 		return Layout{}, DataBundle{}, err
 	}
 	r.off += int(ln)
-	return lay, bundle, r.done("welcome")
+	if err := r.done("welcome"); err != nil {
+		return Layout{}, DataBundle{}, err
+	}
+	return lay, bundle, nil
 }

@@ -221,17 +221,11 @@ func (c *countingComm) RecvTimeout(source int, tag comm.Tag, d time.Duration) (c
 // idle clusters).
 func TestForemanBlocksWithoutTimeout(t *testing.T) {
 	world := newTestWorld(t, 3)
-	lay := Layout{Master: 0, Foreman: 1, Monitor: -1, Workers: []int{2}}
+	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2}}
 	counted := &countingComm{Communicator: world[1]}
+	world[1] = counted
 
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := RunForeman(counted, lay, ForemanOptions{}); err != nil {
-			t.Error(err)
-		}
-	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -259,7 +253,7 @@ func TestForemanBlocksWithoutTimeout(t *testing.T) {
 		}
 	}()
 
-	mux, disp := newTestMaster(t, world, lay)
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{})
 	if _, err := disp.Dispatch([]Task{{ID: 1, Round: 1, Newick: "x"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +262,7 @@ func TestForemanBlocksWithoutTimeout(t *testing.T) {
 	counted.mu.Lock()
 	n := counted.recvTimeouts
 	counted.mu.Unlock()
-	if err := mux.Shutdown(); err != nil {
+	if err := foreman.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

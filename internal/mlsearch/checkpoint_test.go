@@ -237,19 +237,17 @@ func TestEvaluateUserTrees(t *testing.T) {
 func TestEvaluateUserTreesParallelKeepsTrees(t *testing.T) {
 	cfg := testConfig(t, 6, 120, 37)
 	world := newTestWorld(t, 4)
-	lay := Layout{Master: 0, Foreman: 1, Monitor: -1, Workers: []int{2, 3}}
+	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
 	norm, err := cfg.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = RunForeman(world[1], lay, ForemanOptions{}) }()
 	for _, w := range lay.Workers {
 		go func(rank int) {
 			_ = RunWorker(world[rank], lay, norm, WorkerHooks{})
 		}(w)
 	}
-	mux, disp := newTestMaster(t, world, lay)
-	defer mux.Shutdown()
+	_, disp := newTestMaster(t, world, lay, ForemanOptions{})
 
 	trees := []*tree.Tree{}
 	n := cfg.Taxa

@@ -1,9 +1,11 @@
 package mlsearch
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -18,13 +20,22 @@ import (
 // dispatched (used to implement fault tolerance)."
 //
 // Beyond the paper, this foreman is a multi-job scheduler: several
-// searches (jumbles, bootstrap replicates) may have round batches open
-// at once, each identified by a job id. Every job keeps its own FIFO
+// searches (jumbles, bootstrap replicates) may have rounds open at once,
+// each identified by a job id. Every job keeps its own FIFO
 // work queue and round state; dispatch is fair across jobs (round-robin
 // by job, FIFO within a job), so one search's long round cannot starve
 // another's. Each job's round is still a barrier — its reply carries
 // exactly its own task set — which is what keeps per-job results
 // bit-identical to a sequential run at any concurrency.
+//
+// The foreman is one goroutine with one blocking receive. Workers reach
+// it by message; the master, which shares its process, reaches it through
+// memory: a job lane (jobs.go) appends its round to the mutex-guarded
+// inbox and sends an empty TagControl message to wake the receive, and
+// the round's results go back on the submission's own channel. When the
+// loop returns, for whatever reason, every open and inboxed round is
+// answered with that reason and later ones are refused, so a foreman that
+// has stopped is an error at the caller, never a wait.
 //
 // What travels to a worker is a slice: a run of one job's queued
 // candidates that share a base tree, sent as one frame and answered by
@@ -54,7 +65,9 @@ import (
 // folding newly joined workers back in the moment they arrive. A
 // candidate whose evaluation fails is none of these: it would fail
 // anywhere, so its result carries the error, its job's round is closed
-// with that cause, and workers and other jobs carry on.
+// with that cause, and workers and other jobs carry on. A worker whose
+// frame cannot be decoded, or carries a tag no worker sends, is treated
+// as rung (3): the bytes are its own, so it leaves and the fleet stays.
 
 // InlineWorker is the Result.Worker value recorded when the foreman
 // evaluated a task itself because no live workers remained.
@@ -86,12 +99,16 @@ type ForemanOptions struct {
 	// DrainTimeout bounds how long shutdown waits for workers to
 	// acknowledge before closing anyway. Default 1s.
 	DrainTimeout time.Duration
-	// Pipeline is the number of slices kept in flight per worker (default
-	// 2). With 1 a worker idles for a network round trip between slices,
-	// as the paper's dispatcher has it between trees. With 2+ the next
-	// slice is already queued at the worker when it finishes the current
-	// one, hiding dispatch latency. Assignment is breadth-first — every
-	// ready worker gets its first slice before any worker gets a second.
+	// Pipeline is the number of slices kept in flight per worker. It is
+	// not a user setting: the default, 2, is what every program runs with
+	// (measured: 7 % faster than 1 over a socket, 4 adds nothing, a
+	// mailbox does not care), and the field is the seam through which the
+	// determinism tests run depths 1, 2 and 4. With 1 a worker idles for
+	// a network round trip between slices, as the paper's dispatcher has
+	// it between trees; with 2 the next slice is already queued at the
+	// worker when it finishes the current one. Assignment is
+	// breadth-first — every ready worker gets its first slice before any
+	// worker gets a second.
 	Pipeline int
 	// Obs, when non-nil, receives dispatch-loop instrumentation (metrics,
 	// typed events, trace spans, the /status snapshot). Nil costs one nil
@@ -118,15 +135,17 @@ func (o ForemanOptions) withDefaults() ForemanOptions {
 	return o
 }
 
-// jobState is one job's open round batch: its FIFO work queue, task set,
-// and accumulated results. It exists from the batch's arrival until the
-// round reply is sent.
+// jobState is one job's open round: its FIFO work queue, task set, and
+// accumulated results. It exists from the round's submission until its
+// reply is sent.
 type jobState struct {
 	id      uint64
 	round   uint64
 	queue   []Task
 	byID    map[uint64]Task
 	results map[uint64]Result
+	// reply is the submission's channel, where the round's answer goes.
+	reply chan roundReply
 	// failed is set by a result carrying an evaluation error: the round
 	// is answered as it stands instead of being completed.
 	failed bool
@@ -136,11 +155,21 @@ type jobState struct {
 	enq map[uint64]time.Time
 }
 
-// foreman carries state across the whole run.
-type foreman struct {
+// Foreman is the foreman role and, for the master that shares its
+// process, the handle that opens job lanes to it (NewDispatcher) and
+// stops it (Shutdown). Everything but the inbox group belongs to the
+// goroutine in Run.
+type Foreman struct {
 	c   comm.Communicator
-	lay Layout
 	opt ForemanOptions
+
+	// mu guards what job lanes share with the loop: the rounds submitted
+	// since the last wake-up, the lane counter, and — once the loop has
+	// returned — why, which fails every later submission.
+	mu      sync.Mutex
+	inbox   []*submission
+	nextJob uint64
+	stopped error
 
 	// members tracks every currently connected worker rank (including
 	// delinquent ones); departures are removed permanently.
@@ -158,7 +187,7 @@ type foreman struct {
 	// connected, eligible for reinstatement).
 	dead map[int]bool
 
-	// jobs holds every open round batch, keyed by job id; order is the
+	// jobs holds every open round, keyed by job id; order is the
 	// round-robin ring of the same ids in arrival order, and rrPos is
 	// the next ring slot to draw from.
 	jobs  map[uint64]*jobState
@@ -187,16 +216,14 @@ func (js *jobState) fail(res Result) {
 	js.queue = nil
 }
 
-// RunForeman executes the foreman role until a shutdown message arrives
-// from the master. On shutdown it forwards the shutdown to every worker
-// and to the monitor.
-func RunForeman(c comm.Communicator, lay Layout, opt ForemanOptions) error {
+// NewForeman builds the foreman over its own endpoint, with the layout's
+// workers as its first members. Nothing runs until Run is called.
+func NewForeman(c comm.Communicator, lay Layout, opt ForemanOptions) (*Foreman, error) {
 	if err := lay.Validate(); err != nil {
-		return err
+		return nil, err
 	}
-	f := &foreman{
+	f := &Foreman{
 		c:       c,
-		lay:     lay,
 		opt:     opt.withDefaults(),
 		members: map[int]bool{},
 		busy:    map[int][]dispatchRecord{},
@@ -207,12 +234,38 @@ func RunForeman(c comm.Communicator, lay Layout, opt ForemanOptions) error {
 		f.members[w] = true
 		f.ready = append(f.ready, w)
 	}
+	return f, nil
+}
 
+// Run executes the foreman role until Shutdown, or until its endpoint
+// fails. Either way it then answers every round still open or inboxed
+// with the reason, refuses later ones, and tells the workers to stop.
+func (f *Foreman) Run() error {
+	err := f.loop()
+	reason := fmt.Errorf("mlsearch: the foreman has shut down")
+	if err != nil {
+		reason = fmt.Errorf("mlsearch: the foreman has stopped: %w", err)
+	}
+	f.mu.Lock()
+	f.stopped = reason
+	unopened := f.inbox
+	f.inbox = nil
+	f.mu.Unlock()
+	for _, js := range f.jobs {
+		js.reply <- roundReply{err: reason}
+	}
+	for _, sub := range unopened {
+		sub.reply <- roundReply{err: reason}
+	}
+	f.shutdown()
+	return err
+}
+
+// loop is the dispatch loop; it returns nil when the master says stop.
+func (f *Foreman) loop() error {
 	for {
 		f.pump()
-		if err := f.flush(); err != nil {
-			return err
-		}
+		f.flush()
 
 		// Block outright unless a dispatched task's deadline can expire;
 		// with fault tolerance off (TaskTimeout 0) or nothing in flight
@@ -220,53 +273,54 @@ func RunForeman(c comm.Communicator, lay Layout, opt ForemanOptions) error {
 		var msg comm.Message
 		var err error
 		if f.opt.TaskTimeout > 0 && f.inflight > 0 {
-			msg, err = c.RecvTimeout(comm.AnySource, comm.AnyTag, f.opt.Tick)
+			msg, err = f.c.RecvTimeout(comm.AnySource, comm.AnyTag, f.opt.Tick)
 		} else {
-			msg, err = c.Recv(comm.AnySource, comm.AnyTag)
+			msg, err = f.c.Recv(comm.AnySource, comm.AnyTag)
 		}
-		switch err {
-		case nil:
-			switch msg.Tag {
-			case comm.TagShutdown:
-				f.shutdown()
-				return nil
-			case comm.TagJoin:
-				f.handleJoin(msg.From)
-			case comm.TagLeave:
-				f.handleLeave(msg.From)
-			case comm.TagResult:
-				// A reply for an already-answered round still reinstates
-				// its sender.
-				if err := f.handleResult(msg); err != nil {
-					return err
-				}
-			case comm.TagControl:
-				if msg.From != lay.Master {
-					return fmt.Errorf("mlsearch: foreman got control from rank %d", msg.From)
-				}
-				batch, err := unmarshalRoundBatch(msg.Data)
-				if err != nil {
-					return err
-				}
-				if err := f.startJob(batch); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("mlsearch: foreman got unexpected tag %d", msg.Tag)
-			}
-		case comm.ErrTimeout:
+		switch {
+		case errors.Is(err, comm.ErrTimeout):
 			// fall through to the deadline scan
-		default:
+		case err != nil:
 			return fmt.Errorf("mlsearch: foreman receive: %w", err)
+		case msg.From == f.c.Rank():
+			// The master side of this process (jobs.go): stop, or the
+			// wake-up for rounds waiting in the inbox.
+			if msg.Tag == comm.TagShutdown {
+				return nil
+			}
+			f.takeInbox()
+		case msg.Tag == comm.TagJoin:
+			f.handleJoin(msg.From)
+		case msg.Tag == comm.TagResult:
+			// A reply for an already-answered round still reinstates its
+			// sender; one that does not decode is bytes of the sender's
+			// choosing, and costs the fleet that one worker.
+			if !f.handleResult(msg) {
+				f.handleLeave(msg.From)
+			}
+		default:
+			// TagLeave, or a tag no worker sends.
+			f.handleLeave(msg.From)
 		}
 		f.expire()
 	}
 }
 
-// shutdown broadcasts TagShutdown to every connected worker, waits
-// briefly for their acknowledgements (so frames drain before the caller
-// tears the transport down), then releases the monitor.
-func (f *foreman) shutdown() {
+// takeInbox opens every round submitted since the last wake-up.
+func (f *Foreman) takeInbox() {
+	f.mu.Lock()
+	subs := f.inbox
+	f.inbox = nil
+	f.mu.Unlock()
+	for _, sub := range subs {
+		f.startJob(sub)
+	}
+}
+
+// shutdown broadcasts TagShutdown to every connected worker and waits
+// briefly for their acknowledgements, so frames drain before the caller
+// tears the transport down.
+func (f *Foreman) shutdown() {
 	waiting := map[int]bool{}
 	for w := range f.members {
 		if f.c.Send(w, comm.TagShutdown, nil) == nil {
@@ -288,46 +342,44 @@ func (f *foreman) shutdown() {
 			delete(waiting, msg.From)
 		}
 	}
-	if f.lay.Monitor >= 0 {
-		_ = f.c.Send(f.lay.Monitor, comm.TagShutdown, nil)
-	}
 }
 
-// startJob opens a round batch as a new scheduling job.
-func (f *foreman) startJob(batch roundBatch) error {
-	if _, dup := f.jobs[batch.Job]; dup {
-		return fmt.Errorf("mlsearch: job %d already has an open round at the foreman", batch.Job)
+// startJob opens a submitted round as a new scheduling job. The queue is
+// the foreman's own copy: the submitting search keeps its slice.
+func (f *Foreman) startJob(sub *submission) {
+	if _, dup := f.jobs[sub.job]; dup {
+		sub.reply <- roundReply{err: fmt.Errorf("mlsearch: job %d already has an open round at the foreman", sub.job)}
+		return
 	}
 	js := &jobState{
-		id:      batch.Job,
-		round:   batch.Round,
-		queue:   append([]Task(nil), batch.Tasks...),
+		id:      sub.job,
+		round:   sub.round,
+		queue:   append([]Task(nil), sub.tasks...),
 		byID:    map[uint64]Task{},
 		results: map[uint64]Result{},
+		reply:   sub.reply,
 	}
-	for _, t := range batch.Tasks {
+	for _, t := range sub.tasks {
 		js.byID[t.ID] = t
 	}
 	if f.opt.Obs != nil {
-		js.enq = make(map[uint64]time.Time, len(batch.Tasks))
+		js.enq = make(map[uint64]time.Time, len(sub.tasks))
 		now := time.Now()
-		for _, t := range batch.Tasks {
+		for _, t := range sub.tasks {
 			js.enq[t.ID] = now
 		}
 	}
-	f.jobs[batch.Job] = js
-	f.order = append(f.order, batch.Job)
-	f.event(monRoundStart, 0, batch.Job, batch.Round, fmt.Sprintf("tasks=%d", len(batch.Tasks)))
-	f.opt.Obs.RoundStart(batch.Job, batch.Round, len(batch.Tasks))
+	f.jobs[sub.job] = js
+	f.order = append(f.order, sub.job)
+	f.opt.Obs.RoundStart(sub.job, sub.round, len(sub.tasks))
 	f.depths()
-	return nil
 }
 
 // pump advances scheduling as far as it can without blocking: assign
 // queued tasks to ready workers, and — the bottom rung of the
 // degradation ladder — evaluate inline when work is queued but no live
 // worker can take it.
-func (f *foreman) pump() {
+func (f *Foreman) pump() {
 	for {
 		f.assign()
 		if f.queuedTotal() > 0 && len(f.ready) == 0 && f.inflight == 0 && f.opt.Inline != nil {
@@ -340,25 +392,21 @@ func (f *foreman) pump() {
 
 // flush answers every job whose round has completed, removing it from
 // the scheduler.
-func (f *foreman) flush() error {
+func (f *Foreman) flush() {
 	for i := 0; i < len(f.order); {
 		js := f.jobs[f.order[i]]
 		if !js.failed && len(js.results) < len(js.byID) {
 			i++
 			continue
 		}
-		if err := f.finishJob(js); err != nil {
-			return err
-		}
-		// finishJob removed this ring slot; re-test index i.
+		f.finishJob(js) // removes this ring slot; re-test index i
 	}
-	return nil
 }
 
 // finishJob sends a job's round reply — every result, sorted by task ID
 // (for a failed round: what had arrived, the failure among them) — and
 // closes the round.
-func (f *foreman) finishJob(js *jobState) error {
+func (f *Foreman) finishJob(js *jobState) {
 	results := make([]Result, 0, len(js.results))
 	best := math.Inf(-1)
 	for _, r := range js.results {
@@ -369,15 +417,13 @@ func (f *foreman) finishJob(js *jobState) error {
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].TaskID < results[j].TaskID })
 	f.removeJob(js.id)
-	f.event(monRoundDone, 0, js.id, js.round, fmt.Sprintf("best=%.4f", best))
 	f.opt.Obs.RoundDone(js.id, js.round, len(f.members), best)
 	f.depths()
-	reply := roundReply{Round: js.round, Job: js.id, Results: results}
-	return f.c.Send(f.lay.Master, comm.TagControl, marshalRoundReply(reply))
+	js.reply <- roundReply{results: results}
 }
 
 // removeJob drops a job from the map and the round-robin ring.
-func (f *foreman) removeJob(id uint64) {
+func (f *Foreman) removeJob(id uint64) {
 	delete(f.jobs, id)
 	for i, j := range f.order {
 		if j == id {
@@ -393,7 +439,7 @@ func (f *foreman) removeJob(id uint64) {
 }
 
 // queuedTotal sums the queued tasks across all jobs.
-func (f *foreman) queuedTotal() int {
+func (f *Foreman) queuedTotal() int {
 	n := 0
 	for _, js := range f.jobs {
 		n += len(js.queue)
@@ -409,7 +455,7 @@ func (f *foreman) queuedTotal() int {
 // whose requeued copy already finished elsewhere are discarded on the
 // way. The slice aliases the queue's backing array, which is never
 // written again (requeue builds a new one).
-func (f *foreman) nextSlice(live int) (*jobState, []Task) {
+func (f *Foreman) nextSlice(live int) (*jobState, []Task) {
 	n := len(f.order)
 	for i := 0; i < n; i++ {
 		idx := (f.rrPos + i) % n
@@ -438,7 +484,7 @@ func (f *foreman) nextSlice(live int) (*jobState, []Task) {
 }
 
 // depths reports the scheduler's queue sizes to the observer.
-func (f *foreman) depths() {
+func (f *Foreman) depths() {
 	if f.opt.Obs == nil {
 		return
 	}
@@ -446,7 +492,7 @@ func (f *foreman) depths() {
 }
 
 // dropReady removes a worker from the ready queue if present.
-func (f *foreman) dropReady(w int) {
+func (f *Foreman) dropReady(w int) {
 	for i, r := range f.ready {
 		if r == w {
 			f.ready = append(f.ready[:i], f.ready[i+1:]...)
@@ -458,21 +504,20 @@ func (f *foreman) dropReady(w int) {
 // dropBusy removes all of a worker's in-flight slices and requeues their
 // not-yet-answered candidates at the front of their own job's queue
 // (oldest first), so re-dispatch happens before fresh work.
-func (f *foreman) dropBusy(w int) (requeued int) {
+func (f *Foreman) dropBusy(w int) {
 	recs := f.busy[w]
 	delete(f.busy, w)
 	f.inflight -= len(recs)
 	for i := len(recs) - 1; i >= 0; i-- {
-		requeued += f.requeueUnanswered(recs[i].tasks)
+		f.requeueUnanswered(recs[i].tasks)
 	}
-	return requeued
 }
 
 // openRound returns the job's open round if the task with this ID and
 // round belongs to it, nil when that round has been answered: a slice can
 // outlive its round (one that failed is answered with slices still out),
 // and its job may have opened the next.
-func (f *foreman) openRound(job, id, round uint64) *jobState {
+func (f *Foreman) openRound(job, id, round uint64) *jobState {
 	js := f.jobs[job]
 	if js == nil || js.failed {
 		return nil
@@ -485,10 +530,10 @@ func (f *foreman) openRound(job, id, round uint64) *jobState {
 
 // requeueUnanswered requeues the candidates of a slice that have no
 // result yet, unless their round was already answered.
-func (f *foreman) requeueUnanswered(tasks []Task) int {
+func (f *Foreman) requeueUnanswered(tasks []Task) {
 	js := f.openRound(tasks[0].Job, tasks[0].ID, tasks[0].Round)
 	if js == nil {
-		return 0
+		return
 	}
 	var undone []Task
 	for _, t := range tasks {
@@ -497,13 +542,12 @@ func (f *foreman) requeueUnanswered(tasks []Task) int {
 		}
 	}
 	js.requeue(undone)
-	return len(undone)
 }
 
 // evalInline evaluates the next queued task in the foreman itself — the
 // bottom rung of the degradation ladder, keeping the run alive with an
 // empty worker set.
-func (f *foreman) evalInline() {
+func (f *Foreman) evalInline() {
 	js, slice := f.nextSlice(0)
 	if js == nil {
 		return
@@ -518,17 +562,15 @@ func (f *foreman) evalInline() {
 	}
 	res.Worker = InlineWorker
 	js.results[t.ID] = res
-	f.event(monInline, int(InlineWorker), t.Job, t.Round, fmt.Sprintf("task=%d lnl=%.4f", t.ID, res.LnL))
 	f.opt.Obs.Inline(t.Job, t.Round, t.ID, res.LnL)
 	f.depths()
 }
 
 // handleJoin folds a newly announced worker into the membership and the
 // ready queue (mid-round joins start pulling tasks immediately).
-func (f *foreman) handleJoin(w int) {
+func (f *Foreman) handleJoin(w int) {
 	f.members[w] = true
 	f.pushReady(w)
-	f.event(monWorkerJoined, w, 0, 0, "")
 	f.opt.Obs.Joined(w)
 	f.depths()
 }
@@ -537,15 +579,11 @@ func (f *foreman) handleJoin(w int) {
 // of its in-flight slices is requeued at the front, reusing the
 // expire/requeue machinery's ordering so re-dispatch happens before
 // fresh work.
-func (f *foreman) handleLeave(w int) {
+func (f *Foreman) handleLeave(w int) {
 	delete(f.members, w)
 	delete(f.dead, w)
 	f.dropReady(w)
-	info := ""
-	if n := f.dropBusy(w); n > 0 {
-		info = fmt.Sprintf("tasks=%d requeued", n)
-	}
-	f.event(monWorkerLeft, w, 0, 0, info)
+	f.dropBusy(w)
 	f.opt.Obs.Left(w)
 	f.depths()
 }
@@ -553,7 +591,7 @@ func (f *foreman) handleLeave(w int) {
 // pushReady returns a worker to the ready queue, clearing its dead flag
 // and avoiding duplicates. A worker already at its pipeline capacity
 // stays out; it re-enters when a result frees a slot.
-func (f *foreman) pushReady(w int) {
+func (f *Foreman) pushReady(w int) {
 	delete(f.dead, w)
 	if len(f.busy[w]) >= f.opt.Pipeline {
 		return
@@ -571,7 +609,7 @@ func (f *foreman) pushReady(w int) {
 // re-enters at the back of the ready queue, so assignment is
 // breadth-first: every ready worker receives its first slice before any
 // worker receives a second.
-func (f *foreman) assign() {
+func (f *Foreman) assign() {
 	for len(f.ready) > 0 {
 		js, slice := f.nextSlice(len(f.members) - len(f.dead))
 		if js == nil {
@@ -596,7 +634,6 @@ func (f *foreman) assign() {
 			delete(f.members, w)
 			delete(f.dead, w)
 			f.dropBusy(w)
-			f.event(monWorkerDead, w, head.Job, head.Round, "send failed")
 			f.opt.Obs.TimedOut(w, head.Job, head.Round, head.ID)
 			continue
 		}
@@ -605,9 +642,8 @@ func (f *foreman) assign() {
 		if len(f.busy[w]) < f.opt.Pipeline {
 			f.ready = append(f.ready, w)
 		}
-		for _, t := range slice {
-			f.event(monDispatch, w, t.Job, t.Round, fmt.Sprintf("task=%d", t.ID))
-			if f.opt.Obs != nil {
+		if f.opt.Obs != nil {
+			for _, t := range slice {
 				f.opt.Obs.Dispatched(w, t.Job, t.Round, t.ID, now.Sub(js.enq[t.ID]))
 			}
 		}
@@ -616,11 +652,12 @@ func (f *foreman) assign() {
 }
 
 // handleResult processes a worker's TagResult message: its reply to one
-// slice, holding a result for every candidate it did not drop.
-func (f *foreman) handleResult(msg comm.Message) error {
+// slice, holding a result for every candidate it did not drop. It reports
+// false, having done nothing, for a frame that does not decode.
+func (f *Foreman) handleResult(msg comm.Message) bool {
 	results, err := unmarshalResults(msg.Data)
 	if err != nil {
-		return err
+		return false
 	}
 	comm.PutBuf(msg.Data) // decoded (strings copied); recycle the frame
 	w := msg.From
@@ -630,7 +667,6 @@ func (f *foreman) handleResult(msg comm.Message) error {
 		// Paper §2.2: "If at some later time a response is received from
 		// the delinquent worker, then that worker is added back into the
 		// list of workers available to analyze trees."
-		f.event(monWorkerRevived, w, first.Job, first.Round, "")
 		f.opt.Obs.Reinstated(w, first.Round)
 	}
 	// A reply proves liveness even if the transport never announced the
@@ -675,7 +711,6 @@ func (f *foreman) handleResult(msg comm.Message) error {
 				break
 			}
 			js.results[res.TaskID] = res
-			f.event(monResult, w, res.Job, res.Round, fmt.Sprintf("task=%d lnl=%.4f", res.TaskID, res.LnL))
 			var rtt time.Duration
 			if answered != nil {
 				rtt = res.Eval + overhead
@@ -691,7 +726,7 @@ func (f *foreman) handleResult(msg comm.Message) error {
 	}
 	f.pushReady(w)
 	f.depths()
-	return nil
+	return true
 }
 
 // holdsTask reports whether a slice contains the task with this ID.
@@ -708,7 +743,7 @@ func holdsTask(tasks []Task, id uint64) bool {
 // their slices (paper §2.2: "that particular worker is removed from the
 // list of available workers, and the tree that had been dispatched to
 // that worker is sent to a different worker").
-func (f *foreman) expire() {
+func (f *Foreman) expire() {
 	if f.opt.TaskTimeout <= 0 {
 		return
 	}
@@ -731,23 +766,7 @@ func (f *foreman) expire() {
 		f.dropReady(w)
 		f.dropBusy(w)
 		head := expired.tasks[0]
-		f.event(monWorkerDead, w, head.Job, head.Round, fmt.Sprintf("task=%d timed out", head.ID))
 		f.opt.Obs.TimedOut(w, head.Job, head.Round, head.ID)
 		f.depths()
 	}
-}
-
-// event emits a monitor record when a monitor rank exists.
-func (f *foreman) event(kind byte, worker int, job, round uint64, info string) {
-	if f.lay.Monitor < 0 {
-		return
-	}
-	_ = f.c.Send(f.lay.Monitor, comm.TagEvent, marshalMonitorEvent(MonitorEvent{
-		Kind:   kind,
-		Worker: int32(worker),
-		Round:  round,
-		Job:    job,
-		Info:   info,
-		At:     time.Now().UnixNano(),
-	}))
 }

@@ -7,15 +7,18 @@ import (
 )
 
 // The two slice envelopes are what a TCP peer's TagTask and TagResult
-// frames (and, run by run, the round batch and its reply) are decoded
-// from. Whatever the bytes, the decoders return an error rather than
-// panicking or sizing an allocation from a count the payload cannot back,
-// and what they accept is stable: it re-encodes to bytes that decode to
-// the same value and encode to the same bytes again. The committed
-// corpora (testdata/fuzz/) hold an empty slice, a count larger than the
-// payload, a negative string length, a truncated candidate or length
-// list, an unknown extension tag (accepted and dropped) and a valid frame
-// followed by trailing bytes.
+// frames are decoded from, and the welcome is what a joining worker reads
+// out of the handshake. Whatever the bytes, the decoders return an error
+// rather than panicking or sizing an allocation from a count the payload
+// cannot back, and what they accept is stable: it re-encodes to bytes
+// that decode to the same value and encode to the same bytes again. The
+// committed corpora (testdata/fuzz/) hold, for the slices, an empty
+// slice, a count larger than the payload, a negative string length, a
+// truncated candidate or length list, an unknown extension tag (accepted
+// and dropped) and a valid frame followed by trailing bytes; for the
+// welcome, a valid one, a truncated inner bundle, a bundle length past
+// the payload, negative rate and weight counts, precisions 2 and 257, an
+// unknown extension tag and trailing bytes.
 
 func FuzzUnmarshalTaskSlice(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -61,6 +64,31 @@ func FuzzUnmarshalResultSlice(f *testing.F) {
 		}
 		if !bytes.Equal(marshalResults(again), enc) {
 			t.Error("reply encoding is not stable")
+		}
+	})
+}
+
+func FuzzUnmarshalWelcome(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lay, bundle, err := unmarshalWelcome(data)
+		if err != nil {
+			if !reflect.DeepEqual(lay, Layout{}) || !reflect.DeepEqual(bundle, DataBundle{}) {
+				t.Errorf("error %v with layout %+v and a bundle of %d bytes", err, lay, len(bundle.PhylipText))
+			}
+			return
+		}
+		// Bundles hold floats (NaN != NaN), so stability is checked on
+		// the bytes.
+		enc := marshalWelcome(lay, bundle)
+		againLay, againBundle, err := unmarshalWelcome(enc)
+		if err != nil {
+			t.Fatalf("re-encoded welcome does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(againLay, lay) {
+			t.Errorf("layout changed across encode/decode: %+v became %+v", lay, againLay)
+		}
+		if !bytes.Equal(marshalWelcome(againLay, againBundle), enc) {
+			t.Error("welcome encoding is not stable")
 		}
 	})
 }

@@ -35,19 +35,32 @@ func newTestWorld(t *testing.T, size int) []comm.Communicator {
 	return world
 }
 
-// newTestMaster is the master side of a hand-built world: the job mux
-// over rank 0 and one dispatch lane through it.
-func newTestMaster(t *testing.T, world []comm.Communicator, lay Layout) (*JobMux, Dispatcher) {
+// newTestMaster runs the foreman of a hand-built world on its rank and
+// returns it with one dispatch lane open. The test shuts the foreman down
+// when it is done with it; the cleanup does so again for a test that
+// failed first, and waits for the goroutine either way.
+func newTestMaster(t *testing.T, world []comm.Communicator, lay Layout, opt ForemanOptions) (*Foreman, Dispatcher) {
 	t.Helper()
-	mux, err := NewJobMux(world[lay.Master], lay)
+	f, err := NewForeman(world[lay.Foreman], lay, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disp, err := mux.NewDispatcher()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := f.Run(); err != nil {
+			t.Error(err)
+		}
+	}()
+	t.Cleanup(func() {
+		_ = f.Shutdown()
+		<-done
+	})
+	disp, err := f.NewDispatcher()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mux, disp
+	return f, disp
 }
 
 // runSerial is the tests' shorthand for one search on the Serial

@@ -3,127 +3,17 @@ package mlsearch
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/comm"
 	"repro/internal/obs"
 )
 
 // The monitor (paper §2.2): "an optional process that provides
-// instrumentation for the program". It receives event records from the
-// foreman over the wire, decodes them into the typed events of the obs
-// bus, and lets its two consumers — stats aggregation and line printing —
-// run as ordinary bus subscribers. Anything else (a test assertion, a
-// future remote exporter) can subscribe to the same bus without touching
-// the receive loop, and the in-process RunObserver publishes the
-// identical event types, so a consumer works against either source.
-
-// Monitor event kinds.
-const (
-	monRoundStart byte = 1 + iota
-	monDispatch
-	monResult
-	monWorkerDead
-	monWorkerRevived
-	monRoundDone
-	monWorkerJoined
-	monWorkerLeft
-	monInline
-)
-
-// MonitorEvent is one instrumentation record as it travels on the wire.
-type MonitorEvent struct {
-	// Kind is one of the mon* constants.
-	Kind byte
-	// Worker is the worker rank the event concerns (0 when N/A).
-	Worker int32
-	// Round is the round the event belongs to.
-	Round uint64
-	// Job is the job the event belongs to (0 for membership events and
-	// legacy single-job runs). Travels as an extension field, so old
-	// monitors tolerate it.
-	Job uint64
-	// Info is a free-form detail string.
-	Info string
-	// At is the event time in Unix nanoseconds.
-	At int64
-}
-
-// Extension tags of the MonitorEvent envelope.
-const extMonJob byte = 1
-
-func marshalMonitorEvent(e MonitorEvent) []byte {
-	var w wireWriter
-	w.buf = append(w.buf, e.Kind)
-	w.i32(e.Worker)
-	w.u64(e.Round)
-	w.str(e.Info)
-	w.u64(uint64(e.At))
-	w.extU64(extMonJob, e.Job)
-	return w.buf
-}
-
-func unmarshalMonitorEvent(b []byte) (MonitorEvent, error) {
-	if len(b) == 0 {
-		return MonitorEvent{}, fmt.Errorf("mlsearch: empty monitor event")
-	}
-	r := wireReader{buf: b[1:]}
-	e := MonitorEvent{
-		Kind:   b[0],
-		Worker: r.i32("event worker"),
-		Round:  r.u64("event round"),
-		Info:   r.str("event info"),
-	}
-	e.At = int64(r.u64("event time"))
-	// Unknown extension tags a newer foreman may append are tolerated
-	// (rolling upgrades).
-	err := r.extFields("monitor event extension", func(tag byte, payload []byte) {
-		if tag == extMonJob {
-			e.Job = extU64Val(payload)
-		}
-	})
-	return e, err
-}
-
-// typed converts a wire event into its bus event, recovering the
-// structured values the foreman folded into the Info string. Unknown
-// kinds return nil.
-func (e MonitorEvent) typed() any {
-	at := time.Unix(0, e.At)
-	switch e.Kind {
-	case monRoundStart:
-		ev := RoundStarted{Job: e.Job, Round: e.Round, At: at}
-		fmt.Sscanf(e.Info, "tasks=%d", &ev.Tasks)
-		return ev
-	case monDispatch:
-		ev := TaskDispatched{Worker: int(e.Worker), Job: e.Job, Round: e.Round}
-		fmt.Sscanf(e.Info, "task=%d", &ev.TaskID)
-		return ev
-	case monResult:
-		ev := TaskCompleted{Worker: int(e.Worker), Job: e.Job, Round: e.Round}
-		fmt.Sscanf(e.Info, "task=%d lnl=%f", &ev.TaskID, &ev.LnL)
-		return ev
-	case monWorkerDead:
-		ev := WorkerTimedOut{Worker: int(e.Worker), Job: e.Job, Round: e.Round}
-		fmt.Sscanf(e.Info, "task=%d", &ev.TaskID)
-		return ev
-	case monWorkerRevived:
-		return WorkerReinstated{Worker: int(e.Worker), Round: e.Round}
-	case monWorkerJoined:
-		return WorkerJoined{Worker: int(e.Worker)}
-	case monWorkerLeft:
-		return WorkerLeft{Worker: int(e.Worker)}
-	case monInline:
-		ev := InlineEvaluated{Job: e.Job, Round: e.Round}
-		fmt.Sscanf(e.Info, "task=%d lnl=%f", &ev.TaskID, &ev.LnL)
-		return ev
-	case monRoundDone:
-		ev := RoundCompleted{Job: e.Job, Round: e.Round, At: at}
-		fmt.Sscanf(e.Info, "best=%f", &ev.BestLnL)
-		return ev
-	}
-	return nil
-}
+// instrumentation for the program". Here it is two subscribers of the
+// run's event bus — stats aggregation and line printing — fed by the one
+// typed event the foreman's RunObserver publishes at each site. It runs
+// on the foreman's goroutine, in the foreman's process, and sees exactly
+// what any other subscriber (a test assertion, the /status snapshot, a
+// future remote exporter) sees.
 
 // MonitorStats aggregates a run's instrumentation.
 type MonitorStats struct {
@@ -146,8 +36,6 @@ type MonitorStats struct {
 	// Inline counts tasks the foreman evaluated itself because no live
 	// workers remained.
 	Inline int
-	// Events retains the full event log.
-	Events []MonitorEvent
 }
 
 func newMonitorStats() *MonitorStats {
@@ -159,8 +47,8 @@ func newMonitorStats() *MonitorStats {
 }
 
 // AttachMonitorStats subscribes stats aggregation to a bus and returns
-// the unsubscribe function. It works against either event source: the
-// monitor rank's decoded wire events or an in-process RunObserver bus.
+// the unsubscribe function. The stats are written on the publisher's
+// goroutine: read them once it has stopped.
 func AttachMonitorStats(bus *obs.Bus, stats *MonitorStats) func() {
 	return bus.Subscribe(func(e any) {
 		switch ev := e.(type) {
@@ -189,14 +77,7 @@ func AttachMonitorStats(bus *obs.Bus, stats *MonitorStats) func() {
 // LockedWriter as single Write calls, so concurrent writers sharing the
 // underlying stream (the master's progress output, another goroutine's
 // log) cannot interleave within a line.
-func attachMonitorLog(bus *obs.Bus, w io.Writer, verbose bool) func() {
-	if w == nil {
-		return func() {}
-	}
-	out := obs.NewLockedWriter(w)
-	// Round-start times are kept per job: with concurrent searches,
-	// several rounds are open at once.
-	roundStart := map[uint64]time.Time{}
+func attachMonitorLog(bus *obs.Bus, out *obs.LockedWriter) func() {
 	// jobTag renders a job qualifier; single-job runs (job 0) keep the
 	// historical unqualified lines.
 	jobTag := func(job uint64) string {
@@ -207,11 +88,6 @@ func attachMonitorLog(bus *obs.Bus, w io.Writer, verbose bool) func() {
 	}
 	return bus.Subscribe(func(e any) {
 		switch ev := e.(type) {
-		case RoundStarted:
-			roundStart[ev.Job] = ev.At
-			if verbose {
-				fmt.Fprintf(out, "monitor: %sround %d start (tasks=%d)\n", jobTag(ev.Job), ev.Round, ev.Tasks)
-			}
 		case WorkerTimedOut:
 			fmt.Fprintf(out, "monitor: worker %d removed (%stask %d requeued)\n", ev.Worker, jobTag(ev.Job), ev.TaskID)
 		case WorkerReinstated:
@@ -222,46 +98,32 @@ func attachMonitorLog(bus *obs.Bus, w io.Writer, verbose bool) func() {
 			fmt.Fprintf(out, "monitor: worker %d left\n", ev.Worker)
 		case InlineEvaluated:
 			fmt.Fprintf(out, "monitor: foreman evaluated inline (%stask %d lnl=%.4f)\n", jobTag(ev.Job), ev.TaskID, ev.LnL)
-		case RoundCompleted:
-			if verbose {
-				fmt.Fprintf(out, "monitor: %sround %d done in %v (best=%.4f)\n", jobTag(ev.Job), ev.Round, ev.At.Sub(roundStart[ev.Job]), ev.BestLnL)
-			}
-			delete(roundStart, ev.Job)
 		}
 	})
 }
 
-// RunMonitor executes the monitor role until shutdown, writing a line per
-// event to w (nil discards output) and returning the aggregate
-// statistics. The receive loop only decodes and publishes; aggregation
-// and printing are bus subscribers.
-func RunMonitor(c comm.Communicator, w io.Writer, verbose bool) (*MonitorStats, error) {
-	bus := obs.NewBus()
-	stats := newMonitorStats()
-	AttachMonitorStats(bus, stats)
-	attachMonitorLog(bus, w, verbose)
-	out := obs.NewLockedWriter(w)
-	for {
-		msg, err := c.Recv(comm.AnySource, comm.AnyTag)
-		if err != nil {
-			return stats, fmt.Errorf("mlsearch: monitor receive: %w", err)
-		}
-		if msg.Tag == comm.TagShutdown {
-			if w != nil {
-				fmt.Fprintf(out, "monitor: shutdown after %d rounds, %d results\n", stats.Rounds, stats.Results)
-			}
-			return stats, nil
-		}
-		if msg.Tag != comm.TagEvent {
-			continue
-		}
-		e, err := unmarshalMonitorEvent(msg.Data)
-		if err != nil {
-			return stats, err
-		}
-		stats.Events = append(stats.Events, e)
-		if ev := e.typed(); ev != nil {
-			bus.Publish(ev)
-		}
+// monitor is the role as a world hosts it: the two subscriptions, open
+// from the world's start to its shutdown.
+type monitor struct {
+	stats  *MonitorStats
+	out    *obs.LockedWriter
+	detach []func()
+}
+
+// attachMonitor subscribes the monitor to a bus, writing its lines to w
+// (nil discards them).
+func attachMonitor(bus *obs.Bus, w io.Writer) *monitor {
+	m := &monitor{stats: newMonitorStats(), out: obs.NewLockedWriter(w)}
+	m.detach = []func(){AttachMonitorStats(bus, m.stats), attachMonitorLog(bus, m.out)}
+	return m
+}
+
+// close unsubscribes the monitor and prints its closing line. Call it
+// once the foreman has stopped.
+func (m *monitor) close() *MonitorStats {
+	for _, detach := range m.detach {
+		detach()
 	}
+	fmt.Fprintf(m.out, "monitor: shutdown after %d rounds, %d results\n", m.stats.Rounds, m.stats.Results)
+	return m.stats
 }

@@ -9,18 +9,17 @@ import (
 )
 
 // Run-level observability. A RunObserver is the hosting process's sink
-// for everything the foreman sees: it updates the metrics registry,
-// publishes typed events on the bus (the monitor's stats aggregation and
-// line printing are ordinary subscribers of that bus), closes task trace
-// spans with their per-phase latencies, and maintains the live snapshot
-// the /status endpoint serves. Every method is nil-receiver safe, so the
-// foreman's call sites cost one nil check when no observer is attached.
+// for everything the foreman sees, and the foreman's only one: each event
+// site calls it once. It updates the metrics registry, publishes typed
+// events on the bus (the monitor's stats aggregation and line printing
+// are ordinary subscribers of that bus), closes task trace spans with
+// their per-phase latencies, and maintains the live snapshot the /status
+// endpoint serves. Every method is nil-receiver safe, so the foreman's
+// call sites cost one nil check when no observer is attached.
 
-// Typed bus events. The foreman's wire-level MonitorEvents (which still
-// travel to a dedicated monitor rank) decode into these; in-process
-// consumers get them directly, without a wire round trip.
+// Typed bus events, published on the foreman's goroutine.
 type (
-	// RoundStarted marks the foreman accepting a round batch. Job
+	// RoundStarted marks the foreman opening a submitted round. Job
 	// identifies the submitting search when several share the foreman
 	// (0 in single-job runs).
 	RoundStarted struct {
@@ -76,7 +75,7 @@ type (
 		TaskID uint64
 		LnL    float64
 	}
-	// RoundCompleted marks a round reply sent back to the master.
+	// RoundCompleted marks a round answered to its search.
 	RoundCompleted struct {
 		Job     uint64
 		Round   uint64
@@ -187,9 +186,13 @@ type RunObserver struct {
 }
 
 // NewRunObserver builds an observer over a registry and an event bus
-// (either may be nil: a nil registry records no metrics, a nil bus
-// publishes nothing). The span ring retains the last 64 completed tasks.
+// (either may be nil: a nil registry records no metrics, a nil bus is
+// replaced by a private one for Bus to return). The span ring retains the
+// last 64 completed tasks.
 func NewRunObserver(reg *obs.Registry, bus *obs.Bus) *RunObserver {
+	if bus == nil {
+		bus = obs.NewBus()
+	}
 	o := &RunObserver{
 		reg:   reg,
 		bus:   bus,
@@ -284,7 +287,7 @@ func (o *RunObserver) Depths(queue, busy, ready, inflight, jobs int) {
 	o.mu.Unlock()
 }
 
-// RoundStart records a round batch arriving at the foreman.
+// RoundStart records a round opened at the foreman.
 func (o *RunObserver) RoundStart(job, round uint64, tasks int) {
 	if o == nil {
 		return

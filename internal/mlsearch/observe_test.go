@@ -73,16 +73,6 @@ func TestCodecToleratesUnknownExtensions(t *testing.T) {
 	if !reflect.DeepEqual(gotRes, res) {
 		t.Errorf("known fields corrupted: %+v", gotRes)
 	}
-
-	ev := MonitorEvent{Kind: monResult, Worker: 2, Round: 5, Info: "task=1 lnl=-3.5", At: 42}
-	eb := appendExt(marshalMonitorEvent(ev), 0x7F, []byte{1, 2, 3})
-	gotEv, err := unmarshalMonitorEvent(eb)
-	if err != nil {
-		t.Fatalf("unknown monitor extension rejected: %v", err)
-	}
-	if gotEv != ev {
-		t.Errorf("known fields corrupted: %+v", gotEv)
-	}
 }
 
 func TestCodecRejectsTruncatedExtensions(t *testing.T) {
@@ -92,45 +82,6 @@ func TestCodecRejectsTruncatedExtensions(t *testing.T) {
 		if _, err := UnmarshalTask(full[:cut]); err == nil {
 			t.Errorf("truncated extension at %d bytes accepted", cut)
 		}
-	}
-	// Same for the monitor event envelope.
-	evFull := appendExt(marshalMonitorEvent(MonitorEvent{Kind: monInline}), 0x10, []byte{9})
-	for cut := len(evFull) - 5; cut < len(evFull); cut++ {
-		if _, err := unmarshalMonitorEvent(evFull[:cut]); err == nil {
-			t.Errorf("truncated monitor extension at %d bytes accepted", cut)
-		}
-	}
-}
-
-func TestMonitorEventCodecQuick(t *testing.T) {
-	events := []MonitorEvent{
-		{Kind: monRoundStart, Round: 1, Info: "tasks=14", At: 100},
-		{Kind: monResult, Worker: 3, Round: 2, Info: "task=7 lnl=-55.25", At: 200},
-		{Kind: monWorkerJoined, Worker: 9, At: 300},
-	}
-	for _, in := range events {
-		out, err := unmarshalMonitorEvent(marshalMonitorEvent(in))
-		if err != nil {
-			t.Fatalf("%+v: %v", in, err)
-		}
-		if out != in {
-			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", out, in)
-		}
-	}
-}
-
-func TestMonitorEventTyped(t *testing.T) {
-	ev := MonitorEvent{Kind: monResult, Worker: 3, Round: 2, Info: "task=7 lnl=-55.25", At: 200}
-	got, ok := ev.typed().(TaskCompleted)
-	if !ok {
-		t.Fatalf("typed() = %T, want TaskCompleted", ev.typed())
-	}
-	want := TaskCompleted{Worker: 3, Round: 2, TaskID: 7, LnL: -55.25}
-	if got != want {
-		t.Errorf("typed() = %+v, want %+v", got, want)
-	}
-	if (MonitorEvent{Kind: 0xFE}).typed() != nil {
-		t.Error("unknown kind must convert to nil")
 	}
 }
 

@@ -2,11 +2,14 @@ package mlsearch
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 )
 
 // TestParallelMatchesSerial: the parallel runtime must produce exactly
@@ -36,16 +39,19 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelWithMonitor: the instrumented run (paper's 4-processor
-// minimum) reports dispatch counts consistent with the search.
+// TestParallelWithMonitor: the instrumented run reports dispatch counts
+// consistent with the search — and, being a subscriber of the same bus,
+// the same counts as the run's observer.
 func TestParallelWithMonitor(t *testing.T) {
 	cfg := testConfig(t, 7, 150, 13)
 	var buf bytes.Buffer
+	observer := NewRunObserver(nil, nil)
 	out, err := Run(cfg, RunOptions{
 		Transport:   Local,
 		Workers:     3,
 		WithMonitor: true,
 		MonitorOut:  &buf,
+		Obs:         observer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,6 +70,15 @@ func TestParallelWithMonitor(t *testing.T) {
 	if len(out.Monitor.TasksPerWorker) != 3 {
 		t.Errorf("work spread over %d workers, want 3 (%v)", len(out.Monitor.TasksPerWorker), out.Monitor.TasksPerWorker)
 	}
+	// One lane, so the snapshot's current round is the count of rounds.
+	snap, mon := observer.Snapshot(), out.Monitor
+	if got, want := [6]int{mon.Rounds, mon.Results, mon.Dispatches, mon.Inline, mon.Joins, mon.Leaves},
+		[6]int{int(snap.Round), snap.Completed, snap.Dispatched, snap.Inline, snap.Joins, snap.Leaves}; got != want {
+		t.Errorf("monitor rounds/results/dispatches/inline/joins/leaves %v, the observer's %v", got, want)
+	}
+	if want := fmt.Sprintf("monitor: shutdown after %d rounds, %d results\n", mon.Rounds, mon.Results); !strings.HasSuffix(buf.String(), want) {
+		t.Errorf("monitor output ends %q, want %q", buf.String(), want)
+	}
 }
 
 // TestFaultToleranceDroppedReplies: a worker that silently drops some
@@ -79,7 +94,7 @@ func TestFaultToleranceDroppedReplies(t *testing.T) {
 	var mu sync.Mutex
 	dropped := 0
 	hooks := map[int]WorkerHooks{
-		// Worker rank 2 (first worker without monitor) drops every 5th
+		// Worker rank 2 (the first worker) drops every 5th
 		// reply.
 		2: {BeforeReply: func(task Task, res Result) bool {
 			mu.Lock()
@@ -118,34 +133,19 @@ func TestFaultToleranceDroppedReplies(t *testing.T) {
 // reinstated and used again (paper §2.2). The monitor must record both
 // transitions.
 func TestFaultToleranceSlowWorker(t *testing.T) {
-	// Ranks: 0 master, 1 foreman, 2 monitor, 3 slow worker, 4 worker.
-	world := newTestWorld(t, 5)
-	lay := Layout{Master: 0, Foreman: 1, Monitor: 2, Workers: []int{3, 4}}
+	// Ranks: 0 master, 1 foreman, 2 slow worker, 3 worker.
+	world := newTestWorld(t, 4)
+	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
 
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := RunForeman(world[1], lay, ForemanOptions{
-			TaskTimeout: 80 * time.Millisecond,
-			Tick:        10 * time.Millisecond,
-		}); err != nil {
-			t.Error(err)
-		}
-	}()
 
-	var monStats *MonitorStats
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s, err := RunMonitor(world[2], nil, false)
-		if err != nil {
-			t.Error(err)
-		}
-		monStats = s
-	}()
+	// The monitor's stats, fed by the foreman's bus; every event of a
+	// round is published before the round is answered.
+	bus := obs.NewBus()
+	monStats := newMonitorStats()
+	AttachMonitorStats(bus, monStats)
 
-	// Scripted workers: respond to any task with a canned result; rank 3
+	// Scripted workers: respond to any task with a canned result; rank 2
 	// sleeps through its first task.
 	fakeWorker := func(rank int, delayFirst time.Duration) {
 		defer wg.Done()
@@ -177,12 +177,16 @@ func TestFaultToleranceSlowWorker(t *testing.T) {
 		}
 	}
 	wg.Add(2)
-	go fakeWorker(3, 250*time.Millisecond)
-	go fakeWorker(4, 0)
+	go fakeWorker(2, 250*time.Millisecond)
+	go fakeWorker(3, 0)
 
-	mux, disp := newTestMaster(t, world, lay)
-	// Round 1: two tasks. Worker 3 gets one and stalls past the timeout;
-	// worker 4 finishes both.
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{
+		TaskTimeout: 80 * time.Millisecond,
+		Tick:        10 * time.Millisecond,
+		Obs:         NewRunObserver(nil, bus),
+	})
+	// Round 1: two tasks. Worker 2 gets one and stalls past the timeout;
+	// worker 3 finishes both.
 	tasks := []Task{{ID: 1, Round: 1, Newick: "x"}, {ID: 2, Round: 1, Newick: "y"}}
 	results, err := disp.Dispatch(tasks)
 	if err != nil {
@@ -192,12 +196,12 @@ func TestFaultToleranceSlowWorker(t *testing.T) {
 		t.Fatalf("%d results", len(results))
 	}
 	// Wait for the late reply to land in the foreman's mailbox, then run
-	// another round so the foreman processes it and reinstates rank 3.
+	// another round so the foreman processes it and reinstates rank 2.
 	time.Sleep(300 * time.Millisecond)
 	if _, err := disp.Dispatch([]Task{{ID: 3, Round: 2, Newick: "z"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mux.Shutdown(); err != nil {
+	if err := foreman.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -241,18 +245,14 @@ func TestMultipleJumbles(t *testing.T) {
 	}
 }
 
-// TestJobMuxValidation: constructing the master side on the wrong rank,
-// or over a layout that does not validate, is rejected.
-func TestJobMuxValidation(t *testing.T) {
-	lay := Layout{Master: 0, Foreman: 1, Monitor: -1, Workers: []int{2}}
+// TestForemanValidation: a foreman over a layout that does not validate
+// is rejected.
+func TestForemanValidation(t *testing.T) {
 	world := newTestWorld(t, 3)
-	if _, err := NewJobMux(world[1], lay); err == nil {
-		t.Error("job mux on non-master rank accepted")
+	if _, err := NewForeman(world[1], Layout{Master: 0, Foreman: 0, Workers: []int{2}}, ForemanOptions{}); err == nil {
+		t.Error("foreman over an overlapping layout accepted")
 	}
-	if _, err := NewJobMux(world[0], Layout{Master: 0, Foreman: 0, Monitor: -1, Workers: []int{2}}); err == nil {
-		t.Error("job mux over an overlapping layout accepted")
-	}
-	if _, err := NewJobMux(world[0], lay); err != nil {
+	if _, err := NewForeman(world[1], Layout{Master: 0, Foreman: 1, Workers: []int{2}}, ForemanOptions{}); err != nil {
 		t.Error(err)
 	}
 }

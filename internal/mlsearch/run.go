@@ -24,12 +24,12 @@ const (
 	// Serial evaluates every task in the calling goroutine — the
 	// uniprocessor baseline of the scaling study.
 	Serial Transport = iota
-	// Local runs master, foreman, workers (and optionally the monitor)
-	// as goroutines connected by the in-process comm backend.
+	// Local runs master, foreman and workers as goroutines connected by
+	// the in-process comm backend.
 	Local
 	// TCP hosts the distributed program: this process runs the router,
-	// master, foreman, and optional monitor; workers join over sockets
-	// (cmd/fdworker) and may come and go at any time.
+	// master and foreman; workers join over sockets (cmd/fdworker) and
+	// may come and go at any time.
 	TCP
 )
 
@@ -57,7 +57,9 @@ type RunOptions struct {
 	// (0 starts immediately; the foreman evaluates inline until workers
 	// join). Ignored for Serial.
 	Workers int
-	// WithMonitor adds the instrumentation process (Local and TCP).
+	// WithMonitor adds the paper's instrumentation role (Local and TCP):
+	// run statistics in RunOutcome.Monitor and a line per membership
+	// change or inline evaluation on MonitorOut.
 	WithMonitor bool
 	// Jumbles is the number of random orderings to run (>= 1).
 	Jumbles int
@@ -255,20 +257,21 @@ func runLocalTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 }
 
 // LocalWorld is the running part of a world that this process hosts:
-// the foreman, the optional monitor and the layout's local workers as
-// goroutines over the endpoints comm hosts here, with the master side's
-// JobMux ready to run searches. Workers in other processes, if the
-// transport has any, are the foreman's business, not the world's. The
-// Local and TCP transports are a started world, one Run, Shutdown; a
-// serve pod is a LocalWorld that has not been shut down yet and takes a
-// Run per job.
+// the foreman and the layout's local workers as goroutines over the
+// endpoints comm hosts here, the monitor when asked for as subscribers of
+// the foreman's event bus, and the foreman's handle ready to run
+// searches. Workers in other processes, if the transport has any, are the
+// foreman's business, not the world's. The Local and TCP transports are a
+// started world, one Run, Shutdown; a serve pod is a LocalWorld that has
+// not been shut down yet and takes a Run per job.
 type LocalWorld struct {
 	// Monitor holds the monitor's statistics once Shutdown has returned
 	// (nil when the world runs without one).
 	Monitor *MonitorStats
 
-	mux *JobMux
-	wg  sync.WaitGroup
+	foreman *Foreman
+	mon     *monitor
+	wg      sync.WaitGroup
 
 	mu  sync.Mutex
 	err error // first role failure, surfaced by Shutdown
@@ -286,14 +289,11 @@ func StartLocal(norm Config, opt RunOptions) (*LocalWorld, error) {
 		return nil, fmt.Errorf("mlsearch: %d workers, need >= 1", opt.Workers)
 	}
 	size := opt.Workers + 2
-	if opt.WithMonitor {
-		size++
-	}
 	ranks, err := comm.NewLocal(size)
 	if err != nil {
 		return nil, err
 	}
-	lay, err := DefaultLayout(size, opt.WithMonitor)
+	lay, err := DefaultLayout(size, false)
 	if err != nil {
 		return nil, err
 	}
@@ -301,15 +301,25 @@ func StartLocal(norm Config, opt RunOptions) (*LocalWorld, error) {
 }
 
 // startRoles is the one role wiring: over the endpoints this process
-// hosts (indexed by rank) it starts the foreman, the monitor when the
-// layout has one, and a worker on each of the layout's worker ranks,
+// hosts (indexed by rank) it starts the foreman and a worker on each of
+// the layout's worker ranks, subscribes the monitor if the run has one,
 // and hands back the master side.
 func startRoles(ranks []comm.Communicator, lay Layout, norm Config, opt RunOptions) (*LocalWorld, error) {
-	mux, err := NewJobMux(ranks[lay.Master], lay)
+	foremanOpt := opt.Foreman
+	if foremanOpt.Obs == nil {
+		foremanOpt.Obs = opt.Obs
+	}
+	if opt.WithMonitor && foremanOpt.Obs == nil {
+		foremanOpt.Obs = NewRunObserver(nil, nil)
+	}
+	foreman, err := NewForeman(ranks[lay.Foreman], lay, foremanOpt)
 	if err != nil {
 		return nil, err
 	}
-	w := &LocalWorld{mux: mux}
+	w := &LocalWorld{foreman: foreman}
+	if opt.WithMonitor {
+		w.mon = attachMonitor(foremanOpt.Obs.Bus(), opt.MonitorOut)
+	}
 	role := func(name string, run func() error) {
 		w.wg.Add(1)
 		go func() {
@@ -323,18 +333,7 @@ func startRoles(ranks []comm.Communicator, lay Layout, norm Config, opt RunOptio
 			}
 		}()
 	}
-
-	foremanOpt := opt.Foreman
-	if foremanOpt.Obs == nil {
-		foremanOpt.Obs = opt.Obs
-	}
-	role("foreman", func() error { return RunForeman(ranks[lay.Foreman], lay, foremanOpt) })
-	if lay.Monitor >= 0 {
-		role("monitor", func() (err error) {
-			w.Monitor, err = RunMonitor(ranks[lay.Monitor], opt.MonitorOut, false)
-			return err
-		})
-	}
+	role("foreman", foreman.Run)
 	for _, rank := range lay.Workers {
 		role(fmt.Sprintf("worker %d", rank), func() error {
 			return RunWorker(ranks[rank], lay, norm, opt.WorkerHooks[rank])
@@ -350,15 +349,18 @@ func startRoles(ranks []comm.Communicator, lay Layout, norm Config, opt RunOptio
 // min(Jumbles, Workers)), ResumeManifest, Progress, OnCheckpoint and
 // Stop. Run may be called concurrently.
 func (w *LocalWorld) Run(cfg Config, opt RunOptions) ([]*SearchResult, error) {
-	return runJumbles(w.mux, cfg, opt)
+	return runJumbles(w.foreman, cfg, opt)
 }
 
-// Shutdown stops the world — the mux tells the foreman, which drains the
-// workers and the monitor — waits for every role goroutine, and returns
-// the first role failure. Call it once, after every Run has returned.
+// Shutdown stops the world — the foreman is told, and drains the workers
+// — waits for every role goroutine, closes the monitor, and returns the
+// first role failure. Call it once, after every Run has returned.
 func (w *LocalWorld) Shutdown() error {
-	err := w.mux.Shutdown()
+	err := w.foreman.Shutdown()
 	w.wg.Wait()
+	if w.mon != nil {
+		w.Monitor = w.mon.close()
+	}
 	if w.err != nil {
 		return w.err
 	}

@@ -231,7 +231,7 @@ func TestApplyCandidateRejectsForeignLengths(t *testing.T) {
 func TestSliceCutsFollowGuidedRule(t *testing.T) {
 	for _, queued := range []int{1, 2, 3, 7, 8, 29, 59, 240} {
 		for _, live := range []int{1, 2, 3, 7, 64} {
-			f := &foreman{jobs: map[uint64]*jobState{}}
+			f := &Foreman{jobs: map[uint64]*jobState{}}
 			f.startTestJob(1, sliceOf(queued, 1, 1, "(a,b,c);"))
 			left := queued
 			for left > 0 {
@@ -250,7 +250,7 @@ func TestSliceCutsFollowGuidedRule(t *testing.T) {
 
 	// Two jobs; the first one's round switches base half way and ends in
 	// two full-tree tasks.
-	f := &foreman{jobs: map[uint64]*jobState{}}
+	f := &Foreman{jobs: map[uint64]*jobState{}}
 	mixed := append(sliceOf(10, 1, 1, "(a,b,c);"), sliceOf(10, 1, 1, "(a,c,b);")...)
 	for i := range mixed {
 		mixed[i].ID = uint64(i + 1)
@@ -288,7 +288,7 @@ func TestSliceCutsFollowGuidedRule(t *testing.T) {
 }
 
 // startTestJob opens a round on a hand-built foreman.
-func (f *foreman) startTestJob(job uint64, tasks []Task) {
+func (f *Foreman) startTestJob(job uint64, tasks []Task) {
 	js := &jobState{id: job, round: 1, queue: tasks, byID: map[uint64]Task{}, results: map[uint64]Result{}}
 	for _, t := range tasks {
 		js.byID[t.ID] = t
@@ -351,15 +351,9 @@ func taskIDs(tasks []Task) []uint64 {
 // round completes with one result per task.
 func TestPartialReplyRequeuesExactlyTheMissing(t *testing.T) {
 	world := newTestWorld(t, 3)
-	lay := Layout{Master: 0, Foreman: 1, Monitor: -1, Workers: []int{2}}
+	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2}}
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if err := RunForeman(world[1], lay, ForemanOptions{Pipeline: 1}); err != nil {
-			t.Error(err)
-		}
-	}()
+	wg.Add(1)
 	var seen [][]uint64
 	go func() {
 		defer wg.Done()
@@ -379,13 +373,13 @@ func TestPartialReplyRequeuesExactlyTheMissing(t *testing.T) {
 		})
 	}()
 
-	mux, disp := newTestMaster(t, world, lay)
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Pipeline: 1})
 	tasks := sliceOf(12, 0, 1, "(a,b,c);")
 	results, err := disp.Dispatch(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mux.Shutdown(); err != nil {
+	if err := foreman.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -426,15 +420,8 @@ func TestSeveredMidSliceAndJoinMidRound(t *testing.T) {
 	// Ranks: 0 master, 1 foreman, 2 the worker that dies, 3 the survivor,
 	// 4 the late joiner.
 	world := newTestWorld(t, 5)
-	lay := Layout{Master: 0, Foreman: 1, Monitor: -1, Workers: []int{2, 3}, Elastic: true}
+	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}, Elastic: true}
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := RunForeman(world[1], lay, ForemanOptions{Pipeline: 1}); err != nil {
-			t.Error(err)
-		}
-	}()
 
 	var mu sync.Mutex
 	served := map[int][]uint64{}
@@ -484,13 +471,13 @@ func TestSeveredMidSliceAndJoinMidRound(t *testing.T) {
 		})
 	}()
 
-	mux, disp := newTestMaster(t, world, lay)
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Pipeline: 1})
 	tasks := sliceOf(40, 0, 1, "(a,b,c);")
 	results, err := disp.Dispatch(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mux.Shutdown(); err != nil {
+	if err := foreman.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -535,15 +522,8 @@ func TestBadCandidateFailsItsRoundNotTheFleet(t *testing.T) {
 	baseNwk := full.Newick()
 
 	world := newTestWorld(t, 4)
-	lay := Layout{Master: 0, Foreman: 1, Monitor: -1, Workers: []int{2, 3}}
+	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := RunForeman(world[1], lay, ForemanOptions{TaskTimeout: 2 * time.Second}); err != nil {
-			t.Error(err)
-		}
-	}()
 	workerErrs := make(chan error, len(lay.Workers))
 	for _, rank := range lay.Workers {
 		wg.Add(1)
@@ -552,46 +532,24 @@ func TestBadCandidateFailsItsRoundNotTheFleet(t *testing.T) {
 			workerErrs <- RunWorker(world[rank], lay, norm, WorkerHooks{})
 		}(rank)
 	}
-	mux, bad := newTestMaster(t, world, lay)
-	good, err := mux.NewDispatcher()
+	foreman, bad := newTestMaster(t, world, lay, ForemanOptions{TaskTimeout: 2 * time.Second})
+	good, err := foreman.NewDispatcher()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	poisoned := moveTasks(t, norm.Taxa, baseNwk, 1, 0, 1, 1)
 	poisoned[len(poisoned)/2].MoveS = 9999
-	type outcome struct {
-		results []Result
-		err     error
-	}
-	dispatch := func(d Dispatcher, tasks []Task) <-chan outcome {
-		ch := make(chan outcome, 1)
-		go func() {
-			res, err := d.Dispatch(tasks)
-			ch <- outcome{res, err}
-		}()
-		return ch
-	}
-	await := func(what string, ch <-chan outcome) outcome {
-		t.Helper()
-		select {
-		case o := <-ch:
-			return o
-		case <-time.After(20 * time.Second):
-			t.Fatalf("%s: no reply (at the parent the bad task has killed both workers by now)", what)
-			return outcome{}
-		}
-	}
-	badCh := dispatch(bad, poisoned)
-	goodCh := dispatch(good, moveTasks(t, norm.Taxa, baseNwk, 2, 0, 1, 1))
-	if o := await("failing round", badCh); o.err == nil || !strings.Contains(o.err.Error(), "dead node 9999") {
+	badCh := dispatchAsync(bad, poisoned)
+	goodCh := dispatchAsync(good, moveTasks(t, norm.Taxa, baseNwk, 2, 0, 1, 1))
+	if o := awaitDispatch(t, "failing round", badCh); o.err == nil || !strings.Contains(o.err.Error(), "dead node 9999") {
 		t.Errorf("the poisoned round returned %d results and error %v, want the evaluation's cause", len(o.results), o.err)
 	}
-	if o := await("neighbouring job", goodCh); o.err != nil {
+	if o := awaitDispatch(t, "neighbouring job", goodCh); o.err != nil {
 		t.Errorf("the job sharing the workers failed too: %v", o.err)
 	}
 	healthy := moveTasks(t, norm.Taxa, baseNwk, 1, 0, 2, 100)
-	if o := await("next round of the failed lane", dispatch(bad, healthy)); o.err != nil || len(o.results) != len(healthy) {
+	if o := awaitDispatch(t, "next round of the failed lane", dispatchAsync(bad, healthy)); o.err != nil || len(o.results) != len(healthy) {
 		t.Errorf("the failed lane's next round: %d results, error %v", len(o.results), o.err)
 	}
 	select {
@@ -599,7 +557,7 @@ func TestBadCandidateFailsItsRoundNotTheFleet(t *testing.T) {
 		t.Errorf("a worker exited before shutdown: %v", err)
 	default:
 	}
-	if err := mux.Shutdown(); err != nil {
+	if err := foreman.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -617,15 +575,9 @@ func TestBadCandidateFailsItsRoundNotTheFleet(t *testing.T) {
 // candidates must not be requeued into it.
 func TestSliceOutlivingFailedRoundIsIgnored(t *testing.T) {
 	world := newTestWorld(t, 4)
-	lay := Layout{Master: 0, Foreman: 1, Monitor: -1, Workers: []int{2, 3}}
+	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
 	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		if err := RunForeman(world[1], lay, ForemanOptions{Pipeline: 1}); err != nil {
-			t.Error(err)
-		}
-	}()
+	wg.Add(2)
 	release := make(chan struct{})
 	var mu sync.Mutex
 	dispatched := map[uint64]int{} // round-2 dispatches by task ID
@@ -670,7 +622,7 @@ func TestSliceOutlivingFailedRoundIsIgnored(t *testing.T) {
 		})
 	}()
 
-	mux, disp := newTestMaster(t, world, lay)
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Pipeline: 1})
 	if _, err := disp.Dispatch(sliceOf(8, 0, 1, "(a,b,c);")); err == nil || !strings.Contains(err.Error(), "poisoned") {
 		t.Fatalf("round 1: %v, want the poisoned candidate's error", err)
 	}
@@ -678,7 +630,7 @@ func TestSliceOutlivingFailedRoundIsIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mux.Shutdown(); err != nil {
+	if err := foreman.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

@@ -4,7 +4,9 @@
 // that generates and compares trees, a foreman that dispatches trees to
 // workers through a work queue and ready queue with fault tolerance, the
 // workers that optimize branch lengths and compute likelihoods, and an
-// optional monitor that collects instrumentation.
+// optional monitor that collects instrumentation. Master, foreman and
+// monitor share the hosting process and exchange Go values; only the
+// foreman↔worker hop is a wire.
 package mlsearch
 
 import (
@@ -243,16 +245,6 @@ func (w *wireWriter) ext(tag byte, payload []byte) {
 	w.buf = append(w.buf, payload...)
 }
 
-// extU64 appends a u64 extension field, omitting zero values.
-func (w *wireWriter) extU64(tag byte, v uint64) {
-	if v == 0 {
-		return
-	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	w.ext(tag, b[:])
-}
-
 // extFields consumes the remainder of the buffer as extension fields,
 // invoking fn for each; unknown tags are fn's to ignore.
 func (r *wireReader) extFields(what string, fn func(tag byte, payload []byte)) error {
@@ -271,14 +263,6 @@ func (r *wireReader) extFields(what string, fn func(tag byte, payload []byte)) e
 		r.off += int(n)
 	}
 	return r.err
-}
-
-// extU64Val decodes a u64 extension payload (shorter payloads read 0).
-func extU64Val(payload []byte) uint64 {
-	if len(payload) < 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(payload)
 }
 
 // count reads an element count and checks it against the bytes left, so
@@ -303,9 +287,8 @@ const (
 )
 
 // marshalTasks encodes one slice — tasks that sliceWith each other, or a
-// single task — as the payload of a TagTask frame or one run of a round
-// batch: what the tasks share once, then each candidate's identity and
-// edit. The returned buffer comes from the comm buffer pool: once it has
+// single task — as the payload of a TagTask frame: what the tasks share
+// once, then each candidate's identity and edit. The returned buffer comes from the comm buffer pool: once it has
 // been handed to Send (which copies or takes ownership), the caller may
 // comm.PutBuf it.
 func marshalTasks(tasks []Task) []byte {
@@ -378,8 +361,8 @@ func UnmarshalTask(b []byte) (Task, error) {
 	return tasks[0], nil
 }
 
-// marshalResults encodes the results of one job's round — a worker's
-// reply to a slice, or one run of a round reply — which share job, round
+// marshalResults encodes a worker's reply to a slice, the payload of a
+// TagResult frame: results of one job's round, which share job, round
 // and trace.
 func marshalResults(results []Result) []byte {
 	h := results[0]

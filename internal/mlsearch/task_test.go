@@ -126,72 +126,6 @@ func TestTaskCodecRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestRoundBatchCodec: a batch is cut into runs that share a header — a
-// search's round is one run — and any mix of tasks still round-trips.
-func TestRoundBatchCodec(t *testing.T) {
-	base := "(a:0.1,b:0.2,(c:0.3,d:0.4):0.5);"
-	batch := roundBatch{Round: 42, Job: 6, Tasks: sliceOf(8, 6, 42, base)}
-	b := marshalRoundBatch(batch)
-	if got := bytes.Count(b, []byte(base)); got != 1 {
-		t.Errorf("a one-base round holds the base tree %d times, want once", got)
-	}
-	batch.Tasks = append(batch.Tasks,
-		Task{ID: 201, Round: 42, Job: 6, Newick: "(a,b,c);", LocalTaxon: -1, Passes: 2},
-		Task{ID: 202, Round: 42, Job: 6, Newick: "((a,b),c,d);", LocalTaxon: 3, Passes: 8},
-		Task{ID: 203, Round: 42, Job: 6, BaseNewick: "(a,b,c);", LocalTaxon: 3, InsertEdge: 1},
-	)
-	out, err := unmarshalRoundBatch(marshalRoundBatch(batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, batch) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", out, batch)
-	}
-	if _, err := unmarshalRoundBatch([]byte{99}); err == nil {
-		t.Error("wrong kind byte accepted")
-	}
-	for cut := 0; cut < len(b); cut++ {
-		if _, err := unmarshalRoundBatch(b[:cut]); err == nil {
-			t.Errorf("batch truncated at %d bytes accepted", cut)
-		}
-	}
-}
-
-func TestRoundReplyCodec(t *testing.T) {
-	reply := roundReply{
-		Round: 9, Job: 2,
-		Results: []Result{
-			{TaskID: 1, Round: 9, Job: 2, LnL: -120.5, Ops: 500, Worker: 3, Lens: []EdgeLen{{A: 4, B: 5, Len: 0.125}}},
-			{TaskID: 3, Round: 9, Job: 2, Newick: "((a,b),c,d);", LnL: -100.25, Ops: 777, Worker: 4},
-			{TaskID: 4, Round: 10, Job: 2, Err: "task 4: dead node"},
-		},
-	}
-	out, err := unmarshalRoundReply(marshalRoundReply(reply))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, reply) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", out, reply)
-	}
-	if _, err := unmarshalRoundReply(marshalRoundBatch(roundBatch{})); err == nil {
-		t.Error("a round batch decoded as a round reply")
-	}
-}
-
-func TestMonitorEventCodec(t *testing.T) {
-	e := MonitorEvent{Kind: monWorkerDead, Worker: 5, Round: 11, Info: "task=19 timed out", At: 1234567890}
-	out, err := unmarshalMonitorEvent(marshalMonitorEvent(e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != e {
-		t.Errorf("%+v != %+v", out, e)
-	}
-	if _, err := unmarshalMonitorEvent(nil); err == nil {
-		t.Error("empty event accepted")
-	}
-}
-
 func TestNormalizeSeed(t *testing.T) {
 	cases := map[int64]int64{
 		-5: 1, 0: 1, 1: 1, 2: 3, 3: 3, 100: 101, 101: 101,
@@ -245,15 +179,18 @@ func TestTaxonOrderDeterministic(t *testing.T) {
 }
 
 func TestLayoutValidate(t *testing.T) {
-	good := Layout{Master: 0, Foreman: 1, Monitor: 2, Workers: []int{3, 4}}
+	good := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
 	if err := good.Validate(); err != nil {
 		t.Error(err)
 	}
+	if err := ElasticLayout().Validate(); err != nil {
+		t.Errorf("an elastic layout needs no workers up front: %v", err)
+	}
 	bad := []Layout{
-		{Master: 0, Foreman: 0, Monitor: -1, Workers: []int{1}},
-		{Master: 0, Foreman: 1, Monitor: -1, Workers: nil},
-		{Master: 0, Foreman: 1, Monitor: 1, Workers: []int{2}},
-		{Master: 0, Foreman: 1, Monitor: -1, Workers: []int{1}},
+		{Master: 0, Foreman: 0, Workers: []int{1}},
+		{Master: 0, Foreman: 1, Workers: nil},
+		{Master: 0, Foreman: 1, Workers: []int{2, 2}},
+		{Master: 0, Foreman: 1, Workers: []int{1}},
 	}
 	for i, l := range bad {
 		if err := l.Validate(); err == nil {
@@ -263,18 +200,20 @@ func TestLayoutValidate(t *testing.T) {
 }
 
 func TestDefaultLayout(t *testing.T) {
-	lay, err := DefaultLayout(4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lay.Master != 0 || lay.Foreman != 1 || lay.Monitor != 2 || len(lay.Workers) != 1 {
-		t.Errorf("layout = %+v", lay)
-	}
-	if _, err := DefaultLayout(3, true); err == nil {
-		t.Error("size 3 with monitor should fail (paper: minimum 4)")
-	}
-	lay, err = DefaultLayout(3, false)
-	if err != nil || len(lay.Workers) != 1 {
-		t.Errorf("size 3 without monitor: %v %+v", err, lay)
+	// The second argument selects nothing: the monitor is not a rank.
+	for _, withMonitor := range []bool{false, true} {
+		lay, err := DefaultLayout(4, withMonitor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lay.Master != 0 || lay.Foreman != 1 || !reflect.DeepEqual(lay.Workers, []int{2, 3}) {
+			t.Errorf("layout = %+v", lay)
+		}
+		if lay.FirstDynamicRank() != 2 {
+			t.Errorf("first dynamic rank %d, want 2", lay.FirstDynamicRank())
+		}
+		if _, err := DefaultLayout(2, withMonitor); err == nil {
+			t.Error("a world with no worker rank accepted")
+		}
 	}
 }

@@ -13,11 +13,11 @@ import (
 )
 
 // Distributed (TCP) runtime with elastic membership. One operating
-// system process hosts the master, the foreman and the optional monitor
-// — in-process ranks of the elastic comm world, exactly as in a Local
-// run — and the world's TCP router; worker processes anywhere on the
-// network join with cmd/fdworker, carrying no pre-assigned identity: the
-// join handshake assigns each a fresh rank and delivers the data bundle.
+// system process hosts the master and the foreman — in-process ranks of
+// the elastic comm world, exactly as in a Local run — and the world's
+// TCP router; worker processes anywhere on the network join with
+// cmd/fdworker, carrying no pre-assigned identity: the join handshake
+// assigns each a fresh rank and delivers the data bundle.
 // Workers may join or leave at any point, including mid-round — the
 // paper's fault-tolerant dispatch (§2.2) is what makes this safe, and it
 // is the property the planned Condor/screensaver workers (§5) would rely
@@ -51,7 +51,7 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 		return nil, fmt.Errorf("mlsearch: tcp run: workers would rebuild %s from the data bundle but the run's model is %s; distributed runs carry F84 (with the bundle's TTRatio) only",
 			describeModel(remote.Model), describeModel(norm.Model))
 	}
-	lay := ElasticLayout(opt.WithMonitor)
+	lay := ElasticLayout()
 
 	// The foreman always gets an inline evaluator: a TCP run must
 	// complete even if every worker disappears (degradation ladder).

@@ -2,6 +2,7 @@ package mlsearch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
@@ -18,9 +19,9 @@ import (
 )
 
 // TestTCPRuntimeEndToEnd runs the full distributed program on loopback:
-// master+router, foreman, monitor, and two anonymous worker "processes"
-// that join via the elastic handshake, then compares against the serial
-// answer. The router's own counters pin the topology and the dispatch
+// master+router and foreman with the monitor subscribed, and two
+// anonymous worker "processes" that join via the elastic handshake, then
+// compares against the serial answer. The router's own counters pin the topology and the dispatch
 // unit: the roles this process hosts use no socket, so the workers'
 // connections are the only ones, and what crosses them is slices — on a
 // search whose rounds run to dozens of candidates, fewer frames than
@@ -255,6 +256,36 @@ func TestDataBundleCodec(t *testing.T) {
 	}
 }
 
+// TestDataBundleRefusesUnknownIdentity: a precision or smooth mode this
+// build does not have is an error at the handshake, not a worker that
+// quietly evaluates with something else. At the parent 257 wrapped round
+// to float32, 2 ran as float64 and an unknown mode as the sweep.
+func TestDataBundleRefusesUnknownIdentity(t *testing.T) {
+	plain := MarshalDataBundle(DataBundle{PhylipText: []byte("2 4\na AAAA\nb CCCC\n"), TTRatio: 2})
+	// With no extension written, the precision is the last field.
+	for _, prec := range []uint32{2, 255, 257, 1 << 31} {
+		b := append([]byte(nil), plain...)
+		binary.BigEndian.PutUint32(b[len(b)-4:], prec)
+		if out, err := UnmarshalDataBundle(b); err == nil {
+			t.Errorf("precision %d decoded as %v", prec, out.Precision)
+		}
+	}
+	if out, err := UnmarshalDataBundle(appendExt(plain, extBundleSmoothMode, []byte("zigzag"))); err == nil {
+		t.Errorf("smooth mode \"zigzag\" decoded as %v", out.SmoothMode)
+	}
+	// What is still tolerated: an extension tag from a newer master.
+	if _, err := UnmarshalDataBundle(appendExt(plain, 0x7F, []byte{1})); err != nil {
+		t.Errorf("unknown extension tag refused: %v", err)
+	}
+	for _, count := range []uint32{1 << 31, 1 << 20} { // negative, and more rates than bytes
+		b := append([]byte(nil), plain...)
+		binary.BigEndian.PutUint32(b[len(b)-12:], count)
+		if _, err := UnmarshalDataBundle(b); err == nil {
+			t.Errorf("rate count %#x accepted", count)
+		}
+	}
+}
+
 func TestDataBundleConfig(t *testing.T) {
 	b := DataBundle{PhylipText: []byte("3 4\na ACGT\nb ACGA\nc CCGT\n")}
 	cfg, err := b.Config()
@@ -270,13 +301,13 @@ func TestDataBundleConfig(t *testing.T) {
 }
 
 func TestWelcomeCodec(t *testing.T) {
-	lay := ElasticLayout(true)
+	lay := ElasticLayout()
 	bundle := DataBundle{PhylipText: []byte("2 4\na AAAA\nb CCCC\n"), TTRatio: 2.0}
 	gotLay, gotBundle, err := unmarshalWelcome(marshalWelcome(lay, bundle))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotLay.Master != lay.Master || gotLay.Foreman != lay.Foreman || gotLay.Monitor != lay.Monitor || !gotLay.Elastic {
+	if gotLay.Master != lay.Master || gotLay.Foreman != lay.Foreman || !gotLay.Elastic {
 		t.Errorf("layout round trip: %+v", gotLay)
 	}
 	if string(gotBundle.PhylipText) != string(bundle.PhylipText) {

@@ -37,9 +37,6 @@ type FleetOptions struct {
 	// Threads is the likelihood kernel thread count per worker engine
 	// (default 1; results are bit-identical at any count).
 	Threads int
-	// Pipeline is the foreman's per-worker task pipeline depth
-	// (default 2).
-	Pipeline int
 	// TaskTimeout re-dispatches a task whose worker has not answered
 	// (default 1m; the inline evaluator is the last rung, so a pod
 	// always makes progress).
@@ -168,7 +165,6 @@ func (f *Fleet) newPod(key string, cfg mlsearch.Config) (*pod, error) {
 		Foreman: mlsearch.ForemanOptions{
 			TaskTimeout: f.opt.TaskTimeout,
 			Inline:      inline,
-			Pipeline:    f.opt.Pipeline,
 			Obs:         mlsearch.NewRunObserver(f.reg, f.bus),
 		},
 	})
