@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X repro/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke bench bench-compare bench-pairs loc chaos-soak serve-smoke
+.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke bench bench-compare bench-pairs loc chaos-soak serve-smoke tcp-smoke
 
 # Tier-1 gate: everything that must pass before a change lands.
 check: vet staticcheck build test benchmark-test race difftest fuzz-smoke
@@ -98,6 +98,14 @@ loc:
 # tenant-labeled counters.
 serve-smoke:
 	./scripts/serve_smoke.sh
+
+# Black-box smoke test of a distributed run: build fastdnaml and
+# fdworker, run a -listen master with two real fdworker processes on a
+# run the welcome must describe in full (HKY85, per-site weights and
+# rates), and require exit 0 all round, a .best.tree byte-identical to
+# the serial run's, and tasks served by both workers.
+tcp-smoke:
+	./scripts/tcp_smoke.sh
 
 # The chaos soaks under the race detector: elastic membership, plus
 # concurrent jumbles multiplexed over a churning fleet. The membership

@@ -24,47 +24,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/fileio"
 	"repro/internal/mlsearch"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/seq"
 	"repro/internal/viewer"
 )
 
 func main() {
-	var (
-		inPath      = flag.String("in", "", "PHYLIP alignment (required)")
-		jumbles     = flag.Int("jumbles", 1, "number of random taxon orderings to analyze")
-		concJumbles = flag.Int("concurrent-jumbles", 0, "jumbles (or bootstrap replicates) run concurrently over the shared worker fleet (0 = min(jumbles, workers); results identical at any setting)")
-		seed        = flag.Int64("seed", 1, "random seed (even seeds are adjusted, as in fastDNAml)")
-		extent      = flag.Int("extent", 1, "vertices crossed in local rearrangements (paper tests: 5)")
-		finalExtent = flag.Int("final-extent", 0, "vertices crossed in the final pass (0 = same as -extent)")
-		ttratio     = flag.Float64("ttratio", 2.0, "F84 transition/transversion ratio")
-		workers     = flag.Int("workers", 0, "parallel worker processes on this machine (0 = serial)")
-		threads     = flag.Int("threads", 1, "likelihood kernel threads per evaluator (results are bit-identical at any count)")
-		precision   = flag.String("precision", "float64", "CLV storage precision: float64 (exact, default) or float32 (half the memory traffic, documented tolerance)")
-		engine      = flag.String("engine", "", "likelihood backend: cached (default) or reference (direct recomputation, for cross-validation)")
-		smoothMode  = flag.String("smooth-mode", "", "full-tree branch smoothing: sweep (sequential Newton, default) or gradient (simultaneous, linear-time all-branches gradient)")
-		monitor     = flag.Bool("monitor", false, "attach the monitor (parallel runs): membership and inline-evaluation lines on stderr, run counters in the -bench-json report")
-		ratesPath   = flag.String("rates", "", "per-site rate file (dnarates output)")
-		weightsPath = flag.String("weights", "", "per-site weight file")
-		outPrefix   = flag.String("out", "", "output prefix for .trees/.best.tree/.consensus.tree files")
-		progressOut = flag.String("progress-out", "", "append each adopted best tree to this file (for treeview)")
-		listen      = flag.String("listen", "", "run as distributed master listening on this address")
-		netWorkers  = flag.Int("net-workers", 0, "number of fdworker processes expected (with -listen)")
-		taskTimeout = flag.Duration("task-timeout", 60*time.Second, "distributed runs: re-dispatch a slice of tasks whose worker has not answered it within this (0 disables)")
-		quiet       = flag.Bool("quiet", false, "suppress per-jumble output")
-		modelName   = flag.String("model", "F84", "substitution model: F84, JC69, K80, HKY85, GTR")
-		gtrRates    = flag.String("gtr-rates", "", "six GTR exchangeabilities ac,ag,at,cg,ct,gt")
-		kappa       = flag.Float64("kappa", 2.0, "transition rate multiplier for K80/HKY85")
-		userTrees   = flag.String("usertrees", "", "evaluate and rank the trees in this file instead of searching")
-		bootstrap   = flag.Int("bootstrap", 0, "run this many bootstrap replicates instead of a plain search")
-		checkpoint  = flag.String("checkpoint", "", "write a restart manifest here after every taxon addition (atomically; any -jumbles, any runtime)")
-		resume      = flag.String("resume", "", "resume a search from this restart file")
-		adaptive    = flag.Bool("adaptive", false, "adapt the rearrangement extent to recent success (paper §5)")
-		statusAddr  = flag.String("status-addr", "", "serve /metrics, /status, and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
-		benchJSON   = flag.String("bench-json", "", "write a BENCH_<run>.json report into this directory at end of run")
-		version     = flag.Bool("version", false, "print version and exit")
-	)
+	var o options
+	o.bindFlags(flag.CommandLine)
+	inPath := flag.String("in", "", "PHYLIP alignment (required)")
+	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
 		fmt.Println("fastdnaml", buildinfo.String())
@@ -75,44 +44,55 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*inPath, options{
-		jumbles: *jumbles, concJumbles: *concJumbles, seed: *seed, extent: *extent, finalExtent: *finalExtent,
-		ttratio: *ttratio, workers: *workers, threads: *threads, precision: *precision, engine: *engine, smoothMode: *smoothMode, monitor: *monitor,
-		ratesPath: *ratesPath, weightsPath: *weightsPath,
-		outPrefix: *outPrefix, progressOut: *progressOut,
-		listen: *listen, netWorkers: *netWorkers, taskTimeout: *taskTimeout, quiet: *quiet,
-		modelName: *modelName, kappa: *kappa, gtrRates: *gtrRates,
-		userTrees: *userTrees, bootstrap: *bootstrap,
-		checkpoint: *checkpoint, resume: *resume, adaptive: *adaptive,
-		statusAddr: *statusAddr, benchJSON: *benchJSON,
-	}); err != nil {
+	if err := run(*inPath, o); err != nil {
 		fmt.Fprintln(os.Stderr, "fastdnaml:", err)
 		os.Exit(1)
 	}
 }
 
+// options is the command line: core.Options, which the model, search and
+// runtime flags fill directly, plus what only this program knows — input
+// and output paths, the distributed master's settings and the run modes.
 type options struct {
-	jumbles, extent, finalExtent, workers, netWorkers int
-	concJumbles, threads                              int
-	seed                                              int64
-	taskTimeout                                       time.Duration
-	ttratio, kappa                                    float64
-	monitor, quiet                                    bool
-	ratesPath, weightsPath, outPrefix, progressOut    string
-	listen, modelName, gtrRates                       string
-	precision, engine, smoothMode                     string
-	userTrees                                         string
-	bootstrap                                         int
-	checkpoint, resume                                string
-	adaptive                                          bool
-	statusAddr, benchJSON                             string
+	core.Options
+	netWorkers                                     int
+	taskTimeout                                    time.Duration
+	quiet                                          bool
+	ratesPath, weightsPath, outPrefix, progressOut string
+	listen                                         string
+	userTrees                                      string
+	bootstrap                                      int
+	checkpoint, resume                             string
+	statusAddr, benchJSON                          string
 
-	// observer is created when -status-addr or -bench-json asks for
-	// instrumentation; start stamps the run's wall clock and runName
-	// names the BENCH_<run>.json file.
-	observer *mlsearch.RunObserver
-	start    time.Time
-	runName  string
+	// start stamps the run's wall clock and runName names the
+	// BENCH_<run>.json file. (Obs is created when -status-addr or
+	// -bench-json asks for instrumentation.)
+	start   time.Time
+	runName string
+}
+
+// bindFlags declares every flag but -in and -version on fs.
+func (o *options) bindFlags(fs *flag.FlagSet) {
+	o.Spec.BindFlags(fs)
+	fs.IntVar(&o.MaxConcurrentJumbles, "concurrent-jumbles", 0, "jumbles (or bootstrap replicates) run concurrently over the shared worker fleet (0 = min(jumbles, workers); results identical at any setting)")
+	fs.IntVar(&o.Workers, "workers", 0, "parallel worker processes on this machine (0 = serial)")
+	fs.IntVar(&o.Threads, "threads", 1, "likelihood kernel threads per evaluator (results are bit-identical at any count)")
+	fs.BoolVar(&o.WithMonitor, "monitor", false, "attach the monitor (parallel runs): membership and inline-evaluation lines on stderr, run counters in the -bench-json report")
+	fs.StringVar(&o.ratesPath, "rates", "", "per-site rate file (dnarates output)")
+	fs.StringVar(&o.weightsPath, "weights", "", "per-site weight file")
+	fs.StringVar(&o.outPrefix, "out", "", "output prefix for .trees/.best.tree/.consensus.tree files")
+	fs.StringVar(&o.progressOut, "progress-out", "", "append each adopted best tree to this file (for treeview)")
+	fs.StringVar(&o.listen, "listen", "", "run as distributed master listening on this address")
+	fs.IntVar(&o.netWorkers, "net-workers", 0, "number of fdworker processes expected (with -listen)")
+	fs.DurationVar(&o.taskTimeout, "task-timeout", 60*time.Second, "distributed runs: re-dispatch a slice of tasks whose worker has not answered it within this (0 disables)")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-jumble output")
+	fs.StringVar(&o.userTrees, "usertrees", "", "evaluate and rank the trees in this file instead of searching")
+	fs.IntVar(&o.bootstrap, "bootstrap", 0, "run this many bootstrap replicates instead of a plain search")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a restart manifest here after every taxon addition (atomically; any -jumbles, any runtime)")
+	fs.StringVar(&o.resume, "resume", "", "resume a search from this restart file")
+	fs.StringVar(&o.statusAddr, "status-addr", "", "serve /metrics, /status, and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
+	fs.StringVar(&o.benchJSON, "bench-json", "", "write a BENCH_<run>.json report into this directory at end of run")
 }
 
 // conflictingFlags rejects the combinations in which one flag would be
@@ -133,7 +113,7 @@ func conflictingFlags(o options) error {
 			}
 		}
 	}
-	if o.listen != "" && o.workers > 0 {
+	if o.listen != "" && o.Workers > 0 {
 		return fmt.Errorf("-listen cannot be combined with -workers: a distributed master's workers join over the network (-net-workers is how many to wait for)")
 	}
 	return nil
@@ -152,14 +132,13 @@ func run(inPath string, o options) error {
 	if err != nil {
 		return err
 	}
-	var rates, weights []float64
 	if o.ratesPath != "" {
-		if rates, err = fileio.ReadFloatsFile(o.ratesPath); err != nil {
+		if o.SiteRates, err = fileio.ReadFloatsFile(o.ratesPath); err != nil {
 			return err
 		}
 	}
 	if o.weightsPath != "" {
-		if weights, err = fileio.ReadFloatsFile(o.weightsPath); err != nil {
+		if o.Weights, err = fileio.ReadFloatsFile(o.weightsPath); err != nil {
 			return err
 		}
 	}
@@ -186,10 +165,6 @@ func run(inPath string, o options) error {
 		}
 	}
 
-	gtr, err := parseGTRRates(o.gtrRates)
-	if err != nil {
-		return err
-	}
 	// SIGINT/SIGTERM stop the search at its next round boundary; the
 	// checkpoint paths then flush a current restart file and exit 0.
 	stop := make(chan struct{})
@@ -204,41 +179,20 @@ func run(inPath string, o options) error {
 		signal.Stop(sigc)
 		close(stop)
 	}()
-	opt := core.Options{
-		Stop:                 stop,
-		ModelName:            o.modelName,
-		TTRatio:              o.ttratio,
-		Kappa:                o.kappa,
-		GTRRates:             gtr,
-		Jumbles:              o.jumbles,
-		MaxConcurrentJumbles: o.concJumbles,
-		Seed:                 o.seed,
-		RearrangeExtent:      o.extent,
-		FinalExtent:          o.finalExtent,
-		AdaptiveExtent:       o.adaptive,
-		Workers:              o.workers,
-		Threads:              o.threads,
-		Precision:            o.precision,
-		Engine:               o.engine,
-		SmoothMode:           o.smoothMode,
-		WithMonitor:          o.monitor,
-		MonitorOut:           obs.NewLockedWriter(os.Stderr),
-		SiteRates:            rates,
-		Weights:              weights,
-		Progress:             progress,
-	}
+	o.Stop = stop
+	o.MonitorOut = obs.NewLockedWriter(os.Stderr)
+	o.Progress = progress
 
 	o.start = time.Now()
 	o.runName = strings.TrimSuffix(filepath.Base(inPath), filepath.Ext(inPath)) +
-		"_s" + strconv.FormatInt(o.seed, 10)
+		"_s" + strconv.FormatInt(o.Seed, 10)
 	if o.statusAddr != "" || o.benchJSON != "" {
-		o.observer = mlsearch.NewRunObserver(obs.NewRegistry(), obs.NewBus())
-		opt.Obs = o.observer
+		o.Obs = mlsearch.NewRunObserver(obs.NewRegistry(), obs.NewBus())
 		if o.statusAddr != "" {
 			srv, err := obs.NewStatusServer(obs.StatusOptions{
 				Addr:     o.statusAddr,
-				Registry: o.observer.Registry(),
-				Snapshot: func() any { return o.observer.Snapshot() },
+				Registry: o.Obs.Registry(),
+				Snapshot: func() any { return o.Obs.Snapshot() },
 			})
 			if err != nil {
 				return err
@@ -250,11 +204,11 @@ func run(inPath string, o options) error {
 
 	switch {
 	case o.userTrees != "":
-		return runUserTrees(a, opt, o)
+		return runUserTrees(a, o)
 	case o.bootstrap > 0:
-		return runBootstrap(a, opt, o)
+		return runBootstrap(a, o)
 	}
-	return runSearch(a, opt, o)
+	return runSearch(a, o)
 }
 
 // finishInterrupted turns a signal-stop into a clean exit: flush the
@@ -281,32 +235,10 @@ func finishInterrupted(err error, rec *mlsearch.ManifestRecorder, o options) err
 	return nil
 }
 
-// parseGTRRates parses "ac,ag,at,cg,ct,gt" (empty = zero value).
-func parseGTRRates(s string) (model.GTRRates, error) {
-	var r model.GTRRates
-	if s == "" {
-		return r, nil
-	}
-	fields := strings.Split(s, ",")
-	if len(fields) != 6 {
-		return r, fmt.Errorf("-gtr-rates needs 6 comma-separated values, got %d", len(fields))
-	}
-	vals := make([]float64, 6)
-	for i, f := range fields {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return r, fmt.Errorf("-gtr-rates: %w", err)
-		}
-		vals[i] = v
-	}
-	r.AC, r.AG, r.AT, r.CG, r.CT, r.GT = vals[0], vals[1], vals[2], vals[3], vals[4], vals[5]
-	return r, nil
-}
-
 // runUserTrees evaluates and ranks given topologies (fastDNAml's
 // user-tree mode).
-func runUserTrees(a *seq.Alignment, opt core.Options, o options) error {
-	cfg, _, err := core.Prepare(a, opt)
+func runUserTrees(a *seq.Alignment, o options) error {
+	cfg, _, err := core.Prepare(a, o.Options)
 	if err != nil {
 		return err
 	}
@@ -342,9 +274,9 @@ func runUserTrees(a *seq.Alignment, opt core.Options, o options) error {
 }
 
 // runBootstrap resamples columns and reports split support.
-func runBootstrap(a *seq.Alignment, opt core.Options, o options) error {
+func runBootstrap(a *seq.Alignment, o options) error {
 	fmt.Printf("bootstrap: %d replicates\n", o.bootstrap)
-	res, err := core.Bootstrap(a, opt, o.bootstrap)
+	res, err := core.Bootstrap(a, o.Options, o.bootstrap)
 	if err != nil {
 		return finishInterrupted(err, nil, o)
 	}
@@ -421,38 +353,28 @@ func wireRestart(runOpt *mlsearch.RunOptions, o options) (*mlsearch.ManifestReco
 // round, then tolerates joins and departures for the rest of the run
 // (evaluating inline if the worker set ever empties). -checkpoint and
 // -resume apply to all three.
-func runSearch(a *seq.Alignment, opt core.Options, o options) error {
-	cfg, opt, err := core.Prepare(a, opt)
+func runSearch(a *seq.Alignment, o options) error {
+	cfg, opt, err := core.Prepare(a, o.Options)
 	if err != nil {
 		return err
 	}
 	runOpt := mlsearch.RunOptions{
 		Transport:            mlsearch.Serial,
-		Workers:              o.workers,
-		WithMonitor:          o.monitor,
+		Workers:              opt.Workers,
+		WithMonitor:          opt.WithMonitor,
 		MonitorOut:           opt.MonitorOut,
-		Jumbles:              o.jumbles,
-		MaxConcurrentJumbles: o.concJumbles,
+		Jumbles:              opt.Jumbles,
+		MaxConcurrentJumbles: opt.MaxConcurrentJumbles,
 		Obs:                  opt.Obs,
 		Progress:             opt.Progress,
 		Stop:                 opt.Stop,
 	}
 	switch {
 	case o.listen != "":
-		var phylip strings.Builder
-		if err := seq.WritePhylip(&phylip, a, 0); err != nil {
-			return err
-		}
 		runOpt.Transport = mlsearch.TCP
 		runOpt.Addr = o.listen
 		runOpt.Workers = o.netWorkers
 		runOpt.Foreman.TaskTimeout = o.taskTimeout
-		runOpt.Bundle = mlsearch.DataBundle{
-			PhylipText: []byte(phylip.String()),
-			TTRatio:    opt.TTRatio,
-			SiteRates:  opt.SiteRates,
-			Weights:    opt.Weights,
-		}
 		runOpt.OnListen = func(addr net.Addr) {
 			fmt.Printf("listening on %s; workers join with:\n", addr)
 			fmt.Printf("  fdworker -connect %s\n", addr)
@@ -470,7 +392,7 @@ func runSearch(a *seq.Alignment, opt core.Options, o options) error {
 				fmt.Printf("worker %d left\n", rank)
 			}
 		}
-	case o.workers > 0:
+	case opt.Workers > 0:
 		runOpt.Transport = mlsearch.Local
 	}
 	rec, err := wireRestart(&runOpt, o)
@@ -536,7 +458,7 @@ func writeBenchReport(inf *core.Inference, o options) error {
 	totals := map[string]float64{
 		"jumbles":  float64(len(inf.Jumbles)),
 		"best_lnl": inf.Best.LnL,
-		"threads":  float64(o.threads),
+		"threads":  float64(o.Threads),
 	}
 	type jumbleBench struct {
 		Seed  int64   `json:"seed"`
@@ -563,8 +485,8 @@ func writeBenchReport(inf *core.Inference, o options) error {
 			"joins": m.Joins, "leaves": m.Leaves, "inline": m.Inline,
 		}
 	}
-	if o.observer != nil {
-		details["run"] = o.observer.Snapshot()
+	if o.Obs != nil {
+		details["run"] = o.Obs.Snapshot()
 	}
 	path, err := obs.WriteBench(o.benchJSON, obs.BenchReport{
 		Run:       o.runName,

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,13 +31,24 @@ func writeTestAlignment(t *testing.T, taxa, sites int) string {
 	return path
 }
 
+// flags is the options a command line parses to, through the same
+// bindFlags main uses.
+func flags(t *testing.T, args ...string) options {
+	t.Helper()
+	var o options
+	fs := flag.NewFlagSet("fastdnaml", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o.bindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
 func TestRunSerialWritesOutputs(t *testing.T) {
 	in := writeTestAlignment(t, 6, 120)
 	prefix := filepath.Join(t.TempDir(), "run")
-	err := run(in, options{
-		jumbles: 2, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2,
-		quiet: true, outPrefix: prefix,
-	})
+	err := run(in, flags(t, "-jumbles", "2", "-quiet", "-out", prefix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +61,7 @@ func TestRunSerialWritesOutputs(t *testing.T) {
 
 func TestRunParallelMode(t *testing.T) {
 	in := writeTestAlignment(t, 6, 100)
-	err := run(in, options{
-		jumbles: 1, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2,
-		quiet: true, workers: 2,
-	})
+	err := run(in, flags(t, "-quiet", "-workers", "2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +75,7 @@ func TestRunCheckpointThenResume(t *testing.T) {
 	in := writeTestAlignment(t, 6, 100)
 	dir := t.TempDir()
 	cpPath := filepath.Join(dir, "cp.txt")
-	base := options{
-		jumbles: 1, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2, quiet: true,
-	}
+	base := flags(t, "-quiet")
 	first := base
 	first.checkpoint, first.outPrefix = cpPath, filepath.Join(dir, "first")
 	if err := run(in, first); err != nil {
@@ -113,10 +121,7 @@ func TestRunCheckpointThenResume(t *testing.T) {
 func TestRunCheckpointedConsensus(t *testing.T) {
 	in := writeTestAlignment(t, 6, 120)
 	dir := t.TempDir()
-	plain := options{
-		jumbles: 3, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2, quiet: true,
-		outPrefix: filepath.Join(dir, "plain"),
-	}
+	plain := flags(t, "-jumbles", "3", "-quiet", "-out", filepath.Join(dir, "plain"))
 	checkpointed := plain
 	checkpointed.outPrefix = filepath.Join(dir, "checkpointed")
 	checkpointed.checkpoint = filepath.Join(dir, "cp.txt")
@@ -141,26 +146,17 @@ func TestRunCheckpointedConsensus(t *testing.T) {
 func TestRunUserTreesMode(t *testing.T) {
 	in := writeTestAlignment(t, 6, 100)
 	prefix := filepath.Join(t.TempDir(), "search")
-	if err := run(in, options{
-		jumbles: 2, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2,
-		quiet: true, outPrefix: prefix,
-	}); err != nil {
+	if err := run(in, flags(t, "-jumbles", "2", "-quiet", "-out", prefix)); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(in, options{
-		jumbles: 1, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2,
-		quiet: true, userTrees: prefix + ".trees",
-	}); err != nil {
+	if err := run(in, flags(t, "-quiet", "-usertrees", prefix+".trees")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBootstrapMode(t *testing.T) {
 	in := writeTestAlignment(t, 6, 150)
-	if err := run(in, options{
-		jumbles: 1, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2,
-		quiet: true, bootstrap: 2,
-	}); err != nil {
+	if err := run(in, flags(t, "-quiet", "-bootstrap", "2")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -169,7 +165,7 @@ func TestRunBootstrapMode(t *testing.T) {
 // would silently ignore is an error naming both flags, raised before any
 // work starts — the input file here does not even exist.
 func TestRunRejectsIgnoredFlagCombinations(t *testing.T) {
-	base := options{jumbles: 1, seed: 1, extent: 1, ttratio: 2, modelName: "F84", kappa: 2, quiet: true}
+	base := flags(t, "-quiet")
 	for _, tc := range []struct {
 		a, b string
 		set  func(*options)
@@ -179,7 +175,7 @@ func TestRunRejectsIgnoredFlagCombinations(t *testing.T) {
 		{"-bootstrap", "-listen", func(o *options) { o.bootstrap, o.listen = 3, "127.0.0.1:0" }},
 		{"-usertrees", "-listen", func(o *options) { o.userTrees, o.listen = "t.trees", "127.0.0.1:0" }},
 		{"-usertrees", "-checkpoint", func(o *options) { o.userTrees, o.checkpoint = "t.trees", "cp.txt" }},
-		{"-listen", "-workers", func(o *options) { o.listen, o.workers = "127.0.0.1:0", 2 }},
+		{"-listen", "-workers", func(o *options) { o.listen, o.Workers = "127.0.0.1:0", 2 }},
 	} {
 		o := base
 		tc.set(&o)
@@ -191,21 +187,31 @@ func TestRunRejectsIgnoredFlagCombinations(t *testing.T) {
 }
 
 func TestRunRejectsMissingInput(t *testing.T) {
-	if err := run(filepath.Join(t.TempDir(), "nope.phy"), options{ttratio: 2, modelName: "F84", kappa: 2}); err == nil {
+	if err := run(filepath.Join(t.TempDir(), "nope.phy"), options{}); err == nil {
 		t.Error("missing input accepted")
 	}
 }
 
+// TestRunModelFlag: the model flags take the spellings and refuse the
+// values a fastdnamld job's options do (core.Spec.Normalize is the one
+// table; internal/serve's TestFrontDoorsAgree compares the two doors row
+// by row). A setting that would be ignored is an error, not a default.
 func TestRunModelFlag(t *testing.T) {
 	in := writeTestAlignment(t, 6, 100)
-	for _, m := range []string{"JC69", "K80", "HKY85"} {
-		if err := run(in, options{
-			jumbles: 1, seed: 1, extent: 1, ttratio: 2, modelName: m, kappa: 2, quiet: true,
-		}); err != nil {
+	for _, m := range []string{"JC69", "K80", "HKY85", "HKY", "gtr"} {
+		if err := run(in, flags(t, "-quiet", "-model", m)); err != nil {
 			t.Errorf("model %s: %v", m, err)
 		}
 	}
-	if err := run(in, options{jumbles: 1, seed: 1, extent: 1, ttratio: 2, modelName: "BOGUS", kappa: 2, quiet: true}); err == nil {
-		t.Error("bogus model accepted")
+	for _, bad := range [][]string{
+		{"-model", "BOGUS"},
+		{"-ttratio", "-1"},
+		{"-model", "HKY85", "-kappa", "-3"},
+		{"-gtr-rates", "1,2,3,4,5,6"}, // with the default F84
+		{"-model", "GTR", "-gtr-rates", "1,2,3"},
+	} {
+		if err := run(in, flags(t, append([]string{"-quiet"}, bad...)...)); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
 	}
 }

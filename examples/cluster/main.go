@@ -10,7 +10,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"math/rand"
@@ -19,29 +18,24 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mlsearch"
-	"repro/internal/seq"
 	"repro/internal/simulate"
 )
 
 func main() {
-	// Build the data set the master will ship to joining workers.
+	// Build the run's Config. It is all the master needs: every joining
+	// worker is sent it — patterns, weights, rates and the model's numbers
+	// — in the join handshake, so any model and any weighting run
+	// distributed exactly as they run serially.
 	ds, err := simulate.New(simulate.Options{Taxa: 12, Sites: 300, Seed: 77})
 	if err != nil {
 		log.Fatal(err)
 	}
-	var phy bytes.Buffer
-	if err := seq.WritePhylip(&phy, ds.Alignment, 0); err != nil {
-		log.Fatal(err)
-	}
-	bundle := mlsearch.DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
-
-	// The master needs the same dataset the workers will build.
-	cfg, err := bundle.Config()
+	cfg, _, err := core.Prepare(ds.Alignment, core.Options{Spec: core.Spec{Model: "HKY85", Kappa: 3, Seed: 5}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Seed, cfg.RearrangeExtent = 5, 1
 
 	const workers = 3
 	opt := mlsearch.RunOptions{
@@ -50,7 +44,6 @@ func main() {
 		Workers:     workers, // wait for all three before the first round
 		WithMonitor: true,
 		MonitorOut:  os.Stdout,
-		Bundle:      bundle,
 		Foreman: mlsearch.ForemanOptions{
 			TaskTimeout: 300 * time.Millisecond, // the paper's user-specified timeout
 			Tick:        20 * time.Millisecond,
@@ -73,7 +66,7 @@ func main() {
 	fmt.Printf("master listening on %s; %d anonymous workers joining\n", addr, workers)
 
 	// Worker "processes": they dial with no rank; the join handshake
-	// assigns one and ships the dataset. The last worker is unreliable
+	// assigns one and ships the run's Config. The last worker is unreliable
 	// and silently drops a fifth of its replies. The foreman times those
 	// tasks out, re-dispatches them, and reinstates the worker when it
 	// answers again — watch the monitor lines.

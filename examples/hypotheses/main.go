@@ -28,7 +28,7 @@ func main() {
 	a := ds.Alignment
 
 	// Hypothesis 0: the ML search's answer.
-	inf, err := core.Infer(a, core.Options{Seed: 11, RearrangeExtent: 2, Workers: 2})
+	inf, err := core.Infer(a, core.Options{Spec: core.Spec{Seed: 11, Extent: 2}, Workers: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg, _, err := core.Prepare(a, core.Options{Seed: 11})
+	cfg, _, err := core.Prepare(a, core.Options{Spec: core.Spec{Seed: 11}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func main() {
 
 	// Bootstrap support for the searched tree's groupings.
 	fmt.Println("\nbootstrapping (8 replicates)...")
-	boot, err := core.Bootstrap(a, core.Options{Seed: 21, RearrangeExtent: 1, Workers: 2}, 8)
+	boot, err := core.Bootstrap(a, core.Options{Spec: core.Spec{Seed: 21, Extent: 1}, Workers: 2}, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,8 +35,7 @@ func main() {
 	const jumbles = 5
 	fmt.Printf("analyzing %d random orderings of %d taxa...\n", jumbles, ds.Alignment.NumSeqs())
 	inf, err := core.Infer(ds.Alignment, core.Options{
-		Seed:    99,
-		Jumbles: jumbles,
+		Spec:    core.Spec{Seed: 99, Jumbles: jumbles},
 		Workers: 3,
 	})
 	if err != nil {

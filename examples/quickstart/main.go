@@ -34,10 +34,7 @@ func main() {
 
 	// 2. Infer: F84 model with empirical base frequencies, stepwise
 	// addition with local rearrangements — fastDNAml's algorithm.
-	inf, err := core.Infer(a, core.Options{
-		Seed:            13,
-		RearrangeExtent: 2,
-	})
+	inf, err := core.Infer(a, core.Options{Spec: core.Spec{Seed: 13, Extent: 2}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func main() {
 
 	// Pass 1: infer a tree assuming homogeneous rates.
 	fmt.Println("pass 1: inference with homogeneous rates")
-	first, err := core.Infer(ds.Alignment, core.Options{Seed: 7})
+	first, err := core.Infer(ds.Alignment, core.Options{Spec: core.Spec{Seed: 7}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func main() {
 
 	// Pass 2: re-infer with the fitted rates in the model.
 	fmt.Println("\npass 2: inference with the fitted per-site rates")
-	second, err := core.Infer(ds.Alignment, core.Options{Seed: 7, SiteRates: rates.PerSite})
+	second, err := core.Infer(ds.Alignment, core.Options{Spec: core.Spec{Seed: 7}, SiteRates: rates.PerSite})
 	if err != nil {
 		log.Fatal(err)
 	}

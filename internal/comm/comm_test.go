@@ -3,7 +3,6 @@ package comm
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -314,36 +313,6 @@ func TestWorkerToWorkerViaRouter(t *testing.T) {
 	}
 	if string(m.Data) != "peer" || m.From != 1 {
 		t.Errorf("got %q from %d", m.Data, m.From)
-	}
-}
-
-func TestTracedCommunicator(t *testing.T) {
-	w, _ := NewLocal(2)
-	defer closeWorld(w)
-	t0 := NewTraced(w[0])
-	t1 := NewTraced(w[1])
-	for i := 0; i < 5; i++ {
-		if err := t0.Send(1, TagTask, []byte(fmt.Sprintf("%03d", i))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := t1.Recv(0, TagTask); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, r := t0.Counts()
-	if s != 5 || r != 0 {
-		t.Errorf("t0 counts = %d sends %d recvs", s, r)
-	}
-	s, r = t1.Counts()
-	if s != 0 || r != 5 {
-		t.Errorf("t1 counts = %d sends %d recvs", s, r)
-	}
-	sent, _ := t0.BytesMoved()
-	if sent != 15 {
-		t.Errorf("t0 sent %d bytes, want 15", sent)
-	}
-	if len(t0.Events()) != 5 {
-		t.Errorf("t0 has %d events", len(t0.Events()))
 	}
 }
 
@@ -691,7 +660,8 @@ func TestConcurrentSendersStress(t *testing.T) {
 
 // TestHandshakeRefusesOtherProtocolVersion: the hello's magic is the
 // protocol version. A peer built before the slice frames (magic "FDML"),
-// or before the monitor rank left the welcome payload ("FDM2"), is
+// before the monitor rank left the welcome payload ("FDM2"), or before
+// the welcome became the run's Config ("FDM3"), is
 // answered with a refusal that says why and is hung up on — it is never
 // registered, so no frame it could not decode is ever sent to it — and a
 // dialer of this version that reaches such a peer's router, which hangs up
@@ -708,10 +678,11 @@ func TestHandshakeRefusesOtherProtocolVersion(t *testing.T) {
 	defer world[0].Close()
 	addr := listenAddr(t, world[0])
 
-	// An old worker's hello, byte for byte: version 1, and version 2 whose
-	// welcome still carried a monitor rank.
+	// An old worker's hello, byte for byte: version 1, version 2 whose
+	// welcome still carried a monitor rank, and version 3, which would
+	// read a PHYLIP bundle out of this version's welcome.
 	var reply []byte
-	for _, magic := range []string{"FDML", "FDM2"} {
+	for _, magic := range []string{"FDML", "FDM2", "FDM3"} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)

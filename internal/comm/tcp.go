@@ -28,7 +28,7 @@ import (
 // claims its rank in the HELLO. An *elastic* world (NewElasticTCPRouter)
 // hosts ranks 0..FirstDynamic-1 and accepts only anonymous joiners: a
 // HELLO with rank -1 is answered by a WELCOME that assigns the next free
-// rank and carries an application-provided payload (the data bundle), and
+// rank and carries an application-provided payload (the run's Config), and
 // the router synthesizes TagJoin/TagLeave messages to a hosted membership
 // rank as such workers come and go. Ranks of departed workers are never
 // reused, so a late frame from a dead incarnation can never be mistaken
@@ -48,11 +48,12 @@ import (
 // a foreign magic is answered by a welcome of rank -2 whose payload is
 // that reason, and the connection is closed.
 
-// tcpMagic is "FDM3": version 3, whose welcome payload and tag numbering
-// have no monitor rank. Version 2 ("FDM2") brought the task and result
-// slice frames; version 1 ("FDML") carried one task and one result per
-// frame.
-const tcpMagic int32 = 0x46444d33
+// tcpMagic is "FDM4": version 4, whose welcome payload is the run's
+// Config instead of a PHYLIP recipe for rebuilding it. Version 3 ("FDM3")
+// took the monitor rank out of the welcome and the tag numbering;
+// version 2 ("FDM2") brought the task and result slice frames; version 1
+// ("FDML") carried one task and one result per frame.
+const tcpMagic int32 = 0x46444d34
 
 // helloJoin is the HELLO rank requesting dynamic rank assignment.
 const helloJoin int32 = -1
@@ -75,7 +76,7 @@ type RouterConfig struct {
 	FirstDynamic int
 	// Welcome is the payload delivered to anonymous joiners with their
 	// assigned rank (the application's join handshake reply, e.g. the
-	// data bundle).
+	// run's encoded Config).
 	Welcome []byte
 	// NotifyRank is the hosted rank that receives synthesized
 	// TagJoin/TagLeave messages for anonymous joiners; -1 disables them.

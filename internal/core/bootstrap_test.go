@@ -8,7 +8,7 @@ import (
 
 func TestBootstrapBasics(t *testing.T) {
 	a := testAlignment(t, 7, 500, 41)
-	res, err := Bootstrap(a, Options{Seed: 9}, 4)
+	res, err := Bootstrap(a, Options{Spec: Spec{Seed: 9}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestBootstrapBasics(t *testing.T) {
 
 func TestBootstrapDeterministic(t *testing.T) {
 	a := testAlignment(t, 6, 200, 43)
-	r1, err := Bootstrap(a, Options{Seed: 3}, 3)
+	r1, err := Bootstrap(a, Options{Spec: Spec{Seed: 3}}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Bootstrap(a, Options{Seed: 3}, 3)
+	r2, err := Bootstrap(a, Options{Spec: Spec{Seed: 3}}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBootstrapDeterministic(t *testing.T) {
 			t.Errorf("replicate %d differs between identical runs", i)
 		}
 	}
-	r3, err := Bootstrap(a, Options{Seed: 5}, 3)
+	r3, err := Bootstrap(a, Options{Spec: Spec{Seed: 5}}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestModelSelection(t *testing.T) {
 	a := testAlignment(t, 6, 200, 51)
 	lnls := map[string]float64{}
 	for _, name := range []string{"F84", "JC69", "K80", "HKY85", "GTR"} {
-		inf, err := Infer(a, Options{Seed: 3, ModelName: name})
+		inf, err := Infer(a, Options{Spec: Spec{Seed: 3, Model: name}})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -103,7 +103,7 @@ func TestModelSelection(t *testing.T) {
 	if lnls["F84"] <= lnls["JC69"] {
 		t.Errorf("F84 (%.2f) should fit better than JC69 (%.2f)", lnls["F84"], lnls["JC69"])
 	}
-	if _, err := Infer(a, Options{ModelName: "WAG"}); err == nil {
+	if _, err := Infer(a, Options{Spec: Spec{Model: "WAG"}}); err == nil {
 		t.Error("unknown model accepted")
 	}
 }

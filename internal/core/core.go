@@ -21,41 +21,15 @@ import (
 	"repro/internal/tree"
 )
 
-// Options configure an inference run.
+// Options configure an inference run: the Spec that decides its result,
+// and the host and run settings that do not.
 type Options struct {
-	// ModelName selects the substitution model: "F84" (fastDNAml's
-	// model, the default), "JC69", "K80", "HKY85", or "GTR" (§5's "more
-	// general models of nucleotide change").
-	ModelName string
-	// TTRatio is the F84 transition/transversion ratio (default 2.0).
-	TTRatio float64
-	// Kappa is the K80/HKY85 transition rate multiplier (default 2.0).
-	Kappa float64
-	// GTRRates are the six exchangeabilities for the GTR model (zero
-	// value means all 1, i.e. F81-like behaviour).
-	GTRRates model.GTRRates
-	// Jumbles is the number of random taxon orderings analyzed
-	// (default 1). Biologists typically analyze tens to thousands and
-	// compare the best trees (paper §2).
-	Jumbles int
-	// Seed drives the orderings; even seeds are adjusted as in
-	// fastDNAml (§2.1).
-	Seed int64
+	Spec
 	// MaxConcurrentJumbles bounds how many jumbles (or bootstrap
 	// replicates) run concurrently over the shared worker fleet. 0
 	// defaults to min(Jumbles, Workers) in parallel runs; results are
 	// identical at any setting.
 	MaxConcurrentJumbles int
-	// RearrangeExtent is the number of vertices crossed in the local
-	// rearrangements after each taxon addition (default 1; the paper's
-	// performance tests use 5).
-	RearrangeExtent int
-	// FinalExtent is the extent of the final rearrangement pass
-	// (default: same as RearrangeExtent).
-	FinalExtent int
-	// AdaptiveExtent lets the search adapt the rearrangement extent to
-	// recent success (paper §5's planned feature).
-	AdaptiveExtent bool
 	// Workers selects the runtime: 0 runs the serial program; >= 1 runs
 	// the parallel runtime with that many worker processes.
 	Workers int
@@ -63,21 +37,6 @@ type Options struct {
 	// evaluator (default 1). Any value yields bit-identical trees and
 	// likelihoods: the engine's sharding is deterministic.
 	Threads int
-	// Precision selects the CLV storage format: "float64" (or "64",
-	// "double", "f64", "" — the exact default) or "float32" (or "32",
-	// "single", "f32"), which halves CLV memory traffic at the documented
-	// accuracy tolerance (likelihood.Float32*Tol).
-	Precision string
-	// Engine names the likelihood backend: "cached" (the CLV-cached
-	// production engine, the default) or "reference" (the direct
-	// recomputation engine used for differential testing). See
-	// likelihood.Engines for the registered set.
-	Engine string
-	// SmoothMode selects the full-tree branch-smoothing algorithm:
-	// "sweep" (or "" — the sequential Newton sweep, the default) or
-	// "gradient" (simultaneous smoothing on the linear-time all-branches
-	// gradient; same optimum, fewer kernel evaluations).
-	SmoothMode string
 	// WithMonitor adds the monitor role to parallel runs.
 	WithMonitor bool
 	// MonitorOut receives monitor output (nil discards it).
@@ -103,21 +62,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.ModelName == "" {
-		o.ModelName = "F84"
-	}
-	if o.TTRatio <= 0 {
-		o.TTRatio = model.DefaultTTRatio
-	}
-	if o.Kappa <= 0 {
-		o.Kappa = 2.0
-	}
-	if o.Jumbles < 1 {
-		o.Jumbles = 1
-	}
-	if o.RearrangeExtent == 0 {
-		o.RearrangeExtent = 1
-	}
 	if o.ConsensusThreshold == 0 {
 		o.ConsensusThreshold = 0.5
 	}
@@ -155,10 +99,16 @@ type Inference struct {
 	Monitor *mlsearch.MonitorStats
 }
 
-// Prepare compresses an alignment and builds the model and search config
-// shared by Infer and the benchmark harness.
+// Prepare normalizes the options' Spec, compresses the alignment and
+// builds the model and search config shared by Infer, the CLI, the
+// daemon and the benchmark harness. The returned Options carry the
+// normalized Spec.
 func Prepare(a *seq.Alignment, opt Options) (mlsearch.Config, Options, error) {
 	opt = opt.withDefaults()
+	var err error
+	if opt.Spec, err = opt.Spec.Normalize(); err != nil {
+		return mlsearch.Config{}, opt, err
+	}
 	if err := a.Validate(); err != nil {
 		return mlsearch.Config{}, opt, err
 	}
@@ -166,26 +116,21 @@ func Prepare(a *seq.Alignment, opt Options) (mlsearch.Config, Options, error) {
 	if err != nil {
 		return mlsearch.Config{}, opt, err
 	}
-	m, err := buildModel(opt, pat)
+	m, err := buildModel(opt.Spec, pat)
 	if err != nil {
 		return mlsearch.Config{}, opt, err
 	}
-	prec, err := likelihood.ParsePrecision(opt.Precision)
-	if err != nil {
-		return mlsearch.Config{}, opt, err
-	}
-	smode, err := likelihood.ParseSmoothMode(opt.SmoothMode)
-	if err != nil {
-		return mlsearch.Config{}, opt, err
-	}
+	// Normalize has vetted both spellings.
+	prec, _ := likelihood.ParsePrecision(opt.Precision)
+	smode, _ := likelihood.ParseSmoothMode(opt.SmoothMode)
 	cfg := mlsearch.Config{
 		Taxa:            a.Names,
 		Patterns:        pat,
 		Model:           m,
 		Seed:            opt.Seed,
-		RearrangeExtent: opt.RearrangeExtent,
+		RearrangeExtent: opt.Extent,
 		FinalExtent:     opt.FinalExtent,
-		AdaptiveExtent:  opt.AdaptiveExtent,
+		AdaptiveExtent:  opt.Adaptive,
 		Threads:         opt.Threads,
 		Precision:       prec,
 		Engine:          opt.Engine,
@@ -194,28 +139,25 @@ func Prepare(a *seq.Alignment, opt Options) (mlsearch.Config, Options, error) {
 	return cfg, opt, nil
 }
 
-// buildModel constructs the configured substitution model, using the
-// data's empirical base frequencies where the model takes them (paper
-// §2.1).
-func buildModel(opt Options, pat *seq.Patterns) (model.Model, error) {
+// buildModel constructs a normalized spec's substitution model, using
+// the data's empirical base frequencies where the model takes them
+// (paper §2.1).
+func buildModel(sp Spec, pat *seq.Patterns) (model.Model, error) {
 	freqs := seq.EmpiricalFreqsPatterns(pat)
-	switch opt.ModelName {
-	case "F84", "f84":
-		return model.NewF84(freqs, opt.TTRatio)
-	case "JC69", "jc69", "jc":
+	switch sp.Model {
+	case "F84":
+		return model.NewF84(freqs, sp.TTRatio)
+	case "JC69":
 		return model.NewJC69(), nil
-	case "K80", "k80":
-		return model.NewK80(opt.Kappa)
-	case "HKY85", "hky85", "hky":
-		return model.NewHKY85(freqs, opt.Kappa)
-	case "GTR", "gtr":
-		r := opt.GTRRates
-		if r == (model.GTRRates{}) {
-			r = model.GTRRates{AC: 1, AG: 1, AT: 1, CG: 1, CT: 1, GT: 1}
-		}
-		return model.NewGTR(freqs, r)
+	case "K80":
+		return model.NewK80(sp.Kappa)
+	case "HKY85":
+		return model.NewHKY85(freqs, sp.Kappa)
+	case "GTR":
+		r := sp.GTRRates
+		return model.NewGTR(freqs, model.GTRRates{AC: r[0], AG: r[1], AT: r[2], CG: r[3], CT: r[4], GT: r[5]})
 	}
-	return nil, fmt.Errorf("core: unknown model %q (F84, JC69, K80, HKY85, GTR)", opt.ModelName)
+	return nil, fmt.Errorf("core: model %q is not a normalized name", sp.Model)
 }
 
 // Infer runs the full program over an alignment.

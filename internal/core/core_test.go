@@ -21,7 +21,7 @@ func testAlignment(t *testing.T, taxa, sites int, seed int64) *seq.Alignment {
 
 func TestInferSerialSingleJumble(t *testing.T) {
 	a := testAlignment(t, 8, 200, 3)
-	inf, err := Infer(a, Options{Seed: 5})
+	inf, err := Infer(a, Options{Spec: Spec{Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestInferSerialSingleJumble(t *testing.T) {
 
 func TestInferMultiJumbleConsensus(t *testing.T) {
 	a := testAlignment(t, 7, 400, 9)
-	inf, err := Infer(a, Options{Seed: 5, Jumbles: 3})
+	inf, err := Infer(a, Options{Spec: Spec{Seed: 5, Jumbles: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,12 @@ func TestInferMultiJumbleConsensus(t *testing.T) {
 
 func TestInferParallelMatchesSerial(t *testing.T) {
 	a := testAlignment(t, 7, 200, 13)
-	serial, err := Infer(a, Options{Seed: 7, Jumbles: 2})
+	serial, err := Infer(a, Options{Spec: Spec{Seed: 7, Jumbles: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var monOut bytes.Buffer
-	par, err := Infer(a, Options{Seed: 7, Jumbles: 2, Workers: 3, WithMonitor: true, MonitorOut: &monOut})
+	par, err := Infer(a, Options{Spec: Spec{Seed: 7, Jumbles: 2}, Workers: 3, WithMonitor: true, MonitorOut: &monOut})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestInferProgressCallback(t *testing.T) {
 	a := testAlignment(t, 6, 150, 17)
 	var events int
 	var lastJumble int
-	_, err := Infer(a, Options{Seed: 3, Jumbles: 2, Progress: func(j int, e mlsearch.ProgressEvent) {
+	_, err := Infer(a, Options{Spec: Spec{Seed: 3, Jumbles: 2}, Progress: func(j int, e mlsearch.ProgressEvent) {
 		events++
 		lastJumble = j
 	}})
@@ -127,11 +127,11 @@ func TestInferWithSiteRates(t *testing.T) {
 			rates[i] = 1.5
 		}
 	}
-	inf, err := Infer(a, Options{Seed: 3, SiteRates: rates})
+	inf, err := Infer(a, Options{Spec: Spec{Seed: 3}, SiteRates: rates})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := Infer(a, Options{Seed: 3})
+	flat, err := Infer(a, Options{Spec: Spec{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestPrepareDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.TTRatio != 2.0 || opt.Jumbles != 1 || opt.RearrangeExtent != 1 {
+	if opt.TTRatio != 2.0 || opt.Jumbles != 1 || opt.Extent != 1 {
 		t.Errorf("defaults: %+v", opt)
 	}
 	if cfg.Patterns == nil || cfg.Model == nil || len(cfg.Taxa) != 6 {

@@ -10,7 +10,7 @@ import (
 
 // Engine registry: backends register a constructor under a name, and
 // the rest of the program selects one by that name (Config.Engine, the
-// -engine flag, the DataBundle's engine field) without importing the
+// -engine flag, the join welcome's engine field) without importing the
 // implementation. Registration happens in init() functions, so the map
 // is read-only once main starts and needs no locking.
 

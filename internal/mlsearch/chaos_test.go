@@ -1,7 +1,6 @@
 package mlsearch
 
 import (
-	"bytes"
 	"net"
 	"os"
 	"sync"
@@ -10,8 +9,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/obs"
-	"repro/internal/seq"
-	"repro/internal/simulate"
 )
 
 // TestTCPChaosSoak is the elastic-membership soak: a TCP run starts with
@@ -26,19 +23,7 @@ import (
 // pipelining under churn.
 func TestTCPChaosSoak(t *testing.T) {
 	soakStart := time.Now()
-	ds, err := simulate.New(simulate.Options{Taxa: 9, Sites: 160, Seed: 41, MeanBranchLen: 0.12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var phy bytes.Buffer
-	if err := seq.WritePhylip(&phy, ds.Alignment, 0); err != nil {
-		t.Fatal(err)
-	}
-	bundle := DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
-	cfg, err := bundle.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := testConfig(t, 9, 160, 41)
 	cfg.Seed, cfg.RearrangeExtent, cfg.Threads = 5, 1, 2
 	serial, err := runSerial(cfg)
 	if err != nil {
@@ -56,7 +41,6 @@ func TestTCPChaosSoak(t *testing.T) {
 		Addr:        "127.0.0.1:0",
 		Workers:     2, // barrier: the two original workers
 		WithMonitor: true,
-		Bundle:      bundle,
 		Foreman:     ForemanOptions{TaskTimeout: 200 * time.Millisecond, Tick: 20 * time.Millisecond, Pipeline: 2},
 		Progress: func(jumble int, ev ProgressEvent) {
 			if ev.TaxaInTree >= 5 {

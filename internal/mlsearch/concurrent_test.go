@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/seq"
-	"repro/internal/simulate"
 )
 
 // TestForemanTickFloor: Tick is derived as TaskTimeout/4, which for a
@@ -299,19 +297,7 @@ func TestConcurrentJumblesMatchSequential(t *testing.T) {
 // Every jumble must still match the serial answer bit for bit: job
 // multiplexing plus membership chaos is pure work distribution.
 func TestConcurrentTCPChaosSoak(t *testing.T) {
-	ds, err := simulate.New(simulate.Options{Taxa: 8, Sites: 140, Seed: 47, MeanBranchLen: 0.12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var phy bytes.Buffer
-	if err := seq.WritePhylip(&phy, ds.Alignment, 0); err != nil {
-		t.Fatal(err)
-	}
-	bundle := DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
-	cfg, err := bundle.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := testConfig(t, 8, 140, 47)
 	cfg.Seed, cfg.RearrangeExtent = 9, 1
 	serial, err := Run(cfg, RunOptions{Transport: Serial, Jumbles: 3})
 	if err != nil {
@@ -331,7 +317,6 @@ func TestConcurrentTCPChaosSoak(t *testing.T) {
 		Jumbles:              3,
 		MaxConcurrentJumbles: 3,
 		WithMonitor:          true,
-		Bundle:               bundle,
 		Foreman:              ForemanOptions{TaskTimeout: 200 * time.Millisecond, Tick: 20 * time.Millisecond, Pipeline: 2},
 		Progress: func(jumble int, ev ProgressEvent) {
 			progressMu.Lock()

@@ -16,9 +16,10 @@ import (
 // slice, a count larger than the payload, a negative string length, a
 // truncated candidate or length list, an unknown extension tag (accepted
 // and dropped) and a valid frame followed by trailing bytes; for the
-// welcome, a valid one, a truncated inner bundle, a bundle length past
-// the payload, negative rate and weight counts, precisions 2 and 257, an
-// unknown extension tag and trailing bytes.
+// welcome, a valid F84 and a valid GTR one, a truncated code matrix, a
+// pattern count that with the taxa runs past the payload, a NaN
+// frequency, λ₀ = 1, K = 0, precisions 2 and 257, smooth mode "zigzag"
+// and a trailing byte.
 
 func FuzzUnmarshalTaskSlice(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -70,24 +71,23 @@ func FuzzUnmarshalResultSlice(f *testing.F) {
 
 func FuzzUnmarshalWelcome(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lay, bundle, err := unmarshalWelcome(data)
+		lay, cfg, err := unmarshalWelcome(data)
 		if err != nil {
-			if !reflect.DeepEqual(lay, Layout{}) || !reflect.DeepEqual(bundle, DataBundle{}) {
-				t.Errorf("error %v with layout %+v and a bundle of %d bytes", err, lay, len(bundle.PhylipText))
+			if !reflect.DeepEqual(lay, Layout{}) || !reflect.DeepEqual(cfg, Config{}) {
+				t.Errorf("error %v with layout %+v and a config of %d taxa", err, lay, len(cfg.Taxa))
 			}
 			return
 		}
-		// Bundles hold floats (NaN != NaN), so stability is checked on
-		// the bytes.
-		enc := marshalWelcome(lay, bundle)
-		againLay, againBundle, err := unmarshalWelcome(enc)
+		// Configs hold floats, so stability is checked on the bytes.
+		enc := marshalWelcome(lay, cfg)
+		againLay, againCfg, err := unmarshalWelcome(enc)
 		if err != nil {
 			t.Fatalf("re-encoded welcome does not decode: %v", err)
 		}
 		if !reflect.DeepEqual(againLay, lay) {
 			t.Errorf("layout changed across encode/decode: %+v became %+v", lay, againLay)
 		}
-		if !bytes.Equal(marshalWelcome(againLay, againBundle), enc) {
+		if !bytes.Equal(marshalWelcome(againLay, againCfg), enc) {
 			t.Error("welcome encoding is not stable")
 		}
 	})

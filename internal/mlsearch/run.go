@@ -99,8 +99,8 @@ type RunOptions struct {
 
 	// Addr is the TCP listen address (e.g. ":7946" or "127.0.0.1:0").
 	Addr string
-	// Bundle is the dataset shipped to joining TCP workers inside the
-	// join handshake.
+	// Bundle is unread: joining TCP workers are sent the run's Config in
+	// the join handshake (see DataBundle for why the field remains).
 	Bundle DataBundle
 	// OnListen, when non-nil, is invoked with the bound address before
 	// waiting for workers (useful with ":0" and for tests).

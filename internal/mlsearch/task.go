@@ -238,13 +238,6 @@ func (r *wireReader) done(what string) error {
 // comm's handshake version instead). Truncated extensions are still hard
 // errors — tolerance is for unknown fields, not corrupt frames.
 
-// ext appends one tagged extension field.
-func (w *wireWriter) ext(tag byte, payload []byte) {
-	w.buf = append(w.buf, tag)
-	w.i32(int32(len(payload)))
-	w.buf = append(w.buf, payload...)
-}
-
 // extFields consumes the remainder of the buffer as extension fields,
 // invoking fn for each; unknown tags are fn's to ignore.
 func (r *wireReader) extFields(what string, fn func(tag byte, payload []byte)) error {

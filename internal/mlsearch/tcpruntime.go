@@ -3,13 +3,11 @@ package mlsearch
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/model"
 )
 
 // Distributed (TCP) runtime with elastic membership. One operating
@@ -17,7 +15,7 @@ import (
 // the elastic comm world, exactly as in a Local run — and the world's
 // TCP router; worker processes anywhere on the network join with
 // cmd/fdworker, carrying no pre-assigned identity: the join handshake
-// assigns each a fresh rank and delivers the data bundle.
+// assigns each a fresh rank and delivers the run's Config.
 // Workers may join or leave at any point, including mid-round — the
 // paper's fault-tolerant dispatch (§2.2) is what makes this safe, and it
 // is the property the planned Condor/screensaver workers (§5) would rely
@@ -28,30 +26,17 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	if opt.Workers < 0 {
 		return nil, fmt.Errorf("mlsearch: negative worker barrier %d", opt.Workers)
 	}
-	if len(opt.Bundle.PhylipText) == 0 {
-		return nil, fmt.Errorf("mlsearch: tcp run needs a data bundle for joining workers")
-	}
 	norm, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	// The bundle is the run's evaluation identity on the wire, so all of
-	// it is stamped from the run — a bundle that disagrees with its own
-	// run is not a supported state — and the one thing it cannot carry,
-	// a model other than F84 over the data's empirical frequencies, is
-	// refused here instead of scored differently on the workers.
-	opt.Bundle.Precision = norm.Precision
-	opt.Bundle.Engine = norm.Engine
-	opt.Bundle.SmoothMode = norm.SmoothMode
-	remote, err := opt.Bundle.Config()
-	if err != nil {
-		return nil, err
-	}
-	if !sameModel(remote.Model, norm.Model) {
-		return nil, fmt.Errorf("mlsearch: tcp run: workers would rebuild %s from the data bundle but the run's model is %s; distributed runs carry F84 (with the bundle's TTRatio) only",
-			describeModel(remote.Model), describeModel(norm.Model))
-	}
 	lay := ElasticLayout()
+	// Decoding validates: a Config whose welcome every worker would refuse
+	// fails here, not as a join barrier nobody ever passes.
+	welcome := marshalWelcome(lay, norm)
+	if _, _, err := unmarshalWelcome(welcome); err != nil {
+		return nil, fmt.Errorf("mlsearch: tcp run: no worker could join this run: %w", err)
+	}
 
 	// The foreman always gets an inline evaluator: a TCP run must
 	// complete even if every worker disappears (degradation ladder).
@@ -91,7 +76,7 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	ranks, err := comm.NewElasticTCPRouter(comm.RouterConfig{
 		Addr:         opt.Addr,
 		FirstDynamic: lay.FirstDynamicRank(),
-		Welcome:      marshalWelcome(lay, opt.Bundle),
+		Welcome:      welcome,
 		NotifyRank:   lay.Foreman,
 		OnJoin:       onJoin,
 		OnLeave:      onLeave,
@@ -112,18 +97,6 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	}
 	<-barrier
 	return world.runOnce(norm, opt)
-}
-
-// sameModel reports whether two models evaluate identically: same name,
-// equilibrium frequencies and spectral decomposition.
-func sameModel(a, b model.Model) bool {
-	return a.Name() == b.Name() && a.Freqs() == b.Freqs() &&
-		reflect.DeepEqual(a.Decomposition(), b.Decomposition())
-}
-
-// describeModel names a model for the mismatch error.
-func describeModel(m model.Model) string {
-	return fmt.Sprintf("%s (freqs %.4v, rates %.4v)", m.Name(), m.Freqs(), m.Decomposition().Lambda)
 }
 
 // ReconnectPolicy governs a worker's jittered exponential backoff when
@@ -202,8 +175,8 @@ func ParseReconnectPolicy(s string) (ReconnectPolicy, error) {
 }
 
 // ServeElastic is the distributed worker's entry point: join the master
-// at addr with no pre-assigned identity, receive a rank and the data
-// bundle in the handshake, and serve tasks until shutdown. When the
+// at addr with no pre-assigned identity, receive a rank and the run's
+// Config in the handshake, and serve tasks until shutdown. When the
 // connection drops — a network fault or a master restart — the worker
 // reconnects under the policy's jittered exponential backoff and is
 // assigned a fresh rank, resuming from the master's checkpoint state.
@@ -237,11 +210,7 @@ func ServeElastic(addr string, hooks WorkerHooks, policy ReconnectPolicy) error 
 // ended abnormally (usually a dropped connection) and the caller may
 // reconnect.
 func serveConnection(c comm.Communicator, welcome []byte, hooks WorkerHooks) error {
-	lay, bundle, err := unmarshalWelcome(welcome)
-	if err != nil {
-		return err
-	}
-	run, err := bundle.Config()
+	lay, run, err := unmarshalWelcome(welcome)
 	if err != nil {
 		return err
 	}

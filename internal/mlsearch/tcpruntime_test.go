@@ -1,11 +1,13 @@
 package mlsearch
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +20,36 @@ import (
 	"repro/internal/simulate"
 )
 
+// runTCPWithWorkers runs cfg on the TCP transport with that many
+// ServeElastic workers joining as soon as the master listens, and
+// requires the master and every worker to finish cleanly.
+func runTCPWithWorkers(t *testing.T, cfg Config, opt RunOptions, workers int) *RunOutcome {
+	t.Helper()
+	var wg sync.WaitGroup
+	workerErrs := make([]error, workers)
+	opt.Transport, opt.Addr, opt.Workers = TCP, "127.0.0.1:0", workers
+	opt.OnListen = func(a net.Addr) {
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				workerErrs[w] = ServeElastic(a.String(), WorkerHooks{}, ReconnectPolicy{Disabled: true})
+			}(w)
+		}
+	}
+	out, err := Run(cfg, opt)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("tcp run: %v", err)
+	}
+	for w, werr := range workerErrs {
+		if werr != nil {
+			t.Fatalf("worker %d: %v", w, werr)
+		}
+	}
+	return out
+}
+
 // TestTCPRuntimeEndToEnd runs the full distributed program on loopback:
 // master+router and foreman with the monitor subscribed, and two
 // anonymous worker "processes" that join via the elastic handshake, then
@@ -27,67 +59,19 @@ import (
 // search whose rounds run to dozens of candidates, fewer frames than
 // tasks, though never fewer than a slice out and a reply back per round.
 func TestTCPRuntimeEndToEnd(t *testing.T) {
-	ds, err := simulate.New(simulate.Options{Taxa: 14, Sites: 150, Seed: 31, MeanBranchLen: 0.12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var phy bytes.Buffer
-	if err := seq.WritePhylip(&phy, ds.Alignment, 0); err != nil {
-		t.Fatal(err)
-	}
-	bundle := DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
-
-	// The workers must build the exact dataset the master searches on.
-	cfg, err := bundle.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := testConfig(t, 14, 150, 31)
 	cfg.Seed, cfg.RearrangeExtent = 7, 2
-	serial, err := Run(cfg, RunOptions{Transport: Serial})
+	serial, err := runSerial(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const workers = 2
 	reg := obs.NewRegistry()
-	opt := RunOptions{
-		Transport:   TCP,
-		Addr:        "127.0.0.1:0",
-		Workers:     workers,
-		WithMonitor: true,
-		Bundle:      bundle,
-		Obs:         NewRunObserver(reg, nil),
-	}
-
-	addrCh := make(chan net.Addr, 1)
-	opt.OnListen = func(a net.Addr) { addrCh <- a }
-
-	var wg sync.WaitGroup
-	var outcome *RunOutcome
-	var masterErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		outcome, masterErr = Run(cfg, opt)
-	}()
-
-	addr := (<-addrCh).String()
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := ServeElastic(addr, WorkerHooks{}, ReconnectPolicy{Disabled: true}); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if masterErr != nil {
-		t.Fatal(masterErr)
-	}
+	outcome := runTCPWithWorkers(t, cfg, RunOptions{WithMonitor: true, Obs: NewRunObserver(reg, nil)}, workers)
 	res := outcome.Results[0]
-	if res.BestNewick != serial.Results[0].BestNewick || res.LnL != serial.Results[0].LnL {
-		t.Errorf("TCP run diverged from serial: %g vs %g", res.LnL, serial.Results[0].LnL)
+	if res.BestNewick != serial.BestNewick || res.LnL != serial.LnL {
+		t.Errorf("TCP run diverged from serial: %g vs %g", res.LnL, serial.LnL)
 	}
 	if outcome.Monitor == nil || outcome.Monitor.Results != res.TotalTasks {
 		t.Errorf("monitor stats inconsistent: %+v", outcome.Monitor)
@@ -113,208 +97,294 @@ func TestTCPRuntimeEndToEnd(t *testing.T) {
 // ladder: with a zero join barrier and no workers at all, the foreman
 // evaluates every task inline and the run still matches serial.
 func TestTCPRunNoWorkersInline(t *testing.T) {
-	ds, err := simulate.New(simulate.Options{Taxa: 6, Sites: 120, Seed: 13, MeanBranchLen: 0.12})
+	cfg := testConfig(t, 6, 120, 13)
+	cfg.Seed = 9
+	serial, err := runSerial(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var phy bytes.Buffer
-	if err := seq.WritePhylip(&phy, ds.Alignment, 0); err != nil {
-		t.Fatal(err)
-	}
-	bundle := DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
-	cfg, err := bundle.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Seed, cfg.RearrangeExtent = 9, 1
-	serial, err := Run(cfg, RunOptions{Transport: Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	outcome, err := Run(cfg, RunOptions{
-		Transport:   TCP,
-		Addr:        "127.0.0.1:0",
-		Workers:     0, // start immediately, no workers will ever join
-		WithMonitor: true,
-		Bundle:      bundle,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// No workers will ever join.
+	outcome := runTCPWithWorkers(t, cfg, RunOptions{WithMonitor: true}, 0)
 	res := outcome.Results[0]
-	if res.BestNewick != serial.Results[0].BestNewick || res.LnL != serial.Results[0].LnL {
-		t.Errorf("inline run diverged from serial: %g vs %g", res.LnL, serial.Results[0].LnL)
+	if res.BestNewick != serial.BestNewick || res.LnL != serial.LnL {
+		t.Errorf("inline run diverged from serial: %g vs %g", res.LnL, serial.LnL)
 	}
 	if outcome.Monitor.Inline != res.TotalTasks {
 		t.Errorf("monitor counted %d inline evaluations, want %d", outcome.Monitor.Inline, res.TotalTasks)
 	}
 }
 
-// TestTCPModelMismatchRefused: the data bundle can only describe F84
-// over the data's empirical frequencies, so a run whose model the
-// workers would not rebuild must fail before it starts rather than
-// score on a different model than the master asked for. The default
-// model, built independently of the bundle, is accepted and matches
-// serial bit for bit.
-func TestTCPModelMismatchRefused(t *testing.T) {
-	ds, err := simulate.New(simulate.Options{Taxa: 8, Sites: 150, Seed: 33, MeanBranchLen: 0.12})
-	if err != nil {
-		t.Fatal(err)
+// TestTCPRunMatchesSerialForAnyConfig: a distributed run scores what its
+// master scores, whatever the Config holds. The welcome carries the
+// run's patterns, weights, rates and the model's own numbers, so every
+// model × weighting × precision — the first row is the plain F84 default
+// — must return the serial answer from two joined workers plus the
+// foreman's inline evaluator: bit for bit in float64, within the
+// documented tolerance in float32. The site-rate rows are the ones a
+// worker that re-derived its model from the alignment alone would score
+// differently (rates change neither frequencies nor decomposition).
+func TestTCPRunMatchesSerialForAnyConfig(t *testing.T) {
+	models := []struct {
+		name  string
+		build func(seq.BaseFreqs) (model.Model, error)
+	}{
+		{"F84", func(f seq.BaseFreqs) (model.Model, error) { return model.NewF84(f, model.DefaultTTRatio) }},
+		{"F84-3.5", func(f seq.BaseFreqs) (model.Model, error) { return model.NewF84(f, 3.5) }},
+		{"JC69", func(seq.BaseFreqs) (model.Model, error) { return model.NewJC69(), nil }},
+		{"K80", func(seq.BaseFreqs) (model.Model, error) { return model.NewK80(3) }},
+		{"HKY85", func(f seq.BaseFreqs) (model.Model, error) { return model.NewHKY85(f, 3) }},
+		{"GTR", func(f seq.BaseFreqs) (model.Model, error) {
+			return model.NewGTR(f, model.GTRRates{AC: 1, AG: 2.5, AT: 0.5, CG: 0.75, CT: 3, GT: 1})
+		}},
 	}
-	pat, err := seq.Compress(ds.Alignment, seq.CompressOptions{})
-	if err != nil {
-		t.Fatal(err)
+	const sites = 150
+	weights, rates := make([]float64, sites), make([]float64, sites)
+	for i := range weights {
+		weights[i] = float64(i % 3) // zero-weight columns are dropped
+		rates[i] = 0.25 + float64(i%4)
 	}
-	mdl, err := NewDefaultModel(pat)
-	if err != nil {
-		t.Fatal(err)
+	data := []struct {
+		name string
+		opt  seq.CompressOptions
+	}{
+		{"uniform", seq.CompressOptions{}},
+		{"weights", seq.CompressOptions{Weights: weights}},
+		{"rates", seq.CompressOptions{Rates: rates}},
+		{"weights+rates", seq.CompressOptions{Weights: weights, Rates: rates}},
 	}
-	cfg := Config{Taxa: ds.Alignment.Names, Patterns: pat, Model: mdl, Seed: 7, RearrangeExtent: 1}
-	var phy bytes.Buffer
-	if err := seq.WritePhylip(&phy, ds.Alignment, 0); err != nil {
-		t.Fatal(err)
-	}
-	opt := RunOptions{
-		Transport: TCP, Addr: "127.0.0.1:0", // no workers: the foreman evaluates inline
-		Bundle: DataBundle{PhylipText: phy.Bytes(), TTRatio: model.DefaultTTRatio},
-	}
-
-	serial, err := runSerial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(cfg, opt)
-	if err != nil {
-		t.Fatalf("default F84 refused: %v", err)
-	}
-	if res := out.Results[0]; res.BestNewick != serial.BestNewick || res.LnL != serial.LnL {
-		t.Errorf("tcp lnL %.10f tree %s, serial lnL %.10f tree %s", res.LnL, res.BestNewick, serial.LnL, serial.BestNewick)
-	}
-
-	jc := cfg
-	jc.Model = model.NewJC69()
-	if _, err := Run(jc, opt); err == nil || !strings.Contains(err.Error(), "JC69") || !strings.Contains(err.Error(), "F84") {
-		t.Errorf("JC69 over an F84-only bundle: error %v, want one naming both models", err)
-	}
-	// Same family, different ratio than the bundle carries.
-	tt := cfg
-	if tt.Model, err = model.NewF84(cfg.Model.Freqs(), 3.5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(tt, opt); err == nil {
-		t.Error("F84 with a ratio the bundle does not carry was accepted")
-	}
-}
-
-func TestDataBundleCodec(t *testing.T) {
-	in := DataBundle{
-		PhylipText: []byte("2 4\na AAAA\nb CCCC\n"),
-		TTRatio:    2.5,
-		SiteRates:  []float64{1, 2, 0.5, 0.5},
-		Weights:    []float64{1, 1, 0, 2},
-		Precision:  likelihood.Float32,
-		Engine:     "reference",
-		SmoothMode: likelihood.SmoothGradient,
-	}
-	out, err := UnmarshalDataBundle(MarshalDataBundle(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out.PhylipText) != string(in.PhylipText) || out.TTRatio != in.TTRatio {
-		t.Errorf("bundle mismatch: %+v", out)
-	}
-	if len(out.SiteRates) != 4 || len(out.Weights) != 4 {
-		t.Errorf("slices lost: %+v", out)
-	}
-	if out.Precision != likelihood.Float32 {
-		t.Errorf("precision lost: %v", out.Precision)
-	}
-	if out.Engine != "reference" {
-		t.Errorf("engine lost: %q", out.Engine)
-	}
-	if out.SmoothMode != likelihood.SmoothGradient {
-		t.Errorf("smooth mode lost: %v", out.SmoothMode)
-	}
-	if _, err := UnmarshalDataBundle([]byte{0x00}); err == nil {
-		t.Error("bad kind byte accepted")
-	}
-	// Engine and smooth mode ride in extension fields: a bundle without
-	// them (an older master) must decode cleanly with the defaults — the
-	// worker then falls back to the default backend and the sweep.
-	in.Engine = ""
-	in.SmoothMode = likelihood.SmoothSweep
-	out, err = UnmarshalDataBundle(MarshalDataBundle(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Engine != "" {
-		t.Errorf("engine invented: %q", out.Engine)
-	}
-	if out.SmoothMode != likelihood.SmoothSweep {
-		t.Errorf("smooth mode invented: %v", out.SmoothMode)
-	}
-}
-
-// TestDataBundleRefusesUnknownIdentity: a precision or smooth mode this
-// build does not have is an error at the handshake, not a worker that
-// quietly evaluates with something else. At the parent 257 wrapped round
-// to float32, 2 ran as float64 and an unknown mode as the sweep.
-func TestDataBundleRefusesUnknownIdentity(t *testing.T) {
-	plain := MarshalDataBundle(DataBundle{PhylipText: []byte("2 4\na AAAA\nb CCCC\n"), TTRatio: 2})
-	// With no extension written, the precision is the last field.
-	for _, prec := range []uint32{2, 255, 257, 1 << 31} {
-		b := append([]byte(nil), plain...)
-		binary.BigEndian.PutUint32(b[len(b)-4:], prec)
-		if out, err := UnmarshalDataBundle(b); err == nil {
-			t.Errorf("precision %d decoded as %v", prec, out.Precision)
-		}
-	}
-	if out, err := UnmarshalDataBundle(appendExt(plain, extBundleSmoothMode, []byte("zigzag"))); err == nil {
-		t.Errorf("smooth mode \"zigzag\" decoded as %v", out.SmoothMode)
-	}
-	// What is still tolerated: an extension tag from a newer master.
-	if _, err := UnmarshalDataBundle(appendExt(plain, 0x7F, []byte{1})); err != nil {
-		t.Errorf("unknown extension tag refused: %v", err)
-	}
-	for _, count := range []uint32{1 << 31, 1 << 20} { // negative, and more rates than bytes
-		b := append([]byte(nil), plain...)
-		binary.BigEndian.PutUint32(b[len(b)-12:], count)
-		if _, err := UnmarshalDataBundle(b); err == nil {
-			t.Errorf("rate count %#x accepted", count)
+	row := 0
+	for _, mc := range models {
+		for _, dc := range data {
+			for _, prec := range []likelihood.Precision{likelihood.Float64, likelihood.Float32} {
+				mc, dc, prec, taxa := mc, dc, prec, 8+row%5
+				row++
+				t.Run(fmt.Sprintf("%s/%s/%v/%dtaxa", mc.name, dc.name, prec, taxa), func(t *testing.T) {
+					ds, err := simulate.New(simulate.Options{Taxa: taxa, Sites: sites, Seed: 33, MeanBranchLen: 0.12})
+					if err != nil {
+						t.Fatal(err)
+					}
+					pat, err := seq.Compress(ds.Alignment, dc.opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mdl, err := mc.build(seq.EmpiricalFreqsPatterns(pat))
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := Config{Taxa: ds.Alignment.Names, Patterns: pat, Model: mdl, Seed: 7, RearrangeExtent: 1, Precision: prec}
+					serial, err := runSerial(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res := runTCPWithWorkers(t, cfg, RunOptions{}, 2).Results[0]
+					if prec == likelihood.Float64 {
+						if res.BestNewick != serial.BestNewick || res.LnL != serial.LnL {
+							t.Errorf("tcp lnL %.4f tree %s\nserial lnL %.4f tree %s", res.LnL, res.BestNewick, serial.LnL, serial.BestNewick)
+						}
+					} else if tol := math.Max(likelihood.Float32LnLAbsTol, math.Abs(serial.LnL)*likelihood.Float32LnLRelTol); math.Abs(res.LnL-serial.LnL) > tol {
+						t.Errorf("float32 tcp lnL %.6f, serial %.6f: apart by more than %g", res.LnL, serial.LnL, tol)
+					}
+				})
+			}
 		}
 	}
 }
 
-func TestDataBundleConfig(t *testing.T) {
-	b := DataBundle{PhylipText: []byte("3 4\na ACGT\nb ACGA\nc CCGT\n")}
-	cfg, err := b.Config()
+// welcomeConfig is a small run whose every welcome field is away from
+// its zero value: weights and rates, a four-term model, float32, the
+// reference engine, gradient smoothing.
+func welcomeConfig(t *testing.T) Config {
+	t.Helper()
+	a, err := seq.ReadPhylip(strings.NewReader("4 8\na ACGTACGT\nb ACGAACGA\nc CCGTNCGT\nd CCTTACRT\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Model.Name() != "F84" || cfg.Patterns.NumSeqs() != 3 || len(cfg.Taxa) != 3 {
-		t.Errorf("config: %s %d %v", cfg.Model.Name(), cfg.Patterns.NumSeqs(), cfg.Taxa)
+	pat, err := seq.Compress(a, seq.CompressOptions{
+		Weights: []float64{1, 2, 1, 0, 1, 3, 1, 1},
+		Rates:   []float64{1, 0.5, 2, 1, 1, 0.5, 2, 1},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := (DataBundle{PhylipText: []byte("garbage")}).Config(); err == nil {
-		t.Error("garbage alignment accepted")
+	mdl, err := model.NewHKY85(seq.EmpiricalFreqsPatterns(pat), 3)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg, err := Config{
+		Taxa: a.Names, Patterns: pat, Model: mdl,
+		Precision: likelihood.Float32, Engine: "reference", SmoothMode: likelihood.SmoothGradient,
+	}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
+// TestWelcomeCodec: the welcome round-trips the layout and everything of
+// the Config an evaluator is built from, number for number, and leaves
+// behind what belongs to the master (the search settings) or to the host
+// (Threads).
 func TestWelcomeCodec(t *testing.T) {
 	lay := ElasticLayout()
-	bundle := DataBundle{PhylipText: []byte("2 4\na AAAA\nb CCCC\n"), TTRatio: 2.0}
-	gotLay, gotBundle, err := unmarshalWelcome(marshalWelcome(lay, bundle))
+	cfg := welcomeConfig(t)
+	cfg.Seed, cfg.RearrangeExtent, cfg.Threads = 9, 3, 4
+	gotLay, got, err := unmarshalWelcome(marshalWelcome(lay, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotLay.Master != lay.Master || gotLay.Foreman != lay.Foreman || !gotLay.Elastic {
 		t.Errorf("layout round trip: %+v", gotLay)
 	}
-	if string(gotBundle.PhylipText) != string(bundle.PhylipText) {
-		t.Errorf("bundle round trip: %+v", gotBundle)
+	if !reflect.DeepEqual(got.Taxa, cfg.Taxa) {
+		t.Errorf("taxa %v, want %v", got.Taxa, cfg.Taxa)
+	}
+	if !reflect.DeepEqual(got.Patterns.Codes, cfg.Patterns.Codes) ||
+		!reflect.DeepEqual(got.Patterns.Weights, cfg.Patterns.Weights) ||
+		!reflect.DeepEqual(got.Patterns.Rates, cfg.Patterns.Rates) {
+		t.Errorf("patterns changed: %+v, want %+v", got.Patterns, cfg.Patterns)
+	}
+	if got.Model.Name() != "HKY85" || got.Model.Freqs() != cfg.Model.Freqs() ||
+		!reflect.DeepEqual(got.Model.Decomposition(), cfg.Model.Decomposition()) {
+		t.Errorf("model changed: %s %v", got.Model.Name(), got.Model.Freqs())
+	}
+	if got.Precision != likelihood.Float32 || got.Engine != "reference" || got.SmoothMode != likelihood.SmoothGradient {
+		t.Errorf("identity lost: %v %q %v", got.Precision, got.Engine, got.SmoothMode)
+	}
+	if got.Seed != 0 || got.RearrangeExtent != 0 || got.Threads != 0 {
+		t.Errorf("master's or host's settings travelled: seed %d extent %d threads %d", got.Seed, got.RearrangeExtent, got.Threads)
 	}
 	if _, _, err := unmarshalWelcome([]byte{0x00}); err == nil {
-		t.Error("bad welcome accepted")
+		t.Error("bad kind byte accepted")
+	}
+}
+
+// TestWelcomeConfig: the decoded Config is what a worker hands
+// NewConfigEvaluator, and that evaluator scores a tree exactly as one
+// built from the master's own Config does.
+func TestWelcomeConfig(t *testing.T) {
+	cfg := welcomeConfig(t)
+	cfg.Precision = likelihood.Float64
+	_, remote, err := unmarshalWelcome(marshalWelcome(ElasticLayout(), cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := Task{ID: 1, Newick: "((a:0.1,b:0.1):0.1,c:0.1,d:0.1);", Passes: 4, InsertEdge: -1}
+	var lnL [2]float64
+	for i, c := range []Config{cfg, remote} {
+		ev, err := NewConfigEvaluator(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ev.Evaluate(task)
+		ev.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lnL[i] = res.LnL
+	}
+	if lnL[0] != lnL[1] || lnL[0] >= 0 {
+		t.Errorf("worker's evaluator scores %v, master's %v", lnL[1], lnL[0])
+	}
+}
+
+// spoiledModel is a model.Model whose numbers a test has tampered with.
+type spoiledModel struct {
+	freqs  seq.BaseFreqs
+	decomp model.Decomposition
+}
+
+func (m *spoiledModel) Name() string                        { return "spoiled" }
+func (m *spoiledModel) Freqs() seq.BaseFreqs                { return m.freqs }
+func (m *spoiledModel) Decomposition() *model.Decomposition { return &m.decomp }
+
+// TestWelcomeRefusesWhatItCannotEvaluate: the welcome is outside input.
+// Whatever a worker could not evaluate exactly as its master does is an
+// error at the handshake, never a default — a taxon count below three, a
+// ragged or out-of-alphabet code matrix, a weight or rate that is not
+// finite and positive, numbers no reversible model has, a precision or
+// smooth mode this build does not know (257 must not wrap round to
+// float32), a count the payload cannot back, trailing bytes.
+func TestWelcomeRefusesWhatItCannotEvaluate(t *testing.T) {
+	lay := ElasticLayout()
+	for name, spoil := range map[string]func(c *Config){
+		"two taxa": func(c *Config) { c.Taxa, c.Patterns.Codes = c.Taxa[:2], c.Patterns.Codes[:2] },
+		"no patterns": func(c *Config) {
+			c.Patterns = &seq.Patterns{Codes: make([][]seq.Code, len(c.Taxa))}
+		},
+		"short code row":    func(c *Config) { c.Patterns.Codes[1] = c.Patterns.Codes[1][:3] },
+		"code 0":            func(c *Config) { c.Patterns.Codes[2][1] = 0 },
+		"code 16":           func(c *Config) { c.Patterns.Codes[0][0] = 16 },
+		"zero weight":       func(c *Config) { c.Patterns.Weights[0] = 0 },
+		"negative weight":   func(c *Config) { c.Patterns.Weights[1] = -1 },
+		"NaN weight":        func(c *Config) { c.Patterns.Weights[2] = math.NaN() },
+		"infinite rate":     func(c *Config) { c.Patterns.Rates[0] = math.Inf(1) },
+		"zero rate":         func(c *Config) { c.Patterns.Rates[1] = 0 },
+		"NaN rate":          func(c *Config) { c.Patterns.Rates[2] = math.NaN() },
+		"K = 0":             func(c *Config) { c.Model = &spoiledModel{freqs: c.Model.Freqs()} },
+		"lambda[0] = 1":     func(c *Config) { c.Model.Decomposition().Lambda[0] = 1 },
+		"positive lambda":   func(c *Config) { c.Model.Decomposition().Lambda[1] = 0.5 },
+		"P(0) not identity": func(c *Config) { c.Model.Decomposition().Coef[1][0][0] += 0.5 },
+		"NaN frequency": func(c *Config) {
+			f := c.Model.Freqs()
+			f[2] = math.NaN()
+			c.Model = &spoiledModel{freqs: f, decomp: *c.Model.Decomposition()}
+		},
+		"frequencies not a distribution": func(c *Config) {
+			c.Model = &spoiledModel{freqs: seq.BaseFreqs{0.5, 0.5, 0.5, 0.5}, decomp: *c.Model.Decomposition()}
+		},
+		"detailed balance": func(c *Config) {
+			c.Model = &spoiledModel{freqs: seq.Uniform(), decomp: *c.Model.Decomposition()}
+		},
+		"unknown smooth mode": func(c *Config) { c.SmoothMode = 9 },
+	} {
+		cfg := welcomeConfig(t)
+		spoil(&cfg)
+		if _, got, err := unmarshalWelcome(marshalWelcome(lay, cfg)); err == nil {
+			t.Errorf("%s: decoded as %d taxa, %s, precision %v, mode %v", name, len(got.Taxa), got.Model.Name(), got.Precision, got.SmoothMode)
+		}
+	}
+
+	plain := marshalWelcome(lay, welcomeConfig(t))
+	if _, _, err := unmarshalWelcome(plain); err != nil {
+		t.Fatalf("unspoiled welcome refused: %v", err)
+	}
+	if _, _, err := unmarshalWelcome(append(append([]byte(nil), plain...), 0)); err == nil {
+		t.Error("trailing byte accepted")
+	}
+	// The payload ends precision(i32) "reference" "gradient", each string
+	// behind its i32 length.
+	zigzag := append([]byte(nil), plain...)
+	copy(zigzag[len(zigzag)-8:], "zigzag  ")
+	if _, got, err := unmarshalWelcome(zigzag); err == nil {
+		t.Errorf("smooth mode \"zigzag  \" decoded as %v", got.SmoothMode)
+	}
+	for _, prec := range []uint32{2, 255, 257, 1 << 31} {
+		b := append([]byte(nil), plain...)
+		binary.BigEndian.PutUint32(b[len(b)-(4+8)-(4+9)-4:], prec)
+		if _, got, err := unmarshalWelcome(b); err == nil {
+			t.Errorf("precision %d decoded as %v", prec, got.Precision)
+		}
+	}
+	// Counts the payload cannot back: the taxon count sits after the kind
+	// byte and the two role ranks, the pattern count after the names.
+	taxonCount := 1 + 4 + 4
+	patternCount := taxonCount + 4
+	for _, name := range welcomeConfig(t).Taxa {
+		patternCount += 4 + len(name)
+	}
+	for _, off := range []int{taxonCount, patternCount} {
+		for _, count := range []uint32{1 << 31, 1 << 20} { // negative, and more elements than bytes
+			b := append([]byte(nil), plain...)
+			binary.BigEndian.PutUint32(b[off:], count)
+			if _, _, err := unmarshalWelcome(b); err == nil {
+				t.Errorf("count %#x at offset %d accepted", count, off)
+			}
+		}
+	}
+	for cut := 1; cut < len(plain); cut += 7 {
+		if _, _, err := unmarshalWelcome(plain[:cut]); err == nil {
+			t.Errorf("welcome truncated to %d of %d bytes accepted", cut, len(plain))
+		}
 	}
 }
 
@@ -359,20 +429,7 @@ func TestReconnectBackoffBounds(t *testing.T) {
 // comm.ErrClosed and (with reconnection on) would dial a master that is
 // gone.
 func TestTCPTeardownIsClean(t *testing.T) {
-	ds, err := simulate.New(simulate.Options{Taxa: 5, Sites: 60, Seed: 17, MeanBranchLen: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var phy bytes.Buffer
-	if err := seq.WritePhylip(&phy, ds.Alignment, 0); err != nil {
-		t.Fatal(err)
-	}
-	bundle := DataBundle{PhylipText: phy.Bytes(), TTRatio: 2.0}
-	cfg, err := bundle.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.RearrangeExtent = 1
+	cfg := testConfig(t, 5, 60, 17)
 	const workers = 2
 	for i := 0; i < 150; i++ {
 		stopEarly := i%2 == 1
@@ -387,7 +444,7 @@ func TestTCPTeardownIsClean(t *testing.T) {
 		var wg sync.WaitGroup
 		workerErrs := make([]error, workers)
 		opt := RunOptions{
-			Transport: TCP, Addr: "127.0.0.1:0", Workers: workers, Bundle: bundle, Stop: stop, Progress: progress,
+			Transport: TCP, Addr: "127.0.0.1:0", Workers: workers, Stop: stop, Progress: progress,
 			Foreman: ForemanOptions{Pipeline: 2, TaskTimeout: 60 * time.Second},
 			OnListen: func(a net.Addr) {
 				for w := 0; w < workers; w++ {

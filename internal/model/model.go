@@ -93,7 +93,8 @@ func (d *Decomposition) ProbsDeriv(z, r float64, p, dp, ddp *PMatrix) {
 
 // Validate checks decomposition sanity: λ_0 = 0, λ_k < 0, rows of P(0)
 // forming the identity, row-stochastic P at a few lengths, and detailed
-// balance π_i P_ij = π_j P_ji.
+// balance π_i P_ij = π_j P_ji. Every comparison is written so that a NaN
+// fails it: the numbers may come from outside the program.
 func Validate(m Model) error {
 	d := m.Decomposition()
 	if len(d.Lambda) == 0 || len(d.Lambda) != len(d.Coef) {
@@ -103,7 +104,7 @@ func Validate(m Model) error {
 		return fmt.Errorf("model %s: Lambda[0] = %g, want 0", m.Name(), d.Lambda[0])
 	}
 	for _, l := range d.Lambda[1:] {
-		if l >= 0 {
+		if !(l < 0) {
 			return fmt.Errorf("model %s: non-negative eigenvalue %g", m.Name(), l)
 		}
 	}
@@ -117,12 +118,12 @@ func Validate(m Model) error {
 		for i := 0; i < 4; i++ {
 			row := 0.0
 			for j := 0; j < 4; j++ {
-				if p[i][j] < -1e-12 {
+				if !(p[i][j] >= -1e-12) {
 					return fmt.Errorf("model %s: P[%d][%d](%g) = %g < 0", m.Name(), i, j, z, p[i][j])
 				}
 				row += p[i][j]
 			}
-			if math.Abs(row-1) > 1e-9 {
+			if !(math.Abs(row-1) <= 1e-9) {
 				return fmt.Errorf("model %s: row %d of P(%g) sums to %g", m.Name(), i, z, row)
 			}
 			if z == 0 {
@@ -131,7 +132,7 @@ func Validate(m Model) error {
 					if i == j {
 						want = 1
 					}
-					if math.Abs(p[i][j]-want) > 1e-9 {
+					if !(math.Abs(p[i][j]-want) <= 1e-9) {
 						return fmt.Errorf("model %s: P(0)[%d][%d] = %g", m.Name(), i, j, p[i][j])
 					}
 				}
@@ -140,7 +141,7 @@ func Validate(m Model) error {
 		// Detailed balance (time reversibility).
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
-				if diff := freqs[i]*p[i][j] - freqs[j]*p[j][i]; math.Abs(diff) > 1e-9 {
+				if diff := freqs[i]*p[i][j] - freqs[j]*p[j][i]; !(math.Abs(diff) <= 1e-9) {
 					return fmt.Errorf("model %s: detailed balance violated at z=%g (%d,%d): %g", m.Name(), z, i, j, diff)
 				}
 			}
@@ -153,10 +154,34 @@ func Validate(m Model) error {
 	for i := 0; i < 4; i++ {
 		rate -= freqs[i] * dp0[i][i]
 	}
-	if math.Abs(rate-1) > 1e-9 {
+	if !(math.Abs(rate-1) <= 1e-9) {
 		return fmt.Errorf("model %s: expected rate %g per unit branch length, want 1", m.Name(), rate)
 	}
 	return nil
+}
+
+// numbers is a model held as the numbers every engine computes from —
+// name, equilibrium frequencies and spectral decomposition — rather than
+// as the parameters that produced them.
+type numbers struct {
+	name   string
+	freqs  seq.BaseFreqs
+	decomp Decomposition
+}
+
+func (m *numbers) Name() string                  { return m.name }
+func (m *numbers) Freqs() seq.BaseFreqs          { return m.freqs }
+func (m *numbers) Decomposition() *Decomposition { return &m.decomp }
+
+// FromDecomposition is the model a peer described by its numbers: what
+// another process's Model returned from Name, Freqs and Decomposition.
+// They are outside input, so the model must pass Validate.
+func FromDecomposition(name string, freqs seq.BaseFreqs, d Decomposition) (Model, error) {
+	m := &numbers{name: name, freqs: freqs, decomp: d}
+	if err := Validate(m); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // purine reports whether base index b (0..3 = ACGT) is a purine (A or G).

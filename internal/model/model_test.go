@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +49,48 @@ func TestModelsValidate(t *testing.T) {
 	for _, m := range allModels(t, freqs) {
 		if err := Validate(m); err != nil {
 			t.Errorf("%s: %v", m.Name(), err)
+		}
+	}
+}
+
+// TestFromDecomposition: a model rebuilt from another's numbers returns
+// those numbers, and numbers no reversible model produces are refused.
+func TestFromDecomposition(t *testing.T) {
+	freqs := seq.BaseFreqs{0.31, 0.18, 0.22, 0.29}
+	for _, m := range allModels(t, freqs) {
+		got, err := FromDecomposition(m.Name(), m.Freqs(), *m.Decomposition())
+		if err != nil {
+			t.Errorf("%s: %v", m.Name(), err)
+			continue
+		}
+		if got.Name() != m.Name() || got.Freqs() != m.Freqs() || !reflect.DeepEqual(got.Decomposition(), m.Decomposition()) {
+			t.Errorf("%s changed across FromDecomposition", m.Name())
+		}
+	}
+	f84, err := NewF84(freqs, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, spoil := range map[string]func(f *seq.BaseFreqs, d *Decomposition){
+		"K = 0":                func(f *seq.BaseFreqs, d *Decomposition) { d.Lambda, d.Coef = nil, nil },
+		"lambda[0] != 0":       func(f *seq.BaseFreqs, d *Decomposition) { d.Lambda[0] = 1 },
+		"non-negative lambda":  func(f *seq.BaseFreqs, d *Decomposition) { d.Lambda[1] = 0 },
+		"P(0) not identity":    func(f *seq.BaseFreqs, d *Decomposition) { d.Coef[2][0][0] += 0.5; d.Coef[2][0][1] -= 0.5 },
+		"rows not stochastic":  func(f *seq.BaseFreqs, d *Decomposition) { d.Coef[1][2][3] += 0.01 },
+		"detailed balance":     func(f *seq.BaseFreqs, d *Decomposition) { *f = seq.Uniform() },
+		"unit rate":            func(f *seq.BaseFreqs, d *Decomposition) { d.Lambda[1] *= 2; d.Lambda[2] *= 2 },
+		"not a distribution":   func(f *seq.BaseFreqs, d *Decomposition) { f[0] += 0.1 },
+		"NaN frequency":        func(f *seq.BaseFreqs, d *Decomposition) { f[1] = math.NaN() },
+		"infinite coefficient": func(f *seq.BaseFreqs, d *Decomposition) { d.Coef[0][0][0] = math.Inf(1) },
+	} {
+		f := freqs
+		d := Decomposition{
+			Lambda: append([]float64(nil), f84.Decomposition().Lambda...),
+			Coef:   append([]PMatrix(nil), f84.Decomposition().Coef...),
+		}
+		spoil(&f, &d)
+		if m, err := FromDecomposition("F84", f, d); err == nil {
+			t.Errorf("%s: accepted as %s", name, m.Name())
 		}
 	}
 }

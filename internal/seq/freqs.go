@@ -15,12 +15,12 @@ func Uniform() BaseFreqs { return BaseFreqs{0.25, 0.25, 0.25, 0.25} }
 func (f BaseFreqs) Validate() error {
 	sum := 0.0
 	for i, v := range f {
-		if v <= 0 {
+		if !(v > 0) { // NaN is not positive either
 			return fmt.Errorf("seq: frequency of %c is %g, must be positive", BaseName(i), v)
 		}
 		sum += v
 	}
-	if sum < 0.999999 || sum > 1.000001 {
+	if !(sum >= 0.999999 && sum <= 1.000001) {
 		return fmt.Errorf("seq: frequencies sum to %g, want 1", sum)
 	}
 	return nil

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -18,13 +19,14 @@ import (
 )
 
 // The probe engine is the production engine plus a record of how it was
-// built, which smoothing mode every unrestricted OptimizeBranches asked
+// built and on which model, which smoothing mode every unrestricted OptimizeBranches asked
 // for, and whether it was closed. Selecting it as a run's engine makes
 // the run's evaluation identity observable at every evaluator the run
 // builds, on whichever side of whichever transport.
 const probeEngineName = "probe"
 
 type probeRecord struct {
+	model  model.Model
 	opt    likelihood.EngineOptions
 	modes  []likelihood.SmoothMode
 	closed bool
@@ -46,7 +48,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		rec := &probeRecord{opt: opt}
+		rec := &probeRecord{model: m, opt: opt}
 		probe.mu.Lock()
 		probe.built = append(probe.built, rec)
 		probe.mu.Unlock()
@@ -75,8 +77,9 @@ func (e *probeEngine) Close() {
 // each cell the run sets one knob away from its default, and every
 // engine the run built — serial dispatcher, Local/TCP/pod workers, the
 // foreman's inline fallback, the KH test — must have been built on the
-// run's engine with the run's precision and thread count, asked for the
-// run's smooth mode, and been closed by the time the run returned.
+// run's engine and the run's model, number for number, with the run's
+// precision and thread count, asked for the run's smooth mode, and been
+// closed by the time the run returned.
 func TestEvaluationIdentityPropagates(t *testing.T) {
 	text := testPhylipText(t, 6, 120, 3)
 	a, err := seq.ReadPhylip(strings.NewReader(text))
@@ -87,19 +90,30 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mdl, err := mlsearch.NewDefaultModel(pat)
+	f84, err := mlsearch.NewDefaultModel(pat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hky, err := model.NewHKY85(seq.EmpiricalFreqsPatterns(pat), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// want is the identity a cell's run asks for; engines is how many
-	// evaluators the surface builds for it.
+	// evaluators the surface builds for it. hky selects HKY85 (kappa 3)
+	// over the F84 default: to a TCP worker the model travels as the
+	// welcome's numbers, to a pod as the job's options.
 	type want struct {
 		prec    likelihood.Precision
 		mode    likelihood.SmoothMode
 		threads int
+		hky     bool
 	}
 	config := func(w want) mlsearch.Config {
+		mdl := f84
+		if w.hky {
+			mdl = hky
+		}
 		return mlsearch.Config{
 			Taxa: a.Names, Patterns: pat, Model: mdl, Seed: 5, RearrangeExtent: 1,
 			Engine: probeEngineName, Precision: w.prec, SmoothMode: w.mode, Threads: w.threads,
@@ -120,15 +134,14 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		// One elastic worker plus the foreman's inline evaluator. The
-		// bundle is built the way every caller builds it: data and ratio
-		// only. -threads is the worker host's own setting.
+		// One elastic worker plus the foreman's inline evaluator; the
+		// worker learns the run from the welcome alone. -threads is the
+		// worker host's own setting.
 		{"tcp", 2, func(t *testing.T, w want) {
 			var workers sync.WaitGroup
 			var workerErr error
 			_, err := mlsearch.Run(config(w), mlsearch.RunOptions{
 				Transport: mlsearch.TCP, Addr: "127.0.0.1:0", Workers: 1,
-				Bundle: mlsearch.DataBundle{PhylipText: []byte(text), TTRatio: model.DefaultTTRatio},
 				OnListen: func(addr net.Addr) {
 					workers.Add(1)
 					go func() {
@@ -153,9 +166,11 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := s.Submit(JobSpec{Alignment: text, Options: JobOptions{
-				Seed: 5, Engine: probeEngineName, Precision: w.prec.String(), SmoothMode: w.mode.String(),
-			}})
+			opts := JobOptions{Seed: 5, Engine: probeEngineName, Precision: w.prec.String(), SmoothMode: w.mode.String()}
+			if w.hky {
+				opts.Model, opts.Kappa = "hky", 3
+			}
+			rec, err := s.Submit(JobSpec{Alignment: text, Options: opts})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,6 +205,7 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 		{"precision", want{prec: likelihood.Float32, threads: 1}},
 		{"smooth-mode", want{mode: likelihood.SmoothGradient, threads: 1}},
 		{"threads", want{threads: 2}},
+		{"model", want{threads: 1, hky: true}},
 	}
 	for _, s := range surfaces {
 		for _, k := range knobs {
@@ -205,7 +221,12 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 					t.Fatalf("%d evaluators built on the run's engine, want %d", len(probe.built), s.engines)
 				}
 				smooths := 0
+				mdl := config(k.want).Model
 				for i, rec := range probe.built {
+					if rec.model.Name() != mdl.Name() || rec.model.Freqs() != mdl.Freqs() ||
+						!reflect.DeepEqual(rec.model.Decomposition(), mdl.Decomposition()) {
+						t.Errorf("engine %d built on %s %v, want %s %v", i, rec.model.Name(), rec.model.Freqs(), mdl.Name(), mdl.Freqs())
+					}
 					if rec.opt.Precision != k.want.prec {
 						t.Errorf("engine %d built with precision %v, want %v", i, rec.opt.Precision, k.want.prec)
 					}

@@ -17,9 +17,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/likelihood"
 	"repro/internal/mlsearch"
-	"repro/internal/model"
 	"repro/internal/seq"
 )
 
@@ -28,39 +26,10 @@ import (
 const MaxJumbles = 1024
 
 // JobOptions are the search parameters a client submits with an
-// alignment. The zero value of every field selects the same default the
-// fastdnaml CLI uses, so {"alignment": "..."} alone is a valid job.
-type JobOptions struct {
-	// Model selects the substitution model: F84 (default), JC69, K80,
-	// HKY85, or GTR.
-	Model string `json:"model,omitempty"`
-	// TTRatio is the F84 transition/transversion ratio (default 2.0).
-	TTRatio float64 `json:"ttratio,omitempty"`
-	// Kappa is the K80/HKY85 transition rate multiplier (default 2.0).
-	Kappa float64 `json:"kappa,omitempty"`
-	// GTRRates are the six GTR exchangeabilities ac,ag,at,cg,ct,gt
-	// (empty = all 1).
-	GTRRates []float64 `json:"gtr_rates,omitempty"`
-	// Jumbles is the number of random taxon orderings (default 1).
-	Jumbles int `json:"jumbles,omitempty"`
-	// Seed drives the orderings; even seeds are adjusted as in
-	// fastDNAml.
-	Seed int64 `json:"seed,omitempty"`
-	// Extent is the local rearrangement extent (default 1).
-	Extent int `json:"extent,omitempty"`
-	// FinalExtent is the final pass extent (0 = same as Extent).
-	FinalExtent int `json:"final_extent,omitempty"`
-	// Adaptive enables the adaptive rearrangement extent.
-	Adaptive bool `json:"adaptive,omitempty"`
-	// Precision selects the CLV storage format: float64 (default) or
-	// float32.
-	Precision string `json:"precision,omitempty"`
-	// Engine names the likelihood backend (default cached).
-	Engine string `json:"engine,omitempty"`
-	// SmoothMode selects the full-tree branch-smoothing algorithm:
-	// sweep (default) or gradient.
-	SmoothMode string `json:"smooth_mode,omitempty"`
-}
+// alignment: core.Spec, the same value the fastdnaml CLI's flags fill and
+// the same normalizer, so {"alignment": "..."} alone is a valid job and
+// the daemon accepts and refuses exactly what the CLI does.
+type JobOptions = core.Spec
 
 // JobSpec is the POST /v1/jobs request body.
 type JobSpec struct {
@@ -99,97 +68,6 @@ type preparedSpec struct {
 	PodKey string
 }
 
-// canonicalModel maps the accepted model spellings to one canonical
-// name, so "hky" and "HKY85" hash identically.
-func canonicalModel(name string) (string, error) {
-	switch strings.ToUpper(strings.TrimSpace(name)) {
-	case "", "F84":
-		return "F84", nil
-	case "JC", "JC69":
-		return "JC69", nil
-	case "K80":
-		return "K80", nil
-	case "HKY", "HKY85":
-		return "HKY85", nil
-	case "GTR":
-		return "GTR", nil
-	}
-	return "", fmt.Errorf("serve: unknown model %q (F84, JC69, K80, HKY85, GTR)", name)
-}
-
-// normalizeOptions fills every defaulted field with its canonical value
-// and validates ranges, returning options that serialize identically
-// for equal jobs.
-func normalizeOptions(o JobOptions) (JobOptions, error) {
-	m, err := canonicalModel(o.Model)
-	if err != nil {
-		return o, err
-	}
-	o.Model = m
-	if o.TTRatio < 0 {
-		return o, fmt.Errorf("serve: negative ttratio %g", o.TTRatio)
-	}
-	if o.TTRatio == 0 {
-		o.TTRatio = model.DefaultTTRatio
-	}
-	if o.Kappa < 0 {
-		return o, fmt.Errorf("serve: negative kappa %g", o.Kappa)
-	}
-	if o.Kappa == 0 {
-		o.Kappa = 2.0
-	}
-	switch {
-	case o.Model != "GTR":
-		if len(o.GTRRates) != 0 {
-			return o, fmt.Errorf("serve: gtr_rates given with model %s", o.Model)
-		}
-	case len(o.GTRRates) == 0:
-		o.GTRRates = []float64{1, 1, 1, 1, 1, 1}
-	case len(o.GTRRates) != 6:
-		return o, fmt.Errorf("serve: gtr_rates needs 6 values, got %d", len(o.GTRRates))
-	}
-	if o.Jumbles < 0 || o.Jumbles > MaxJumbles {
-		return o, fmt.Errorf("serve: jumbles %d outside [0, %d]", o.Jumbles, MaxJumbles)
-	}
-	if o.Jumbles == 0 {
-		o.Jumbles = 1
-	}
-	o.Seed = mlsearch.NormalizeSeed(o.Seed)
-	if o.Extent < 0 || o.FinalExtent < 0 {
-		return o, fmt.Errorf("serve: negative rearrangement extent")
-	}
-	if o.Extent == 0 {
-		o.Extent = 1
-	}
-	if o.FinalExtent == 0 {
-		o.FinalExtent = o.Extent
-	}
-	prec, err := likelihood.ParsePrecision(o.Precision)
-	if err != nil {
-		return o, err
-	}
-	o.Precision = prec.String()
-	eng, err := likelihood.ParseEngine(o.Engine)
-	if err != nil {
-		return o, err
-	}
-	o.Engine = eng
-	smode, err := likelihood.ParseSmoothMode(o.SmoothMode)
-	if err != nil {
-		return o, err
-	}
-	o.SmoothMode = smode.String()
-	return o, nil
-}
-
-// gtrRatesStruct converts the wire slice to the model's struct form.
-func gtrRatesStruct(r []float64) model.GTRRates {
-	if len(r) != 6 {
-		return model.GTRRates{}
-	}
-	return model.GTRRates{AC: r[0], AG: r[1], AT: r[2], CG: r[3], CT: r[4], GT: r[5]}
-}
-
 // hashJSON is the service's content hash: SHA-256 over the stable JSON
 // encoding of v (struct field order is fixed, so equal values produce
 // equal digests).
@@ -205,7 +83,7 @@ func hashJSON(v any) string {
 }
 
 // prepareSpec validates a submitted job end to end: parse the
-// alignment, normalize the options, build the search config through
+// alignment, normalize the options and build the search config through
 // core.Prepare (the same path the CLI uses), and derive the result and
 // pod keys from the canonical forms.
 func prepareSpec(sp JobSpec) (*preparedSpec, error) {
@@ -219,29 +97,15 @@ func prepareSpec(sp JobSpec) (*preparedSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: alignment: %w", err)
 	}
-	opts, err := normalizeOptions(sp.Options)
+	if sp.Options.Jumbles > MaxJumbles {
+		return nil, fmt.Errorf("serve: jumbles %d above the per-job limit of %d", sp.Options.Jumbles, MaxJumbles)
+	}
+	cfg, prepared, err := core.Prepare(a, core.Options{Spec: sp.Options})
 	if err != nil {
 		return nil, err
 	}
+	opts := prepared.Spec
 	sp.Options = opts
-
-	cfg, _, err := core.Prepare(a, core.Options{
-		ModelName:       opts.Model,
-		TTRatio:         opts.TTRatio,
-		Kappa:           opts.Kappa,
-		GTRRates:        gtrRatesStruct(opts.GTRRates),
-		Jumbles:         opts.Jumbles,
-		Seed:            opts.Seed,
-		RearrangeExtent: opts.Extent,
-		FinalExtent:     opts.FinalExtent,
-		AdaptiveExtent:  opts.Adaptive,
-		Precision:       opts.Precision,
-		Engine:          opts.Engine,
-		SmoothMode:      opts.SmoothMode,
-	})
-	if err != nil {
-		return nil, err
-	}
 
 	// Canonical alignment rendering: parse + rewrite collapses
 	// whitespace and interleaving differences, so the same data always

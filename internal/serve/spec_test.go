@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"encoding/json"
+	"flag"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
@@ -110,5 +115,139 @@ func TestPrepareSpecValidation(t *testing.T) {
 	}
 	if p.Spec.Tenant != "default" || p.Spec.Options.Jumbles != 1 || p.Spec.Options.Model != "F84" {
 		t.Errorf("defaults not applied: %+v", p.Spec)
+	}
+}
+
+// stableAlignment and its re-wrapped, interleaved rendering are the same
+// data; the literal text keeps the pinned digests below independent of
+// the simulator.
+const stableAlignment = `5 24
+alpha     ACGTACGTTAGCCGATACGATTGC
+beta      ACGTACGATAGCCGATACGTTTGC
+gamma     ACCTACGTTAGGCGATACGATTCC
+delta     ACCTTCGTTAGGCGAAACGATTCC
+epsilon   GCCTTCGTTAGGCGAAACGAATCC
+`
+
+const stableAlignmentInterleaved = `  5   24
+alpha     ACGTACGT TAGC
+beta      ACGTACGA TAGC
+gamma     ACCTACGT TAGG
+delta     ACCTTCGT TAGG
+epsilon   GCCTTCGT TAGG
+
+CGATACGA TTGC
+CGATACGT TTGC
+CGATACGA TTCC
+CGAAACGA TTCC
+CGAAACGA ATCC
+`
+
+// TestResultAndPodKeysAreStable pins the content keys as hex: a daemon
+// restarted over an old -data directory must keep hitting its result
+// store, so no refactor of the spec may move a digest.
+func TestResultAndPodKeysAreStable(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		spec        JobSpec
+		result, pod string
+	}{
+		{"defaults", JobSpec{Alignment: stableAlignment},
+			"f287b65be595815631a9d15b496892fc2538f8ab2b2404e6ec09978954f575d5", "5629b6254f970d139f253684bb9690363c01e997306c1982a87b2ee83f24a2bb"},
+		{"hky85 float32 gradient", JobSpec{Alignment: stableAlignment, Options: JobOptions{
+			Model: "hky", Kappa: 3, Precision: "float32", SmoothMode: "gradient"}},
+			"1925739ec6f9ece521a674149eef56580a3a0cf4742a0ccd96461dd6adf68b0b", "3cfc955078519a07611546b8f3b1413f249018496e538cba93fd7eb7fc7f74d5"},
+		{"gtr jumbles extents adaptive", JobSpec{Alignment: stableAlignment, Options: JobOptions{
+			Model: "GTR", GTRRates: []float64{1, 2.5, 0.5, 0.75, 3, 1}, Jumbles: 3, Seed: 8,
+			Extent: 2, FinalExtent: 4, Adaptive: true}},
+			"07d64c9b54cb6b7dfd8aeea5296d78019364d703ee0a20d0a1c66d3187498dee", "4b783148e1183ade8e3a34500a3358ed01e6ee0d3a573cee50a223642ee46134"},
+		{"reference engine, interleaved rendering", JobSpec{Tenant: "t", Priority: 3, Alignment: stableAlignmentInterleaved,
+			Options: JobOptions{Engine: "reference"}},
+			"bc0f4f5b2ea9ac41ca63b3cc2639bb71f51787382beaee9a780f2e85a21f5170", "a7cc60a173970cc4be31f4efaf90c04c70ff2ec682e38d63231a93a120ff3a2b"},
+	} {
+		p, err := prepareSpec(tc.spec)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if p.ResultKey != tc.result || p.PodKey != tc.pod {
+			t.Errorf("%s: keys moved\nresult %s\n   pod %s", tc.name, p.ResultKey, p.PodKey)
+		}
+	}
+}
+
+// TestFrontDoorsAgree runs each row through both front doors — the
+// fastdnaml CLI's flags (core.Spec.BindFlags, then core.Prepare) and a
+// job's JSON options (prepareSpec) — and requires the same verdict and,
+// when accepted, the same normalized Spec and the same model, number for
+// number. A setting one door would silently default or ignore (-ttratio
+// -1, -gtr-rates under another model) is an error at both.
+func TestFrontDoorsAgree(t *testing.T) {
+	a, err := seq.ReadPhylip(strings.NewReader(stableAlignment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args   []string
+		json   string
+		accept bool
+	}{
+		{nil, `{}`, true},
+		{[]string{"-model", "f84"}, `{"model":"f84"}`, true},
+		{[]string{"-model", "HKY"}, `{"model":"HKY"}`, true},
+		{[]string{"-model", "hky", "-kappa", "3"}, `{"model":"hky","kappa":3}`, true},
+		{[]string{"-model", "Hky85"}, `{"model":"Hky85"}`, true},
+		{[]string{"-model", "jc"}, `{"model":"jc"}`, true},
+		{[]string{"-model", "K80", "-kappa", "4"}, `{"model":"K80","kappa":4}`, true},
+		{[]string{"-model", "gtr"}, `{"model":"gtr"}`, true},
+		{[]string{"-model", "GTR", "-gtr-rates", "1,2.5,0.5,0.75,3,1"}, `{"model":"GTR","gtr_rates":[1,2.5,0.5,0.75,3,1]}`, true},
+		{[]string{"-ttratio", "3.5", "-jumbles", "3", "-seed", "8", "-extent", "2", "-final-extent", "4", "-adaptive"},
+			`{"ttratio":3.5,"jumbles":3,"seed":8,"extent":2,"final_extent":4,"adaptive":true}`, true},
+		{[]string{"-precision", "float32", "-engine", "reference", "-smooth-mode", "gradient"},
+			`{"precision":"float32","engine":"reference","smooth_mode":"gradient"}`, true},
+		{[]string{"-model", "WAG"}, `{"model":"WAG"}`, false},
+		{[]string{"-ttratio", "-1"}, `{"ttratio":-1}`, false},
+		{[]string{"-model", "HKY85", "-kappa", "-3"}, `{"model":"HKY85","kappa":-3}`, false},
+		{[]string{"-model", "GTR", "-gtr-rates", "1,2,3"}, `{"model":"GTR","gtr_rates":[1,2,3]}`, false},
+		{[]string{"-gtr-rates", "1,1,1,1,1,1"}, `{"gtr_rates":[1,1,1,1,1,1]}`, false},
+		{[]string{"-jumbles", "-2"}, `{"jumbles":-2}`, false},
+		{[]string{"-extent", "-1"}, `{"extent":-1}`, false},
+		{[]string{"-final-extent", "-1"}, `{"final_extent":-1}`, false},
+		{[]string{"-precision", "float16"}, `{"precision":"float16"}`, false},
+		{[]string{"-engine", "warp"}, `{"engine":"warp"}`, false},
+		{[]string{"-smooth-mode", "zigzag"}, `{"smooth_mode":"zigzag"}`, false},
+	} {
+		var cli core.Spec
+		fs := flag.NewFlagSet("fastdnaml", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		cli.BindFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		cliCfg, cliOpt, cliErr := core.Prepare(a, core.Options{Spec: cli})
+
+		job := JobSpec{Alignment: stableAlignment}
+		if err := json.Unmarshal([]byte(tc.json), &job.Options); err != nil {
+			t.Fatalf("%s: %v", tc.json, err)
+		}
+		prep, jobErr := prepareSpec(job)
+
+		if (cliErr == nil) != tc.accept || (jobErr == nil) != tc.accept {
+			t.Errorf("%v / %s: cli error %v, daemon error %v, want accepted=%v by both", tc.args, tc.json, cliErr, jobErr, tc.accept)
+			continue
+		}
+		if !tc.accept {
+			if cliErr.Error() != jobErr.Error() {
+				t.Errorf("%v / %s: cli says %q, daemon says %q", tc.args, tc.json, cliErr, jobErr)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(cliOpt.Spec, prep.Spec.Options) {
+			t.Errorf("%v / %s: normalized specs differ\n   cli %+v\ndaemon %+v", tc.args, tc.json, cliOpt.Spec, prep.Spec.Options)
+		}
+		if cm, jm := cliCfg.Model, prep.Cfg.Model; cm.Name() != jm.Name() || cm.Freqs() != jm.Freqs() ||
+			!reflect.DeepEqual(cm.Decomposition(), jm.Decomposition()) {
+			t.Errorf("%v / %s: cli built %s %v, daemon %s %v", tc.args, tc.json, cm.Name(), cm.Freqs(), jm.Name(), jm.Freqs())
+		}
 	}
 }
