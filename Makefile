@@ -35,17 +35,15 @@ benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Race detector over the concurrency-bearing packages (parallel runtime,
-# message passing, the sharded likelihood kernels — including the
-# float32/float64 precision property tests — the observability plane,
-# and the multi-tenant inference service).
+# message passing, the sharded likelihood kernels, the observability
+# plane, and the multi-tenant inference service).
 race:
 	$(GO) test -race ./internal/comm/... ./internal/mlsearch/... ./internal/likelihood/... ./internal/obs/... ./internal/serve/...
 
 # Differential harness: the cached production engine against the direct
 # recomputation reference engine over seeded randomized trees, models,
-# and data sets, in both CLV precisions (see DESIGN.md §5g for the
-# tolerance contract). -count=1 defeats the test cache so the harness
-# really runs.
+# and data sets (see DESIGN.md §5g for the tolerance contract). -count=1
+# defeats the test cache so the harness really runs.
 difftest:
 	$(GO) test -count=1 -run TestDifferential ./internal/likelihood/difftest/
 
@@ -86,7 +84,8 @@ bench-pairs:
 
 # ROADMAP item 3's acceptance number: non-test, non-blank, non-comment
 # Go lines of internal/comm, internal/mlsearch, internal/serve,
-# internal/core and cmd/, as a markdown table — with PARENT set, beside
+# internal/core, internal/likelihood (difftest included) and cmd/, as a
+# markdown table — with PARENT set, beside
 # the same count on that commit and the delta. make loc PARENT=HEAD~1
 loc:
 	./scripts/loc.sh $(PARENT)

@@ -317,7 +317,7 @@ func sortedSupports(m map[string]float64) []float64 {
 // writing one, so an interrupted run can flush it.
 func wireRestart(runOpt *mlsearch.RunOptions, o options) (*mlsearch.ManifestRecorder, error) {
 	if o.resume != "" {
-		m, err := mlsearch.LoadResume(o.resume)
+		m, err := mlsearch.LoadManifest(o.resume)
 		if err != nil {
 			return nil, err
 		}

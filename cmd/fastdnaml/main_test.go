@@ -68,9 +68,8 @@ func TestRunParallelMode(t *testing.T) {
 }
 
 // TestRunCheckpointThenResume: every -checkpoint, a single jumble's
-// included, writes the one restart format (a manifest), -resume reads it
-// back to the same trees, and a flat "fastdnaml-checkpoint v1" file left
-// by an older release still resumes to them too.
+// included, writes the one restart format (a manifest), and -resume reads
+// it back to the same trees.
 func TestRunCheckpointThenResume(t *testing.T) {
 	in := writeTestAlignment(t, 6, 100)
 	dir := t.TempDir()
@@ -93,25 +92,17 @@ func TestRunCheckpointThenResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	flatPath := filepath.Join(dir, "flat.txt")
-	flat := "fastdnaml-checkpoint v1\n" + strings.TrimSuffix(strings.TrimPrefix(string(manifest), head), "end jumble\n")
-	if err := os.WriteFile(flatPath, []byte(flat), 0o644); err != nil {
+	again := base
+	again.resume, again.outPrefix = cpPath, filepath.Join(dir, "again")
+	if err := run(in, again); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	got, err := os.ReadFile(again.outPrefix + ".trees")
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, restart := range []string{cpPath, flatPath} {
-		again := base
-		again.resume, again.outPrefix = restart, filepath.Join(dir, "again")
-		if err := run(in, again); err != nil {
-			t.Fatalf("resume %s: %v", filepath.Base(restart), err)
-		}
-		got, err := os.ReadFile(again.outPrefix + ".trees")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("resume %s: trees differ from the checkpointed run's", filepath.Base(restart))
-		}
+	if string(got) != string(want) {
+		t.Error("resumed trees differ from the checkpointed run's")
 	}
 }
 
@@ -182,6 +173,22 @@ func TestRunRejectsIgnoredFlagCombinations(t *testing.T) {
 		err := run(filepath.Join(t.TempDir(), "nope.phy"), o)
 		if err == nil || !strings.Contains(err.Error(), tc.a+" ") || !strings.Contains(err.Error(), tc.b) {
 			t.Errorf("%s with %s: error %v, want one naming both flags", tc.a, tc.b, err)
+		}
+	}
+}
+
+// TestRunPrecisionFlagIsGone: CLVs are float64 only, so -precision is
+// an unknown flag; a command line that still passes it fails loudly
+// instead of running something other than what it asked for.
+func TestRunPrecisionFlagIsGone(t *testing.T) {
+	for _, v := range []string{"float32", "float64"} {
+		var o options
+		fs := flag.NewFlagSet("fastdnaml", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		o.bindFlags(fs)
+		err := fs.Parse([]string{"-precision", v})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -precision") {
+			t.Errorf("-precision %s: %v, want an unknown-flag error", v, err)
 		}
 	}
 }

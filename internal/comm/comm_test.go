@@ -660,9 +660,9 @@ func TestConcurrentSendersStress(t *testing.T) {
 
 // TestHandshakeRefusesOtherProtocolVersion: the hello's magic is the
 // protocol version. A peer built before the slice frames (magic "FDML"),
-// before the monitor rank left the welcome payload ("FDM2"), or before
-// the welcome became the run's Config ("FDM3"), is
-// answered with a refusal that says why and is hung up on — it is never
+// before the monitor rank left the welcome payload ("FDM2"), before
+// the welcome became the run's Config ("FDM3"), or before the welcome
+// lost its precision field ("FDM4"), is answered with a refusal that says why and is hung up on — it is never
 // registered, so no frame it could not decode is ever sent to it — and a
 // dialer of this version that reaches such a peer's router, which hangs up
 // without a welcome, reports the version mismatch instead of a bare EOF.
@@ -679,10 +679,11 @@ func TestHandshakeRefusesOtherProtocolVersion(t *testing.T) {
 	addr := listenAddr(t, world[0])
 
 	// An old worker's hello, byte for byte: version 1, version 2 whose
-	// welcome still carried a monitor rank, and version 3, which would
-	// read a PHYLIP bundle out of this version's welcome.
+	// welcome still carried a monitor rank, version 3, which would read a
+	// PHYLIP bundle out of this version's welcome, and version 4, which
+	// would read a precision field this version's welcome lacks.
 	var reply []byte
-	for _, magic := range []string{"FDML", "FDM2", "FDM3"} {
+	for _, magic := range []string{"FDML", "FDM2", "FDM3", "FDM4"} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)

@@ -120,8 +120,7 @@ func Prepare(a *seq.Alignment, opt Options) (mlsearch.Config, Options, error) {
 	if err != nil {
 		return mlsearch.Config{}, opt, err
 	}
-	// Normalize has vetted both spellings.
-	prec, _ := likelihood.ParsePrecision(opt.Precision)
+	// Normalize has vetted the spelling.
 	smode, _ := likelihood.ParseSmoothMode(opt.SmoothMode)
 	cfg := mlsearch.Config{
 		Taxa:            a.Names,
@@ -132,7 +131,6 @@ func Prepare(a *seq.Alignment, opt Options) (mlsearch.Config, Options, error) {
 		FinalExtent:     opt.FinalExtent,
 		AdaptiveExtent:  opt.Adaptive,
 		Threads:         opt.Threads,
-		Precision:       prec,
 		Engine:          opt.Engine,
 		SmoothMode:      smode,
 	}

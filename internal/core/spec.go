@@ -47,10 +47,10 @@ type Spec struct {
 	// Adaptive lets the search adapt the rearrangement extent to recent
 	// success (paper §5's planned feature).
 	Adaptive bool `json:"adaptive,omitempty"`
-	// Precision selects the CLV storage format: "float64" (or "64",
-	// "double", "f64", "" — the exact default) or "float32" (or "32",
-	// "single", "f32"), which halves CLV memory traffic at the documented
-	// accuracy tolerance (likelihood.Float32*Tol).
+	// Precision names the CLV storage format, which is always "float64"
+	// (also spelled "64", "double", "f64" or ""). The field stays so a job
+	// asking for float32 is refused rather than silently run in float64,
+	// and because every stored spec and result/pod key carries it.
 	Precision string `json:"precision,omitempty"`
 	// Engine names the likelihood backend: "cached" (the CLV-cached
 	// production engine, the default) or "reference" (the direct
@@ -160,7 +160,6 @@ func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Extent, "extent", 1, "vertices crossed in local rearrangements (paper tests: 5)")
 	fs.IntVar(&s.FinalExtent, "final-extent", 0, "vertices crossed in the final pass (0 = same as -extent)")
 	fs.BoolVar(&s.Adaptive, "adaptive", false, "adapt the rearrangement extent to recent success (paper §5)")
-	fs.StringVar(&s.Precision, "precision", "float64", "CLV storage precision: float64 (exact, default) or float32 (half the memory traffic, documented tolerance)")
 	fs.StringVar(&s.Engine, "engine", "", "likelihood backend: cached (default) or reference (direct recomputation, for cross-validation)")
 	fs.StringVar(&s.SmoothMode, "smooth-mode", "", "full-tree branch smoothing: sweep (sequential Newton, default) or gradient (simultaneous, linear-time all-branches gradient)")
 }

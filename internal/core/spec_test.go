@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/likelihood"
 )
 
 // TestSpecNormalize is the one table of spellings, defaults and range
@@ -46,12 +48,18 @@ func TestSpecNormalize(t *testing.T) {
 		{"negative extent", Spec{Extent: -1}, Spec{}},
 		{"negative final extent", Spec{FinalExtent: -2}, Spec{}},
 		{"unknown precision", Spec{Precision: "float16"}, Spec{}},
+		{"precision 32", Spec{Precision: "32"}, Spec{}},
+		{"precision single", Spec{Precision: "single"}, Spec{}},
+		{"precision f32", Spec{Precision: "f32"}, Spec{}},
+		{"precision float32", Spec{Precision: "float32"}, Spec{}},
+		{"precision 64", Spec{Precision: "64"}, defaults},
+		{"precision f64", Spec{Precision: "f64"}, defaults},
 		{"unknown engine", Spec{Engine: "warp"}, Spec{}},
 		{"unknown smooth mode", Spec{SmoothMode: "zigzag"}, Spec{}},
 		{"settings kept", Spec{TTRatio: 3.5, Kappa: 4, Jumbles: 7, Seed: 10, Extent: 2, FinalExtent: 5, Adaptive: true,
-			Precision: "32", Engine: "reference", SmoothMode: "grad"},
+			Engine: "reference", SmoothMode: "grad"},
 			Spec{Model: "F84", TTRatio: 3.5, Kappa: 4, Jumbles: 7, Seed: 11, Extent: 2, FinalExtent: 5, Adaptive: true,
-				Precision: "float32", Engine: "reference", SmoothMode: "gradient"}},
+				Precision: "float64", Engine: "reference", SmoothMode: "gradient"}},
 		{"final extent follows extent", Spec{Extent: 3}, with(func(s *Spec) { s.Extent, s.FinalExtent = 3, 3 })},
 	} {
 		got, err := tc.in.Normalize()
@@ -70,6 +78,15 @@ func TestSpecNormalize(t *testing.T) {
 		}
 		if again, err := got.Normalize(); err != nil || !reflect.DeepEqual(again, got) {
 			t.Errorf("%s: normalizing twice changed the spec: %+v, %v", tc.name, again, err)
+		}
+	}
+
+	// Every spelling that once selected float32 storage gets the one
+	// refusal the engine constructor gives, not an unknown-value error.
+	want := likelihood.CheckPrecision(likelihood.Float32).Error()
+	for _, p := range []string{"32", "single", "f32", "float32"} {
+		if _, err := (Spec{Precision: p}).Normalize(); err == nil || err.Error() != want {
+			t.Errorf("precision %q: %v, want %q", p, err, want)
 		}
 	}
 }

@@ -1,6 +1,8 @@
-// Package fileio holds the small file-format helpers shared by the
-// command line tools: newline-delimited Newick tree lists and numeric
-// column files (site rates, site weights, category files).
+// Package fileio holds the small file helpers shared by the command line
+// tools and the daemon: newline-delimited Newick tree lists, numeric
+// column files (site rates, site weights, category files) and the one
+// atomic file replacement every restart manifest, job record, stored
+// result and bench report is written with.
 package fileio
 
 import (
@@ -8,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -213,4 +216,28 @@ func WriteLines(path string, lines []string) error {
 		return err
 	}
 	return f.Close()
+}
+
+// WriteFileAtomic replaces path with what write produces, so a reader
+// sees the old file or the new one and never a partial write: write
+// fills a temporary file in path's directory, which is closed and renamed
+// over path. On any failure the temporary file is removed and path is
+// left as it was. There is no fsync — the replacement survives a crash of
+// this process, not necessarily of the machine.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

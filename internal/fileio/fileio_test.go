@@ -1,8 +1,11 @@
 package fileio
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -148,4 +151,107 @@ func TestReadFloatsFile(t *testing.T) {
 	if err != nil || len(vs) != 2 {
 		t.Fatalf("%v %v", vs, err)
 	}
+}
+
+// TestWriteFileAtomic: a successful write replaces the file; a failed
+// write, a failed rename or a temporary file that cannot be created
+// leaves the old file byte-identical and nothing else behind in its
+// directory.
+func TestWriteFileAtomic(t *testing.T) {
+	errWrite := errors.New("writer failed")
+	// Each row's setup prepares a directory and returns the path to write.
+	old := func(t *testing.T, dir string) string {
+		p := filepath.Join(dir, "target.json")
+		writeOld(t, p)
+		return p
+	}
+	for _, tc := range []struct {
+		name    string
+		setup   func(t *testing.T, dir string) string
+		write   func(io.Writer) error
+		wantErr bool
+	}{
+		{"replaces", old, writeString("new"), false},
+		{"creates", func(_ *testing.T, dir string) string { return filepath.Join(dir, "target.json") }, writeString("new"), false},
+		{"write fails", old, func(w io.Writer) error {
+			io.WriteString(w, "partial")
+			return errWrite
+		}, true},
+		{"rename fails", func(t *testing.T, dir string) string {
+			// A file cannot be renamed over a directory.
+			p := filepath.Join(dir, "target.json")
+			if err := os.Mkdir(p, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			writeOld(t, filepath.Join(p, "inside"))
+			return p
+		}, writeString("new"), true},
+		{"temp file fails", func(t *testing.T, dir string) string {
+			// The directory the temporary file would go in is a file.
+			p := filepath.Join(dir, "notadir")
+			writeOld(t, p)
+			return filepath.Join(p, "target.json")
+		}, writeString("new"), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := tc.setup(t, dir)
+			before := snapshot(t, dir)
+			err := WriteFileAtomic(path, tc.write)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("error %v, want error %v", err, tc.wantErr)
+			}
+			after := snapshot(t, dir)
+			if tc.wantErr {
+				if !reflect.DeepEqual(after, before) {
+					t.Errorf("failed write changed the directory:\nbefore %q\n after %q", before, after)
+				}
+				if tc.name == "write fails" && !errors.Is(err, errWrite) {
+					t.Errorf("error %v, want the writer's", err)
+				}
+				return
+			}
+			if want := map[string]string{"target.json": "new"}; !reflect.DeepEqual(after, want) {
+				t.Errorf("directory after the write %q, want %q", after, want)
+			}
+		})
+	}
+}
+
+func writeOld(t *testing.T, path string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func writeString(s string) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := io.WriteString(w, s)
+		return err
+	}
+}
+
+// snapshot maps every path under root to its contents ("<dir>" for a
+// directory).
+func snapshot(t *testing.T, root string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil || p == root {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		if d.IsDir() {
+			out[rel] = "<dir>"
+			return nil
+		}
+		data, err := os.ReadFile(p)
+		out[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

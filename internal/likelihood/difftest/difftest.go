@@ -14,11 +14,9 @@
 // GPU) gets correctness enforcement by adding one table line, not a
 // bespoke test suite.
 //
-// Tolerances are explicit and precision-dependent: two float64 engines
-// differ only by floating-point summation order, so they must agree
-// tightly (though not bitwise — the harness compares across genuinely
-// different computation orders); float32 engines inherit the documented
-// Float32*Tol contract from the likelihood package.
+// Tolerances are explicit: two engines differ only by floating-point
+// summation order, so they must agree tightly (though not bitwise — the
+// harness compares across genuinely different computation orders).
 package difftest
 
 import (
@@ -53,27 +51,16 @@ type Tolerance struct {
 }
 
 // DefaultTolerance returns the documented tolerance for comparing two
-// engines at the given CLV precision.
+// engines. Both accumulate in float64 and walk the same Newton policy, so
+// log-likelihoods agree to ~1e-10 relative and the bounds below carry an
+// order of magnitude of slack. Branch lengths get a looser bound than
+// likelihoods: Newton stops within newtonTol of a stationary point from
+// either side, and near-flat likelihood surfaces amplify last-iterate
+// differences without changing the likelihood.
 //
-// Float64: both engines accumulate in float64 and walk the same Newton
-// policy, so log-likelihoods agree to ~1e-10 relative and the bounds
-// below carry an order of magnitude of slack. Branch lengths get a
-// looser bound than likelihoods: Newton stops within newtonTol of a
-// stationary point from either side, and near-flat likelihood surfaces
-// amplify last-iterate differences without changing the likelihood.
-//
-// Float32: the likelihood package's Float32*Tol contract, which bounds
-// a float32 engine against the float64 truth; two float32-mode engines
-// sit within that envelope of each other as well.
-func DefaultTolerance(prec likelihood.Precision) Tolerance {
-	if prec == likelihood.Float32 {
-		return Tolerance{
-			LnLRel: likelihood.Float32LnLRelTol, LnLAbs: likelihood.Float32LnLAbsTol,
-			SiteRel: likelihood.Float32LnLRelTol, SiteAbs: likelihood.Float32LnLAbsTol,
-			OptRel: likelihood.Float32LnLRelTol, OptAbs: likelihood.Float32LnLAbsTol,
-			LenRel: likelihood.Float32LenRelTol, LenAbs: likelihood.Float32LenAbsTol,
-		}
-	}
+// CLVs are float64 only, so the precision argument selects nothing; it
+// remains because the benchmark module passes one (ROADMAP item 6).
+func DefaultTolerance(likelihood.Precision) Tolerance {
 	return Tolerance{
 		LnLRel: 1e-9, LnLAbs: 1e-7,
 		SiteRel: 1e-8, SiteAbs: 1e-7,
@@ -87,8 +74,6 @@ type Options struct {
 	// EngineA and EngineB name the two registered backends to compare
 	// (empty selects likelihood.DefaultEngine).
 	EngineA, EngineB string
-	// Precision is the CLV precision both engines are built at.
-	Precision likelihood.Precision
 	// Cases is the number of seeded random cases (default 50).
 	Cases int
 	// Seed drives case generation; case i uses Seed+i, so any failing
@@ -102,7 +87,7 @@ type Options struct {
 	// Passes is the branch-smoothing pass count (default 3).
 	Passes int
 	// Tol overrides the tolerance; the zero value selects
-	// DefaultTolerance(Precision).
+	// DefaultTolerance.
 	Tol Tolerance
 }
 
@@ -126,7 +111,7 @@ func (o Options) withDefaults() Options {
 		o.Passes = 3
 	}
 	if o.Tol == (Tolerance{}) {
-		o.Tol = DefaultTolerance(o.Precision)
+		o.Tol = DefaultTolerance(likelihood.Float64)
 	}
 	return o
 }
@@ -186,12 +171,12 @@ func runCase(opt Options, seed int64, rep *Report) error {
 	if err != nil {
 		return err
 	}
-	ea, err := likelihood.NewEngine(opt.EngineA, m, p, likelihood.EngineOptions{Precision: opt.Precision})
+	ea, err := likelihood.NewEngine(opt.EngineA, m, p, likelihood.EngineOptions{})
 	if err != nil {
 		return err
 	}
 	defer likelihood.CloseEngine(ea)
-	eb, err := likelihood.NewEngine(opt.EngineB, m, p, likelihood.EngineOptions{Precision: opt.Precision})
+	eb, err := likelihood.NewEngine(opt.EngineB, m, p, likelihood.EngineOptions{})
 	if err != nil {
 		return err
 	}

@@ -1,45 +1,33 @@
 package difftest
 
-import (
-	"testing"
-
-	"repro/internal/likelihood"
-)
+import "testing"
 
 // TestDifferentialCachedVsReference is the acceptance gate for the
 // Engine seam: the CLV-cached production engine and the direct
 // post-order reference engine must agree on total log-likelihoods,
 // per-site log-likelihoods, and Newton-optimized branch lengths across
-// 50+ seeded random tree/model cases — in both CLV precisions.
+// 50+ seeded random tree/model cases. (The subtest keeps the name it had
+// beside the removed float32 run.)
 func TestDifferentialCachedVsReference(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		prec likelihood.Precision
-	}{
-		{"float64", likelihood.Float64},
-		{"float32", likelihood.Float32},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rep, err := Run(Options{
-				EngineA:   "cached",
-				EngineB:   "reference",
-				Precision: tc.prec,
-				Cases:     55,
-				Seed:      1000,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Cases < 50 {
-				t.Fatalf("only %d cases ran, want >= 50", rep.Cases)
-			}
-			for _, f := range rep.Failures {
-				t.Error(f)
-			}
-			t.Logf("%s: %d cases, max diffs: lnL %.3g, site %.3g, len %.3g",
-				tc.name, rep.Cases, rep.MaxLnLDiff, rep.MaxSiteDiff, rep.MaxLenDiff)
+	t.Run("float64", func(t *testing.T) {
+		rep, err := Run(Options{
+			EngineA: "cached",
+			EngineB: "reference",
+			Cases:   55,
+			Seed:    1000,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Cases < 50 {
+			t.Fatalf("only %d cases ran, want >= 50", rep.Cases)
+		}
+		for _, f := range rep.Failures {
+			t.Error(f)
+		}
+		t.Logf("%d cases, max diffs: lnL %.3g, site %.3g, len %.3g",
+			rep.Cases, rep.MaxLnLDiff, rep.MaxSiteDiff, rep.MaxLenDiff)
+	})
 }
 
 // TestDifferentialSelf sanity-checks the harness itself: an engine
@@ -81,11 +69,10 @@ func TestDifferentialThreadedCached(t *testing.T) {
 	// EngineOptions in the factory) against reference by building the
 	// harness options only — the factory applies Threads.
 	rep, err := Run(Options{
-		EngineA:   "cached",
-		EngineB:   "reference",
-		Precision: likelihood.Float64,
-		Cases:     10,
-		Seed:      4242,
+		EngineA: "cached",
+		EngineB: "reference",
+		Cases:   10,
+		Seed:    4242,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,9 +15,8 @@
 // stored structure-of-arrays — one contiguous lane per nucleotide state,
 // rate-class blocks padded to a fixed multiple — so the hot kernels
 // (kernels.go) run as straight-line, bounds-check-free loops over
-// parallel arrays. An optional float32 CLV mode (NewWithPrecision) halves
-// memory traffic behind the same entry points; float64 stays the default
-// and the bit-identity reference.
+// parallel arrays. CLVs are float64, the bit-identity reference at every
+// thread count.
 package likelihood
 
 import (
@@ -33,8 +32,7 @@ import (
 
 // Scaling constants: conditional likelihoods below scaleThreshold are
 // multiplied by scaleFactor and the event is counted; the log-likelihood
-// is corrected by count*logScale at the root. (Float32 engines use the
-// more aggressive scaleThreshold32/scaleFactor32 from precision.go.)
+// is corrected by count*logScale at the root.
 const (
 	scaleThreshold = 1e-100
 	scaleFactor    = 1e100
@@ -75,22 +73,19 @@ type classBlock struct {
 	plo    int // padded start index (multiple of clvBlock)
 }
 
-// clvRef is a precision-tagged view of one conditional likelihood
-// vector in the SoA layout: exactly one of f64/f32 is non-nil, matching
-// the owning engine's precision, and holds 4*npad entries (four state
-// lanes of npad each). sc is the per-padded-pattern scale count vector.
+// clvRef is a view of one conditional likelihood vector in the SoA
+// layout: f64 holds 4*npad entries (four state lanes of npad each), sc
+// the per-padded-pattern scale count vector.
 type clvRef struct {
 	f64 []float64
-	f32 []float32
 	sc  []int32
 }
 
 // CachedEngine is the production Engine implementation: Felsenstein
 // pruning over a per-directed-edge CLV cache with SoA storage, sharded
-// multi-core kernels, optional AVX2 acceleration, and a float32 CLV
-// mode. It is registered in the engine registry as "cached" (the
-// default backend). A CachedEngine is not safe for concurrent use; each
-// worker owns one.
+// multi-core kernels and optional AVX2 acceleration. It is registered in
+// the engine registry as "cached" (the default backend). A CachedEngine
+// is not safe for concurrent use; each worker owns one.
 type CachedEngine struct {
 	mdl model.Model
 	pat *seq.Patterns
@@ -114,27 +109,16 @@ type CachedEngine struct {
 	weights   []float64
 	origOfPad []int
 
-	// prec selects the CLV storage format; logScaleV is the active
-	// per-scaling-event log-likelihood correction.
-	prec      Precision
-	logScaleV float64
-
 	// tip conditional likelihoods per taxon in SoA lanes over the padded
-	// axis (one of the two sets is populated, per prec): 1 when the
-	// observed code is compatible with the base, 0 in padding. zeroScale
-	// is the shared all-zero scale vector tips report (tips never
-	// underflow).
+	// axis: 1 when the observed code is compatible with the base, 0 in
+	// padding. zeroScale is the shared all-zero scale vector tips report
+	// (tips never underflow).
 	tips      [][]float64
-	tips32    [][]float32
 	zeroScale []int32
 
-	// scratch transition matrices, one per rate class. pmat32 mirrors
-	// pmat in float32 for Float32 pruning combines (reductions always
-	// use the float64 matrices). pmatB/pmat32B hold the second child's
-	// matrices during the fused two-child combine.
+	// scratch transition matrices, one per rate class. pmatB holds the
+	// second child's matrices during the fused two-child combine.
 	pmat, pmatB []model.PMatrix
-	pmat32      [][4][4]float32
-	pmat32B     [][4][4]float32
 
 	// Spectral fold of the edge being solved (kernels.go): foldM holds
 	// diag(π)·C_k per decomposition term, spec the K×npad per-pattern
@@ -147,8 +131,8 @@ type CachedEngine struct {
 	// bc2 is the pre-broadcast coefficient table per rate class consumed
 	// by the AVX2 fused combine (kernels_amd64.s): rows 0-15 Ma, 16-31 Mb
 	// (each coefficient repeated across a 4-wide row), row 32 the rescale
-	// threshold. Allocated only for float64 engines on AVX2 hardware; nil
-	// selects the scalar kernel.
+	// threshold. Allocated only on AVX2 hardware; nil selects the scalar
+	// kernel.
 	bc2 [][33][4]float64
 
 	// cache memoizes directed-edge CLVs; stats counts its behaviour.
@@ -213,18 +197,8 @@ func (e *CachedEngine) endEval(start time.Time) {
 	}
 }
 
-// New builds a float64 (exact-mode) engine for the given model and
-// compressed patterns.
+// New builds an engine for the given model and compressed patterns.
 func New(m model.Model, p *seq.Patterns) (*CachedEngine, error) {
-	return NewWithPrecision(m, p, Float64)
-}
-
-// NewWithPrecision builds an engine whose conditional likelihood vectors
-// are stored at the given precision. Float64 is exact mode; Float32
-// trades a documented accuracy tolerance (precision.go) for half the CLV
-// memory traffic. Reductions (log-likelihood, Newton derivatives) always
-// accumulate in float64 regardless of precision.
-func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEngine, error) {
 	if p.NumPatterns() == 0 {
 		return nil, fmt.Errorf("likelihood: empty pattern set")
 	}
@@ -234,12 +208,6 @@ func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEn
 		freqs:  m.Freqs(),
 		decomp: m.Decomposition(),
 		npat:   p.NumPatterns(),
-		prec:   prec,
-	}
-	if prec == Float32 {
-		e.logScaleV = logScale32
-	} else {
-		e.logScaleV = logScale
 	}
 	// Group patterns into rate classes.
 	classIdx := make(map[float64]int)
@@ -257,10 +225,7 @@ func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEn
 	e.pmatB = make([]model.PMatrix, len(e.classRates))
 	e.foldM = foldMatrices(e.decomp, (*[4]float64)(&e.freqs))
 	e.specC = make([]specCoef, len(e.classRates))
-	if prec == Float32 {
-		e.pmat32 = make([][4][4]float32, len(e.classRates))
-		e.pmat32B = make([][4][4]float32, len(e.classRates))
-	} else if useAVX2 {
+	if useAVX2 {
 		e.bc2 = make([][33][4]float64, len(e.classRates))
 		for ci := range e.bc2 {
 			e.bc2[ci][32] = [4]float64{scaleThreshold, scaleThreshold, scaleThreshold, scaleThreshold}
@@ -311,39 +276,21 @@ func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEn
 	// exactly zero forever — combines propagate 0 and rescaling skips
 	// non-positive maxima — so padded tails never produce scaling events
 	// or NaNs.
-	if prec == Float32 {
-		e.tips32 = make([][]float32, p.NumSeqs())
-	} else {
-		e.tips = make([][]float64, p.NumSeqs())
-	}
-	for taxon := 0; taxon < p.NumSeqs(); taxon++ {
-		var v64 []float64
-		var v32 []float32
-		if prec == Float32 {
-			v32 = make([]float32, 4*e.npad)
-		} else {
-			v64 = make([]float64, 4*e.npad)
-		}
+	e.tips = make([][]float64, p.NumSeqs())
+	for taxon := range e.tips {
+		v := make([]float64, 4*e.npad)
 		for _, blk := range e.blocks {
 			for s := blk.lo; s < blk.hi; s++ {
 				i := blk.plo + (s - blk.lo)
 				c := p.Codes[taxon][e.perm[s]]
 				for b := 0; b < 4; b++ {
 					if c&(1<<uint(b)) != 0 {
-						if prec == Float32 {
-							v32[b*e.npad+i] = 1
-						} else {
-							v64[b*e.npad+i] = 1
-						}
+						v[b*e.npad+i] = 1
 					}
 				}
 			}
 		}
-		if prec == Float32 {
-			e.tips32[taxon] = v32
-		} else {
-			e.tips[taxon] = v64
-		}
+		e.tips[taxon] = v
 	}
 	e.zeroScale = make([]int32, e.npad)
 	e.spec = make([]float64, len(e.foldM)*e.npad)
@@ -358,7 +305,7 @@ func NewWithPrecision(m model.Model, p *seq.Patterns, prec Precision) (*CachedEn
 	e.shD1 = make([]float64, len(e.shards))
 	e.shD2 = make([]float64, len(e.shards))
 	e.threads = 1
-	e.cache.init(e.npad, prec)
+	e.cache.npad = e.npad
 	return e, nil
 }
 
@@ -368,8 +315,9 @@ func (e *CachedEngine) Model() model.Model { return e.mdl }
 // Patterns returns the engine's data set.
 func (e *CachedEngine) Patterns() *seq.Patterns { return e.pat }
 
-// Precision returns the engine's CLV storage precision.
-func (e *CachedEngine) Precision() Precision { return e.prec }
+// Precision reports Float64, the only CLV storage format; it remains for
+// the benchmark module's PrecisionReporter check (ROADMAP item 6).
+func (e *CachedEngine) Precision() Precision { return Float64 }
 
 // Ops returns the cumulative pattern-level work counter.
 func (e *CachedEngine) Ops() uint64 { return e.ops }
@@ -386,40 +334,26 @@ func (e *CachedEngine) ensureBuffers(n int) {
 	e.cache.grow(n)
 }
 
-// tipRef returns the tip CLV view for a taxon at the engine's precision.
+// tipRef returns the tip CLV view for a taxon.
 func (e *CachedEngine) tipRef(taxon int) clvRef {
-	if e.prec == Float32 {
-		return clvRef{f32: e.tips32[taxon], sc: e.zeroScale}
-	}
 	return clvRef{f64: e.tips[taxon], sc: e.zeroScale}
 }
 
 // fillProbs computes the per-class transition matrices for branch length
-// z, mirroring them into float32 when the engine stores float32 CLVs.
+// z.
 func (e *CachedEngine) fillProbs(z float64) {
-	e.fillProbsInto(e.pmat, e.pmat32, z)
+	e.fillProbsInto(e.pmat, z)
 }
 
 // fillProbsB fills the second matrix set used by the two-child fused
 // combine (combine2Into needs both edges' matrices live at once).
 func (e *CachedEngine) fillProbsB(z float64) {
-	e.fillProbsInto(e.pmatB, e.pmat32B, z)
+	e.fillProbsInto(e.pmatB, z)
 }
 
-func (e *CachedEngine) fillProbsInto(dst []model.PMatrix, dst32 [][4][4]float32, z float64) {
+func (e *CachedEngine) fillProbsInto(dst []model.PMatrix, z float64) {
 	for ci, r := range e.classRates {
 		e.decomp.Probs(z, r, &dst[ci])
-	}
-	if e.prec == Float32 {
-		for ci := range dst {
-			src := &dst[ci]
-			d := &dst32[ci]
-			for i := 0; i < 4; i++ {
-				for j := 0; j < 4; j++ {
-					d[i][j] = float32(src[i][j])
-				}
-			}
-		}
 	}
 }
 

@@ -36,9 +36,7 @@ func foldModels(t *testing.T) []model.Model {
 // mixes: generic inner-node vectors spanning thirty orders of magnitude,
 // a pair of identical tips (l = π_i·P_ii, the spectral sums all add),
 // a pair of tips that disagree (l = π_i·P_ij → 0 with z, the spectral
-// sums cancel), and an ambiguity code against an inner vector. Values
-// are rounded through the engine's storage precision so the oracle sees
-// exactly what the kernels load.
+// sums cancel), and an ambiguity code against an inner vector.
 func foldVectors(e *CachedEngine, rng *rand.Rand) (a, b clvRef, av, bv [][4]float64) {
 	av = make([][4]float64, e.npad)
 	bv = make([][4]float64, e.npad)
@@ -67,20 +65,10 @@ func foldVectors(e *CachedEngine, rng *rand.Rand) (a, b clvRef, av, bv [][4]floa
 		}
 	}
 	store := func(v [][4]float64) clvRef {
-		ref := clvRef{sc: e.zeroScale}
-		if e.prec == Float32 {
-			ref.f32 = make([]float32, 4*e.npad)
-		} else {
-			ref.f64 = make([]float64, 4*e.npad)
-		}
+		ref := clvRef{f64: make([]float64, 4*e.npad), sc: e.zeroScale}
 		for i := range v {
 			for s := 0; s < 4; s++ {
-				if e.prec == Float32 {
-					ref.f32[s*e.npad+i] = float32(v[i][s])
-					v[i][s] = float64(ref.f32[s*e.npad+i])
-				} else {
-					ref.f64[s*e.npad+i] = v[i][s]
-				}
+				ref.f64[s*e.npad+i] = v[i][s]
 			}
 		}
 		return ref
@@ -133,8 +121,7 @@ func directDerivatives(e *CachedEngine, av, bv [][4]float64, z float64) (d1, d2,
 // TestFoldMatchesDirectDerivatives: the folded derivatives — the fused
 // fold+first-eval and the eval of a later iterate alike — agree with the
 // direct oracle to 1e-12 of the summed term magnitudes (measured: 1.4e-15), for every model,
-// with one and with four rate classes, in both precisions, at both
-// length bounds, near zero, in the interior and at saturation.
+// with one and with four rate classes, at both length bounds, near zero, in the interior and at saturation.
 func TestFoldMatchesDirectDerivatives(t *testing.T) {
 	const tol = 1e-12
 	lengths := []float64{MinBranchLength, 3e-7, 1e-3, 0.07, 0.9, 4, MaxBranchLength}
@@ -156,39 +143,37 @@ func TestFoldMatchesDirectDerivatives(t *testing.T) {
 			for i := range p.Rates {
 				p.Rates[i] = classes[i%len(classes)]
 			}
-			for _, prec := range []Precision{Float64, Float32} {
-				e, err := NewWithPrecision(m, p, prec)
-				if err != nil {
-					t.Fatal(err)
+			e, err := New(m, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(e.classRates) != len(classes) || e.npat < 64 {
+				t.Fatalf("fixture: %d classes, %d patterns", len(e.classRates), e.npat)
+			}
+			a, b, av, bv := foldVectors(e, rng)
+			name := fmt.Sprintf("%s classes=%d", m.Name(), len(classes))
+			check := func(path string, z, d1, d2 float64) {
+				t.Helper()
+				o1, o2, mag1, mag2 := directDerivatives(e, av, bv, z)
+				if math.IsNaN(d1) || math.Abs(d1-o1) > tol*mag1 {
+					t.Errorf("%s z=%g %s: d1 %.15g, direct %.15g (off %.2g of the terms)", name, z, path, d1, o1, math.Abs(d1-o1)/mag1)
 				}
-				if len(e.classRates) != len(classes) || e.npat < 64 {
-					t.Fatalf("fixture: %d classes, %d patterns", len(e.classRates), e.npat)
+				if math.IsNaN(d2) || math.Abs(d2-o2) > tol*mag2 {
+					t.Errorf("%s z=%g %s: d2 %.15g, direct %.15g (off %.2g of the terms)", name, z, path, d2, o2, math.Abs(d2-o2)/mag2)
 				}
-				a, b, av, bv := foldVectors(e, rng)
-				name := fmt.Sprintf("%s classes=%d prec=%v", m.Name(), len(classes), prec)
-				check := func(path string, z, d1, d2 float64) {
-					t.Helper()
-					o1, o2, mag1, mag2 := directDerivatives(e, av, bv, z)
-					if math.IsNaN(d1) || math.Abs(d1-o1) > tol*mag1 {
-						t.Errorf("%s z=%g %s: d1 %.15g, direct %.15g (off %.2g of the terms)", name, z, path, d1, o1, math.Abs(d1-o1)/mag1)
-					}
-					if math.IsNaN(d2) || math.Abs(d2-o2) > tol*mag2 {
-						t.Errorf("%s z=%g %s: d2 %.15g, direct %.15g (off %.2g of the terms)", name, z, path, d2, o2, math.Abs(d2-o2)/mag2)
-					}
-					checked++
-				}
-				for i, z := range lengths {
-					d1, d2 := e.edgeGradient(a, b, z)
-					check("fold", z, d1, d2)
-					// A later iterate of the same solve, at another length.
-					z2 := lengths[(i+3)%len(lengths)]
-					d1, d2 = e.specGradient(kSpecEval, z2)
-					check("eval", z2, d1, d2)
-				}
+				checked++
+			}
+			for i, z := range lengths {
+				d1, d2 := e.edgeGradient(a, b, z)
+				check("fold", z, d1, d2)
+				// A later iterate of the same solve, at another length.
+				z2 := lengths[(i+3)%len(lengths)]
+				d1, d2 = e.specGradient(kSpecEval, z2)
+				check("eval", z2, d1, d2)
 			}
 		}
 	}
-	if checked != 5*2*2*len(lengths)*2 {
+	if checked != 5*2*len(lengths)*2 {
 		t.Fatalf("%d comparisons made", checked)
 	}
 }

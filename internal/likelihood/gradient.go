@@ -2,7 +2,6 @@ package likelihood
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tree"
 )
@@ -265,14 +264,10 @@ func (e *CachedEngine) optimizeBranchesGradient(t *tree.Tree, opt OptOptions, an
 				break
 			}
 			if halves == gradMaxBacktrack {
-				if prev-lnL < opt.Tol+e.evalNoise(prev) {
+				if prev-lnL < opt.Tol {
 					// No improving step exists, but the loss is within
-					// the requested tolerance plus the precision's
-					// evaluation-noise floor (which float32 reaches
-					// well before Tol: two evaluations of the same
-					// optimum legitimately differ by the Float32LnL
-					// contract bound). Restore the better round-start
-					// state and report convergence.
+					// the requested tolerance. Restore the better
+					// round-start state and report convergence.
 					for i := range e.gradBuf {
 						tree.SetLen(e.gradBuf[i].A, e.gradBuf[i].B, e.gradOld[i])
 					}
@@ -288,18 +283,6 @@ func (e *CachedEngine) optimizeBranchesGradient(t *tree.Tree, opt OptOptions, an
 		}
 	}
 	return lnL, nil
-}
-
-// evalNoise is the log-likelihood difference magnitude that rounding
-// alone can produce between two evaluations at the engine's CLV
-// precision — the resolution limit any improvement test must respect.
-// Float64 evaluations resolve far below every Tol in use; float32's
-// limit is the documented agreement contract (Float32LnLRelTol).
-func (e *CachedEngine) evalNoise(lnL float64) float64 {
-	if e.prec == Float32 {
-		return math.Abs(lnL) * Float32LnLRelTol
-	}
-	return 0
 }
 
 // gradFallback reverts the failed simultaneous update (restoring the

@@ -39,41 +39,35 @@ func TestParseSmoothMode(t *testing.T) {
 // directed partials at the same length — the pre-order walk pairs the
 // right up- and down-partial with the right branch.
 func TestBranchGradientsMatchDerivKernel(t *testing.T) {
-	for _, prec := range []Precision{Float64, Float32} {
-		m, p, tr := threadFixture(t, 31, 14, 500)
-		eng, err := NewWithPrecision(m, p, prec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grads, lnL, err := eng.BranchGradients(tr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(grads) != len(tr.Edges()) {
-			t.Fatalf("prec=%v: %d gradient entries, tree has %d edges", prec, len(grads), len(tr.Edges()))
-		}
-		want, err := eng.LogLikelihood(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// BranchGradients reduces at a (possibly) different edge than
-		// LogLikelihood, so agreement is to rounding, not bits.
-		rel, abs := 1e-9, 1e-7
-		if prec == Float32 {
-			rel, abs = Float32LnLRelTol, Float32LnLAbsTol
-		}
-		if !withinTol(lnL, want, rel, abs) {
-			t.Errorf("prec=%v: BranchGradients lnL %.17g != LogLikelihood %.17g", prec, lnL, want)
-		}
-		for _, g := range grads {
-			a, _ := eng.partial(g.A, g.B)
-			b, _ := eng.partial(g.B, g.A)
-			d1, d2 := eng.edgeGradient(a, b, g.Z)
-			if math.Float64bits(g.D1) != math.Float64bits(d1) ||
-				math.Float64bits(g.D2) != math.Float64bits(d2) {
-				t.Errorf("prec=%v edge %d-%d: gradient (%.17g, %.17g) != deriv kernel (%.17g, %.17g)",
-					prec, g.A.ID, g.B.ID, g.D1, g.D2, d1, d2)
-			}
+	m, p, tr := threadFixture(t, 31, 14, 500)
+	eng, err := New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads, lnL, err := eng.BranchGradients(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(grads) != len(tr.Edges()) {
+		t.Fatalf("%d gradient entries, tree has %d edges", len(grads), len(tr.Edges()))
+	}
+	want, err := eng.LogLikelihood(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// BranchGradients reduces at a (possibly) different edge than
+	// LogLikelihood, so agreement is to rounding, not bits.
+	if !withinTol(lnL, want, 1e-9, 1e-7) {
+		t.Errorf("BranchGradients lnL %.17g != LogLikelihood %.17g", lnL, want)
+	}
+	for _, g := range grads {
+		a, _ := eng.partial(g.A, g.B)
+		b, _ := eng.partial(g.B, g.A)
+		d1, d2 := eng.edgeGradient(a, b, g.Z)
+		if math.Float64bits(g.D1) != math.Float64bits(d1) ||
+			math.Float64bits(g.D2) != math.Float64bits(d2) {
+			t.Errorf("edge %d-%d: gradient (%.17g, %.17g) != deriv kernel (%.17g, %.17g)",
+				g.A.ID, g.B.ID, g.D1, g.D2, d1, d2)
 		}
 	}
 }
@@ -273,8 +267,8 @@ func centerIn(t *tree.Tree, n *tree.Node) *tree.Node { return t.Nodes[n.ID] }
 
 // TestSmoothZeroAllocSteadyState asserts both smoothing paths hold the
 // arena contract the evaluation path already has: once warm,
-// perturb-and-resmooth allocates nothing, in either mode and precision,
-// serial or threaded — the sweep's visit order and the gradient rounds'
+// perturb-and-resmooth allocates nothing, in either mode, serial or
+// threaded — the sweep's visit order and the gradient rounds'
 // buffers live in engine-owned scratch.
 func TestSmoothZeroAllocSteadyState(t *testing.T) {
 	m, p, tr := caterpillarFixture(t, 3, 12, 400)
@@ -294,37 +288,35 @@ func TestSmoothZeroAllocSteadyState(t *testing.T) {
 	}
 
 	for _, mode := range []SmoothMode{SmoothSweep, SmoothGradient} {
-		for _, prec := range []Precision{Float64, Float32} {
-			for _, threads := range []int{1, 4} {
-				eng, err := NewWithPrecision(m, p, prec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if threads > 1 {
-					eng.SetThreads(threads)
-				}
-				opt := OptOptions{Passes: 16, Mode: mode}
+		for _, threads := range []int{1, 4} {
+			eng, err := New(m, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if threads > 1 {
+				eng.SetThreads(threads)
+			}
+			opt := OptOptions{Passes: 16, Mode: mode}
+			perturb()
+			if _, err := eng.OptimizeBranches(tr, opt); err != nil {
+				t.Fatal(err)
+			}
+			scratch := &eng.spec[0]
+			if n := testing.AllocsPerRun(20, func() {
 				perturb()
 				if _, err := eng.OptimizeBranches(tr, opt); err != nil {
 					t.Fatal(err)
 				}
-				scratch := &eng.spec[0]
-				if n := testing.AllocsPerRun(20, func() {
-					perturb()
-					if _, err := eng.OptimizeBranches(tr, opt); err != nil {
-						t.Fatal(err)
-					}
-				}); n > 0 {
-					t.Errorf("mode=%v prec=%v threads=%d: warm smoothing allocates %.1f/op, want 0", mode, prec, threads, n)
-				}
-				if &eng.spec[0] != scratch {
-					t.Errorf("mode=%v prec=%v threads=%d: fold scratch reallocated", mode, prec, threads)
-				}
-				if st := eng.Stats(); st.GradFallbacks != 0 {
-					t.Errorf("mode=%v prec=%v threads=%d: %d gradient fallbacks during steady-state rounds", mode, prec, threads, st.GradFallbacks)
-				}
-				eng.Close()
+			}); n > 0 {
+				t.Errorf("mode=%v threads=%d: warm smoothing allocates %.1f/op, want 0", mode, threads, n)
 			}
+			if &eng.spec[0] != scratch {
+				t.Errorf("mode=%v threads=%d: fold scratch reallocated", mode, threads)
+			}
+			if st := eng.Stats(); st.GradFallbacks != 0 {
+				t.Errorf("mode=%v threads=%d: %d gradient fallbacks during steady-state rounds", mode, threads, st.GradFallbacks)
+			}
+			eng.Close()
 		}
 	}
 }

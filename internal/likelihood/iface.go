@@ -16,11 +16,11 @@ import (
 // harness in internal/likelihood/difftest.
 //
 // The interface is deliberately minimal: evaluation, branch smoothing,
-// and insertion scoring. Everything else — kernel threading, CLV
-// precision, cache statistics, explicit invalidation, op counting — is a
-// capability expressed as a small optional sub-interface (Threader,
-// PrecisionReporter, StatsReporter, Invalidator, OpsReporter, Closer)
-// that minimal engines simply do not implement. Callers reach
+// and insertion scoring. Everything else — kernel threading, cache
+// statistics, explicit invalidation, op counting — is a capability
+// expressed as a small optional sub-interface (Threader, StatsReporter,
+// Invalidator, OpsReporter, Closer) that minimal engines simply do not
+// implement. Callers reach
 // capabilities through the package helpers (SetEngineThreads, StatsOf,
 // ...) which no-op or return zero values on engines without them.
 //
@@ -88,8 +88,9 @@ type Closer interface {
 	Close()
 }
 
-// PrecisionReporter is implemented by engines whose CLV storage format
-// is selectable; Precision reports the active format.
+// PrecisionReporter reports an engine's CLV storage format, which is
+// always Float64. It remains only because the benchmark module asserts
+// that its timing decorator keeps it (ROADMAP item 6).
 type PrecisionReporter interface {
 	Precision() Precision
 }
@@ -168,15 +169,6 @@ func CloseEngine(e Engine) {
 	}
 }
 
-// PrecisionOf reports the engine's CLV precision (Float64 when the
-// engine does not expose one).
-func PrecisionOf(e Engine) Precision {
-	if p, ok := e.(PrecisionReporter); ok {
-		return p.Precision()
-	}
-	return Float64
-}
-
 // StatsOf returns the engine's instrumentation counters (zero when the
 // engine does not keep any).
 func StatsOf(e Engine) EngineStats {
@@ -217,6 +209,5 @@ var (
 	_ Invalidator       = (*CachedEngine)(nil)
 	_ GradientSmoother  = (*CachedEngine)(nil)
 
-	_ Engine            = (*ReferenceEngine)(nil)
-	_ PrecisionReporter = (*ReferenceEngine)(nil)
+	_ Engine = (*ReferenceEngine)(nil)
 )

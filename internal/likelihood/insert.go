@@ -58,13 +58,8 @@ func (e *CachedEngine) NewInsertScorer(base *tree.Tree, taxon int) (InsertScorer
 	if e.insJ.sc == nil {
 		e.insJ.sc = make([]int32, e.npad)
 		e.insRest.sc = make([]int32, e.npad)
-		if e.prec == Float32 {
-			e.insJ.f32 = make([]float32, 4*e.npad)
-			e.insRest.f32 = make([]float32, 4*e.npad)
-		} else {
-			e.insJ.f64 = make([]float64, 4*e.npad)
-			e.insRest.f64 = make([]float64, 4*e.npad)
-		}
+		e.insJ.f64 = make([]float64, 4*e.npad)
+		e.insRest.f64 = make([]float64, 4*e.npad)
 	}
 	return &cachedInsertScorer{
 		e: e, t: base, taxon: taxon,

@@ -22,23 +22,12 @@ import (
 //     stores to the destination lanes would otherwise force a reload of
 //     every coefficient on every pattern);
 //   - the arithmetic per pattern is the exact expression the previous
-//     interleaved kernels evaluated, in the same order, so float64
-//     results are bit-identical to the pre-SoA engine.
-//
-// The kernels are generic over the CLV element type (clvFloat): pruning
-// combines and rescaling run entirely in T, while every log-likelihood
-// and derivative reduction converts T to float64 at the load and
-// accumulates in float64 — identical math for T=float64, and much
-// better-conditioned sums than float32 accumulation for T=float32.
-
-// clvFloat is the element type of a conditional likelihood vector.
-type clvFloat interface {
-	float32 | float64
-}
+//     interleaved kernels evaluated, in the same order, so results are
+//     bit-identical to the pre-SoA engine.
 
 // lanes returns the four state lanes of a SoA CLV buffer restricted to
 // the padded range [lo, lo+n).
-func lanes[T clvFloat](clv []T, npad, lo, n int) (l0, l1, l2, l3 []T) {
+func lanes(clv []float64, npad, lo, n int) (l0, l1, l2, l3 []float64) {
 	l0 = clv[lo : lo+n]
 	l1 = clv[npad+lo : npad+lo+n]
 	l2 = clv[2*npad+lo : 2*npad+lo+n]
@@ -48,7 +37,7 @@ func lanes[T clvFloat](clv []T, npad, lo, n int) (l0, l1, l2, l3 []T) {
 
 // segCombineFirst assigns dst = P·src over the padded range [lo, lo+n):
 // the first child-edge combine of a Felsenstein pruning step.
-func segCombineFirst[T clvFloat](dst, src []T, m *[4][4]T, npad, lo, n int) {
+func segCombineFirst(dst, src []float64, m *model.PMatrix, npad, lo, n int) {
 	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
 	s0, s1, s2, s3 := lanes(src, npad, lo, n)
 	m00, m01, m02, m03 := m[0][0], m[0][1], m[0][2], m[0][3]
@@ -68,7 +57,7 @@ func segCombineFirst[T clvFloat](dst, src []T, m *[4][4]T, npad, lo, n int) {
 
 // segCombineMul multiplies dst *= P·src over the padded range
 // [lo, lo+n): subsequent child-edge combines.
-func segCombineMul[T clvFloat](dst, src []T, m *[4][4]T, npad, lo, n int) {
+func segCombineMul(dst, src []float64, m *model.PMatrix, npad, lo, n int) {
 	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
 	s0, s1, s2, s3 := lanes(src, npad, lo, n)
 	m00, m01, m02, m03 := m[0][0], m[0][1], m[0][2], m[0][3]
@@ -91,7 +80,7 @@ func segCombineMul[T clvFloat](dst, src []T, m *[4][4]T, npad, lo, n int) {
 // single store, eliminating the separate read-modify-write rescale pass.
 // The products are the same floating-point operations the unfused
 // combine-then-rescale sequence performs, so results are bit-identical.
-func segCombineFirstResc[T clvFloat](dst, src []T, m *[4][4]T, dsc, ssc []int32, thresh, factor T, npad, lo, n int) {
+func segCombineFirstResc(dst, src []float64, m *model.PMatrix, dsc, ssc []int32, npad, lo, n int) {
 	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
 	s0, s1, s2, s3 := lanes(src, npad, lo, n)
 	m00, m01, m02, m03 := m[0][0], m[0][1], m[0][2], m[0][3]
@@ -121,11 +110,11 @@ func segCombineFirstResc[T clvFloat](dst, src []T, m *[4][4]T, dsc, ssc []int32,
 		if v3 > mx {
 			mx = v3
 		}
-		if mx < thresh && mx > 0 {
-			v0 *= factor
-			v1 *= factor
-			v2 *= factor
-			v3 *= factor
+		if mx < scaleThreshold && mx > 0 {
+			v0 *= scaleFactor
+			v1 *= scaleFactor
+			v2 *= scaleFactor
+			v3 *= scaleFactor
 			sc++
 		}
 		d0[i], d1[i], d2[i], d3[i] = v0, v1, v2, v3
@@ -135,7 +124,7 @@ func segCombineFirstResc[T clvFloat](dst, src []T, m *[4][4]T, dsc, ssc []int32,
 
 // segCombineMulResc is segCombineMul fused with rescaling and scale
 // accumulation, used for the last child combine of a pruning step.
-func segCombineMulResc[T clvFloat](dst, src []T, m *[4][4]T, dsc, ssc []int32, thresh, factor T, npad, lo, n int) {
+func segCombineMulResc(dst, src []float64, m *model.PMatrix, dsc, ssc []int32, npad, lo, n int) {
 	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
 	s0, s1, s2, s3 := lanes(src, npad, lo, n)
 	m00, m01, m02, m03 := m[0][0], m[0][1], m[0][2], m[0][3]
@@ -165,11 +154,11 @@ func segCombineMulResc[T clvFloat](dst, src []T, m *[4][4]T, dsc, ssc []int32, t
 		if v3 > mx {
 			mx = v3
 		}
-		if mx < thresh && mx > 0 {
-			v0 *= factor
-			v1 *= factor
-			v2 *= factor
-			v3 *= factor
+		if mx < scaleThreshold && mx > 0 {
+			v0 *= scaleFactor
+			v1 *= scaleFactor
+			v2 *= scaleFactor
+			v3 *= scaleFactor
 			sc++
 		}
 		d0[i], d1[i], d2[i], d3[i] = v0, v1, v2, v3
@@ -185,8 +174,7 @@ func segCombineMulResc[T clvFloat](dst, src []T, m *[4][4]T, dsc, ssc []int32, t
 // stay in registers between the two matrix applications. The products
 // are the same floating-point operations the first/mul kernel pair
 // performs, so results are bit-identical.
-func segCombine2[T clvFloat](dst, a, b []T, ma, mb *[4][4]T, dsc, asc, bsc []int32,
-	thresh, factor T, npad, lo, n int) {
+func segCombine2(dst, a, b []float64, ma, mb *model.PMatrix, dsc, asc, bsc []int32, npad, lo, n int) {
 	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
 	a0, a1, a2, a3 := lanes(a, npad, lo, n)
 	b0, b1, b2, b3 := lanes(b, npad, lo, n)
@@ -225,11 +213,11 @@ func segCombine2[T clvFloat](dst, a, b []T, ma, mb *[4][4]T, dsc, asc, bsc []int
 		if v3 > mx {
 			mx = v3
 		}
-		if mx < thresh && mx > 0 {
-			v0 *= factor
-			v1 *= factor
-			v2 *= factor
-			v3 *= factor
+		if mx < scaleThreshold && mx > 0 {
+			v0 *= scaleFactor
+			v1 *= scaleFactor
+			v2 *= scaleFactor
+			v3 *= scaleFactor
 			sc++
 		}
 		d0[i], d1[i], d2[i], d3[i] = v0, v1, v2, v3
@@ -241,8 +229,8 @@ func segCombine2[T clvFloat](dst, a, b []T, ma, mb *[4][4]T, dsc, asc, bsc []int
 // [lo, lo+n) into acc and returns it. The accumulator threads through
 // the caller's segment loop so the summation order over a shard is one
 // unbroken pattern sequence, exactly as the interleaved kernel summed.
-func segEdgeLnL[T clvFloat](aclv, bclv []T, asc, bsc []int32, w []float64,
-	pm *model.PMatrix, f *[4]float64, logSc float64, npad, lo, n int, acc float64) float64 {
+func segEdgeLnL(aclv, bclv []float64, asc, bsc []int32, w []float64,
+	pm *model.PMatrix, f *[4]float64, npad, lo, n int, acc float64) float64 {
 	a0, a1, a2, a3 := lanes(aclv, npad, lo, n)
 	b0l, b1l, b2l, b3l := lanes(bclv, npad, lo, n)
 	m00, m01, m02, m03 := pm[0][0], pm[0][1], pm[0][2], pm[0][3]
@@ -258,13 +246,14 @@ func segEdgeLnL[T clvFloat](aclv, bclv []T, asc, bsc []int32, w []float64,
 	sa = sa[:len(a0)]
 	sb := bsc[lo : lo+n]
 	sb = sb[:len(a0)]
+	logSc := logScale
 	for i := range a0 {
-		b0, b1, b2, b3 := float64(b0l[i]), float64(b1l[i]), float64(b2l[i]), float64(b3l[i])
+		b0, b1, b2, b3 := b0l[i], b1l[i], b2l[i], b3l[i]
 		lkl := 0.0
-		lkl += f0 * float64(a0[i]) * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
-		lkl += f1 * float64(a1[i]) * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
-		lkl += f2 * float64(a2[i]) * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
-		lkl += f3 * float64(a3[i]) * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
+		lkl += f0 * a0[i] * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
+		lkl += f1 * a1[i] * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
+		lkl += f2 * a2[i] * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
+		lkl += f3 * a3[i] * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
 		if lkl <= 0 {
 			lkl = math.SmallestNonzeroFloat64
 		}
@@ -305,9 +294,8 @@ func evalOps(k int) uint64 { return uint64(3*(k-1) + 6) }
 // K = len(m) lanes of spec (lane k at k*npad): lane 0 receives T, lane
 // k ≥ 1 the spectral sum S_k under m[k] = diag(π)·C_k (foldMatrices),
 // each in its own pass over the segment with the 16 coefficients hoisted
-// like every combine kernel. CLV elements are widened to float64 at the
-// load.
-func segFold[T clvFloat](spec []float64, aclv, bclv []T, m []model.PMatrix, f *[4]float64, npad, lo, n int) {
+// like every combine kernel.
+func segFold(spec, aclv, bclv []float64, m []model.PMatrix, f *[4]float64, npad, lo, n int) {
 	a0, a1, a2, a3 := lanes(aclv, npad, lo, n)
 	b0, b1, b2, b3 := lanes(bclv, npad, lo, n)
 	a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
@@ -316,8 +304,7 @@ func segFold[T clvFloat](spec []float64, aclv, bclv []T, m []model.PMatrix, f *[
 	s := spec[lo : lo+n]
 	s = s[:len(a0)]
 	for i := range a0 {
-		s[i] = f0*float64(a0[i])*float64(b0[i]) + f1*float64(a1[i])*float64(b1[i]) +
-			f2*float64(a2[i])*float64(b2[i]) + f3*float64(a3[i])*float64(b3[i])
+		s[i] = f0*a0[i]*b0[i] + f1*a1[i]*b1[i] + f2*a2[i]*b2[i] + f3*a3[i]*b3[i]
 	}
 	for k := 1; k < len(m); k++ {
 		c := &m[k]
@@ -328,11 +315,11 @@ func segFold[T clvFloat](spec []float64, aclv, bclv []T, m []model.PMatrix, f *[
 		s := spec[k*npad+lo : k*npad+lo+n]
 		s = s[:len(a0)]
 		for i := range a0 {
-			y0, y1, y2, y3 := float64(b0[i]), float64(b1[i]), float64(b2[i]), float64(b3[i])
-			s[i] = float64(a0[i])*(m00*y0+m01*y1+m02*y2+m03*y3) +
-				float64(a1[i])*(m10*y0+m11*y1+m12*y2+m13*y3) +
-				float64(a2[i])*(m20*y0+m21*y1+m22*y2+m23*y3) +
-				float64(a3[i])*(m30*y0+m31*y1+m32*y2+m33*y3)
+			y0, y1, y2, y3 := b0[i], b1[i], b2[i], b3[i]
+			s[i] = a0[i]*(m00*y0+m01*y1+m02*y2+m03*y3) +
+				a1[i]*(m10*y0+m11*y1+m12*y2+m13*y3) +
+				a2[i]*(m20*y0+m21*y1+m22*y2+m23*y3) +
+				a3[i]*(m30*y0+m31*y1+m32*y2+m33*y3)
 		}
 	}
 }
@@ -435,8 +422,8 @@ func segSpecEval(spec, w []float64, c *specCoef, nk, npad, lo, n int, acc gradAc
 // segSiteLnL writes the per-pattern (unweighted) log-likelihoods over
 // [lo, lo+n) into out at each pattern's original (pre-permutation)
 // index, given by orig.
-func segSiteLnL[T clvFloat](aclv, bclv []T, asc, bsc []int32, orig []int, out []float64,
-	pm *model.PMatrix, f *[4]float64, logSc float64, npad, lo, n int) {
+func segSiteLnL(aclv, bclv []float64, asc, bsc []int32, orig []int, out []float64,
+	pm *model.PMatrix, f *[4]float64, npad, lo, n int) {
 	a0, a1, a2, a3 := lanes(aclv, npad, lo, n)
 	b0l, b1l, b2l, b3l := lanes(bclv, npad, lo, n)
 	m00, m01, m02, m03 := pm[0][0], pm[0][1], pm[0][2], pm[0][3]
@@ -452,13 +439,14 @@ func segSiteLnL[T clvFloat](aclv, bclv []T, asc, bsc []int32, orig []int, out []
 	sa = sa[:len(a0)]
 	sb := bsc[lo : lo+n]
 	sb = sb[:len(a0)]
+	logSc := logScale
 	for i := range a0 {
-		b0, b1, b2, b3 := float64(b0l[i]), float64(b1l[i]), float64(b2l[i]), float64(b3l[i])
+		b0, b1, b2, b3 := b0l[i], b1l[i], b2l[i], b3l[i]
 		lkl := 0.0
-		lkl += f0 * float64(a0[i]) * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
-		lkl += f1 * float64(a1[i]) * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
-		lkl += f2 * float64(a2[i]) * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
-		lkl += f3 * float64(a3[i]) * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
+		lkl += f0 * a0[i] * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
+		lkl += f1 * a1[i] * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
+		lkl += f2 * a2[i] * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
+		lkl += f3 * a3[i] * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
 		if lkl <= 0 {
 			lkl = math.SmallestNonzeroFloat64
 		}

@@ -2,6 +2,8 @@
 
 package likelihood
 
+import "repro/internal/model"
+
 // AVX2 fast path for the fused binary combine (segCombine2), the kernel
 // that dominates tree evaluation time (~85% of a cached evaluation's
 // cycles). The assembly in kernels_amd64.s processes four patterns per
@@ -67,7 +69,7 @@ var useAVX2 = hasAVX2()
 // [lo, lo+n) using the AVX2 kernel for full 4-pattern groups and the
 // scalar kernel for groups that rescale and for the tail. Padding is
 // never touched: n counts real patterns only.
-func combine2F64(dst, a, b []float64, ma, mb *[4][4]float64, tab *[33][4]float64,
+func combine2F64(dst, a, b []float64, ma, mb *model.PMatrix, tab *[33][4]float64,
 	dsc, asc, bsc []int32, npad, lo, n int) {
 	for n >= 4 {
 		g := n >> 2
@@ -77,12 +79,12 @@ func combine2F64(dst, a, b []float64, ma, mb *[4][4]float64, tab *[33][4]float64
 		if done < g {
 			// The next group has a pattern that rescales; the scalar
 			// kernel is the reference for that path.
-			segCombine2(dst, a, b, ma, mb, dsc, asc, bsc, scaleThreshold, scaleFactor, npad, lo, 4)
+			segCombine2(dst, a, b, ma, mb, dsc, asc, bsc, npad, lo, 4)
 			lo += 4
 			n -= 4
 		}
 	}
 	if n > 0 {
-		segCombine2(dst, a, b, ma, mb, dsc, asc, bsc, scaleThreshold, scaleFactor, npad, lo, n)
+		segCombine2(dst, a, b, ma, mb, dsc, asc, bsc, npad, lo, n)
 	}
 }

@@ -100,32 +100,30 @@ func newtonCases(t testing.TB) []newtonCase {
 func TestNewtonEdgeNeverWorseThanStart(t *testing.T) {
 	checked := 0
 	for _, c := range newtonCases(t) {
-		for _, prec := range []Precision{Float64, Float32} {
-			eng, err := NewWithPrecision(c.m, c.p, prec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.ensureBuffers(c.tr.MaxID())
-			for _, ed := range c.tr.Edges() {
-				a, _ := eng.partial(ed.A, ed.B)
-				b, _ := eng.partial(ed.B, ed.A)
-				for _, z0 := range newtonStarts {
-					if z0 == 0 {
-						z0 = ed.Length()
-					}
-					z := eng.newtonEdge(a, b, z0)
-					if z < MinBranchLength || z > MaxBranchLength || math.IsNaN(z) {
-						t.Fatalf("%s prec=%v edge %d-%d from %g: length %g outside the legal interval",
-							c.kind, prec, ed.A.ID, ed.B.ID, z0, z)
-					}
-					start := eng.edgeLogLikelihood(a, b, z0)
-					got := eng.edgeLogLikelihood(a, b, z)
-					if got < start-1e-9*math.Abs(start) {
-						t.Errorf("%s prec=%v edge %d-%d from %g: lnL %.12f at returned %g < %.12f at start (loss %.3g)",
-							c.kind, prec, ed.A.ID, ed.B.ID, z0, got, z, start, start-got)
-					}
-					checked++
+		eng, err := New(c.m, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.ensureBuffers(c.tr.MaxID())
+		for _, ed := range c.tr.Edges() {
+			a, _ := eng.partial(ed.A, ed.B)
+			b, _ := eng.partial(ed.B, ed.A)
+			for _, z0 := range newtonStarts {
+				if z0 == 0 {
+					z0 = ed.Length()
 				}
+				z := eng.newtonEdge(a, b, z0)
+				if z < MinBranchLength || z > MaxBranchLength || math.IsNaN(z) {
+					t.Fatalf("%s edge %d-%d from %g: length %g outside the legal interval",
+						c.kind, ed.A.ID, ed.B.ID, z0, z)
+				}
+				start := eng.edgeLogLikelihood(a, b, z0)
+				got := eng.edgeLogLikelihood(a, b, z)
+				if got < start-1e-9*math.Abs(start) {
+					t.Errorf("%s edge %d-%d from %g: lnL %.12f at returned %g < %.12f at start (loss %.3g)",
+						c.kind, ed.A.ID, ed.B.ID, z0, got, z, start, start-got)
+				}
+				checked++
 			}
 		}
 	}
@@ -149,7 +147,7 @@ func TestNewtonEdgeCachedMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewReference(c.m, c.p, Float64)
+		ref, err := NewReference(c.m, c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +247,7 @@ func TestRestrictedRegionMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewReference(c.m, c.p, Float64)
+	ref, err := NewReference(c.m, c.p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,85 +1,56 @@
 package likelihood
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// Precision selects the storage format of conditional likelihood
-// vectors. Float64 is the default and the bit-identity/determinism
-// reference every serial-vs-parallel test pins; Float32 halves CLV
-// memory traffic for throughput-bound runs at a documented accuracy
-// cost (see the Float32*Tol constants and DESIGN.md §5f).
-//
-// Precision changes only how CLVs are stored and how pruning combines
-// are computed: the log-likelihood, its derivatives, and every Newton
-// reduction always accumulate in float64, in the same fixed order, so a
-// Float32 engine is still bit-reproducible against itself at any thread
-// count — it is just not bit-identical to Float64.
+// Precision names a CLV storage format. Float64 is the only one: CLVs
+// are stored and combined in double precision and rescaled against
+// underflow (paper §2.1), the same as fastDNAml. The type, Float32,
+// String, PrecisionReporter, EngineOptions.Precision and
+// mlsearch.Config.Precision remain only because the benchmark module
+// compiles against them (ROADMAP item 6 drops them); every entry point
+// that receives a Precision refuses anything but Float64 through
+// CheckPrecision.
 type Precision uint8
 
 const (
-	// Float64 stores CLVs as float64 (exact mode, the default).
+	// Float64 stores CLVs as float64, the only format.
 	Float64 Precision = iota
-	// Float32 stores CLVs as float32 with more aggressive rescaling to
-	// compensate for the narrower exponent range.
+	// Float32 names the removed float32 CLV storage; CheckPrecision
+	// refuses it.
 	Float32
 )
 
 // String implements fmt.Stringer.
 func (p Precision) String() string {
-	if p == Float32 {
+	switch p {
+	case Float64:
+		return "float64"
+	case Float32:
 		return "float32"
 	}
-	return "float64"
+	return fmt.Sprintf("Precision(%d)", uint8(p))
 }
 
-// ParsePrecision parses a -precision flag value: "64", "double",
-// "float64" or "f64" select Float64; "32", "single", "float32" or "f32"
-// select Float32. The empty string is Float64.
+// CheckPrecision refuses every Precision but Float64. NewEngine and
+// mlsearch's Config.Normalize both call it, so a run asking for another
+// format fails before any engine or transport starts.
+func CheckPrecision(p Precision) error {
+	if p != Float64 {
+		return fmt.Errorf("likelihood: precision %v is not available: CLVs are float64 only (float32 storage was removed, see DESIGN.md §5f)", p)
+	}
+	return nil
+}
+
+// ParsePrecision parses a precision spelling: "", "64", "double",
+// "float64" and "f64" are Float64; the float32 spellings ("32",
+// "single", "float32", "f32") get CheckPrecision's refusal, anything
+// else an unknown-precision error.
 func ParsePrecision(s string) (Precision, error) {
 	switch s {
 	case "", "64", "double", "float64", "f64":
 		return Float64, nil
 	case "32", "single", "float32", "f32":
-		return Float32, nil
+		return Float64, CheckPrecision(Float32)
 	}
-	return Float64, fmt.Errorf("likelihood: unknown precision %q (want 64 or 32)", s)
+	return Float64, fmt.Errorf("likelihood: unknown precision %q (want float64)", s)
 }
-
-// Float32 rescaling: float64 CLVs rescale at 1e-100 (paper §2.1), far
-// outside float32's exponent range (min normal ~1.2e-38). Float32
-// engines therefore rescale whenever a pattern's maximum conditional
-// likelihood drops below 1e-15 — early enough that the worst plausible
-// single-fill shrink (two near-zero-length child branches, ~1e-16) still
-// lands above float32 denormals, so no pattern silently flushes to zero
-// between rescale points. The factor is stored in float32 and the
-// log-likelihood correction uses the log of the *rounded* factor, so
-// scaling is exactly invertible in the accumulated sum.
-const (
-	scaleThreshold32 = 1e-15
-	scaleFactor32    = float32(1e15)
-)
-
-var logScale32 = math.Log(float64(scaleFactor32))
-
-// Float32 tolerance contract (DESIGN.md §5f): a Float32 engine agrees
-// with the Float64 engine on the same data/tree within these bounds.
-// CLV entries carry float32 relative error (~1e-7) through O(depth)
-// combines; log-likelihoods are sums of npat pattern terms accumulated
-// in float64, so the error grows with alignment size and tree depth —
-// the bounds below are calibrated against the randomized property test
-// (precision_test.go), which includes a deep-caterpillar underflow
-// stress forcing repeated rescaling.
-const (
-	// Float32LnLRelTol bounds |lnL32-lnL64| relative to |lnL64|.
-	Float32LnLRelTol = 2e-5
-	// Float32LnLAbsTol is the absolute floor of the lnL bound.
-	Float32LnLAbsTol = 5e-3
-	// Float32LenRelTol bounds optimized branch-length disagreement
-	// relative to the float64 length.
-	Float32LenRelTol = 5e-2
-	// Float32LenAbsTol is the absolute floor of the branch-length
-	// bound (lengths at the MinBranchLength clamp compare equal).
-	Float32LenAbsTol = 2e-3
-)

@@ -23,7 +23,9 @@ const DefaultEngine = "cached"
 // reference engine ignores Threads, for example) — the capability
 // helpers keep the rest of the program honest about what stuck.
 type EngineOptions struct {
-	// Precision selects the CLV storage format (Float64 default).
+	// Precision must be Float64 (the zero value); NewEngine refuses any
+	// other. The field remains only because the benchmark module sets it
+	// (ROADMAP item 6).
 	Precision Precision
 	// Threads is the kernel thread count for backends that shard
 	// (values < 1 mean 1).
@@ -71,6 +73,9 @@ func ParseEngine(name string) (string, error) {
 
 // NewEngine constructs the named backend ("" selects DefaultEngine).
 func NewEngine(name string, m model.Model, p *seq.Patterns, opt EngineOptions) (Engine, error) {
+	if err := CheckPrecision(opt.Precision); err != nil {
+		return nil, err
+	}
 	name, err := ParseEngine(name)
 	if err != nil {
 		return nil, err
@@ -80,7 +85,7 @@ func NewEngine(name string, m model.Model, p *seq.Patterns, opt EngineOptions) (
 
 func init() {
 	Register("cached", func(m model.Model, p *seq.Patterns, opt EngineOptions) (Engine, error) {
-		e, err := NewWithPrecision(m, p, opt.Precision)
+		e, err := New(m, p)
 		if err != nil {
 			return nil, err
 		}
@@ -90,6 +95,6 @@ func init() {
 		return e, nil
 	})
 	Register("reference", func(m model.Model, p *seq.Patterns, opt EngineOptions) (Engine, error) {
-		return NewReference(m, p, opt.Precision)
+		return NewReference(m, p)
 	})
 }

@@ -207,11 +207,9 @@ func (e *CachedEngine) runShards() {
 // executed by pool goroutines; everything it touches is either read-only
 // during a dispatch (transition matrices, tips, weights) or partitioned
 // by shard (CLV ranges, fold lanes, per-shard partials). Each opcode
-// dispatches to the generic segment kernels in kernels.go at the
-// engine's precision;
-// reductions always accumulate in float64 with one accumulator threaded
-// through the whole shard, so the summation grouping matches the
-// pre-SoA engine exactly.
+// dispatches to the segment kernels in kernels.go; reductions
+// accumulate with one accumulator threaded through the whole shard, so
+// the summation grouping matches the pre-SoA engine exactly.
 func (e *CachedEngine) shardKernel(s int) {
 	k := &e.kern
 	segs := e.shards[s].segs
@@ -220,72 +218,42 @@ func (e *CachedEngine) shardKernel(s int) {
 	case kCombineFirst:
 		for _, seg := range segs {
 			n := seg.hi - seg.lo
-			if e.prec == Float32 {
-				segCombineFirst(k.dst.f32, k.src.f32, &e.pmat32[seg.ci], e.npad, seg.plo, n)
-			} else {
-				segCombineFirst(k.dst.f64, k.src.f64, (*[4][4]float64)(&e.pmat[seg.ci]), e.npad, seg.plo, n)
-			}
+			segCombineFirst(k.dst.f64, k.src.f64, &e.pmat[seg.ci], e.npad, seg.plo, n)
 			copy(k.dst.sc[seg.plo:seg.plo+n], k.src.sc[seg.plo:seg.plo+n])
 		}
 	case kCombineMul:
 		for _, seg := range segs {
 			n := seg.hi - seg.lo
-			if e.prec == Float32 {
-				segCombineMul(k.dst.f32, k.src.f32, &e.pmat32[seg.ci], e.npad, seg.plo, n)
-			} else {
-				segCombineMul(k.dst.f64, k.src.f64, (*[4][4]float64)(&e.pmat[seg.ci]), e.npad, seg.plo, n)
-			}
+			segCombineMul(k.dst.f64, k.src.f64, &e.pmat[seg.ci], e.npad, seg.plo, n)
 			addScale(k.dst.sc, k.src.sc, seg.plo, n)
 		}
 	case kCombineFirstResc:
 		for _, seg := range segs {
 			n := seg.hi - seg.lo
-			if e.prec == Float32 {
-				segCombineFirstResc(k.dst.f32, k.src.f32, &e.pmat32[seg.ci], k.dst.sc, k.src.sc,
-					float32(scaleThreshold32), scaleFactor32, e.npad, seg.plo, n)
-			} else {
-				segCombineFirstResc(k.dst.f64, k.src.f64, (*[4][4]float64)(&e.pmat[seg.ci]), k.dst.sc, k.src.sc,
-					scaleThreshold, scaleFactor, e.npad, seg.plo, n)
-			}
+			segCombineFirstResc(k.dst.f64, k.src.f64, &e.pmat[seg.ci], k.dst.sc, k.src.sc, e.npad, seg.plo, n)
 		}
 	case kCombineMulResc:
 		for _, seg := range segs {
 			n := seg.hi - seg.lo
-			if e.prec == Float32 {
-				segCombineMulResc(k.dst.f32, k.src.f32, &e.pmat32[seg.ci], k.dst.sc, k.src.sc,
-					float32(scaleThreshold32), scaleFactor32, e.npad, seg.plo, n)
-			} else {
-				segCombineMulResc(k.dst.f64, k.src.f64, (*[4][4]float64)(&e.pmat[seg.ci]), k.dst.sc, k.src.sc,
-					scaleThreshold, scaleFactor, e.npad, seg.plo, n)
-			}
+			segCombineMulResc(k.dst.f64, k.src.f64, &e.pmat[seg.ci], k.dst.sc, k.src.sc, e.npad, seg.plo, n)
 		}
 	case kCombine2:
 		for _, seg := range segs {
 			n := seg.hi - seg.lo
-			if e.prec == Float32 {
-				segCombine2(k.dst.f32, k.src.f32, k.src2.f32, &e.pmat32[seg.ci], &e.pmat32B[seg.ci],
-					k.dst.sc, k.src.sc, k.src2.sc, float32(scaleThreshold32), scaleFactor32, e.npad, seg.plo, n)
-			} else if e.bc2 != nil {
-				combine2F64(k.dst.f64, k.src.f64, k.src2.f64,
-					(*[4][4]float64)(&e.pmat[seg.ci]), (*[4][4]float64)(&e.pmatB[seg.ci]),
+			if e.bc2 != nil {
+				combine2F64(k.dst.f64, k.src.f64, k.src2.f64, &e.pmat[seg.ci], &e.pmatB[seg.ci],
 					&e.bc2[seg.ci], k.dst.sc, k.src.sc, k.src2.sc, e.npad, seg.plo, n)
 			} else {
-				segCombine2(k.dst.f64, k.src.f64, k.src2.f64,
-					(*[4][4]float64)(&e.pmat[seg.ci]), (*[4][4]float64)(&e.pmatB[seg.ci]),
-					k.dst.sc, k.src.sc, k.src2.sc, scaleThreshold, scaleFactor, e.npad, seg.plo, n)
+				segCombine2(k.dst.f64, k.src.f64, k.src2.f64, &e.pmat[seg.ci], &e.pmatB[seg.ci],
+					k.dst.sc, k.src.sc, k.src2.sc, e.npad, seg.plo, n)
 			}
 		}
 	case kEdgeLnL:
 		total := 0.0
 		for _, seg := range segs {
 			n := seg.hi - seg.lo
-			if e.prec == Float32 {
-				total = segEdgeLnL(k.a.f32, k.b.f32, k.a.sc, k.b.sc, e.weights,
-					&e.pmat[seg.ci], freqs, e.logScaleV, e.npad, seg.plo, n, total)
-			} else {
-				total = segEdgeLnL(k.a.f64, k.b.f64, k.a.sc, k.b.sc, e.weights,
-					&e.pmat[seg.ci], freqs, e.logScaleV, e.npad, seg.plo, n, total)
-			}
+			total = segEdgeLnL(k.a.f64, k.b.f64, k.a.sc, k.b.sc, e.weights,
+				&e.pmat[seg.ci], freqs, e.npad, seg.plo, n, total)
 		}
 		e.shLnL[s] = total
 	case kFoldGrad, kSpecEval:
@@ -294,11 +262,7 @@ func (e *CachedEngine) shardKernel(s int) {
 			n := seg.hi - seg.lo
 			// Later iterates of a solve (kSpecEval) find the lanes folded.
 			if k.op == kFoldGrad {
-				if e.prec == Float32 {
-					segFold(e.spec, k.a.f32, k.b.f32, e.foldM, freqs, e.npad, seg.plo, n)
-				} else {
-					segFold(e.spec, k.a.f64, k.b.f64, e.foldM, freqs, e.npad, seg.plo, n)
-				}
+				segFold(e.spec, k.a.f64, k.b.f64, e.foldM, freqs, e.npad, seg.plo, n)
 			}
 			acc = segSpecEval(e.spec, e.weights, &e.specC[seg.ci], len(e.foldM), e.npad, seg.plo, n, acc)
 		}
@@ -306,13 +270,8 @@ func (e *CachedEngine) shardKernel(s int) {
 	case kSiteLnL:
 		for _, seg := range segs {
 			n := seg.hi - seg.lo
-			if e.prec == Float32 {
-				segSiteLnL(k.a.f32, k.b.f32, k.a.sc, k.b.sc, e.origOfPad, k.out,
-					&e.pmat[seg.ci], freqs, e.logScaleV, e.npad, seg.plo, n)
-			} else {
-				segSiteLnL(k.a.f64, k.b.f64, k.a.sc, k.b.sc, e.origOfPad, k.out,
-					&e.pmat[seg.ci], freqs, e.logScaleV, e.npad, seg.plo, n)
-			}
+			segSiteLnL(k.a.f64, k.b.f64, k.a.sc, k.b.sc, e.origOfPad, k.out,
+				&e.pmat[seg.ci], freqs, e.npad, seg.plo, n)
 		}
 	}
 }

@@ -181,74 +181,71 @@ func TestThreadedInsertScorerBitIdentical(t *testing.T) {
 // TestZeroAllocSteadyState asserts the arena work: once caches are warm,
 // repeated likelihood evaluations, single-edge Newton optimization and
 // the restricted junction-local smoothing every rearrangement task runs
-// must not allocate — serial or threaded, in either CLV precision (the
-// cache slabs and insertion arena size off the padded layout, so both
-// storage formats must stay allocation-free).
+// must not allocate — serial or threaded (the cache slabs and insertion
+// arena size off the padded layout).
 func TestZeroAllocSteadyState(t *testing.T) {
 	m, p, tr := threadFixture(t, 3, 12, 400)
 
-	for _, prec := range []Precision{Float64, Float32} {
-		for _, threads := range []int{1, 4} {
-			eng, err := NewWithPrecision(m, p, prec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if threads > 1 {
-				eng.SetThreads(threads)
-			}
+	for _, threads := range []int{1, 4} {
+		eng, err := New(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if threads > 1 {
+			eng.SetThreads(threads)
+		}
+		if _, err := eng.LogLikelihood(tr); err != nil {
+			t.Fatal(err)
+		}
+		ed, ok := tr.FirstEdge()
+		if !ok {
+			t.Fatal("no edge")
+		}
+		if _, err := eng.OptimizeEdge(tr, ed); err != nil {
+			t.Fatal(err)
+		}
+
+		if n := testing.AllocsPerRun(50, func() {
 			if _, err := eng.LogLikelihood(tr); err != nil {
 				t.Fatal(err)
 			}
-			ed, ok := tr.FirstEdge()
-			if !ok {
-				t.Fatal("no edge")
-			}
+		}); n > 0 {
+			t.Errorf("threads=%d: warm LogLikelihood allocates %.1f/op, want 0", threads, n)
+		}
+		if n := testing.AllocsPerRun(50, func() {
 			if _, err := eng.OptimizeEdge(tr, ed); err != nil {
 				t.Fatal(err)
 			}
-
-			if n := testing.AllocsPerRun(50, func() {
-				if _, err := eng.LogLikelihood(tr); err != nil {
-					t.Fatal(err)
-				}
-			}); n > 0 {
-				t.Errorf("prec=%v threads=%d: warm LogLikelihood allocates %.1f/op, want 0", prec, threads, n)
+		}); n > 0 {
+			t.Errorf("threads=%d: warm OptimizeEdge allocates %.1f/op, want 0", threads, n)
+		}
+		// A cold start iterates on the folded lanes, which must be the
+		// buffer the constructor allocated, not a per-call one.
+		scratch, z := &eng.spec[0], ed.Length()
+		if n := testing.AllocsPerRun(50, func() {
+			tree.SetLen(ed.A, ed.B, 8*z)
+			if _, err := eng.OptimizeEdge(tr, ed); err != nil {
+				t.Fatal(err)
 			}
-			if n := testing.AllocsPerRun(50, func() {
-				if _, err := eng.OptimizeEdge(tr, ed); err != nil {
-					t.Fatal(err)
-				}
-			}); n > 0 {
-				t.Errorf("prec=%v threads=%d: warm OptimizeEdge allocates %.1f/op, want 0", prec, threads, n)
-			}
-			// A cold start iterates on the folded lanes, which must be the
-			// buffer the constructor allocated, not a per-call one.
-			scratch, z := &eng.spec[0], ed.Length()
-			if n := testing.AllocsPerRun(50, func() {
-				tree.SetLen(ed.A, ed.B, 8*z)
-				if _, err := eng.OptimizeEdge(tr, ed); err != nil {
-					t.Fatal(err)
-				}
-			}); n > 0 {
-				t.Errorf("prec=%v threads=%d: cold OptimizeEdge allocates %.1f/op, want 0", prec, threads, n)
-			}
-			if &eng.spec[0] != scratch || len(eng.spec) != len(eng.foldM)*eng.npad {
-				t.Errorf("prec=%v threads=%d: fold scratch reallocated (len %d)", prec, threads, len(eng.spec))
-			}
-			inner := tr.InternalEdges()[0]
-			local := OptOptions{Passes: 2, Centers: []*tree.Node{inner.A, inner.B}, Radius: 2}
+		}); n > 0 {
+			t.Errorf("threads=%d: cold OptimizeEdge allocates %.1f/op, want 0", threads, n)
+		}
+		if &eng.spec[0] != scratch || len(eng.spec) != len(eng.foldM)*eng.npad {
+			t.Errorf("threads=%d: fold scratch reallocated (len %d)", threads, len(eng.spec))
+		}
+		inner := tr.InternalEdges()[0]
+		local := OptOptions{Passes: 2, Centers: []*tree.Node{inner.A, inner.B}, Radius: 2}
+		if _, err := eng.OptimizeBranches(tr, local); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(50, func() {
 			if _, err := eng.OptimizeBranches(tr, local); err != nil {
 				t.Fatal(err)
 			}
-			if n := testing.AllocsPerRun(50, func() {
-				if _, err := eng.OptimizeBranches(tr, local); err != nil {
-					t.Fatal(err)
-				}
-			}); n > 0 {
-				t.Errorf("prec=%v threads=%d: warm restricted OptimizeBranches allocates %.1f/op, want 0", prec, threads, n)
-			}
-			eng.Close()
+		}); n > 0 {
+			t.Errorf("threads=%d: warm restricted OptimizeBranches allocates %.1f/op, want 0", threads, n)
 		}
+		eng.Close()
 	}
 }
 

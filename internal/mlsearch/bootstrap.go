@@ -77,7 +77,6 @@ func marshalWelcome(lay Layout, norm Config) []byte {
 			}
 		}
 	}
-	w.i32(int32(norm.Precision))
 	w.str(norm.Engine)
 	w.str(norm.SmoothMode.String())
 	return w.buf
@@ -159,7 +158,6 @@ func unmarshalWelcome(data []byte) (Layout, Config, error) {
 			}
 		}
 	}
-	prec := r.i32("welcome precision")
 	cfg.Engine = r.str("welcome engine")
 	mode := r.str("welcome smooth mode")
 	err := r.done("welcome")
@@ -169,10 +167,6 @@ func unmarshalWelcome(data []byte) (Layout, Config, error) {
 	if cfg.Model, err = model.FromDecomposition(name, freqs, d); err != nil {
 		return refuse(fmt.Errorf("mlsearch: welcome: %w", err))
 	}
-	if prec != int32(likelihood.Float64) && prec != int32(likelihood.Float32) {
-		return refuse(fmt.Errorf("mlsearch: welcome asks for precision %d, which this build does not have", prec))
-	}
-	cfg.Precision = likelihood.Precision(prec)
 	if cfg.SmoothMode, err = likelihood.ParseSmoothMode(mode); err != nil {
 		return refuse(fmt.Errorf("mlsearch: welcome: %w", err))
 	}

@@ -3,7 +3,6 @@ package mlsearch
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,10 +105,10 @@ func writeCheckpointBody(bw *bufio.Writer, cp Checkpoint) error {
 // rather than resumed from a half-parsed position.
 var checkpointKeys = []string{"seed", "jumble", "phase", "next", "order", "lnl", "tree"}
 
-// checkpointParser accumulates key-value lines into a Checkpoint. It is
-// strict: duplicate keys fail immediately (last-write-wins would silently
-// mask a corrupted file) and finish() names any missing required key.
-// The manifest reader shares it for the per-jumble blocks.
+// checkpointParser accumulates one manifest block's key-value lines into
+// a Checkpoint. It is strict: duplicate keys fail immediately
+// (last-write-wins would silently mask a corrupted file) and finish()
+// names any missing required key.
 type checkpointParser struct {
 	cp   Checkpoint
 	seen map[string]bool
@@ -166,32 +165,6 @@ func (p *checkpointParser) finish() (Checkpoint, error) {
 		}
 	}
 	return p.cp, nil
-}
-
-// ReadCheckpoint parses a flat "fastdnaml-checkpoint v1" file, the
-// single-jumble restart format written before every restart file became
-// a manifest (LoadResume still accepts one). It rejects duplicate and
-// missing keys, naming the offending key.
-func ReadCheckpoint(r io.Reader) (Checkpoint, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	if !sc.Scan() || strings.TrimSpace(sc.Text()) != "fastdnaml-checkpoint v1" {
-		return Checkpoint{}, fmt.Errorf("mlsearch: not a fastdnaml checkpoint")
-	}
-	p := newCheckpointParser()
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if err := p.line(line); err != nil {
-			return p.cp, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return p.cp, err
-	}
-	return p.finish()
 }
 
 // Resume continues a search from a checkpoint. The configuration must

@@ -3,13 +3,25 @@ package mlsearch
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/tree"
 )
+
+// oneBlockManifest renders cp as the restart file a run of jumbles
+// orderings writes after cp's jumble reported it.
+func oneBlockManifest(t *testing.T, jumbles int, cp Checkpoint) string {
+	t.Helper()
+	m := NewManifest(jumbles)
+	m.Set(cp)
+	var buf bytes.Buffer
+	if err := WriteManifest(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
 
 func TestCheckpointCodecRoundTrip(t *testing.T) {
 	cp := Checkpoint{
@@ -21,13 +33,13 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 		Newick:    "((t00,t01),t03,t04);",
 		LnL:       -1234.56789,
 	}
-	var buf bytes.Buffer
-	if err := writeFlatCheckpoint(&buf, cp); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCheckpoint(&buf)
+	m, err := ReadManifest(strings.NewReader(oneBlockManifest(t, 3, cp)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	back, ok := m.Checkpoint(2)
+	if !ok || len(m.Checkpoints) != 1 {
+		t.Fatalf("manifest holds %+v", m.Checkpoints)
 	}
 	if back.Seed != cp.Seed || back.Jumble != cp.Jumble || back.NextIndex != cp.NextIndex ||
 		back.Phase != cp.Phase || back.Newick != cp.Newick || back.LnL != cp.LnL {
@@ -38,17 +50,29 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointReadErrors: a checkpoint block's lines are parsed
+// strictly — in an otherwise valid manifest, a line without a value, a
+// key the format does not have or a value that does not parse is an
+// error.
 func TestCheckpointReadErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"not a checkpoint\n",
-		"fastdnaml-checkpoint v1\nbogus\n",
-		"fastdnaml-checkpoint v1\nseed abc\n",
-		"fastdnaml-checkpoint v1\nunknown 5\n",
-		"fastdnaml-checkpoint v1\norder 1,x\n",
+	cp := Checkpoint{Seed: 13, Order: []int{2, 0, 1, 3}, NextIndex: 3, Phase: PhaseAdding, Newick: "(a,b,c);", LnL: -1}
+	valid := oneBlockManifest(t, 1, cp)
+	if _, err := ReadManifest(strings.NewReader(valid)); err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range bad {
-		if _, err := ReadCheckpoint(strings.NewReader(s)); err == nil {
+	for _, edit := range [][2]string{
+		{"end jumble\n", "bogus\nend jumble\n"},
+		{"end jumble\n", "unknown 5\nend jumble\n"},
+		{"seed 13\n", "seed abc\n"},
+		{"order 2,0,1,3\n", "order 1,x\n"},
+		{"next 3\n", "next 4.5\n"},
+		{"lnl -1\n", "lnl many\n"},
+	} {
+		if !strings.Contains(valid, edit[0]) {
+			t.Fatalf("no %q in the manifest", edit[0])
+		}
+		s := strings.Replace(valid, edit[0], edit[1], 1)
+		if _, err := ReadManifest(strings.NewReader(s)); err == nil {
 			t.Errorf("accepted %q", s)
 		}
 	}
@@ -110,20 +134,16 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 		t.Errorf("final checkpoint %+v", last)
 	}
 
-	// Every position, written as a flat "fastdnaml-checkpoint v1" file
-	// the way releases before the one-format manifest wrote it, must
-	// still load and resume to the same answer.
+	// Every position, saved as the restart file and loaded back, must
+	// resume to the same answer.
 	path := filepath.Join(t.TempDir(), "restart")
 	for i, cp := range cps {
-		f, err := os.Create(path)
-		if err != nil {
+		saved := NewManifest(1)
+		saved.Set(cp)
+		if err := SaveManifest(path, saved); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFlatCheckpoint(f, cp); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		m, err := LoadResume(path)
+		m, err := LoadManifest(path)
 		if err != nil {
 			t.Fatal(err)
 		}

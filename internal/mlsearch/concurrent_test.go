@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -36,27 +35,28 @@ func TestForemanTickFloor(t *testing.T) {
 	}
 }
 
-// TestCheckpointStrictParse: a restart file missing a required key or
-// repeating one is rejected at parse time, naming the offending key —
-// resuming from a half-parsed position would silently restart the search
-// wrong.
+// TestCheckpointStrictParse: a restart file whose checkpoint block is
+// missing a required key or repeats one is rejected at parse time,
+// naming the offending key, and so is a file cut anywhere inside the
+// block — resuming from a half-parsed position would silently restart
+// the search wrong.
 func TestCheckpointStrictParse(t *testing.T) {
 	cp := Checkpoint{
 		Seed: 13, Jumble: 2, Order: []int{4, 1, 0, 3, 2},
 		NextIndex: 4, Phase: PhaseAdding,
 		Newick: "((t00,t01),t03,t04);", LnL: -1234.5,
 	}
-	var buf bytes.Buffer
-	if err := writeFlatCheckpoint(&buf, cp); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	text := oneBlockManifest(t, 3, cp)
+	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
+	// lines: the magic, "jumbles 3", "begin jumble 2", the body, "end jumble".
+	const bodyStart = 3
+	bodyEnd := len(lines) - 1
 
 	// Dropping any body line must fail and name the dropped key.
-	for i := 1; i < len(lines); i++ {
+	for i := bodyStart; i < bodyEnd; i++ {
 		key, _, _ := strings.Cut(lines[i], " ")
 		trunc := strings.Join(append(append([]string{}, lines[:i]...), lines[i+1:]...), "\n")
-		_, err := ReadCheckpoint(strings.NewReader(trunc))
+		_, err := ReadManifest(strings.NewReader(trunc))
 		if err == nil {
 			t.Errorf("checkpoint without %q accepted", key)
 			continue
@@ -68,10 +68,10 @@ func TestCheckpointStrictParse(t *testing.T) {
 
 	// Duplicating any body line must fail and name the repeated key
 	// (last-write-wins would mask corruption).
-	for i := 1; i < len(lines); i++ {
+	for i := bodyStart; i < bodyEnd; i++ {
 		key, _, _ := strings.Cut(lines[i], " ")
-		dup := strings.Join(append(append([]string{}, lines...), lines[i]), "\n")
-		_, err := ReadCheckpoint(strings.NewReader(dup))
+		dup := strings.Join(append(append(append([]string{}, lines[:i+1]...), lines[i]), lines[i+1:]...), "\n")
+		_, err := ReadManifest(strings.NewReader(dup))
 		if err == nil {
 			t.Errorf("checkpoint with duplicate %q accepted", key)
 			continue
@@ -80,11 +80,20 @@ func TestCheckpointStrictParse(t *testing.T) {
 			t.Errorf("duplicate-%s error does not name the key: %v", key, err)
 		}
 	}
+
+	// A write cut short anywhere from the block header to the last byte
+	// before "end jumble" is complete must fail.
+	begin := strings.Index(text, "begin jumble")
+	end := strings.LastIndex(text, "end jumble") + len("end jumble")
+	for cut := begin + 1; cut < end; cut++ {
+		if _, err := ReadManifest(strings.NewReader(text[:cut])); err == nil {
+			t.Errorf("manifest cut after %d of %d bytes accepted: %q", cut, len(text), text[cut-8:cut])
+		}
+	}
 }
 
 // TestManifestCodecRoundTrip: the multi-jumble restart file round-trips
-// through its text format, and LoadResume reads it and the retired flat
-// format.
+// through its text format and through SaveManifest and LoadManifest.
 func TestManifestCodecRoundTrip(t *testing.T) {
 	m := NewManifest(4)
 	m.Set(Checkpoint{
@@ -118,42 +127,13 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 		t.Error("half-finished manifest reports done")
 	}
 
-	// LoadResume: a manifest file loads as itself; a flat checkpoint
-	// file from an older single-jumble run loads as a one-block manifest;
-	// a flat file cut out of a multi-jumble run is refused.
-	dir := t.TempDir()
-	mpath := filepath.Join(dir, "manifest")
+	mpath := filepath.Join(t.TempDir(), "manifest")
 	if err := SaveManifest(mpath, m); err != nil {
 		t.Fatal(err)
 	}
-	mm, err := LoadResume(mpath)
+	mm, err := LoadManifest(mpath)
 	if err != nil || mm.Jumbles != 4 || len(mm.Checkpoints) != 2 {
 		t.Fatalf("manifest load: m=%+v err=%v", mm, err)
-	}
-	for _, j := range []int{0, 2} {
-		cpath := filepath.Join(dir, fmt.Sprintf("checkpoint%d", j))
-		f, err := os.Create(cpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFlatCheckpoint(f, m.Checkpoints[j]); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		mm, err = LoadResume(cpath)
-		if j != 0 {
-			if err == nil {
-				t.Errorf("flat checkpoint for jumble %d accepted as a run of its own", j)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp, ok := mm.Checkpoint(0)
-		if mm.Jumbles != 1 || len(mm.Checkpoints) != 1 || !ok || cp.Newick != m.Checkpoints[0].Newick {
-			t.Fatalf("flat checkpoint load: %+v", mm)
-		}
 	}
 }
 
@@ -473,7 +453,7 @@ func testManifestResumeRoundTrip(t *testing.T, jumbles int) {
 	if err := rec.Record(byJumble[mid][1]); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadResume(path)
+	loaded, err := LoadManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,10 +67,9 @@ type Config struct {
 	// function of the data and reductions run in shard order.
 	Threads int
 
-	// Precision selects the CLV storage format for evaluators this config
-	// builds. The zero value (likelihood.Float64) is exact mode and the
-	// bit-identity reference; likelihood.Float32 trades the documented
-	// tolerance (likelihood.Float32*Tol) for half the CLV memory traffic.
+	// Precision must be likelihood.Float64 (the zero value): CLVs are
+	// float64 only and Normalize refuses any other. The field remains only
+	// because the benchmark module sets it (ROADMAP item 6).
 	Precision likelihood.Precision
 
 	// Engine names the likelihood backend used by evaluators this config
@@ -121,6 +120,9 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.Threads < 1 {
 		c.Threads = 1
+	}
+	if err := likelihood.CheckPrecision(c.Precision); err != nil {
+		return c, fmt.Errorf("mlsearch: %w", err)
 	}
 	eng, err := likelihood.ParseEngine(c.Engine)
 	if err != nil {

@@ -58,15 +58,12 @@ func NewEvaluator(eng likelihood.Engine, taxa []string) *Evaluator {
 }
 
 // NewConfigEvaluator is the one place a run's evaluation identity —
-// data, model, engine backend, precision, kernel threads, smooth mode —
+// data, model, engine backend, kernel threads, smooth mode —
 // becomes an evaluator. Every in-tree owner of an evaluator (serial
 // dispatcher, foreman inline fallback, worker, KH test, serve pod) builds
 // it here from the normalized Config and closes it when done.
 func NewConfigEvaluator(norm Config) (*Evaluator, error) {
-	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{
-		Precision: norm.Precision,
-		Threads:   norm.Threads,
-	})
+	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{Threads: norm.Threads})
 	if err != nil {
 		return nil, err
 	}

@@ -18,8 +18,9 @@ import (
 // and dropped) and a valid frame followed by trailing bytes; for the
 // welcome, a valid F84 and a valid GTR one, a truncated code matrix, a
 // pattern count that with the taxa runs past the payload, a NaN
-// frequency, λ₀ = 1, K = 0, precisions 2 and 257, smooth mode "zigzag"
-// and a trailing byte.
+// frequency, λ₀ = 1, K = 0, smooth mode "zigzag", a trailing byte, and
+// two welcomes in the retired FDM4 layout whose precision field (2 and
+// 257) this layout no longer has.
 
 func FuzzUnmarshalTaskSlice(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

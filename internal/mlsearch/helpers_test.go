@@ -1,25 +1,10 @@
 package mlsearch
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"testing"
 
 	"repro/internal/comm"
 )
-
-// writeFlatCheckpoint writes the retired single-jumble restart format
-// ("fastdnaml-checkpoint v1" + the block body), which LoadResume and
-// ReadCheckpoint must keep reading.
-func writeFlatCheckpoint(w io.Writer, cp Checkpoint) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "fastdnaml-checkpoint v1")
-	if err := writeCheckpointBody(bw, cp); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
 
 func newTestWorld(t *testing.T, size int) []comm.Communicator {
 	t.Helper()

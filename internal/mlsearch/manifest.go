@@ -2,15 +2,15 @@ package mlsearch
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/fileio"
 )
 
 // The restart file. A single Checkpoint describes one ordering; a run
@@ -93,8 +93,9 @@ func WriteManifest(w io.Writer, m *Manifest) error {
 	return bw.Flush()
 }
 
-// ReadManifest parses a manifest, applying the same strict key checking
-// as ReadCheckpoint to every block.
+// ReadManifest parses a manifest. Every block's keys are checked
+// strictly: a duplicate, missing or unknown key or a bad value is an
+// error naming the key, and so is a block the file ends inside.
 func ReadManifest(r io.Reader) (*Manifest, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -175,26 +176,12 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 	return m, nil
 }
 
-// SaveManifest atomically rewrites path: write to a temp file in the
-// same directory, then rename over the target.
+// SaveManifest atomically rewrites path (fileio.WriteFileAtomic).
 func SaveManifest(path string, m *Manifest) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".manifest-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteManifest(tmp, m); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return fileio.WriteFileAtomic(path, func(w io.Writer) error { return WriteManifest(w, m) })
 }
 
-// LoadManifest reads a manifest file.
+// LoadManifest reads a restart file (-resume, a daemon job's manifest).
 func LoadManifest(path string) (*Manifest, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -202,30 +189,6 @@ func LoadManifest(path string) (*Manifest, error) {
 	}
 	defer f.Close()
 	return ReadManifest(f)
-}
-
-// LoadResume reads a restart file. Every -checkpoint writes a manifest;
-// a flat "fastdnaml-checkpoint v1" file from an older single-jumble run
-// is still accepted and returned as a one-block manifest.
-func LoadResume(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	first, _, _ := strings.Cut(string(data), "\n")
-	if strings.TrimSpace(first) != "fastdnaml-checkpoint v1" {
-		return ReadManifest(bytes.NewReader(data))
-	}
-	cp, err := ReadCheckpoint(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	if cp.Jumble != 0 {
-		return nil, fmt.Errorf("mlsearch: flat checkpoint is for jumble %d; only a single-jumble run's file resumes on its own", cp.Jumble)
-	}
-	m := NewManifest(1)
-	m.Set(cp)
-	return m, nil
 }
 
 // ManifestRecorder folds the checkpoint stream of concurrent searches

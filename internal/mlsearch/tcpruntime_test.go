@@ -117,12 +117,13 @@ func TestTCPRunNoWorkersInline(t *testing.T) {
 // TestTCPRunMatchesSerialForAnyConfig: a distributed run scores what its
 // master scores, whatever the Config holds. The welcome carries the
 // run's patterns, weights, rates and the model's own numbers, so every
-// model × weighting × precision — the first row is the plain F84 default
-// — must return the serial answer from two joined workers plus the
-// foreman's inline evaluator: bit for bit in float64, within the
-// documented tolerance in float32. The site-rate rows are the ones a
+// model × weighting — the first row is the plain F84 default — must
+// return the serial answer, bit for bit, from two joined workers plus
+// the foreman's inline evaluator. The site-rate rows are the ones a
 // worker that re-derived its model from the alignment alone would score
-// differently (rates change neither frequencies nor decomposition).
+// differently (rates change neither frequencies nor decomposition). The
+// float32 rows, named as when float32 CLV storage existed, now require
+// the run to be refused before its listener opens.
 func TestTCPRunMatchesSerialForAnyConfig(t *testing.T) {
 	models := []struct {
 		name  string
@@ -172,17 +173,21 @@ func TestTCPRunMatchesSerialForAnyConfig(t *testing.T) {
 						t.Fatal(err)
 					}
 					cfg := Config{Taxa: ds.Alignment.Names, Patterns: pat, Model: mdl, Seed: 7, RearrangeExtent: 1, Precision: prec}
+					if prec != likelihood.Float64 {
+						_, err := Run(cfg, RunOptions{Transport: TCP, Addr: "127.0.0.1:0", Workers: 2,
+							OnListen: func(net.Addr) { t.Error("a refused run opened its listener") }})
+						if want := likelihood.CheckPrecision(prec).Error(); err == nil || !strings.HasSuffix(err.Error(), want) {
+							t.Fatalf("float32 tcp run: %v, want the refusal %q", err, want)
+						}
+						return
+					}
 					serial, err := runSerial(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					res := runTCPWithWorkers(t, cfg, RunOptions{}, 2).Results[0]
-					if prec == likelihood.Float64 {
-						if res.BestNewick != serial.BestNewick || res.LnL != serial.LnL {
-							t.Errorf("tcp lnL %.4f tree %s\nserial lnL %.4f tree %s", res.LnL, res.BestNewick, serial.LnL, serial.BestNewick)
-						}
-					} else if tol := math.Max(likelihood.Float32LnLAbsTol, math.Abs(serial.LnL)*likelihood.Float32LnLRelTol); math.Abs(res.LnL-serial.LnL) > tol {
-						t.Errorf("float32 tcp lnL %.6f, serial %.6f: apart by more than %g", res.LnL, serial.LnL, tol)
+					if res.BestNewick != serial.BestNewick || res.LnL != serial.LnL {
+						t.Errorf("tcp lnL %.4f tree %s\nserial lnL %.4f tree %s", res.LnL, res.BestNewick, serial.LnL, serial.BestNewick)
 					}
 				})
 			}
@@ -191,8 +196,8 @@ func TestTCPRunMatchesSerialForAnyConfig(t *testing.T) {
 }
 
 // welcomeConfig is a small run whose every welcome field is away from
-// its zero value: weights and rates, a four-term model, float32, the
-// reference engine, gradient smoothing.
+// its zero value: weights and rates, a four-term model, the reference
+// engine, gradient smoothing.
 func welcomeConfig(t *testing.T) Config {
 	t.Helper()
 	a, err := seq.ReadPhylip(strings.NewReader("4 8\na ACGTACGT\nb ACGAACGA\nc CCGTNCGT\nd CCTTACRT\n"))
@@ -212,7 +217,7 @@ func welcomeConfig(t *testing.T) Config {
 	}
 	cfg, err := Config{
 		Taxa: a.Names, Patterns: pat, Model: mdl,
-		Precision: likelihood.Float32, Engine: "reference", SmoothMode: likelihood.SmoothGradient,
+		Engine: "reference", SmoothMode: likelihood.SmoothGradient,
 	}.Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +252,8 @@ func TestWelcomeCodec(t *testing.T) {
 		!reflect.DeepEqual(got.Model.Decomposition(), cfg.Model.Decomposition()) {
 		t.Errorf("model changed: %s %v", got.Model.Name(), got.Model.Freqs())
 	}
-	if got.Precision != likelihood.Float32 || got.Engine != "reference" || got.SmoothMode != likelihood.SmoothGradient {
-		t.Errorf("identity lost: %v %q %v", got.Precision, got.Engine, got.SmoothMode)
+	if got.Engine != "reference" || got.SmoothMode != likelihood.SmoothGradient {
+		t.Errorf("identity lost: %q %v", got.Engine, got.SmoothMode)
 	}
 	if got.Seed != 0 || got.RearrangeExtent != 0 || got.Threads != 0 {
 		t.Errorf("master's or host's settings travelled: seed %d extent %d threads %d", got.Seed, got.RearrangeExtent, got.Threads)
@@ -263,7 +268,6 @@ func TestWelcomeCodec(t *testing.T) {
 // built from the master's own Config does.
 func TestWelcomeConfig(t *testing.T) {
 	cfg := welcomeConfig(t)
-	cfg.Precision = likelihood.Float64
 	_, remote, err := unmarshalWelcome(marshalWelcome(ElasticLayout(), cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -301,9 +305,9 @@ func (m *spoiledModel) Decomposition() *model.Decomposition { return &m.decomp }
 // Whatever a worker could not evaluate exactly as its master does is an
 // error at the handshake, never a default — a taxon count below three, a
 // ragged or out-of-alphabet code matrix, a weight or rate that is not
-// finite and positive, numbers no reversible model has, a precision or
-// smooth mode this build does not know (257 must not wrap round to
-// float32), a count the payload cannot back, trailing bytes.
+// finite and positive, numbers no reversible model has, a smooth mode
+// this build does not know, a count the payload cannot back, trailing
+// bytes.
 func TestWelcomeRefusesWhatItCannotEvaluate(t *testing.T) {
 	lay := ElasticLayout()
 	for name, spoil := range map[string]func(c *Config){
@@ -340,7 +344,7 @@ func TestWelcomeRefusesWhatItCannotEvaluate(t *testing.T) {
 		cfg := welcomeConfig(t)
 		spoil(&cfg)
 		if _, got, err := unmarshalWelcome(marshalWelcome(lay, cfg)); err == nil {
-			t.Errorf("%s: decoded as %d taxa, %s, precision %v, mode %v", name, len(got.Taxa), got.Model.Name(), got.Precision, got.SmoothMode)
+			t.Errorf("%s: decoded as %d taxa, %s, mode %v", name, len(got.Taxa), got.Model.Name(), got.SmoothMode)
 		}
 	}
 
@@ -351,19 +355,12 @@ func TestWelcomeRefusesWhatItCannotEvaluate(t *testing.T) {
 	if _, _, err := unmarshalWelcome(append(append([]byte(nil), plain...), 0)); err == nil {
 		t.Error("trailing byte accepted")
 	}
-	// The payload ends precision(i32) "reference" "gradient", each string
-	// behind its i32 length.
+	// The payload ends "reference" "gradient", each string behind its
+	// i32 length.
 	zigzag := append([]byte(nil), plain...)
 	copy(zigzag[len(zigzag)-8:], "zigzag  ")
 	if _, got, err := unmarshalWelcome(zigzag); err == nil {
 		t.Errorf("smooth mode \"zigzag  \" decoded as %v", got.SmoothMode)
-	}
-	for _, prec := range []uint32{2, 255, 257, 1 << 31} {
-		b := append([]byte(nil), plain...)
-		binary.BigEndian.PutUint32(b[len(b)-(4+8)-(4+9)-4:], prec)
-		if _, got, err := unmarshalWelcome(b); err == nil {
-			t.Errorf("precision %d decoded as %v", prec, got.Precision)
-		}
 	}
 	// Counts the payload cannot back: the taxon count sits after the kind
 	// byte and the two role ranks, the pattern count after the names.

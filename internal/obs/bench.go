@@ -3,10 +3,13 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
+
+	"repro/internal/fileio"
 )
 
 // End-of-run benchmark reports. A run that finishes writes one
@@ -69,22 +72,12 @@ func WriteBench(dir string, report BenchReport) (string, error) {
 		return "", fmt.Errorf("obs: bench encode: %w", err)
 	}
 	data = append(data, '\n')
-	tmp, err := os.CreateTemp(dir, ".bench-*")
+	err = fileio.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return "", fmt.Errorf("obs: bench temp: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return "", fmt.Errorf("obs: bench write: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("obs: bench rename: %w", err)
+		return "", fmt.Errorf("obs: bench write: %w", err)
 	}
 	return path, nil
 }

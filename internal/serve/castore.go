@@ -3,10 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
+
+	"repro/internal/fileio"
 )
 
 // Content-addressed result store. A finished job's outcome is written
@@ -136,8 +139,8 @@ func (s *ResultStore) Delete(key string) error {
 	return nil
 }
 
-// Put stores a result atomically (temp file + rename); writing the same
-// key twice is an idempotent overwrite, which is exactly right for a
+// Put stores a result atomically (fileio.WriteFileAtomic); writing the
+// same key twice is an idempotent overwrite, which is exactly right for a
 // deterministic computation.
 func (s *ResultStore) Put(r *JobResult) error {
 	p, err := s.path(r.Key)
@@ -148,17 +151,8 @@ func (s *ResultStore) Put(r *JobResult) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, ".result-*")
-	if err != nil {
+	return fileio.WriteFileAtomic(p, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), p)
+	})
 }

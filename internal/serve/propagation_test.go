@@ -78,8 +78,10 @@ func (e *probeEngine) Close() {
 // engine the run built — serial dispatcher, Local/TCP/pod workers, the
 // foreman's inline fallback, the KH test — must have been built on the
 // run's engine and the run's model, number for number, with the run's
-// precision and thread count, asked for the run's smooth mode, and been
-// closed by the time the run returned.
+// thread count, asked for the run's smooth mode, and been closed by the
+// time the run returned. Precision has one legal value, so its cell is a
+// refusal: a run asking for float32 storage fails at every surface with
+// the one message, before any evaluator is built.
 func TestEvaluationIdentityPropagates(t *testing.T) {
 	text := testPhylipText(t, 6, 120, 3)
 	a, err := seq.ReadPhylip(strings.NewReader(text))
@@ -102,7 +104,8 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 	// want is the identity a cell's run asks for; engines is how many
 	// evaluators the surface builds for it. hky selects HKY85 (kappa 3)
 	// over the F84 default: to a TCP worker the model travels as the
-	// welcome's numbers, to a pod as the job's options.
+	// welcome's numbers, to a pod as the job's options. prec is set only
+	// by the refusal cell.
 	type want struct {
 		prec    likelihood.Precision
 		mode    likelihood.SmoothMode
@@ -122,22 +125,20 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 	surfaces := []struct {
 		name    string
 		engines int
-		run     func(t *testing.T, w want)
+		run     func(t *testing.T, w want) error
 	}{
-		{"serial", 1, func(t *testing.T, w want) {
-			if _, err := mlsearch.Run(config(w), mlsearch.RunOptions{}); err != nil {
-				t.Fatal(err)
-			}
+		{"serial", 1, func(t *testing.T, w want) error {
+			_, err := mlsearch.Run(config(w), mlsearch.RunOptions{})
+			return err
 		}},
-		{"local", 2, func(t *testing.T, w want) {
-			if _, err := mlsearch.Run(config(w), mlsearch.RunOptions{Transport: mlsearch.Local, Workers: 2}); err != nil {
-				t.Fatal(err)
-			}
+		{"local", 2, func(t *testing.T, w want) error {
+			_, err := mlsearch.Run(config(w), mlsearch.RunOptions{Transport: mlsearch.Local, Workers: 2})
+			return err
 		}},
 		// One elastic worker plus the foreman's inline evaluator; the
 		// worker learns the run from the welcome alone. -threads is the
 		// worker host's own setting.
-		{"tcp", 2, func(t *testing.T, w want) {
+		{"tcp", 2, func(t *testing.T, w want) error {
 			var workers sync.WaitGroup
 			var workerErr error
 			_, err := mlsearch.Run(config(w), mlsearch.RunOptions{
@@ -152,13 +153,14 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 				},
 			})
 			workers.Wait()
-			if err != nil || workerErr != nil {
-				t.Fatalf("run: %v, worker: %v", err, workerErr)
+			if workerErr != nil {
+				return fmt.Errorf("worker: %w", workerErr)
 			}
+			return err
 		}},
 		// One job on a one-worker pod: the worker plus the pod's inline
 		// evaluator. Threads is the daemon's setting, not the job's.
-		{"serve", 2, func(t *testing.T, w want) {
+		{"serve", 2, func(t *testing.T, w want) error {
 			s, err := NewServer(Options{
 				DataDir: t.TempDir(), Registry: obs.NewRegistry(), Logf: t.Logf,
 				Fleet: FleetOptions{Workers: 1, Threads: w.threads},
@@ -172,14 +174,13 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 			}
 			rec, err := s.Submit(JobSpec{Alignment: text, Options: opts})
 			if err != nil {
-				t.Fatal(err)
+				s.Close()
+				return err
 			}
 			waitJob(t, s, rec.ID, StateDone)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
+			return s.Close()
 		}},
-		{"kh", 1, func(t *testing.T, w want) {
+		{"kh", 1, func(t *testing.T, w want) error {
 			n := a.Names
 			var trees []*tree.Tree
 			for _, nwk := range []string{
@@ -192,9 +193,8 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 				}
 				trees = append(trees, tr)
 			}
-			if _, err := mlsearch.KishinoHasegawa(config(w), trees); err != nil {
-				t.Fatal(err)
-			}
+			_, err := mlsearch.KishinoHasegawa(config(w), trees)
+			return err
 		}},
 	}
 	knobs := []struct {
@@ -202,19 +202,36 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 		want want
 	}{
 		{"engine", want{threads: 1}},
-		{"precision", want{prec: likelihood.Float32, threads: 1}},
 		{"smooth-mode", want{mode: likelihood.SmoothGradient, threads: 1}},
 		{"threads", want{threads: 2}},
 		{"model", want{threads: 1, hky: true}},
 	}
+	refusal := likelihood.CheckPrecision(likelihood.Float32).Error()
 	for _, s := range surfaces {
+		s := s
+		t.Run(s.name+"/precision", func(t *testing.T) {
+			probe.mu.Lock()
+			probe.built = nil
+			probe.mu.Unlock()
+			err := s.run(t, want{prec: likelihood.Float32, threads: 1})
+			if err == nil || !strings.HasSuffix(err.Error(), refusal) {
+				t.Fatalf("float32 run: %v, want the refusal %q", err, refusal)
+			}
+			probe.mu.Lock()
+			defer probe.mu.Unlock()
+			if len(probe.built) != 0 {
+				t.Errorf("%d evaluators built for a refused run", len(probe.built))
+			}
+		})
 		for _, k := range knobs {
-			s, k := s, k
+			k := k
 			t.Run(s.name+"/"+k.name, func(t *testing.T) {
 				probe.mu.Lock()
 				probe.built = nil
 				probe.mu.Unlock()
-				s.run(t, k.want)
+				if err := s.run(t, k.want); err != nil {
+					t.Fatal(err)
+				}
 				probe.mu.Lock()
 				defer probe.mu.Unlock()
 				if len(probe.built) != s.engines {
@@ -226,9 +243,6 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 					if rec.model.Name() != mdl.Name() || rec.model.Freqs() != mdl.Freqs() ||
 						!reflect.DeepEqual(rec.model.Decomposition(), mdl.Decomposition()) {
 						t.Errorf("engine %d built on %s %v, want %s %v", i, rec.model.Name(), rec.model.Freqs(), mdl.Name(), mdl.Freqs())
-					}
-					if rec.opt.Precision != k.want.prec {
-						t.Errorf("engine %d built with precision %v, want %v", i, rec.opt.Precision, k.want.prec)
 					}
 					if rec.opt.Threads != k.want.threads {
 						t.Errorf("engine %d built with %d threads, want %d", i, rec.opt.Threads, k.want.threads)

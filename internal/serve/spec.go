@@ -116,6 +116,8 @@ func prepareSpec(sp JobSpec) (*preparedSpec, error) {
 	}
 	sp.Alignment = canon.String()
 
+	// Precision is always "float64" now; it stays in the document so the
+	// keys of jobs stored while float32 was selectable still match.
 	type podDoc struct {
 		Alignment  string
 		Model      string

@@ -5,11 +5,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/fileio"
 )
 
 // Durable job state. Every job owns a directory under <root>/jobs/<id>
@@ -127,26 +130,16 @@ func (s *JobStore) ManifestPath(id string) string { return filepath.Join(s.Dir(i
 func (s *JobStore) recordPath(id string) string { return filepath.Join(s.Dir(id), "job.json") }
 func (s *JobStore) specPath(id string) string   { return filepath.Join(s.Dir(id), "spec.json") }
 
-// writeJSON writes v atomically to path.
+// writeJSON writes v atomically to path (fileio.WriteFileAtomic).
 func writeJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
-	if err != nil {
+	return fileio.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }
 
 // Create makes a job's directory and writes its spec and first record.

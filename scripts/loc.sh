@@ -6,14 +6,15 @@
 #
 # Non-test Go lines that are neither blank nor a // comment (the tree
 # uses no /* */ blocks), per package tree, for internal/comm,
-# internal/mlsearch, internal/serve, internal/core and cmd/. With a ref
+# internal/mlsearch, internal/serve, internal/core, internal/likelihood
+# (difftest included) and cmd/. With a ref
 # the same count is taken on that commit (git archive into
 # .bench_build/loc/, like bench_pairs.sh) and the table gains the
 # parent column and the delta. Output is markdown.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-trees="internal/comm internal/mlsearch internal/serve internal/core cmd"
+trees="internal/comm internal/mlsearch internal/serve internal/core internal/likelihood cmd"
 
 # count <root> <tree>: code lines of the non-test .go files under it.
 count() {
