@@ -48,10 +48,11 @@ difftest:
 	$(GO) test -count=1 -run TestDifferential ./internal/likelihood/difftest/
 
 # Fuzz smoke: ten seconds of native Go fuzzing split over every Fuzz*
-# target — four today, so 2 s each: the TCP frame parser, the task slice
+# target — six today, so 1 s each: the TCP frame parser, the task slice
 # and result slice decoders and the join welcome, which read what a peer
-# sends (the committed corpora alone already run as part of `test`). A
-# finding lands in the package's testdata/fuzz/.
+# sends, and the PHYLIP and Newick readers, which read what a user hands
+# the program (the committed corpora alone already run as part of
+# `test`). A finding lands in the package's testdata/fuzz/.
 fuzz-smoke:
 	GO=$(GO) ./scripts/fuzz_smoke.sh 10
 
@@ -61,14 +62,15 @@ fuzz-smoke:
 # The final step re-measures the kernels and archives the numbers as
 # bench/BENCH_kernels.json (CI uploads it as an artifact).
 bench:
-	$(GO) test -run XXX -bench 'DownPartial|Newton|FullSmooth|GradientSmooth' -cpu 1,2,4 -benchmem ./internal/likelihood/
+	$(GO) test -run XXX -bench 'DownPartial|Newton|FullSmooth' -cpu 1,2,4 -benchmem ./internal/likelihood/
 	$(GO) test -run XXX -bench Codec -benchmem ./internal/mlsearch/
 	FDML_BENCH_DIR=$(CURDIR)/bench $(GO) test -count=1 -run TestKernelBenchJSON -v ./internal/likelihood/
 
 # Regression gate: re-measure the kernels and diff against the committed
 # baseline (BENCH_baseline_kernels.json, re-taken whenever a change moves
 # a kernel's level on purpose — last after the spectral fold). A kernel
-# the baseline lacks is listed as "new" and not gated.
+# the baseline lacks is listed as "new", one the baseline has and this
+# build no longer measures as "removed"; neither is gated.
 # Fails when any kernel is >10% slower than baseline; the stdout table
 # is markdown, ready for a CI job summary.
 bench-compare:

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -75,16 +76,25 @@ func diff(w io.Writer, base, cur report, maxRegress float64) ([]string, error) {
 		fmt.Fprintf(w, "machine speed vs baseline capture: %.2fx (calibration %.0f -> %.0f ns/op)\n\n", 1/scale, bc, cc)
 	}
 
-	// Every kernel the current report measured is a row. One the
-	// baseline lacks (a benchmark added since the baseline was taken) is
-	// shown as "new" and not gated; the next re-take picks it up.
+	// Every kernel either report measured is a row. One the baseline
+	// lacks (a benchmark added since the baseline was taken) is shown as
+	// "new", one the current report lacks (a benchmark deleted since) as
+	// "removed"; neither is gated, and the next re-take settles both.
 	var keys []string
-	compared := 0
-	for k := range cur.Totals {
-		if strings.HasSuffix(k, "_ns") && k != "calibration_ns" {
+	compared, added := 0, 0
+	for _, r := range []report{cur, base} {
+		for k := range r.Totals {
+			if !strings.HasSuffix(k, "_ns") || k == "calibration_ns" || slices.Contains(keys, k) {
+				continue
+			}
 			keys = append(keys, k)
-			if _, ok := base.Totals[k]; ok {
+			_, inBase := base.Totals[k]
+			_, inCur := cur.Totals[k]
+			switch {
+			case inBase && inCur:
 				compared++
+			case inCur:
+				added++
 			}
 		}
 	}
@@ -97,11 +107,15 @@ func diff(w io.Writer, base, cur report, maxRegress float64) ([]string, error) {
 	fmt.Fprintln(w, "|---|---:|---:|---:|---:|")
 	var regressions []string
 	for _, k := range keys {
-		c := cur.Totals[k]
 		name := strings.TrimSuffix(k, "_ns")
+		b, inBase := base.Totals[k]
+		c, inCur := cur.Totals[k]
 		norm := c * scale
-		b, ok := base.Totals[k]
-		if !ok {
+		switch {
+		case !inCur:
+			fmt.Fprintf(w, "| %s | %.0f | removed | removed | removed |\n", name, b)
+			continue
+		case !inBase:
 			fmt.Fprintf(w, "| %s | new | %.0f | %.0f | new |\n", name, c, norm)
 			continue
 		}
@@ -115,8 +129,11 @@ func diff(w io.Writer, base, cur report, maxRegress float64) ([]string, error) {
 	fmt.Fprintln(w)
 	if len(regressions) == 0 {
 		fmt.Fprintf(w, "benchdiff: %d kernels within %.0f%% of baseline", compared, 100*maxRegress)
-		if n := len(keys) - compared; n > 0 {
-			fmt.Fprintf(w, ", %d new", n)
+		if added > 0 {
+			fmt.Fprintf(w, ", %d new", added)
+		}
+		if n := len(keys) - compared - added; n > 0 {
+			fmt.Fprintf(w, ", %d removed", n)
 		}
 		fmt.Fprintln(w)
 	}

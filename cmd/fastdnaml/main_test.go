@@ -180,15 +180,24 @@ func TestRunRejectsIgnoredFlagCombinations(t *testing.T) {
 // TestRunPrecisionFlagIsGone: CLVs are float64 only, so -precision is
 // an unknown flag; a command line that still passes it fails loudly
 // instead of running something other than what it asked for.
-func TestRunPrecisionFlagIsGone(t *testing.T) {
-	for _, v := range []string{"float32", "float64"} {
+func TestRunPrecisionFlagIsGone(t *testing.T) { assertFlagGone(t, "precision", "float32", "float64") }
+
+// TestRunSmoothModeFlagIsGone: the Newton sweep is the only smoother, so
+// -smooth-mode is an unknown flag whichever mode it names.
+func TestRunSmoothModeFlagIsGone(t *testing.T) { assertFlagGone(t, "smooth-mode", "gradient", "sweep") }
+
+// assertFlagGone parses -name v for each value on fastdnaml's flag set
+// and requires the unknown-flag error.
+func assertFlagGone(t *testing.T, name string, values ...string) {
+	t.Helper()
+	for _, v := range values {
 		var o options
 		fs := flag.NewFlagSet("fastdnaml", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		o.bindFlags(fs)
-		err := fs.Parse([]string{"-precision", v})
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -precision") {
-			t.Errorf("-precision %s: %v, want an unknown-flag error", v, err)
+		err := fs.Parse([]string{"-" + name, v})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
+			t.Errorf("-%s %s: %v, want an unknown-flag error", name, v, err)
 		}
 	}
 }

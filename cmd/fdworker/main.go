@@ -1,7 +1,7 @@
 // Command fdworker is a distributed fastDNAml worker process: it joins a
 // master started with `fastdnaml -listen`, receives its rank and the
 // alignment in the join handshake, and evaluates trees with the master's
-// configuration (model, engine, smooth mode) until shutdown.
+// configuration (model, weights, rates, engine) until shutdown.
 // Workers carry no pre-assigned identity and may start before the
 // master, join mid-run, or outlive a master restart: by default the
 // worker reconnects with jittered exponential backoff whenever its

@@ -48,13 +48,14 @@ import (
 // a foreign magic is answered by a welcome of rank -2 whose payload is
 // that reason, and the connection is closed.
 
-// tcpMagic is "FDM5": version 5, whose welcome no longer carries a CLV
-// precision. Version 4 ("FDM4") made the welcome payload the run's
-// Config instead of a PHYLIP recipe for rebuilding it; version 3
+// tcpMagic is "FDM6": version 6, whose welcome no longer carries a
+// smooth mode. Version 5 ("FDM5") dropped the welcome's CLV precision;
+// version 4 ("FDM4") made the welcome payload the run's Config instead
+// of a PHYLIP recipe for rebuilding it; version 3
 // ("FDM3") took the monitor rank out of the welcome and the tag
 // numbering; version 2 ("FDM2") brought the task and result slice
 // frames; version 1 ("FDML") carried one task and one result per frame.
-const tcpMagic int32 = 0x46444d35
+const tcpMagic int32 = 0x46444d36
 
 // helloJoin is the HELLO rank requesting dynamic rank assignment.
 const helloJoin int32 = -1

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/likelihood"
 	"repro/internal/mlsearch"
 	"repro/internal/model"
 	"repro/internal/seq"
@@ -120,8 +119,6 @@ func Prepare(a *seq.Alignment, opt Options) (mlsearch.Config, Options, error) {
 	if err != nil {
 		return mlsearch.Config{}, opt, err
 	}
-	// Normalize has vetted the spelling.
-	smode, _ := likelihood.ParseSmoothMode(opt.SmoothMode)
 	cfg := mlsearch.Config{
 		Taxa:            a.Names,
 		Patterns:        pat,
@@ -132,7 +129,6 @@ func Prepare(a *seq.Alignment, opt Options) (mlsearch.Config, Options, error) {
 		AdaptiveExtent:  opt.Adaptive,
 		Threads:         opt.Threads,
 		Engine:          opt.Engine,
-		SmoothMode:      smode,
 	}
 	return cfg, opt, nil
 }

@@ -57,10 +57,11 @@ type Spec struct {
 	// recomputation engine used for differential testing). See
 	// likelihood.Engines for the registered set.
 	Engine string `json:"engine,omitempty"`
-	// SmoothMode selects the full-tree branch-smoothing algorithm:
-	// "sweep" (or "" — the sequential Newton sweep, the default) or
-	// "gradient" (simultaneous smoothing on the linear-time all-branches
-	// gradient; same optimum, fewer kernel evaluations).
+	// SmoothMode names the full-tree branch-smoothing algorithm, which is
+	// always "sweep" (also spelled ""), the sequential Newton sweep. No
+	// flag sets it. The field stays so a job asking for "gradient" is
+	// refused rather than silently smoothed by the sweep, and because
+	// every stored spec and result/pod key carries it.
 	SmoothMode string `json:"smooth_mode,omitempty"`
 }
 
@@ -161,5 +162,4 @@ func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.FinalExtent, "final-extent", 0, "vertices crossed in the final pass (0 = same as -extent)")
 	fs.BoolVar(&s.Adaptive, "adaptive", false, "adapt the rearrangement extent to recent success (paper §5)")
 	fs.StringVar(&s.Engine, "engine", "", "likelihood backend: cached (default) or reference (direct recomputation, for cross-validation)")
-	fs.StringVar(&s.SmoothMode, "smooth-mode", "", "full-tree branch smoothing: sweep (sequential Newton, default) or gradient (simultaneous, linear-time all-branches gradient)")
 }

@@ -56,10 +56,13 @@ func TestSpecNormalize(t *testing.T) {
 		{"precision f64", Spec{Precision: "f64"}, defaults},
 		{"unknown engine", Spec{Engine: "warp"}, Spec{}},
 		{"unknown smooth mode", Spec{SmoothMode: "zigzag"}, Spec{}},
+		{"smooth mode gradient", Spec{SmoothMode: "gradient"}, Spec{}},
+		{"smooth mode grad", Spec{SmoothMode: "grad"}, Spec{}},
+		{"smooth mode sweep", Spec{SmoothMode: "sweep"}, defaults},
 		{"settings kept", Spec{TTRatio: 3.5, Kappa: 4, Jumbles: 7, Seed: 10, Extent: 2, FinalExtent: 5, Adaptive: true,
-			Engine: "reference", SmoothMode: "grad"},
+			Engine: "reference"},
 			Spec{Model: "F84", TTRatio: 3.5, Kappa: 4, Jumbles: 7, Seed: 11, Extent: 2, FinalExtent: 5, Adaptive: true,
-				Precision: "float64", Engine: "reference", SmoothMode: "gradient"}},
+				Precision: "float64", Engine: "reference", SmoothMode: "sweep"}},
 		{"final extent follows extent", Spec{Extent: 3}, with(func(s *Spec) { s.Extent, s.FinalExtent = 3, 3 })},
 	} {
 		got, err := tc.in.Normalize()
@@ -81,12 +84,19 @@ func TestSpecNormalize(t *testing.T) {
 		}
 	}
 
-	// Every spelling that once selected float32 storage gets the one
-	// refusal the engine constructor gives, not an unknown-value error.
+	// Every spelling that once selected float32 storage or the gradient
+	// smoother gets the one refusal mlsearch's Config.Normalize gives, not
+	// an unknown-value error.
 	want := likelihood.CheckPrecision(likelihood.Float32).Error()
 	for _, p := range []string{"32", "single", "f32", "float32"} {
 		if _, err := (Spec{Precision: p}).Normalize(); err == nil || err.Error() != want {
 			t.Errorf("precision %q: %v, want %q", p, err, want)
+		}
+	}
+	want = likelihood.CheckSmoothMode(likelihood.SmoothGradient).Error()
+	for _, m := range []string{"gradient", "grad"} {
+		if _, err := (Spec{SmoothMode: m}).Normalize(); err == nil || err.Error() != want {
+			t.Errorf("smooth mode %q: %v, want %q", m, err, want)
 		}
 	}
 }

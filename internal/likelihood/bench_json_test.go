@@ -36,7 +36,6 @@ func TestKernelBenchJSON(t *testing.T) {
 		{"newton_edge", benchNewton},
 		{"newton_solve", benchNewtonSolve},
 		{"full_smooth", benchSmooth},
-		{"grad_smooth", benchGradientSmooth},
 	}
 	// The calibration workload is a fixed, dependent float64 chain: pure
 	// CPU speed, no memory or threading effects. benchdiff divides the

@@ -156,25 +156,10 @@ func BenchmarkFullSmooth(b *testing.B) {
 	}
 }
 
-// BenchmarkGradientSmooth is BenchmarkFullSmooth in SmoothGradient mode:
-// same fixture, same perturbed start, same convergence gate, so the
-// ns/op ratio between the two is the gradient smoother's speedup to the
-// same optimum.
-func BenchmarkGradientSmooth(b *testing.B) {
-	for _, threads := range benchThreadCounts {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			benchGradientSmooth(b, threads)
-		})
-	}
-}
-
-func benchSmooth(b *testing.B, threads int)         { benchSmoothConverge(b, threads, SmoothSweep) }
-func benchGradientSmooth(b *testing.B, threads int) { benchSmoothConverge(b, threads, SmoothGradient) }
-
-func benchSmoothConverge(b *testing.B, threads int, mode SmoothMode) {
+func benchSmooth(b *testing.B, threads int) {
 	// The caterpillar fixture is well-specified for its data (chain-
 	// correlated rows), so the optimum has interior branch lengths and
-	// both smoothing modes converge to it cleanly.
+	// the sweep converges to it cleanly.
 	m, p, tr := caterpillarFixture(b, 17, 24, 3000)
 	eng, err := New(m, p)
 	if err != nil {
@@ -184,7 +169,7 @@ func benchSmoothConverge(b *testing.B, threads int, mode SmoothMode) {
 	if threads > 1 {
 		eng.SetThreads(threads)
 	}
-	opt := OptOptions{Passes: 16, Mode: mode}
+	opt := OptOptions{Passes: 16}
 	// Converge once, snapshot the optimum, and restart every iteration
 	// from the same deterministic perturbation of it.
 	if _, err := eng.OptimizeBranches(tr, opt); err != nil {
@@ -219,9 +204,5 @@ func benchSmoothConverge(b *testing.B, threads int, mode SmoothMode) {
 		}
 	}
 	b.StopTimer()
-	st := eng.Stats()
-	b.ReportMetric(float64(st.SmoothPasses+st.GradPasses)/float64(b.N), "passes/op")
-	if st.GradFallbacks > 0 {
-		b.ReportMetric(float64(st.GradFallbacks)/float64(b.N), "fallbacks/op")
-	}
+	b.ReportMetric(float64(eng.Stats().SmoothPasses)/float64(b.N), "passes/op")
 }

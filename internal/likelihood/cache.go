@@ -53,19 +53,12 @@ type EngineStats struct {
 	Entries int
 	// NewtonIters counts Newton-Raphson iterations across every branch
 	// length optimization (the per-phase work measure of the paper's §4
-	// breakdown that pure op counts miss). Gradient-mode derivative
-	// evaluations count here too: each is one Newton iterate's worth of
-	// kernel work.
+	// breakdown that pure op counts miss). All-branches gradient entries
+	// count here too: each is one Newton iterate's worth of kernel work.
 	NewtonIters uint64
-	// SmoothPasses counts sequential Newton sweep passes over the tree
-	// (OptimizeBranches in sweep mode, and the safeguarded fallback).
+	// SmoothPasses counts Newton sweep passes over the tree
+	// (OptimizeBranches).
 	SmoothPasses uint64
-	// GradPasses counts applied simultaneous gradient-smoothing rounds
-	// (OptimizeBranches in gradient mode).
-	GradPasses uint64
-	// GradFallbacks counts gradient rounds that lost likelihood, were
-	// reverted, and fell back to the sequential sweep.
-	GradFallbacks uint64
 	// ShardDispatches counts kernel launches fanned out to the thread
 	// pool (zero for single-threaded engines).
 	ShardDispatches uint64
@@ -89,8 +82,6 @@ type engineStatsJSON struct {
 	Entries     int     `json:"entries"`
 	NewtonIters uint64  `json:"newton_iters"`
 	SmoothPass  uint64  `json:"smooth_passes,omitempty"`
-	GradPass    uint64  `json:"grad_passes,omitempty"`
-	GradFall    uint64  `json:"grad_fallbacks,omitempty"`
 	ShardDisp   uint64  `json:"shard_dispatches,omitempty"`
 	EvalTimeMs  float64 `json:"eval_time_ms"`
 }
@@ -101,7 +92,6 @@ func (s EngineStats) MarshalJSON() ([]byte, error) {
 		Hits: s.Hits, Misses: s.Misses, Recomputed: s.Recomputed,
 		Invalidated: s.Invalidated, Flushes: s.Flushes, Entries: s.Entries,
 		NewtonIters: s.NewtonIters, SmoothPass: s.SmoothPasses,
-		GradPass: s.GradPasses, GradFall: s.GradFallbacks,
 		ShardDisp:  s.ShardDispatches,
 		EvalTimeMs: float64(s.EvalTime) / float64(time.Millisecond),
 	})
@@ -117,7 +107,6 @@ func (s *EngineStats) UnmarshalJSON(data []byte) error {
 		Hits: j.Hits, Misses: j.Misses, Recomputed: j.Recomputed,
 		Invalidated: j.Invalidated, Flushes: j.Flushes, Entries: j.Entries,
 		NewtonIters: j.NewtonIters, SmoothPasses: j.SmoothPass,
-		GradPasses: j.GradPass, GradFallbacks: j.GradFall,
 		ShardDispatches: j.ShardDisp,
 		EvalTime:        time.Duration(j.EvalTimeMs * float64(time.Millisecond)),
 	}

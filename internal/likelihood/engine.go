@@ -167,13 +167,10 @@ type CachedEngine struct {
 	insJ, insRest clvRef
 
 	// Smoothing scratch: the per-edge buffer holding the sweep's visit
-	// order (newton.go) or the gradient rounds' derivatives
-	// (gradient.go), the pre-update length snapshot the gradient round
-	// safeguard reverts with, and the per-node-ID marks of a restricted
-	// optimization's region. All stabilize at the tree's size, keeping
+	// order (newton.go) and the per-node-ID marks of a restricted
+	// optimization's region. Both stabilize at the tree's size, keeping
 	// smoothing passes allocation-free.
 	gradBuf []BranchGrad
-	gradOld []float64
 	near    []bool
 }
 

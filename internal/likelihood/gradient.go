@@ -6,8 +6,8 @@ import (
 	"repro/internal/tree"
 )
 
-// Linear-time all-branches gradient and simultaneous branch smoothing
-// (Ji et al., "Gradients do grow on trees", arXiv:1905.12146).
+// Linear-time all-branches gradient (Ji et al., "Gradients do grow on
+// trees", arXiv:1905.12146).
 //
 // The gradient of the total log-likelihood with respect to every branch
 // length is available in O(N) kernel work: the post-order pass fills
@@ -18,60 +18,12 @@ import (
 // ∂²lnL/∂z² fall out of one sharded reduction over its two directed
 // partials. Both passes run through the same memoized partial()
 // recursion the evaluator uses, so they reuse the fused combine2/AVX2
-// machinery and cost exactly one fill per directed edge per round.
+// machinery and cost exactly one fill per directed edge.
 //
-// Simultaneous smoothing applies one damped Newton step to every
-// branch at once (a Jacobi iteration, against the sweep's Gauss-Seidel):
-// each edge's step is taken against the frozen round-start partials —
-// well-defined, because an edge's own partials do not depend on its own
-// length — and all updates land together. No branch changes mid-round,
-// so the CLV cache never churns inside a round and
-// the derivative kernels need no per-pattern log or scale counts (they
-// cancel in the dl/l ratios). A backtracking line search on each
-// round's update vector absorbs the overshoot the per-edge solves
-// cannot see (neighboring edges compensating for the same distance),
-// and a round that cannot improve the likelihood even at a tiny step
-// is reverted and handed to the sequential sweep — so gradient mode is
-// never worse than the sweep's optimum.
-
-// SmoothMode selects the branch-smoothing algorithm OptimizeBranches
-// runs (OptOptions.Mode).
-type SmoothMode int
-
-const (
-	// SmoothSweep is the sequential per-edge Newton sweep (fastDNAml's
-	// smoothing; the default).
-	SmoothSweep SmoothMode = iota
-	// SmoothGradient is simultaneous smoothing on the linear-time
-	// all-branches gradient, with a safeguarded fallback to the sweep.
-	// Engines without the GradientSmoother capability — and restricted
-	// (Around/Centers) optimizations, whose regions are too small for a
-	// global pass to pay — run the sweep regardless.
-	SmoothGradient
-)
-
-// String names the mode as ParseSmoothMode accepts it.
-func (m SmoothMode) String() string {
-	switch m {
-	case SmoothSweep:
-		return "sweep"
-	case SmoothGradient:
-		return "gradient"
-	}
-	return fmt.Sprintf("smoothmode(%d)", int(m))
-}
-
-// ParseSmoothMode parses a -smooth-mode flag value: "sweep" (or "") and
-// "gradient" (or "grad").
-func ParseSmoothMode(s string) (SmoothMode, error) {
-	switch s {
-	case "", "sweep":
-		return SmoothSweep, nil
-	case "gradient", "grad":
-		return SmoothGradient, nil
-	}
-	return SmoothSweep, fmt.Errorf("likelihood: unknown smooth mode %q (want sweep or gradient)", s)
-}
+// The gradient is a capability (GradientSmoother), checked against
+// finite differences by difftest. The walk order (gradCollect from
+// smoothAnchor) and the derivative kernel (edgeGradient, specGradient)
+// are also the Newton sweep's own (newton.go).
 
 // BranchGrad is one branch's entry in the all-branches gradient: the
 // edge (A on the anchor side), the length the derivatives were
@@ -99,8 +51,7 @@ func (e *CachedEngine) BranchGradients(t *tree.Tree, dst []BranchGrad) ([]Branch
 	return e.branchGradients(t, dst)
 }
 
-// branchGradients is the uninstrumented core of BranchGradients, shared
-// with the smoothing loop (which owns the eval-time accounting).
+// branchGradients is the uninstrumented core of BranchGradients.
 func (e *CachedEngine) branchGradients(t *tree.Tree, dst []BranchGrad) ([]BranchGrad, float64, error) {
 	dst = gradCollect(dst[:0], smoothAnchor(t), nil)
 	if len(dst) == 0 {
@@ -196,102 +147,4 @@ func (e *CachedEngine) specGradient(op int, z float64) (float64, float64) {
 		d2 += e.shD2[s]
 	}
 	return d1, d2
-}
-
-// gradRoundFactor scales the pass budget for gradient rounds: a Jacobi
-// round is several times cheaper than a sweep pass but may need more of
-// them to reach the same tolerance, so the budget keeps total work
-// bounded by the sweep's without starving convergence.
-const gradRoundFactor = 4
-
-// gradMaxBacktrack bounds the step halvings of the round line search.
-// Each halving costs one tree evaluation; a round that cannot improve
-// the likelihood at 1/16 of the Newton step is close enough to a
-// coupled saddle that the sequential sweep should finish the job.
-const gradMaxBacktrack = 4
-
-// optimizeBranchesGradient is OptimizeBranches in SmoothGradient mode:
-// rounds of (all-branches gradient → one damped Newton step per edge →
-// apply the whole update vector at once), Tol-gated on the tree
-// likelihood after each round. A single seeded step per round keeps
-// the round's kernel cost at exactly one derivative reduction per edge
-// (iterating the 1-D solves to convergence would triple it for no
-// fewer rounds — near the optimum one Newton step is the exact solve,
-// and far from it the exact solve overshoots anyway because it cannot
-// see neighboring edges moving). What the simultaneous (Jacobi) step
-// ignores is that coupling, so it can overshoot collectively. The
-// safeguard is a backtracking line search on the update direction:
-// halve the step toward the round-start lengths until the likelihood
-// improves, and only if gradMaxBacktrack halvings all fail, revert the
-// round and fall back to the sequential sweep. The post-round
-// evaluation is not overhead — its CLV fills are exactly the
-// down-partials the next round's gradient pass needs.
-func (e *CachedEngine) optimizeBranchesGradient(t *tree.Tree, opt OptOptions, anchor *tree.Node) (float64, error) {
-	lnL, err := e.LogLikelihood(t)
-	if err != nil {
-		return 0, err
-	}
-	rounds := opt.Passes * gradRoundFactor
-	for round := 0; round < rounds; round++ {
-		e.gradBuf, _, err = e.branchGradients(t, e.gradBuf)
-		if err != nil {
-			return 0, err
-		}
-		prev := lnL
-		if cap(e.gradOld) < len(e.gradBuf) {
-			e.gradOld = make([]float64, len(e.gradBuf))
-		}
-		e.gradOld = e.gradOld[:len(e.gradBuf)]
-		// One damped Newton step per edge from the derivatives the
-		// gradient pass already computed — no extra kernel work.
-		for i := range e.gradBuf {
-			g := &e.gradBuf[i]
-			e.gradOld[i] = g.Z
-			z, _ := newtonStep(clampLen(g.Z), g.D1, g.D2)
-			g.Z = z
-		}
-		step := 1.0
-		for halves := 0; ; halves++ {
-			for i := range e.gradBuf {
-				g := &e.gradBuf[i]
-				tree.SetLen(g.A, g.B, e.gradOld[i]+step*(g.Z-e.gradOld[i]))
-			}
-			lnL, err = e.LogLikelihood(t)
-			if err != nil {
-				return 0, err
-			}
-			if lnL >= prev {
-				break
-			}
-			if halves == gradMaxBacktrack {
-				if prev-lnL < opt.Tol {
-					// No improving step exists, but the loss is within
-					// the requested tolerance. Restore the better
-					// round-start state and report convergence.
-					for i := range e.gradBuf {
-						tree.SetLen(e.gradBuf[i].A, e.gradBuf[i].B, e.gradOld[i])
-					}
-					return prev, nil
-				}
-				return e.gradFallback(t, opt, anchor)
-			}
-			step /= 2
-		}
-		e.stats.GradPasses++
-		if lnL-prev < opt.Tol {
-			return lnL, nil
-		}
-	}
-	return lnL, nil
-}
-
-// gradFallback reverts the failed simultaneous update (restoring the
-// round-start lengths) and finishes the optimization with the
-// sequential sweep.
-func (e *CachedEngine) gradFallback(t *tree.Tree, opt OptOptions, anchor *tree.Node) (float64, error) {
-	for i := range e.gradBuf {
-		tree.SetLen(e.gradBuf[i].A, e.gradBuf[i].B, e.gradOld[i])
-	}
-	e.stats.GradFallbacks++
-	return e.optimizeBranchesSweep(t, opt, anchor, false)
 }

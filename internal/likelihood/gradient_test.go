@@ -9,24 +9,31 @@ import (
 	"repro/internal/tree"
 )
 
-// TestParseSmoothMode covers the flag-value round trip.
+// TestParseSmoothMode: the sweep's spellings parse, the removed
+// gradient smoother's get CheckSmoothMode's one refusal, anything else
+// is an unknown mode.
 func TestParseSmoothMode(t *testing.T) {
+	refusal := CheckSmoothMode(SmoothGradient)
+	if refusal == nil || CheckSmoothMode(SmoothSweep) != nil {
+		t.Fatalf("CheckSmoothMode: sweep %v, gradient %v", CheckSmoothMode(SmoothSweep), refusal)
+	}
 	cases := []struct {
 		in   string
-		want SmoothMode
-		ok   bool
+		want error // nil = accepted as SmoothSweep
 	}{
-		{"", SmoothSweep, true},
-		{"sweep", SmoothSweep, true},
-		{"gradient", SmoothGradient, true},
-		{"grad", SmoothGradient, true},
-		{"newton", SmoothSweep, false},
+		{"", nil},
+		{"sweep", nil},
+		{"gradient", refusal},
+		{"grad", refusal},
 	}
 	for _, c := range cases {
 		got, err := ParseSmoothMode(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseSmoothMode(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
+		if got != SmoothSweep || (err == nil) != (c.want == nil) || (err != nil && err.Error() != c.want.Error()) {
+			t.Errorf("ParseSmoothMode(%q) = %v, %v; want sweep, %v", c.in, got, err, c.want)
 		}
+	}
+	if _, err := ParseSmoothMode("newton"); err == nil || err.Error() == refusal.Error() {
+		t.Errorf("ParseSmoothMode(newton) = %v, want an unknown-mode error", err)
 	}
 	if SmoothSweep.String() != "sweep" || SmoothGradient.String() != "gradient" {
 		t.Errorf("String(): %q, %q", SmoothSweep, SmoothGradient)
@@ -72,71 +79,42 @@ func TestBranchGradientsMatchDerivKernel(t *testing.T) {
 	}
 }
 
-// TestGradientSmoothMatchesSweep is the optimizer property test:
-// simultaneous gradient smoothing must reach the same optimum as the
-// sequential Newton sweep — log-likelihood within the difftest Opt
-// tolerance, every branch length within the Len tolerance — including
-// on the 48-taxon caterpillar whose deep spine stresses rescaling.
-func TestGradientSmoothMatchesSweep(t *testing.T) {
-	// Difftest float64 engine-agreement tolerances (difftest.DefaultTolerance).
-	const (
-		optRel, optAbs = 1e-7, 1e-4
-		lenRel, lenAbs = 5e-4, 1e-5
-	)
+// TestSweepOptimumIsStationary ties the analytic gradient to the
+// sweep: at the optimum the Newton sweep converges to, the Newton step
+// every BranchGradients entry predicts (-D1/D2) must stay inside the
+// difftest float64 length tolerance — including on the 48-taxon
+// caterpillar whose deep spine stresses rescaling. Edges a slope holds
+// at a length bound are at a constrained optimum and are skipped.
+func TestSweepOptimumIsStationary(t *testing.T) {
+	// Difftest float64 engine-agreement length tolerance
+	// (difftest.DefaultTolerance).
+	const lenRel, lenAbs = 5e-4, 1e-5
 	run := func(name string, mk func(testing.TB) fixtureCase) {
 		t.Run(name, func(t *testing.T) {
 			fc := mk(t)
-			// Tight tolerance so both optimizers run to a genuine
-			// optimum: near it the surface's curvature turns a lnL gap
-			// of Tol into a length gap ~sqrt(2·Tol/|d2|), which must
-			// land inside the length tolerance below.
-			opt := OptOptions{Passes: 64, Tol: 1e-7}
-
-			sweepEng, err := New(fc.m, fc.p)
+			eng, err := New(fc.m, fc.p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sweepTree := fc.tr.Clone()
-			sweepLnL, err := sweepEng.OptimizeBranches(sweepTree, opt)
+			defer eng.Close()
+			tr := fc.tr.Clone()
+			// Tight tolerance so the sweep runs to a genuine optimum.
+			if _, err := eng.OptimizeBranches(tr, OptOptions{Passes: 64, Tol: 1e-7}); err != nil {
+				t.Fatal(err)
+			}
+			grads, _, err := eng.BranchGradients(tr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			gradEng, err := New(fc.m, fc.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gradTree := fc.tr.Clone()
-			opt.Mode = SmoothGradient
-			gradLnL, err := gradEng.OptimizeBranches(gradTree, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if !withinTol(gradLnL, sweepLnL, optRel, optAbs) {
-				t.Errorf("optimized lnL: gradient %.12g vs sweep %.12g (diff %.3g)",
-					gradLnL, sweepLnL, math.Abs(gradLnL-sweepLnL))
-			}
-			se, ge := sweepTree.Edges(), gradTree.Edges()
-			if len(se) != len(ge) {
-				t.Fatalf("edge count %d vs %d", len(se), len(ge))
-			}
-			for i := range se {
-				if se[i].A.ID != ge[i].A.ID || se[i].B.ID != ge[i].B.ID {
-					t.Fatalf("edge %d identity diverged", i)
+			for _, g := range grads {
+				if (g.Z <= MinBranchLength && g.D1 < 0) || (g.Z >= MaxBranchLength && g.D1 > 0) {
+					continue
 				}
-				sl, gl := se[i].Length(), ge[i].Length()
-				if !withinTol(gl, sl, lenRel, lenAbs) {
-					t.Errorf("edge %d-%d length: gradient %.9g vs sweep %.9g",
-						se[i].A.ID, se[i].B.ID, gl, sl)
+				if step := -g.D1 / g.D2; !(g.D2 < 0) || math.Abs(step) > lenAbs+lenRel*g.Z {
+					t.Errorf("edge %d-%d at %.9g: gradient (%.6g, %.6g) predicts a Newton step of %.3g",
+						g.A.ID, g.B.ID, g.Z, g.D1, g.D2, step)
 				}
 			}
-			st := gradEng.Stats()
-			if st.GradPasses == 0 {
-				t.Error("gradient mode recorded no gradient passes")
-			}
-			t.Logf("sweep lnL %.6f (%d passes), gradient lnL %.6f (%d rounds, %d fallbacks)",
-				sweepLnL, sweepEng.Stats().SmoothPasses, gradLnL, st.GradPasses, st.GradFallbacks)
 		})
 	}
 
@@ -165,9 +143,8 @@ func TestGradientSmoothMatchesSweep(t *testing.T) {
 }
 
 // TestGradientThreadedBitIdentical extends the determinism contract to
-// the gradient path: the all-branches gradient, the round likelihood,
-// and the final smoothed tree must be bit-identical at every thread
-// count.
+// the gradient path: the all-branches gradient and its likelihood must
+// be bit-identical at every thread count.
 func TestGradientThreadedBitIdentical(t *testing.T) {
 	m, p, tr := threadFixture(t, 11, 20, 600)
 
@@ -179,12 +156,6 @@ func TestGradientThreadedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refTree := tr.Clone()
-	refOpt, err := ref.OptimizeBranches(refTree, OptOptions{Passes: 8, Mode: SmoothGradient})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refNewick := refTree.Newick()
 	ref.Close()
 
 	for _, n := range []int{2, 4, 7} {
@@ -209,67 +180,14 @@ func TestGradientThreadedBitIdentical(t *testing.T) {
 				t.Errorf("threads=%d: gradient %d not bit-identical to serial", n, i)
 			}
 		}
-		cand := tr.Clone()
-		opt, err := eng.OptimizeBranches(cand, OptOptions{Passes: 8, Mode: SmoothGradient})
-		if err != nil {
-			t.Fatalf("threads=%d: optimize: %v", n, err)
-		}
-		if math.Float64bits(opt) != math.Float64bits(refOpt) {
-			t.Errorf("threads=%d: optimized lnL %.17g != serial %.17g", n, opt, refOpt)
-		}
-		if nwk := cand.Newick(); nwk != refNewick {
-			t.Errorf("threads=%d: optimized tree differs from serial:\n got %s\nwant %s", n, nwk, refNewick)
-		}
 		eng.Close()
 	}
 }
 
-// TestGradientRestrictedUsesSweep pins the dispatch rule: Around/Centers
-// optimizations ignore SmoothGradient and produce exactly the sweep's
-// result, with no gradient rounds recorded.
-func TestGradientRestrictedUsesSweep(t *testing.T) {
-	m, p, tr := threadFixture(t, 13, 12, 400)
-	center := tr.AnyNode()
-
-	sweepEng, err := New(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepTree := tr.Clone()
-	want, err := sweepEng.OptimizeBranches(sweepTree, OptOptions{Passes: 3, Around: centerIn(sweepTree, center)})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	gradEng, err := New(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gradTree := tr.Clone()
-	got, err := gradEng.OptimizeBranches(gradTree, OptOptions{Passes: 3, Around: centerIn(gradTree, center), Mode: SmoothGradient})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("restricted gradient-mode lnL %.17g != sweep %.17g", got, want)
-	}
-	if gradTree.Newick() != sweepTree.Newick() {
-		t.Error("restricted gradient-mode tree differs from sweep")
-	}
-	if st := gradEng.Stats(); st.GradPasses != 0 || st.GradFallbacks != 0 {
-		t.Errorf("restricted optimization ran gradient rounds: %+v", st)
-	}
-}
-
-// centerIn maps a node of one clone to the same node in another (clones
-// preserve IDs).
-func centerIn(t *tree.Tree, n *tree.Node) *tree.Node { return t.Nodes[n.ID] }
-
-// TestSmoothZeroAllocSteadyState asserts both smoothing paths hold the
-// arena contract the evaluation path already has: once warm,
-// perturb-and-resmooth allocates nothing, in either mode, serial or
-// threaded — the sweep's visit order and the gradient rounds'
-// buffers live in engine-owned scratch.
+// TestSmoothZeroAllocSteadyState asserts the sweep holds the arena
+// contract the evaluation path already has: once warm,
+// perturb-and-resmooth allocates nothing, serial or threaded — the
+// sweep's visit order lives in engine-owned scratch.
 func TestSmoothZeroAllocSteadyState(t *testing.T) {
 	m, p, tr := caterpillarFixture(t, 3, 12, 400)
 	edges := tr.Edges()
@@ -287,37 +205,32 @@ func TestSmoothZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 
-	for _, mode := range []SmoothMode{SmoothSweep, SmoothGradient} {
-		for _, threads := range []int{1, 4} {
-			eng, err := New(m, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if threads > 1 {
-				eng.SetThreads(threads)
-			}
-			opt := OptOptions{Passes: 16, Mode: mode}
+	for _, threads := range []int{1, 4} {
+		eng, err := New(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if threads > 1 {
+			eng.SetThreads(threads)
+		}
+		opt := OptOptions{Passes: 16}
+		perturb()
+		if _, err := eng.OptimizeBranches(tr, opt); err != nil {
+			t.Fatal(err)
+		}
+		scratch := &eng.spec[0]
+		if n := testing.AllocsPerRun(20, func() {
 			perturb()
 			if _, err := eng.OptimizeBranches(tr, opt); err != nil {
 				t.Fatal(err)
 			}
-			scratch := &eng.spec[0]
-			if n := testing.AllocsPerRun(20, func() {
-				perturb()
-				if _, err := eng.OptimizeBranches(tr, opt); err != nil {
-					t.Fatal(err)
-				}
-			}); n > 0 {
-				t.Errorf("mode=%v threads=%d: warm smoothing allocates %.1f/op, want 0", mode, threads, n)
-			}
-			if &eng.spec[0] != scratch {
-				t.Errorf("mode=%v threads=%d: fold scratch reallocated", mode, threads)
-			}
-			if st := eng.Stats(); st.GradFallbacks != 0 {
-				t.Errorf("mode=%v threads=%d: %d gradient fallbacks during steady-state rounds", mode, threads, st.GradFallbacks)
-			}
-			eng.Close()
+		}); n > 0 {
+			t.Errorf("threads=%d: warm smoothing allocates %.1f/op, want 0", threads, n)
 		}
+		if &eng.spec[0] != scratch {
+			t.Errorf("threads=%d: fold scratch reallocated", threads)
+		}
+		eng.Close()
 	}
 }
 

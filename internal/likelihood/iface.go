@@ -116,9 +116,9 @@ type OpsReporter interface {
 // (Ji et al., "Gradients do grow on trees"): one post-order pass over
 // down-partials, one pre-order pass over up-partials, and a per-edge
 // reduction yield the derivative of the total log-likelihood with
-// respect to every branch length in O(branches) kernel work. Engines
-// with this capability honor OptOptions.Mode == SmoothGradient in
-// OptimizeBranches; engines without it sweep sequentially regardless.
+// respect to every branch length in O(branches) kernel work. The
+// difftest harness checks it against finite differences of
+// LogLikelihood.
 type GradientSmoother interface {
 	// BranchGradients appends one entry per branch of t to dst — the
 	// edge, its current length, and ∂lnL/∂z with the diagonal Hessian

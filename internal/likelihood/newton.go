@@ -44,13 +44,6 @@ type OptOptions struct {
 	// Radius is the vertex distance bound used with Around/Centers; 1
 	// selects only the incident branches. Default 1.
 	Radius int
-	// Mode selects the smoothing algorithm: SmoothSweep (default) is
-	// the sequential per-edge Newton sweep; SmoothGradient runs
-	// simultaneous smoothing on the linear-time all-branches gradient
-	// with a safeguarded fallback to the sweep (gradient.go). Engines
-	// without the GradientSmoother capability, and restricted
-	// (Around/Centers) optimizations, always sweep.
-	Mode SmoothMode
 }
 
 func (o OptOptions) withDefaults() OptOptions {
@@ -69,6 +62,13 @@ func (o OptOptions) withDefaults() OptOptions {
 // OptimizeBranches optimizes branch lengths in place and returns the final
 // log-likelihood. With Around/Centers set, only nearby branches are
 // optimized but the returned value is still the full-tree log-likelihood.
+//
+// It runs full depth-first Newton sweeps until a pass improves the
+// log-likelihood by less than Tol or the pass budget runs out. The visit
+// order is fixed once per call — the topology does not change while
+// smoothing — in the engine-owned edge buffer, so the passes themselves
+// allocate nothing; a restricted call keeps only the edges with an
+// endpoint marked near a center.
 func (e *CachedEngine) OptimizeBranches(t *tree.Tree, opt OptOptions) (float64, error) {
 	defer e.endEval(e.beginEval())
 	opt = opt.withDefaults()
@@ -77,8 +77,8 @@ func (e *CachedEngine) OptimizeBranches(t *tree.Tree, opt OptOptions) (float64, 
 	}
 	e.ensureBuffers(t.MaxID())
 
-	restricted := opt.Around != nil || len(opt.Centers) > 0
-	if restricted {
+	e.gradBuf = gradCollect(e.gradBuf[:0], smoothAnchor(t), nil)
+	if opt.Around != nil || len(opt.Centers) > 0 {
 		e.near = slices.Grow(e.near[:0], t.MaxID())[:t.MaxID()]
 		clear(e.near)
 		if opt.Around != nil {
@@ -89,25 +89,6 @@ func (e *CachedEngine) OptimizeBranches(t *tree.Tree, opt OptOptions) (float64, 
 				e.markNear(c, nil, opt.Radius)
 			}
 		}
-	}
-
-	anchor := smoothAnchor(t)
-	if opt.Mode == SmoothGradient && !restricted {
-		return e.optimizeBranchesGradient(t, opt, anchor)
-	}
-	return e.optimizeBranchesSweep(t, opt, anchor, restricted)
-}
-
-// optimizeBranchesSweep is the sequential smoothing loop: full
-// depth-first Newton sweeps until a pass improves the log-likelihood by
-// less than Tol or the pass budget runs out. The visit order is fixed
-// once per call — the topology does not change while smoothing — in the
-// engine-owned edge buffer, so the passes themselves allocate nothing;
-// a restricted call keeps only the edges with an endpoint marked near a
-// center.
-func (e *CachedEngine) optimizeBranchesSweep(t *tree.Tree, opt OptOptions, anchor *tree.Node, restricted bool) (float64, error) {
-	e.gradBuf = gradCollect(e.gradBuf[:0], anchor, nil)
-	if restricted {
 		kept := e.gradBuf[:0]
 		for _, g := range e.gradBuf {
 			if e.near[g.A.ID] || e.near[g.B.ID] {

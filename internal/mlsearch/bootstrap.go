@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/likelihood"
 	"repro/internal/model"
 	"repro/internal/seq"
 )
@@ -78,7 +77,6 @@ func marshalWelcome(lay Layout, norm Config) []byte {
 		}
 	}
 	w.str(norm.Engine)
-	w.str(norm.SmoothMode.String())
 	return w.buf
 }
 
@@ -159,15 +157,11 @@ func unmarshalWelcome(data []byte) (Layout, Config, error) {
 		}
 	}
 	cfg.Engine = r.str("welcome engine")
-	mode := r.str("welcome smooth mode")
 	err := r.done("welcome")
 	if err != nil {
 		return refuse(err)
 	}
 	if cfg.Model, err = model.FromDecomposition(name, freqs, d); err != nil {
-		return refuse(fmt.Errorf("mlsearch: welcome: %w", err))
-	}
-	if cfg.SmoothMode, err = likelihood.ParseSmoothMode(mode); err != nil {
 		return refuse(fmt.Errorf("mlsearch: welcome: %w", err))
 	}
 	return lay, cfg, nil

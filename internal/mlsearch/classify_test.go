@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/likelihood"
-	"repro/internal/tree"
 )
 
 // TestConfigEngineValidation: Normalize resolves the engine name through
@@ -61,43 +60,5 @@ func TestSerialSearchReferenceEngine(t *testing.T) {
 	}
 	if diff > 1e-4 && diff > 1e-7*-cached.LnL {
 		t.Errorf("lnL diverged: cached %.10f, reference %.10f", cached.LnL, ref.LnL)
-	}
-}
-
-// TestSerialSearchGradientSmoothing runs the same end-to-end search under
-// both full-smoothing modes. Candidate scoring is mode-independent
-// (insertion and junction-local optimization always sweep), so the search
-// must adopt the identical topology; the final smoothing passes may stop
-// at slightly different points on the shared optimum, so the lnL is
-// compared at the differential harness's float64 tolerance.
-func TestSerialSearchGradientSmoothing(t *testing.T) {
-	cfg := testConfig(t, 7, 120, 9)
-	sweep, err := runSerial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.SmoothMode = likelihood.SmoothGradient
-	grad, err := runSerial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := tree.ParseNewick(sweep.BestNewick, cfg.Taxa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt, err := tree.ParseNewick(grad.BestNewick, cfg.Taxa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tree.SameTopology(st, gt) {
-		t.Errorf("gradient smoothing chose a different topology:\n  sweep:    %s\n  gradient: %s",
-			sweep.BestNewick, grad.BestNewick)
-	}
-	diff := grad.LnL - sweep.LnL
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 1e-4 && diff > 1e-7*-sweep.LnL {
-		t.Errorf("lnL diverged: sweep %.10f, gradient %.10f", sweep.LnL, grad.LnL)
 	}
 }

@@ -79,12 +79,10 @@ type Config struct {
 	// for differential testing. Normalize rejects unknown names.
 	Engine string
 
-	// SmoothMode selects the full-tree branch-smoothing algorithm (the
-	// zero value is the sequential Newton sweep; likelihood.SmoothGradient
-	// enables simultaneous smoothing on the linear-time all-branches
-	// gradient). It applies to unrestricted smoothing only — insertion
-	// scoring and the junction-local optimizations always sweep — and is
-	// ignored by engines without the GradientSmoother capability.
+	// SmoothMode must be likelihood.SmoothSweep (the zero value): the
+	// Newton sweep is the only smoother and Normalize refuses any other.
+	// The field remains only because the benchmark module sets it
+	// (ROADMAP item 6).
 	SmoothMode likelihood.SmoothMode
 }
 
@@ -122,6 +120,9 @@ func (c Config) Normalize() (Config, error) {
 		c.Threads = 1
 	}
 	if err := likelihood.CheckPrecision(c.Precision); err != nil {
+		return c, fmt.Errorf("mlsearch: %w", err)
+	}
+	if err := likelihood.CheckSmoothMode(c.SmoothMode); err != nil {
 		return c, fmt.Errorf("mlsearch: %w", err)
 	}
 	eng, err := likelihood.ParseEngine(c.Engine)

@@ -38,10 +38,6 @@ type Evaluator struct {
 
 	scorer      likelihood.InsertScorer
 	scorerTaxon int32
-
-	// smoothMode is the OptOptions.Mode applied to full (unrestricted)
-	// smoothing tasks; see Config.SmoothMode.
-	smoothMode likelihood.SmoothMode
 }
 
 type edgeLenSnap struct {
@@ -58,7 +54,7 @@ func NewEvaluator(eng likelihood.Engine, taxa []string) *Evaluator {
 }
 
 // NewConfigEvaluator is the one place a run's evaluation identity —
-// data, model, engine backend, kernel threads, smooth mode —
+// data, model, engine backend, kernel threads —
 // becomes an evaluator. Every in-tree owner of an evaluator (serial
 // dispatcher, foreman inline fallback, worker, KH test, serve pod) builds
 // it here from the normalized Config and closes it when done.
@@ -67,21 +63,23 @@ func NewConfigEvaluator(norm Config) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev := NewEvaluator(eng, norm.Taxa)
-	ev.SetSmoothMode(norm.SmoothMode)
-	return ev, nil
+	return NewEvaluator(eng, norm.Taxa), nil
 }
 
 // Close releases the evaluator's engine (its shard pool and CLV slabs).
 // The evaluator must not be used afterwards.
 func (ev *Evaluator) Close() { likelihood.CloseEngine(ev.eng) }
 
-// SetSmoothMode selects the branch-smoothing algorithm for full
-// (unrestricted) smoothing tasks. Restricted optimizations — insertion
-// scoring, junction-local rearrangement smoothing, Around-limited
-// passes — always use the sequential sweep, as do engines without the
-// GradientSmoother capability.
-func (ev *Evaluator) SetSmoothMode(m likelihood.SmoothMode) { ev.smoothMode = m }
+// SetSmoothMode accepts likelihood.SmoothSweep, the only smoother, and
+// panics with likelihood.CheckSmoothMode's refusal on any other mode: it
+// has no error return, and a mode it ignored would run a different
+// smoother than the caller asked for without a word. It remains only
+// because the benchmark module calls it (ROADMAP item 6).
+func (ev *Evaluator) SetSmoothMode(m likelihood.SmoothMode) {
+	if err := likelihood.CheckSmoothMode(m); err != nil {
+		panic(err)
+	}
+}
 
 // Evaluate runs one task and returns the result. The Ops field reports
 // the work units consumed by exactly this evaluation; CacheHits and
@@ -134,7 +132,7 @@ func (ev *Evaluator) evalFull(t Task) (string, float64, error) {
 	if err != nil {
 		return "", 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
 	}
-	opt := likelihood.OptOptions{Passes: int(t.Passes), Mode: ev.smoothMode}
+	opt := likelihood.OptOptions{Passes: int(t.Passes)}
 	if t.LocalTaxon >= 0 {
 		leaf := tr.LeafByTaxon(int(t.LocalTaxon))
 		if leaf == nil {

@@ -64,7 +64,7 @@ func KishinoHasegawa(cfg Config, trees []*tree.Tree) ([]KHResult, error) {
 		if got := cp.NumLeaves(); got != len(norm.Taxa) {
 			return nil, fmt.Errorf("mlsearch: tree %d covers %d of %d taxa", i+1, got, len(norm.Taxa))
 		}
-		lnL, err := ev.eng.OptimizeBranches(cp, likelihood.OptOptions{Passes: norm.FullSmoothPasses, Mode: ev.smoothMode})
+		lnL, err := ev.eng.OptimizeBranches(cp, likelihood.OptOptions{Passes: norm.FullSmoothPasses})
 		if err != nil {
 			return nil, fmt.Errorf("mlsearch: tree %d: %w", i+1, err)
 		}

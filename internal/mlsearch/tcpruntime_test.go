@@ -197,7 +197,7 @@ func TestTCPRunMatchesSerialForAnyConfig(t *testing.T) {
 
 // welcomeConfig is a small run whose every welcome field is away from
 // its zero value: weights and rates, a four-term model, the reference
-// engine, gradient smoothing.
+// engine.
 func welcomeConfig(t *testing.T) Config {
 	t.Helper()
 	a, err := seq.ReadPhylip(strings.NewReader("4 8\na ACGTACGT\nb ACGAACGA\nc CCGTNCGT\nd CCTTACRT\n"))
@@ -217,7 +217,7 @@ func welcomeConfig(t *testing.T) Config {
 	}
 	cfg, err := Config{
 		Taxa: a.Names, Patterns: pat, Model: mdl,
-		Engine: "reference", SmoothMode: likelihood.SmoothGradient,
+		Engine: "reference",
 	}.Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +252,8 @@ func TestWelcomeCodec(t *testing.T) {
 		!reflect.DeepEqual(got.Model.Decomposition(), cfg.Model.Decomposition()) {
 		t.Errorf("model changed: %s %v", got.Model.Name(), got.Model.Freqs())
 	}
-	if got.Engine != "reference" || got.SmoothMode != likelihood.SmoothGradient {
-		t.Errorf("identity lost: %q %v", got.Engine, got.SmoothMode)
+	if got.Engine != "reference" {
+		t.Errorf("engine lost: %q", got.Engine)
 	}
 	if got.Seed != 0 || got.RearrangeExtent != 0 || got.Threads != 0 {
 		t.Errorf("master's or host's settings travelled: seed %d extent %d threads %d", got.Seed, got.RearrangeExtent, got.Threads)
@@ -305,9 +305,8 @@ func (m *spoiledModel) Decomposition() *model.Decomposition { return &m.decomp }
 // Whatever a worker could not evaluate exactly as its master does is an
 // error at the handshake, never a default — a taxon count below three, a
 // ragged or out-of-alphabet code matrix, a weight or rate that is not
-// finite and positive, numbers no reversible model has, a smooth mode
-// this build does not know, a count the payload cannot back, trailing
-// bytes.
+// finite and positive, numbers no reversible model has, a count the
+// payload cannot back, trailing bytes.
 func TestWelcomeRefusesWhatItCannotEvaluate(t *testing.T) {
 	lay := ElasticLayout()
 	for name, spoil := range map[string]func(c *Config){
@@ -339,12 +338,11 @@ func TestWelcomeRefusesWhatItCannotEvaluate(t *testing.T) {
 		"detailed balance": func(c *Config) {
 			c.Model = &spoiledModel{freqs: seq.Uniform(), decomp: *c.Model.Decomposition()}
 		},
-		"unknown smooth mode": func(c *Config) { c.SmoothMode = 9 },
 	} {
 		cfg := welcomeConfig(t)
 		spoil(&cfg)
 		if _, got, err := unmarshalWelcome(marshalWelcome(lay, cfg)); err == nil {
-			t.Errorf("%s: decoded as %d taxa, %s, mode %v", name, len(got.Taxa), got.Model.Name(), got.SmoothMode)
+			t.Errorf("%s: decoded as %d taxa, %s", name, len(got.Taxa), got.Model.Name())
 		}
 	}
 
@@ -354,13 +352,6 @@ func TestWelcomeRefusesWhatItCannotEvaluate(t *testing.T) {
 	}
 	if _, _, err := unmarshalWelcome(append(append([]byte(nil), plain...), 0)); err == nil {
 		t.Error("trailing byte accepted")
-	}
-	// The payload ends "reference" "gradient", each string behind its
-	// i32 length.
-	zigzag := append([]byte(nil), plain...)
-	copy(zigzag[len(zigzag)-8:], "zigzag  ")
-	if _, got, err := unmarshalWelcome(zigzag); err == nil {
-		t.Errorf("smooth mode \"zigzag  \" decoded as %v", got.SmoothMode)
 	}
 	// Counts the payload cannot back: the taxon count sits after the kind
 	// byte and the two role ranks, the pattern count after the names.

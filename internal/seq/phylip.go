@@ -198,6 +198,13 @@ func splitPhylipNameLine(line string) (name, bases string, err error) {
 	if trimmed == "" {
 		return "", "", fmt.Errorf("blank sequence line")
 	}
+	// A blank strict name field starts a continuation line, never a
+	// taxon: WritePhylip indents every block after the first this way,
+	// and without the rule a sequential reading of its output could
+	// succeed with sequence data for names.
+	if len(line) >= phylipNameLen && strings.Trim(line[:phylipNameLen], " \t") == "" {
+		return "", "", fmt.Errorf("blank name field in %q", line)
+	}
 	idx := strings.IndexAny(trimmed, " \t")
 	if idx < 0 {
 		// No whitespace: strict format with the sequence glued to a

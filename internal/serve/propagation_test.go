@@ -19,8 +19,8 @@ import (
 )
 
 // The probe engine is the production engine plus a record of how it was
-// built and on which model, which smoothing mode every unrestricted OptimizeBranches asked
-// for, and whether it was closed. Selecting it as a run's engine makes
+// built and on which model, and whether it was closed. Selecting it as a
+// run's engine makes
 // the run's evaluation identity observable at every evaluator the run
 // builds, on whichever side of whichever transport.
 const probeEngineName = "probe"
@@ -28,7 +28,6 @@ const probeEngineName = "probe"
 type probeRecord struct {
 	model  model.Model
 	opt    likelihood.EngineOptions
-	modes  []likelihood.SmoothMode
 	closed bool
 }
 
@@ -56,15 +55,6 @@ func init() {
 	})
 }
 
-func (e *probeEngine) OptimizeBranches(t *tree.Tree, opt likelihood.OptOptions) (float64, error) {
-	if opt.Around == nil && len(opt.Centers) == 0 {
-		probe.mu.Lock()
-		e.rec.modes = append(e.rec.modes, opt.Mode)
-		probe.mu.Unlock()
-	}
-	return e.CachedEngine.OptimizeBranches(t, opt)
-}
-
 func (e *probeEngine) Close() {
 	probe.mu.Lock()
 	e.rec.closed = true
@@ -78,10 +68,11 @@ func (e *probeEngine) Close() {
 // engine the run built — serial dispatcher, Local/TCP/pod workers, the
 // foreman's inline fallback, the KH test — must have been built on the
 // run's engine and the run's model, number for number, with the run's
-// thread count, asked for the run's smooth mode, and been closed by the
-// time the run returned. Precision has one legal value, so its cell is a
-// refusal: a run asking for float32 storage fails at every surface with
-// the one message, before any evaluator is built.
+// thread count, and been closed by the time the run returned. Precision
+// and smooth mode have one legal value each, so their cells are
+// refusals: a run asking for float32 storage or the gradient smoother
+// fails at every surface with the one message, before any evaluator is
+// built.
 func TestEvaluationIdentityPropagates(t *testing.T) {
 	text := testPhylipText(t, 6, 120, 3)
 	a, err := seq.ReadPhylip(strings.NewReader(text))
@@ -104,8 +95,8 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 	// want is the identity a cell's run asks for; engines is how many
 	// evaluators the surface builds for it. hky selects HKY85 (kappa 3)
 	// over the F84 default: to a TCP worker the model travels as the
-	// welcome's numbers, to a pod as the job's options. prec is set only
-	// by the refusal cell.
+	// welcome's numbers, to a pod as the job's options. prec and mode are
+	// set only by the refusal cells.
 	type want struct {
 		prec    likelihood.Precision
 		mode    likelihood.SmoothMode
@@ -202,27 +193,36 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 		want want
 	}{
 		{"engine", want{threads: 1}},
-		{"smooth-mode", want{mode: likelihood.SmoothGradient, threads: 1}},
 		{"threads", want{threads: 2}},
 		{"model", want{threads: 1, hky: true}},
 	}
-	refusal := likelihood.CheckPrecision(likelihood.Float32).Error()
+	refusals := []struct {
+		name    string
+		want    want
+		refusal error
+	}{
+		{"precision", want{prec: likelihood.Float32, threads: 1}, likelihood.CheckPrecision(likelihood.Float32)},
+		{"smooth-mode", want{mode: likelihood.SmoothGradient, threads: 1}, likelihood.CheckSmoothMode(likelihood.SmoothGradient)},
+	}
 	for _, s := range surfaces {
 		s := s
-		t.Run(s.name+"/precision", func(t *testing.T) {
-			probe.mu.Lock()
-			probe.built = nil
-			probe.mu.Unlock()
-			err := s.run(t, want{prec: likelihood.Float32, threads: 1})
-			if err == nil || !strings.HasSuffix(err.Error(), refusal) {
-				t.Fatalf("float32 run: %v, want the refusal %q", err, refusal)
-			}
-			probe.mu.Lock()
-			defer probe.mu.Unlock()
-			if len(probe.built) != 0 {
-				t.Errorf("%d evaluators built for a refused run", len(probe.built))
-			}
-		})
+		for _, r := range refusals {
+			r := r
+			t.Run(s.name+"/"+r.name, func(t *testing.T) {
+				probe.mu.Lock()
+				probe.built = nil
+				probe.mu.Unlock()
+				err := s.run(t, r.want)
+				if err == nil || !strings.HasSuffix(err.Error(), r.refusal.Error()) {
+					t.Fatalf("refused run: %v, want the refusal %q", err, r.refusal)
+				}
+				probe.mu.Lock()
+				defer probe.mu.Unlock()
+				if len(probe.built) != 0 {
+					t.Errorf("%d evaluators built for a refused run", len(probe.built))
+				}
+			})
+		}
 		for _, k := range knobs {
 			k := k
 			t.Run(s.name+"/"+k.name, func(t *testing.T) {
@@ -237,7 +237,6 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 				if len(probe.built) != s.engines {
 					t.Fatalf("%d evaluators built on the run's engine, want %d", len(probe.built), s.engines)
 				}
-				smooths := 0
 				mdl := config(k.want).Model
 				for i, rec := range probe.built {
 					if rec.model.Name() != mdl.Name() || rec.model.Freqs() != mdl.Freqs() ||
@@ -247,19 +246,9 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 					if rec.opt.Threads != k.want.threads {
 						t.Errorf("engine %d built with %d threads, want %d", i, rec.opt.Threads, k.want.threads)
 					}
-					for _, m := range rec.modes {
-						if m != k.want.mode {
-							t.Errorf("engine %d ran a full smooth in mode %v, want %v", i, m, k.want.mode)
-							break
-						}
-					}
-					smooths += len(rec.modes)
 					if !rec.closed {
 						t.Errorf("engine %d was never closed", i)
 					}
-				}
-				if smooths == 0 {
-					t.Error("no full smooth observed: the mode check saw nothing")
 				}
 			})
 		}

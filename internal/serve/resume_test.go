@@ -2,9 +2,13 @@ package serve
 
 import (
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/likelihood"
 	"repro/internal/obs"
 )
 
@@ -118,5 +122,95 @@ func TestServerResumeAfterShutdown(t *testing.T) {
 					i, j, got.Newick, got.LnL, got.Seed, w.BestNewick, w.LnL, w.Seed)
 			}
 		}
+	}
+}
+
+// TestRestartOverStoredGradientJobs restarts the daemon over a data
+// directory written while jobs could ask for "smooth_mode":"gradient".
+// The queued gradient job is quarantined, job-scoped, with the one
+// refusal attached; the sweep job queued beside it resumes and finishes
+// bit-identical to a serial run; and the gradient job that had finished
+// stays visible, its stored result still downloadable.
+func TestRestartOverStoredGradientJobs(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := NewResultStore(filepath.Join(dir, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stored specs are normalized ones, as Submit writes them.
+	stored := func(sp JobSpec, mode string) JobSpec {
+		t.Helper()
+		prep, err := prepareSpec(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep.Spec.Options.SmoothMode = mode
+		return prep.Spec
+	}
+	sweep := JobSpec{Tenant: "x", Alignment: testPhylipText(t, 7, 150, 5), Options: JobOptions{Seed: 7}}
+	queued, next, done := "j-aaaaaaaaaaaa", "j-bbbbbbbbbbbb", "j-cccccccccccc"
+	seedJobDir(t, store, queued, stored(sweep, "gradient"))
+	seedJobDir(t, store, next, stored(sweep, "sweep"))
+
+	// The finished gradient job, under the keys its spec hashed to while
+	// gradient was accepted (TestResultAndPodKeysAreStable's former
+	// "hky85 gradient" row).
+	result := &JobResult{
+		Key: "5f68918a448817d5cf8c45b914c2c740c70b19a5828c93ace614064a095393a1", BestLnL: -71.25,
+		BestNewick: "(alpha:0.1,beta:0.05,(gamma:0.08,(delta:0.07,epsilon:0.12):0.04):0.03);",
+		Jumbles:    []JumbleOutcome{{Seed: 1, LnL: -71.25, Newick: "(alpha:0.1,beta:0.05,(gamma:0.08,(delta:0.07,epsilon:0.12):0.04):0.03);"}},
+		TotalTasks: 9, TotalOps: 12345,
+	}
+	if err := results.Put(result); err != nil {
+		t.Fatal(err)
+	}
+	doneSpec := stored(JobSpec{Tenant: "x", Alignment: stableAlignment, Options: JobOptions{Model: "hky", Kappa: 3}}, "gradient")
+	if err := store.Create(&JobRecord{
+		ID: done, Tenant: "x", State: StateDone, Jumbles: 1, ResultKey: result.Key,
+		PodKey: "b9b2b6114abb88bd3d1253a6788cf74d9eaa9ff706d40c21b7a27296c76f6894", Submitted: time.Now(), Finished: time.Now(),
+	}, &doneSpec); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := NewServer(Options{DataDir: dir, Fleet: FleetOptions{Workers: 1}, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("a stored gradient job must not stop the daemon: %v", err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+
+	rec, err := s.Get(queued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refusal := likelihood.CheckSmoothMode(likelihood.SmoothGradient).Error(); rec.State != StateQuarantined || !strings.Contains(rec.Error, refusal) {
+		t.Errorf("queued gradient job: state %s, error %q; want quarantined with %q", rec.State, rec.Error, refusal)
+	}
+	if _, _, err := s.Result(queued); err == nil {
+		t.Error("quarantined job served a result")
+	}
+	if n := s.met.quarantined.Value(); n != 1 {
+		t.Errorf("quarantined counter = %v, want 1", n)
+	}
+
+	waitJob(t, s, next, StateDone)
+	res, _, err := s.Result(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialReference(t, sweep)[0]
+	if got := res.Jumbles[0]; got.Newick != want.BestNewick || got.LnL != want.LnL {
+		t.Errorf("resumed sweep job: %q lnL %v, serial %q lnL %v", got.Newick, got.LnL, want.BestNewick, want.LnL)
+	}
+
+	got, rec2, err := s.Result(done)
+	if err != nil {
+		t.Fatalf("finished gradient job: %v", err)
+	}
+	if rec2.State != StateDone || !reflect.DeepEqual(got, result) {
+		t.Errorf("finished gradient job: state %s, result %+v; want done, %+v", rec2.State, got, result)
 	}
 }

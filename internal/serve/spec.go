@@ -116,8 +116,9 @@ func prepareSpec(sp JobSpec) (*preparedSpec, error) {
 	}
 	sp.Alignment = canon.String()
 
-	// Precision is always "float64" now; it stays in the document so the
-	// keys of jobs stored while float32 was selectable still match.
+	// Precision is always "float64" and SmoothMode always "sweep" now;
+	// both stay in the document so the keys of jobs stored while float32
+	// and gradient smoothing were selectable still match.
 	type podDoc struct {
 		Alignment  string
 		Model      string

@@ -154,9 +154,9 @@ func TestResultAndPodKeysAreStable(t *testing.T) {
 	}{
 		{"defaults", JobSpec{Alignment: stableAlignment},
 			"f287b65be595815631a9d15b496892fc2538f8ab2b2404e6ec09978954f575d5", "5629b6254f970d139f253684bb9690363c01e997306c1982a87b2ee83f24a2bb"},
-		{"hky85 gradient", JobSpec{Alignment: stableAlignment, Options: JobOptions{
-			Model: "hky", Kappa: 3, SmoothMode: "gradient"}},
-			"5f68918a448817d5cf8c45b914c2c740c70b19a5828c93ace614064a095393a1", "b9b2b6114abb88bd3d1253a6788cf74d9eaa9ff706d40c21b7a27296c76f6894"},
+		{"hky85 sweep", JobSpec{Alignment: stableAlignment, Options: JobOptions{
+			Model: "hky", Kappa: 3, SmoothMode: "sweep"}},
+			"11b319fb71215995809897daeb5107ba51cd2c78ad2e1002ba52de501d884877", "514feb367fc0c4ad553ae50968e31bb53fe966247e980c15089c97cafdc8387a"},
 		{"gtr jumbles extents adaptive", JobSpec{Alignment: stableAlignment, Options: JobOptions{
 			Model: "GTR", GTRRates: []float64{1, 2.5, 0.5, 0.75, 3, 1}, Jumbles: 3, Seed: 8,
 			Extent: 2, FinalExtent: 4, Adaptive: true}},
@@ -182,9 +182,9 @@ func TestResultAndPodKeysAreStable(t *testing.T) {
 // when accepted, the same normalized Spec and the same model, number for
 // number. A setting one door would silently default or ignore (-ttratio
 // -1, -gtr-rates under another model) is an error at both. No flag sets
-// Precision any more, so a row's prec reaches the first door the way a
-// library caller's core.Spec would; every float32 spelling is refused by
-// both doors with the same message.
+// Precision or SmoothMode any more, so a row's lib settings reach the
+// first door the way a library caller's core.Spec would; every float32
+// and gradient spelling is refused by both doors with the same message.
 func TestFrontDoorsAgree(t *testing.T) {
 	a, err := seq.ReadPhylip(strings.NewReader(stableAlignment))
 	if err != nil {
@@ -192,38 +192,40 @@ func TestFrontDoorsAgree(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		args   []string
-		prec   string
+		lib    core.Spec
 		json   string
 		accept bool
 	}{
-		{nil, "", `{}`, true},
-		{[]string{"-model", "f84"}, "", `{"model":"f84"}`, true},
-		{[]string{"-model", "HKY"}, "", `{"model":"HKY"}`, true},
-		{[]string{"-model", "hky", "-kappa", "3"}, "", `{"model":"hky","kappa":3}`, true},
-		{[]string{"-model", "Hky85"}, "", `{"model":"Hky85"}`, true},
-		{[]string{"-model", "jc"}, "", `{"model":"jc"}`, true},
-		{[]string{"-model", "K80", "-kappa", "4"}, "", `{"model":"K80","kappa":4}`, true},
-		{[]string{"-model", "gtr"}, "", `{"model":"gtr"}`, true},
-		{[]string{"-model", "GTR", "-gtr-rates", "1,2.5,0.5,0.75,3,1"}, "", `{"model":"GTR","gtr_rates":[1,2.5,0.5,0.75,3,1]}`, true},
-		{[]string{"-ttratio", "3.5", "-jumbles", "3", "-seed", "8", "-extent", "2", "-final-extent", "4", "-adaptive"}, "",
+		{nil, core.Spec{}, `{}`, true},
+		{[]string{"-model", "f84"}, core.Spec{}, `{"model":"f84"}`, true},
+		{[]string{"-model", "HKY"}, core.Spec{}, `{"model":"HKY"}`, true},
+		{[]string{"-model", "hky", "-kappa", "3"}, core.Spec{}, `{"model":"hky","kappa":3}`, true},
+		{[]string{"-model", "Hky85"}, core.Spec{}, `{"model":"Hky85"}`, true},
+		{[]string{"-model", "jc"}, core.Spec{}, `{"model":"jc"}`, true},
+		{[]string{"-model", "K80", "-kappa", "4"}, core.Spec{}, `{"model":"K80","kappa":4}`, true},
+		{[]string{"-model", "gtr"}, core.Spec{}, `{"model":"gtr"}`, true},
+		{[]string{"-model", "GTR", "-gtr-rates", "1,2.5,0.5,0.75,3,1"}, core.Spec{}, `{"model":"GTR","gtr_rates":[1,2.5,0.5,0.75,3,1]}`, true},
+		{[]string{"-ttratio", "3.5", "-jumbles", "3", "-seed", "8", "-extent", "2", "-final-extent", "4", "-adaptive"}, core.Spec{},
 			`{"ttratio":3.5,"jumbles":3,"seed":8,"extent":2,"final_extent":4,"adaptive":true}`, true},
-		{[]string{"-engine", "reference", "-smooth-mode", "gradient"}, "double",
-			`{"precision":"f64","engine":"reference","smooth_mode":"gradient"}`, true},
-		{[]string{"-model", "WAG"}, "", `{"model":"WAG"}`, false},
-		{[]string{"-ttratio", "-1"}, "", `{"ttratio":-1}`, false},
-		{[]string{"-model", "HKY85", "-kappa", "-3"}, "", `{"model":"HKY85","kappa":-3}`, false},
-		{[]string{"-model", "GTR", "-gtr-rates", "1,2,3"}, "", `{"model":"GTR","gtr_rates":[1,2,3]}`, false},
-		{[]string{"-gtr-rates", "1,1,1,1,1,1"}, "", `{"gtr_rates":[1,1,1,1,1,1]}`, false},
-		{[]string{"-jumbles", "-2"}, "", `{"jumbles":-2}`, false},
-		{[]string{"-extent", "-1"}, "", `{"extent":-1}`, false},
-		{[]string{"-final-extent", "-1"}, "", `{"final_extent":-1}`, false},
-		{nil, "float16", `{"precision":"float16"}`, false},
-		{nil, "32", `{"precision":"32"}`, false},
-		{nil, "single", `{"precision":"single"}`, false},
-		{nil, "f32", `{"precision":"f32"}`, false},
-		{nil, "float32", `{"precision":"float32"}`, false},
-		{[]string{"-engine", "warp"}, "", `{"engine":"warp"}`, false},
-		{[]string{"-smooth-mode", "zigzag"}, "", `{"smooth_mode":"zigzag"}`, false},
+		{[]string{"-engine", "reference"}, core.Spec{Precision: "double", SmoothMode: "sweep"},
+			`{"precision":"f64","engine":"reference","smooth_mode":"sweep"}`, true},
+		{[]string{"-model", "WAG"}, core.Spec{}, `{"model":"WAG"}`, false},
+		{[]string{"-ttratio", "-1"}, core.Spec{}, `{"ttratio":-1}`, false},
+		{[]string{"-model", "HKY85", "-kappa", "-3"}, core.Spec{}, `{"model":"HKY85","kappa":-3}`, false},
+		{[]string{"-model", "GTR", "-gtr-rates", "1,2,3"}, core.Spec{}, `{"model":"GTR","gtr_rates":[1,2,3]}`, false},
+		{[]string{"-gtr-rates", "1,1,1,1,1,1"}, core.Spec{}, `{"gtr_rates":[1,1,1,1,1,1]}`, false},
+		{[]string{"-jumbles", "-2"}, core.Spec{}, `{"jumbles":-2}`, false},
+		{[]string{"-extent", "-1"}, core.Spec{}, `{"extent":-1}`, false},
+		{[]string{"-final-extent", "-1"}, core.Spec{}, `{"final_extent":-1}`, false},
+		{nil, core.Spec{Precision: "float16"}, `{"precision":"float16"}`, false},
+		{nil, core.Spec{Precision: "32"}, `{"precision":"32"}`, false},
+		{nil, core.Spec{Precision: "single"}, `{"precision":"single"}`, false},
+		{nil, core.Spec{Precision: "f32"}, `{"precision":"f32"}`, false},
+		{nil, core.Spec{Precision: "float32"}, `{"precision":"float32"}`, false},
+		{[]string{"-engine", "warp"}, core.Spec{}, `{"engine":"warp"}`, false},
+		{nil, core.Spec{SmoothMode: "zigzag"}, `{"smooth_mode":"zigzag"}`, false},
+		{nil, core.Spec{SmoothMode: "gradient"}, `{"smooth_mode":"gradient"}`, false},
+		{nil, core.Spec{SmoothMode: "grad"}, `{"smooth_mode":"grad"}`, false},
 	} {
 		var cli core.Spec
 		fs := flag.NewFlagSet("fastdnaml", flag.ContinueOnError)
@@ -232,7 +234,7 @@ func TestFrontDoorsAgree(t *testing.T) {
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatalf("%v: %v", tc.args, err)
 		}
-		cli.Precision = tc.prec
+		cli.Precision, cli.SmoothMode = tc.lib.Precision, tc.lib.SmoothMode
 		cliCfg, cliOpt, cliErr := core.Prepare(a, core.Options{Spec: cli})
 
 		job := JobSpec{Alignment: stableAlignment}

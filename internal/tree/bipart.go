@@ -13,7 +13,8 @@ import (
 // orderings).
 
 // Split is a bipartition of the taxon set, normalized so the side NOT
-// containing taxon 0 is stored.
+// containing the tree's smallest taxon (taxon 0 in a complete tree) is
+// stored.
 type Split struct {
 	bits []uint64
 	n    int // total taxa
@@ -114,7 +115,11 @@ func (t *Tree) Splits() map[string]Split {
 	n := len(t.Taxa)
 	words := (n + 63) / 64
 	out := make(map[string]Split)
-	anchor := t.AnyNode()
+	// Walking from the smallest-taxon leaf, no accumulated side holds that
+	// taxon, so an edge has one key whichever way the tree is rooted —
+	// also in a tree over part of the taxon set, where complementing
+	// against all taxa would not be.
+	anchor := t.minLeaf()
 	if anchor == nil {
 		return out
 	}
@@ -179,7 +184,7 @@ func (t *Tree) splitLengths() map[string]float64 {
 	n := len(t.Taxa)
 	words := (n + 63) / 64
 	out := map[string]float64{}
-	anchor := t.AnyNode()
+	anchor := t.minLeaf() // see Splits
 	if anchor == nil {
 		return out
 	}

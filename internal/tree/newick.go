@@ -151,11 +151,17 @@ func (w *newickWriter) node(n, parent *Node) {
 		}
 	}
 	w.order = w.order[:base]
-	w.buf = append(w.buf, ')')
 	if n.Leaf() {
-		// A leaf used as the traversal root still prints its label.
+		// A leaf used as the traversal root (a two-leaf tree) prints as a
+		// zero-length sibling of its neighbor: after the ')' its label
+		// would read back as an internal label, which parsing ignores.
+		w.buf = append(w.buf, ',')
 		w.buf = appendLabel(w.buf, w.t.Taxa[n.Taxon])
+		if w.opt.Lengths {
+			w.buf = append(w.buf, ":0"...)
+		}
 	}
+	w.buf = append(w.buf, ')')
 }
 
 // appendLabel appends a taxon label, quoted when it contains Newick
@@ -251,6 +257,7 @@ func (p *newickParser) parseSubtree(t *Tree) (*Node, float64, error) {
 	}
 	var n *Node
 	if p.src[p.pos] == '(' {
+		open := p.pos
 		p.pos++
 		n = t.newNode(-1)
 		for {
@@ -272,6 +279,11 @@ func (p *newickParser) parseSubtree(t *Tree) (*Node, float64, error) {
 				break
 			}
 			return nil, 0, fmt.Errorf("newick: unexpected %q at offset %d", p.src[p.pos], p.pos)
+		}
+		// A one-member group would be an inner node of degree two (one at
+		// the top), which no unrooted tree has and no rendering restores.
+		if n.Degree() < 2 {
+			return nil, 0, fmt.Errorf("newick: group at offset %d has one member", open)
 		}
 		// Optional internal label, ignored.
 		if _, err := p.parseLabel(); err != nil {

@@ -212,7 +212,6 @@ func writeNewickRecursive(t *Tree, opt WriteNewickOptions) (string, error) {
 			}
 			b.WriteString(k.text)
 		}
-		b.WriteByte(')')
 		min := math.MaxInt32
 		for _, k := range kids {
 			if k.min < min {
@@ -220,12 +219,17 @@ func writeNewickRecursive(t *Tree, opt WriteNewickOptions) (string, error) {
 			}
 		}
 		if n.Leaf() {
-			// A leaf used as the traversal root still prints its label.
-			b.WriteString(quoteLabelRef(t.Taxa[n.Taxon]))
+			// A leaf used as the traversal root prints as a zero-length
+			// sibling of its neighbor.
+			b.WriteString("," + quoteLabelRef(t.Taxa[n.Taxon]))
+			if opt.Lengths {
+				b.WriteString(":0")
+			}
 			if n.Taxon < min {
 				min = n.Taxon
 			}
 		}
+		b.WriteByte(')')
 		return b.String(), min
 	}
 	text, _ := render(anchor, nil)
