@@ -62,7 +62,7 @@ fuzz-smoke:
 # The final step re-measures the kernels and archives the numbers as
 # bench/BENCH_kernels.json (CI uploads it as an artifact).
 bench:
-	$(GO) test -run XXX -bench 'DownPartial|Newton|FullSmooth' -cpu 1,2,4 -benchmem ./internal/likelihood/
+	$(GO) test -run XXX -bench 'DownPartial|Newton|FullSmooth|InsertScore|RestrictedSmooth' -cpu 1,2,4 -benchmem ./internal/likelihood/
 	$(GO) test -run XXX -bench Codec -benchmem ./internal/mlsearch/
 	FDML_BENCH_DIR=$(CURDIR)/bench $(GO) test -count=1 -run TestKernelBenchJSON -v ./internal/likelihood/
 

@@ -61,6 +61,21 @@ func main() {
 	}
 }
 
+// noisyNote marks the measurements known to swing with unchanged code on
+// the 2-CPU reference host: the calibration loop (6.1–7.7 µs) and the
+// down_partial_cached rows, bimodal per process (141 or 182 µs at
+// threads=1). A regression there is believed only if a repeat shows it.
+const noisyNote = "noisy — repeat once before alarming"
+
+// label is a row's kernel name, with the noisy note on the known-noisy
+// rows.
+func label(name string) string {
+	if strings.HasPrefix(name, "down_partial_cached_threads_") {
+		return name + " (" + noisyNote + ")"
+	}
+	return name
+}
+
 // diff writes the before/after table of the two reports to w and returns
 // one line per kernel that is more than maxRegress slower than baseline.
 func diff(w io.Writer, base, cur report, maxRegress float64) ([]string, error) {
@@ -73,7 +88,7 @@ func diff(w io.Writer, base, cur report, maxRegress float64) ([]string, error) {
 	scale := 1.0
 	if bc, cc := base.Totals["calibration_ns"], cur.Totals["calibration_ns"]; bc > 0 && cc > 0 {
 		scale = bc / cc
-		fmt.Fprintf(w, "machine speed vs baseline capture: %.2fx (calibration %.0f -> %.0f ns/op)\n\n", 1/scale, bc, cc)
+		fmt.Fprintf(w, "machine speed vs baseline capture: %.2fx (calibration %.0f -> %.0f ns/op; %s)\n\n", 1/scale, bc, cc, noisyNote)
 	}
 
 	// Every kernel either report measured is a row. One the baseline
@@ -116,14 +131,14 @@ func diff(w io.Writer, base, cur report, maxRegress float64) ([]string, error) {
 			fmt.Fprintf(w, "| %s | %.0f | removed | removed | removed |\n", name, b)
 			continue
 		case !inBase:
-			fmt.Fprintf(w, "| %s | new | %.0f | %.0f | new |\n", name, c, norm)
+			fmt.Fprintf(w, "| %s | new | %.0f | %.0f | new |\n", label(name), c, norm)
 			continue
 		}
-		fmt.Fprintf(w, "| %s | %.0f | %.0f | %.0f | %.2fx |\n", name, b, c, norm, b/norm)
+		fmt.Fprintf(w, "| %s | %.0f | %.0f | %.0f | %.2fx |\n", label(name), b, c, norm, b/norm)
 		if norm > b*(1+maxRegress) {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %.0f ns/op -> %.0f ns/op normalized (%.1f%% slower, limit %.0f%%)",
-					name, b, norm, 100*(norm/b-1), 100*maxRegress))
+					label(name), b, norm, 100*(norm/b-1), 100*maxRegress))
 		}
 	}
 	fmt.Fprintln(w)

@@ -33,3 +33,28 @@ func TestDiffNewRow(t *testing.T) {
 		t.Error("no shared rows: want an error")
 	}
 }
+
+// TestDiffNoisyRows: the measurements known to swing with unchanged code
+// — the calibration loop and the down_partial_cached rows — carry the
+// "repeat once" note in the table and in the regression they raise,
+// while a steady row does not.
+func TestDiffNoisyRows(t *testing.T) {
+	base := report{Totals: map[string]float64{"calibration_ns": 100, "a_threads_1_ns": 1000, "down_partial_cached_threads_1_ns": 141000}}
+	cur := report{Totals: map[string]float64{"calibration_ns": 100, "a_threads_1_ns": 1200, "down_partial_cached_threads_1_ns": 182000}}
+	var out strings.Builder
+	regs, err := diff(&out, base, cur, 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"calibration 100 -> 100 ns/op; noisy — repeat once before alarming)",
+		"| down_partial_cached_threads_1 (noisy — repeat once before alarming) | 141000 | 182000 |",
+		"| a_threads_1 | 1000 | 1200 |"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if len(regs) != 2 || !strings.HasPrefix(regs[0], "a_threads_1:") ||
+		!strings.HasPrefix(regs[1], "down_partial_cached_threads_1 (noisy — repeat once before alarming):") {
+		t.Errorf("regressions %v", regs)
+	}
+}

@@ -36,6 +36,8 @@ func TestKernelBenchJSON(t *testing.T) {
 		{"newton_edge", benchNewton},
 		{"newton_solve", benchNewtonSolve},
 		{"full_smooth", benchSmooth},
+		{"insert_score", benchInsertScore},
+		{"restricted_smooth", benchRestrictedSmooth},
 	}
 	// The calibration workload is a fixed, dependent float64 chain: pure
 	// CPU speed, no memory or threading effects. benchdiff divides the

@@ -125,8 +125,8 @@ func benchNewtonSolve(b *testing.B, threads int) {
 	}
 	var solves []solve
 	for _, ed := range tr.Edges() {
-		pa, _ := eng.partial(ed.A, ed.B)
-		pb, _ := eng.partial(ed.B, ed.A)
+		pa := eng.partial(ed.A, ed.B)
+		pb := eng.partial(ed.B, ed.A)
 		solves = append(solves, solve{pa, pb, ed.Length()})
 	}
 	eng.ResetStats()
@@ -140,6 +140,133 @@ func benchNewtonSolve(b *testing.B, threads int) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(eng.Stats().NewtonIters)/float64(b.N), "iterates/op")
+}
+
+// wideEngine builds an engine and a smoothed tree of the many-taxa,
+// short-vector shape where cache bookkeeping rather than the kernels
+// sets the cost (32 taxa × 140 sites, like the tcp2w_wide32 workload).
+func wideEngine(b *testing.B, threads int) (*CachedEngine, *tree.Tree) {
+	b.Helper()
+	m, p, tr := threadFixture(b, 17, 32, 140)
+	eng, err := New(m, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if threads > 1 {
+		eng.SetThreads(threads)
+	}
+	if _, err := eng.OptimizeBranches(tr, OptOptions{Passes: 2}); err != nil {
+		b.Fatal(err)
+	}
+	return eng, tr
+}
+
+// BenchmarkInsertScore measures an add round's candidates on a warm
+// cache: one op scores the new taxon on every edge of a smoothed
+// 31-taxon base (two junction passes each, as the search does). The base
+// is never edited, so every CLV lookup is a cache hit: this is the cost
+// of the hit path plus the junction kernels.
+func BenchmarkInsertScore(b *testing.B) {
+	for _, threads := range benchThreadCounts {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			benchInsertScore(b, threads)
+		})
+	}
+}
+
+func benchInsertScore(b *testing.B, threads int) {
+	eng, tr := wideEngine(b, threads)
+	defer eng.Close()
+	const taxon = 31
+	if err := tr.RemoveLeaf(taxon); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.LogLikelihood(tr); err != nil {
+		b.Fatal(err)
+	}
+	sc, err := eng.NewInsertScorer(tr, taxon)
+	if err != nil {
+		b.Fatal(err)
+	}
+	edges := tr.Edges()
+	score := func() {
+		for _, ed := range edges {
+			if _, err := sc.Score(ed, 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	score()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		score()
+	}
+}
+
+// BenchmarkRestrictedSmooth measures a rearrangement candidate's engine
+// work: after ApplySPR of one of the base's extent-1 moves (in turn), the
+// radius-1 smoothing around the regraft junction and the prune site,
+// then Undo and the restoring SetLens. Only the smoothing is timed: the
+// tree edits allocate nodes and are the tree package's cost, not the
+// engine's, but every lookup after them starts from the re-based cache
+// they leave behind.
+func BenchmarkRestrictedSmooth(b *testing.B) {
+	for _, threads := range benchThreadCounts {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			benchRestrictedSmooth(b, threads)
+		})
+	}
+}
+
+func benchRestrictedSmooth(b *testing.B, threads int) {
+	eng, tr := wideEngine(b, threads)
+	defer eng.Close()
+	var moves []tree.SPRMove
+	if _, err := tr.Rearrangements(1, func(_ *tree.Tree, c tree.RearrangeCandidate) bool {
+		moves = append(moves, c.Move())
+		return true
+	}); err != nil {
+		b.Fatal(err)
+	}
+	type snap struct {
+		a, b int
+		l    float64
+	}
+	var lens []snap
+	for _, ed := range tr.Edges() {
+		lens = append(lens, snap{ed.A.ID, ed.B.ID, ed.Length()})
+	}
+	centers := make([]*tree.Node, 3)
+	candidate := func(i int, timed bool) {
+		u, err := tr.ApplySPR(moves[i%len(moves)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		centers[0], centers[1], centers[2] = u.Mid, u.Joined.A, u.Joined.B
+		if timed {
+			b.StartTimer()
+		}
+		if _, err := eng.OptimizeBranches(tr, OptOptions{Passes: 2, Centers: centers, Radius: 1}); err != nil {
+			b.Fatal(err)
+		}
+		if timed {
+			b.StopTimer()
+		}
+		u.Undo()
+		for _, s := range lens {
+			tree.SetLen(tr.Nodes[s.a], tr.Nodes[s.b], s.l)
+		}
+	}
+	for i := range moves {
+		candidate(i, false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		candidate(i, true)
+	}
 }
 
 // BenchmarkFullSmooth measures full branch smoothing to convergence —

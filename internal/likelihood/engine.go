@@ -8,8 +8,8 @@
 //
 // Evaluation is incremental: conditional likelihood vectors are memoized
 // per directed edge (see cache.go), so repeated evaluations of the same
-// or a locally-edited tree only recompute the vectors whose subtree or
-// incident branch lengths changed. Patterns are permuted at construction
+// or a locally-edited tree only recompute the vectors whose subtree —
+// topology or branch lengths — changed. Patterns are permuted at construction
 // into contiguous rate-class blocks so the inner loops hoist the
 // transition-matrix lookup out of the per-pattern loop, and CLVs are
 // stored structure-of-arrays — one contiguous lane per nucleotide state,
@@ -22,6 +22,7 @@ package likelihood
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -111,10 +112,9 @@ type CachedEngine struct {
 
 	// tip conditional likelihoods per taxon in SoA lanes over the padded
 	// axis: 1 when the observed code is compatible with the base, 0 in
-	// padding. zeroScale is the shared all-zero scale vector tips report
-	// (tips never underflow).
-	tips      [][]float64
-	zeroScale []int32
+	// padding, each with the shared all-zero scale vector (tips never
+	// underflow).
+	tips []clvRef
 
 	// scratch transition matrices, one per rate class. pmatB holds the
 	// second child's matrices during the fused two-child combine.
@@ -273,7 +273,8 @@ func New(m model.Model, p *seq.Patterns) (*CachedEngine, error) {
 	// exactly zero forever — combines propagate 0 and rescaling skips
 	// non-positive maxima — so padded tails never produce scaling events
 	// or NaNs.
-	e.tips = make([][]float64, p.NumSeqs())
+	zeroScale := make([]int32, e.npad)
+	e.tips = make([]clvRef, p.NumSeqs())
 	for taxon := range e.tips {
 		v := make([]float64, 4*e.npad)
 		for _, blk := range e.blocks {
@@ -287,9 +288,8 @@ func New(m model.Model, p *seq.Patterns) (*CachedEngine, error) {
 				}
 			}
 		}
-		e.tips[taxon] = v
+		e.tips[taxon] = clvRef{f64: v, sc: zeroScale}
 	}
-	e.zeroScale = make([]int32, e.npad)
 	e.spec = make([]float64, len(e.foldM)*e.npad)
 
 	// Shard layout and reduction partials (shard.go). The layout depends
@@ -329,11 +329,6 @@ func (e *CachedEngine) ResetOps() uint64 {
 // ensureBuffers sizes the cache's per-node index for node IDs < n.
 func (e *CachedEngine) ensureBuffers(n int) {
 	e.cache.grow(n)
-}
-
-// tipRef returns the tip CLV view for a taxon.
-func (e *CachedEngine) tipRef(taxon int) clvRef {
-	return clvRef{f64: e.tips[taxon], sc: e.zeroScale}
 }
 
 // fillProbs computes the per-class transition matrices for branch length
@@ -416,31 +411,43 @@ func (e *CachedEngine) combine2Into(dst, a, b clvRef, za, zb float64) {
 }
 
 // partial returns the conditional likelihood vector of the subtree at n
-// seen from parent (the "down" view of directed edge parent->n) and its
-// cache generation. Results come from the CLV cache when the subtree is
-// unchanged; only stale vectors are recombined. The returned buffers are
-// owned by the cache and valid until the next fill of the same directed
-// edge.
-func (e *CachedEngine) partial(n, parent *tree.Node) (clvRef, uint64) {
+// seen from parent (the "down" view of directed edge parent->n). It is
+// the top of a lookup, where the stamps are re-based if n's tree is not
+// the one they speak for (cache.go); lookup does the walk. The returned
+// buffers are owned by the cache and valid until the next fill of the
+// same directed edge.
+func (e *CachedEngine) partial(n, parent *tree.Node) clvRef {
+	e.cache.sync(n.Tree())
+	ref, _ := e.lookup(n, parent)
+	return *ref
+}
+
+// lookup returns the CLV of n seen from parent and its cache generation.
+// A stamped entry is returned as is. Otherwise the children are looked up
+// first and compared against the entry's recorded children — node,
+// generation and branch length — and only a vector whose inputs changed
+// is recombined; either way the entry is stamped.
+func (e *CachedEngine) lookup(n, parent *tree.Node) (*clvRef, uint64) {
 	if n.Leaf() {
-		return e.tipRef(n.Taxon), tipGen
+		return &e.tips[n.Taxon], tipGen
 	}
 	ent := e.cache.entryFor(n, parent)
-	valid := ent.filled && ent.nodeRev == n.Rev()
+	if ent.filled && ent.seen == e.cache.stamp {
+		e.stats.Hits++
+		return &ent.ref, ent.gen
+	}
 
-	// Recurse into the children first (pure pointer walk on the hit
-	// path) and compare against the entry's recorded children. Children
-	// are combined in node-ID order, not Nbr order: topology edits can
-	// permute Nbr lists, and keying the floating-point combine order to
-	// node identity keeps results bit-identical across edit histories
-	// (the serial-equals-parallel guarantee).
+	// Children are combined in node-ID order, not Nbr order: topology
+	// edits can permute Nbr lists, and keying the floating-point combine
+	// order to node identity keeps results bit-identical across edit
+	// histories (the serial-equals-parallel guarantee).
 	tmp := ent.tmp[:0]
 	for i, child := range n.Nbr {
 		if child == parent {
 			continue
 		}
-		cref, cgen := e.partial(child, n)
-		tmp = append(tmp, kidRef{node: child, gen: cgen, ref: cref, z: n.Len[i]})
+		cref, cgen := e.lookup(child, n)
+		tmp = append(tmp, kidRef{node: child, gen: cgen, z: n.Len[i], ref: cref})
 	}
 	for i := 1; i < len(tmp); i++ {
 		for j := i; j > 0 && tmp[j].node.ID < tmp[j-1].node.ID; j-- {
@@ -448,19 +455,10 @@ func (e *CachedEngine) partial(n, parent *tree.Node) (clvRef, uint64) {
 		}
 	}
 	ent.tmp = tmp
-	if valid && len(tmp) == len(ent.kids) {
-		for i := range tmp {
-			if ent.kids[i].node != tmp[i].node || ent.kids[i].gen != tmp[i].gen {
-				valid = false
-				break
-			}
-		}
-	} else {
-		valid = false
-	}
-	if valid {
+	ent.seen = e.cache.stamp
+	if ent.filled && slices.EqualFunc(tmp, ent.kids, sameKid) {
 		e.stats.Hits++
-		return ent.ref, ent.gen
+		return &ent.ref, ent.gen
 	}
 	e.stats.Misses++
 	e.stats.Recomputed++
@@ -470,30 +468,16 @@ func (e *CachedEngine) partial(n, parent *tree.Node) (clvRef, uint64) {
 	}
 	if len(tmp) == 2 {
 		// Bifurcating inner node: one fused kernel pass for the whole fill.
-		e.combine2Into(ent.ref, tmp[0].ref, tmp[1].ref, tmp[0].z, tmp[1].z)
+		e.combine2Into(ent.ref, *tmp[0].ref, *tmp[1].ref, tmp[0].z, tmp[1].z)
 	} else {
 		for i := range tmp {
-			e.combineInto(ent.ref, tmp[i].ref, tmp[i].z, i == 0, i == len(tmp)-1)
+			e.combineInto(ent.ref, *tmp[i].ref, tmp[i].z, i == 0, i == len(tmp)-1)
 		}
 	}
-
-	ent.nodeRev = n.Rev()
-	ent.kids = ent.kids[:0]
-	for i := range tmp {
-		// Retain only the identity fields; the vector slices would pin
-		// child buffers for no benefit.
-		ent.kids = append(ent.kids, kidRef{node: tmp[i].node, gen: tmp[i].gen})
-	}
+	ent.kids, ent.tmp = tmp, ent.kids
 	ent.gen = e.cache.nextGen()
 	ent.filled = true
-	return ent.ref, ent.gen
-}
-
-// downPartial is the uncached-era name for partial, kept for in-package
-// tests; it returns the (possibly cached) directed-edge CLV view.
-func (e *CachedEngine) downPartial(n, parent *tree.Node) clvRef {
-	ref, _ := e.partial(n, parent)
-	return ref
+	return &ent.ref, ent.gen
 }
 
 // edgeLogLikelihood combines the two directed partials of edge (a,b) at
@@ -529,8 +513,8 @@ func (e *CachedEngine) LogLikelihood(t *tree.Tree) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("likelihood: tree has no edges")
 	}
-	a, _ := e.partial(ed.A, ed.B)
-	b, _ := e.partial(ed.B, ed.A)
+	a := e.partial(ed.A, ed.B)
+	b := e.partial(ed.B, ed.A)
 	return e.edgeLogLikelihood(a, b, ed.Length()), nil
 }
 
@@ -549,8 +533,8 @@ func (e *CachedEngine) SiteLogLikelihoods(t *tree.Tree) ([]float64, error) {
 	if !ok {
 		return nil, fmt.Errorf("likelihood: tree has no edges")
 	}
-	a, _ := e.partial(ed.A, ed.B)
-	b, _ := e.partial(ed.B, ed.A)
+	a := e.partial(ed.A, ed.B)
+	b := e.partial(ed.B, ed.A)
 	e.fillProbs(clampLen(ed.Length()))
 	if e.siteBuf == nil {
 		e.siteBuf = make([]float64, e.npat)

@@ -211,13 +211,13 @@ func TestRerootingInvariance(t *testing.T) {
 	e.ensureBuffers(tr.MaxID())
 	var vals []float64
 	for _, ed := range tr.Edges() {
-		a := e.downPartial(ed.A, ed.B)
-		// downPartial reuses buffers; copy side A before computing B.
+		a := e.partial(ed.A, ed.B)
+		// partial reuses buffers; copy side A before computing B.
 		ac := clvRef{
 			f64: append([]float64(nil), a.f64...),
 			sc:  append([]int32(nil), a.sc...),
 		}
-		b := e.downPartial(ed.B, ed.A)
+		b := e.partial(ed.B, ed.A)
 		vals = append(vals, e.edgeLogLikelihood(ac, b, ed.Length()))
 	}
 	for i := 1; i < len(vals); i++ {
@@ -438,12 +438,12 @@ func TestEdgeDerivativesFiniteDifference(t *testing.T) {
 	tr, _ := tree.RandomTree(taxaNames(4), rng, 0.2)
 	e.ensureBuffers(tr.MaxID())
 	ed := tr.Edges()[0]
-	a := e.downPartial(ed.A, ed.B)
+	a := e.partial(ed.A, ed.B)
 	ac := clvRef{
 		f64: append([]float64(nil), a.f64...),
 		sc:  append([]int32(nil), a.sc...),
 	}
-	b := e.downPartial(ed.B, ed.A)
+	b := e.partial(ed.B, ed.A)
 
 	z := 0.13
 	const h = 1e-6

@@ -65,7 +65,7 @@ func foldVectors(e *CachedEngine, rng *rand.Rand) (a, b clvRef, av, bv [][4]floa
 		}
 	}
 	store := func(v [][4]float64) clvRef {
-		ref := clvRef{f64: make([]float64, 4*e.npad), sc: e.zeroScale}
+		ref := clvRef{f64: make([]float64, 4*e.npad), sc: e.tips[0].sc}
 		for i := range v {
 			for s := 0; s < 4; s++ {
 				ref.f64[s*e.npad+i] = v[i][s]

@@ -62,14 +62,14 @@ func (e *CachedEngine) branchGradients(t *tree.Tree, dst []BranchGrad) ([]Branch
 	// shallower fills; partial(B, A) is the cached down-partial.
 	for i := range dst {
 		g := &dst[i]
-		a, _ := e.partial(g.A, g.B)
-		b, _ := e.partial(g.B, g.A)
+		a := e.partial(g.A, g.B)
+		b := e.partial(g.B, g.A)
 		g.D1, g.D2 = e.edgeGradient(a, b, g.Z)
 	}
 	// Round log-likelihood at the first edge: its partials are already
 	// cached, so this costs one reduction kernel, no fills.
-	a, _ := e.partial(dst[0].A, dst[0].B)
-	b, _ := e.partial(dst[0].B, dst[0].A)
+	a := e.partial(dst[0].A, dst[0].B)
+	b := e.partial(dst[0].B, dst[0].A)
 	return dst, e.edgeLogLikelihood(a, b, dst[0].Z), nil
 }
 

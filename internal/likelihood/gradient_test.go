@@ -68,8 +68,8 @@ func TestBranchGradientsMatchDerivKernel(t *testing.T) {
 		t.Errorf("BranchGradients lnL %.17g != LogLikelihood %.17g", lnL, want)
 	}
 	for _, g := range grads {
-		a, _ := eng.partial(g.A, g.B)
-		b, _ := eng.partial(g.B, g.A)
+		a := eng.partial(g.A, g.B)
+		b := eng.partial(g.B, g.A)
 		d1, d2 := eng.edgeGradient(a, b, g.Z)
 		if math.Float64bits(g.D1) != math.Float64bits(d1) ||
 			math.Float64bits(g.D2) != math.Float64bits(d2) {

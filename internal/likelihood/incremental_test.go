@@ -1,8 +1,10 @@
 package likelihood
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -170,6 +172,86 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSetLenRefillsExactlyItsDependents: a CLV entry depends on exactly
+// the branch lengths inside its subtree, so on a warm cache SetLen(p, u)
+// refills exactly the entries whose subtree contains edge p–u — first
+// those LogLikelihood looks up, then, with every direction looked up,
+// all of them — and never (p seen from u) or (u seen from p), whose
+// vectors do not read the edge's own length.
+func TestSetLenRefillsExactlyItsDependents(t *testing.T) {
+	m, p, tr := threadFixture(t, 21, 12, 200)
+	e, err := New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type dir struct{ n, parent int }
+	for _, ed := range tr.InternalEdges() {
+		if _, _, err := e.BranchGradients(tr, nil); err != nil {
+			t.Fatal(err)
+		}
+		gens := map[*clvEntry]uint64{}
+		for _, list := range e.cache.byNode {
+			for _, ent := range list {
+				if ent.filled {
+					gens[ent] = ent.gen
+				}
+			}
+		}
+		root, _ := tr.FirstEdge()
+		// refilled lists the entries refilled since the snapshot; want
+		// those whose subtree holds the edited edge and, when viaRoot,
+		// not the root edge LogLikelihood evaluates across.
+		check := func(phase string, viaRoot bool, recomputed uint64) {
+			t.Helper()
+			var got, want []dir
+			for ent, g := range gens {
+				d := dir{ent.node.ID, ent.parent.ID}
+				if ent.gen != g {
+					got = append(got, d)
+				}
+				if subtreeHolds(ent.node, ent.parent, ed) && !(viaRoot && subtreeHolds(ent.node, ent.parent, root)) {
+					want = append(want, d)
+				}
+			}
+			byDir := func(a, b dir) int { return cmp.Or(a.n-b.n, a.parent-b.parent) }
+			slices.SortFunc(got, byDir)
+			slices.SortFunc(want, byDir)
+			if !slices.Equal(got, want) || recomputed != uint64(len(want)) {
+				t.Errorf("edge %d-%d, %s: refilled %v (Recomputed %d), want %v", ed.A.ID, ed.B.ID, phase, got, recomputed, want)
+			}
+			for _, d := range got {
+				if (d.n == ed.A.ID && d.parent == ed.B.ID) || (d.n == ed.B.ID && d.parent == ed.A.ID) {
+					t.Errorf("edge %d-%d, %s: refilled %d seen from %d, which does not read the edge", ed.A.ID, ed.B.ID, phase, d.n, d.parent)
+				}
+			}
+		}
+		before := e.Stats().Recomputed
+		tree.SetLen(ed.A, ed.B, 1.5*ed.Length()+0.01)
+		if _, err := e.LogLikelihood(tr); err != nil {
+			t.Fatal(err)
+		}
+		check("LogLikelihood", true, e.Stats().Recomputed-before)
+		if _, _, err := e.BranchGradients(tr, nil); err != nil {
+			t.Fatal(err)
+		}
+		check("every direction", false, e.Stats().Recomputed-before)
+	}
+}
+
+// subtreeHolds reports whether edge ed lies in the subtree at n seen from
+// parent (the edge n–parent itself excluded).
+func subtreeHolds(n, parent *tree.Node, ed tree.Edge) bool {
+	for _, c := range n.Nbr {
+		if c == parent {
+			continue
+		}
+		if (n == ed.A && c == ed.B) || (n == ed.B && c == ed.A) || subtreeHolds(c, n, ed) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestInsertScorerMatchesExplicitInsertion: the shared-base insertion

@@ -88,9 +88,9 @@ func (s *cachedInsertScorer) Score(ed tree.Edge, passes int) (InsertScore, error
 	}
 	za, zb, zl := half, half, tree.DefaultBranchLength
 
-	aref, _ := e.partial(a, b)
-	bref, _ := e.partial(b, a)
-	tip := e.tipRef(s.taxon)
+	aref := e.partial(a, b)
+	bref := e.partial(b, a)
+	tip := e.tips[s.taxon]
 
 	for pass := 0; pass < passes; pass++ {
 		// Leaf branch against the junction of both edge sides.

@@ -139,15 +139,16 @@ func (e *CachedEngine) markNear(n, parent *tree.Node, radius int) {
 // independent of the tree's edit history. Both directed partials come
 // from the CLV cache, so each visit recomputes only the vectors the
 // previous Newton updates invalidated — on a locally-edited tree, almost
-// nothing.
+// nothing — and each update unstamps only the entries that read the
+// branch it moved.
 func (e *CachedEngine) smoothPass() {
 	for i := range e.gradBuf {
 		p, u := e.gradBuf[i].A, e.gradBuf[i].B
-		a, _ := e.partial(p, u) // rest of tree seen from u
-		b, _ := e.partial(u, p) // subtree at u
+		a := e.partial(p, u) // rest of tree seen from u
+		b := e.partial(u, p) // subtree at u
 		z0 := u.LenTo(p)
 		z := e.newtonEdge(a, b, z0)
-		tree.SetLen(p, u, z) // no-op (and no invalidation) when z == z0
+		e.setLen(p, u, z) // no-op (and no invalidation) when z == z0
 	}
 }
 
@@ -226,9 +227,9 @@ func (e *CachedEngine) OptimizeEdge(t *tree.Tree, ed tree.Edge) (float64, error)
 		return 0, fmt.Errorf("likelihood: edge %d-%d: %w", ed.A.ID, ed.B.ID, ErrEdgeNotFound)
 	}
 	e.ensureBuffers(t.MaxID())
-	a, _ := e.partial(ed.A, ed.B)
-	b, _ := e.partial(ed.B, ed.A)
+	a := e.partial(ed.A, ed.B)
+	b := e.partial(ed.B, ed.A)
 	z := e.newtonEdge(a, b, ed.Length())
-	tree.SetLen(ed.A, ed.B, z)
+	e.setLen(ed.A, ed.B, z)
 	return e.edgeLogLikelihood(a, b, z), nil
 }

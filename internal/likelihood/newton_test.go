@@ -106,8 +106,8 @@ func TestNewtonEdgeNeverWorseThanStart(t *testing.T) {
 		}
 		eng.ensureBuffers(c.tr.MaxID())
 		for _, ed := range c.tr.Edges() {
-			a, _ := eng.partial(ed.A, ed.B)
-			b, _ := eng.partial(ed.B, ed.A)
+			a := eng.partial(ed.A, ed.B)
+			b := eng.partial(ed.B, ed.A)
 			for _, z0 := range newtonStarts {
 				if z0 == 0 {
 					z0 = ed.Length()
@@ -154,8 +154,8 @@ func TestNewtonEdgeCachedMatchesReference(t *testing.T) {
 		sameOrder := len(eng.classRates) == 1 && len(eng.shards) == 1
 		eng.ensureBuffers(c.tr.MaxID())
 		for _, ed := range c.tr.Edges() {
-			a, _ := eng.partial(ed.A, ed.B)
-			b, _ := eng.partial(ed.B, ed.A)
+			a := eng.partial(ed.A, ed.B)
+			b := eng.partial(ed.B, ed.A)
 			ra, rb := ref.partial(ed.A, ed.B), ref.partial(ed.B, ed.A)
 			for _, z0 := range newtonStarts {
 				if z0 == 0 {
@@ -196,8 +196,8 @@ func TestNewtonItersCountDerivativeEvaluations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ed := tr.Edges()[0]
-	a, _ := eng.partial(ed.A, ed.B)
-	b, _ := eng.partial(ed.B, ed.A)
+	a := eng.partial(ed.A, ed.B)
+	b := eng.partial(ed.B, ed.A)
 	nk := len(m.Decomposition().Lambda)
 	perFold := uint64(eng.npat) * foldOps(nk)
 	perEval := uint64(eng.npat) * evalOps(nk)

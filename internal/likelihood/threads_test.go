@@ -65,8 +65,8 @@ func TestThreadedBitIdentical(t *testing.T) {
 	// shards whose segments cross rate-class boundaries.
 	foldProbe := func(eng *CachedEngine, tr *tree.Tree) (d [4]float64, lanes []float64) {
 		ed := tr.InternalEdges()[0]
-		a, _ := eng.partial(ed.A, ed.B)
-		b, _ := eng.partial(ed.B, ed.A)
+		a := eng.partial(ed.A, ed.B)
+		b := eng.partial(ed.B, ed.A)
 		d[0], d[1] = eng.edgeGradient(a, b, ed.Length())
 		d[2], d[3] = eng.specGradient(kSpecEval, 3*ed.Length())
 		return d, append([]float64(nil), eng.spec...)

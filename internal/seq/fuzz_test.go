@@ -17,8 +17,9 @@ import (
 // file, a truncated one, a header whose counts the data does not meet,
 // one with CRLF line ends, tabs and blank lines, one with strict
 // 10-column names holding a blank, one whose base-letter name lets the
-// two-block rendering also parse as a sequential file, and one whose
-// name is a carriage return.
+// two-block rendering also parse as a sequential file, one whose name is
+// a carriage return, and one whose strict name field holds a carriage
+// return after a blank and a base letter.
 func FuzzReadPhylip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := ReadPhylip(bytes.NewReader(data))

@@ -220,10 +220,16 @@ func splitPhylipNameLine(line string) (name, bases string, err error) {
 		return name, rest, nil
 	}
 	// Fall back to strict names ("Homo sapiens" style with embedded blanks).
+	// A strict name whose text after a blank is all base letters is
+	// refused: WritePhylip's relaxed rendering of it would read back as a
+	// shorter name and more sequence. Only a character that ends the
+	// relaxed reading without being a blank, such as a carriage return
+	// in the name field, gets such a name this far.
 	if len(line) > phylipNameLen {
 		strictName := strings.TrimSpace(line[:phylipNameLen])
 		strictRest := line[phylipNameLen:]
-		if strictName != "" && allBaseChars(strictRest) {
+		blank := strings.IndexAny(strictName, " \t")
+		if strictName != "" && allBaseChars(strictRest) && (blank < 0 || !allBaseChars(strictName[blank:])) {
 			return strictName, strictRest, nil
 		}
 	}

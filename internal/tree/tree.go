@@ -32,18 +32,13 @@ type Node struct {
 	// substitutions per site. The reverse direction stores the same value.
 	Len []float64
 
-	// rev counts changes to this node's incident edges (lengths and
-	// adjacency). Likelihood engines compare revisions to decide whether
-	// cached conditional likelihood vectors are still valid, so every
-	// mutation of Nbr/Len must go through the helpers that bump it.
-	rev uint64
+	// t is the tree the node belongs to; edits made through the node
+	// count on that tree's edit counter.
+	t *Tree
 }
 
-// Rev returns the node's edge-revision counter. It increases whenever a
-// branch incident to the node changes length or the adjacency list
-// changes; it never decreases. Callers that mutate Len directly (instead
-// of through SetLen) must notify dependent caches themselves.
-func (n *Node) Rev() uint64 { return n.rev }
+// Tree returns the tree the node was allocated in.
+func (n *Node) Tree() *Tree { return n.t }
 
 // Leaf reports whether n is a leaf.
 func (n *Node) Leaf() bool { return n.Taxon >= 0 }
@@ -82,7 +77,17 @@ type Tree struct {
 	Nodes []*Node
 	// free lists the IDs of nil Nodes entries available for reuse.
 	free []int
+	// edits counts changes made through the package (see Edits).
+	edits uint64
 }
+
+// Edits returns the tree's edit counter. It increases whenever an edge is
+// added or removed or SetLen changes a branch length, and never decreases;
+// likelihood engines compare it to decide whether the cached vectors they
+// last proved valid for this tree may be trusted without re-checking.
+// Callers that mutate Nbr or Len directly must notify dependent caches
+// themselves.
+func (t *Tree) Edits() uint64 { return t.edits }
 
 // New creates an empty tree over the given taxon labels.
 func New(taxa []string) *Tree {
@@ -93,7 +98,7 @@ func New(taxa []string) *Tree {
 
 // newNode allocates a node, reusing a freed slot when available.
 func (t *Tree) newNode(taxon int) *Node {
-	n := &Node{Taxon: taxon}
+	n := &Node{Taxon: taxon, t: t}
 	if k := len(t.free); k > 0 {
 		n.ID = t.free[k-1]
 		t.free = t.free[:k-1]
@@ -123,8 +128,7 @@ func connect(a, b *Node, v float64) {
 	a.Len = append(a.Len, v)
 	b.Nbr = append(b.Nbr, a)
 	b.Len = append(b.Len, v)
-	a.rev++
-	b.rev++
+	a.t.edits++
 }
 
 // disconnect removes the edge between a and b.
@@ -138,14 +142,13 @@ func disconnect(a, b *Node) {
 	a.Len = append(a.Len[:ai], a.Len[ai+1:]...)
 	b.Nbr = append(b.Nbr[:bi], b.Nbr[bi+1:]...)
 	b.Len = append(b.Len[:bi], b.Len[bi+1:]...)
-	a.rev++
-	b.rev++
+	a.t.edits++
 }
 
 // SetLen sets the length of the edge between a and b (both directions).
-// The revision counters of both endpoints are bumped only when the stored
-// value actually changes, so restoring a length to its previous value
-// after a trial move keeps dependent CLV caches warm.
+// The tree's edit counter is bumped only when the stored value actually
+// changes, so restoring a length to its previous value after a trial move
+// keeps dependent CLV caches warm.
 func SetLen(a, b *Node, v float64) {
 	ai := a.NbrIndex(b)
 	bi := b.NbrIndex(a)
@@ -157,8 +160,7 @@ func SetLen(a, b *Node, v float64) {
 	}
 	a.Len[ai] = v
 	b.Len[bi] = v
-	a.rev++
-	b.rev++
+	a.t.edits++
 }
 
 // AnyNode returns an arbitrary node of the tree (an internal one when any
@@ -354,18 +356,20 @@ func (t *Tree) Validate(binary bool) error {
 	return nil
 }
 
-// Clone returns a deep copy of the tree. Node IDs are preserved.
+// Clone returns a deep copy of the tree. Node IDs and the edit counter
+// are preserved; the copy's nodes belong to the copy.
 func (t *Tree) Clone() *Tree {
 	out := &Tree{
 		Taxa:  append([]string(nil), t.Taxa...),
 		Nodes: make([]*Node, len(t.Nodes)),
 		free:  append([]int(nil), t.free...),
+		edits: t.edits,
 	}
 	for id, n := range t.Nodes {
 		if n == nil {
 			continue
 		}
-		out.Nodes[id] = &Node{ID: id, Taxon: n.Taxon}
+		out.Nodes[id] = &Node{ID: id, Taxon: n.Taxon, t: out}
 	}
 	for id, n := range t.Nodes {
 		if n == nil {
