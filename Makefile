@@ -5,13 +5,16 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X repro/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke bench bench-compare bench-pairs loc chaos-soak serve-smoke tcp-smoke
+.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 bench bench-compare bench-pairs loc chaos-soak serve-smoke tcp-smoke
 
 # Tier-1 gate: everything that must pass before a change lands.
-check: vet staticcheck build test benchmark-test race difftest fuzz-smoke
+check: vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3
 
+# The likelihood kernels have an amd64 and a portable build; vetting the
+# portable one as well keeps kernels_generic.go's wrappers in step.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/likelihood/
 
 # staticcheck runs when the tool is on PATH (CI installs it); local
 # environments without it skip with a note rather than failing.
@@ -56,6 +59,12 @@ difftest:
 fuzz-smoke:
 	GO=$(GO) ./scripts/fuzz_smoke.sh 10
 
+# The vector kernels' bit-identity with the scalar ones rests on gc not
+# contracting x*y+z into an FMA on amd64. A GOAMD64=v3 build may use
+# FMA instructions, so the pins run there too and fail the day it does.
+vector-v3:
+	GOAMD64=v3 $(GO) test -count=1 -run TestVector ./internal/likelihood/
+
 # Kernel scaling benchmarks: the sharded pruning and Newton kernels at
 # 1/2/4 engine threads under GOMAXPROCS 1/2/4, with -benchmem asserting
 # the zero-alloc steady state, plus the pooled wire-codec round trips.
@@ -68,7 +77,7 @@ bench:
 
 # Regression gate: re-measure the kernels and diff against the committed
 # baseline (BENCH_baseline_kernels.json, re-taken whenever a change moves
-# a kernel's level on purpose — last after the spectral fold). A kernel
+# a kernel's level on purpose — last after the AVX2 fold and eval). A kernel
 # the baseline lacks is listed as "new", one the baseline has and this
 # build no longer measures as "removed"; neither is gated.
 # Fails when any kernel is >10% slower than baseline; the stdout table

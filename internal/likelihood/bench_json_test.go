@@ -35,6 +35,7 @@ func TestKernelBenchJSON(t *testing.T) {
 		{"down_partial_cached", benchDownPartial},
 		{"newton_edge", benchNewton},
 		{"newton_solve", benchNewtonSolve},
+		{"newton_solve_hky", benchNewtonSolveHKY},
 		{"full_smooth", benchSmooth},
 		{"insert_score", benchInsertScore},
 		{"restricted_smooth", benchRestrictedSmooth},

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/model"
+	"repro/internal/seq"
 	"repro/internal/tree"
 )
 
@@ -21,6 +23,13 @@ var benchThreadCounts = []int{1, 2, 4, 8}
 func benchEngine(b *testing.B, threads int) (*CachedEngine, *tree.Tree) {
 	b.Helper()
 	m, p, tr := threadFixture(b, 17, 24, 3000)
+	return warmEngine(b, m, p, tr, threads)
+}
+
+// warmEngine builds an engine at the given thread count and evaluates
+// the tree once.
+func warmEngine(b *testing.B, m model.Model, p *seq.Patterns, tr *tree.Tree, threads int) (*CachedEngine, *tree.Tree) {
+	b.Helper()
 	eng, err := New(m, p)
 	if err != nil {
 		b.Fatal(err)
@@ -115,6 +124,32 @@ func BenchmarkNewtonSolve(b *testing.B) {
 
 func benchNewtonSolve(b *testing.B, threads int) {
 	eng, tr := benchEngine(b, threads)
+	newtonSolves(b, eng, tr)
+}
+
+// BenchmarkNewtonSolveHKY is BenchmarkNewtonSolve under HKY85, whose
+// four-term decomposition times the fold and eval at K = 4 (F84 has 3).
+func BenchmarkNewtonSolveHKY(b *testing.B) {
+	for _, threads := range benchThreadCounts {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			benchNewtonSolveHKY(b, threads)
+		})
+	}
+}
+
+func benchNewtonSolveHKY(b *testing.B, threads int) {
+	_, p, tr := threadFixture(b, 17, 24, 3000)
+	m, err := model.NewHKY85(seq.EmpiricalFreqsPatterns(p), 2.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, tr := warmEngine(b, m, p, tr, threads)
+	newtonSolves(b, eng, tr)
+}
+
+// newtonSolves times the solves of BenchmarkNewtonSolve on a warmed
+// engine and its tree.
+func newtonSolves(b *testing.B, eng *CachedEngine, tr *tree.Tree) {
 	defer eng.Close()
 	if _, err := eng.OptimizeBranches(tr, OptOptions{Passes: 16}); err != nil {
 		b.Fatal(err)

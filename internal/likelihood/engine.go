@@ -131,9 +131,11 @@ type CachedEngine struct {
 	// bc2 is the pre-broadcast coefficient table per rate class consumed
 	// by the AVX2 fused combine (kernels_amd64.s): rows 0-15 Ma, 16-31 Mb
 	// (each coefficient repeated across a 4-wide row), row 32 the rescale
-	// threshold. Allocated only on AVX2 hardware; nil selects the scalar
-	// kernel.
-	bc2 [][33][4]float64
+	// threshold. foldB is foldM and π broadcast for the AVX2 fold; the
+	// eval's rows are specC itself. bc2 is allocated only on AVX2
+	// hardware, and nil selects the scalar kernels for all three.
+	bc2   [][33][4]float64
+	foldB foldTable
 
 	// cache memoizes directed-edge CLVs; stats counts its behaviour.
 	cache clvCache
@@ -227,6 +229,7 @@ func New(m model.Model, p *seq.Patterns) (*CachedEngine, error) {
 		for ci := range e.bc2 {
 			e.bc2[ci][32] = [4]float64{scaleThreshold, scaleThreshold, scaleThreshold, scaleThreshold}
 		}
+		e.foldB.broadcast(e.foldM, (*[4]float64)(&e.freqs))
 	}
 
 	// Permute patterns so each rate class is one contiguous block; the

@@ -339,11 +339,35 @@ func foldMatrices(d *model.Decomposition, f *[4]float64) []model.PMatrix {
 	return m
 }
 
+// foldTable is segFold's coefficients pre-broadcast for the AVX2 fold
+// (foldAVX2), each repeated across a 4-wide row: rows 0–3 hold π_i, and
+// row 4 + 16·(k−1) + 4·i + j holds m[k][i][j] for the spectral terms
+// k = 1 … 3. It is a fixed-size array inside the engine, so it costs no
+// allocation of its own.
+type foldTable [4 + 16*3][4]float64
+
+// broadcast fills the table from the fold matrices and frequencies.
+func (t *foldTable) broadcast(m []model.PMatrix, f *[4]float64) {
+	for i, v := range f {
+		t[i] = [4]float64{v, v, v, v}
+	}
+	for k := 1; k < len(m); k++ {
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 4; j++ {
+				v := m[k][i][j]
+				t[4+16*(k-1)+4*i+j] = [4]float64{v, v, v, v}
+			}
+		}
+	}
+}
+
 // specCoef holds one rate class's per-iterate eval coefficients for
-// spectral term k ≥ 1 (index 0 is unused): x = e^{λ_k r z} − 1, and g, h
-// the first two z-derivatives of e^{λ_k r z}.
+// spectral term k ≥ 1 (row 0 is unused): x = e^{λ_k r z} − 1, and g, h
+// the first two z-derivatives of e^{λ_k r z}. Each row repeats its value
+// across four lanes, the broadcast specEvalAVX2 multiplies by; the
+// scalar loop reads lane 0.
 type specCoef struct {
-	x, g, h [4]float64
+	x, g, h [4][4]float64
 }
 
 // fill evaluates the coefficients at branch length z and site rate r.
@@ -353,7 +377,10 @@ func (c *specCoef) fill(lambda []float64, z, r float64) {
 	for k := 1; k < len(lambda); k++ {
 		l1, t := lambda[k]*r, lambda[k]*(z*r)
 		e := math.Exp(t)
-		c.x[k], c.g[k], c.h[k] = math.Expm1(t), l1*e, l1*l1*e
+		x, g, h := math.Expm1(t), l1*e, l1*l1*e
+		c.x[k] = [4]float64{x, x, x, x}
+		c.g[k] = [4]float64{g, g, g, g}
+		c.h[k] = [4]float64{h, h, h, h}
 	}
 }
 
@@ -393,9 +420,9 @@ func segSpecEval(spec, w []float64, c *specCoef, nk, npad, lo, n int, acc gradAc
 	wv := w[lo : lo+n]
 	wv = wv[:len(s0)]
 	lane := func(k int) []float64 { return spec[k*npad+lo : k*npad+lo+n][:len(s0)] }
-	x1, g1, h1 := c.x[1], c.g[1], c.h[1]
-	x2, g2, h2 := c.x[2], c.g[2], c.h[2]
-	x3, g3, h3 := c.x[3], c.g[3], c.h[3]
+	x1, g1, h1 := c.x[1][0], c.g[1][0], c.h[1][0]
+	x2, g2, h2 := c.x[2][0], c.g[2][0], c.h[2][0]
+	x3, g3, h3 := c.x[3][0], c.g[3][0], c.h[3][0]
 	switch nk {
 	case 2:
 		s1 := lane(1)

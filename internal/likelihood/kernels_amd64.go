@@ -4,24 +4,27 @@ package likelihood
 
 import "repro/internal/model"
 
-// AVX2 fast path for the fused binary combine (segCombine2), the kernel
-// that dominates tree evaluation time (~85% of a cached evaluation's
-// cycles). The assembly in kernels_amd64.s processes four patterns per
-// iteration with 256-bit vectors; it is gated at runtime by CPUID so a
-// GOAMD64=v1 build still runs (and falls back to the scalar kernel) on
-// pre-AVX2 hardware.
+// AVX2 fast paths for the three kernels a search spends its time in:
+// the fused binary combine (segCombine2) that fills CLVs, and the
+// Newton pair — the spectral fold (segFold) and the derivative eval
+// (segSpecEval). The assembly in kernels_amd64.s processes four patterns
+// per iteration with 256-bit vectors; it is gated at runtime by CPUID so
+// a GOAMD64=v1 build still runs (and falls back to the scalar kernels)
+// on pre-AVX2 hardware.
 //
-// Bit-identity contract: the vector kernel performs, lane for lane, the
-// exact floating-point operations of segCombine2 in the same order —
-// multiplies are commuted only (IEEE-exact), dot products stay
+// Bit-identity contract: each vector kernel performs, lane for lane, the
+// exact floating-point operations of its scalar kernel in the same order
+// — multiplies and adds are commuted only (IEEE-exact), sums stay
 // left-associated, and no FMA contraction is used (gc does not contract
-// on amd64, so the scalar reference is mul+add too). Groups where any
-// pattern would rescale are NOT handled in assembly: the kernel stops
-// before storing that group and reports how many groups it completed,
-// and the wrapper reruns the group through the scalar kernel. Rescaling
-// is rare in steady state (the whole point of counting scale events),
-// so the bail costs little and keeps the underflow path on one shared
-// code path.
+// on amd64, so the scalar reference is mul+add too). Reductions are not
+// reassociated: the eval adds its four patterns' terms to each
+// accumulator one at a time, in pattern order. Groups where any pattern
+// would rescale are NOT handled in assembly: the combine stops before
+// storing that group and reports how many groups it completed, and the
+// wrapper reruns the group through the scalar kernel. Rescaling is rare
+// in steady state (the whole point of counting scale events), so the
+// bail costs little and keeps the underflow path on one shared code
+// path. Every wrapper leaves the < 4-pattern tail to the scalar kernel.
 
 // combine2AVX2 computes groups*4 patterns of dst = (Ma·a) ⊙ (Mb·b)
 // starting at the given lane-0 element pointers, where each CLV lane k
@@ -34,6 +37,19 @@ import "repro/internal/model"
 //
 //go:noescape
 func combine2AVX2(dst, a, b *float64, tab *[33][4]float64, dsc, asc, bsc *int32, groups, npad int) int
+
+// foldAVX2 folds groups*4 patterns of the a and b CLVs (lane-0 element
+// pointers, lane k at +k*npad entries) into the nk spectral lanes at
+// spec, as segFold does, with tab the engine's broadcast foldTable.
+//
+//go:noescape
+func foldAVX2(spec, a, b *float64, tab *foldTable, nk, groups, npad int)
+
+// specEvalAVX2 accumulates groups*4 patterns of segSpecEval into acc
+// from the nk folded lanes at spec and the weights at w.
+//
+//go:noescape
+func specEvalAVX2(spec, w *float64, c *specCoef, nk, groups, npad int, acc *gradAcc)
 
 // cpuidAsm executes CPUID with the given leaf/subleaf.
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -87,4 +103,30 @@ func combine2F64(dst, a, b []float64, ma, mb *model.PMatrix, tab *[33][4]float64
 	if n > 0 {
 		segCombine2(dst, a, b, ma, mb, dsc, asc, bsc, npad, lo, n)
 	}
+}
+
+// foldF64 is segFold over [lo, lo+n): the AVX2 kernel for full
+// 4-pattern groups, the scalar kernel for the tail.
+func foldF64(spec, aclv, bclv []float64, m []model.PMatrix, f *[4]float64, tab *foldTable, npad, lo, n int) {
+	if g := n >> 2; g > 0 {
+		foldAVX2(&spec[lo], &aclv[lo], &bclv[lo], tab, len(m), g, npad)
+		lo, n = lo+4*g, n-4*g
+	}
+	if n > 0 {
+		segFold(spec, aclv, bclv, m, f, npad, lo, n)
+	}
+}
+
+// specEvalF64 is segSpecEval over [lo, lo+n): the AVX2 kernel for full
+// 4-pattern groups, the scalar kernel for the tail, one accumulator
+// threaded through both.
+func specEvalF64(spec, w []float64, c *specCoef, nk, npad, lo, n int, acc gradAcc) gradAcc {
+	if g := n >> 2; g > 0 {
+		specEvalAVX2(&spec[lo], &w[lo], c, nk, g, npad, &acc)
+		lo, n = lo+4*g, n-4*g
+	}
+	if n > 0 {
+		acc = segSpecEval(spec, w, c, nk, npad, lo, n, acc)
+	}
+	return acc
 }

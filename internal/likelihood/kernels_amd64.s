@@ -157,6 +157,235 @@ done:
 	MOVQ AX, ret+72(FP)
 	RET
 
+// func foldAVX2(spec, a, b *float64, tab *foldTable, nk, groups, npad int)
+//
+// Four patterns per iteration: the a- and b-lanes are loaded once and
+// all nk spectral lanes written from them (segFold makes one pass per
+// lane). Lane 0 is ((f0*a0)*b0 + (f1*a1)*b1) + ...; lane k >= 1 is
+// ((a0*r0 + a1*r1) + a2*r2) + a3*r3 with
+// r_i = ((m_i0*b0 + m_i1*b1) + m_i2*b2) + m_i3*b3 — segFold's order,
+// multiplies commuted only, no FMA. Coefficients come pre-broadcast from
+// tab (foldTable: rows 0-3 pi, then 16 rows per term k, 512 bytes apart).
+//
+// Register map: DI=spec R8=a R9=b BX=tab R10=nk CX=groups DX=npad*8
+// R13=npad*16 R14=npad*24, SI=term rows R11=term lane R12=terms left;
+// Y0-Y3 a-lanes, Y4-Y7 b-lanes, Y8 lane sum, Y9 r_i or product, Y10
+// scratch.
+TEXT ·foldAVX2(SB), NOSPLIT, $0-56
+	MOVQ spec+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ b+16(FP), R9
+	MOVQ tab+24(FP), BX
+	MOVQ nk+32(FP), R10
+	MOVQ groups+40(FP), CX
+	MOVQ npad+48(FP), DX
+	SHLQ $3, DX
+	LEAQ (DX)(DX*1), R13
+	LEAQ (DX)(DX*2), R14
+	TESTQ CX, CX
+	JE   foldDone
+
+foldLoop:
+	VMOVUPD (R8), Y0
+	VMOVUPD (R8)(DX*1), Y1
+	VMOVUPD (R8)(R13*1), Y2
+	VMOVUPD (R8)(R14*1), Y3
+	VMOVUPD (R9), Y4
+	VMOVUPD (R9)(DX*1), Y5
+	VMOVUPD (R9)(R13*1), Y6
+	VMOVUPD (R9)(R14*1), Y7
+
+	// T = (((f0*a0)*b0 + (f1*a1)*b1) + (f2*a2)*b2) + (f3*a3)*b3
+	VMULPD (BX), Y0, Y8
+	VMULPD Y4, Y8, Y8
+	VMULPD 32(BX), Y1, Y9
+	VMULPD Y5, Y9, Y9
+	VADDPD Y9, Y8, Y8
+	VMULPD 64(BX), Y2, Y9
+	VMULPD Y6, Y9, Y9
+	VADDPD Y9, Y8, Y8
+	VMULPD 96(BX), Y3, Y9
+	VMULPD Y7, Y9, Y9
+	VADDPD Y9, Y8, Y8
+	VMOVUPD Y8, (DI)
+
+	LEAQ 128(BX), SI
+	MOVQ DI, R11
+	LEAQ -1(R10), R12
+	TESTQ R12, R12
+	JLE  foldNext
+
+foldTerm:
+	ADDQ DX, R11
+
+	// S_k = a0*r0, r0 = ((m00*b0 + m01*b1) + m02*b2) + m03*b3
+	VMULPD (SI), Y4, Y9
+	VMULPD 32(SI), Y5, Y10
+	VADDPD Y10, Y9, Y9
+	VMULPD 64(SI), Y6, Y10
+	VADDPD Y10, Y9, Y9
+	VMULPD 96(SI), Y7, Y10
+	VADDPD Y10, Y9, Y9
+	VMULPD Y9, Y0, Y8
+
+	// S_k += a1*r1
+	VMULPD 128(SI), Y4, Y9
+	VMULPD 160(SI), Y5, Y10
+	VADDPD Y10, Y9, Y9
+	VMULPD 192(SI), Y6, Y10
+	VADDPD Y10, Y9, Y9
+	VMULPD 224(SI), Y7, Y10
+	VADDPD Y10, Y9, Y9
+	VMULPD Y9, Y1, Y9
+	VADDPD Y9, Y8, Y8
+
+	// S_k += a2*r2
+	VMULPD 256(SI), Y4, Y9
+	VMULPD 288(SI), Y5, Y10
+	VADDPD Y10, Y9, Y9
+	VMULPD 320(SI), Y6, Y10
+	VADDPD Y10, Y9, Y9
+	VMULPD 352(SI), Y7, Y10
+	VADDPD Y10, Y9, Y9
+	VMULPD Y9, Y2, Y9
+	VADDPD Y9, Y8, Y8
+
+	// S_k += a3*r3
+	VMULPD 384(SI), Y4, Y9
+	VMULPD 416(SI), Y5, Y10
+	VADDPD Y10, Y9, Y9
+	VMULPD 448(SI), Y6, Y10
+	VADDPD Y10, Y9, Y9
+	VMULPD 480(SI), Y7, Y10
+	VADDPD Y10, Y9, Y9
+	VMULPD Y9, Y3, Y9
+	VADDPD Y9, Y8, Y8
+
+	VMOVUPD Y8, (R11)
+	ADDQ $512, SI
+	DECQ R12
+	JNE  foldTerm
+
+foldNext:
+	ADDQ $32, DI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	DECQ CX
+	JNE  foldLoop
+
+foldDone:
+	VZEROUPPER
+	RET
+
+// The eval's two constants: the likelihood floor (minSiteLik) and the
+// reciprocal's numerator.
+DATA evalFloor<>+0(SB)/8, $1e-300
+GLOBL evalFloor<>(SB), RODATA|NOPTR, $8
+DATA evalOne<>+0(SB)/8, $1.0
+GLOBL evalOne<>(SB), RODATA|NOPTR, $8
+
+// func specEvalAVX2(spec, w *float64, c *specCoef, nk, groups, npad int, acc *gradAcc)
+//
+// Four patterns per iteration: l, dl and ddl from the nk folded lanes
+// (segSpecEval's sums), the floor, 1/l, r = dl/l and the two weighted
+// terms w*r and w*(ddl/l - r*r) as 4-wide vectors; then each accumulator
+// adds its four terms one pattern at a time, lanes 0, 1, 2, 3, which is
+// gradAcc.add's order exactly. The floor is VMAXPD with the floor as
+// the first source: max returns its second source when either is NaN,
+// so a NaN l stays NaN, as under `if l < minSiteLik`. c is specCoef:
+// rows x[k] at 32*k, g[k] at 128+32*k, h[k] at 256+32*k.
+//
+// Register map: DI=spec SI=w BX=c R10=nk CX=groups DX=npad*8
+// R13=npad*16 R14=npad*24 R11=acc; Y0 l, Y1 dl, Y2 ddl, Y3 a spectral
+// lane, Y4 product, Y5 w, Y6 1/l, Y7 r then w*r, Y8 the d2 term, Y9/Y10
+// scratch, X12/X13 the d1/d2 accumulators, Y14 floor, Y15 one.
+TEXT ·specEvalAVX2(SB), NOSPLIT, $0-56
+	MOVQ spec+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ c+16(FP), BX
+	MOVQ nk+24(FP), R10
+	MOVQ groups+32(FP), CX
+	MOVQ npad+40(FP), DX
+	MOVQ acc+48(FP), R11
+	SHLQ $3, DX
+	LEAQ (DX)(DX*1), R13
+	LEAQ (DX)(DX*2), R14
+	VMOVSD (R11), X12
+	VMOVSD 8(R11), X13
+	VBROADCASTSD evalFloor<>(SB), Y14
+	VBROADCASTSD evalOne<>(SB), Y15
+	TESTQ CX, CX
+	JE   evalDone
+
+evalLoop:
+	// k = 1: l = s0 + v1*x1, dl = v1*g1, ddl = v1*h1
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(DX*1), Y3
+	VMULPD 32(BX), Y3, Y4
+	VADDPD Y4, Y0, Y0
+	VMULPD 160(BX), Y3, Y1
+	VMULPD 288(BX), Y3, Y2
+	CMPQ R10, $2
+	JLE  evalRecip
+
+	// k = 2
+	VMOVUPD (DI)(R13*1), Y3
+	VMULPD 64(BX), Y3, Y4
+	VADDPD Y4, Y0, Y0
+	VMULPD 192(BX), Y3, Y4
+	VADDPD Y4, Y1, Y1
+	VMULPD 320(BX), Y3, Y4
+	VADDPD Y4, Y2, Y2
+	CMPQ R10, $3
+	JLE  evalRecip
+
+	// k = 3
+	VMOVUPD (DI)(R14*1), Y3
+	VMULPD 96(BX), Y3, Y4
+	VADDPD Y4, Y0, Y0
+	VMULPD 224(BX), Y3, Y4
+	VADDPD Y4, Y1, Y1
+	VMULPD 352(BX), Y3, Y4
+	VADDPD Y4, Y2, Y2
+
+evalRecip:
+	VMAXPD Y0, Y14, Y0 // l = floor > l ? floor : l
+	VDIVPD Y0, Y15, Y6 // 1/l
+	VMULPD Y6, Y1, Y7  // r = dl*(1/l)
+	VMULPD Y6, Y2, Y8  // ddl*(1/l)
+	VMULPD Y7, Y7, Y9  // r*r
+	VSUBPD Y9, Y8, Y8
+	VMOVUPD (SI), Y5
+	VMULPD Y8, Y5, Y8 // w*(ddl/l - r*r)
+	VMULPD Y7, Y5, Y7 // w*r
+
+	// Ordered accumulation: lanes 0, 1, then the high half's 2, 3.
+	VADDSD X7, X12, X12
+	VADDSD X8, X13, X13
+	VPERMILPD $1, X7, X9
+	VPERMILPD $1, X8, X10
+	VADDSD X9, X12, X12
+	VADDSD X10, X13, X13
+	VEXTRACTF128 $1, Y7, X7
+	VEXTRACTF128 $1, Y8, X8
+	VADDSD X7, X12, X12
+	VADDSD X8, X13, X13
+	VPERMILPD $1, X7, X9
+	VPERMILPD $1, X8, X10
+	VADDSD X9, X12, X12
+	VADDSD X10, X13, X13
+
+	ADDQ $32, DI
+	ADDQ $32, SI
+	DECQ CX
+	JNE  evalLoop
+
+evalDone:
+	VMOVSD X12, (R11)
+	VMOVSD X13, 8(R11)
+	VZEROUPPER
+	RET
+
 // func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

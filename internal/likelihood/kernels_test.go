@@ -1,6 +1,7 @@
 package likelihood
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -58,63 +59,205 @@ func caterpillarFixture(t testing.TB, seed int64, taxa, sites int) (model.Model,
 	return m, p, tr
 }
 
-// TestVectorCombine2MatchesScalar pins the AVX2 fused-combine kernel to
-// the scalar reference bit for bit: an engine with the vector
-// path enabled must produce byte-identical log-likelihoods, optimized
-// branch lengths, and trees to one forced onto segCombine2 — including
-// on the deep caterpillar, where the vector kernel's bail-to-scalar
-// rescale protocol is exercised heavily.
+// vectorAndScalar builds two engines over the same data: one on the
+// AVX2 kernels and one forced onto the scalar kernels by dropping its
+// broadcast tables, both at the given thread count.
+func vectorAndScalar(t *testing.T, m model.Model, p *seq.Patterns, threads int) (vec, sca *CachedEngine) {
+	t.Helper()
+	vec, err := New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sca, err = New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vec.bc2 == nil {
+		t.Fatal("vector engine has no broadcast tables despite AVX2")
+	}
+	sca.bc2 = nil // force segCombine2, segFold and segSpecEval
+	vec.SetThreads(threads)
+	sca.SetThreads(threads)
+	t.Cleanup(func() { vec.Close(); sca.Close() })
+	return vec, sca
+}
+
+// optimizeMatchesScalar evaluates and smooths the tree on a vector and a
+// scalar engine: the log-likelihoods must be bit-identical and the
+// optimized trees byte-identical.
+func optimizeMatchesScalar(t *testing.T, name string, m model.Model, p *seq.Patterns, tr *tree.Tree, threads int) {
+	t.Helper()
+	vec, sca := vectorAndScalar(t, m, p, threads)
+	tv, ts := tr.Clone(), tr.Clone()
+	lv, err := vec.LogLikelihood(tv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := sca.LogLikelihood(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(lv) != math.Float64bits(ls) {
+		t.Errorf("%s: vector lnL %.17g not bit-identical to scalar %.17g", name, lv, ls)
+	}
+	ov, err := vec.OptimizeBranches(tv, OptOptions{Passes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	os, err := sca.OptimizeBranches(ts, OptOptions{Passes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(ov) != math.Float64bits(os) {
+		t.Errorf("%s: vector optimized lnL %.17g != scalar %.17g", name, ov, os)
+	}
+	if tv.Newick() != ts.Newick() {
+		t.Errorf("%s: vector-optimized tree differs from scalar:\n got %s\nwant %s",
+			name, tv.Newick(), ts.Newick())
+	}
+}
+
+// TestVectorCombine2MatchesScalar pins the AVX2 kernels to the scalar
+// reference bit for bit: an engine with the vector path enabled must
+// produce byte-identical log-likelihoods, optimized branch lengths, and
+// trees to one forced onto the scalar kernels — including on the deep
+// caterpillar, where the vector combine's bail-to-scalar rescale
+// protocol is exercised heavily. TestVectorFoldMatchesScalar runs the
+// same at two threads.
 func TestVectorCombine2MatchesScalar(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("AVX2 kernel unavailable on this host")
 	}
-	run := func(name string, m model.Model, p *seq.Patterns, tr *tree.Tree) {
-		vec, err := New(m, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sca, err := New(m, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vec.bc2 == nil {
-			t.Fatalf("%s: vector engine has no broadcast tables despite AVX2", name)
-		}
-		sca.bc2 = nil // force the scalar segCombine2 path
+	m, p, tr := threadFixture(t, 17, 14, 500)
+	optimizeMatchesScalar(t, "random", m, p, tr, 1)
+	mc, pc, trc := caterpillarFixture(t, 43, 40, 250)
+	optimizeMatchesScalar(t, "caterpillar", mc, pc, trc, 1)
+}
 
-		tv, ts := tr.Clone(), tr.Clone()
-		lv, err := vec.LogLikelihood(tv)
-		if err != nil {
-			t.Fatal(err)
+// TestVectorFoldMatchesScalar pins foldAVX2 and specEvalAVX2 to segFold
+// and segSpecEval bit for bit. For the five models, one and four rate
+// classes and one and two threads, a fold leaves bit-identical spectral
+// lanes and every derivative evaluation — the fused fold+eval and a
+// later iterate's eval, at every length of
+// TestFoldMatchesDirectDerivatives — bit-identical d1 and d2. The shard
+// cuts fall mid-block, so the segments the wrappers see have every
+// length mod 4 and the scalar tail runs after the vector groups. Then
+// both fixtures are smoothed at two threads, and the floor is checked
+// kernel to kernel on the values that decide it.
+func TestVectorFoldMatchesScalar(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("AVX2 kernel unavailable on this host")
+	}
+	lengths := []float64{MinBranchLength, 3e-7, 1e-3, 0.07, 0.9, 4, MaxBranchLength}
+	rng := rand.New(rand.NewSource(31))
+	p0, _ := mkPatterns(t, randomRows(rng, 6, 1500)...)
+	var residues [4]bool
+	for _, m := range foldModels(t) {
+		for _, classes := range [][]float64{{1}, {0.25, 1, 3, 0.6}} {
+			p := *p0
+			p.Rates = make([]float64, len(p0.Rates))
+			for i := range p.Rates {
+				p.Rates[i] = classes[i%len(classes)]
+			}
+			for _, threads := range []int{1, 2} {
+				vec, sca := vectorAndScalar(t, m, &p, threads)
+				if len(vec.shards) < 4 {
+					t.Fatalf("fixture: %d shards", len(vec.shards))
+				}
+				for _, sh := range vec.shards {
+					for _, seg := range sh.segs {
+						residues[(seg.hi-seg.lo)%4] = true
+					}
+				}
+				a, b, _, _ := foldVectors(vec, rng)
+				name := fmt.Sprintf("%s classes=%d threads=%d", m.Name(), len(classes), threads)
+				for i, z := range lengths {
+					v1, v2 := vec.edgeGradient(a, b, z)
+					s1, s2 := sca.edgeGradient(a, b, z)
+					for j := range vec.spec {
+						if math.Float64bits(vec.spec[j]) != math.Float64bits(sca.spec[j]) {
+							t.Fatalf("%s z=%g: lane %d entry %d: vector %.17g, scalar %.17g",
+								name, z, j/vec.npad, j%vec.npad, vec.spec[j], sca.spec[j])
+						}
+					}
+					sameBits(t, name+" fold", z, v1, v2, s1, s2)
+					z2 := lengths[(i+3)%len(lengths)]
+					v1, v2 = vec.specGradient(kSpecEval, z2)
+					s1, s2 = sca.specGradient(kSpecEval, z2)
+					sameBits(t, name+" eval", z2, v1, v2, s1, s2)
+				}
+			}
 		}
-		ls, err := sca.LogLikelihood(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(lv) != math.Float64bits(ls) {
-			t.Errorf("%s: vector lnL %.17g not bit-identical to scalar %.17g", name, lv, ls)
-		}
-		ov, err := vec.OptimizeBranches(tv, OptOptions{Passes: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		os, err := sca.OptimizeBranches(ts, OptOptions{Passes: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(ov) != math.Float64bits(os) {
-			t.Errorf("%s: vector optimized lnL %.17g != scalar %.17g", name, ov, os)
-		}
-		if tv.Newick() != ts.Newick() {
-			t.Errorf("%s: vector-optimized tree differs from scalar:\n got %s\nwant %s",
-				name, tv.Newick(), ts.Newick())
-		}
-		vec.Close()
-		sca.Close()
+	}
+	if residues != [4]bool{true, true, true, true} {
+		t.Errorf("segment lengths mod 4 seen: %v, want all four", residues)
 	}
 
 	m, p, tr := threadFixture(t, 17, 14, 500)
-	run("random", m, p, tr)
+	optimizeMatchesScalar(t, "random", m, p, tr, 2)
 	mc, pc, trc := caterpillarFixture(t, 43, 40, 250)
-	run("caterpillar", mc, pc, trc)
+	optimizeMatchesScalar(t, "caterpillar", mc, pc, trc, 2)
+
+	t.Run("floor", testVectorEvalFloor)
+}
+
+// sameBits fails unless the vector and scalar derivatives are the same
+// float64 bits.
+func sameBits(t *testing.T, name string, z, v1, v2, s1, s2 float64) {
+	t.Helper()
+	if math.Float64bits(v1) != math.Float64bits(s1) || math.Float64bits(v2) != math.Float64bits(s2) {
+		t.Errorf("%s z=%g: vector (%.17g, %.17g), scalar (%.17g, %.17g)", name, z, v1, v2, s1, s2)
+	}
+}
+
+// testVectorEvalFloor runs specEvalF64 and segSpecEval over an 11-pattern
+// segment (two vector groups and a scalar tail) in which one pattern's
+// likelihood is a value the floor decides — NaN (kept, so the sums turn
+// NaN), ±0, a subnormal and half the floor (raised to it), the floor
+// itself (kept) — at every position and with weight 0 and 2. The
+// accumulators must agree bit for bit, NaN included.
+func testVectorEvalFloor(t *testing.T) {
+	const npad, n = 16, 11
+	negZero := math.Copysign(0, -1)
+	specials := []struct {
+		name string
+		l    float64
+	}{
+		{"NaN", math.NaN()},
+		{"+0", 0},
+		{"-0", negZero},
+		{"subnormal", 5e-320},
+		{"half floor", minSiteLik / 2},
+		{"floor", minSiteLik},
+	}
+	// x1 = −0 makes l = s0 + v1·x1 exactly s0, −0 included; dl and ddl
+	// stay small enough that a floored pattern's terms are finite.
+	var c specCoef
+	c.fill([]float64{0, -1.3}, 0.1, 1)
+	c.x[1] = [4]float64{negZero, negZero, negZero, negZero}
+	rng := rand.New(rand.NewSource(3))
+	for _, sp := range specials {
+		for pos := 0; pos < n; pos++ {
+			for _, wt := range []float64{0, 2} {
+				spec := make([]float64, 2*npad)
+				w := make([]float64, npad)
+				for i := 0; i < n; i++ {
+					spec[i] = 0.2 + rng.Float64()
+					spec[npad+i] = 0.1 * rng.Float64()
+					w[i] = float64(1 + rng.Intn(3))
+				}
+				spec[pos], spec[npad+pos], w[pos] = sp.l, 1e-302, wt
+				acc0 := gradAcc{d1: 0.5, d2: -0.25}
+				got := specEvalF64(spec, w, &c, 2, npad, 0, n, acc0)
+				want := segSpecEval(spec, w, &c, 2, npad, 0, n, acc0)
+				if math.Float64bits(got.d1) != math.Float64bits(want.d1) || math.Float64bits(got.d2) != math.Float64bits(want.d2) {
+					t.Errorf("l = %s at pattern %d, weight %g: vector (%.17g, %.17g), scalar (%.17g, %.17g)",
+						sp.name, pos, wt, got.d1, got.d2, want.d1, want.d2)
+				}
+				if isNaN := math.IsNaN(want.d1); isNaN != (sp.name == "NaN") {
+					t.Errorf("l = %s at pattern %d, weight %g: scalar d1 %g", sp.name, pos, wt, want.d1)
+				}
+			}
+		}
+	}
 }

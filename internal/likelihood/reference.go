@@ -248,9 +248,9 @@ func (e *ReferenceEngine) foldedDeriv(spec [][4]float64, z float64) (float64, fl
 		c := &coef[e.classOf[p]]
 		l, dl, ddl := s[0], 0.0, 0.0
 		for k := 1; k < len(e.foldM); k++ {
-			l += s[k] * c.x[k]
-			dl += s[k] * c.g[k]
-			ddl += s[k] * c.h[k]
+			l += s[k] * c.x[k][0]
+			dl += s[k] * c.g[k][0]
+			ddl += s[k] * c.h[k][0]
 		}
 		acc = acc.add(e.pat.Weights[p], l, dl, ddl)
 	}

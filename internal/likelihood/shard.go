@@ -258,13 +258,22 @@ func (e *CachedEngine) shardKernel(s int) {
 		e.shLnL[s] = total
 	case kFoldGrad, kSpecEval:
 		var acc gradAcc
+		nk := len(e.foldM)
 		for _, seg := range segs {
 			n := seg.hi - seg.lo
+			c := &e.specC[seg.ci]
 			// Later iterates of a solve (kSpecEval) find the lanes folded.
+			if e.bc2 != nil {
+				if k.op == kFoldGrad {
+					foldF64(e.spec, k.a.f64, k.b.f64, e.foldM, freqs, &e.foldB, e.npad, seg.plo, n)
+				}
+				acc = specEvalF64(e.spec, e.weights, c, nk, e.npad, seg.plo, n, acc)
+				continue
+			}
 			if k.op == kFoldGrad {
 				segFold(e.spec, k.a.f64, k.b.f64, e.foldM, freqs, e.npad, seg.plo, n)
 			}
-			acc = segSpecEval(e.spec, e.weights, &e.specC[seg.ci], len(e.foldM), e.npad, seg.plo, n, acc)
+			acc = segSpecEval(e.spec, e.weights, c, nk, e.npad, seg.plo, n, acc)
 		}
 		e.shD1[s], e.shD2[s] = acc.d1, acc.d2
 	case kSiteLnL:
