@@ -51,11 +51,12 @@ difftest:
 	$(GO) test -count=1 -run TestDifferential ./internal/likelihood/difftest/
 
 # Fuzz smoke: ten seconds of native Go fuzzing split over every Fuzz*
-# target — six today, so 1 s each: the TCP frame parser, the task slice
+# target — seven today, so 1 s each: the TCP frame parser, the task slice
 # and result slice decoders and the join welcome, which read what a peer
-# sends, and the PHYLIP and Newick readers, which read what a user hands
-# the program (the committed corpora alone already run as part of
-# `test`). A finding lands in the package's testdata/fuzz/.
+# sends, the PHYLIP and Newick readers, which read what a user hands
+# the program, and the vector edge log-likelihood against its scalar
+# kernel (the committed corpora alone already run as part of `test`). A
+# finding lands in the package's testdata/fuzz/.
 fuzz-smoke:
 	GO=$(GO) ./scripts/fuzz_smoke.sh 10
 
@@ -71,7 +72,7 @@ vector-v3:
 # The final step re-measures the kernels and archives the numbers as
 # bench/BENCH_kernels.json (CI uploads it as an artifact).
 bench:
-	$(GO) test -run XXX -bench 'DownPartial|Newton|FullSmooth|InsertScore|RestrictedSmooth' -cpu 1,2,4 -benchmem ./internal/likelihood/
+	$(GO) test -run XXX -bench 'DownPartial|Newton|FullSmooth|InsertScore|RestrictedSmooth|EdgeLogLikelihood' -cpu 1,2,4 -benchmem ./internal/likelihood/
 	$(GO) test -run XXX -bench Codec -benchmem ./internal/mlsearch/
 	FDML_BENCH_DIR=$(CURDIR)/bench $(GO) test -count=1 -run TestKernelBenchJSON -v ./internal/likelihood/
 

@@ -27,18 +27,21 @@ func TestKernelBenchJSON(t *testing.T) {
 	// ±15% on shared runners, and best-of-N is the stablest estimator of
 	// the kernel's true cost for the regression gate to diff against.
 	const benchReps = 3
-	// Every kernel carries the zero-alloc steady-state guarantee.
+	// Every kernel carries the zero-alloc steady-state guarantee. A kernel
+	// without thread counts of its own runs at benchThreadCounts.
 	kernels := []struct {
-		name string
-		fn   func(*testing.B, int)
+		name    string
+		fn      func(*testing.B, int)
+		threads []int
 	}{
-		{"down_partial_cached", benchDownPartial},
-		{"newton_edge", benchNewton},
-		{"newton_solve", benchNewtonSolve},
-		{"newton_solve_hky", benchNewtonSolveHKY},
-		{"full_smooth", benchSmooth},
-		{"insert_score", benchInsertScore},
-		{"restricted_smooth", benchRestrictedSmooth},
+		{"down_partial_cached", benchDownPartial, nil},
+		{"newton_edge", benchNewton, nil},
+		{"newton_solve", benchNewtonSolve, nil},
+		{"newton_solve_hky", benchNewtonSolveHKY, nil},
+		{"full_smooth", benchSmooth, nil},
+		{"insert_score", benchInsertScore, nil},
+		{"restricted_smooth", benchRestrictedSmooth, nil},
+		{"edge_lnl", benchEdgeLnL, []int{1, 2}},
 	}
 	// The calibration workload is a fixed, dependent float64 chain: pure
 	// CPU speed, no memory or threading effects. benchdiff divides the
@@ -61,7 +64,11 @@ func TestKernelBenchJSON(t *testing.T) {
 	for _, k := range kernels {
 		per := map[string]any{}
 		var serialNs float64
-		for _, n := range benchThreadCounts {
+		threads := k.threads
+		if threads == nil {
+			threads = benchThreadCounts
+		}
+		for _, n := range threads {
 			n := n
 			r := testing.Benchmark(func(b *testing.B) { k.fn(b, n) })
 			for rep := 1; rep < benchReps; rep++ {

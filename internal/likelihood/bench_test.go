@@ -75,6 +75,29 @@ func benchDownPartial(b *testing.B, threads int) {
 	}
 }
 
+// BenchmarkEdgeLogLikelihood measures a warm LogLikelihood: both partials
+// are cache hits and the branch's matrices a memo hit, so one op is the
+// edge log-likelihood kernel, its logarithm included, over 3000 patterns.
+func BenchmarkEdgeLogLikelihood(b *testing.B) {
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			benchEdgeLnL(b, threads)
+		})
+	}
+}
+
+func benchEdgeLnL(b *testing.B, threads int) {
+	eng, tr := benchEngine(b, threads)
+	defer eng.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.LogLikelihood(tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNewtonEdge measures OptimizeEdge on an already-converged
 // branch of a warm cache: one fold with its fused derivative evaluation,
 // plus the edge log-likelihood reduction the method returns. What the

@@ -64,14 +64,13 @@ const (
 const clvBlock = 8
 
 // classBlock is a contiguous run of (permuted) patterns sharing one rate
-// class, so kernels look the transition matrix up once per block. plo is
-// the block's starting index on the padded pattern axis; the block
-// occupies padded indices [plo, plo+(hi-lo)) with the remainder up to
-// the next multiple of clvBlock as zero-filled padding.
+// class, so kernels look the transition matrix up once per block. Where
+// its patterns live on the padded axis is the shard segments' business
+// (buildShards): the block starts at a multiple of clvBlock, and each of
+// its segments owns whole 4-pattern groups.
 type classBlock struct {
 	ci     int // rate class index
 	lo, hi int // permuted pattern index range [lo, hi)
-	plo    int // padded start index (multiple of clvBlock)
 }
 
 // clvRef is a view of one conditional likelihood vector in the SoA
@@ -102,7 +101,7 @@ type CachedEngine struct {
 	blocks     []classBlock
 	perm       []int
 	npat       int // real (permuted) pattern count
-	npad       int // padded pattern count (blocks rounded up to clvBlock)
+	npad       int // padded pattern count (buildShards' layout)
 
 	// Padded-axis data: weights holds the pattern weights at padded
 	// positions (padding entries 0); origOfPad maps a padded index back
@@ -120,6 +119,14 @@ type CachedEngine struct {
 	// second child's matrices during the fused two-child combine.
 	pmat, pmatB []model.PMatrix
 
+	// pmemo is the transition-matrix memo fillProbsInto consults before
+	// Decomposition.Probs: pmemoSlots direct-mapped slots keyed by the
+	// branch length's bits, slot i holding every rate class's matrices
+	// at pmemo[i*classes:]. Used only by the dispatching goroutine.
+	pmemoKey  [pmemoSlots]uint64
+	pmemoFull [pmemoSlots]bool
+	pmemo     []model.PMatrix
+
 	// Spectral fold of the edge being solved (kernels.go): foldM holds
 	// diag(π)·C_k per decomposition term, spec the K×npad per-pattern
 	// spectral sums segFold leaves for segSpecEval, specC the per-class
@@ -132,10 +139,12 @@ type CachedEngine struct {
 	// by the AVX2 fused combine (kernels_amd64.s): rows 0-15 Ma, 16-31 Mb
 	// (each coefficient repeated across a 4-wide row), row 32 the rescale
 	// threshold. foldB is foldM and π broadcast for the AVX2 fold; the
-	// eval's rows are specC itself. bc2 is allocated only on AVX2
-	// hardware, and nil selects the scalar kernels for all three.
+	// eval's rows are specC itself; lnlT is the edge log-likelihood's
+	// table per rate class. bc2 is allocated only on AVX2 hardware, and
+	// nil selects the scalar kernels for all four.
 	bc2   [][33][4]float64
 	foldB foldTable
+	lnlT  []lnlTable
 
 	// cache memoizes directed-edge CLVs; stats counts its behaviour.
 	cache clvCache
@@ -222,12 +231,15 @@ func New(m model.Model, p *seq.Patterns) (*CachedEngine, error) {
 	}
 	e.pmat = make([]model.PMatrix, len(e.classRates))
 	e.pmatB = make([]model.PMatrix, len(e.classRates))
+	e.pmemo = make([]model.PMatrix, pmemoSlots*len(e.classRates))
 	e.foldM = foldMatrices(e.decomp, (*[4]float64)(&e.freqs))
 	e.specC = make([]specCoef, len(e.classRates))
 	if useAVX2 {
 		e.bc2 = make([][33][4]float64, len(e.classRates))
+		e.lnlT = make([]lnlTable, len(e.classRates))
 		for ci := range e.bc2 {
 			e.bc2[ci][32] = [4]float64{scaleThreshold, scaleThreshold, scaleThreshold, scaleThreshold}
+			e.lnlT[ci].init((*[4]float64)(&e.freqs))
 		}
 		e.foldB.broadcast(e.foldM, (*[4]float64)(&e.freqs))
 	}
@@ -248,15 +260,21 @@ func New(m model.Model, p *seq.Patterns) (*CachedEngine, error) {
 			lo = s
 		}
 	}
-	// Assign padded block starts: each block's lane segment begins at a
-	// multiple of clvBlock, with zero-filled padding to the next one.
-	pad := 0
-	for i := range e.blocks {
-		e.blocks[i].plo = pad
-		n := e.blocks[i].hi - e.blocks[i].lo
-		pad += (n + clvBlock - 1) / clvBlock * clvBlock
+	// Shard layout (shard.go). The layout depends only on the data — the
+	// same real-pattern cut points as ever, so reduction grouping (and
+	// therefore every float64 bit) is unchanged from the interleaved
+	// engine — and every thread count reduces in the same order. It also
+	// places every pattern on the padded axis: padOf maps a permuted
+	// pattern to its padded index.
+	e.shards, e.npad = buildShards(e.blocks, e.npat)
+	padOf := make([]int, e.npat)
+	for _, sh := range e.shards {
+		for _, seg := range sh.segs {
+			for s := seg.lo; s < seg.hi; s++ {
+				padOf[s] = seg.plo + (s - seg.lo)
+			}
+		}
 	}
-	e.npad = pad
 
 	// Weights and the padded->original index map.
 	e.weights = make([]float64, e.npad)
@@ -264,30 +282,24 @@ func New(m model.Model, p *seq.Patterns) (*CachedEngine, error) {
 	for i := range e.origOfPad {
 		e.origOfPad[i] = -1
 	}
-	for _, blk := range e.blocks {
-		for s := blk.lo; s < blk.hi; s++ {
-			i := blk.plo + (s - blk.lo)
-			e.weights[i] = p.Weights[e.perm[s]]
-			e.origOfPad[i] = e.perm[s]
-		}
+	for s, i := range padOf {
+		e.weights[i] = p.Weights[e.perm[s]]
+		e.origOfPad[i] = e.perm[s]
 	}
 
-	// Tip vectors: SoA lanes over the padded axis. Padding entries stay
-	// exactly zero forever — combines propagate 0 and rescaling skips
-	// non-positive maxima — so padded tails never produce scaling events
-	// or NaNs.
+	// Tip vectors: SoA lanes over the padded axis. Padding entries are
+	// zero, and every kernel that writes one writes zero again — combines
+	// propagate 0 and rescaling skips non-positive maxima — so padding
+	// never produces scaling events or NaNs.
 	zeroScale := make([]int32, e.npad)
 	e.tips = make([]clvRef, p.NumSeqs())
 	for taxon := range e.tips {
 		v := make([]float64, 4*e.npad)
-		for _, blk := range e.blocks {
-			for s := blk.lo; s < blk.hi; s++ {
-				i := blk.plo + (s - blk.lo)
-				c := p.Codes[taxon][e.perm[s]]
-				for b := 0; b < 4; b++ {
-					if c&(1<<uint(b)) != 0 {
-						v[b*e.npad+i] = 1
-					}
+		for s, i := range padOf {
+			c := p.Codes[taxon][e.perm[s]]
+			for b := 0; b < 4; b++ {
+				if c&(1<<uint(b)) != 0 {
+					v[b*e.npad+i] = 1
 				}
 			}
 		}
@@ -295,12 +307,7 @@ func New(m model.Model, p *seq.Patterns) (*CachedEngine, error) {
 	}
 	e.spec = make([]float64, len(e.foldM)*e.npad)
 
-	// Shard layout and reduction partials (shard.go). The layout depends
-	// only on the data — the same real-pattern cut points as ever, so
-	// reduction grouping (and therefore every float64 bit) is unchanged
-	// from the interleaved engine — and every thread count reduces in
-	// the same order.
-	e.shards = buildShards(e.blocks, e.npat)
+	// Per-shard reduction partials.
 	e.shLnL = make([]float64, len(e.shards))
 	e.shD1 = make([]float64, len(e.shards))
 	e.shD2 = make([]float64, len(e.shards))
@@ -346,10 +353,30 @@ func (e *CachedEngine) fillProbsB(z float64) {
 	e.fillProbsInto(e.pmatB, z)
 }
 
+// pmemoBits sizes the transition-matrix memo: 1<<pmemoBits slots, each
+// the matrices of every rate class at one branch length.
+const (
+	pmemoBits  = 7
+	pmemoSlots = 1 << pmemoBits
+)
+
+// fillProbsInto fills dst with every class's P(z). Probs is a pure
+// function of (z, rate), so the memo returns the very bits it would
+// compute: a hit copies, a miss computes and stores. Smoothing and
+// insertion revisit the same few lengths, so most fills hit.
 func (e *CachedEngine) fillProbsInto(dst []model.PMatrix, z float64) {
+	key := math.Float64bits(z)
+	slot := int((key * 0x9E3779B97F4A7C15) >> (64 - pmemoBits))
+	memo := e.pmemo[slot*len(dst) : (slot+1)*len(dst)]
+	if e.pmemoFull[slot] && e.pmemoKey[slot] == key {
+		copy(dst, memo)
+		return
+	}
 	for ci, r := range e.classRates {
 		e.decomp.Probs(z, r, &dst[ci])
 	}
+	copy(memo, dst)
+	e.pmemoKey[slot], e.pmemoFull[slot] = key, true
 }
 
 // clampLen bounds a branch length into the legal interval.
@@ -487,6 +514,9 @@ func (e *CachedEngine) lookup(n, parent *tree.Node) (*clvRef, uint64) {
 // branch length z into the total log-likelihood.
 func (e *CachedEngine) edgeLogLikelihood(a, b clvRef, z float64) float64 {
 	e.fillProbs(clampLen(z))
+	for ci := range e.lnlT {
+		e.lnlT[ci].setP(&e.pmat[ci])
+	}
 	e.ops += uint64(e.npat) * 20
 	k := &e.kern
 	k.op = kEdgeLnL

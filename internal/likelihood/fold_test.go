@@ -86,8 +86,8 @@ func foldVectors(e *CachedEngine, rng *rand.Rand) (a, b clvRef, av, bv [][4]floa
 // values of the terms, the scale rounding errors are measured against.
 func directDerivatives(e *CachedEngine, av, bv [][4]float64, z float64) (d1, d2, mag1, mag2 float64) {
 	var pm, dm, ddm model.PMatrix
-	for _, blk := range e.blocks {
-		r := e.classRates[blk.ci]
+	for _, seg := range allSegs(e) {
+		r := e.classRates[seg.ci]
 		e.decomp.ProbsDeriv(z, r, &pm, &dm, &ddm)
 		pm = model.PMatrix{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}}
 		for k := 1; k < len(e.decomp.Lambda); k++ {
@@ -98,7 +98,7 @@ func directDerivatives(e *CachedEngine, av, bv [][4]float64, z float64) (d1, d2,
 				}
 			}
 		}
-		for i := blk.plo; i < blk.plo+blk.hi-blk.lo; i++ {
+		for i := seg.plo; i < seg.plo+seg.hi-seg.lo; i++ {
 			var l, dl, ddl float64
 			for s := 0; s < 4; s++ {
 				fa := e.freqs[s] * av[i][s]
@@ -116,6 +116,15 @@ func directDerivatives(e *CachedEngine, av, bv [][4]float64, z float64) (d1, d2,
 		}
 	}
 	return
+}
+
+// allSegs lists the engine's shard segments in pattern order.
+func allSegs(e *CachedEngine) []shardSeg {
+	var segs []shardSeg
+	for _, sh := range e.shards {
+		segs = append(segs, sh.segs...)
+	}
+	return segs
 }
 
 // TestFoldMatchesDirectDerivatives: the folded derivatives — the fused

@@ -262,6 +262,29 @@ func segEdgeLnL(aclv, bclv []float64, asc, bsc []int32, w []float64,
 	return acc
 }
 
+// lnlTable is segEdgeLnL's coefficients pre-broadcast for the AVX2 edge
+// log-likelihood (edgeLnLAVX2), each repeated across a 4-wide row: row
+// 4·j + k holds P[j][k], rows 16–19 π_j and row 20 logScale. init fills
+// the rows fixed for the engine's life; setP the matrix, wherever
+// edgeLogLikelihood fills it.
+type lnlTable [21][4]float64
+
+func (t *lnlTable) init(f *[4]float64) {
+	for j, v := range f {
+		t[16+j] = [4]float64{v, v, v, v}
+	}
+	t[20] = [4]float64{logScale, logScale, logScale, logScale}
+}
+
+func (t *lnlTable) setP(pm *model.PMatrix) {
+	for j := 0; j < 4; j++ {
+		for k := 0; k < 4; k++ {
+			v := pm[j][k]
+			t[4*j+k] = [4]float64{v, v, v, v}
+		}
+	}
+}
+
 // The derivative kernels: DNAml's makenewz in two stages. The transition
 // matrix is the spectral sum P(z) = Σ_k C_k·e^{λ_k z} with Σ_k C_k = I,
 // and while one edge is being solved its two partials A and B do not

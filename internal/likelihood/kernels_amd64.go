@@ -4,10 +4,11 @@ package likelihood
 
 import "repro/internal/model"
 
-// AVX2 fast paths for the three kernels a search spends its time in:
-// the fused binary combine (segCombine2) that fills CLVs, and the
-// Newton pair — the spectral fold (segFold) and the derivative eval
-// (segSpecEval). The assembly in kernels_amd64.s processes four patterns
+// AVX2 fast paths for the four kernels a search spends its time in:
+// the fused binary combine (segCombine2) that fills CLVs, the Newton
+// pair — the spectral fold (segFold) and the derivative eval
+// (segSpecEval) — and the edge log-likelihood (segEdgeLnL) with its
+// logarithm. The assembly in kernels_amd64.s processes four patterns
 // per iteration with 256-bit vectors; it is gated at runtime by CPUID so
 // a GOAMD64=v1 build still runs (and falls back to the scalar kernels)
 // on pre-AVX2 hardware.
@@ -16,15 +17,19 @@ import "repro/internal/model"
 // exact floating-point operations of its scalar kernel in the same order
 // — multiplies and adds are commuted only (IEEE-exact), sums stay
 // left-associated, and no FMA contraction is used (gc does not contract
-// on amd64, so the scalar reference is mul+add too). Reductions are not
-// reassociated: the eval adds its four patterns' terms to each
-// accumulator one at a time, in pattern order. Groups where any pattern
-// would rescale are NOT handled in assembly: the combine stops before
-// storing that group and reports how many groups it completed, and the
-// wrapper reruns the group through the scalar kernel. Rescaling is rare
-// in steady state (the whole point of counting scale events), so the
-// bail costs little and keeps the underflow path on one shared code
-// path. Every wrapper leaves the < 4-pattern tail to the scalar kernel.
+// on amd64, so the scalar reference is mul+add too). The logarithm is
+// the one math.Log runs on amd64 (archLog in the Go runtime's
+// math/log_amd64.s), replayed instruction by instruction. Reductions are
+// not reassociated: the eval and the log-likelihood add their four
+// patterns' terms to each accumulator one at a time, in pattern order.
+// Groups where any pattern would rescale are NOT handled in assembly:
+// the combine stops before storing that group and reports how many
+// groups it completed, and the wrapper reruns the group through the
+// scalar kernel. Rescaling is rare in steady state (the whole point of
+// counting scale events), so the bail costs little and keeps the
+// underflow path on one shared code path. The engine hands the wrappers
+// whole groups (shard.go); a length that is not a multiple of 4 still
+// works, its < 4-pattern tail running in the scalar kernel.
 
 // combine2AVX2 computes groups*4 patterns of dst = (Ma·a) ⊙ (Mb·b)
 // starting at the given lane-0 element pointers, where each CLV lane k
@@ -50,6 +55,13 @@ func foldAVX2(spec, a, b *float64, tab *foldTable, nk, groups, npad int)
 //
 //go:noescape
 func specEvalAVX2(spec, w *float64, c *specCoef, nk, groups, npad int, acc *gradAcc)
+
+// edgeLnLAVX2 adds groups*4 patterns of segEdgeLnL to acc and returns
+// it, from the a and b CLVs (lane-0 element pointers), their scale
+// counts, the weights at w and the broadcast table tab.
+//
+//go:noescape
+func edgeLnLAVX2(a, b *float64, asc, bsc *int32, w *float64, tab *lnlTable, groups, npad int, acc float64) float64
 
 // cpuidAsm executes CPUID with the given leaf/subleaf.
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -127,6 +139,21 @@ func specEvalF64(spec, w []float64, c *specCoef, nk, npad, lo, n int, acc gradAc
 	}
 	if n > 0 {
 		acc = segSpecEval(spec, w, c, nk, npad, lo, n, acc)
+	}
+	return acc
+}
+
+// edgeLnLF64 is segEdgeLnL over [lo, lo+n): the AVX2 kernel for full
+// 4-pattern groups, the scalar kernel for the tail, one accumulator
+// threaded through both.
+func edgeLnLF64(aclv, bclv []float64, asc, bsc []int32, w []float64,
+	pm *model.PMatrix, f *[4]float64, tab *lnlTable, npad, lo, n int, acc float64) float64 {
+	if g := n >> 2; g > 0 {
+		acc = edgeLnLAVX2(&aclv[lo], &bclv[lo], &asc[lo], &bsc[lo], &w[lo], tab, g, npad, acc)
+		lo, n = lo+4*g, n-4*g
+	}
+	if n > 0 {
+		acc = segEdgeLnL(aclv, bclv, asc, bsc, w, pm, f, npad, lo, n, acc)
 	}
 	return acc
 }

@@ -386,6 +386,234 @@ evalDone:
 	VZEROUPPER
 	RET
 
+// The edge log-likelihood's constants, one 32-byte row each (a value
+// repeated four times, so every row is a vector memory operand): the
+// floor, the masks and biases of the exponent split, and archLog's own
+// literals (Go's math/log_amd64.s), written as it writes them.
+#define LNLROW(row, v) \
+	DATA lnlK<>+(32*row)(SB)/8, v; \
+	DATA lnlK<>+(32*row+8)(SB)/8, v; \
+	DATA lnlK<>+(32*row+16)(SB)/8, v; \
+	DATA lnlK<>+(32*row+24)(SB)/8, v
+
+LNLROW(0, $0x000FFFFFFFFFFFFF)  // mantissa mask
+LNLROW(1, $0x3FE0000000000000)  // 0.5: f1's exponent, and hfsq's factor
+LNLROW(2, $0x00000000000007FF)  // exponent field mask
+LNLROW(3, $0x4330000000000000)  // 2^52
+LNLROW(4, $0x43300000000003FE)  // 2^52 + 1022
+LNLROW(5, $7.07106781186547524401e-01) // HSqrt2
+LNLROW(6, $1.0)
+LNLROW(7, $2.0)
+LNLROW(8, $6.666666666666735130e-01)  // L1
+LNLROW(9, $3.999999999940941908e-01)  // L2
+LNLROW(10, $2.857142874366239149e-01) // L3
+LNLROW(11, $2.222219843214978396e-01) // L4
+LNLROW(12, $1.818357216161805012e-01) // L5
+LNLROW(13, $1.531383769920937332e-01) // L6
+LNLROW(14, $1.479819860511658591e-01) // L7
+LNLROW(15, $6.93147180369123816490e-01) // Ln2Hi
+LNLROW(16, $1.90821492927058770002e-10) // Ln2Lo
+LNLROW(17, $0x7FEFFFFFFFFFFFFF) // largest finite: above it, +Inf and +NaN
+LNLROW(18, $0x7FF8000000000001) // archLog's NaN for a negative argument
+LNLROW(19, $0x0000000000000001) // SmallestNonzeroFloat64, the floor
+GLOBL lnlK<>(SB), RODATA|NOPTR, $640
+
+// func edgeLnLAVX2(a, b *float64, asc, bsc *int32, w *float64, tab *lnlTable, groups, npad int, acc float64) float64
+//
+// Four patterns per iteration, segEdgeLnL lane for lane:
+//
+//	lkl = 0 + (f_0·a_0)·dot_0 + … + (f_3·a_3)·dot_3, left-associated,
+//	dot_j = ((P_j0·b_0 + P_j1·b_1) + P_j2·b_2) + P_j3·b_3;
+//	lkl <= 0 becomes SmallestNonzeroFloat64 (LE_OQ: a NaN is kept);
+//	term = w·(log(lkl) − float64(sa+sb)·logScale);
+//
+// then acc adds the four terms in pattern order, lanes 0, 1, 2, 3. The
+// log is archLog's sequence run 4 wide: f1 = the mantissa under 0.5's
+// exponent, k = exponent − 1022 (exact via the 2^52 bias, as CVTSL2SD
+// is), archLog's "not less than" compare of √2/2 against f1 (so
+// f1 = √2/2 also halves), s = f/(2+f) with VDIVPD, its L1–L7 polynomial
+// and Ln2Hi/Ln2Lo tail in its operand order. Subnormals go through
+// unnormalised, as in archLog. Its special cases are blends: +Inf and a
+// positive NaN return x, a set sign bit returns NaN 0x7FF8000000000001;
+// ±0 cannot reach it past the floor. tab is lnlTable: P at 32·(4j+k),
+// π_j at 512+32j, logScale at 640.
+//
+// Register map: R8=a R9=b R10=asc R11=bsc SI=w BX=tab AX=constants
+// CX=groups DX=npad*8 R13=npad*16 R14=npad*24; Y0 lkl then x, Y1 f,
+// Y2 k then log then the term, Y3 s, Y4-Y6 scratch and masks, Y7 a
+// permuted lane, Y8-Y11 b-lanes, Y12 dot, Y13 product, Y14 zero, X15
+// the accumulator.
+TEXT ·edgeLnLAVX2(SB), NOSPLIT, $0-80
+	MOVQ a+0(FP), R8
+	MOVQ b+8(FP), R9
+	MOVQ asc+16(FP), R10
+	MOVQ bsc+24(FP), R11
+	MOVQ w+32(FP), SI
+	MOVQ tab+40(FP), BX
+	MOVQ groups+48(FP), CX
+	MOVQ npad+56(FP), DX
+	VMOVSD acc+64(FP), X15
+	SHLQ $3, DX
+	LEAQ (DX)(DX*1), R13
+	LEAQ (DX)(DX*2), R14
+	LEAQ lnlK<>(SB), AX
+	VXORPD Y14, Y14, Y14
+	TESTQ CX, CX
+	JE   lnlDone
+
+lnlLoop:
+	VMOVUPD (R9), Y8
+	VMOVUPD (R9)(DX*1), Y9
+	VMOVUPD (R9)(R13*1), Y10
+	VMOVUPD (R9)(R14*1), Y11
+	VXORPD  Y0, Y0, Y0
+
+	// lkl += (f0*a0) * dot_0
+	VMULPD  (BX), Y8, Y12
+	VMULPD  32(BX), Y9, Y13
+	VADDPD  Y13, Y12, Y12
+	VMULPD  64(BX), Y10, Y13
+	VADDPD  Y13, Y12, Y12
+	VMULPD  96(BX), Y11, Y13
+	VADDPD  Y13, Y12, Y12
+	VMOVUPD (R8), Y13
+	VMULPD  512(BX), Y13, Y13
+	VMULPD  Y12, Y13, Y13
+	VADDPD  Y13, Y0, Y0
+
+	// lkl += (f1*a1) * dot_1
+	VMULPD  128(BX), Y8, Y12
+	VMULPD  160(BX), Y9, Y13
+	VADDPD  Y13, Y12, Y12
+	VMULPD  192(BX), Y10, Y13
+	VADDPD  Y13, Y12, Y12
+	VMULPD  224(BX), Y11, Y13
+	VADDPD  Y13, Y12, Y12
+	VMOVUPD (R8)(DX*1), Y13
+	VMULPD  544(BX), Y13, Y13
+	VMULPD  Y12, Y13, Y13
+	VADDPD  Y13, Y0, Y0
+
+	// lkl += (f2*a2) * dot_2
+	VMULPD  256(BX), Y8, Y12
+	VMULPD  288(BX), Y9, Y13
+	VADDPD  Y13, Y12, Y12
+	VMULPD  320(BX), Y10, Y13
+	VADDPD  Y13, Y12, Y12
+	VMULPD  352(BX), Y11, Y13
+	VADDPD  Y13, Y12, Y12
+	VMOVUPD (R8)(R13*1), Y13
+	VMULPD  576(BX), Y13, Y13
+	VMULPD  Y12, Y13, Y13
+	VADDPD  Y13, Y0, Y0
+
+	// lkl += (f3*a3) * dot_3
+	VMULPD  384(BX), Y8, Y12
+	VMULPD  416(BX), Y9, Y13
+	VADDPD  Y13, Y12, Y12
+	VMULPD  448(BX), Y10, Y13
+	VADDPD  Y13, Y12, Y12
+	VMULPD  480(BX), Y11, Y13
+	VADDPD  Y13, Y12, Y12
+	VMOVUPD (R8)(R14*1), Y13
+	VMULPD  608(BX), Y13, Y13
+	VMULPD  Y12, Y13, Y13
+	VADDPD  Y13, Y0, Y0
+
+	// if lkl <= 0 { lkl = SmallestNonzeroFloat64 }
+	VCMPPD    $0x12, Y14, Y0, Y4 // LE_OQ
+	VBLENDVPD Y4, 608(AX), Y0, Y0
+
+	// f1 = mantissa | 0.5's exponent; k = exponent - 1022
+	VANDPD  (AX), Y0, Y1
+	VORPD   32(AX), Y1, Y1
+	VPSRLQ  $52, Y0, Y2
+	VPAND   64(AX), Y2, Y2
+	VPOR    96(AX), Y2, Y2
+	VSUBPD  128(AX), Y2, Y2
+
+	// if !(√2/2 < f1) { k -= 1; f1 *= 2 }; f = f1 - 1
+	VMOVUPD   160(AX), Y4
+	VCMPPD    $5, Y1, Y4, Y4 // NLT_US: CMPSD's predicate 5
+	VANDPD    192(AX), Y4, Y4
+	VSUBPD    Y4, Y2, Y2
+	VADDPD    192(AX), Y4, Y4
+	VMULPD    Y4, Y1, Y1
+	VSUBPD    192(AX), Y1, Y1
+
+	// s = f/(2+f), s2 = s*s, s4 = s2*s2
+	VADDPD  224(AX), Y1, Y4
+	VDIVPD  Y4, Y1, Y3
+	VMULPD  Y3, Y3, Y4
+	VMULPD  Y4, Y4, Y5
+
+	// t1 = s2*(L1 + s4*(L3 + s4*(L5 + s4*L7)))
+	VMULPD  448(AX), Y5, Y6
+	VADDPD  384(AX), Y6, Y6
+	VMULPD  Y5, Y6, Y6
+	VADDPD  320(AX), Y6, Y6
+	VMULPD  Y5, Y6, Y6
+	VADDPD  256(AX), Y6, Y6
+	VMULPD  Y6, Y4, Y4
+
+	// t2 = s4*(L2 + s4*(L4 + s4*L6)); R = t1 + t2
+	VMULPD  416(AX), Y5, Y6
+	VADDPD  352(AX), Y6, Y6
+	VMULPD  Y5, Y6, Y6
+	VADDPD  288(AX), Y6, Y6
+	VMULPD  Y6, Y5, Y5
+	VADDPD  Y5, Y4, Y4
+
+	// hfsq = 0.5*f*f
+	VMULPD  32(AX), Y1, Y5
+	VMULPD  Y1, Y5, Y5
+
+	// log = k*Ln2Hi - ((hfsq - (s*(hfsq+R) + k*Ln2Lo)) - f)
+	VADDPD  Y5, Y4, Y4
+	VMULPD  Y4, Y3, Y3
+	VMULPD  512(AX), Y2, Y4
+	VADDPD  Y4, Y3, Y3
+	VSUBPD  Y3, Y5, Y5
+	VSUBPD  Y1, Y5, Y5
+	VMULPD  480(AX), Y2, Y2
+	VSUBPD  Y5, Y2, Y2
+
+	// +Inf and +NaN return x; a set sign bit returns archLog's NaN.
+	VPCMPGTQ  544(AX), Y0, Y4
+	VBLENDVPD Y4, Y0, Y2, Y2
+	VBLENDVPD Y0, 576(AX), Y2, Y2
+
+	// term = w*(log - float64(sa+sb)*logScale)
+	VMOVDQU   (R10), X4
+	VMOVDQU   (R11), X5
+	VPADDD    X5, X4, X4
+	VCVTDQ2PD X4, Y4
+	VMULPD    640(BX), Y4, Y4
+	VSUBPD    Y4, Y2, Y2
+	VMULPD    (SI), Y2, Y2
+
+	// Ordered accumulation: lanes 0, 1, then the high half's 2, 3.
+	VADDSD       X2, X15, X15
+	VPERMILPD    $1, X2, X7
+	VADDSD       X7, X15, X15
+	VEXTRACTF128 $1, Y2, X2
+	VADDSD       X2, X15, X15
+	VPERMILPD    $1, X2, X7
+	VADDSD       X7, X15, X15
+
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $16, R10
+	ADDQ $16, R11
+	ADDQ $32, SI
+	DECQ CX
+	JNE  lnlLoop
+
+lnlDone:
+	VZEROUPPER
+	VMOVSD X15, ret+72(FP)
+	RET
+
 // func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

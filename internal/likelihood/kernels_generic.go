@@ -21,3 +21,8 @@ func foldF64(spec, aclv, bclv []float64, m []model.PMatrix, f *[4]float64, tab *
 func specEvalF64(spec, w []float64, c *specCoef, nk, npad, lo, n int, acc gradAcc) gradAcc {
 	return segSpecEval(spec, w, c, nk, npad, lo, n, acc)
 }
+
+func edgeLnLF64(aclv, bclv []float64, asc, bsc []int32, w []float64,
+	pm *model.PMatrix, f *[4]float64, tab *lnlTable, npad, lo, n int, acc float64) float64 {
+	return segEdgeLnL(aclv, bclv, asc, bsc, w, pm, f, npad, lo, n, acc)
+}

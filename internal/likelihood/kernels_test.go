@@ -1,9 +1,11 @@
 package likelihood
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -115,6 +117,17 @@ func optimizeMatchesScalar(t *testing.T, name string, m model.Model, p *seq.Patt
 		t.Errorf("%s: vector-optimized tree differs from scalar:\n got %s\nwant %s",
 			name, tv.Newick(), ts.Newick())
 	}
+	// The smoothed tree's log-likelihood, through the edge kernels once
+	// more on the refilled partials.
+	if lv, err = vec.LogLikelihood(tv); err != nil {
+		t.Fatal(err)
+	}
+	if ls, err = sca.LogLikelihood(ts); err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(lv) != math.Float64bits(ls) {
+		t.Errorf("%s: vector lnL after smoothing %.17g not bit-identical to scalar %.17g", name, lv, ls)
+	}
 }
 
 // TestVectorCombine2MatchesScalar pins the AVX2 kernels to the scalar
@@ -140,10 +153,12 @@ func TestVectorCombine2MatchesScalar(t *testing.T) {
 // lanes and every derivative evaluation — the fused fold+eval and a
 // later iterate's eval, at every length of
 // TestFoldMatchesDirectDerivatives — bit-identical d1 and d2. The shard
-// cuts fall mid-block, so the segments the wrappers see have every
-// length mod 4 and the scalar tail runs after the vector groups. Then
-// both fixtures are smoothed at two threads, and the floor is checked
-// kernel to kernel on the values that decide it.
+// cuts fall mid-block, so the segments have every real length mod 4;
+// each owns whole groups, so the vector kernels run over its zero-padded
+// last group where the scalar ones stop at its last pattern. Then both
+// fixtures are smoothed at two threads, and the floor is checked kernel
+// to kernel on the values that decide it, on a segment that ends
+// mid-group, so the wrapper's scalar tail runs too.
 func TestVectorFoldMatchesScalar(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("AVX2 kernel unavailable on this host")
@@ -260,4 +275,204 @@ func testVectorEvalFloor(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lnlCase is one input of the edge log-likelihood kernels: the patterns
+// [lo, lo+n) of a pair of SoA CLVs with npad entries per lane.
+type lnlCase struct {
+	a, b        []float64
+	asc, bsc    []int32
+	w           []float64
+	pm          model.PMatrix
+	f           [4]float64
+	npad, lo, n int
+	acc         float64
+}
+
+func newLnLCase(npad, lo, n int) *lnlCase {
+	return &lnlCase{
+		a: make([]float64, 4*npad), b: make([]float64, 4*npad),
+		asc: make([]int32, npad), bsc: make([]int32, npad), w: make([]float64, npad),
+		npad: npad, lo: lo, n: n,
+	}
+}
+
+// identity makes pattern sums exact: P = I and f0 = 1, so a pattern set
+// by setLkl has the site likelihood it was given.
+func (c *lnlCase) identity(f1, f2, f3 float64) {
+	c.pm = model.PMatrix{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}}
+	c.f = [4]float64{1, f1, f2, f3}
+}
+
+// setLkl sets pattern i to a = (x, 0, 0, 0), b = (1, 0, 0, 0): under
+// identity its site likelihood is 0 + x + 0 + 0 + 0, x itself but for −0.
+func (c *lnlCase) setLkl(i int, x float64) {
+	for s := 0; s < 4; s++ {
+		c.a[s*c.npad+i], c.b[s*c.npad+i] = 0, 0
+	}
+	c.a[i], c.b[i] = x, 1
+}
+
+// run returns the vector wrapper's and the scalar kernel's sums.
+func (c *lnlCase) run() (vec, sca float64) {
+	var tab lnlTable
+	tab.init(&c.f)
+	tab.setP(&c.pm)
+	vec = edgeLnLF64(c.a, c.b, c.asc, c.bsc, c.w, &c.pm, &c.f, &tab, c.npad, c.lo, c.n, c.acc)
+	sca = segEdgeLnL(c.a, c.b, c.asc, c.bsc, c.w, &c.pm, &c.f, c.npad, c.lo, c.n, c.acc)
+	return vec, sca
+}
+
+// lnlSpecials are the site likelihoods the floor and the logarithm's
+// special cases decide: ±0, subnormals, the floor itself, negatives,
+// ±Inf, NaN of both signs, MaxFloat64, 1, and x exactly at and one ulp
+// beside √2/2·2^k, where archLog's "not less than" compare halves f1.
+func lnlSpecials() []float64 {
+	v := []float64{
+		0, math.Copysign(0, -1), 5e-320, math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64,
+		-1.5, -math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0xFFF8000000000001), math.Float64frombits(0x7FF0000000000001),
+		math.Float64frombits(0xFFF4000000000000), math.MaxFloat64, 1, 0.5, 2,
+	}
+	for _, k := range []int{-1040, -1022, -1000, -50, -1, 0, 1, 32, 1000, 1023} {
+		x := math.Ldexp(math.Sqrt2/2, k)
+		v = append(v, x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)))
+	}
+	return v
+}
+
+// TestVectorEdgeLnLMatchesScalar pins edgeLnLF64 — edgeLnLAVX2 with its
+// replica of math.Log, and the scalar tail — to segEdgeLnL bit for bit.
+// Segments of 1–40 patterns at every residue mod 4 and every offset mod
+// 4, half of them on the identity matrix so a pattern's site likelihood
+// is exactly a chosen value (lnlSpecials, random magnitudes across the
+// subnormal-to-MaxFloat64 range, or random bits), half on F84 and HKY85
+// matrices over random CLVs with specials planted in a lane; scale
+// counts 0–4, weights 0–3, a zero or random starting sum.
+func TestVectorEdgeLnLMatchesScalar(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("AVX2 kernel unavailable on this host")
+	}
+	rng := rand.New(rand.NewSource(41))
+	specials := lnlSpecials()
+	var mats []model.PMatrix
+	for _, m := range foldModels(t)[2:4] {
+		for _, z := range []float64{MinBranchLength, 0.01, 0.3, 2.5, MaxBranchLength} {
+			var pm model.PMatrix
+			m.Decomposition().Probs(z, 1.3, &pm)
+			mats = append(mats, pm)
+		}
+	}
+	lkl := func() float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return specials[rng.Intn(len(specials))]
+		case 1:
+			return math.Ldexp(1+rng.Float64(), rng.Intn(2100)-1075)
+		}
+		return math.Float64frombits(rng.Uint64())
+	}
+	var residues [4]bool
+	for trial := 0; trial < 6000; trial++ {
+		n, lo := 1+rng.Intn(40), rng.Intn(8)
+		c := newLnLCase(lo+n+rng.Intn(4), lo, n)
+		residues[n%4] = true
+		plain := trial%2 == 0
+		if plain {
+			c.identity(rng.Float64(), rng.Float64(), rng.Float64())
+		} else {
+			c.pm, c.f = mats[rng.Intn(len(mats))], [4]float64{0.31, 0.19, 0.27, 0.23}
+		}
+		for i := lo; i < lo+n; i++ {
+			if plain {
+				c.setLkl(i, lkl())
+			} else {
+				scale := math.Exp(-700 * rng.Float64() * rng.Float64())
+				for s := 0; s < 4; s++ {
+					c.a[s*c.npad+i] = scale * rng.Float64()
+					c.b[s*c.npad+i] = rng.Float64()
+				}
+				if rng.Intn(8) == 0 {
+					c.a[rng.Intn(4)*c.npad+i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			c.asc[i], c.bsc[i] = int32(rng.Intn(5)), int32(rng.Intn(5))
+			c.w[i] = float64(rng.Intn(4))
+		}
+		if rng.Intn(2) == 0 {
+			c.acc = -1000 * rng.Float64()
+		}
+		if vec, sca := c.run(); math.Float64bits(vec) != math.Float64bits(sca) {
+			t.Fatalf("trial %d (n=%d, lo=%d, identity %v): vector %#x (%.17g), scalar %#x (%.17g)",
+				trial, n, lo, plain, math.Float64bits(vec), vec, math.Float64bits(sca), sca)
+		}
+	}
+	if residues != [4]bool{true, true, true, true} {
+		t.Errorf("segment lengths mod 4 seen: %v, want all four", residues)
+	}
+
+	// The logarithm lane by lane: in a group whose other three lanes
+	// weigh 0, with no scale events and a zero starting sum, the result
+	// is log(x) itself. Every special and √2/2·2^k for every k goes
+	// through, then random x, most of them in [√2/4, 2√2), where the
+	// polynomial term s·(hfsq+R) is largest against the result, so a
+	// reassociated or reordered step shows in its last bit. (At
+	// x = √2/2·2^32 the "not less than" compare decides the last bit.)
+	xs := slices.Clone(specials)
+	for k := -1074; k <= 1023; k++ {
+		xs = append(xs, math.Ldexp(math.Sqrt2/2, k))
+	}
+	for trial := 0; trial < 120000; trial++ {
+		var x float64
+		switch {
+		case trial < len(xs):
+			x = xs[trial]
+		case trial%4 < 2:
+			x = math.Ldexp(0.5+1.5*rng.Float64(), rng.Intn(3)-1)
+		case trial%4 == 2:
+			x = math.Float64frombits(rng.Uint64())
+		default:
+			x = lkl()
+		}
+		c := newLnLCase(4, 0, 4)
+		c.identity(0.5, 0.5, 0.5)
+		lane := trial % 4
+		for i := 0; i < 4; i++ {
+			c.setLkl(i, 0.75)
+		}
+		c.setLkl(lane, x)
+		c.w[lane] = 1
+		if vec, sca := c.run(); math.Float64bits(vec) != math.Float64bits(sca) {
+			t.Fatalf("log(%#x = %.17g) in lane %d: vector %#x, scalar %#x",
+				math.Float64bits(x), x, lane, math.Float64bits(vec), math.Float64bits(sca))
+		}
+	}
+}
+
+// FuzzVectorEdgeLnL requires edgeLnLF64 and segEdgeLnL to agree bit for
+// bit on one 4-pattern group whose site likelihoods are any float64 bit
+// patterns. The input is read little-endian, zero-extended to 68 bytes:
+// four site likelihoods (8 bytes each), four a-side and four b-side
+// scale counts (int32 each, so their sum may wrap, in both kernels
+// alike) and four weights (one byte each).
+func FuzzVectorEdgeLnL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !useAVX2 {
+			t.Skip("AVX2 kernel unavailable on this host")
+		}
+		var buf [68]byte
+		copy(buf[:], data)
+		c := newLnLCase(4, 0, 4)
+		c.identity(0.25, 0.25, 0.25)
+		for i := 0; i < 4; i++ {
+			c.setLkl(i, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
+			c.asc[i] = int32(binary.LittleEndian.Uint32(buf[32+4*i:]))
+			c.bsc[i] = int32(binary.LittleEndian.Uint32(buf[48+4*i:]))
+			c.w[i] = float64(buf[64+i])
+		}
+		if vec, sca := c.run(); math.Float64bits(vec) != math.Float64bits(sca) {
+			t.Fatalf("vector %#x (%.17g), scalar %#x (%.17g)",
+				math.Float64bits(vec), vec, math.Float64bits(sca), sca)
+		}
+	})
 }

@@ -21,6 +21,13 @@ import (
 // boundaries as the pre-SoA engine — so the padded layout changes where
 // patterns live in memory but not how reductions group, keeping float64
 // results bit-identical across the layout change too.
+//
+// Every segment owns whole 4-pattern groups: it starts at a multiple of
+// 4 on the padded axis (a block's first segment at a multiple of
+// clvBlock) and holds ⌈n/4⌉·4 entries, the ones past its n real patterns
+// zero. The vector kernels run over the rounded length, so no scalar tail
+// runs; a padding entry is a zero CLV of weight 0 and scale 0, whose
+// every term is an exact identity of the sums it joins (DESIGN §5f).
 
 const (
 	// minShardPatterns is the smallest pattern range worth a shard; tiny
@@ -33,11 +40,13 @@ const (
 // shardSeg is a run of patterns within one rate-class block, so kernels
 // still hoist the transition-matrix lookup out of the pattern loop. lo/hi
 // index the real (permuted) pattern axis; plo is where the run starts on
-// the padded axis the SoA lanes are laid out on.
+// the padded axis the SoA lanes are laid out on, and n4 the whole groups
+// it owns there.
 type shardSeg struct {
 	ci     int // rate class index
 	lo, hi int // permuted pattern index range [lo, hi)
-	plo    int // padded start index of this run
+	plo    int // padded start index of this run, a multiple of 4
+	n4     int // hi-lo rounded up to a multiple of 4
 }
 
 // shard is one contiguous pattern range, pre-cut into class segments.
@@ -47,8 +56,11 @@ type shard struct {
 
 // buildShards cuts [0, npat) into near-equal contiguous ranges aligned
 // with the class blocks: a shard boundary inside a block splits it into
-// segments that each stay within one class.
-func buildShards(blocks []classBlock, npat int) []shard {
+// segments that each stay within one class. It then lays the segments
+// out on the padded axis in pattern order, each on whole 4-pattern
+// groups and each block's first on a clvBlock boundary, and returns the
+// padded length.
+func buildShards(blocks []classBlock, npat int) ([]shard, int) {
 	n := npat / minShardPatterns
 	if n < 1 {
 		n = 1
@@ -57,19 +69,23 @@ func buildShards(blocks []classBlock, npat int) []shard {
 		n = maxShards
 	}
 	shards := make([]shard, n)
-	for s := 0; s < n; s++ {
-		lo, hi := s*npat/n, (s+1)*npat/n
-		for _, blk := range blocks {
-			slo, shi := max(lo, blk.lo), min(hi, blk.hi)
-			if slo < shi {
-				shards[s].segs = append(shards[s].segs, shardSeg{
-					ci: blk.ci, lo: slo, hi: shi, plo: blk.plo + (slo - blk.lo),
-				})
+	pad := 0
+	for _, blk := range blocks {
+		pad = roundUp(pad, clvBlock)
+		for s := 0; s < n; s++ {
+			lo, hi := max(s*npat/n, blk.lo), min((s+1)*npat/n, blk.hi)
+			if lo < hi {
+				seg := shardSeg{ci: blk.ci, lo: lo, hi: hi, plo: pad, n4: roundUp(hi-lo, 4)}
+				shards[s].segs = append(shards[s].segs, seg)
+				pad += seg.n4
 			}
 		}
 	}
-	return shards
+	return shards, roundUp(pad, clvBlock)
 }
+
+// roundUp rounds n up to a multiple of m.
+func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
 // Kernel opcodes for the engine-held dispatch arguments. Keeping the
 // arguments in a struct owned by the engine (rather than a closure per
@@ -209,7 +225,10 @@ func (e *CachedEngine) runShards() {
 // by shard (CLV ranges, fold lanes, per-shard partials). Each opcode
 // dispatches to the segment kernels in kernels.go; reductions
 // accumulate with one accumulator threaded through the whole shard, so
-// the summation grouping matches the pre-SoA engine exactly.
+// the summation grouping matches the pre-SoA engine exactly. The vector
+// kernels (bc2 != nil) run over each segment's whole groups, seg.n4; the
+// scalar ones, the multifurcation combines and the site log-likelihoods
+// over its real patterns.
 func (e *CachedEngine) shardKernel(s int) {
 	k := &e.kern
 	segs := e.shards[s].segs
@@ -239,21 +258,24 @@ func (e *CachedEngine) shardKernel(s int) {
 		}
 	case kCombine2:
 		for _, seg := range segs {
-			n := seg.hi - seg.lo
 			if e.bc2 != nil {
 				combine2F64(k.dst.f64, k.src.f64, k.src2.f64, &e.pmat[seg.ci], &e.pmatB[seg.ci],
-					&e.bc2[seg.ci], k.dst.sc, k.src.sc, k.src2.sc, e.npad, seg.plo, n)
+					&e.bc2[seg.ci], k.dst.sc, k.src.sc, k.src2.sc, e.npad, seg.plo, seg.n4)
 			} else {
 				segCombine2(k.dst.f64, k.src.f64, k.src2.f64, &e.pmat[seg.ci], &e.pmatB[seg.ci],
-					k.dst.sc, k.src.sc, k.src2.sc, e.npad, seg.plo, n)
+					k.dst.sc, k.src.sc, k.src2.sc, e.npad, seg.plo, seg.hi-seg.lo)
 			}
 		}
 	case kEdgeLnL:
 		total := 0.0
 		for _, seg := range segs {
-			n := seg.hi - seg.lo
+			if e.bc2 != nil {
+				total = edgeLnLF64(k.a.f64, k.b.f64, k.a.sc, k.b.sc, e.weights,
+					&e.pmat[seg.ci], freqs, &e.lnlT[seg.ci], e.npad, seg.plo, seg.n4, total)
+				continue
+			}
 			total = segEdgeLnL(k.a.f64, k.b.f64, k.a.sc, k.b.sc, e.weights,
-				&e.pmat[seg.ci], freqs, e.npad, seg.plo, n, total)
+				&e.pmat[seg.ci], freqs, e.npad, seg.plo, seg.hi-seg.lo, total)
 		}
 		e.shLnL[s] = total
 	case kFoldGrad, kSpecEval:
@@ -265,9 +287,9 @@ func (e *CachedEngine) shardKernel(s int) {
 			// Later iterates of a solve (kSpecEval) find the lanes folded.
 			if e.bc2 != nil {
 				if k.op == kFoldGrad {
-					foldF64(e.spec, k.a.f64, k.b.f64, e.foldM, freqs, &e.foldB, e.npad, seg.plo, n)
+					foldF64(e.spec, k.a.f64, k.b.f64, e.foldM, freqs, &e.foldB, e.npad, seg.plo, seg.n4)
 				}
-				acc = specEvalF64(e.spec, e.weights, c, nk, e.npad, seg.plo, n, acc)
+				acc = specEvalF64(e.spec, e.weights, c, nk, e.npad, seg.plo, seg.n4, acc)
 				continue
 			}
 			if k.op == kFoldGrad {
