@@ -67,7 +67,8 @@ vector-v3:
 	GOAMD64=v3 $(GO) test -count=1 -run TestVector ./internal/likelihood/
 
 # Kernel scaling benchmarks: the sharded pruning and Newton kernels at
-# 1/2/4 engine threads under GOMAXPROCS 1/2/4, with -benchmem asserting
+# 1/2/4/8 engine threads (benchThreadCounts) under GOMAXPROCS 1/2/4
+# (-cpu), with -benchmem asserting
 # the zero-alloc steady state, plus the pooled wire-codec round trips.
 # The final step re-measures the kernels and archives the numbers as
 # bench/BENCH_kernels.json (CI uploads it as an artifact).

@@ -23,6 +23,7 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/core"
 	"repro/internal/fileio"
+	"repro/internal/likelihood"
 	"repro/internal/mlsearch"
 	"repro/internal/obs"
 	"repro/internal/seq"
@@ -77,7 +78,7 @@ func (o *options) bindFlags(fs *flag.FlagSet) {
 	o.Spec.BindFlags(fs)
 	fs.IntVar(&o.MaxConcurrentJumbles, "concurrent-jumbles", 0, "jumbles (or bootstrap replicates) run concurrently over the shared worker fleet (0 = min(jumbles, workers); results identical at any setting)")
 	fs.IntVar(&o.Workers, "workers", 0, "parallel worker processes on this machine (0 = serial)")
-	fs.IntVar(&o.Threads, "threads", 1, "likelihood kernel threads per evaluator (results are bit-identical at any count)")
+	fs.IntVar(&o.Threads, "threads", 1, fmt.Sprintf("likelihood kernel threads per evaluator (results are bit-identical at any count; alignments under %d patterns run on one)", likelihood.MinPoolPad))
 	fs.BoolVar(&o.WithMonitor, "monitor", false, "attach the monitor (parallel runs): membership and inline-evaluation lines on stderr, run counters in the -bench-json report")
 	fs.StringVar(&o.ratesPath, "rates", "", "per-site rate file (dnarates output)")
 	fs.StringVar(&o.weightsPath, "weights", "", "per-site weight file")

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/likelihood"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -32,7 +33,7 @@ func main() {
 		workers         = flag.Int("workers", 2, "worker goroutines per dataset pod")
 		maxPods         = flag.Int("max-pods", 2, "warm dataset pods kept at once")
 		idleTTL         = flag.Duration("pod-idle-ttl", 5*time.Minute, "idle time before a warm pod is shut down")
-		threads         = flag.Int("threads", 1, "likelihood kernel threads per worker (results are bit-identical at any count)")
+		threads         = flag.Int("threads", 1, fmt.Sprintf("likelihood kernel threads per worker (results are bit-identical at any count; alignments under %d patterns run on one)", likelihood.MinPoolPad))
 		taskTimeout     = flag.Duration("task-timeout", time.Minute, "re-dispatch a slice of tasks whose worker has not answered it within this")
 		maxActive       = flag.Int("max-active", 2, "jobs running concurrently")
 		maxQueued       = flag.Int("max-queued", 64, "global queue depth before submissions get 429")

@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"repro/internal/buildinfo"
+	"repro/internal/likelihood"
 	"repro/internal/mlsearch"
 	"repro/internal/obs"
 )
@@ -29,7 +30,7 @@ func main() {
 		flaky      = flag.Float64("flaky", 0, "drop this fraction of replies (fault tolerance demos)")
 		seed       = flag.Int64("flaky-seed", 1, "seed for -flaky")
 		statusAddr = flag.String("status-addr", "", "serve /metrics, /status, and /debug/pprof on this address")
-		threads    = flag.Int("threads", 1, "likelihood kernel threads on this host (results are bit-identical at any count)")
+		threads    = flag.Int("threads", 1, fmt.Sprintf("likelihood kernel threads on this host (results are bit-identical at any count; alignments under %d patterns run on one)", likelihood.MinPoolPad))
 		version    = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()

@@ -34,6 +34,7 @@ func warmEngine(b *testing.B, m model.Model, p *seq.Patterns, tr *tree.Tree, thr
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(eng.Close)
 	if threads > 1 {
 		eng.SetThreads(threads)
 	}
@@ -210,6 +211,7 @@ func wideEngine(b *testing.B, threads int) (*CachedEngine, *tree.Tree) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(eng.Close)
 	if threads > 1 {
 		eng.SetThreads(threads)
 	}

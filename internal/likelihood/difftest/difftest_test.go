@@ -1,6 +1,12 @@
 package difftest
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/likelihood"
+	"repro/internal/model"
+	"repro/internal/seq"
+)
 
 // TestDifferentialCachedVsReference is the acceptance gate for the
 // Engine seam: the CLV-cached production engine and the direct
@@ -57,25 +63,52 @@ func TestDifferentialUnknownEngine(t *testing.T) {
 	}
 }
 
+// threadedCached is the cached engine at three kernel threads, a
+// backend registered only for this package's tests; threadedEngines
+// keeps every engine it built.
+const threadedCached = "cached-threads3"
+
+var threadedEngines []*likelihood.CachedEngine
+
+func init() {
+	likelihood.Register(threadedCached, func(m model.Model, p *seq.Patterns, _ likelihood.EngineOptions) (likelihood.Engine, error) {
+		e, err := likelihood.New(m, p)
+		if err != nil {
+			return nil, err
+		}
+		e.SetThreads(3)
+		threadedEngines = append(threadedEngines, e)
+		return e, nil
+	})
+}
+
 // TestDifferentialThreadedCached: the harness also holds when the cached
-// engine shards its kernels — threading must not change results (the
-// bit-identity contract) and therefore must not change agreement with
-// the reference.
+// engine shards its kernels over its thread pool — threading must not
+// change results (the bit-identity contract) and therefore must not
+// change agreement with the reference. The alignments are long enough
+// (over likelihood.MinPoolPad patterns) for the engine to build its
+// pool, so under -race this also watches the pool's spin/park protocol.
 func TestDifferentialThreadedCached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	// Register-free path: compare cached (threads handled via
-	// EngineOptions in the factory) against reference by building the
-	// harness options only — the factory applies Threads.
 	rep, err := Run(Options{
-		EngineA: "cached",
-		EngineB: "reference",
-		Cases:   10,
-		Seed:    4242,
+		EngineA:  threadedCached,
+		EngineB:  "reference",
+		Cases:    10,
+		Seed:     4242,
+		MinTaxa:  11,
+		MaxTaxa:  13,
+		MinSites: 3400,
+		MaxSites: 3800,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, e := range threadedEngines {
+		if e.Stats().ShardDispatches == 0 {
+			t.Errorf("case %d: the threaded engine never used its pool", i)
+		}
 	}
 	for _, f := range rep.Failures {
 		t.Error(f)

@@ -1,6 +1,7 @@
 package likelihood
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestSweepOptimumIsStationary(t *testing.T) {
 // the gradient path: the all-branches gradient and its likelihood must
 // be bit-identical at every thread count.
 func TestGradientThreadedBitIdentical(t *testing.T) {
-	m, p, tr := threadFixture(t, 11, 20, 600)
+	m, p, tr := threadFixture(t, 11, 20, 2200)
 
 	ref, err := New(m, p)
 	if err != nil {
@@ -180,6 +181,7 @@ func TestGradientThreadedBitIdentical(t *testing.T) {
 				t.Errorf("threads=%d: gradient %d not bit-identical to serial", n, i)
 			}
 		}
+		requirePooled(t, fmt.Sprintf("threads=%d", n), eng)
 		eng.Close()
 	}
 }
@@ -189,7 +191,7 @@ func TestGradientThreadedBitIdentical(t *testing.T) {
 // perturb-and-resmooth allocates nothing, serial or threaded — the
 // sweep's visit order lives in engine-owned scratch.
 func TestSmoothZeroAllocSteadyState(t *testing.T) {
-	m, p, tr := caterpillarFixture(t, 3, 12, 400)
+	m, p, tr := caterpillarFixture(t, 3, 12, 2800)
 	edges := tr.Edges()
 	lens := make([]float64, len(edges))
 	for i, ed := range edges {
@@ -229,6 +231,9 @@ func TestSmoothZeroAllocSteadyState(t *testing.T) {
 		}
 		if &eng.spec[0] != scratch {
 			t.Errorf("threads=%d: fold scratch reallocated", threads)
+		}
+		if threads > 1 {
+			requirePooled(t, fmt.Sprintf("threads=%d", threads), eng)
 		}
 		eng.Close()
 	}

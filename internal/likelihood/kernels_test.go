@@ -128,6 +128,10 @@ func optimizeMatchesScalar(t *testing.T, name string, m model.Model, p *seq.Patt
 	if math.Float64bits(lv) != math.Float64bits(ls) {
 		t.Errorf("%s: vector lnL after smoothing %.17g not bit-identical to scalar %.17g", name, lv, ls)
 	}
+	if threads > 1 {
+		requirePooled(t, name+" vector", vec)
+		requirePooled(t, name+" scalar", sca)
+	}
 }
 
 // TestVectorCombine2MatchesScalar pins the AVX2 kernels to the scalar
@@ -165,7 +169,7 @@ func TestVectorFoldMatchesScalar(t *testing.T) {
 	}
 	lengths := []float64{MinBranchLength, 3e-7, 1e-3, 0.07, 0.9, 4, MaxBranchLength}
 	rng := rand.New(rand.NewSource(31))
-	p0, _ := mkPatterns(t, randomRows(rng, 6, 1500)...)
+	p0, _ := mkPatterns(t, randomRows(rng, 10, 3800)...)
 	var residues [4]bool
 	for _, m := range foldModels(t) {
 		for _, classes := range [][]float64{{1}, {0.25, 1, 3, 0.6}} {
@@ -201,6 +205,10 @@ func TestVectorFoldMatchesScalar(t *testing.T) {
 					s1, s2 = sca.specGradient(kSpecEval, z2)
 					sameBits(t, name+" eval", z2, v1, v2, s1, s2)
 				}
+				if threads > 1 {
+					requirePooled(t, name+" vector", vec)
+					requirePooled(t, name+" scalar", sca)
+				}
 			}
 		}
 	}
@@ -208,9 +216,9 @@ func TestVectorFoldMatchesScalar(t *testing.T) {
 		t.Errorf("segment lengths mod 4 seen: %v, want all four", residues)
 	}
 
-	m, p, tr := threadFixture(t, 17, 14, 500)
+	m, p, tr := threadFixture(t, 17, 14, 2400)
 	optimizeMatchesScalar(t, "random", m, p, tr, 2)
-	mc, pc, trc := caterpillarFixture(t, 43, 40, 250)
+	mc, pc, trc := caterpillarFixture(t, 43, 40, 2100)
 	optimizeMatchesScalar(t, "caterpillar", mc, pc, trc, 2)
 
 	t.Run("floor", testVectorEvalFloor)

@@ -1,6 +1,7 @@
 package likelihood
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -9,7 +10,12 @@ import (
 // pruning combines, rescaling, the root log-likelihood sum, and the
 // Newton fold and first/second-derivative sums — is data-parallel, so
 // the engine cuts the permuted pattern range into fixed shards and runs
-// each kernel shard-by-shard on a persistent per-engine goroutine pool.
+// each kernel shard-by-shard, on the caller or, on an engine of at least
+// MinPoolPad padded patterns with threads > 1, split into static parts
+// across the caller and a persistent per-engine goroutine pool. A
+// dispatch there costs one generation store, a CAS per part and a wait
+// for the parts workers took (see shardPool); the floor keeps it off
+// kernels too short to pay even that.
 //
 // Determinism contract: the shard layout is a pure function of the data
 // (pattern count and rate-class blocks), never of the thread count, and
@@ -35,6 +41,13 @@ const (
 	minShardPatterns = 64
 	// maxShards bounds the layout (and the per-shard partial arrays).
 	maxShards = 16
+	// MinPoolPad is the thread pool's break-even: an engine with fewer
+	// padded patterns runs its kernels on the caller at any thread
+	// count. On 8 taxa, two threads lost to one at 1 000 patterns and
+	// below, tied at 1 500 and won from 2 000 up (EXPERIMENTS.md "a
+	// dispatch that costs less than the shard"): below it a dispatch
+	// costs more than the half kernel it saves.
+	MinPoolPad = 2000
 )
 
 // shardSeg is a run of patterns within one rate-class block, so kernels
@@ -103,8 +116,14 @@ const (
 )
 
 // kernArgs carries one kernel invocation's inputs. Written by the
-// dispatching caller before the pool wakes, read by the shard workers;
-// the wake channel send and WaitGroup wait order the accesses.
+// dispatching caller before it publishes the dispatch, read by whoever
+// runs a part. sync/atomic operations are sequentially consistent, so the
+// pub store orders these writes (and every other engine write since the
+// last dispatch) before any worker's claim, and a worker's done add
+// orders its shard partials before the caller reads them. A claim on
+// generation g only succeeds while dispatch g runs, since the caller
+// takes or waits for every part before it returns, so no late worker
+// reads a stale kernArgs.
 type kernArgs struct {
 	op       int
 	dst, src clvRef
@@ -113,47 +132,110 @@ type kernArgs struct {
 	out      []float64
 }
 
-// shardPool runs kernel shards on threads-1 persistent goroutines plus
-// the calling goroutine. Shards are claimed by an atomic counter, so a
-// slow core never strands work pinned to it.
+// shardPool runs kernel shards on persistent goroutines plus the calling
+// goroutine, in k = min(threads, shards) static parts: part i is shards
+// [i·n/k, (i+1)·n/k), the caller runs part 0 and worker i part i+1. A
+// dispatch bumps one generation word; each part is claimed by a CAS of
+// its worker's taken word from the previous generation, by the worker or
+// by the caller, which after its own part takes every part still
+// unclaimed. The caller then waits only for the parts workers claimed, so
+// a late, parked or descheduled worker never holds a dispatch up. A
+// worker polls for the next generation for a bounded time, yielding as it
+// polls, and then parks on its wake channel; dispatch wakes only parked
+// workers, and costs no allocation either way.
 type shardPool struct {
-	e    *CachedEngine
-	wake []chan struct{}
-	quit chan struct{}
-	next atomic.Int64
-	wg   sync.WaitGroup
+	e     *CachedEngine
+	parts []int // part i is shards [parts[i], parts[i+1])
+	ws    []poolWorker
+	quit  chan struct{}
+	exits sync.WaitGroup // one per worker goroutine
+
+	_    [cacheLine]byte
+	pub  atomic.Uint64 // generation of the latest dispatch; only the caller stores it
+	_    [cacheLine - 8]byte
+	done atomic.Int64 // worker-claimed parts finished this dispatch
+	_    [cacheLine - 8]byte
 }
 
-func newShardPool(e *CachedEngine, workers int) *shardPool {
-	p := &shardPool{e: e, quit: make(chan struct{})}
-	p.wake = make([]chan struct{}, workers)
-	for i := range p.wake {
-		p.wake[i] = make(chan struct{}, 1)
-		go p.worker(p.wake[i])
+// poolWorker is one worker's claim word and parking state, alone on its
+// cache line so that claims on different parts do not contend.
+type poolWorker struct {
+	taken  atomic.Uint64 // last generation whose part anyone took
+	parked atomic.Bool
+	wake   chan struct{}
+	_      [cacheLine - 24]byte
+}
+
+const (
+	cacheLine = 64
+	// spinPolls bounds how long an idle worker polls for the next
+	// dispatch before it parks (about 50 µs on a 2-CPU amd64 host, most
+	// of it in the yields), and yieldEvery how often a poll loop, the
+	// worker's or the caller's, yields (see yield), so an oversubscribed
+	// process never spins away a scheduler quantum. A spin eight times
+	// as long, yielding only the P, won nothing alone and cost two
+	// concurrent two-thread searches on two CPUs 15–45 % (EXPERIMENTS.md).
+	spinPolls  = 1 << 12
+	yieldEvery = 64
+)
+
+func newShardPool(e *CachedEngine, k int) *shardPool {
+	p := &shardPool{e: e, quit: make(chan struct{}), ws: make([]poolWorker, k-1)}
+	n := len(e.shards)
+	for i := 0; i <= k; i++ {
+		p.parts = append(p.parts, i*n/k)
+	}
+	p.exits.Add(len(p.ws))
+	for i := range p.ws {
+		p.ws[i].wake = make(chan struct{}, 1)
+		go p.worker(i)
 	}
 	return p
 }
 
-func (p *shardPool) worker(wake chan struct{}) {
+// worker claims and runs part i+1 of every dispatch it sees in time.
+func (p *shardPool) worker(i int) {
+	defer p.exits.Done()
+	w := &p.ws[i]
+	seen := uint64(0)
 	for {
-		select {
-		case <-p.quit:
-			return
-		case <-wake:
-			p.drain()
-			p.wg.Done()
+		for n := 0; p.pub.Load() == seen; n++ {
+			if n%yieldEvery == yieldEvery-1 {
+				select {
+				case <-p.quit:
+					return
+				default:
+				}
+				yield()
+			}
+			if n < spinPolls {
+				continue
+			}
+			// Park. The dispatcher stores pub before it reads parked and
+			// the worker stores parked before it re-reads pub, so one of
+			// them sees the other: no wake-up is lost.
+			w.parked.Store(true)
+			if p.pub.Load() == seen {
+				select {
+				case <-w.wake:
+				case <-p.quit:
+					return
+				}
+			}
+			w.parked.Store(false)
+			n = 0
+		}
+		seen = p.pub.Load()
+		if w.taken.CompareAndSwap(seen-1, seen) {
+			p.run(i + 1)
+			p.done.Add(1)
 		}
 	}
 }
 
-// drain claims and runs shards until the counter runs past the layout.
-func (p *shardPool) drain() {
-	n := len(p.e.shards)
-	for {
-		s := int(p.next.Add(1)) - 1
-		if s >= n {
-			return
-		}
+// run runs part i's shards.
+func (p *shardPool) run(i int) {
+	for s := p.parts[i]; s < p.parts[i+1]; s++ {
 		p.e.shardKernel(s)
 	}
 }
@@ -161,21 +243,48 @@ func (p *shardPool) drain() {
 // dispatch runs the engine's current kernel over all shards, caller
 // participating, and returns when every shard completed.
 func (p *shardPool) dispatch() {
-	p.next.Store(0)
-	p.wg.Add(len(p.wake))
-	for _, ch := range p.wake {
-		ch <- struct{}{}
+	g := p.pub.Load() + 1
+	p.done.Store(0)
+	p.pub.Store(g)
+	for i := range p.ws {
+		if w := &p.ws[i]; w.parked.Load() {
+			select {
+			case w.wake <- struct{}{}:
+			default:
+			}
+		}
 	}
-	p.drain()
-	p.wg.Wait()
+	p.run(0)
+	claimed := int64(0)
+	for i := range p.ws {
+		if p.ws[i].taken.CompareAndSwap(g-1, g) {
+			p.run(i + 1)
+		} else {
+			claimed++
+		}
+	}
+	for n := 0; p.done.Load() < claimed; n++ {
+		if n%yieldEvery == yieldEvery-1 {
+			yield()
+		}
+	}
 }
 
-func (p *shardPool) stop() { close(p.quit) }
+// yield gives up the P, so that goroutines queued behind a poll loop run
+// even under GOMAXPROCS 1, and then the CPU, so that an oversubscribed
+// host runs other threads, this process's or another's, instead of the
+// poll.
+func yield() {
+	runtime.Gosched()
+	osYield()
+}
 
 // SetThreads sizes the engine's kernel pool to n threads (the caller
-// plus n-1 persistent goroutines); n <= 1 restores single-threaded
-// operation. It must not be called while an evaluation is in progress.
-// Results are bit-identical for every n.
+// plus up to n-1 persistent goroutines); n <= 1 restores single-threaded
+// operation. An engine with fewer than two shards, or fewer than
+// MinPoolPad padded patterns, gets no pool: it runs every kernel on the
+// caller whatever n is. It must not be called while an evaluation is in
+// progress. Results are bit-identical for every n.
 func (e *CachedEngine) SetThreads(n int) {
 	if n < 1 {
 		n = 1
@@ -183,28 +292,28 @@ func (e *CachedEngine) SetThreads(n int) {
 	if n == e.threads {
 		return
 	}
-	if e.pool != nil {
-		e.pool.stop()
-		e.pool = nil
-	}
+	e.Close()
 	e.threads = n
-	if n > 1 {
-		e.pool = newShardPool(e, n-1)
+	if k := min(n, len(e.shards)); k > 1 && e.npad >= MinPoolPad {
+		e.pool = newShardPool(e, k)
 	}
 }
 
 // Threads reports the engine's configured kernel thread count.
 func (e *CachedEngine) Threads() int { return e.threads }
 
-// Close releases the engine's kernel pool goroutines. It is a no-op for
-// single-threaded engines; threaded engines should be closed when no
+// Close stops the engine's kernel pool goroutines (spinning workers see
+// quit at their next yield, parked ones at once), returns once they have
+// exited, and restores single-threaded operation. It is a no-op for
+// engines without a pool; threaded engines should be closed when no
 // longer needed.
 func (e *CachedEngine) Close() {
 	if e.pool != nil {
-		e.pool.stop()
+		close(e.pool.quit)
+		e.pool.exits.Wait()
 		e.pool = nil
-		e.threads = 1
 	}
+	e.threads = 1
 }
 
 // runShards executes the kernel described by e.kern over every shard.

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/seq"
@@ -51,6 +53,14 @@ func TestShardSegmentsOwnWholeGroups(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				sameEngineBits(t, name, vec, sca, tr)
+				// Over the floor the pool runs; under it, nothing is dispatched.
+				pooled := threads > 1 && len(vec.shards) > 1 && vec.npad >= MinPoolPad
+				for _, e := range []*CachedEngine{vec, sca} {
+					if got := e.Stats().ShardDispatches > 0; got != pooled {
+						t.Errorf("%s: %d pool dispatches over %d padded patterns, floor %d",
+							name, e.Stats().ShardDispatches, e.npad, MinPoolPad)
+					}
+				}
 			}
 		}
 	}
@@ -207,6 +217,155 @@ func sameEngineBits(t *testing.T, name string, vec, sca *CachedEngine, tr *tree.
 	for i := range ss {
 		if math.Float64bits(sv[i]) != math.Float64bits(ss[i]) {
 			t.Fatalf("%s: site %d lnL vector %.17g, scalar %.17g", name, i, sv[i], ss[i])
+		}
+	}
+}
+
+// TestShardPoolProtocol pins the pool's dispatch protocol: thousands of
+// dispatches alternating kCombine2, kEdgeLnL, kFoldGrad and kSpecEval
+// must give the lnL, d1/d2, fold-lane and CLV bits of a threads=1
+// engine at threads 2, 3 and 8 — back to back, with the workers
+// spinning; after pauses that park every worker; and under GOMAXPROCS 1,
+// where the caller must take every part itself. Thread-count churn and
+// Close must then leave no pool goroutine behind.
+func TestShardPoolProtocol(t *testing.T) {
+	base := runtime.NumGoroutine()
+	m, p, tr := threadFixture(t, 29, 12, 5000)
+	if p.NumPatterns() < 3000 {
+		t.Fatalf("fixture: %d patterns, want >= 3000", p.NumPatterns())
+	}
+	const steps = 800
+	ref := newProtocolProbe(t, m, p, tr, 1)
+	want := make([]probeResult, steps)
+	for i := range want {
+		want[i] = ref.step(i, nil)
+	}
+	ref.e.Close()
+
+	check := func(name string, threads, from, n int, pause func(*CachedEngine)) {
+		t.Helper()
+		pr := newProtocolProbe(t, m, p, tr, threads)
+		defer pr.e.Close()
+		if pr.e.pool == nil {
+			t.Fatalf("%s threads=%d: no pool over %d padded patterns", name, threads, pr.e.npad)
+		}
+		before := pr.e.Stats().ShardDispatches
+		for i := from; i < from+n; i++ {
+			if got := pr.step(i, pause); got != want[i] {
+				t.Fatalf("%s threads=%d step %d: got %+v, serial %+v", name, threads, i, got, want[i])
+			}
+		}
+		if d := pr.e.Stats().ShardDispatches - before; d < uint64(4*n) {
+			t.Fatalf("%s threads=%d: %d pool dispatches for %d steps", name, threads, d, n)
+		}
+	}
+	for _, threads := range []int{2, 3, 8} {
+		check("back to back", threads, 0, steps, nil)
+		check("parked", threads, 0, 12, waitParked(t))
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			check("GOMAXPROCS=1", threads, steps/2, steps/2, nil)
+		}()
+	}
+
+	eng, err := New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 4, 2, 1, 8} {
+		eng.SetThreads(n)
+		if _, err := eng.LogLikelihood(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the engines", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// protocolProbe drives one engine through a fixed sequence of kernels.
+type protocolProbe struct {
+	e     *CachedEngine
+	edges []tree.Edge
+	dst   clvRef
+}
+
+// probeResult is everything one step computes: the reductions' bits and
+// digests of the combined CLV and of the folded lanes.
+type probeResult struct {
+	lnL, d1, d2, e1, e2 uint64
+	clv, lanes          uint64
+}
+
+func newProtocolProbe(t *testing.T, m model.Model, p *seq.Patterns, tr *tree.Tree, threads int) *protocolProbe {
+	t.Helper()
+	e, err := New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetThreads(threads)
+	tr = tr.Clone()
+	if _, err := e.LogLikelihood(tr); err != nil {
+		t.Fatal(err)
+	}
+	return &protocolProbe{e: e, edges: tr.Edges(), dst: e.cache.allocCLV()}
+}
+
+// step runs four kernels on edge i's partials at a length drawn from i,
+// calling pause (when set) before each.
+func (pr *protocolProbe) step(i int, pause func(*CachedEngine)) probeResult {
+	e, ed := pr.e, pr.edges[i%len(pr.edges)]
+	z := 0.01 + 0.37*float64(i%11)/11
+	a, b := e.partial(ed.A, ed.B), e.partial(ed.B, ed.A)
+	wait := func() {
+		if pause != nil {
+			pause(e)
+		}
+	}
+	var r probeResult
+	wait()
+	e.combine2Into(pr.dst, a, b, z, 1.7*z)
+	wait()
+	r.lnL = math.Float64bits(e.edgeLogLikelihood(pr.dst, b, z))
+	wait()
+	d1, d2 := e.edgeGradient(pr.dst, a, 2*z)
+	wait()
+	e1, e2 := e.specGradient(kSpecEval, 0.5*z)
+	r.d1, r.d2 = math.Float64bits(d1), math.Float64bits(d2)
+	r.e1, r.e2 = math.Float64bits(e1), math.Float64bits(e2)
+	r.clv, r.lanes = digest(pr.dst.f64), digest(e.spec)
+	for _, sc := range pr.dst.sc {
+		r.clv = r.clv*31 + uint64(sc)
+	}
+	return r
+}
+
+// digest folds a vector's bits into one word (FNV-1a over the words).
+func digest(v []float64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, x := range v {
+		h = (h ^ math.Float64bits(x)) * 1099511628211
+	}
+	return h
+}
+
+// waitParked returns a pause that returns once every worker of the
+// engine's pool is parked, so the next dispatch must wake them.
+func waitParked(t *testing.T) func(*CachedEngine) {
+	return func(e *CachedEngine) {
+		deadline := time.Now().Add(5 * time.Second)
+		for i := range e.pool.ws {
+			for !e.pool.ws[i].parked.Load() {
+				if time.Now().After(deadline) {
+					t.Fatalf("worker %d never parked", i)
+				}
+				time.Sleep(20 * time.Microsecond)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package likelihood
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,7 +47,7 @@ func threadFixture(t testing.TB, seed int64, taxa, sites int) (model.Model, *seq
 // in shard index order, so every thread count must produce bit-identical
 // log-likelihoods, branch lengths, and trees.
 func TestThreadedBitIdentical(t *testing.T) {
-	m, p, tr := threadFixture(t, 11, 20, 600)
+	m, p, tr := threadFixture(t, 11, 20, 2200)
 
 	ref, err := New(m, p)
 	if err != nil {
@@ -123,17 +124,28 @@ func TestThreadedBitIdentical(t *testing.T) {
 		if nwk := cand.Newick(); nwk != refNewick {
 			t.Errorf("threads=%d: optimized tree differs from serial:\n got %s\nwant %s", n, nwk, refNewick)
 		}
-		if n > 1 && eng.Stats().ShardDispatches == 0 {
-			t.Errorf("threads=%d: no threaded shard dispatches recorded", n)
+		if n > 1 {
+			requirePooled(t, fmt.Sprintf("threads=%d", n), eng)
 		}
 		eng.Close()
+	}
+}
+
+// requirePooled fails unless eng ran kernels on its thread pool: a
+// threaded arm whose fixture fell under MinPoolPad would run inline and
+// prove nothing about the pool.
+func requirePooled(t testing.TB, name string, eng *CachedEngine) {
+	t.Helper()
+	if eng.Stats().ShardDispatches == 0 {
+		t.Errorf("%s: no pool dispatches (%d shards, %d padded patterns, floor %d)",
+			name, len(eng.shards), eng.npad, MinPoolPad)
 	}
 }
 
 // TestThreadedInsertScorerBitIdentical covers the rapid insertion path
 // (the add-round kernel of §2.1) across thread counts.
 func TestThreadedInsertScorerBitIdentical(t *testing.T) {
-	m, p, tr := threadFixture(t, 5, 12, 500)
+	m, p, tr := threadFixture(t, 5, 12, 2800)
 	const taxon = 11
 	if err := tr.RemoveLeaf(taxon); err != nil {
 		t.Fatal(err)
@@ -164,6 +176,9 @@ func TestThreadedInsertScorerBitIdentical(t *testing.T) {
 			}
 			out = append(out, s.LnL, s.LenA, s.LenB, s.LenLeaf)
 		}
+		if threads > 1 {
+			requirePooled(t, fmt.Sprintf("threads=%d", threads), eng)
+		}
 		return out
 	}
 
@@ -184,7 +199,7 @@ func TestThreadedInsertScorerBitIdentical(t *testing.T) {
 // must not allocate — serial or threaded (the cache slabs and insertion
 // arena size off the padded layout).
 func TestZeroAllocSteadyState(t *testing.T) {
-	m, p, tr := threadFixture(t, 3, 12, 400)
+	m, p, tr := threadFixture(t, 3, 12, 2800)
 
 	for _, threads := range []int{1, 4} {
 		eng, err := New(m, p)
@@ -245,6 +260,9 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		}); n > 0 {
 			t.Errorf("threads=%d: warm restricted OptimizeBranches allocates %.1f/op, want 0", threads, n)
 		}
+		if threads > 1 {
+			requirePooled(t, fmt.Sprintf("threads=%d", threads), eng)
+		}
 		eng.Close()
 	}
 }
@@ -252,7 +270,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 // TestSetThreadsIdempotent exercises pool lifecycle edges: repeated
 // SetThreads calls, shrinking back to serial, and Close.
 func TestSetThreadsIdempotent(t *testing.T) {
-	m, p, tr := threadFixture(t, 9, 8, 300)
+	m, p, tr := threadFixture(t, 9, 10, 4000)
 	eng, err := New(m, p)
 	if err != nil {
 		t.Fatal(err)
@@ -273,6 +291,10 @@ func TestSetThreadsIdempotent(t *testing.T) {
 		if n < 1 && eng.Threads() != 1 {
 			t.Fatalf("SetThreads(%d) left Threads() = %d, want 1", n, eng.Threads())
 		}
+		if n > 1 {
+			requirePooled(t, fmt.Sprintf("SetThreads(%d)", n), eng)
+		}
+		eng.ResetStats()
 	}
 	eng.Close()
 	eng.Close() // double close must be safe

@@ -36,7 +36,7 @@ func newThreadedEvaluator(t *testing.T, cfg Config, n int) (*Evaluator, *likelih
 // paper's work distribution relies on (a tree's likelihood must not
 // depend on which process, or how many threads, computed it).
 func TestThreadedAddRoundBitIdentical(t *testing.T) {
-	cfg := testConfig(t, 41, 500, 3)
+	cfg := testConfig(t, 41, 3000, 3)
 	norm, err := cfg.Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -74,6 +74,9 @@ func TestThreadedAddRoundBitIdentical(t *testing.T) {
 				t.Fatalf("threads=%d task %d: %v", threads, task.ID, err)
 			}
 			out = append(out, r)
+		}
+		if threads > 1 && eng.Stats().ShardDispatches == 0 {
+			t.Errorf("threads=%d: no pool dispatches over %d patterns", threads, norm.Patterns.NumPatterns())
 		}
 		return out
 	}
