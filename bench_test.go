@@ -68,7 +68,7 @@ func BenchmarkFig2ParallelFlow(b *testing.B) {
 	serial := serialOut.Results[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := mlsearch.Run(cfg, mlsearch.RunOptions{Transport: mlsearch.Local, Workers: 3, WithMonitor: true})
+		out, err := mlsearch.Run(cfg, mlsearch.RunOptions{Transport: mlsearch.Local, Workers: 3, MonitorOut: io.Discard})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func BenchmarkMonitorDiscard(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := mlsearch.Run(cfg, mlsearch.RunOptions{
 			Transport: mlsearch.Local,
-			Workers:   2, WithMonitor: true, MonitorOut: io.Discard,
+			Workers:   2, MonitorOut: io.Discard,
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -68,7 +68,9 @@ type options struct {
 
 	// start stamps the run's wall clock and runName names the
 	// BENCH_<run>.json file. (Obs is created when -status-addr or
-	// -bench-json asks for instrumentation.)
+	// -bench-json asks for instrumentation; a -listen run without one
+	// that is not -quiet gets a private observer for its join and leave
+	// lines.)
 	start   time.Time
 	runName string
 }
@@ -79,7 +81,14 @@ func (o *options) bindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.MaxConcurrentJumbles, "concurrent-jumbles", 0, "jumbles (or bootstrap replicates) run concurrently over the shared worker fleet (0 = min(jumbles, workers); results identical at any setting)")
 	fs.IntVar(&o.Workers, "workers", 0, "parallel worker processes on this machine (0 = serial)")
 	fs.IntVar(&o.Threads, "threads", 1, fmt.Sprintf("likelihood kernel threads per evaluator (results are bit-identical at any count; alignments under %d patterns run on one)", likelihood.MinPoolPad))
-	fs.BoolVar(&o.WithMonitor, "monitor", false, "attach the monitor (parallel runs): membership and inline-evaluation lines on stderr, run counters in the -bench-json report")
+	fs.BoolFunc("monitor", "attach the monitor (parallel runs): membership, removal and inline-evaluation lines and a closing line on stderr", func(v string) error {
+		on, err := strconv.ParseBool(v)
+		o.MonitorOut = nil
+		if on {
+			o.MonitorOut = obs.NewLockedWriter(os.Stderr)
+		}
+		return err
+	})
 	fs.StringVar(&o.ratesPath, "rates", "", "per-site rate file (dnarates output)")
 	fs.StringVar(&o.weightsPath, "weights", "", "per-site weight file")
 	fs.StringVar(&o.outPrefix, "out", "", "output prefix for .trees/.best.tree/.consensus.tree files")
@@ -181,7 +190,6 @@ func run(inPath string, o options) error {
 		close(stop)
 	}()
 	o.Stop = stop
-	o.MonitorOut = obs.NewLockedWriter(os.Stderr)
 	o.Progress = progress
 
 	o.start = time.Now()
@@ -362,7 +370,6 @@ func runSearch(a *seq.Alignment, o options) error {
 	runOpt := mlsearch.RunOptions{
 		Transport:            mlsearch.Serial,
 		Workers:              opt.Workers,
-		WithMonitor:          opt.WithMonitor,
 		MonitorOut:           opt.MonitorOut,
 		Jumbles:              opt.Jumbles,
 		MaxConcurrentJumbles: opt.MaxConcurrentJumbles,
@@ -383,15 +390,12 @@ func runSearch(a *seq.Alignment, o options) error {
 				fmt.Printf("waiting for %d worker(s) before starting\n", o.netWorkers)
 			}
 		}
-		runOpt.OnMember = func(rank int, joined bool) {
-			if o.quiet {
-				return
+		if !o.quiet {
+			if runOpt.Obs == nil {
+				runOpt.Obs = mlsearch.NewRunObserver(nil, nil)
 			}
-			if joined {
-				fmt.Printf("worker %d joined\n", rank)
-			} else {
-				fmt.Printf("worker %d left\n", rank)
-			}
+			obs.SubscribeTo(runOpt.Obs.Bus(), func(e mlsearch.WorkerJoined) { fmt.Printf("worker %d joined\n", e.Worker) })
+			obs.SubscribeTo(runOpt.Obs.Bus(), func(e mlsearch.WorkerLeft) { fmt.Printf("worker %d left\n", e.Worker) })
 		}
 	case opt.Workers > 0:
 		runOpt.Transport = mlsearch.Local
@@ -450,8 +454,8 @@ func report(inf *core.Inference, a *seq.Alignment, o options) error {
 }
 
 // writeBenchReport dumps a machine-readable BENCH_<run>.json into the
-// -bench-json directory: per-jumble outcomes, monitor counters when the
-// monitor ran, and the observer's run snapshot when one was attached.
+// -bench-json directory: per-jumble outcomes and the observer's run
+// snapshot.
 func writeBenchReport(inf *core.Inference, o options) error {
 	if o.benchJSON == "" {
 		return nil
@@ -478,17 +482,7 @@ func writeBenchReport(inf *core.Inference, o options) error {
 		}
 		jb = append(jb, b)
 	}
-	details := map[string]any{"jumbles": jb}
-	if m := inf.Monitor; m != nil {
-		details["monitor"] = map[string]int{
-			"rounds": m.Rounds, "dispatches": m.Dispatches, "results": m.Results,
-			"deaths": len(m.Deaths), "revivals": len(m.Revivals),
-			"joins": m.Joins, "leaves": m.Leaves, "inline": m.Inline,
-		}
-	}
-	if o.Obs != nil {
-		details["run"] = o.Obs.Snapshot()
-	}
+	details := map[string]any{"jumbles": jb, "run": o.Obs.Snapshot()}
 	path, err := obs.WriteBench(o.benchJSON, obs.BenchReport{
 		Run:       o.runName,
 		StartedAt: o.start,

@@ -231,3 +231,29 @@ func TestRunModelFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestRunMonitorFlag: -monitor is a boolean flag that sets the monitor's
+// output; -monitor=false (or a later -monitor=false) leaves it off.
+func TestRunMonitorFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		on   bool
+	}{
+		{nil, false},
+		{[]string{"-monitor"}, true},
+		{[]string{"-monitor=true"}, true},
+		{[]string{"-monitor=false"}, false},
+		{[]string{"-monitor", "-monitor=false"}, false},
+	} {
+		if on := flags(t, tc.args...).MonitorOut != nil; on != tc.on {
+			t.Errorf("%v: monitor on = %v, want %v", tc.args, on, tc.on)
+		}
+	}
+	fs := flag.NewFlagSet("fastdnaml", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var o options
+	o.bindFlags(fs)
+	if err := fs.Parse([]string{"-monitor=maybe"}); err == nil {
+		t.Error("-monitor=maybe accepted")
+	}
+}

@@ -39,11 +39,10 @@ func main() {
 
 	const workers = 3
 	opt := mlsearch.RunOptions{
-		Transport:   mlsearch.TCP,
-		Addr:        "127.0.0.1:0",
-		Workers:     workers, // wait for all three before the first round
-		WithMonitor: true,
-		MonitorOut:  os.Stdout,
+		Transport:  mlsearch.TCP,
+		Addr:       "127.0.0.1:0",
+		Workers:    workers, // wait for all three before the first round
+		MonitorOut: os.Stdout,
 		Foreman: mlsearch.ForemanOptions{
 			TaskTimeout: 300 * time.Millisecond, // the paper's user-specified timeout
 			Tick:        20 * time.Millisecond,
@@ -95,10 +94,10 @@ func main() {
 	fmt.Printf("\ninferred tree (lnL %.4f) after %d tasks\n", res.LnL, res.TotalTasks)
 	mon := outcome.Monitor
 	fmt.Printf("monitor: %d workers joined, %d dispatches for %d results (re-dispatches due to faults: %d)\n",
-		mon.Joins, mon.Dispatches, mon.Results, mon.Dispatches-mon.Results)
-	for w, n := range mon.TasksPerWorker {
+		mon.Joins, mon.Dispatched, mon.Completed, mon.Dispatched-mon.Completed)
+	for _, w := range mon.Workers {
 		fmt.Printf("  worker rank %d completed %d tasks (removed %dx, reinstated %dx)\n",
-			w, n, mon.Deaths[w], mon.Revivals[w])
+			w.Rank, w.Tasks, w.Timeouts, w.Reinstates)
 	}
 
 	// The fault-tolerant run must agree exactly with a serial run.

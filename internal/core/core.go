@@ -36,9 +36,8 @@ type Options struct {
 	// evaluator (default 1). Any value yields bit-identical trees and
 	// likelihoods: the engine's sharding is deterministic.
 	Threads int
-	// WithMonitor adds the monitor role to parallel runs.
-	WithMonitor bool
-	// MonitorOut receives monitor output (nil discards it).
+	// MonitorOut, when non-nil, adds the monitor role to parallel runs:
+	// its lines are written here.
 	MonitorOut io.Writer
 	// Weights are optional per-site weights (nil = uniform).
 	Weights []float64
@@ -94,8 +93,9 @@ type Inference struct {
 	Model model.Model
 	// Patterns is the compressed data set.
 	Patterns *seq.Patterns
-	// Monitor carries parallel instrumentation when it ran.
-	Monitor *mlsearch.MonitorStats
+	// Monitor is the run observer's snapshot at shutdown (nil when the
+	// run had no observer).
+	Monitor *mlsearch.RunSnapshot
 }
 
 // Prepare normalizes the options' Spec, compresses the alignment and
@@ -170,7 +170,6 @@ func Infer(a *seq.Alignment, opt Options) (*Inference, error) {
 	out, err := mlsearch.Run(cfg, mlsearch.RunOptions{
 		Transport:            transport,
 		Workers:              opt.Workers,
-		WithMonitor:          opt.WithMonitor,
 		MonitorOut:           opt.MonitorOut,
 		Jumbles:              opt.Jumbles,
 		MaxConcurrentJumbles: opt.MaxConcurrentJumbles,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestInferParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	var monOut bytes.Buffer
-	par, err := Infer(a, Options{Spec: Spec{Seed: 7, Jumbles: 2}, Workers: 3, WithMonitor: true, MonitorOut: &monOut})
+	par, err := Infer(a, Options{Spec: Spec{Seed: 7, Jumbles: 2}, Workers: 3, MonitorOut: &monOut})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,17 @@ func TestInferParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	if par.Monitor == nil {
-		t.Error("no monitor stats from instrumented run")
+		t.Fatal("no run snapshot from the monitored run")
+	}
+	tasks := 0
+	for _, j := range par.Jumbles {
+		tasks += j.Search.TotalTasks
+	}
+	if par.Monitor.Completed != tasks {
+		t.Errorf("run snapshot counts %d results, the jumbles ran %d tasks", par.Monitor.Completed, tasks)
+	}
+	if want := fmt.Sprintf("monitor: shutdown after %d rounds, %d results\n", par.Monitor.Rounds, tasks); !strings.HasSuffix(monOut.String(), want) {
+		t.Errorf("monitor output ends %q, want %q", monOut.String(), want)
 	}
 }
 

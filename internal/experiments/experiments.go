@@ -510,10 +510,9 @@ func FlowDemo(w io.Writer, seed int64) error {
 	}
 	cfg := mlsearch.Config{Taxa: ds.Alignment.Names, Patterns: pat, Model: m, Seed: seed, RearrangeExtent: 1}
 	out, err := mlsearch.Run(cfg, mlsearch.RunOptions{
-		Transport:   mlsearch.Local,
-		Workers:     3,
-		WithMonitor: true,
-		MonitorOut:  w,
+		Transport:  mlsearch.Local,
+		Workers:    3,
+		MonitorOut: w,
 	})
 	if err != nil {
 		return err
@@ -521,9 +520,9 @@ func FlowDemo(w io.Writer, seed int64) error {
 	res := out.Results[0]
 	fmt.Fprintf(w, "\nparallel program flow (paper Fig 2): master -> foreman -> workers\n")
 	fmt.Fprintf(w, "rounds: %d   tasks: %d   lnL: %.4f\n", len(res.Rounds), res.TotalTasks, res.LnL)
-	fmt.Fprintf(w, "dispatches: %d   results: %d\n", out.Monitor.Dispatches, out.Monitor.Results)
-	for worker, n := range out.Monitor.TasksPerWorker {
-		fmt.Fprintf(w, "  worker rank %d evaluated %d trees\n", worker, n)
+	fmt.Fprintf(w, "dispatches: %d   results: %d\n", out.Monitor.Dispatched, out.Monitor.Completed)
+	for _, worker := range out.Monitor.Workers {
+		fmt.Fprintf(w, "  worker rank %d evaluated %d trees\n", worker.Rank, worker.Tasks)
 	}
 	return nil
 }

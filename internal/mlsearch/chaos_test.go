@@ -37,11 +37,11 @@ func TestTCPChaosSoak(t *testing.T) {
 	var joinOnce, killOnce sync.Once
 
 	opt := RunOptions{
-		Transport:   TCP,
-		Addr:        "127.0.0.1:0",
-		Workers:     2, // barrier: the two original workers
-		WithMonitor: true,
-		Foreman:     ForemanOptions{TaskTimeout: 200 * time.Millisecond, Tick: 20 * time.Millisecond, Pipeline: 2},
+		Transport: TCP,
+		Addr:      "127.0.0.1:0",
+		Workers:   2, // barrier: the two original workers
+		Obs:       NewRunObserver(nil, nil),
+		Foreman:   ForemanOptions{TaskTimeout: 200 * time.Millisecond, Tick: 20 * time.Millisecond, Pipeline: 2},
 		Progress: func(jumble int, ev ProgressEvent) {
 			if ev.TaxaInTree >= 5 {
 				joinOnce.Do(func() { close(joinCh) })
@@ -145,17 +145,17 @@ func TestTCPChaosSoak(t *testing.T) {
 		t.Errorf("chaos run lnL %g != serial %g", res.LnL, serial.LnL)
 	}
 
-	mon := outcome.Monitor
-	if mon == nil {
-		t.Fatal("no monitor stats")
+	snap := outcome.Monitor
+	if snap == nil {
+		t.Fatal("no run snapshot")
 	}
 	// 2 originals + the mid-round joiner; the victim's rejoin usually
 	// adds a 4th but may race the end of the run.
-	if mon.Joins < 3 {
-		t.Errorf("monitor saw %d joins, want >= 3", mon.Joins)
+	if snap.Joins < 3 {
+		t.Errorf("observer saw %d joins, want >= 3", snap.Joins)
 	}
-	if mon.Leaves < 1 {
-		t.Errorf("monitor saw %d leaves, want >= 1 (the severed victim)", mon.Leaves)
+	if snap.Leaves < 1 {
+		t.Errorf("observer saw %d leaves, want >= 1 (the severed victim)", snap.Leaves)
 	}
 	dropMu.Lock()
 	nd := dropped
@@ -172,10 +172,10 @@ func TestTCPChaosSoak(t *testing.T) {
 			Totals: map[string]float64{
 				"tasks": float64(res.TotalTasks), "ops": float64(res.TotalOps),
 				"lnl":   res.LnL,
-				"joins": float64(mon.Joins), "leaves": float64(mon.Leaves),
+				"joins": float64(snap.Joins), "leaves": float64(snap.Leaves),
 				"dropped_replies": float64(nd),
 			},
-			Details: map[string]any{"tasks_per_worker": mon.TasksPerWorker},
+			Details: map[string]any{"workers": snap.Workers},
 		})
 		if err != nil {
 			t.Fatalf("bench report: %v", err)
@@ -237,7 +237,7 @@ func TestForemanBlocksWithoutTimeout(t *testing.T) {
 		}
 	}()
 
-	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{})
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{}, nil)
 	if _, err := disp.Dispatch([]Task{{ID: 1, Round: 1, Newick: "x"}}); err != nil {
 		t.Fatal(err)
 	}

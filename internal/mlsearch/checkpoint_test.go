@@ -267,7 +267,7 @@ func TestEvaluateUserTreesParallelKeepsTrees(t *testing.T) {
 			_ = RunWorker(world[rank], lay, norm, WorkerHooks{})
 		}(w)
 	}
-	_, disp := newTestMaster(t, world, lay, ForemanOptions{})
+	_, disp := newTestMaster(t, world, lay, ForemanOptions{}, nil)
 
 	trees := []*tree.Tree{}
 	n := cfg.Taxa

@@ -3,6 +3,7 @@ package mlsearch
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"strings"
@@ -296,7 +297,7 @@ func TestConcurrentTCPChaosSoak(t *testing.T) {
 		Workers:              2,
 		Jumbles:              3,
 		MaxConcurrentJumbles: 3,
-		WithMonitor:          true,
+		MonitorOut:           io.Discard,
 		Foreman:              ForemanOptions{TaskTimeout: 200 * time.Millisecond, Tick: 20 * time.Millisecond, Pipeline: 2},
 		Progress: func(jumble int, ev ProgressEvent) {
 			progressMu.Lock()

@@ -110,10 +110,6 @@ type ForemanOptions struct {
 	// breadth-first — every ready worker gets its first slice before any
 	// worker gets a second.
 	Pipeline int
-	// Obs, when non-nil, receives dispatch-loop instrumentation (metrics,
-	// typed events, trace spans, the /status snapshot). Nil costs one nil
-	// check per site.
-	Obs *RunObserver
 }
 
 func (o ForemanOptions) withDefaults() ForemanOptions {
@@ -162,6 +158,10 @@ type jobState struct {
 type Foreman struct {
 	c   comm.Communicator
 	opt ForemanOptions
+	// obs, when non-nil, receives dispatch-loop instrumentation (metrics,
+	// typed events, trace spans, the /status snapshot). Nil costs one nil
+	// check per site.
+	obs *RunObserver
 
 	// mu guards what job lanes share with the loop: the rounds submitted
 	// since the last wake-up, the lane counter, and — once the loop has
@@ -217,14 +217,16 @@ func (js *jobState) fail(res Result) {
 }
 
 // NewForeman builds the foreman over its own endpoint, with the layout's
-// workers as its first members. Nothing runs until Run is called.
-func NewForeman(c comm.Communicator, lay Layout, opt ForemanOptions) (*Foreman, error) {
+// workers as its first members and o (nil for none) as its observer.
+// Nothing runs until Run is called.
+func NewForeman(c comm.Communicator, lay Layout, opt ForemanOptions, o *RunObserver) (*Foreman, error) {
 	if err := lay.Validate(); err != nil {
 		return nil, err
 	}
 	f := &Foreman{
 		c:       c,
 		opt:     opt.withDefaults(),
+		obs:     o,
 		members: map[int]bool{},
 		busy:    map[int][]dispatchRecord{},
 		dead:    map[int]bool{},
@@ -362,7 +364,7 @@ func (f *Foreman) startJob(sub *submission) {
 	for _, t := range sub.tasks {
 		js.byID[t.ID] = t
 	}
-	if f.opt.Obs != nil {
+	if f.obs != nil {
 		js.enq = make(map[uint64]time.Time, len(sub.tasks))
 		now := time.Now()
 		for _, t := range sub.tasks {
@@ -371,7 +373,7 @@ func (f *Foreman) startJob(sub *submission) {
 	}
 	f.jobs[sub.job] = js
 	f.order = append(f.order, sub.job)
-	f.opt.Obs.RoundStart(sub.job, sub.round, len(sub.tasks))
+	f.obs.RoundStart(sub.job, sub.round, len(sub.tasks))
 	f.depths()
 }
 
@@ -417,7 +419,7 @@ func (f *Foreman) finishJob(js *jobState) {
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].TaskID < results[j].TaskID })
 	f.removeJob(js.id)
-	f.opt.Obs.RoundDone(js.id, js.round, len(f.members), best)
+	f.obs.RoundDone(js.id, js.round, len(f.members), best)
 	f.depths()
 	js.reply <- roundReply{results: results}
 }
@@ -485,10 +487,10 @@ func (f *Foreman) nextSlice(live int) (*jobState, []Task) {
 
 // depths reports the scheduler's queue sizes to the observer.
 func (f *Foreman) depths() {
-	if f.opt.Obs == nil {
+	if f.obs == nil {
 		return
 	}
-	f.opt.Obs.Depths(f.queuedTotal(), len(f.busy), len(f.ready), f.inflight, len(f.jobs))
+	f.obs.Depths(f.queuedTotal(), len(f.busy), len(f.ready), f.inflight, len(f.jobs))
 }
 
 // dropReady removes a worker from the ready queue if present.
@@ -562,7 +564,7 @@ func (f *Foreman) evalInline() {
 	}
 	res.Worker = InlineWorker
 	js.results[t.ID] = res
-	f.opt.Obs.Inline(t.Job, t.Round, t.ID, res.LnL)
+	f.obs.Inline(t.Job, t.Round, t.ID, res.LnL)
 	f.depths()
 }
 
@@ -571,7 +573,7 @@ func (f *Foreman) evalInline() {
 func (f *Foreman) handleJoin(w int) {
 	f.members[w] = true
 	f.pushReady(w)
-	f.opt.Obs.Joined(w)
+	f.obs.Joined(w)
 	f.depths()
 }
 
@@ -584,7 +586,7 @@ func (f *Foreman) handleLeave(w int) {
 	delete(f.dead, w)
 	f.dropReady(w)
 	f.dropBusy(w)
-	f.opt.Obs.Left(w)
+	f.obs.Left(w)
 	f.depths()
 }
 
@@ -634,7 +636,7 @@ func (f *Foreman) assign() {
 			delete(f.members, w)
 			delete(f.dead, w)
 			f.dropBusy(w)
-			f.opt.Obs.TimedOut(w, head.Job, head.Round, head.ID)
+			f.obs.TimedOut(w, head.Job, head.Round, head.ID)
 			continue
 		}
 		f.busy[w] = append(f.busy[w], rec)
@@ -642,9 +644,9 @@ func (f *Foreman) assign() {
 		if len(f.busy[w]) < f.opt.Pipeline {
 			f.ready = append(f.ready, w)
 		}
-		if f.opt.Obs != nil {
+		if f.obs != nil {
 			for _, t := range slice {
-				f.opt.Obs.Dispatched(w, t.Job, t.Round, t.ID, now.Sub(js.enq[t.ID]))
+				f.obs.Dispatched(w, t.Job, t.Round, t.ID, now.Sub(js.enq[t.ID]))
 			}
 		}
 	}
@@ -667,7 +669,7 @@ func (f *Foreman) handleResult(msg comm.Message) bool {
 		// Paper §2.2: "If at some later time a response is received from
 		// the delinquent worker, then that worker is added back into the
 		// list of workers available to analyze trees."
-		f.opt.Obs.Reinstated(w, first.Round)
+		f.obs.Reinstated(w, first.Round)
 	}
 	// A reply proves liveness even if the transport never announced the
 	// sender (e.g. a membership race): make sure it is a member.
@@ -715,7 +717,7 @@ func (f *Foreman) handleResult(msg comm.Message) bool {
 			if answered != nil {
 				rtt = res.Eval + overhead
 			}
-			f.opt.Obs.Completed(w, res, rtt)
+			f.obs.Completed(w, res, rtt, len(f.busy[w]) > 0)
 		}
 		// The worker is done with the slice: a candidate it did not
 		// answer (a dropped reply) goes back without waiting for the
@@ -766,7 +768,7 @@ func (f *Foreman) expire() {
 		f.dropReady(w)
 		f.dropBusy(w)
 		head := expired.tasks[0]
-		f.opt.Obs.TimedOut(w, head.Job, head.Round, head.ID)
+		f.obs.TimedOut(w, head.Job, head.Round, head.ID)
 		f.depths()
 	}
 }

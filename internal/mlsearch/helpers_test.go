@@ -20,13 +20,13 @@ func newTestWorld(t *testing.T, size int) []comm.Communicator {
 	return world
 }
 
-// newTestMaster runs the foreman of a hand-built world on its rank and
-// returns it with one dispatch lane open. The test shuts the foreman down
+// newTestMaster runs the foreman of a hand-built world on its rank, with
+// observer o (nil for none), and returns it with one dispatch lane open. The test shuts the foreman down
 // when it is done with it; the cleanup does so again for a test that
 // failed first, and waits for the goroutine either way.
-func newTestMaster(t *testing.T, world []comm.Communicator, lay Layout, opt ForemanOptions) (*Foreman, Dispatcher) {
+func newTestMaster(t *testing.T, world []comm.Communicator, lay Layout, opt ForemanOptions, o *RunObserver) (*Foreman, Dispatcher) {
 	t.Helper()
-	f, err := NewForeman(world[lay.Foreman], lay, opt)
+	f, err := NewForeman(world[lay.Foreman], lay, opt, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package mlsearch
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -11,11 +12,12 @@ import (
 // Run-level observability. A RunObserver is the hosting process's sink
 // for everything the foreman sees, and the foreman's only one: each event
 // site calls it once. It updates the metrics registry, publishes typed
-// events on the bus (the monitor's stats aggregation and line printing
-// are ordinary subscribers of that bus), closes task trace spans with
-// their per-phase latencies, and maintains the live snapshot the /status
-// endpoint serves. Every method is nil-receiver safe, so the foreman's
-// call sites cost one nil check when no observer is attached.
+// events on the bus (the monitor's line printer is an ordinary subscriber
+// of that bus), closes task trace spans with their per-phase latencies,
+// and keeps the run's one tally: the snapshot that the /status endpoint
+// serves live and RunOutcome.Monitor holds at shutdown. Every method is
+// nil-receiver safe, so the foreman's call sites cost one nil check when
+// no observer is attached.
 
 // Typed bus events, published on the foreman's goroutine.
 type (
@@ -128,11 +130,14 @@ type JobRunSnapshot struct {
 	Inline     int    `json:"inline,omitempty"`
 }
 
-// RunSnapshot is the /status JSON document of a hosting process.
+// RunSnapshot is the /status JSON document of a hosting process. Round
+// is the last round id opened; Rounds counts the rounds answered, which
+// differs once jumbles run concurrently.
 type RunSnapshot struct {
 	Started    time.Time           `json:"started"`
 	UptimeMs   float64             `json:"uptime_ms"`
 	Round      uint64              `json:"round"`
+	Rounds     int                 `json:"rounds"`
 	QueueDepth int                 `json:"queue_depth"`
 	Busy       int                 `json:"busy_workers"`
 	Ready      int                 `json:"ready_workers"`
@@ -158,24 +163,22 @@ type RunObserver struct {
 	bus   *obs.Bus
 	spans *obs.SpanLog
 
-	mRounds      *obs.Counter
-	mDispatch    *obs.Counter
-	mJobDispatch *obs.CounterVec
-	mResults     *obs.CounterVec
-	mTimeouts    *obs.CounterVec
-	mReinstates  *obs.CounterVec
-	mJoins       *obs.Counter
-	mLeaves      *obs.Counter
-	mInline      *obs.Counter
-	gRound       *obs.Gauge
-	gQueue       *obs.Gauge
-	gJobQueue    *obs.GaugeVec
-	gBusy        *obs.Gauge
-	gReady       *obs.Gauge
-	gInflight    *obs.Gauge
-	gActiveJobs  *obs.Gauge
-	gBestLnL     *obs.Gauge
-	hPhase       *obs.HistogramVec
+	mRounds     *obs.Counter
+	mDispatch   *obs.Counter
+	mResults    *obs.CounterVec
+	mTimeouts   *obs.CounterVec
+	mReinstates *obs.CounterVec
+	mJoins      *obs.Counter
+	mLeaves     *obs.Counter
+	mInline     *obs.Counter
+	gRound      *obs.Gauge
+	gQueue      *obs.Gauge
+	gBusy       *obs.Gauge
+	gReady      *obs.Gauge
+	gInflight   *obs.Gauge
+	gActiveJobs *obs.Gauge
+	gBestLnL    *obs.Gauge
+	hPhase      *obs.HistogramVec
 
 	mu      sync.Mutex
 	started time.Time
@@ -198,24 +201,22 @@ func NewRunObserver(reg *obs.Registry, bus *obs.Bus) *RunObserver {
 		bus:   bus,
 		spans: obs.NewSpanLog(64),
 
-		mRounds:      reg.Counter("fdml_rounds_total", "Completed dispatch rounds."),
-		mDispatch:    reg.Counter("fdml_dispatch_total", "Tasks handed to workers."),
-		mJobDispatch: reg.CounterVec("fdml_job_dispatch_total", "Tasks handed to workers, by job id.", "job"),
-		mResults:     reg.CounterVec("fdml_results_total", "Results accepted, by worker rank.", "worker"),
-		mTimeouts:    reg.CounterVec("fdml_timeouts_total", "Fault-tolerance removals, by worker rank.", "worker"),
-		mReinstates:  reg.CounterVec("fdml_reinstates_total", "Delinquent workers reinstated, by rank.", "worker"),
-		mJoins:       reg.Counter("fdml_joins_total", "Workers that joined the world."),
-		mLeaves:      reg.Counter("fdml_leaves_total", "Workers that left permanently."),
-		mInline:      reg.Counter("fdml_inline_total", "Tasks the foreman evaluated inline."),
-		gRound:       reg.Gauge("fdml_round", "Current dispatch round."),
-		gQueue:       reg.Gauge("fdml_queue_depth", "Tasks waiting in the work queue."),
-		gJobQueue:    reg.GaugeVec("fdml_job_queue_depth", "Outstanding tasks of an open round, by job id.", "job"),
-		gBusy:        reg.Gauge("fdml_busy_workers", "Workers with a task in flight."),
-		gReady:       reg.Gauge("fdml_ready_workers", "Alive workers with spare pipeline capacity."),
-		gInflight:    reg.Gauge("fdml_inflight_tasks", "Total dispatched tasks awaiting results."),
-		gActiveJobs:  reg.Gauge("fdml_active_jobs", "Jobs with an open round at the foreman."),
-		gBestLnL:     reg.Gauge("fdml_best_lnl", "Best log-likelihood seen so far."),
-		hPhase:       reg.HistogramVec("fdml_task_phase_seconds", "Per-task phase latency.", taskPhaseBuckets, "phase"),
+		mRounds:     reg.Counter("fdml_rounds_total", "Completed dispatch rounds."),
+		mDispatch:   reg.Counter("fdml_dispatch_total", "Tasks handed to workers."),
+		mResults:    reg.CounterVec("fdml_results_total", "Results accepted, by worker rank.", "worker"),
+		mTimeouts:   reg.CounterVec("fdml_timeouts_total", "Fault-tolerance removals, by worker rank.", "worker"),
+		mReinstates: reg.CounterVec("fdml_reinstates_total", "Delinquent workers reinstated, by rank.", "worker"),
+		mJoins:      reg.Counter("fdml_joins_total", "Workers that joined the world."),
+		mLeaves:     reg.Counter("fdml_leaves_total", "Workers that left permanently."),
+		mInline:     reg.Counter("fdml_inline_total", "Tasks the foreman evaluated inline."),
+		gRound:      reg.Gauge("fdml_round", "Current dispatch round."),
+		gQueue:      reg.Gauge("fdml_queue_depth", "Tasks waiting in the work queue."),
+		gBusy:       reg.Gauge("fdml_busy_workers", "Workers with a task in flight."),
+		gReady:      reg.Gauge("fdml_ready_workers", "Alive workers with spare pipeline capacity."),
+		gInflight:   reg.Gauge("fdml_inflight_tasks", "Total dispatched tasks awaiting results."),
+		gActiveJobs: reg.Gauge("fdml_active_jobs", "Jobs with an open round at the foreman."),
+		gBestLnL:    reg.Gauge("fdml_best_lnl", "Best log-likelihood seen so far."),
+		hPhase:      reg.HistogramVec("fdml_task_phase_seconds", "Per-task phase latency.", taskPhaseBuckets, "phase"),
 
 		started: time.Now(),
 		hist:    map[int]*workerHistory{},
@@ -244,14 +245,6 @@ func (o *RunObserver) Registry() *obs.Registry {
 	return o.reg
 }
 
-// Spans returns the observer's completed-span ring.
-func (o *RunObserver) Spans() *obs.SpanLog {
-	if o == nil {
-		return nil
-	}
-	return o.spans
-}
-
 func (o *RunObserver) worker(rank int) *workerHistory {
 	h := o.hist[rank]
 	if h == nil {
@@ -259,12 +252,6 @@ func (o *RunObserver) worker(rank int) *workerHistory {
 		o.hist[rank] = h
 	}
 	return h
-}
-
-// jobQueueGauge refreshes the per-job outstanding-task gauge from a row.
-// Callers hold o.mu.
-func (o *RunObserver) jobQueueGauge(job uint64, row *jobRow) {
-	o.gJobQueue.With(jobLabel(job)).Set(float64(row.Tasks - row.Completed))
 }
 
 // Depths records the foreman's queue/busy/ready/inflight sizes and the
@@ -295,9 +282,7 @@ func (o *RunObserver) RoundStart(job, round uint64, tasks int) {
 	o.gRound.Set(float64(round))
 	o.mu.Lock()
 	o.snap.Round = round
-	row := &jobRow{Round: round, Tasks: tasks}
-	o.jobs[job] = row
-	o.jobQueueGauge(job, row)
+	o.jobs[job] = &jobRow{Round: round, Tasks: tasks}
 	o.mu.Unlock()
 	o.bus.Publish(RoundStarted{Job: job, Round: round, Tasks: tasks, At: time.Now()})
 }
@@ -308,7 +293,6 @@ func (o *RunObserver) Dispatched(worker int, job, round, taskID uint64, queueWai
 		return
 	}
 	o.mDispatch.Inc()
-	o.mJobDispatch.With(jobLabel(job)).Inc()
 	o.hPhase.With(obs.PhaseQueue).Observe(queueWait.Seconds())
 	o.mu.Lock()
 	o.snap.Dispatched++
@@ -321,7 +305,9 @@ func (o *RunObserver) Dispatched(worker int, job, round, taskID uint64, queueWai
 }
 
 // Completed records one accepted result and closes its trace span.
-func (o *RunObserver) Completed(worker int, res Result, rtt time.Duration) {
+// stillBusy reports whether the worker has other slices in flight: with
+// pipelining a reply does not make its worker idle.
+func (o *RunObserver) Completed(worker int, res Result, rtt time.Duration, stillBusy bool) {
 	if o == nil {
 		return
 	}
@@ -342,10 +328,11 @@ func (o *RunObserver) Completed(worker int, res Result, rtt time.Duration) {
 	h.Tasks++
 	h.EvalTotal += res.Eval
 	h.LastSeen = now
-	delete(o.busy, worker)
+	if !stillBusy {
+		delete(o.busy, worker)
+	}
 	if row := o.jobs[res.Job]; row != nil {
 		row.Completed++
-		o.jobQueueGauge(res.Job, row)
 	}
 	o.mu.Unlock()
 	if res.Trace.Valid() {
@@ -432,7 +419,6 @@ func (o *RunObserver) Inline(job, round, taskID uint64, lnL float64) {
 	if row := o.jobs[job]; row != nil {
 		row.Inline++
 		row.Completed++
-		o.jobQueueGauge(job, row)
 	}
 	o.mu.Unlock()
 	o.bus.Publish(InlineEvaluated{Job: job, Round: round, TaskID: taskID, LnL: lnL})
@@ -445,8 +431,8 @@ func (o *RunObserver) RoundDone(job, round uint64, members int, bestLnL float64)
 	}
 	o.mRounds.Inc()
 	o.gBestLnL.Set(bestLnL)
-	o.gJobQueue.With(jobLabel(job)).Set(0)
 	o.mu.Lock()
+	o.snap.Rounds++
 	o.snap.BestLnL = bestLnL
 	o.snap.Members = members
 	delete(o.jobs, job)
@@ -506,24 +492,7 @@ func rankLabel(rank int) string {
 	if rank == int(InlineWorker) {
 		return "inline"
 	}
-	return itoa(rank)
-}
-
-// jobLabel renders a job id as a metric label value.
-func jobLabel(job uint64) string {
-	return itoa(int(job))
-}
-
-// itoa is a minimal non-negative int formatter (avoids strconv in the
-// hot path's import set; ranks are small).
-func itoa(v int) string {
-	if v < 0 {
-		return "-" + itoa(-v)
-	}
-	if v < 10 {
-		return string(rune('0' + v))
-	}
-	return itoa(v/10) + string(rune('0'+v%10))
+	return strconv.Itoa(rank)
 }
 
 // WorkerSnapshot is the /status JSON document of a worker process.

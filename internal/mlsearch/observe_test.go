@@ -1,12 +1,14 @@
 package mlsearch
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -169,6 +171,77 @@ func TestRunObserverLocalRun(t *testing.T) {
 	}
 }
 
+// TestSnapshotBusyWhileSliceInFlight: with two slices pipelined to one
+// worker, answering the first leaves the worker evaluating the second,
+// and /status must say so. At the parent every reply marked its worker
+// idle.
+func TestSnapshotBusyWhileSliceInFlight(t *testing.T) {
+	world := newTestWorld(t, 3)
+	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2}}
+	holding := make(chan struct{})
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		served := 0
+		scriptedWorker(t, world[2], 1, func(slice []Task) ([]Result, bool) {
+			if served++; served == 2 {
+				close(holding)
+				<-release
+			}
+			return cannedResults(slice), false
+		})
+	}()
+	o := NewRunObserver(nil, nil)
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Pipeline: 2}, o)
+	// One live worker: the guided cut is one candidate of two, so the
+	// round goes out as two slices, both to rank 2.
+	round := dispatchAsync(disp, sliceOf(2, 0, 1, "(a,b,c);"))
+	<-holding
+	deadline := time.Now().Add(10 * time.Second)
+	snap := o.Snapshot()
+	for snap.Completed < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		snap = o.Snapshot()
+	}
+	if snap.Completed != 1 || len(snap.Workers) != 1 || snap.Workers[0].State != "busy" {
+		t.Errorf("first of two slices answered: completed %d, workers %+v, want rank 2 busy", snap.Completed, snap.Workers)
+	}
+	close(release)
+	if out := awaitDispatch(t, "pipelined round", round); out.err != nil {
+		t.Fatal(out.err)
+	}
+	if err := foreman.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if snap := o.Snapshot(); snap.Workers[0].State != "idle" {
+		t.Errorf("every slice answered, worker state %q, want idle", snap.Workers[0].State)
+	}
+}
+
+// TestMetricsHaveNoPerJobSeries: the daemon's registry outlives every
+// job its pods run, so the foreman's metrics must not mint a series per
+// job id; the per-job view is the /status jobs rows.
+func TestMetricsHaveNoPerJobSeries(t *testing.T) {
+	cfg := testConfig(t, 6, 100, 29)
+	reg := obs.NewRegistry()
+	if _, err := Run(cfg, RunOptions{Transport: Local, Workers: 2, Jumbles: 3, Obs: NewRunObserver(reg, nil)}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "job=") {
+		t.Errorf("/metrics carries per-job series:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "fdml_dispatch_total") {
+		t.Error("/metrics lacks fdml_dispatch_total")
+	}
+}
+
 func TestWorkerObserver(t *testing.T) {
 	o := NewWorkerObserver(obs.NewRegistry())
 	o.Attached(4)
@@ -198,7 +271,7 @@ func TestRunObserverNilIsInert(t *testing.T) {
 	var o *RunObserver
 	o.RoundStart(0, 1, 2)
 	o.Dispatched(1, 0, 1, 1, time.Millisecond)
-	o.Completed(1, Result{}, time.Millisecond)
+	o.Completed(1, Result{}, time.Millisecond, false)
 	o.TimedOut(1, 0, 1, 1)
 	o.Reinstated(1, 1)
 	o.Joined(1)
@@ -206,7 +279,7 @@ func TestRunObserverNilIsInert(t *testing.T) {
 	o.Inline(0, 1, 1, -1)
 	o.RoundDone(0, 1, 0, -1)
 	o.Depths(0, 0, 0, 0, 0)
-	if o.Bus() != nil || o.Registry() != nil || o.Spans() != nil {
+	if o.Bus() != nil || o.Registry() != nil {
 		t.Error("nil observer accessors must return nil")
 	}
 	if s := o.Snapshot(); s.Dispatched != 0 || s.Workers != nil {

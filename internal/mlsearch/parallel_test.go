@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/obs"
 )
 
 // TestParallelMatchesSerial: the parallel runtime must produce exactly
@@ -39,44 +38,41 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelWithMonitor: the instrumented run reports dispatch counts
-// consistent with the search — and, being a subscriber of the same bus,
-// the same counts as the run's observer.
+// TestParallelWithMonitor: the monitored run's one tally, the observer's
+// snapshot at shutdown, agrees with the search it watched, and the
+// monitor's closing line is read from it.
 func TestParallelWithMonitor(t *testing.T) {
 	cfg := testConfig(t, 7, 150, 13)
 	var buf bytes.Buffer
-	observer := NewRunObserver(nil, nil)
-	out, err := Run(cfg, RunOptions{
-		Transport:   Local,
-		Workers:     3,
-		WithMonitor: true,
-		MonitorOut:  &buf,
-		Obs:         observer,
-	})
+	out, err := Run(cfg, RunOptions{Transport: Local, Workers: 3, MonitorOut: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Monitor == nil {
-		t.Fatal("no monitor stats")
+	snap := out.Monitor
+	if snap == nil {
+		t.Fatal("no run snapshot from a monitored run")
 	}
 	res := out.Results[0]
-	if out.Monitor.Results != res.TotalTasks {
-		t.Errorf("monitor saw %d results, search dispatched %d tasks", out.Monitor.Results, res.TotalTasks)
+	if snap.Completed != res.TotalTasks {
+		t.Errorf("snapshot counts %d results, the search ran %d tasks", snap.Completed, res.TotalTasks)
 	}
-	if out.Monitor.Dispatches < res.TotalTasks {
-		t.Errorf("monitor saw %d dispatches < %d tasks", out.Monitor.Dispatches, res.TotalTasks)
+	if snap.Dispatched < res.TotalTasks || snap.Inline != 0 {
+		t.Errorf("snapshot counts %d dispatches and %d inline for %d tasks", snap.Dispatched, snap.Inline, res.TotalTasks)
+	}
+	if snap.Rounds != len(res.Rounds) {
+		t.Errorf("snapshot counts %d rounds, the search logged %d", snap.Rounds, len(res.Rounds))
 	}
 	// All three workers should have contributed.
-	if len(out.Monitor.TasksPerWorker) != 3 {
-		t.Errorf("work spread over %d workers, want 3 (%v)", len(out.Monitor.TasksPerWorker), out.Monitor.TasksPerWorker)
+	working := 0
+	for _, w := range snap.Workers {
+		if w.Tasks > 0 {
+			working++
+		}
 	}
-	// One lane, so the snapshot's current round is the count of rounds.
-	snap, mon := observer.Snapshot(), out.Monitor
-	if got, want := [6]int{mon.Rounds, mon.Results, mon.Dispatches, mon.Inline, mon.Joins, mon.Leaves},
-		[6]int{int(snap.Round), snap.Completed, snap.Dispatched, snap.Inline, snap.Joins, snap.Leaves}; got != want {
-		t.Errorf("monitor rounds/results/dispatches/inline/joins/leaves %v, the observer's %v", got, want)
+	if working != 3 {
+		t.Errorf("work spread over %d workers, want 3 (%+v)", working, snap.Workers)
 	}
-	if want := fmt.Sprintf("monitor: shutdown after %d rounds, %d results\n", mon.Rounds, mon.Results); !strings.HasSuffix(buf.String(), want) {
+	if want := fmt.Sprintf("monitor: shutdown after %d rounds, %d results\n", len(res.Rounds), res.TotalTasks); !strings.HasSuffix(buf.String(), want) {
 		t.Errorf("monitor output ends %q, want %q", buf.String(), want)
 	}
 }
@@ -130,7 +126,7 @@ func TestFaultToleranceDroppedReplies(t *testing.T) {
 // TestFaultToleranceSlowWorker drives the foreman protocol directly with
 // scripted workers: a worker that delays past the timeout is removed, its
 // tree re-dispatched, and when its late reply finally arrives it is
-// reinstated and used again (paper §2.2). The monitor must record both
+// reinstated and used again (paper §2.2). The observer must record both
 // transitions.
 func TestFaultToleranceSlowWorker(t *testing.T) {
 	// Ranks: 0 master, 1 foreman, 2 slow worker, 3 worker.
@@ -139,11 +135,8 @@ func TestFaultToleranceSlowWorker(t *testing.T) {
 
 	var wg sync.WaitGroup
 
-	// The monitor's stats, fed by the foreman's bus; every event of a
-	// round is published before the round is answered.
-	bus := obs.NewBus()
-	monStats := newMonitorStats()
-	AttachMonitorStats(bus, monStats)
+	// Every event of a round is recorded before the round is answered.
+	observer := NewRunObserver(nil, nil)
 
 	// Scripted workers: respond to any task with a canned result; rank 2
 	// sleeps through its first task.
@@ -183,8 +176,7 @@ func TestFaultToleranceSlowWorker(t *testing.T) {
 	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{
 		TaskTimeout: 80 * time.Millisecond,
 		Tick:        10 * time.Millisecond,
-		Obs:         NewRunObserver(nil, bus),
-	})
+	}, observer)
 	// Round 1: two tasks. Worker 2 gets one and stalls past the timeout;
 	// worker 3 finishes both.
 	tasks := []Task{{ID: 1, Round: 1, Newick: "x"}, {ID: 2, Round: 1, Newick: "y"}}
@@ -206,18 +198,12 @@ func TestFaultToleranceSlowWorker(t *testing.T) {
 	}
 	wg.Wait()
 
-	deaths, revivals := 0, 0
-	for _, d := range monStats.Deaths {
-		deaths += d
+	snap := observer.Snapshot()
+	if snap.Timeouts == 0 {
+		t.Error("observer recorded no worker removal")
 	}
-	for _, r := range monStats.Revivals {
-		revivals += r
-	}
-	if deaths == 0 {
-		t.Error("monitor recorded no worker removal")
-	}
-	if revivals == 0 {
-		t.Error("monitor recorded no worker reinstatement")
+	if snap.Reinstates == 0 {
+		t.Error("observer recorded no worker reinstatement")
 	}
 }
 
@@ -249,10 +235,10 @@ func TestMultipleJumbles(t *testing.T) {
 // is rejected.
 func TestForemanValidation(t *testing.T) {
 	world := newTestWorld(t, 3)
-	if _, err := NewForeman(world[1], Layout{Master: 0, Foreman: 0, Workers: []int{2}}, ForemanOptions{}); err == nil {
+	if _, err := NewForeman(world[1], Layout{Master: 0, Foreman: 0, Workers: []int{2}}, ForemanOptions{}, nil); err == nil {
 		t.Error("foreman over an overlapping layout accepted")
 	}
-	if _, err := NewForeman(world[1], Layout{Master: 0, Foreman: 1, Workers: []int{2}}, ForemanOptions{}); err != nil {
+	if _, err := NewForeman(world[1], Layout{Master: 0, Foreman: 1, Workers: []int{2}}, ForemanOptions{}, nil); err != nil {
 		t.Error(err)
 	}
 }

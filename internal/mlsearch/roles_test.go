@@ -91,7 +91,7 @@ func TestGarbageResultCondemnsWorkerNotForeman(t *testing.T) {
 		})
 	}()
 
-	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Pipeline: 1, Obs: NewRunObserver(nil, bus)})
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Pipeline: 1}, NewRunObserver(nil, bus))
 	tasks := sliceOf(24, 0, 1, "(a,b,c);")
 	o := awaitDispatch(t, "round with a garbage reply in it", dispatchAsync(disp, tasks))
 	if o.err != nil {
@@ -127,7 +127,7 @@ func TestGarbageResultCondemnsWorkerNotForeman(t *testing.T) {
 func TestDeadForemanFailsDispatch(t *testing.T) {
 	world := newTestWorld(t, 3)
 	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2}}
-	f, err := NewForeman(world[1], lay, ForemanOptions{})
+	f, err := NewForeman(world[1], lay, ForemanOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +178,9 @@ func TestMonitorLineNamesRequeuedTask(t *testing.T) {
 	world := newTestWorld(t, 4)
 	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
 	world[2].Close()
-	bus := obs.NewBus()
+	o := NewRunObserver(nil, nil)
 	var lines bytes.Buffer
-	mon := attachMonitor(bus, &lines)
+	closeMonitor := attachMonitor(o.Bus(), &lines)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -188,7 +188,7 @@ func TestMonitorLineNamesRequeuedTask(t *testing.T) {
 		defer wg.Done()
 		scriptedWorker(t, world[3], 1, func(slice []Task) ([]Result, bool) { return cannedResults(slice), false })
 	}()
-	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Obs: NewRunObserver(nil, bus)})
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{}, o)
 	tasks := sliceOf(8, 0, 1, "(a,b,c);")
 	if o := awaitDispatch(t, "round with an unroutable worker", dispatchAsync(disp, tasks)); o.err != nil || len(o.results) != len(tasks) {
 		t.Fatalf("%d results, error %v", len(o.results), o.err)
@@ -197,14 +197,18 @@ func TestMonitorLineNamesRequeuedTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	stats := mon.close()
+	snap := o.Snapshot()
+	closeMonitor(snap)
 
 	want := fmt.Sprintf("monitor: worker 2 removed (job 1 task %d requeued)\n", tasks[0].ID)
 	if !strings.Contains(lines.String(), want) {
 		t.Errorf("monitor printed\n%swant a line\n%s", lines.String(), want)
 	}
-	if stats.Deaths[2] != 1 || stats.Results != len(tasks) || stats.Rounds != 1 {
-		t.Errorf("monitor stats %+v, want one removal of worker 2, %d results, 1 round", stats, len(tasks))
+	if !strings.HasSuffix(lines.String(), fmt.Sprintf("monitor: shutdown after 1 rounds, %d results\n", len(tasks))) {
+		t.Errorf("monitor printed\n%swant the closing line to count 1 round and %d results", lines.String(), len(tasks))
+	}
+	if snap.Timeouts != 1 || len(snap.Workers) == 0 || snap.Workers[0].Rank != 2 || snap.Workers[0].Timeouts != 1 {
+		t.Errorf("snapshot %+v, want one removal, of worker 2", snap)
 	}
 }
 
@@ -231,7 +235,7 @@ func TestLanesGetTheirOwnReplies(t *testing.T) {
 			})
 		}(rank)
 	}
-	foreman, _ := newTestMaster(t, world, lay, ForemanOptions{})
+	foreman, _ := newTestMaster(t, world, lay, ForemanOptions{}, nil)
 
 	var searches sync.WaitGroup
 	for lane := 0; lane < lanes; lane++ {

@@ -57,10 +57,6 @@ type RunOptions struct {
 	// (0 starts immediately; the foreman evaluates inline until workers
 	// join). Ignored for Serial.
 	Workers int
-	// WithMonitor adds the paper's instrumentation role (Local and TCP):
-	// run statistics in RunOutcome.Monitor and a line per membership
-	// change or inline evaluation on MonitorOut.
-	WithMonitor bool
 	// Jumbles is the number of random orderings to run (>= 1).
 	Jumbles int
 	// MaxConcurrentJumbles bounds how many jumbles run concurrently as
@@ -71,11 +67,14 @@ type RunOptions struct {
 	MaxConcurrentJumbles int
 	// Foreman tunes dispatch fault tolerance (Local and TCP).
 	Foreman ForemanOptions
-	// MonitorOut receives monitor output lines (nil discards).
+	// MonitorOut, when non-nil, attaches the paper's instrumentation
+	// role (Local and TCP): a line per membership change, removal or
+	// inline evaluation, and a closing line, printed from Obs's events
+	// (from a private observer when Obs is nil).
 	MonitorOut io.Writer
 	// Obs, when non-nil, attaches run observability to the hosting
 	// process: the foreman updates its metrics, bus, spans, and /status
-	// snapshot (shorthand for setting Foreman.Obs).
+	// snapshot, and RunOutcome.Monitor is that snapshot at shutdown.
 	Obs *RunObserver
 	// WorkerHooks, keyed by rank, perturb Local workers for fault
 	// injection tests.
@@ -105,18 +104,15 @@ type RunOptions struct {
 	// OnListen, when non-nil, is invoked with the bound address before
 	// waiting for workers (useful with ":0" and for tests).
 	OnListen func(net.Addr)
-	// OnMember, when non-nil, observes elastic membership from the
-	// hosting process: OnMember(rank, true) on join, (rank, false) on
-	// leave.
-	OnMember func(rank int, joined bool)
 }
 
 // RunOutcome is the result of a Run.
 type RunOutcome struct {
 	// Results holds one SearchResult per jumble.
 	Results []*SearchResult
-	// Monitor holds the monitor statistics when the monitor ran.
-	Monitor *MonitorStats
+	// Monitor is the run observer's snapshot at shutdown (nil when the
+	// run had no observer).
+	Monitor *RunSnapshot
 }
 
 // Run executes a complete search (all jumbles) on the selected
@@ -258,28 +254,29 @@ func runLocalTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 
 // LocalWorld is the running part of a world that this process hosts:
 // the foreman and the layout's local workers as goroutines over the
-// endpoints comm hosts here, the monitor when asked for as subscribers of
-// the foreman's event bus, and the foreman's handle ready to run
+// endpoints comm hosts here, the monitor when asked for as a subscriber
+// of the foreman's event bus, and the foreman's handle ready to run
 // searches. Workers in other processes, if the transport has any, are the
 // foreman's business, not the world's. The Local and TCP transports are a
 // started world, one Run, Shutdown; a serve pod is a LocalWorld that has
 // not been shut down yet and takes a Run per job.
 type LocalWorld struct {
-	// Monitor holds the monitor's statistics once Shutdown has returned
-	// (nil when the world runs without one).
-	Monitor *MonitorStats
+	// Monitor holds the observer's snapshot once Shutdown has returned
+	// (nil when the world runs without an observer).
+	Monitor *RunSnapshot
 
 	foreman *Foreman
-	mon     *monitor
-	wg      sync.WaitGroup
+	// closeMonitor ends the monitor's line printer, nil without one.
+	closeMonitor func(RunSnapshot)
+	wg           sync.WaitGroup
 
 	mu  sync.Mutex
 	err error // first role failure, surfaced by Shutdown
 }
 
 // StartLocal starts an in-process world for the normalized run
-// configuration. From opt it takes Workers, WithMonitor, MonitorOut,
-// Foreman, Obs and WorkerHooks. Every worker evaluates with norm (see
+// configuration. From opt it takes Workers, MonitorOut, Foreman, Obs and
+// WorkerHooks. Every worker evaluates with norm (see
 // WorkerHooks for the two values a hook may replace). The world builds
 // no evaluator of its own for the foreman: a caller that wants the
 // inline fallback passes one in opt.Foreman.Inline and closes it after
@@ -305,20 +302,17 @@ func StartLocal(norm Config, opt RunOptions) (*LocalWorld, error) {
 // the layout's worker ranks, subscribes the monitor if the run has one,
 // and hands back the master side.
 func startRoles(ranks []comm.Communicator, lay Layout, norm Config, opt RunOptions) (*LocalWorld, error) {
-	foremanOpt := opt.Foreman
-	if foremanOpt.Obs == nil {
-		foremanOpt.Obs = opt.Obs
+	o := opt.Obs
+	if o == nil && opt.MonitorOut != nil {
+		o = NewRunObserver(nil, nil)
 	}
-	if opt.WithMonitor && foremanOpt.Obs == nil {
-		foremanOpt.Obs = NewRunObserver(nil, nil)
-	}
-	foreman, err := NewForeman(ranks[lay.Foreman], lay, foremanOpt)
+	foreman, err := NewForeman(ranks[lay.Foreman], lay, opt.Foreman, o)
 	if err != nil {
 		return nil, err
 	}
 	w := &LocalWorld{foreman: foreman}
-	if opt.WithMonitor {
-		w.mon = attachMonitor(foremanOpt.Obs.Bus(), opt.MonitorOut)
+	if opt.MonitorOut != nil {
+		w.closeMonitor = attachMonitor(o.Bus(), opt.MonitorOut)
 	}
 	role := func(name string, run func() error) {
 		w.wg.Add(1)
@@ -353,13 +347,18 @@ func (w *LocalWorld) Run(cfg Config, opt RunOptions) ([]*SearchResult, error) {
 }
 
 // Shutdown stops the world — the foreman is told, and drains the workers
-// — waits for every role goroutine, closes the monitor, and returns the
-// first role failure. Call it once, after every Run has returned.
+// — waits for every role goroutine, takes the observer's final snapshot,
+// closes the monitor, and returns the first role failure. Call it once,
+// after every Run has returned.
 func (w *LocalWorld) Shutdown() error {
 	err := w.foreman.Shutdown()
 	w.wg.Wait()
-	if w.mon != nil {
-		w.Monitor = w.mon.close()
+	if o := w.foreman.obs; o != nil {
+		snap := o.Snapshot()
+		w.Monitor = &snap
+		if w.closeMonitor != nil {
+			w.closeMonitor(snap)
+		}
 	}
 	if w.err != nil {
 		return w.err

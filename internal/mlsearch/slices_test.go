@@ -373,7 +373,7 @@ func TestPartialReplyRequeuesExactlyTheMissing(t *testing.T) {
 		})
 	}()
 
-	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Pipeline: 1})
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Pipeline: 1}, nil)
 	tasks := sliceOf(12, 0, 1, "(a,b,c);")
 	results, err := disp.Dispatch(tasks)
 	if err != nil {
@@ -471,7 +471,7 @@ func TestSeveredMidSliceAndJoinMidRound(t *testing.T) {
 		})
 	}()
 
-	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Pipeline: 1})
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Pipeline: 1}, nil)
 	tasks := sliceOf(40, 0, 1, "(a,b,c);")
 	results, err := disp.Dispatch(tasks)
 	if err != nil {
@@ -532,7 +532,7 @@ func TestBadCandidateFailsItsRoundNotTheFleet(t *testing.T) {
 			workerErrs <- RunWorker(world[rank], lay, norm, WorkerHooks{})
 		}(rank)
 	}
-	foreman, bad := newTestMaster(t, world, lay, ForemanOptions{TaskTimeout: 2 * time.Second})
+	foreman, bad := newTestMaster(t, world, lay, ForemanOptions{TaskTimeout: 2 * time.Second}, nil)
 	good, err := foreman.NewDispatcher()
 	if err != nil {
 		t.Fatal(err)
@@ -622,7 +622,7 @@ func TestSliceOutlivingFailedRoundIsIgnored(t *testing.T) {
 		})
 	}()
 
-	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Pipeline: 1})
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{Pipeline: 1}, nil)
 	if _, err := disp.Dispatch(sliceOf(8, 0, 1, "(a,b,c);")); err == nil || !strings.Contains(err.Error(), "poisoned") {
 		t.Fatalf("round 1: %v, want the poisoned candidate's error", err)
 	}

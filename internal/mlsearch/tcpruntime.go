@@ -48,9 +48,6 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 		defer inline.Close()
 		opt.Foreman.Inline = inline
 	}
-	if opt.Foreman.Obs == nil {
-		opt.Foreman.Obs = opt.Obs
-	}
 
 	// Join barrier: the master waits for opt.Workers joins before
 	// starting the search (0 = start immediately).
@@ -59,17 +56,9 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	if opt.Workers == 0 {
 		close(barrier)
 	}
-	onJoin := func(rank int) {
+	onJoin := func(int) {
 		if joined.Add(1) == int64(opt.Workers) {
 			close(barrier)
-		}
-		if opt.OnMember != nil {
-			opt.OnMember(rank, true)
-		}
-	}
-	onLeave := func(rank int) {
-		if opt.OnMember != nil {
-			opt.OnMember(rank, false)
 		}
 	}
 
@@ -79,8 +68,7 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 		Welcome:      welcome,
 		NotifyRank:   lay.Foreman,
 		OnJoin:       onJoin,
-		OnLeave:      onLeave,
-		Obs:          opt.Foreman.Obs.Registry(),
+		Obs:          opt.Obs.Registry(),
 	})
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -68,19 +69,26 @@ func TestTCPRuntimeEndToEnd(t *testing.T) {
 
 	const workers = 2
 	reg := obs.NewRegistry()
-	outcome := runTCPWithWorkers(t, cfg, RunOptions{WithMonitor: true, Obs: NewRunObserver(reg, nil)}, workers)
+	outcome := runTCPWithWorkers(t, cfg, RunOptions{MonitorOut: io.Discard, Obs: NewRunObserver(reg, nil)}, workers)
 	res := outcome.Results[0]
 	if res.BestNewick != serial.BestNewick || res.LnL != serial.LnL {
 		t.Errorf("TCP run diverged from serial: %g vs %g", res.LnL, serial.LnL)
 	}
-	if outcome.Monitor == nil || outcome.Monitor.Results != res.TotalTasks {
-		t.Errorf("monitor stats inconsistent: %+v", outcome.Monitor)
+	snap := outcome.Monitor
+	if snap == nil || snap.Completed != res.TotalTasks {
+		t.Fatalf("run snapshot inconsistent: %+v", snap)
 	}
-	if len(outcome.Monitor.TasksPerWorker) != workers {
-		t.Errorf("work spread over %d workers, want %d", len(outcome.Monitor.TasksPerWorker), workers)
+	served := 0
+	for _, w := range snap.Workers {
+		if w.Tasks > 0 {
+			served++
+		}
 	}
-	if outcome.Monitor.Joins != workers {
-		t.Errorf("monitor saw %d joins, want %d", outcome.Monitor.Joins, workers)
+	if served != workers {
+		t.Errorf("work spread over %d workers, want %d", served, workers)
+	}
+	if snap.Joins != workers {
+		t.Errorf("observer saw %d joins, want %d", snap.Joins, workers)
 	}
 	if n := reg.Counter("fdml_net_connects_total", "").Value(); n != workers {
 		t.Errorf("router registered %v connections, want the %d workers' only", n, workers)
@@ -104,13 +112,13 @@ func TestTCPRunNoWorkersInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No workers will ever join.
-	outcome := runTCPWithWorkers(t, cfg, RunOptions{WithMonitor: true}, 0)
+	outcome := runTCPWithWorkers(t, cfg, RunOptions{MonitorOut: io.Discard}, 0)
 	res := outcome.Results[0]
 	if res.BestNewick != serial.BestNewick || res.LnL != serial.LnL {
 		t.Errorf("inline run diverged from serial: %g vs %g", res.LnL, serial.LnL)
 	}
 	if outcome.Monitor.Inline != res.TotalTasks {
-		t.Errorf("monitor counted %d inline evaluations, want %d", outcome.Monitor.Inline, res.TotalTasks)
+		t.Errorf("observer counted %d inline evaluations, want %d", outcome.Monitor.Inline, res.TotalTasks)
 	}
 }
 

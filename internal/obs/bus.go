@@ -5,8 +5,7 @@ import "sync"
 // Typed event bus: publishers emit typed event values; subscribers
 // register handlers that fire synchronously, in subscription order, on
 // the publisher's goroutine. The monitor role is a consumer of this bus
-// (its stats aggregation and line printing are ordinary subscribers),
-// and any process can attach extra subscribers — the status server's
+// (its line printer is an ordinary subscriber), and any process can attach extra subscribers — the status server's
 // snapshot state, a test assertion, a future remote exporter — without
 // touching the publisher.
 

@@ -165,8 +165,8 @@ func (f *Fleet) newPod(key string, cfg mlsearch.Config) (*pod, error) {
 		Foreman: mlsearch.ForemanOptions{
 			TaskTimeout: f.opt.TaskTimeout,
 			Inline:      inline,
-			Obs:         mlsearch.NewRunObserver(f.reg, f.bus),
 		},
+		Obs: mlsearch.NewRunObserver(f.reg, f.bus),
 	})
 	if err != nil {
 		inline.Close()

@@ -11,6 +11,8 @@
 #   2. The master's .best.tree is byte-identical to the serial run's.
 #   3. The master's run report shows two workers, each with tasks served,
 #      and no task evaluated inline.
+#   4. The master printed exactly two "worker N joined" lines (read from
+#      the run observer's join events).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,8 +42,8 @@ sites=200
 "$work/bin/simseq" -taxa 12 -sites $sites -seed 11 -out "$work/aln.phy" 2>/dev/null
 awk -v n=$sites 'BEGIN { for (i = 0; i < n; i++) print i % 3 }' >"$work/w.txt"
 awk -v n=$sites 'BEGIN { for (i = 0; i < n; i++) print 0.25 + i % 4 }' >"$work/r.txt"
-run=(-in "$work/aln.phy" -seed 5 -quiet -model HKY85 -kappa 3 -weights "$work/w.txt" -rates "$work/r.txt")
-"$work/bin/fastdnaml" "${run[@]}" -out "$work/serial" >/dev/null || fail "serial run failed"
+run=(-in "$work/aln.phy" -seed 5 -model HKY85 -kappa 3 -weights "$work/w.txt" -rates "$work/r.txt")
+"$work/bin/fastdnaml" "${run[@]}" -quiet -out "$work/serial" >/dev/null || fail "serial run failed"
 
 echo "== master + two fdworker processes"
 "$work/bin/fastdnaml" "${run[@]}" -out "$work/tcp" -listen 127.0.0.1:0 -net-workers 2 \
@@ -82,5 +84,10 @@ served=$(awk '/"rank":/ { getline; gsub(/[^0-9]/, ""); print }' "$report")
 	fail "want two workers with tasks served, report says: $(echo $served)"
 grep -q '"inline": 0,' "$report" || fail "the master evaluated tasks inline"
 echo "   tasks served per worker: $(echo $served)"
+
+# The master is not -quiet, so it prints a line per join.
+joins=$(grep -c '^worker [0-9]* joined$' "$work/master.log" || true)
+[ "$joins" = 2 ] || fail "want two 'worker N joined' lines in the master's output, found $joins"
+echo "   join lines: $joins"
 
 echo "tcp-smoke: PASS"
