@@ -51,12 +51,12 @@ difftest:
 	$(GO) test -count=1 -run TestDifferential ./internal/likelihood/difftest/
 
 # Fuzz smoke: ten seconds of native Go fuzzing split over every Fuzz*
-# target — seven today, so 1 s each: the TCP frame parser, the task slice
+# target — eight today, so 1 s each: the TCP frame parser, the task slice
 # and result slice decoders and the join welcome, which read what a peer
-# sends, the PHYLIP and Newick readers, which read what a user hands
-# the program, and the vector edge log-likelihood against its scalar
-# kernel (the committed corpora alone already run as part of `test`). A
-# finding lands in the package's testdata/fuzz/.
+# sends, the PHYLIP, Newick and restart-manifest readers, which read what
+# a user hands the program, and the vector edge log-likelihood against
+# its scalar kernel (the committed corpora alone already run as part of
+# `test`). A finding lands in the package's testdata/fuzz/.
 fuzz-smoke:
 	GO=$(GO) ./scripts/fuzz_smoke.sh 10
 

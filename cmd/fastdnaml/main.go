@@ -220,18 +220,16 @@ func run(inPath string, o options) error {
 	return runSearch(a, o)
 }
 
-// finishInterrupted turns a signal-stop into a clean exit: flush the
-// restart manifest if one is being recorded, tell the user how to
-// resume, and return nil so the process exits 0. Any other error passes
-// through unchanged.
-func finishInterrupted(err error, rec *mlsearch.ManifestRecorder, o options) error {
+// finishInterrupted turns a signal-stop into a clean exit: report the
+// final flush of the restart manifest (ferr, nil when none is recorded),
+// tell the user how to resume, and return nil so the process exits 0.
+// Any other error passes through unchanged.
+func finishInterrupted(err, ferr error, o options) error {
 	if !errors.Is(err, mlsearch.ErrStopped) {
 		return err
 	}
-	if rec != nil {
-		if ferr := rec.Flush(); ferr != nil {
-			return fmt.Errorf("interrupted, and the final checkpoint failed: %w", ferr)
-		}
+	if ferr != nil {
+		return fmt.Errorf("interrupted, and the final checkpoint failed: %w", ferr)
 	}
 	switch {
 	case o.checkpoint != "":
@@ -323,7 +321,7 @@ func sortedSupports(m map[string]float64) []float64 {
 // wireRestart wires -resume and -checkpoint into runOpt. A resumed run
 // adopts the manifest's jumble count when -jumbles was left at its
 // default. It returns the manifest recorder when -checkpoint is
-// writing one, so an interrupted run can flush it.
+// writing one, so every run end can flush it.
 func wireRestart(runOpt *mlsearch.RunOptions, o options) (*mlsearch.ManifestRecorder, error) {
 	if o.resume != "" {
 		m, err := mlsearch.LoadManifest(o.resume)
@@ -405,8 +403,16 @@ func runSearch(a *seq.Alignment, o options) error {
 		return err
 	}
 	out, err := mlsearch.Run(cfg, runOpt)
+	// Every run end flushes, so no manifest write outlives the run.
+	var ferr error
+	if rec != nil {
+		ferr = rec.Flush()
+	}
 	if err != nil {
-		return finishInterrupted(err, rec, o)
+		return finishInterrupted(err, ferr, o)
+	}
+	if ferr != nil {
+		fmt.Fprintln(os.Stderr, "fastdnaml: checkpoint:", ferr)
 	}
 	inf, err := core.NewInference(cfg, out, opt)
 	if err != nil {

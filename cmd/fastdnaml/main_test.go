@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mlsearch"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
@@ -87,6 +88,16 @@ func TestRunCheckpointThenResume(t *testing.T) {
 	const head = "fastdnaml-manifest v1\njumbles 1\nbegin jumble 0\n"
 	if !strings.HasPrefix(string(manifest), head) {
 		t.Fatalf("restart file is not a one-block manifest:\n%s", manifest)
+	}
+	// The run flushed its write-behind manifest before returning.
+	m, err := mlsearch.ReadManifest(strings.NewReader(string(manifest)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, cp := range m.Checkpoints {
+		if cp.Phase != mlsearch.PhaseDone {
+			t.Errorf("after the run, jumble %d's block is %s, want %s", j, cp.Phase, mlsearch.PhaseDone)
+		}
 	}
 	want, err := os.ReadFile(first.outPrefix + ".trees")
 	if err != nil {

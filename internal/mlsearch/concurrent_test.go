@@ -454,6 +454,9 @@ func testManifestResumeRoundTrip(t *testing.T, jumbles int) {
 	if err := rec.Record(byJumble[mid][1]); err != nil {
 		t.Fatal(err)
 	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := LoadManifest(path)
 	if err != nil {
 		t.Fatal(err)

@@ -18,8 +18,9 @@ import (
 // manifest: one checkpoint block per jumble that has reported a position
 // (a single-jumble run writes one block; done jumbles keep their final
 // PhaseDone block, so a resumed run returns their results without
-// re-running them). The file is rewritten atomically on every update —
-// a crash mid-write leaves the previous complete manifest in place.
+// re-running them). The file is rewritten atomically, behind the
+// searches (ManifestRecorder) — a crash mid-write leaves the previous
+// complete manifest in place.
 
 // Manifest is the resumable position of a run.
 type Manifest struct {
@@ -192,49 +193,98 @@ func LoadManifest(path string) (*Manifest, error) {
 }
 
 // ManifestRecorder folds the checkpoint stream of concurrent searches
-// into one manifest file. It is safe for use from OnCheckpoint callbacks
-// running on several search goroutines.
+// into one manifest file, written behind the searches: Record never
+// touches the disk on the caller's goroutine. It folds the checkpoint in
+// and, unless a write is already in flight, starts one background write
+// of the newest state; a write that finishes while newer state waits
+// writes once more. So at most one write is in flight, the newest state
+// always wins, and the file is always a complete manifest whose every
+// block was recorded. A crash loses at most the checkpoints recorded
+// since the last completed write. It is safe for use from OnCheckpoint
+// callbacks running on several search goroutines.
 type ManifestRecorder struct {
-	mu   sync.Mutex
 	path string
-	m    *Manifest
+	// save writes one snapshot; tests swap it to block or count writes.
+	save func(path string, m *Manifest) error
+
+	mu      sync.Mutex
+	idle    sync.Cond // signalled when the in-flight write ends
+	m       *Manifest
+	dirty   bool  // m holds state that is not on disk yet
+	writing bool  // a background write is in flight
+	err     error // a background write's failure, not yet reported
 }
 
 // NewManifestRecorder starts a recorder over path. When resuming, seed
-// it with the loaded manifest via prior (nil starts empty).
+// it with the loaded manifest via prior (nil starts empty). The seeded
+// state counts as not yet written, so Flush writes it even when no
+// checkpoint arrives.
 func NewManifestRecorder(path string, jumbles int, prior *Manifest) *ManifestRecorder {
 	m := prior
 	if m == nil {
 		m = NewManifest(jumbles)
 	}
 	m.Jumbles = jumbles
-	return &ManifestRecorder{path: path, m: m}
+	r := &ManifestRecorder{path: path, save: SaveManifest, m: m, dirty: true}
+	r.idle.L = &r.mu
+	return r
 }
 
-// Record folds one checkpoint in and rewrites the file.
-func (r *ManifestRecorder) Record(cp Checkpoint) error {
+// Record folds one checkpoint in and makes sure a write of the newest
+// state is under way. It returns the error of a background write that
+// failed since the previous Record.
+func (r *ManifestRecorder) Record(cp Checkpoint) (err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.m.Set(cp)
-	return SaveManifest(r.path, r.m)
+	r.dirty = true
+	if !r.writing {
+		r.writing = true
+		go r.writeBehind()
+	}
+	err, r.err = r.err, nil
+	return err
 }
 
-// Flush atomically rewrites the file from the current in-memory state.
-// An interrupted run calls it after its searches stop so the on-disk
-// manifest is guaranteed to match the last reported checkpoints.
+// writeBehind writes snapshots until the file holds the newest state or
+// a write fails; a failed state stays dirty for the next Record or Flush.
+func (r *ManifestRecorder) writeBehind() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.dirty {
+		// Checkpoints are values: a copy of the map copies the state.
+		snap := NewManifest(r.m.Jumbles)
+		for j, cp := range r.m.Checkpoints {
+			snap.Checkpoints[j] = cp
+		}
+		r.dirty = false
+		r.mu.Unlock()
+		err := r.save(r.path, snap)
+		r.mu.Lock()
+		if err != nil {
+			r.err, r.dirty = err, true
+			break
+		}
+	}
+	r.writing = false
+	r.idle.Broadcast()
+}
+
+// Flush waits for the in-flight write, then writes the newest state if
+// it is not on disk yet, and returns that write's error (which the next
+// Record reports again). Every run end
+// calls it, so no write outlives the run and the file matches the last
+// reported checkpoints.
 func (r *ManifestRecorder) Flush() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return SaveManifest(r.path, r.m)
-}
-
-// Manifest returns a snapshot copy of the recorder's current state.
-func (r *ManifestRecorder) Manifest() *Manifest {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := NewManifest(r.m.Jumbles)
-	for j, cp := range r.m.Checkpoints {
-		m.Checkpoints[j] = cp
+	for r.writing {
+		r.idle.Wait()
 	}
-	return m
+	r.err = nil
+	if r.dirty {
+		r.err = r.save(r.path, r.m)
+		r.dirty = r.err != nil
+	}
+	return r.err
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/mlsearch"
 )
 
 // seedJobDir fabricates an admitted-but-incomplete job on disk, the
@@ -108,5 +110,71 @@ func TestJanitorQuarantinesUnreadableSpec(t *testing.T) {
 	}
 	if rec.State != StateQuarantined {
 		t.Errorf("state %s, want quarantined", rec.State)
+	}
+}
+
+// TestJanitorResumesQueuedRecordWithManifest: the daemon no longer
+// persists the running state, so a crash mid-job leaves a record that
+// says queued beside a manifest. The janitor resumes the job from that
+// manifest, and it finishes bit-identical to a serial run.
+func TestJanitorResumesQueuedRecordWithManifest(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Tenant: "x", Alignment: testPhylipText(t, 8, 200, 9), Options: JobOptions{Seed: 13, Jumbles: 2}}
+	prep, err := prepareSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The crashed daemon's manifest: jumble 0 mid-addition, jumble 1
+	// not started.
+	var cps []mlsearch.Checkpoint
+	full, err := mlsearch.Run(prep.Cfg, mlsearch.RunOptions{
+		Transport: mlsearch.Serial, Jumbles: 2,
+		OnCheckpoint: func(_ int, cp mlsearch.Checkpoint) { cps = append(cps, cp) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cps) < 2 || cps[1].Jumble != 0 || cps[1].Phase != mlsearch.PhaseAdding {
+		t.Fatalf("unexpected checkpoint stream %+v", cps)
+	}
+	id := "j-dddddddddddd"
+	if err := store.Create(&JobRecord{ID: id, Tenant: "x", State: StateQueued, Submitted: time.Now()}, &spec); err != nil {
+		t.Fatal(err)
+	}
+	m := mlsearch.NewManifest(2)
+	m.Set(cps[1])
+	if err := mlsearch.SaveManifest(store.ManifestPath(id), m); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := NewServer(Options{DataDir: dir, Fleet: FleetOptions{Workers: 1}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	if got := s.met.resumed.Value(); got != 1 {
+		t.Errorf("resumed counter = %v, want 1", got)
+	}
+	waitJob(t, s, id, StateDone)
+	res, _, err := s.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullTasks := 0
+	for j, want := range full.Results {
+		got := res.Jumbles[j]
+		if got.Newick != want.BestNewick || got.LnL != want.LnL || got.Seed != want.Seed {
+			t.Errorf("jumble %d diverged after resume:\n got %q lnL %v\nwant %q lnL %v", j, got.Newick, got.LnL, want.BestNewick, want.LnL)
+		}
+		fullTasks += want.TotalTasks
+	}
+	// Resumed, not restarted: the rounds before the checkpoint are not
+	// dispatched again.
+	if res.TotalTasks >= fullTasks {
+		t.Errorf("resumed job dispatched %d tasks, a full run %d", res.TotalTasks, fullTasks)
 	}
 }

@@ -214,3 +214,94 @@ func TestRestartOverStoredGradientJobs(t *testing.T) {
 		t.Errorf("finished gradient job: state %s, result %+v; want done, %+v", rec2.State, got, result)
 	}
 }
+
+// TestServerCrashMidJobResumes: a crash leaves whatever the write-behind
+// recorder had completed on disk. A copy of the data directory taken
+// mid-job stands for that disk; a second server booted over the copy
+// resumes the job and finishes it bit-identical to a serial run.
+func TestServerCrashMidJobResumes(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{Tenant: "a", Alignment: testPhylipText(t, 10, 300, 17), Options: JobOptions{Seed: 3, Jumbles: 3}}
+	s1, err := NewServer(Options{DataDir: dir, Fleet: FleetOptions{Workers: 1}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s1.Close() })
+	rec, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(120 * time.Second)
+	for {
+		if time.Now().After(deadline) {
+			t.Fatal("job never checkpointed")
+		}
+		got, err := s1.Get(rec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State.Terminal() {
+			t.Fatalf("job finished (%s) before the crash; grow the test dataset", got.State)
+		}
+		if _, statErr := os.Stat(s1.store.ManifestPath(rec.ID)); statErr == nil {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	crashed := t.TempDir()
+	copyTree(t, dir, crashed)
+
+	s2, err := NewServer(Options{DataDir: crashed, Fleet: FleetOptions{Workers: 1}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s2.Close() })
+	if got := s2.met.resumed.Value(); got != 1 {
+		t.Errorf("resumed counter = %v, want 1", got)
+	}
+	waitJob(t, s2, rec.ID, StateDone)
+	res, _, err := s2.Result(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, want := range serialReference(t, spec) {
+		got := res.Jumbles[j]
+		if got.Newick != want.BestNewick || got.LnL != want.LnL || got.Seed != want.Seed {
+			t.Errorf("jumble %d diverged after the crash:\n got %q lnL %v\nwant %q lnL %v", j, got.Newick, got.LnL, want.BestNewick, want.LnL)
+		}
+	}
+}
+
+// copyTree copies the files under src into dst as a running daemon
+// leaves them: a file that vanishes mid-walk (a renamed temporary) is
+// skipped. Lexical order copies each job's record before its manifest
+// and every job before the result store.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -464,9 +464,9 @@ func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	j.rec.State = StateRunning
 	j.rec.Started = started
-	rec := j.rec
 	j.mu.Unlock()
-	_ = s.store.SaveRecord(&rec)
+	// Not persisted: the janitor re-queues a running record exactly like
+	// a queued one, so the on-disk state stays queued until the end.
 	j.hub.publish(Event{Type: "state", Time: started, State: StateRunning})
 	s.opt.Logf("job %s: running on pod %.8s", j.rec.ID, j.rec.PodKey)
 
@@ -546,8 +546,12 @@ func (s *Server) runJumbles(j *job, pod *pod) ([]*mlsearch.SearchResult, error) 
 			})
 		},
 	})
+	// Before the result is stored or the job finalized, so no manifest
+	// write outlives its job.
+	if ferr := recorder.Flush(); ferr != nil {
+		s.opt.Logf("job %s: checkpoint: %v", j.rec.ID, ferr)
+	}
 	if err != nil {
-		_ = recorder.Flush()
 		return nil, fmt.Errorf("serve: job %s: %w", j.rec.ID, err)
 	}
 	return out, nil

@@ -20,6 +20,10 @@
 #   7. /metrics exposes the tenant-labeled service counters, with the
 #      tenant taken from the API key.
 #   8. SIGTERM shuts the daemon down gracefully (exit 0).
+#   9. Crash: a larger job is caught mid-search (its restart manifest
+#      exists), the daemon is killed with SIGKILL and restarted over the
+#      same -data; the job resumes (fdml_serve_resumed_total moves) and
+#      its best tree is byte-identical to a serial `fastdnaml` run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,23 +52,27 @@ echo "== serial reference run"
 ref_tree=$(cat "$work/ref.best.tree")
 [ -n "$ref_tree" ] || fail "serial run produced no tree"
 
+# start_daemon <flags...>: start fastdnamld on an OS-assigned port with
+# the given flags, logging to $work/daemon.log; sets daemon_pid and base.
+start_daemon() {
+	"$work/bin/fastdnamld" -addr 127.0.0.1:0 -workers 2 -api-keys "$work/keys" "$@" \
+		>"$work/daemon.log" 2>&1 &
+	daemon_pid=$!
+	base=
+	for _ in $(seq 1 100); do
+		base=$(sed -n 's/^fastdnamld: serving on \(http:\/\/.*\)$/\1/p' "$work/daemon.log")
+		[ -n "$base" ] && break
+		kill -0 "$daemon_pid" 2>/dev/null || fail "daemon died on startup"
+		sleep 0.1
+	done
+	[ -n "$base" ] || fail "daemon never reported its address"
+	echo "   $base"
+}
+
 echo "== start daemon (auth + rate limit + short job TTL)"
 good_key="smoke-key-0123456789abcdef"
 printf '# smoke test keys\n%s lab-a\n' "$good_key" >"$work/keys"
-"$work/bin/fastdnamld" -addr 127.0.0.1:0 -data "$work/data" -workers 2 \
-	-api-keys "$work/keys" -rate 1 -burst 2 \
-	-job-ttl 2s -result-ttl 10m -gc-interval 1s \
-	>"$work/daemon.log" 2>&1 &
-daemon_pid=$!
-base=
-for _ in $(seq 1 100); do
-	base=$(sed -n 's/^fastdnamld: serving on \(http:\/\/.*\)$/\1/p' "$work/daemon.log")
-	[ -n "$base" ] && break
-	kill -0 "$daemon_pid" 2>/dev/null || fail "daemon died on startup"
-	sleep 0.1
-done
-[ -n "$base" ] || fail "daemon never reported its address"
-echo "   $base"
+start_daemon -data "$work/data" -rate 1 -burst 2 -job-ttl 2s -result-ttl 10m -gc-interval 1s
 
 auth=(-H "Authorization: Bearer $good_key")
 
@@ -89,18 +97,23 @@ job_id=$(printf '%s\n' "$resp" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -
 printf '%s' "$resp" | grep -q '"tenant": *"lab-a"' || fail "tenant not resolved from key: $resp"
 echo "   $job_id"
 
+# wait_done <job-id>: poll the job until it is done.
+wait_done() {
+	local state= rec=
+	for _ in $(seq 1 600); do
+		rec=$(curl -fsS "${auth[@]}" "$base/v1/jobs/$1")
+		state=$(printf '%s\n' "$rec" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p' | head -1)
+		case "$state" in
+		done) return ;;
+		failed | canceled | quarantined) fail "job reached $state: $rec" ;;
+		esac
+		sleep 0.2
+	done
+	fail "job stuck in state '$state'"
+}
+
 echo "== wait for completion"
-state=
-for _ in $(seq 1 600); do
-	rec=$(curl -fsS "${auth[@]}" "$base/v1/jobs/$job_id")
-	state=$(printf '%s\n' "$rec" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p' | head -1)
-	case "$state" in
-	done) break ;;
-	failed | canceled | quarantined) fail "job reached $state: $rec" ;;
-	esac
-	sleep 0.2
-done
-[ "$state" = done ] || fail "job stuck in state '$state'"
+wait_done "$job_id"
 
 got_tree=$(curl -fsS "${auth[@]}" "$base/v1/jobs/$job_id/result?format=newick")
 [ "$got_tree" = "$ref_tree" ] ||
@@ -171,6 +184,40 @@ kill -TERM "$daemon_pid"
 if ! wait "$daemon_pid"; then
 	fail "daemon exited non-zero on SIGTERM"
 fi
+daemon_pid=
+
+echo "== crash mid-search: kill -9, restart over the same -data, resume"
+"$work/bin/simseq" -taxa 30 -sites 800 -seed 23 -out "$work/big.phy" 2>/dev/null
+"$work/bin/fastdnaml" -in "$work/big.phy" -seed 9 -quiet -out "$work/bigref" >/dev/null
+big_ref=$(cat "$work/bigref.best.tree")
+start_daemon -data "$work/crash"
+aln_json=$(awk '{printf "%s\\n", $0}' "$work/big.phy")
+printf '{"alignment":"%s","options":{"seed":9}}' "$aln_json" >"$work/big.json"
+resp=$(curl -fsS -X POST -H 'Content-Type: application/json' "${auth[@]}" \
+	--data-binary @"$work/big.json" "$base/v1/jobs")
+big_id=$(printf '%s\n' "$resp" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1)
+[ -n "$big_id" ] || fail "submit returned no job id: $resp"
+for _ in $(seq 1 3000); do
+	[ -f "$work/crash/jobs/$big_id/manifest" ] && break
+	sleep 0.01
+done
+[ -f "$work/crash/jobs/$big_id/manifest" ] || fail "job never wrote a restart manifest"
+kill -KILL "$daemon_pid"
+wait "$daemon_pid" 2>/dev/null || true
+daemon_pid=
+start_daemon -data "$work/crash"
+metrics=$(curl -fsS "$base/metrics")
+printf '%s\n' "$metrics" | grep -q '^fdml_serve_resumed_total 1$' ||
+	fail "restarted daemon did not resume the job: $(printf '%s\n' "$metrics" | grep resumed_total)"
+wait_done "$big_id"
+got_tree=$(curl -fsS "${auth[@]}" "$base/v1/jobs/$big_id/result?format=newick")
+[ "$got_tree" = "$big_ref" ] ||
+	fail "resumed tree differs from serial run:
+  serial:  $big_ref
+  service: $got_tree"
+echo "   resumed after SIGKILL, tree matches the serial run"
+kill -TERM "$daemon_pid"
+wait "$daemon_pid" || fail "restarted daemon exited non-zero on SIGTERM"
 daemon_pid=
 
 echo "serve-smoke: PASS"
