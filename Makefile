@@ -51,10 +51,11 @@ difftest:
 	$(GO) test -count=1 -run TestDifferential ./internal/likelihood/difftest/
 
 # Fuzz smoke: ten seconds of native Go fuzzing split over every Fuzz*
-# target — eight today, so 1 s each: the TCP frame parser, the task slice
+# target — ten today, so 1 s each: the TCP frame parser, the task slice
 # and result slice decoders and the join welcome, which read what a peer
-# sends, the PHYLIP, Newick and restart-manifest readers, which read what
-# a user hands the program, and the vector edge log-likelihood against
+# sends, the PHYLIP, Newick, restart-manifest, -weights/-rates and
+# API-key file readers, which read what a user or an operator hands the
+# program, and the vector edge log-likelihood against
 # its scalar kernel (the committed corpora alone already run as part of
 # `test`). A finding lands in the package's testdata/fuzz/.
 fuzz-smoke:
@@ -95,11 +96,14 @@ bench-compare:
 bench-pairs:
 	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
-# ROADMAP item 3's acceptance number: non-test, non-blank, non-comment
+# ROADMAP item 3's acceptance numbers: non-test, non-blank, non-comment
 # Go lines of internal/comm, internal/mlsearch, internal/serve,
-# internal/core, internal/likelihood (difftest included) and cmd/, as a
-# markdown table — with PARENT set, beside
-# the same count on that commit and the delta. make loc PARENT=HEAD~1
+# internal/core, internal/likelihood (difftest included) and cmd/, then
+# the settable values (exported fields of the *Options, *Config, *Policy,
+# WorkerHooks and core.Spec structs there, and the flags of fastdnaml,
+# fdworker and fastdnamld; scripts/census), as markdown tables — with
+# PARENT set, beside the same counts on that commit and the deltas.
+# make loc PARENT=HEAD~1
 loc:
 	./scripts/loc.sh $(PARENT)
 

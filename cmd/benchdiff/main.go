@@ -9,7 +9,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -19,13 +18,8 @@ import (
 	"strings"
 
 	"repro/internal/buildinfo"
+	"repro/internal/obs"
 )
-
-// report is the subset of obs.BenchReport benchdiff consumes.
-type report struct {
-	Run    string             `json:"run"`
-	Totals map[string]float64 `json:"totals"`
-}
 
 func main() {
 	var (
@@ -39,11 +33,11 @@ func main() {
 		fmt.Println("benchdiff", buildinfo.String())
 		return
 	}
-	base, err := load(*baselinePath)
+	base, err := obs.ReadBench(*baselinePath)
 	if err != nil {
 		fatal(err)
 	}
-	cur, err := load(*currentPath)
+	cur, err := obs.ReadBench(*currentPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -78,7 +72,7 @@ func label(name string) string {
 
 // diff writes the before/after table of the two reports to w and returns
 // one line per kernel that is more than maxRegress slower than baseline.
-func diff(w io.Writer, base, cur report, maxRegress float64) ([]string, error) {
+func diff(w io.Writer, base, cur obs.BenchReport, maxRegress float64) ([]string, error) {
 	// Machine-speed normalization: both reports carry a calibration_ns
 	// measurement (a fixed dependent float64 chain — pure CPU speed).
 	// Dividing current timings by the calibration ratio cancels uniform
@@ -97,7 +91,7 @@ func diff(w io.Writer, base, cur report, maxRegress float64) ([]string, error) {
 	// "removed"; neither is gated, and the next re-take settles both.
 	var keys []string
 	compared, added := 0, 0
-	for _, r := range []report{cur, base} {
+	for _, r := range []obs.BenchReport{cur, base} {
 		for k := range r.Totals {
 			if !strings.HasSuffix(k, "_ns") || k == "calibration_ns" || slices.Contains(keys, k) {
 				continue
@@ -153,18 +147,6 @@ func diff(w io.Writer, base, cur report, maxRegress float64) ([]string, error) {
 		fmt.Fprintln(w)
 	}
 	return regressions, nil
-}
-
-func load(path string) (report, error) {
-	var r report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
 }
 
 func fatal(err error) {

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestDiffNewRow: a kernel the baseline has never measured is listed as
@@ -10,8 +12,8 @@ import (
 // neither dropped from the table nor counted as a regression — while
 // the rows both reports share are still gated.
 func TestDiffNewRow(t *testing.T) {
-	base := report{Totals: map[string]float64{"calibration_ns": 100, "a_threads_1_ns": 1000, "c_threads_1_ns": 500, "num_cpu": 2}}
-	cur := report{Totals: map[string]float64{"calibration_ns": 100, "a_threads_1_ns": 1050, "b_threads_1_ns": 70, "num_cpu": 2}}
+	base := obs.BenchReport{Totals: map[string]float64{"calibration_ns": 100, "a_threads_1_ns": 1000, "c_threads_1_ns": 500, "num_cpu": 2}}
+	cur := obs.BenchReport{Totals: map[string]float64{"calibration_ns": 100, "a_threads_1_ns": 1050, "b_threads_1_ns": 70, "num_cpu": 2}}
 	var out strings.Builder
 	regs, err := diff(&out, base, cur, 0.10)
 	if err != nil || len(regs) != 0 {
@@ -29,7 +31,7 @@ func TestDiffNewRow(t *testing.T) {
 		t.Errorf("20%% slower shared row: regressions %v", regs)
 	}
 	// Nothing in common is an error, not an all-new pass.
-	if _, err := diff(&out, report{Totals: map[string]float64{"c_ns": 1}}, cur, 0.10); err == nil {
+	if _, err := diff(&out, obs.BenchReport{Totals: map[string]float64{"c_ns": 1}}, cur, 0.10); err == nil {
 		t.Error("no shared rows: want an error")
 	}
 }
@@ -39,8 +41,8 @@ func TestDiffNewRow(t *testing.T) {
 // "repeat once" note in the table and in the regression they raise,
 // while a steady row does not.
 func TestDiffNoisyRows(t *testing.T) {
-	base := report{Totals: map[string]float64{"calibration_ns": 100, "a_threads_1_ns": 1000, "down_partial_cached_threads_1_ns": 141000}}
-	cur := report{Totals: map[string]float64{"calibration_ns": 100, "a_threads_1_ns": 1200, "down_partial_cached_threads_1_ns": 182000}}
+	base := obs.BenchReport{Totals: map[string]float64{"calibration_ns": 100, "a_threads_1_ns": 1000, "down_partial_cached_threads_1_ns": 141000}}
+	cur := obs.BenchReport{Totals: map[string]float64{"calibration_ns": 100, "a_threads_1_ns": 1200, "down_partial_cached_threads_1_ns": 182000}}
 	var out strings.Builder
 	regs, err := diff(&out, base, cur, 0.10)
 	if err != nil {

@@ -414,7 +414,7 @@ func runSearch(a *seq.Alignment, o options) error {
 	if ferr != nil {
 		fmt.Fprintln(os.Stderr, "fastdnaml: checkpoint:", ferr)
 	}
-	inf, err := core.NewInference(cfg, out, opt)
+	inf, err := core.NewInference(cfg, out)
 	if err != nil {
 		return err
 	}

@@ -113,7 +113,6 @@ func main() {
 		MaxResultsBytes:    *maxResultBytes,
 		GCInterval:         *gcInterval,
 		Registry:           reg,
-		Bus:                obs.NewBus(),
 		Logf:               logger.Printf,
 	})
 	if err != nil {

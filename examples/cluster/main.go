@@ -43,10 +43,8 @@ func main() {
 		Addr:       "127.0.0.1:0",
 		Workers:    workers, // wait for all three before the first round
 		MonitorOut: os.Stdout,
-		Foreman: mlsearch.ForemanOptions{
-			TaskTimeout: 300 * time.Millisecond, // the paper's user-specified timeout
-			Tick:        20 * time.Millisecond,
-		},
+		// The paper's user-specified timeout.
+		Foreman: mlsearch.ForemanOptions{TaskTimeout: 300 * time.Millisecond},
 	}
 
 	addrCh := make(chan net.Addr, 1)

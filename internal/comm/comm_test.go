@@ -385,12 +385,10 @@ func TestElasticJoinAssignsRanksAndWelcome(t *testing.T) {
 }
 
 func TestElasticLeaveNotification(t *testing.T) {
-	left := make(chan int, 1)
 	world, err := NewElasticTCPRouter(RouterConfig{
 		Addr:         "127.0.0.1:0",
 		FirstDynamic: 2,
 		NotifyRank:   0,
-		OnLeave:      func(rank int) { left <- rank },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -413,14 +411,6 @@ func TestElasticLeaveNotification(t *testing.T) {
 	}
 	if m.From != w.Rank() {
 		t.Errorf("TagLeave from %d, want %d", m.From, w.Rank())
-	}
-	select {
-	case r := <-left:
-		if r != w.Rank() {
-			t.Errorf("OnLeave rank %d", r)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("OnLeave callback missing")
 	}
 	// The departed rank is unroutable from every hosted rank, and never
 	// reused.

@@ -85,9 +85,9 @@ type RouterConfig struct {
 	// Its mailbox exists before the listener accepts, so no join can
 	// precede it.
 	NotifyRank int
-	// OnJoin/OnLeave, when non-nil, are invoked in-process as anonymous
-	// workers come and go (the master's join barrier uses OnJoin).
-	OnJoin, OnLeave func(rank int)
+	// OnJoin, when non-nil, is invoked in-process as an anonymous worker
+	// joins (the master's join barrier uses it).
+	OnJoin func(rank int)
 	// Obs, when non-nil, receives router traffic metrics (frame and byte
 	// counts by direction, connects, disconnects). Nil costs one nil
 	// check per frame.
@@ -135,7 +135,6 @@ type tcpRouter struct {
 	welcome    []byte
 	notifyRank int
 	onJoin     func(int)
-	onLeave    func(int)
 
 	mu       sync.Mutex
 	peers    map[int]*peer
@@ -185,7 +184,6 @@ func newRouter(addr string, size int, cfg RouterConfig) ([]Communicator, error) 
 		welcome:    cfg.Welcome,
 		notifyRank: cfg.NotifyRank,
 		onJoin:     cfg.OnJoin,
-		onLeave:    cfg.OnLeave,
 		peers:      map[int]*peer{},
 		nextRank:   cfg.FirstDynamic,
 		met:        newRouterMetrics(cfg.Obs),
@@ -310,8 +308,8 @@ func (r *tcpRouter) drop(rank int, p *peer) (closed bool) {
 }
 
 // notifyMember reports an anonymous worker's arrival or departure to the
-// membership rank's mailbox and then to the in-process callbacks. The
-// order matters for a join: the master's join barrier hangs off OnJoin,
+// membership rank's mailbox and, for a join, then to OnJoin. The order
+// matters: the master's join barrier hangs off OnJoin,
 // and it must not open while the foreman's copy of the news is still
 // undelivered — a short run could otherwise finish, and shut down only
 // the workers the foreman had heard of, before the last joiner is known.
@@ -319,15 +317,8 @@ func (r *tcpRouter) notifyMember(rank int, tag Tag) {
 	if r.notifyRank >= 0 {
 		r.boxes[r.notifyRank].put(Message{From: rank, Tag: tag})
 	}
-	switch tag {
-	case TagJoin:
-		if r.onJoin != nil {
-			r.onJoin(rank)
-		}
-	case TagLeave:
-		if r.onLeave != nil {
-			r.onLeave(rank)
-		}
+	if tag == TagJoin && r.onJoin != nil {
+		r.onJoin(rank)
 	}
 }
 

@@ -38,7 +38,6 @@ func Bootstrap(a *seq.Alignment, opt Options, replicates int) (*BootstrapResult,
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
 	opt.Jumbles = 1 // one ordering per replicate
 	nsites := a.NumSites()
 	rng := rand.New(rand.NewSource(mlsearch.NormalizeSeed(opt.Seed)))
@@ -103,7 +102,7 @@ func Bootstrap(a *seq.Alignment, opt Options, replicates int) (*BootstrapResult,
 	}
 	out := &BootstrapResult{Trees: trees, LnLs: lnls}
 
-	cons, err := tree.MajorityRule(out.Trees, opt.ConsensusThreshold)
+	cons, err := tree.MajorityRule(out.Trees, consensusThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("core: bootstrap consensus: %w", err)
 	}

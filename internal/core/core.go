@@ -20,6 +20,11 @@ import (
 	"repro/internal/tree"
 )
 
+// consensusThreshold is the majority rule threshold over jumble and
+// bootstrap trees: 0.5 keeps the splits found in more than half of them
+// (the strict majority rule).
+const consensusThreshold = 0.5
+
 // Options configure an inference run: the Spec that decides its result,
 // and the host and run settings that do not.
 type Options struct {
@@ -44,9 +49,6 @@ type Options struct {
 	// SiteRates are optional per-site relative rates, e.g. from
 	// dnarates (nil = homogeneous).
 	SiteRates []float64
-	// ConsensusThreshold is the majority rule threshold over jumble
-	// results (default 0.5 = strict majority).
-	ConsensusThreshold float64
 	// Progress receives a notification per adopted tree
 	// (jumble, event); the live tree viewer consumes it.
 	Progress func(int, mlsearch.ProgressEvent)
@@ -57,13 +59,6 @@ type Options struct {
 	// mlsearch.ErrStopped (wrapped) at their next round boundary, so a
 	// signal handler can flush restart files and exit cleanly.
 	Stop <-chan struct{}
-}
-
-func (o Options) withDefaults() Options {
-	if o.ConsensusThreshold == 0 {
-		o.ConsensusThreshold = 0.5
-	}
-	return o
 }
 
 // JumbleResult is the outcome of one random ordering.
@@ -103,7 +98,6 @@ type Inference struct {
 // daemon and the benchmark harness. The returned Options carry the
 // normalized Spec.
 func Prepare(a *seq.Alignment, opt Options) (mlsearch.Config, Options, error) {
-	opt = opt.withDefaults()
 	var err error
 	if opt.Spec, err = opt.Spec.Normalize(); err != nil {
 		return mlsearch.Config{}, opt, err
@@ -180,14 +174,14 @@ func Infer(a *seq.Alignment, opt Options) (*Inference, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewInference(cfg, out, opt)
+	return NewInference(cfg, out)
 }
 
 // NewInference packages a finished run for reporting: one JumbleResult
 // per search with its parsed tree, the best of them, and the majority
-// rule consensus when more than one jumble ran. cfg and opt are the pair
+// rule consensus when more than one jumble ran. cfg is the config
 // Prepare returned for the run.
-func NewInference(cfg mlsearch.Config, out *mlsearch.RunOutcome, opt Options) (*Inference, error) {
+func NewInference(cfg mlsearch.Config, out *mlsearch.RunOutcome) (*Inference, error) {
 	inf := &Inference{Model: cfg.Model, Patterns: cfg.Patterns, Monitor: out.Monitor}
 	for j, res := range out.Results {
 		tr, err := tree.ParseNewick(res.BestNewick, cfg.Taxa)
@@ -217,7 +211,7 @@ func NewInference(cfg mlsearch.Config, out *mlsearch.RunOutcome, opt Options) (*
 		for i := range inf.Jumbles {
 			trees = append(trees, inf.Jumbles[i].Tree)
 		}
-		cons, err := tree.MajorityRule(trees, opt.ConsensusThreshold)
+		cons, err := tree.MajorityRule(trees, consensusThreshold)
 		if err != nil {
 			return nil, fmt.Errorf("core: consensus: %w", err)
 		}

@@ -1,7 +1,6 @@
 package likelihood
 
 import (
-	"encoding/json"
 	"time"
 
 	"repro/internal/tree"
@@ -80,53 +79,7 @@ type EngineStats struct {
 	ShardDispatches uint64
 	// EvalTime is wall-clock time spent inside the engine's evaluation
 	// entry points (LogLikelihood, OptimizeBranches, insertion scoring).
-	// Stored at full time.Duration precision; the JSON form keeps the
-	// historical milliseconds field (fractional, so nothing is lost).
 	EvalTime time.Duration
-}
-
-// engineStatsJSON is the wire/JSON shape of EngineStats. Elapsed time is
-// exported as fractional milliseconds ("eval_time_ms") for backward
-// compatibility with consumers of the old integer-ms convention, while
-// the in-memory representation is a full-precision time.Duration.
-type engineStatsJSON struct {
-	Hits        uint64  `json:"hits"`
-	Misses      uint64  `json:"misses"`
-	Recomputed  uint64  `json:"recomputed"`
-	Invalidated uint64  `json:"invalidated"`
-	Flushes     uint64  `json:"flushes"`
-	Entries     int     `json:"entries"`
-	NewtonIters uint64  `json:"newton_iters"`
-	SmoothPass  uint64  `json:"smooth_passes,omitempty"`
-	ShardDisp   uint64  `json:"shard_dispatches,omitempty"`
-	EvalTimeMs  float64 `json:"eval_time_ms"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (s EngineStats) MarshalJSON() ([]byte, error) {
-	return json.Marshal(engineStatsJSON{
-		Hits: s.Hits, Misses: s.Misses, Recomputed: s.Recomputed,
-		Invalidated: s.Invalidated, Flushes: s.Flushes, Entries: s.Entries,
-		NewtonIters: s.NewtonIters, SmoothPass: s.SmoothPasses,
-		ShardDisp:  s.ShardDispatches,
-		EvalTimeMs: float64(s.EvalTime) / float64(time.Millisecond),
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (s *EngineStats) UnmarshalJSON(data []byte) error {
-	var j engineStatsJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	*s = EngineStats{
-		Hits: j.Hits, Misses: j.Misses, Recomputed: j.Recomputed,
-		Invalidated: j.Invalidated, Flushes: j.Flushes, Entries: j.Entries,
-		NewtonIters: j.NewtonIters, SmoothPasses: j.SmoothPass,
-		ShardDispatches: j.ShardDisp,
-		EvalTime:        time.Duration(j.EvalTimeMs * float64(time.Millisecond)),
-	}
-	return nil
 }
 
 // kidRef records one child combined into an entry: which node, the

@@ -357,7 +357,7 @@ func TestOptimizeBranchesLocal(t *testing.T) {
 	for _, ed := range tr.Edges() {
 		before[lenKey{ed.A.ID, ed.B.ID}] = ed.Length()
 	}
-	if _, err := e.OptimizeBranches(tr, OptOptions{Passes: 2, Around: att, Radius: 1}); err != nil {
+	if _, err := e.OptimizeBranches(tr, OptOptions{Passes: 2, Centers: []*tree.Node{att}, Radius: 1}); err != nil {
 		t.Fatal(err)
 	}
 	changedFar := 0

@@ -21,7 +21,7 @@ import (
 // expressed as a small optional sub-interface (Threader, StatsReporter,
 // Invalidator, OpsReporter, Closer) that minimal engines simply do not
 // implement. Callers reach
-// capabilities through the package helpers (SetEngineThreads, StatsOf,
+// capabilities through the package helpers (EngineThreads, StatsOf,
 // ...) which no-op or return zero values on engines without them.
 //
 // Implementations are not safe for concurrent use; each worker owns one.
@@ -42,7 +42,7 @@ type Engine interface {
 	SiteLogLikelihoods(t *tree.Tree) ([]float64, error)
 
 	// OptimizeBranches optimizes branch lengths in place and returns the
-	// final log-likelihood. With OptOptions.Around/Centers set, only
+	// final log-likelihood. With OptOptions.Centers set, only
 	// nearby branches are optimized but the returned value is still the
 	// full-tree log-likelihood.
 	OptimizeBranches(t *tree.Tree, opt OptOptions) (float64, error)
@@ -142,16 +142,6 @@ type Invalidator interface {
 // exercise optional capabilities without type-asserting at every site.
 // Each is a no-op (or returns a zero value) when the engine lacks the
 // capability, so minimal backends work everywhere the cached one does.
-
-// SetEngineThreads sets the kernel thread count when the engine supports
-// threading and reports whether it did.
-func SetEngineThreads(e Engine, n int) bool {
-	if t, ok := e.(Threader); ok {
-		t.SetThreads(n)
-		return true
-	}
-	return false
-}
 
 // EngineThreads reports the engine's kernel thread count (1 when the
 // engine does not thread).

@@ -30,19 +30,15 @@ type OptOptions struct {
 	// Tol stops the pass loop when a full pass improves the total
 	// log-likelihood by less than this. Default 1e-5.
 	Tol float64
-	// Around restricts optimization to branches within Radius vertices
-	// of this node (nil optimizes every branch). This mirrors
-	// fastDNAml's insertion-time behaviour of optimizing only the
-	// branches near the new taxon before the full smoothing of the
-	// round's best tree.
-	Around *tree.Node
-	// Centers optionally lists several centers; the optimized region is
-	// the union of the Radius-neighborhoods of all of them (and of
-	// Around when also set). Rearrangement scoring uses this to smooth
-	// both the regraft junction and the prune site.
+	// Centers restricts optimization to the union of the
+	// Radius-neighborhoods of these nodes (empty optimizes every branch).
+	// This mirrors fastDNAml's scoring of a candidate by optimizing only
+	// the branches near its edit before the full smoothing of the
+	// round's best tree; rearrangement scoring lists both the regraft
+	// junction and the prune site.
 	Centers []*tree.Node
-	// Radius is the vertex distance bound used with Around/Centers; 1
-	// selects only the incident branches. Default 1.
+	// Radius is the vertex distance bound used with Centers; 1 selects
+	// only the incident branches. Default 1.
 	Radius int
 }
 
@@ -60,7 +56,7 @@ func (o OptOptions) withDefaults() OptOptions {
 }
 
 // OptimizeBranches optimizes branch lengths in place and returns the final
-// log-likelihood. With Around/Centers set, only nearby branches are
+// log-likelihood. With Centers set, only nearby branches are
 // optimized but the returned value is still the full-tree log-likelihood.
 //
 // It runs full depth-first Newton sweeps until a pass improves the
@@ -78,12 +74,9 @@ func (e *CachedEngine) OptimizeBranches(t *tree.Tree, opt OptOptions) (float64, 
 	e.ensureBuffers(t.MaxID())
 
 	e.gradBuf = gradCollect(e.gradBuf[:0], smoothAnchor(t), nil)
-	if opt.Around != nil || len(opt.Centers) > 0 {
+	if len(opt.Centers) > 0 {
 		e.near = slices.Grow(e.near[:0], t.MaxID())[:t.MaxID()]
 		clear(e.near)
-		if opt.Around != nil {
-			e.markNear(opt.Around, nil, opt.Radius)
-		}
 		for _, c := range opt.Centers {
 			if c != nil {
 				e.markNear(c, nil, opt.Radius)

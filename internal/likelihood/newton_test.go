@@ -256,8 +256,8 @@ func TestRestrictedRegionMatchesReference(t *testing.T) {
 		for _, centers := range [][]int{{inner[0].A.ID}, {inner[0].A.ID, inner[len(inner)-1].B.ID}} {
 			ct, rt := c.tr.Clone(), c.tr.Clone()
 			pick := func(tr *tree.Tree) OptOptions {
-				opt := OptOptions{Passes: 1, Radius: radius, Around: tr.Nodes[centers[0]]}
-				for _, id := range centers[1:] {
+				opt := OptOptions{Passes: 1, Radius: radius}
+				for _, id := range centers {
 					opt.Centers = append(opt.Centers, tr.Nodes[id])
 				}
 				return opt

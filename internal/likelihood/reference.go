@@ -331,11 +331,8 @@ func (e *ReferenceEngine) OptimizeBranches(t *tree.Tree, opt OptOptions) (float6
 		return 0, err
 	}
 	var allowed map[[2]int]bool
-	if opt.Around != nil || len(opt.Centers) > 0 {
+	if len(opt.Centers) > 0 {
 		allowed = make(map[[2]int]bool)
-		if opt.Around != nil {
-			edgeSetAround(opt.Around, opt.Radius, allowed)
-		}
 		for _, c := range opt.Centers {
 			if c != nil {
 				edgeSetAround(c, opt.Radius, allowed)

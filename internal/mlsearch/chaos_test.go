@@ -41,7 +41,7 @@ func TestTCPChaosSoak(t *testing.T) {
 		Addr:      "127.0.0.1:0",
 		Workers:   2, // barrier: the two original workers
 		Obs:       NewRunObserver(nil, nil),
-		Foreman:   ForemanOptions{TaskTimeout: 200 * time.Millisecond, Tick: 20 * time.Millisecond, Pipeline: 2},
+		Foreman:   ForemanOptions{TaskTimeout: 200 * time.Millisecond, Pipeline: 2},
 		Progress: func(jumble int, ev ProgressEvent) {
 			if ev.TaxaInTree >= 5 {
 				joinOnce.Do(func() { close(joinCh) })

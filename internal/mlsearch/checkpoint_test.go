@@ -2,7 +2,6 @@ package mlsearch
 
 import (
 	"bytes"
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -201,105 +200,5 @@ func TestResumeDone(t *testing.T) {
 	}
 	if res.LnL != full.LnL || res.TotalTasks != 0 {
 		t.Errorf("done-resume should be free: %+v", res)
-	}
-}
-
-// TestEvaluateUserTrees ranks given topologies; the search's own result
-// must rank at least as well as a random tree.
-func TestEvaluateUserTrees(t *testing.T) {
-	cfg := testConfig(t, 7, 200, 35)
-	res, err := runSerial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, err := tree.ParseNewick(res.BestNewick, cfg.Taxa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A deliberately different topology: a caterpillar over the same taxa.
-	n := cfg.Taxa
-	cat := fmt.Sprintf("(%s,%s,(%s,(%s,(%s,(%s,%s)))));", n[0], n[1], n[2], n[3], n[4], n[5], n[6])
-	other, err := tree.ParseNewick(cat, cfg.Taxa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disp, _ := NewSerialDispatcher(cfg)
-	ranked, err := EvaluateUserTrees(cfg, []*tree.Tree{other, best}, disp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranked) != 2 {
-		t.Fatalf("%d results", len(ranked))
-	}
-	if ranked[0].DiffFromBest != 0 {
-		t.Errorf("best tree diff %g", ranked[0].DiffFromBest)
-	}
-	if ranked[1].DiffFromBest > 0 {
-		t.Errorf("second tree diff %g > 0", ranked[1].DiffFromBest)
-	}
-	if ranked[0].LnL < ranked[1].LnL {
-		t.Error("ranking not sorted")
-	}
-	// The search's tree should win or tie (it was optimized for this data).
-	if ranked[0].Index != 1 && ranked[0].LnL < res.LnL-1e-6 {
-		t.Errorf("search tree outranked by a fixed guess: %+v", ranked)
-	}
-	// Every result returns its optimized tree.
-	for _, r := range ranked {
-		if r.Newick == "" {
-			t.Error("missing optimized tree")
-		}
-	}
-}
-
-// TestEvaluateUserTreesParallelKeepsTrees: the parallel runtime must
-// return every user tree's optimized form (KeepTree flag).
-func TestEvaluateUserTreesParallelKeepsTrees(t *testing.T) {
-	cfg := testConfig(t, 6, 120, 37)
-	world := newTestWorld(t, 4)
-	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
-	norm, err := cfg.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range lay.Workers {
-		go func(rank int) {
-			_ = RunWorker(world[rank], lay, norm, WorkerHooks{})
-		}(w)
-	}
-	_, disp := newTestMaster(t, world, lay, ForemanOptions{}, nil)
-
-	trees := []*tree.Tree{}
-	n := cfg.Taxa
-	for _, nwk := range []string{
-		fmt.Sprintf("((%s,%s),%s,(%s,(%s,%s)));", n[0], n[1], n[2], n[3], n[4], n[5]),
-		fmt.Sprintf("((%s,%s),%s,(%s,(%s,%s)));", n[0], n[2], n[1], n[3], n[4], n[5]),
-		fmt.Sprintf("((%s,%s),%s,(%s,(%s,%s)));", n[0], n[3], n[1], n[2], n[4], n[5]),
-	} {
-		tr, err := tree.ParseNewick(nwk, cfg.Taxa)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trees = append(trees, tr)
-	}
-	ranked, err := EvaluateUserTrees(cfg, trees, disp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range ranked {
-		if r.Newick == "" {
-			t.Errorf("result %d lost its tree through the parallel runtime", i)
-		}
-	}
-	// Must agree with serial evaluation.
-	sdisp, _ := NewSerialDispatcher(cfg)
-	serial, err := EvaluateUserTrees(cfg, trees, sdisp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ranked {
-		if ranked[i].LnL != serial[i].LnL || ranked[i].Index != serial[i].Index {
-			t.Errorf("rank %d differs between serial and parallel", i)
-		}
 	}
 }

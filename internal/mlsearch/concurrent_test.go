@@ -14,7 +14,7 @@ import (
 	"repro/internal/comm"
 )
 
-// TestForemanTickFloor: Tick is derived as TaskTimeout/4, which for a
+// TestForemanTickFloor: the tick is derived as TaskTimeout/4, which for a
 // tiny timeout truncates toward zero and used to make RecvTimeout spin.
 // The floor keeps the deadline scan at a sane interval.
 func TestForemanTickFloor(t *testing.T) {
@@ -27,10 +27,9 @@ func TestForemanTickFloor(t *testing.T) {
 		{ForemanOptions{TaskTimeout: 80 * time.Millisecond}, 20 * time.Millisecond},
 		{ForemanOptions{TaskTimeout: 2 * time.Nanosecond}, minForemanTick}, // would truncate to 0
 		{ForemanOptions{TaskTimeout: time.Microsecond}, minForemanTick},
-		{ForemanOptions{Tick: time.Nanosecond}, minForemanTick}, // explicit sub-floor tick
 	}
 	for i, c := range cases {
-		if got := c.opt.withDefaults().Tick; got != c.want {
+		if got := c.opt.tick(); got != c.want {
 			t.Errorf("case %d: tick %v, want %v", i, got, c.want)
 		}
 	}
@@ -298,7 +297,7 @@ func TestConcurrentTCPChaosSoak(t *testing.T) {
 		Jumbles:              3,
 		MaxConcurrentJumbles: 3,
 		MonitorOut:           io.Discard,
-		Foreman:              ForemanOptions{TaskTimeout: 200 * time.Millisecond, Tick: 20 * time.Millisecond, Pipeline: 2},
+		Foreman:              ForemanOptions{TaskTimeout: 200 * time.Millisecond, Pipeline: 2},
 		Progress: func(jumble int, ev ProgressEvent) {
 			progressMu.Lock()
 			progressed++

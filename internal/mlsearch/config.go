@@ -9,6 +9,23 @@ import (
 	"repro/internal/seq"
 )
 
+// The search's fixed rules (paper §2): candidates are scored with a quick
+// smoothing, each round's best tree and the final tree with a full one,
+// and rearrangement rounds repeat until no round improves the tree.
+const (
+	// quickInsertPasses bounds smoothing while scoring an insertion or a
+	// rearrangement (the rapid approximation of §2.1).
+	quickInsertPasses = 2
+	// fullSmoothPasses bounds smoothing of round-best, final and user
+	// trees.
+	fullSmoothPasses = 8
+	// epsilon is the least log-likelihood gain counted as an improvement.
+	epsilon = 1e-5
+	// maxRearrangeRounds bounds the improve-repeat loop after one
+	// addition (a safety valve; fastDNAml loops until no improvement).
+	maxRearrangeRounds = 50
+)
+
 // Config describes one fastDNAml search over a fixed data set.
 type Config struct {
 	// Taxa are the taxon labels, aligned with the pattern rows.
@@ -35,29 +52,12 @@ type Config struct {
 	// FinalExtent is the extent of the final rearrangement pass after
 	// the last taxon (paper step 5); 0 means "same as RearrangeExtent".
 	FinalExtent int
-	// MaxRearrangeRounds bounds the improve-repeat loop per addition
-	// (safety valve; fastDNAml loops until no improvement).
-	MaxRearrangeRounds int
 	// AdaptiveExtent enables the paper's planned "adaptive extents of
 	// tree rearrangement" (§5): the extent used after each addition
 	// grows by one (up to max(RearrangeExtent, FinalExtent)) when the
 	// previous rearrangement loop improved the tree and shrinks by one
 	// (down to 1) when it did not, spending effort where it pays.
 	AdaptiveExtent bool
-
-	// QuickInsertPasses bounds smoothing during insertion scoring (the
-	// rapid approximation of §2.1). Default 2.
-	QuickInsertPasses int
-	// FullSmoothPasses bounds smoothing of round-best and final trees.
-	// Default 8.
-	FullSmoothPasses int
-	// Epsilon is the minimum log-likelihood gain counted as an
-	// improvement. Default 1e-5.
-	Epsilon float64
-
-	// DisableRoundLog drops the per-round task statistics a search
-	// otherwise keeps in SearchResult.Rounds for the cluster simulator.
-	DisableRoundLog bool
 
 	// Threads is the likelihood engine's kernel thread count for
 	// evaluators this config builds (serial dispatcher, inline foreman
@@ -103,18 +103,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.FinalExtent == 0 {
 		c.FinalExtent = c.RearrangeExtent
-	}
-	if c.MaxRearrangeRounds <= 0 {
-		c.MaxRearrangeRounds = 50
-	}
-	if c.QuickInsertPasses <= 0 {
-		c.QuickInsertPasses = 2
-	}
-	if c.FullSmoothPasses <= 0 {
-		c.FullSmoothPasses = 8
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 1e-5
 	}
 	if c.Threads < 1 {
 		c.Threads = 1

@@ -126,24 +126,13 @@ func (ev *Evaluator) Evaluate(t Task) (Result, error) {
 }
 
 // evalFull is the standalone path: parse the task's own tree and smooth
-// it as requested (init, smooth, and user-tree rounds).
+// all of its branches (init and smooth rounds).
 func (ev *Evaluator) evalFull(t Task) (string, float64, error) {
 	tr, err := tree.ParseNewick(t.Newick, ev.taxa)
 	if err != nil {
 		return "", 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
 	}
-	opt := likelihood.OptOptions{Passes: int(t.Passes)}
-	if t.LocalTaxon >= 0 {
-		leaf := tr.LeafByTaxon(int(t.LocalTaxon))
-		if leaf == nil {
-			return "", 0, fmt.Errorf("mlsearch: task %d: local taxon %d not in tree", t.ID, t.LocalTaxon)
-		}
-		if leaf.Degree() > 0 {
-			opt.Around = leaf.Nbr[0]
-			opt.Radius = 2
-		}
-	}
-	lnL, err := ev.eng.OptimizeBranches(tr, opt)
+	lnL, err := ev.eng.OptimizeBranches(tr, likelihood.OptOptions{Passes: int(t.Passes)})
 	if err != nil {
 		return "", 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
 	}

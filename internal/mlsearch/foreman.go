@@ -73,10 +73,14 @@ import (
 // evaluated a task itself because no live workers remained.
 const InlineWorker int32 = -1
 
-// minForemanTick floors the deadline-scan interval: a Tick derived from
+// minForemanTick floors the deadline-scan interval: a tick derived from
 // a tiny TaskTimeout (TaskTimeout/4 truncates to 0 below 4ns) would turn
 // the dispatch loop into a busy spin.
 const minForemanTick = time.Millisecond
+
+// drainTimeout bounds how long shutdown waits for workers to
+// acknowledge before closing anyway.
+const drainTimeout = time.Second
 
 // ForemanOptions tune dispatch behaviour.
 type ForemanOptions struct {
@@ -87,18 +91,10 @@ type ForemanOptions struct {
 	// a plain Recv between results instead of polling for deadlines
 	// (disconnects still requeue a dead worker's task immediately).
 	TaskTimeout time.Duration
-	// Tick bounds how long the foreman blocks between deadline scans
-	// while dispatched tasks have live deadlines; with no expirable
-	// deadline the foreman blocks indefinitely. Default 50ms, or
-	// TaskTimeout/4 if smaller, floored at 1ms.
-	Tick time.Duration
 	// Inline, when non-nil, lets the foreman evaluate tasks itself when
 	// no live workers remain, so a round always completes (the runtime
 	// wires an evaluator over the same data set the workers use).
 	Inline *Evaluator
-	// DrainTimeout bounds how long shutdown waits for workers to
-	// acknowledge before closing anyway. Default 1s.
-	DrainTimeout time.Duration
 	// Pipeline is the number of slices kept in flight per worker. It is
 	// not a user setting: the default, 2, is what every program runs with
 	// (measured: 7 % faster than 1 over a socket, 4 adds nothing, a
@@ -112,19 +108,19 @@ type ForemanOptions struct {
 	Pipeline int
 }
 
+// tick bounds how long the foreman blocks between deadline scans while
+// dispatched tasks have live deadlines (with no expirable deadline it
+// blocks indefinitely): 50ms, or TaskTimeout/4 if smaller, floored at
+// minForemanTick.
+func (o ForemanOptions) tick() time.Duration {
+	tick := 50 * time.Millisecond
+	if o.TaskTimeout > 0 && o.TaskTimeout/4 < tick {
+		tick = o.TaskTimeout / 4
+	}
+	return max(tick, minForemanTick)
+}
+
 func (o ForemanOptions) withDefaults() ForemanOptions {
-	if o.Tick <= 0 {
-		o.Tick = 50 * time.Millisecond
-		if o.TaskTimeout > 0 && o.TaskTimeout/4 < o.Tick {
-			o.Tick = o.TaskTimeout / 4
-		}
-	}
-	if o.Tick < minForemanTick {
-		o.Tick = minForemanTick
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = time.Second
-	}
 	if o.Pipeline <= 0 {
 		o.Pipeline = 2
 	}
@@ -260,6 +256,7 @@ func (f *Foreman) Run() error {
 		sub.reply <- roundReply{err: reason}
 	}
 	f.shutdown()
+	f.obs.foremanStopped()
 	return err
 }
 
@@ -275,7 +272,7 @@ func (f *Foreman) loop() error {
 		var msg comm.Message
 		var err error
 		if f.opt.TaskTimeout > 0 && f.inflight > 0 {
-			msg, err = f.c.RecvTimeout(comm.AnySource, comm.AnyTag, f.opt.Tick)
+			msg, err = f.c.RecvTimeout(comm.AnySource, comm.AnyTag, f.opt.tick())
 		} else {
 			msg, err = f.c.Recv(comm.AnySource, comm.AnyTag)
 		}
@@ -329,7 +326,7 @@ func (f *Foreman) shutdown() {
 			waiting[w] = true
 		}
 	}
-	deadline := time.Now().Add(f.opt.DrainTimeout)
+	deadline := time.Now().Add(drainTimeout)
 	for len(waiting) > 0 {
 		d := time.Until(deadline)
 		if d <= 0 {

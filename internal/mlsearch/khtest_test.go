@@ -124,7 +124,7 @@ func TestWorkerChurnPermanentDeath(t *testing.T) {
 		Transport:   Local,
 		Workers:     2,
 		WorkerHooks: hooks,
-		Foreman:     ForemanOptions{TaskTimeout: 100_000_000, Tick: 10_000_000}, // 100ms / 10ms
+		Foreman:     ForemanOptions{TaskTimeout: 100_000_000}, // 100ms
 	})
 	if err != nil {
 		t.Fatal(err)

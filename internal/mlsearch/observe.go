@@ -186,6 +186,11 @@ type RunObserver struct {
 	hist    map[int]*workerHistory
 	busy    map[int]bool
 	jobs    map[uint64]*jobRow
+
+	// reported is what this observer has added to the depth gauges
+	// (queue, busy, ready, inflight, jobs), which every observer on a
+	// registry shares: the daemon's pods each report their own foreman.
+	reported [5]int
 }
 
 // NewRunObserver builds an observer over a registry and an event bus
@@ -258,19 +263,36 @@ func (o *RunObserver) worker(rank int) *workerHistory {
 // number of jobs with an open round after a scheduling step; the foreman
 // calls it wherever those sets change. With pipelining, inflight can
 // exceed busy (several tasks per worker); with concurrent searches, jobs
-// can exceed one.
+// can exceed one. The gauges get the change since this observer's last
+// report, so on a shared registry they sum over every observer's foreman.
 func (o *RunObserver) Depths(queue, busy, ready, inflight, jobs int) {
 	if o == nil {
 		return
 	}
-	o.gQueue.Set(float64(queue))
-	o.gBusy.Set(float64(busy))
-	o.gReady.Set(float64(ready))
-	o.gInflight.Set(float64(inflight))
-	o.gActiveJobs.Set(float64(jobs))
 	o.mu.Lock()
+	o.report([5]int{queue, busy, ready, inflight, jobs})
 	o.snap.QueueDepth, o.snap.Busy, o.snap.Ready, o.snap.Inflight = queue, busy, ready, inflight
 	o.snap.ActiveJobs = jobs
+	o.mu.Unlock()
+}
+
+// report moves this observer's share of the depth gauges to now. The
+// caller holds o.mu.
+func (o *RunObserver) report(now [5]int) {
+	for k, g := range []*obs.Gauge{o.gQueue, o.gBusy, o.gReady, o.gInflight, o.gActiveJobs} {
+		g.Add(float64(now[k] - o.reported[k]))
+	}
+	o.reported = now
+}
+
+// foremanStopped takes a stopped foreman's share out of the depth
+// gauges; the snapshot keeps its last depths.
+func (o *RunObserver) foremanStopped() {
+	if o == nil {
+		return
+	}
+	o.mu.Lock()
+	o.report([5]int{})
 	o.mu.Unlock()
 }
 

@@ -286,3 +286,41 @@ func TestRunObserverNilIsInert(t *testing.T) {
 		t.Error("nil observer snapshot must be zero")
 	}
 }
+
+// TestDepthGaugesSumOverObservers: the daemon's pods each run a foreman
+// with its own RunObserver on the one registry behind /metrics. The
+// depth gauges are each observer's change since its own last report, so
+// they sum over live foremen, and a foreman that stops takes its share
+// out; each observer's snapshot still shows only its own depths.
+func TestDepthGaugesSumOverObservers(t *testing.T) {
+	reg := obs.NewRegistry()
+	live := NewRunObserver(reg, nil)
+	live.Depths(3, 1, 2, 4, 1)
+	run := NewRunObserver(reg, nil)
+	run.Depths(1, 1, 1, 1, 1)
+	gauges := func() [5]float64 {
+		var v [5]float64
+		for k, name := range []string{"fdml_queue_depth", "fdml_busy_workers", "fdml_ready_workers", "fdml_inflight_tasks", "fdml_active_jobs"} {
+			v[k] = reg.Gauge(name, "").Value()
+		}
+		return v
+	}
+	if got, want := gauges(), [5]float64{4, 2, 3, 5, 2}; got != want {
+		t.Fatalf("two observers: gauges %v, want the sum %v", got, want)
+	}
+
+	// A whole run on the second observer: its foreman reports as it
+	// schedules and stops when the run ends.
+	if _, err := Run(testConfig(t, 5, 60, 1), RunOptions{Transport: Local, Workers: 1, Obs: run}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := gauges(), [5]float64{3, 1, 2, 4, 1}; got != want {
+		t.Errorf("after the run's foreman stopped: gauges %v, want the live observer's %v", got, want)
+	}
+	if s := live.Snapshot(); s.QueueDepth != 3 || s.Busy != 1 || s.Ready != 2 || s.Inflight != 4 || s.ActiveJobs != 1 {
+		t.Errorf("live snapshot depths %d/%d/%d/%d/%d, want its own 3/1/2/4/1", s.QueueDepth, s.Busy, s.Ready, s.Inflight, s.ActiveJobs)
+	}
+	if s := run.Snapshot(); s.Ready != 1 || s.ActiveJobs != 0 {
+		t.Errorf("stopped snapshot: %d ready, %d jobs; want its last report, 1 and 0", s.Ready, s.ActiveJobs)
+	}
+}

@@ -106,7 +106,7 @@ func TestFaultToleranceDroppedReplies(t *testing.T) {
 		Transport:   Local,
 		Workers:     3,
 		WorkerHooks: hooks,
-		Foreman:     ForemanOptions{TaskTimeout: 150 * time.Millisecond, Tick: 20 * time.Millisecond},
+		Foreman:     ForemanOptions{TaskTimeout: 150 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,10 +173,7 @@ func TestFaultToleranceSlowWorker(t *testing.T) {
 	go fakeWorker(2, 250*time.Millisecond)
 	go fakeWorker(3, 0)
 
-	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{
-		TaskTimeout: 80 * time.Millisecond,
-		Tick:        10 * time.Millisecond,
-	}, observer)
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{TaskTimeout: 80 * time.Millisecond}, observer)
 	// Round 1: two tasks. Worker 2 gets one and stalls past the timeout;
 	// worker 3 finishes both.
 	tasks := []Task{{ID: 1, Round: 1, Newick: "x"}, {ID: 2, Round: 1, Newick: "y"}}

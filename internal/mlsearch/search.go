@@ -1,7 +1,6 @@
 package mlsearch
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -75,44 +74,8 @@ type TaskStat struct {
 	// CacheHits and CacheMisses count the worker engine's CLV cache
 	// lookups during the task.
 	CacheHits, CacheMisses uint64
-	// Elapsed is the worker-side evaluation time, kept at full
-	// time.Duration precision in memory; the JSON form stays on the
-	// millisecond convention (elapsed_ms) for existing consumers.
+	// Elapsed is the worker-side evaluation time.
 	Elapsed time.Duration
-}
-
-// taskStatJSON is the serialized form of TaskStat: elapsed time travels
-// as fractional milliseconds so files written before the Duration change
-// (and external tooling on the ms convention) keep working.
-type taskStatJSON struct {
-	Ops         uint64  `json:"ops"`
-	LnL         float64 `json:"lnl"`
-	CacheHits   uint64  `json:"cache_hits"`
-	CacheMisses uint64  `json:"cache_misses"`
-	ElapsedMs   float64 `json:"elapsed_ms"`
-}
-
-// MarshalJSON renders Elapsed as fractional milliseconds.
-func (s TaskStat) MarshalJSON() ([]byte, error) {
-	return json.Marshal(taskStatJSON{
-		Ops: s.Ops, LnL: s.LnL,
-		CacheHits: s.CacheHits, CacheMisses: s.CacheMisses,
-		ElapsedMs: obs.PhaseMs(s.Elapsed),
-	})
-}
-
-// UnmarshalJSON accepts the milliseconds form, restoring full precision.
-func (s *TaskStat) UnmarshalJSON(b []byte) error {
-	var j taskStatJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return err
-	}
-	*s = TaskStat{
-		Ops: j.Ops, LnL: j.LnL,
-		CacheHits: j.CacheHits, CacheMisses: j.CacheMisses,
-		Elapsed: time.Duration(j.ElapsedMs * float64(time.Millisecond)),
-	}
-	return nil
 }
 
 // RoundStats records one dispatch round.
@@ -142,8 +105,7 @@ type SearchResult struct {
 	// Resumed searches carry the checkpoint's seed, which callers must
 	// not re-derive from the jumble index.
 	Seed int64
-	// Rounds is the per-round log consumed by the cluster simulator
-	// (nil when Config.DisableRoundLog).
+	// Rounds is the per-round log consumed by the cluster simulator.
 	Rounds []RoundStats
 	// TotalTasks counts every dispatched task.
 	TotalTasks int
@@ -269,18 +231,15 @@ func (s *Search) run(order []int, tr *tree.Tree, lnL float64, startIdx int, fina
 	}
 	s.checkpoint(order, len(order), PhaseDone, tr, lnL)
 
-	res := &SearchResult{
+	return &SearchResult{
 		BestNewick: tr.Newick(),
 		LnL:        lnL,
 		Order:      order,
 		Seed:       NormalizeSeed(s.cfg.Seed),
+		Rounds:     s.rounds,
 		TotalTasks: s.total,
 		TotalOps:   s.totalOps,
-	}
-	if !s.cfg.DisableRoundLog {
-		res.Rounds = s.rounds
-	}
-	return res, nil
+	}, nil
 }
 
 // checkpoint emits a resumable position to the observer.
@@ -331,9 +290,7 @@ func (s *Search) dispatchRound(kind RoundKind, taxaInTree int, tasks []Task, gen
 	}
 	stats.BestLnL = best.LnL
 	s.total += len(tasks)
-	if !s.cfg.DisableRoundLog {
-		s.rounds = append(s.rounds, stats)
-	}
+	s.rounds = append(s.rounds, stats)
 	return results, nil
 }
 
@@ -425,7 +382,7 @@ func adopt(base *tree.Tree, tasks []Task, best Result) error {
 func (s *Search) smoothRound(kind RoundKind, tr *tree.Tree, taxaInTree int) (*tree.Tree, float64, error) {
 	s.nextRound++
 	nwk := tr.Newick()
-	task := s.newTask(nwk, -1, s.cfg.FullSmoothPasses)
+	task := s.newTask(nwk, -1, fullSmoothPasses)
 	results, err := s.dispatchRound(kind, taxaInTree, []Task{task}, uint64(len(nwk)))
 	if err != nil {
 		return nil, 0, err
@@ -460,7 +417,7 @@ func (s *Search) addTaxon(tr *tree.Tree, taxon, taxaAfter int) (*tree.Tree, floa
 	tasks := make([]Task, 0, len(edges))
 	genBytes := uint64(len(nwk))
 	for k := range edges {
-		task := s.newTask("", taxon, s.cfg.QuickInsertPasses)
+		task := s.newTask("", taxon, quickInsertPasses)
 		task.BaseNewick = nwk
 		task.InsertEdge = int32(k)
 		tasks = append(tasks, task)
@@ -484,7 +441,7 @@ func (s *Search) addTaxon(tr *tree.Tree, taxon, taxaAfter int) (*tree.Tree, floa
 // rounds improved the tree (the adaptive-extent signal).
 func (s *Search) rearrangeToConvergence(kind RoundKind, tr *tree.Tree, lnL float64, extent, taxaInTree int) (*tree.Tree, float64, int, error) {
 	improved := 0
-	for round := 0; round < s.cfg.MaxRearrangeRounds; round++ {
+	for round := 0; round < maxRearrangeRounds; round++ {
 		s.nextRound++
 		nwk := tr.Newick()
 		// Enumerate moves on a reparse of the serialized base so the
@@ -498,7 +455,7 @@ func (s *Search) rearrangeToConvergence(kind RoundKind, tr *tree.Tree, lnL float
 		genBytes := uint64(len(nwk))
 		_, err = base.Rearrangements(extent, func(view *tree.Tree, cand tree.RearrangeCandidate) bool {
 			mv := cand.Move()
-			task := s.newTask("", -1, s.cfg.QuickInsertPasses)
+			task := s.newTask("", -1, quickInsertPasses)
 			task.BaseNewick = nwk
 			task.MoveP = int32(mv.P)
 			task.MoveS = int32(mv.S)
@@ -519,7 +476,7 @@ func (s *Search) rearrangeToConvergence(kind RoundKind, tr *tree.Tree, lnL float
 			return nil, 0, improved, err
 		}
 		best := bestOf(results)
-		if best.LnL <= lnL+s.cfg.Epsilon {
+		if best.LnL <= lnL+epsilon {
 			return tr, lnL, improved, nil
 		}
 		improved++

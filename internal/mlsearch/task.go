@@ -30,9 +30,9 @@ type Task struct {
 	Round uint64
 	// Newick is the candidate tree with starting branch lengths.
 	Newick string
-	// LocalTaxon, when >= 0, asks the worker to optimize only the
-	// branches near this taxon's attachment point (the rapid insertion
-	// scoring of §2.1); -1 requests smoothing of all branches.
+	// LocalTaxon is the taxon an insertion task (InsertEdge >= 0) adds
+	// and scores near its attachment point (the rapid insertion scoring
+	// of §2.1); -1 on every other task.
 	LocalTaxon int32
 	// Passes bounds the smoothing passes (0 uses the worker default).
 	Passes int32

@@ -82,7 +82,8 @@ func WriteBench(dir string, report BenchReport) (string, error) {
 	return path, nil
 }
 
-// ReadBench loads a BENCH_*.json file (round-trip validation and tests).
+// ReadBench loads a BENCH_*.json file (cmd/benchdiff reads both of its
+// reports with it).
 func ReadBench(path string) (BenchReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

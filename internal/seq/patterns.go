@@ -2,6 +2,7 @@ package seq
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -50,7 +51,8 @@ type CompressOptions struct {
 	// equal. Nil means rate 1 everywhere.
 	Rates []float64
 	// Disable turns compression off: every column becomes its own
-	// pattern. Used by the compression ablation benchmark.
+	// pattern. A test seam: the tests check that compression leaves
+	// the patterns and the likelihood unchanged against it.
 	Disable bool
 }
 
@@ -79,12 +81,15 @@ func Compress(a *Alignment, opt CompressOptions) (*Patterns, error) {
 		}
 		return opt.Rates[s]
 	}
+	// The join welcome's rule: a NaN weight would drop its column
+	// silently, an infinite one make the lnL non-finite, and a NaN rate
+	// break the column order that groups patterns.
 	for s := 0; s < nsites; s++ {
-		if weightAt(s) < 0 {
-			return nil, fmt.Errorf("seq: negative weight at site %d", s+1)
+		if w := weightAt(s); !(w >= 0 && !math.IsInf(w, 1)) {
+			return nil, fmt.Errorf("seq: weight %g at site %d is not finite and non-negative", w, s+1)
 		}
-		if rateAt(s) <= 0 {
-			return nil, fmt.Errorf("seq: non-positive rate at site %d", s+1)
+		if r := rateAt(s); !(r > 0 && !math.IsInf(r, 1)) {
+			return nil, fmt.Errorf("seq: rate %g at site %d is not finite and positive", r, s+1)
 		}
 	}
 

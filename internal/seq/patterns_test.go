@@ -1,7 +1,9 @@
 package seq
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -88,6 +90,34 @@ func TestCompressErrors(t *testing.T) {
 	}
 	if _, err := Compress(a, CompressOptions{Weights: []float64{0, 0, 0, 0}}); err == nil {
 		t.Error("all-zero weights should fail")
+	}
+}
+
+// TestCompressRefusesNonFinite: -weights and -rates files are parsed
+// with strconv.ParseFloat, which accepts NaN and Inf. Compress refuses
+// them by the join welcome's rule (weights finite and non-negative, rates
+// finite and positive) and names the site, so a serial or in-process run
+// fails the way a TCP run's welcome already does instead of computing
+// garbage.
+func TestCompressRefusesNonFinite(t *testing.T) {
+	a := mkAlign(t, "ACGT")
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name           string
+		weights, rates []float64
+		want           string
+	}{
+		{"nan weight", []float64{1, nan, 1, 1}, nil, "weight NaN at site 2"},
+		{"+inf weight", []float64{1, 1, inf, 1}, nil, "weight +Inf at site 3"},
+		{"-inf weight", []float64{-inf, 1, 1, 1}, nil, "weight -Inf at site 1"},
+		{"nan rate", nil, []float64{1, 1, 1, nan}, "rate NaN at site 4"},
+		{"+inf rate", nil, []float64{inf, 1, 1, 1}, "rate +Inf at site 1"},
+	}
+	for _, c := range cases {
+		_, err := Compress(a, CompressOptions{Weights: c.weights, Rates: c.rates})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 // Both the interleaved and the sequential layouts are accepted, and names
 // may be either strict (exactly 10 columns, possibly containing blanks) or
 // relaxed (whitespace-terminated). ReadPhylip auto-detects the layout by
-// attempting a sequential parse first and falling back to interleaved;
-// ReadPhylipSequential and ReadPhylipInterleaved force a layout.
+// attempting a sequential parse first and falling back to interleaved.
 
 // phylipNameLen is the strict PHYLIP name field width.
 const phylipNameLen = 10
@@ -69,24 +68,6 @@ func ReadPhylip(r io.Reader) (*Alignment, error) {
 		return a, nil
 	}
 	return nil, fmt.Errorf("phylip: not sequential (%v) and not interleaved (%v)", seqErr, intErr)
-}
-
-// ReadPhylipSequential parses a PHYLIP alignment in sequential layout.
-func ReadPhylipSequential(r io.Reader) (*Alignment, error) {
-	f, err := loadPhylip(r)
-	if err != nil {
-		return nil, err
-	}
-	return f.parseSequential()
-}
-
-// ReadPhylipInterleaved parses a PHYLIP alignment in interleaved layout.
-func ReadPhylipInterleaved(r io.Reader) (*Alignment, error) {
-	f, err := loadPhylip(r)
-	if err != nil {
-		return nil, err
-	}
-	return f.parseInterleaved()
 }
 
 // parseSequential reads one taxon at a time: a name line followed by

@@ -32,7 +32,7 @@ Epsilon   GGGATCTCGG
 CCCGACTGAC
 `
 
-func TestReadPhylipInterleaved(t *testing.T) {
+func TestReadPhylipDetectsInterleaved(t *testing.T) {
 	a, err := ReadPhylip(strings.NewReader(interleavedSample))
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestReadPhylipInterleaved(t *testing.T) {
 	}
 }
 
-func TestReadPhylipSequential(t *testing.T) {
+func TestReadPhylipDetectsSequential(t *testing.T) {
 	a, err := ReadPhylip(strings.NewReader(sequentialSample))
 	if err != nil {
 		t.Fatal(err)

@@ -77,7 +77,6 @@ type pod struct {
 type Fleet struct {
 	opt  FleetOptions
 	reg  *obs.Registry
-	bus  *obs.Bus
 	logf func(format string, args ...any)
 
 	mu     sync.Mutex
@@ -90,11 +89,10 @@ type Fleet struct {
 }
 
 // NewFleet builds an empty fleet publishing pod metrics into reg.
-func NewFleet(opt FleetOptions, reg *obs.Registry, bus *obs.Bus) *Fleet {
+func NewFleet(opt FleetOptions, reg *obs.Registry) *Fleet {
 	return &Fleet{
 		opt:      opt.withDefaults(),
 		reg:      reg,
-		bus:      bus,
 		logf:     func(string, ...any) {},
 		pods:     map[string]*pod{},
 		gPods:    reg.Gauge("fdml_serve_pods", "Warm worker pods."),
@@ -166,7 +164,7 @@ func (f *Fleet) newPod(key string, cfg mlsearch.Config) (*pod, error) {
 			TaskTimeout: f.opt.TaskTimeout,
 			Inline:      inline,
 		},
-		Obs: mlsearch.NewRunObserver(f.reg, f.bus),
+		Obs: mlsearch.NewRunObserver(f.reg, nil),
 	})
 	if err != nil {
 		inline.Close()

@@ -422,7 +422,7 @@ func TestFleetDoubleReleaseGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFleet(FleetOptions{Workers: 1, IdleTTL: time.Minute}, obs.NewRegistry(), nil)
+	f := NewFleet(FleetOptions{Workers: 1, IdleTTL: time.Minute}, obs.NewRegistry())
 	var logged bool
 	f.logf = func(format string, args ...any) {
 		logged = true

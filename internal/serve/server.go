@@ -11,9 +11,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mlsearch"
 	"repro/internal/obs"
-	"repro/internal/tree"
 )
 
 // ErrNotFound reports an unknown job id.
@@ -75,8 +75,6 @@ type Options struct {
 	// creates a private one). Share it with an obs.StatusServer to
 	// serve /metrics.
 	Registry *obs.Registry
-	// Bus receives typed run events (nil is fine).
-	Bus *obs.Bus
 	// Logf logs operational lines (nil discards).
 	Logf func(format string, args ...any)
 }
@@ -205,7 +203,7 @@ func NewServer(opt Options) (*Server, error) {
 
 // newServerFleet builds the server's fleet with its logger attached.
 func newServerFleet(opt Options) *Fleet {
-	f := NewFleet(opt.Fleet, opt.Registry, opt.Bus)
+	f := NewFleet(opt.Fleet, opt.Registry)
 	f.logf = opt.Logf
 	return f
 }
@@ -557,32 +555,26 @@ func (s *Server) runJumbles(j *job, pod *pod) ([]*mlsearch.SearchResult, error) 
 	return out, nil
 }
 
-// buildResult folds per-jumble search results into the stored document,
-// including the majority rule consensus over multi-jumble runs.
+// buildResult folds per-jumble search results into the stored document:
+// core.NewInference picks the best jumble and builds the majority rule
+// consensus over multi-jumble runs, as it does for the CLI.
 func buildResult(j *job, results []*mlsearch.SearchResult) (*JobResult, error) {
-	res := &JobResult{Key: j.rec.ResultKey}
-	var trees []*tree.Tree
-	for jj, r := range results {
-		res.Jumbles = append(res.Jumbles, JumbleOutcome{
-			Jumble: jj, Seed: r.Seed, LnL: r.LnL, Newick: r.BestNewick,
-		})
-		res.TotalTasks += r.TotalTasks
-		res.TotalOps += r.TotalOps
-		if r.LnL > res.BestLnL || jj == 0 {
-			res.BestJumble, res.BestLnL, res.BestNewick = jj, r.LnL, r.BestNewick
-		}
-		tr, err := tree.ParseNewick(r.BestNewick, j.prep.Cfg.Taxa)
-		if err != nil {
-			return nil, fmt.Errorf("serve: jumble %d result: %w", jj, err)
-		}
-		trees = append(trees, tr)
+	inf, err := core.NewInference(j.prep.Cfg, &mlsearch.RunOutcome{Results: results})
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if len(trees) > 1 {
-		cons, err := tree.MajorityRule(trees, 0.5)
-		if err != nil {
-			return nil, err
+	res := &JobResult{Key: j.rec.ResultKey, BestLnL: inf.Best.LnL, BestNewick: inf.Best.Newick}
+	for jj := range inf.Jumbles {
+		r := &inf.Jumbles[jj]
+		if r == inf.Best {
+			res.BestJumble = jj
 		}
-		res.Consensus = cons.Tree.Newick()
+		res.Jumbles = append(res.Jumbles, JumbleOutcome{Jumble: jj, Seed: r.Seed, LnL: r.LnL, Newick: r.Newick})
+		res.TotalTasks += r.Search.TotalTasks
+		res.TotalOps += r.Search.TotalOps
+	}
+	if inf.Consensus != nil {
+		res.Consensus = inf.Consensus.Tree.Newick()
 	}
 	return res, nil
 }
@@ -745,7 +737,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		var internal *internalError
 		switch {
 		case errors.As(err, &adm):
-			w.Header().Set("Retry-After", strconv.Itoa(int(adm.RetryAfter.Seconds())))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(adm.RetryAfter)))
 			writeJSONResponse(w, http.StatusTooManyRequests, map[string]string{"error": adm.Reason})
 		case errors.Is(err, errClosing):
 			writeError(w, http.StatusServiceUnavailable, err)

@@ -10,7 +10,9 @@
 # (difftest included) and cmd/. With a ref
 # the same count is taken on that commit (git archive into
 # .bench_build/loc/, like bench_pairs.sh) and the table gains the
-# parent column and the delta. Output is markdown.
+# parent column and the delta. A second table counts the settable values
+# (item 3's "no option, field or flag added"; see scripts/census) the
+# same way. Output is markdown.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,4 +53,11 @@ if [ -n "$ref" ]; then
 	printf '| **total** | %d | %d | %+d |\n' "$ptotal" "$total" $((total - ptotal))
 else
 	printf '| **total** | %d |\n' "$total"
+fi
+
+echo
+if [ -n "$ref" ]; then
+	${GO:-go} run ./scripts/census "$parent" .
+else
+	${GO:-go} run ./scripts/census .
 fi
