@@ -82,8 +82,6 @@ type Message struct {
 type Communicator interface {
 	// Rank returns this process's identity (0-based).
 	Rank() int
-	// Size returns the total number of processes.
-	Size() int
 	// Send delivers data to rank `to` with the given tag. Send does not
 	// block awaiting the receiver (buffered semantics).
 	Send(to int, tag Tag, data []byte) error

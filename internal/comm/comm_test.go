@@ -22,8 +22,9 @@ func listenAddr(t testing.TB, c Communicator) string {
 }
 
 // worlds abstracts world construction so every test runs against a local
-// world, a static TCP world (rank 0 hosted, the rest dialed), and an
-// elastic TCP world whose lower half is hosted and upper half joined.
+// world, a TCP world hosting rank 0 alone (the rest dialed, one at a
+// time, so each gets the rank it asks for), and a TCP world whose lower
+// half is hosted and upper half joined.
 func worlds(t *testing.T, size int) map[string][]Communicator {
 	t.Helper()
 	out := map[string][]Communicator{}
@@ -317,13 +318,11 @@ func TestWorkerToWorkerViaRouter(t *testing.T) {
 }
 
 func TestElasticJoinAssignsRanksAndWelcome(t *testing.T) {
-	joined := make(chan int, 8)
 	world, err := NewElasticTCPRouter(RouterConfig{
 		Addr:         "127.0.0.1:0",
 		FirstDynamic: 2,
 		Welcome:      []byte("bundle-bytes"),
 		NotifyRank:   0,
-		OnJoin:       func(rank int) { joined <- rank },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -350,16 +349,6 @@ func TestElasticJoinAssignsRanksAndWelcome(t *testing.T) {
 	if string(pay1) != "bundle-bytes" || string(pay2) != "bundle-bytes" {
 		t.Errorf("welcome payloads %q / %q", pay1, pay2)
 	}
-	for i := 0; i < 2; i++ {
-		select {
-		case r := <-joined:
-			if !ranks[r] {
-				t.Errorf("OnJoin for unexpected rank %d", r)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("OnJoin callback missing")
-		}
-	}
 	// NotifyRank 0: the router rank's own mailbox sees the join messages.
 	for i := 0; i < 2; i++ {
 		m, err := router.RecvTimeout(AnySource, TagJoin, 2*time.Second)
@@ -377,10 +366,27 @@ func TestElasticJoinAssignsRanksAndWelcome(t *testing.T) {
 	if m, err := w1.Recv(0, TagTask); err != nil || string(m.Data) != "work" {
 		t.Fatalf("worker recv: %v %q", err, m.Data)
 	}
-	// An elastic world has no ranks to claim: only its own process hosts
-	// the reserved ones.
+	// No rank can be claimed: a hello that names one is hung up on, and
+	// DialTCP, which joins, gives up when assigned another rank than the
+	// one it asks for.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := make([]byte, 12)
+	binary.BigEndian.PutUint32(hello[0:4], 8)
+	binary.BigEndian.PutUint32(hello[4:8], 1)
+	binary.BigEndian.PutUint32(hello[8:12], uint32(tcpMagic))
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if reply, err := io.ReadAll(conn); err != nil || len(reply) != 0 {
+		t.Errorf("a hello claiming rank 1 was answered with %q (%v), want a hang-up", reply, err)
+	}
 	if _, err := DialTCP(addr, 1, 4); err == nil {
-		t.Error("a dialer claimed a hosted rank of an elastic world")
+		t.Error("a dialer claimed a hosted rank")
 	}
 }
 
@@ -473,48 +479,6 @@ func TestHostedJoinsBeforeFirstRecv(t *testing.T) {
 	}
 	if m, err := w.Recv(1, TagTask); err != nil || string(m.Data) != "hi" {
 		t.Fatalf("worker recv from hosted rank: %v %q", err, m.Data)
-	}
-}
-
-// TestElasticJoinNoteBeforeOnJoin: the membership rank's TagJoin is in
-// its mailbox before OnJoin runs, so nothing the callback's owner sends
-// that rank afterwards can overtake it. The master's join barrier opens
-// from OnJoin; were the note delivered second, a short run could shut
-// down the workers the foreman knew of and leave the last joiner to find
-// its connection closed.
-func TestElasticJoinNoteBeforeOnJoin(t *testing.T) {
-	var world []Communicator
-	ready := make(chan struct{})
-	world, err := NewElasticTCPRouter(RouterConfig{
-		Addr:         "127.0.0.1:0",
-		FirstDynamic: 2,
-		NotifyRank:   1,
-		OnJoin: func(int) {
-			<-ready
-			if err := world[0].Send(1, TagControl, nil); err != nil {
-				t.Error(err)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer world[0].Close()
-	close(ready)
-
-	w, _, err := JoinTCP(listenAddr(t, world[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for _, want := range []Tag{TagJoin, TagControl} {
-		m, err := world[1].RecvTimeout(AnySource, AnyTag, 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Tag != want {
-			t.Fatalf("membership rank received tag %d, want %d first", m.Tag, want)
-		}
 	}
 }
 
@@ -651,18 +615,16 @@ func TestConcurrentSendersStress(t *testing.T) {
 // TestHandshakeRefusesOtherProtocolVersion: the hello's magic is the
 // protocol version. A peer built before the slice frames (magic "FDML"),
 // before the monitor rank left the welcome payload ("FDM2"), before
-// the welcome became the run's Config ("FDM3"), or before the welcome
-// lost its precision field ("FDM4") or its smooth mode ("FDM5"), is
-// answered with a refusal that says why and is hung up on — it is never
-// registered, so no frame it could not decode is ever sent to it — and a
-// dialer of this version that reaches such a peer's router, which hangs up
-// without a welcome, reports the version mismatch instead of a bare EOF.
+// the welcome became the run's Config ("FDM3"), before the welcome lost
+// its precision field ("FDM4") or its smooth mode ("FDM5"), or before
+// the welcome lost its role ranks and the slices their extension fields
+// ("FDM6"), is answered with a refusal that says why and is hung up on —
+// it is never registered, so no frame it could not decode is ever sent
+// to it and the membership rank hears of no join — and a dialer of this
+// version that reaches such a peer's router, which hangs up without a
+// welcome, reports the version mismatch instead of a bare EOF.
 func TestHandshakeRefusesOtherProtocolVersion(t *testing.T) {
-	joined := make(chan int, 1)
-	world, err := NewElasticTCPRouter(RouterConfig{
-		Addr: "127.0.0.1:0", FirstDynamic: 2, NotifyRank: -1,
-		OnJoin: func(rank int) { joined <- rank },
-	})
+	world, err := NewElasticTCPRouter(RouterConfig{Addr: "127.0.0.1:0", FirstDynamic: 2, NotifyRank: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,11 +633,11 @@ func TestHandshakeRefusesOtherProtocolVersion(t *testing.T) {
 
 	// An old worker's hello, byte for byte: version 1, version 2 whose
 	// welcome still carried a monitor rank, version 3, which would read a
-	// PHYLIP bundle out of this version's welcome, and versions 4 and 5,
+	// PHYLIP bundle out of this version's welcome, versions 4 and 5,
 	// which would read a precision field and a smooth mode this version's
-	// welcome lacks.
+	// welcome lacks, and version 6, which would read role ranks.
 	var reply []byte
-	for _, magic := range []string{"FDML", "FDM2", "FDM3", "FDM4", "FDM5"} {
+	for _, magic := range []string{"FDML", "FDM2", "FDM3", "FDM4", "FDM5", "FDM6"} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -697,10 +659,8 @@ func TestHandshakeRefusesOtherProtocolVersion(t *testing.T) {
 			!strings.Contains(reason, "protocol mismatch") || strings.Contains(reason, "\n") {
 			t.Errorf("refusal reason %q, want one line naming the protocol mismatch", reason)
 		}
-		select {
-		case rank := <-joined:
-			t.Errorf("the refused %s peer joined as rank %d", magic, rank)
-		default:
+		if m, err := world[1].RecvTimeout(AnySource, AnyTag, 20*time.Millisecond); err != ErrTimeout {
+			t.Errorf("the refused %s peer reached the membership rank: tag %d from %d (%v)", magic, m.Tag, m.From, err)
 		}
 	}
 

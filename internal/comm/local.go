@@ -94,16 +94,9 @@ func NewLocal(n int) ([]Communicator, error) {
 
 func (c *localComm) Rank() int { return c.rank }
 
-func (c *localComm) Size() int {
-	if c.router != nil {
-		return c.router.worldSize()
-	}
-	return len(c.boxes)
-}
-
 func (c *localComm) Send(to int, tag Tag, data []byte) error {
 	if to >= len(c.boxes) && c.router != nil {
-		return c.router.send(c.rank, to, tag, data)
+		return c.router.forward(c.rank, to, int32(tag), data)
 	}
 	if to < 0 || to >= len(c.boxes) {
 		return fmt.Errorf("comm: send to rank %d of %d", to, len(c.boxes))

@@ -23,39 +23,40 @@ import (
 // hosted ranks never touches a socket; one between a hosted and a remote
 // rank crosses exactly one connection.
 //
-// Membership comes in two flavours. A *static* world (NewTCPRouter) hosts
-// rank 0 alone, has a fixed size negotiated up front, and every dialer
-// claims its rank in the HELLO. An *elastic* world (NewElasticTCPRouter)
-// hosts ranks 0..FirstDynamic-1 and accepts only anonymous joiners: a
-// HELLO with rank -1 is answered by a WELCOME that assigns the next free
-// rank and carries an application-provided payload (the run's Config), and
-// the router synthesizes TagJoin/TagLeave messages to a hosted membership
-// rank as such workers come and go. Ranks of departed workers are never
-// reused, so a late frame from a dead incarnation can never be mistaken
-// for a live one.
+// Membership is elastic: the hosting process holds ranks
+// 0..FirstDynamic-1, and every dialer joins anonymously — a HELLO with
+// rank -1 is answered by a WELCOME that assigns the next free rank and
+// carries an application-provided payload (the run's Config). The router
+// synthesizes TagJoin/TagLeave messages to a hosted membership rank as
+// workers come and go. Ranks of departed workers are never reused, so a
+// late frame from a dead incarnation can never be mistaken for a live
+// one. NewTCPRouter and DialTCP are the same model with one hosted rank:
+// a dialer that asks for a rank is simply told to expect it in join
+// order.
 //
 // Wire format, all fields big-endian:
 //
 //	frame   := length(u32) from(i32) to(i32) tag(i32) payload
-//	hello   := length(u32)=8 rank(i32) magic(i32)      rank -1 = join
+//	hello   := length(u32)=8 rank(i32) magic(i32)      rank is always -1
 //	welcome := rank(i32) paylen(u32) payload
 //
-// The router acknowledges every hello with a welcome; for rank-claiming
-// dialers the payload is empty. The magic doubles as the protocol
-// version: it changes whenever the layout of what travels in the frames
-// does, so that a peer built before the change is turned away here, with
-// a reason, instead of dying on its first undecodable frame. A hello with
+// The router acknowledges every hello with a welcome, and hangs up on one
+// that claims a rank. The magic doubles as the protocol version: it
+// changes whenever the layout of what travels in the frames does, so
+// that a peer built before the change is turned away here, with a
+// reason, instead of dying on its first undecodable frame. A hello with
 // a foreign magic is answered by a welcome of rank -2 whose payload is
 // that reason, and the connection is closed.
 
-// tcpMagic is "FDM6": version 6, whose welcome no longer carries a
-// smooth mode. Version 5 ("FDM5") dropped the welcome's CLV precision;
-// version 4 ("FDM4") made the welcome payload the run's Config instead
-// of a PHYLIP recipe for rebuilding it; version 3
+// tcpMagic is "FDM7": version 7 dropped the welcome's role ranks, the
+// result's worker rank and the slices' extension fields. Version 6
+// ("FDM6") dropped the welcome's smooth mode; version 5 ("FDM5") its CLV
+// precision; version 4 ("FDM4") made the welcome payload the run's
+// Config instead of a PHYLIP recipe for rebuilding it; version 3
 // ("FDM3") took the monitor rank out of the welcome and the tag
 // numbering; version 2 ("FDM2") brought the task and result slice
 // frames; version 1 ("FDML") carried one task and one result per frame.
-const tcpMagic int32 = 0x46444d36
+const tcpMagic int32 = 0x46444d37
 
 // helloJoin is the HELLO rank requesting dynamic rank assignment.
 const helloJoin int32 = -1
@@ -68,7 +69,7 @@ const welcomeRefused int32 = -2
 // from corrupt length prefixes.
 const maxFrameSize = 64 << 20
 
-// RouterConfig configures an elastic TCP router.
+// RouterConfig configures a TCP router.
 type RouterConfig struct {
 	// Addr is the listen address (for example "127.0.0.1:7946" or ":0").
 	Addr string
@@ -85,9 +86,6 @@ type RouterConfig struct {
 	// Its mailbox exists before the listener accepts, so no join can
 	// precede it.
 	NotifyRank int
-	// OnJoin, when non-nil, is invoked in-process as an anonymous worker
-	// joins (the master's join barrier uses it).
-	OnJoin func(rank int)
 	// Obs, when non-nil, receives router traffic metrics (frame and byte
 	// counts by direction, connects, disconnects). Nil costs one nil
 	// check per frame.
@@ -127,14 +125,11 @@ type peer struct {
 // mailboxes. The hosted ranks' endpoints (localComm) hold it for sends
 // to ranks they do not host.
 type tcpRouter struct {
-	size     int // static world size; 0 makes the world elastic
 	listener net.Listener
 	boxes    []*mailbox // the hosted ranks, 0..len(boxes)-1
 
-	// Elastic membership.
 	welcome    []byte
 	notifyRank int
-	onJoin     func(int)
 
 	mu       sync.Mutex
 	peers    map[int]*peer
@@ -144,25 +139,23 @@ type tcpRouter struct {
 	met routerMetrics
 }
 
-// NewTCPRouter starts a static-membership rank-0 endpoint listening on
-// addr. size is the world size including rank 0; remote ranks connect
-// with DialTCP. The returned Communicator's Close shuts down the router.
-func NewTCPRouter(addr string, size int) (Communicator, error) {
-	if size < 2 {
-		return nil, fmt.Errorf("comm: tcp world size %d, need >= 2", size)
-	}
-	world, err := newRouter(addr, size, RouterConfig{FirstDynamic: 1, NotifyRank: -1})
+// NewTCPRouter starts a world that hosts rank 0 alone, listening on
+// addr; dialers (DialTCP) are assigned ranks 1, 2, ... in join order. The
+// size is not a bound: the world grows as dialers join. The returned
+// Communicator's Close shuts down the router.
+func NewTCPRouter(addr string, _ int) (Communicator, error) {
+	world, err := NewElasticTCPRouter(RouterConfig{Addr: addr, FirstDynamic: 1, NotifyRank: -1})
 	if err != nil {
 		return nil, err
 	}
 	return world[0], nil
 }
 
-// NewElasticTCPRouter starts a world with dynamic membership and returns
-// the endpoints of the ranks this process hosts, 0..FirstDynamic-1.
-// Anonymous dialers (JoinTCP) are assigned ranks FirstDynamic,
-// FirstDynamic+1, ... as they arrive, with no upper bound. Closing rank
-// 0's endpoint shuts down the router and every hosted endpoint.
+// NewElasticTCPRouter starts a world and returns the endpoints of the
+// ranks this process hosts, 0..FirstDynamic-1. Anonymous dialers
+// (JoinTCP) are assigned ranks FirstDynamic, FirstDynamic+1, ... as they
+// arrive, with no upper bound. Closing rank 0's endpoint shuts down the
+// router and every hosted endpoint.
 func NewElasticTCPRouter(cfg RouterConfig) ([]Communicator, error) {
 	if cfg.FirstDynamic < 1 {
 		return nil, fmt.Errorf("comm: first dynamic rank %d, need >= 1", cfg.FirstDynamic)
@@ -170,20 +163,14 @@ func NewElasticTCPRouter(cfg RouterConfig) ([]Communicator, error) {
 	if cfg.NotifyRank >= cfg.FirstDynamic {
 		return nil, fmt.Errorf("comm: membership rank %d is not hosted (first dynamic rank %d)", cfg.NotifyRank, cfg.FirstDynamic)
 	}
-	return newRouter(cfg.Addr, 0, cfg)
-}
-
-func newRouter(addr string, size int, cfg RouterConfig) ([]Communicator, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		return nil, fmt.Errorf("comm: listen %s: %w", addr, err)
+		return nil, fmt.Errorf("comm: listen %s: %w", cfg.Addr, err)
 	}
 	r := &tcpRouter{
-		size:       size,
 		listener:   ln,
 		welcome:    cfg.Welcome,
 		notifyRank: cfg.NotifyRank,
-		onJoin:     cfg.OnJoin,
 		peers:      map[int]*peer{},
 		nextRank:   cfg.FirstDynamic,
 		met:        newRouterMetrics(cfg.Obs),
@@ -202,8 +189,6 @@ func ListenAddr(c Communicator) (net.Addr, bool) {
 	}
 	return nil, false
 }
-
-func (r *tcpRouter) elastic() bool { return r.size == 0 }
 
 func (r *tcpRouter) acceptLoop() {
 	for {
@@ -238,30 +223,15 @@ func (r *tcpRouter) handshake(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	rank := int(int32(binary.BigEndian.Uint32(hdr[4:8])))
-	dynamic := rank == int(helloJoin)
-
 	// The write lock is taken before the peer becomes routable, so no
 	// frame can reach the connection ahead of its welcome.
 	p := &peer{conn: conn}
 	p.mu.Lock()
+	rank := -1
 	r.mu.Lock()
-	switch {
-	case r.closed:
-		rank = -1
-	case dynamic && r.elastic():
+	if !r.closed && int32(binary.BigEndian.Uint32(hdr[4:8])) == helloJoin {
 		rank = r.nextRank
 		r.nextRank++
-	case rank >= len(r.boxes) && rank < r.size:
-		// A claimed rank of a static world; a reconnect replaces the
-		// previous connection.
-		if old := r.peers[rank]; old != nil {
-			old.conn.Close()
-		}
-	default:
-		rank = -1
-	}
-	if rank >= 0 {
 		r.peers[rank] = p
 		r.met.connects.Inc()
 	}
@@ -271,26 +241,20 @@ func (r *tcpRouter) handshake(conn net.Conn) {
 		return
 	}
 
-	var welcome []byte
-	if dynamic {
-		welcome = r.welcome
-	}
 	var ack [8]byte
 	binary.BigEndian.PutUint32(ack[0:4], uint32(int32(rank)))
-	binary.BigEndian.PutUint32(ack[4:8], uint32(len(welcome)))
+	binary.BigEndian.PutUint32(ack[4:8], uint32(len(r.welcome)))
 	_, err := conn.Write(ack[:])
-	if err == nil && len(welcome) > 0 {
-		_, err = conn.Write(welcome)
+	if err == nil && len(r.welcome) > 0 {
+		_, err = conn.Write(r.welcome)
 	}
 	p.mu.Unlock()
 	if err != nil {
 		r.drop(rank, p)
 		return
 	}
-	if dynamic {
-		r.notifyMember(rank, TagJoin)
-	}
-	go r.readLoop(rank, p, dynamic)
+	r.notifyMember(rank, TagJoin)
+	go r.readLoop(rank, p)
 }
 
 // drop unregisters a connection if it is still current and closes it,
@@ -307,26 +271,19 @@ func (r *tcpRouter) drop(rank int, p *peer) (closed bool) {
 	return closed
 }
 
-// notifyMember reports an anonymous worker's arrival or departure to the
-// membership rank's mailbox and, for a join, then to OnJoin. The order
-// matters: the master's join barrier hangs off OnJoin,
-// and it must not open while the foreman's copy of the news is still
-// undelivered — a short run could otherwise finish, and shut down only
-// the workers the foreman had heard of, before the last joiner is known.
+// notifyMember reports a worker's arrival or departure to the membership
+// rank's mailbox.
 func (r *tcpRouter) notifyMember(rank int, tag Tag) {
 	if r.notifyRank >= 0 {
 		r.boxes[r.notifyRank].put(Message{From: rank, Tag: tag})
 	}
-	if tag == TagJoin && r.onJoin != nil {
-		r.onJoin(rank)
-	}
 }
 
-func (r *tcpRouter) readLoop(rank int, p *peer, dynamic bool) {
+func (r *tcpRouter) readLoop(rank int, p *peer) {
 	for {
 		from, to, tag, payload, err := readFrame(p.conn)
 		if err != nil {
-			if closed := r.drop(rank, p); dynamic && !closed {
+			if !r.drop(rank, p) {
 				r.notifyMember(rank, TagLeave)
 			}
 			return
@@ -375,25 +332,6 @@ func (r *tcpRouter) forward(from, to int, tag int32, payload []byte) error {
 	return nil
 }
 
-// send routes a hosted rank's message to a remote rank.
-func (r *tcpRouter) send(from, to int, tag Tag, data []byte) error {
-	if !r.elastic() && to >= r.size {
-		return fmt.Errorf("comm: send to rank %d of %d", to, r.size)
-	}
-	return r.forward(from, to, int32(tag), data)
-}
-
-// worldSize returns the static world size, or for elastic worlds the
-// extent of the rank space handed out so far.
-func (r *tcpRouter) worldSize() int {
-	if !r.elastic() {
-		return r.size
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nextRank
-}
-
 // shutdown closes the listener, every connection and every hosted
 // mailbox; blocked hosted receives return ErrClosed.
 func (r *tcpRouter) shutdown() {
@@ -410,49 +348,43 @@ func (r *tcpRouter) shutdown() {
 	}
 }
 
-// tcpClient is a non-zero rank connected to the router.
+// tcpClient is a rank connected to the router.
 type tcpClient struct {
-	rank, size int
-	conn       net.Conn
-	mb         *mailbox
-	writeMu    sync.Mutex
+	rank    int
+	conn    net.Conn
+	mb      *mailbox
+	writeMu sync.Mutex
 }
 
-// DialTCP connects rank (1..size-1) to a static router at addr.
-func DialTCP(addr string, rank, size int) (Communicator, error) {
-	if rank <= 0 || rank >= size {
-		return nil, fmt.Errorf("comm: tcp rank %d of %d (rank 0 is the router)", rank, size)
-	}
-	c, _, err := dial(addr, int32(rank))
+// DialTCP joins the world at addr expecting to be assigned rank: it
+// fails, closing its connection, if the router assigns another (ranks
+// are handed out in join order, so dialers must arrive one at a time).
+// The size is not checked; the world has no bound.
+func DialTCP(addr string, rank, _ int) (Communicator, error) {
+	c, _, err := JoinTCP(addr)
 	if err != nil {
 		return nil, err
 	}
-	c.size = size
+	if c.Rank() != rank {
+		c.Close()
+		return nil, fmt.Errorf("comm: router assigned rank %d, not the %d asked for", c.Rank(), rank)
+	}
 	return c, nil
 }
 
-// JoinTCP connects to an elastic router with no pre-assigned identity.
-// The router assigns the next free rank and replies with the welcome
-// payload configured by the application (the join handshake of the
-// distributed runtime).
+// JoinTCP performs the HELLO/WELCOME handshake with the router at addr:
+// it connects with no pre-assigned identity, and the router assigns the
+// next free rank and replies with the welcome payload configured by the
+// application (the join handshake of the distributed runtime).
 func JoinTCP(addr string) (Communicator, []byte, error) {
-	c, welcome, err := dial(addr, helloJoin)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, welcome, nil
-}
-
-// dial performs the HELLO/WELCOME handshake. rank is the claimed rank or
-// helloJoin for dynamic assignment.
-func dial(addr string, rank int32) (*tcpClient, []byte, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("comm: dial %s: %w", addr, err)
 	}
 	var hello [12]byte
+	join := helloJoin
 	binary.BigEndian.PutUint32(hello[0:4], 8)
-	binary.BigEndian.PutUint32(hello[4:8], uint32(rank))
+	binary.BigEndian.PutUint32(hello[4:8], uint32(join))
 	binary.BigEndian.PutUint32(hello[8:12], uint32(tcpMagic))
 	if _, err := conn.Write(hello[:]); err != nil {
 		conn.Close()
@@ -477,10 +409,6 @@ func dial(addr string, rank int32) (*tcpClient, []byte, error) {
 		}
 		return nil, nil, fmt.Errorf("comm: router at %s refused the connection: %s", addr, reason)
 	}
-	if rank != helloJoin && got != int(rank) {
-		conn.Close()
-		return nil, nil, fmt.Errorf("comm: router rejected rank %d", rank)
-	}
 	if got <= 0 || paylen > maxFrameSize {
 		conn.Close()
 		return nil, nil, fmt.Errorf("comm: bad welcome (rank %d, payload %d)", got, paylen)
@@ -494,7 +422,7 @@ func dial(addr string, rank int32) (*tcpClient, []byte, error) {
 		}
 	}
 	conn.SetReadDeadline(time.Time{})
-	c := &tcpClient{rank: got, size: got + 1, conn: conn, mb: newMailbox()}
+	c := &tcpClient{rank: got, conn: conn, mb: newMailbox()}
 	go c.readLoop()
 	return c, welcome, nil
 }
@@ -513,12 +441,8 @@ func (c *tcpClient) readLoop() {
 }
 
 func (c *tcpClient) Rank() int { return c.rank }
-func (c *tcpClient) Size() int { return c.size }
 
 func (c *tcpClient) Send(to int, tag Tag, data []byte) error {
-	if to < 0 || to >= c.size {
-		return fmt.Errorf("comm: send to rank %d of %d", to, c.size)
-	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if err := writeFrame(c.conn, c.rank, to, int32(tag), data); err != nil {

@@ -101,6 +101,8 @@ func (s Spec) Normalize() (Spec, error) {
 		if len(s.GTRRates) != 0 {
 			return s, fmt.Errorf("core: gtr_rates given with model %s", s.Model)
 		}
+		// An empty list is no list: it must serialize, and key, the same.
+		s.GTRRates = nil
 	case len(s.GTRRates) == 0:
 		s.GTRRates = []float64{1, 1, 1, 1, 1, 1}
 	case len(s.GTRRates) != 6:

@@ -44,6 +44,7 @@ func TestSpecNormalize(t *testing.T) {
 		{"five gtr rates", Spec{Model: "GTR", GTRRates: []float64{1, 2, 3, 4, 5}}, Spec{}},
 		{"seven gtr rates", Spec{Model: "GTR", GTRRates: []float64{1, 2, 3, 4, 5, 6, 7}}, Spec{}},
 		{"gtr rates without gtr", Spec{Model: "F84", GTRRates: ones}, Spec{}},
+		{"empty gtr rates without gtr", Spec{Model: "F84", GTRRates: []float64{}}, defaults},
 		{"negative jumbles", Spec{Jumbles: -1}, Spec{}},
 		{"negative extent", Spec{Extent: -1}, Spec{}},
 		{"negative final extent", Spec{FinalExtent: -2}, Spec{}},

@@ -10,10 +10,9 @@ import (
 
 // Worker bootstrap for distributed (TCP) runs. MPI programs typically
 // broadcast the sequence data to every rank at startup; here the master
-// hands the router a welcome payload — the layout's role ranks plus the
-// run's Config, encoded — and the transport delivers it inside the join
-// handshake, so a worker is fully provisioned in one round trip. This is
-// what lets the paper's geographically distributed PVM workers and the
+// hands the router a welcome payload — the run's Config, encoded — and
+// the transport delivers it inside the join handshake, so a worker is
+// fully provisioned in one round trip. This is what lets the paper's geographically distributed PVM workers and the
 // planned Condor/screensaver workers (§2.2, §5) run with nothing but a
 // socket to the master.
 //
@@ -34,15 +33,13 @@ type DataBundle struct {
 const bootWelcome byte = 0x57 // 'W'
 
 // marshalWelcome encodes the payload the router hands each joining
-// worker: the layout's role ranks plus everything of the normalized
-// Config an evaluator is built from. Threads is a host setting and stays
+// worker: everything of the normalized Config an evaluator is built
+// from. Threads is a host setting and stays
 // behind; the search settings are the master's alone.
-func marshalWelcome(lay Layout, norm Config) []byte {
+func marshalWelcome(norm Config) []byte {
 	pat := norm.Patterns
 	var w wireWriter
 	w.buf = append(w.buf, bootWelcome)
-	w.i32(int32(lay.Master))
-	w.i32(int32(lay.Foreman))
 	w.i32(int32(len(norm.Taxa)))
 	for _, name := range norm.Taxa {
 		w.str(name)
@@ -80,22 +77,17 @@ func marshalWelcome(lay Layout, norm Config) []byte {
 	return w.buf
 }
 
-// unmarshalWelcome decodes a welcome payload into the layout the worker
-// should use and the Config it evaluates with. The payload is outside
+// unmarshalWelcome decodes a welcome payload into the Config the worker
+// evaluates with. The payload is outside
 // input: whatever this build could not evaluate exactly as the master
 // does is refused, never defaulted — a worker that evaluated differently
 // from its run would return results that merely look right.
-func unmarshalWelcome(data []byte) (Layout, Config, error) {
-	refuse := func(err error) (Layout, Config, error) { return Layout{}, Config{}, err }
+func unmarshalWelcome(data []byte) (Config, error) {
+	refuse := func(err error) (Config, error) { return Config{}, err }
 	if len(data) == 0 || data[0] != bootWelcome {
 		return refuse(fmt.Errorf("mlsearch: not a welcome payload"))
 	}
 	r := wireReader{buf: data[1:]}
-	lay := Layout{
-		Master:  int(r.i32("welcome master")),
-		Foreman: int(r.i32("welcome foreman")),
-		Elastic: true,
-	}
 	var cfg Config
 	ntaxa := r.count("welcome taxon count", 4)
 	if r.err == nil && ntaxa < 3 {
@@ -164,5 +156,5 @@ func unmarshalWelcome(data []byte) (Layout, Config, error) {
 	if cfg.Model, err = model.FromDecomposition(name, freqs, d); err != nil {
 		return refuse(fmt.Errorf("mlsearch: welcome: %w", err))
 	}
-	return lay, cfg, nil
+	return cfg, nil
 }

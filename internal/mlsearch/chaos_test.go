@@ -18,9 +18,11 @@ import (
 // quarter of its replies. Through all of it the run must finish and the
 // final tree and log-likelihood must be bit-identical to the serial
 // answer — membership chaos is pure work distribution (paper §2.2).
-// Workers run mixed engine thread counts and the foreman pipelines two
-// tasks per worker, so the soak also exercises the threaded kernels and
-// pipelining under churn.
+// The foreman pipelines two slices per worker, so the soak also
+// exercises pipelining under churn. The workers' mixed thread counts do
+// not reach the shard pool: 160 sites are far under
+// likelihood.MinPoolPad, so every engine runs its kernels inline
+// (TestParallelMatchesSerialThreadedPipelined covers the pool).
 func TestTCPChaosSoak(t *testing.T) {
 	soakStart := time.Now()
 	cfg := testConfig(t, 9, 160, 41)
@@ -205,7 +207,7 @@ func (c *countingComm) RecvTimeout(source int, tag comm.Tag, d time.Duration) (c
 // idle clusters).
 func TestForemanBlocksWithoutTimeout(t *testing.T) {
 	world := newTestWorld(t, 3)
-	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2}}
+	lay := Layout{Workers: []int{2}}
 	counted := &countingComm{Communicator: world[1]}
 	world[1] = counted
 

@@ -215,10 +215,7 @@ func (js *jobState) fail(res Result) {
 // NewForeman builds the foreman over its own endpoint, with the layout's
 // workers as its first members and o (nil for none) as its observer.
 // Nothing runs until Run is called.
-func NewForeman(c comm.Communicator, lay Layout, opt ForemanOptions, o *RunObserver) (*Foreman, error) {
-	if err := lay.Validate(); err != nil {
-		return nil, err
-	}
+func NewForeman(c comm.Communicator, lay Layout, opt ForemanOptions, o *RunObserver) *Foreman {
 	f := &Foreman{
 		c:       c,
 		opt:     opt.withDefaults(),
@@ -232,7 +229,7 @@ func NewForeman(c comm.Communicator, lay Layout, opt ForemanOptions, o *RunObser
 		f.members[w] = true
 		f.ready = append(f.ready, w)
 	}
-	return f, nil
+	return f
 }
 
 // Run executes the foreman role until Shutdown, or until its endpoint

@@ -1,6 +1,7 @@
 package mlsearch
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -157,11 +158,42 @@ type RunSnapshot struct {
 	Recent     []obs.SpanRecord    `json:"recent_spans,omitempty"`
 }
 
+// taskSpan is a completed task's trace span as the observer keeps it:
+// the numbers only, rendered into an obs.SpanRecord when a snapshot asks,
+// so that closing a span costs the foreman no allocation.
+type taskSpan struct {
+	ctx       obs.SpanContext
+	worker    int
+	round     uint64
+	end       time.Time
+	rtt, eval time.Duration
+}
+
+// record renders the span for the /status document.
+func (sp taskSpan) record() obs.SpanRecord {
+	phases := map[string]float64{}
+	if sp.rtt > 0 {
+		phases[obs.PhaseRTT] = obs.PhaseMs(sp.rtt)
+	}
+	if sp.eval > 0 {
+		phases[obs.PhaseEval] = obs.PhaseMs(sp.eval)
+		if net := sp.rtt - sp.eval; net > 0 {
+			phases[obs.PhaseNetwork] = obs.PhaseMs(net)
+		}
+	}
+	return obs.SpanRecord{
+		Trace: fmt.Sprintf("%016x", sp.ctx.TraceID), Span: fmt.Sprintf("%016x", sp.ctx.SpanID),
+		Name: "task", Worker: sp.worker, Round: sp.round, End: sp.end, PhasesMs: phases,
+	}
+}
+
+// recentSpans is how many completed task spans a snapshot shows.
+const recentSpans = 64
+
 // RunObserver receives the foreman's dispatch-loop instrumentation.
 type RunObserver struct {
-	reg   *obs.Registry
-	bus   *obs.Bus
-	spans *obs.SpanLog
+	reg *obs.Registry
+	bus *obs.Bus
 
 	mRounds     *obs.Counter
 	mDispatch   *obs.Counter
@@ -186,6 +218,11 @@ type RunObserver struct {
 	hist    map[int]*workerHistory
 	busy    map[int]bool
 	jobs    map[uint64]*jobRow
+	// spans is the ring of the last recentSpans completed task spans;
+	// spanNext is the slot the next one overwrites.
+	spans    [recentSpans]taskSpan
+	spanNext int
+	spanFull bool
 
 	// reported is what this observer has added to the depth gauges
 	// (queue, busy, ready, inflight, jobs), which every observer on a
@@ -202,9 +239,8 @@ func NewRunObserver(reg *obs.Registry, bus *obs.Bus) *RunObserver {
 		bus = obs.NewBus()
 	}
 	o := &RunObserver{
-		reg:   reg,
-		bus:   bus,
-		spans: obs.NewSpanLog(64),
+		reg: reg,
+		bus: bus,
 
 		mRounds:     reg.Counter("fdml_rounds_total", "Completed dispatch rounds."),
 		mDispatch:   reg.Counter("fdml_dispatch_total", "Tasks handed to workers."),
@@ -356,23 +392,13 @@ func (o *RunObserver) Completed(worker int, res Result, rtt time.Duration, still
 	if row := o.jobs[res.Job]; row != nil {
 		row.Completed++
 	}
-	o.mu.Unlock()
 	if res.Trace.Valid() {
-		phases := map[string]float64{}
-		if rtt > 0 {
-			phases[obs.PhaseRTT] = obs.PhaseMs(rtt)
+		o.spans[o.spanNext] = taskSpan{ctx: res.Trace, worker: worker, round: res.Round, end: now, rtt: rtt, eval: res.Eval}
+		if o.spanNext++; o.spanNext == recentSpans {
+			o.spanNext, o.spanFull = 0, true
 		}
-		if res.Eval > 0 {
-			phases[obs.PhaseEval] = obs.PhaseMs(res.Eval)
-			if net := rtt - res.Eval; net > 0 {
-				phases[obs.PhaseNetwork] = obs.PhaseMs(net)
-			}
-		}
-		o.spans.Add(obs.SpanRecord{
-			Ctx: res.Trace, Name: "task", Worker: worker,
-			Round: res.Round, End: now, PhasesMs: phases,
-		})
 	}
+	o.mu.Unlock()
 	o.bus.Publish(TaskCompleted{Worker: worker, Job: res.Job, Round: res.Round, TaskID: res.TaskID, LnL: res.LnL, RTT: rtt, Eval: res.Eval})
 }
 
@@ -503,9 +529,16 @@ func (o *RunObserver) Snapshot() RunSnapshot {
 			Dispatched: row.Dispatched, Completed: row.Completed, Inline: row.Inline,
 		})
 	}
+	var spans []taskSpan
+	if o.spanFull {
+		spans = append(spans, o.spans[o.spanNext:]...)
+	}
+	spans = append(spans, o.spans[:o.spanNext]...)
 	o.mu.Unlock()
 	s.UptimeMs = obs.PhaseMs(time.Since(o.started))
-	s.Recent = o.spans.Recent()
+	for _, sp := range spans {
+		s.Recent = append(s.Recent, sp.record())
+	}
 	return s
 }
 

@@ -2,8 +2,8 @@ package mlsearch
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"reflect"
@@ -32,7 +32,7 @@ func TestTaskCodecTraceRoundTrip(t *testing.T) {
 func TestResultCodecTraceRoundTrip(t *testing.T) {
 	in := Result{
 		TaskID: 9, Round: 4, Newick: "(a,b,c);", LnL: -321.5,
-		Ops: 7, CacheHits: 3, CacheMisses: 2, Worker: 5,
+		Ops: 7, CacheHits: 3, CacheMisses: 2,
 		Eval: 1500 * time.Microsecond, NewtonIters: 11,
 		Trace: obs.SpanContext{TraceID: 1, SpanID: 2},
 	}
@@ -45,44 +45,18 @@ func TestResultCodecTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// appendExt appends one well-formed extension field (as a newer peer
-// would) to a marshaled envelope.
-func appendExt(b []byte, tag byte, payload []byte) []byte {
-	b = append(b, tag)
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(payload)))
-	b = append(b, n[:]...)
-	return append(b, payload...)
-}
-
-func TestCodecToleratesUnknownExtensions(t *testing.T) {
-	task := Task{ID: 3, Newick: "(a,b,c);", Trace: obs.SpanContext{TraceID: 7, SpanID: 8}}
-	b := appendExt(MarshalTask(task), 0xE0, []byte("future field"))
-	got, err := UnmarshalTask(b)
-	if err != nil {
-		t.Fatalf("unknown task extension rejected: %v", err)
-	}
-	if got != task {
-		t.Errorf("known fields corrupted by unknown extension: %+v", got)
-	}
-
-	res := Result{TaskID: 3, Newick: "(a,b,c);", LnL: -1, Eval: time.Millisecond}
-	rb := appendExt(MarshalResult(res), 0xE1, nil) // empty payload is well-formed
-	gotRes, err := UnmarshalResult(rb)
-	if err != nil {
-		t.Fatalf("unknown result extension rejected: %v", err)
-	}
-	if !reflect.DeepEqual(gotRes, res) {
-		t.Errorf("known fields corrupted: %+v", gotRes)
-	}
-}
-
-func TestCodecRejectsTruncatedExtensions(t *testing.T) {
-	full := appendExt(MarshalTask(Task{ID: 1, Newick: "(a,b);"}), 0xE0, []byte("payload"))
-	base := len(full) - len("payload") - 5 // before the appended ext record
-	for cut := base + 1; cut < len(full); cut++ {
-		if _, err := UnmarshalTask(full[:cut]); err == nil {
-			t.Errorf("truncated extension at %d bytes accepted", cut)
+// TestCodecRefusesTrailingBytes: the handshake magic is the wire's only
+// version, so a slice frame holds exactly its fields. Bytes after them —
+// a newer peer's field, or a truncated one — are refused, not skipped.
+func TestCodecRefusesTrailingBytes(t *testing.T) {
+	task := MarshalTask(Task{ID: 1, Newick: "(a,b);"})
+	res := MarshalResult(Result{TaskID: 1, Newick: "(a,b);", LnL: -1})
+	for _, extra := range [][]byte{{0}, []byte("\xe0\x00\x00\x00\x07payload"), []byte("\xe0\x00\x00")} {
+		if _, err := UnmarshalTask(append(append([]byte(nil), task...), extra...)); err == nil {
+			t.Errorf("task slice followed by %q accepted", extra)
+		}
+		if _, err := UnmarshalResult(append(append([]byte(nil), res...), extra...)); err == nil {
+			t.Errorf("result slice followed by %q accepted", extra)
 		}
 	}
 }
@@ -177,7 +151,7 @@ func TestRunObserverLocalRun(t *testing.T) {
 // idle.
 func TestSnapshotBusyWhileSliceInFlight(t *testing.T) {
 	world := newTestWorld(t, 3)
-	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2}}
+	lay := Layout{Workers: []int{2}}
 	holding := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -322,5 +296,37 @@ func TestDepthGaugesSumOverObservers(t *testing.T) {
 	}
 	if s := run.Snapshot(); s.Ready != 1 || s.ActiveJobs != 0 {
 		t.Errorf("stopped snapshot: %d ready, %d jobs; want its last report, 1 and 0", s.Ready, s.ActiveJobs)
+	}
+}
+
+// TestRecentSpansRing: a snapshot shows the last recentSpans completed
+// task spans, oldest first, with hex ids and the task's phases; untraced
+// results leave no span.
+func TestRecentSpansRing(t *testing.T) {
+	o := NewRunObserver(nil, nil)
+	o.Completed(2, Result{TaskID: 1}, time.Millisecond, false)
+	if got := o.Snapshot().Recent; len(got) != 0 {
+		t.Fatalf("an untraced result left %d spans", len(got))
+	}
+	const n = recentSpans + 5
+	for i := 1; i <= n; i++ {
+		res := Result{TaskID: uint64(i), Round: uint64(i), Eval: time.Millisecond, Trace: obs.SpanContext{TraceID: 0xab, SpanID: uint64(i)}}
+		o.Completed(2, res, 3*time.Millisecond, false)
+	}
+	recent := o.Snapshot().Recent
+	if len(recent) != recentSpans {
+		t.Fatalf("%d recent spans, want %d", len(recent), recentSpans)
+	}
+	for i, rec := range recent {
+		if want := uint64(n - recentSpans + 1 + i); rec.Round != want {
+			t.Fatalf("recent[%d] is round %d, want %d (oldest first)", i, rec.Round, want)
+		}
+	}
+	last := recent[len(recent)-1]
+	if last.Trace != "00000000000000ab" || last.Span != fmt.Sprintf("%016x", n) || last.Worker != 2 || last.Name != "task" {
+		t.Errorf("last span %+v", last)
+	}
+	if ph := last.PhasesMs; ph[obs.PhaseRTT] != 3 || ph[obs.PhaseEval] != 1 || ph[obs.PhaseNetwork] != 2 {
+		t.Errorf("phases %v, want rtt 3, eval 1, network 2", ph)
 	}
 }

@@ -131,7 +131,7 @@ func TestFaultToleranceDroppedReplies(t *testing.T) {
 func TestFaultToleranceSlowWorker(t *testing.T) {
 	// Ranks: 0 master, 1 foreman, 2 slow worker, 3 worker.
 	world := newTestWorld(t, 4)
-	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
+	lay := Layout{Workers: []int{2, 3}}
 
 	var wg sync.WaitGroup
 
@@ -225,17 +225,5 @@ func TestMultipleJumbles(t *testing.T) {
 	}
 	if !ordersDiffer {
 		t.Error("jumbles used identical taxon orders")
-	}
-}
-
-// TestForemanValidation: a foreman over a layout that does not validate
-// is rejected.
-func TestForemanValidation(t *testing.T) {
-	world := newTestWorld(t, 3)
-	if _, err := NewForeman(world[1], Layout{Master: 0, Foreman: 0, Workers: []int{2}}, ForemanOptions{}, nil); err == nil {
-		t.Error("foreman over an overlapping layout accepted")
-	}
-	if _, err := NewForeman(world[1], Layout{Master: 0, Foreman: 1, Workers: []int{2}}, ForemanOptions{}, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -56,7 +56,7 @@ func awaitDispatch(t *testing.T, what string, ch <-chan dispatchOutcome) dispatc
 func TestGarbageResultCondemnsWorkerNotForeman(t *testing.T) {
 	// Ranks: 0 master, 1 foreman, 2 the offender, 3 the honest worker.
 	world := newTestWorld(t, 4)
-	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
+	lay := Layout{Workers: []int{2, 3}}
 	bus := obs.NewBus()
 	var left []int
 	obs.SubscribeTo(bus, func(e WorkerLeft) { left = append(left, e.Worker) })
@@ -126,11 +126,8 @@ func TestGarbageResultCondemnsWorkerNotForeman(t *testing.T) {
 // once. At the parent nothing closed the mailbox the master waited on.
 func TestDeadForemanFailsDispatch(t *testing.T) {
 	world := newTestWorld(t, 3)
-	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2}}
-	f, err := NewForeman(world[1], lay, ForemanOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lay := Layout{Workers: []int{2}}
+	f := NewForeman(world[1], lay, ForemanOptions{}, nil)
 	runErr := make(chan error, 1)
 	go func() { runErr <- f.Run() }()
 
@@ -176,7 +173,7 @@ func TestMonitorLineNamesRequeuedTask(t *testing.T) {
 	// Ranks: 0 master, 1 foreman, 2 a worker gone before its first slice,
 	// 3 a worker.
 	world := newTestWorld(t, 4)
-	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
+	lay := Layout{Workers: []int{2, 3}}
 	world[2].Close()
 	o := NewRunObserver(nil, nil)
 	var lines bytes.Buffer
@@ -219,7 +216,7 @@ func TestMonitorLineNamesRequeuedTask(t *testing.T) {
 func TestLanesGetTheirOwnReplies(t *testing.T) {
 	const lanes, rounds = 8, 50
 	world := newTestWorld(t, 5)
-	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3, 4}}
+	lay := Layout{Workers: []int{2, 3, 4}}
 	score := func(job, round, id uint64) float64 { return -float64(job*1_000_000 + round*1_000 + id) }
 	var workers sync.WaitGroup
 	for _, rank := range lay.Workers {

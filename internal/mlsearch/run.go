@@ -111,7 +111,8 @@ type RunOutcome struct {
 	// Results holds one SearchResult per jumble.
 	Results []*SearchResult
 	// Monitor is the run observer's snapshot at shutdown (nil when the
-	// run had no observer).
+	// run had no observer; a TCP run always has one, private if Obs is
+	// nil, whose events open its join barrier).
 	Monitor *RunSnapshot
 }
 
@@ -294,22 +295,19 @@ func StartLocal(norm Config, opt RunOptions) (*LocalWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	return startRoles(ranks, lay, norm, opt)
+	return startRoles(ranks, lay, norm, opt), nil
 }
 
 // startRoles is the one role wiring: over the endpoints this process
 // hosts (indexed by rank) it starts the foreman and a worker on each of
 // the layout's worker ranks, subscribes the monitor if the run has one,
 // and hands back the master side.
-func startRoles(ranks []comm.Communicator, lay Layout, norm Config, opt RunOptions) (*LocalWorld, error) {
+func startRoles(ranks []comm.Communicator, lay Layout, norm Config, opt RunOptions) *LocalWorld {
 	o := opt.Obs
 	if o == nil && opt.MonitorOut != nil {
 		o = NewRunObserver(nil, nil)
 	}
-	foreman, err := NewForeman(ranks[lay.Foreman], lay, opt.Foreman, o)
-	if err != nil {
-		return nil, err
-	}
+	foreman := NewForeman(ranks[foremanRank], lay, opt.Foreman, o)
 	w := &LocalWorld{foreman: foreman}
 	if opt.MonitorOut != nil {
 		w.closeMonitor = attachMonitor(o.Bus(), opt.MonitorOut)
@@ -330,10 +328,10 @@ func startRoles(ranks []comm.Communicator, lay Layout, norm Config, opt RunOptio
 	role("foreman", foreman.Run)
 	for _, rank := range lay.Workers {
 		role(fmt.Sprintf("worker %d", rank), func() error {
-			return RunWorker(ranks[rank], lay, norm, opt.WorkerHooks[rank])
+			return RunWorker(ranks[rank], norm, opt.WorkerHooks[rank])
 		})
 	}
-	return w, nil
+	return w
 }
 
 // Run executes a search's jumbles over the world, each in its own job

@@ -351,7 +351,7 @@ func taskIDs(tasks []Task) []uint64 {
 // round completes with one result per task.
 func TestPartialReplyRequeuesExactlyTheMissing(t *testing.T) {
 	world := newTestWorld(t, 3)
-	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2}}
+	lay := Layout{Workers: []int{2}}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var seen [][]uint64
@@ -420,7 +420,7 @@ func TestSeveredMidSliceAndJoinMidRound(t *testing.T) {
 	// Ranks: 0 master, 1 foreman, 2 the worker that dies, 3 the survivor,
 	// 4 the late joiner.
 	world := newTestWorld(t, 5)
-	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}, Elastic: true}
+	lay := Layout{Workers: []int{2, 3}}
 	var wg sync.WaitGroup
 
 	var mu sync.Mutex
@@ -522,14 +522,14 @@ func TestBadCandidateFailsItsRoundNotTheFleet(t *testing.T) {
 	baseNwk := full.Newick()
 
 	world := newTestWorld(t, 4)
-	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
+	lay := Layout{Workers: []int{2, 3}}
 	var wg sync.WaitGroup
 	workerErrs := make(chan error, len(lay.Workers))
 	for _, rank := range lay.Workers {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			workerErrs <- RunWorker(world[rank], lay, norm, WorkerHooks{})
+			workerErrs <- RunWorker(world[rank], norm, WorkerHooks{})
 		}(rank)
 	}
 	foreman, bad := newTestMaster(t, world, lay, ForemanOptions{TaskTimeout: 2 * time.Second}, nil)
@@ -575,7 +575,7 @@ func TestBadCandidateFailsItsRoundNotTheFleet(t *testing.T) {
 // candidates must not be requeued into it.
 func TestSliceOutlivingFailedRoundIsIgnored(t *testing.T) {
 	world := newTestWorld(t, 4)
-	lay := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
+	lay := Layout{Workers: []int{2, 3}}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	release := make(chan struct{})

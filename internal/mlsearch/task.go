@@ -124,7 +124,8 @@ type Result struct {
 	// CacheHits and CacheMisses count the worker engine's CLV cache
 	// behaviour during this task, for the scaling simulator.
 	CacheHits, CacheMisses uint64
-	// Worker is the responding worker's rank (filled by the foreman).
+	// Worker is the responding worker's rank, or InlineWorker; the
+	// foreman fills it in, and it does not travel on the wire.
 	Worker int32
 	// Eval is the worker-side evaluation time for the task (parse +
 	// CLV compute + Newton iterations), at full time.Duration precision.
@@ -228,36 +229,6 @@ func (r *wireReader) done(what string) error {
 	return nil
 }
 
-// --- extension fields --------------------------------------------------
-//
-// Envelope types grow by appending extension fields after their fixed
-// layout: each is tag(u8) length(u32) payload. Readers skip tags they do
-// not know, so a field added later does not split the fleet during a
-// rolling upgrade; writers omit zero-valued fields. The task and result
-// slices define none yet (the layout change that introduced them bumped
-// comm's handshake version instead). Truncated extensions are still hard
-// errors — tolerance is for unknown fields, not corrupt frames.
-
-// extFields consumes the remainder of the buffer as extension fields,
-// invoking fn for each; unknown tags are fn's to ignore.
-func (r *wireReader) extFields(what string, fn func(tag byte, payload []byte)) error {
-	for r.err == nil && r.off < len(r.buf) {
-		tag := r.buf[r.off]
-		r.off++
-		n := r.i32(what)
-		if r.err != nil {
-			break
-		}
-		if n < 0 || r.off+int(n) > len(r.buf) {
-			r.fail(what)
-			break
-		}
-		fn(tag, r.buf[r.off:r.off+int(n)])
-		r.off += int(n)
-	}
-	return r.err
-}
-
 // count reads an element count and checks it against the bytes left, so
 // a corrupt count cannot size an allocation.
 func (r *wireReader) count(what string, minElem int) int {
@@ -275,7 +246,7 @@ func (r *wireReader) count(what string, minElem int) int {
 // lengths: the least a count's elements can occupy.
 const (
 	wireCandidateSize = 8 + 8 + 5*4
-	wireResultSize    = 8 + 8 + 4 + 8 + 5*8 + 3*4
+	wireResultSize    = 8 + 8 + 8 + 5*8 + 3*4
 	wireEdgeLenSize   = 4 + 4 + 8
 )
 
@@ -328,7 +299,7 @@ func unmarshalTasks(b []byte) ([]Task, error) {
 		t.MoveTB = r.i32("candidate move tb")
 		tasks[i] = t
 	}
-	if err := r.extFields("slice extension", func(byte, []byte) {}); err != nil {
+	if err := r.done("task slice"); err != nil {
 		return nil, err
 	}
 	if len(tasks) == 0 {
@@ -371,7 +342,6 @@ func marshalResults(results []Result) []byte {
 	for _, res := range results {
 		w.u64(res.TaskID)
 		w.u64(res.Trace.SpanID)
-		w.i32(res.Worker)
 		w.f64(res.LnL)
 		w.u64(res.Ops)
 		w.u64(res.CacheHits)
@@ -400,7 +370,6 @@ func unmarshalResults(b []byte) ([]Result, error) {
 		res := h
 		res.TaskID = r.u64("result task id")
 		res.Trace.SpanID = r.u64("result span")
-		res.Worker = r.i32("result worker")
 		res.LnL = r.f64("result lnl")
 		res.Ops = r.u64("result ops")
 		res.CacheHits = r.u64("result cache hits")
@@ -417,7 +386,7 @@ func unmarshalResults(b []byte) ([]Result, error) {
 		res.Err = r.str("result error")
 		results[i] = res
 	}
-	if err := r.extFields("reply extension", func(byte, []byte) {}); err != nil {
+	if err := r.done("result slice"); err != nil {
 		return nil, err
 	}
 	if len(results) == 0 {

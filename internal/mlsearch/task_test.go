@@ -25,11 +25,11 @@ func TestTaskCodecRoundTrip(t *testing.T) {
 }
 
 func TestResultCodecRoundTrip(t *testing.T) {
-	f := func(id, round uint64, newick, cause string, lnl float64, ops uint64, worker int32, a, b []int32, l []float64) bool {
+	f := func(id, round uint64, newick, cause string, lnl float64, ops uint64, a, b []int32, l []float64) bool {
 		if math.IsNaN(lnl) {
 			lnl = -1234.5
 		}
-		in := Result{TaskID: id, Round: round, Newick: newick, Err: cause, LnL: lnl, Ops: ops, Worker: worker}
+		in := Result{TaskID: id, Round: round, Newick: newick, Err: cause, LnL: lnl, Ops: ops}
 		for i := 0; i < len(a) && i < len(b) && i < len(l); i++ {
 			if !math.IsNaN(l[i]) {
 				in.Lens = append(in.Lens, EdgeLen{A: a[i], B: b[i], Len: l[i]})
@@ -86,7 +86,7 @@ func TestTaskSliceCodec(t *testing.T) {
 	for i, task := range in {
 		results[i] = Result{
 			TaskID: task.ID, Round: task.Round, Job: task.Job, Trace: task.Trace,
-			LnL: -100 - float64(i), Ops: uint64(i), Worker: 4, Eval: time.Duration(i) * time.Microsecond,
+			LnL: -100 - float64(i), Ops: uint64(i), Eval: time.Duration(i) * time.Microsecond,
 			Lens: []EdgeLen{{A: int32(i), B: NodeJunction, Len: 0.25}, {A: NodeJunction, B: NodeNewLeaf, Len: 0.5}},
 		}
 	}
@@ -178,27 +178,6 @@ func TestTaxonOrderDeterministic(t *testing.T) {
 	}
 }
 
-func TestLayoutValidate(t *testing.T) {
-	good := Layout{Master: 0, Foreman: 1, Workers: []int{2, 3}}
-	if err := good.Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := ElasticLayout().Validate(); err != nil {
-		t.Errorf("an elastic layout needs no workers up front: %v", err)
-	}
-	bad := []Layout{
-		{Master: 0, Foreman: 0, Workers: []int{1}},
-		{Master: 0, Foreman: 1, Workers: nil},
-		{Master: 0, Foreman: 1, Workers: []int{2, 2}},
-		{Master: 0, Foreman: 1, Workers: []int{1}},
-	}
-	for i, l := range bad {
-		if err := l.Validate(); err == nil {
-			t.Errorf("layout %d should fail: %+v", i, l)
-		}
-	}
-}
-
 func TestDefaultLayout(t *testing.T) {
 	// The second argument selects nothing: the monitor is not a rank.
 	for _, withMonitor := range []bool{false, true} {
@@ -206,11 +185,8 @@ func TestDefaultLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lay.Master != 0 || lay.Foreman != 1 || !reflect.DeepEqual(lay.Workers, []int{2, 3}) {
+		if !reflect.DeepEqual(lay.Workers, []int{2, 3}) {
 			t.Errorf("layout = %+v", lay)
-		}
-		if lay.FirstDynamicRank() != 2 {
-			t.Errorf("first dynamic rank %d, want 2", lay.FirstDynamicRank())
 		}
 		if _, err := DefaultLayout(2, withMonitor); err == nil {
 			t.Error("a world with no worker rank accepted")

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 )
 
 // Distributed (TCP) runtime with elastic membership. One operating
@@ -30,11 +30,10 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	lay := ElasticLayout()
 	// Decoding validates: a Config whose welcome every worker would refuse
 	// fails here, not as a join barrier nobody ever passes.
-	welcome := marshalWelcome(lay, norm)
-	if _, _, err := unmarshalWelcome(welcome); err != nil {
+	welcome := marshalWelcome(norm)
+	if _, err := unmarshalWelcome(welcome); err != nil {
 		return nil, fmt.Errorf("mlsearch: tcp run: no worker could join this run: %w", err)
 	}
 
@@ -50,24 +49,31 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	}
 
 	// Join barrier: the master waits for opt.Workers joins before
-	// starting the search (0 = start immediately).
-	var joined atomic.Int64
+	// starting the search (0 = start immediately). It counts the
+	// foreman's WorkerJoined events, so it opens only once the foreman
+	// knows of every worker it waited for: a short run can then never
+	// shut down before its last joiner is a member.
+	if opt.Obs == nil {
+		opt.Obs = NewRunObserver(nil, nil)
+	}
 	barrier := make(chan struct{})
 	if opt.Workers == 0 {
 		close(barrier)
 	}
-	onJoin := func(int) {
-		if joined.Add(1) == int64(opt.Workers) {
+	joined := 0
+	unsubscribe := obs.SubscribeTo(opt.Obs.Bus(), func(WorkerJoined) {
+		// Events arrive on the foreman's goroutine, one at a time.
+		if joined++; joined == opt.Workers {
 			close(barrier)
 		}
-	}
+	})
+	defer unsubscribe()
 
 	ranks, err := comm.NewElasticTCPRouter(comm.RouterConfig{
 		Addr:         opt.Addr,
-		FirstDynamic: lay.FirstDynamicRank(),
+		FirstDynamic: firstWorkerRank,
 		Welcome:      welcome,
-		NotifyRank:   lay.Foreman,
-		OnJoin:       onJoin,
+		NotifyRank:   foremanRank,
 		Obs:          opt.Obs.Registry(),
 	})
 	if err != nil {
@@ -75,12 +81,9 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	}
 	// Closing the master's endpoint closes the listener, the workers'
 	// connections and every hosted rank.
-	defer ranks[lay.Master].Close()
-	world, err := startRoles(ranks, lay, norm, opt)
-	if err != nil {
-		return nil, err
-	}
-	if addr, ok := comm.ListenAddr(ranks[lay.Master]); ok && opt.OnListen != nil {
+	defer ranks[masterRank].Close()
+	world := startRoles(ranks, Layout{}, norm, opt)
+	if addr, ok := comm.ListenAddr(ranks[masterRank]); ok && opt.OnListen != nil {
 		opt.OnListen(addr)
 	}
 	<-barrier
@@ -198,12 +201,12 @@ func ServeElastic(addr string, hooks WorkerHooks, policy ReconnectPolicy) error 
 // ended abnormally (usually a dropped connection) and the caller may
 // reconnect.
 func serveConnection(c comm.Communicator, welcome []byte, hooks WorkerHooks) error {
-	lay, run, err := unmarshalWelcome(welcome)
+	run, err := unmarshalWelcome(welcome)
 	if err != nil {
 		return err
 	}
 	if hooks.OnAttach != nil {
 		hooks.OnAttach(c)
 	}
-	return RunWorker(c, lay, run, hooks)
+	return RunWorker(c, run, hooks)
 }

@@ -233,20 +233,15 @@ func welcomeConfig(t *testing.T) Config {
 	return cfg
 }
 
-// TestWelcomeCodec: the welcome round-trips the layout and everything of
-// the Config an evaluator is built from, number for number, and leaves
+// TestWelcomeCodec: the welcome round-trips everything of the Config an evaluator is built from, number for number, and leaves
 // behind what belongs to the master (the search settings) or to the host
 // (Threads).
 func TestWelcomeCodec(t *testing.T) {
-	lay := ElasticLayout()
 	cfg := welcomeConfig(t)
 	cfg.Seed, cfg.RearrangeExtent, cfg.Threads = 9, 3, 4
-	gotLay, got, err := unmarshalWelcome(marshalWelcome(lay, cfg))
+	got, err := unmarshalWelcome(marshalWelcome(cfg))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if gotLay.Master != lay.Master || gotLay.Foreman != lay.Foreman || !gotLay.Elastic {
-		t.Errorf("layout round trip: %+v", gotLay)
 	}
 	if !reflect.DeepEqual(got.Taxa, cfg.Taxa) {
 		t.Errorf("taxa %v, want %v", got.Taxa, cfg.Taxa)
@@ -266,7 +261,7 @@ func TestWelcomeCodec(t *testing.T) {
 	if got.Seed != 0 || got.RearrangeExtent != 0 || got.Threads != 0 {
 		t.Errorf("master's or host's settings travelled: seed %d extent %d threads %d", got.Seed, got.RearrangeExtent, got.Threads)
 	}
-	if _, _, err := unmarshalWelcome([]byte{0x00}); err == nil {
+	if _, err := unmarshalWelcome([]byte{0x00}); err == nil {
 		t.Error("bad kind byte accepted")
 	}
 }
@@ -276,7 +271,7 @@ func TestWelcomeCodec(t *testing.T) {
 // built from the master's own Config does.
 func TestWelcomeConfig(t *testing.T) {
 	cfg := welcomeConfig(t)
-	_, remote, err := unmarshalWelcome(marshalWelcome(ElasticLayout(), cfg))
+	remote, err := unmarshalWelcome(marshalWelcome(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +311,6 @@ func (m *spoiledModel) Decomposition() *model.Decomposition { return &m.decomp }
 // finite and positive, numbers no reversible model has, a count the
 // payload cannot back, trailing bytes.
 func TestWelcomeRefusesWhatItCannotEvaluate(t *testing.T) {
-	lay := ElasticLayout()
 	for name, spoil := range map[string]func(c *Config){
 		"two taxa": func(c *Config) { c.Taxa, c.Patterns.Codes = c.Taxa[:2], c.Patterns.Codes[:2] },
 		"no patterns": func(c *Config) {
@@ -349,21 +343,21 @@ func TestWelcomeRefusesWhatItCannotEvaluate(t *testing.T) {
 	} {
 		cfg := welcomeConfig(t)
 		spoil(&cfg)
-		if _, got, err := unmarshalWelcome(marshalWelcome(lay, cfg)); err == nil {
+		if got, err := unmarshalWelcome(marshalWelcome(cfg)); err == nil {
 			t.Errorf("%s: decoded as %d taxa, %s", name, len(got.Taxa), got.Model.Name())
 		}
 	}
 
-	plain := marshalWelcome(lay, welcomeConfig(t))
-	if _, _, err := unmarshalWelcome(plain); err != nil {
+	plain := marshalWelcome(welcomeConfig(t))
+	if _, err := unmarshalWelcome(plain); err != nil {
 		t.Fatalf("unspoiled welcome refused: %v", err)
 	}
-	if _, _, err := unmarshalWelcome(append(append([]byte(nil), plain...), 0)); err == nil {
+	if _, err := unmarshalWelcome(append(append([]byte(nil), plain...), 0)); err == nil {
 		t.Error("trailing byte accepted")
 	}
 	// Counts the payload cannot back: the taxon count sits after the kind
-	// byte and the two role ranks, the pattern count after the names.
-	taxonCount := 1 + 4 + 4
+	// byte, the pattern count after the names.
+	taxonCount := 1
 	patternCount := taxonCount + 4
 	for _, name := range welcomeConfig(t).Taxa {
 		patternCount += 4 + len(name)
@@ -372,13 +366,13 @@ func TestWelcomeRefusesWhatItCannotEvaluate(t *testing.T) {
 		for _, count := range []uint32{1 << 31, 1 << 20} { // negative, and more elements than bytes
 			b := append([]byte(nil), plain...)
 			binary.BigEndian.PutUint32(b[off:], count)
-			if _, _, err := unmarshalWelcome(b); err == nil {
+			if _, err := unmarshalWelcome(b); err == nil {
 				t.Errorf("count %#x at offset %d accepted", count, off)
 			}
 		}
 	}
 	for cut := 1; cut < len(plain); cut += 7 {
-		if _, _, err := unmarshalWelcome(plain[:cut]); err == nil {
+		if _, err := unmarshalWelcome(plain[:cut]); err == nil {
 			t.Errorf("welcome truncated to %d of %d bytes accepted", cut, len(plain))
 		}
 	}

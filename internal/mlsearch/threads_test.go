@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/likelihood"
+	"repro/internal/seq"
+	"repro/internal/simulate"
 	"repro/internal/tree"
 )
 
@@ -108,11 +110,36 @@ func TestThreadedAddRoundBitIdentical(t *testing.T) {
 	}
 }
 
+// poolConfig is a search fixture with well over likelihood.MinPoolPad
+// distinct columns, so that an engine with threads > 1 builds its shard
+// pool instead of running its kernels inline.
+func poolConfig(t *testing.T) Config {
+	t.Helper()
+	ds, err := simulate.New(simulate.Options{Taxa: 8, Sites: 6000, Seed: 11, MeanBranchLen: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := seq.Compress(ds.Alignment, seq.CompressOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pat.NumPatterns() < likelihood.MinPoolPad {
+		t.Fatalf("%d patterns, under the pool's %d", pat.NumPatterns(), likelihood.MinPoolPad)
+	}
+	m, err := NewDefaultModel(pat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{Taxa: ds.Alignment.Names, Patterns: pat, Model: m, Seed: 12345, RearrangeExtent: 1}
+}
+
 // TestParallelMatchesSerialThreadedPipelined extends the serial-equality
 // contract to the new knobs: engine threads > 1 and foreman pipeline
-// depths other than the default must not change the answer.
+// depths other than the default must not change the answer. The fixture
+// is long enough for the workers' engines to run their kernels on the
+// shard pool, which every worker's observer must have seen.
 func TestParallelMatchesSerialThreadedPipelined(t *testing.T) {
-	cfg := testConfig(t, 8, 180, 11)
+	cfg := poolConfig(t)
 	serial, err := runSerial(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,14 +151,18 @@ func TestParallelMatchesSerialThreadedPipelined(t *testing.T) {
 		{3, 4, 1},
 	}
 	for _, c := range cases {
-		c := c
 		t.Run(fmt.Sprintf("threads=%d_pipeline=%d_workers=%d", c.threads, c.pipeline, c.workers), func(t *testing.T) {
 			tcfg := cfg
 			tcfg.Threads = c.threads
+			hooks := map[int]WorkerHooks{}
+			for w := 0; w < c.workers; w++ {
+				hooks[firstWorkerRank+w] = WorkerHooks{Obs: NewWorkerObserver(nil)}
+			}
 			out, err := Run(tcfg, RunOptions{
-				Transport: Local,
-				Workers:   c.workers,
-				Foreman:   ForemanOptions{Pipeline: c.pipeline},
+				Transport:   Local,
+				Workers:     c.workers,
+				Foreman:     ForemanOptions{Pipeline: c.pipeline},
+				WorkerHooks: hooks,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -145,6 +176,11 @@ func TestParallelMatchesSerialThreadedPipelined(t *testing.T) {
 			}
 			if par.TotalTasks != serial.TotalTasks {
 				t.Errorf("%d tasks != serial %d", par.TotalTasks, serial.TotalTasks)
+			}
+			for rank, h := range hooks {
+				if snap := h.Obs.Snapshot(); snap.ShardDisp == 0 {
+					t.Errorf("worker %d ran %d tasks without a pool dispatch (threads %d)", rank, snap.Tasks, snap.Threads)
+				}
 			}
 		})
 	}

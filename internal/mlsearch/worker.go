@@ -61,7 +61,7 @@ func failedResult(t Task, err error) Result {
 // foreman, evaluate them in order with the run's configuration — parsing
 // the base tree they share once — and send the results back in one
 // reply, until a shutdown message arrives.
-func RunWorker(c comm.Communicator, lay Layout, run Config, hooks WorkerHooks) error {
+func RunWorker(c comm.Communicator, run Config, hooks WorkerHooks) error {
 	ev, err := NewConfigEvaluator(hooks.workerConfig(run))
 	if err != nil {
 		return err
@@ -78,7 +78,7 @@ func RunWorker(c comm.Communicator, lay Layout, run Config, hooks WorkerHooks) e
 			// Acknowledge so the foreman knows the shutdown was delivered
 			// before the transport is torn down. Best effort: the route
 			// may already be gone.
-			_ = c.Send(lay.Foreman, comm.TagShutdown, nil)
+			_ = c.Send(foremanRank, comm.TagShutdown, nil)
 			return nil
 		case comm.TagTask:
 			tasks, err := unmarshalTasks(msg.Data)
@@ -92,7 +92,6 @@ func RunWorker(c comm.Communicator, lay Layout, run Config, hooks WorkerHooks) e
 				if err != nil {
 					res = failedResult(task, err)
 				}
-				res.Worker = int32(c.Rank())
 				hooks.Obs.Served(res)
 				hooks.Obs.Engine(likelihood.EngineThreads(ev.eng), likelihood.StatsOf(ev.eng).ShardDispatches)
 				if hooks.BeforeReply == nil || hooks.BeforeReply(task, res) {
@@ -103,7 +102,7 @@ func RunWorker(c comm.Communicator, lay Layout, run Config, hooks WorkerHooks) e
 				continue
 			}
 			buf := marshalResults(results)
-			err = c.Send(lay.Foreman, comm.TagResult, buf)
+			err = c.Send(foremanRank, comm.TagResult, buf)
 			comm.PutBuf(buf)
 			if err != nil {
 				return fmt.Errorf("mlsearch: worker %d send: %w", c.Rank(), err)

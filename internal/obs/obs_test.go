@@ -165,7 +165,7 @@ func TestBusSubscribeAndTyped(t *testing.T) {
 	nilBus.Subscribe(func(any) {})()
 }
 
-func TestSpanContextAndLog(t *testing.T) {
+func TestSpanContext(t *testing.T) {
 	root := NewTrace()
 	if !root.Valid() {
 		t.Fatal("NewTrace must be valid")
@@ -173,29 +173,6 @@ func TestSpanContextAndLog(t *testing.T) {
 	child := root.Child()
 	if child.TraceID != root.TraceID || child.SpanID == root.SpanID {
 		t.Errorf("child must share trace and differ in span: %v vs %v", child, root)
-	}
-
-	l := NewSpanLog(3)
-	for i := 0; i < 5; i++ {
-		l.Add(SpanRecord{Ctx: root, Name: "task", Round: uint64(i)})
-	}
-	recent := l.Recent()
-	if len(recent) != 3 {
-		t.Fatalf("ring len = %d, want 3", len(recent))
-	}
-	for i, rec := range recent {
-		if rec.Round != uint64(i+2) {
-			t.Errorf("ring[%d].Round = %d, want %d (oldest first)", i, rec.Round, i+2)
-		}
-		if rec.Trace == "" || rec.Span == "" {
-			t.Error("Add must render hex trace/span ids")
-		}
-	}
-
-	var nilLog *SpanLog
-	nilLog.Add(SpanRecord{})
-	if nilLog.Recent() != nil {
-		t.Error("nil SpanLog must be inert")
 	}
 }
 

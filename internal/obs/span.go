@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -11,8 +10,8 @@ import (
 // foreman → worker → kernel: the TraceID names the whole run (or search),
 // the SpanID names the individual task. Per-phase latency (queue wait,
 // serialize, network, CLV compute, Newton iterations) is attributed to
-// the span by whichever process measured it, and the SpanLog ring buffer
-// retains the most recent completed spans for the /status endpoint.
+// the span by whichever process measured it, and the run observer keeps
+// the most recent completed spans for the /status endpoint.
 
 // SpanContext identifies one traced unit of work. The zero value means
 // "untraced" and costs nothing to carry.
@@ -66,11 +65,10 @@ const (
 	PhaseNetwork = "network"
 )
 
-// SpanRecord is one completed span with its measured phases, as retained
-// by a SpanLog and rendered in /status snapshots.
+// SpanRecord is one completed span with its measured phases, as rendered
+// in /status snapshots.
 type SpanRecord struct {
-	Ctx SpanContext `json:"-"`
-	// Trace and Span are the hex forms, for JSON consumers.
+	// Trace and Span are the hex forms of the span's SpanContext.
 	Trace string `json:"trace"`
 	Span  string `json:"span"`
 	// Name labels what the span was (e.g. "task").
@@ -83,54 +81,6 @@ type SpanRecord struct {
 	End time.Time `json:"end"`
 	// PhasesMs maps phase name to milliseconds.
 	PhasesMs map[string]float64 `json:"phases_ms"`
-}
-
-// SpanLog is a fixed-capacity ring of recently completed spans.
-type SpanLog struct {
-	mu   sync.Mutex
-	ring []SpanRecord
-	next int
-	full bool
-}
-
-// NewSpanLog builds a ring retaining the last n spans (n >= 1).
-func NewSpanLog(n int) *SpanLog {
-	if n < 1 {
-		n = 1
-	}
-	return &SpanLog{ring: make([]SpanRecord, n)}
-}
-
-// Add records one completed span. Nil-safe.
-func (l *SpanLog) Add(rec SpanRecord) {
-	if l == nil {
-		return
-	}
-	rec.Trace = fmt.Sprintf("%016x", rec.Ctx.TraceID)
-	rec.Span = fmt.Sprintf("%016x", rec.Ctx.SpanID)
-	l.mu.Lock()
-	l.ring[l.next] = rec
-	l.next++
-	if l.next == len(l.ring) {
-		l.next = 0
-		l.full = true
-	}
-	l.mu.Unlock()
-}
-
-// Recent returns the retained spans, oldest first.
-func (l *SpanLog) Recent() []SpanRecord {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []SpanRecord
-	if l.full {
-		out = append(out, l.ring[l.next:]...)
-	}
-	out = append(out, l.ring[:l.next]...)
-	return out
 }
 
 // PhaseMs converts a duration to the milliseconds stored in span

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,49 @@ func FuzzParseKeyFile(f *testing.F) {
 		}
 		if lines != len(m) {
 			t.Errorf("%d key lines, %d keys", lines, len(m))
+		}
+	})
+}
+
+// FuzzJobSpec: a job's "options" object is what any client may send the
+// daemon. Whatever the JSON, prepareSpec over a fixed alignment returns
+// an error rather than panicking, and what it accepts is normalized for
+// good: its normalized options, marshalled and prepared again, normalize
+// to the same JSON bytes and the same result and pod keys, so a job
+// resubmitted from its stored spec hits the cache and the pod it did.
+// The committed corpus (testdata/fuzz/) holds the empty spec and one per
+// model, GTR rates of the wrong length and GTR rates on an HKY85 job,
+// negative extents, "precision":"float32", "smooth_mode":"gradient",
+// jumbles above MaxJumbles, and an empty gtr_rates list on an F84 job,
+// which once keyed apart from the same job without the list.
+func FuzzJobSpec(f *testing.F) {
+	const alignment = "4 8\na ACGTACGT\nb ACGAACGA\nc CCGTTCGT\nd CCTTACGT\n"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var opts JobOptions
+		if json.Unmarshal(data, &opts) != nil {
+			return
+		}
+		prep, err := prepareSpec(JobSpec{Alignment: alignment, Options: opts})
+		if err != nil {
+			return
+		}
+		norm, err := json.Marshal(prep.Spec.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again JobOptions
+		if err := json.Unmarshal(norm, &again); err != nil {
+			t.Fatalf("normalized options %s do not unmarshal: %v", norm, err)
+		}
+		prep2, err := prepareSpec(JobSpec{Alignment: alignment, Options: again})
+		if err != nil {
+			t.Fatalf("normalized options %s refused: %v", norm, err)
+		}
+		if norm2, _ := json.Marshal(prep2.Spec.Options); !bytes.Equal(norm2, norm) {
+			t.Errorf("options normalize to %s, then to %s", norm, norm2)
+		}
+		if prep2.ResultKey != prep.ResultKey || prep2.PodKey != prep.PodKey {
+			t.Errorf("keys moved when %s was prepared again", norm)
 		}
 	})
 }

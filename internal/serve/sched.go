@@ -88,15 +88,31 @@ func (s *scheduler) push(j *job, force bool) error {
 			return &AdmissionError{Reason: "tenant_quota", RetryAfter: 10 * time.Second}
 		}
 	}
-	// Insert in priority order, FIFO within equal priority.
+	tq.insert(j, false)
+	s.depth++
+	return nil
+}
+
+// insert places j in priority order: behind the queued jobs of its
+// priority (FIFO), or with ahead set, in front of them.
+func (tq *tenantQueue) insert(j *job, ahead bool) {
 	i := sort.Search(len(tq.jobs), func(i int) bool {
-		return tq.jobs[i].rec.Priority < j.rec.Priority
+		p := tq.jobs[i].rec.Priority
+		return p < j.rec.Priority || ahead && p == j.rec.Priority
 	})
 	tq.jobs = append(tq.jobs, nil)
 	copy(tq.jobs[i+1:], tq.jobs[i:])
 	tq.jobs[i] = j
+}
+
+// giveBack returns a job next popped but could not start: it goes ahead
+// of every queued job of its tenant at its priority, and the tenant's
+// pass gets back the turn next charged it.
+func (s *scheduler) giveBack(j *job) {
+	tq := s.tenant(j.rec.Tenant)
+	tq.insert(j, true)
+	tq.pass -= 1 / tq.weight
 	s.depth++
-	return nil
 }
 
 // next pops the job the fleet should run now, or nil when the queue is

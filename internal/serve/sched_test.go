@@ -126,3 +126,31 @@ func TestSchedulerRemove(t *testing.T) {
 		t.Fatalf("next after remove = %+v", j)
 	}
 }
+
+// TestSchedulerGiveBack: a job popped but not started goes back ahead of
+// its tenant's other jobs, and the tenant is refunded the turn, so the
+// next pop is the same job again rather than another tenant's.
+func TestSchedulerGiveBack(t *testing.T) {
+	s := newScheduler(100, 100, nil)
+	for n, tenant := range []string{"a", "a", "b"} {
+		if err := s.push(queuedJob(tenant, 0, n+1), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := s.next()
+	if first.rec.Tenant != "a" {
+		t.Fatalf("first pop from tenant %s, want a", first.rec.Tenant)
+	}
+	s.giveBack(first)
+	if depth, _ := s.depths(); depth != 3 {
+		t.Errorf("depth %d after the give-back, want 3", depth)
+	}
+	if again := s.next(); again != first {
+		t.Errorf("popped %s after the give-back, want %s again", again.rec.ID, first.rec.ID)
+	}
+	for _, want := range []string{"b", "a"} {
+		if j := s.next(); j == nil || j.rec.Tenant != want {
+			t.Fatalf("next pop %+v, want tenant %s", j, want)
+		}
+	}
+}

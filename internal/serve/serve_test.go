@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -278,5 +279,67 @@ func TestServerAdmissionAndCancel(t *testing.T) {
 	_ = s.reg.WritePrometheus(&prom)
 	if !strings.Contains(prom.String(), `fdml_serve_rejections_total{tenant="c",reason="queue_full"} 1`) {
 		t.Error("metrics missing the labeled rejection")
+	}
+}
+
+// TestFinishingJobFreesItsPodFirst: a job gives its pod back before its
+// job slot, so the job the dispatcher pops into that slot finds the pod
+// slot free too. One pod slot and one job slot, three jobs queued behind
+// each other: A and C on one dataset, B on another. A's end is slowed
+// where it logs its outcome; were A's pod still held then, B would be
+// bounced off the full fleet and C, which shares A's pod, would run
+// first. The jobs must run in submission order, and none may bounce.
+func TestFinishingJobFreesItsPodFirst(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		bounces  []string
+		started  sync.Once
+		finished sync.Once
+	)
+	queued := make(chan struct{})
+	s, err := NewServer(Options{
+		DataDir:   t.TempDir(),
+		MaxActive: 1,
+		Fleet:     FleetOptions{Workers: 1, MaxPods: 1},
+		Logf: func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			t.Log(line)
+			switch {
+			case strings.Contains(line, ": running on pod"):
+				started.Do(func() { <-queued })
+			case strings.HasSuffix(line, ": done"):
+				finished.Do(func() { time.Sleep(300 * time.Millisecond) })
+			case strings.Contains(line, "fleet saturated"):
+				mu.Lock()
+				bounces = append(bounces, line)
+				mu.Unlock()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	x, y := testPhylipText(t, 6, 80, 1), testPhylipText(t, 6, 80, 2)
+	var ids []string
+	for i, align := range []string{x, y, x} {
+		rec, err := s.Submit(JobSpec{Tenant: "t", Alignment: align, Options: JobOptions{Seed: int64(2*i + 1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, rec.ID)
+	}
+	close(queued)
+	var starts []time.Time
+	for _, id := range ids {
+		starts = append(starts, waitJob(t, s, id, StateDone).Started)
+	}
+	if !starts[0].Before(starts[1]) || !starts[1].Before(starts[2]) {
+		t.Errorf("jobs started at %v, want submission order", starts)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(bounces) > 0 {
+		t.Errorf("jobs bounced off the fleet: %q", bounces)
 	}
 }

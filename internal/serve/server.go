@@ -424,15 +424,20 @@ func (s *Server) reapLoop() {
 	}
 }
 
-// requeue puts a popped job back (fleet saturated) and retries shortly.
+// requeue puts a popped job back (fleet saturated) at the head of its
+// tenant's queue, refunding the turn it did not get, and retries
+// shortly. A job slot is given back only after its pod is released, so
+// with MaxActive <= MaxPods a popped job always finds a pod and this
+// runs only when MaxActive exceeds MaxPods.
 func (s *Server) requeue(j *job) {
 	s.mu.Lock()
 	delete(s.active, j.rec.ID)
 	if !s.closing {
-		_ = s.sched.push(j, true)
+		s.sched.giveBack(j)
 	}
 	s.updateQueueGauges()
 	s.mu.Unlock()
+	s.opt.Logf("job %s: fleet saturated, back at the head of tenant %s's queue", j.rec.ID, j.rec.Tenant)
 	time.AfterFunc(200*time.Millisecond, s.wake)
 }
 
@@ -451,7 +456,6 @@ func (s *Server) runJob(j *job) {
 		s.finalize(j, StateFailed, err.Error())
 		return
 	}
-	defer s.fleet.Release(pod)
 
 	tenant := j.rec.Tenant
 	s.met.queueWait.With(tenant).Observe(time.Since(j.queuedAt).Seconds())
@@ -469,6 +473,9 @@ func (s *Server) runJob(j *job) {
 	s.opt.Logf("job %s: running on pod %.8s", j.rec.ID, j.rec.PodKey)
 
 	results, runErr := s.runJumbles(j, pod)
+	// The pod before the job slot: the job the dispatcher pops into the
+	// freed slot must find the pod slot free too.
+	s.fleet.Release(pod)
 	s.detachActive(j)
 
 	switch {
