@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X repro/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 bench bench-compare bench-pairs loc chaos-soak serve-smoke tcp-smoke
+.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 bench bench-compare bench-pairs loc chaos-soak serve-smoke tcp-smoke examples
 
 # Tier-1 gate: everything that must pass before a change lands.
 check: vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3
@@ -107,6 +107,22 @@ bench-pairs:
 # make loc PARENT=HEAD~1
 loc:
 	./scripts/loc.sh $(PARENT)
+
+# The library's front door, run: build every examples/ program and run
+# it from a temporary directory (microsporidia writes its SVG into the
+# working directory). A non-zero exit fails, and prints the program's
+# output.
+examples:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for ex in examples/*/; do \
+		name=$$(basename "$$ex"); \
+		$(GO) build -o "$$dir/$$name" "./$$ex" || exit 1; \
+		if (cd "$$dir" && "./$$name" >"$$name.log" 2>&1); then \
+			echo "examples: $$name ok"; \
+		else \
+			cat "$$dir/$$name.log"; echo "examples: $$name failed"; exit 1; \
+		fi; \
+	done
 
 # Black-box smoke test of the fastdnamld daemon over real HTTP: build
 # the binaries, start a 2-worker daemon, submit a job and its duplicate

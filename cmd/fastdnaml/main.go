@@ -67,7 +67,7 @@ type options struct {
 	statusAddr, benchJSON                          string
 
 	// start stamps the run's wall clock and runName names the
-	// BENCH_<run>.json file. (Obs is created when -status-addr or
+	// BENCH_<run>.json file. (Run.Obs is created when -status-addr or
 	// -bench-json asks for instrumentation; a -listen run without one
 	// that is not -quiet gets a private observer for its join and leave
 	// lines.)
@@ -78,14 +78,14 @@ type options struct {
 // bindFlags declares every flag but -in and -version on fs.
 func (o *options) bindFlags(fs *flag.FlagSet) {
 	o.Spec.BindFlags(fs)
-	fs.IntVar(&o.MaxConcurrentJumbles, "concurrent-jumbles", 0, "jumbles (or bootstrap replicates) run concurrently over the shared worker fleet (0 = min(jumbles, workers); results identical at any setting)")
-	fs.IntVar(&o.Workers, "workers", 0, "parallel worker processes on this machine (0 = serial)")
+	fs.IntVar(&o.Run.MaxConcurrentJumbles, "concurrent-jumbles", 0, "jumbles run concurrently over the shared worker fleet (0 = min(jumbles, workers)); with -bootstrap, replicates run concurrently, each on its own -workers world (0 = 1); results identical at any setting")
+	fs.IntVar(&o.Run.Workers, "workers", 0, "parallel worker processes on this machine (0 = serial)")
 	fs.IntVar(&o.Threads, "threads", 1, fmt.Sprintf("likelihood kernel threads per evaluator (results are bit-identical at any count; alignments under %d patterns run on one)", likelihood.MinPoolPad))
 	fs.BoolFunc("monitor", "attach the monitor (parallel runs): membership, removal and inline-evaluation lines and a closing line on stderr", func(v string) error {
 		on, err := strconv.ParseBool(v)
-		o.MonitorOut = nil
+		o.Run.MonitorOut = nil
 		if on {
-			o.MonitorOut = obs.NewLockedWriter(os.Stderr)
+			o.Run.MonitorOut = obs.NewLockedWriter(os.Stderr)
 		}
 		return err
 	})
@@ -123,7 +123,7 @@ func conflictingFlags(o options) error {
 			}
 		}
 	}
-	if o.listen != "" && o.Workers > 0 {
+	if o.listen != "" && o.Run.Workers > 0 {
 		return fmt.Errorf("-listen cannot be combined with -workers: a distributed master's workers join over the network (-net-workers is how many to wait for)")
 	}
 	return nil
@@ -189,19 +189,22 @@ func run(inPath string, o options) error {
 		signal.Stop(sigc)
 		close(stop)
 	}()
-	o.Stop = stop
-	o.Progress = progress
+	o.Run.Stop = stop
+	o.Run.Progress = progress
+	if o.Run.Workers > 0 {
+		o.Run.Transport = mlsearch.Local
+	}
 
 	o.start = time.Now()
 	o.runName = strings.TrimSuffix(filepath.Base(inPath), filepath.Ext(inPath)) +
 		"_s" + strconv.FormatInt(o.Seed, 10)
 	if o.statusAddr != "" || o.benchJSON != "" {
-		o.Obs = mlsearch.NewRunObserver(obs.NewRegistry(), obs.NewBus())
+		o.Run.Obs = mlsearch.NewRunObserver(obs.NewRegistry(), obs.NewBus())
 		if o.statusAddr != "" {
 			srv, err := obs.NewStatusServer(obs.StatusOptions{
 				Addr:     o.statusAddr,
-				Registry: o.Obs.Registry(),
-				Snapshot: func() any { return o.Obs.Snapshot() },
+				Registry: o.Run.Obs.Registry(),
+				Snapshot: func() any { return o.Run.Obs.Snapshot() },
 			})
 			if err != nil {
 				return err
@@ -318,21 +321,21 @@ func sortedSupports(m map[string]float64) []float64 {
 	return out
 }
 
-// wireRestart wires -resume and -checkpoint into runOpt. A resumed run
+// wireRestart wires -resume and -checkpoint into o.Run. A resumed run
 // adopts the manifest's jumble count when -jumbles was left at its
 // default. It returns the manifest recorder when -checkpoint is
 // writing one, so every run end can flush it.
-func wireRestart(runOpt *mlsearch.RunOptions, o options) (*mlsearch.ManifestRecorder, error) {
+func wireRestart(o *options) (*mlsearch.ManifestRecorder, error) {
 	if o.resume != "" {
 		m, err := mlsearch.LoadManifest(o.resume)
 		if err != nil {
 			return nil, err
 		}
-		if runOpt.Jumbles > 1 && runOpt.Jumbles != m.Jumbles {
-			return nil, fmt.Errorf("-jumbles %d does not match the manifest's %d jumbles", runOpt.Jumbles, m.Jumbles)
+		if o.Jumbles > 1 && o.Jumbles != m.Jumbles {
+			return nil, fmt.Errorf("-jumbles %d does not match the manifest's %d jumbles", o.Jumbles, m.Jumbles)
 		}
-		runOpt.Jumbles = m.Jumbles
-		runOpt.ResumeManifest = m
+		o.Jumbles = m.Jumbles
+		o.Run.ResumeManifest = m
 		done := 0
 		for j := 0; j < m.Jumbles; j++ {
 			if cp, ok := m.Checkpoint(j); ok && cp.Phase == mlsearch.PhaseDone {
@@ -344,8 +347,8 @@ func wireRestart(runOpt *mlsearch.RunOptions, o options) (*mlsearch.ManifestReco
 	if o.checkpoint == "" {
 		return nil, nil
 	}
-	rec := mlsearch.NewManifestRecorder(o.checkpoint, runOpt.Jumbles, runOpt.ResumeManifest)
-	runOpt.OnCheckpoint = func(_ int, cp mlsearch.Checkpoint) {
+	rec := mlsearch.NewManifestRecorder(o.checkpoint, max(o.Jumbles, 1), o.Run.ResumeManifest)
+	o.Run.OnCheckpoint = func(_ int, cp mlsearch.Checkpoint) {
 		if err := rec.Record(cp); err != nil {
 			fmt.Fprintln(os.Stderr, "fastdnaml: checkpoint:", err)
 		}
@@ -353,35 +356,20 @@ func wireRestart(runOpt *mlsearch.RunOptions, o options) (*mlsearch.ManifestReco
 	return rec, nil
 }
 
-// runSearch is the one search path: serial by default, the in-process
-// parallel runtime with -workers, or the elastic TCP master with -listen,
-// where workers join at any time via cmd/fdworker. -net-workers is only a
-// start barrier: the master waits for that many workers before the first
-// round, then tolerates joins and departures for the rest of the run
-// (evaluating inline if the worker set ever empties). -checkpoint and
-// -resume apply to all three.
+// runSearch is the one search path, core.Infer: serial by default, the
+// in-process parallel runtime with -workers, or the elastic TCP master
+// with -listen, where workers join at any time via cmd/fdworker.
+// -net-workers is only a start barrier: the master waits for that many
+// workers before the first round, then tolerates joins and departures
+// for the rest of the run (evaluating inline if the worker set ever
+// empties). -checkpoint and -resume apply to all three.
 func runSearch(a *seq.Alignment, o options) error {
-	cfg, opt, err := core.Prepare(a, o.Options)
-	if err != nil {
-		return err
-	}
-	runOpt := mlsearch.RunOptions{
-		Transport:            mlsearch.Serial,
-		Workers:              opt.Workers,
-		MonitorOut:           opt.MonitorOut,
-		Jumbles:              opt.Jumbles,
-		MaxConcurrentJumbles: opt.MaxConcurrentJumbles,
-		Obs:                  opt.Obs,
-		Progress:             opt.Progress,
-		Stop:                 opt.Stop,
-	}
-	switch {
-	case o.listen != "":
-		runOpt.Transport = mlsearch.TCP
-		runOpt.Addr = o.listen
-		runOpt.Workers = o.netWorkers
-		runOpt.Foreman.TaskTimeout = o.taskTimeout
-		runOpt.OnListen = func(addr net.Addr) {
+	if o.listen != "" {
+		o.Run.Transport = mlsearch.TCP
+		o.Run.Addr = o.listen
+		o.Run.Workers = o.netWorkers
+		o.Run.Foreman.TaskTimeout = o.taskTimeout
+		o.Run.OnListen = func(addr net.Addr) {
 			fmt.Printf("listening on %s; workers join with:\n", addr)
 			fmt.Printf("  fdworker -connect %s\n", addr)
 			if o.netWorkers > 0 {
@@ -389,20 +377,18 @@ func runSearch(a *seq.Alignment, o options) error {
 			}
 		}
 		if !o.quiet {
-			if runOpt.Obs == nil {
-				runOpt.Obs = mlsearch.NewRunObserver(nil, nil)
+			if o.Run.Obs == nil {
+				o.Run.Obs = mlsearch.NewRunObserver(nil, nil)
 			}
-			obs.SubscribeTo(runOpt.Obs.Bus(), func(e mlsearch.WorkerJoined) { fmt.Printf("worker %d joined\n", e.Worker) })
-			obs.SubscribeTo(runOpt.Obs.Bus(), func(e mlsearch.WorkerLeft) { fmt.Printf("worker %d left\n", e.Worker) })
+			obs.SubscribeTo(o.Run.Obs.Bus(), func(e mlsearch.WorkerJoined) { fmt.Printf("worker %d joined\n", e.Worker) })
+			obs.SubscribeTo(o.Run.Obs.Bus(), func(e mlsearch.WorkerLeft) { fmt.Printf("worker %d left\n", e.Worker) })
 		}
-	case opt.Workers > 0:
-		runOpt.Transport = mlsearch.Local
 	}
-	rec, err := wireRestart(&runOpt, o)
+	rec, err := wireRestart(&o)
 	if err != nil {
 		return err
 	}
-	out, err := mlsearch.Run(cfg, runOpt)
+	inf, err := core.Infer(a, o.Options)
 	// Every run end flushes, so no manifest write outlives the run.
 	var ferr error
 	if rec != nil {
@@ -413,10 +399,6 @@ func runSearch(a *seq.Alignment, o options) error {
 	}
 	if ferr != nil {
 		fmt.Fprintln(os.Stderr, "fastdnaml: checkpoint:", ferr)
-	}
-	inf, err := core.NewInference(cfg, out)
-	if err != nil {
-		return err
 	}
 	return report(inf, a, o)
 }
@@ -488,7 +470,7 @@ func writeBenchReport(inf *core.Inference, o options) error {
 		}
 		jb = append(jb, b)
 	}
-	details := map[string]any{"jumbles": jb, "run": o.Obs.Snapshot()}
+	details := map[string]any{"jumbles": jb, "run": o.Run.Obs.Snapshot()}
 	path, err := obs.WriteBench(o.benchJSON, obs.BenchReport{
 		Run:       o.runName,
 		StartedAt: o.start,

@@ -145,6 +145,43 @@ func TestRunCheckpointedConsensus(t *testing.T) {
 	}
 }
 
+// TestResumeAdoptsManifestJumbles: -resume without -jumbles takes the
+// manifest's jumble count as the run's Spec.Jumbles, so the resumed run
+// reports every jumble the checkpointed one did.
+func TestResumeAdoptsManifestJumbles(t *testing.T) {
+	in := writeTestAlignment(t, 6, 100)
+	dir := t.TempDir()
+	first := flags(t, "-jumbles", "2", "-quiet", "-out", filepath.Join(dir, "first"))
+	first.checkpoint = filepath.Join(dir, "cp.txt")
+	if err := run(in, first); err != nil {
+		t.Fatal(err)
+	}
+	again := flags(t, "-quiet")
+	again.resume = first.checkpoint
+	if _, err := wireRestart(&again); err != nil {
+		t.Fatal(err)
+	}
+	if again.Jumbles != 2 || again.Run.ResumeManifest == nil {
+		t.Fatalf("resumed Spec.Jumbles %d (manifest set: %v), want the manifest's 2", again.Jumbles, again.Run.ResumeManifest != nil)
+	}
+	again = flags(t, "-quiet", "-out", filepath.Join(dir, "again"))
+	again.resume = first.checkpoint
+	if err := run(in, again); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(first.outPrefix + ".trees")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(again.outPrefix + ".trees")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("resumed trees\n%s\nwant the checkpointed run's\n%s", got, want)
+	}
+}
+
 func TestRunUserTreesMode(t *testing.T) {
 	in := writeTestAlignment(t, 6, 100)
 	prefix := filepath.Join(t.TempDir(), "search")
@@ -177,7 +214,7 @@ func TestRunRejectsIgnoredFlagCombinations(t *testing.T) {
 		{"-bootstrap", "-listen", func(o *options) { o.bootstrap, o.listen = 3, "127.0.0.1:0" }},
 		{"-usertrees", "-listen", func(o *options) { o.userTrees, o.listen = "t.trees", "127.0.0.1:0" }},
 		{"-usertrees", "-checkpoint", func(o *options) { o.userTrees, o.checkpoint = "t.trees", "cp.txt" }},
-		{"-listen", "-workers", func(o *options) { o.listen, o.Workers = "127.0.0.1:0", 2 }},
+		{"-listen", "-workers", func(o *options) { o.listen, o.Run.Workers = "127.0.0.1:0", 2 }},
 	} {
 		o := base
 		tc.set(&o)
@@ -256,7 +293,7 @@ func TestRunMonitorFlag(t *testing.T) {
 		{[]string{"-monitor=false"}, false},
 		{[]string{"-monitor", "-monitor=false"}, false},
 	} {
-		if on := flags(t, tc.args...).MonitorOut != nil; on != tc.on {
+		if on := flags(t, tc.args...).Run.MonitorOut != nil; on != tc.on {
 			t.Errorf("%v: monitor on = %v, want %v", tc.args, on, tc.on)
 		}
 	}

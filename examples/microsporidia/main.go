@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/mlsearch"
 	"repro/internal/simulate"
 	"repro/internal/tree"
 	"repro/internal/viewer"
@@ -35,8 +36,8 @@ func main() {
 	const jumbles = 5
 	fmt.Printf("analyzing %d random orderings of %d taxa...\n", jumbles, ds.Alignment.NumSeqs())
 	inf, err := core.Infer(ds.Alignment, core.Options{
-		Spec:    core.Spec{Seed: 99, Jumbles: jumbles},
-		Workers: 3,
+		Spec: core.Spec{Seed: 99, Jumbles: jumbles},
+		Run:  mlsearch.RunOptions{Transport: mlsearch.Local, Workers: 3},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -618,7 +618,8 @@ func TestConcurrentSendersStress(t *testing.T) {
 // the welcome became the run's Config ("FDM3"), before the welcome lost
 // its precision field ("FDM4") or its smooth mode ("FDM5"), or before
 // the welcome lost its role ranks and the slices their extension fields
-// ("FDM6"), is answered with a refusal that says why and is hung up on —
+// ("FDM6"), or before tasks and replies lost their Newick ("FDM7"), is
+// answered with a refusal that says why and is hung up on —
 // it is never registered, so no frame it could not decode is ever sent
 // to it and the membership rank hears of no join — and a dialer of this
 // version that reaches such a peer's router, which hangs up without a
@@ -635,9 +636,10 @@ func TestHandshakeRefusesOtherProtocolVersion(t *testing.T) {
 	// welcome still carried a monitor rank, version 3, which would read a
 	// PHYLIP bundle out of this version's welcome, versions 4 and 5,
 	// which would read a precision field and a smooth mode this version's
-	// welcome lacks, and version 6, which would read role ranks.
+	// welcome lacks, version 6, which would read role ranks, and version
+	// 7, which would read a Newick in every task and reply.
 	var reply []byte
-	for _, magic := range []string{"FDML", "FDM2", "FDM3", "FDM4", "FDM5", "FDM6"} {
+	for _, magic := range []string{"FDML", "FDM2", "FDM3", "FDM4", "FDM5", "FDM6", "FDM7"} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)

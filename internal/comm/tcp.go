@@ -48,15 +48,17 @@ import (
 // a foreign magic is answered by a welcome of rank -2 whose payload is
 // that reason, and the connection is closed.
 
-// tcpMagic is "FDM7": version 7 dropped the welcome's role ranks, the
-// result's worker rank and the slices' extension fields. Version 6
-// ("FDM6") dropped the welcome's smooth mode; version 5 ("FDM5") its CLV
+// tcpMagic is "FDM8": version 8 dropped the task slice's and the result's
+// Newick, so every task is an edit of its base tree and every reply is
+// branch lengths. Version 7 ("FDM7") dropped the welcome's role ranks,
+// the result's worker rank and the slices' extension fields; version 6
+// ("FDM6") the welcome's smooth mode; version 5 ("FDM5") its CLV
 // precision; version 4 ("FDM4") made the welcome payload the run's
 // Config instead of a PHYLIP recipe for rebuilding it; version 3
 // ("FDM3") took the monitor rank out of the welcome and the tag
 // numbering; version 2 ("FDM2") brought the task and result slice
 // frames; version 1 ("FDML") carried one task and one result per frame.
-const tcpMagic int32 = 0x46444d37
+const tcpMagic int32 = 0x46444d38
 
 // helloJoin is the HELLO rank requesting dynamic rank assignment.
 const helloJoin int32 = -1

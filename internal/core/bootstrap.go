@@ -30,7 +30,10 @@ type BootstrapResult struct {
 
 // Bootstrap runs the analysis: replicates resampled data sets, one
 // search each (the Options' Seed drives both the resampling and the
-// searches; Workers>0 parallelizes each search's tree evaluations).
+// searches). Every replicate is its own Infer on the runtime opt.Run
+// selects, so a Local replicate starts its own world of opt.Run.Workers
+// workers; opt.Run.MaxConcurrentJumbles bounds how many replicates run
+// at once (default 1), and so how many such worlds exist together.
 func Bootstrap(a *seq.Alignment, opt Options, replicates int) (*BootstrapResult, error) {
 	if replicates < 2 {
 		return nil, fmt.Errorf("core: %d bootstrap replicates, need >= 2", replicates)
@@ -56,10 +59,10 @@ func Bootstrap(a *seq.Alignment, opt Options, replicates int) (*BootstrapResult,
 		ropt := opt
 		ropt.Weights = combineWeights(opt.Weights, weights)
 		ropt.Seed = seed + int64(2*rep)
-		ropt.Progress = nil
-		if opt.Progress != nil {
+		ropt.Run.Progress = nil
+		if opt.Run.Progress != nil {
 			idx := rep
-			ropt.Progress = func(_ int, e mlsearch.ProgressEvent) { opt.Progress(idx, e) }
+			ropt.Run.Progress = func(_ int, e mlsearch.ProgressEvent) { opt.Run.Progress(idx, e) }
 		}
 		opts[rep] = ropt
 	}
@@ -68,7 +71,7 @@ func Bootstrap(a *seq.Alignment, opt Options, replicates int) (*BootstrapResult,
 	// bounds them directly (default 1: sequential, the historical
 	// behavior). Each replicate still parallelizes internally per
 	// Workers.
-	conc := opt.MaxConcurrentJumbles
+	conc := opt.Run.MaxConcurrentJumbles
 	if conc < 1 {
 		conc = 1
 	}

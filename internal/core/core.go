@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/mlsearch"
 	"repro/internal/model"
@@ -26,39 +25,23 @@ import (
 const consensusThreshold = 0.5
 
 // Options configure an inference run: the Spec that decides its result,
-// and the host and run settings that do not.
+// the evaluation settings that do not, and the runtime that runs it.
 type Options struct {
 	Spec
-	// MaxConcurrentJumbles bounds how many jumbles (or bootstrap
-	// replicates) run concurrently over the shared worker fleet. 0
-	// defaults to min(Jumbles, Workers) in parallel runs; results are
-	// identical at any setting.
-	MaxConcurrentJumbles int
-	// Workers selects the runtime: 0 runs the serial program; >= 1 runs
-	// the parallel runtime with that many worker processes.
-	Workers int
 	// Threads is the likelihood engine's kernel thread count per
 	// evaluator (default 1). Any value yields bit-identical trees and
 	// likelihoods: the engine's sharding is deterministic.
 	Threads int
-	// MonitorOut, when non-nil, adds the monitor role to parallel runs:
-	// its lines are written here.
-	MonitorOut io.Writer
 	// Weights are optional per-site weights (nil = uniform).
 	Weights []float64
 	// SiteRates are optional per-site relative rates, e.g. from
 	// dnarates (nil = homogeneous).
 	SiteRates []float64
-	// Progress receives a notification per adopted tree
-	// (jumble, event); the live tree viewer consumes it.
-	Progress func(int, mlsearch.ProgressEvent)
-	// Obs, when non-nil, attaches run observability (metrics, spans, the
-	// /status snapshot) to parallel runs.
-	Obs *mlsearch.RunObserver
-	// Stop, when non-nil, cancels the run when closed: searches return
-	// mlsearch.ErrStopped (wrapped) at their next round boundary, so a
-	// signal handler can flush restart files and exit cleanly.
-	Stop <-chan struct{}
+	// Run selects and tunes the runtime: the transport (the zero value
+	// runs the serial program), its workers, observers, progress, stop
+	// channel and restart files. Its Jumbles is not read: Spec.Jumbles
+	// is the run's jumble count.
+	Run mlsearch.RunOptions
 }
 
 // JumbleResult is the outcome of one random ordering.
@@ -148,29 +131,16 @@ func buildModel(sp Spec, pat *seq.Patterns) (model.Model, error) {
 	return nil, fmt.Errorf("core: model %q is not a normalized name", sp.Model)
 }
 
-// Infer runs the full program over an alignment.
+// Infer runs the full program over an alignment: Prepare, then
+// mlsearch.Run on the runtime opt.Run selects.
 func Infer(a *seq.Alignment, opt Options) (*Inference, error) {
 	cfg, opt, err := Prepare(a, opt)
 	if err != nil {
 		return nil, err
 	}
-
-	// One Run call covers both runtimes: the serial baseline and the
-	// in-process parallel program.
-	transport := mlsearch.Serial
-	if opt.Workers > 0 {
-		transport = mlsearch.Local
-	}
-	out, err := mlsearch.Run(cfg, mlsearch.RunOptions{
-		Transport:            transport,
-		Workers:              opt.Workers,
-		MonitorOut:           opt.MonitorOut,
-		Jumbles:              opt.Jumbles,
-		MaxConcurrentJumbles: opt.MaxConcurrentJumbles,
-		Progress:             opt.Progress,
-		Obs:                  opt.Obs,
-		Stop:                 opt.Stop,
-	})
+	run := opt.Run
+	run.Jumbles = opt.Jumbles
+	out, err := mlsearch.Run(cfg, run)
 	if err != nil {
 		return nil, err
 	}

@@ -83,7 +83,7 @@ func TestInferParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	var monOut bytes.Buffer
-	par, err := Infer(a, Options{Spec: Spec{Seed: 7, Jumbles: 2}, Workers: 3, MonitorOut: &monOut})
+	par, err := Infer(a, Options{Spec: Spec{Seed: 7, Jumbles: 2}, Run: mlsearch.RunOptions{Transport: mlsearch.Local, Workers: 3, MonitorOut: &monOut}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +114,10 @@ func TestInferProgressCallback(t *testing.T) {
 	a := testAlignment(t, 6, 150, 17)
 	var events int
 	var lastJumble int
-	_, err := Infer(a, Options{Spec: Spec{Seed: 3, Jumbles: 2}, Progress: func(j int, e mlsearch.ProgressEvent) {
+	_, err := Infer(a, Options{Spec: Spec{Seed: 3, Jumbles: 2}, Run: mlsearch.RunOptions{Progress: func(j int, e mlsearch.ProgressEvent) {
 		events++
 		lastJumble = j
-	}})
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func TestForemanBlocksWithoutTimeout(t *testing.T) {
 			// Delay long enough that a polling foreman would rack up
 			// RecvTimeout wakeups while waiting.
 			time.Sleep(120 * time.Millisecond)
-			res := Result{TaskID: task.ID, Round: task.Round, Job: task.Job, Newick: task.Newick, LnL: -1, Ops: 1}
+			res := Result{TaskID: task.ID, Round: task.Round, Job: task.Job, LnL: -1, Ops: 1}
 			if err := world[2].Send(1, comm.TagResult, MarshalResult(res)); err != nil {
 				return
 			}
@@ -240,7 +240,7 @@ func TestForemanBlocksWithoutTimeout(t *testing.T) {
 	}()
 
 	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{}, nil)
-	if _, err := disp.Dispatch([]Task{{ID: 1, Round: 1, Newick: "x"}}); err != nil {
+	if _, err := disp.Dispatch([]Task{{ID: 1, Round: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshot before Shutdown: the shutdown ack drain is the one place

@@ -48,7 +48,7 @@ func BenchmarkTaskCodecFresh(b *testing.B) {
 func BenchmarkResultCodecRecycled(b *testing.B) {
 	res := Result{
 		TaskID: 712, Round: 9, LnL: -15234.25, Ops: 4096,
-		Newick: "(" + strings.Repeat("(a:0.1,b:0.2):0.3,", 40) + "c:0.1);",
+		Lens: make([]EdgeLen, 12),
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -12,12 +12,13 @@ import (
 // the worker process share it, so serial and parallel runs produce
 // bit-identical results for the same tasks.
 //
-// Shared-base tasks (BaseNewick set) are evaluated against a base tree
-// the evaluator parses once and keeps — along with the engine's CLV
-// cache — across every task of the round. Candidate insertions never
-// touch the base tree at all; rearrangement candidates are applied,
-// scored, and undone with every modified branch length restored, so the
-// cache stays warm from task to task. Because cached CLVs are
+// Tasks are evaluated against their round's base tree, which the
+// evaluator parses once and keeps — along with the engine's CLV cache —
+// across every task of the round. Candidate insertions never touch the
+// base tree at all; rearrangement candidates are applied, scored, and
+// undone with every modified branch length restored, so the cache stays
+// warm from task to task. A smoothing task (the empty edit) optimizes the
+// base itself and then forgets it. Because cached CLVs are
 // bit-identical to freshly computed ones, results do not depend on task
 // order or on which worker evaluates which task. A candidate's result is
 // its score and the branch lengths the optimizer moved, never a rendered
@@ -92,18 +93,17 @@ func (ev *Evaluator) Evaluate(t Task) (Result, error) {
 	statsBefore := likelihood.StatsOf(ev.eng)
 
 	var (
-		nwk  string
 		lens []EdgeLen
 		lnL  float64
 		err  error
 	)
 	switch {
-	case t.BaseNewick != "" && t.InsertEdge >= 0:
+	case t.InsertEdge >= 0:
 		lens, lnL, err = ev.evalInsert(t)
-	case t.BaseNewick != "":
+	case t.MoveS >= 0:
 		lens, lnL, err = ev.evalMove(t)
 	default:
-		nwk, lnL, err = ev.evalFull(t)
+		lens, lnL, err = ev.evalSmooth(t)
 	}
 	if err != nil {
 		return Result{}, err
@@ -112,7 +112,6 @@ func (ev *Evaluator) Evaluate(t Task) (Result, error) {
 	return Result{
 		TaskID:      t.ID,
 		Round:       t.Round,
-		Newick:      nwk,
 		Lens:        lens,
 		LnL:         lnL,
 		Ops:         likelihood.OpsOf(ev.eng) - opsBefore,
@@ -125,18 +124,21 @@ func (ev *Evaluator) Evaluate(t Task) (Result, error) {
 	}, nil
 }
 
-// evalFull is the standalone path: parse the task's own tree and smooth
-// all of its branches (init and smooth rounds).
-func (ev *Evaluator) evalFull(t Task) (string, float64, error) {
-	tr, err := tree.ParseNewick(t.Newick, ev.taxa)
-	if err != nil {
-		return "", 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
+// evalSmooth is the empty edit (init and smooth rounds): optimize every
+// branch of the base and return the lengths that moved. The base's
+// lengths then no longer match its key, so the evaluator forgets it; a
+// later task on the same string parses it afresh.
+func (ev *Evaluator) evalSmooth(t Task) ([]EdgeLen, float64, error) {
+	if err := ev.ensureBase(t.BaseNewick); err != nil {
+		return nil, 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
 	}
-	lnL, err := ev.eng.OptimizeBranches(tr, likelihood.OptOptions{Passes: int(t.Passes)})
+	lnL, err := ev.eng.OptimizeBranches(ev.base, likelihood.OptOptions{Passes: int(t.Passes)})
+	lens := ev.changedLens(nil, -1)
+	ev.base = nil
 	if err != nil {
-		return "", 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
+		return nil, 0, fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
 	}
-	return tr.Newick(), lnL, nil
+	return lens, lnL, nil
 }
 
 // ensureBase parses and caches the shared base tree for a batch.
@@ -247,13 +249,21 @@ func (ev *Evaluator) movedLens(mv tree.SPRMove, undo *tree.SPRUndo) []EdgeLen {
 	for _, nb := range undo.Mid.Nbr {
 		add(undo.Mid, nb)
 	}
+	return ev.changedLens(lens, mv.P)
+}
+
+// changedLens appends to lens every branch of the base whose length
+// differs from the base snapshot, passing over the branches of node skip
+// (a move's dissolved attachment; -1 for none) and any the base no longer
+// has (a move's target edge).
+func (ev *Evaluator) changedLens(lens []EdgeLen, skip int) []EdgeLen {
 	for _, s := range ev.baseLens {
-		if s.a == mv.P || s.b == mv.P {
-			continue // dissolved with the attachment
+		if s.a == skip || s.b == skip {
+			continue
 		}
 		a, b := ev.base.Nodes[s.a], ev.base.Nodes[s.b]
-		if i := a.NbrIndex(b); i >= 0 && a.Len[i] != s.l { // the target edge is gone
-			add(a, b)
+		if i := a.NbrIndex(b); i >= 0 && a.Len[i] != s.l {
+			lens = append(lens, EdgeLen{A: int32(a.ID), B: int32(b.ID), Len: a.Len[i]})
 		}
 	}
 	return lens

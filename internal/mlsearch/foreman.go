@@ -60,9 +60,11 @@ import (
 // Degradation ladder: (1) all workers healthy — pure dispatch; (2) some
 // delinquent — timeout, requeue, reinstate on late reply; (3) a worker
 // disconnects — immediate requeue of its slices, no timeout wait; (4) the
-// live worker set hits zero — the foreman evaluates queued tasks inline
-// (Options.Inline), one candidate at a time, so a run always completes,
-// folding newly joined workers back in the moment they arrive. A
+// live worker set hits zero — the foreman evaluates queued tasks inline,
+// one candidate at a time, on an evaluator it builds from the run's
+// Config the first time it gets here and closes when Run returns, so a
+// run on any transport always completes, folding newly joined workers
+// back in the moment they arrive. A
 // candidate whose evaluation fails is none of these: it would fail
 // anywhere, so its result carries the error, its job's round is closed
 // with that cause, and workers and other jobs carry on. A worker whose
@@ -91,10 +93,6 @@ type ForemanOptions struct {
 	// a plain Recv between results instead of polling for deadlines
 	// (disconnects still requeue a dead worker's task immediately).
 	TaskTimeout time.Duration
-	// Inline, when non-nil, lets the foreman evaluate tasks itself when
-	// no live workers remain, so a round always completes (the runtime
-	// wires an evaluator over the same data set the workers use).
-	Inline *Evaluator
 	// Pipeline is the number of slices kept in flight per worker. It is
 	// not a user setting: the default, 2, is what every program runs with
 	// (measured: 7 % faster than 1 over a socket, 4 adds nothing, a
@@ -153,7 +151,11 @@ type jobState struct {
 // goroutine in Run.
 type Foreman struct {
 	c   comm.Communicator
+	cfg Config
 	opt ForemanOptions
+	// inline is the evaluator of the ladder's last rung, built from cfg
+	// the first time no live worker can take queued work.
+	inline *Evaluator
 	// obs, when non-nil, receives dispatch-loop instrumentation (metrics,
 	// typed events, trace spans, the /status snapshot). Nil costs one nil
 	// check per site.
@@ -214,10 +216,12 @@ func (js *jobState) fail(res Result) {
 
 // NewForeman builds the foreman over its own endpoint, with the layout's
 // workers as its first members and o (nil for none) as its observer.
-// Nothing runs until Run is called.
-func NewForeman(c comm.Communicator, lay Layout, opt ForemanOptions, o *RunObserver) *Foreman {
+// norm, the run's normalized Config, is what the foreman evaluates with
+// when no worker is left to. Nothing runs until Run is called.
+func NewForeman(c comm.Communicator, lay Layout, norm Config, opt ForemanOptions, o *RunObserver) *Foreman {
 	f := &Foreman{
 		c:       c,
+		cfg:     norm,
 		opt:     opt.withDefaults(),
 		obs:     o,
 		members: map[int]bool{},
@@ -253,6 +257,9 @@ func (f *Foreman) Run() error {
 		sub.reply <- roundReply{err: reason}
 	}
 	f.shutdown()
+	if f.inline != nil {
+		f.inline.Close()
+	}
 	f.obs.foremanStopped()
 	return err
 }
@@ -378,7 +385,7 @@ func (f *Foreman) startJob(sub *submission) {
 func (f *Foreman) pump() {
 	for {
 		f.assign()
-		if f.queuedTotal() > 0 && len(f.ready) == 0 && f.inflight == 0 && f.opt.Inline != nil {
+		if f.queuedTotal() > 0 && len(f.ready) == 0 && f.inflight == 0 {
 			f.evalInline()
 			continue
 		}
@@ -542,14 +549,22 @@ func (f *Foreman) requeueUnanswered(tasks []Task) {
 
 // evalInline evaluates the next queued task in the foreman itself — the
 // bottom rung of the degradation ladder, keeping the run alive with an
-// empty worker set.
+// empty worker set. An evaluator that cannot be built fails the task's
+// round with that cause.
 func (f *Foreman) evalInline() {
 	js, slice := f.nextSlice(0)
 	if js == nil {
 		return
 	}
 	t := slice[0]
-	res, err := f.opt.Inline.Evaluate(t)
+	var err error
+	if f.inline == nil {
+		f.inline, err = NewConfigEvaluator(f.cfg)
+	}
+	var res Result
+	if err == nil {
+		res, err = f.inline.Evaluate(t)
+	}
 	if err != nil {
 		res = failedResult(t, err)
 		res.Worker = InlineWorker

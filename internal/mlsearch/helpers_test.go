@@ -26,7 +26,7 @@ func newTestWorld(t *testing.T, size int) []comm.Communicator {
 // failed first, and waits for the goroutine either way.
 func newTestMaster(t *testing.T, world []comm.Communicator, lay Layout, opt ForemanOptions, o *RunObserver) (*Foreman, Dispatcher) {
 	t.Helper()
-	f := NewForeman(world[foremanRank], lay, opt, o)
+	f := NewForeman(world[foremanRank], lay, Config{}, opt, o)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -17,7 +17,7 @@ import (
 
 func TestTaskCodecTraceRoundTrip(t *testing.T) {
 	in := Task{
-		ID: 9, Round: 4, Newick: "(a,b,c);", LocalTaxon: -1,
+		ID: 9, Round: 4, BaseNewick: "(a,b,c);", LocalTaxon: -1,
 		Trace: obs.SpanContext{TraceID: 0xdead, SpanID: 0xbeef},
 	}
 	out, err := UnmarshalTask(MarshalTask(in))
@@ -31,7 +31,7 @@ func TestTaskCodecTraceRoundTrip(t *testing.T) {
 
 func TestResultCodecTraceRoundTrip(t *testing.T) {
 	in := Result{
-		TaskID: 9, Round: 4, Newick: "(a,b,c);", LnL: -321.5,
+		TaskID: 9, Round: 4, Lens: []EdgeLen{{A: 1, B: 2, Len: 0.5}}, LnL: -321.5,
 		Ops: 7, CacheHits: 3, CacheMisses: 2,
 		Eval: 1500 * time.Microsecond, NewtonIters: 11,
 		Trace: obs.SpanContext{TraceID: 1, SpanID: 2},
@@ -49,8 +49,8 @@ func TestResultCodecTraceRoundTrip(t *testing.T) {
 // version, so a slice frame holds exactly its fields. Bytes after them —
 // a newer peer's field, or a truncated one — are refused, not skipped.
 func TestCodecRefusesTrailingBytes(t *testing.T) {
-	task := MarshalTask(Task{ID: 1, Newick: "(a,b);"})
-	res := MarshalResult(Result{TaskID: 1, Newick: "(a,b);", LnL: -1})
+	task := MarshalTask(Task{ID: 1, BaseNewick: "(a,b);"})
+	res := MarshalResult(Result{TaskID: 1, Lens: []EdgeLen{{A: 1, B: 2, Len: 0.5}}, LnL: -1})
 	for _, extra := range [][]byte{{0}, []byte("\xe0\x00\x00\x00\x07payload"), []byte("\xe0\x00\x00")} {
 		if _, err := UnmarshalTask(append(append([]byte(nil), task...), extra...)); err == nil {
 			t.Errorf("task slice followed by %q accepted", extra)

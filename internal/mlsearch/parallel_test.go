@@ -123,6 +123,46 @@ func TestFaultToleranceDroppedReplies(t *testing.T) {
 	}
 }
 
+// TestLocalRunFinishesInlineWhenNoWorkerAnswers: the ladder's last rung
+// is the foreman's on every transport. A Local run whose every worker
+// drops every result loses them all to the task timeout, and the foreman
+// then evaluates the search itself — to the serial answer.
+func TestLocalRunFinishesInlineWhenNoWorkerAnswers(t *testing.T) {
+	cfg := testConfig(t, 6, 120, 31)
+	serial, err := runSerial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop := WorkerHooks{BeforeReply: func(Task, Result) bool { return false }}
+	var out *RunOutcome
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		out, err = Run(cfg, RunOptions{
+			Transport:   Local,
+			Workers:     2,
+			Obs:         NewRunObserver(nil, nil),
+			Foreman:     ForemanOptions{TaskTimeout: 50 * time.Millisecond},
+			WorkerHooks: map[int]WorkerHooks{2: drop, 3: drop},
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no result 10 s into a run whose workers drop every reply")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := out.Results[0]
+	if res.BestNewick != serial.BestNewick || res.LnL != serial.LnL {
+		t.Errorf("inline run diverged from serial: %g vs %g", res.LnL, serial.LnL)
+	}
+	if out.Monitor.Inline == 0 {
+		t.Error("observer counted no inline evaluation")
+	}
+}
+
 // TestFaultToleranceSlowWorker drives the foreman protocol directly with
 // scripted workers: a worker that delays past the timeout is removed, its
 // tree re-dispatched, and when its late reply finally arrives it is
@@ -163,7 +203,7 @@ func TestFaultToleranceSlowWorker(t *testing.T) {
 				time.Sleep(delayFirst)
 			}
 			first = false
-			res := Result{TaskID: task.ID, Round: task.Round, Job: task.Job, Newick: task.Newick, LnL: -float64(task.ID), Ops: 10}
+			res := Result{TaskID: task.ID, Round: task.Round, Job: task.Job, LnL: -float64(task.ID), Ops: 10}
 			if err := world[rank].Send(1, comm.TagResult, MarshalResult(res)); err != nil {
 				return
 			}
@@ -176,7 +216,7 @@ func TestFaultToleranceSlowWorker(t *testing.T) {
 	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{TaskTimeout: 80 * time.Millisecond}, observer)
 	// Round 1: two tasks. Worker 2 gets one and stalls past the timeout;
 	// worker 3 finishes both.
-	tasks := []Task{{ID: 1, Round: 1, Newick: "x"}, {ID: 2, Round: 1, Newick: "y"}}
+	tasks := []Task{{ID: 1, Round: 1}, {ID: 2, Round: 1}}
 	results, err := disp.Dispatch(tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +227,7 @@ func TestFaultToleranceSlowWorker(t *testing.T) {
 	// Wait for the late reply to land in the foreman's mailbox, then run
 	// another round so the foreman processes it and reinstates rank 2.
 	time.Sleep(300 * time.Millisecond)
-	if _, err := disp.Dispatch([]Task{{ID: 3, Round: 2, Newick: "z"}}); err != nil {
+	if _, err := disp.Dispatch([]Task{{ID: 3, Round: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := foreman.Shutdown(); err != nil {

@@ -127,7 +127,7 @@ func TestGarbageResultCondemnsWorkerNotForeman(t *testing.T) {
 func TestDeadForemanFailsDispatch(t *testing.T) {
 	world := newTestWorld(t, 3)
 	lay := Layout{Workers: []int{2}}
-	f := NewForeman(world[1], lay, ForemanOptions{}, nil)
+	f := NewForeman(world[1], lay, Config{}, ForemanOptions{}, nil)
 	runErr := make(chan error, 1)
 	go func() { runErr <- f.Run() }()
 

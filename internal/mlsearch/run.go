@@ -278,10 +278,8 @@ type LocalWorld struct {
 // StartLocal starts an in-process world for the normalized run
 // configuration. From opt it takes Workers, MonitorOut, Foreman, Obs and
 // WorkerHooks. Every worker evaluates with norm (see
-// WorkerHooks for the two values a hook may replace). The world builds
-// no evaluator of its own for the foreman: a caller that wants the
-// inline fallback passes one in opt.Foreman.Inline and closes it after
-// Shutdown.
+// WorkerHooks for the two values a hook may replace), and so does the
+// foreman when no worker is left to (see Foreman).
 func StartLocal(norm Config, opt RunOptions) (*LocalWorld, error) {
 	if opt.Workers < 1 {
 		return nil, fmt.Errorf("mlsearch: %d workers, need >= 1", opt.Workers)
@@ -307,7 +305,7 @@ func startRoles(ranks []comm.Communicator, lay Layout, norm Config, opt RunOptio
 	if o == nil && opt.MonitorOut != nil {
 		o = NewRunObserver(nil, nil)
 	}
-	foreman := NewForeman(ranks[foremanRank], lay, opt.Foreman, o)
+	foreman := NewForeman(ranks[foremanRank], lay, norm, opt.Foreman, o)
 	w := &LocalWorld{foreman: foreman}
 	if opt.MonitorOut != nil {
 		w.closeMonitor = attachMonitor(o.Bus(), opt.MonitorOut)

@@ -59,15 +59,15 @@ func (k RoundKind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// taskOverheadBytes approximates the serialized size of one shared-base
-// task's candidate description (an edge index or four move IDs) for the
+// taskOverheadBytes approximates the serialized size of one task's
+// candidate description (an edge index or four move IDs) for the
 // GenBytes accounting; the base Newick itself is counted once per round.
 const taskOverheadBytes = 20
 
 // TaskStat records what one task cost, for the cluster simulator.
 type TaskStat struct {
 	// Ops is the likelihood work the task consumed (cache hits are free,
-	// so shared-base tasks report only recomputed work).
+	// so a task reports only recomputed work).
 	Ops uint64
 	// LnL is the task's resulting log-likelihood.
 	LnL float64
@@ -295,14 +295,15 @@ func (s *Search) dispatchRound(kind RoundKind, taxaInTree int, tasks []Task, gen
 }
 
 // newTask allocates task identity, minting a child span of the search's
-// trace so the task can be followed across process boundaries.
-func (s *Search) newTask(newick string, localTaxon int, passes int) Task {
+// trace so the task can be followed across process boundaries. The task
+// is the empty edit of base until the caller names an insertion or move.
+func (s *Search) newTask(base string, localTaxon int, passes int) Task {
 	s.nextTask++
 	return Task{
 		ID:         s.nextTask,
 		Round:      s.nextRound,
 		Trace:      s.trace.Child(),
-		Newick:     newick,
+		BaseNewick: base,
 		LocalTaxon: int32(localTaxon),
 		Passes:     int32(passes),
 		InsertEdge: -1,
@@ -326,11 +327,12 @@ func bestOf(results []Result) Result {
 
 // applyCandidate turns base — a parse of the round's base Newick, whose
 // node IDs are therefore the evaluators' — into the candidate tree that
-// task t and its result r describe: the task's insertion or SPR move,
-// then every branch length the evaluation reported. The evaluator would
-// have rendered exactly this tree, to the last digit: it made the same
-// edit on its own parse of the same string, and r.Lens covers every
-// branch it left different from what the edit alone produces.
+// task t and its result r describe: the task's insertion or SPR move, if
+// it has one, then every branch length the evaluation reported. The
+// evaluator would have rendered exactly this tree, to the last digit: it
+// made the same edit on its own parse of the same string, and r.Lens
+// covers every branch it left different from what the edit alone
+// produces.
 func applyCandidate(base *tree.Tree, t Task, r Result) error {
 	var junction, leaf *tree.Node
 	if t.InsertEdge >= 0 {
@@ -343,8 +345,10 @@ func applyCandidate(base *tree.Tree, t Task, r Result) error {
 			return fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
 		}
 		junction = leaf.Nbr[0]
-	} else if _, err := base.ApplySPR(tree.SPRMove{P: int(t.MoveP), S: int(t.MoveS), TA: int(t.MoveTA), TB: int(t.MoveTB)}); err != nil {
-		return fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
+	} else if t.MoveS >= 0 {
+		if _, err := base.ApplySPR(tree.SPRMove{P: int(t.MoveP), S: int(t.MoveS), TA: int(t.MoveTA), TB: int(t.MoveTB)}); err != nil {
+			return fmt.Errorf("mlsearch: task %d: %w", t.ID, err)
+		}
 	}
 	node := func(id int32) *tree.Node {
 		switch {
@@ -377,33 +381,37 @@ func adopt(base *tree.Tree, tasks []Task, best Result) error {
 	return applyCandidate(base, tasks[i], best)
 }
 
-// smoothRound dispatches one full-smoothing task for tr and parses the
-// optimized tree back.
+// smoothRound dispatches the empty edit of tr — full smoothing of every
+// branch — and builds the optimized tree on its own parse of the same
+// base, as addTaxon does for an insertion.
 func (s *Search) smoothRound(kind RoundKind, tr *tree.Tree, taxaInTree int) (*tree.Tree, float64, error) {
 	s.nextRound++
 	nwk := tr.Newick()
+	base, err := tree.ParseNewick(nwk, s.cfg.Taxa)
+	if err != nil {
+		return nil, 0, err
+	}
 	task := s.newTask(nwk, -1, fullSmoothPasses)
 	results, err := s.dispatchRound(kind, taxaInTree, []Task{task}, uint64(len(nwk)))
 	if err != nil {
 		return nil, 0, err
 	}
-	out, err := tree.ParseNewick(results[0].Newick, s.cfg.Taxa)
-	if err != nil {
+	if err := applyCandidate(base, task, results[0]); err != nil {
 		return nil, 0, err
 	}
 	// A smooth round always adopts its tree: notify observers. The
 	// real-time viewer of §4 monitors exactly this stream of best trees.
 	if s.Progress != nil {
-		s.Progress(ProgressEvent{Kind: kind, TaxaInTree: taxaInTree, BestLnL: results[0].LnL, BestNewick: results[0].Newick})
+		s.Progress(ProgressEvent{Kind: kind, TaxaInTree: taxaInTree, BestLnL: results[0].LnL, BestNewick: base.Newick()})
 	}
-	return out, results[0].LnL, nil
+	return base, results[0].LnL, nil
 }
 
-// addTaxon performs step 3: dispatch one shared-base task per insertion
-// edge, adopt the best, then fully smooth it. The master serializes the
-// base tree once; each task carries only an edge index, the workers
-// score every candidate against their cached copy of the same base, and
-// only the winner is built — here, from its three junction lengths.
+// addTaxon performs step 3: dispatch one task per insertion edge, adopt
+// the best, then fully smooth it. The master serializes the base tree
+// once; each task carries only an edge index, the workers score every
+// candidate against their cached copy of the same base, and only the
+// winner is built — here, from its three junction lengths.
 func (s *Search) addTaxon(tr *tree.Tree, taxon, taxaAfter int) (*tree.Tree, float64, error) {
 	s.nextRound++
 	nwk := tr.Newick()
@@ -417,8 +425,7 @@ func (s *Search) addTaxon(tr *tree.Tree, taxon, taxaAfter int) (*tree.Tree, floa
 	tasks := make([]Task, 0, len(edges))
 	genBytes := uint64(len(nwk))
 	for k := range edges {
-		task := s.newTask("", taxon, quickInsertPasses)
-		task.BaseNewick = nwk
+		task := s.newTask(nwk, taxon, quickInsertPasses)
 		task.InsertEdge = int32(k)
 		tasks = append(tasks, task)
 		genBytes += taskOverheadBytes
@@ -446,7 +453,7 @@ func (s *Search) rearrangeToConvergence(kind RoundKind, tr *tree.Tree, lnL float
 		nwk := tr.Newick()
 		// Enumerate moves on a reparse of the serialized base so the
 		// node IDs in each move agree with the workers' parse of
-		// BaseNewick (shared-base evaluation, one Newick per round).
+		// BaseNewick (one Newick per round).
 		base, err := tree.ParseNewick(nwk, s.cfg.Taxa)
 		if err != nil {
 			return nil, 0, improved, err
@@ -455,8 +462,7 @@ func (s *Search) rearrangeToConvergence(kind RoundKind, tr *tree.Tree, lnL float
 		genBytes := uint64(len(nwk))
 		_, err = base.Rearrangements(extent, func(view *tree.Tree, cand tree.RearrangeCandidate) bool {
 			mv := cand.Move()
-			task := s.newTask("", -1, quickInsertPasses)
-			task.BaseNewick = nwk
+			task := s.newTask(nwk, -1, quickInsertPasses)
 			task.MoveP = int32(mv.P)
 			task.MoveS = int32(mv.S)
 			task.MoveTA = int32(mv.TA)

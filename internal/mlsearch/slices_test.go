@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -136,8 +137,8 @@ func TestRebuiltCandidateMatchesRenderedTree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d taxa %s task %d: %v", n, kind, task.ID, err)
 			}
-			if res.Newick != "" || len(res.Lens) == 0 {
-				t.Fatalf("%d taxa %s task %d: result carries a tree (%q) or no lengths (%d)", n, kind, task.ID, res.Newick, len(res.Lens))
+			if len(res.Lens) == 0 {
+				t.Fatalf("%d taxa %s task %d: result carries no lengths", n, kind, task.ID)
 			}
 			base, err := tree.ParseNewick(task.BaseNewick, norm.Taxa)
 			if err != nil {
@@ -202,6 +203,86 @@ func TestRebuiltCandidateMatchesRenderedTree(t *testing.T) {
 	}
 }
 
+// TestEmptyEditMatchesFreshEvaluator: the smoothing task — the empty
+// edit of base B — on an evaluator that has scored insertions and moves
+// on B returns the lengths and lnL bits a fresh evaluator returns, and
+// the master's rebuild of it renders what smoothing a parse of B renders.
+// An insertion on B afterwards still matches a fresh evaluator, which it
+// would not had the smoothing kept the base whose lengths it moved.
+func TestEmptyEditMatchesFreshEvaluator(t *testing.T) {
+	cfg := testConfig(t, 9, 150, 44)
+	norm, err := cfg.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := tree.RandomTree(norm.Taxa, rand.New(rand.NewSource(44)), 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const taxon = 8
+	if err := full.RemoveLeaf(taxon); err != nil {
+		t.Fatal(err)
+	}
+	base := full.Newick()
+	newEvaluator := func() *Evaluator {
+		ev, err := NewConfigEvaluator(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ev.Close)
+		return ev
+	}
+	evaluate := func(ev *Evaluator, task Task) Result {
+		res, err := ev.Evaluate(task)
+		if err != nil {
+			t.Fatalf("task %d: %v", task.ID, err)
+		}
+		return res
+	}
+	same := func(what string, got, want Result) {
+		t.Helper()
+		if math.Float64bits(got.LnL) != math.Float64bits(want.LnL) || !reflect.DeepEqual(got.Lens, want.Lens) {
+			t.Errorf("%s on a used evaluator: lnL %.17g %v, fresh %.17g %v", what, got.LnL, got.Lens, want.LnL, want.Lens)
+		}
+	}
+	insert := Task{ID: 2, Round: 4, BaseNewick: base, LocalTaxon: taxon, Passes: quickInsertPasses,
+		InsertEdge: 3, MoveP: -1, MoveS: -1, MoveTA: -1, MoveTB: -1}
+
+	used := newEvaluator()
+	for k := range full.InsertionEdges() {
+		task := insert
+		task.ID, task.Round, task.InsertEdge = uint64(100+k), 1, int32(k)
+		evaluate(used, task)
+	}
+	for _, task := range moveTasks(t, norm.Taxa, base, 2, 0, 2, 200) {
+		evaluate(used, task)
+	}
+	smooth := Task{ID: 1, Round: 3, BaseNewick: base, LocalTaxon: -1, Passes: fullSmoothPasses,
+		InsertEdge: -1, MoveP: -1, MoveS: -1, MoveTA: -1, MoveTB: -1}
+	got := evaluate(used, smooth)
+	same("the empty edit", got, evaluate(newEvaluator(), smooth))
+
+	rebuilt, err := tree.ParseNewick(base, norm.Taxa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := applyCandidate(rebuilt, smooth, got); err != nil {
+		t.Fatal(err)
+	}
+	rendered, err := tree.ParseNewick(base, norm.Taxa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newEvaluator().eng.OptimizeBranches(rendered, likelihood.OptOptions{Passes: fullSmoothPasses}); err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.Newick() != rendered.Newick() {
+		t.Errorf("rebuilt smoothed tree\n%s\nrenders unlike the smoothed parse\n%s", rebuilt.Newick(), rendered.Newick())
+	}
+
+	same("an insertion after the empty edit", evaluate(used, insert), evaluate(newEvaluator(), insert))
+}
+
 // TestApplyCandidateRejectsForeignLengths: a result naming a branch the
 // candidate does not have is an error, not a panic in tree.SetLen.
 func TestApplyCandidateRejectsForeignLengths(t *testing.T) {
@@ -227,7 +308,7 @@ func TestApplyCandidateRejectsForeignLengths(t *testing.T) {
 // TestSliceCutsFollowGuidedRule: whatever is queued and however many
 // workers are live, successive slices of a job are max(1, ⌈queued/(2 ×
 // live)⌉) candidates off the head of its queue, a slice never mixes jobs
-// or base trees, a full-tree task travels alone, and jobs take turns.
+// or base trees, and jobs take turns.
 func TestSliceCutsFollowGuidedRule(t *testing.T) {
 	for _, queued := range []int{1, 2, 3, 7, 8, 29, 59, 240} {
 		for _, live := range []int{1, 2, 3, 7, 64} {
@@ -249,13 +330,17 @@ func TestSliceCutsFollowGuidedRule(t *testing.T) {
 	}
 
 	// Two jobs; the first one's round switches base half way and ends in
-	// two full-tree tasks.
+	// two empty edits of a third base.
 	f := &Foreman{jobs: map[uint64]*jobState{}}
 	mixed := append(sliceOf(10, 1, 1, "(a,b,c);"), sliceOf(10, 1, 1, "(a,c,b);")...)
 	for i := range mixed {
 		mixed[i].ID = uint64(i + 1)
 	}
-	mixed = append(mixed, Task{ID: 21, Job: 1, Round: 1, Newick: "(a,b,c);"}, Task{ID: 22, Job: 1, Round: 1, Newick: "(a,b,c);"})
+	smooth := Task{Job: 1, Round: 1, BaseNewick: "(b,a,c);", LocalTaxon: -1, InsertEdge: -1, MoveP: -1, MoveS: -1, MoveTA: -1, MoveTB: -1}
+	for _, id := range []uint64{21, 22} {
+		smooth.ID = id
+		mixed = append(mixed, smooth)
+	}
 	f.startTestJob(1, mixed)
 	f.startTestJob(2, sliceOf(6, 2, 1, "(a,b,c);"))
 	var turns []uint64
@@ -274,9 +359,6 @@ func TestSliceCutsFollowGuidedRule(t *testing.T) {
 				t.Fatalf("job 1 candidate %d taken out of order (after %d)", task.ID, taken[js.id])
 			}
 			taken[js.id]++
-		}
-		if slice[0].BaseNewick == "" && len(slice) != 1 {
-			t.Fatalf("%d full-tree tasks in one slice", len(slice))
 		}
 	}
 	if taken[1] != 22 || taken[2] != 6 {

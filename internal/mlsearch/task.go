@@ -22,13 +22,17 @@ import (
 // Task is one unit of worker work: a candidate tree topology whose branch
 // lengths must be optimized and whose likelihood must be returned (paper
 // §2: "Each new tree is dispatched to a worker process, which calculates
-// the branch lengths and the overall likelihood value").
+// the branch lengths and the overall likelihood value"). Every task is an
+// edit of its round's base tree: an insertion, a rearrangement, or no
+// edit at all (full smoothing of the base itself).
 type Task struct {
 	// ID identifies the task within its round.
 	ID uint64
 	// Round is the round sequence number (monotone per search).
 	Round uint64
-	// Newick is the candidate tree with starting branch lengths.
+	// Newick is unread and does not travel: every task names its tree as
+	// an edit of BaseNewick. The field remains only because the benchmark
+	// module reads it (ROADMAP item 10).
 	Newick string
 	// LocalTaxon is the taxon an insertion task (InsertEdge >= 0) adds
 	// and scores near its attachment point (the rapid insertion scoring
@@ -37,23 +41,24 @@ type Task struct {
 	// Passes bounds the smoothing passes (0 uses the worker default).
 	Passes int32
 
-	// BaseNewick, when non-empty, switches the task to shared-base
-	// evaluation: the worker parses and caches this base tree once per
-	// slice (reusing its engine's CLV cache across the round's tasks)
-	// and derives the candidate from it, instead of parsing Newick.
-	// Every worker parses the same string, so node IDs agree with the
-	// master's enumeration. On the wire the candidates of a slice carry
-	// it once between them.
+	// BaseNewick is the round's base tree: the worker parses and caches
+	// it once per slice (reusing its engine's CLV cache across the
+	// round's tasks) and derives the candidate from it. Every worker
+	// parses the same string, so node IDs agree with the master's
+	// enumeration. On the wire the candidates of a slice carry it once
+	// between them.
 	BaseNewick string
-	// InsertEdge, when >= 0 with BaseNewick set, scores inserting
-	// LocalTaxon at index InsertEdge of the base tree's
-	// InsertionEdges() — O(patterns) work at the insertion edge.
+	// InsertEdge, when >= 0, scores inserting LocalTaxon at index
+	// InsertEdge of the base tree's InsertionEdges() — O(patterns) work
+	// at the insertion edge.
 	InsertEdge int32
-	// MoveP/MoveS/MoveTA/MoveTB, when InsertEdge < 0 with BaseNewick
-	// set, identify a rearrangement by node IDs in the base tree: prune
-	// the subtree at MoveS (dissolving MoveP) and regraft it onto edge
+	// MoveP/MoveS/MoveTA/MoveTB, when InsertEdge < 0 and MoveS >= 0,
+	// identify a rearrangement by node IDs in the base tree: prune the
+	// subtree at MoveS (dissolving MoveP) and regraft it onto edge
 	// (MoveTA, MoveTB). The worker applies the move, optimizes locally,
-	// and undoes it, keeping its cached base tree warm.
+	// and undoes it, keeping its cached base tree warm. With InsertEdge
+	// and MoveS both < 0 the task is the empty edit: optimize every
+	// branch of the base.
 	MoveP, MoveS, MoveTA, MoveTB int32
 
 	// Trace is the task's span context, minted by the master so one task
@@ -70,10 +75,9 @@ type Task struct {
 
 // sliceWith reports whether b can ride in the same slice as a: a slice is
 // a run of one job's candidates against one shared base tree, so job,
-// round, trace, passes, taxon and trees are stated once for all of them.
-// A full-tree task (no base) is always a slice of its own.
+// round, trace, passes, taxon and base are stated once for all of them.
 func (a Task) sliceWith(b Task) bool {
-	return a.BaseNewick != "" && a.BaseNewick == b.BaseNewick && a.Newick == b.Newick &&
+	return a.BaseNewick == b.BaseNewick &&
 		a.Job == b.Job && a.Round == b.Round && a.Trace.TraceID == b.Trace.TraceID &&
 		a.Passes == b.Passes && a.LocalTaxon == b.LocalTaxon
 }
@@ -87,10 +91,10 @@ const (
 	NodeNewLeaf int32 = -2
 )
 
-// EdgeLen is one optimized branch length of a shared-base candidate: the
-// branch between nodes A and B of the candidate tree — the base tree
-// after the task's insertion or SPR move, which gives the regraft
-// junction the dissolved node's ID — has length Len.
+// EdgeLen is one optimized branch length of a candidate: the branch
+// between nodes A and B of the candidate tree — the base tree after the
+// task's edit, where an SPR move gives the regraft junction the dissolved
+// node's ID — has length Len.
 type EdgeLen struct {
 	A, B int32
 	Len  float64
@@ -102,14 +106,11 @@ type Result struct {
 	TaskID uint64
 	// Round echoes Task.Round.
 	Round uint64
-	// Newick is the tree with optimized branch lengths, for a full-tree
-	// task. A shared-base candidate returns Lens instead: only a round's
-	// winner is ever built, by the master, on the base it already holds.
-	Newick string
-	// Lens, for a shared-base candidate, lists every branch whose length
-	// differs from the candidate tree's starting lengths: applying the
-	// task to the base and setting these reproduces the optimized tree
-	// exactly (applyCandidate).
+	// Lens lists every branch whose length differs from the candidate
+	// tree's starting lengths: applying the task's edit to the base and
+	// setting these reproduces the optimized tree exactly
+	// (applyCandidate). Only a round's winner is ever built, by the
+	// master, on the base it already holds.
 	Lens []EdgeLen
 	// Err, when non-empty, says the evaluation failed and why; every
 	// other field but the identifiers is then zero. A failed candidate
@@ -119,7 +120,7 @@ type Result struct {
 	LnL float64
 	// Ops is the number of likelihood work units the evaluation cost;
 	// the cluster simulator's cost model consumes it. Cache hits cost
-	// zero ops, so shared-base tasks report only the work actually done.
+	// zero ops, so a task reports only the work actually done.
 	Ops uint64
 	// CacheHits and CacheMisses count the worker engine's CLV cache
 	// behaviour during this task, for the scaling simulator.
@@ -246,7 +247,7 @@ func (r *wireReader) count(what string, minElem int) int {
 // lengths: the least a count's elements can occupy.
 const (
 	wireCandidateSize = 8 + 8 + 5*4
-	wireResultSize    = 8 + 8 + 8 + 5*8 + 3*4
+	wireResultSize    = 8 + 8 + 8 + 5*8 + 2*4
 	wireEdgeLenSize   = 4 + 4 + 8
 )
 
@@ -257,13 +258,12 @@ const (
 // comm.PutBuf it.
 func marshalTasks(tasks []Task) []byte {
 	h := tasks[0]
-	w := wireWriter{buf: comm.GetBuf(64 + len(h.Newick) + len(h.BaseNewick) + wireCandidateSize*len(tasks))[:0]}
+	w := wireWriter{buf: comm.GetBuf(64 + len(h.BaseNewick) + wireCandidateSize*len(tasks))[:0]}
 	w.u64(h.Job)
 	w.u64(h.Round)
 	w.u64(h.Trace.TraceID)
 	w.i32(h.Passes)
 	w.i32(h.LocalTaxon)
-	w.str(h.Newick)
 	w.str(h.BaseNewick)
 	w.i32(int32(len(tasks)))
 	for _, t := range tasks {
@@ -285,7 +285,6 @@ func unmarshalTasks(b []byte) ([]Task, error) {
 	h.Trace.TraceID = r.u64("slice trace")
 	h.Passes = r.i32("slice passes")
 	h.LocalTaxon = r.i32("slice taxon")
-	h.Newick = r.str("slice newick")
 	h.BaseNewick = r.str("slice base newick")
 	tasks := make([]Task, r.count("slice candidate count", wireCandidateSize))
 	for i := range tasks {
@@ -332,7 +331,7 @@ func marshalResults(results []Result) []byte {
 	h := results[0]
 	size := 32 + wireResultSize*len(results)
 	for _, res := range results {
-		size += wireEdgeLenSize*len(res.Lens) + len(res.Newick) + len(res.Err)
+		size += wireEdgeLenSize*len(res.Lens) + len(res.Err)
 	}
 	w := wireWriter{buf: comm.GetBuf(size)[:0]}
 	w.u64(h.Job)
@@ -354,7 +353,6 @@ func marshalResults(results []Result) []byte {
 			w.i32(l.B)
 			w.f64(l.Len)
 		}
-		w.str(res.Newick)
 		w.str(res.Err)
 	}
 	return w.buf
@@ -382,7 +380,6 @@ func unmarshalResults(b []byte) ([]Result, error) {
 				res.Lens[j] = EdgeLen{A: r.i32("length a"), B: r.i32("length b"), Len: r.f64("length")}
 			}
 		}
-		res.Newick = r.str("result newick")
 		res.Err = r.str("result error")
 		results[i] = res
 	}

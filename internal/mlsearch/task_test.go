@@ -13,8 +13,8 @@ import (
 )
 
 func TestTaskCodecRoundTrip(t *testing.T) {
-	f := func(id, round, job uint64, newick, base string, localTaxon, passes, edge, p, s, ta, tb int32) bool {
-		in := Task{ID: id, Round: round, Job: job, Newick: newick, BaseNewick: base, LocalTaxon: localTaxon, Passes: passes,
+	f := func(id, round, job uint64, base string, localTaxon, passes, edge, p, s, ta, tb int32) bool {
+		in := Task{ID: id, Round: round, Job: job, BaseNewick: base, LocalTaxon: localTaxon, Passes: passes,
 			InsertEdge: edge, MoveP: p, MoveS: s, MoveTA: ta, MoveTB: tb}
 		out, err := UnmarshalTask(MarshalTask(in))
 		return err == nil && out == in
@@ -25,11 +25,11 @@ func TestTaskCodecRoundTrip(t *testing.T) {
 }
 
 func TestResultCodecRoundTrip(t *testing.T) {
-	f := func(id, round uint64, newick, cause string, lnl float64, ops uint64, a, b []int32, l []float64) bool {
+	f := func(id, round uint64, cause string, lnl float64, ops uint64, a, b []int32, l []float64) bool {
 		if math.IsNaN(lnl) {
 			lnl = -1234.5
 		}
-		in := Result{TaskID: id, Round: round, Newick: newick, Err: cause, LnL: lnl, Ops: ops}
+		in := Result{TaskID: id, Round: round, Err: cause, LnL: lnl, Ops: ops}
 		for i := 0; i < len(a) && i < len(b) && i < len(l); i++ {
 			if !math.IsNaN(l[i]) {
 				in.Lens = append(in.Lens, EdgeLen{A: a[i], B: b[i], Len: l[i]})
@@ -106,9 +106,9 @@ func TestTaskSliceCodec(t *testing.T) {
 
 func TestTaskCodecRejectsTruncation(t *testing.T) {
 	for name, b := range map[string][]byte{
-		"task":   MarshalTask(Task{ID: 7, Newick: "(a,b,c);"}),
+		"task":   MarshalTask(Task{ID: 7, BaseNewick: "(a,b,c);"}),
 		"slice":  marshalTasks(sliceOf(3, 1, 1, "(a,b,c);")),
-		"result": MarshalResult(Result{TaskID: 7, Newick: "(a,b,c);", Lens: []EdgeLen{{A: 1, B: 2, Len: 3}}, Err: "x"}),
+		"result": MarshalResult(Result{TaskID: 7, Lens: []EdgeLen{{A: 1, B: 2, Len: 3}}, Err: "x"}),
 	} {
 		decode := func(b []byte) error { _, err := unmarshalTasks(b); return err }
 		if name == "result" {

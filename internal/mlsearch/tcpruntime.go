@@ -37,17 +37,6 @@ func runTCPTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 		return nil, fmt.Errorf("mlsearch: tcp run: no worker could join this run: %w", err)
 	}
 
-	// The foreman always gets an inline evaluator: a TCP run must
-	// complete even if every worker disappears (degradation ladder).
-	if opt.Foreman.Inline == nil {
-		inline, err := NewConfigEvaluator(norm)
-		if err != nil {
-			return nil, err
-		}
-		defer inline.Close()
-		opt.Foreman.Inline = inline
-	}
-
 	// Join barrier: the master waits for opt.Workers joins before
 	// starting the search (0 = start immediately). It counts the
 	// foreman's WorkerJoined events, so it opens only once the foreman

@@ -126,8 +126,8 @@ func TestTCPRunNoWorkersInline(t *testing.T) {
 // master scores, whatever the Config holds. The welcome carries the
 // run's patterns, weights, rates and the model's own numbers, so every
 // model × weighting — the first row is the plain F84 default — must
-// return the serial answer, bit for bit, from two joined workers plus
-// the foreman's inline evaluator. The site-rate rows are the ones a
+// return the serial answer, bit for bit, from two joined workers. The
+// site-rate rows are the ones a
 // worker that re-derived its model from the alignment alone would score
 // differently (rates change neither frequencies nor decomposition). The
 // float32 rows, named as when float32 CLV storage existed, now require
@@ -275,7 +275,7 @@ func TestWelcomeConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task := Task{ID: 1, Newick: "((a:0.1,b:0.1):0.1,c:0.1,d:0.1);", Passes: 4, InsertEdge: -1}
+	task := Task{ID: 1, BaseNewick: "((a:0.1,b:0.1):0.1,c:0.1,d:0.1);", Passes: 4, InsertEdge: -1, MoveS: -1}
 	var lnL [2]float64
 	for i, c := range []Config{cfg, remote} {
 		ev, err := NewConfigEvaluator(c)

@@ -38,8 +38,8 @@ type FleetOptions struct {
 	// (default 1; results are bit-identical at any count).
 	Threads int
 	// TaskTimeout re-dispatches a task whose worker has not answered
-	// (default 1m; the inline evaluator is the last rung, so a pod
-	// always makes progress).
+	// (default 1m; the foreman's inline evaluation is the last rung, so
+	// a pod always makes progress).
 	TaskTimeout time.Duration
 }
 
@@ -63,11 +63,10 @@ func (o FleetOptions) withDefaults() FleetOptions {
 }
 
 // pod is one warm dataset-bound world: a Local world that has not been
-// shut down yet, plus the inline evaluator its foreman falls back to.
+// shut down yet.
 type pod struct {
-	key    string
-	world  *mlsearch.LocalWorld
-	inline *mlsearch.Evaluator
+	key   string
+	world *mlsearch.LocalWorld
 
 	refs int
 	idle time.Time
@@ -144,33 +143,24 @@ func (f *Fleet) Acquire(key string, cfg mlsearch.Config) (*pod, error) {
 }
 
 // newPod starts the warm world: the Local transport's world, kept alive
-// to take a Run per job. Its workers evaluate with the dataset's config
-// at the fleet's thread count, and the inline evaluator is the
-// degradation floor — if every worker in the pod dies, rounds still
-// complete.
+// to take a Run per job. Its workers — and its foreman, should every
+// worker in the pod die — evaluate with the dataset's config at the
+// fleet's thread count.
 func (f *Fleet) newPod(key string, cfg mlsearch.Config) (*pod, error) {
 	norm, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
 	norm.Threads = f.opt.Threads
-	inline, err := mlsearch.NewConfigEvaluator(norm)
-	if err != nil {
-		return nil, err
-	}
 	world, err := mlsearch.StartLocal(norm, mlsearch.RunOptions{
 		Workers: f.opt.Workers,
-		Foreman: mlsearch.ForemanOptions{
-			TaskTimeout: f.opt.TaskTimeout,
-			Inline:      inline,
-		},
-		Obs: mlsearch.NewRunObserver(f.reg, nil),
+		Foreman: mlsearch.ForemanOptions{TaskTimeout: f.opt.TaskTimeout},
+		Obs:     mlsearch.NewRunObserver(f.reg, nil),
 	})
 	if err != nil {
-		inline.Close()
 		return nil, err
 	}
-	return &pod{key: key, idle: time.Now(), world: world, inline: inline}, nil
+	return &pod{key: key, idle: time.Now(), world: world}, nil
 }
 
 // Release returns a pod reference; an unreferenced pod starts its idle
@@ -220,11 +210,10 @@ func (f *Fleet) retire(p *pod) {
 	}
 }
 
-// shutdownPod tears one world down and releases its inline engine,
-// returning the first failure of the pod's foreman or workers.
+// shutdownPod tears one world down, returning the first failure of the
+// pod's foreman or workers.
 func (f *Fleet) shutdownPod(p *pod) error {
 	err := p.world.Shutdown()
-	p.inline.Close()
 	if err != nil {
 		err = fmt.Errorf("pod %.8s %w", p.key, err)
 	}

@@ -66,7 +66,8 @@ func (e *probeEngine) Close() {
 // every way the tree builds an evaluator × every evaluation knob. In
 // each cell the run sets one knob away from its default, and every
 // engine the run built — serial dispatcher, Local/TCP/pod workers, the
-// foreman's inline fallback, the KH test — must have been built on the
+// foreman's inline fallback (built only when no worker answers), the KH
+// test — must have been built on the
 // run's engine and the run's model, number for number, with the run's
 // thread count, and been closed by the time the run returned. Precision
 // and smooth mode have one legal value each, so their cells are
@@ -126,10 +127,19 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 			_, err := mlsearch.Run(config(w), mlsearch.RunOptions{Transport: mlsearch.Local, Workers: 2})
 			return err
 		}},
-		// One elastic worker plus the foreman's inline evaluator; the
-		// worker learns the run from the welcome alone. -threads is the
-		// worker host's own setting.
-		{"tcp", 2, func(t *testing.T, w want) error {
+		// One worker that never answers, so the foreman builds its inline
+		// evaluator and runs the search on it.
+		{"inline", 2, func(t *testing.T, w want) error {
+			_, err := mlsearch.Run(config(w), mlsearch.RunOptions{
+				Transport: mlsearch.Local, Workers: 1,
+				Foreman:     mlsearch.ForemanOptions{TaskTimeout: 20 * time.Millisecond},
+				WorkerHooks: map[int]mlsearch.WorkerHooks{2: {BeforeReply: func(mlsearch.Task, mlsearch.Result) bool { return false }}},
+			})
+			return err
+		}},
+		// One elastic worker; the worker learns the run from the welcome
+		// alone. -threads is the worker host's own setting.
+		{"tcp", 1, func(t *testing.T, w want) error {
 			var workers sync.WaitGroup
 			var workerErr error
 			_, err := mlsearch.Run(config(w), mlsearch.RunOptions{
@@ -149,9 +159,9 @@ func TestEvaluationIdentityPropagates(t *testing.T) {
 			}
 			return err
 		}},
-		// One job on a one-worker pod: the worker plus the pod's inline
-		// evaluator. Threads is the daemon's setting, not the job's.
-		{"serve", 2, func(t *testing.T, w want) error {
+		// One job on a one-worker pod. Threads is the daemon's setting,
+		// not the job's.
+		{"serve", 1, func(t *testing.T, w want) error {
 			s, err := NewServer(Options{
 				DataDir: t.TempDir(), Registry: obs.NewRegistry(), Logf: t.Logf,
 				Fleet: FleetOptions{Workers: 1, Threads: w.threads},

@@ -282,6 +282,59 @@ func TestServerAdmissionAndCancel(t *testing.T) {
 	}
 }
 
+// TestCancelAfterPopEndsCanceled: a job canceled after the dispatcher
+// has popped it, but before it runs, is still queued when Cancel looks.
+// It must end canceled — once, with no stored result — rather than be
+// finalized canceled by Cancel and then run to done.
+func TestCancelAfterPopEndsCanceled(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	popped := make(chan struct{})
+	release := make(chan struct{})
+	s.popped = func(*job) {
+		close(popped)
+		<-release
+	}
+	spec := JobSpec{Tenant: "a", Alignment: testPhylipText(t, 6, 120, 9), Options: JobOptions{Seed: 3}}
+	rec, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-popped
+	if _, err := s.Cancel(rec.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	// Let the popped job run its course, then Close, which waits for
+	// runJob to return.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		active := len(s.active)
+		s.mu.Unlock()
+		if active == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the popped job never left the active set")
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateCanceled {
+		t.Fatalf("job canceled after its pop ended %s", got.State)
+	}
+	var prom bytes.Buffer
+	_ = s.reg.WritePrometheus(&prom)
+	if m := prom.String(); !strings.Contains(m, `fdml_serve_jobs_total{tenant="a",outcome="canceled"} 1`) ||
+		strings.Contains(m, `outcome="done"`) {
+		t.Errorf("want exactly one outcome, canceled:\n%s", m)
+	}
+}
+
 // TestFinishingJobFreesItsPodFirst: a job gives its pod back before its
 // job slot, so the job the dispatcher pops into that slot finds the pod
 // slot free too. One pod slot and one job slot, three jobs queued behind

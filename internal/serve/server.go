@@ -159,6 +159,10 @@ type Server struct {
 	kick    chan struct{}
 	stopAll chan struct{}
 	wg      sync.WaitGroup
+
+	// popped, when non-nil, runs as runJob starts, before the job
+	// acquires its pod; tests swap it in to hold a popped job there.
+	popped func(*job)
 }
 
 // NewServer opens the durable stores under opt.DataDir, recovers every
@@ -328,8 +332,10 @@ func (s *Server) Get(id string) (JobRecord, error) {
 	return j.snapshot(), nil
 }
 
-// Cancel cancels a job: a queued job transitions immediately, a running
-// job stops at its next round boundary. Terminal jobs are unchanged.
+// Cancel cancels a job: a job still in the queue transitions
+// immediately; a running job, or one the dispatcher has popped but not
+// yet started, stops at its next round boundary. Terminal jobs are
+// unchanged.
 func (s *Server) Cancel(id string) (JobRecord, error) {
 	s.mu.Lock()
 	j := s.jobs[id]
@@ -340,21 +346,21 @@ func (s *Server) Cancel(id string) (JobRecord, error) {
 	j.mu.Lock()
 	state := j.rec.State
 	j.mu.Unlock()
-	switch state {
-	case StateQueued:
+	switch {
+	case state == StateQueued && s.active[id] == nil:
 		s.sched.remove(id)
 		s.updateQueueGauges()
 		s.mu.Unlock()
 		s.finalize(j, StateCanceled, "canceled while queued")
-		return j.snapshot(), nil
-	case StateRunning:
-		s.mu.Unlock()
+	case state == StateQueued || state == StateRunning:
+		// Halted under s.mu, so requeue sees the cancel or the job is
+		// already back in the queue, stop channel closed.
 		j.halt(true)
-		return j.snapshot(), nil
+		s.mu.Unlock()
 	default:
 		s.mu.Unlock()
-		return j.snapshot(), nil
 	}
+	return j.snapshot(), nil
 }
 
 // Result returns a completed job's stored result.
@@ -426,17 +432,25 @@ func (s *Server) reapLoop() {
 
 // requeue puts a popped job back (fleet saturated) at the head of its
 // tenant's queue, refunding the turn it did not get, and retries
-// shortly. A job slot is given back only after its pod is released, so
-// with MaxActive <= MaxPods a popped job always finds a pod and this
-// runs only when MaxActive exceeds MaxPods.
+// shortly; a job canceled since its pop is finalized instead. A job slot
+// is given back only after its pod is released, so with MaxActive <=
+// MaxPods a popped job always finds a pod and this runs only when
+// MaxActive exceeds MaxPods.
 func (s *Server) requeue(j *job) {
 	s.mu.Lock()
 	delete(s.active, j.rec.ID)
-	if !s.closing {
+	j.mu.Lock()
+	canceled := j.canceled
+	j.mu.Unlock()
+	if !s.closing && !canceled {
 		s.sched.giveBack(j)
 	}
 	s.updateQueueGauges()
 	s.mu.Unlock()
+	if canceled {
+		s.finalize(j, StateCanceled, "canceled")
+		return
+	}
 	s.opt.Logf("job %s: fleet saturated, back at the head of tenant %s's queue", j.rec.ID, j.rec.Tenant)
 	time.AfterFunc(200*time.Millisecond, s.wake)
 }
@@ -446,6 +460,9 @@ func (s *Server) requeue(j *job) {
 // memoize the result. Held by s.wg for graceful shutdown.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
+	if s.popped != nil {
+		s.popped(j)
+	}
 	pod, err := s.fleet.Acquire(j.rec.PodKey, j.prep.Cfg)
 	if errors.Is(err, ErrFleetSaturated) {
 		s.requeue(j)
