@@ -99,7 +99,8 @@ bench-pairs:
 
 # ROADMAP item 3's acceptance numbers: non-test, non-blank, non-comment
 # Go lines of internal/comm, internal/mlsearch, internal/serve,
-# internal/core, internal/likelihood (difftest included) and cmd/, then
+# internal/core, internal/likelihood (difftest included), internal/obs
+# and cmd/, then
 # the settable values (exported fields of the *Options, *Config, *Policy,
 # WorkerHooks and core.Spec structs there, and the flags of fastdnaml,
 # fdworker and fastdnamld; scripts/census), as markdown tables — with

@@ -156,10 +156,11 @@ type Foreman struct {
 	// inline is the evaluator of the ladder's last rung, built from cfg
 	// the first time no live worker can take queued work.
 	inline *Evaluator
-	// obs, when non-nil, receives dispatch-loop instrumentation (metrics,
-	// typed events, trace spans, the /status snapshot). Nil costs one nil
-	// check per site.
-	obs *RunObserver
+	// obs, when non-nil, is this foreman's view of its observer: it
+	// receives dispatch-loop instrumentation (metrics, typed events,
+	// trace spans, the /status snapshot). Nil costs one nil check per
+	// site.
+	obs *foremanView
 
 	// mu guards what job lanes share with the loop: the rounds submitted
 	// since the last wake-up, the lane counter, and — once the loop has
@@ -215,7 +216,8 @@ func (js *jobState) fail(res Result) {
 }
 
 // NewForeman builds the foreman over its own endpoint, with the layout's
-// workers as its first members and o (nil for none) as its observer.
+// workers as its first members, attached to observer o (nil for none)
+// until its Run returns.
 // norm, the run's normalized Config, is what the foreman evaluates with
 // when no worker is left to. Nothing runs until Run is called.
 func NewForeman(c comm.Communicator, lay Layout, norm Config, opt ForemanOptions, o *RunObserver) *Foreman {
@@ -223,7 +225,7 @@ func NewForeman(c comm.Communicator, lay Layout, norm Config, opt ForemanOptions
 		c:       c,
 		cfg:     norm,
 		opt:     opt.withDefaults(),
-		obs:     o,
+		obs:     o.attach(),
 		members: map[int]bool{},
 		busy:    map[int][]dispatchRecord{},
 		dead:    map[int]bool{},
@@ -250,6 +252,7 @@ func (f *Foreman) Run() error {
 	unopened := f.inbox
 	f.inbox = nil
 	f.mu.Unlock()
+	f.obs.stop()
 	for _, js := range f.jobs {
 		js.reply <- roundReply{err: reason}
 	}
@@ -260,7 +263,6 @@ func (f *Foreman) Run() error {
 	if f.inline != nil {
 		f.inline.Close()
 	}
-	f.obs.foremanStopped()
 	return err
 }
 

@@ -2,6 +2,7 @@ package mlsearch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -11,14 +12,19 @@ import (
 )
 
 // Run-level observability. A RunObserver is the hosting process's sink
-// for everything the foreman sees, and the foreman's only one: each event
-// site calls it once. It updates the metrics registry, publishes typed
-// events on the bus (the monitor's line printer is an ordinary subscriber
-// of that bus), closes task trace spans with their per-phase latencies,
-// and keeps the run's one tally: the snapshot that the /status endpoint
-// serves live and RunOutcome.Monitor holds at shutdown. Every method is
-// nil-receiver safe, so the foreman's call sites cost one nil check when
-// no observer is attached.
+// for everything its foremen see: each foreman attaches a view of it
+// (attach), and each event site calls that view once. The observer keeps
+// the one tally of the process: cumulative counts, per-rank history,
+// trace spans, round and best lnL. A view keeps what is true of its
+// foreman only while it runs (depths, open job rows, busy ranks), and the
+// foreman's stop drops it. The snapshot that /status serves and
+// RunOutcome.Monitor holds is a read of both, and so are the counters
+// and gauges /metrics renders; the observer also publishes typed events
+// on the bus (the monitor's line printer is an ordinary subscriber) and
+// feeds the phase histograms. A registry has one RunObserver: the
+// daemon's fleet hands its one to every pod. Every method is nil-receiver
+// safe, so the foreman's call sites cost one nil check when no observer
+// is attached.
 
 // Typed bus events, published on the foreman's goroutine.
 type (
@@ -112,15 +118,6 @@ type WorkerRunSnapshot struct {
 	State      string  `json:"state"`
 }
 
-// jobRow accumulates one open round's progress, keyed by job id.
-type jobRow struct {
-	Round      uint64
-	Tasks      int
-	Dispatched int
-	Completed  int
-	Inline     int
-}
-
 // JobRunSnapshot is one open job's row in a RunSnapshot.
 type JobRunSnapshot struct {
 	Job        uint64 `json:"job"`
@@ -190,81 +187,114 @@ func (sp taskSpan) record() obs.SpanRecord {
 // recentSpans is how many completed task spans a snapshot shows.
 const recentSpans = 64
 
-// RunObserver receives the foreman's dispatch-loop instrumentation.
+// RunObserver receives the dispatch-loop instrumentation of every
+// foreman attached to it.
 type RunObserver struct {
-	reg *obs.Registry
-	bus *obs.Bus
-
-	mRounds     *obs.Counter
-	mDispatch   *obs.Counter
-	mResults    *obs.CounterVec
-	mTimeouts   *obs.CounterVec
-	mReinstates *obs.CounterVec
-	mJoins      *obs.Counter
-	mLeaves     *obs.Counter
-	mInline     *obs.Counter
-	gRound      *obs.Gauge
-	gQueue      *obs.Gauge
-	gBusy       *obs.Gauge
-	gReady      *obs.Gauge
-	gInflight   *obs.Gauge
-	gActiveJobs *obs.Gauge
-	gBestLnL    *obs.Gauge
-	hPhase      *obs.HistogramVec
+	reg    *obs.Registry
+	bus    *obs.Bus
+	hPhase *obs.HistogramVec
 
 	mu      sync.Mutex
 	started time.Time
-	snap    RunSnapshot
-	hist    map[int]*workerHistory
-	busy    map[int]bool
-	jobs    map[uint64]*jobRow
+	// snap holds the cumulative tallies; the depth fields stay zero here
+	// and are summed over the live views when read.
+	snap  RunSnapshot
+	hist  map[int]*workerHistory
+	views []*foremanView // live foremen, in attach order
 	// spans is the ring of the last recentSpans completed task spans;
 	// spanNext is the slot the next one overwrites.
 	spans    [recentSpans]taskSpan
 	spanNext int
 	spanFull bool
+}
 
-	// reported is what this observer has added to the depth gauges
-	// (queue, busy, ready, inflight, jobs), which every observer on a
-	// registry shares: the daemon's pods each report their own foreman.
-	reported [5]int
+// foremanView is one foreman's share of its observer, guarded by the
+// observer's mutex.
+type foremanView struct {
+	*RunObserver
+	// depths is the last Depths report: queue, busy, ready, inflight,
+	// jobs.
+	depths [5]int
+	busy   map[int]bool
+	jobs   map[uint64]*JobRunSnapshot
+}
+
+// readFamily is an unlabeled counter or gauge that is a field of a
+// snapshot S, read when /metrics renders.
+type readFamily[S any] struct {
+	declare    func(r *obs.Registry, name, help string, labels []string, read func(obs.Emit))
+	name, help string
+	value      func(*S) float64
+}
+
+// readCounter and readGauge are readFamily's declare column.
+var readCounter, readGauge = (*obs.Registry).CounterFunc, (*obs.Registry).GaugeFunc
+
+// declareReads declares each family on reg, reading the snapshot that
+// snap returns.
+func declareReads[S any](reg *obs.Registry, fams []readFamily[S], snap func() S) {
+	for _, m := range fams {
+		m.declare(reg, m.name, m.help, nil, func(emit obs.Emit) {
+			s := snap()
+			emit(m.value(&s))
+		})
+	}
+}
+
+// runFamilies are the observer's unlabeled counters and gauges.
+var runFamilies = []readFamily[RunSnapshot]{
+	{readCounter, "fdml_rounds_total", "Completed dispatch rounds.", func(s *RunSnapshot) float64 { return float64(s.Rounds) }},
+	{readCounter, "fdml_dispatch_total", "Tasks handed to workers.", func(s *RunSnapshot) float64 { return float64(s.Dispatched) }},
+	{readCounter, "fdml_joins_total", "Workers that joined the world.", func(s *RunSnapshot) float64 { return float64(s.Joins) }},
+	{readCounter, "fdml_leaves_total", "Workers that left permanently.", func(s *RunSnapshot) float64 { return float64(s.Leaves) }},
+	{readCounter, "fdml_inline_total", "Tasks the foreman evaluated inline.", func(s *RunSnapshot) float64 { return float64(s.Inline) }},
+	{readGauge, "fdml_round", "Current dispatch round.", func(s *RunSnapshot) float64 { return float64(s.Round) }},
+	{readGauge, "fdml_queue_depth", "Tasks waiting in the work queue.", func(s *RunSnapshot) float64 { return float64(s.QueueDepth) }},
+	{readGauge, "fdml_busy_workers", "Workers with a task in flight.", func(s *RunSnapshot) float64 { return float64(s.Busy) }},
+	{readGauge, "fdml_ready_workers", "Alive workers with spare pipeline capacity.", func(s *RunSnapshot) float64 { return float64(s.Ready) }},
+	{readGauge, "fdml_inflight_tasks", "Total dispatched tasks awaiting results.", func(s *RunSnapshot) float64 { return float64(s.Inflight) }},
+	{readGauge, "fdml_active_jobs", "Jobs with an open round at the foreman.", func(s *RunSnapshot) float64 { return float64(s.ActiveJobs) }},
+	{readGauge, "fdml_best_lnl", "Best log-likelihood seen so far.", func(s *RunSnapshot) float64 { return s.BestLnL }},
+}
+
+// rankFamilies are the observer's per-rank counters, read from the
+// snapshot's worker rows; a rank's series appears once it counts one.
+var rankFamilies = []struct {
+	name, help string
+	value      func(*WorkerRunSnapshot) int
+}{
+	{"fdml_results_total", "Results accepted, by worker rank.", func(w *WorkerRunSnapshot) int { return w.Tasks }},
+	{"fdml_timeouts_total", "Fault-tolerance removals, by worker rank.", func(w *WorkerRunSnapshot) int { return w.Timeouts }},
+	{"fdml_reinstates_total", "Delinquent workers reinstated, by rank.", func(w *WorkerRunSnapshot) int { return w.Reinstates }},
 }
 
 // NewRunObserver builds an observer over a registry and an event bus
 // (either may be nil: a nil registry records no metrics, a nil bus is
-// replaced by a private one for Bus to return). The span ring retains the
-// last 64 completed tasks.
+// replaced by a private one for Bus to return) and declares its metric
+// families on the registry, which therefore takes no second RunObserver.
+// The span ring retains the last 64 completed tasks.
 func NewRunObserver(reg *obs.Registry, bus *obs.Bus) *RunObserver {
 	if bus == nil {
 		bus = obs.NewBus()
 	}
 	o := &RunObserver{
-		reg: reg,
-		bus: bus,
-
-		mRounds:     reg.Counter("fdml_rounds_total", "Completed dispatch rounds."),
-		mDispatch:   reg.Counter("fdml_dispatch_total", "Tasks handed to workers."),
-		mResults:    reg.CounterVec("fdml_results_total", "Results accepted, by worker rank.", "worker"),
-		mTimeouts:   reg.CounterVec("fdml_timeouts_total", "Fault-tolerance removals, by worker rank.", "worker"),
-		mReinstates: reg.CounterVec("fdml_reinstates_total", "Delinquent workers reinstated, by rank.", "worker"),
-		mJoins:      reg.Counter("fdml_joins_total", "Workers that joined the world."),
-		mLeaves:     reg.Counter("fdml_leaves_total", "Workers that left permanently."),
-		mInline:     reg.Counter("fdml_inline_total", "Tasks the foreman evaluated inline."),
-		gRound:      reg.Gauge("fdml_round", "Current dispatch round."),
-		gQueue:      reg.Gauge("fdml_queue_depth", "Tasks waiting in the work queue."),
-		gBusy:       reg.Gauge("fdml_busy_workers", "Workers with a task in flight."),
-		gReady:      reg.Gauge("fdml_ready_workers", "Alive workers with spare pipeline capacity."),
-		gInflight:   reg.Gauge("fdml_inflight_tasks", "Total dispatched tasks awaiting results."),
-		gActiveJobs: reg.Gauge("fdml_active_jobs", "Jobs with an open round at the foreman."),
-		gBestLnL:    reg.Gauge("fdml_best_lnl", "Best log-likelihood seen so far."),
-		hPhase:      reg.HistogramVec("fdml_task_phase_seconds", "Per-task phase latency.", taskPhaseBuckets, "phase"),
-
+		reg:     reg,
+		bus:     bus,
+		hPhase:  reg.HistogramVec("fdml_task_phase_seconds", "Per-task phase latency.", taskPhaseBuckets, "phase"),
 		started: time.Now(),
 		hist:    map[int]*workerHistory{},
-		busy:    map[int]bool{},
-		jobs:    map[uint64]*jobRow{},
 	}
 	o.snap.Started = o.started
+	declareReads(reg, runFamilies, o.Snapshot)
+	for _, m := range rankFamilies {
+		reg.CounterFunc(m.name, m.help, []string{"worker"}, func(emit obs.Emit) {
+			for _, w := range o.Snapshot().Workers {
+				if n := m.value(&w); n > 0 {
+					emit(float64(n), rankLabel(w.Rank))
+				}
+			}
+		})
+	}
 	return o
 }
 
@@ -286,6 +316,29 @@ func (o *RunObserver) Registry() *obs.Registry {
 	return o.reg
 }
 
+// attach adds a foreman's view (nil for a nil observer).
+func (o *RunObserver) attach() *foremanView {
+	if o == nil {
+		return nil
+	}
+	v := &foremanView{RunObserver: o, busy: map[int]bool{}, jobs: map[uint64]*JobRunSnapshot{}}
+	o.mu.Lock()
+	o.views = append(o.views, v)
+	o.mu.Unlock()
+	return v
+}
+
+// stop drops a stopped foreman's view: its depths, open job rows and
+// busy ranks leave the snapshot and the gauges.
+func (v *foremanView) stop() {
+	if v == nil {
+		return
+	}
+	v.mu.Lock()
+	v.views = slices.DeleteFunc(v.views, func(w *foremanView) bool { return w == v })
+	v.mu.Unlock()
+}
+
 func (o *RunObserver) worker(rank int) *workerHistory {
 	h := o.hist[rank]
 	if h == nil {
@@ -299,202 +352,184 @@ func (o *RunObserver) worker(rank int) *workerHistory {
 // number of jobs with an open round after a scheduling step; the foreman
 // calls it wherever those sets change. With pipelining, inflight can
 // exceed busy (several tasks per worker); with concurrent searches, jobs
-// can exceed one. The gauges get the change since this observer's last
-// report, so on a shared registry they sum over every observer's foreman.
-func (o *RunObserver) Depths(queue, busy, ready, inflight, jobs int) {
-	if o == nil {
+// can exceed one.
+func (v *foremanView) Depths(queue, busy, ready, inflight, jobs int) {
+	if v == nil {
 		return
 	}
-	o.mu.Lock()
-	o.report([5]int{queue, busy, ready, inflight, jobs})
-	o.snap.QueueDepth, o.snap.Busy, o.snap.Ready, o.snap.Inflight = queue, busy, ready, inflight
-	o.snap.ActiveJobs = jobs
-	o.mu.Unlock()
-}
-
-// report moves this observer's share of the depth gauges to now. The
-// caller holds o.mu.
-func (o *RunObserver) report(now [5]int) {
-	for k, g := range []*obs.Gauge{o.gQueue, o.gBusy, o.gReady, o.gInflight, o.gActiveJobs} {
-		g.Add(float64(now[k] - o.reported[k]))
-	}
-	o.reported = now
-}
-
-// foremanStopped takes a stopped foreman's share out of the depth
-// gauges; the snapshot keeps its last depths.
-func (o *RunObserver) foremanStopped() {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.report([5]int{})
-	o.mu.Unlock()
+	v.mu.Lock()
+	v.depths = [5]int{queue, busy, ready, inflight, jobs}
+	v.mu.Unlock()
 }
 
 // RoundStart records a round opened at the foreman.
-func (o *RunObserver) RoundStart(job, round uint64, tasks int) {
-	if o == nil {
+func (v *foremanView) RoundStart(job, round uint64, tasks int) {
+	if v == nil {
 		return
 	}
-	o.gRound.Set(float64(round))
-	o.mu.Lock()
-	o.snap.Round = round
-	o.jobs[job] = &jobRow{Round: round, Tasks: tasks}
-	o.mu.Unlock()
-	o.bus.Publish(RoundStarted{Job: job, Round: round, Tasks: tasks, At: time.Now()})
+	v.mu.Lock()
+	v.snap.Round = round
+	v.jobs[job] = &JobRunSnapshot{Job: job, Round: round, Tasks: tasks}
+	v.mu.Unlock()
+	v.bus.Publish(RoundStarted{Job: job, Round: round, Tasks: tasks, At: time.Now()})
 }
 
 // Dispatched records one task send, with the time it sat queued.
-func (o *RunObserver) Dispatched(worker int, job, round, taskID uint64, queueWait time.Duration) {
-	if o == nil {
+func (v *foremanView) Dispatched(worker int, job, round, taskID uint64, queueWait time.Duration) {
+	if v == nil {
 		return
 	}
-	o.mDispatch.Inc()
-	o.hPhase.With(obs.PhaseQueue).Observe(queueWait.Seconds())
-	o.mu.Lock()
-	o.snap.Dispatched++
-	o.busy[worker] = true
-	if row := o.jobs[job]; row != nil {
+	v.hPhase.With(obs.PhaseQueue).Observe(queueWait.Seconds())
+	v.mu.Lock()
+	v.snap.Dispatched++
+	v.busy[worker] = true
+	if row := v.jobs[job]; row != nil {
 		row.Dispatched++
 	}
-	o.mu.Unlock()
-	o.bus.Publish(TaskDispatched{Worker: worker, Job: job, Round: round, TaskID: taskID, QueueWait: queueWait})
+	v.mu.Unlock()
+	v.bus.Publish(TaskDispatched{Worker: worker, Job: job, Round: round, TaskID: taskID, QueueWait: queueWait})
 }
 
 // Completed records one accepted result and closes its trace span.
 // stillBusy reports whether the worker has other slices in flight: with
 // pipelining a reply does not make its worker idle.
-func (o *RunObserver) Completed(worker int, res Result, rtt time.Duration, stillBusy bool) {
-	if o == nil {
+func (v *foremanView) Completed(worker int, res Result, rtt time.Duration, stillBusy bool) {
+	if v == nil {
 		return
 	}
-	o.mResults.With(rankLabel(worker)).Inc()
 	if rtt > 0 {
-		o.hPhase.With(obs.PhaseRTT).Observe(rtt.Seconds())
+		v.hPhase.With(obs.PhaseRTT).Observe(rtt.Seconds())
 	}
 	if res.Eval > 0 {
-		o.hPhase.With(obs.PhaseEval).Observe(res.Eval.Seconds())
+		v.hPhase.With(obs.PhaseEval).Observe(res.Eval.Seconds())
 		if net := rtt - res.Eval; net > 0 {
-			o.hPhase.With(obs.PhaseNetwork).Observe(net.Seconds())
+			v.hPhase.With(obs.PhaseNetwork).Observe(net.Seconds())
 		}
 	}
 	now := time.Now()
-	o.mu.Lock()
-	o.snap.Completed++
-	h := o.worker(worker)
+	v.mu.Lock()
+	v.snap.Completed++
+	h := v.worker(worker)
 	h.Tasks++
 	h.EvalTotal += res.Eval
 	h.LastSeen = now
 	if !stillBusy {
-		delete(o.busy, worker)
+		delete(v.busy, worker)
 	}
-	if row := o.jobs[res.Job]; row != nil {
+	if row := v.jobs[res.Job]; row != nil {
 		row.Completed++
 	}
 	if res.Trace.Valid() {
-		o.spans[o.spanNext] = taskSpan{ctx: res.Trace, worker: worker, round: res.Round, end: now, rtt: rtt, eval: res.Eval}
-		if o.spanNext++; o.spanNext == recentSpans {
-			o.spanNext, o.spanFull = 0, true
+		v.spans[v.spanNext] = taskSpan{ctx: res.Trace, worker: worker, round: res.Round, end: now, rtt: rtt, eval: res.Eval}
+		if v.spanNext++; v.spanNext == recentSpans {
+			v.spanNext, v.spanFull = 0, true
 		}
 	}
-	o.mu.Unlock()
-	o.bus.Publish(TaskCompleted{Worker: worker, Job: res.Job, Round: res.Round, TaskID: res.TaskID, LnL: res.LnL, RTT: rtt, Eval: res.Eval})
+	v.mu.Unlock()
+	v.bus.Publish(TaskCompleted{Worker: worker, Job: res.Job, Round: res.Round, TaskID: res.TaskID, LnL: res.LnL, RTT: rtt, Eval: res.Eval})
 }
 
 // TimedOut records a fault-tolerance removal (deadline missed or send
 // failed); the task has been requeued.
-func (o *RunObserver) TimedOut(worker int, job, round, taskID uint64) {
-	if o == nil {
+func (v *foremanView) TimedOut(worker int, job, round, taskID uint64) {
+	if v == nil {
 		return
 	}
-	o.mTimeouts.With(rankLabel(worker)).Inc()
-	o.mu.Lock()
-	o.snap.Timeouts++
-	o.worker(worker).Timeouts++
-	delete(o.busy, worker)
-	o.mu.Unlock()
-	o.bus.Publish(WorkerTimedOut{Worker: worker, Job: job, Round: round, TaskID: taskID})
+	v.mu.Lock()
+	v.snap.Timeouts++
+	v.worker(worker).Timeouts++
+	delete(v.busy, worker)
+	v.mu.Unlock()
+	v.bus.Publish(WorkerTimedOut{Worker: worker, Job: job, Round: round, TaskID: taskID})
 }
 
 // Reinstated records a delinquent worker welcomed back.
-func (o *RunObserver) Reinstated(worker int, round uint64) {
-	if o == nil {
+func (v *foremanView) Reinstated(worker int, round uint64) {
+	if v == nil {
 		return
 	}
-	o.mReinstates.With(rankLabel(worker)).Inc()
-	o.mu.Lock()
-	o.snap.Reinstates++
-	o.worker(worker).Reinstates++
-	o.mu.Unlock()
-	o.bus.Publish(WorkerReinstated{Worker: worker, Round: round})
+	v.mu.Lock()
+	v.snap.Reinstates++
+	v.worker(worker).Reinstates++
+	v.mu.Unlock()
+	v.bus.Publish(WorkerReinstated{Worker: worker, Round: round})
 }
 
 // Joined records a worker entering the membership.
-func (o *RunObserver) Joined(worker int) {
-	if o == nil {
+func (v *foremanView) Joined(worker int) {
+	if v == nil {
 		return
 	}
-	o.mJoins.Inc()
-	o.mu.Lock()
-	o.snap.Joins++
-	o.worker(worker).LastSeen = time.Now()
-	o.mu.Unlock()
-	o.bus.Publish(WorkerJoined{Worker: worker})
+	v.mu.Lock()
+	v.snap.Joins++
+	v.worker(worker).LastSeen = time.Now()
+	v.mu.Unlock()
+	v.bus.Publish(WorkerJoined{Worker: worker})
 }
 
 // Left records a permanent departure.
-func (o *RunObserver) Left(worker int) {
-	if o == nil {
+func (v *foremanView) Left(worker int) {
+	if v == nil {
 		return
 	}
-	o.mLeaves.Inc()
-	o.mu.Lock()
-	o.snap.Leaves++
-	delete(o.busy, worker)
-	o.mu.Unlock()
-	o.bus.Publish(WorkerLeft{Worker: worker})
+	v.mu.Lock()
+	v.snap.Leaves++
+	delete(v.busy, worker)
+	v.mu.Unlock()
+	v.bus.Publish(WorkerLeft{Worker: worker})
 }
 
 // Inline records one task the foreman evaluated itself.
-func (o *RunObserver) Inline(job, round, taskID uint64, lnL float64) {
-	if o == nil {
+func (v *foremanView) Inline(job, round, taskID uint64, lnL float64) {
+	if v == nil {
 		return
 	}
-	o.mInline.Inc()
-	o.mu.Lock()
-	o.snap.Inline++
-	if row := o.jobs[job]; row != nil {
+	v.mu.Lock()
+	v.snap.Inline++
+	if row := v.jobs[job]; row != nil {
 		row.Inline++
 		row.Completed++
 	}
-	o.mu.Unlock()
-	o.bus.Publish(InlineEvaluated{Job: job, Round: round, TaskID: taskID, LnL: lnL})
+	v.mu.Unlock()
+	v.bus.Publish(InlineEvaluated{Job: job, Round: round, TaskID: taskID, LnL: lnL})
 }
 
 // RoundDone records a round reply with its best likelihood.
-func (o *RunObserver) RoundDone(job, round uint64, members int, bestLnL float64) {
-	if o == nil {
+func (v *foremanView) RoundDone(job, round uint64, members int, bestLnL float64) {
+	if v == nil {
 		return
 	}
-	o.mRounds.Inc()
-	o.gBestLnL.Set(bestLnL)
-	o.mu.Lock()
-	o.snap.Rounds++
-	o.snap.BestLnL = bestLnL
-	o.snap.Members = members
-	delete(o.jobs, job)
-	o.mu.Unlock()
-	o.bus.Publish(RoundCompleted{Job: job, Round: round, BestLnL: bestLnL, At: time.Now()})
+	v.mu.Lock()
+	v.snap.Rounds++
+	v.snap.BestLnL = bestLnL
+	v.snap.Members = members
+	delete(v.jobs, job)
+	v.mu.Unlock()
+	v.bus.Publish(RoundCompleted{Job: job, Round: round, BestLnL: bestLnL, At: time.Now()})
 }
 
-// Snapshot renders the live /status document.
+// Snapshot renders the live /status document, which the observer's
+// counters and gauges also read: the tallies with the depths summed over
+// the live foremen, every rank's history (busy while any live foreman
+// has a slice at it), and the open rounds of every live foreman, by job
+// id (one row per foreman when several foremen each have a job of the
+// same id).
 func (o *RunObserver) Snapshot() RunSnapshot {
 	if o == nil {
 		return RunSnapshot{}
 	}
 	o.mu.Lock()
 	s := o.snap
+	s.Jobs = []JobRunSnapshot{}
+	for _, v := range o.views {
+		for k, n := range []*int{&s.QueueDepth, &s.Busy, &s.Ready, &s.Inflight, &s.ActiveJobs} {
+			*n += v.depths[k]
+		}
+		for _, row := range v.jobs {
+			s.Jobs = append(s.Jobs, *row)
+		}
+	}
+	sort.SliceStable(s.Jobs, func(i, j int) bool { return s.Jobs[i].Job < s.Jobs[j].Job })
 	ranks := make([]int, 0, len(o.hist))
 	for r := range o.hist {
 		ranks = append(ranks, r)
@@ -508,26 +543,15 @@ func (o *RunObserver) Snapshot() RunSnapshot {
 			Reinstates: h.Reinstates, EvalMs: obs.PhaseMs(h.EvalTotal),
 			State: "idle",
 		}
-		if o.busy[r] {
-			row.State = "busy"
+		for _, v := range o.views {
+			if v.busy[r] {
+				row.State = "busy"
+			}
 		}
 		if !h.LastSeen.IsZero() {
 			row.LastSeen = h.LastSeen.Format(time.RFC3339Nano)
 		}
 		s.Workers = append(s.Workers, row)
-	}
-	jobIDs := make([]uint64, 0, len(o.jobs))
-	for id := range o.jobs {
-		jobIDs = append(jobIDs, id)
-	}
-	sort.Slice(jobIDs, func(i, j int) bool { return jobIDs[i] < jobIDs[j] })
-	s.Jobs = make([]JobRunSnapshot, 0, len(jobIDs))
-	for _, id := range jobIDs {
-		row := o.jobs[id]
-		s.Jobs = append(s.Jobs, JobRunSnapshot{
-			Job: id, Round: row.Round, Tasks: row.Tasks,
-			Dispatched: row.Dispatched, Completed: row.Completed, Inline: row.Inline,
-		})
 	}
 	var spans []taskSpan
 	if o.spanFull {
@@ -568,43 +592,40 @@ type WorkerSnapshot struct {
 }
 
 // WorkerObserver is the worker process's sink: task counts, evaluation
-// latency, engine cache and kernel counters, reconnect history. All
-// methods are nil-receiver safe.
+// latency, engine cache and kernel counters, reconnect history. Its
+// counters and gauges are reads of its snapshot; only the evaluation
+// latency histogram is the registry's own. All methods are nil-receiver
+// safe.
 type WorkerObserver struct {
-	reg *obs.Registry
-
-	mTasks      *obs.Counter
-	hEval       *obs.Histogram
-	mHits       *obs.Counter
-	mMisses     *obs.Counter
-	mOps        *obs.Counter
-	mNewton     *obs.Counter
-	mReconnects *obs.Counter
-	gThreads    *obs.Gauge
-	gShardDisp  *obs.Gauge
+	hEval *obs.Histogram
 
 	mu      sync.Mutex
 	started time.Time
 	snap    WorkerSnapshot
 }
 
+// workerFamilies are the worker's counters and gauges.
+var workerFamilies = []readFamily[WorkerSnapshot]{
+	{readCounter, "fdml_worker_tasks_total", "Tasks served by this worker.", func(s *WorkerSnapshot) float64 { return float64(s.Tasks) }},
+	{readCounter, "fdml_engine_cache_hits_total", "CLV cache hits.", func(s *WorkerSnapshot) float64 { return float64(s.CacheHits) }},
+	{readCounter, "fdml_engine_cache_misses_total", "CLV cache misses.", func(s *WorkerSnapshot) float64 { return float64(s.CacheMisses) }},
+	{readCounter, "fdml_engine_ops_total", "Likelihood kernel work units.", func(s *WorkerSnapshot) float64 { return float64(s.Ops) }},
+	{readCounter, "fdml_engine_newton_iters_total", "Newton-Raphson iterations.", func(s *WorkerSnapshot) float64 { return float64(s.NewtonIters) }},
+	{readCounter, "fdml_worker_reconnects_total", "Reconnections to the master.", func(s *WorkerSnapshot) float64 { return float64(s.Reconnects) }},
+	{readGauge, "fdml_worker_threads", "Likelihood kernel threads on this worker.", func(s *WorkerSnapshot) float64 { return float64(s.Threads) }},
+	{readGauge, "fdml_engine_shard_dispatches", "Cumulative threaded kernel dispatches.", func(s *WorkerSnapshot) float64 { return float64(s.ShardDisp) }},
+}
+
 // NewWorkerObserver builds a worker-side observer over a registry (nil
-// records nothing but still snapshots).
+// records nothing but still snapshots), declaring its metric families
+// there.
 func NewWorkerObserver(reg *obs.Registry) *WorkerObserver {
 	o := &WorkerObserver{
-		reg:         reg,
-		mTasks:      reg.Counter("fdml_worker_tasks_total", "Tasks served by this worker."),
-		hEval:       reg.Histogram("fdml_worker_eval_seconds", "Task evaluation latency.", taskPhaseBuckets),
-		mHits:       reg.Counter("fdml_engine_cache_hits_total", "CLV cache hits."),
-		mMisses:     reg.Counter("fdml_engine_cache_misses_total", "CLV cache misses."),
-		mOps:        reg.Counter("fdml_engine_ops_total", "Likelihood kernel work units."),
-		mNewton:     reg.Counter("fdml_engine_newton_iters_total", "Newton-Raphson iterations."),
-		mReconnects: reg.Counter("fdml_worker_reconnects_total", "Reconnections to the master."),
-		gThreads:    reg.Gauge("fdml_worker_threads", "Likelihood kernel threads on this worker."),
-		gShardDisp:  reg.Gauge("fdml_engine_shard_dispatches", "Cumulative threaded kernel dispatches."),
-		started:     time.Now(),
+		hEval:   reg.Histogram("fdml_worker_eval_seconds", "Task evaluation latency.", taskPhaseBuckets),
+		started: time.Now(),
 	}
 	o.snap.Started = o.started
+	declareReads(reg, workerFamilies, o.Snapshot)
 	return o
 }
 
@@ -617,7 +638,6 @@ func (o *WorkerObserver) Attached(rank int) {
 	o.mu.Lock()
 	if o.snap.Rank != 0 || o.snap.Tasks > 0 || o.snap.Reconnects > 0 {
 		o.snap.Reconnects++
-		o.mReconnects.Inc()
 	}
 	o.snap.Rank = rank
 	o.mu.Unlock()
@@ -628,12 +648,7 @@ func (o *WorkerObserver) Served(res Result) {
 	if o == nil {
 		return
 	}
-	o.mTasks.Inc()
 	o.hEval.Observe(res.Eval.Seconds())
-	o.mHits.Add(float64(res.CacheHits))
-	o.mMisses.Add(float64(res.CacheMisses))
-	o.mOps.Add(float64(res.Ops))
-	o.mNewton.Add(float64(res.NewtonIters))
 	o.mu.Lock()
 	o.snap.Tasks++
 	o.snap.EvalMs += obs.PhaseMs(res.Eval)
@@ -652,8 +667,6 @@ func (o *WorkerObserver) Engine(threads int, shardDispatches uint64) {
 	if o == nil {
 		return
 	}
-	o.gThreads.Set(float64(threads))
-	o.gShardDisp.Set(float64(shardDispatches))
 	o.mu.Lock()
 	o.snap.Threads = threads
 	o.snap.ShardDisp = shardDispatches

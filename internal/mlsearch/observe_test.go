@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/obs"
 )
 
@@ -64,7 +66,8 @@ func TestCodecRefusesTrailingBytes(t *testing.T) {
 // TestRunObserverLocalRun is the subsystem's acceptance check: attach an
 // observer to an in-process parallel run and require the /status
 // snapshot's per-worker task counts to sum to the foreman's dispatch
-// total, with metrics and bus events agreeing.
+// total, with metrics and bus events agreeing. /metrics is scraped
+// throughout the run, as a monitoring system would.
 func TestRunObserverLocalRun(t *testing.T) {
 	cfg := testConfig(t, 7, 150, 19)
 	o := NewRunObserver(obs.NewRegistry(), obs.NewBus())
@@ -72,7 +75,22 @@ func TestRunObserverLocalRun(t *testing.T) {
 	unsub := obs.SubscribeTo(o.Bus(), func(TaskCompleted) { busCompleted++ })
 	defer unsub()
 
+	done := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = o.Registry().WritePrometheus(io.Discard)
+			}
+		}
+	}()
 	out, err := Run(cfg, RunOptions{Transport: Local, Workers: 3, Obs: o})
+	close(done)
+	<-scraped
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,16 +261,18 @@ func TestWorkerObserver(t *testing.T) {
 
 func TestRunObserverNilIsInert(t *testing.T) {
 	var o *RunObserver
-	o.RoundStart(0, 1, 2)
-	o.Dispatched(1, 0, 1, 1, time.Millisecond)
-	o.Completed(1, Result{}, time.Millisecond, false)
-	o.TimedOut(1, 0, 1, 1)
-	o.Reinstated(1, 1)
-	o.Joined(1)
-	o.Left(1)
-	o.Inline(0, 1, 1, -1)
-	o.RoundDone(0, 1, 0, -1)
-	o.Depths(0, 0, 0, 0, 0)
+	v := o.attach()
+	v.RoundStart(0, 1, 2)
+	v.Dispatched(1, 0, 1, 1, time.Millisecond)
+	v.Completed(1, Result{}, time.Millisecond, false)
+	v.TimedOut(1, 0, 1, 1)
+	v.Reinstated(1, 1)
+	v.Joined(1)
+	v.Left(1)
+	v.Inline(0, 1, 1, -1)
+	v.RoundDone(0, 1, 0, -1)
+	v.Depths(0, 0, 0, 0, 0)
+	v.stop()
 	if o.Bus() != nil || o.Registry() != nil {
 		t.Error("nil observer accessors must return nil")
 	}
@@ -261,42 +281,146 @@ func TestRunObserverNilIsInert(t *testing.T) {
 	}
 }
 
-// TestDepthGaugesSumOverObservers: the daemon's pods each run a foreman
-// with its own RunObserver on the one registry behind /metrics. The
-// depth gauges are each observer's change since its own last report, so
-// they sum over live foremen, and a foreman that stops takes its share
-// out; each observer's snapshot still shows only its own depths.
-func TestDepthGaugesSumOverObservers(t *testing.T) {
+// scrape reads a registry's exposition as /metrics serves it: every
+// sample line's value, keyed by its series (name and labels).
+func scrape(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[series] = v
+	}
+	return out
+}
+
+// TestDepthGaugesSumOverForemen: the daemon's pods each run a foreman
+// attached to the one RunObserver of the registry behind /metrics. The
+// depth gauges sum each live foreman's last report, a foreman that stops
+// takes its share out, and the snapshot's depths are the gauges'.
+func TestDepthGaugesSumOverForemen(t *testing.T) {
 	reg := obs.NewRegistry()
-	live := NewRunObserver(reg, nil)
+	o := NewRunObserver(reg, nil)
+	live := o.attach()
 	live.Depths(3, 1, 2, 4, 1)
-	run := NewRunObserver(reg, nil)
-	run.Depths(1, 1, 1, 1, 1)
+	other := o.attach()
+	other.Depths(1, 1, 1, 1, 1)
 	gauges := func() [5]float64 {
+		m := scrape(t, reg)
 		var v [5]float64
 		for k, name := range []string{"fdml_queue_depth", "fdml_busy_workers", "fdml_ready_workers", "fdml_inflight_tasks", "fdml_active_jobs"} {
-			v[k] = reg.Gauge(name, "").Value()
+			v[k] = m[name]
 		}
 		return v
 	}
 	if got, want := gauges(), [5]float64{4, 2, 3, 5, 2}; got != want {
-		t.Fatalf("two observers: gauges %v, want the sum %v", got, want)
+		t.Fatalf("two foremen: gauges %v, want the sum %v", got, want)
 	}
+	other.stop()
 
-	// A whole run on the second observer: its foreman reports as it
+	// A whole run on the same observer: its foreman reports as it
 	// schedules and stops when the run ends.
-	if _, err := Run(testConfig(t, 5, 60, 1), RunOptions{Transport: Local, Workers: 1, Obs: run}); err != nil {
+	if _, err := Run(testConfig(t, 5, 60, 1), RunOptions{Transport: Local, Workers: 1, Obs: o}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := gauges(), [5]float64{3, 1, 2, 4, 1}; got != want {
-		t.Errorf("after the run's foreman stopped: gauges %v, want the live observer's %v", got, want)
+		t.Errorf("after the run's foreman stopped: gauges %v, want the live foreman's %v", got, want)
 	}
-	if s := live.Snapshot(); s.QueueDepth != 3 || s.Busy != 1 || s.Ready != 2 || s.Inflight != 4 || s.ActiveJobs != 1 {
-		t.Errorf("live snapshot depths %d/%d/%d/%d/%d, want its own 3/1/2/4/1", s.QueueDepth, s.Busy, s.Ready, s.Inflight, s.ActiveJobs)
+	if s := o.Snapshot(); s.QueueDepth != 3 || s.Busy != 1 || s.Ready != 2 || s.Inflight != 4 || s.ActiveJobs != 1 {
+		t.Errorf("snapshot depths %d/%d/%d/%d/%d, want the gauges' 3/1/2/4/1", s.QueueDepth, s.Busy, s.Ready, s.Inflight, s.ActiveJobs)
 	}
-	if s := run.Snapshot(); s.Ready != 1 || s.ActiveJobs != 0 {
-		t.Errorf("stopped snapshot: %d ready, %d jobs; want its last report, 1 and 0", s.Ready, s.ActiveJobs)
+}
+
+// TestForemenShareOneObserver: foremen attached to one observer (the
+// daemon's pods, or bootstrap replicates searching side by side) number
+// their jobs independently. Each keeps its own job rows and busy ranks,
+// and a stopped foreman's rows and depths leave the snapshot and
+// /metrics. At the parent the two job-1 rows merged into one, a reply on
+// one foreman marked the other's busy worker idle, and a stopped
+// foreman's rows stayed in /status.
+func TestForemenShareOneObserver(t *testing.T) {
+	reg := obs.NewRegistry()
+	o := NewRunObserver(reg, nil)
+	// Two hand-built worlds, each with one scripted worker at rank 2
+	// that holds its first slice until released.
+	releaseA, releaseB := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	serve := func(world []comm.Communicator, release chan struct{}) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scriptedWorker(t, world[2], foremanRank, func(slice []Task) ([]Result, bool) {
+				<-release
+				return cannedResults(slice), false
+			})
+		}()
 	}
+	lay := Layout{Workers: []int{2}}
+	worldA, worldB := newTestWorld(t, 3), newTestWorld(t, 3)
+	serve(worldA, releaseA)
+	serve(worldB, releaseB)
+	foremanA, dispA := newTestMaster(t, worldA, lay, ForemanOptions{}, o)
+	foremanB, dispB := newTestMaster(t, worldB, lay, ForemanOptions{}, o)
+	roundA := dispatchAsync(dispA, sliceOf(1, 0, 1, "(a,b,c);"))
+	roundB := dispatchAsync(dispB, sliceOf(2, 0, 1, "(a,b,c);"))
+
+	snap := o.Snapshot()
+	for deadline := time.Now().Add(10 * time.Second); (snap.Dispatched < 2 || snap.Busy < 2) && time.Now().Before(deadline); snap = o.Snapshot() {
+		time.Sleep(time.Millisecond)
+	}
+	if len(snap.Jobs) != 2 || snap.Jobs[0].Job != 1 || snap.Jobs[1].Job != 1 {
+		t.Errorf("two foremen each with job 1 open: rows %+v, want two job-1 rows", snap.Jobs)
+	}
+	if m := scrape(t, reg); m["fdml_active_jobs"] != 2 || m["fdml_busy_workers"] != 2 {
+		t.Errorf("two foremen: active jobs %v, busy workers %v; want 2 and 2", m["fdml_active_jobs"], m["fdml_busy_workers"])
+	}
+
+	// B's replies complete its round and leave its worker idle; rank 2
+	// is still busy at A.
+	close(releaseB)
+	if out := awaitDispatch(t, "round on foreman B", roundB); out.err != nil {
+		t.Fatal(out.err)
+	}
+	snap = o.Snapshot()
+	if len(snap.Workers) != 1 || snap.Workers[0].State != "busy" {
+		t.Errorf("replies on one foreman: workers %+v, want rank 2 still busy at the other", snap.Workers)
+	}
+	if len(snap.Jobs) != 1 || snap.Jobs[0].Tasks != 1 || snap.Busy != 1 || snap.ActiveJobs != 1 {
+		t.Errorf("B's round done: rows %+v, %d busy, %d jobs; want A's row, 1 and 1", snap.Jobs, snap.Busy, snap.ActiveJobs)
+	}
+
+	// Stop A with its round still open: its row and its depths leave the
+	// snapshot and /metrics; B's ready worker stays.
+	if err := foremanA.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if out := awaitDispatch(t, "round on a stopped foreman", roundA); out.err == nil {
+		t.Error("a round open at a stopped foreman answered without error")
+	}
+	snap = o.Snapshot()
+	m := scrape(t, reg)
+	if len(snap.Jobs) != 0 || snap.Workers[0].State != "idle" || snap.ActiveJobs != 0 || snap.Busy != 0 || snap.Ready != 1 {
+		t.Errorf("after A stopped: %+v, want no rows, rank 2 idle, B's one ready worker", snap)
+	}
+	if m["fdml_active_jobs"] != 0 || m["fdml_busy_workers"] != 0 || m["fdml_ready_workers"] != 1 {
+		t.Errorf("after A stopped: gauges %v jobs / %v busy / %v ready, want 0 / 0 / 1",
+			m["fdml_active_jobs"], m["fdml_busy_workers"], m["fdml_ready_workers"])
+	}
+	close(releaseA)
+	if err := foremanB.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
 }
 
 // TestRecentSpansRing: a snapshot shows the last recentSpans completed
@@ -304,14 +428,15 @@ func TestDepthGaugesSumOverObservers(t *testing.T) {
 // results leave no span.
 func TestRecentSpansRing(t *testing.T) {
 	o := NewRunObserver(nil, nil)
-	o.Completed(2, Result{TaskID: 1}, time.Millisecond, false)
+	v := o.attach()
+	v.Completed(2, Result{TaskID: 1}, time.Millisecond, false)
 	if got := o.Snapshot().Recent; len(got) != 0 {
 		t.Fatalf("an untraced result left %d spans", len(got))
 	}
 	const n = recentSpans + 5
 	for i := 1; i <= n; i++ {
 		res := Result{TaskID: uint64(i), Round: uint64(i), Eval: time.Millisecond, Trace: obs.SpanContext{TraceID: 0xab, SpanID: uint64(i)}}
-		o.Completed(2, res, 3*time.Millisecond, false)
+		v.Completed(2, res, 3*time.Millisecond, false)
 	}
 	recent := o.Snapshot().Recent
 	if len(recent) != recentSpans {

@@ -349,8 +349,8 @@ func (w *LocalWorld) Run(cfg Config, opt RunOptions) ([]*SearchResult, error) {
 func (w *LocalWorld) Shutdown() error {
 	err := w.foreman.Shutdown()
 	w.wg.Wait()
-	if o := w.foreman.obs; o != nil {
-		snap := o.Snapshot()
+	if v := w.foreman.obs; v != nil {
+		snap := v.Snapshot()
 		w.Monitor = &snap
 		if w.closeMonitor != nil {
 			w.closeMonitor(snap)

@@ -24,7 +24,7 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(j))
 			}
 		}()
 	}
@@ -32,8 +32,8 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Errorf("counter = %v, want 8000", c.Value())
 	}
-	if g.Value() != 8000 {
-		t.Errorf("gauge = %v, want 8000", g.Value())
+	if g.Value() != 999 {
+		t.Errorf("gauge = %v, want 999 (every writer's last Set)", g.Value())
 	}
 	g.Set(-2.5)
 	if g.Value() != -2.5 {
@@ -67,16 +67,15 @@ func TestNilRegistryHandlesAreNoOps(t *testing.T) {
 	g := r.Gauge("x", "h")
 	h := r.Histogram("x_seconds", "h", nil)
 	cv := r.CounterVec("xv_total", "h", "l")
-	gv := r.GaugeVec("xv", "h", "l")
 	hv := r.HistogramVec("xv_seconds", "h", nil, "l")
 	// None of these may panic.
+	r.CounterFunc("xf_total", "h", nil, func(Emit) { t.Error("a nil registry called a reader") })
+	r.GaugeFunc("xf", "h", nil, func(Emit) { t.Error("a nil registry called a reader") })
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(0.5)
 	cv.With("a").Inc()
-	gv.With("a").Set(2)
 	hv.With("a").Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Error("nil-registry handles must stay zero")
@@ -117,7 +116,11 @@ func TestHistogramBuckets(t *testing.T) {
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reqs_total", "requests served").Add(3)
-	r.GaugeVec("depth", "queue depth", "queue").With(`a"b\c`).Set(7)
+	r.GaugeFunc("depth", "queue depth", []string{"queue"}, func(emit Emit) {
+		emit(7, `a"b\c`)
+		emit(0, "idle")
+	})
+	r.CounterFunc("unread_total", "a reader that emits nothing", nil, func(Emit) {})
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -129,10 +132,58 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"reqs_total 3\n",
 		"# TYPE depth gauge\n",
 		`depth{queue="a\"b\\c"} 7` + "\n",
+		`depth{queue="idle"} 0` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "unread_total") {
+		t.Errorf("a read family with no series rendered:\n%s", out)
+	}
+}
+
+// TestRegistryRedeclarationPanics: a family declared twice must agree in
+// kind, label names and buckets, and a read family takes no second
+// reader and no handle. At the parent the first three rendered a stray
+// unlabeled series, kept the first buckets, and died with a bare
+// interface-conversion panic.
+func TestRegistryRedeclarationPanics(t *testing.T) {
+	read := func(Emit) {}
+	for _, tc := range []struct {
+		name        string
+		first, then func(r *Registry)
+	}{
+		{"counter vec then counter",
+			func(r *Registry) { r.CounterVec("y_total", "h", "worker") },
+			func(r *Registry) { r.Counter("y_total", "h") }},
+		{"histogram with other buckets",
+			func(r *Registry) { r.Histogram("y_seconds", "h", []float64{1, 10}) },
+			func(r *Registry) { r.Histogram("y_seconds", "h", []float64{1, 5, 10}) }},
+		{"gauge then counter",
+			func(r *Registry) { r.Gauge("y", "h") },
+			func(r *Registry) { r.Counter("y", "h") }},
+		{"second reader",
+			func(r *Registry) { r.GaugeFunc("y", "h", nil, read) },
+			func(r *Registry) { r.GaugeFunc("y", "h", nil, read) }},
+		{"handle on a read family",
+			func(r *Registry) { r.CounterFunc("y_total", "h", []string{"worker"}, read) },
+			func(r *Registry) { r.CounterVec("y_total", "h", "worker") }},
+		{"reader on a handle family",
+			func(r *Registry) { r.Gauge("y", "h") },
+			func(r *Registry) { r.GaugeFunc("y", "h", nil, read) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			tc.first(r)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "obs: metric y") {
+					t.Errorf("re-declaration: panic %q, want one naming the family", msg)
+				}
+			}()
+			tc.then(r)
+		})
 	}
 }
 

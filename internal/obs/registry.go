@@ -3,7 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,7 +17,10 @@ import (
 // histograms, each family optionally labeled, rendered in the Prometheus
 // text exposition format. Series handles are cheap to hold and safe for
 // concurrent use (atomic operations on the hot path, a mutex only on
-// first access of a labeled series).
+// first access of a labeled series). A read family (CounterFunc,
+// GaugeFunc) has no handles: its reader emits the series from state kept
+// elsewhere each time the registry renders, so the value is never a
+// second copy of that state.
 
 // metricKind is the family type.
 type metricKind int
@@ -69,14 +74,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	addFloat(&g.bits, delta)
 }
 
 // Value returns the current value.
@@ -144,10 +141,12 @@ type family struct {
 	kind   metricKind
 	labels []string  // label names, fixed at registration
 	bounds []float64 // histogram bucket bounds
+	// read, set for a read family, emits its series at render time; such
+	// a family holds no series of its own.
+	read func(Emit)
 
 	mu     sync.Mutex
 	series map[string]any // rendered label key -> *Counter/*Gauge/*Histogram
-	order  []string       // insertion order of series keys
 }
 
 // Registry holds metric families. The zero value is not usable; call
@@ -165,13 +164,24 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-func (r *Registry) family(name, help string, kind metricKind, labels []string, bounds []float64) *family {
+// family returns the family named name, registering it on first use. A
+// second declaration must match the first in kind, label names and
+// buckets, and a read family takes neither a second reader nor a handle:
+// either is a bug in the caller, so it panics naming the family.
+func (r *Registry) family(name, help string, kind metricKind, labels []string, bounds []float64, read func(Emit)) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
+		if f.kind != kind || !slices.Equal(f.labels, labels) || !slices.Equal(f.bounds, bounds) {
+			panic(fmt.Sprintf("obs: metric %s declared as %s labels %q buckets %v, then as %s labels %q buckets %v",
+				name, f.kind, f.labels, f.bounds, kind, labels, bounds))
+		}
+		if f.read != nil || read != nil {
+			panic(fmt.Sprintf("obs: metric %s is a read family: it takes one reader and no handles", name))
+		}
 		return f
 	}
-	f := &family{name: name, help: help, kind: kind, labels: labels, bounds: bounds, series: map[string]any{}}
+	f := &family{name: name, help: help, kind: kind, labels: labels, bounds: bounds, read: read, series: map[string]any{}}
 	r.families[name] = f
 	r.order = append(r.order, name)
 	return f
@@ -187,7 +197,6 @@ func (f *family) seriesFor(values []string, make func() any) any {
 	}
 	s := make()
 	f.series[key] = s
-	f.order = append(f.order, key)
 	return s
 }
 
@@ -197,7 +206,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	f := r.family(name, help, kindCounter, nil, nil)
+	f := r.family(name, help, kindCounter, nil, nil, nil)
 	return f.seriesFor(nil, func() any { return &Counter{} }).(*Counter)
 }
 
@@ -206,7 +215,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{f: r.family(name, help, kindCounter, labels, nil)}
+	return &CounterVec{f: r.family(name, help, kindCounter, labels, nil, nil)}
 }
 
 // Gauge returns the unlabeled gauge named name.
@@ -214,16 +223,27 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	f := r.family(name, help, kindGauge, nil, nil)
+	f := r.family(name, help, kindGauge, nil, nil, nil)
 	return f.seriesFor(nil, func() any { return &Gauge{} }).(*Gauge)
 }
 
-// GaugeVec declares a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
+// Emit writes one series of a read family: its value and its label
+// values, in the family's label order.
+type Emit func(v float64, labelValues ...string)
+
+// CounterFunc declares a read counter family: each render calls read,
+// which emits the family's series from the state that counts them.
+func (r *Registry) CounterFunc(name, help string, labels []string, read func(Emit)) {
+	if r != nil {
+		r.family(name, help, kindCounter, labels, nil, read)
 	}
-	return &GaugeVec{f: r.family(name, help, kindGauge, labels, nil)}
+}
+
+// GaugeFunc declares a read gauge family (see CounterFunc).
+func (r *Registry) GaugeFunc(name, help string, labels []string, read func(Emit)) {
+	if r != nil {
+		r.family(name, help, kindGauge, labels, nil, read)
+	}
 }
 
 // Histogram returns the unlabeled histogram named name with the given
@@ -235,7 +255,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	f := r.family(name, help, kindHistogram, nil, buckets)
+	f := r.family(name, help, kindHistogram, nil, buckets, nil)
 	return f.seriesFor(nil, func() any { return newHistogram(f.bounds) }).(*Histogram)
 }
 
@@ -247,7 +267,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	return &HistogramVec{f: r.family(name, help, kindHistogram, labels, buckets)}
+	return &HistogramVec{f: r.family(name, help, kindHistogram, labels, buckets, nil)}
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -263,17 +283,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 		return nil
 	}
 	return v.f.seriesFor(values, func() any { return &Counter{} }).(*Counter)
-}
-
-// GaugeVec is a labeled gauge family handle.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.seriesFor(values, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // HistogramVec is a labeled histogram family handle.
@@ -319,8 +328,9 @@ func escapeLabel(v string) string {
 }
 
 // WritePrometheus renders every family in the Prometheus text exposition
-// format (version 0.0.4), families in registration order, series in
-// first-use order.
+// format (version 0.0.4), families in registration order, each family's
+// series in label order.
+// Readers run here, with no registry lock held.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -340,16 +350,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 func (f *family) write(w io.Writer) error {
-	f.mu.Lock()
-	keys := append([]string(nil), f.order...)
-	series := make([]any, len(keys))
-	for i, k := range keys {
-		series[i] = f.series[k]
+	series := map[string]any{} // *Counter, *Gauge, *Histogram, or a read family's float64
+	if f.read != nil {
+		f.read(func(v float64, values ...string) { series[renderLabels(f.labels, values)] = v })
+	} else {
+		f.mu.Lock()
+		maps.Copy(series, f.series)
+		f.mu.Unlock()
 	}
-	f.mu.Unlock()
-	if len(keys) == 0 {
+	if len(series) == 0 {
 		return nil
 	}
+	keys := make([]string, 0, len(series))
+	for k := range series {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	if f.help != "" {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
 			return err
@@ -358,14 +374,14 @@ func (f *family) write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 		return err
 	}
-	for i, key := range keys {
-		switch s := series[i].(type) {
-		case *Counter:
+	for _, key := range keys {
+		switch s := series[key].(type) {
+		case interface{ Value() float64 }: // *Counter, *Gauge
 			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatFloat(s.Value())); err != nil {
 				return err
 			}
-		case *Gauge:
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatFloat(s.Value())); err != nil {
+		case float64:
+			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatFloat(s)); err != nil {
 				return err
 			}
 		case *Histogram:

@@ -75,29 +75,32 @@ type pod struct {
 // Fleet owns the pods.
 type Fleet struct {
 	opt  FleetOptions
-	reg  *obs.Registry
 	logf func(format string, args ...any)
+	// obs is the registry's one RunObserver: every pod's foreman attaches
+	// to it, so a retired pod's counts stay in /metrics.
+	obs *mlsearch.RunObserver
 
 	mu     sync.Mutex
 	pods   map[string]*pod
 	closed bool
 
-	gPods    *obs.Gauge
 	mCreated *obs.Counter
 	mReaped  *obs.Counter
 }
 
-// NewFleet builds an empty fleet publishing pod metrics into reg.
+// NewFleet builds an empty fleet publishing pod metrics, and its pods'
+// run metrics, into reg.
 func NewFleet(opt FleetOptions, reg *obs.Registry) *Fleet {
-	return &Fleet{
+	f := &Fleet{
 		opt:      opt.withDefaults(),
-		reg:      reg,
 		logf:     func(string, ...any) {},
+		obs:      mlsearch.NewRunObserver(reg, nil),
 		pods:     map[string]*pod{},
-		gPods:    reg.Gauge("fdml_serve_pods", "Warm worker pods."),
 		mCreated: reg.Counter("fdml_serve_pods_created_total", "Worker pods created."),
 		mReaped:  reg.Counter("fdml_serve_pods_reaped_total", "Worker pods shut down after idling."),
 	}
+	reg.GaugeFunc("fdml_serve_pods", "Warm worker pods.", nil, func(emit obs.Emit) { emit(float64(f.Pods())) })
+	return f
 }
 
 // Acquire returns a pod for the dataset key, creating one if needed.
@@ -125,7 +128,6 @@ func (f *Fleet) Acquire(key string, cfg mlsearch.Config) (*pod, error) {
 			return nil, ErrFleetSaturated
 		}
 		delete(f.pods, victim.key)
-		f.gPods.Set(float64(len(f.pods)))
 		f.mReaped.Inc()
 		// Shut the victim down outside the lock; no job is running on
 		// it (refs was 0).
@@ -137,7 +139,6 @@ func (f *Fleet) Acquire(key string, cfg mlsearch.Config) (*pod, error) {
 	}
 	p.refs = 1
 	f.pods[key] = p
-	f.gPods.Set(float64(len(f.pods)))
 	f.mCreated.Inc()
 	return p, nil
 }
@@ -155,7 +156,7 @@ func (f *Fleet) newPod(key string, cfg mlsearch.Config) (*pod, error) {
 	world, err := mlsearch.StartLocal(norm, mlsearch.RunOptions{
 		Workers: f.opt.Workers,
 		Foreman: mlsearch.ForemanOptions{TaskTimeout: f.opt.TaskTimeout},
-		Obs:     mlsearch.NewRunObserver(f.reg, nil),
+		Obs:     f.obs,
 	})
 	if err != nil {
 		return nil, err
@@ -193,7 +194,6 @@ func (f *Fleet) Reap(now time.Time) int {
 			delete(f.pods, key)
 		}
 	}
-	f.gPods.Set(float64(len(f.pods)))
 	f.mu.Unlock()
 	for _, p := range victims {
 		f.retire(p)
@@ -241,7 +241,6 @@ func (f *Fleet) Close() error {
 		pods = append(pods, p)
 	}
 	f.pods = map[string]*pod{}
-	f.gPods.Set(0)
 	f.mu.Unlock()
 
 	var first error

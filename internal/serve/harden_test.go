@@ -296,13 +296,13 @@ func TestGCEvictsTerminalJobsButKeepsResults(t *testing.T) {
 
 	// The result outlives the job record (no ResultTTL set), so the
 	// same spec resubmitted is still a zero-dispatch cache hit.
-	before := s.reg.Counter("fdml_dispatch_total", "Tasks handed to workers.").Value()
+	before := scrape(t, s.reg)["fdml_dispatch_total"]
 	var dup JobRecord
 	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", "", body, &dup)
 	if resp.StatusCode != http.StatusOK || !dup.CacheHit {
 		t.Fatalf("post-GC resubmit: status %d, record %+v", resp.StatusCode, dup)
 	}
-	if after := s.reg.Counter("fdml_dispatch_total", "Tasks handed to workers.").Value(); after != before {
+	if after := scrape(t, s.reg)["fdml_dispatch_total"]; after != before {
 		t.Errorf("post-GC cache hit dispatched %v tasks", after-before)
 	}
 

@@ -102,7 +102,6 @@ func (s *Server) adopt(rec *JobRecord, prep *preparedSpec, resume *mlsearch.Mani
 		// force: these jobs were admitted by the previous process; a
 		// restart must never drop them to admission control.
 		_ = s.sched.push(j, true)
-		s.updateQueueGauges()
 	}
 	s.mu.Unlock()
 	if !terminal {

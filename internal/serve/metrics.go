@@ -4,9 +4,10 @@ import "repro/internal/obs"
 
 // Service-level metric families, all tenant-labeled so one /metrics
 // scrape answers "who is using the fleet and how is it treating them".
-// They live in the same registry as the per-pod RunObserver families
+// They live in the same registry as the fleet's RunObserver families
 // (fdml_dispatch_total and friends), so the smoke test's zero-dispatch
-// assertion and these SLO views come from a single endpoint.
+// assertion and these SLO views come from a single endpoint. The
+// tenant depth gauges are reads of the scheduler (Server.tenantGauges).
 type serveMetrics struct {
 	// fdml_serve_submissions_total{tenant}
 	submissions *obs.CounterVec
@@ -17,9 +18,6 @@ type serveMetrics struct {
 	rejections *obs.CounterVec
 	// fdml_serve_jobs_total{tenant,outcome} — terminal transitions.
 	outcomes *obs.CounterVec
-	// fdml_serve_queue_depth{tenant} / fdml_serve_active_jobs{tenant}.
-	queueDepth *obs.GaugeVec
-	activeJobs *obs.GaugeVec
 	// fdml_serve_queue_wait_seconds{tenant} — admission to first
 	// dispatch (the fairness SLO).
 	queueWait *obs.HistogramVec
@@ -51,8 +49,6 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 		cacheHits:     reg.CounterVec("fdml_serve_cache_hits_total", "Submissions served from the result store, by tenant.", "tenant"),
 		rejections:    reg.CounterVec("fdml_serve_rejections_total", "Submissions rejected by admission control.", "tenant", "reason"),
 		outcomes:      reg.CounterVec("fdml_serve_jobs_total", "Jobs reaching a terminal state.", "tenant", "outcome"),
-		queueDepth:    reg.GaugeVec("fdml_serve_queue_depth", "Queued jobs, by tenant.", "tenant"),
-		activeJobs:    reg.GaugeVec("fdml_serve_active_jobs", "Running jobs, by tenant.", "tenant"),
 		queueWait:     reg.HistogramVec("fdml_serve_queue_wait_seconds", "Seconds from admission to first dispatch.", waitBuckets, "tenant"),
 		jobSeconds:    reg.HistogramVec("fdml_serve_job_seconds", "Run seconds of completed jobs.", runBuckets, "tenant"),
 		resumed:       reg.Counter("fdml_serve_resumed_total", "Incomplete jobs re-queued at daemon start."),

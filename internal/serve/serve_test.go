@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -40,6 +41,29 @@ func newTestServer(t *testing.T, opt Options) (*Server, *httptest.Server) {
 		_ = s.Close()
 	})
 	return s, ts
+}
+
+// scrape reads a registry's exposition as /metrics serves it: every
+// sample line's value, keyed by its series (name and labels).
+func scrape(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[series] = v
+	}
+	return out
 }
 
 // postJob submits a spec over HTTP, returning the status code and
@@ -143,7 +167,7 @@ func TestServerEndToEndWithCache(t *testing.T) {
 
 	// Duplicate submission: served from the result store with zero
 	// fleet dispatches.
-	before := reg.Counter("fdml_dispatch_total", "Tasks handed to workers.").Value()
+	before := scrape(t, reg)["fdml_dispatch_total"]
 	code, dup := postJob(t, ts, spec)
 	if code != http.StatusOK {
 		t.Fatalf("duplicate status %d, want 200", code)
@@ -151,7 +175,7 @@ func TestServerEndToEndWithCache(t *testing.T) {
 	if !dup.CacheHit || dup.State != StateDone || dup.ID == rec.ID {
 		t.Fatalf("duplicate record: %+v", dup)
 	}
-	after := reg.Counter("fdml_dispatch_total", "Tasks handed to workers.").Value()
+	after := scrape(t, reg)["fdml_dispatch_total"]
 	if after != before {
 		t.Errorf("duplicate dispatched %v tasks", after-before)
 	}

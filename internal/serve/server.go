@@ -195,6 +195,7 @@ func NewServer(opt Options) (*Server, error) {
 		s.limiter = newRateLimiter(opt.Rate, opt.Burst)
 	}
 	s.initMux()
+	s.tenantGauges(opt.Registry)
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -220,22 +221,28 @@ func (s *Server) wake() {
 	}
 }
 
-// updateQueueGauges refreshes the tenant-labeled depth gauges; callers
-// hold s.mu.
-func (s *Server) updateQueueGauges() {
-	_, by := s.sched.depths()
-	seen := map[string]bool{}
-	for tenant, n := range by {
-		s.met.queueDepth.With(tenant).Set(float64(n))
-		seen[tenant] = true
-	}
-	// Zero out tenants that drained, so the gauge does not freeze at
-	// its last nonzero value.
-	for _, j := range s.jobs {
-		if !seen[j.rec.Tenant] {
-			s.met.queueDepth.With(j.rec.Tenant).Set(0)
+// tenantGauges declares fdml_serve_queue_depth and
+// fdml_serve_active_jobs: per tenant the scheduler has seen, its queued
+// jobs and its jobs holding a job slot, read when /metrics renders.
+func (s *Server) tenantGauges(reg *obs.Registry) {
+	reg.GaugeFunc("fdml_serve_queue_depth", "Queued jobs, by tenant.", []string{"tenant"}, func(emit obs.Emit) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for name, tq := range s.sched.tenants {
+			emit(float64(len(tq.jobs)), name)
 		}
-	}
+	})
+	reg.GaugeFunc("fdml_serve_active_jobs", "Running jobs, by tenant.", []string{"tenant"}, func(emit obs.Emit) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		active := map[string]int{}
+		for _, j := range s.active {
+			active[j.rec.Tenant]++
+		}
+		for name := range s.sched.tenants {
+			emit(float64(active[name]), name)
+		}
+	})
 }
 
 // Submit admits a job. Validation failures return plain errors (HTTP
@@ -313,7 +320,6 @@ func (s *Server) Submit(spec JobSpec) (JobRecord, error) {
 		return JobRecord{}, &internalError{err}
 	}
 	s.jobs[j.rec.ID] = j
-	s.updateQueueGauges()
 	s.mu.Unlock()
 	j.hub.publish(Event{Type: "state", Time: time.Now(), State: StateQueued})
 	s.opt.Logf("job %s: queued (tenant %s, %d jumbles)", j.rec.ID, tenant, j.rec.Jumbles)
@@ -349,7 +355,6 @@ func (s *Server) Cancel(id string) (JobRecord, error) {
 	switch {
 	case state == StateQueued && s.active[id] == nil:
 		s.sched.remove(id)
-		s.updateQueueGauges()
 		s.mu.Unlock()
 		s.finalize(j, StateCanceled, "canceled while queued")
 	case state == StateQueued || state == StateRunning:
@@ -403,7 +408,6 @@ func (s *Server) dispatchLoop() {
 				break
 			}
 			s.active[j.rec.ID] = j
-			s.updateQueueGauges()
 			s.wg.Add(1)
 			s.mu.Unlock()
 			go s.runJob(j)
@@ -445,7 +449,6 @@ func (s *Server) requeue(j *job) {
 	if !s.closing && !canceled {
 		s.sched.giveBack(j)
 	}
-	s.updateQueueGauges()
 	s.mu.Unlock()
 	if canceled {
 		s.finalize(j, StateCanceled, "canceled")
@@ -476,8 +479,6 @@ func (s *Server) runJob(j *job) {
 
 	tenant := j.rec.Tenant
 	s.met.queueWait.With(tenant).Observe(time.Since(j.queuedAt).Seconds())
-	s.met.activeJobs.With(tenant).Add(1)
-	defer s.met.activeJobs.With(tenant).Add(-1)
 
 	started := time.Now()
 	j.mu.Lock()

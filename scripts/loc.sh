@@ -7,7 +7,7 @@
 # Non-test Go lines that are neither blank nor a // comment (the tree
 # uses no /* */ blocks), per package tree, for internal/comm,
 # internal/mlsearch, internal/serve, internal/core, internal/likelihood
-# (difftest included) and cmd/. With a ref
+# (difftest included), internal/obs and cmd/. With a ref
 # the same count is taken on that commit (git archive into
 # .bench_build/loc/, like bench_pairs.sh) and the table gains the
 # parent column and the delta. A second table counts the settable values
@@ -16,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-trees="internal/comm internal/mlsearch internal/serve internal/core internal/likelihood cmd"
+trees="internal/comm internal/mlsearch internal/serve internal/core internal/likelihood internal/obs cmd"
 
 # count <root> <tree>: code lines of the non-test .go files under it.
 count() {
