@@ -3,13 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
-
-	"repro/internal/fileio"
 )
 
 // Content-addressed result store. A finished job's outcome is written
@@ -51,6 +48,8 @@ type JobResult struct {
 // per key under dir.
 type ResultStore struct {
 	dir string
+	// write stores one document; tests swap it to inject a disk fault.
+	write func(path string, v any) error
 }
 
 // NewResultStore opens (creating if needed) a store rooted at dir.
@@ -58,7 +57,7 @@ func NewResultStore(dir string) (*ResultStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: result store: %w", err)
 	}
-	return &ResultStore{dir: dir}, nil
+	return &ResultStore{dir: dir, write: writeJSON}, nil
 }
 
 // path maps a key to its file, refusing anything that is not a plain
@@ -139,20 +138,13 @@ func (s *ResultStore) Delete(key string) error {
 	return nil
 }
 
-// Put stores a result atomically (fileio.WriteFileAtomic); writing the
-// same key twice is an idempotent overwrite, which is exactly right for a
-// deterministic computation.
+// Put stores a result atomically (writeJSON); writing the same key twice
+// is an idempotent overwrite, which is exactly right for a deterministic
+// computation.
 func (s *ResultStore) Put(r *JobResult) error {
 	p, err := s.path(r.Key)
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return fileio.WriteFileAtomic(p, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
+	return s.write(p, r)
 }

@@ -22,7 +22,8 @@ import (
 // submit.
 
 // ErrFleetSaturated reports that every pod slot is held by a running
-// job's dataset; the caller backs off and retries.
+// job's dataset; the dispatcher gives the job back and waits for a
+// Release.
 var ErrFleetSaturated = errors.New("serve: fleet saturated (all pods busy with other datasets)")
 
 // FleetOptions size the fleet.

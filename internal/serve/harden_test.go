@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -263,6 +265,141 @@ func TestSubmitInternalErrorIs500(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad alignment: status %d, want 400", resp.StatusCode)
 	}
+}
+
+// diskFull is the error a full disk gives a write to path.
+func diskFull(path string) error {
+	return &os.PathError{Op: "write", Path: path, Err: syscall.ENOSPC}
+}
+
+// TestSubmitWhileClosingLeavesNoJob: a cache-hit submission that races
+// the shutdown is answered errClosing (HTTP 503) and leaves no job
+// directory behind for the next boot to adopt.
+func TestSubmitWhileClosingLeavesNoJob(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	spec := JobSpec{Alignment: testPhylipText(t, 6, 100, 7), Options: JobOptions{Seed: 3}}
+	prep, err := prepareSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.results.Put(&JobResult{Key: prep.ResultKey, BestNewick: "(a,b,(c,(d,(e,f))));"}); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.closing = true
+	s.mu.Unlock()
+	_, err = s.Submit(spec)
+	s.mu.Lock()
+	s.closing = false // so the cleanup's Close shuts the server down
+	s.mu.Unlock()
+	if !errors.Is(err, errClosing) {
+		t.Fatalf("submit while closing: %v, want %v", err, errClosing)
+	}
+	if ids, err := s.store.List(); err != nil || len(ids) != 0 {
+		t.Errorf("a submission refused while closing left jobs %v (%v)", ids, err)
+	}
+}
+
+// TestCreateFailureLeavesNoDirectory: a job whose spec or first record
+// cannot be written leaves no directory, which the next boot would
+// quarantine as a job the client was told failed.
+func TestCreateFailureLeavesNoDirectory(t *testing.T) {
+	store, err := NewJobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"spec.json", "job.json"} {
+		store.write = func(path string, v any) error {
+			if filepath.Base(path) == name {
+				return diskFull(path)
+			}
+			return writeJSON(path, v)
+		}
+		rec := &JobRecord{ID: newJobID(), Tenant: "a", State: StateQueued}
+		if err := store.Create(rec, &JobSpec{}); !errors.Is(err, syscall.ENOSPC) {
+			t.Errorf("%s write failing: Create returned %v", name, err)
+		}
+		if _, err := os.Stat(store.Dir(rec.ID)); !os.IsNotExist(err) {
+			t.Errorf("%s write failing: job directory left behind (%v)", name, err)
+		}
+	}
+}
+
+// TestDiskFaultStaysScopedToItsJob: a full disk under one job's result
+// write fails that job, with the cause in its document. Another tenant's
+// job running beside it finishes bit-identical to a serial run, and the
+// daemon goes on admitting work.
+func TestDiskFaultStaysScopedToItsJob(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		running int
+	)
+	both := make(chan struct{})
+	s, err := NewServer(Options{
+		DataDir: t.TempDir(),
+		Fleet:   FleetOptions{Workers: 1},
+		Logf: func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			t.Log(line)
+			if !strings.Contains(line, ": running on pod") {
+				return
+			}
+			// The first two jobs start only once both hold their pods.
+			mu.Lock()
+			running++
+			n := running
+			mu.Unlock()
+			if n == 2 {
+				close(both)
+			}
+			if n <= 2 {
+				<-both
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	bad := JobSpec{Tenant: "a", Alignment: testPhylipText(t, 6, 100, 1), Options: JobOptions{Seed: 3}}
+	good := JobSpec{Tenant: "b", Alignment: testPhylipText(t, 6, 100, 2), Options: JobOptions{Seed: 5}}
+	prep, err := prepareSpec(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.results.write = func(path string, v any) error {
+		if r, ok := v.(*JobResult); ok && r.Key == prep.ResultKey {
+			return diskFull(path)
+		}
+		return writeJSON(path, v)
+	}
+	var ids []string
+	for _, spec := range []JobSpec{bad, good} {
+		rec, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, rec.ID)
+	}
+
+	if rec := waitJob(t, s, ids[0], StateFailed); !strings.Contains(rec.Error, syscall.ENOSPC.Error()) {
+		t.Errorf("failed job's error %q does not name the full disk", rec.Error)
+	}
+	waitJob(t, s, ids[1], StateDone)
+	res, _, err := s.Result(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialReference(t, good)[0]
+	if got := res.Jumbles[0]; got.Newick != want.BestNewick || got.LnL != want.LnL {
+		t.Errorf("neighbor job: %q lnL %v, serial %q lnL %v", got.Newick, got.LnL, want.BestNewick, want.LnL)
+	}
+
+	next, err := s.Submit(JobSpec{Tenant: "a", Alignment: bad.Alignment, Options: JobOptions{Seed: 7}})
+	if err != nil {
+		t.Fatalf("submission after the disk fault: %v", err)
+	}
+	waitJob(t, s, next.ID, StateDone)
 }
 
 func TestGCEvictsTerminalJobsButKeepsResults(t *testing.T) {

@@ -9,12 +9,13 @@ import (
 )
 
 // Startup recovery: the janitor walks the job store and decides, per
-// job, whether it is terminal (kept visible), incomplete (re-queued,
-// resuming from its manifest where one exists), or corrupt
-// (quarantined). Quarantine is deliberately job-scoped — one truncated
-// manifest block must never take the daemon or its neighbors down; the
-// damaged job parks in StateQuarantined with the parse error attached
-// while every other job resumes normally.
+// job, whether it is terminal (kept visible), done in all but its record
+// (its result is stored), incomplete (re-queued, resuming from its
+// manifest where one exists), or corrupt (quarantined). Quarantine is
+// deliberately job-scoped — one truncated manifest block must never take
+// the daemon or its neighbors down; the damaged job parks in
+// StateQuarantined with the parse error attached while every other job
+// resumes normally.
 
 // recover loads every job found under the data directory.
 func (s *Server) recover() error {
@@ -30,7 +31,7 @@ func (s *Server) recover() error {
 			continue
 		}
 		if rec.State.Terminal() {
-			s.adopt(rec, nil, nil, true)
+			s.adopt(rec, nil, nil)
 			continue
 		}
 
@@ -51,6 +52,18 @@ func (s *Server) recover() error {
 		rec.ResultKey = prep.ResultKey
 		rec.PodKey = prep.PodKey
 		rec.Jumbles = prep.Spec.Options.Jumbles
+		// A stored result outlived the job's last record write (a crash
+		// between the result's write and the done record's): the job is
+		// done, and its document is not computed or written again.
+		if _, stored, err := s.results.Get(rec.ResultKey); err == nil && stored {
+			rec.State = StateDone
+			rec.Error = ""
+			rec.Finished = time.Now()
+			s.saveRecord(rec)
+			s.adopt(rec, nil, nil)
+			s.opt.Logf("job %s: result already stored, done", id)
+			continue
+		}
 		var resume *mlsearch.Manifest
 		mPath := s.store.ManifestPath(id)
 		if _, statErr := os.Stat(mPath); statErr == nil {
@@ -64,7 +77,8 @@ func (s *Server) recover() error {
 		rec.State = StateQueued
 		rec.Error = ""
 		rec.Started = time.Time{}
-		s.adopt(rec, prep, resume, false)
+		s.saveRecord(rec)
+		s.adopt(rec, prep, resume)
 		s.met.resumed.Inc()
 		if resume != nil {
 			done := 0
@@ -81,31 +95,17 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// adopt registers a recovered job in memory (and in the scheduler when
-// it still has work to do).
-func (s *Server) adopt(rec *JobRecord, prep *preparedSpec, resume *mlsearch.Manifest, terminal bool) {
-	j := &job{
-		rec:      *rec,
-		prep:     prep,
-		resume:   resume,
-		stop:     make(chan struct{}),
-		hub:      newEventHub(),
-		queuedAt: time.Now(),
-	}
-	j.hub.publish(Event{Type: "state", Time: time.Now(), State: rec.State, Error: rec.Error})
-	if terminal {
-		j.hub.close()
-	}
+// adopt registers a recovered job in memory, and in the scheduler when
+// it still has work to do.
+func (s *Server) adopt(rec *JobRecord, prep *preparedSpec, resume *mlsearch.Manifest) {
+	j := newJob(*rec, prep, resume)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.jobs[j.rec.ID] = j
-	if !terminal {
+	if !rec.State.Terminal() {
 		// force: these jobs were admitted by the previous process; a
 		// restart must never drop them to admission control.
 		_ = s.sched.push(j, true)
-	}
-	s.mu.Unlock()
-	if !terminal {
-		_ = s.store.SaveRecord(rec)
 	}
 }
 
@@ -114,8 +114,8 @@ func (s *Server) quarantine(rec *JobRecord, cause error) {
 	rec.State = StateQuarantined
 	rec.Error = cause.Error()
 	rec.Finished = time.Now()
-	_ = s.store.SaveRecord(rec)
-	s.adopt(rec, nil, nil, true)
+	s.saveRecord(rec)
+	s.adopt(rec, nil, nil)
 	s.met.quarantined.Inc()
 	s.opt.Logf("job %s: quarantined: %v", rec.ID, cause)
 }

@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"bytes"
+	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/mlsearch"
+	"repro/internal/obs"
 )
 
 // seedJobDir fabricates an admitted-but-incomplete job on disk, the
@@ -177,4 +183,132 @@ func TestJanitorResumesQueuedRecordWithManifest(t *testing.T) {
 	if res.TotalTasks >= fullTasks {
 		t.Errorf("resumed job dispatched %d tasks, a full run %d", res.TotalTasks, fullTasks)
 	}
+}
+
+// rebootOverStoredResult boots a server over dir, where job id is not
+// terminal on disk but its result is stored, and checks that the job is
+// done at once: no pod is made, nothing is resumed, and the stored
+// document — its totals among it — is not written again.
+func rebootOverStoredResult(t *testing.T, dir, id string) {
+	t.Helper()
+	store, err := NewJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := store.LoadRecord(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk.State != StateQueued {
+		t.Fatalf("job %s is %s on disk, want queued", id, disk.State)
+	}
+	resultPath := filepath.Join(dir, "results", disk.ResultKey+".json")
+	stored, err := os.ReadFile(resultPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	s, err := NewServer(Options{DataDir: dir, Fleet: FleetOptions{Workers: 1}, Registry: reg, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get(id); err != nil || got.State != StateDone {
+		t.Errorf("job %s at boot: %s (%v), want done", id, got.State, err)
+	}
+	if n := s.met.resumed.Value(); n != 0 {
+		t.Errorf("resumed counter = %v, want 0", n)
+	}
+	rec := waitJob(t, s, id, StateDone)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := scrape(t, reg)["fdml_serve_pods_created_total"]; n != 0 {
+		t.Errorf("%v pods created for a job whose result is stored", n)
+	}
+	after, err := os.ReadFile(resultPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, stored) {
+		t.Errorf("stored result rewritten:\n%s\nwas\n%s", after, stored)
+	}
+	if disk, err := store.LoadRecord(id); err != nil || disk.State != StateDone {
+		t.Errorf("job %s record on disk after the reboot: %+v (%v), want done", id, disk, err)
+	}
+	if rec.Finished.IsZero() {
+		t.Errorf("job %s adopted done without a finish time", id)
+	}
+}
+
+// TestRecoveryTrustsStoredResult: a crash between a job's result write
+// and its done record leaves a queued record beside a stored result. The
+// next boot adopts the job done instead of resuming it.
+func TestRecoveryTrustsStoredResult(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{Tenant: "a", Alignment: testPhylipText(t, 7, 150, 5), Options: JobOptions{Seed: 3, Jumbles: 2}}
+	s, err := NewServer(Options{DataDir: dir, Fleet: FleetOptions{Workers: 1}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, s, rec.ID, StateDone)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := s.store.LoadRecord(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk.State, disk.Finished = StateQueued, time.Time{}
+	if err := s.store.SaveRecord(disk); err != nil {
+		t.Fatal(err)
+	}
+	rebootOverStoredResult(t, dir, rec.ID)
+}
+
+// TestFailedDoneRecordIsLogged: a done record that cannot be written is
+// logged, and leaves the state a crash before that write leaves, which
+// the next boot settles as done.
+func TestFailedDoneRecordIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	var (
+		mu    sync.Mutex
+		lines []string
+	)
+	s, err := NewServer(Options{DataDir: dir, Fleet: FleetOptions{Workers: 1}, Logf: func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		t.Log(line)
+		mu.Lock()
+		lines = append(lines, line)
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.store.write = func(path string, v any) error {
+		if rec, ok := v.(*JobRecord); ok && rec.State == StateDone {
+			return &os.PathError{Op: "write", Path: path, Err: syscall.ENOSPC}
+		}
+		return writeJSON(path, v)
+	}
+	rec, err := s.Submit(JobSpec{Tenant: "a", Alignment: testPhylipText(t, 6, 100, 4), Options: JobOptions{Seed: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, s, rec.ID, StateDone)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	logged := strings.Join(lines, "\n")
+	mu.Unlock()
+	if want := fmt.Sprintf("job %s: saving its done record: ", rec.ID); !strings.Contains(logged, want) ||
+		!strings.Contains(logged, syscall.ENOSPC.Error()) {
+		t.Errorf("the failed done record was not logged (want %q and %q):\n%s", want, syscall.ENOSPC.Error(), logged)
+	}
+	rebootOverStoredResult(t, dir, rec.ID)
 }

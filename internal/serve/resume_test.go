@@ -45,24 +45,13 @@ func TestServerResumeAfterShutdown(t *testing.T) {
 	}
 
 	// Wait for the first job to be mid-search: running, with at least
-	// one checkpoint in its manifest.
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("first job never checkpointed")
-		}
-		rec, err := s1.Get(ids[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.State.Terminal() {
+	// one checkpoint recorded.
+	awaitJob(t, s1, ids[0], func(e *Event) bool {
+		if rec, _ := s1.Get(ids[0]); rec.State.Terminal() {
 			t.Fatalf("first job finished (%s) before the shutdown; grow the test dataset", rec.State)
 		}
-		if _, statErr := os.Stat(s1.store.ManifestPath(ids[0])); statErr == nil && rec.State == StateRunning {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return e != nil && e.Type == "checkpoint"
+	})
 	// Graceful shutdown: the running search stops at its round
 	// boundary, flushes its manifest, and both jobs persist as queued.
 	if err := s1.Close(); err != nil {

@@ -84,26 +84,54 @@ func postJob(t *testing.T, ts *httptest.Server, spec JobSpec) (int, JobRecord) {
 	return resp.StatusCode, rec
 }
 
-// waitJob polls until the job reaches want (or any terminal state,
-// which fails the test if it is the wrong one).
+// waitJob follows the job's event stream until the job reaches want (or
+// any terminal state, which fails the test if it is the wrong one).
 func waitJob(t *testing.T, s *Server, id string, want JobState) JobRecord {
 	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
-	for time.Now().Before(deadline) {
-		rec, err := s.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.State == want {
-			return rec
-		}
-		if rec.State.Terminal() {
+	var rec JobRecord
+	awaitJob(t, s, id, func(*Event) bool {
+		rec = jobOf(t, s, id).snapshot()
+		if rec.State != want && rec.State.Terminal() {
 			t.Fatalf("job %s reached %s (error %q), want %s", id, rec.State, rec.Error, want)
 		}
-		time.Sleep(10 * time.Millisecond)
+		return rec.State == want
+	})
+	return rec
+}
+
+// awaitJob calls until with nil, then with each event the job publishes,
+// until it reports true. The record is the stream's source, so until
+// reads the job's state from it: a follower that falls behind loses
+// events, never the state. A stream that ends or stays silent for two
+// minutes fails the test.
+func awaitJob(t *testing.T, s *Server, id string, until func(*Event) bool) {
+	t.Helper()
+	_, live, cancel := jobOf(t, s, id).hub.subscribe()
+	defer cancel()
+	timeout := time.After(120 * time.Second)
+	for e := (*Event)(nil); !until(e); {
+		select {
+		case ev, ok := <-live:
+			if !ok {
+				t.Fatalf("job %s: event stream ended", id)
+			}
+			e = &ev
+		case <-timeout:
+			t.Fatalf("job %s: no awaited event within two minutes", id)
+		}
 	}
-	t.Fatalf("job %s never reached %s", id, want)
-	return JobRecord{}
+}
+
+// jobOf returns the server's in-memory job.
+func jobOf(t *testing.T, s *Server, id string) *job {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.jobs[id]
+	if j == nil {
+		t.Fatalf("no job %s", id)
+	}
+	return j
 }
 
 // serialReference runs the same spec through the serial transport — the
@@ -329,18 +357,9 @@ func TestCancelAfterPopEndsCanceled(t *testing.T) {
 	}
 	close(release)
 	// Let the popped job run its course, then Close, which waits for
-	// runJob to return.
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-		s.mu.Lock()
-		active := len(s.active)
-		s.mu.Unlock()
-		if active == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the popped job never left the active set")
-		}
-	}
+	// runJob to return: a job finalized canceled by Cancel and then run
+	// to done would read done below.
+	waitJob(t, s, rec.ID, StateCanceled)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,18 +381,20 @@ func TestCancelAfterPopEndsCanceled(t *testing.T) {
 // TestFinishingJobFreesItsPodFirst: a job gives its pod back before its
 // job slot, so the job the dispatcher pops into that slot finds the pod
 // slot free too. One pod slot and one job slot, three jobs queued behind
-// each other: A and C on one dataset, B on another. A's end is slowed
-// where it logs its outcome; were A's pod still held then, B would be
-// bounced off the full fleet and C, which shares A's pod, would run
-// first. The jobs must run in submission order, and none may bounce.
+// each other: A and C on one dataset, B on another. A's end is held
+// where it logs its outcome until the dispatcher has acted on the slot A
+// freed; were A's pod still held then, B would wait for a pod. The jobs
+// must run in submission order, and none may wait.
 func TestFinishingJobFreesItsPodFirst(t *testing.T) {
 	var (
 		mu       sync.Mutex
-		bounces  []string
-		started  sync.Once
+		waits    []string
+		runs     int
 		finished sync.Once
+		acted    sync.Once
 	)
 	queued := make(chan struct{})
+	dispatched := make(chan struct{}) // closed once B runs or waits
 	s, err := NewServer(Options{
 		DataDir:   t.TempDir(),
 		MaxActive: 1,
@@ -383,13 +404,22 @@ func TestFinishingJobFreesItsPodFirst(t *testing.T) {
 			t.Log(line)
 			switch {
 			case strings.Contains(line, ": running on pod"):
-				started.Do(func() { <-queued })
-			case strings.HasSuffix(line, ": done"):
-				finished.Do(func() { time.Sleep(300 * time.Millisecond) })
-			case strings.Contains(line, "fleet saturated"):
 				mu.Lock()
-				bounces = append(bounces, line)
+				runs++
+				first := runs == 1
 				mu.Unlock()
+				if first {
+					<-queued
+				} else {
+					acted.Do(func() { close(dispatched) })
+				}
+			case strings.HasSuffix(line, ": done"):
+				finished.Do(func() { <-dispatched })
+			case strings.Contains(line, "waiting for a pod"):
+				mu.Lock()
+				waits = append(waits, line)
+				mu.Unlock()
+				acted.Do(func() { close(dispatched) })
 			}
 		},
 	})
@@ -416,7 +446,97 @@ func TestFinishingJobFreesItsPodFirst(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(bounces) > 0 {
-		t.Errorf("jobs bounced off the fleet: %q", bounces)
+	if len(waits) > 0 {
+		t.Errorf("jobs waited for a pod: %q", waits)
+	}
+}
+
+// TestSaturatedFleetRunsInPopOrder: with more job slots than pod slots,
+// the dispatcher acquires pods in pop order. Three job slots, one pod
+// slot; x1 holds the pod while w (another dataset) waits for it, and w
+// is canceled there; then y and x2, queued behind w, must start in
+// submission order — x2 does not jump ahead onto x1's pod — and every
+// tree must equal a serial run's.
+func TestSaturatedFleetRunsInPopOrder(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		waits []string
+		held  sync.Once
+	)
+	hold := make(chan struct{})
+	waited := make(chan struct{}, 1)
+	reg := obs.NewRegistry()
+	s, err := NewServer(Options{
+		DataDir:   t.TempDir(),
+		MaxActive: 3,
+		Fleet:     FleetOptions{Workers: 1, MaxPods: 1},
+		Registry:  reg,
+		Logf: func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			t.Log(line)
+			switch {
+			case strings.Contains(line, ": running on pod"):
+				held.Do(func() { <-hold })
+			case strings.Contains(line, "waiting for a pod"):
+				mu.Lock()
+				waits = append(waits, line)
+				mu.Unlock()
+				select {
+				case waited <- struct{}{}:
+				default:
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	x, y, z := testPhylipText(t, 6, 80, 1), testPhylipText(t, 6, 80, 2), testPhylipText(t, 6, 80, 3)
+	specs := map[string]JobSpec{}
+	var order []string
+	for i, align := range []string{x, z, y, x} {
+		spec := JobSpec{Tenant: "t", Alignment: align, Options: JobOptions{Seed: int64(2*i + 1)}}
+		rec, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[rec.ID] = spec
+		order = append(order, rec.ID)
+	}
+	// While x1 holds the pod, w heads the queue: every wait is w's.
+	<-waited
+	w := order[1]
+	mu.Lock()
+	first := waits[0]
+	mu.Unlock()
+	if !strings.Contains(first, w) {
+		t.Errorf("first wait %q, want w (%s)", first, w)
+	}
+	if _, err := s.Cancel(w); err != nil {
+		t.Fatal(err)
+	}
+	close(hold)
+
+	var starts []time.Time
+	for _, id := range []string{order[0], order[2], order[3]} {
+		starts = append(starts, waitJob(t, s, id, StateDone).Started)
+		res, _, err := s.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := serialReference(t, specs[id])[0]
+		if got := res.Jumbles[0]; got.Newick != want.BestNewick || got.LnL != want.LnL {
+			t.Errorf("job %s: %q lnL %v, serial %q lnL %v", id, got.Newick, got.LnL, want.BestNewick, want.LnL)
+		}
+	}
+	if !starts[0].Before(starts[1]) || !starts[1].Before(starts[2]) {
+		t.Errorf("x1, y, x2 started at %v, want submission order", starts)
+	}
+	if rec := waitJob(t, s, w, StateCanceled); !rec.Started.IsZero() {
+		t.Errorf("canceled job %s started at %v while it waited for a pod", w, rec.Started)
+	}
+	if got := scrape(t, reg)[`fdml_serve_jobs_total{tenant="t",outcome="canceled"}`]; got != 1 {
+		t.Errorf("%v canceled outcomes, want exactly 1", got)
 	}
 }

@@ -160,8 +160,8 @@ type Server struct {
 	stopAll chan struct{}
 	wg      sync.WaitGroup
 
-	// popped, when non-nil, runs as runJob starts, before the job
-	// acquires its pod; tests swap it in to hold a popped job there.
+	// popped, when non-nil, runs as runJob starts, its pod held; tests
+	// swap it in to hold a popped job there.
 	popped func(*job)
 }
 
@@ -257,62 +257,45 @@ func (s *Server) Submit(spec JobSpec) (JobRecord, error) {
 	tenant := prep.Spec.Tenant
 	s.met.submissions.With(tenant).Inc()
 
-	j := &job{
-		rec: JobRecord{
-			ID:        newJobID(),
-			Tenant:    tenant,
-			Priority:  prep.Spec.Priority,
-			State:     StateQueued,
-			Jumbles:   prep.Spec.Options.Jumbles,
-			ResultKey: prep.ResultKey,
-			PodKey:    prep.PodKey,
-			Submitted: time.Now(),
-		},
-		prep:     prep,
-		stop:     make(chan struct{}),
-		hub:      newEventHub(),
-		queuedAt: time.Now(),
-	}
-
-	if res, ok, err := s.results.Get(prep.ResultKey); err != nil {
+	_, hit, err := s.results.Get(prep.ResultKey)
+	if err != nil {
 		return JobRecord{}, &internalError{err}
-	} else if ok {
-		// Deduplicated: the fleet never sees this job.
-		j.rec.State = StateDone
-		j.rec.CacheHit = true
-		j.rec.Started = j.rec.Submitted
-		j.rec.Finished = time.Now()
-		_ = res
-		if err := s.store.Create(&j.rec, &prep.Spec); err != nil {
-			return JobRecord{}, &internalError{err}
-		}
-		s.mu.Lock()
-		if s.closing {
-			s.mu.Unlock()
-			return JobRecord{}, errClosing
-		}
-		s.jobs[j.rec.ID] = j
-		s.mu.Unlock()
-		j.hub.publish(Event{Type: "state", Time: time.Now(), State: StateDone})
-		j.hub.close()
-		s.met.cacheHits.With(tenant).Inc()
-		s.met.outcomes.With(tenant, string(StateDone)).Inc()
-		s.opt.Logf("job %s: cache hit (%s)", j.rec.ID, prep.ResultKey[:12])
-		return j.snapshot(), nil
 	}
+	rec := JobRecord{
+		ID:        newJobID(),
+		Tenant:    tenant,
+		Priority:  prep.Spec.Priority,
+		State:     StateQueued,
+		Jumbles:   prep.Spec.Options.Jumbles,
+		ResultKey: prep.ResultKey,
+		PodKey:    prep.PodKey,
+		Submitted: time.Now(),
+	}
+	if hit {
+		// Deduplicated: the fleet never sees this job.
+		rec.State = StateDone
+		rec.CacheHit = true
+		rec.Started = rec.Submitted
+		rec.Finished = time.Now()
+	}
+	j := newJob(rec, prep, nil)
 
+	// Closing is checked before anything is written, so a submission
+	// answered 503 leaves no job directory for the next boot to adopt.
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
 		return JobRecord{}, errClosing
 	}
-	if err := s.sched.push(j, false); err != nil {
-		s.mu.Unlock()
-		var adm *AdmissionError
-		if errors.As(err, &adm) {
-			s.met.rejections.With(tenant, adm.Reason).Inc()
+	if !hit {
+		if err := s.sched.push(j, false); err != nil {
+			s.mu.Unlock()
+			var adm *AdmissionError
+			if errors.As(err, &adm) {
+				s.met.rejections.With(tenant, adm.Reason).Inc()
+			}
+			return JobRecord{}, err
 		}
-		return JobRecord{}, err
 	}
 	if err := s.store.Create(&j.rec, &prep.Spec); err != nil {
 		s.sched.remove(j.rec.ID)
@@ -321,10 +304,34 @@ func (s *Server) Submit(spec JobSpec) (JobRecord, error) {
 	}
 	s.jobs[j.rec.ID] = j
 	s.mu.Unlock()
-	j.hub.publish(Event{Type: "state", Time: time.Now(), State: StateQueued})
+	if hit {
+		s.met.cacheHits.With(tenant).Inc()
+		s.met.outcomes.With(tenant, string(StateDone)).Inc()
+		s.opt.Logf("job %s: cache hit (%s)", j.rec.ID, prep.ResultKey[:12])
+		return j.snapshot(), nil
+	}
 	s.opt.Logf("job %s: queued (tenant %s, %d jumbles)", j.rec.ID, tenant, j.rec.Jumbles)
 	s.wake()
 	return j.snapshot(), nil
+}
+
+// newJob builds the in-memory view of a job around its record and
+// publishes the record's state as the first event; a terminal job's
+// stream is closed at once.
+func newJob(rec JobRecord, prep *preparedSpec, resume *mlsearch.Manifest) *job {
+	j := &job{
+		rec:      rec,
+		prep:     prep,
+		resume:   resume,
+		stop:     make(chan struct{}),
+		hub:      newEventHub(),
+		queuedAt: time.Now(),
+	}
+	j.hub.publish(Event{Type: "state", Time: time.Now(), State: rec.State, Error: rec.Error})
+	if rec.State.Terminal() {
+		j.hub.close()
+	}
+	return j
 }
 
 // Get returns a job's current record.
@@ -358,8 +365,8 @@ func (s *Server) Cancel(id string) (JobRecord, error) {
 		s.mu.Unlock()
 		s.finalize(j, StateCanceled, "canceled while queued")
 	case state == StateQueued || state == StateRunning:
-		// Halted under s.mu, so requeue sees the cancel or the job is
-		// already back in the queue, stop channel closed.
+		// Popped, its pod held: the search stops at its next round
+		// boundary, and runJob finalizes it canceled.
 		j.halt(true)
 		s.mu.Unlock()
 	default:
@@ -387,7 +394,11 @@ func (s *Server) Result(id string) (*JobResult, JobRecord, error) {
 	return res, rec, nil
 }
 
-// dispatchLoop starts queued jobs whenever slots free up.
+// dispatchLoop starts queued jobs whenever slots free up, acquiring each
+// popped job's pod itself, in pop order. A job whose dataset finds every
+// pod slot held by other datasets' jobs goes back to the head of its
+// tenant's queue, and the loop pops nothing more until it is kicked
+// again, by the Release that frees a pod slot at the latest.
 func (s *Server) dispatchLoop() {
 	defer s.wg.Done()
 	for {
@@ -407,10 +418,24 @@ func (s *Server) dispatchLoop() {
 				s.mu.Unlock()
 				break
 			}
+			pod, err := s.fleet.Acquire(j.rec.PodKey, j.prep.Cfg)
+			if errors.Is(err, ErrFleetSaturated) {
+				s.sched.giveBack(j)
+				s.mu.Unlock()
+				s.opt.Logf("job %s: waiting for a pod (tenant %s)", j.rec.ID, j.rec.Tenant)
+				break
+			}
 			s.active[j.rec.ID] = j
+			if err != nil {
+				// Active until finalized, so no Cancel finalizes it too.
+				s.mu.Unlock()
+				s.finalize(j, StateFailed, err.Error())
+				s.detachActive(j)
+				continue
+			}
 			s.wg.Add(1)
 			s.mu.Unlock()
-			go s.runJob(j)
+			go s.runJob(j, pod)
 		}
 	}
 }
@@ -434,49 +459,14 @@ func (s *Server) reapLoop() {
 	}
 }
 
-// requeue puts a popped job back (fleet saturated) at the head of its
-// tenant's queue, refunding the turn it did not get, and retries
-// shortly; a job canceled since its pop is finalized instead. A job slot
-// is given back only after its pod is released, so with MaxActive <=
-// MaxPods a popped job always finds a pod and this runs only when
-// MaxActive exceeds MaxPods.
-func (s *Server) requeue(j *job) {
-	s.mu.Lock()
-	delete(s.active, j.rec.ID)
-	j.mu.Lock()
-	canceled := j.canceled
-	j.mu.Unlock()
-	if !s.closing && !canceled {
-		s.sched.giveBack(j)
-	}
-	s.mu.Unlock()
-	if canceled {
-		s.finalize(j, StateCanceled, "canceled")
-		return
-	}
-	s.opt.Logf("job %s: fleet saturated, back at the head of tenant %s's queue", j.rec.ID, j.rec.Tenant)
-	time.AfterFunc(200*time.Millisecond, s.wake)
-}
-
-// runJob executes one job on the fleet: acquire the dataset's pod, run
-// each jumble in its own dispatcher lane with checkpointing, then
+// runJob executes one job on the pod the dispatcher acquired for it:
+// run each jumble in its own dispatcher lane with checkpointing, then
 // memoize the result. Held by s.wg for graceful shutdown.
-func (s *Server) runJob(j *job) {
+func (s *Server) runJob(j *job, pod *pod) {
 	defer s.wg.Done()
 	if s.popped != nil {
 		s.popped(j)
 	}
-	pod, err := s.fleet.Acquire(j.rec.PodKey, j.prep.Cfg)
-	if errors.Is(err, ErrFleetSaturated) {
-		s.requeue(j)
-		return
-	}
-	if err != nil {
-		s.detachActive(j)
-		s.finalize(j, StateFailed, err.Error())
-		return
-	}
-
 	tenant := j.rec.Tenant
 	s.met.queueWait.With(tenant).Observe(time.Since(j.queuedAt).Seconds())
 
@@ -523,7 +513,7 @@ func (s *Server) runJob(j *job) {
 		j.rec.Started = time.Time{}
 		rec := j.rec
 		j.mu.Unlock()
-		_ = s.store.SaveRecord(&rec)
+		s.saveRecord(&rec)
 		j.hub.publish(Event{Type: "state", Time: time.Now(), State: StateQueued})
 		s.opt.Logf("job %s: interrupted, re-queued for resume", j.rec.ID)
 	default:
@@ -624,12 +614,21 @@ func (s *Server) finalize(j *job, state JobState, errMsg string) {
 	}
 	rec := j.rec
 	j.mu.Unlock()
-	_ = s.store.SaveRecord(&rec)
+	s.saveRecord(&rec)
 	j.hub.publish(Event{Type: "state", Time: rec.Finished, State: state, Error: rec.Error})
 	j.hub.close()
 	s.met.outcomes.With(rec.Tenant, string(state)).Inc()
 	s.opt.Logf("job %s: %s%s", rec.ID, state, errSuffix(errMsg))
 	s.wake()
+}
+
+// saveRecord persists rec, logging a failure. The job's state in memory
+// stands either way; a record left behind on disk is settled by the next
+// boot's janitor (a job whose result is stored is adopted done).
+func (s *Server) saveRecord(rec *JobRecord) {
+	if err := s.store.SaveRecord(rec); err != nil {
+		s.opt.Logf("job %s: saving its %s record: %v", rec.ID, rec.State, err)
+	}
 }
 
 func errSuffix(msg string) string {

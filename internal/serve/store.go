@@ -101,6 +101,8 @@ func validJobID(id string) bool {
 // JobStore is the on-disk job directory tree.
 type JobStore struct {
 	root string
+	// write stores one document; tests swap it to inject a disk fault.
+	write func(path string, v any) error
 }
 
 // NewJobStore opens (creating if needed) the store under root, and
@@ -118,7 +120,7 @@ func NewJobStore(root string) (*JobStore, error) {
 			}
 		}
 	}
-	return &JobStore{root: root}, nil
+	return &JobStore{root: root, write: writeJSON}, nil
 }
 
 // Dir returns a job's directory.
@@ -143,6 +145,9 @@ func writeJSON(path string, v any) error {
 }
 
 // Create makes a job's directory and writes its spec and first record.
+// A failed write removes the directory again, so no half-made job is
+// left for the next boot to quarantine; the write's error is the one
+// returned.
 func (s *JobStore) Create(rec *JobRecord, spec *JobSpec) error {
 	if !validJobID(rec.ID) {
 		return fmt.Errorf("serve: bad job id %q", rec.ID)
@@ -150,10 +155,14 @@ func (s *JobStore) Create(rec *JobRecord, spec *JobSpec) error {
 	if err := os.MkdirAll(s.Dir(rec.ID), 0o755); err != nil {
 		return err
 	}
-	if err := writeJSON(s.specPath(rec.ID), spec); err != nil {
-		return err
+	err := s.write(s.specPath(rec.ID), spec)
+	if err == nil {
+		err = s.SaveRecord(rec)
 	}
-	return s.SaveRecord(rec)
+	if err != nil {
+		_ = os.RemoveAll(s.Dir(rec.ID))
+	}
+	return err
 }
 
 // SaveRecord atomically rewrites a job's record.
@@ -161,7 +170,7 @@ func (s *JobStore) SaveRecord(rec *JobRecord) error {
 	if !validJobID(rec.ID) {
 		return fmt.Errorf("serve: bad job id %q", rec.ID)
 	}
-	return writeJSON(s.recordPath(rec.ID), rec)
+	return s.write(s.recordPath(rec.ID), rec)
 }
 
 // LoadRecord reads a job's record back.

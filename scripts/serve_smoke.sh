@@ -24,6 +24,11 @@
 #      exists), the daemon is killed with SIGKILL and restarted over the
 #      same -data; the job resumes (fdml_serve_resumed_total moves) and
 #      its best tree is byte-identical to a serial `fastdnaml` run.
+#  10. Saturation: a daemon with more job slots than pod slots
+#      (-max-active 2 -max-pods 1) gets two alignments back to back; the
+#      second waits for the first's pod (the daemon logs the wait), both
+#      reach done, and each best tree is byte-identical to a serial
+#      `fastdnaml` run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,6 +89,16 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/jobs")
 code=$(curl -s -o /dev/null -w '%{http_code}' -H 'Authorization: Bearer wrong-key-00000000' "$base/v1/jobs")
 [ "$code" = 401 ] || fail "wrong-key list got $code, want 401"
 curl -fsS "${auth[@]}" "$base/v1/jobs" >/dev/null || fail "good key rejected"
+
+# submit <json-file>: submit a job spec and print the new job's id.
+submit() {
+	local resp id
+	resp=$(curl -fsS -X POST -H 'Content-Type: application/json' "${auth[@]}" \
+		--data-binary @"$1" "$base/v1/jobs")
+	id=$(printf '%s\n' "$resp" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1)
+	[ -n "$id" ] || fail "submit returned no job id: $resp"
+	printf '%s\n' "$id"
+}
 
 echo "== submit job"
 # JSON-escape the alignment's newlines into one string field. No tenant
@@ -193,10 +208,7 @@ big_ref=$(cat "$work/bigref.best.tree")
 start_daemon -data "$work/crash"
 aln_json=$(awk '{printf "%s\\n", $0}' "$work/big.phy")
 printf '{"alignment":"%s","options":{"seed":9}}' "$aln_json" >"$work/big.json"
-resp=$(curl -fsS -X POST -H 'Content-Type: application/json' "${auth[@]}" \
-	--data-binary @"$work/big.json" "$base/v1/jobs")
-big_id=$(printf '%s\n' "$resp" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1)
-[ -n "$big_id" ] || fail "submit returned no job id: $resp"
+big_id=$(submit "$work/big.json")
 for _ in $(seq 1 3000); do
 	[ -f "$work/crash/jobs/$big_id/manifest" ] && break
 	sleep 0.01
@@ -218,6 +230,28 @@ got_tree=$(curl -fsS "${auth[@]}" "$base/v1/jobs/$big_id/result?format=newick")
 echo "   resumed after SIGKILL, tree matches the serial run"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" || fail "restarted daemon exited non-zero on SIGTERM"
+daemon_pid=
+
+echo "== saturated fleet: two datasets, two job slots, one pod slot"
+# The 30-taxon job holds the one pod slot long enough for the small one
+# to find it taken.
+start_daemon -data "$work/sat" -max-active 2 -max-pods 1
+id1=$(submit "$work/big.json")
+id2=$(submit "$work/job.json")
+for pair in "$id1 $big_ref" "$id2 $ref_tree"; do
+	id=${pair%% *}
+	want=${pair#* }
+	wait_done "$id"
+	got_tree=$(curl -fsS "${auth[@]}" "$base/v1/jobs/$id/result?format=newick")
+	[ "$got_tree" = "$want" ] ||
+		fail "job $id's tree differs from serial run:
+  serial:  $want
+  service: $got_tree"
+done
+grep -q "job $id2: waiting for a pod" "$work/daemon.log" || fail "job $id2 never waited for the pod"
+echo "   $id2 waited for the pod; both done, trees match the serial runs"
+kill -TERM "$daemon_pid"
+wait "$daemon_pid" || fail "saturated daemon exited non-zero on SIGTERM"
 daemon_pid=
 
 echo "serve-smoke: PASS"
