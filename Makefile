@@ -5,10 +5,10 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X repro/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 bench bench-compare bench-pairs loc chaos-soak serve-smoke tcp-smoke examples
+.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 docs docs-check bench bench-compare bench-pairs loc chaos-soak serve-smoke tcp-smoke examples
 
 # Tier-1 gate: everything that must pass before a change lands.
-check: vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3
+check: vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 docs-check
 
 # The likelihood kernels have an amd64 and a portable build; vetting the
 # portable one as well keeps kernels_generic.go's wrappers in step.
@@ -45,7 +45,7 @@ race:
 
 # Differential harness: the cached production engine against the direct
 # recomputation reference engine over seeded randomized trees, models,
-# and data sets (see DESIGN.md §5g for the tolerance contract). -count=1
+# and data sets (see DESIGN.md §5 for the tolerance contract). -count=1
 # defeats the test cache so the harness really runs.
 difftest:
 	$(GO) test -count=1 -run TestDifferential ./internal/likelihood/difftest/
@@ -67,6 +67,17 @@ fuzz-smoke:
 # FMA instructions, so the pins run there too and fail the day it does.
 vector-v3:
 	GOAMD64=v3 $(GO) test -count=1 -run TestVector ./internal/likelihood/
+
+# The documents against the code (scripts/docs_check.sh): every DESIGN
+# section, ROADMAP item and EXPERIMENTS.md heading cited from the Go
+# sources, scripts, this Makefile and ci.yml exists, every test DESIGN.md
+# names exists, and README.md's flag blocks are the binaries' -h output.
+docs-check:
+	GO=$(GO) ./scripts/docs_check.sh
+
+# Rewrite README.md's flag blocks from the binaries' -h output.
+docs:
+	GO=$(GO) ./scripts/docs_check.sh -update
 
 # Kernel scaling benchmarks: the sharded pruning and Newton kernels at
 # 1/2/4/8 engine threads (benchThreadCounts) under GOMAXPROCS 1/2/4

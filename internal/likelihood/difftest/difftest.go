@@ -6,7 +6,7 @@
 // documented tolerance.
 //
 // This is the machine-checked half of the Engine interface contract
-// (DESIGN.md §5g): review establishes that a new backend implements the
+// (DESIGN.md §5): review establishes that a new backend implements the
 // right algorithm; the harness establishes that its numbers match the
 // reference implementation on thousands of randomized inputs, including
 // rate heterogeneity, ambiguity codes, every substitution model, and
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"regexp"
 
 	"repro/internal/likelihood"
 	"repro/internal/model"
@@ -187,7 +188,50 @@ func runCase(opt Options, seed int64, rep *Report) error {
 			fmt.Sprintf("seed=%d taxa=%d sites=%d model=%s: %s",
 				seed, taxa, sites, m.Name(), fmt.Sprintf(format, args...)))
 	}
+	if err := compare(opt, ea, eb, tr, fail, rep); err != nil {
+		return err
+	}
 
+	// The same case once more on a copy with internal edges collapsed,
+	// so that nodes of degree four and more (user trees, DNArates on a
+	// consensus tree) meet the reference too. The collapse is drawn after
+	// every draw above, which leaves the binary comparison as it was.
+	mt, err := collapse(rng, tr)
+	if err != nil {
+		return err
+	}
+	multi := func(format string, args ...any) { fail("multifurcating: "+format, args...) }
+	return compare(opt, ea, eb, mt, multi, rep)
+}
+
+// cherry matches a group of leaves with its branch length: the subtree
+// below an internal edge whose far side holds no internal node.
+var cherry = regexp.MustCompile(`\(([^()]*)\):[^,()]*`)
+
+// collapse returns a copy of tr with one or two of its internal edges
+// contracted. The copy goes through Newick: dropping a cherry's
+// parentheses and length joins its leaves to the node above, and a
+// second collapse may join that node's group to the one above it.
+func collapse(rng *rand.Rand, tr *tree.Tree) (*tree.Tree, error) {
+	s, err := tr.WriteNewick(tree.WriteNewickOptions{Lengths: true, Precision: 17})
+	if err != nil {
+		return nil, err
+	}
+	for k := 1 + rng.Intn(2); k > 0; k-- {
+		m := cherry.FindAllStringSubmatchIndex(s, -1)
+		if len(m) == 0 {
+			break
+		}
+		g := m[rng.Intn(len(m))]
+		s = s[:g[0]] + s[g[2]:g[3]] + s[g[1]:]
+	}
+	return tree.ParseNewick(s, tr.Taxa)
+}
+
+// compare runs both engines on tree tr — plain evaluation, per-site
+// log-likelihoods, branch optimization — reporting disagreements
+// through fail.
+func compare(opt Options, ea, eb likelihood.Engine, tr *tree.Tree, fail func(string, ...any), rep *Report) error {
 	// Plain evaluation.
 	ta, tb := tr.Clone(), tr.Clone()
 	la, err := ea.LogLikelihood(ta)

@@ -401,16 +401,7 @@ func (e *CachedEngine) combineInto(dst, src clvRef, z float64, first, resc bool)
 	e.fillProbs(clampLen(z))
 	e.ops += uint64(e.npat) * 16
 	k := &e.kern
-	switch {
-	case first && resc:
-		k.op = kCombineFirstResc
-	case first:
-		k.op = kCombineFirst
-	case resc:
-		k.op = kCombineMulResc
-	default:
-		k.op = kCombineMul
-	}
+	k.op, k.first, k.resc = kCombine, first, resc
 	k.dst, k.src = dst, src
 	e.runShards()
 }

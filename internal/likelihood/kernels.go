@@ -35,52 +35,16 @@ func lanes(clv []float64, npad, lo, n int) (l0, l1, l2, l3 []float64) {
 	return
 }
 
-// segCombineFirst assigns dst = P·src over the padded range [lo, lo+n):
-// the first child-edge combine of a Felsenstein pruning step.
-func segCombineFirst(dst, src []float64, m *model.PMatrix, npad, lo, n int) {
-	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
-	s0, s1, s2, s3 := lanes(src, npad, lo, n)
-	m00, m01, m02, m03 := m[0][0], m[0][1], m[0][2], m[0][3]
-	m10, m11, m12, m13 := m[1][0], m[1][1], m[1][2], m[1][3]
-	m20, m21, m22, m23 := m[2][0], m[2][1], m[2][2], m[2][3]
-	m30, m31, m32, m33 := m[3][0], m[3][1], m[3][2], m[3][3]
-	d1, d2, d3 = d1[:len(d0)], d2[:len(d0)], d3[:len(d0)]
-	s0, s1, s2, s3 = s0[:len(d0)], s1[:len(d0)], s2[:len(d0)], s3[:len(d0)]
-	for i := range d0 {
-		c0, c1, c2, c3 := s0[i], s1[i], s2[i], s3[i]
-		d0[i] = m00*c0 + m01*c1 + m02*c2 + m03*c3
-		d1[i] = m10*c0 + m11*c1 + m12*c2 + m13*c3
-		d2[i] = m20*c0 + m21*c1 + m22*c2 + m23*c3
-		d3[i] = m30*c0 + m31*c1 + m32*c2 + m33*c3
-	}
-}
-
-// segCombineMul multiplies dst *= P·src over the padded range
-// [lo, lo+n): subsequent child-edge combines.
-func segCombineMul(dst, src []float64, m *model.PMatrix, npad, lo, n int) {
-	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
-	s0, s1, s2, s3 := lanes(src, npad, lo, n)
-	m00, m01, m02, m03 := m[0][0], m[0][1], m[0][2], m[0][3]
-	m10, m11, m12, m13 := m[1][0], m[1][1], m[1][2], m[1][3]
-	m20, m21, m22, m23 := m[2][0], m[2][1], m[2][2], m[2][3]
-	m30, m31, m32, m33 := m[3][0], m[3][1], m[3][2], m[3][3]
-	d1, d2, d3 = d1[:len(d0)], d2[:len(d0)], d3[:len(d0)]
-	s0, s1, s2, s3 = s0[:len(d0)], s1[:len(d0)], s2[:len(d0)], s3[:len(d0)]
-	for i := range d0 {
-		c0, c1, c2, c3 := s0[i], s1[i], s2[i], s3[i]
-		d0[i] *= m00*c0 + m01*c1 + m02*c2 + m03*c3
-		d1[i] *= m10*c0 + m11*c1 + m12*c2 + m13*c3
-		d2[i] *= m20*c0 + m21*c1 + m22*c2 + m23*c3
-		d3[i] *= m30*c0 + m31*c1 + m32*c2 + m33*c3
-	}
-}
-
-// segCombineFirstResc is segCombineFirst fused with rescaling and scale
-// propagation: the final values are rescaled in registers before the
-// single store, eliminating the separate read-modify-write rescale pass.
-// The products are the same floating-point operations the unfused
-// combine-then-rescale sequence performs, so results are bit-identical.
-func segCombineFirstResc(dst, src []float64, m *model.PMatrix, dsc, ssc []int32, npad, lo, n int) {
+// segCombineInto is one child-edge combine of a pruning step over the
+// padded range [lo, lo+n): dst = P·src when first, dst *= P·src
+// otherwise, with the child's scale counts copied or added into dsc.
+// With resc set (the last combine of a node) underflow rescaling is
+// fused in: the final values are rescaled in registers before the single
+// store. A first combine followed by a last one performs segCombine2's
+// floating-point operations in its order, so a node with two children
+// gets the same bits either way (TestCombineSequenceMatchesCombine2);
+// nodes with one or more than two children use this kernel only.
+func segCombineInto(dst, src []float64, m *model.PMatrix, dsc, ssc []int32, npad, lo, n int, first, resc bool) {
 	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
 	s0, s1, s2, s3 := lanes(src, npad, lo, n)
 	m00, m01, m02, m03 := m[0][0], m[0][1], m[0][2], m[0][3]
@@ -100,66 +64,28 @@ func segCombineFirstResc(dst, src []float64, m *model.PMatrix, dsc, ssc []int32,
 		v2 := m20*c0 + m21*c1 + m22*c2 + m23*c3
 		v3 := m30*c0 + m31*c1 + m32*c2 + m33*c3
 		sc := ss[i]
-		mx := v0
-		if v1 > mx {
-			mx = v1
+		if !first {
+			v0, v1, v2, v3 = d0[i]*v0, d1[i]*v1, d2[i]*v2, d3[i]*v3
+			sc += sd[i]
 		}
-		if v2 > mx {
-			mx = v2
-		}
-		if v3 > mx {
-			mx = v3
-		}
-		if mx < scaleThreshold && mx > 0 {
-			v0 *= scaleFactor
-			v1 *= scaleFactor
-			v2 *= scaleFactor
-			v3 *= scaleFactor
-			sc++
-		}
-		d0[i], d1[i], d2[i], d3[i] = v0, v1, v2, v3
-		sd[i] = sc
-	}
-}
-
-// segCombineMulResc is segCombineMul fused with rescaling and scale
-// accumulation, used for the last child combine of a pruning step.
-func segCombineMulResc(dst, src []float64, m *model.PMatrix, dsc, ssc []int32, npad, lo, n int) {
-	d0, d1, d2, d3 := lanes(dst, npad, lo, n)
-	s0, s1, s2, s3 := lanes(src, npad, lo, n)
-	m00, m01, m02, m03 := m[0][0], m[0][1], m[0][2], m[0][3]
-	m10, m11, m12, m13 := m[1][0], m[1][1], m[1][2], m[1][3]
-	m20, m21, m22, m23 := m[2][0], m[2][1], m[2][2], m[2][3]
-	m30, m31, m32, m33 := m[3][0], m[3][1], m[3][2], m[3][3]
-	d1, d2, d3 = d1[:len(d0)], d2[:len(d0)], d3[:len(d0)]
-	s0, s1, s2, s3 = s0[:len(d0)], s1[:len(d0)], s2[:len(d0)], s3[:len(d0)]
-	sd := dsc[lo : lo+n]
-	sd = sd[:len(d0)]
-	ss := ssc[lo : lo+n]
-	ss = ss[:len(d0)]
-	for i := range d0 {
-		c0, c1, c2, c3 := s0[i], s1[i], s2[i], s3[i]
-		v0 := d0[i] * (m00*c0 + m01*c1 + m02*c2 + m03*c3)
-		v1 := d1[i] * (m10*c0 + m11*c1 + m12*c2 + m13*c3)
-		v2 := d2[i] * (m20*c0 + m21*c1 + m22*c2 + m23*c3)
-		v3 := d3[i] * (m30*c0 + m31*c1 + m32*c2 + m33*c3)
-		sc := sd[i] + ss[i]
-		mx := v0
-		if v1 > mx {
-			mx = v1
-		}
-		if v2 > mx {
-			mx = v2
-		}
-		if v3 > mx {
-			mx = v3
-		}
-		if mx < scaleThreshold && mx > 0 {
-			v0 *= scaleFactor
-			v1 *= scaleFactor
-			v2 *= scaleFactor
-			v3 *= scaleFactor
-			sc++
+		if resc {
+			mx := v0
+			if v1 > mx {
+				mx = v1
+			}
+			if v2 > mx {
+				mx = v2
+			}
+			if v3 > mx {
+				mx = v3
+			}
+			if mx < scaleThreshold && mx > 0 {
+				v0 *= scaleFactor
+				v1 *= scaleFactor
+				v2 *= scaleFactor
+				v3 *= scaleFactor
+				sc++
+			}
 		}
 		d0[i], d1[i], d2[i], d3[i] = v0, v1, v2, v3
 		sd[i] = sc
@@ -501,16 +427,5 @@ func segSiteLnL(aclv, bclv []float64, asc, bsc []int32, orig []int, out []float6
 			lkl = math.SmallestNonzeroFloat64
 		}
 		out[og[i]] = math.Log(lkl) - float64(sa[i]+sb[i])*logSc
-	}
-}
-
-// addScale adds src scale counts into dst over [lo, lo+n) (subsequent
-// combines accumulate the children's scaling events).
-func addScale(dst, src []int32, lo, n int) {
-	d := dst[lo : lo+n]
-	s := src[lo : lo+n]
-	s = s[:len(d)]
-	for i := range d {
-		d[i] += s[i]
 	}
 }

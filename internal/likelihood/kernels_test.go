@@ -484,3 +484,64 @@ func FuzzVectorEdgeLnL(f *testing.F) {
 		}
 	})
 }
+
+// TestCombineSequenceMatchesCombine2 pins what the multifurcation path
+// rests on: a first combine followed by a last combine with rescaling
+// gives segCombine2's bits, values and scale counts alike, on random
+// lanes some of which underflow and are rescaled (and one pattern is all
+// zero, which is never rescaled).
+func TestCombineSequenceMatchesCombine2(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const npad, lo, n = 64, 8, 50
+	var ma, mb model.PMatrix
+	for j := range 4 {
+		for k := range 4 {
+			ma[j][k], mb[j][k] = rng.Float64(), rng.Float64()
+		}
+	}
+	clv := func() []float64 {
+		v := make([]float64, 4*npad)
+		for i := range npad {
+			mag := math.Pow(10, -80*rng.Float64())
+			for l := range 4 {
+				v[l*npad+i] = rng.Float64() * mag
+			}
+		}
+		return v
+	}
+	scales := func() []int32 {
+		s := make([]int32, npad)
+		for i := range s {
+			s[i] = int32(rng.Intn(4))
+		}
+		return s
+	}
+	a, b, asc, bsc := clv(), clv(), scales(), scales()
+	for l := range 4 {
+		a[l*npad+lo+3] = 0
+	}
+
+	want, wsc := make([]float64, 4*npad), make([]int32, npad)
+	segCombine2(want, a, b, &ma, &mb, wsc, asc, bsc, npad, lo, n)
+	got, gsc := make([]float64, 4*npad), make([]int32, npad)
+	segCombineInto(got, a, &ma, gsc, asc, npad, lo, n, true, false)
+	segCombineInto(got, b, &mb, gsc, bsc, npad, lo, n, false, true)
+
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("lane %d pattern %d: sequence %v, combine2 %v", i/npad, i%npad, got[i], want[i])
+		}
+	}
+	rescaled := 0
+	for i := lo; i < lo+n; i++ {
+		if gsc[i] != wsc[i] {
+			t.Fatalf("pattern %d: sequence scale %d, combine2 scale %d", i, gsc[i], wsc[i])
+		}
+		if wsc[i] > asc[i]+bsc[i] {
+			rescaled++
+		}
+	}
+	if rescaled == 0 || rescaled == n {
+		t.Fatalf("%d of %d patterns rescaled; the lanes must mix both cases", rescaled, n)
+	}
+}

@@ -36,7 +36,7 @@ func (p Precision) String() string {
 // format fails before any engine or transport starts.
 func CheckPrecision(p Precision) error {
 	if p != Float64 {
-		return fmt.Errorf("likelihood: precision %v is not available: CLVs are float64 only (float32 storage was removed, see DESIGN.md §5f)", p)
+		return fmt.Errorf("likelihood: precision %v is not available: CLVs are float64 only (float32 storage was removed, see DESIGN.md §A)", p)
 	}
 	return nil
 }

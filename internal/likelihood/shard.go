@@ -33,7 +33,7 @@ import (
 // clvBlock) and holds ⌈n/4⌉·4 entries, the ones past its n real patterns
 // zero. The vector kernels run over the rounded length, so no scalar tail
 // runs; a padding entry is a zero CLV of weight 0 and scale 0, whose
-// every term is an exact identity of the sums it joins (DESIGN §5f).
+// every term is an exact identity of the sums it joins (DESIGN §5).
 
 const (
 	// minShardPatterns is the smallest pattern range worth a shard; tiny
@@ -104,10 +104,7 @@ func roundUp(n, m int) int { return (n + m - 1) / m * m }
 // arguments in a struct owned by the engine (rather than a closure per
 // call) is what makes threaded dispatch allocation-free.
 const (
-	kCombineFirst = iota
-	kCombineMul
-	kCombineFirstResc
-	kCombineMulResc
+	kCombine = iota
 	kCombine2
 	kEdgeLnL
 	kFoldGrad
@@ -126,6 +123,8 @@ const (
 // reads a stale kernArgs.
 type kernArgs struct {
 	op       int
+	first    bool // kCombine: assign rather than multiply
+	resc     bool // kCombine: rescale (the node's last combine)
 	dst, src clvRef
 	src2     clvRef
 	a, b     clvRef
@@ -343,27 +342,10 @@ func (e *CachedEngine) shardKernel(s int) {
 	segs := e.shards[s].segs
 	freqs := (*[4]float64)(&e.freqs)
 	switch k.op {
-	case kCombineFirst:
+	case kCombine:
 		for _, seg := range segs {
-			n := seg.hi - seg.lo
-			segCombineFirst(k.dst.f64, k.src.f64, &e.pmat[seg.ci], e.npad, seg.plo, n)
-			copy(k.dst.sc[seg.plo:seg.plo+n], k.src.sc[seg.plo:seg.plo+n])
-		}
-	case kCombineMul:
-		for _, seg := range segs {
-			n := seg.hi - seg.lo
-			segCombineMul(k.dst.f64, k.src.f64, &e.pmat[seg.ci], e.npad, seg.plo, n)
-			addScale(k.dst.sc, k.src.sc, seg.plo, n)
-		}
-	case kCombineFirstResc:
-		for _, seg := range segs {
-			n := seg.hi - seg.lo
-			segCombineFirstResc(k.dst.f64, k.src.f64, &e.pmat[seg.ci], k.dst.sc, k.src.sc, e.npad, seg.plo, n)
-		}
-	case kCombineMulResc:
-		for _, seg := range segs {
-			n := seg.hi - seg.lo
-			segCombineMulResc(k.dst.f64, k.src.f64, &e.pmat[seg.ci], k.dst.sc, k.src.sc, e.npad, seg.plo, n)
+			segCombineInto(k.dst.f64, k.src.f64, &e.pmat[seg.ci], k.dst.sc, k.src.sc,
+				e.npad, seg.plo, seg.hi-seg.lo, k.first, k.resc)
 		}
 	case kCombine2:
 		for _, seg := range segs {

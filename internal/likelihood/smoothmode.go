@@ -36,7 +36,7 @@ func (m SmoothMode) String() string {
 // before any engine or transport starts.
 func CheckSmoothMode(m SmoothMode) error {
 	if m != SmoothSweep {
-		return fmt.Errorf("likelihood: smooth mode %v is not available: branch lengths are smoothed by the sequential Newton sweep only (simultaneous gradient smoothing was removed, see DESIGN.md §5i)", m)
+		return fmt.Errorf("likelihood: smooth mode %v is not available: branch lengths are smoothed by the sequential Newton sweep only (simultaneous gradient smoothing was removed, see DESIGN.md §A)", m)
 	}
 	return nil
 }

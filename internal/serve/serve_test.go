@@ -456,7 +456,8 @@ func TestFinishingJobFreesItsPodFirst(t *testing.T) {
 // slot; x1 holds the pod while w (another dataset) waits for it, and w
 // is canceled there; then y and x2, queued behind w, must start in
 // submission order — x2 does not jump ahead onto x1's pod — and every
-// tree must equal a serial run's.
+// tree must equal a serial run's. A job that waits logs its wait once,
+// however often the dispatcher is kicked meanwhile.
 func TestSaturatedFleetRunsInPopOrder(t *testing.T) {
 	var (
 		mu    sync.Mutex
@@ -538,5 +539,18 @@ func TestSaturatedFleetRunsInPopOrder(t *testing.T) {
 	}
 	if got := scrape(t, reg)[`fdml_serve_jobs_total{tenant="t",outcome="canceled"}`]; got != 1 {
 		t.Errorf("%v canceled outcomes, want exactly 1", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, id := range order {
+		n := 0
+		for _, line := range waits {
+			if strings.HasPrefix(line, "job "+id+":") {
+				n++
+			}
+		}
+		if n > 1 {
+			t.Errorf("job %s logged %d waits for a pod, want one per wait", id, n)
+		}
 	}
 }

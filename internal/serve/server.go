@@ -113,6 +113,7 @@ type job struct {
 	canceled bool
 	hub      *eventHub
 	queuedAt time.Time
+	waiting  bool // refused a pod at least once; guarded by Server.mu
 }
 
 // snapshot returns a copy of the record for handlers.
@@ -420,9 +421,15 @@ func (s *Server) dispatchLoop() {
 			}
 			pod, err := s.fleet.Acquire(j.rec.PodKey, j.prep.Cfg)
 			if errors.Is(err, ErrFleetSaturated) {
+				// Every kick retries the head of the queue (a Cancel may
+				// have put another job there), but a wait is logged once.
 				s.sched.giveBack(j)
+				first := !j.waiting
+				j.waiting = true
 				s.mu.Unlock()
-				s.opt.Logf("job %s: waiting for a pod (tenant %s)", j.rec.ID, j.rec.Tenant)
+				if first {
+					s.opt.Logf("job %s: waiting for a pod (tenant %s)", j.rec.ID, j.rec.Tenant)
+				}
 				break
 			}
 			s.active[j.rec.ID] = j
