@@ -109,11 +109,11 @@ bench-pairs:
 	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # ROADMAP item 3's acceptance numbers: non-test, non-blank, non-comment
-# Go lines of internal/comm, internal/mlsearch, internal/serve,
-# internal/core, internal/likelihood (difftest included), internal/obs
-# and cmd/, then
-# the settable values (exported fields of the *Options, *Config, *Policy,
-# WorkerHooks and core.Spec structs there, and the flags of fastdnaml,
+# Go lines of every package under internal/ (difftest included, treetest
+# not) and cmd/, then the settable values (exported fields of the
+# *Options, *Config, *Policy, WorkerHooks and core.Spec structs in
+# internal/comm, internal/mlsearch, internal/serve, internal/core,
+# internal/likelihood and cmd/, and the flags of fastdnaml,
 # fdworker and fastdnamld; scripts/census), as markdown tables — with
 # PARENT set, beside the same counts on that commit and the deltas.
 # make loc PARENT=HEAD~1

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/tree"
 )
 
 func TestRunConsense(t *testing.T) {
@@ -38,5 +40,44 @@ func TestRunConsenseErrors(t *testing.T) {
 	os.WriteFile(treesPath, []byte("((a,b),c,d);\n"), 0o644)
 	if err := run(treesPath, 0.2, "", false); err == nil {
 		t.Error("bad threshold accepted")
+	}
+}
+
+// TestRunConsenseReadsNewickLabels: the taxa are the leaves ParseNewick
+// reads — an unquoted label may hold a quote, a quoted internal label or
+// a bracket comment may hold a comma — and the consensus names exactly
+// them.
+func TestRunConsenseReadsNewickLabels(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []string
+	}{
+		{"((O'Brien,b),c,d);", []string{"O'Brien", "b", "c", "d"}},
+		{"((a,b)'x,y':0.1,c,d);", []string{"a", "b", "c", "d"}},
+		{"((a,b)x[y,z],c,d);", []string{"a", "b", "c", "d"}},
+	}
+	dir := t.TempDir()
+	treesPath := filepath.Join(dir, "trees.nwk")
+	outPath := filepath.Join(dir, "cons.nwk")
+	for _, c := range cases {
+		if err := os.WriteFile(treesPath, []byte(c.in+"\n"+c.in+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(treesPath, 0.5, outPath, false); err != nil {
+			t.Errorf("%q: %v", c.in, err)
+			continue
+		}
+		data, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cons, err := tree.ParseNewick(strings.TrimSpace(string(data)), c.want)
+		if err != nil {
+			t.Errorf("%q: consensus %q over %q: %v", c.in, data, c.want, err)
+			continue
+		}
+		if n := cons.NumLeaves(); n != len(c.want) {
+			t.Errorf("%q: consensus %q has %d leaves, want %d", c.in, data, n, len(c.want))
+		}
 	}
 }

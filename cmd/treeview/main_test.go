@@ -91,3 +91,38 @@ func TestRunErrors(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestRunReadsNewickLabels: the taxa -trace resolves are the leaves
+// ParseNewick reads — an unquoted label may hold a quote, a quoted
+// internal label or a bracket comment may hold a comma — and nothing else.
+func TestRunReadsNewickLabels(t *testing.T) {
+	cases := []struct {
+		in, notTaxon string
+		want         []string
+	}{
+		{"((O'Brien,b),c,d);", "O", []string{"O'Brien", "b", "c", "d"}},
+		{"((a,b)'x,y':0.1,c,d);", "y'", []string{"a", "b", "c", "d"}},
+		{"((a,b)x[y,z],c,d);", "z]", []string{"a", "b", "c", "d"}},
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trees.nwk")
+	out := filepath.Join(dir, "out.txt")
+	for _, c := range cases {
+		if err := os.WriteFile(path, []byte(c.in+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(path, "ascii", out, strings.Join(c.want, ","), false, 0, true, 0); err != nil {
+			t.Errorf("%q: %v", c.in, err)
+			continue
+		}
+		data, _ := os.ReadFile(out)
+		for _, name := range c.want {
+			if !strings.Contains(string(data), "trace "+name+":") {
+				t.Errorf("%q: no trace of %q:\n%s", c.in, name, data)
+			}
+		}
+		if err := run(path, "ascii", out, c.notTaxon, false, 0, true, 0); err == nil {
+			t.Errorf("%q: %q traced as a taxon", c.in, c.notTaxon)
+		}
+	}
+}

@@ -59,9 +59,9 @@ func ReadTreesFile(path string, taxa []string) ([]*tree.Tree, error) {
 	return ts, nil
 }
 
-// TaxaFromTreesFile extracts the taxon labels appearing in the first tree
-// of a Newick file, in order of first appearance, for tools that have no
-// alignment to define the taxon set.
+// TaxaFromTreesFile returns the leaf labels of the first tree of a Newick
+// file, in order of first appearance (tree.NewickLabels), for tools that
+// have no alignment to define the taxon set.
 func TaxaFromTreesFile(path string) ([]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -75,86 +75,13 @@ func TaxaFromTreesFile(path string) ([]string, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		return ExtractLabels(line)
+		taxa, err := tree.NewickLabels(line)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		return taxa, nil
 	}
 	return nil, fmt.Errorf("%s: no trees found", path)
-}
-
-// ExtractLabels pulls the leaf labels out of one Newick string, in
-// appearance order.
-func ExtractLabels(newick string) ([]string, error) {
-	var out []string
-	seen := map[string]bool{}
-	i := 0
-	expectLeaf := true
-	for i < len(newick) {
-		ch := newick[i]
-		switch ch {
-		case '(', ',':
-			expectLeaf = true
-			i++
-		case ')':
-			expectLeaf = false
-			i++
-			// skip internal label
-			for i < len(newick) && newick[i] != ',' && newick[i] != ')' && newick[i] != ':' && newick[i] != ';' {
-				i++
-			}
-		case ':':
-			i++
-			for i < len(newick) && strings.IndexByte("0123456789.eE+-", newick[i]) >= 0 {
-				i++
-			}
-		case ';', ' ', '\t':
-			i++
-		case '[':
-			end := strings.IndexByte(newick[i:], ']')
-			if end < 0 {
-				return nil, fmt.Errorf("unterminated comment")
-			}
-			i += end + 1
-		case '\'':
-			j := i + 1
-			var label strings.Builder
-			for j < len(newick) {
-				if newick[j] == '\'' {
-					if j+1 < len(newick) && newick[j+1] == '\'' {
-						label.WriteByte('\'')
-						j += 2
-						continue
-					}
-					break
-				}
-				label.WriteByte(newick[j])
-				j++
-			}
-			if j >= len(newick) {
-				return nil, fmt.Errorf("unterminated quoted label")
-			}
-			if expectLeaf && !seen[label.String()] {
-				seen[label.String()] = true
-				out = append(out, label.String())
-			}
-			i = j + 1
-			expectLeaf = false
-		default:
-			j := i
-			for j < len(newick) && strings.IndexByte("(),:;[ \t'", newick[j]) < 0 {
-				j++
-			}
-			label := newick[i:j]
-			if expectLeaf && label != "" && !seen[label] {
-				seen[label] = true
-				out = append(out, label)
-			}
-			i = j
-			expectLeaf = false
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no labels found")
-	}
-	return out, nil
 }
 
 // ReadFloats parses a whitespace/newline-separated list of numbers

@@ -39,49 +39,44 @@ func TestReadTreesErrors(t *testing.T) {
 	}
 }
 
-func TestExtractLabels(t *testing.T) {
+// TestTaxaFromTreesFile: the taxa are the first tree's leaves as
+// ParseNewick reads them — quoted labels may hold commas, an unquoted one
+// may hold a quote, and internal labels and bracket comments name no taxon.
+func TestTaxaFromTreesFile(t *testing.T) {
 	cases := []struct {
 		in   string
 		want []string
 	}{
+		{"# hdr\n((x,y),z,w);\n((x,z),y,w);\n", []string{"x", "y", "z", "w"}},
 		{"((a:1,b:2):0.5,c,d);", []string{"a", "b", "c", "d"}},
 		{"(a,b,'Homo sapiens');", []string{"a", "b", "Homo sapiens"}},
-		{"((a,b)label,c)root;", []string{"a", "b", "c"}},
-		{"(a,(b,c)[comment]);", []string{"a", "b", "c"}},
 		{"('it''s',b,c);", []string{"it's", "b", "c"}},
+		{"((O'Brien,b),c,d);", []string{"O'Brien", "b", "c", "d"}},
+		{"((a,b)'x,y':0.1,c,d);", []string{"a", "b", "c", "d"}},
+		{"((a,b)x[y,z],c,d);", []string{"a", "b", "c", "d"}},
 	}
-	for _, c := range cases {
-		got, err := ExtractLabels(c.in)
-		if err != nil {
-			t.Fatalf("%q: %v", c.in, err)
-		}
-		if len(got) != len(c.want) {
-			t.Fatalf("%q: got %v, want %v", c.in, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("%q: got %v, want %v", c.in, got, c.want)
-				break
-			}
-		}
-	}
-	if _, err := ExtractLabels("();"); err == nil {
-		t.Error("empty tree accepted")
-	}
-}
-
-func TestTaxaFromTreesFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trees.nwk")
-	if err := os.WriteFile(path, []byte("# hdr\n((x,y),z,w);\n"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		if err := os.WriteFile(path, []byte(c.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		taxa, err := TaxaFromTreesFile(path)
+		if err != nil {
+			t.Errorf("%q: %v", c.in, err)
+			continue
+		}
+		if !reflect.DeepEqual(taxa, c.want) {
+			t.Errorf("%q: taxa %q, want %q", c.in, taxa, c.want)
+		}
 	}
-	taxa, err := TaxaFromTreesFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(taxa) != 4 || taxa[0] != "x" {
-		t.Errorf("taxa = %v", taxa)
+	for _, bad := range []string{"();\n", "((a,b),a,c);\n", "# only a comment\n"} {
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if taxa, err := TaxaFromTreesFile(path); err == nil {
+			t.Errorf("%q accepted with taxa %q", bad, taxa)
+		}
 	}
 	if _, err := TaxaFromTreesFile(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file accepted")

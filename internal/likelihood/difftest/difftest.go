@@ -60,7 +60,7 @@ type Tolerance struct {
 // differences without changing the likelihood.
 //
 // CLVs are float64 only, so the precision argument selects nothing; it
-// remains because the benchmark module passes one (ROADMAP item 6).
+// remains because the benchmark module passes one (ROADMAP item 10).
 func DefaultTolerance(likelihood.Precision) Tolerance {
 	return Tolerance{
 		LnLRel: 1e-9, LnLAbs: 1e-7,
@@ -128,9 +128,6 @@ type Report struct {
 	// Failures lists every tolerance violation.
 	Failures []string
 }
-
-// Ok reports whether the run had no tolerance violations.
-func (r Report) Ok() bool { return len(r.Failures) == 0 }
 
 // within reports agreement under the combined relative/absolute bound.
 func within(got, want, rel, abs float64) bool {

@@ -65,9 +65,6 @@ type GradReport struct {
 	Failures []string
 }
 
-// Ok reports whether the run had no tolerance violations.
-func (r GradReport) Ok() bool { return len(r.Failures) == 0 }
-
 // GradientCheck runs the finite-difference gradient check over the same
 // seeded case matrix as Run: EngineA (which must have the
 // GradientSmoother capability) computes the analytic gradient, and every

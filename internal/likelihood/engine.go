@@ -323,7 +323,7 @@ func (e *CachedEngine) Model() model.Model { return e.mdl }
 func (e *CachedEngine) Patterns() *seq.Patterns { return e.pat }
 
 // Precision reports Float64, the only CLV storage format; it remains for
-// the benchmark module's PrecisionReporter check (ROADMAP item 6).
+// the benchmark module's PrecisionReporter check (ROADMAP item 10).
 func (e *CachedEngine) Precision() Precision { return Float64 }
 
 // Ops returns the cumulative pattern-level work counter.

@@ -90,7 +90,7 @@ type Closer interface {
 
 // PrecisionReporter reports an engine's CLV storage format, which is
 // always Float64. It remains only because the benchmark module asserts
-// that its timing decorator keeps it (ROADMAP item 6).
+// that its timing decorator keeps it (ROADMAP item 10).
 type PrecisionReporter interface {
 	Precision() Precision
 }

@@ -7,7 +7,7 @@ import "fmt"
 // underflow (paper §2.1), the same as fastDNAml. The type, Float32,
 // String, PrecisionReporter, EngineOptions.Precision and
 // mlsearch.Config.Precision remain only because the benchmark module
-// compiles against them (ROADMAP item 6 drops them); every entry point
+// compiles against them (ROADMAP item 10 drops them); every entry point
 // that receives a Precision refuses anything but Float64 through
 // CheckPrecision.
 type Precision uint8

@@ -25,7 +25,7 @@ const DefaultEngine = "cached"
 type EngineOptions struct {
 	// Precision must be Float64 (the zero value); NewEngine refuses any
 	// other. The field remains only because the benchmark module sets it
-	// (ROADMAP item 6).
+	// (ROADMAP item 10).
 	Precision Precision
 	// Threads is the kernel thread count for backends that shard
 	// (values < 1 mean 1).

@@ -6,7 +6,7 @@ import "fmt"
 // fastDNAml's sequential per-branch Newton sweep (newton.go), is the only
 // one. The type, SmoothGradient, String, mlsearch.Config.SmoothMode and
 // (*mlsearch.Evaluator).SetSmoothMode remain only because the benchmark
-// module compiles against them (ROADMAP item 6 drops them); every entry
+// module compiles against them (ROADMAP item 10 drops them); every entry
 // point that receives a SmoothMode refuses anything but SmoothSweep
 // through CheckSmoothMode.
 type SmoothMode int

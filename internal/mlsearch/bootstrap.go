@@ -24,7 +24,7 @@ import (
 
 // DataBundle is unread: a TCP run's workers are provisioned from the
 // run's Config. The type and RunOptions.Bundle remain settable only
-// because the benchmark module sets them (ROADMAP item 6 drops both).
+// because the benchmark module sets them (ROADMAP item 10 drops both).
 type DataBundle struct {
 	PhylipText []byte
 	TTRatio    float64

@@ -69,7 +69,7 @@ type Config struct {
 
 	// Precision must be likelihood.Float64 (the zero value): CLVs are
 	// float64 only and Normalize refuses any other. The field remains only
-	// because the benchmark module sets it (ROADMAP item 6).
+	// because the benchmark module sets it (ROADMAP item 10).
 	Precision likelihood.Precision
 
 	// Engine names the likelihood backend used by evaluators this config
@@ -82,7 +82,7 @@ type Config struct {
 	// SmoothMode must be likelihood.SmoothSweep (the zero value): the
 	// Newton sweep is the only smoother and Normalize refuses any other.
 	// The field remains only because the benchmark module sets it
-	// (ROADMAP item 6).
+	// (ROADMAP item 10).
 	SmoothMode likelihood.SmoothMode
 }
 

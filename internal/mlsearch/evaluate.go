@@ -75,7 +75,7 @@ func (ev *Evaluator) Close() { likelihood.CloseEngine(ev.eng) }
 // panics with likelihood.CheckSmoothMode's refusal on any other mode: it
 // has no error return, and a mode it ignored would run a different
 // smoother than the caller asked for without a word. It remains only
-// because the benchmark module calls it (ROADMAP item 6).
+// because the benchmark module calls it (ROADMAP item 10).
 func (ev *Evaluator) SetSmoothMode(m likelihood.SmoothMode) {
 	if err := likelihood.CheckSmoothMode(m); err != nil {
 		panic(err)

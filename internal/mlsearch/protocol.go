@@ -30,7 +30,7 @@ type Layout struct {
 // rank 0 master, rank 1 foreman, the rest workers, so the smallest world
 // has three ranks. The second argument selects nothing: the monitor stopped
 // being a rank when it became a pair of bus subscribers, and the parameter
-// stays only until its callers are updated (ROADMAP item 6).
+// stays only until its callers are updated (ROADMAP item 10).
 func DefaultLayout(size int, _ bool) (Layout, error) {
 	if size <= firstWorkerRank {
 		return Layout{}, fmt.Errorf("mlsearch: world size %d too small (need 2 + >=1 worker)", size)

@@ -106,9 +106,6 @@ func (m *F84) Ratio() float64 { return m.ratio }
 // transition fraction positive, as fastDNAml does.
 func (m *F84) Adjusted() bool { return m.adjust }
 
-// FracChange returns fastDNAml's fracchange normalization constant.
-func (m *F84) FracChange() float64 { return m.frac }
-
 // TransitionFraction returns xi, the fraction of the substitution rate
 // attributable to within-group (transition) events.
 func (m *F84) TransitionFraction() float64 { return m.xi }

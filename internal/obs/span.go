@@ -59,8 +59,6 @@ const (
 	// PhaseEval is the worker's evaluation time (CLV compute plus Newton
 	// iterations), carried back in the reply envelope.
 	PhaseEval = "eval"
-	// PhaseSerialize is time spent marshaling envelopes.
-	PhaseSerialize = "serialize"
 	// PhaseNetwork is the derived network share: RTT minus evaluation.
 	PhaseNetwork = "network"
 )

@@ -116,29 +116,6 @@ func (a *Alignment) Row(i int) string {
 	return b.String()
 }
 
-// Subset returns a new alignment restricted to the sequences whose indices
-// are listed in keep (in that order). The underlying site data is shared.
-func (a *Alignment) Subset(keep []int) (*Alignment, error) {
-	out := NewAlignment(len(keep))
-	for _, i := range keep {
-		if i < 0 || i >= len(a.Data) {
-			return nil, fmt.Errorf("seq: subset index %d out of range", i)
-		}
-		out.Names = append(out.Names, a.Names[i])
-		out.Data = append(out.Data, a.Data[i])
-	}
-	return out, nil
-}
-
-// Columns returns column s of the alignment as a freshly allocated slice.
-func (a *Alignment) Columns(s int) []Code {
-	col := make([]Code, len(a.Data))
-	for i := range a.Data {
-		col[i] = a.Data[i][s]
-	}
-	return col
-}
-
 // Clone returns a deep copy of the alignment.
 func (a *Alignment) Clone() *Alignment {
 	out := NewAlignment(len(a.Data))

@@ -1,7 +1,7 @@
 // Package seq provides DNA sequence alignments for maximum likelihood
-// phylogenetic inference: IUPAC nucleotide coding, PHYLIP and FASTA
-// input/output, site-pattern compression, and empirical base frequency
-// estimation.
+// phylogenetic inference: IUPAC nucleotide coding, PHYLIP input, PHYLIP
+// and FASTA output, site-pattern compression, and empirical base
+// frequency estimation.
 //
 // Sequences are stored as 4-bit presence masks (one per site) so that
 // ambiguity codes and gaps are handled uniformly by the likelihood core:
@@ -102,12 +102,6 @@ func (c Code) Char() byte {
 	return charOf[c]
 }
 
-// Has reports whether base b (one of A, C, G, T) is compatible with c.
-func (c Code) Has(b Code) bool { return c&b != 0 }
-
-// Ambiguous reports whether c denotes more than one possible base.
-func (c Code) Ambiguous() bool { return c != A && c != C && c != G && c != T }
-
 // Count returns the number of bases compatible with c (1..4).
 func (c Code) Count() int {
 	n := 0
@@ -121,22 +115,6 @@ func (c Code) Count() int {
 
 // String implements fmt.Stringer.
 func (c Code) String() string { return string(c.Char()) }
-
-// BaseIndex returns the 0..3 index of a single-base code (A=0, C=1, G=2,
-// T=3) and true, or 0 and false when c is ambiguous or invalid.
-func (c Code) BaseIndex() (int, bool) {
-	switch c {
-	case A:
-		return 0, true
-	case C:
-		return 1, true
-	case G:
-		return 2, true
-	case T:
-		return 3, true
-	}
-	return 0, false
-}
 
 // BaseName returns the canonical letter of base index i (0..3).
 func BaseName(i int) byte { return [NumBases]byte{'A', 'C', 'G', 'T'}[i] }

@@ -1,9 +1,6 @@
 package seq
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestParseBaseSingles(t *testing.T) {
 	cases := []struct {
@@ -78,52 +75,6 @@ func TestCodeCount(t *testing.T) {
 	}
 	if (A | G).Count() != 2 {
 		t.Errorf("(A|G).Count() = %d, want 2", (A | G).Count())
-	}
-}
-
-func TestCodeAmbiguous(t *testing.T) {
-	for _, c := range []Code{A, C, G, T} {
-		if c.Ambiguous() {
-			t.Errorf("%v should not be ambiguous", c)
-		}
-	}
-	for _, c := range []Code{A | G, Any, C | T | G} {
-		if !c.Ambiguous() {
-			t.Errorf("%04b should be ambiguous", c)
-		}
-	}
-}
-
-func TestBaseIndex(t *testing.T) {
-	wants := map[Code]int{A: 0, C: 1, G: 2, T: 3}
-	for c, want := range wants {
-		got, ok := c.BaseIndex()
-		if !ok || got != want {
-			t.Errorf("BaseIndex(%v) = %d,%v want %d,true", c, got, ok, want)
-		}
-	}
-	if _, ok := (A | G).BaseIndex(); ok {
-		t.Error("BaseIndex of ambiguous code should fail")
-	}
-	if _, ok := Code(0).BaseIndex(); ok {
-		t.Error("BaseIndex of zero code should fail")
-	}
-}
-
-func TestCodeHasPropertyQuick(t *testing.T) {
-	// Property: Has(b) is consistent with Count over the four bases.
-	f := func(raw byte) bool {
-		c := Code(raw%15) + 1 // 1..15
-		n := 0
-		for _, b := range []Code{A, C, G, T} {
-			if c.Has(b) {
-				n++
-			}
-		}
-		return n == c.Count()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

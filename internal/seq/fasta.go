@@ -4,59 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 )
-
-// ReadFasta parses a FASTA nucleotide alignment. All records must have the
-// same length.
-func ReadFasta(r io.Reader) (*Alignment, error) {
-	br := bufio.NewScanner(r)
-	br.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	a := NewAlignment(8)
-	var name string
-	var body strings.Builder
-	flush := func() error {
-		if name == "" {
-			return nil
-		}
-		if err := a.Add(name, body.String()); err != nil {
-			return err
-		}
-		name = ""
-		body.Reset()
-		return nil
-	}
-	for br.Scan() {
-		line := strings.TrimSpace(br.Text())
-		if line == "" {
-			continue
-		}
-		if line[0] == '>' {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			name = strings.Fields(line[1:])[0]
-			if name == "" {
-				return nil, fmt.Errorf("fasta: record with empty name")
-			}
-			continue
-		}
-		if name == "" {
-			return nil, fmt.Errorf("fasta: sequence data before first header")
-		}
-		body.WriteString(line)
-	}
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("fasta: %w", err)
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
 
 // WriteFasta writes the alignment as FASTA with 70 columns per line.
 func WriteFasta(w io.Writer, a *Alignment) error {

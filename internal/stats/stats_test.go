@@ -7,31 +7,16 @@ import (
 	"testing/quick"
 )
 
-func TestMeanMedianStd(t *testing.T) {
+func TestMeanStdDev(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 10}
 	if got := Mean(xs); got != 4 {
 		t.Errorf("Mean = %g", got)
 	}
-	if got := Median(xs); got != 3 {
-		t.Errorf("Median = %g", got)
-	}
-	if got := Median([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("even Median = %g", got)
-	}
 	if got := StdDev(xs); math.Abs(got-3.5355) > 1e-3 {
 		t.Errorf("StdDev = %g", got)
 	}
-	if Mean(nil) != 0 || Median(nil) != 0 || StdDev([]float64{1}) != 0 {
+	if Mean(nil) != 0 || StdDev([]float64{1}) != 0 {
 		t.Error("empty-input conventions broken")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %g", got)
-	}
-	if GeoMean([]float64{1, 0}) != 0 || GeoMean(nil) != 0 {
-		t.Error("degenerate GeoMean conventions broken")
 	}
 }
 

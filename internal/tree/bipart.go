@@ -112,18 +112,26 @@ func (s Split) CompatibleWith(o Split) bool {
 // Splits returns the nontrivial splits induced by the tree's internal
 // edges, keyed canonically. The tree may be multifurcating.
 func (t *Tree) Splits() map[string]Split {
-	n := len(t.Taxa)
-	words := (n + 63) / 64
 	out := make(map[string]Split)
-	// Walking from the smallest-taxon leaf, no accumulated side holds that
-	// taxon, so an edge has one key whichever way the tree is rooted —
-	// also in a tree over part of the taxon set, where complementing
-	// against all taxa would not be.
-	anchor := t.minLeaf()
-	if anchor == nil {
-		return out
-	}
-	// Post-order accumulation of taxon bitsets per directed edge.
+	t.walkSplits(func(n0, parent *Node, bits []uint64) {
+		if n0.Leaf() || parent.Leaf() {
+			return
+		}
+		if sp := newSplit(append([]uint64(nil), bits...), len(t.Taxa)); !sp.Trivial() {
+			out[sp.Key()] = sp
+		}
+	})
+	return out
+}
+
+// walkSplits calls visit for every edge, in post-order from the leaf with
+// the smallest taxon, with the taxa on the side of the edge away from
+// that leaf. No side then holds that taxon, so an edge has one key
+// whichever way the tree is rooted — also in a tree over part of the
+// taxon set, where complementing against all taxa would not be. bits
+// belongs to the walk; visit copies what it keeps.
+func (t *Tree) walkSplits(visit func(n0, parent *Node, bits []uint64)) {
+	words := (len(t.Taxa) + 63) / 64
 	var below func(n0, parent *Node) []uint64
 	below = func(n0, parent *Node) []uint64 {
 		bits := make([]uint64, words)
@@ -139,16 +147,14 @@ func (t *Tree) Splits() map[string]Split {
 				bits[i] |= sub[i]
 			}
 		}
-		if parent != nil && !n0.Leaf() && !parent.Leaf() {
-			sp := newSplit(append([]uint64(nil), bits...), n)
-			if !sp.Trivial() {
-				out[sp.Key()] = sp
-			}
+		if parent != nil {
+			visit(n0, parent, bits)
 		}
 		return bits
 	}
-	below(anchor, nil)
-	return out
+	if anchor := t.minLeaf(); anchor != nil {
+		below(anchor, nil)
+	}
 }
 
 // RobinsonFoulds returns the symmetric-difference distance between the
@@ -181,35 +187,10 @@ func RobinsonFoulds(a, b *Tree) (int, float64, error) {
 // splitLengths returns every split (including trivial leaf splits) with
 // its branch length.
 func (t *Tree) splitLengths() map[string]float64 {
-	n := len(t.Taxa)
-	words := (n + 63) / 64
 	out := map[string]float64{}
-	anchor := t.minLeaf() // see Splits
-	if anchor == nil {
-		return out
-	}
-	var below func(n0, parent *Node) []uint64
-	below = func(n0, parent *Node) []uint64 {
-		bits := make([]uint64, words)
-		if n0.Leaf() {
-			bits[n0.Taxon/64] |= 1 << (uint(n0.Taxon) % 64)
-		}
-		for _, m := range n0.Nbr {
-			if m == parent {
-				continue
-			}
-			sub := below(m, n0)
-			for i := range bits {
-				bits[i] |= sub[i]
-			}
-		}
-		if parent != nil {
-			sp := newSplit(append([]uint64(nil), bits...), n)
-			out[sp.Key()] += n0.LenTo(parent)
-		}
-		return bits
-	}
-	below(anchor, nil)
+	t.walkSplits(func(n0, parent *Node, bits []uint64) {
+		out[newSplit(append([]uint64(nil), bits...), len(t.Taxa)).Key()] += n0.LenTo(parent)
+	})
 	return out
 }
 

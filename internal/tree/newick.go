@@ -193,7 +193,24 @@ func ParseNewick(s string, taxa []string) (*Tree, error) {
 		idx[name] = i
 	}
 	p := &newickParser{src: s, taxa: idx}
-	t := New(taxa)
+	return p.parse(New(taxa))
+}
+
+// NewickLabels returns the leaf labels of a Newick string in order of
+// appearance, for tools that have no alignment to define the taxon set.
+// It runs ParseNewick's own parser, so it succeeds exactly when
+// ParseNewick(s, labels) does.
+func NewickLabels(s string) ([]string, error) {
+	p := &newickParser{src: s, taxa: map[string]int{}, collect: true}
+	t, err := p.parse(New(nil))
+	if err != nil {
+		return nil, err
+	}
+	return t.Taxa, nil
+}
+
+// parse reads the whole source as one tree into t.
+func (p *newickParser) parse(t *Tree) (*Tree, error) {
 	root, _, err := p.parseSubtree(t)
 	if err != nil {
 		return nil, err
@@ -228,6 +245,9 @@ type newickParser struct {
 	src  string
 	pos  int
 	taxa map[string]int
+	// collect adds each new leaf label to taxa and to the tree's taxon
+	// set instead of refusing it.
+	collect bool
 }
 
 func (p *newickParser) skipSpace() {
@@ -298,7 +318,11 @@ func (p *newickParser) parseSubtree(t *Tree) (*Node, float64, error) {
 			return nil, 0, fmt.Errorf("newick: missing taxon label at offset %d", p.pos)
 		}
 		ti, ok := p.taxa[label]
-		if !ok {
+		if !ok && p.collect {
+			ti = len(t.Taxa)
+			p.taxa[label] = ti
+			t.Taxa = append(t.Taxa, label)
+		} else if !ok {
 			return nil, 0, fmt.Errorf("newick: unknown taxon %q", label)
 		}
 		if t.LeafByTaxon(ti) != nil {

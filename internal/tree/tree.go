@@ -396,32 +396,3 @@ func (t *Tree) TaxaInTree() []int {
 	sort.Ints(out)
 	return out
 }
-
-// TotalLength returns the sum of all branch lengths.
-func (t *Tree) TotalLength() float64 {
-	s := 0.0
-	for _, e := range t.Edges() {
-		s += e.Length()
-	}
-	return s
-}
-
-// Walk visits every live node in depth-first order starting from an
-// arbitrary node, calling visit with each node and its parent in the
-// traversal (nil for the start node).
-func (t *Tree) Walk(visit func(n, parent *Node)) {
-	start := t.AnyNode()
-	if start == nil {
-		return
-	}
-	var rec func(n, parent *Node)
-	rec = func(n, parent *Node) {
-		visit(n, parent)
-		for _, m := range n.Nbr {
-			if m != parent {
-				rec(m, n)
-			}
-		}
-	}
-	rec(start, nil)
-}

@@ -235,23 +235,3 @@ func TestTreeInvariantsQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestWalkVisitsAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	tr, _ := RandomTree(taxaNames(10), rng, 0.1)
-	seen := map[int]bool{}
-	tr.Walk(func(n, parent *Node) { seen[n.ID] = true })
-	if len(seen) != tr.NumNodes() {
-		t.Errorf("Walk visited %d of %d nodes", len(seen), tr.NumNodes())
-	}
-}
-
-func TestTotalLength(t *testing.T) {
-	tr, _ := Triple(taxaNames(3), 0, 1, 2)
-	for _, e := range tr.Edges() {
-		SetLen(e.A, e.B, 0.5)
-	}
-	if got := tr.TotalLength(); got < 1.4999 || got > 1.5001 {
-		t.Errorf("TotalLength = %g, want 1.5", got)
-	}
-}

@@ -84,23 +84,6 @@ func leavesBelowCount(n, parent *tree.Node) int {
 	return c
 }
 
-// Bounds returns the layout's bounding box.
-func (l *Layout) Bounds() (minX, minY, maxX, maxY float64) {
-	first := true
-	for _, p := range l.Pos {
-		if first {
-			minX, maxX, minY, maxY = p.X, p.X, p.Y, p.Y
-			first = false
-			continue
-		}
-		minX = math.Min(minX, p.X)
-		maxX = math.Max(maxX, p.X)
-		minY = math.Min(minY, p.Y)
-		maxY = math.Max(maxY, p.Y)
-	}
-	return
-}
-
 // PivotCanonical reorders every node's neighbor list so subtrees appear
 // in order of their smallest contained taxon — the viewer's "pivot a
 // subtree in order to visually distinguish solutions that are

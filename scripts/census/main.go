@@ -4,8 +4,8 @@
 //	go run ./scripts/census [parent-root] this-root
 //
 // A settable value is an exported field of an exported struct named
-// *Options, *Config or *Policy, of WorkerHooks, or of core.Spec, in the
-// trees `make loc` counts, or a flag that cmd/fastdnaml, cmd/fdworker or
+// *Options, *Config or *Policy, of WorkerHooks, or of core.Spec, in
+// fieldTrees, or a flag that cmd/fastdnaml, cmd/fdworker or
 // cmd/fastdnamld declares. Embedded fields are not counted (their own
 // fields are). Test files are skipped. With two roots the table has the
 // parent column and the delta. Output is markdown.

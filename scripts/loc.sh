@@ -5,9 +5,9 @@
 #   scripts/loc.sh [parent-ref]
 #
 # Non-test Go lines that are neither blank nor a // comment (the tree
-# uses no /* */ blocks), per package tree, for internal/comm,
-# internal/mlsearch, internal/serve, internal/core, internal/likelihood
-# (difftest included), internal/obs and cmd/. With a ref
+# uses no /* */ blocks), per package tree, for every package under
+# internal/ (internal/likelihood with difftest, internal/tree without the
+# test-support package treetest) and cmd/. With a ref
 # the same count is taken on that commit (git archive into
 # .bench_build/loc/, like bench_pairs.sh) and the table gains the
 # parent column and the delta. A second table counts the settable values
@@ -16,11 +16,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-trees="internal/comm internal/mlsearch internal/serve internal/core internal/likelihood internal/obs cmd"
+trees="internal/buildinfo internal/comm internal/core internal/dnarates internal/experiments
+internal/fileio internal/likelihood internal/mlsearch internal/model internal/obs internal/seq
+internal/serve internal/simulate internal/spsim internal/stats internal/tree internal/viewer cmd"
 
 # count <root> <tree>: code lines of the non-test .go files under it.
 count() {
-	find "$1/$2" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -cvE '^[[:space:]]*(//.*)?$'
+	find "$1/$2" -path '*/treetest' -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -cvE '^[[:space:]]*(//.*)?$'
 }
 
 ref=${1:-}
