@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X repro/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 docs docs-check bench bench-compare bench-pairs loc chaos-soak serve-smoke tcp-smoke examples
+.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 docs docs-check experiments experiments-check bench bench-compare bench-pairs loc chaos-soak serve-smoke tcp-smoke examples
 
 # Tier-1 gate: everything that must pass before a change lands.
 check: vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 docs-check
@@ -78,6 +78,14 @@ docs-check:
 # Rewrite README.md's flag blocks from the binaries' -h output.
 docs:
 	GO=$(GO) ./scripts/docs_check.sh -update
+
+# Rewrite EXPERIMENTS.md's generated blocks from cmd/scaling's output.
+experiments:
+	GO=$(GO) ./scripts/experiments.sh -update
+
+# Fail with a diff when a generated EXPERIMENTS.md block is stale (~45 s: its own CI job).
+experiments-check:
+	GO=$(GO) ./scripts/experiments.sh
 
 # Kernel scaling benchmarks: the sharded pruning and Newton kernels at
 # 1/2/4/8 engine threads (benchThreadCounts) under GOMAXPROCS 1/2/4

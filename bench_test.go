@@ -223,7 +223,7 @@ func BenchmarkWallclock150(b *testing.B) {
 	var rows []experiments.WallclockRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, _, err = experiments.Wallclock(2001)
+		rows, err = experiments.Wallclock(2001)
 		if err != nil {
 			b.Fatal(err)
 		}

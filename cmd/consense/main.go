@@ -7,8 +7,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/buildinfo"
 	"repro/internal/fileio"
@@ -34,13 +36,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*treesPath, *threshold, *outPath, *ascii); err != nil {
+	if err := run(*treesPath, *threshold, *outPath, *ascii, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "consense:", err)
 		os.Exit(1)
 	}
 }
 
-func run(treesPath string, threshold float64, outPath string, ascii bool) error {
+// run writes the consensus tree to outPath (stdout when empty) and its
+// report — counts, each retained split's support and smaller side, the
+// text rendering — to report.
+func run(treesPath string, threshold float64, outPath string, ascii bool, report io.Writer) error {
 	taxa, err := fileio.TaxaFromTreesFile(treesPath)
 	if err != nil {
 		return err
@@ -62,34 +67,43 @@ func run(treesPath string, threshold float64, outPath string, ascii bool) error 
 	} else {
 		fmt.Println(nwk)
 	}
-	fmt.Fprintf(os.Stderr, "consense: %d trees, %d splits retained of %d observed\n",
+	fmt.Fprintf(report, "consense: %d trees, %d splits retained of %d observed\n",
 		len(trees), len(res.Support), len(res.SplitFreq))
-	// Report split support, strongest first.
-	type supp struct {
-		key string
-		f   float64
+	// Report split support, strongest first, with the taxa on each
+	// split's smaller side.
+	splits := res.Tree.Splits()
+	keys := make([]string, 0, len(res.Support))
+	for k := range res.Support {
+		keys = append(keys, k)
 	}
-	var supports []supp
-	for k, f := range res.Support {
-		supports = append(supports, supp{k, f})
-	}
-	sort.Slice(supports, func(i, j int) bool {
-		if supports[i].f != supports[j].f {
-			return supports[i].f > supports[j].f
+	sort.Slice(keys, func(i, j int) bool {
+		if fi, fj := res.Support[keys[i]], res.Support[keys[j]]; fi != fj {
+			return fi > fj
 		}
-		return supports[i].key < supports[j].key
+		return keys[i] < keys[j]
 	})
-	for _, s := range supports {
-		members := res.SplitFreq[s.key] // placeholder to keep key used
-		_ = members
-		fmt.Fprintf(os.Stderr, "  split support %.0f%%\n", 100*s.f)
+	for _, k := range keys {
+		fmt.Fprintf(report, "  split support %.0f%%: %s\n", 100*res.Support[k], smallerSide(splits[k], res.Tree.Taxa))
 	}
 	if ascii {
 		text, err := viewer.ASCII(res.Tree, viewer.ASCIIOptions{Width: 78})
 		if err == nil {
-			fmt.Fprintln(os.Stderr)
-			fmt.Fprint(os.Stderr, text)
+			fmt.Fprintln(report)
+			fmt.Fprint(report, text)
 		}
 	}
 	return nil
+}
+
+// smallerSide names the taxa on the smaller side of a split, space
+// separated in taxon order.
+func smallerSide(s tree.Split, taxa []string) string {
+	small := s.Size()*2 <= s.N()
+	var names []string
+	for i := 0; i < s.N(); i++ {
+		if s.Contains(i) == small {
+			names = append(names, taxa[i])
+		}
+	}
+	return strings.Join(names, " ")
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,8 +19,17 @@ func TestRunConsense(t *testing.T) {
 		t.Fatal(err)
 	}
 	outPath := filepath.Join(dir, "cons.nwk")
-	if err := run(treesPath, 0.5, outPath, false); err != nil {
+	var report bytes.Buffer
+	if err := run(treesPath, 0.5, outPath, false, &report); err != nil {
 		t.Fatal(err)
+	}
+	// Each retained split's support line names the taxa on its smaller
+	// side, strongest split first.
+	want := "consense: 3 trees, 2 splits retained of 3 observed\n" +
+		"  split support 100%: d e\n" +
+		"  split support 67%: a b\n"
+	if report.String() != want {
+		t.Errorf("report:\n%s\nwant:\n%s", report.String(), want)
 	}
 	data, err := os.ReadFile(outPath)
 	if err != nil {
@@ -32,13 +43,13 @@ func TestRunConsense(t *testing.T) {
 }
 
 func TestRunConsenseErrors(t *testing.T) {
-	if err := run(filepath.Join(t.TempDir(), "missing"), 0.5, "", false); err == nil {
+	if err := run(filepath.Join(t.TempDir(), "missing"), 0.5, "", false, io.Discard); err == nil {
 		t.Error("missing file accepted")
 	}
 	dir := t.TempDir()
 	treesPath := filepath.Join(dir, "trees.nwk")
 	os.WriteFile(treesPath, []byte("((a,b),c,d);\n"), 0o644)
-	if err := run(treesPath, 0.2, "", false); err == nil {
+	if err := run(treesPath, 0.2, "", false, io.Discard); err == nil {
 		t.Error("bad threshold accepted")
 	}
 }
@@ -63,7 +74,7 @@ func TestRunConsenseReadsNewickLabels(t *testing.T) {
 		if err := os.WriteFile(treesPath, []byte(c.in+"\n"+c.in+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := run(treesPath, 0.5, outPath, false); err != nil {
+		if err := run(treesPath, 0.5, outPath, false, io.Discard); err != nil {
 			t.Errorf("%q: %v", c.in, err)
 			continue
 		}

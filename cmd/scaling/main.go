@@ -73,22 +73,19 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Println("Efficiency fall-off past the paper's 64 processors (§3.2 prediction: 100-200)")
-			fmt.Println(experiments.RenderFig4(pts))
+			fmt.Println(experiments.RenderEfficiency("Efficiency fall-off past the paper's 64 processors (§3.2 prediction: 100-200)", pts))
 		case "extent":
 			pts, err := experiments.ExtentComparison(*seed, *jumbles)
 			if err != nil {
 				return err
 			}
-			fmt.Println("Rearrangement extent ablation (§3.2: extent 1 scales worse than extent 5)")
-			fmt.Println(experiments.RenderFig4(pts))
+			fmt.Println(experiments.RenderSpeedups("Rearrangement extent ablation (§3.2: extent 1 scales worse than extent 5)", pts))
 		case "speculative":
 			pts, err := experiments.SpeculativeComparison(*seed, *jumbles)
 			if err != nil {
 				return err
 			}
-			fmt.Println("Speculative evaluation study (the paper's planned §3.2 follow-up)")
-			fmt.Println(experiments.RenderFig4(pts))
+			fmt.Println(experiments.RenderSpeedups("Speculative evaluation study (the paper's planned §3.2 follow-up)", pts))
 		case "slices":
 			pts, err := experiments.SliceComparison(*seed, *jumbles)
 			if err != nil {
@@ -102,11 +99,11 @@ func main() {
 			}
 			fmt.Println(experiments.RenderThroughput(pts, 200, 64))
 		case "wallclock":
-			_, text, err := experiments.Wallclock(*seed)
+			rows, err := experiments.Wallclock(*seed)
 			if err != nil {
 				return err
 			}
-			fmt.Println(text)
+			fmt.Println(experiments.RenderWallclock(rows))
 		case "calibrate":
 			cal, err := experiments.Calibrate(*seed)
 			if err != nil {
@@ -119,8 +116,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Println("Measured-schedule sweep (real search, simulated cluster)")
-			fmt.Println(experiments.RenderFig4(pts))
+			fmt.Println(experiments.RenderSpeedups("Measured-schedule sweep (real search, simulated cluster)", pts))
 		case "flow":
 			return experiments.FlowDemo(os.Stdout, *seed)
 		case "all":

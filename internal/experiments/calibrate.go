@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/mlsearch"
 	"repro/internal/seq"
@@ -92,19 +93,18 @@ func Calibrate(seed int64) (*Calibration, error) {
 		NewickBytesPerTaxon:        22,
 	}
 
-	tbl := &stats.Table{Headers: []string{"coefficient", "fitted"}}
-	tbl.Add("quick units / (taxa x patterns)", fmt.Sprintf("%.1f", cost.QuickUnitsPerTaxonPattern))
-	tbl.Add("smooth units / (taxa x patterns)", fmt.Sprintf("%.1f", cost.SmoothUnitsPerTaxonPattern))
-	tbl.Add("lognormal sigma", fmt.Sprintf("%.3f", cost.Sigma))
-	report := "Cost model calibration from measured serial searches\n" + tbl.String()
-	report += "\nrearrangement rounds that improved the tree:\n"
+	def := spsim.DefaultCostModel()
+	tbl := &stats.Table{Headers: []string{"coefficient", "fitted", "committed (spsim.DefaultCostModel)"}}
+	tbl.Add("quick units / (taxa x patterns)", fmt.Sprintf("%.1f", cost.QuickUnitsPerTaxonPattern), fmt.Sprintf("%.0f", def.QuickUnitsPerTaxonPattern))
+	tbl.Add("smooth units / (taxa x patterns)", fmt.Sprintf("%.1f", cost.SmoothUnitsPerTaxonPattern), fmt.Sprintf("%.0f", def.SmoothUnitsPerTaxonPattern))
+	tbl.Add("lognormal sigma", fmt.Sprintf("%.3f", cost.Sigma), fmt.Sprintf("%.2f", def.Sigma))
+	var improved []string
 	for _, taxa := range sizes {
-		report += fmt.Sprintf("  %d taxa: %.0f%%\n", taxa, 100*improves[taxa])
+		improved = append(improved, fmt.Sprintf("%.0f", 100*improves[taxa]))
 	}
-	report += fmt.Sprintf("\ncommitted defaults (spsim.DefaultCostModel): quick=%.0f smooth=%.0f sigma=%.2f\n",
-		spsim.DefaultCostModel().QuickUnitsPerTaxonPattern,
-		spsim.DefaultCostModel().SmoothUnitsPerTaxonPattern,
-		spsim.DefaultCostModel().Sigma)
+	tbl.Add(fmt.Sprintf("rearrangement rounds that improved the tree, %% (%d / %d / %d taxa)", sizes[0], sizes[1], sizes[2]),
+		strings.Join(improved, " / "), "100 / taxa, halving each round")
+	report := "Cost model calibration from measured serial searches\n\n" + tbl.String()
 	return &Calibration{Cost: cost, ImproveFraction: improves, Report: report}, nil
 }
 

@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/mlsearch"
 	"repro/internal/seq"
@@ -46,13 +45,16 @@ func TreeCounts() ([]TreeCountRow, error) {
 	return rows, nil
 }
 
-// RenderTreeCounts renders the tree-count table.
+// paperTreeCounts are the three counts the paper quotes in §1.1.
+var paperTreeCounts = map[int]string{50: "2.8 x 10^74", 100: "1.7 x 10^182", 150: "4.2 x 10^301"}
+
+// RenderTreeCounts renders the tree-count table beside the paper's values.
 func RenderTreeCounts(rows []TreeCountRow) string {
-	tbl := &stats.Table{Headers: []string{"taxa", "unrooted trees", "log10"}}
+	tbl := &stats.Table{Headers: []string{"taxa", "paper", "unrooted trees", "log10"}}
 	for _, r := range rows {
-		tbl.Add(fmt.Sprintf("%d", r.Taxa), r.Formatted, fmt.Sprintf("%.1f", r.Log10))
+		tbl.Add(fmt.Sprintf("%d", r.Taxa), paperTreeCounts[r.Taxa], r.Formatted, fmt.Sprintf("%.1f", r.Log10))
 	}
-	return "Number of bifurcating unrooted trees (paper §1.1)\n" + tbl.String()
+	return "Number of bifurcating unrooted trees (paper §1.1)\n\n" + tbl.String()
 }
 
 // DatasetShape captures what the scaling experiments need to know about
@@ -142,8 +144,6 @@ type ScalingPoint struct {
 	Processors int
 	// MeanSeconds averages the jumbles' simulated wall times.
 	MeanSeconds float64
-	// StdSeconds is the spread over jumbles.
-	StdSeconds float64
 	// Speedup is mean serial seconds / mean seconds.
 	Speedup float64
 	// Efficiency is Speedup / Processors.
@@ -202,7 +202,6 @@ func Scaling(opt ScalingOptions) ([]ScalingPoint, error) {
 				Dataset:      shape.Name,
 				Processors:   p,
 				MeanSeconds:  mean,
-				StdSeconds:   stats.StdDev(times),
 				Speedup:      sp,
 				Efficiency:   stats.Efficiency(sp, p),
 				IdleFraction: stats.Mean(idle),
@@ -212,71 +211,90 @@ func Scaling(opt ScalingOptions) ([]ScalingPoint, error) {
 	return out, nil
 }
 
-// RenderFig3 renders the wall-time view (paper Figure 3): a table plus an
-// ASCII log-log chart of time against processors.
-func RenderFig3(points []ScalingPoint) string {
-	var b strings.Builder
-	b.WriteString("Figure 3: time to complete analysis (average over orderings)\n")
-	tbl := &stats.Table{Headers: []string{"dataset", "procs", "time", "stddev"}}
-	seriesMap := map[string]*stats.Series{}
-	var order []string
-	markers := []byte{'a', 'b', 'c', 'd', 'e'}
+// pivot renders points as one markdown table: a row per data set, a
+// column per processor count (the serial one only when serial is set),
+// cell(point) in each cell. Points come data set by data set over one
+// processor axis, as Scaling returns them.
+func pivot(corner string, points []ScalingPoint, serial bool, cell func(ScalingPoint) string) string {
+	tbl := &stats.Table{Headers: []string{corner}}
+	var row []string
 	for _, p := range points {
-		tbl.Add(p.Dataset, fmt.Sprintf("%d", p.Processors),
-			stats.FormatDuration(p.MeanSeconds), stats.FormatDuration(p.StdSeconds))
-		s, ok := seriesMap[p.Dataset]
-		if !ok {
-			s = &stats.Series{Label: p.Dataset, Marker: markers[len(order)%len(markers)]}
-			seriesMap[p.Dataset] = s
-			order = append(order, p.Dataset)
+		if p.Processors == 1 && !serial {
+			continue
 		}
-		s.X = append(s.X, float64(p.Processors))
-		s.Y = append(s.Y, p.MeanSeconds)
+		if row == nil || row[0] != p.Dataset {
+			if row != nil {
+				tbl.Add(row...)
+			}
+			row = []string{p.Dataset}
+		}
+		if len(tbl.Rows) == 0 {
+			tbl.Headers = append(tbl.Headers, fmt.Sprintf("P=%d", p.Processors))
+		}
+		row = append(row, cell(p))
 	}
-	b.WriteString(tbl.String())
-	b.WriteByte('\n')
-	var series []stats.Series
-	for _, name := range order {
-		series = append(series, *seriesMap[name])
+	if row != nil {
+		tbl.Add(row...)
 	}
-	b.WriteString(stats.LogLogChart("time vs processors", "processors", "seconds", series, 64, 18))
-	return b.String()
+	return tbl.String()
 }
 
-// RenderFig4 renders the speedup view (paper Figure 4) with the perfect
-// scaling reference line.
+// chart draws y against processors on log-log axes, the extra series
+// first and then one per data set, inside a ``` fence so the figure
+// renders in markdown.
+func chart(title, ylabel string, points []ScalingPoint, y func(ScalingPoint) float64, extra ...stats.Series) string {
+	series := extra
+	index := map[string]int{}
+	const markers = "abcde"
+	for _, p := range points {
+		i, ok := index[p.Dataset]
+		if !ok {
+			i = len(series)
+			index[p.Dataset] = i
+			series = append(series, stats.Series{Label: p.Dataset, Marker: markers[(i-len(extra))%len(markers)]})
+		}
+		series[i].X = append(series[i].X, float64(p.Processors))
+		series[i].Y = append(series[i].Y, y(p))
+	}
+	return "```\n" + stats.LogLogChart(title, "processors", ylabel, series, 64, 18) + "```\n"
+}
+
+func speedup(p ScalingPoint) string { return fmt.Sprintf("%.2f", p.Speedup) }
+
+// RenderFig3 renders the wall-time view (paper Figure 3): the mean time
+// per data set and processor count, and a log-log chart of it.
+func RenderFig3(points []ScalingPoint) string {
+	return "Figure 3: time to complete analysis (mean over orderings)\n\n" +
+		pivot("dataset, time", points, true, func(p ScalingPoint) string { return stats.FormatDuration(p.MeanSeconds) }) +
+		"\n" + chart("time vs processors", "seconds", points, func(p ScalingPoint) float64 { return p.MeanSeconds })
+}
+
+// RenderFig4 renders the speedup view (paper Figure 4): the speedup over
+// the serial program, and a log-log chart of it with the perfect
+// scaling line.
 func RenderFig4(points []ScalingPoint) string {
-	var b strings.Builder
-	b.WriteString("Figure 4: scaling ratios vs the serial program\n")
-	tbl := &stats.Table{Headers: []string{"dataset", "procs", "speedup", "efficiency"}}
-	seriesMap := map[string]*stats.Series{}
-	var order []string
-	markers := []byte{'a', 'b', 'c', 'd', 'e'}
 	maxP := 1.0
 	for _, p := range points {
-		tbl.Add(p.Dataset, fmt.Sprintf("%d", p.Processors),
-			fmt.Sprintf("%.2f", p.Speedup), fmt.Sprintf("%.3f", p.Efficiency))
-		s, ok := seriesMap[p.Dataset]
-		if !ok {
-			s = &stats.Series{Label: p.Dataset, Marker: markers[len(order)%len(markers)]}
-			seriesMap[p.Dataset] = s
-			order = append(order, p.Dataset)
-		}
-		s.X = append(s.X, float64(p.Processors))
-		s.Y = append(s.Y, p.Speedup)
-		if float64(p.Processors) > maxP {
-			maxP = float64(p.Processors)
-		}
+		maxP = max(maxP, float64(p.Processors))
 	}
-	b.WriteString(tbl.String())
-	b.WriteByte('\n')
-	series := []stats.Series{{Label: "perfect scaling", Marker: '.',
-		X: []float64{1, maxP}, Y: []float64{1, maxP}}}
-	for _, name := range order {
-		series = append(series, *seriesMap[name])
-	}
-	b.WriteString(stats.LogLogChart("speedup vs processors", "processors", "speedup", series, 64, 18))
-	return b.String()
+	perfect := stats.Series{Label: "perfect scaling", Marker: '.', X: []float64{1, maxP}, Y: []float64{1, maxP}}
+	return "Figure 4: speedup vs the serial program\n\n" +
+		pivot("dataset, speedup", points, false, speedup) +
+		"\n" + chart("speedup vs processors", "speedup", points, func(p ScalingPoint) float64 { return p.Speedup }, perfect)
+}
+
+// RenderSpeedups renders a titled table of speedups over the serial
+// program (the extent, speculative and measured studies).
+func RenderSpeedups(title string, points []ScalingPoint) string {
+	return title + "\n\n" + pivot("dataset, speedup", points, false, speedup)
+}
+
+// RenderEfficiency renders a titled table of efficiencies, speedup / P
+// (the fall-off study).
+func RenderEfficiency(title string, points []ScalingPoint) string {
+	return title + "\n\n" + pivot("dataset, efficiency", points, false, func(p ScalingPoint) string {
+		return fmt.Sprintf("%.2f", p.Efficiency)
+	})
 }
 
 // Falloff extends the sweep past the paper's 64 processors to show the
@@ -294,25 +312,10 @@ func Falloff(seed int64, jumbles int) ([]ScalingPoint, error) {
 // extent 5 "because there is a smaller total amount of work done between
 // synchronizations". It returns points labeled by extent for one dataset.
 func ExtentComparison(seed int64, jumbles int) ([]ScalingPoint, error) {
-	shapes, err := PaperShapes(seed)
-	if err != nil {
-		return nil, err
-	}
-	shape := shapes[0] // the 50-taxon set
-	var all []ScalingPoint
-	for _, extent := range []int{1, 5} {
-		pts, err := Scaling(ScalingOptions{
-			Shapes:  []DatasetShape{{Name: fmt.Sprintf("%s extent=%d", shape.Name, extent), Taxa: shape.Taxa, Sites: shape.Sites, Patterns: shape.Patterns}},
-			Jumbles: jumbles,
-			Extent:  extent,
-			Seed:    seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, pts...)
-	}
-	return all, nil
+	return fiftyTaxa(seed, jumbles, []variant{
+		{"extent=1", ScalingOptions{Extent: 1}},
+		{"extent=5", ScalingOptions{Extent: 5}},
+	})
 }
 
 // SpeculativeComparison performs the study the paper planned (§3.2):
@@ -321,26 +324,34 @@ func ExtentComparison(seed int64, jumbles int) ([]ScalingPoint, error) {
 // — enhance fastDNAml's scalability? It returns points for the 50-taxon
 // workload with speculation off and on.
 func SpeculativeComparison(seed int64, jumbles int) ([]ScalingPoint, error) {
+	spec := spsim.DefaultCluster(0)
+	spec.Speculative = true
+	return fiftyTaxa(seed, jumbles, []variant{
+		{"speculative=off", ScalingOptions{}},
+		{"speculative=on", ScalingOptions{Cluster: spec}},
+	})
+}
+
+// variant is one row of a study on the 50-taxon set: its label and the
+// options that differ from the defaults.
+type variant struct {
+	label string
+	opt   ScalingOptions
+}
+
+// fiftyTaxa runs Scaling on the paper's 50-taxon set once per variant,
+// naming each row "50taxa <label>".
+func fiftyTaxa(seed int64, jumbles int, variants []variant) ([]ScalingPoint, error) {
 	shapes, err := PaperShapes(seed)
 	if err != nil {
 		return nil, err
 	}
-	shape := shapes[0]
 	var all []ScalingPoint
-	for _, spec := range []bool{false, true} {
-		cl := spsim.DefaultCluster(0)
-		cl.Speculative = spec
-		name := shape.Name + " speculative=off"
-		if spec {
-			name = shape.Name + " speculative=on"
-		}
-		pts, err := Scaling(ScalingOptions{
-			Shapes:  []DatasetShape{{Name: name, Taxa: shape.Taxa, Sites: shape.Sites, Patterns: shape.Patterns}},
-			Jumbles: jumbles,
-			Extent:  5,
-			Seed:    seed,
-			Cluster: cl,
-		})
+	for _, v := range variants {
+		shape := shapes[0]
+		shape.Name += " " + v.label
+		v.opt.Shapes, v.opt.Jumbles, v.opt.Seed = []DatasetShape{shape}, jumbles, seed
+		pts, err := Scaling(v.opt)
 		if err != nil {
 			return nil, err
 		}
@@ -421,33 +432,16 @@ func SliceComparison(seed int64, jumbles int) ([]ScalingPoint, error) {
 // RenderSlices tabulates SliceComparison: per data set and dispatch mode,
 // efficiency / worker idle fraction at each processor count.
 func RenderSlices(points []ScalingPoint) string {
-	var b strings.Builder
-	b.WriteString("| dispatch, efficiency / idle |")
-	for _, p := range SliceProcs[1:] {
-		fmt.Fprintf(&b, " P=%d |", p)
-	}
-	b.WriteString("\n|---|" + strings.Repeat("---|", len(SliceProcs)-1) + "\n")
-	last := ""
-	for _, pt := range points {
-		if pt.Processors == 1 {
-			continue
-		}
-		if pt.Dataset != last {
-			if last != "" {
-				b.WriteString("\n")
-			}
-			fmt.Fprintf(&b, "| %s |", pt.Dataset)
-			last = pt.Dataset
-		}
-		fmt.Fprintf(&b, " %.2f / %.2f |", pt.Efficiency, pt.IdleFraction)
-	}
-	b.WriteString("\n")
-	return b.String()
+	return "Guided slices against per-candidate dispatch, today's costs (§3.2 fall-off)\n\n" + pivot("dispatch, efficiency / idle", points, false, func(p ScalingPoint) string {
+		return fmt.Sprintf("%.2f / %.2f", p.Efficiency, p.IdleFraction)
+	})
 }
 
-// WallclockRow summarizes the §6 wall-clock claims.
+// WallclockRow is one of the §6 wall-clock claims, as the paper states
+// it and as simulated.
 type WallclockRow struct {
 	Label string
+	Paper string
 	Value string
 }
 
@@ -455,42 +449,45 @@ type WallclockRow struct {
 // 150-taxon data set: serial days per ordering, 64-processor hours per
 // ordering, and the 200-ordering totals ("about a month running
 // continually on 64 processors").
-func Wallclock(seed int64) ([]WallclockRow, string, error) {
+func Wallclock(seed int64) ([]WallclockRow, error) {
 	shapes, err := PaperShapes(seed)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	shape := shapes[2] // 150 taxa
 	log, err := spsim.Synthesize(spsim.Shape{
 		Taxa: shape.Taxa, Patterns: shape.Patterns, Extent: 5, Seed: seed,
 	})
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	cl := spsim.DefaultCluster(1)
 	serial, err := cl.Simulate(log)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	cl64 := spsim.DefaultCluster(64)
 	par, err := cl64.Simulate(log)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	rows := []WallclockRow{
-		{"serial, one ordering", stats.FormatDuration(serial.TotalSeconds)},
-		{"serial, 200 orderings", stats.FormatDuration(200 * serial.TotalSeconds)},
-		{"64 processors, one ordering", stats.FormatDuration(par.TotalSeconds)},
-		{"64 processors, 200 orderings", stats.FormatDuration(200 * par.TotalSeconds)},
-		{"speedup at 64 processors", fmt.Sprintf("%.1fx", serial.TotalSeconds/par.TotalSeconds)},
-	}
-	tbl := &stats.Table{Headers: []string{"scenario (150 taxa)", "simulated"}}
+	const year = 365 * 86400
+	return []WallclockRow{
+		{"serial, one ordering", "~9 days (192 h quoted in §3.2)", stats.FormatDuration(serial.TotalSeconds)},
+		{"64 processors, one ordering", "< 4 hours", stats.FormatDuration(par.TotalSeconds)},
+		{"200 orderings, serial", "~5 years", fmt.Sprintf("%.1f years", 200*serial.TotalSeconds/year)},
+		{"200 orderings, 64 processors", "~1 month", stats.FormatDuration(200 * par.TotalSeconds)},
+		{"speedup at 64 processors", "~48-54 (implied)", fmt.Sprintf("%.1fx", serial.TotalSeconds/par.TotalSeconds)},
+	}, nil
+}
+
+// RenderWallclock renders the §6 claims beside their simulated values.
+func RenderWallclock(rows []WallclockRow) string {
+	tbl := &stats.Table{Headers: []string{"scenario (150 taxa)", "paper", "simulated"}}
 	for _, r := range rows {
-		tbl.Add(r.Label, r.Value)
+		tbl.Add(r.Label, r.Paper, r.Value)
 	}
-	note := "Paper §6: ~9 days serial per ordering; <4 h on 64 processors;\n" +
-		"200 orderings ~ 5 years serial vs ~ 1 month on 64 processors.\n"
-	return rows, note + tbl.String(), nil
+	return "Wall-clock arithmetic (paper §6)\n\n" + tbl.String()
 }
 
 // FlowDemo runs a small real parallel search with the monitor attached

@@ -14,12 +14,22 @@ func TestTreeCountsTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderTreeCounts(rows)
-	// The paper's quoted values must appear.
-	for _, want := range []string{"2.8 x 10^74", "1.7 x 10^182", "4.2 x 10^301"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
+	// The counts equal the paper's quoted values; the rendered table
+	// holds both.
+	matched := 0
+	for _, r := range rows {
+		if want, ok := paperTreeCounts[r.Taxa]; ok {
+			matched++
+			if r.Formatted != want {
+				t.Errorf("%d taxa: %s, paper %s", r.Taxa, r.Formatted, want)
+			}
 		}
+	}
+	if matched != len(paperTreeCounts) {
+		t.Errorf("%d of the paper's %d counts computed", matched, len(paperTreeCounts))
+	}
+	if out := RenderTreeCounts(rows); !strings.Contains(out, "| 50 | 2.8 x 10^74 | 2.8 x 10^74 | 74.5 |") {
+		t.Errorf("table:\n%s", out)
 	}
 }
 
@@ -75,14 +85,24 @@ func TestScalingReproducesPaperShape(t *testing.T) {
 			t.Errorf("%s: 64 procs not faster than serial", shape.Name)
 		}
 	}
-	// Rendering includes tables and charts.
+	// Each figure is a markdown table, a row per data set, and a chart
+	// in a fence.
 	f3 := RenderFig3(pts)
 	f4 := RenderFig4(pts)
-	if !strings.Contains(f3, "Figure 3") || !strings.Contains(f3, "miniA") {
-		t.Error("Fig 3 rendering incomplete")
+	for _, want := range []string{"Figure 3", "| dataset, time | P=1 | P=4 |", "| miniA | ", "| miniB | "} {
+		if !strings.Contains(f3, want) {
+			t.Errorf("Fig 3 rendering lacks %q:\n%s", want, f3)
+		}
 	}
-	if !strings.Contains(f4, "perfect scaling") {
-		t.Error("Fig 4 rendering missing the perfect-scaling line")
+	for _, want := range []string{"Figure 4", "| dataset, speedup | P=4 |", "| miniA | ", "perfect scaling"} {
+		if !strings.Contains(f4, want) {
+			t.Errorf("Fig 4 rendering lacks %q:\n%s", want, f4)
+		}
+	}
+	for _, f := range []string{f3, f4} {
+		if strings.Count(f, "```\n") != 2 {
+			t.Errorf("chart not fenced:\n%s", f)
+		}
 	}
 }
 
@@ -117,6 +137,41 @@ func TestExtentComparisonShape(t *testing.T) {
 	}
 	if s5 <= s1 {
 		t.Errorf("extent 5 speedup %.2f should exceed extent 1 speedup %.2f (paper §3.2)", s5, s1)
+	}
+}
+
+// TestFalloffKnee: the §3.2 prediction that scalability falls off
+// between 100 and 200 processors. On the 150-taxon set, efficiency peaks
+// at P <= 64, then falls with every step and is below 0.6 by P = 192.
+func TestFalloffKnee(t *testing.T) {
+	pts, err := Falloff(2001, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var curve []ScalingPoint
+	for _, p := range pts {
+		if p.Dataset == "150taxa" && p.Processors > 1 {
+			curve = append(curve, p)
+		}
+	}
+	peak, at192 := curve[0], -1.0
+	for i, p := range curve {
+		if p.Efficiency > peak.Efficiency {
+			peak = p
+		}
+		if p.Processors > 64 && p.Efficiency >= curve[i-1].Efficiency {
+			t.Errorf("efficiency %.2f at P=%d does not fall from %.2f at P=%d",
+				p.Efficiency, p.Processors, curve[i-1].Efficiency, curve[i-1].Processors)
+		}
+		if p.Processors == 192 {
+			at192 = p.Efficiency
+		}
+	}
+	if peak.Processors > 64 {
+		t.Errorf("efficiency peaks at P=%d (%.2f), want P <= 64", peak.Processors, peak.Efficiency)
+	}
+	if at192 < 0 || at192 >= 0.6 {
+		t.Errorf("efficiency at P=192 is %.2f, want below 0.6", at192)
 	}
 }
 
@@ -174,14 +229,14 @@ func TestWallclockRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a 150-taxon dataset")
 	}
-	rows, text, err := Wallclock(2001)
+	rows, err := Wallclock(2001)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	if !strings.Contains(text, "64 processors") {
+	if !strings.Contains(RenderWallclock(rows), "64 processors") {
 		t.Error("rendering incomplete")
 	}
 }
@@ -266,7 +321,8 @@ func TestSliceComparisonShape(t *testing.T) {
 	if per, sliced := at["32x100 e1 per-candidate P=4"], at["32x100 e1 sliced P=4"]; sliced.IdleFraction >= per.IdleFraction {
 		t.Errorf("32x100 P=4: sliced idle %.3f, per-candidate %.3f", sliced.IdleFraction, per.IdleFraction)
 	}
-	if out := RenderSlices(pts); strings.Count(out, "\n") != 8 || !strings.Contains(out, "P=256") {
+	// A title, a blank line, the header and separator, six rows.
+	if out := RenderSlices(pts); strings.Count(out, "\n") != 10 || !strings.Contains(out, "| P=256 |") {
 		t.Errorf("table:\n%s", out)
 	}
 }

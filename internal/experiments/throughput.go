@@ -121,17 +121,18 @@ func Throughput(opt ThroughputOptions) ([]ThroughputPoint, error) {
 	return out, nil
 }
 
-// RenderThroughput renders the study as a table.
+// RenderThroughput renders the study as a table, the shortest campaign
+// marked.
 func RenderThroughput(points []ThroughputPoint, orderings, processors int) string {
 	tbl := &stats.Table{Headers: []string{"concurrent orderings", "procs each", "campaign time", "first result", ""}}
 	for _, p := range points {
 		mark := ""
 		if p.Best {
-			mark = "<== best throughput"
+			mark = "best throughput"
 		}
 		tbl.Add(fmt.Sprintf("%d", p.Groups), fmt.Sprintf("%d", p.ProcsPerGroup),
 			stats.FormatDuration(p.CampaignSeconds), stats.FormatDuration(p.FirstResultSeconds), mark)
 	}
-	return fmt.Sprintf("Throughput partitioning: %d orderings on %d processors (paper §3.2)\n%s",
+	return fmt.Sprintf("Throughput partitioning: %d orderings on %d processors (paper §3.2)\n\n%s",
 		orderings, processors, tbl.String())
 }

@@ -81,6 +81,9 @@ func TaxaFromTreesFile(path string) ([]string, error) {
 		}
 		return taxa, nil
 	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
 	return nil, fmt.Errorf("%s: no trees found", path)
 }
 

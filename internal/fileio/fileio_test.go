@@ -1,6 +1,7 @@
 package fileio
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"os"
@@ -80,6 +81,21 @@ func TestTaxaFromTreesFile(t *testing.T) {
 	}
 	if _, err := TaxaFromTreesFile(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestTaxaFromTreesFileLineTooLong: a first tree longer than the
+// scanner's 16 MB line limit is the scanner's error, not "no trees
+// found".
+func TestTaxaFromTreesFileLineTooLong(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "long.nwk")
+	line := "((a,b),c," + strings.Repeat("d", 1<<24) + ");\n"
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := TaxaFromTreesFile(path)
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("error %v, want %v", err, bufio.ErrTooLong)
 	}
 }
 

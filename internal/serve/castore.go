@@ -50,6 +50,9 @@ type ResultStore struct {
 	dir string
 	// write stores one document; tests swap it to inject a disk fault.
 	write func(path string, v any) error
+	// logf reports a stored document that Get treats as a miss; the
+	// server sets its Options.Logf.
+	logf func(format string, args ...any)
 }
 
 // NewResultStore opens (creating if needed) a store rooted at dir.
@@ -57,7 +60,7 @@ func NewResultStore(dir string) (*ResultStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: result store: %w", err)
 	}
-	return &ResultStore{dir: dir, write: writeJSON}, nil
+	return &ResultStore{dir: dir, write: writeJSON, logf: func(string, ...any) {}}, nil
 }
 
 // path maps a key to its file, refusing anything that is not a plain
@@ -73,7 +76,9 @@ func (s *ResultStore) path(key string) (string, error) {
 // Get returns the stored result for key, reporting whether one exists.
 // A hit refreshes the file's mtime: the GC's LRU trim and result TTL
 // both read mtime as "last used", so hot cache entries survive trims
-// that evict cold ones.
+// that evict cold ones. A document that does not parse, or whose key is
+// not its file's name (a write torn by a crash), is logged and is a
+// miss: the job runs again, and its Put replaces the document.
 func (s *ResultStore) Get(key string) (*JobResult, bool, error) {
 	p, err := s.path(key)
 	if err != nil {
@@ -88,7 +93,12 @@ func (s *ResultStore) Get(key string) (*JobResult, bool, error) {
 	}
 	var r JobResult
 	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, false, fmt.Errorf("serve: result %s: %w", key, err)
+		s.logf("result %s: stored document does not parse, a miss: %v", key, err)
+		return nil, false, nil
+	}
+	if r.Key != key {
+		s.logf("result %s: stored document holds key %q, a miss", key, r.Key)
+		return nil, false, nil
 	}
 	now := time.Now()
 	_ = os.Chtimes(p, now, now)

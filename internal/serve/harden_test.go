@@ -250,9 +250,10 @@ func TestSubmitInternalErrorIs500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A corrupt result store entry is a service-side failure: the
+	// A result store that cannot be read (here a directory where the
+	// result document belongs) is a service-side failure: the
 	// submission is well-formed, so 400 would blame the wrong party.
-	if err := os.WriteFile(filepath.Join(s.results.dir, prep.ResultKey+".json"), []byte("{broken"), 0o644); err != nil {
+	if err := os.Mkdir(filepath.Join(s.results.dir, prep.ResultKey+".json"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(spec)
@@ -264,6 +265,54 @@ func TestSubmitInternalErrorIs500(t *testing.T) {
 	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", "", []byte(`{"alignment":"not phylip"}`), nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad alignment: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestTornResultIsAMiss: a stored result cut to zero bytes (a crash
+// between a rename and the data reaching the disk) is a cache miss, not
+// a 500. Resubmitting its spec runs the job again, and the new write
+// replaces the torn document with the original bits. A document whose
+// key is not its file's name is a miss too.
+func TestTornResultIsAMiss(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	spec := JobSpec{Alignment: testPhylipText(t, 6, 100, 7), Options: JobOptions{Seed: 3}}
+	code, rec := postJob(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d, want 202", code)
+	}
+	waitJob(t, s, rec.ID, StateDone)
+	path := filepath.Join(s.results.dir, rec.ResultKey+".json")
+	original, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	code, again := postJob(t, ts, spec)
+	if code != http.StatusAccepted || again.CacheHit {
+		t.Fatalf("resubmit over a torn result: status %d, cache hit %v; want 202, a miss", code, again.CacheHit)
+	}
+	waitJob(t, s, again.ID, StateDone)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, original) {
+		t.Fatalf("rewritten result (err %v):\n%s\nwant:\n%s", err, got, original)
+	}
+
+	var doc JobResult
+	if err := json.Unmarshal(original, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc.Key = strings.Repeat("0", len(doc.Key))
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, err := s.results.Get(rec.ResultKey); hit || err != nil {
+		t.Errorf("document under another key: hit %v, err %v; want a miss", hit, err)
 	}
 }
 

@@ -179,6 +179,7 @@ func NewServer(opt Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	results.logf = opt.Logf
 	s := &Server{
 		opt:     opt,
 		reg:     opt.Registry,

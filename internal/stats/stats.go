@@ -1,7 +1,7 @@
 // Package stats provides the small numeric and presentation helpers the
 // benchmark harness uses to report the paper's tables and figures:
-// summary statistics over repeated runs, speedup/efficiency math, fixed
-// width tables, and ASCII log-scale charts standing in for Figures 3-4.
+// summary statistics over repeated runs, speedup/efficiency math,
+// markdown tables, and ASCII log-scale charts standing in for Figures 3-4.
 package stats
 
 import (
@@ -69,7 +69,9 @@ func FormatDuration(seconds float64) string {
 	}
 }
 
-// Table renders rows as a fixed-width text table with a header.
+// Table is a GitHub markdown table: a header row, a |---| separator and
+// one row per Add. EXPERIMENTS.md holds the tables cmd/scaling prints
+// verbatim, so this is the one format they are printed in.
 type Table struct {
 	Headers []string
 	Rows    [][]string
@@ -80,35 +82,16 @@ func (t *Table) Add(cells ...string) { t.Rows = append(t.Rows, cells) }
 
 // String renders the table.
 func (t *Table) String() string {
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
 	var b strings.Builder
 	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+		b.WriteByte('|')
+		for _, c := range cells {
+			b.WriteString(" " + c + " |")
 		}
 		b.WriteByte('\n')
 	}
 	writeRow(t.Headers)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
+	b.WriteString("|" + strings.Repeat("---|", len(t.Headers)) + "\n")
 	for _, row := range t.Rows {
 		writeRow(row)
 	}
@@ -181,7 +164,7 @@ func LogLogChart(title, xlabel, ylabel string, series []Series, width, height in
 	fmt.Fprintf(&b, "%s (log scale)\n", ylabel)
 	fmt.Fprintf(&b, "%10.3g +%s\n", maxY, strings.Repeat("-", width))
 	for _, row := range grid {
-		fmt.Fprintf(&b, "%10s |%s\n", "", string(row))
+		fmt.Fprintf(&b, "%10s |%s\n", "", strings.TrimRight(string(row), " "))
 	}
 	fmt.Fprintf(&b, "%10.3g +%s\n", minY, strings.Repeat("-", width))
 	fmt.Fprintf(&b, "%10s  %-8.3g%s%8.3g\n", "", minX, strings.Repeat(" ", width-16), maxX)

@@ -51,24 +51,18 @@ func TestFormatDuration(t *testing.T) {
 	}
 }
 
+// TestTableAlignment: a GitHub markdown table — header row, one |---|
+// per column, one row per Add, every cell between pipes.
 func TestTableAlignment(t *testing.T) {
 	tbl := &Table{Headers: []string{"P", "Time", "Speedup"}}
 	tbl.Add("1", "100.0s", "1.00")
 	tbl.Add("64", "2.5s", "40.00")
-	out := tbl.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("%d lines:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "P ") || !strings.Contains(lines[0], "Speedup") {
-		t.Errorf("header: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "---") {
-		t.Errorf("separator: %q", lines[1])
-	}
-	// Columns align: header and rows have same prefix widths.
-	if len(lines[2]) < len("1  100.0s") {
-		t.Errorf("row too short: %q", lines[2])
+	want := "| P | Time | Speedup |\n" +
+		"|---|---|---|\n" +
+		"| 1 | 100.0s | 1.00 |\n" +
+		"| 64 | 2.5s | 40.00 |\n"
+	if got := tbl.String(); got != want {
+		t.Errorf("table:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -16,10 +16,12 @@
 #     prefix);
 #   - a README.md flag block that differs from its binary's -h output
 #     without the "Usage of" line. A block sits between the lines
-#     `<!-- flags NAME -->` and `<!-- /flags NAME -->`, in a ``` fence.
+#     `<!-- flags NAME -->` and `<!-- /flags NAME -->`, in a ``` fence;
+#     scripts/blocks.sh reads and fills it.
 # CHANGES.md is not checked: its entries cite the documents of their day.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/blocks.sh
 
 bins="fastdnaml fdworker fastdnamld"
 tmp=$(mktemp -d)
@@ -35,19 +37,10 @@ for b in $bins; do
 	} >"$tmp/$b.flags"
 done
 
-# block <bin>: the lines between README.md's markers for bin.
-block() {
-	awk -v b="$1" '$0 == "<!-- /flags " b " -->" { p = 0 } p { print } $0 == "<!-- flags " b " -->" { p = 1 }' README.md
-}
-
 if [ "${1:-}" = "-update" ]; then
 	for b in $bins; do
 		grep -qxF "<!-- flags $b -->" README.md || { echo "docs: README.md has no flags block for $b" >&2; exit 1; }
-		awk -v b="$b" -v f="$tmp/$b.flags" '
-			$0 == "<!-- /flags " b " -->" { while ((getline l < f) > 0) print l; skip = 0 }
-			!skip { print }
-			$0 == "<!-- flags " b " -->" { skip = 1 }' README.md >"$tmp/README.md"
-		cp "$tmp/README.md" README.md
+		fill_block README.md "<!-- flags $b -->" "<!-- /flags $b -->" "$tmp/$b.flags"
 	done
 	echo "docs: README.md flag blocks rewritten"
 	exit 0
@@ -60,7 +53,7 @@ fault() {
 }
 
 for b in $bins; do
-	if ! block "$b" | diff -u --label "README.md ($b)" --label "$b -h" - "$tmp/$b.flags"; then
+	if ! block README.md "<!-- flags $b -->" "<!-- /flags $b -->" | diff -u --label "README.md ($b)" --label "$b -h" - "$tmp/$b.flags"; then
 		fault "README.md's $b flag block differs from its -h output (run make docs)"
 	fi
 done
