@@ -5,10 +5,10 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X repro/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 docs docs-check experiments experiments-check bench bench-compare bench-pairs loc chaos-soak serve-smoke tcp-smoke examples
+.PHONY: check vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 nofma docs docs-check experiments experiments-check bench bench-compare bench-pairs loc chaos-soak serve-smoke tcp-smoke examples
 
 # Tier-1 gate: everything that must pass before a change lands.
-check: vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 docs-check
+check: vet staticcheck build test benchmark-test race difftest fuzz-smoke vector-v3 nofma docs-check
 
 # The likelihood kernels have an amd64 and a portable build; vetting the
 # portable one as well keeps kernels_generic.go's wrappers in step.
@@ -67,6 +67,18 @@ fuzz-smoke:
 # FMA instructions, so the pins run there too and fail the day it does.
 vector-v3:
 	GOAMD64=v3 $(GO) test -count=1 -run TestVector ./internal/likelihood/
+
+# No fused multiply-add in the numeric packages (ROADMAP item 14): gc
+# contracts x*y+z into one rounding on arm64, ppc64le, s390x and riscv64
+# unless the product is rounded by an explicit float64(…). Compile the
+# two packages for each and fail on any fused opcode in the assembly.
+nofma:
+	@for arch in arm64 ppc64le s390x riscv64; do \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S ./internal/likelihood ./internal/model 2>&1) || { echo "$$asm"; exit 1; }; \
+		fused=$$(echo "$$asm" | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD|FMADD|FMSUB|FNMADD|FNMSUB|FMADDS|FMSUBS)\b' || true); \
+		if [ -n "$$fused" ]; then echo "$$fused"; echo "nofma: $$(echo "$$fused" | wc -l) fused multiply-adds on $$arch"; exit 1; fi; \
+		echo "nofma: $$arch ok"; \
+	done
 
 # The documents against the code (scripts/docs_check.sh): every DESIGN
 # section, ROADMAP item and EXPERIMENTS.md heading cited from the Go

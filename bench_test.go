@@ -104,6 +104,7 @@ func benchScaling(b *testing.B, preset simulate.PaperPreset) {
 		points, err = experiments.Scaling(experiments.ScalingOptions{
 			Shapes:  []experiments.DatasetShape{shape},
 			Jumbles: 3,
+			Procs:   experiments.PaperProcs,
 			Extent:  5,
 			Seed:    2001,
 		})
@@ -223,7 +224,7 @@ func BenchmarkWallclock150(b *testing.B) {
 	var rows []experiments.WallclockRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Wallclock(2001)
+		rows, err = experiments.Wallclock(experiments.Defaults)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,8 +5,8 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/mlsearch"
-	"repro/internal/seq"
 	"repro/internal/simulate"
 	"repro/internal/spsim"
 	"repro/internal/stats"
@@ -18,9 +18,6 @@ import (
 type Calibration struct {
 	// Cost is the fitted model.
 	Cost spsim.CostModel
-	// ImproveFraction is the observed share of rearrangement rounds
-	// that found a better tree, per data set size.
-	ImproveFraction map[int]float64
 	// Report is a human-readable summary.
 	Report string
 }
@@ -40,23 +37,14 @@ func Calibrate(seed int64) (*Calibration, error) {
 		if err != nil {
 			return nil, err
 		}
-		pat, err := seq.Compress(ds.Alignment, seq.CompressOptions{})
+		inf, err := core.Infer(ds.Alignment, core.Options{Spec: core.Spec{Seed: seed, Extent: 2}})
 		if err != nil {
 			return nil, err
 		}
-		m, err := mlsearch.NewDefaultModel(pat)
-		if err != nil {
-			return nil, err
-		}
-		cfg := mlsearch.Config{Taxa: ds.Alignment.Names, Patterns: pat, Model: m, Seed: seed, RearrangeExtent: 2}
-		out, err := mlsearch.Run(cfg, mlsearch.RunOptions{Transport: mlsearch.Serial})
-		if err != nil {
-			return nil, err
-		}
-		res := out.Results[0]
+		res := inf.Best.Search
 
 		rearr, improved := 0, 0
-		npat := float64(pat.NumPatterns())
+		npat := float64(inf.Patterns.NumPatterns())
 		for i, round := range res.Rounds {
 			scale := float64(round.TaxaInTree) * npat
 			switch round.Kind {
@@ -105,36 +93,23 @@ func Calibrate(seed int64) (*Calibration, error) {
 	tbl.Add(fmt.Sprintf("rearrangement rounds that improved the tree, %% (%d / %d / %d taxa)", sizes[0], sizes[1], sizes[2]),
 		strings.Join(improved, " / "), "100 / taxa, halving each round")
 	report := "Cost model calibration from measured serial searches\n\n" + tbl.String()
-	return &Calibration{Cost: cost, ImproveFraction: improves, Report: report}, nil
+	return &Calibration{Cost: cost, Report: report}, nil
 }
 
-// MeasuredSweep runs a real serial search on a small data set, converts
-// its measured round log into a simulator schedule, and sweeps the
-// processor axis — the bridge that validates the synthetic schedules'
-// shape against reality.
-func MeasuredSweep(taxa, sites int, extent int, seed int64, procs []int) ([]ScalingPoint, error) {
-	if len(procs) == 0 {
-		procs = PaperProcs
-	}
-	ds, err := simulate.New(simulate.Options{Taxa: taxa, Sites: sites, Seed: seed})
+// MeasuredSweep runs a real serial search on a p.Taxa x p.Sites data set
+// under p's seed and extent, converts its measured round log into a
+// simulator schedule, and sweeps p's processor axis — the bridge that
+// validates the synthetic schedules' shape against reality.
+func MeasuredSweep(p Params) ([]ScalingPoint, error) {
+	ds, err := simulate.New(simulate.Options{Taxa: p.Taxa, Sites: p.Sites, Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}
-	pat, err := seq.Compress(ds.Alignment, seq.CompressOptions{})
+	inf, err := core.Infer(ds.Alignment, core.Options{Spec: core.Spec{Seed: p.Seed, Extent: p.Extent}})
 	if err != nil {
 		return nil, err
 	}
-	m, err := mlsearch.NewDefaultModel(pat)
-	if err != nil {
-		return nil, err
-	}
-	cfg := mlsearch.Config{Taxa: ds.Alignment.Names, Patterns: pat, Model: m, Seed: seed, RearrangeExtent: extent}
-	serialOut, err := mlsearch.Run(cfg, mlsearch.RunOptions{Transport: mlsearch.Serial})
-	if err != nil {
-		return nil, err
-	}
-	res := serialOut.Results[0]
-	log := spsim.FromSearchResult(res, fmt.Sprintf("measured %d taxa", taxa))
+	log := spsim.FromSearchResult(inf.Best.Search, fmt.Sprintf("measured %d taxa", p.Taxa))
 
 	// A data set this small has sub-second tasks, so the paper-scale
 	// message and startup overheads would swamp it; zero them to isolate
@@ -147,18 +122,18 @@ func MeasuredSweep(taxa, sites int, extent int, seed int64, procs []int) ([]Scal
 	cl.DispatchLatency = 0
 	cl.ReturnLatency = 0
 	cl.MasterByteTime = 0
-	pts, err := cl.Sweep(log, procs)
+	pts, err := cl.Sweep(log, p.Procs)
 	if err != nil {
 		return nil, err
 	}
 	var out []ScalingPoint
-	for _, p := range pts {
+	for _, pt := range pts {
 		out = append(out, ScalingPoint{
 			Dataset:     log.Label,
-			Processors:  p.Processors,
-			MeanSeconds: p.Seconds,
-			Speedup:     p.Speedup,
-			Efficiency:  p.Efficiency,
+			Processors:  pt.Processors,
+			MeanSeconds: pt.Seconds,
+			Speedup:     pt.Speedup,
+			Efficiency:  pt.Efficiency,
 		})
 	}
 	return out, nil

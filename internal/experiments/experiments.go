@@ -1,14 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (and the ablations DESIGN.md calls out). cmd/scaling is a
-// thin CLI over this package, and the repository benchmarks call the same
-// entry points, so "the numbers in EXPERIMENTS.md" always have a single
-// implementation.
+// evaluation (and the ablations DESIGN.md calls out). Studies lists them
+// and cmd/scaling is a thin CLI over that table; the repository
+// benchmarks call the same entry points, so "the numbers in
+// EXPERIMENTS.md" always have a single implementation.
 package experiments
 
 import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/mlsearch"
 	"repro/internal/seq"
 	"repro/internal/simulate"
@@ -66,76 +67,42 @@ type DatasetShape struct {
 	Patterns int
 }
 
-// PaperShapes generates the three paper-dimension synthetic data sets and
-// reports their compressed pattern counts.
-func PaperShapes(seed int64) ([]DatasetShape, error) {
-	var out []DatasetShape
-	for _, p := range []simulate.PaperPreset{simulate.Preset50, simulate.Preset101, simulate.Preset150} {
-		opt, err := simulate.PaperOptions(p, seed)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := simulate.New(opt)
-		if err != nil {
-			return nil, err
-		}
-		pat, err := seq.Compress(ds.Alignment, seq.CompressOptions{})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, DatasetShape{
-			Name:     string(p),
-			Taxa:     opt.Taxa,
-			Sites:    opt.Sites,
-			Patterns: pat.NumPatterns(),
-		})
+// paperShape generates one paper-dimension synthetic data set and
+// reports its compressed pattern count.
+func paperShape(seed int64, preset simulate.PaperPreset) (DatasetShape, error) {
+	opt, err := simulate.PaperOptions(preset, seed)
+	if err != nil {
+		return DatasetShape{}, err
 	}
-	return out, nil
+	ds, err := simulate.New(opt)
+	if err != nil {
+		return DatasetShape{}, err
+	}
+	pat, err := seq.Compress(ds.Alignment, seq.CompressOptions{})
+	if err != nil {
+		return DatasetShape{}, err
+	}
+	return DatasetShape{Name: string(preset), Taxa: opt.Taxa, Sites: opt.Sites, Patterns: pat.NumPatterns()}, nil
 }
 
 // ScalingOptions configure the Figure 3/4 reproduction.
 type ScalingOptions struct {
-	// Shapes are the data sets (nil = the paper's three, seeded).
+	// Shapes are the data sets.
 	Shapes []DatasetShape
 	// Jumbles is the number of random orderings averaged per point
-	// (the paper used 10).
+	// (the paper used 10; at least 1).
 	Jumbles int
-	// Procs is the processor axis (nil = PaperProcs).
+	// Procs is the processor axis.
 	Procs []int
 	// Extent is the rearrangement setting (paper: 5).
 	Extent int
 	// Seed drives the synthetic schedules.
 	Seed int64
-	// Cluster is the machine model (zero Processors field is ignored).
+	// Cluster is the machine model (zero = spsim.DefaultCluster; its
+	// Processors field is ignored).
 	Cluster spsim.Cluster
 	// Cost overrides the task cost model (zero = default).
 	Cost spsim.CostModel
-}
-
-func (o ScalingOptions) withDefaults() (ScalingOptions, error) {
-	if o.Jumbles < 1 {
-		o.Jumbles = 10
-	}
-	if len(o.Procs) == 0 {
-		o.Procs = PaperProcs
-	}
-	if o.Extent == 0 {
-		o.Extent = 5
-	}
-	if o.Seed == 0 {
-		o.Seed = 2001
-	}
-	if o.Cluster == (spsim.Cluster{}) {
-		o.Cluster = spsim.DefaultCluster(0)
-	}
-	if len(o.Shapes) == 0 {
-		shapes, err := PaperShapes(o.Seed)
-		if err != nil {
-			return o, err
-		}
-		o.Shapes = shapes
-	}
-	return o, nil
 }
 
 // ScalingPoint is one (dataset, processor count) cell of Figures 3/4.
@@ -158,14 +125,17 @@ type ScalingPoint struct {
 // number of processors", §3.1 — the same jumble logs are replayed at
 // every P).
 func Scaling(opt ScalingOptions) ([]ScalingPoint, error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return nil, err
+	if opt.Jumbles < 1 {
+		return nil, fmt.Errorf("experiments: %d jumbles, want at least 1", opt.Jumbles)
+	}
+	if opt.Cluster == (spsim.Cluster{}) {
+		opt.Cluster = spsim.DefaultCluster(0)
 	}
 	var out []ScalingPoint
 	for _, shape := range opt.Shapes {
 		logs := make([]*spsim.RunLog, opt.Jumbles)
 		for j := 0; j < opt.Jumbles; j++ {
+			var err error
 			logs[j], err = spsim.Synthesize(spsim.Shape{
 				Taxa:     shape.Taxa,
 				Patterns: shape.Patterns,
@@ -283,74 +253,57 @@ func RenderFig4(points []ScalingPoint) string {
 		"\n" + chart("speedup vs processors", "speedup", points, func(p ScalingPoint) float64 { return p.Speedup }, perfect)
 }
 
-// RenderSpeedups renders a titled table of speedups over the serial
-// program (the extent, speculative and measured studies).
-func RenderSpeedups(title string, points []ScalingPoint) string {
-	return title + "\n\n" + pivot("dataset, speedup", points, false, speedup)
+// speedups renders a titled table of speedups over the serial program
+// (the extent, speculative and measured studies).
+func speedups(title string) func([]ScalingPoint) string {
+	return func(points []ScalingPoint) string {
+		return title + "\n\n" + pivot("dataset, speedup", points, false, speedup)
+	}
 }
 
-// RenderEfficiency renders a titled table of efficiencies, speedup / P
-// (the fall-off study).
-func RenderEfficiency(title string, points []ScalingPoint) string {
-	return title + "\n\n" + pivot("dataset, efficiency", points, false, func(p ScalingPoint) string {
-		return fmt.Sprintf("%.2f", p.Efficiency)
-	})
+// efficiencies renders a titled table of efficiencies, speedup / P (the
+// fall-off study).
+func efficiencies(title string) func([]ScalingPoint) string {
+	return func(points []ScalingPoint) string {
+		return title + "\n\n" + pivot("dataset, efficiency", points, false, func(p ScalingPoint) string {
+			return fmt.Sprintf("%.2f", p.Efficiency)
+		})
+	}
 }
 
-// Falloff extends the sweep past the paper's 64 processors to show the
-// predicted efficiency fall-off at 100-200 processors (§3.2: "the
-// scalability will likely fall off at between 100 and 200 processors").
-func Falloff(seed int64, jumbles int) ([]ScalingPoint, error) {
-	return Scaling(ScalingOptions{
-		Jumbles: jumbles,
-		Procs:   []int{1, 16, 64, 96, 128, 192, 256, 384, 512},
-		Seed:    seed,
-	})
-}
-
-// ExtentComparison is the §3.2 ablation: extent 1 scales worse than
-// extent 5 "because there is a smaller total amount of work done between
-// synchronizations". It returns points labeled by extent for one dataset.
-func ExtentComparison(seed int64, jumbles int) ([]ScalingPoint, error) {
-	return fiftyTaxa(seed, jumbles, []variant{
-		{"extent=1", ScalingOptions{Extent: 1}},
-		{"extent=5", ScalingOptions{Extent: 5}},
-	})
-}
-
-// SpeculativeComparison performs the study the paper planned (§3.2):
-// does Ceron-style speculative evaluation — overlapping a rearrangement
-// round with the next round when no improvement is (correctly) predicted
-// — enhance fastDNAml's scalability? It returns points for the 50-taxon
-// workload with speculation off and on.
-func SpeculativeComparison(seed int64, jumbles int) ([]ScalingPoint, error) {
-	spec := spsim.DefaultCluster(0)
-	spec.Speculative = true
-	return fiftyTaxa(seed, jumbles, []variant{
-		{"speculative=off", ScalingOptions{}},
-		{"speculative=on", ScalingOptions{Cluster: spec}},
-	})
+// paperScaling runs Scaling on the paper's three data sets.
+func paperScaling(p Params) ([]ScalingPoint, error) {
+	var shapes []DatasetShape
+	for _, preset := range []simulate.PaperPreset{simulate.Preset50, simulate.Preset101, simulate.Preset150} {
+		shape, err := paperShape(p.Seed, preset)
+		if err != nil {
+			return nil, err
+		}
+		shapes = append(shapes, shape)
+	}
+	return Scaling(ScalingOptions{Shapes: shapes, Jumbles: p.Jumbles, Procs: p.Procs, Extent: p.Extent, Seed: p.Seed})
 }
 
 // variant is one row of a study on the 50-taxon set: its label and the
-// options that differ from the defaults.
+// options that are its own.
 type variant struct {
 	label string
 	opt   ScalingOptions
 }
 
 // fiftyTaxa runs Scaling on the paper's 50-taxon set once per variant,
-// naming each row "50taxa <label>".
-func fiftyTaxa(seed int64, jumbles int, variants []variant) ([]ScalingPoint, error) {
-	shapes, err := PaperShapes(seed)
+// under p's seed, jumbles and processor axis, naming each row
+// "50taxa <label>".
+func fiftyTaxa(p Params, variants ...variant) ([]ScalingPoint, error) {
+	shape, err := paperShape(p.Seed, simulate.Preset50)
 	if err != nil {
 		return nil, err
 	}
 	var all []ScalingPoint
 	for _, v := range variants {
-		shape := shapes[0]
-		shape.Name += " " + v.label
-		v.opt.Shapes, v.opt.Jumbles, v.opt.Seed = []DatasetShape{shape}, jumbles, seed
+		row := shape
+		row.Name += " " + v.label
+		v.opt.Shapes, v.opt.Jumbles, v.opt.Procs, v.opt.Seed = []DatasetShape{row}, p.Jumbles, p.Procs, p.Seed
 		pts, err := Scaling(v.opt)
 		if err != nil {
 			return nil, err
@@ -396,8 +349,9 @@ var SliceProcs = []int{1, 4, 8, 16, 32, 64, 128, 256}
 // SliceComparison predicts what dispatching guided slices instead of
 // single candidates does to the §3.2 fall-off, with today's costs: the
 // two benchmark shapes at extent 1, and the paper's 150-taxon set at
-// extent 5, each dispatched per candidate and in slices.
-func SliceComparison(seed int64, jumbles int) ([]ScalingPoint, error) {
+// extent 5, each dispatched per candidate and in slices, under p's seed,
+// jumbles and processor axis.
+func SliceComparison(p Params) ([]ScalingPoint, error) {
 	shapes := []struct {
 		DatasetShape
 		extent int
@@ -417,8 +371,8 @@ func SliceComparison(seed int64, jumbles int) ([]ScalingPoint, error) {
 				ds.Name = shape.Name + " sliced"
 			}
 			pts, err := Scaling(ScalingOptions{
-				Shapes: []DatasetShape{ds}, Jumbles: jumbles, Procs: SliceProcs,
-				Extent: shape.extent, Seed: seed, Cluster: cl, Cost: TodayCostModel(),
+				Shapes: []DatasetShape{ds}, Jumbles: p.Jumbles, Procs: p.Procs,
+				Extent: shape.extent, Seed: p.Seed, Cluster: cl, Cost: TodayCostModel(),
 			})
 			if err != nil {
 				return nil, err
@@ -446,17 +400,16 @@ type WallclockRow struct {
 }
 
 // Wallclock reproduces the paper's concluding arithmetic for the
-// 150-taxon data set: serial days per ordering, 64-processor hours per
-// ordering, and the 200-ordering totals ("about a month running
-// continually on 64 processors").
-func Wallclock(seed int64) ([]WallclockRow, error) {
-	shapes, err := PaperShapes(seed)
+// 150-taxon data set under p's seed and extent: serial days per
+// ordering, 64-processor hours per ordering, and the 200-ordering totals
+// ("about a month running continually on 64 processors").
+func Wallclock(p Params) ([]WallclockRow, error) {
+	shape, err := paperShape(p.Seed, simulate.Preset150)
 	if err != nil {
 		return nil, err
 	}
-	shape := shapes[2] // 150 taxa
 	log, err := spsim.Synthesize(spsim.Shape{
-		Taxa: shape.Taxa, Patterns: shape.Patterns, Extent: 5, Seed: seed,
+		Taxa: shape.Taxa, Patterns: shape.Patterns, Extent: p.Extent, Seed: p.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -497,28 +450,18 @@ func FlowDemo(w io.Writer, seed int64) error {
 	if err != nil {
 		return err
 	}
-	pat, err := seq.Compress(ds.Alignment, seq.CompressOptions{})
-	if err != nil {
-		return err
-	}
-	m, err := mlsearch.NewDefaultModel(pat)
-	if err != nil {
-		return err
-	}
-	cfg := mlsearch.Config{Taxa: ds.Alignment.Names, Patterns: pat, Model: m, Seed: seed, RearrangeExtent: 1}
-	out, err := mlsearch.Run(cfg, mlsearch.RunOptions{
-		Transport:  mlsearch.Local,
-		Workers:    3,
-		MonitorOut: w,
+	inf, err := core.Infer(ds.Alignment, core.Options{
+		Spec: core.Spec{Seed: seed, Extent: 1},
+		Run:  mlsearch.RunOptions{Transport: mlsearch.Local, Workers: 3, MonitorOut: w},
 	})
 	if err != nil {
 		return err
 	}
-	res := out.Results[0]
+	res := inf.Best.Search
 	fmt.Fprintf(w, "\nparallel program flow (paper Fig 2): master -> foreman -> workers\n")
 	fmt.Fprintf(w, "rounds: %d   tasks: %d   lnL: %.4f\n", len(res.Rounds), res.TotalTasks, res.LnL)
-	fmt.Fprintf(w, "dispatches: %d   results: %d\n", out.Monitor.Dispatched, out.Monitor.Completed)
-	for _, worker := range out.Monitor.Workers {
+	fmt.Fprintf(w, "dispatches: %d   results: %d\n", inf.Monitor.Dispatched, inf.Monitor.Completed)
+	for _, worker := range inf.Monitor.Workers {
 		fmt.Fprintf(w, "  worker rank %d evaluated %d trees\n", worker.Rank, worker.Tasks)
 	}
 	return nil

@@ -45,6 +45,7 @@ func TestScalingReproducesPaperShape(t *testing.T) {
 	pts, err := Scaling(ScalingOptions{
 		Shapes:  smallShapes(),
 		Jumbles: 3,
+		Procs:   PaperProcs,
 		Extent:  5,
 		Seed:    99,
 	})
@@ -144,7 +145,7 @@ func TestExtentComparisonShape(t *testing.T) {
 // between 100 and 200 processors. On the 150-taxon set, efficiency peaks
 // at P <= 64, then falls with every step and is below 0.6 by P = 192.
 func TestFalloffKnee(t *testing.T) {
-	pts, err := Falloff(2001, 2)
+	pts, err := paperScaling(Params{Seed: 2001, Jumbles: 2, Procs: FalloffProcs, Extent: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestFalloffKnee(t *testing.T) {
 }
 
 func TestMeasuredSweepShape(t *testing.T) {
-	pts, err := MeasuredSweep(10, 150, 1, 3, []int{1, 4, 16})
+	pts, err := MeasuredSweep(Params{Seed: 3, Procs: []int{1, 4, 16}, Extent: 1, Taxa: 10, Sites: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestWallclockRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a 150-taxon dataset")
 	}
-	rows, err := Wallclock(2001)
+	rows, err := Wallclock(Defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestThroughputPartitioning(t *testing.T) {
 // small-task shape (32 taxa x 100 patterns), where a message is a large
 // share of a task.
 func TestSliceComparisonShape(t *testing.T) {
-	pts, err := SliceComparison(7, 2)
+	pts, err := SliceComparison(Params{Seed: 7, Jumbles: 2, Procs: SliceProcs})
 	if err != nil {
 		t.Fatal(err)
 	}

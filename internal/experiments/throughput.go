@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/simulate"
 	"repro/internal/spsim"
 	"repro/internal/stats"
 )
@@ -34,14 +35,13 @@ type ThroughputPoint struct {
 
 // ThroughputOptions configure the study.
 type ThroughputOptions struct {
-	// Shape is the data set (zero value = the paper's 50-taxon set).
+	// Shape is the data set.
 	Shape DatasetShape
-	// Orderings is the campaign size (default 200, the paper's §6
-	// example).
+	// Orderings is the campaign size (the paper's §6 example: 200).
 	Orderings int
-	// Processors is the total machine size (default 64).
+	// Processors is the total machine size.
 	Processors int
-	// Extent is the rearrangement setting (default 5).
+	// Extent is the rearrangement setting.
 	Extent int
 	// Seed drives schedule synthesis.
 	Seed int64
@@ -52,26 +52,6 @@ type ThroughputOptions struct {
 // least 1 processor; the serial extreme (each ordering on 1 processor,
 // i.e. as many groups as processors) is included.
 func Throughput(opt ThroughputOptions) ([]ThroughputPoint, error) {
-	if opt.Orderings <= 0 {
-		opt.Orderings = 200
-	}
-	if opt.Processors <= 0 {
-		opt.Processors = 64
-	}
-	if opt.Extent == 0 {
-		opt.Extent = 5
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 2001
-	}
-	if opt.Shape.Taxa == 0 {
-		shapes, err := PaperShapes(opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		opt.Shape = shapes[0]
-	}
-
 	// One representative schedule; every group runs statistically
 	// identical work, so the campaign time is ceil(J/g) * T(P/g).
 	log, err := spsim.Synthesize(spsim.Shape{
@@ -119,6 +99,22 @@ func Throughput(opt ThroughputOptions) ([]ThroughputPoint, error) {
 	}
 	out[best].Best = true
 	return out, nil
+}
+
+// throughputStudy runs the study for the paper's §6 campaign, 200
+// orderings of the 50-taxon set on 64 processors, under p's seed and
+// extent.
+func throughputStudy(p Params) (string, error) {
+	shape, err := paperShape(p.Seed, simulate.Preset50)
+	if err != nil {
+		return "", err
+	}
+	opt := ThroughputOptions{Shape: shape, Orderings: 200, Processors: 64, Extent: p.Extent, Seed: p.Seed}
+	pts, err := Throughput(opt)
+	if err != nil {
+		return "", err
+	}
+	return RenderThroughput(pts, opt.Orderings, opt.Processors), nil
 }
 
 // RenderThroughput renders the study as a table, the shortest campaign

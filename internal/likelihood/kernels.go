@@ -23,7 +23,11 @@ import (
 //     every coefficient on every pattern);
 //   - the arithmetic per pattern is the exact expression the previous
 //     interleaved kernels evaluated, in the same order, so results are
-//     bit-identical to the pre-SoA engine.
+//     bit-identical to the pre-SoA engine;
+//   - every product that feeds a sum is rounded by an explicit
+//     float64(…), which the Go spec says no compiler may fuse into a
+//     multiply-add (gc fuses x*y+z on arm64, ppc64le, s390x and
+//     riscv64; `make nofma` checks that none is left here or in model).
 
 // lanes returns the four state lanes of a SoA CLV buffer restricted to
 // the padded range [lo, lo+n).
@@ -59,10 +63,10 @@ func segCombineInto(dst, src []float64, m *model.PMatrix, dsc, ssc []int32, npad
 	ss = ss[:len(d0)]
 	for i := range d0 {
 		c0, c1, c2, c3 := s0[i], s1[i], s2[i], s3[i]
-		v0 := m00*c0 + m01*c1 + m02*c2 + m03*c3
-		v1 := m10*c0 + m11*c1 + m12*c2 + m13*c3
-		v2 := m20*c0 + m21*c1 + m22*c2 + m23*c3
-		v3 := m30*c0 + m31*c1 + m32*c2 + m33*c3
+		v0 := float64(m00*c0) + float64(m01*c1) + float64(m02*c2) + float64(m03*c3)
+		v1 := float64(m10*c0) + float64(m11*c1) + float64(m12*c2) + float64(m13*c3)
+		v2 := float64(m20*c0) + float64(m21*c1) + float64(m22*c2) + float64(m23*c3)
+		v3 := float64(m30*c0) + float64(m31*c1) + float64(m32*c2) + float64(m33*c3)
 		sc := ss[i]
 		if !first {
 			v0, v1, v2, v3 = d0[i]*v0, d1[i]*v1, d2[i]*v2, d3[i]*v3
@@ -124,10 +128,10 @@ func segCombine2(dst, a, b []float64, ma, mb *model.PMatrix, dsc, asc, bsc []int
 	for i := range d0 {
 		c0, c1, c2, c3 := a0[i], a1[i], a2[i], a3[i]
 		e0, e1, e2, e3 := b0[i], b1[i], b2[i], b3[i]
-		v0 := (p00*c0 + p01*c1 + p02*c2 + p03*c3) * (q00*e0 + q01*e1 + q02*e2 + q03*e3)
-		v1 := (p10*c0 + p11*c1 + p12*c2 + p13*c3) * (q10*e0 + q11*e1 + q12*e2 + q13*e3)
-		v2 := (p20*c0 + p21*c1 + p22*c2 + p23*c3) * (q20*e0 + q21*e1 + q22*e2 + q23*e3)
-		v3 := (p30*c0 + p31*c1 + p32*c2 + p33*c3) * (q30*e0 + q31*e1 + q32*e2 + q33*e3)
+		v0 := (float64(p00*c0) + float64(p01*c1) + float64(p02*c2) + float64(p03*c3)) * (float64(q00*e0) + float64(q01*e1) + float64(q02*e2) + float64(q03*e3))
+		v1 := (float64(p10*c0) + float64(p11*c1) + float64(p12*c2) + float64(p13*c3)) * (float64(q10*e0) + float64(q11*e1) + float64(q12*e2) + float64(q13*e3))
+		v2 := (float64(p20*c0) + float64(p21*c1) + float64(p22*c2) + float64(p23*c3)) * (float64(q20*e0) + float64(q21*e1) + float64(q22*e2) + float64(q23*e3))
+		v3 := (float64(p30*c0) + float64(p31*c1) + float64(p32*c2) + float64(p33*c3)) * (float64(q30*e0) + float64(q31*e1) + float64(q32*e2) + float64(q33*e3))
 		sc := sa[i] + sb[i]
 		mx := v0
 		if v1 > mx {
@@ -176,14 +180,14 @@ func segEdgeLnL(aclv, bclv []float64, asc, bsc []int32, w []float64,
 	for i := range a0 {
 		b0, b1, b2, b3 := b0l[i], b1l[i], b2l[i], b3l[i]
 		lkl := 0.0
-		lkl += f0 * a0[i] * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
-		lkl += f1 * a1[i] * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
-		lkl += f2 * a2[i] * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
-		lkl += f3 * a3[i] * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
+		lkl += float64(f0 * a0[i] * (float64(m00*b0) + float64(m01*b1) + float64(m02*b2) + float64(m03*b3)))
+		lkl += float64(f1 * a1[i] * (float64(m10*b0) + float64(m11*b1) + float64(m12*b2) + float64(m13*b3)))
+		lkl += float64(f2 * a2[i] * (float64(m20*b0) + float64(m21*b1) + float64(m22*b2) + float64(m23*b3)))
+		lkl += float64(f3 * a3[i] * (float64(m30*b0) + float64(m31*b1) + float64(m32*b2) + float64(m33*b3)))
 		if lkl <= 0 {
 			lkl = math.SmallestNonzeroFloat64
 		}
-		acc += wv[i] * (math.Log(lkl) - float64(sa[i]+sb[i])*logSc)
+		acc += float64(wv[i] * (math.Log(lkl) - float64(float64(sa[i]+sb[i])*logSc)))
 	}
 	return acc
 }
@@ -253,7 +257,7 @@ func segFold(spec, aclv, bclv []float64, m []model.PMatrix, f *[4]float64, npad,
 	s := spec[lo : lo+n]
 	s = s[:len(a0)]
 	for i := range a0 {
-		s[i] = f0*a0[i]*b0[i] + f1*a1[i]*b1[i] + f2*a2[i]*b2[i] + f3*a3[i]*b3[i]
+		s[i] = float64(f0*a0[i]*b0[i]) + float64(f1*a1[i]*b1[i]) + float64(f2*a2[i]*b2[i]) + float64(f3*a3[i]*b3[i])
 	}
 	for k := 1; k < len(m); k++ {
 		c := &m[k]
@@ -265,10 +269,10 @@ func segFold(spec, aclv, bclv []float64, m []model.PMatrix, f *[4]float64, npad,
 		s = s[:len(a0)]
 		for i := range a0 {
 			y0, y1, y2, y3 := b0[i], b1[i], b2[i], b3[i]
-			s[i] = a0[i]*(m00*y0+m01*y1+m02*y2+m03*y3) +
-				a1[i]*(m10*y0+m11*y1+m12*y2+m13*y3) +
-				a2[i]*(m20*y0+m21*y1+m22*y2+m23*y3) +
-				a3[i]*(m30*y0+m31*y1+m32*y2+m33*y3)
+			s[i] = float64(a0[i]*(float64(m00*y0)+float64(m01*y1)+float64(m02*y2)+float64(m03*y3))) +
+				float64(a1[i]*(float64(m10*y0)+float64(m11*y1)+float64(m12*y2)+float64(m13*y3))) +
+				float64(a2[i]*(float64(m20*y0)+float64(m21*y1)+float64(m22*y2)+float64(m23*y3))) +
+				float64(a3[i]*(float64(m30*y0)+float64(m31*y1)+float64(m32*y2)+float64(m33*y3)))
 		}
 	}
 }
@@ -354,8 +358,8 @@ func (acc gradAcc) add(w, l, dl, ddl float64) gradAcc {
 	}
 	inv := 1 / l
 	r := dl * inv
-	acc.d1 += w * r
-	acc.d2 += w * (ddl*inv - r*r)
+	acc.d1 += float64(w * r)
+	acc.d2 += float64(w * (float64(ddl*inv) - float64(r*r)))
 	return acc
 }
 
@@ -377,19 +381,19 @@ func segSpecEval(spec, w []float64, c *specCoef, nk, npad, lo, n int, acc gradAc
 		s1 := lane(1)
 		for i := range s0 {
 			v1 := s1[i]
-			acc = acc.add(wv[i], s0[i]+v1*x1, v1*g1, v1*h1)
+			acc = acc.add(wv[i], s0[i]+float64(v1*x1), v1*g1, v1*h1)
 		}
 	case 3:
 		s1, s2 := lane(1), lane(2)
 		for i := range s0 {
 			v1, v2 := s1[i], s2[i]
-			acc = acc.add(wv[i], s0[i]+v1*x1+v2*x2, v1*g1+v2*g2, v1*h1+v2*h2)
+			acc = acc.add(wv[i], s0[i]+float64(v1*x1)+float64(v2*x2), float64(v1*g1)+float64(v2*g2), float64(v1*h1)+float64(v2*h2))
 		}
 	case 4:
 		s1, s2, s3 := lane(1), lane(2), lane(3)
 		for i := range s0 {
 			v1, v2, v3 := s1[i], s2[i], s3[i]
-			acc = acc.add(wv[i], s0[i]+v1*x1+v2*x2+v3*x3, v1*g1+v2*g2+v3*g3, v1*h1+v2*h2+v3*h3)
+			acc = acc.add(wv[i], s0[i]+float64(v1*x1)+float64(v2*x2)+float64(v3*x3), float64(v1*g1)+float64(v2*g2)+float64(v3*g3), float64(v1*h1)+float64(v2*h2)+float64(v3*h3))
 		}
 	}
 	return acc
@@ -419,13 +423,13 @@ func segSiteLnL(aclv, bclv []float64, asc, bsc []int32, orig []int, out []float6
 	for i := range a0 {
 		b0, b1, b2, b3 := b0l[i], b1l[i], b2l[i], b3l[i]
 		lkl := 0.0
-		lkl += f0 * a0[i] * (m00*b0 + m01*b1 + m02*b2 + m03*b3)
-		lkl += f1 * a1[i] * (m10*b0 + m11*b1 + m12*b2 + m13*b3)
-		lkl += f2 * a2[i] * (m20*b0 + m21*b1 + m22*b2 + m23*b3)
-		lkl += f3 * a3[i] * (m30*b0 + m31*b1 + m32*b2 + m33*b3)
+		lkl += float64(f0 * a0[i] * (float64(m00*b0) + float64(m01*b1) + float64(m02*b2) + float64(m03*b3)))
+		lkl += float64(f1 * a1[i] * (float64(m10*b0) + float64(m11*b1) + float64(m12*b2) + float64(m13*b3)))
+		lkl += float64(f2 * a2[i] * (float64(m20*b0) + float64(m21*b1) + float64(m22*b2) + float64(m23*b3)))
+		lkl += float64(f3 * a3[i] * (float64(m30*b0) + float64(m31*b1) + float64(m32*b2) + float64(m33*b3)))
 		if lkl <= 0 {
 			lkl = math.SmallestNonzeroFloat64
 		}
-		out[og[i]] = math.Log(lkl) - float64(sa[i]+sb[i])*logSc
+		out[og[i]] = math.Log(lkl) - float64(float64(sa[i]+sb[i])*logSc)
 	}
 }

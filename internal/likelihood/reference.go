@@ -152,7 +152,7 @@ func (e *ReferenceEngine) partial(n, parent *tree.Node) refCLV {
 			m := &e.pm[e.classOf[p]]
 			cv := &cc.v[p]
 			for i := 0; i < 4; i++ {
-				s := m[i][0]*cv[0] + m[i][1]*cv[1] + m[i][2]*cv[2] + m[i][3]*cv[3]
+				s := float64(m[i][0]*cv[0]) + float64(m[i][1]*cv[1]) + float64(m[i][2]*cv[2]) + float64(m[i][3]*cv[3])
 				if ki == 0 {
 					out.v[p][i] = s
 				} else {
@@ -181,8 +181,8 @@ func (e *ReferenceEngine) combine2(a, b refCLV, za, zb float64) refCLV {
 		mb := &e.pmB[e.classOf[p]]
 		av, bv := &a.v[p], &b.v[p]
 		for i := 0; i < 4; i++ {
-			sa := ma[i][0]*av[0] + ma[i][1]*av[1] + ma[i][2]*av[2] + ma[i][3]*av[3]
-			sb := mb[i][0]*bv[0] + mb[i][1]*bv[1] + mb[i][2]*bv[2] + mb[i][3]*bv[3]
+			sa := float64(ma[i][0]*av[0]) + float64(ma[i][1]*av[1]) + float64(ma[i][2]*av[2]) + float64(ma[i][3]*av[3])
+			sb := float64(mb[i][0]*bv[0]) + float64(mb[i][1]*bv[1]) + float64(mb[i][2]*bv[2]) + float64(mb[i][3]*bv[3])
 			out.v[p][i] = sa * sb
 		}
 		out.sc[p] = a.sc[p] + b.sc[p]
@@ -201,12 +201,12 @@ func (e *ReferenceEngine) edgeLnL(a, b refCLV, z float64) float64 {
 		av, bv := &a.v[p], &b.v[p]
 		lkl := 0.0
 		for i := 0; i < 4; i++ {
-			lkl += e.freqs[i] * av[i] * (m[i][0]*bv[0] + m[i][1]*bv[1] + m[i][2]*bv[2] + m[i][3]*bv[3])
+			lkl += float64(e.freqs[i] * av[i] * (float64(m[i][0]*bv[0]) + float64(m[i][1]*bv[1]) + float64(m[i][2]*bv[2]) + float64(m[i][3]*bv[3])))
 		}
 		if lkl <= 0 {
 			lkl = math.SmallestNonzeroFloat64
 		}
-		total += e.pat.Weights[p] * (math.Log(lkl) - float64(a.sc[p]+b.sc[p])*logScale)
+		total += float64(e.pat.Weights[p] * (math.Log(lkl) - float64(float64(a.sc[p]+b.sc[p])*logScale)))
 	}
 	return total
 }
@@ -221,12 +221,12 @@ func (e *ReferenceEngine) fold(a, b refCLV) [][4]float64 {
 	out := make([][4]float64, e.npat)
 	for p := range out {
 		av, bv := &a.v[p], &b.v[p]
-		out[p][0] = f[0]*av[0]*bv[0] + f[1]*av[1]*bv[1] + f[2]*av[2]*bv[2] + f[3]*av[3]*bv[3]
+		out[p][0] = float64(f[0]*av[0]*bv[0]) + float64(f[1]*av[1]*bv[1]) + float64(f[2]*av[2]*bv[2]) + float64(f[3]*av[3]*bv[3])
 		for k := 1; k < len(e.foldM); k++ {
 			m := &e.foldM[k]
 			s := 0.0
 			for i := 0; i < 4; i++ {
-				s += av[i] * (m[i][0]*bv[0] + m[i][1]*bv[1] + m[i][2]*bv[2] + m[i][3]*bv[3])
+				s += float64(av[i] * (float64(m[i][0]*bv[0]) + float64(m[i][1]*bv[1]) + float64(m[i][2]*bv[2]) + float64(m[i][3]*bv[3])))
 			}
 			out[p][k] = s
 		}
@@ -248,9 +248,9 @@ func (e *ReferenceEngine) foldedDeriv(spec [][4]float64, z float64) (float64, fl
 		c := &coef[e.classOf[p]]
 		l, dl, ddl := s[0], 0.0, 0.0
 		for k := 1; k < len(e.foldM); k++ {
-			l += s[k] * c.x[k][0]
-			dl += s[k] * c.g[k][0]
-			ddl += s[k] * c.h[k][0]
+			l += float64(s[k] * c.x[k][0])
+			dl += float64(s[k] * c.g[k][0])
+			ddl += float64(s[k] * c.h[k][0])
 		}
 		acc = acc.add(e.pat.Weights[p], l, dl, ddl)
 	}
@@ -311,12 +311,12 @@ func (e *ReferenceEngine) SiteLogLikelihoods(t *tree.Tree) ([]float64, error) {
 		av, bv := &a.v[p], &b.v[p]
 		lkl := 0.0
 		for i := 0; i < 4; i++ {
-			lkl += e.freqs[i] * av[i] * (m[i][0]*bv[0] + m[i][1]*bv[1] + m[i][2]*bv[2] + m[i][3]*bv[3])
+			lkl += float64(e.freqs[i] * av[i] * (float64(m[i][0]*bv[0]) + float64(m[i][1]*bv[1]) + float64(m[i][2]*bv[2]) + float64(m[i][3]*bv[3])))
 		}
 		if lkl <= 0 {
 			lkl = math.SmallestNonzeroFloat64
 		}
-		out[p] = math.Log(lkl) - float64(a.sc[p]+b.sc[p])*logScale
+		out[p] = math.Log(lkl) - float64(float64(a.sc[p]+b.sc[p])*logScale)
 	}
 	return out, nil
 }

@@ -47,17 +47,17 @@ func NewF84(freqs seq.BaseFreqs, ttratio float64) (*F84, error) {
 	piA, piC, piG, piT := freqs[0], freqs[1], freqs[2], freqs[3]
 	piR := piA + piG
 	piY := piC + piT
-	minRatio := (piA*piG + piC*piT) / (piR * piY)
+	minRatio := (float64(piA*piG) + float64(piC*piT)) / (piR * piY)
 	if m.ratio <= minRatio {
 		m.ratio = minRatio * 1.000001
 		m.adjust = true
 	}
-	aa := m.ratio*piR*piY - piA*piG - piC*piT
+	aa := float64(m.ratio*piR*piY) - float64(piA*piG) - float64(piC*piT)
 	bb := piA*piG/piR + piC*piT/piY
 	m.xi = aa / (aa + bb)
 	m.xv = 1 - m.xi
-	sumsq := piA*piA + piC*piC + piG*piG + piT*piT
-	m.frac = m.xi*(2*piA*piG/piR+2*piC*piT/piY) + m.xv*(1-sumsq)
+	sumsq := float64(piA*piA) + float64(piC*piC) + float64(piG*piG) + float64(piT*piT)
+	m.frac = float64(m.xi*(2*piA*piG/piR+2*piC*piT/piY)) + float64(m.xv*(1-sumsq))
 	if m.frac <= 0 {
 		return nil, fmt.Errorf("model: degenerate F84 parameters (fracchange %g)", m.frac)
 	}

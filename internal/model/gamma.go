@@ -114,13 +114,13 @@ func gammaSeries(a, x float64) float64 {
 	del := sum
 	for i := 0; i < 500; i++ {
 		ap++
-		del *= x / ap
+		del = float64(del * (x / ap))
 		sum += del
 		if math.Abs(del) < math.Abs(sum)*1e-15 {
 			break
 		}
 	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
+	return sum * math.Exp(-x+float64(a*math.Log(x))-lg)
 }
 
 func gammaContinuedFraction(a, x float64) float64 {
@@ -133,7 +133,7 @@ func gammaContinuedFraction(a, x float64) float64 {
 	for i := 1; i < 500; i++ {
 		an := -float64(i) * (float64(i) - a)
 		b += 2
-		d = an*d + b
+		d = float64(an*d) + b
 		if math.Abs(d) < tiny {
 			d = tiny
 		}
@@ -142,11 +142,11 @@ func gammaContinuedFraction(a, x float64) float64 {
 			c = tiny
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < 1e-15 {
 			break
 		}
 	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
+	return math.Exp(-x+float64(a*math.Log(x))-lg) * h
 }

@@ -54,7 +54,7 @@ func NewGTR(freqs seq.BaseFreqs, r GTRRates) (*GTR, error) {
 		row := 0.0
 		for j := 0; j < 4; j++ {
 			if i != j {
-				q[i][j] = ex[i][j] * freqs[j]
+				q[i][j] = float64(ex[i][j] * freqs[j])
 				row += q[i][j]
 			}
 		}
@@ -63,7 +63,7 @@ func NewGTR(freqs seq.BaseFreqs, r GTRRates) (*GTR, error) {
 	// Normalize to one expected substitution per unit branch length.
 	mu := 0.0
 	for i := 0; i < 4; i++ {
-		mu -= freqs[i] * q[i][i]
+		mu -= float64(freqs[i] * q[i][i])
 	}
 	if mu <= 0 {
 		return nil, fmt.Errorf("model: degenerate GTR rate matrix")
@@ -150,7 +150,7 @@ func jacobiEigen4(a [4][4]float64) (eig [4]float64, v [4][4]float64, err error) 
 		off := 0.0
 		for i := 0; i < 4; i++ {
 			for j := i + 1; j < 4; j++ {
-				off += a[i][j] * a[i][j]
+				off += float64(a[i][j] * a[i][j])
 			}
 		}
 		if off < 1e-30 {
@@ -165,11 +165,11 @@ func jacobiEigen4(a [4][4]float64) (eig [4]float64, v [4][4]float64, err error) 
 					continue
 				}
 				theta := (a[q][q] - a[p][p]) / (2 * a[p][q])
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				t := 1 / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
 				if theta < 0 {
 					t = -t
 				}
-				c := 1 / math.Sqrt(t*t+1)
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
 				// Apply rotation G(p,q,theta): A' = G^T A G, V' = V G.
 				var ap, aq [4]float64
@@ -178,22 +178,22 @@ func jacobiEigen4(a [4][4]float64) (eig [4]float64, v [4][4]float64, err error) 
 					aq[k] = a[k][q]
 				}
 				for k := 0; k < 4; k++ {
-					a[k][p] = c*ap[k] - s*aq[k]
-					a[k][q] = s*ap[k] + c*aq[k]
+					a[k][p] = float64(c*ap[k]) - float64(s*aq[k])
+					a[k][q] = float64(s*ap[k]) + float64(c*aq[k])
 				}
 				for k := 0; k < 4; k++ {
 					ap[k] = a[p][k]
 					aq[k] = a[q][k]
 				}
 				for k := 0; k < 4; k++ {
-					a[p][k] = c*ap[k] - s*aq[k]
-					a[q][k] = s*ap[k] + c*aq[k]
+					a[p][k] = float64(c*ap[k]) - float64(s*aq[k])
+					a[q][k] = float64(s*ap[k]) + float64(c*aq[k])
 				}
 				for k := 0; k < 4; k++ {
 					vp := v[k][p]
 					vq := v[k][q]
-					v[k][p] = c*vp - s*vq
-					v[k][q] = s*vp + c*vq
+					v[k][p] = float64(c*vp) - float64(s*vq)
+					v[k][q] = float64(s*vp) + float64(c*vq)
 				}
 			}
 		}

@@ -44,15 +44,15 @@ func newHKY(name string, freqs seq.BaseFreqs, kappa float64) (*HKY85, error) {
 
 	// Normalize so the expected substitution rate is 1:
 	// rate = β·[2(πAπC+πAπT+πCπG+πGπT) + 2κ(πAπG+πCπT)].
-	tv := 2 * (piA*piC + piA*piT + piC*piG + piG*piT)
-	ts := 2 * (piA*piG + piC*piT)
-	beta := 1 / (tv + kappa*ts)
+	tv := 2 * (float64(piA*piC) + float64(piA*piT) + float64(piC*piG) + float64(piG*piT))
+	ts := 2 * (float64(piA*piG) + float64(piC*piT))
+	beta := 1 / (tv + float64(kappa*ts))
 
 	// Eigenvalues: 0, −β (general), −β(πY·κ+πR) for pyrimidine-group
 	// transitions, −β(πR·κ+πY) for purine-group transitions.
 	lamGen := -beta
-	lamR := -beta * (piR*kappa + piY)
-	lamY := -beta * (piY*kappa + piR)
+	lamR := -beta * (float64(piR*kappa) + piY)
+	lamY := -beta * (float64(piY*kappa) + piR)
 
 	group := [4]float64{piR, piY, piR, piY}
 	var c0, cGen, cR, cY PMatrix

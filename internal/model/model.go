@@ -11,6 +11,10 @@
 // expected number of substitutions per site. The decomposition makes the
 // transition matrix and its first two derivatives (needed by the Newton
 // branch-length optimizer) closed-form for any model.
+//
+// Every product that feeds a sum is rounded by an explicit float64(…),
+// so no compiler fuses it into a multiply-add and the models give the
+// same bits on every architecture (`make nofma`).
 package model
 
 import (
@@ -59,7 +63,7 @@ func (d *Decomposition) Probs(z, r float64, p *PMatrix) {
 		c := &d.Coef[k]
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
-				p[i][j] += c[i][j] * e
+				p[i][j] += float64(c[i][j] * e)
 			}
 		}
 	}
@@ -82,10 +86,10 @@ func (d *Decomposition) ProbsDeriv(z, r float64, p, dp, ddp *PMatrix) {
 		c := &d.Coef[k]
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
-				v := c[i][j] * e
+				v := float64(c[i][j] * e)
 				p[i][j] += v
-				dp[i][j] += l1 * v
-				ddp[i][j] += l2 * v
+				dp[i][j] += float64(l1 * v)
+				ddp[i][j] += float64(l2 * v)
 			}
 		}
 	}
@@ -141,7 +145,7 @@ func Validate(m Model) error {
 		// Detailed balance (time reversibility).
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
-				if diff := freqs[i]*p[i][j] - freqs[j]*p[j][i]; !(math.Abs(diff) <= 1e-9) {
+				if diff := float64(freqs[i]*p[i][j]) - float64(freqs[j]*p[j][i]); !(math.Abs(diff) <= 1e-9) {
 					return fmt.Errorf("model %s: detailed balance violated at z=%g (%d,%d): %g", m.Name(), z, i, j, diff)
 				}
 			}
@@ -152,7 +156,7 @@ func Validate(m Model) error {
 	d.ProbsDeriv(0, 1, &p0, &dp0, &ddp0)
 	rate := 0.0
 	for i := 0; i < 4; i++ {
-		rate -= freqs[i] * dp0[i][i]
+		rate -= float64(freqs[i] * dp0[i][i])
 	}
 	if !(math.Abs(rate-1) <= 1e-9) {
 		return fmt.Errorf("model %s: expected rate %g per unit branch length, want 1", m.Name(), rate)

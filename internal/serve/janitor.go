@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"time"
 
 	"repro/internal/mlsearch"
@@ -11,11 +12,12 @@ import (
 // Startup recovery: the janitor walks the job store and decides, per
 // job, whether it is terminal (kept visible), done in all but its record
 // (its result is stored), incomplete (re-queued, resuming from its
-// manifest where one exists), or corrupt (quarantined). Quarantine is
-// deliberately job-scoped — one truncated manifest block must never take
-// the daemon or its neighbors down; the damaged job parks in
-// StateQuarantined with the parse error attached while every other job
-// resumes normally.
+// manifest where one reads, else from the beginning), or corrupt: a
+// record or spec that does not read is the job's identity lost, so the
+// job is quarantined. Quarantine is deliberately job-scoped — one bad
+// file must never take the daemon or its neighbors down; the damaged job
+// parks in StateQuarantined with the parse error attached while every
+// other job resumes normally.
 
 // recover loads every job found under the data directory.
 func (s *Server) recover() error {
@@ -64,23 +66,17 @@ func (s *Server) recover() error {
 			s.opt.Logf("job %s: result already stored, done", id)
 			continue
 		}
-		var resume *mlsearch.Manifest
-		mPath := s.store.ManifestPath(id)
-		if _, statErr := os.Stat(mPath); statErr == nil {
-			m, err := mlsearch.LoadManifest(mPath)
-			if err != nil {
-				s.quarantine(rec, fmt.Errorf("restart manifest: %w", err))
-				continue
-			}
-			resume = m
-		}
+		// A missing or unreadable manifest is a fresh start: by the
+		// restart contract that gives the same result.
+		resume, err := mlsearch.LoadManifest(s.store.ManifestPath(id))
 		rec.State = StateQueued
 		rec.Error = ""
 		rec.Started = time.Time{}
 		s.saveRecord(rec)
 		s.adopt(rec, prep, resume)
 		s.met.resumed.Inc()
-		if resume != nil {
+		switch {
+		case err == nil:
 			done := 0
 			for j := 0; j < resume.Jumbles; j++ {
 				if cp, ok := resume.Checkpoint(j); ok && cp.Phase == mlsearch.PhaseDone {
@@ -88,8 +84,10 @@ func (s *Server) recover() error {
 				}
 			}
 			s.opt.Logf("job %s: resuming (%d of %d jumbles done)", id, done, resume.Jumbles)
-		} else {
+		case errors.Is(err, fs.ErrNotExist):
 			s.opt.Logf("job %s: recovered, starting fresh", id)
+		default:
+			s.opt.Logf("job %s: restart manifest unreadable, starting fresh: %v", id, err)
 		}
 	}
 	return nil

@@ -30,7 +30,10 @@ func seedJobDir(t *testing.T, store *JobStore, id string, spec JobSpec) {
 	}
 }
 
-func TestJanitorQuarantinesTruncatedManifest(t *testing.T) {
+// TestJanitorRestartsTruncatedManifest: a restart manifest that does
+// not parse is a fresh start, not a quarantine — the job ends done with
+// the bits of a serial run, beside a neighbor that runs as usual.
+func TestJanitorRestartsTruncatedManifest(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewJobStore(dir)
 	if err != nil {
@@ -38,7 +41,8 @@ func TestJanitorQuarantinesTruncatedManifest(t *testing.T) {
 	}
 	aln := testPhylipText(t, 7, 150, 5)
 	corrupt, healthy := "j-aaaaaaaaaaaa", "j-bbbbbbbbbbbb"
-	seedJobDir(t, store, corrupt, JobSpec{Tenant: "x", Alignment: aln, Options: JobOptions{Seed: 3, Jumbles: 2}})
+	spec := JobSpec{Tenant: "x", Alignment: aln, Options: JobOptions{Seed: 3, Jumbles: 2}}
+	seedJobDir(t, store, corrupt, spec)
 	seedJobDir(t, store, healthy, JobSpec{Tenant: "x", Alignment: aln, Options: JobOptions{Seed: 7}})
 
 	// The corrupt job's restart manifest stops mid-block, as if the
@@ -48,49 +52,50 @@ func TestJanitorQuarantinesTruncatedManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := NewServer(Options{DataDir: dir, Fleet: FleetOptions{Workers: 1}, Logf: t.Logf})
+	var (
+		mu    sync.Mutex
+		lines []string
+	)
+	s, err := NewServer(Options{DataDir: dir, Fleet: FleetOptions{Workers: 1}, Logf: func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		t.Log(line)
+		mu.Lock()
+		lines = append(lines, line)
+		mu.Unlock()
+	}})
 	if err != nil {
 		t.Fatalf("a truncated manifest must not stop the daemon: %v", err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-
-	// The damaged job is parked, error attached, never scheduled.
-	rec, err := s.Get(corrupt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.State != StateQuarantined {
-		t.Fatalf("corrupt job state %s, want quarantined", rec.State)
-	}
-	if !strings.Contains(rec.Error, "truncated") {
-		t.Errorf("quarantine error %q does not name the cause", rec.Error)
-	}
-	if _, _, err := s.Result(corrupt); err == nil {
-		t.Error("quarantined job served a result")
-	}
-	if s.met.quarantined.Value() != 1 {
-		t.Errorf("quarantined counter = %v", s.met.quarantined.Value())
-	}
-
-	// Its neighbor resumes and completes normally.
+	waitJob(t, s, corrupt, StateDone)
 	waitJob(t, s, healthy, StateDone)
+	if n := s.met.quarantined.Value(); n != 0 {
+		t.Errorf("quarantined counter = %v, want 0", n)
+	}
+	mu.Lock()
+	logged := strings.Join(lines, "\n")
+	mu.Unlock()
+	if strings.Count(logged, "job "+corrupt+": restart manifest unreadable, starting fresh: ") != 1 || strings.Contains(logged, "job "+corrupt+": recovered") {
+		t.Errorf("want one recovery line, the unreadable manifest's, for %s:\n%s", corrupt, logged)
+	}
 
-	// Quarantine survives a further restart (still visible, still
-	// parked).
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewServer(Options{DataDir: dir, Fleet: FleetOptions{Workers: 1}, Logf: t.Logf})
+	prep, err := prepareSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = s2.Close() })
-	rec, err = s2.Get(corrupt)
+	serial, err := mlsearch.Run(prep.Cfg, mlsearch.RunOptions{Transport: mlsearch.Serial, Jumbles: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.State != StateQuarantined {
-		t.Errorf("after restart, corrupt job state %s", rec.State)
+	res, _, err := s.Result(corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, want := range serial.Results {
+		got := res.Jumbles[j]
+		if got.Newick != want.BestNewick || got.LnL != want.LnL || got.Seed != want.Seed {
+			t.Errorf("jumble %d:\n got %q lnL %v\nwant %q lnL %v", j, got.Newick, got.LnL, want.BestNewick, want.LnL)
+		}
 	}
 }
 

@@ -105,6 +105,9 @@ type Series struct {
 	Marker byte
 }
 
+// SharedMarker marks a LogLogChart cell that two or more series share.
+const SharedMarker = '#'
+
 // LogLogChart renders series on log-log axes as ASCII art, standing in
 // for the paper's Figures 3 and 4.
 func LogLogChart(title, xlabel, ylabel string, series []Series, width, height int) string {
@@ -143,6 +146,9 @@ func LogLogChart(title, xlabel, ylabel string, series []Series, width, height in
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", width))
 	}
+	// A cell that series with different markers land in shows
+	// SharedMarker, so no series hides another.
+	shared := false
 	for _, s := range series {
 		marker := s.Marker
 		if marker == 0 {
@@ -154,8 +160,12 @@ func LogLogChart(title, xlabel, ylabel string, series []Series, width, height in
 			}
 			cx := int((math.Log(s.X[i]) - lx0) / (lx1 - lx0) * float64(width-1))
 			cy := int((math.Log(s.Y[i]) - ly0) / (ly1 - ly0) * float64(height-1))
-			row := height - 1 - cy
-			grid[row][cx] = marker
+			switch cell := &grid[height-1-cy][cx]; *cell {
+			case ' ', marker:
+				*cell = marker
+			default:
+				*cell, shared = SharedMarker, true
+			}
 		}
 	}
 
@@ -175,6 +185,9 @@ func LogLogChart(title, xlabel, ylabel string, series []Series, width, height in
 			marker = '*'
 		}
 		fmt.Fprintf(&b, "%12c %s\n", marker, s.Label)
+	}
+	if shared {
+		fmt.Fprintf(&b, "%12c two or more series\n", SharedMarker)
 	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,5 +126,36 @@ func TestStatsQuickProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLogLogChartOverlap: where two series land in one cell, the cell
+// shows the shared marker, listed in the legend, so the series plotted
+// first is not hidden by the one plotted after it.
+func TestLogLogChartOverlap(t *testing.T) {
+	s := []Series{
+		{Label: "first", X: []float64{1}, Y: []float64{1}, Marker: 'a'},
+		{Label: "second", X: []float64{1, 10}, Y: []float64{1, 10}, Marker: 'b'},
+	}
+	out := LogLogChart("overlap", "x", "y", s, 40, 10)
+	var plot, legend []string
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, strings.Repeat(" ", 10)+" |"):
+			plot = append(plot, line)
+		case strings.HasPrefix(line, strings.Repeat(" ", 11)):
+			legend = append(legend, strings.TrimSpace(line))
+		}
+	}
+	cells := strings.Join(plot, "\n")
+	if strings.Count(cells, string(SharedMarker)) != 1 || strings.Count(cells, "b") != 1 || strings.Contains(cells, "a") {
+		t.Errorf("want one shared cell and one b cell:\n%s", out)
+	}
+	if !slices.Contains(legend, string(SharedMarker)+" two or more series") {
+		t.Errorf("legend %q lacks the shared marker", legend)
+	}
+	// One series on its own never shows the shared marker.
+	if out := LogLogChart("alone", "x", "y", s[1:], 40, 10); strings.Contains(out, string(SharedMarker)) {
+		t.Errorf("single series shows %c:\n%s", SharedMarker, out)
 	}
 }
