@@ -147,22 +147,32 @@ func Scaling(opt ScalingOptions) ([]ScalingPoint, error) {
 				return nil, err
 			}
 		}
-		serialMean := 0.0
-		for _, p := range opt.Procs {
+		simulate := func(p int) (mean, idle float64, err error) {
 			cl := opt.Cluster
 			cl.Processors = p
-			var times, idle []float64
+			var times, idles []float64
 			for _, log := range logs {
-				res, err := cl.Simulate(log)
-				if err != nil {
-					return nil, err
+				res, simErr := cl.Simulate(log)
+				if simErr != nil {
+					return 0, 0, simErr
 				}
 				times = append(times, res.TotalSeconds)
-				idle = append(idle, res.IdleFraction)
+				idles = append(idles, res.IdleFraction)
 			}
-			mean := stats.Mean(times)
-			if p == 1 {
-				serialMean = mean
+			return stats.Mean(times), stats.Mean(idles), nil
+		}
+		// The serial reference is simulated whether or not the axis
+		// lists P = 1, or where on it.
+		serialMean, serialIdle, err := simulate(1)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range opt.Procs {
+			mean, idle := serialMean, serialIdle
+			if p != 1 {
+				if mean, idle, err = simulate(p); err != nil {
+					return nil, err
+				}
 			}
 			sp := 0.0
 			if serialMean > 0 {
@@ -174,7 +184,7 @@ func Scaling(opt ScalingOptions) ([]ScalingPoint, error) {
 				MeanSeconds:  mean,
 				Speedup:      sp,
 				Efficiency:   stats.Efficiency(sp, p),
-				IdleFraction: stats.Mean(idle),
+				IdleFraction: idle,
 			})
 		}
 	}

@@ -107,6 +107,38 @@ func TestScalingReproducesPaperShape(t *testing.T) {
 	}
 }
 
+// TestScalingSerialReferenceOffAxis: speedup and efficiency are taken
+// against P = 1 whether or not the axis lists it, or where: {16, 64} and
+// {64, 1, 16} give each point what {1, 16, 64} gives it, and only the
+// points asked for.
+func TestScalingSerialReferenceOffAxis(t *testing.T) {
+	run := func(procs ...int) map[string]ScalingPoint {
+		pts, err := Scaling(ScalingOptions{Shapes: smallShapes(), Jumbles: 2, Procs: procs, Extent: 5, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != len(procs)*len(smallShapes()) {
+			t.Fatalf("procs %v: %d points, want %d", procs, len(pts), len(procs)*len(smallShapes()))
+		}
+		by := map[string]ScalingPoint{}
+		for _, p := range pts {
+			by[fmt.Sprintf("%s/%d", p.Dataset, p.Processors)] = p
+		}
+		return by
+	}
+	full := run(1, 16, 64)
+	for _, procs := range [][]int{{16, 64}, {64, 1, 16}} {
+		for key, p := range run(procs...) {
+			if want := full[key]; p != want {
+				t.Errorf("procs %v, %s: %+v, want %+v", procs, key, p, want)
+			}
+			if p.Speedup <= 0 {
+				t.Errorf("procs %v, %s: speedup %g", procs, key, p.Speedup)
+			}
+		}
+	}
+}
+
 func TestExtentComparisonShape(t *testing.T) {
 	// Use small custom shapes through Scaling directly to keep the test
 	// fast; the extent machinery is the same.

@@ -95,6 +95,11 @@ func (e *CachedEngine) OptimizeBranches(t *tree.Tree, opt OptOptions) (float64, 
 	for pass := 0; pass < opt.Passes; pass++ {
 		e.smoothPass()
 		e.stats.SmoothPasses++
+		if pass == 0 && opt.Passes == 2 {
+			// Pass 0's lnL is only the baseline of the stop test after
+			// pass 1, which ends a loop that ends there anyway.
+			continue
+		}
 		lnL, err := e.LogLikelihood(t)
 		if err != nil {
 			return 0, err

@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,14 +24,23 @@ func benchAlignment(b *testing.B, taxa, sites int) *Alignment {
 	return a
 }
 
-// BenchmarkCompress measures site-pattern compression at rRNA scale.
+// BenchmarkCompress measures site-pattern compression where it costs
+// the most: long8_t2's shape (8×9 000), a long alignment (8×900 000),
+// and the 20-, 50- and 150-taxon shapes of the searches and the paper's
+// data sets. Run it with -benchmem.
 func BenchmarkCompress(b *testing.B) {
-	a := benchAlignment(b, 50, 1858)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Compress(a, CompressOptions{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct{ taxa, sites int }{
+		{8, 9000}, {8, 900000}, {20, 600}, {50, 1858}, {150, 1269},
+	} {
+		b.Run(fmt.Sprintf("%dx%d", shape.taxa, shape.sites), func(b *testing.B) {
+			a := benchAlignment(b, shape.taxa, shape.sites)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compress(a, CompressOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

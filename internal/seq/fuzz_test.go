@@ -49,3 +49,65 @@ func FuzzReadPhylip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCompress: the radix sort in Compress against the comparison-sort
+// oracle on alignments built from the bytes. Byte 0 gives the row count
+// (1 to 8); byte 1's bits give per-site weights, per-site rates and
+// Disable. Each site then reads one byte per row for its code (any of
+// the fifteen), a weight byte (0, 0.5, 1 or 1.5) when weights are on and
+// a rate byte (one of three classes) when rates are on. The committed
+// corpus (testdata/fuzz/) holds an odd and an even row count, a single
+// row, weights with zeros, rates, all weights zero, and Disable.
+func FuzzCompress(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		nseq := 1 + int(data[0]%8)
+		weighted, rated, disable := data[1]&1 != 0, data[1]&2 != 0, data[1]&4 != 0
+		rec := nseq
+		if weighted {
+			rec++
+		}
+		if rated {
+			rec++
+		}
+		body := data[2:]
+		nsites := min(len(body)/rec, 256)
+		if nsites == 0 {
+			return
+		}
+		rows := make([][]Code, nseq)
+		for i := range rows {
+			rows[i] = make([]Code, nsites)
+		}
+		opt := CompressOptions{Disable: disable}
+		if weighted {
+			opt.Weights = make([]float64, nsites)
+		}
+		if rated {
+			opt.Rates = make([]float64, nsites)
+		}
+		for s := 0; s < nsites; s++ {
+			r := body[s*rec : (s+1)*rec]
+			for i := range rows {
+				rows[i][s] = Code(1 + r[i]%15)
+			}
+			r = r[nseq:]
+			if weighted {
+				opt.Weights[s] = float64(r[0]%4) / 2
+				r = r[1:]
+			}
+			if rated {
+				opt.Rates[s] = []float64{0.3, 1, 2.7}[r[0]%3]
+			}
+		}
+		a := NewAlignment(nseq)
+		for i, row := range rows {
+			if err := a.AddCoded(string(rune('a'+i)), row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkCompressAgainstSort(t, a, opt)
+	})
+}

@@ -1,9 +1,10 @@
 package seq
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Patterns is an alignment compressed to its distinct site patterns.
@@ -113,28 +114,21 @@ func Compress(a *Alignment, opt CompressOptions) (*Patterns, error) {
 	if len(order) == 0 {
 		return nil, fmt.Errorf("seq: all site weights are zero")
 	}
-	cmp := func(x, y int) int {
+	if !opt.Disable {
+		// SiteOf is written only after the sort, so the sort borrows it.
+		sortColumns(a, order, p.SiteOf, opt.Rates)
+	}
+	same := func(x, y int) bool {
 		for i := 0; i < nseqs; i++ {
-			cx, cy := a.Data[i][x], a.Data[i][y]
-			if cx != cy {
-				return int(cx) - int(cy)
+			if a.Data[i][x] != a.Data[i][y] {
+				return false
 			}
 		}
-		switch rx, ry := rateAt(x), rateAt(y); {
-		case rx < ry:
-			return -1
-		case rx > ry:
-			return 1
-		}
-		return 0
-	}
-	if !opt.Disable {
-		sort.SliceStable(order, func(i, j int) bool { return cmp(order[i], order[j]) < 0 })
+		return rateAt(x) == rateAt(y)
 	}
 
 	for idx, s := range order {
-		newPattern := idx == 0 || opt.Disable || cmp(order[idx-1], s) != 0
-		if newPattern {
+		if idx == 0 || opt.Disable || !same(order[idx-1], s) {
 			for i := 0; i < nseqs; i++ {
 				p.Codes[i] = append(p.Codes[i], a.Data[i][s])
 			}
@@ -151,6 +145,44 @@ func Compress(a *Alignment, opt CompressOptions) (*Patterns, error) {
 		}
 	}
 	return p, nil
+}
+
+// sortColumns sorts order, a list of columns, by (row 0's code, …,
+// last row's code, rate), stably, so equal columns keep their site
+// order. It is a least-significant-digit radix sort: a stable sort by
+// rate, when rates are given, then one counting pass per pair of rows
+// from the last pair to the first, whose 8-bit digit holds row i's 4-bit
+// code in its high nibble and row i+1's in its low one. The passes
+// alternate between order and scratch, which must be at least as long.
+func sortColumns(a *Alignment, order, scratch []int, rates []float64) {
+	if rates != nil {
+		slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(rates[x], rates[y]) })
+	}
+	src, dst := order, scratch[:len(order)]
+	var start [256]int
+	for lo := len(a.Data) - 1; lo >= 0; lo -= 2 {
+		// With an odd row count the last pass reads row 0 as both
+		// nibbles: 17·code orders as code does.
+		hi, low := a.Data[max(lo-1, 0)], a.Data[lo]
+		start = [256]int{}
+		for _, s := range src {
+			start[hi[s]<<4|low[s]]++
+		}
+		sum := 0
+		for d, n := range start {
+			start[d] = sum
+			sum += n
+		}
+		for _, s := range src {
+			d := hi[s]<<4 | low[s]
+			dst[start[d]] = s
+			start[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &order[0] {
+		copy(order, src)
+	}
 }
 
 // ExpandPerSite maps per-pattern values back onto the original alignment

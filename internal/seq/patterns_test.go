@@ -1,8 +1,11 @@
 package seq
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,6 +177,156 @@ func TestCompressInvariantsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// compressBySort is Compress as it was before the radix sort: the
+// columns ordered by sort.SliceStable under a comparison that walks the
+// rows, then the rate. It is the oracle the radix sort must equal field
+// for field.
+func compressBySort(a *Alignment, opt CompressOptions) (*Patterns, error) {
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	nsites := a.NumSites()
+	nseqs := a.NumSeqs()
+	if opt.Weights != nil && len(opt.Weights) != nsites {
+		return nil, fmt.Errorf("seq: %d weights for %d sites", len(opt.Weights), nsites)
+	}
+	if opt.Rates != nil && len(opt.Rates) != nsites {
+		return nil, fmt.Errorf("seq: %d rates for %d sites", len(opt.Rates), nsites)
+	}
+	weightAt := func(s int) float64 {
+		if opt.Weights == nil {
+			return 1
+		}
+		return opt.Weights[s]
+	}
+	rateAt := func(s int) float64 {
+		if opt.Rates == nil {
+			return 1
+		}
+		return opt.Rates[s]
+	}
+	for s := 0; s < nsites; s++ {
+		if w := weightAt(s); !(w >= 0 && !math.IsInf(w, 1)) {
+			return nil, fmt.Errorf("seq: weight %g at site %d is not finite and non-negative", w, s+1)
+		}
+		if r := rateAt(s); !(r > 0 && !math.IsInf(r, 1)) {
+			return nil, fmt.Errorf("seq: rate %g at site %d is not finite and positive", r, s+1)
+		}
+	}
+
+	p := &Patterns{
+		Codes:  make([][]Code, nseqs),
+		SiteOf: make([]int, nsites),
+	}
+	for i := range p.Codes {
+		p.Codes[i] = make([]Code, 0, nsites)
+	}
+	order := make([]int, 0, nsites)
+	for s := 0; s < nsites; s++ {
+		if weightAt(s) > 0 {
+			order = append(order, s)
+		}
+	}
+	if len(order) == 0 {
+		return nil, fmt.Errorf("seq: all site weights are zero")
+	}
+	cmp := func(x, y int) int {
+		for i := 0; i < nseqs; i++ {
+			cx, cy := a.Data[i][x], a.Data[i][y]
+			if cx != cy {
+				return int(cx) - int(cy)
+			}
+		}
+		switch rx, ry := rateAt(x), rateAt(y); {
+		case rx < ry:
+			return -1
+		case rx > ry:
+			return 1
+		}
+		return 0
+	}
+	if !opt.Disable {
+		sort.SliceStable(order, func(i, j int) bool { return cmp(order[i], order[j]) < 0 })
+	}
+	for idx, s := range order {
+		newPattern := idx == 0 || opt.Disable || cmp(order[idx-1], s) != 0
+		if newPattern {
+			for i := 0; i < nseqs; i++ {
+				p.Codes[i] = append(p.Codes[i], a.Data[i][s])
+			}
+			p.Weights = append(p.Weights, 0)
+			p.Rates = append(p.Rates, rateAt(s))
+		}
+		pat := len(p.Weights) - 1
+		p.Weights[pat] += weightAt(s)
+		p.SiteOf[s] = pat
+	}
+	for s := 0; s < nsites; s++ {
+		if weightAt(s) == 0 {
+			p.SiteOf[s] = -1
+		}
+	}
+	return p, nil
+}
+
+// checkCompressAgainstSort fails t unless Compress and the comparison-sort
+// oracle return the same Patterns, field for field, or both an error.
+func checkCompressAgainstSort(t *testing.T, a *Alignment, opt CompressOptions) {
+	t.Helper()
+	got, gotErr := Compress(a, opt)
+	want, wantErr := compressBySort(a, opt)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("error %v, oracle's %v", gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Compress differs from the comparison sort (%d rows, %d sites, %+v):\n got %+v\nwant %+v",
+			a.NumSeqs(), a.NumSites(), opt, got, want)
+	}
+}
+
+// TestCompressMatchesComparisonSort: the radix sort must give what the
+// comparison sort gave — pattern order, weights summed in site order,
+// SiteOf and Rates — on random alignments with odd and even row counts,
+// few letters (many equal columns) or every ambiguity code, zero and
+// fractional weights, three rate classes, and Disable.
+func TestCompressMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for k := 0; k < 5000; k++ {
+		nseq := 1 + rng.Intn(9)
+		nsites := 1 + rng.Intn(60)
+		letters := []int{2, 4, 15}[k%3]
+		a := NewAlignment(nseq)
+		for i := 0; i < nseq; i++ {
+			row := make([]Code, nsites)
+			for s := range row {
+				if letters == 15 {
+					row[s] = Code(1 + rng.Intn(15))
+				} else {
+					row[s] = Code(1 << uint(rng.Intn(letters)))
+				}
+			}
+			if err := a.AddCoded(string(rune('a'+i)), row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var opt CompressOptions
+		if k%2 == 1 {
+			opt.Weights = make([]float64, nsites)
+			for s := range opt.Weights {
+				opt.Weights[s] = []float64{0, 1, 0.25, 2.5, 0.1}[rng.Intn(5)]
+			}
+		}
+		if k%4 >= 2 {
+			opt.Rates = make([]float64, nsites)
+			for s := range opt.Rates {
+				opt.Rates[s] = []float64{0.3, 1, 2.7}[rng.Intn(3)]
+			}
+		}
+		opt.Disable = k%8 == 7
+		checkCompressAgainstSort(t, a, opt)
 	}
 }
 
