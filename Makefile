@@ -41,7 +41,7 @@ benchmark-test:
 # message passing, the sharded likelihood kernels, the observability
 # plane, and the multi-tenant inference service).
 race:
-	$(GO) test -race ./internal/comm/... ./internal/mlsearch/... ./internal/likelihood/... ./internal/obs/... ./internal/serve/...
+	$(GO) test -race ./internal/comm/... ./internal/core/... ./internal/mlsearch/... ./internal/likelihood/... ./internal/obs/... ./internal/serve/...
 
 # Differential harness: the cached production engine against the direct
 # recomputation reference engine over seeded randomized trees, models,

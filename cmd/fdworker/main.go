@@ -14,7 +14,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"repro/internal/buildinfo"
@@ -27,8 +26,6 @@ func main() {
 	var (
 		connect    = flag.String("connect", "", "master address (required), e.g. host:7946")
 		reconnect  = flag.String("reconnect", "on", "reconnect policy: on, off, or base=250ms,cap=15s,max=0")
-		flaky      = flag.Float64("flaky", 0, "drop this fraction of replies (fault tolerance demos)")
-		seed       = flag.Int64("flaky-seed", 1, "seed for -flaky")
 		statusAddr = flag.String("status-addr", "", "serve /metrics, /status, and /debug/pprof on this address")
 		threads    = flag.Int("threads", 1, fmt.Sprintf("likelihood kernel threads on this host (results are bit-identical at any count; alignments under %d patterns run on one)", likelihood.MinPoolPad))
 		version    = flag.Bool("version", false, "print version and exit")
@@ -64,12 +61,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Printf("status server on http://%s (/metrics, /status, /debug/pprof)\n", srv.Addr())
-	}
-	if *flaky > 0 {
-		rng := rand.New(rand.NewSource(*seed))
-		hooks.BeforeReply = func(task mlsearch.Task, res mlsearch.Result) bool {
-			return rng.Float64() >= *flaky
-		}
 	}
 	if err := mlsearch.ServeElastic(*connect, hooks, policy); err != nil {
 		fmt.Fprintln(os.Stderr, "fdworker:", err)

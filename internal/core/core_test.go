@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -73,40 +71,6 @@ func TestInferMultiJumbleConsensus(t *testing.T) {
 			t.Errorf("duplicate seed %d", j.Seed)
 		}
 		seen[j.Seed] = true
-	}
-}
-
-func TestInferParallelMatchesSerial(t *testing.T) {
-	a := testAlignment(t, 7, 200, 13)
-	serial, err := Infer(a, Options{Spec: Spec{Seed: 7, Jumbles: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var monOut bytes.Buffer
-	par, err := Infer(a, Options{Spec: Spec{Seed: 7, Jumbles: 2}, Run: mlsearch.RunOptions{Transport: mlsearch.Local, Workers: 3, MonitorOut: &monOut}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range serial.Jumbles {
-		if serial.Jumbles[j].Newick != par.Jumbles[j].Newick {
-			t.Errorf("jumble %d trees differ between serial and parallel", j)
-		}
-		if serial.Jumbles[j].LnL != par.Jumbles[j].LnL {
-			t.Errorf("jumble %d lnL differs", j)
-		}
-	}
-	if par.Monitor == nil {
-		t.Fatal("no run snapshot from the monitored run")
-	}
-	tasks := 0
-	for _, j := range par.Jumbles {
-		tasks += j.Search.TotalTasks
-	}
-	if par.Monitor.Completed != tasks {
-		t.Errorf("run snapshot counts %d results, the jumbles ran %d tasks", par.Monitor.Completed, tasks)
-	}
-	if want := fmt.Sprintf("monitor: shutdown after %d rounds, %d results\n", par.Monitor.Rounds, tasks); !strings.HasSuffix(monOut.String(), want) {
-		t.Errorf("monitor output ends %q, want %q", monOut.String(), want)
 	}
 }
 

@@ -55,6 +55,9 @@ const (
 	newtonMaxIter = 24
 	// newtonTol is the convergence tolerance on the branch length.
 	newtonTol = 1e-7
+	// passTol ends OptimizeBranches' pass loop when a full pass improves
+	// the total log-likelihood by less than this.
+	passTol = 1e-5
 )
 
 // clvBlock is the pattern-count multiple each rate-class block is padded

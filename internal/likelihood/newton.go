@@ -27,9 +27,6 @@ type OptOptions struct {
 	// Passes is the maximum number of full smoothing passes over the
 	// selected branches (fastDNAml's smoothings). Default 8.
 	Passes int
-	// Tol stops the pass loop when a full pass improves the total
-	// log-likelihood by less than this. Default 1e-5.
-	Tol float64
 	// Centers restricts optimization to the union of the
 	// Radius-neighborhoods of these nodes (empty optimizes every branch).
 	// This mirrors fastDNAml's scoring of a candidate by optimizing only
@@ -46,9 +43,6 @@ func (o OptOptions) withDefaults() OptOptions {
 	if o.Passes <= 0 {
 		o.Passes = 8
 	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-5
-	}
 	if o.Radius <= 0 {
 		o.Radius = 1
 	}
@@ -60,7 +54,7 @@ func (o OptOptions) withDefaults() OptOptions {
 // optimized but the returned value is still the full-tree log-likelihood.
 //
 // It runs full depth-first Newton sweeps until a pass improves the
-// log-likelihood by less than Tol or the pass budget runs out. The visit
+// log-likelihood by less than passTol or the pass budget runs out. The visit
 // order is fixed once per call — the topology does not change while
 // smoothing — in the engine-owned edge buffer, so the passes themselves
 // allocate nothing; a restricted call keeps only the edges with an
@@ -105,7 +99,7 @@ func (e *CachedEngine) OptimizeBranches(t *tree.Tree, opt OptOptions) (float64, 
 			return 0, err
 		}
 		last = lnL
-		if lnL-prev < opt.Tol {
+		if lnL-prev < passTol {
 			break
 		}
 		prev = lnL

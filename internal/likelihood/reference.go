@@ -354,7 +354,7 @@ func (e *ReferenceEngine) OptimizeBranches(t *tree.Tree, opt OptOptions) (float6
 			return 0, err
 		}
 		last = lnL
-		if lnL-prev < opt.Tol {
+		if lnL-prev < passTol {
 			break
 		}
 		prev = lnL

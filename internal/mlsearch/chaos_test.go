@@ -1,6 +1,7 @@
 package mlsearch
 
 import (
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -13,9 +14,9 @@ import (
 
 // TestTCPChaosSoak is the elastic-membership soak: a TCP run starts with
 // two workers, a third joins mid-round, one of the originals is
-// "SIGKILLed" (its live connection severed from outside) and rejoins
-// under a tiny reconnect backoff, and the late joiner silently drops a
-// quarter of its replies. Through all of it the run must finish and the
+// "SIGKILLed" (its connection severed by the proxy it joins through)
+// and rejoins under a tiny reconnect backoff, and the late joiner
+// silently drops a quarter of its replies. Through all of it the run must finish and the
 // final tree and log-likelihood must be bit-identical to the serial
 // answer — membership chaos is pure work distribution (paper §2.2).
 // The foreman pipelines two slices per worker, so the soak also
@@ -77,36 +78,17 @@ func TestTCPChaosSoak(t *testing.T) {
 		}
 	}()
 
-	// Worker B, the victim: its current connection is captured on attach
-	// and severed from outside when killCh fires — the process-level
-	// equivalent of a SIGKILL mid-task. ServeElastic then reconnects and
-	// the worker rejoins under a fresh rank. Errors are tolerated: if the
-	// kill lands near the end of the run, the final reconnect attempts
-	// race the router shutting down.
-	var victimMu sync.Mutex
-	var victimConn comm.Communicator
+	// Worker B, the victim: it joins through a proxy that severs its
+	// connection when killCh fires — to the master, what a SIGKILL of
+	// the worker mid-task looks like. ServeElastic then reconnects
+	// through the proxy and the worker rejoins under a fresh rank. Errors
+	// are tolerated: if the kill lands near the end of the run, the final
+	// reconnect attempts race the router shutting down.
+	victim := startSeveringProxy(t, addr, killCh)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = ServeElastic(addr, WorkerHooks{
-			Threads: 3,
-			OnAttach: func(c comm.Communicator) {
-				victimMu.Lock()
-				victimConn = c
-				victimMu.Unlock()
-			},
-		}, fastRetry)
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-killCh
-		victimMu.Lock()
-		c := victimConn
-		victimMu.Unlock()
-		if c != nil {
-			c.Close()
-		}
+		_ = ServeElastic(victim, WorkerHooks{Threads: 3}, fastRetry)
 	}()
 
 	// Worker C joins mid-round and drops every 4th reply on the floor;
@@ -184,6 +166,49 @@ func TestTCPChaosSoak(t *testing.T) {
 		}
 		t.Logf("wrote %s", path)
 	}
+}
+
+// startSeveringProxy returns a loopback address that pipes every
+// connection to target, both ways. When kill is closed it closes both
+// ends of each connection it has carried; later ones pass untouched.
+func startSeveringProxy(t *testing.T, target string, kill <-chan struct{}) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	sever := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done); ln.Close(); sever() })
+	go func() {
+		select {
+		case <-kill:
+			sever()
+		case <-done:
+		}
+	}()
+	go func() {
+		for down, err := ln.Accept(); err == nil; down, err = ln.Accept() {
+			up, err := net.Dial("tcp", target)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			mu.Lock()
+			conns = append(conns, down, up)
+			mu.Unlock()
+			go func() { io.Copy(up, down); up.Close() }()
+			go func() { io.Copy(down, up); down.Close() }()
+		}
+	}()
+	return ln.Addr().String()
 }
 
 // countingComm wraps a Communicator and counts RecvTimeout calls, to pin

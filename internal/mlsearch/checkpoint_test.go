@@ -2,7 +2,6 @@ package mlsearch
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -102,9 +101,10 @@ func TestCheckpointValidate(t *testing.T) {
 	}
 }
 
-// TestResumeMatchesUninterrupted: stopping at every checkpoint and
-// resuming must land on exactly the same final tree and likelihood as an
-// uninterrupted run.
+// TestResumeMatchesUninterrupted: an uninterrupted run reports one
+// checkpoint per taxon addition plus the final one, which holds the
+// run's own answer. TestIdentityMatrix in internal/core resumes from
+// them on every transport.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	cfg := testConfig(t, 8, 150, 27)
 	disp, err := NewSerialDispatcher(cfg)
@@ -121,42 +121,13 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cps) == 0 {
-		t.Fatal("no checkpoints emitted")
-	}
 	// One checkpoint per addition (5 for 8 taxa) plus the final one.
 	if len(cps) != (8-3)+1 {
-		t.Errorf("%d checkpoints, want %d", len(cps), 8-3+1)
+		t.Fatalf("%d checkpoints, want %d", len(cps), 8-3+1)
 	}
 	last := cps[len(cps)-1]
-	if last.Phase != PhaseDone || last.LnL != full.LnL {
+	if last.Phase != PhaseDone || last.LnL != full.LnL || last.Newick != full.BestNewick {
 		t.Errorf("final checkpoint %+v", last)
-	}
-
-	// Every position, saved as the restart file and loaded back, must
-	// resume to the same answer.
-	path := filepath.Join(t.TempDir(), "restart")
-	for i, cp := range cps {
-		saved := NewManifest(1)
-		saved.Set(cp)
-		if err := SaveManifest(path, saved); err != nil {
-			t.Fatal(err)
-		}
-		m, err := LoadManifest(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := Run(cfg, RunOptions{ResumeManifest: m})
-		if err != nil {
-			t.Fatalf("resume from checkpoint %d: %v", i, err)
-		}
-		res := out.Results[0]
-		if res.BestNewick != full.BestNewick {
-			t.Errorf("checkpoint %d (%s): resumed tree differs", i, cp.Phase)
-		}
-		if res.LnL != full.LnL {
-			t.Errorf("checkpoint %d: resumed lnL %g != %g", i, res.LnL, full.LnL)
-		}
 	}
 }
 

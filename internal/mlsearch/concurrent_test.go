@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/comm"
 )
 
 // TestForemanTickFloor: the tick is derived as TaskTimeout/4, which for a
@@ -335,31 +333,13 @@ func TestConcurrentTCPChaosSoak(t *testing.T) {
 		}
 	}()
 
-	// Worker B: killed mid-run (connection severed from outside), then
-	// rejoins under a fresh rank.
-	var victimMu sync.Mutex
-	var victimConn comm.Communicator
+	// Worker B: killed mid-run (its connection severed by the proxy it
+	// joins through), then rejoins through it under a fresh rank.
+	victim := startSeveringProxy(t, addr, killCh)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = ServeElastic(addr, WorkerHooks{
-			OnAttach: func(c comm.Communicator) {
-				victimMu.Lock()
-				victimConn = c
-				victimMu.Unlock()
-			},
-		}, fastRetry)
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-killCh
-		victimMu.Lock()
-		c := victimConn
-		victimMu.Unlock()
-		if c != nil {
-			c.Close()
-		}
+		_ = ServeElastic(victim, WorkerHooks{}, fastRetry)
 	}()
 
 	// Worker C: joins mid-run and drops every 5th reply.

@@ -39,12 +39,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestParallelWithMonitor: the monitored run's one tally, the observer's
-// snapshot at shutdown, agrees with the search it watched, and the
-// monitor's closing line is read from it.
+// snapshot at shutdown, agrees with the two jumbles' searches it watched,
+// and the monitor's closing line is read from it.
 func TestParallelWithMonitor(t *testing.T) {
 	cfg := testConfig(t, 7, 150, 13)
 	var buf bytes.Buffer
-	out, err := Run(cfg, RunOptions{Transport: Local, Workers: 3, MonitorOut: &buf})
+	out, err := Run(cfg, RunOptions{Transport: Local, Workers: 3, Jumbles: 2, MonitorOut: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,15 +52,18 @@ func TestParallelWithMonitor(t *testing.T) {
 	if snap == nil {
 		t.Fatal("no run snapshot from a monitored run")
 	}
-	res := out.Results[0]
-	if snap.Completed != res.TotalTasks {
-		t.Errorf("snapshot counts %d results, the search ran %d tasks", snap.Completed, res.TotalTasks)
+	tasks, rounds := 0, 0
+	for _, res := range out.Results {
+		tasks, rounds = tasks+res.TotalTasks, rounds+len(res.Rounds)
 	}
-	if snap.Dispatched < res.TotalTasks || snap.Inline != 0 {
-		t.Errorf("snapshot counts %d dispatches and %d inline for %d tasks", snap.Dispatched, snap.Inline, res.TotalTasks)
+	if snap.Completed != tasks {
+		t.Errorf("snapshot counts %d results, the searches ran %d tasks", snap.Completed, tasks)
 	}
-	if snap.Rounds != len(res.Rounds) {
-		t.Errorf("snapshot counts %d rounds, the search logged %d", snap.Rounds, len(res.Rounds))
+	if snap.Dispatched < tasks || snap.Inline != 0 {
+		t.Errorf("snapshot counts %d dispatches and %d inline for %d tasks", snap.Dispatched, snap.Inline, tasks)
+	}
+	if snap.Rounds != rounds {
+		t.Errorf("snapshot counts %d rounds, the searches logged %d", snap.Rounds, rounds)
 	}
 	// All three workers should have contributed.
 	working := 0
@@ -72,7 +75,7 @@ func TestParallelWithMonitor(t *testing.T) {
 	if working != 3 {
 		t.Errorf("work spread over %d workers, want 3 (%+v)", working, snap.Workers)
 	}
-	if want := fmt.Sprintf("monitor: shutdown after %d rounds, %d results\n", len(res.Rounds), res.TotalTasks); !strings.HasSuffix(buf.String(), want) {
+	if want := fmt.Sprintf("monitor: shutdown after %d rounds, %d results\n", rounds, tasks); !strings.HasSuffix(buf.String(), want) {
 		t.Errorf("monitor output ends %q, want %q", buf.String(), want)
 	}
 }

@@ -63,24 +63,6 @@ func TestSerialSearchBasics(t *testing.T) {
 	}
 }
 
-func TestSearchDeterministicAcrossRuns(t *testing.T) {
-	cfg := testConfig(t, 7, 150, 9)
-	r1, err := runSerial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := runSerial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.BestNewick != r2.BestNewick {
-		t.Error("same config gave different trees")
-	}
-	if r1.LnL != r2.LnL {
-		t.Errorf("same config gave different lnL: %g vs %g", r1.LnL, r2.LnL)
-	}
-}
-
 func TestSearchDifferentSeedsDifferentOrders(t *testing.T) {
 	cfg := testConfig(t, 7, 150, 9)
 	cfg2 := cfg

@@ -194,8 +194,5 @@ func serveConnection(c comm.Communicator, welcome []byte, hooks WorkerHooks) err
 	if err != nil {
 		return err
 	}
-	if hooks.OnAttach != nil {
-		hooks.OnAttach(c)
-	}
 	return RunWorker(c, run, hooks)
 }

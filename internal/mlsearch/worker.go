@@ -19,10 +19,6 @@ type WorkerHooks struct {
 	// that task's result from the reply (simulating a crashed or stalled
 	// worker); the foreman must then recover it.
 	BeforeReply func(task Task, result Result) bool
-	// OnAttach, when non-nil, receives the worker's communicator right
-	// after it connects and learns its rank. The chaos tests use it to
-	// sever a live connection from outside (simulating a SIGKILL).
-	OnAttach func(c comm.Communicator)
 	// Obs, when non-nil, receives the worker's serve-loop
 	// instrumentation: tasks served, evaluation latency, engine cache and
 	// kernel counters, reconnects.
