@@ -336,13 +336,7 @@ func wireRestart(o *options) (*mlsearch.ManifestRecorder, error) {
 		}
 		o.Jumbles = m.Jumbles
 		o.Run.ResumeManifest = m
-		done := 0
-		for j := 0; j < m.Jumbles; j++ {
-			if cp, ok := m.Checkpoint(j); ok && cp.Phase == mlsearch.PhaseDone {
-				done++
-			}
-		}
-		fmt.Printf("resuming manifest: %d of %d jumbles done\n", done, m.Jumbles)
+		fmt.Printf("resuming manifest: %d of %d jumbles done\n", m.Finished(), m.Jumbles)
 	}
 	if o.checkpoint == "" {
 		return nil, nil

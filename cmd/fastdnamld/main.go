@@ -27,28 +27,28 @@ import (
 )
 
 func main() {
+	opt := serve.Options{TenantWeights: map[string]float64{}}
 	var (
-		addr            = flag.String("addr", "127.0.0.1:8844", "listen address for the API and observability endpoints")
-		dataDir         = flag.String("data", "fastdnamld-data", "durable state directory (job records, restart manifests, results)")
-		workers         = flag.Int("workers", 2, "worker goroutines per dataset pod")
-		maxPods         = flag.Int("max-pods", 2, "warm dataset pods kept at once")
-		idleTTL         = flag.Duration("pod-idle-ttl", 5*time.Minute, "idle time before a warm pod is shut down")
-		threads         = flag.Int("threads", 1, fmt.Sprintf("likelihood kernel threads per worker (results are bit-identical at any count; alignments under %d patterns run on one)", likelihood.MinPoolPad))
-		taskTimeout     = flag.Duration("task-timeout", time.Minute, "re-dispatch a slice of tasks whose worker has not answered it within this")
-		maxActive       = flag.Int("max-active", 2, "jobs running concurrently")
-		maxQueued       = flag.Int("max-queued", 64, "global queue depth before submissions get 429")
-		maxQueuedTenant = flag.Int("max-queued-per-tenant", 16, "one tenant's queue depth before its submissions get 429")
-		authMode        = flag.String("auth", "keys", "authentication mode: keys (require -api-keys) or off (dev mode, tenants self-declared)")
-		apiKeys         = flag.String("api-keys", "", "per-tenant API key file (`<key> <tenant>` lines); SIGHUP reloads it")
-		rate            = flag.Float64("rate", 0, "per-tenant submission rate limit in requests/second (0 = unlimited)")
-		burst           = flag.Int("burst", 1, "token-bucket burst for -rate")
-		jobTTL          = flag.Duration("job-ttl", 0, "evict terminal jobs (memory and disk) after this (0 = keep forever)")
-		resultTTL       = flag.Duration("result-ttl", 0, "delete cached results unused for this long (0 = keep forever)")
-		maxResultBytes  = flag.Int64("max-results-bytes", 0, "LRU-trim the result store past this many bytes (0 = unbounded)")
-		gcInterval      = flag.Duration("gc-interval", 30*time.Second, "pod-reap and retention-GC tick")
-		version         = flag.Bool("version", false, "print version and exit")
+		addr     = flag.String("addr", "127.0.0.1:8844", "listen address for the API and observability endpoints")
+		authMode = flag.String("auth", "keys", "authentication mode: keys (require -api-keys) or off (dev mode, tenants self-declared)")
+		apiKeys  = flag.String("api-keys", "", "per-tenant API key file (`<key> <tenant>` lines); SIGHUP reloads it")
+		version  = flag.Bool("version", false, "print version and exit")
 	)
-	weights := map[string]float64{}
+	flag.StringVar(&opt.DataDir, "data", "fastdnamld-data", "durable state directory (job records, restart manifests, results)")
+	flag.IntVar(&opt.Fleet.Workers, "workers", 2, "worker goroutines per dataset pod")
+	flag.IntVar(&opt.Fleet.MaxPods, "max-pods", 2, "warm dataset pods kept at once")
+	flag.DurationVar(&opt.Fleet.IdleTTL, "pod-idle-ttl", 5*time.Minute, "idle time before a warm pod is shut down")
+	flag.IntVar(&opt.Fleet.Threads, "threads", 1, fmt.Sprintf("likelihood kernel threads per worker (results are bit-identical at any count; alignments under %d patterns run on one)", likelihood.MinPoolPad))
+	flag.DurationVar(&opt.Fleet.TaskTimeout, "task-timeout", time.Minute, "re-dispatch a slice of tasks whose worker has not answered it within this")
+	flag.IntVar(&opt.MaxActive, "max-active", 2, "jobs running concurrently")
+	flag.IntVar(&opt.MaxQueued, "max-queued", 64, "global queue depth before submissions get 429")
+	flag.IntVar(&opt.MaxQueuedPerTenant, "max-queued-per-tenant", 16, "one tenant's queue depth before its submissions get 429")
+	flag.Float64Var(&opt.Rate, "rate", 0, "per-tenant submission rate limit in requests/second (0 = unlimited)")
+	flag.IntVar(&opt.Burst, "burst", 1, "token-bucket burst for -rate")
+	flag.DurationVar(&opt.JobTTL, "job-ttl", 0, "evict terminal jobs (memory and disk) after this (0 = keep forever)")
+	flag.DurationVar(&opt.ResultTTL, "result-ttl", 0, "delete cached results unused for this long (0 = keep forever)")
+	flag.Int64Var(&opt.MaxResultsBytes, "max-results-bytes", 0, "LRU-trim the result store past this many bytes (0 = unbounded)")
+	flag.DurationVar(&opt.GCInterval, "gc-interval", 30*time.Second, "pod-reap and retention-GC tick")
 	flag.Func("tenant-weight", "tenant=weight fair-share weight, repeatable (unlisted tenants weigh 1)", func(s string) error {
 		name, val, ok := strings.Cut(s, "=")
 		if !ok {
@@ -58,7 +58,7 @@ func main() {
 		if err != nil || w <= 0 {
 			return fmt.Errorf("bad weight %q", val)
 		}
-		weights[name] = w
+		opt.TenantWeights[name] = w
 		return nil
 	})
 	flag.Parse()
@@ -92,29 +92,8 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	srv, err := serve.NewServer(serve.Options{
-		DataDir: *dataDir,
-		Fleet: serve.FleetOptions{
-			Workers:     *workers,
-			MaxPods:     *maxPods,
-			IdleTTL:     *idleTTL,
-			Threads:     *threads,
-			TaskTimeout: *taskTimeout,
-		},
-		MaxActive:          *maxActive,
-		MaxQueued:          *maxQueued,
-		MaxQueuedPerTenant: *maxQueuedTenant,
-		TenantWeights:      weights,
-		Auth:               auth,
-		Rate:               *rate,
-		Burst:              *burst,
-		JobTTL:             *jobTTL,
-		ResultTTL:          *resultTTL,
-		MaxResultsBytes:    *maxResultBytes,
-		GCInterval:         *gcInterval,
-		Registry:           reg,
-		Logf:               logger.Printf,
-	})
+	opt.Auth, opt.Registry, opt.Logf = auth, reg, logger.Printf
+	srv, err := serve.NewServer(opt)
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -161,5 +140,5 @@ func main() {
 		logger.Printf("shutdown: %v", err)
 	}
 	_ = status.Close()
-	logger.Printf("stopped; restart with -data %s to resume incomplete jobs", *dataDir)
+	logger.Printf("stopped; restart with -data %s to resume incomplete jobs", opt.DataDir)
 }

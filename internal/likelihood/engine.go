@@ -208,10 +208,28 @@ func (e *CachedEngine) endEval(start time.Time) {
 	}
 }
 
+// checkPatterns refuses a pattern set no engine can evaluate: an empty
+// one, or one whose rates or code rows do not give every pattern a value.
+func checkPatterns(p *seq.Patterns) error {
+	n := p.NumPatterns()
+	if n == 0 {
+		return fmt.Errorf("likelihood: empty pattern set")
+	}
+	if len(p.Rates) != n {
+		return fmt.Errorf("likelihood: %d pattern rates for %d patterns", len(p.Rates), n)
+	}
+	for i, row := range p.Codes {
+		if len(row) != n {
+			return fmt.Errorf("likelihood: sequence %d has %d pattern codes for %d patterns", i, len(row), n)
+		}
+	}
+	return nil
+}
+
 // New builds an engine for the given model and compressed patterns.
 func New(m model.Model, p *seq.Patterns) (*CachedEngine, error) {
-	if p.NumPatterns() == 0 {
-		return nil, fmt.Errorf("likelihood: empty pattern set")
+	if err := checkPatterns(p); err != nil {
+		return nil, err
 	}
 	e := &CachedEngine{
 		mdl:    m,

@@ -513,6 +513,29 @@ func TestEngineErrors(t *testing.T) {
 	}
 }
 
+// TestEngineRefusesMisshapenPatterns: a pattern set whose rates or code
+// rows do not give every pattern a value is an error from the
+// constructor, not a panic at the first evaluation.
+func TestEngineRefusesMisshapenPatterns(t *testing.T) {
+	for name, spoil := range map[string]func(p *seq.Patterns){
+		"nil rates":      func(p *seq.Patterns) { p.Rates = nil },
+		"short rates":    func(p *seq.Patterns) { p.Rates = p.Rates[:len(p.Rates)-1] },
+		"long rates":     func(p *seq.Patterns) { p.Rates = append(p.Rates, 1) },
+		"short code row": func(p *seq.Patterns) { p.Codes[1] = p.Codes[1][:len(p.Codes[1])-1] },
+	} {
+		for _, engine := range []string{"cached", "reference"} {
+			p, _ := mkPatterns(t, "ACGTACGT", "ACGAACGT", "CCGTACGA")
+			spoil(p)
+			e, err := NewEngine(engine, model.NewJC69(), p, EngineOptions{})
+			if err == nil {
+				tr, _ := tree.Triple(taxaNames(3), 0, 1, 2)
+				lnl, err := e.LogLikelihood(tr)
+				t.Errorf("%s, %s engine: accepted (first evaluation: %g, %v)", name, engine, lnl, err)
+			}
+		}
+	}
+}
+
 func TestOpsCounterAdvances(t *testing.T) {
 	p, _ := mkPatterns(t, "ACGTACGT", "ACGAACGT", "CCGTACGA")
 	e, _ := New(model.NewJC69(), p)

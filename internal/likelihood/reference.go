@@ -55,8 +55,8 @@ type refCLV struct {
 // NewReference builds a reference engine over the given model and
 // compressed patterns.
 func NewReference(m model.Model, p *seq.Patterns) (*ReferenceEngine, error) {
-	if p.NumPatterns() == 0 {
-		return nil, fmt.Errorf("likelihood: empty pattern set")
+	if err := checkPatterns(p); err != nil {
+		return nil, err
 	}
 	e := &ReferenceEngine{
 		mdl:    m,

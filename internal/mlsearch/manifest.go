@@ -51,14 +51,15 @@ func (m *Manifest) Set(cp Checkpoint) {
 	m.Checkpoints[cp.Jumble] = cp
 }
 
-// Done reports whether every jumble has finished.
-func (m *Manifest) Done() bool {
+// Finished returns how many of the manifest's jumbles are done.
+func (m *Manifest) Finished() int {
+	n := 0
 	for j := 0; j < m.Jumbles; j++ {
-		if cp, ok := m.Checkpoints[j]; !ok || cp.Phase != PhaseDone {
-			return false
+		if cp, ok := m.Checkpoints[j]; ok && cp.Phase == PhaseDone {
+			n++
 		}
 	}
-	return true
+	return n
 }
 
 // WriteManifest writes the human-readable manifest format:

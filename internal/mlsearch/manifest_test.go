@@ -302,8 +302,8 @@ func TestManifestReaderSeesOnlyRecordedProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Done() {
-		t.Errorf("flushed manifest of a finished run is not done: %+v", m.Checkpoints)
+	if n := m.Finished(); n != m.Jumbles {
+		t.Errorf("flushed manifest of a finished run has %d of %d jumbles done: %+v", n, m.Jumbles, m.Checkpoints)
 	}
 	t.Logf("%d reads of %d recorded checkpoints", reads, len(recorded))
 }

@@ -231,8 +231,7 @@ func TestWelcomeCodec(t *testing.T) {
 		!reflect.DeepEqual(got.Patterns.Rates, cfg.Patterns.Rates) {
 		t.Errorf("patterns changed: %+v, want %+v", got.Patterns, cfg.Patterns)
 	}
-	if got.Model.Name() != "HKY85" || got.Model.Freqs() != cfg.Model.Freqs() ||
-		!reflect.DeepEqual(got.Model.Decomposition(), cfg.Model.Decomposition()) {
+	if !reflect.DeepEqual(got.Model, cfg.Model) {
 		t.Errorf("model changed: %s %v", got.Model.Name(), got.Model.Freqs())
 	}
 	if got.Engine != "reference" {

@@ -7,27 +7,21 @@ import (
 	"repro/internal/seq"
 )
 
-// GTR is the general time-reversible model: arbitrary equilibrium
-// frequencies and six exchangeability parameters, the most general of the
-// "more general models of nucleotide change" the paper plans (§5). Its
-// transition matrix has no closed form, so the spectral decomposition is
-// computed numerically: the rate matrix is similarity-transformed to a
-// symmetric matrix via the equilibrium frequencies and diagonalized with
-// Jacobi rotations (exact for reversible models).
-type GTR struct {
-	freqs  seq.BaseFreqs
-	rates  GTRRates
-	decomp Decomposition
-}
-
 // GTRRates holds the six exchangeabilities in the conventional order.
 type GTRRates struct {
 	AC, AG, AT, CG, CT, GT float64
 }
 
-// NewGTR builds a rate-normalized GTR model. All exchangeabilities must
-// be positive; (1,1,1,1,1,1) with uniform frequencies reduces to JC69.
-func NewGTR(freqs seq.BaseFreqs, r GTRRates) (*GTR, error) {
+// NewGTR builds the rate-normalized general time-reversible model:
+// arbitrary equilibrium frequencies and six exchangeability parameters,
+// the most general of the "more general models of nucleotide change" the
+// paper plans (§5). All exchangeabilities must be positive;
+// (1,1,1,1,1,1) with uniform frequencies reduces to JC69. The transition
+// matrix has no closed form, so the spectral decomposition is computed
+// numerically: the rate matrix is similarity-transformed to a symmetric
+// matrix via the equilibrium frequencies and diagonalized with Jacobi
+// rotations (exact for reversible models).
+func NewGTR(freqs seq.BaseFreqs, r GTRRates) (Model, error) {
 	if err := freqs.Validate(); err != nil {
 		return nil, err
 	}
@@ -124,20 +118,8 @@ func NewGTR(freqs seq.BaseFreqs, r GTRRates) (*GTR, error) {
 		d.Lambda = append(d.Lambda, lam)
 		d.Coef = append(d.Coef, c)
 	}
-	return &GTR{freqs: freqs, rates: r, decomp: d}, nil
+	return &numbers{name: "GTR", freqs: freqs, decomp: d}, nil
 }
-
-// Name implements Model.
-func (m *GTR) Name() string { return "GTR" }
-
-// Freqs implements Model.
-func (m *GTR) Freqs() seq.BaseFreqs { return m.freqs }
-
-// Decomposition implements Model.
-func (m *GTR) Decomposition() *Decomposition { return &m.decomp }
-
-// Rates returns the exchangeabilities.
-func (m *GTR) Rates() GTRRates { return m.rates }
 
 // jacobiEigen4 diagonalizes a symmetric 4x4 matrix by cyclic Jacobi
 // rotations, returning eigenvalues and the orthogonal eigenvector matrix

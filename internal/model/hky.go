@@ -6,38 +6,29 @@ import (
 	"repro/internal/seq"
 )
 
-// HKY85 is the Hasegawa-Kishino-Yano 1985 model: arbitrary equilibrium
-// frequencies with a transition rate multiplier kappa. K80 (Kimura two
-// parameter) is HKY85 with uniform frequencies, and JC69 is K80 with
-// kappa = 1. HKY85 is one of the "more general models of nucleotide
-// change" the paper lists as a priority extension (§5).
-type HKY85 struct {
-	name   string
-	freqs  seq.BaseFreqs
-	kappa  float64
-	decomp Decomposition
-}
-
-// NewHKY85 builds an HKY85 model with transition rate multiplier kappa
+// NewHKY85 builds the Hasegawa-Kishino-Yano 1985 model: arbitrary
+// equilibrium frequencies with a transition rate multiplier kappa
 // (kappa = 1 reduces to F81/JC-style equal treatment of all changes).
-func NewHKY85(freqs seq.BaseFreqs, kappa float64) (*HKY85, error) {
+// K80 (Kimura two parameter) is HKY85 with uniform frequencies, and JC69
+// is K80 with kappa = 1. HKY85 is one of the "more general models of
+// nucleotide change" the paper lists as a priority extension (§5).
+func NewHKY85(freqs seq.BaseFreqs, kappa float64) (Model, error) {
 	return newHKY("HKY85", freqs, kappa)
 }
 
 // NewK80 builds a Kimura 1980 model (uniform frequencies) with transition
 // rate multiplier kappa.
-func NewK80(kappa float64) (*HKY85, error) {
+func NewK80(kappa float64) (Model, error) {
 	return newHKY("K80", seq.Uniform(), kappa)
 }
 
-func newHKY(name string, freqs seq.BaseFreqs, kappa float64) (*HKY85, error) {
+func newHKY(name string, freqs seq.BaseFreqs, kappa float64) (Model, error) {
 	if err := freqs.Validate(); err != nil {
 		return nil, err
 	}
 	if kappa <= 0 {
 		return nil, fmt.Errorf("model: kappa %g, must be positive", kappa)
 	}
-	m := &HKY85{name: name, freqs: freqs, kappa: kappa}
 	piA, piC, piG, piT := freqs[0], freqs[1], freqs[2], freqs[3]
 	piR := piA + piG
 	piY := piC + piT
@@ -77,21 +68,8 @@ func newHKY(name string, freqs seq.BaseFreqs, kappa float64) (*HKY85, error) {
 			}
 		}
 	}
-	m.decomp = Decomposition{
+	return &numbers{name: name, freqs: freqs, decomp: Decomposition{
 		Lambda: []float64{0, lamGen, lamR, lamY},
 		Coef:   []PMatrix{c0, cGen, cR, cY},
-	}
-	return m, nil
+	}}, nil
 }
-
-// Name implements Model.
-func (m *HKY85) Name() string { return m.name }
-
-// Freqs implements Model.
-func (m *HKY85) Freqs() seq.BaseFreqs { return m.freqs }
-
-// Decomposition implements Model.
-func (m *HKY85) Decomposition() *Decomposition { return &m.decomp }
-
-// Kappa returns the transition rate multiplier.
-func (m *HKY85) Kappa() float64 { return m.kappa }

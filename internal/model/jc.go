@@ -2,14 +2,9 @@ package model
 
 import "repro/internal/seq"
 
-// JC69 is the Jukes-Cantor 1969 model: uniform frequencies, all changes
-// equally likely. P_ij(z) = 1/4 + (δ_ij − 1/4)·exp(−4z/3).
-type JC69 struct {
-	decomp Decomposition
-}
-
-// NewJC69 builds a Jukes-Cantor model.
-func NewJC69() *JC69 {
+// NewJC69 builds the Jukes-Cantor 1969 model: uniform frequencies, all
+// changes equally likely. P_ij(z) = 1/4 + (δ_ij − 1/4)·exp(−4z/3).
+func NewJC69() Model {
 	var c0, c1 PMatrix
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
@@ -20,17 +15,8 @@ func NewJC69() *JC69 {
 			}
 		}
 	}
-	return &JC69{decomp: Decomposition{
+	return &numbers{name: "JC69", freqs: seq.Uniform(), decomp: Decomposition{
 		Lambda: []float64{0, -4.0 / 3.0},
 		Coef:   []PMatrix{c0, c1},
 	}}
 }
-
-// Name implements Model.
-func (m *JC69) Name() string { return "JC69" }
-
-// Freqs implements Model.
-func (m *JC69) Freqs() seq.BaseFreqs { return seq.Uniform() }
-
-// Decomposition implements Model.
-func (m *JC69) Decomposition() *Decomposition { return &m.decomp }

@@ -164,9 +164,10 @@ func Validate(m Model) error {
 	return nil
 }
 
-// numbers is a model held as the numbers every engine computes from —
-// name, equilibrium frequencies and spectral decomposition — rather than
-// as the parameters that produced them.
+// numbers is every Model: the numbers every engine computes from — name,
+// equilibrium frequencies and spectral decomposition — rather than the
+// parameters that produced them. The constructors and FromDecomposition
+// all build one, so two models with equal numbers are equal values.
 type numbers struct {
 	name   string
 	freqs  seq.BaseFreqs

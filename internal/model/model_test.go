@@ -186,31 +186,40 @@ func TestDerivativesMatchFiniteDifferences(t *testing.T) {
 	}
 }
 
+// TestF84RatioAdjustment: a ratio too small for the frequencies builds
+// the model at the raised ratio, whose transition fraction
+// xi = 1 − λ1/λ2 is positive; a valid ratio is kept as given.
 func TestF84RatioAdjustment(t *testing.T) {
 	freqs := seq.BaseFreqs{0.25, 0.25, 0.25, 0.25}
+	xi := func(m Model) float64 {
+		l := m.Decomposition().Lambda
+		return 1 - l[1]/l[2]
+	}
 	// minRatio for uniform freqs = (1/16+1/16)/(1/4) = 0.5.
 	m, err := NewF84(freqs, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Adjusted() {
-		t.Error("ratio 0.1 should be adjusted upward")
+	raised, err := NewF84(freqs, 0.5*1.000001)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Ratio() <= 0.5 {
-		t.Errorf("adjusted ratio %g should exceed 0.5", m.Ratio())
+	if !reflect.DeepEqual(m, raised) {
+		t.Error("ratio 0.1 should build the model at the raised ratio 0.5·1.000001")
+	}
+	if x := xi(m); x <= 0 {
+		t.Errorf("adjusted model's xi = %g, want positive", x)
 	}
 	if err := Validate(m); err != nil {
 		t.Errorf("adjusted model invalid: %v", err)
 	}
+	// Ratio 2 with uniform freqs: aa = 0.375, bb = 0.25, xi = 0.6.
 	m2, err := NewF84(freqs, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Adjusted() {
-		t.Error("ratio 2.0 should not need adjustment")
-	}
-	if m2.TransitionFraction() <= 0 || m2.TransitionFraction() >= 1 {
-		t.Errorf("xi = %g outside (0,1)", m2.TransitionFraction())
+	if x := xi(m2); math.Abs(x-0.6) > 1e-12 {
+		t.Errorf("xi = %g at ratio 2, want 0.6 (ratio kept as given)", x)
 	}
 }
 

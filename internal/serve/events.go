@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// Per-job event streams. Every job owns a hub; the runner publishes
-// state transitions, round progress, and checkpoint acknowledgements
-// into it, and GET /v1/jobs/{id}/events replays the bounded history and
-// then follows live until the job reaches a terminal state.
+// Per-job event streams. Every job owns an event log; the runner
+// appends state transitions, round progress, and checkpoint
+// acknowledgements to it, and GET /v1/jobs/{id}/events reads it by
+// position from the start until the job reaches a terminal state.
 
 // Event is one line of a job's NDJSON event stream.
 type Event struct {
@@ -26,81 +26,65 @@ type Event struct {
 	BestLnL    float64 `json:"best_lnl,omitempty"`
 }
 
-// eventHistory bounds the replay buffer; a long search's stream is a
+// eventHistory bounds the log's window; a long search's stream is a
 // window, not an archive.
 const eventHistory = 256
 
-// eventHub fans a job's events out to any number of stream followers.
-// Publishing never blocks: a follower that cannot keep up loses events
-// (its channel send is dropped) rather than stalling the search.
-type eventHub struct {
+// eventLog is a job's append-only event log, read by position. Appending
+// never blocks and never waits for a follower: a follower that falls
+// more than eventHistory events behind resumes at the window's start.
+type eventLog struct {
 	mu     sync.Mutex
-	hist   []Event
-	subs   map[int]chan Event
-	nextID int
+	window []Event // positions start … start+len(window)-1
+	start  int
+	wake   chan struct{} // closed on the next append or close; nil until a follower waits
 	closed bool
 }
 
-func newEventHub() *eventHub {
-	return &eventHub{subs: map[int]chan Event{}}
-}
-
-// publish appends e to the history and offers it to every follower.
-func (h *eventHub) publish(e Event) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
+// append adds e at the log's next position; a closed log ignores it.
+func (l *eventLog) append(e Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
 		return
 	}
-	h.hist = append(h.hist, e)
-	if len(h.hist) > eventHistory {
-		h.hist = append(h.hist[:0], h.hist[len(h.hist)-eventHistory:]...)
+	l.window = append(l.window, e)
+	if over := len(l.window) - eventHistory; over > 0 {
+		// Reslice rather than copy down: an event is never overwritten
+		// in place, so a window handed out by since stays valid.
+		l.window = l.window[over:]
+		l.start += over
 	}
-	for _, ch := range h.subs {
-		select {
-		case ch <- e:
-		default:
-		}
+	l.signal()
+}
+
+// close ends the log: followers read what it holds and stop. Its
+// window stays readable.
+func (l *eventLog) close() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.closed = true
+	l.signal()
+}
+
+// signal wakes every follower waiting on the log; l.mu is held.
+func (l *eventLog) signal() {
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
 	}
 }
 
-// subscribe returns a copy of the history plus a live channel. The
-// channel closes when the hub closes (terminal job); cancel detaches
-// early.
-func (h *eventHub) subscribe() ([]Event, <-chan Event, func()) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	hist := make([]Event, len(h.hist))
-	copy(hist, h.hist)
-	ch := make(chan Event, 128)
-	if h.closed {
-		close(ch)
-		return hist, ch, func() {}
+// since returns the events from position next on (from the window's
+// start if next has left it), the position after them, whether the log
+// has ended, and a channel closed by the next append or close. The
+// returned events must not be modified.
+func (l *eventLog) since(next int) (evs []Event, after int, ended bool, wake <-chan struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.wake == nil && !l.closed {
+		l.wake = make(chan struct{})
 	}
-	id := h.nextID
-	h.nextID++
-	h.subs[id] = ch
-	return hist, ch, func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if _, ok := h.subs[id]; ok {
-			delete(h.subs, id)
-			close(ch)
-		}
-	}
-}
-
-// close ends the stream for every follower; the history stays readable
-// for later subscribers.
-func (h *eventHub) close() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.closed = true
-	for id, ch := range h.subs {
-		delete(h.subs, id)
-		close(ch)
-	}
+	n := len(l.window)
+	return l.window[max(next-l.start, 0):n:n], l.start + n, l.closed, l.wake
 }

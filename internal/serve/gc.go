@@ -58,9 +58,9 @@ func (s *Server) gcJobs(now time.Time) {
 	s.mu.Unlock()
 	for _, j := range victims {
 		rec := j.snapshot()
-		// Terminal jobs closed their hub at finalize; this is a no-op
+		// Terminal jobs closed their log at finalize; this is a no-op
 		// safety net for quarantined records adopted closed.
-		j.hub.close()
+		j.events.close()
 		if err := s.store.Delete(rec.ID); err != nil {
 			s.opt.Logf("gc: job %s: %v", rec.ID, err)
 			continue

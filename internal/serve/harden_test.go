@@ -673,61 +673,83 @@ func (w *gatedWriter) String() string {
 	return w.buf.String()
 }
 
-// TestEventStreamSlowFollowerGetsTerminalState pins the stream
-// contract: even when the hub drops events on a saturated follower —
-// including the terminal "state" line itself — the NDJSON stream still
-// ends with the job's terminal state, synthesized from the record.
-func TestEventStreamSlowFollowerGetsTerminalState(t *testing.T) {
+// followStalled streams a job's log to a follower whose first write
+// stalls while n more progress events and then the terminal state are
+// appended behind it. It returns the lines the follower received and the
+// lines appended, in position order.
+func followStalled(t *testing.T, n int) (got, appended []string) {
+	t.Helper()
 	s, _ := newTestServer(t, Options{})
 	j := &job{
 		rec:  JobRecord{ID: "j-abcdefabcdef", Tenant: "a", State: StateRunning},
 		stop: make(chan struct{}),
-		hub:  newEventHub(),
 	}
-
 	w := &gatedWriter{gate: make(chan struct{}), entered: make(chan struct{})}
 	streamDone := make(chan struct{})
 	go func() {
 		defer close(streamDone)
 		s.streamEvents(w, nil, j)
 	}()
-
-	// First event reaches the follower, whose Write then stalls.
-	j.hub.publish(Event{Type: "progress", Jumble: 0})
-	<-w.entered
-
-	// Flood well past the follower channel's capacity, then finish the
-	// job: the terminal state event is guaranteed to be dropped because
-	// the stalled follower never drained its channel.
-	for i := 0; i < 300; i++ {
-		j.hub.publish(Event{Type: "progress", TaxaInTree: i})
+	add := func(e Event) {
+		j.events.append(e)
+		b, _ := json.Marshal(e)
+		appended = append(appended, string(b))
 	}
+
+	// The first event reaches the follower, whose Write then stalls.
+	add(Event{Type: "progress", Jumble: 0})
+	<-w.entered
+	for i := 1; i <= n; i++ {
+		add(Event{Type: "progress", TaxaInTree: i})
+	}
+	// The record turns terminal first, as in finalize; the appended
+	// event's time differs from the record's, so a line rebuilt from the
+	// record would not match it.
 	j.mu.Lock()
-	j.rec.State = StateFailed
-	j.rec.Error = "engine exploded"
-	j.rec.Finished = time.Now()
+	j.rec.State, j.rec.Error, j.rec.Finished = StateFailed, "engine exploded", time.Now()
 	j.mu.Unlock()
-	j.hub.publish(Event{Type: "state", State: StateFailed, Error: "engine exploded"})
-	j.hub.close()
+	add(Event{Type: "state", Time: time.Date(2001, 11, 10, 0, 0, 0, 0, time.UTC), State: StateFailed, Error: "engine exploded"})
+	j.events.close()
 
 	close(w.gate)
 	select {
 	case <-streamDone:
 	case <-time.After(10 * time.Second):
-		t.Fatal("stream never ended after hub close")
+		t.Fatal("stream never ended after the log closed")
 	}
+	return strings.Split(strings.TrimSpace(w.String()), "\n"), appended
+}
 
-	lines := strings.Split(strings.TrimSpace(w.String()), "\n")
-	if len(lines) >= 302 {
-		t.Fatalf("follower received all %d events; the drop path was not exercised", len(lines))
+// sameLines fails the test at the first line where got and want differ.
+func sameLines(t *testing.T, got, want []string) {
+	t.Helper()
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("line %d of %d: got %s, want %s", i, len(got), got[i], want[i])
+		}
 	}
-	var last Event
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
-		t.Fatalf("bad final line %q: %v", lines[len(lines)-1], err)
+	if len(got) != len(want) {
+		t.Fatalf("follower received %d lines, want %d", len(got), len(want))
 	}
-	if last.Type != "state" || last.State != StateFailed || last.Error != "engine exploded" {
-		t.Fatalf("final line %+v, want synthesized failed state", last)
-	}
+}
+
+// TestEventStreamSlowFollowerGetsEveryEvent pins the stream contract
+// below the window: a follower that stalls while 200 events (more than
+// a follower could once buffer, fewer than the window) and the terminal
+// state are appended receives all 202 lines in order, the terminal state
+// last as appended.
+func TestEventStreamSlowFollowerGetsEveryEvent(t *testing.T) {
+	got, appended := followStalled(t, 200)
+	sameLines(t, got, appended)
+}
+
+// TestEventStreamSlowFollowerGetsTerminalState pins it past the window:
+// after 302 events the stalled follower receives its first event, then
+// the window's eventHistory events, contiguous, with the terminal state
+// last as appended.
+func TestEventStreamSlowFollowerGetsTerminalState(t *testing.T) {
+	got, appended := followStalled(t, 300)
+	sameLines(t, got, append(appended[:1:1], appended[len(appended)-eventHistory:]...))
 }
 
 // TestEventStreamEndsWithTerminalStateE2E asserts the contract over

@@ -77,13 +77,7 @@ func (s *Server) recover() error {
 		s.met.resumed.Inc()
 		switch {
 		case err == nil:
-			done := 0
-			for j := 0; j < resume.Jumbles; j++ {
-				if cp, ok := resume.Checkpoint(j); ok && cp.Phase == mlsearch.PhaseDone {
-					done++
-				}
-			}
-			s.opt.Logf("job %s: resuming (%d of %d jumbles done)", id, done, resume.Jumbles)
+			s.opt.Logf("job %s: resuming (%d of %d jumbles done)", id, resume.Finished(), resume.Jumbles)
 		case errors.Is(err, fs.ErrNotExist):
 			s.opt.Logf("job %s: recovered, starting fresh", id)
 		default:

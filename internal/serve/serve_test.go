@@ -99,23 +99,30 @@ func waitJob(t *testing.T, s *Server, id string, want JobState) JobRecord {
 	return rec
 }
 
-// awaitJob calls until with nil, then with each event the job publishes,
-// until it reports true. The record is the stream's source, so until
-// reads the job's state from it: a follower that falls behind loses
-// events, never the state. A stream that ends or stays silent for two
-// minutes fails the test.
+// awaitJob calls until with nil, then with each event in the job's log
+// from its start, until it reports true. Every state event is appended
+// after the record changes, so until may read the job's state from the
+// record. A log that ends or stays silent for two minutes fails the test.
 func awaitJob(t *testing.T, s *Server, id string, until func(*Event) bool) {
 	t.Helper()
-	_, live, cancel := jobOf(t, s, id).hub.subscribe()
-	defer cancel()
+	j := jobOf(t, s, id)
 	timeout := time.After(120 * time.Second)
-	for e := (*Event)(nil); !until(e); {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				t.Fatalf("job %s: event stream ended", id)
+	if until(nil) {
+		return
+	}
+	for next := 0; ; {
+		evs, after, ended, wake := j.events.since(next)
+		for i := range evs {
+			if e := evs[i]; until(&e) {
+				return
 			}
-			e = &ev
+		}
+		if ended {
+			t.Fatalf("job %s: event stream ended", id)
+		}
+		next = after
+		select {
+		case <-wake:
 		case <-timeout:
 			t.Fatalf("job %s: no awaited event within two minutes", id)
 		}

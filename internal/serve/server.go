@@ -102,7 +102,7 @@ func (o Options) withDefaults() Options {
 }
 
 // job is a Server's in-memory view of one job: the durable record plus
-// the prepared spec, resume state, stop channel, and event hub.
+// the prepared spec, resume state, stop channel, and event log.
 type job struct {
 	mu       sync.Mutex
 	rec      JobRecord
@@ -111,7 +111,7 @@ type job struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	canceled bool
-	hub      *eventHub
+	events   eventLog
 	queuedAt time.Time
 	waiting  bool // refused a pod at least once; guarded by Server.mu
 }
@@ -318,20 +318,19 @@ func (s *Server) Submit(spec JobSpec) (JobRecord, error) {
 }
 
 // newJob builds the in-memory view of a job around its record and
-// publishes the record's state as the first event; a terminal job's
-// stream is closed at once.
+// appends the record's state as the first event; a terminal job's log is
+// closed at once.
 func newJob(rec JobRecord, prep *preparedSpec, resume *mlsearch.Manifest) *job {
 	j := &job{
 		rec:      rec,
 		prep:     prep,
 		resume:   resume,
 		stop:     make(chan struct{}),
-		hub:      newEventHub(),
 		queuedAt: time.Now(),
 	}
-	j.hub.publish(Event{Type: "state", Time: time.Now(), State: rec.State, Error: rec.Error})
+	j.events.append(Event{Type: "state", Time: time.Now(), State: rec.State, Error: rec.Error})
 	if rec.State.Terminal() {
-		j.hub.close()
+		j.events.close()
 	}
 	return j
 }
@@ -485,7 +484,7 @@ func (s *Server) runJob(j *job, pod *pod) {
 	j.mu.Unlock()
 	// Not persisted: the janitor re-queues a running record exactly like
 	// a queued one, so the on-disk state stays queued until the end.
-	j.hub.publish(Event{Type: "state", Time: started, State: StateRunning})
+	j.events.append(Event{Type: "state", Time: started, State: StateRunning})
 	s.opt.Logf("job %s: running on pod %.8s", j.rec.ID, j.rec.PodKey)
 
 	results, runErr := s.runJumbles(j, pod)
@@ -522,7 +521,7 @@ func (s *Server) runJob(j *job, pod *pod) {
 		rec := j.rec
 		j.mu.Unlock()
 		s.saveRecord(&rec)
-		j.hub.publish(Event{Type: "state", Time: time.Now(), State: StateQueued})
+		j.events.append(Event{Type: "state", Time: time.Now(), State: StateQueued})
 		s.opt.Logf("job %s: interrupted, re-queued for resume", j.rec.ID)
 	default:
 		s.finalize(j, StateFailed, runErr.Error())
@@ -552,7 +551,7 @@ func (s *Server) runJumbles(j *job, pod *pod) ([]*mlsearch.SearchResult, error) 
 				BestLnL:    e.BestLnL,
 			}
 			j.mu.Unlock()
-			j.hub.publish(Event{
+			j.events.append(Event{
 				Type: "progress", Time: now, Jumble: idx,
 				Kind: e.Kind.String(), TaxaInTree: e.TaxaInTree, BestLnL: e.BestLnL,
 			})
@@ -561,7 +560,7 @@ func (s *Server) runJumbles(j *job, pod *pod) ([]*mlsearch.SearchResult, error) 
 			if err := recorder.Record(c); err != nil {
 				s.opt.Logf("job %s: checkpoint: %v", j.rec.ID, err)
 			}
-			j.hub.publish(Event{
+			j.events.append(Event{
 				Type: "checkpoint", Time: time.Now(), Jumble: idx,
 				Kind: string(c.Phase), TaxaInTree: c.NextIndex, BestLnL: c.LnL,
 			})
@@ -610,8 +609,8 @@ func (s *Server) detachActive(j *job) {
 	s.wake()
 }
 
-// finalize moves j to a terminal state, persists it, closes its event
-// stream, and counts the outcome.
+// finalize moves j to a terminal state, persists it, appends that state
+// as its log's last event, and counts the outcome.
 func (s *Server) finalize(j *job, state JobState, errMsg string) {
 	j.mu.Lock()
 	j.rec.State = state
@@ -623,8 +622,8 @@ func (s *Server) finalize(j *job, state JobState, errMsg string) {
 	rec := j.rec
 	j.mu.Unlock()
 	s.saveRecord(&rec)
-	j.hub.publish(Event{Type: "state", Time: rec.Finished, State: state, Error: rec.Error})
-	j.hub.close()
+	j.events.append(Event{Type: "state", Time: rec.Finished, State: state, Error: rec.Error})
+	j.events.close()
 	s.met.outcomes.With(rec.Tenant, string(state)).Inc()
 	s.opt.Logf("job %s: %s%s", rec.ID, state, errSuffix(errMsg))
 	s.wake()
@@ -855,9 +854,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSONResponse(w, http.StatusOK, map[string]any{"job": rec, "result": res})
 }
 
-// handleEvents streams a job's events as NDJSON: the retained history
-// first, then live events until the job reaches a terminal state or the
-// client goes away.
+// handleEvents streams a job's events as NDJSON, from the start of its
+// log's window until the job reaches a terminal state or the client goes
+// away.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j := s.jobs[r.PathValue("id")]
@@ -871,58 +870,33 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.streamEvents(w, r.Context().Done(), j)
 }
 
-// streamEvents writes j's NDJSON event stream to w until the hub
-// closes, the client goes away, or the daemon stops. The hub drops
-// events to followers that cannot keep up, which may include the
-// terminal "state" line itself — so when the hub closes, the stream's
-// contract (every completed stream ends with the terminal state) is
-// enforced here: if the last state written is not the job's terminal
-// state, a final line is synthesized from the job record.
+// streamEvents writes j's NDJSON event stream to w until the log ends,
+// the client goes away, or the daemon stops. It reads the log by
+// position, so every event still in the window arrives in order, and a
+// job's stream ends with its terminal state as finalize appended it.
 func (s *Server) streamEvents(w http.ResponseWriter, clientGone <-chan struct{}, j *job) {
-	hist, live, cancel := j.hub.subscribe()
-	defer cancel()
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	var lastState JobState
-	emit := func(e Event) bool {
-		if e.Type == "state" {
-			lastState = e.State
+	for next := 0; ; {
+		evs, after, ended, wake := j.events.since(next)
+		for _, e := range evs {
+			if enc.Encode(e) != nil {
+				return
+			}
 		}
-		return enc.Encode(e) == nil
-	}
-	for _, e := range hist {
-		if !emit(e) {
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if ended {
 			return
 		}
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	for {
+		next = after
 		select {
+		case <-wake:
 		case <-clientGone:
 			return
 		case <-s.stopAll:
 			return
-		case e, ok := <-live:
-			if !ok {
-				// Hub closed: the job is terminal. Catch the follower up
-				// if the terminal state event was dropped on the way.
-				rec := j.snapshot()
-				if rec.State.Terminal() && lastState != rec.State {
-					emit(Event{Type: "state", Time: rec.Finished, State: rec.State, Error: rec.Error})
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
-				return
-			}
-			if !emit(e) {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
 		}
 	}
 }
