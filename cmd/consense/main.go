@@ -69,21 +69,8 @@ func run(treesPath string, threshold float64, outPath string, ascii bool, report
 	}
 	fmt.Fprintf(report, "consense: %d trees, %d splits retained of %d observed\n",
 		len(trees), len(res.Support), len(res.SplitFreq))
-	// Report split support, strongest first, with the taxa on each
-	// split's smaller side.
-	splits := res.Tree.Splits()
-	keys := make([]string, 0, len(res.Support))
-	for k := range res.Support {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if fi, fj := res.Support[keys[i]], res.Support[keys[j]]; fi != fj {
-			return fi > fj
-		}
-		return keys[i] < keys[j]
-	})
-	for _, k := range keys {
-		fmt.Fprintf(report, "  split support %.0f%%: %s\n", 100*res.Support[k], smallerSide(splits[k], res.Tree.Taxa))
+	for _, sp := range res.Listing() {
+		fmt.Fprintf(report, "  split support %.0f%%: %s\n", 100*sp.Support, strings.Join(sp.Taxa, " "))
 	}
 	if ascii {
 		text, err := viewer.ASCII(res.Tree, viewer.ASCIIOptions{Width: 78})
@@ -93,17 +80,4 @@ func run(treesPath string, threshold float64, outPath string, ascii bool, report
 		}
 	}
 	return nil
-}
-
-// smallerSide names the taxa on the smaller side of a split, space
-// separated in taxon order.
-func smallerSide(s tree.Split, taxa []string) string {
-	small := s.Size()*2 <= s.N()
-	var names []string
-	for i := 0; i < s.N(); i++ {
-		if s.Contains(i) == small {
-			names = append(names, taxa[i])
-		}
-	}
-	return strings.Join(names, " ")
 }

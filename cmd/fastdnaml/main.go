@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -293,8 +292,8 @@ func runBootstrap(a *seq.Alignment, o options) error {
 	fmt.Printf("\nbootstrap consensus (%d splits retained):\n%s\n",
 		len(res.Consensus.Support), res.Consensus.Tree.Newick())
 	fmt.Println("\nsplit support (bootstrap proportions):")
-	for _, f := range sortedSupports(res.Consensus.Support) {
-		fmt.Printf("  %5.1f%%\n", 100*f)
+	for _, sp := range res.Consensus.Listing() {
+		fmt.Printf("  %5.1f%%  %s\n", 100*sp.Support, strings.Join(sp.Taxa, " "))
 	}
 	if o.outPrefix != "" {
 		var lines []string
@@ -310,15 +309,6 @@ func runBootstrap(a *seq.Alignment, o options) error {
 		fmt.Printf("wrote %s.boot.trees and %s.boot.consensus.tree\n", o.outPrefix, o.outPrefix)
 	}
 	return nil
-}
-
-func sortedSupports(m map[string]float64) []float64 {
-	out := make([]float64, 0, len(m))
-	for _, f := range m {
-		out = append(out, f)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
 }
 
 // wireRestart wires -resume and -checkpoint into o.Run. A resumed run

@@ -193,11 +193,61 @@ func TestRunUserTreesMode(t *testing.T) {
 	}
 }
 
+// TestRunBootstrapMode: the bootstrap report lists each retained split
+// with its support and the taxa on its smaller side.
 func TestRunBootstrapMode(t *testing.T) {
 	in := writeTestAlignment(t, 6, 150)
-	if err := run(in, flags(t, "-quiet", "-bootstrap", "2")); err != nil {
+	out, err := stdoutOf(t, func() error { return run(in, flags(t, "-quiet", "-bootstrap", "2")) })
+	if err != nil {
 		t.Fatal(err)
 	}
+	_, listing, ok := strings.Cut(out, "split support (bootstrap proportions):\n")
+	if !ok {
+		t.Fatalf("no split support listing in:\n%s", out)
+	}
+	lines := 0
+	for _, line := range strings.Split(listing, "\n") {
+		if line == "" {
+			break
+		}
+		lines++
+		pct, names, _ := strings.Cut(strings.TrimSpace(line), "%  ")
+		taxa := strings.Fields(names)
+		if len(taxa) < 2 || !strings.HasSuffix(pct, ".0") {
+			t.Errorf("support line %q: want a percentage and the two or more taxa of the split's smaller side", line)
+		}
+		for _, name := range taxa {
+			if !strings.HasPrefix(name, "tax") {
+				t.Errorf("support line %q names %q, not a taxon", line, name)
+			}
+		}
+	}
+	if lines == 0 {
+		t.Errorf("no retained split listed in:\n%s", out)
+	}
+}
+
+// stdoutOf runs f with the process's standard output captured.
+func stdoutOf(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	var buf strings.Builder
+	done := make(chan struct{})
+	go func() {
+		_, _ = io.Copy(&buf, r)
+		close(done)
+	}()
+	err = f()
+	os.Stdout = saved
+	w.Close()
+	<-done
+	r.Close()
+	return buf.String(), err
 }
 
 // TestRunRejectsIgnoredFlagCombinations: a flag that the chosen mode

@@ -44,6 +44,11 @@ type Checkpoint struct {
 	Newick string
 	// LnL is the current best log-likelihood.
 	LnL float64
+	// Tasks and Ops are the ordering's dispatched tasks and likelihood
+	// work so far, so a resumed search's totals count the work before
+	// its restart.
+	Tasks int
+	Ops   uint64
 }
 
 // Validate checks internal consistency against a taxon count.
@@ -84,6 +89,8 @@ func (cp Checkpoint) Validate(numTaxa int) error {
 //	next <n>
 //	order <i0>,<i1>,...
 //	lnl <float>
+//	tasks <n>
+//	ops <n>
 //	tree <newick>
 func writeCheckpointBody(bw *bufio.Writer, cp Checkpoint) error {
 	fmt.Fprintf(bw, "seed %d\n", cp.Seed)
@@ -96,6 +103,8 @@ func writeCheckpointBody(bw *bufio.Writer, cp Checkpoint) error {
 	}
 	fmt.Fprintf(bw, "order %s\n", strings.Join(parts, ","))
 	fmt.Fprintf(bw, "lnl %s\n", strconv.FormatFloat(cp.LnL, 'g', 17, 64))
+	fmt.Fprintf(bw, "tasks %d\n", cp.Tasks)
+	fmt.Fprintf(bw, "ops %d\n", cp.Ops)
 	_, err := fmt.Fprintf(bw, "tree %s\n", cp.Newick)
 	return err
 }
@@ -103,7 +112,7 @@ func writeCheckpointBody(bw *bufio.Writer, cp Checkpoint) error {
 // checkpointKeys are the required keys, in written order. A file missing
 // any of them (truncated write, manual edit) is rejected at parse time
 // rather than resumed from a half-parsed position.
-var checkpointKeys = []string{"seed", "jumble", "phase", "next", "order", "lnl", "tree"}
+var checkpointKeys = []string{"seed", "jumble", "phase", "next", "order", "lnl", "tasks", "ops", "tree"}
 
 // checkpointParser accumulates one manifest block's key-value lines into
 // a Checkpoint. It is strict: duplicate keys fail immediately
@@ -148,6 +157,12 @@ func (p *checkpointParser) line(line string) error {
 		p.cp.Newick = val
 	case "lnl":
 		p.cp.LnL, err = strconv.ParseFloat(val, 64)
+	case "tasks":
+		if p.cp.Tasks, err = strconv.Atoi(val); err == nil && p.cp.Tasks < 0 {
+			err = fmt.Errorf("%d tasks", p.cp.Tasks)
+		}
+	case "ops":
+		p.cp.Ops, err = strconv.ParseUint(val, 10, 64)
 	default:
 		return fmt.Errorf("mlsearch: unknown checkpoint key %q", key)
 	}
@@ -199,7 +214,10 @@ func (s *Search) Resume(cp Checkpoint) (*SearchResult, error) {
 			LnL:        cp.LnL,
 			Order:      cp.Order,
 			Seed:       cp.Seed,
+			TotalTasks: cp.Tasks,
+			TotalOps:   cp.Ops,
 		}, nil
 	}
+	s.total, s.totalOps = cp.Tasks, cp.Ops
 	return s.run(cp.Order, tr, cp.LnL, cp.NextIndex, cp.Phase == PhaseFinal)
 }

@@ -30,6 +30,8 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 		Phase:     PhaseAdding,
 		Newick:    "((t00,t01),t03,t04);",
 		LnL:       -1234.56789,
+		Tasks:     57,
+		Ops:       1 << 40,
 	}
 	m, err := ReadManifest(strings.NewReader(oneBlockManifest(t, 3, cp)))
 	if err != nil {
@@ -40,7 +42,8 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 		t.Fatalf("manifest holds %+v", m.Checkpoints)
 	}
 	if back.Seed != cp.Seed || back.Jumble != cp.Jumble || back.NextIndex != cp.NextIndex ||
-		back.Phase != cp.Phase || back.Newick != cp.Newick || back.LnL != cp.LnL {
+		back.Phase != cp.Phase || back.Newick != cp.Newick || back.LnL != cp.LnL ||
+		back.Tasks != cp.Tasks || back.Ops != cp.Ops {
 		t.Errorf("round trip mismatch: %+v", back)
 	}
 	if len(back.Order) != 5 || back.Order[0] != 4 {
@@ -65,6 +68,8 @@ func TestCheckpointReadErrors(t *testing.T) {
 		{"order 2,0,1,3\n", "order 1,x\n"},
 		{"next 3\n", "next 4.5\n"},
 		{"lnl -1\n", "lnl many\n"},
+		{"tasks 0\n", "tasks -1\n"},
+		{"ops 0\n", "ops -1\n"},
 	} {
 		if !strings.Contains(valid, edit[0]) {
 			t.Fatalf("no %q in the manifest", edit[0])
@@ -72,6 +77,28 @@ func TestCheckpointReadErrors(t *testing.T) {
 		s := strings.Replace(valid, edit[0], edit[1], 1)
 		if _, err := ReadManifest(strings.NewReader(s)); err == nil {
 			t.Errorf("accepted %q", s)
+		}
+	}
+}
+
+// TestManifestWithoutTotalsIsRefused: a block written before
+// checkpoints carried their totals has no tasks or ops line. It is an
+// error naming the key, so -resume reports it and the daemon's janitor
+// starts the job afresh, rather than resuming with totals that miss the
+// work before the restart.
+func TestManifestWithoutTotalsIsRefused(t *testing.T) {
+	cp := Checkpoint{Seed: 13, Order: []int{2, 0, 1, 3}, NextIndex: 3, Phase: PhaseAdding, Newick: "(a,b,c);", LnL: -1, Tasks: 9, Ops: 99}
+	for _, key := range []string{"tasks", "ops"} {
+		lines := strings.SplitAfter(oneBlockManifest(t, 1, cp), "\n")
+		var old strings.Builder
+		for _, l := range lines {
+			if !strings.HasPrefix(l, key+" ") {
+				old.WriteString(l)
+			}
+		}
+		_, err := ReadManifest(strings.NewReader(old.String()))
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("manifest without %s: error %v, want one naming the key", key, err)
 		}
 	}
 }
@@ -153,7 +180,8 @@ func TestResumeRejectsMismatchedTree(t *testing.T) {
 	}
 }
 
-// TestResumeDone returns immediately with the checkpointed answer.
+// TestResumeDone returns immediately with the checkpointed answer and
+// the checkpointed totals, dispatching nothing.
 func TestResumeDone(t *testing.T) {
 	cfg := testConfig(t, 6, 100, 33)
 	disp, _ := NewSerialDispatcher(cfg)
@@ -169,7 +197,7 @@ func TestResumeDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LnL != full.LnL || res.TotalTasks != 0 {
+	if res.LnL != full.LnL || len(res.Rounds) != 0 || res.TotalTasks != full.TotalTasks || res.TotalOps != full.TotalOps {
 		t.Errorf("done-resume should be free: %+v", res)
 	}
 }

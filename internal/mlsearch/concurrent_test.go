@@ -467,6 +467,9 @@ func testManifestResumeRoundTrip(t *testing.T, jumbles int) {
 		if res.Seed != want.Seed {
 			t.Errorf("jumble %d: resumed seed %d != %d", j, res.Seed, want.Seed)
 		}
+		if res.TotalTasks != want.TotalTasks {
+			t.Errorf("jumble %d: resumed run counts %d tasks, the full run %d", j, res.TotalTasks, want.TotalTasks)
+		}
 	}
 	if len(resumedCps[mid]) == 0 {
 		t.Errorf("interrupted jumble %d emitted no checkpoints after the resume", mid)
@@ -484,8 +487,8 @@ func testManifestResumeRoundTrip(t *testing.T, jumbles int) {
 		return
 	}
 	// The finished jumble must not have re-run.
-	if out.Results[0].TotalTasks != 0 {
-		t.Errorf("done jumble re-ran %d tasks", out.Results[0].TotalTasks)
+	if n := len(out.Results[0].Rounds); n != 0 {
+		t.Errorf("done jumble re-ran %d rounds", n)
 	}
 	if len(resumedCps[0]) != 0 {
 		t.Errorf("done jumble emitted %d new checkpoints", len(resumedCps[0]))

@@ -255,31 +255,75 @@ func (s *Search) checkpoint(order []int, nextIdx int, phase string, tr *tree.Tre
 		Phase:     phase,
 		Newick:    tr.Newick(),
 		LnL:       lnL,
+		Tasks:     s.total,
+		Ops:       s.totalOps,
 	})
 }
 
-// dispatchRound sends tasks, collects results, records statistics, and
-// returns the results sorted by task ID (so ties resolve
-// deterministically regardless of worker arrival order).
-func (s *Search) dispatchRound(kind RoundKind, taxaInTree int, tasks []Task, genBytes uint64) ([]Result, error) {
+// noMove is the move field of a task that moves nothing.
+var noMove = tree.SPRMove{P: -1, S: -1, TA: -1, TB: -1}
+
+// round runs one dispatch round on a reparse of tr's Newick, the base,
+// whose node IDs and edge order are the workers'. edit adds the round's
+// candidates as edits of the base, each the insertion of taxon at index
+// insert of base.InsertionEdges() or an SPR move; a nil edit adds the one
+// empty edit, which smooths every branch. Each task gets the next ID and
+// a child span of the search's trace. A round whose edit adds nothing is
+// not dispatched and returns no tasks. Otherwise round checks Stop,
+// dispatches, orders the results by task ID (so ties resolve
+// deterministically whatever the arrival order) and records the round's
+// statistics; GenBytes counts the base Newick once and taskOverheadBytes
+// per insertion or move. It returns the base, the tasks in ID order and
+// the best result, lowest task ID on ties.
+func (s *Search) round(kind RoundKind, tr *tree.Tree, taxa, taxon, passes int, edit func(base *tree.Tree, add func(insert int, mv tree.SPRMove)) error) (*tree.Tree, []Task, Result, error) {
+	s.nextRound++
+	nwk := tr.Newick()
+	base, err := tree.ParseNewick(nwk, s.cfg.Taxa)
+	if err != nil {
+		return nil, nil, Result{}, err
+	}
+	stats := RoundStats{Kind: kind, TaxaInTree: taxa, GenBytes: uint64(len(nwk))}
+	var tasks []Task
+	add := func(insert int, mv tree.SPRMove) {
+		s.nextTask++
+		tasks = append(tasks, Task{
+			ID:         s.nextTask,
+			Round:      s.nextRound,
+			Trace:      s.trace.Child(),
+			BaseNewick: nwk,
+			LocalTaxon: int32(taxon),
+			Passes:     int32(passes),
+			InsertEdge: int32(insert),
+			MoveP:      int32(mv.P),
+			MoveS:      int32(mv.S),
+			MoveTA:     int32(mv.TA),
+			MoveTB:     int32(mv.TB),
+		})
+		if insert >= 0 || mv.S >= 0 {
+			stats.GenBytes += taskOverheadBytes
+		}
+	}
+	if edit == nil {
+		add(-1, noMove)
+	} else if err := edit(base, add); err != nil {
+		return nil, nil, Result{}, err
+	}
 	if len(tasks) == 0 {
-		return nil, fmt.Errorf("mlsearch: empty %s round", kind)
+		return base, nil, Result{}, nil
 	}
 	select {
 	case <-s.Stop:
-		return nil, fmt.Errorf("mlsearch: %s round: %w", kind, ErrStopped)
+		return nil, nil, Result{}, fmt.Errorf("mlsearch: %s round: %w", kind, ErrStopped)
 	default:
 	}
 	results, err := s.disp.Dispatch(tasks)
 	if err != nil {
-		return nil, fmt.Errorf("mlsearch: %s round: %w", kind, err)
+		return nil, nil, Result{}, fmt.Errorf("mlsearch: %s round: %w", kind, err)
 	}
 	if len(results) != len(tasks) {
-		return nil, fmt.Errorf("mlsearch: %s round returned %d results for %d tasks", kind, len(results), len(tasks))
+		return nil, nil, Result{}, fmt.Errorf("mlsearch: %s round returned %d results for %d tasks", kind, len(results), len(tasks))
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].TaskID < results[j].TaskID })
-
-	stats := RoundStats{Kind: kind, TaxaInTree: taxaInTree, GenBytes: genBytes}
 	best := results[0]
 	for _, r := range results {
 		stats.Tasks = append(stats.Tasks, TaskStat{Ops: r.Ops, LnL: r.LnL, CacheHits: r.CacheHits, CacheMisses: r.CacheMisses, Elapsed: r.Eval})
@@ -291,38 +335,7 @@ func (s *Search) dispatchRound(kind RoundKind, taxaInTree int, tasks []Task, gen
 	stats.BestLnL = best.LnL
 	s.total += len(tasks)
 	s.rounds = append(s.rounds, stats)
-	return results, nil
-}
-
-// newTask allocates task identity, minting a child span of the search's
-// trace so the task can be followed across process boundaries. The task
-// is the empty edit of base until the caller names an insertion or move.
-func (s *Search) newTask(base string, localTaxon int, passes int) Task {
-	s.nextTask++
-	return Task{
-		ID:         s.nextTask,
-		Round:      s.nextRound,
-		Trace:      s.trace.Child(),
-		BaseNewick: base,
-		LocalTaxon: int32(localTaxon),
-		Passes:     int32(passes),
-		InsertEdge: -1,
-		MoveP:      -1,
-		MoveS:      -1,
-		MoveTA:     -1,
-		MoveTB:     -1,
-	}
-}
-
-// bestOf picks the highest-likelihood result, lowest task ID on ties.
-func bestOf(results []Result) Result {
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.LnL > best.LnL {
-			best = r
-		}
-	}
-	return best
+	return base, tasks, best, nil
 }
 
 // applyCandidate turns base — a parse of the round's base Newick, whose
@@ -372,7 +385,7 @@ func applyCandidate(base *tree.Tree, t Task, r Result) error {
 }
 
 // adopt rebuilds the round's best candidate on base (see applyCandidate).
-// tasks are the round's, in the ID order newTask gave them.
+// tasks are the round's, in the ID order round gave them.
 func adopt(base *tree.Tree, tasks []Task, best Result) error {
 	i := best.TaskID - tasks[0].ID
 	if i >= uint64(len(tasks)) {
@@ -382,29 +395,21 @@ func adopt(base *tree.Tree, tasks []Task, best Result) error {
 }
 
 // smoothRound dispatches the empty edit of tr — full smoothing of every
-// branch — and builds the optimized tree on its own parse of the same
-// base, as addTaxon does for an insertion.
+// branch — and builds the optimized tree on the round's base.
 func (s *Search) smoothRound(kind RoundKind, tr *tree.Tree, taxaInTree int) (*tree.Tree, float64, error) {
-	s.nextRound++
-	nwk := tr.Newick()
-	base, err := tree.ParseNewick(nwk, s.cfg.Taxa)
-	if err != nil {
-		return nil, 0, err
+	base, tasks, best, err := s.round(kind, tr, taxaInTree, -1, fullSmoothPasses, nil)
+	if err == nil {
+		err = adopt(base, tasks, best)
 	}
-	task := s.newTask(nwk, -1, fullSmoothPasses)
-	results, err := s.dispatchRound(kind, taxaInTree, []Task{task}, uint64(len(nwk)))
 	if err != nil {
-		return nil, 0, err
-	}
-	if err := applyCandidate(base, task, results[0]); err != nil {
 		return nil, 0, err
 	}
 	// A smooth round always adopts its tree: notify observers. The
 	// real-time viewer of §4 monitors exactly this stream of best trees.
 	if s.Progress != nil {
-		s.Progress(ProgressEvent{Kind: kind, TaxaInTree: taxaInTree, BestLnL: results[0].LnL, BestNewick: base.Newick()})
+		s.Progress(ProgressEvent{Kind: kind, TaxaInTree: taxaInTree, BestLnL: best.LnL, BestNewick: base.Newick()})
 	}
-	return base, results[0].LnL, nil
+	return base, best.LnL, nil
 }
 
 // addTaxon performs step 3: dispatch one task per insertion edge, adopt
@@ -413,28 +418,16 @@ func (s *Search) smoothRound(kind RoundKind, tr *tree.Tree, taxaInTree int) (*tr
 // candidate against their cached copy of the same base, and only the
 // winner is built — here, from its three junction lengths.
 func (s *Search) addTaxon(tr *tree.Tree, taxon, taxaAfter int) (*tree.Tree, float64, error) {
-	s.nextRound++
-	nwk := tr.Newick()
-	// Enumerate edges on a reparse of the serialized base so the edge
-	// indices agree with what workers see when they parse BaseNewick.
-	base, err := tree.ParseNewick(nwk, s.cfg.Taxa)
+	base, tasks, best, err := s.round(RoundAdd, tr, taxaAfter, taxon, quickInsertPasses, func(base *tree.Tree, add func(int, tree.SPRMove)) error {
+		for k := range base.InsertionEdges() {
+			add(k, noMove)
+		}
+		return nil
+	})
+	if err == nil {
+		err = adopt(base, tasks, best)
+	}
 	if err != nil {
-		return nil, 0, err
-	}
-	edges := base.InsertionEdges()
-	tasks := make([]Task, 0, len(edges))
-	genBytes := uint64(len(nwk))
-	for k := range edges {
-		task := s.newTask(nwk, taxon, quickInsertPasses)
-		task.InsertEdge = int32(k)
-		tasks = append(tasks, task)
-		genBytes += taskOverheadBytes
-	}
-	results, err := s.dispatchRound(RoundAdd, taxaAfter, tasks, genBytes)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := adopt(base, tasks, bestOf(results)); err != nil {
 		return nil, 0, err
 	}
 	// The rapid insertion estimate is refined by full smoothing (§2.1).
@@ -447,50 +440,27 @@ func (s *Search) addTaxon(tr *tree.Tree, taxon, taxaAfter int) (*tree.Tree, floa
 // rearrangements no longer result in improvement"). It reports how many
 // rounds improved the tree (the adaptive-extent signal).
 func (s *Search) rearrangeToConvergence(kind RoundKind, tr *tree.Tree, lnL float64, extent, taxaInTree int) (*tree.Tree, float64, int, error) {
-	improved := 0
-	for round := 0; round < maxRearrangeRounds; round++ {
-		s.nextRound++
-		nwk := tr.Newick()
-		// Enumerate moves on a reparse of the serialized base so the
-		// node IDs in each move agree with the workers' parse of
-		// BaseNewick (one Newick per round).
-		base, err := tree.ParseNewick(nwk, s.cfg.Taxa)
-		if err != nil {
-			return nil, 0, improved, err
-		}
-		var tasks []Task
-		genBytes := uint64(len(nwk))
-		_, err = base.Rearrangements(extent, func(view *tree.Tree, cand tree.RearrangeCandidate) bool {
-			mv := cand.Move()
-			task := s.newTask(nwk, -1, quickInsertPasses)
-			task.MoveP = int32(mv.P)
-			task.MoveS = int32(mv.S)
-			task.MoveTA = int32(mv.TA)
-			task.MoveTB = int32(mv.TB)
-			tasks = append(tasks, task)
-			genBytes += taskOverheadBytes
+	moves := func(base *tree.Tree, add func(int, tree.SPRMove)) error {
+		_, err := base.Rearrangements(extent, func(_ *tree.Tree, c tree.RearrangeCandidate) bool {
+			add(-1, c.Move())
 			return true
 		})
+		return err
+	}
+	improved := 0
+	for i := 0; i < maxRearrangeRounds; i++ {
+		base, tasks, best, err := s.round(kind, tr, taxaInTree, -1, quickInsertPasses, moves)
 		if err != nil {
 			return nil, 0, improved, err
 		}
-		if len(tasks) == 0 {
-			return tr, lnL, improved, nil
-		}
-		results, err := s.dispatchRound(kind, taxaInTree, tasks, genBytes)
-		if err != nil {
-			return nil, 0, improved, err
-		}
-		best := bestOf(results)
-		if best.LnL <= lnL+epsilon {
+		if len(tasks) == 0 || best.LnL <= lnL+epsilon {
 			return tr, lnL, improved, nil
 		}
 		improved++
 		if err := adopt(base, tasks, best); err != nil {
 			return nil, 0, improved, err
 		}
-		tr, lnL, err = s.smoothRound(RoundSmooth, base, taxaInTree)
-		if err != nil {
+		if tr, lnL, err = s.smoothRound(RoundSmooth, base, taxaInTree); err != nil {
 			return nil, 0, improved, err
 		}
 	}

@@ -609,8 +609,9 @@ func (s *Server) detachActive(j *job) {
 	s.wake()
 }
 
-// finalize moves j to a terminal state, persists it, appends that state
-// as its log's last event, and counts the outcome.
+// finalize moves j to a terminal state, persists it, counts the outcome
+// and appends that state as its log's last event — counted first, so a
+// follower that has read the terminal event sees it in /metrics.
 func (s *Server) finalize(j *job, state JobState, errMsg string) {
 	j.mu.Lock()
 	j.rec.State = state
@@ -622,9 +623,9 @@ func (s *Server) finalize(j *job, state JobState, errMsg string) {
 	rec := j.rec
 	j.mu.Unlock()
 	s.saveRecord(&rec)
+	s.met.outcomes.With(rec.Tenant, string(state)).Inc()
 	j.events.append(Event{Type: "state", Time: rec.Finished, State: state, Error: rec.Error})
 	j.events.close()
-	s.met.outcomes.With(rec.Tenant, string(state)).Inc()
 	s.opt.Logf("job %s: %s%s", rec.ID, state, errSuffix(errMsg))
 	s.wake()
 }

@@ -67,17 +67,20 @@ func (t *Tree) InsertLeaf(i int, e Edge) (*Node, error) {
 	if e.A.NbrIndex(e.B) < 0 {
 		return nil, fmt.Errorf("tree: insertion edge %d-%d does not exist", e.A.ID, e.B.ID)
 	}
+	mid := t.splitHalves(e)
+	leaf := t.newNode(i)
+	connect(mid, leaf, DefaultBranchLength)
+	return leaf, nil
+}
+
+// splitHalves splits e in the middle: half its length on each side, or
+// DefaultBranchLength/2 when e has length 0.
+func (t *Tree) splitHalves(e Edge) *Node {
 	half := e.Length() / 2
 	if half <= 0 {
 		half = DefaultBranchLength / 2
 	}
-	mid := t.newNode(-1)
-	leaf := t.newNode(i)
-	disconnect(e.A, e.B)
-	connect(e.A, mid, half)
-	connect(mid, e.B, half)
-	connect(mid, leaf, DefaultBranchLength)
-	return leaf, nil
+	return t.split(e.A, e.B, half, half)
 }
 
 // RemoveLeaf deletes the leaf carrying taxon i, dissolving its attachment
@@ -97,65 +100,9 @@ func (t *Tree) RemoveLeaf(i int) error {
 		return fmt.Errorf("tree: attachment node %d has degree %d", att.ID, att.Degree())
 	}
 	disconnect(leaf, att)
-	a, b := att.Nbr[0], att.Nbr[1]
-	la, lb := att.Len[0], att.Len[1]
-	disconnect(att, a)
-	disconnect(att, b)
-	connect(a, b, la+lb)
 	t.releaseNode(leaf)
-	t.releaseNode(att)
+	t.join(att)
 	return nil
-}
-
-// PruneSubtree detaches the subtree rooted at s across the edge (p, s):
-// p's side stays in the tree; the attachment vertex p is dissolved, its
-// two remaining neighbors joined. It returns the subtree root s, the
-// dissolved edge's replacement (the joined edge), and the original lengths
-// so the caller can undo or regraft. The caller must regraft s before
-// using the tree again.
-//
-// p must be an internal node adjacent to s.
-func (t *Tree) PruneSubtree(p, s *Node) (joined Edge, err error) {
-	if p.Leaf() {
-		return Edge{}, fmt.Errorf("tree: prune attachment %d is a leaf", p.ID)
-	}
-	if p.NbrIndex(s) < 0 {
-		return Edge{}, fmt.Errorf("tree: %d and %d are not adjacent", p.ID, s.ID)
-	}
-	if p.Degree() != 3 {
-		return Edge{}, fmt.Errorf("tree: prune attachment %d has degree %d", p.ID, p.Degree())
-	}
-	disconnect(p, s)
-	a, b := p.Nbr[0], p.Nbr[1]
-	la, lb := p.Len[0], p.Len[1]
-	disconnect(p, a)
-	disconnect(p, b)
-	connect(a, b, la+lb)
-	t.releaseNode(p)
-	return Edge{a, b}, nil
-}
-
-// RegraftSubtree attaches the subtree rooted at s onto edge e by splitting
-// e with a fresh internal node. The split halves e's length; the branch to
-// s gets length attachLen (DefaultBranchLength when <= 0). It returns the
-// new attachment node.
-func (t *Tree) RegraftSubtree(s *Node, e Edge, attachLen float64) (*Node, error) {
-	if e.A.NbrIndex(e.B) < 0 {
-		return nil, fmt.Errorf("tree: regraft edge %d-%d does not exist", e.A.ID, e.B.ID)
-	}
-	if attachLen <= 0 {
-		attachLen = DefaultBranchLength
-	}
-	half := e.Length() / 2
-	if half <= 0 {
-		half = DefaultBranchLength / 2
-	}
-	mid := t.newNode(-1)
-	disconnect(e.A, e.B)
-	connect(e.A, mid, half)
-	connect(mid, e.B, half)
-	connect(mid, s, attachLen)
-	return mid, nil
 }
 
 // RandomTree builds a uniformly random-addition unrooted binary tree over

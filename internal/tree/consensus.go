@@ -23,6 +23,42 @@ type ConsensusResult struct {
 	SplitFreq map[string]float64
 }
 
+// SplitSupport is one retained split of a consensus: the fraction of the
+// input trees that hold it and the taxa on its smaller side, in taxon
+// order.
+type SplitSupport struct {
+	Support float64
+	Taxa    []string
+}
+
+// Listing returns the retained splits, strongest first and ties by split
+// key, each with the taxa on its smaller side.
+func (r *ConsensusResult) Listing() []SplitSupport {
+	splits := r.Tree.Splits()
+	keys := make([]string, 0, len(r.Support))
+	for k := range r.Support {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if fi, fj := r.Support[keys[i]], r.Support[keys[j]]; fi != fj {
+			return fi > fj
+		}
+		return keys[i] < keys[j]
+	})
+	out := make([]SplitSupport, len(keys))
+	for i, k := range keys {
+		sp := splits[k]
+		small := sp.Size()*2 <= sp.N()
+		out[i].Support = r.Support[k]
+		for ti := 0; ti < sp.N(); ti++ {
+			if sp.Contains(ti) == small {
+				out[i].Taxa = append(out[i].Taxa, r.Tree.Taxa[ti])
+			}
+		}
+	}
+	return out
+}
+
 // MajorityRule computes the majority rule consensus of trees over a shared
 // taxon set. threshold is the inclusion fraction in (0.5, 1]; pass 0.5 for
 // the strict majority rule (a split is kept when it appears in MORE than
@@ -166,12 +202,7 @@ func buildFromSplits(taxa []string, ref []int, splits []Split, support map[strin
 	// The root may have degree 2 when a single top-level cluster exists
 	// alongside taxon 0's group; dissolve it to keep the tree unrooted.
 	if root.Degree() == 2 {
-		a, b := root.Nbr[0], root.Nbr[1]
-		la, lb := root.Len[0], root.Len[1]
-		disconnect(root, a)
-		disconnect(root, b)
-		connect(a, b, la+lb)
-		t.releaseNode(root)
+		t.join(root)
 	}
 	if err := t.Validate(false); err != nil {
 		return nil, fmt.Errorf("tree: consensus construction failed: %w", err)

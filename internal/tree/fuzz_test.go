@@ -1,6 +1,9 @@
 package tree
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // fuzzTaxa is the taxon set every fuzzed Newick string is parsed over;
 // two labels need quoting.
@@ -65,6 +68,57 @@ func FuzzParseNewick(f *testing.F) {
 		}
 		if !SameTopology(tr, again) {
 			t.Errorf("topology changed across render/re-parse: %q became %q", s, nwk)
+		}
+	})
+}
+
+// FuzzApplySPR: a move is four node IDs a worker takes off the wire, so
+// ApplySPR must take any four. The tree is RandomTree over 4 + shape%24
+// taxa from seed, with one leaf removed when shape's top bit is set (so
+// some IDs are free slots); each ID maps to -1 … MaxID. Either the move is
+// refused and the tree is exactly as it was — Newick with lengths, every
+// slot, every node's neighbors in order with their lengths, the edit
+// counter — or it is applied, the tree is a valid binary tree whose
+// regraft junction has the dissolved node's ID, and Undo gives back the
+// Newick with lengths and every slot with the same neighbors at the same
+// lengths. The committed corpus (testdata/fuzz/FuzzApplySPR) holds a
+// move enumerated by Rearrangements, a regraft onto the joined edge, a
+// target inside the pruned subtree (the cherry probe), a target that
+// touches the dissolved node, a non-edge target, a prune across a
+// non-edge, a leaf as the attachment and a free slot.
+func FuzzApplySPR(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shape uint8, seed int64, p, s, ta, tb int) {
+		tr, err := RandomTree(taxaNames(4+int(shape%24)), rand.New(rand.NewSource(seed)), 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shape&0x80 != 0 {
+			if err := tr.RemoveLeaf(int(uint64(seed) % uint64(tr.NumLeaves()))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id := func(x int) int { return int(uint(x)%uint(tr.MaxID()+2)) - 1 }
+		mv := SPRMove{P: id(p), S: id(s), TA: id(ta), TB: id(tb)}
+		before, unordered, nwk, edits := nodeState(tr, true), nodeState(tr, false), tr.Newick(), tr.Edits()
+		u, err := tr.ApplySPR(mv)
+		if err != nil {
+			if got := nodeState(tr, true); got != before || tr.Newick() != nwk || tr.Edits() != edits {
+				t.Fatalf("refused move %+v (%v) changed the tree:\n%s\nwant:\n%s", mv, err, got, before)
+			}
+			if err := tr.Validate(true); err != nil {
+				t.Fatalf("after refused move %+v: %v", mv, err)
+			}
+			return
+		}
+		if err := tr.Validate(true); err != nil {
+			t.Fatalf("move %+v left an invalid tree: %v", mv, err)
+		}
+		if u.Mid.ID != mv.P {
+			t.Fatalf("move %+v: regraft junction has ID %d", mv, u.Mid.ID)
+		}
+		u.Undo()
+		if got := nodeState(tr, false); got != unordered || tr.Newick() != nwk {
+			t.Fatalf("undo of move %+v did not restore the tree:\n%s\nwant:\n%s", mv, got, unordered)
 		}
 	})
 }

@@ -66,7 +66,7 @@ func (t *Tree) WriteNewick(opt WriteNewickOptions) (string, error) {
 	}
 	if opt.Canonical {
 		w.min = make([]int, len(t.Nodes))
-		w.mins(anchor, nil)
+		subtreeMins(w.min, anchor, nil)
 	}
 	w.node(anchor, nil)
 	w.buf = append(w.buf, ';')
@@ -99,20 +99,23 @@ type newickWriter struct {
 	order []*Node
 }
 
-// mins fills min for the subtree at n entered from parent.
-func (w *newickWriter) mins(n, parent *Node) int {
-	m := math.MaxInt32
+// subtreeMins sets min[id] to the smallest taxon in the subtree below
+// node id, for every node of the subtree at n entered from parent, and
+// returns n's. The canonical Newick writer and topoKey order siblings by
+// it.
+func subtreeMins(min []int, n, parent *Node) int {
+	m := math.MaxInt
 	if n.Leaf() {
 		m = n.Taxon
 	}
 	for _, c := range n.Nbr {
 		if c != parent {
-			if cm := w.mins(c, n); cm < m {
+			if cm := subtreeMins(min, c, n); cm < m {
 				m = cm
 			}
 		}
 	}
-	w.min[n.ID] = m
+	min[n.ID] = m
 	return m
 }
 
@@ -228,12 +231,7 @@ func (p *newickParser) parse(t *Tree) (*Tree, error) {
 	}
 	// Unroot a rooted (degree-2) root by dissolving it.
 	if !root.Leaf() && root.Degree() == 2 {
-		a, b := root.Nbr[0], root.Nbr[1]
-		la, lb := root.Len[0], root.Len[1]
-		disconnect(root, a)
-		disconnect(root, b)
-		connect(a, b, la+lb)
-		t.releaseNode(root)
+		t.join(root)
 	}
 	if err := t.Validate(false); err != nil {
 		return nil, fmt.Errorf("newick: %w", err)

@@ -3,7 +3,6 @@ package tree
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Candidate topology enumeration.
@@ -22,26 +21,12 @@ import (
 // deterministic order. (For a tree with m leaves there are 2m-3 edges.)
 func (t *Tree) InsertionEdges() []Edge { return t.Edges() }
 
-// RearrangeCandidate describes one subtree-regraft move: the subtree
-// rooted at Subtree (as seen from its attachment) is pruned and reattached
-// onto TargetEdge, which lies within the configured extent of the original
-// attachment.
+// RearrangeCandidate is one distinct subtree-regraft move delivered by
+// Rearrangements.
 type RearrangeCandidate struct {
-	// Subtree is the root node of the moved subtree.
-	Subtree *Node
-	// Attach is the (dissolved) attachment's surviving neighbor pair,
-	// recorded for diagnostics.
-	Attach Edge
-	// Target is the edge the subtree was regrafted onto, in the
-	// pre-mutation tree's node identities.
-	Target Edge
 	// Distance is the number of vertices crossed (1..extent).
 	Distance int
-	// PruneAt is the node ID of the dissolved attachment vertex in the
-	// pre-mutation tree, so the move can be replayed with ApplySPR on
-	// another copy of the same tree (node IDs are preserved by parsing
-	// the same Newick string or by Clone).
-	PruneAt int
+	move     SPRMove
 }
 
 // SPRMove identifies one subtree-prune-regraft move by node IDs in the
@@ -56,8 +41,53 @@ type SPRMove struct {
 }
 
 // Move returns c as an ID-based move replayable with ApplySPR.
-func (c RearrangeCandidate) Move() SPRMove {
-	return SPRMove{P: c.PruneAt, S: c.Subtree.ID, TA: c.Target.A.ID, TB: c.Target.B.ID}
+func (c RearrangeCandidate) Move() SPRMove { return c.move }
+
+// pruned is a subtree cut off its tree and what putting it back takes:
+// the subtree root, the edge that replaced its dissolved attachment, the
+// lengths that edge's ends had to the attachment, and the subtree's own
+// branch length.
+type pruned struct {
+	t      *Tree
+	s      *Node
+	joined Edge
+	la, lb float64
+	ls     float64
+}
+
+// prune cuts the subtree at s off its attachment p, an internal node of
+// degree 3 adjacent to s, and dissolves p. The tree is whole again only
+// after restore, or after a regraft.
+func (t *Tree) prune(p, s *Node) pruned {
+	r := pruned{t: t, s: s, ls: p.LenTo(s)}
+	disconnect(p, s)
+	r.joined, r.la, r.lb = t.join(p)
+	return r
+}
+
+// restore reverses prune: a fresh node splits the joined edge at its old
+// lengths and takes the subtree back.
+func (r pruned) restore() {
+	connect(r.t.split(r.joined.A, r.joined.B, r.la, r.lb), r.s, r.ls)
+}
+
+// regraft hangs the subtree on e, split in the middle, by its own branch
+// (DefaultBranchLength when that has length 0), and returns the junction.
+func (r pruned) regraft(e Edge) *Node {
+	ls := r.ls
+	if ls <= 0 {
+		ls = DefaultBranchLength
+	}
+	mid := r.t.splitHalves(e)
+	connect(mid, r.s, ls)
+	return mid
+}
+
+// unregraft reverses regraft onto e, which had length l before it.
+func (r pruned) unregraft(mid *Node, e Edge, l float64) {
+	disconnect(mid, r.s)
+	r.t.join(mid)
+	SetLen(e.A, e.B, l)
 }
 
 // SPRUndo records everything needed to reverse an ApplySPR exactly:
@@ -65,7 +95,6 @@ func (c RearrangeCandidate) Move() SPRMove {
 // IDs in the original slots, and every branch touched by the apply/undo
 // cycle is restored to its pre-move length.
 type SPRUndo struct {
-	t *Tree
 	// Mid is the regraft junction node created by the move; callers use
 	// it to center local branch optimization on the changed region. It is
 	// invalid after Undo.
@@ -73,74 +102,74 @@ type SPRUndo struct {
 	// Joined is the edge that replaced the dissolved attachment; its
 	// endpoints remain valid after Undo.
 	Joined    Edge
-	s         *Node
-	ta, tb    *Node
+	pr        pruned
+	target    Edge
 	targetLen float64
-	others    []*Node
-	lens      []float64
-	lps       float64
 }
 
 // ApplySPR replays a move produced by RearrangeCandidate.Move (or built
 // from IDs directly) on t, returning an undo record. The tree must be
-// unrooted binary and the IDs must describe a live prune/regraft pair.
+// unrooted binary. A move that names a dead node, a P that is not S's
+// degree-3 neighbor, or a target that is no edge of the pruned tree — the
+// pruned subtree's own edges are not — is refused with the tree
+// untouched.
 func (t *Tree) ApplySPR(m SPRMove) (*SPRUndo, error) {
-	node := func(id int) (*Node, error) {
+	var n [4]*Node
+	for i, id := range [4]int{m.P, m.S, m.TA, m.TB} {
 		if id < 0 || id >= len(t.Nodes) || t.Nodes[id] == nil {
 			return nil, fmt.Errorf("tree: SPR move references dead node %d", id)
 		}
-		return t.Nodes[id], nil
+		n[i] = t.Nodes[id]
 	}
-	p, err := node(m.P)
-	if err != nil {
-		return nil, err
+	p, s, ta, tb := n[0], n[1], n[2], n[3]
+	if p.Leaf() || p.Degree() != 3 || p.NbrIndex(s) < 0 {
+		return nil, fmt.Errorf("tree: SPR prunes %d off %d, not an internal node of degree 3 next to it", m.S, m.P)
 	}
-	s, err := node(m.S)
-	if err != nil {
-		return nil, err
-	}
-	ta, err := node(m.TA)
-	if err != nil {
-		return nil, err
-	}
-	tb, err := node(m.TB)
-	if err != nil {
-		return nil, err
-	}
-	u := &SPRUndo{t: t, s: s, ta: ta, tb: tb}
-	for i, nb := range p.Nbr {
-		if nb != s {
-			u.others = append(u.others, nb)
-			u.lens = append(u.lens, p.Len[i])
+	// The pruned tree's edges are the tree's, less p's three and the
+	// subtree's, plus the one joining p's other two neighbors.
+	var a, b *Node // p's neighbors other than s
+	for _, nb := range p.Nbr {
+		switch {
+		case nb == s:
+		case a == nil:
+			a = nb
+		default:
+			b = nb
 		}
 	}
-	u.lps = p.LenTo(s)
-	u.Joined, err = t.PruneSubtree(p, s)
-	if err != nil {
-		return nil, err
-	}
-	if ta.NbrIndex(tb) < 0 {
-		// Re-split the joined edge before reporting the error so the
-		// tree is left intact.
-		undoPrune(t, u.Joined, s, u.others, u.lens, u.lps)
+	switch {
+	case (ta == a && tb == b) || (ta == b && tb == a):
+	case ta == p || tb == p || ta.NbrIndex(tb) < 0:
 		return nil, fmt.Errorf("tree: SPR target %d-%d is not an edge after pruning", m.TA, m.TB)
+	case holds(s, p, ta):
+		return nil, fmt.Errorf("tree: SPR target %d-%d lies in the subtree pruned at %d", m.TA, m.TB, m.S)
 	}
+	u := &SPRUndo{pr: t.prune(p, s), target: Edge{ta, tb}}
+	u.Joined = u.pr.joined
 	u.targetLen = ta.LenTo(tb)
-	u.Mid, err = t.RegraftSubtree(s, Edge{ta, tb}, u.lps)
-	if err != nil {
-		undoPrune(t, u.Joined, s, u.others, u.lens, u.lps)
-		return nil, err
-	}
+	u.Mid = u.pr.regraft(u.target)
 	return u, nil
+}
+
+// holds reports whether x is in the subtree at n entered from parent.
+func holds(n, parent, x *Node) bool {
+	if n == x {
+		return true
+	}
+	for _, c := range n.Nbr {
+		if c != parent && holds(c, n, x) {
+			return true
+		}
+	}
+	return false
 }
 
 // Undo reverses the move. Branch lengths changed by optimization between
 // Apply and Undo are restored on the edges the move itself touched; the
 // caller is responsible for any other edges it modified.
 func (u *SPRUndo) Undo() {
-	undoRegraft(u.t, u.Mid, u.s)
-	SetLen(u.ta, u.tb, u.targetLen)
-	undoPrune(u.t, u.Joined, u.s, u.others, u.lens, u.lps)
+	u.pr.unregraft(u.Mid, u.target, u.targetLen)
+	u.pr.restore()
 }
 
 // Rearrangements enumerates the topologically distinct trees reachable by
@@ -185,53 +214,24 @@ func (t *Tree) Rearrangements(extent int, fn func(view *Tree, cand RearrangeCand
 	}
 
 	for _, mv := range moves {
-		p, s := t.Nodes[mv.p], t.Nodes[mv.s]
-		// Record the dissolved geometry for undo.
-		var others []*Node
-		var lens []float64
-		for i, nb := range p.Nbr {
-			if nb != s {
-				others = append(others, nb)
-				lens = append(lens, p.Len[i])
-			}
-		}
-		lps := p.LenTo(s)
-		joined, err := t.PruneSubtree(p, s)
-		if err != nil {
-			return count, err
-		}
-
-		// BFS over edges of the remaining tree from the joined edge.
-		targets := edgesWithin(joined, extent)
-
+		pr := t.prune(t.Nodes[mv.p], t.Nodes[mv.s])
 		stop := false
-		for _, tg := range targets {
-			tl := tg.e.Length()
-			mid, err := t.RegraftSubtree(s, tg.e, lps)
-			if err != nil {
-				return count, err
-			}
+		for _, tg := range edgesWithin(pr.joined, extent) {
+			l := tg.e.Length()
+			mid := pr.regraft(tg.e)
 			// Looking a []byte up as string(k) does not allocate; only a
 			// topology seen for the first time is copied into the map.
 			if k := key.of(t); !seen[string(k)] {
 				seen[string(k)] = true
 				count++
-				if !fn(t, RearrangeCandidate{Subtree: s, Attach: joined, Target: tg.e, Distance: tg.dist, PruneAt: mv.p}) {
-					stop = true
-				}
+				stop = !fn(t, RearrangeCandidate{Distance: tg.dist, move: SPRMove{P: mv.p, S: mv.s, TA: tg.e.A.ID, TB: tg.e.B.ID}})
 			}
-			// Undo the regraft: dissolve mid, restoring tg.e exactly (a
-			// zero-length edge was split into two default halves).
-			undoRegraft(t, mid, s)
-			SetLen(tg.e.A, tg.e.B, tl)
+			pr.unregraft(mid, tg.e, l)
 			if stop {
 				break
 			}
 		}
-
-		// Undo the prune: split the joined edge with a fresh attachment
-		// node restoring the original lengths.
-		undoPrune(t, joined, s, others, lens, lps)
+		pr.restore()
 		if stop {
 			break
 		}
@@ -260,25 +260,9 @@ func (k *topoKey) of(t *Tree) []byte {
 	}
 	k.buf = k.buf[:0]
 	root := t.minLeaf()
-	k.mins(root.Nbr[0], root)
+	subtreeMins(k.min, root.Nbr[0], root)
 	k.emit(root.Nbr[0], root)
 	return k.buf
-}
-
-func (k *topoKey) mins(n, parent *Node) int {
-	m := n.Taxon
-	if !n.Leaf() {
-		m = math.MaxInt
-		for _, c := range n.Nbr {
-			if c != parent {
-				if cm := k.mins(c, n); cm < m {
-					m = cm
-				}
-			}
-		}
-	}
-	k.min[n.ID] = m
-	return m
 }
 
 func (k *topoKey) emit(n, parent *Node) {
@@ -351,33 +335,4 @@ func key2(a, b *Node) [2]int {
 		return [2]int{a.ID, b.ID}
 	}
 	return [2]int{b.ID, a.ID}
-}
-
-// undoRegraft dissolves the attachment node mid created by RegraftSubtree,
-// restoring the split edge with its pre-split length.
-func undoRegraft(t *Tree, mid, s *Node) {
-	disconnect(mid, s)
-	a, b := mid.Nbr[0], mid.Nbr[1]
-	la, lb := mid.Len[0], mid.Len[1]
-	disconnect(mid, a)
-	disconnect(mid, b)
-	connect(a, b, la+lb)
-	t.releaseNode(mid)
-}
-
-// undoPrune reverses PruneSubtree: it splits the joined edge with a new
-// attachment node connected to others[0] and others[1] at their original
-// lengths and reattaches s at length lps.
-func undoPrune(t *Tree, joined Edge, s *Node, others []*Node, lens []float64, lps float64) {
-	mid := t.newNode(-1)
-	disconnect(joined.A, joined.B)
-	// joined.A/B correspond to others[0]/others[1] in some order.
-	if joined.A == others[0] {
-		connect(others[0], mid, lens[0])
-		connect(mid, others[1], lens[1])
-	} else {
-		connect(others[1], mid, lens[1])
-		connect(mid, others[0], lens[0])
-	}
-	connect(mid, s, lps)
 }

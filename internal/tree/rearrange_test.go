@@ -1,7 +1,11 @@
 package tree
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -210,32 +214,17 @@ func rearrangementMovesByString(t *Tree, extent int) ([]SPRMove, error) {
 	}
 	var out []SPRMove
 	for _, mv := range moves {
-		p, s := t.Nodes[mv.p], t.Nodes[mv.s]
-		var others []*Node
-		var lens []float64
-		for i, nb := range p.Nbr {
-			if nb != s {
-				others = append(others, nb)
-				lens = append(lens, p.Len[i])
-			}
-		}
-		lps := p.LenTo(s)
-		joined, err := t.PruneSubtree(p, s)
-		if err != nil {
-			return nil, err
-		}
-		for _, tg := range edgesWithin(joined, extent) {
-			mid, err := t.RegraftSubtree(s, tg.e, lps)
-			if err != nil {
-				return nil, err
-			}
+		pr := t.prune(t.Nodes[mv.p], t.Nodes[mv.s])
+		for _, tg := range edgesWithin(pr.joined, extent) {
+			l := tg.e.Length()
+			mid := pr.regraft(tg.e)
 			if key := t.Topology(); !seen[key] {
 				seen[key] = true
-				out = append(out, SPRMove{P: mv.p, S: s.ID, TA: tg.e.A.ID, TB: tg.e.B.ID})
+				out = append(out, SPRMove{P: mv.p, S: mv.s, TA: tg.e.A.ID, TB: tg.e.B.ID})
 			}
-			undoRegraft(t, mid, s)
+			pr.unregraft(mid, tg.e, l)
 		}
-		undoPrune(t, joined, s, others, lens, lps)
+		pr.restore()
 	}
 	return out, nil
 }
@@ -285,5 +274,74 @@ func TestRearrangementsMatchStringKeyedEnumeration(t *testing.T) {
 				t.Fatalf("tree %d extent %d: enumeration changed the tree:\n%s\n%s", i, extent, before, after)
 			}
 		}
+	}
+}
+
+// nodeState renders every slot of t: each live node's ID, taxon and
+// neighbors with the bits of their lengths, in neighbor order when
+// ordered is set and by neighbor ID otherwise.
+func nodeState(t *Tree, ordered bool) string {
+	var b strings.Builder
+	for id, n := range t.Nodes {
+		if n == nil {
+			fmt.Fprintf(&b, "%d: free\n", id)
+			continue
+		}
+		nbrs := make([]string, len(n.Nbr))
+		for i, m := range n.Nbr {
+			nbrs[i] = fmt.Sprintf("%d:%x", m.ID, math.Float64bits(n.Len[i]))
+		}
+		if !ordered {
+			sort.Strings(nbrs)
+		}
+		fmt.Fprintf(&b, "%d: taxon %d %v\n", n.ID, n.Taxon, nbrs)
+	}
+	return b.String()
+}
+
+// TestApplySPRRefusesTargetInPrunedSubtree: a move whose target lies in
+// the subtree it prunes — the move a worker might be handed, never one
+// the enumeration makes — is an error, and the tree is left exactly as
+// it was. Every such move on an 8-taxon tree, from pruning a cherry to
+// the longest subtree.
+func TestApplySPRRefusesTargetInPrunedSubtree(t *testing.T) {
+	tr, err := RandomTree(taxaNames(8), rand.New(rand.NewSource(3)), 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, nwk := nodeState(tr, true), tr.Newick()
+	var subtree func(n, parent *Node, out []Edge) []Edge
+	subtree = func(n, parent *Node, out []Edge) []Edge {
+		for _, c := range n.Nbr {
+			if c != parent {
+				out = subtree(c, n, append(out, Edge{n, c}))
+			}
+		}
+		return out
+	}
+	moves := 0
+	for _, p := range tr.Nodes {
+		if p.Leaf() {
+			continue
+		}
+		for _, s := range append([]*Node(nil), p.Nbr...) {
+			for _, e := range subtree(s, p, nil) {
+				for _, mv := range []SPRMove{{P: p.ID, S: s.ID, TA: e.A.ID, TB: e.B.ID}, {P: p.ID, S: s.ID, TA: e.B.ID, TB: e.A.ID}} {
+					moves++
+					if _, err := tr.ApplySPR(mv); err == nil {
+						t.Fatalf("move %+v regrafts onto its own subtree, and ApplySPR took it", mv)
+					}
+					if got := nodeState(tr, true); got != before || tr.Newick() != nwk {
+						t.Fatalf("refused move %+v changed the tree:\n%s\nwant:\n%s", mv, got, before)
+					}
+					if err := tr.Validate(true); err != nil {
+						t.Fatalf("after refused move %+v: %v", mv, err)
+					}
+				}
+			}
+		}
+	}
+	if moves == 0 {
+		t.Fatal("no move regrafts into its own subtree")
 	}
 }

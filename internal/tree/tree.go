@@ -145,6 +145,31 @@ func disconnect(a, b *Node) {
 	a.t.edits++
 }
 
+// split puts a fresh internal node on the edge a–b, at length la from a
+// and lb from b, and returns it. Every insertion, regraft and undone
+// prune is a split.
+func (t *Tree) split(a, b *Node, la, lb float64) *Node {
+	mid := t.newNode(-1)
+	disconnect(a, b)
+	connect(a, mid, la)
+	connect(mid, b, lb)
+	return mid
+}
+
+// join dissolves the degree-2 node n: its two neighbors are joined by an
+// edge whose length is the sum of the two it replaces, and n's slot is
+// freed. It returns the new edge and its ends' old lengths to n. Every
+// removal, prune and undone regraft is a join.
+func (t *Tree) join(n *Node) (e Edge, la, lb float64) {
+	a, b := n.Nbr[0], n.Nbr[1]
+	la, lb = n.Len[0], n.Len[1]
+	disconnect(n, a)
+	disconnect(n, b)
+	connect(a, b, la+lb)
+	t.releaseNode(n)
+	return Edge{a, b}, la, lb
+}
+
 // SetLen sets the length of the edge between a and b (both directions).
 // The tree's edit counter is bumped only when the stored value actually
 // changes, so restoring a length to its previous value after a trial move

@@ -150,30 +150,17 @@ func TestPruneRegraftRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	tr, _ := RandomTree(taxaNames(9), rng, 0.1)
 	want := tr.Newick()
-	// Prune an arbitrary leaf subtree and regraft it back equivalently.
+	// Prune an arbitrary leaf subtree and put it back.
 	leaf := tr.LeafByTaxon(5)
-	p := leaf.Nbr[0]
-	lps := leaf.LenTo(p)
-	var others []*Node
-	var lens []float64
-	for i, nb := range p.Nbr {
-		if nb != leaf {
-			others = append(others, nb)
-			lens = append(lens, p.Len[i])
-		}
-	}
-	joined, err := tr.PruneSubtree(p, leaf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := tr.prune(leaf.Nbr[0], leaf)
 	// The tree is intentionally in a detached state here (the pruned
-	// subtree is disconnected), so no validation until the undo.
-	undoPrune(tr, joined, leaf, others, lens, lps)
+	// subtree is disconnected), so no validation until the restore.
+	pr.restore()
 	if err := tr.Validate(true); err != nil {
-		t.Fatalf("after undo: %v", err)
+		t.Fatalf("after restore: %v", err)
 	}
 	if got := tr.Newick(); got != want {
-		t.Errorf("undoPrune did not restore tree:\n%s\n%s", want, got)
+		t.Errorf("restore did not restore tree:\n%s\n%s", want, got)
 	}
 }
 
