@@ -51,14 +51,16 @@ difftest:
 	$(GO) test -count=1 -run TestDifferential ./internal/likelihood/difftest/
 
 # Fuzz smoke: ten seconds of native Go fuzzing split over every Fuzz*
-# target — thirteen today, so 1 s each (the script's floor): the TCP frame
+# target — fourteen today, so 1 s each (the script's floor): the TCP frame
 # parser, the task slice and result slice decoders and the join welcome,
 # which read what a peer sends, the PHYLIP, Newick, restart-manifest,
 # -weights/-rates and API-key file readers and the daemon's job spec,
 # which read what a user, an operator or a client hands the program,
 # FuzzApplySPR, a worker's replay of any four node IDs as an SPR move,
-# the vector edge log-likelihood against its scalar kernel, and
-# FuzzCompress, pattern compression against its comparison-sort oracle
+# FuzzForemanResults, the foreman's filing of any reply in its round's
+# result slots, the vector edge log-likelihood against its scalar
+# kernel, and FuzzCompress, pattern compression against its
+# comparison-sort oracle
 # (the committed corpora alone already run as part of `test`). A finding
 # lands in the package's testdata/fuzz/.
 fuzz-smoke:

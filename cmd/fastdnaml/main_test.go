@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/mlsearch"
 	"repro/internal/seq"
 	"repro/internal/simulate"
@@ -353,5 +355,58 @@ func TestRunMonitorFlag(t *testing.T) {
 	o.bindFlags(fs)
 	if err := fs.Parse([]string{"-monitor=maybe"}); err == nil {
 		t.Error("-monitor=maybe accepted")
+	}
+}
+
+// TestRunBenchJSONCountsSerialRun: a serial run feeds the observer that
+// -bench-json creates, so the report's run block counts every task as
+// evaluated inline and every dispatched round of both jumbles.
+func TestRunBenchJSONCountsSerialRun(t *testing.T) {
+	in := writeTestAlignment(t, 7, 120)
+	dir := t.TempDir()
+	args := []string{"-jumbles", "2", "-quiet", "-bench-json", dir}
+	if err := run(in, flags(t, args...)); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("reports %v (%v), want one", paths, err)
+	}
+	raw, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report struct {
+		Details struct {
+			Jumbles []struct{ Tasks int }
+			Run     struct{ Inline, Rounds int }
+		}
+	}
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := seq.ReadPhylip(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf, err := core.Infer(a, flags(t, args...).Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, rounds := 0, 0
+	for i, j := range inf.Jumbles {
+		if got := report.Details.Jumbles[i].Tasks; got != j.Search.TotalTasks {
+			t.Errorf("jumble %d: report has %d tasks, the search %d", i, got, j.Search.TotalTasks)
+		}
+		tasks += j.Search.TotalTasks
+		rounds += len(j.Search.Rounds)
+	}
+	if run := report.Details.Run; run.Inline != tasks || run.Rounds != rounds || tasks == 0 {
+		t.Errorf("report's run block counts %d inline tasks in %d rounds, want %d in %d", run.Inline, run.Rounds, tasks, rounds)
 	}
 }

@@ -134,11 +134,7 @@ func TestCheckpointValidate(t *testing.T) {
 // them on every transport.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	cfg := testConfig(t, 8, 150, 27)
-	disp, err := NewSerialDispatcher(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSearch(cfg, disp)
+	s, err := NewSearch(cfg, serialLane(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +156,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 
 func TestResumeRejectsMismatchedTree(t *testing.T) {
 	cfg := testConfig(t, 6, 100, 31)
-	disp, _ := NewSerialDispatcher(cfg)
-	s, _ := NewSearch(cfg, disp)
+	s, _ := NewSearch(cfg, serialLane(t, cfg))
 	order := TaxonOrder(6, cfg.Seed)
 	// Build a tree whose taxa do not match the order prefix.
 	wrong := []int{order[0], order[1], order[5]}
@@ -184,7 +179,7 @@ func TestResumeRejectsMismatchedTree(t *testing.T) {
 // the checkpointed totals, dispatching nothing.
 func TestResumeDone(t *testing.T) {
 	cfg := testConfig(t, 6, 100, 33)
-	disp, _ := NewSerialDispatcher(cfg)
+	disp := serialLane(t, cfg)
 	s, _ := NewSearch(cfg, disp)
 	var final Checkpoint
 	s.OnCheckpoint = func(cp Checkpoint) { final = cp }

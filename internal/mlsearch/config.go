@@ -60,8 +60,9 @@ type Config struct {
 	AdaptiveExtent bool
 
 	// Threads is the likelihood engine's kernel thread count for
-	// evaluators this config builds (serial dispatcher, inline foreman
-	// evaluator, workers; WorkerHooks.Threads replaces it on one worker).
+	// evaluators this config builds (the foreman's inline evaluator, which
+	// is the whole of a serial run, and workers; WorkerHooks.Threads
+	// replaces it on one worker).
 	// Default 1.
 	// Results are bit-identical across thread counts: sharding is a pure
 	// function of the data and reductions run in shard order.

@@ -2,15 +2,17 @@ package mlsearch
 
 import (
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/likelihood"
 	"repro/internal/tree"
 )
 
-// Evaluator executes Tasks against one engine. The serial dispatcher and
-// the worker process share it, so serial and parallel runs produce
-// bit-identical results for the same tasks.
+// Evaluator executes Tasks against one engine. The worker process and
+// the foreman's inline rung (which is the whole of a serial run) share
+// it, so serial and parallel runs produce bit-identical results for the
+// same tasks.
 //
 // Tasks are evaluated against their round's base tree, which the
 // evaluator parses once and keeps — along with the engine's CLV cache —
@@ -56,9 +58,9 @@ func NewEvaluator(eng likelihood.Engine, taxa []string) *Evaluator {
 
 // NewConfigEvaluator is the one place a run's evaluation identity —
 // data, model, engine backend, kernel threads —
-// becomes an evaluator. Every in-tree owner of an evaluator (serial
-// dispatcher, foreman inline fallback, worker, KH test, serve pod) builds
-// it here from the normalized Config and closes it when done.
+// becomes an evaluator. Every in-tree owner of an evaluator (the
+// foreman's inline rung, worker, KH test, serve pod) builds it here from
+// the normalized Config and closes it when done.
 func NewConfigEvaluator(norm Config) (*Evaluator, error) {
 	eng, err := likelihood.NewEngine(norm.Engine, norm.Model, norm.Patterns, likelihood.EngineOptions{Threads: norm.Threads})
 	if err != nil {
@@ -87,7 +89,20 @@ func (ev *Evaluator) SetSmoothMode(m likelihood.SmoothMode) {
 // CacheMisses report the CLV cache behaviour over the same span; Eval
 // and NewtonIters time and count the work so the foreman can attribute
 // per-phase latency to the task's trace span.
-func (ev *Evaluator) Evaluate(t Task) (Result, error) {
+//
+// A panic while evaluating becomes this task's error, carrying the panic
+// value and the stack, so it fails the candidate's round the way any
+// evaluation error does. The evaluator then forgets its base, edge list
+// and insertion scorer, and invalidates its engine's cache, so the next
+// task cannot read a half-written vector. Panics on the engine's shard
+// pool goroutines are not caught here.
+func (ev *Evaluator) Evaluate(t Task) (res Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			ev.forget()
+			res, err = Result{}, fmt.Errorf("mlsearch: task %d: evaluation panicked: %v\n%s", t.ID, p, debug.Stack())
+		}
+	}()
 	start := time.Now()
 	opsBefore := likelihood.OpsOf(ev.eng)
 	statsBefore := likelihood.StatsOf(ev.eng)
@@ -95,7 +110,6 @@ func (ev *Evaluator) Evaluate(t Task) (Result, error) {
 	var (
 		lens []EdgeLen
 		lnL  float64
-		err  error
 	)
 	switch {
 	case t.InsertEdge >= 0:
@@ -122,6 +136,16 @@ func (ev *Evaluator) Evaluate(t Task) (Result, error) {
 		Trace:       t.Trace,
 		Job:         t.Job,
 	}, nil
+}
+
+// forget drops everything the evaluator keeps between tasks, and every
+// vector its engine has cached.
+func (ev *Evaluator) forget() {
+	ev.base, ev.baseKey, ev.baseEdges = nil, "", nil
+	ev.scorer, ev.scorerTaxon = nil, -1
+	if inv, ok := ev.eng.(likelihood.Invalidator); ok {
+		inv.InvalidateAll()
+	}
 }
 
 // evalSmooth is the empty edit (init and smooth rounds): optimize every

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -64,7 +63,8 @@ import (
 // one candidate at a time, on an evaluator it builds from the run's
 // Config the first time it gets here and closes when Run returns, so a
 // run on any transport always completes, folding newly joined workers
-// back in the moment they arrive. A
+// back in the moment they arrive. A world with no workers (the Serial
+// transport) starts on this rung: it is the serial program. A
 // candidate whose evaluation fails is none of these: it would fail
 // anywhere, so its result carries the error, its job's round is closed
 // with that cause, and workers and other jobs carry on. A worker whose
@@ -125,24 +125,29 @@ func (o ForemanOptions) withDefaults() ForemanOptions {
 	return o
 }
 
-// jobState is one job's open round: its FIFO work queue, task set, and
-// accumulated results. It exists from the round's submission until its
+// jobState is one job's open round: the submitted tasks, whose IDs run
+// consecutively from tasks[0].ID >= 1, its FIFO work queue, and one
+// result slot per task. It exists from the round's submission until its
 // reply is sent.
 type jobState struct {
-	id      uint64
-	round   uint64
-	queue   []Task
-	byID    map[uint64]Task
-	results map[uint64]Result
+	id    uint64
+	round uint64
+	// tasks is the submitted slice, read-only; queue and every slice cut
+	// from it alias it until a requeue builds a new queue.
+	tasks []Task
+	queue []Task
+	// results[i] holds tasks[i]'s result once it has arrived; an empty
+	// slot has TaskID 0, which no task has. answered counts the full ones.
+	results  []Result
+	answered int
 	// reply is the submission's channel, where the round's answer goes.
 	reply chan roundReply
-	// failed is set by a result carrying an evaluation error: the round
-	// is answered as it stands instead of being completed.
-	failed bool
-	// enq tracks when each task entered the work queue, for the
-	// queue-wait phase of its trace span. Only maintained when an
-	// observer is attached.
-	enq map[uint64]time.Time
+	// err is set by a result carrying an evaluation error: the round is
+	// answered with it instead of being completed.
+	err error
+	// enq is when the round entered the work queue, for the queue-wait
+	// phase of its tasks' trace spans.
+	enq time.Time
 }
 
 // Foreman is the foreman role and, for the master that shares its
@@ -154,7 +159,8 @@ type Foreman struct {
 	cfg Config
 	opt ForemanOptions
 	// inline is the evaluator of the ladder's last rung, built from cfg
-	// the first time no live worker can take queued work.
+	// the first time no live worker can take queued work (at the first
+	// task of a world with no workers).
 	inline *Evaluator
 	// obs, when non-nil, is this foreman's view of its observer: it
 	// receives dispatch-loop instrumentation (metrics, typed events,
@@ -201,17 +207,39 @@ type dispatchRecord struct {
 	sent     time.Time
 }
 
+// slot returns the index of the round's task with this ID and round, or
+// -1 when no task of the round has both.
+func (js *jobState) slot(id, round uint64) int {
+	i := id - js.tasks[0].ID // wraps above len for an id below the first
+	if i >= uint64(len(js.tasks)) || js.tasks[i].Round != round {
+		return -1
+	}
+	return int(i)
+}
+
+// done reports whether a task of the round already has its result.
+func (js *jobState) done(t Task) bool { return js.results[t.ID-js.tasks[0].ID].TaskID != 0 }
+
+// store fills slot i.
+func (js *jobState) store(i int, res Result) {
+	js.results[i] = res
+	js.answered++
+}
+
 // requeue puts tasks back at the head of the job's queue, so re-dispatch
 // happens before fresh work.
 func (js *jobState) requeue(tasks []Task) {
 	js.queue = append(append([]Task(nil), tasks...), js.queue...)
 }
 
-// fail records a candidate's evaluation error as its result and stops
-// the round: nothing more of the job is dispatched, and flush answers it.
+// fail stops the round on a candidate's evaluation error: nothing more
+// of the job is dispatched, and flush answers it with the cause.
 func (js *jobState) fail(res Result) {
-	js.results[res.TaskID] = res
-	js.failed = true
+	where := fmt.Sprintf("on worker %d", res.Worker)
+	if res.Worker == InlineWorker {
+		where = "inline"
+	}
+	js.err = fmt.Errorf("mlsearch: job %d: evaluating task %d %s: %s", js.id, res.TaskID, where, res.Err)
 	js.queue = nil
 }
 
@@ -349,30 +377,29 @@ func (f *Foreman) shutdown() {
 	}
 }
 
-// startJob opens a submitted round as a new scheduling job. The queue is
-// the foreman's own copy: the submitting search keeps its slice.
+// startJob opens a submitted round as a new scheduling job. The foreman
+// only reads the submitted slice, and the submitting search waits until
+// the round is answered. A round whose IDs do not run consecutively from
+// one >= 1 cannot be given its slots, and is answered with an error.
 func (f *Foreman) startJob(sub *submission) {
 	if _, dup := f.jobs[sub.job]; dup {
 		sub.reply <- roundReply{err: fmt.Errorf("mlsearch: job %d already has an open round at the foreman", sub.job)}
 		return
 	}
+	for i, t := range sub.tasks {
+		if t.ID == 0 || t.ID != sub.tasks[0].ID+uint64(i) {
+			sub.reply <- roundReply{err: fmt.Errorf("mlsearch: job %d round %d: task %d has ID %d, want consecutive IDs from one >= 1", sub.job, sub.round, i, t.ID)}
+			return
+		}
+	}
 	js := &jobState{
 		id:      sub.job,
 		round:   sub.round,
-		queue:   append([]Task(nil), sub.tasks...),
-		byID:    map[uint64]Task{},
-		results: map[uint64]Result{},
+		tasks:   sub.tasks,
+		queue:   sub.tasks,
+		results: make([]Result, len(sub.tasks)),
 		reply:   sub.reply,
-	}
-	for _, t := range sub.tasks {
-		js.byID[t.ID] = t
-	}
-	if f.obs != nil {
-		js.enq = make(map[uint64]time.Time, len(sub.tasks))
-		now := time.Now()
-		for _, t := range sub.tasks {
-			js.enq[t.ID] = now
-		}
+		enq:     time.Now(),
 	}
 	f.jobs[sub.job] = js
 	f.order = append(f.order, sub.job)
@@ -400,7 +427,7 @@ func (f *Foreman) pump() {
 func (f *Foreman) flush() {
 	for i := 0; i < len(f.order); {
 		js := f.jobs[f.order[i]]
-		if !js.failed && len(js.results) < len(js.byID) {
+		if js.err == nil && js.answered < len(js.tasks) {
 			i++
 			continue
 		}
@@ -408,23 +435,23 @@ func (f *Foreman) flush() {
 	}
 }
 
-// finishJob sends a job's round reply — every result, sorted by task ID
-// (for a failed round: what had arrived, the failure among them) — and
-// closes the round.
+// finishJob sends a job's round reply — every result in task order, or
+// for a failed round its cause — and closes the round.
 func (f *Foreman) finishJob(js *jobState) {
-	results := make([]Result, 0, len(js.results))
 	best := math.Inf(-1)
 	for _, r := range js.results {
-		results = append(results, r)
-		if r.Err == "" && r.LnL > best {
+		if r.TaskID != 0 && r.LnL > best {
 			best = r.LnL
 		}
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].TaskID < results[j].TaskID })
 	f.removeJob(js.id)
 	f.obs.RoundDone(js.id, js.round, len(f.members), best)
 	f.depths()
-	js.reply <- roundReply{results: results}
+	if js.err != nil {
+		js.reply <- roundReply{err: js.err}
+		return
+	}
+	js.reply <- roundReply{results: js.results}
 }
 
 // removeJob drops a job from the map and the round-robin ring.
@@ -465,8 +492,7 @@ func (f *Foreman) nextSlice(live int) (*jobState, []Task) {
 	for i := 0; i < n; i++ {
 		idx := (f.rrPos + i) % n
 		js := f.jobs[f.order[idx]]
-		done := func(t Task) bool { _, ok := js.results[t.ID]; return ok }
-		for len(js.queue) > 0 && done(js.queue[0]) {
+		for len(js.queue) > 0 && js.done(js.queue[0]) {
 			js.queue = js.queue[1:]
 		}
 		q := js.queue
@@ -478,7 +504,7 @@ func (f *Foreman) nextSlice(live int) (*jobState, []Task) {
 			want = (len(q) + 2*live - 1) / (2 * live)
 		}
 		k := 1
-		for k < want && q[0].sliceWith(q[k]) && !done(q[k]) {
+		for k < want && q[0].sliceWith(q[k]) && !js.done(q[k]) {
 			k++
 		}
 		js.queue = q[k:]
@@ -524,10 +550,7 @@ func (f *Foreman) dropBusy(w int) {
 // and its job may have opened the next.
 func (f *Foreman) openRound(job, id, round uint64) *jobState {
 	js := f.jobs[job]
-	if js == nil || js.failed {
-		return nil
-	}
-	if own, known := js.byID[id]; !known || own.Round != round {
+	if js == nil || js.err != nil || js.slot(id, round) < 0 {
 		return nil
 	}
 	return js
@@ -542,7 +565,7 @@ func (f *Foreman) requeueUnanswered(tasks []Task) {
 	}
 	var undone []Task
 	for _, t := range tasks {
-		if _, done := js.results[t.ID]; !done {
+		if !js.done(t) {
 			undone = append(undone, t)
 		}
 	}
@@ -574,7 +597,7 @@ func (f *Foreman) evalInline() {
 		return
 	}
 	res.Worker = InlineWorker
-	js.results[t.ID] = res
+	js.store(int(t.ID-js.tasks[0].ID), res)
 	f.obs.Inline(t.Job, t.Round, t.ID, res.LnL)
 	f.depths()
 }
@@ -657,7 +680,7 @@ func (f *Foreman) assign() {
 		}
 		if f.obs != nil {
 			for _, t := range slice {
-				f.obs.Dispatched(w, t.Job, t.Round, t.ID, now.Sub(js.enq[t.ID]))
+				f.obs.Dispatched(w, t.Job, t.Round, t.ID, now.Sub(js.enq))
 			}
 		}
 	}
@@ -712,10 +735,8 @@ func (f *Foreman) handleResult(msg comm.Message) bool {
 	}
 	if js := f.openRound(first.Job, first.TaskID, first.Round); js != nil {
 		for _, res := range results {
-			if _, known := js.byID[res.TaskID]; !known {
-				continue
-			}
-			if _, dup := js.results[res.TaskID]; dup {
+			i := js.slot(res.TaskID, res.Round)
+			if i < 0 || js.results[i].TaskID != 0 {
 				continue
 			}
 			res.Worker = int32(w)
@@ -723,7 +744,7 @@ func (f *Foreman) handleResult(msg comm.Message) bool {
 				js.fail(res)
 				break
 			}
-			js.results[res.TaskID] = res
+			js.store(i, res)
 			var rtt time.Duration
 			if answered != nil {
 				rtt = res.Eval + overhead

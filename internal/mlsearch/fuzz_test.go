@@ -3,7 +3,11 @@ package mlsearch
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/comm"
 )
 
 // The two slice envelopes are what a TCP peer's TagTask and TagResult
@@ -106,6 +110,84 @@ func FuzzReadManifest(f *testing.F) {
 		}
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
 			t.Fatalf("not a fixed point:\n%s\nthen\n%s", once.Bytes(), twice.Bytes())
+		}
+	})
+}
+
+// A worker's reply is bytes of its choosing, and the foreman files each
+// result it decodes in one slot of the open round by task ID. Whatever
+// the reply — a task ID of 0, below the round's first or past its last,
+// another job's or another round's header, duplicates, a failure — the
+// foreman must not panic, a filled slot holds its own task's result (its
+// ID and round), and
+// answered counts the filled slots. After it, an honest reply of every
+// result answers the round in task order, unless the reply failed a task
+// of the round, which answers it with the failure. Each byte of ids is a
+// result: its low seven bits the task ID (the round's are 5…10), its top
+// bit a failure with text failure. The committed corpus holds each of
+// those cases and an honest partial reply.
+func FuzzForemanResults(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ids []byte, job, round uint64, failure string) {
+		if len(ids) == 0 {
+			return
+		}
+		fm := NewForeman(nil, Layout{Workers: []int{2}}, Config{}, ForemanOptions{}, nil)
+		tasks := sliceOf(6, 1, 1, "(a,b,c);")
+		for i := range tasks {
+			tasks[i].ID = uint64(5 + i)
+		}
+		reply := fm.startTestJob(1, tasks)
+		js, slice := fm.nextSlice(1)
+		fm.ready = nil
+		fm.busy[2] = []dispatchRecord{{tasks: slice, sent: time.Now()}}
+		fm.inflight = 1
+
+		results := make([]Result, len(ids))
+		for i, b := range ids {
+			results[i] = Result{TaskID: uint64(b & 0x7f), Job: job, Round: round, LnL: -float64(b)}
+			if b&0x80 != 0 {
+				results[i].Err = failure
+			}
+		}
+		if !fm.handleResult(comm.Message{From: 2, Tag: comm.TagResult, Data: marshalResults(results)}) {
+			t.Fatal("an encoded reply was refused")
+		}
+		filled := 0
+		for i, r := range js.results {
+			if r.TaskID == 0 {
+				continue
+			}
+			filled++
+			if r.TaskID != tasks[i].ID || r.Round != tasks[i].Round {
+				t.Fatalf("slot %d holds the result of task %d of round %d", i, r.TaskID, r.Round)
+			}
+		}
+		if filled != js.answered {
+			t.Fatalf("%d slots filled, %d answered", filled, js.answered)
+		}
+
+		failed := js.err != nil
+		fm.handleResult(comm.Message{From: 2, Tag: comm.TagResult, Data: marshalResults(cannedResults(tasks))})
+		fm.flush()
+		var r roundReply
+		select {
+		case r = <-reply:
+		default:
+			t.Fatal("the round was not answered")
+		}
+		if failed {
+			if r.err == nil || !strings.Contains(r.err.Error(), failure) {
+				t.Fatalf("failed round answered with %v", r.err)
+			}
+			return
+		}
+		if r.err != nil || len(r.results) != len(tasks) {
+			t.Fatalf("round answered with %d results and %v", len(r.results), r.err)
+		}
+		for i, res := range r.results {
+			if res.TaskID != tasks[i].ID {
+				t.Fatalf("result %d is task %d's", i, res.TaskID)
+			}
 		}
 	})
 }

@@ -54,3 +54,27 @@ func runSerial(cfg Config) (*SearchResult, error) {
 	}
 	return out.Results[0], nil
 }
+
+// serialLane opens a job lane on a world with no workers, the serial
+// program's dispatcher, and shuts the world down when the test ends.
+func serialLane(t *testing.T, cfg Config) Dispatcher {
+	t.Helper()
+	norm, err := cfg.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := StartLocal(norm, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := w.Shutdown(); err != nil {
+			t.Error(err)
+		}
+	})
+	disp, err := w.foreman.NewDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return disp
+}

@@ -1,10 +1,6 @@
 package mlsearch
 
-import (
-	"fmt"
-
-	"repro/internal/comm"
-)
+import "repro/internal/comm"
 
 // The master (paper §2.2): "generates and compares trees. It generates
 // new tree topologies (in steps 2-5) and sends these trees to the
@@ -21,19 +17,6 @@ import (
 // the reason there will be none. The reply channel is the lane's own, so
 // no reply can reach another lane and an idle lane holds no resources.
 
-// dispatcherSource mints per-search dispatchers; it is how runJumbles
-// gives each concurrent search its own job lane without knowing the
-// transport.
-type dispatcherSource interface {
-	NewDispatcher() (Dispatcher, error)
-}
-
-// fixedSource hands every search the same dispatcher — the serial path,
-// where searches never overlap.
-type fixedSource struct{ d Dispatcher }
-
-func (s fixedSource) NewDispatcher() (Dispatcher, error) { return s.d, nil }
-
 // submission is one round on its way from a job lane to the foreman.
 type submission struct {
 	job, round uint64
@@ -43,16 +26,16 @@ type submission struct {
 	reply chan roundReply
 }
 
-// roundReply is the foreman's answer: every task's result sorted by task
-// ID (for a round a candidate failed: what had arrived, that one
-// included), or why the foreman cannot answer.
+// roundReply is the foreman's answer: every task's result in task order,
+// or why there is none (a candidate's evaluation failed, the round could
+// not be opened, or the foreman has stopped).
 type roundReply struct {
 	results []Result
 	err     error
 }
 
-// NewDispatcher implements dispatcherSource: each call opens a fresh job
-// lane (ids start at 1; 0 is a task no lane has stamped).
+// NewDispatcher opens a fresh job lane for one search (ids start at 1; 0
+// is a task no lane has stamped).
 func (f *Foreman) NewDispatcher() (Dispatcher, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -88,7 +71,7 @@ func (f *Foreman) submit(job, round uint64, tasks []Task) ([]Result, error) {
 }
 
 // JobDispatcher is one search's lane to the foreman: the Dispatcher of
-// the parallel runtime. Rounds are numbered per lane, and every task is
+// every transport. Rounds are numbered per lane, and every task is
 // stamped with the lane's job id.
 type JobDispatcher struct {
 	f     *Foreman
@@ -100,21 +83,12 @@ type JobDispatcher struct {
 func (d *JobDispatcher) Job() uint64 { return d.job }
 
 // Dispatch implements Dispatcher: one round to the foreman, its results
-// back. A candidate whose evaluation failed fails the round with its
-// cause; the lane, the foreman and the workers remain usable.
+// back in task order. A candidate whose evaluation failed fails the round
+// with its cause; the lane, the foreman and the workers remain usable.
 func (d *JobDispatcher) Dispatch(tasks []Task) ([]Result, error) {
 	d.round++
 	for i := range tasks {
 		tasks[i].Job = d.job
 	}
-	results, err := d.f.submit(d.job, d.round, tasks)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		if r.Err != "" {
-			return nil, fmt.Errorf("mlsearch: job %d: evaluating task %d on worker %d: %s", d.job, r.TaskID, r.Worker, r.Err)
-		}
-	}
-	return results, nil
+	return d.f.submit(d.job, d.round, tasks)
 }

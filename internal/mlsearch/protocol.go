@@ -28,9 +28,11 @@ type Layout struct {
 
 // DefaultLayout maps a world of the given size onto the paper's layout:
 // rank 0 master, rank 1 foreman, the rest workers, so the smallest world
-// has three ranks. The second argument selects nothing: the monitor stopped
-// being a rank when it became a pair of bus subscribers, and the parameter
-// stays only until its callers are updated (ROADMAP item 10).
+// it maps has three ranks. Its only caller is the benchmark module, which
+// keys its worker hooks by rank (StartLocal lays out 0 or more workers
+// itself). The second argument selects nothing: the monitor stopped
+// being a rank when it became a pair of bus subscribers. Both stay until
+// the benchmark module is updated (ROADMAP item 10).
 func DefaultLayout(size int, _ bool) (Layout, error) {
 	if size <= firstWorkerRank {
 		return Layout{}, fmt.Errorf("mlsearch: world size %d too small (need 2 + >=1 worker)", size)

@@ -13,15 +13,18 @@ import (
 // one RunOptions selects between the paper's serial program, the
 // in-process parallel program (goroutine ranks), and the distributed TCP
 // program with elastic worker membership — the same search algorithm
-// behind three transports, the way fastDNAml swaps comm_mpi.c for
-// comm_pvm.c without touching the inference code.
+// and the same master, foreman and job lanes behind three transports,
+// the way fastDNAml swaps comm_mpi.c for comm_pvm.c without touching
+// the inference code. The serial program is the world with no workers,
+// whose foreman evaluates every task itself.
 
 // Transport selects how a Run executes its task rounds.
 type Transport int
 
 // Transports.
 const (
-	// Serial evaluates every task in the calling goroutine — the
+	// Serial runs master and foreman with no worker: the foreman
+	// evaluates every task inline, in task order, on one evaluator — the
 	// uniprocessor baseline of the scaling study.
 	Serial Transport = iota
 	// Local runs master, foreman and workers as goroutines connected by
@@ -68,16 +71,17 @@ type RunOptions struct {
 	// Foreman tunes dispatch fault tolerance (Local and TCP).
 	Foreman ForemanOptions
 	// MonitorOut, when non-nil, attaches the paper's instrumentation
-	// role (Local and TCP): a line per membership change, removal or
-	// inline evaluation, and a closing line, printed from Obs's events
-	// (from a private observer when Obs is nil).
+	// role (Local and TCP; ignored for Serial): a line per membership
+	// change, removal or inline evaluation, and a closing line, printed
+	// from Obs's events (from a private observer when Obs is nil).
 	MonitorOut io.Writer
 	// Obs, when non-nil, attaches run observability to the hosting
-	// process: the foreman updates its metrics, bus, spans, and /status
-	// snapshot, and RunOutcome.Monitor is that snapshot at shutdown.
+	// process on every transport: the foreman updates its metrics, bus,
+	// spans, and /status snapshot, and RunOutcome.Monitor is that
+	// snapshot at shutdown.
 	Obs *RunObserver
 	// WorkerHooks, keyed by rank, perturb Local workers for fault
-	// injection tests.
+	// injection tests. Ignored for Serial.
 	WorkerHooks map[int]WorkerHooks
 	// Progress receives per-round events (jumble index, event).
 	Progress func(int, ProgressEvent)
@@ -121,23 +125,36 @@ type RunOutcome struct {
 func Run(cfg Config, opt RunOptions) (*RunOutcome, error) {
 	switch opt.Transport {
 	case Serial:
-		return runSerialTransport(cfg, opt)
+		// One evaluator, in task order: serial searches must not overlap.
+		opt.Workers, opt.MaxConcurrentJumbles = 0, 1
+		opt.WorkerHooks, opt.MonitorOut = nil, nil
 	case Local:
-		return runLocalTransport(cfg, opt)
+		if opt.Workers < 1 {
+			return nil, fmt.Errorf("mlsearch: %d workers, need >= 1", opt.Workers)
+		}
 	case TCP:
 		return runTCPTransport(cfg, opt)
+	default:
+		return nil, fmt.Errorf("mlsearch: unknown transport %d", int(opt.Transport))
 	}
-	return nil, fmt.Errorf("mlsearch: unknown transport %d", int(opt.Transport))
+	norm, err := cfg.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	world, err := StartLocal(norm, opt)
+	if err != nil {
+		return nil, err
+	}
+	return world.runOnce(norm, opt)
 }
 
-// runJumbles executes opt.Jumbles searches against dispatchers minted
-// from src, the shared core of every transport's master side. Seeds
-// advance by 2 per jumble from cfg.Seed (keeping them odd, §2.1). Up to
-// MaxConcurrentJumbles searches run as goroutines, each in its own job
-// lane through the shared foreman; per-jumble results are identical to
-// the sequential schedule because every search's rounds remain a
-// barrier within its own lane.
-func runJumbles(src dispatcherSource, cfg Config, opt RunOptions) ([]*SearchResult, error) {
+// runJumbles executes opt.Jumbles searches through foreman f, the shared
+// core of every transport's master side. Seeds advance by 2 per jumble
+// from cfg.Seed (keeping them odd, §2.1). Up to MaxConcurrentJumbles
+// searches run as goroutines, each in its own job lane; per-jumble
+// results are identical to the sequential schedule because every
+// search's rounds remain a barrier within its own lane.
+func runJumbles(f *Foreman, cfg Config, opt RunOptions) ([]*SearchResult, error) {
 	if opt.Jumbles < 1 {
 		opt.Jumbles = 1
 	}
@@ -160,7 +177,7 @@ func runJumbles(src dispatcherSource, cfg Config, opt RunOptions) ([]*SearchResu
 	}
 
 	runOne := func(j int) (*SearchResult, error) {
-		disp, err := src.NewDispatcher()
+		disp, err := f.NewDispatcher()
 		if err != nil {
 			return nil, err
 		}
@@ -225,34 +242,6 @@ func runJumbles(src dispatcherSource, cfg Config, opt RunOptions) ([]*SearchResu
 	return out, nil
 }
 
-func runSerialTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
-	disp, err := NewSerialDispatcher(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer disp.Close()
-	// One evaluator, one goroutine: serial searches must not overlap.
-	opt.MaxConcurrentJumbles = 1
-	opt.Workers = 0
-	results, err := runJumbles(fixedSource{d: disp}, cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &RunOutcome{Results: results}, nil
-}
-
-func runLocalTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
-	norm, err := cfg.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	world, err := StartLocal(norm, opt)
-	if err != nil {
-		return nil, err
-	}
-	return world.runOnce(norm, opt)
-}
-
 // LocalWorld is the running part of a world that this process hosts:
 // the foreman and the layout's local workers as goroutines over the
 // endpoints comm hosts here, the monitor when asked for as a subscriber
@@ -260,7 +249,8 @@ func runLocalTransport(cfg Config, opt RunOptions) (*RunOutcome, error) {
 // searches. Workers in other processes, if the transport has any, are the
 // foreman's business, not the world's. The Local and TCP transports are a
 // started world, one Run, Shutdown; a serve pod is a LocalWorld that has
-// not been shut down yet and takes a Run per job.
+// not been shut down yet and takes a Run per job. The Serial transport
+// is the world with no workers.
 type LocalWorld struct {
 	// Monitor holds the observer's snapshot once Shutdown has returned
 	// (nil when the world runs without an observer).
@@ -276,22 +266,22 @@ type LocalWorld struct {
 }
 
 // StartLocal starts an in-process world for the normalized run
-// configuration. From opt it takes Workers, MonitorOut, Foreman, Obs and
-// WorkerHooks. Every worker evaluates with norm (see
+// configuration. From opt it takes Workers (0 or more), MonitorOut,
+// Foreman, Obs and WorkerHooks. Every worker evaluates with norm (see
 // WorkerHooks for the two values a hook may replace), and so does the
-// foreman when no worker is left to (see Foreman).
+// foreman when no worker is left to (see Foreman) — from the start in a
+// world of none.
 func StartLocal(norm Config, opt RunOptions) (*LocalWorld, error) {
-	if opt.Workers < 1 {
-		return nil, fmt.Errorf("mlsearch: %d workers, need >= 1", opt.Workers)
+	if opt.Workers < 0 {
+		return nil, fmt.Errorf("mlsearch: %d workers, need >= 0", opt.Workers)
 	}
-	size := opt.Workers + 2
-	ranks, err := comm.NewLocal(size)
+	ranks, err := comm.NewLocal(firstWorkerRank + opt.Workers)
 	if err != nil {
 		return nil, err
 	}
-	lay, err := DefaultLayout(size, false)
-	if err != nil {
-		return nil, err
+	var lay Layout
+	for r := firstWorkerRank; r < len(ranks); r++ {
+		lay.Workers = append(lay.Workers, r)
 	}
 	return startRoles(ranks, lay, norm, opt), nil
 }

@@ -3,7 +3,6 @@ package mlsearch
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -17,10 +16,11 @@ import (
 // errors.Is(err, ErrStopped).
 var ErrStopped = errors.New("mlsearch: search stopped")
 
-// Dispatcher evaluates a batch of tasks and returns their results in any
-// order. The serial dispatcher runs them in-process; the parallel
-// dispatcher routes them through the foreman to the workers (paper Fig 2:
-// "the trees to be evaluated are distributed to the available workers").
+// Dispatcher evaluates a batch of tasks and returns their results in task
+// order, one per task. The job lane (JobDispatcher) routes them through
+// the foreman to the workers (paper Fig 2: "the trees to be evaluated are
+// distributed to the available workers"), or with none left evaluates
+// them in the foreman itself.
 type Dispatcher interface {
 	Dispatch(tasks []Task) ([]Result, error)
 }
@@ -270,11 +270,11 @@ var noMove = tree.SPRMove{P: -1, S: -1, TA: -1, TB: -1}
 // empty edit, which smooths every branch. Each task gets the next ID and
 // a child span of the search's trace. A round whose edit adds nothing is
 // not dispatched and returns no tasks. Otherwise round checks Stop,
-// dispatches, orders the results by task ID (so ties resolve
-// deterministically whatever the arrival order) and records the round's
-// statistics; GenBytes counts the base Newick once and taskOverheadBytes
-// per insertion or move. It returns the base, the tasks in ID order and
-// the best result, lowest task ID on ties.
+// dispatches, and records the round's statistics; GenBytes counts the
+// base Newick once and taskOverheadBytes per insertion or move. It
+// returns the base, the tasks in ID order and the best result, lowest
+// task ID on ties (the results come back in task order, so ties resolve
+// the same whatever order they were evaluated in).
 func (s *Search) round(kind RoundKind, tr *tree.Tree, taxa, taxon, passes int, edit func(base *tree.Tree, add func(insert int, mv tree.SPRMove)) error) (*tree.Tree, []Task, Result, error) {
 	s.nextRound++
 	nwk := tr.Newick()
@@ -323,9 +323,11 @@ func (s *Search) round(kind RoundKind, tr *tree.Tree, taxa, taxon, passes int, e
 	if len(results) != len(tasks) {
 		return nil, nil, Result{}, fmt.Errorf("mlsearch: %s round returned %d results for %d tasks", kind, len(results), len(tasks))
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].TaskID < results[j].TaskID })
 	best := results[0]
-	for _, r := range results {
+	for i, r := range results {
+		if r.TaskID != tasks[i].ID {
+			return nil, nil, Result{}, fmt.Errorf("mlsearch: %s round returned task %d's result in task %d's place", kind, r.TaskID, tasks[i].ID)
+		}
 		stats.Tasks = append(stats.Tasks, TaskStat{Ops: r.Ops, LnL: r.LnL, CacheHits: r.CacheHits, CacheMisses: r.CacheMisses, Elapsed: r.Eval})
 		s.totalOps += r.Ops
 		if r.LnL > best.LnL {

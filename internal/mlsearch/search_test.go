@@ -197,11 +197,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestProgressEvents(t *testing.T) {
 	cfg := testConfig(t, 6, 100, 3)
-	disp, err := NewSerialDispatcher(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSearch(cfg, disp)
+	s, err := NewSearch(cfg, serialLane(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

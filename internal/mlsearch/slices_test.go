@@ -369,14 +369,12 @@ func TestSliceCutsFollowGuidedRule(t *testing.T) {
 	}
 }
 
-// startTestJob opens a round on a hand-built foreman.
-func (f *Foreman) startTestJob(job uint64, tasks []Task) {
-	js := &jobState{id: job, round: 1, queue: tasks, byID: map[uint64]Task{}, results: map[uint64]Result{}}
-	for _, t := range tasks {
-		js.byID[t.ID] = t
-	}
-	f.jobs[job] = js
-	f.order = append(f.order, job)
+// startTestJob opens a round on a hand-built foreman and returns the
+// channel its answer goes to.
+func (f *Foreman) startTestJob(job uint64, tasks []Task) chan roundReply {
+	reply := make(chan roundReply, 1)
+	f.startJob(&submission{job: job, round: 1, tasks: tasks, reply: reply})
+	return reply
 }
 
 // scriptedWorker serves rank's end of a hand-built world: every slice it
@@ -425,6 +423,45 @@ func taskIDs(tasks []Task) []uint64 {
 		ids[i] = task.ID
 	}
 	return ids
+}
+
+// TestRoundWithUnindexableIDsIsRefused: the foreman files results by
+// TaskID − first ID, so a round whose IDs have a gap, or start at 0, is
+// answered with an error instead of waiting for a result no slot can
+// take; the foreman then serves the lane's next round, in task order.
+func TestRoundWithUnindexableIDsIsRefused(t *testing.T) {
+	world := newTestWorld(t, 3)
+	lay := Layout{Workers: []int{2}}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		scriptedWorker(t, world[2], 1, func(slice []Task) ([]Result, bool) { return cannedResults(slice), false })
+	}()
+	foreman, disp := newTestMaster(t, world, lay, ForemanOptions{}, nil)
+	gap := sliceOf(4, 0, 1, "(a,b,c);")
+	gap[2].ID += 5
+	zero := sliceOf(2, 0, 2, "(a,b,c);")
+	zero[0].ID, zero[1].ID = 0, 1
+	for _, bad := range [][]Task{gap, zero} {
+		if o := awaitDispatch(t, "unindexable round", dispatchAsync(disp, bad)); o.err == nil || !strings.Contains(o.err.Error(), "consecutive") {
+			t.Errorf("round of IDs %v answered with %d results and error %v", taskIDs(bad), len(o.results), o.err)
+		}
+	}
+	tasks := sliceOf(5, 0, 3, "(a,b,c);")
+	o := awaitDispatch(t, "next round", dispatchAsync(disp, tasks))
+	if o.err != nil || len(o.results) != len(tasks) {
+		t.Fatalf("next round: %d results, error %v", len(o.results), o.err)
+	}
+	for i, r := range o.results {
+		if r.TaskID != tasks[i].ID {
+			t.Errorf("result %d is task %d's, want task %d's", i, r.TaskID, tasks[i].ID)
+		}
+	}
+	if err := foreman.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
 }
 
 // TestPartialReplyRequeuesExactlyTheMissing: a worker that answers only

@@ -65,9 +65,9 @@ func (e *probeEngine) Close() {
 // TestEvaluationIdentityPropagates is the generated plumbing matrix:
 // every way the tree builds an evaluator × every evaluation knob. In
 // each cell the run sets one knob away from its default, and every
-// engine the run built — serial dispatcher, Local/TCP/pod workers, the
-// foreman's inline fallback (built only when no worker answers), the KH
-// test — must have been built on the
+// engine the run built — Local/TCP/pod workers, the foreman's inline
+// evaluator (a serial run's only one, elsewhere built only when no worker
+// answers), the KH test — must have been built on the
 // run's engine and the run's model, number for number, with the run's
 // thread count, and been closed by the time the run returned. Precision
 // and smooth mode have one legal value each, so their cells are
